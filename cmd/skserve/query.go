@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"spatialkeyword"
@@ -31,6 +32,15 @@ type skqlServer struct {
 	exec  *obs.Histogram // sk_skql_exec_seconds
 	plans map[skql.Path]*obs.Counter
 	errs  *obs.Counter
+
+	// Sidecar index maintenance, exported from the catalog's
+	// IndexStats: idxSeen is the snapshot already counted.
+	idxMu        sync.Mutex
+	idxSeen      skql.IndexStats
+	idxRefresh   *obs.Histogram // sk_skql_index_refresh_seconds
+	idxRows      *obs.Counter   // sk_skql_index_rows_indexed_total
+	idxFullBuild *obs.Counter   // sk_skql_index_full_builds_total
+	idxFolds     *obs.Counter   // sk_skql_index_folds_total
 }
 
 // attachSKQL mounts the SKQL catalog when the backend exposes the full
@@ -52,12 +62,45 @@ func (s *server) attachSKQL() {
 		plans: make(map[skql.Path]*obs.Counter),
 		errs: s.reg.Counter("sk_skql_errors_total",
 			"SKQL statements rejected at parse, plan, or execution time."),
+		idxRefresh: s.reg.Histogram("sk_skql_index_refresh_seconds",
+			"Time an IIO statement spent bringing the sidecar inverted index current (first build, then catch-up on new rows).",
+			obs.LatencyBuckets()),
+		idxRows: s.reg.Counter("sk_skql_index_rows_indexed_total",
+			"Rows tokenised into the sidecar inverted index, by builds and catch-ups."),
+		idxFullBuild: s.reg.Counter("sk_skql_index_full_builds_total",
+			"Sidecar inverted index builds from a full scan; stays at 1 under write traffic."),
+		idxFolds: s.reg.Counter("sk_skql_index_folds_total",
+			"Folds of the sidecar index's in-memory tail into its on-device lists."),
 	}
 	for _, p := range []skql.Path{skql.PathIR2, skql.PathIIO, skql.PathRTree, skql.PathRanked} {
 		q.plans[p] = s.reg.Counter("sk_skql_plans_total",
 			"Physical operators planned, by access path.", obs.L("path", p.String()))
 	}
 	s.skql = q
+}
+
+// refreshIndex brings the catalog's sidecar index current and exports
+// what that took: the catalog's counters advance the sk_skql_index_*
+// totals, and a call that found work observes its duration. Two
+// statements racing one refresh may swap whose wait is observed; the
+// counts stay exact.
+func (q *skqlServer) refreshIndex() error {
+	start := time.Now()
+	err := q.cat.EnsureIndex()
+	elapsed := time.Since(start)
+	st := q.cat.IndexStats()
+	q.idxMu.Lock()
+	defer q.idxMu.Unlock()
+	seen := q.idxSeen
+	if st.Refreshes <= seen.Refreshes {
+		return err // nothing new, or a later snapshot was already counted
+	}
+	q.idxSeen = st
+	q.idxRefresh.Observe(elapsed.Seconds())
+	q.idxRows.Add(st.RowsIndexed - seen.RowsIndexed)
+	q.idxFullBuild.Add(st.FullBuilds - seen.FullBuilds)
+	q.idxFolds.Add(st.Folds - seen.Folds)
+	return err
 }
 
 // queryResponse is the POST /query payload.
@@ -122,8 +165,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// The refresh is part of what the statement costs its caller, so it
+	// stays inside the execution timing it has always been inside.
 	start = time.Now()
-	rs, err := sq.cat.RunPlan(plan)
+	var rs *skql.ResultSet
+	if plan.ReadsIndex() {
+		err = sq.refreshIndex()
+	}
+	if err == nil {
+		rs, err = sq.cat.RunPlan(plan)
+	}
 	sq.exec.Observe(time.Since(start).Seconds())
 	if err != nil {
 		sq.errs.Inc()
@@ -160,8 +211,8 @@ func (l *lockedEngine) NumObjects() int {
 	return l.eng.NumObjects()
 }
 
-// Scan holds the read lock for the whole pass; the sidecar index build
-// is the only caller and runs rarely (on growth).
+// Scan holds the read lock for the whole pass. Its only caller is the
+// sidecar index's one full build; later adds are indexed through Get.
 func (l *lockedEngine) Scan(fn func(spatialkeyword.Object) error) error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -174,10 +225,21 @@ func (l *lockedEngine) IsDeleted(id uint64) bool {
 	return l.eng.IsDeleted(id)
 }
 
+// Corpus hands the planner the engine's document frequencies. The
+// planner calls DocFreq after this returns, beside adds that grow the
+// vocabulary, so the closure takes the read lock itself (as the sharded
+// engine's does).
 func (l *lockedEngine) Corpus() spatialkeyword.CorpusStats {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.eng.Corpus()
+	cs := l.eng.Corpus()
+	docFreq := cs.DocFreq
+	cs.DocFreq = func(word string) int {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		return docFreq(word)
+	}
+	return cs
 }
 
 func (l *lockedEngine) MeterIO() func() (random, sequential uint64) {

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -156,5 +157,100 @@ func TestQueryMetricsExported(t *testing.T) {
 		if !strings.Contains(string(text), want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestIndexMaintenanceMetrics: under writes between IIO statements the
+// sidecar index is built from a scan once and then only caught up — the
+// operator-visible form is sk_skql_index_full_builds_total staying at 1
+// while rows_indexed grows. Statements that never touch the index (other
+// paths, plain EXPLAIN) leave the family at zero.
+func TestIndexMaintenanceMetrics(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	seedHotels(t, ts)
+	metrics := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		text, _ := io.ReadAll(resp.Body)
+		return string(text)
+	}
+	requireLines := func(text string, lines ...string) {
+		t.Helper()
+		for _, want := range lines {
+			if !strings.Contains(text, want+"\n") {
+				t.Errorf("/metrics missing %q", want)
+			}
+		}
+	}
+
+	postQuery(t, ts.URL, `{"query": "SELECT TOP 2 NEAR (25.4, -80.1) MATCH internet USING ir2"}`).Body.Close()
+	postQuery(t, ts.URL, `{"query": "EXPLAIN SELECT TOP 2 NEAR (25.4, -80.1) MATCH internet USING iio"}`).Body.Close()
+	requireLines(metrics(),
+		"sk_skql_index_full_builds_total 0",
+		"sk_skql_index_refresh_seconds_count 0")
+
+	iio := `{"query": "SELECT COUNT WITHIN rect(-90, -180, 90, 180) MATCH pool USING iio"}`
+	for round := 0; round < 3; round++ {
+		resp := postQuery(t, ts.URL, iio)
+		if out := decode[queryResponse](t, resp); out.Count != 2+round {
+			t.Fatalf("round %d: count = %d, want %d", round, out.Count, 2+round)
+		}
+		// Current index: a repeat statement finds nothing to refresh.
+		postQuery(t, ts.URL, iio).Body.Close()
+		post(t, ts.URL+"/objects", addRequest{Point: []float64{1, float64(round)}, Text: "motel pool"}).Body.Close()
+	}
+	requireLines(metrics(),
+		"sk_skql_index_full_builds_total 1",
+		"sk_skql_index_rows_indexed_total 5", // 3 built + 2 caught up; the last add is not indexed yet
+		"sk_skql_index_refresh_seconds_count 3")
+}
+
+// TestQueryIIOConcurrentWithAdds drives the single-engine server the way
+// a mixed workload does, but from several clients at once: adds take the
+// engine's write lock while IIO statements catch the index up and read
+// it (run under -race). No statement may fail, and once the adds are in
+// the count is exact.
+func TestQueryIIOConcurrentWithAdds(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	seedHotels(t, ts)
+	const writers, perWriter, readers = 2, 25, 2
+	iio := `{"query": "SELECT COUNT WITHIN rect(-90, -180, 90, 180) MATCH pool USING iio"}`
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				resp := post(t, ts.URL+"/objects", addRequest{Point: []float64{float64(w), float64(i)}, Text: "inn pool sauna"})
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusCreated {
+					t.Errorf("add status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				resp := postQuery(t, ts.URL, iio)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("query status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if out := decode[queryResponse](t, postQuery(t, ts.URL, iio)); out.Count != 2+writers*perWriter {
+		t.Fatalf("count after the adds = %d, want %d", out.Count, 2+writers*perWriter)
 	}
 }

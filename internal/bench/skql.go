@@ -83,14 +83,27 @@ func (e *SKQLEnv) skqlBand(regime string, minWords int) []string {
 	return band
 }
 
-// SKQLWorkload builds n seeded SKQL statements for one regime: top-k
-// distance-first queries with a two-keyword conjunction drawn from the
-// regime's band, placed at jittered object locations (queries follow
-// the data distribution, as elsewhere in the harness).
-func (e *SKQLEnv) SKQLWorkload(regime string, n, k int, seed int64) []string {
+// skqlQuery is one drawn E-X11 query: a location and a two-keyword
+// conjunction.
+type skqlQuery struct {
+	x, y   float64
+	w1, w2 string
+}
+
+// statement renders the query as SKQL text.
+func (q skqlQuery) statement(k int) string {
+	return fmt.Sprintf("SELECT TOP %d NEAR (%s, %s) MATCH %q AND %q",
+		k, strconv.FormatFloat(q.x, 'g', -1, 64), strconv.FormatFloat(q.y, 'g', -1, 64), q.w1, q.w2)
+}
+
+// skqlQueries draws n seeded queries for one regime: a two-keyword
+// conjunction from the regime's band, placed at jittered object
+// locations (queries follow the data distribution, as elsewhere in the
+// harness).
+func (e *SKQLEnv) skqlQueries(regime string, n int, seed int64) []skqlQuery {
 	rng := rand.New(rand.NewSource(seed))
 	band := e.skqlBand(regime, 8)
-	stmts := make([]string, 0, n)
+	qs := make([]skqlQuery, 0, n)
 	for i := 0; i < n; i++ {
 		p := e.points[rng.Intn(len(e.points))]
 		x := p[0] + rng.NormFloat64()*50
@@ -100,8 +113,18 @@ func (e *SKQLEnv) SKQLWorkload(regime string, n, k int, seed int64) []string {
 		for w2 == w1 && len(band) > 1 {
 			w2 = band[rng.Intn(len(band))]
 		}
-		stmts = append(stmts, fmt.Sprintf("SELECT TOP %d NEAR (%s, %s) MATCH %q AND %q",
-			k, strconv.FormatFloat(x, 'g', -1, 64), strconv.FormatFloat(y, 'g', -1, 64), w1, w2))
+		qs = append(qs, skqlQuery{x: x, y: y, w1: w1, w2: w2})
+	}
+	return qs
+}
+
+// SKQLWorkload builds n seeded SKQL statements for one regime: top-k
+// distance-first queries over skqlQueries' draws.
+func (e *SKQLEnv) SKQLWorkload(regime string, n, k int, seed int64) []string {
+	qs := e.skqlQueries(regime, n, seed)
+	stmts := make([]string, len(qs))
+	for i, q := range qs {
+		stmts[i] = q.statement(k)
 	}
 	return stmts
 }
@@ -109,8 +132,10 @@ func (e *SKQLEnv) SKQLWorkload(regime string, n, k int, seed int64) []string {
 // MeasureSKQL runs the statements through the catalog with the given
 // forced path ("" = the cost-based planner), charging each query the
 // block accesses its executed operators reported (engine devices plus
-// the sidecar index, exactly what EXPLAIN ANALYZE shows).
-func (e *SKQLEnv) MeasureSKQL(method Method, force string, stmts []string, cm storage.CostModel) (Measurement, error) {
+// the sidecar index, exactly what EXPLAIN ANALYZE shows). A non-nil
+// before runs ahead of statement i, outside its meters and its clock —
+// the write half of a mixed arm.
+func (e *SKQLEnv) MeasureSKQL(method Method, force string, stmts []string, cm storage.CostModel, before func(i int) error) (Measurement, error) {
 	out := Measurement{Method: method, Queries: len(stmts)}
 	if len(stmts) == 0 {
 		return out, nil
@@ -119,7 +144,12 @@ func (e *SKQLEnv) MeasureSKQL(method Method, force string, stmts []string, cm st
 	var random, sequential uint64
 	var cpu time.Duration
 	var results, objects int
-	for _, src := range stmts {
+	for i, src := range stmts {
+		if before != nil {
+			if err := before(i); err != nil {
+				return out, fmt.Errorf("bench: skql write before %q: %w", src, err)
+			}
+		}
 		if force != "" {
 			src += " USING " + force
 		}
@@ -194,18 +224,32 @@ func SKQL(spec dataset.Spec, sigBytes, k, nQueries int, seed int64, cm storage.C
 			"expect: rare keywords — forced IIO beats forced IR2 and the planner",
 			"routes to IIO; common keywords — the tree scan beats IIO and the",
 			"planner routes to it; on both extremes the planner's disk time",
-			"matches the better forced arm (the cost-based routing acceptance)",
+			"matches the better forced arm (the cost-based routing acceptance);",
+			"rare+add — every statement finds the object added just before it,",
+			"at the read-only rare arm's blocks plus that object's load (the",
+			"index tail is in memory; no rebuild is charged to any statement)",
 		},
 	}
 	for _, regime := range []string{"rare", "common"} {
 		stmts := env.SKQLWorkload(regime, nQueries, k, seed)
 		for _, arm := range skqlArms {
-			m, err := env.MeasureSKQL(arm.method, arm.force, stmts, cm)
+			m, err := env.MeasureSKQL(arm.method, arm.force, stmts, cm, nil)
 			if err != nil {
 				return nil, err
 			}
 			t.Rows = append(t.Rows, t.measurementRow(regime, m))
 		}
 	}
+
+	qs := env.skqlQueries("rare", nQueries, seed)
+	m, err := env.MeasureSKQL(MethodSKQLIIO, "iio", env.SKQLWorkload("rare", nQueries, k, seed), cm,
+		func(i int) error {
+			_, err := env.Eng.Add([]float64{qs[i].x, qs[i].y}, qs[i].w1+" "+qs[i].w2)
+			return err
+		})
+	if err != nil {
+		return nil, err
+	}
+	t.Rows = append(t.Rows, t.measurementRow("rare+add", m))
 	return t, nil
 }

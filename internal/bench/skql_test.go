@@ -24,7 +24,7 @@ func TestSKQLPlannerNeverWorse(t *testing.T) {
 		stmts := env.SKQLWorkload(regime, 10, 10, 1)
 		times := make(map[Method]float64)
 		for _, arm := range skqlArms {
-			m, err := env.MeasureSKQL(arm.method, arm.force, stmts, cm)
+			m, err := env.MeasureSKQL(arm.method, arm.force, stmts, cm, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", regime, arm.method, err)
 			}
@@ -55,7 +55,7 @@ func TestSKQLResultsAgreeAcrossArms(t *testing.T) {
 	stmts := env.SKQLWorkload("rare", 5, 5, 42)
 	var want float64
 	for i, arm := range skqlArms {
-		m, err := env.MeasureSKQL(arm.method, arm.force, stmts, cm)
+		m, err := env.MeasureSKQL(arm.method, arm.force, stmts, cm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,14 +67,19 @@ func TestSKQLResultsAgreeAcrossArms(t *testing.T) {
 	}
 }
 
-// TestSKQLTableShape checks the experiment emits 2 regimes x 3 arms.
+// TestSKQLTableShape checks the experiment emits 2 regimes x 3 arms plus
+// the mixed read/write arm, in which every statement must find the
+// object added just before it.
 func TestSKQLTableShape(t *testing.T) {
 	tbl, err := SKQL(dataset.Restaurants(0.005), 8, 5, 3, 7, storage.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 6 || len(tbl.Cells) != 6 {
-		t.Fatalf("rows=%d cells=%d, want 6 each", len(tbl.Rows), len(tbl.Cells))
+	if len(tbl.Rows) != 7 || len(tbl.Cells) != 7 {
+		t.Fatalf("rows=%d cells=%d, want 7 each", len(tbl.Rows), len(tbl.Cells))
+	}
+	if mixed := tbl.Cells[6]; mixed.Sweep != "rare+add" || mixed.Meas.AvgResults < 1 {
+		t.Fatalf("mixed arm: sweep %q, avg results %v; want rare+add with every add found", mixed.Sweep, mixed.Meas.AvgResults)
 	}
 	if tbl.Cells[0].Sweep != "rare" || tbl.Cells[3].Sweep != "common" {
 		t.Fatalf("sweep order: %q, %q", tbl.Cells[0].Sweep, tbl.Cells[3].Sweep)

@@ -39,6 +39,7 @@ func Open(dev storage.Device, store *objstore.Store, opts Options, stateBlock st
 		MaxEntries: opts.MaxEntries,
 		Scheme:     x.scheme,
 		Split:      opts.Split,
+		CacheNodes: opts.CacheNodes,
 	}, stateBlock)
 	if err != nil {
 		return nil, fmt.Errorf("core: open: %w", err)

@@ -12,12 +12,20 @@
 // The dictionary (word -> list location) is kept in memory at query time,
 // the usual assumption for inverted indexes; its serialized form is also
 // written to the device so the structure's size (Table 2) accounts for it.
+//
+// A built index stays appendable. Append posts a document whose reference
+// exceeds every reference posted so far into a small in-memory tail, so a
+// word's list is its on-device list followed by its tail list and stays
+// sorted without merging. Fold re-encodes the on-device lists and the tail
+// into a fresh region, read from the index's own lists. With an empty tail
+// every read charges exactly the blocks the static structure charges.
 package invindex
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
@@ -30,17 +38,38 @@ type listRef struct {
 	count  uint32 // number of postings
 }
 
-// Index is a disk-resident inverted index. Build it by calling Add for every
-// object and then Build once; afterwards it is safe for concurrent readers.
+// layout is one encoded generation of the index on the device: the
+// postings region, its dictionary, and the blocks both occupy.
+type layout struct {
+	dict         map[string]listRef
+	postings     int // total postings across all lists
+	firstBlock   storage.BlockID
+	regionBlocks int
+	dictBlock    storage.BlockID
+	dictBlocks   int
+}
+
+// Index is a disk-resident inverted index. Call Add for every object and
+// then Build once, from one goroutine; afterwards Append and Fold keep it
+// current. Once built it is safe for concurrent use: readers share a lock
+// that Append and Fold take exclusively, so Intersect never observes a
+// half-appended document.
 type Index struct {
 	dev storage.Device
 
+	mu       sync.RWMutex
 	building map[string][]uint64
 	built    bool
+	base     layout
 
-	dict         map[string]listRef
-	firstBlock   storage.BlockID
-	regionBlocks int
+	// The tail: postings appended since the base was encoded.
+	tail         map[string][]uint64
+	tailPostings int
+
+	// maxRef is the largest reference ever posted (valid when hasRef);
+	// Append accepts only larger ones.
+	maxRef uint64
+	hasRef bool
 }
 
 // New returns an empty index on dev.
@@ -48,13 +77,10 @@ func New(dev storage.Device) *Index {
 	return &Index{dev: dev, building: make(map[string][]uint64)}
 }
 
-// Add posts an object reference under every distinct word of words. It must
-// be called before Build; words are used as given (normalize upstream).
-func (ix *Index) Add(ref uint64, words []string) {
-	if ix.built {
-		//skvet:ignore nopanic documented API misuse: the index is immutable after Build
-		panic("invindex: Add after Build")
-	}
+// post appends ref to m's list of every distinct non-empty word and
+// returns the number of postings added.
+func post(m map[string][]uint64, ref uint64, words []string) int {
+	n := 0
 	seen := make(map[string]struct{}, len(words))
 	for _, w := range words {
 		if w == "" {
@@ -64,7 +90,22 @@ func (ix *Index) Add(ref uint64, words []string) {
 			continue
 		}
 		seen[w] = struct{}{}
-		ix.building[w] = append(ix.building[w], ref)
+		m[w] = append(m[w], ref)
+		n++
+	}
+	return n
+}
+
+// Add posts an object reference under every distinct word of words. It must
+// be called before Build; words are used as given (normalize upstream).
+func (ix *Index) Add(ref uint64, words []string) {
+	if ix.built {
+		//skvet:ignore nopanic documented API misuse: after Build documents enter through Append
+		panic("invindex: Add after Build")
+	}
+	post(ix.building, ref, words)
+	if !ix.hasRef || ref > ix.maxRef {
+		ix.maxRef, ix.hasRef = ref, true
 	}
 }
 
@@ -73,9 +114,122 @@ func (ix *Index) AddDocument(ref uint64, text string) {
 	ix.Add(ref, textutil.UniqueTokens(text))
 }
 
-// Build encodes all posting lists and the dictionary onto the device. After
-// Build the index is read-only.
+// Append posts a document into a built index. ref must exceed every
+// reference posted before it — that is what keeps each list sorted with
+// the tail simply following the on-device postings — and a ref that does
+// not is rejected, leaving the index unchanged. The postings stay in
+// memory until the next Fold.
+func (ix *Index) Append(ref uint64, words []string) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if !ix.built {
+		return fmt.Errorf("invindex: Append before Build")
+	}
+	if ix.hasRef && ref <= ix.maxRef {
+		return fmt.Errorf("invindex: Append ref %d does not exceed last posted ref %d", ref, ix.maxRef)
+	}
+	ix.maxRef, ix.hasRef = ref, true
+	if ix.tail == nil {
+		ix.tail = make(map[string][]uint64)
+	}
+	ix.tailPostings += post(ix.tail, ref, words)
+	return nil
+}
+
+// encodeList delta-varint encodes the ascending refs onto region,
+// skipping repeats, records the list's location under w in dict, and
+// returns the grown region.
+func encodeList(region []byte, dict map[string]listRef, w string, refs []uint64) []byte {
+	var scratch [binary.MaxVarintLen64]byte
+	start := len(region)
+	prev := uint64(0)
+	n := 0
+	for i, r := range refs {
+		if i > 0 && r == prev {
+			continue // dedupe defensively
+		}
+		k := binary.PutUvarint(scratch[:], r-prev)
+		region = append(region, scratch[:k]...)
+		prev = r
+		n++
+	}
+	dict[w] = listRef{
+		offset: uint64(start),
+		length: uint32(len(region) - start),
+		count:  uint32(n),
+	}
+	return region
+}
+
+// decodeList decodes count delta-varint postings from data onto dst.
+func decodeList(dst []uint64, data []byte, count uint32) ([]uint64, bool) {
+	var prev uint64
+	for i := uint32(0); i < count; i++ {
+		delta, n := binary.Uvarint(data)
+		if n <= 0 {
+			return dst, false
+		}
+		data = data[n:]
+		prev += delta
+		dst = append(dst, prev)
+	}
+	return dst, true
+}
+
+// release frees the blocks of a layout.
+func (ix *Index) release(l layout) {
+	for i := 0; i < l.regionBlocks; i++ {
+		ix.dev.Free(l.firstBlock + storage.BlockID(i))
+	}
+	for i := 0; i < l.dictBlocks; i++ {
+		ix.dev.Free(l.dictBlock + storage.BlockID(i))
+	}
+}
+
+// write stores an encoded region and the dictionary that indexes it
+// (words ascending) on the device. On error nothing stays allocated.
+func (ix *Index) write(words []string, dict map[string]listRef, region []byte) (layout, error) {
+	l := layout{dict: dict}
+	bs := ix.dev.BlockSize()
+	if len(region) > 0 {
+		l.regionBlocks = (len(region) + bs - 1) / bs
+		l.firstBlock = ix.dev.AllocRun(l.regionBlocks)
+		if err := ix.dev.WriteRun(l.firstBlock, l.regionBlocks, region); err != nil {
+			ix.release(l)
+			return layout{}, fmt.Errorf("invindex: write postings: %w", err)
+		}
+	}
+
+	// Serialize the dictionary for size accounting: len|word|offset|length|count.
+	var dictBuf []byte
+	var scratch [binary.MaxVarintLen64]byte
+	for _, w := range words {
+		r := dict[w]
+		l.postings += int(r.count)
+		k := binary.PutUvarint(scratch[:], uint64(len(w)))
+		dictBuf = append(dictBuf, scratch[:k]...)
+		dictBuf = append(dictBuf, w...)
+		for _, v := range []uint64{r.offset, uint64(r.length), uint64(r.count)} {
+			k = binary.PutUvarint(scratch[:], v)
+			dictBuf = append(dictBuf, scratch[:k]...)
+		}
+	}
+	if len(dictBuf) > 0 {
+		l.dictBlocks = (len(dictBuf) + bs - 1) / bs
+		l.dictBlock = ix.dev.AllocRun(l.dictBlocks)
+		if err := ix.dev.WriteRun(l.dictBlock, l.dictBlocks, dictBuf); err != nil {
+			ix.release(l)
+			return layout{}, fmt.Errorf("invindex: write dictionary: %w", err)
+		}
+	}
+	return l, nil
+}
+
+// Build encodes all posting lists and the dictionary onto the device.
+// After Build, documents enter through Append.
 func (ix *Index) Build() error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if ix.built {
 		return fmt.Errorf("invindex: already built")
 	}
@@ -86,81 +240,125 @@ func (ix *Index) Build() error {
 	sort.Strings(words)
 
 	// Encode every list into one contiguous buffer.
-	ix.dict = make(map[string]listRef, len(words))
+	dict := make(map[string]listRef, len(words))
 	var region []byte
-	var scratch [binary.MaxVarintLen64]byte
 	for _, w := range words {
 		refs := ix.building[w]
 		sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-		start := len(region)
-		prev := uint64(0)
-		n := 0
-		for i, r := range refs {
-			if i > 0 && r == prev {
-				continue // dedupe defensively
-			}
-			k := binary.PutUvarint(scratch[:], r-prev)
-			region = append(region, scratch[:k]...)
-			prev = r
-			n++
-		}
-		ix.dict[w] = listRef{
-			offset: uint64(start),
-			length: uint32(len(region) - start),
-			count:  uint32(n),
-		}
+		region = encodeList(region, dict, w, refs)
 	}
-
-	bs := ix.dev.BlockSize()
-	if len(region) > 0 {
-		nblocks := (len(region) + bs - 1) / bs
-		first := ix.dev.AllocRun(nblocks)
-		if err := ix.dev.WriteRun(first, nblocks, region); err != nil {
-			return fmt.Errorf("invindex: write postings: %w", err)
-		}
-		ix.firstBlock = first
-		ix.regionBlocks = nblocks
+	l, err := ix.write(words, dict, region)
+	if err != nil {
+		return err
 	}
-
-	// Serialize the dictionary for size accounting: len|word|offset|length|count.
-	var dictBuf []byte
-	for _, w := range words {
-		r := ix.dict[w]
-		k := binary.PutUvarint(scratch[:], uint64(len(w)))
-		dictBuf = append(dictBuf, scratch[:k]...)
-		dictBuf = append(dictBuf, w...)
-		for _, v := range []uint64{r.offset, uint64(r.length), uint64(r.count)} {
-			k = binary.PutUvarint(scratch[:], v)
-			dictBuf = append(dictBuf, scratch[:k]...)
-		}
-	}
-	if len(dictBuf) > 0 {
-		nblocks := (len(dictBuf) + bs - 1) / bs
-		first := ix.dev.AllocRun(nblocks)
-		if err := ix.dev.WriteRun(first, nblocks, dictBuf); err != nil {
-			return fmt.Errorf("invindex: write dictionary: %w", err)
-		}
-	}
-
+	ix.base = l
 	ix.building = nil
 	ix.built = true
 	return nil
 }
 
+// Fold re-encodes the on-device lists followed by the tail into a fresh
+// region and dictionary, frees the old ones, and empties the tail: the
+// index afterwards equals a one-shot Build over the same documents. It
+// reads only the index's own lists. References for which drop reports
+// true are left out (nil drops nothing); drop runs with the index locked
+// and must not call back into it. On error the index is unchanged.
+func (ix *Index) Fold(drop func(ref uint64) bool) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if !ix.built {
+		return fmt.Errorf("invindex: Fold before Build")
+	}
+	var old []byte
+	if ix.base.regionBlocks > 0 {
+		var err error
+		old, err = ix.dev.ReadRun(ix.base.firstBlock, ix.base.regionBlocks)
+		if err != nil {
+			return fmt.Errorf("invindex: fold: read postings: %w", err)
+		}
+	}
+	words := make([]string, 0, len(ix.base.dict)+len(ix.tail))
+	for w := range ix.base.dict {
+		words = append(words, w)
+	}
+	for w := range ix.tail {
+		if _, inBase := ix.base.dict[w]; !inBase {
+			words = append(words, w)
+		}
+	}
+	sort.Strings(words)
+
+	dict := make(map[string]listRef, len(words))
+	region := make([]byte, 0, len(old))
+	kept := words[:0]
+	var refs []uint64
+	for _, w := range words {
+		refs = refs[:0]
+		if r, ok := ix.base.dict[w]; ok {
+			var good bool
+			refs, good = decodeList(refs, old[r.offset:r.offset+uint64(r.length)], r.count)
+			if !good {
+				return fmt.Errorf("invindex: fold: corrupt posting list for %q", w)
+			}
+		}
+		refs = append(refs, ix.tail[w]...)
+		if drop != nil {
+			live := refs[:0]
+			for _, r := range refs {
+				if !drop(r) {
+					live = append(live, r)
+				}
+			}
+			refs = live
+		}
+		if len(refs) == 0 {
+			continue
+		}
+		region = encodeList(region, dict, w, refs)
+		kept = append(kept, w)
+	}
+	l, err := ix.write(kept, dict, region)
+	if err != nil {
+		return err
+	}
+	ix.release(ix.base)
+	ix.base = l
+	ix.tail, ix.tailPostings = nil, 0
+	return nil
+}
+
 // NumWords returns the number of distinct indexed words.
 func (ix *Index) NumWords() int {
-	if ix.built {
-		return len(ix.dict)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if !ix.built {
+		return len(ix.building)
 	}
-	return len(ix.building)
+	n := len(ix.base.dict)
+	for w := range ix.tail {
+		if _, inBase := ix.base.dict[w]; !inBase {
+			n++
+		}
+	}
+	return n
 }
 
 // DocFreq returns the posting count for word (0 if absent).
 func (ix *Index) DocFreq(word string) int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	if !ix.built {
 		return len(ix.building[word])
 	}
-	return int(ix.dict[word].count)
+	return int(ix.base.dict[word].count) + len(ix.tail[word])
+}
+
+// PostingCounts returns the sizes a fold policy weighs: how many postings
+// sit in the in-memory tail and how many in the on-device lists.
+func (ix *Index) PostingCounts() (tail, base int) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.tailPostings, ix.base.postings
 }
 
 // SizeBytes returns the on-device footprint (postings + dictionary).
@@ -173,51 +371,59 @@ func (ix *Index) SizeMB() float64 { return float64(ix.SizeBytes()) / 1e6 }
 func (ix *Index) Device() storage.Device { return ix.dev }
 
 // Postings reads word's posting list from the device and returns the sorted
-// object references ("I.RetrieveObjectPointersList(w)" of Figure 7). A word
-// absent from the dictionary yields an empty list with no I/O.
+// object references ("I.RetrieveObjectPointersList(w)" of Figure 7): the
+// on-device list followed by the word's tail. A word absent from the
+// dictionary yields no I/O; the tail never does.
 func (ix *Index) Postings(word string) ([]uint64, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.postings(word)
+}
+
+// postings is Postings with ix.mu held.
+func (ix *Index) postings(word string) ([]uint64, error) {
 	if !ix.built {
 		return nil, fmt.Errorf("invindex: Postings before Build")
 	}
-	r, ok := ix.dict[word]
+	tail := ix.tail[word]
+	r, ok := ix.base.dict[word]
 	if !ok || r.count == 0 {
-		return nil, nil
+		if len(tail) == 0 {
+			return nil, nil
+		}
+		// A copy: the caller owns its result, the tail keeps growing.
+		return append([]uint64(nil), tail...), nil
 	}
 	bs := uint64(ix.dev.BlockSize())
 	firstIdx := r.offset / bs
 	lastIdx := (r.offset + uint64(r.length) - 1) / bs
 	nblocks := int(lastIdx-firstIdx) + 1
-	buf, err := ix.dev.ReadRun(ix.firstBlock+storage.BlockID(firstIdx), nblocks)
+	buf, err := ix.dev.ReadRun(ix.base.firstBlock+storage.BlockID(firstIdx), nblocks)
 	if err != nil {
 		return nil, fmt.Errorf("invindex: read postings for %q: %w", word, err)
 	}
-	data := buf[r.offset-firstIdx*bs:]
-	refs := make([]uint64, 0, r.count)
-	var prev uint64
-	for i := 0; i < int(r.count); i++ {
-		delta, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("invindex: corrupt posting list for %q", word)
-		}
-		data = data[n:]
-		prev += delta
-		refs = append(refs, prev)
+	refs, good := decodeList(make([]uint64, 0, int(r.count)+len(tail)), buf[r.offset-firstIdx*bs:], r.count)
+	if !good {
+		return nil, fmt.Errorf("invindex: corrupt posting list for %q", word)
 	}
-	return refs, nil
+	return append(refs, tail...), nil
 }
 
 // Intersect reads the posting lists of every word and returns their
 // intersection (Figure 7 lines 1-3): the references of objects containing
 // all the words. Lists are intersected shortest-first. An unknown word
 // short-circuits to an empty result after reading the lists of the words
-// before it, matching the algorithm's left-to-right evaluation.
+// before it, matching the algorithm's left-to-right evaluation. All lists
+// are read under one lock, so the result reflects whole documents only.
 func (ix *Index) Intersect(words []string) ([]uint64, error) {
 	if len(words) == 0 {
 		return nil, nil
 	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	lists := make([][]uint64, 0, len(words))
 	for _, w := range words {
-		l, err := ix.Postings(w)
+		l, err := ix.postings(w)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package skql
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -73,12 +74,14 @@ type rankedStreamer interface {
 
 // Catalog binds a Target to the planner: it owns the text analyzer the
 // query terms are normalized with, the cost-model constants, and a
-// lazily built sidecar inverted index that serves the IIO physical
-// path (and document frequencies for targets without a Corpus).
+// lazily built, incrementally maintained sidecar inverted index that
+// serves the IIO physical path (and document frequencies for targets
+// without a Corpus).
 //
-// A Catalog is safe for concurrent queries; the sidecar build is
-// serialized internally. The Analyzer and tuning fields must be set
-// before the first query.
+// A Catalog is safe for concurrent queries; index refreshes are
+// serialized internally, and queries running beside one read whole
+// documents only. The Analyzer and tuning fields must be set before
+// the first query.
 type Catalog struct {
 	// Analyzer normalizes query terms and sidecar index tokens. It
 	// must match the target engine's text configuration; nil is the
@@ -96,14 +99,40 @@ type Catalog struct {
 
 	t Target
 
-	// The sidecar inverted index: built from a target Scan on first
-	// use, rebuilt when the target's object count changes. Deleted
-	// objects are filtered at execution time via IsDeleted, so
-	// deletions alone do not force a rebuild.
-	mu     sync.Mutex
-	inv    *invindex.Index
-	invDev *storage.Disk
-	invN   int
+	// The sidecar inverted index: built from one target Scan on first
+	// use, then kept current by reading only the rows added since —
+	// object IDs are append-only, so rows [invMark, NumObjects) are
+	// exactly the unindexed ones. Deleted objects are filtered at
+	// execution time via IsDeleted and dropped when the tail is folded.
+	// mu serializes refreshes; readers go through the index's own lock.
+	mu      sync.Mutex
+	inv     *invindex.Index
+	invDev  *storage.Disk
+	invMark int
+	stats   IndexStats
+}
+
+// foldDivisor sets when the index's in-memory tail is folded into its
+// on-device lists: once it holds 1/foldDivisor as many postings as they
+// do. A fold re-encodes every list, so a fixed fraction makes the cost
+// per added row constant (amortised) at any corpus size.
+const foldDivisor = 8
+
+// IndexStats counts the sidecar index's maintenance work since the
+// catalog was created.
+type IndexStats struct {
+	// FullBuilds is how many times the index was built from a full
+	// target Scan: once on first use, again only if the target's ID
+	// space shrank (a follower that re-bootstrapped).
+	FullBuilds uint64
+	// Folds is how many times the tail was folded on-device.
+	Folds uint64
+	// RowsIndexed is how many rows were tokenised into the index, by
+	// builds and catch-ups together.
+	RowsIndexed uint64
+	// Refreshes is how many index uses found the target changed and
+	// did any of the above.
+	Refreshes uint64
 }
 
 // NewCatalog returns a Catalog over the target with default settings.
@@ -126,37 +155,109 @@ func (c *Catalog) SidecarDevice() storage.Device {
 	return c.invDev
 }
 
-// EnsureIndex builds (or refreshes) the sidecar inverted index now
-// instead of on first IIO execution, so benchmarks can meter query
-// I/O without the one-time build cost.
+// IndexStats returns the sidecar index's maintenance counters.
+func (c *Catalog) IndexStats() IndexStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}
+
+// EnsureIndex brings the sidecar inverted index current now instead of
+// on the next IIO execution (the first call builds it, later calls
+// catch up on new rows), so benchmarks can meter query I/O without the
+// maintenance cost.
 func (c *Catalog) EnsureIndex() error {
 	_, err := c.index()
 	return err
 }
 
-// index returns the sidecar inverted index, building it if the target
-// has grown since the last build.
+// index returns the sidecar inverted index, current as of the target's
+// object count on entry. A query that raced an add catches up on its
+// next call.
 func (c *Catalog) index() (*invindex.Index, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.t.NumObjects()
-	if c.inv != nil && c.invN == n {
+	if c.inv != nil && n == c.invMark {
 		return c.inv, nil
 	}
+	c.stats.Refreshes++
+	if n < c.invMark {
+		// The ID space moved backwards: a different engine stands
+		// behind the target now, so no posted ID can be trusted.
+		c.inv, c.invDev, c.invMark = nil, nil, 0
+	}
+	var err error
+	if c.inv == nil {
+		err = c.buildIndex(n)
+	} else {
+		err = c.catchUp(n)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("skql: refresh sidecar index: %w", err)
+	}
+	return c.inv, nil
+}
+
+// buildIndex builds the index over rows [0, n) from a full target Scan.
+func (c *Catalog) buildIndex(n int) error {
 	dev := storage.NewDisk(4096)
 	ix := invindex.New(dev)
+	rows := uint64(0)
 	err := c.t.Scan(func(o spatialkeyword.Object) error {
-		ix.Add(o.ID, c.Analyzer.Unique(o.Text))
+		// Rows added since n was read belong to the next catch-up.
+		if o.ID < uint64(n) {
+			ix.Add(o.ID, c.Analyzer.Unique(o.Text))
+			rows++
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("skql: build sidecar index: %w", err)
+		return err
 	}
 	if err := ix.Build(); err != nil {
-		return nil, fmt.Errorf("skql: build sidecar index: %w", err)
+		return err
 	}
-	c.inv, c.invDev, c.invN = ix, dev, n
-	return ix, nil
+	c.inv, c.invDev, c.invMark = ix, dev, n
+	c.stats.FullBuilds++
+	c.stats.RowsIndexed += rows
+	return nil
+}
+
+// catchUp appends rows [invMark, n) to the index, one Get each. Rows
+// that are deleted or were never assigned are passed over for good (the
+// executor filters them anyway); any other failure stops the pass with
+// the mark at the unread row, so the next use retries it and a
+// transient fault never leaves a hole.
+func (c *Catalog) catchUp(n int) error {
+	for c.invMark < n {
+		o, err := c.t.Get(uint64(c.invMark))
+		switch {
+		case err == nil:
+			if err := c.inv.Append(uint64(c.invMark), c.Analyzer.Unique(o.Text)); err != nil {
+				return err
+			}
+			c.stats.RowsIndexed++
+		case errors.Is(err, spatialkeyword.ErrDeleted), errors.Is(err, spatialkeyword.ErrUnknownID):
+		default:
+			return err
+		}
+		c.invMark++
+	}
+	tail, base := c.inv.PostingCounts()
+	if tail == 0 || tail*foldDivisor < base {
+		return nil
+	}
+	dead := make([]bool, c.invMark)
+	for id := range dead {
+		dead[id] = c.t.IsDeleted(uint64(id))
+	}
+	err := c.inv.Fold(func(ref uint64) bool { return ref < uint64(len(dead)) && dead[ref] })
+	if err != nil {
+		return err
+	}
+	c.stats.Folds++
+	return nil
 }
 
 // maxBranches returns the effective DNF cap.

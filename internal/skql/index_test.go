@@ -1,0 +1,436 @@
+package skql
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"spatialkeyword"
+	"spatialkeyword/internal/repl"
+	"spatialkeyword/internal/shard"
+	"spatialkeyword/internal/storage"
+)
+
+// indexBackend is one backend of the interleaved index program: where
+// mutations go, what the catalog reads, and how to wait until the two
+// agree (a follower lags its leader).
+type indexBackend struct {
+	add    func(point []float64, text string) (uint64, error)
+	del    func(id uint64) error
+	target Target
+	settle func() error
+}
+
+// runIndexProgram is the seeded interleaved program every backend runs:
+// adds, deletes and forced-IIO statements in TOP, COUNT WITHIN and area
+// forms, each answer checked against a brute-force scan of the target.
+// The index may be built from a full scan exactly once; everything after
+// has to arrive through catch-up and folds.
+func runIndexProgram(t *testing.T, b indexBackend, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	const initial, steps = 60, 160
+	var live []uint64
+	next := 0
+	add := func() {
+		// "fresh*" words first appear after the build, so they live in
+		// the tail until a fold; "rare*" only exist in the built base.
+		text := genText(rng, next, initial)
+		if next >= initial {
+			text += fmt.Sprintf(" fresh%d", next%4)
+		}
+		id, err := b.add(genPoint(rng), text)
+		if err != nil {
+			t.Fatalf("add %d: %v", next, err)
+		}
+		live = append(live, id)
+		next++
+	}
+	for next < initial {
+		add()
+	}
+	c := NewCatalog(b.target)
+
+	matches := []string{
+		`MATCH "fresh0"`,
+		`MATCH "fresh1" AND "com0"`,
+		`MATCH "fresh2" AND NOT "com1"`,
+		`MATCH "rare1"`,
+		`MATCH "base" AND "mid0"`,
+		`MATCH "com0" AND "com1"`,
+		`MATCH "base" AND ("fresh3" OR "rare2")`,
+	}
+	queries := 0
+	for step := 0; step < steps; step++ {
+		switch r := rng.Float64(); {
+		case r < 0.45:
+			add()
+			continue
+		case r < 0.60 && len(live) > 0:
+			i := rng.Intn(len(live))
+			if err := b.del(live[i]); err != nil {
+				t.Fatalf("delete %d: %v", live[i], err)
+			}
+			live = append(live[:i], live[i+1:]...)
+			continue
+		}
+		if err := b.settle(); err != nil {
+			t.Fatalf("settle: %v", err)
+		}
+		m := matches[rng.Intn(len(matches))]
+		p, lo := genPoint(rng), genPoint(rng)
+		hi := []float64{lo[0] + 40, lo[1] + 40}
+		k := 1 + rng.Intn(8)
+		forms := []string{
+			fmt.Sprintf("SELECT TOP %d NEAR (%v, %v) %s USING iio", k, p[0], p[1], m),
+			fmt.Sprintf("SELECT TOP %d WITHIN rect(%v, %v, %v, %v) %s USING iio", k, lo[0], lo[1], hi[0], hi[1], m),
+			fmt.Sprintf("SELECT ALL WITHIN rect(%v, %v, %v, %v) %s USING iio", lo[0], lo[1], hi[0], hi[1], m),
+			fmt.Sprintf("SELECT COUNT WITHIN rect(%v, %v, %v, %v) %s USING iio", lo[0], lo[1], hi[0], hi[1], m),
+		}
+		src := forms[rng.Intn(len(forms))]
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		rs, err := c.Run(q)
+		if err != nil {
+			t.Fatalf("step %d Run(%q): %v", step, src, err)
+		}
+		want := oracleRows(t, c, q)
+		label := fmt.Sprintf("step %d %s", step, src)
+		if q.Proj == ProjCount {
+			if rs.Count != len(want) {
+				t.Fatalf("%s: count = %d, oracle %d", label, rs.Count, len(want))
+			}
+		} else {
+			checkResults(t, label, q, rs.Results, want)
+		}
+		queries++
+	}
+
+	st := c.IndexStats()
+	if st.FullBuilds != 1 {
+		t.Errorf("index was built from a full scan %d times over %d adds and %d queries, want 1", st.FullBuilds, next, queries)
+	}
+	if st.Folds == 0 || st.RowsIndexed <= initial {
+		t.Errorf("stats %+v: want at least one fold and rows indexed beyond the initial %d", st, initial)
+	}
+}
+
+func TestIndexProgramEngine(t *testing.T) {
+	e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runIndexProgram(t, indexBackend{
+		add: e.Add, del: e.Delete, target: e,
+		settle: func() error { return nil },
+	}, 21)
+}
+
+func TestIndexProgramShardedEngine(t *testing.T) {
+	s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	runIndexProgram(t, indexBackend{
+		add: s.Add, del: s.Delete, target: s,
+		settle: func() error { return nil },
+	}, 22)
+}
+
+func TestIndexProgramFollower(t *testing.T) {
+	ldir, fdir := t.TempDir(), t.TempDir()
+	e, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{WAL: true}, ldir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close() //nolint:errcheck // test teardown
+	l := repl.NewLeader(ldir)
+	l.AttachEngine(e)
+	srv := httptest.NewServer(l.Handler())
+	defer srv.Close()
+	f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{
+		PollWait: 50 * time.Millisecond, RetryInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck // test teardown
+	runIndexProgram(t, indexBackend{
+		add: e.Add, del: e.Delete, target: f,
+		settle: func() error { return f.WaitFor(l.PositionToken(), 10*time.Second) },
+	}, 23)
+}
+
+// TestIndexConcurrentAddsAndQueries runs writers and forced-IIO readers
+// against one catalog (run under -race). A reader may miss an add it
+// raced, but what it returns must be whole documents that match, and
+// once the writers are done the answer is exact.
+func TestIndexConcurrentAddsAndQueries(t *testing.T) {
+	s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	rng := rand.New(rand.NewSource(31))
+	fillTarget(t, s.Add, rng, 40)
+	c := NewCatalog(s)
+
+	const writers, perWriter, readers = 2, 60, 3
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wrng := rand.New(rand.NewSource(int64(100 + w)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := s.Add(genPoint(wrng), "base both left"); err != nil {
+					t.Errorf("Add: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	var rwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			q, err := Parse(`SELECT ALL WITHIN rect(-1, -1, 101, 101) MATCH "both" AND "left" USING iio`)
+			if err != nil {
+				t.Errorf("Parse: %v", err)
+				return
+			}
+			last := 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rs, err := c.Run(q)
+				if err != nil {
+					t.Errorf("Run: %v", err)
+					return
+				}
+				if rs.Count < last {
+					t.Errorf("answer shrank from %d to %d rows with no deletes", last, rs.Count)
+					return
+				}
+				last = rs.Count
+				for _, res := range rs.Results {
+					if !strings.Contains(res.Object.Text, "both left") {
+						t.Errorf("object %d %q does not match", res.Object.ID, res.Object.Text)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	rwg.Wait()
+
+	q, err := Parse(`SELECT COUNT WITHIN rect(-1, -1, 101, 101) MATCH "both" AND "left" USING iio`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Count != writers*perWriter {
+		t.Errorf("count after writers finished = %d, want %d", rs.Count, writers*perWriter)
+	}
+	if st := c.IndexStats(); st.FullBuilds != 1 {
+		t.Errorf("FullBuilds = %d, want 1", st.FullBuilds)
+	}
+}
+
+// TestIndexCatchUpStopsAtUnreadableRow: while a shard's device fails
+// reads, catch-up indexes the rows before the first unreadable one, the
+// statement fails instead of answering from a partial index, and once
+// the fault clears the same catalog answers in full — no row was skipped
+// and no rebuild was needed.
+func TestIndexCatchUpStopsAtUnreadableRow(t *testing.T) {
+	s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	rng := rand.New(rand.NewSource(41))
+	fillTarget(t, s.Add, rng, 50)
+	c := NewCatalog(s)
+	if err := c.EnsureIndex(); err != nil {
+		t.Fatal(err)
+	}
+
+	var added []uint64
+	for i := 0; i < 12; i++ {
+		id, err := s.Add(genPoint(rng), "base latecomer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		added = append(added, id)
+	}
+	failReads := func(op storage.Op, id storage.BlockID) error {
+		if op == storage.OpRead {
+			return &storage.FaultError{Kind: storage.KindReadError, Op: op, Block: id}
+		}
+		return nil
+	}
+	// Fail the shard that holds a row in the middle of the new ones.
+	victim := added[5]
+	faulted := -1
+	for i := 0; i < 4 && faulted < 0; i++ {
+		s.InjectShardFault(i, failReads)
+		if _, err := s.Get(victim); err != nil {
+			faulted = i
+		} else {
+			s.InjectShardFault(i, nil)
+		}
+	}
+	if faulted < 0 {
+		t.Fatal("no shard fault made the victim row unreadable")
+	}
+	firstBad := victim
+	for _, id := range added {
+		if _, err := s.Get(id); err != nil {
+			firstBad = id
+			break
+		}
+	}
+
+	before := c.IndexStats()
+	q, err := Parse(`SELECT COUNT WITHIN rect(-1, -1, 101, 101) MATCH "latecomer" USING iio`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Run(q)
+	if err == nil || !storage.IsIOFault(err) {
+		t.Fatalf("Run with an unreadable row = %v, want the storage fault", err)
+	}
+	st := c.IndexStats()
+	if got, want := st.RowsIndexed-before.RowsIndexed, firstBad-added[0]; got != want {
+		t.Errorf("catch-up indexed %d rows before stopping, want the %d before row %d", got, want, firstBad)
+	}
+	// Retrying under the fault makes no progress and skips nothing.
+	if err := c.EnsureIndex(); err == nil {
+		t.Error("EnsureIndex succeeded under the fault")
+	}
+	if got := c.IndexStats().RowsIndexed; got != st.RowsIndexed {
+		t.Errorf("retry under the fault indexed %d more rows", got-st.RowsIndexed)
+	}
+
+	s.InjectShardFault(faulted, nil)
+	rs, err := c.Run(q)
+	if err != nil {
+		t.Fatalf("Run after the fault cleared: %v", err)
+	}
+	if rs.Count != len(added) {
+		t.Errorf("count after the fault cleared = %d, want all %d latecomers", rs.Count, len(added))
+	}
+	st = c.IndexStats()
+	if st.FullBuilds != 1 || st.RowsIndexed-before.RowsIndexed != uint64(len(added)) {
+		t.Errorf("stats after recovery %+v: want 1 full build and %d rows caught up", st, len(added))
+	}
+}
+
+// swapTarget lets a test replace the engine behind a catalog, as a
+// follower does when it re-bootstraps. Only the plain Target surface
+// shows through, so plans run on the fallback paths.
+type swapTarget struct{ Target }
+
+// TestIndexRebuildsWhenTargetShrinks: an ID space that moved backwards
+// belongs to a different engine, so the index is rebuilt from a scan and
+// answers for the new contents only.
+func TestIndexRebuildsWhenTargetShrinks(t *testing.T) {
+	build := func(seed int64, n int, extra string) *spatialkeyword.Engine {
+		e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < n; i++ {
+			if _, err := e.Add(genPoint(rng), genText(rng, i, n)+extra); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	tgt := &swapTarget{build(51, 90, " elder")}
+	c := NewCatalog(tgt)
+	q, err := Parse(`SELECT ALL WITHIN rect(-1, -1, 101, 101) MATCH "base" AND "elder" USING iio`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Count != 90 {
+		t.Fatalf("count on the first engine = %d, want 90", rs.Count)
+	}
+
+	tgt.Target = build(52, 30, " younger")
+	rs, err = c.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Count != 0 {
+		t.Errorf("stale postings survived the swap: %d rows match \"elder\"", rs.Count)
+	}
+	q2, err := Parse(`SELECT ALL WITHIN rect(-1, -1, 101, 101) MATCH "younger" USING iio`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err = c.Run(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResults(t, "after shrink", q2, rs.Results, oracleRows(t, c, q2))
+	if st := c.IndexStats(); st.FullBuilds != 2 || rs.Count != 30 {
+		t.Errorf("after shrink: %d rows, stats %+v; want 30 rows and 2 full builds", rs.Count, st)
+	}
+}
+
+// errTarget fails every Scan, as a follower does mid-resync.
+type errTarget struct{ Target }
+
+func (errTarget) Scan(func(spatialkeyword.Object) error) error { return errors.New("resyncing") }
+
+// TestIndexBuildFailureIsRetried: a failed first build leaves no index
+// behind, and the next use builds it.
+func TestIndexBuildFailureIsRetried(t *testing.T) {
+	e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillTarget(t, e.Add, rand.New(rand.NewSource(61)), 20)
+	tgt := &swapTarget{errTarget{e}}
+	c := NewCatalog(tgt)
+	if err := c.EnsureIndex(); err == nil {
+		t.Fatal("EnsureIndex succeeded with Scan failing")
+	}
+	if c.SidecarDevice() != nil {
+		t.Error("a failed build left a sidecar device behind")
+	}
+	tgt.Target = e
+	if err := c.EnsureIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.IndexStats(); st.FullBuilds != 1 || st.RowsIndexed != 20 {
+		t.Errorf("stats %+v, want 1 full build of 20 rows", st)
+	}
+}

@@ -86,6 +86,21 @@ type Plan struct {
 	EstRows   float64
 }
 
+// ReadsIndex reports whether running the plan reads the catalog's
+// sidecar inverted index: some operator is on the IIO path and the
+// statement executes (a plain EXPLAIN only plans).
+func (p *Plan) ReadsIndex() bool {
+	if p.Query.Explain && !p.Query.Analyze {
+		return false
+	}
+	for i := range p.Ops {
+		if p.Ops[i].Path == PathIIO {
+			return true
+		}
+	}
+	return false
+}
+
 // validate enforces the semantic rules the grammar cannot.
 func validate(q *Query) error {
 	switch q.Proj {

@@ -165,3 +165,50 @@ func TestOpenEngineErrors(t *testing.T) {
 func writeGarbage(path string) error {
 	return os.WriteFile(path, []byte("{not json"), 0o644)
 }
+
+// TestReopenedEngineHonoursNodeCacheSize: Config.NodeCacheSize travels in
+// the manifest and must reach the reopened tree — a two-node cache evicts
+// under a scan that touches every node (the 1024-node default would not),
+// and a disabled cache stays disabled.
+func TestReopenedEngineHonoursNodeCacheSize(t *testing.T) {
+	reopen := func(size int) *Engine {
+		t.Helper()
+		dir := t.TempDir()
+		eng, err := NewDurableEngine(Config{SignatureBytes: 16, NodeCacheSize: size}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 2000; i++ {
+			if _, err := eng.Add([]float64{rng.Float64() * 100, rng.Float64() * 100}, fmt.Sprintf("poi w%d", i%7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Save(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenEngine(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { reopened.Close() }) //nolint:errcheck // test teardown
+		for pass := 0; pass < 2; pass++ {
+			if _, err := reopened.TopK(2000, []float64{50, 50}, "poi"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return reopened
+	}
+	if st := reopen(2).NodeCacheStats(); st.Evictions == 0 {
+		t.Errorf("NodeCacheSize 2 after reopen: %+v, want evictions (the size was dropped for the default)", st)
+	}
+	if st := reopen(0).NodeCacheStats(); st.Evictions != 0 || st.Hits == 0 {
+		t.Errorf("default cache after reopen: %+v, want hits and no evictions", st)
+	}
+	if st := reopen(-1).NodeCacheStats(); st != (NodeCacheStats{}) {
+		t.Errorf("disabled cache after reopen: %+v, want all zero", st)
+	}
+}

@@ -5,6 +5,9 @@
 #   lint    gofmt -l (+ staticcheck when installed)
 #   analyze skvet, the project's own invariant passes (cmd/skvet)
 #   test    go test -race ./...
+#   perf-build  build, vet and test benchmarks/perf, the wall-clock harness
+#           (a module of its own that imports internal/...; root ./... never
+#           sees it, so only this step catches a change that breaks it)
 #   cover   coverage with the CI floor (scripts/coverage.sh)
 #   bench   benchmark-regression gate against benchmarks/baseline.json
 #           (the one definition of the gated workload: ci.yml bench-smoke
@@ -58,6 +61,13 @@ run_test() {
 	go test -race ./...
 }
 
+run_perf_build() {
+	step perf-build
+	# -o /dev/null: the harness is one main package, and a bare
+	# `go build ./...` would drop its binary into the benchmark's directory.
+	(cd benchmarks/perf && go build -o /dev/null ./... && go vet ./... && go test ./...)
+}
+
 run_cover() {
 	step cover
 	sh scripts/coverage.sh 70
@@ -90,6 +100,7 @@ build) run_build ;;
 lint) run_lint ;;
 analyze) run_analyze ;;
 test) run_test ;;
+perf-build) run_perf_build ;;
 cover) run_cover ;;
 bench) run_bench ;;
 fuzz) run_fuzz ;;
@@ -98,12 +109,13 @@ all)
 	run_lint
 	run_analyze
 	run_test
+	run_perf_build
 	run_cover
 	run_bench
 	run_fuzz
 	;;
 *)
-	echo "usage: scripts/ci.sh [build|lint|analyze|test|cover|bench|fuzz|all]" >&2
+	echo "usage: scripts/ci.sh [build|lint|analyze|test|perf-build|cover|bench|fuzz|all]" >&2
 	exit 2
 	;;
 esac
