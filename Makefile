@@ -1,7 +1,7 @@
 # Convenience wrappers around scripts/ci.sh, which mirrors the GitHub
 # Actions workflows. `make ci` runs everything CI runs.
 
-.PHONY: build lint vet test cover bench fuzz ci
+.PHONY: build lint vet test cover bench fuzz loc ci
 
 build:
 	sh scripts/ci.sh build
@@ -23,6 +23,10 @@ bench:
 
 fuzz:
 	sh scripts/ci.sh fuzz
+
+# Net non-test Go lines against BASE (default HEAD~1).
+loc:
+	sh scripts/loc.sh $(BASE)
 
 ci:
 	sh scripts/ci.sh all

@@ -2,7 +2,6 @@ package spatialkeyword
 
 import (
 	"fmt"
-	"time"
 
 	"spatialkeyword/internal/geo"
 )
@@ -26,59 +25,26 @@ func (e *Engine) validateArea(lo, hi []float64) (geo.Rect, error) {
 // query-area variant the paper notes for the incremental NN algorithm ("an
 // area could be used instead" of the point).
 func (e *Engine) TopKArea(k int, lo, hi []float64, keywords ...string) ([]Result, error) {
-	if err := e.Flush(); err != nil {
-		return nil, err
-	}
-	area, err := e.validateArea(lo, hi)
+	it, err := e.searchArea("area", k, lo, hi, keywords)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	stop := e.MeterIOStats()
-	it := e.tree.SearchArea(area, keywords)
-	var out []Result
-	var iterErr error
-	for len(out) < k {
-		r, ok, err := it.Next()
-		if err != nil {
-			iterErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-		if e.deleted[uint64(r.Object.ID)] {
-			continue
-		}
-		out = append(out, Result{
-			Object: Object{ID: uint64(r.Object.ID), Point: r.Object.Point, Text: r.Object.Text},
-			Dist:   r.Dist,
-		})
-	}
-	st := it.Stats()
-	io := stop()
-	qs := queryStatsOf(st.NodesLoaded, st.ObjectsLoaded, st.FalsePositives,
-		st.EntriesPruned, st.NodesEnqueued, st.ObjectsEnqueued)
-	qs.BlocksRandom = io.Random()
-	qs.BlocksSequential = io.Sequential()
-	e.record("area", k, len(keywords), len(out), qs, time.Since(start), iterErr)
-	if iterErr != nil {
-		return nil, iterErr
-	}
-	return out, nil
+	defer it.Close()
+	return takeK(k, it.Next)
 }
 
 // WithinArea returns every object inside the rectangle whose text contains
 // all the keywords — the boolean range query ("all pizza places on this map
 // view"), ordered by object ID.
 func (e *Engine) WithinArea(lo, hi []float64, keywords ...string) ([]Result, error) {
-	if err := e.Flush(); err != nil {
-		return nil, err
-	}
 	area, err := e.validateArea(lo, hi)
 	if err != nil {
 		return nil, err
 	}
+	if err := e.rlock(); err != nil {
+		return nil, err
+	}
+	defer e.mu.RUnlock()
 	results, _, err := e.tree.WithinArea(area, keywords)
 	if err != nil {
 		return nil, err
@@ -88,9 +54,7 @@ func (e *Engine) WithinArea(lo, hi []float64, keywords ...string) ([]Result, err
 		if e.deleted[uint64(r.Object.ID)] {
 			continue
 		}
-		out = append(out, Result{
-			Object: Object{ID: uint64(r.Object.ID), Point: r.Object.Point, Text: r.Object.Text},
-		})
+		out = append(out, Result{Object: publicObject(r.Object)})
 	}
 	return out, nil
 }

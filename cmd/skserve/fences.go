@@ -33,31 +33,13 @@ import (
 //	                            text/event-stream, long-poll JSON otherwise
 //	                            (?since=SEQ&wait=DUR&max=N)
 
-// mutationObservable is the optional backend extension feeding the fence
-// registry; all three backends (locked single engine, sharded engine,
-// replication follower) implement it with global object IDs.
-type mutationObservable interface {
-	SetMutationObserver(func(spatialkeyword.MutationEvent))
-}
-
-// SetMutationObserver forwards the observer through the serving lock's
-// engine. The observer itself runs on mutation paths that already hold
-// the write lock.
-func (l *lockedEngine) SetMutationObserver(fn func(spatialkeyword.MutationEvent)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.eng.SetMutationObserver(fn)
-}
-
-// attachFences wires a fence registry to the backend's mutation stream.
-// Called from newServer before the server accepts traffic.
+// attachFences wires a fence registry to the backend's mutation stream
+// (every backend reports global object IDs). Called from newServer before
+// the server accepts traffic; the observer runs on mutation paths that hold
+// the backend's write lock and only feeds the registry.
 func (s *server) attachFences() {
-	mo, ok := s.eng.(mutationObservable)
-	if !ok {
-		return
-	}
 	reg := fence.NewRegistry(fence.Options{Metrics: fence.NewMetrics(s.reg)})
-	mo.SetMutationObserver(func(ev spatialkeyword.MutationEvent) {
+	s.eng.SetMutationObserver(func(ev spatialkeyword.MutationEvent) {
 		reg.Apply(fence.Mutation{
 			Delete: ev.Delete,
 			ID:     ev.ID,
@@ -120,8 +102,7 @@ func infoJSON(in fence.Info) fenceInfo {
 
 func (s *server) handleFenceAdd(w http.ResponseWriter, r *http.Request) {
 	var req fenceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q := fence.Query{

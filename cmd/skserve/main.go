@@ -87,7 +87,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -133,7 +132,7 @@ func main() {
 	}
 	reg := obs.NewRegistry()
 	var (
-		eng    engine
+		eng    backend
 		leader *repl.Leader
 		err    error
 	)
@@ -159,14 +158,14 @@ func main() {
 		readMode:   *readMode,
 		rywTimeout: *rywTimeout,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes(), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("skserve listening on %s (role=%s, durable=%v, shards=%d, wal=%v)",
-		*addr, srv.role(), *dir != "", srv.numShards(), srv.wal != nil)
+		*addr, srv.role(), *dir != "", srv.numShards(), srv.walOn)
 
 	select {
 	case err := <-errc:
@@ -186,32 +185,37 @@ func main() {
 	}
 }
 
-// engine is the backend contract the HTTP layer serves: satisfied by a
-// single *spatialkeyword.Engine (wrapped in lockedEngine for write
-// exclusion) and by *shard.ShardedEngine, which synchronizes internally.
-type engine interface {
+// backend is the contract the HTTP layer serves. All three backends — a
+// *spatialkeyword.Engine, a *shard.ShardedEngine and a *repl.Follower —
+// implement it natively and synchronize themselves.
+type backend interface {
+	spatialkeyword.Reader
 	Add(point []float64, text string) (uint64, error)
-	Get(id uint64) (spatialkeyword.Object, error)
 	Delete(id uint64) error
-	TopKWithStats(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error)
-	TopKRanked(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error)
-	Stats() spatialkeyword.Stats
 	Save() error
 	Close() error
+	SetMutationObserver(func(spatialkeyword.MutationEvent))
 }
 
-// sharded is the optional extension exposing per-shard statistics.
-type sharded interface {
-	NumShards() int
-	ShardStats() []spatialkeyword.Stats
+// primary is what the two writable backends have and a replica lacks: the
+// per-query metrics sink, the decoded-node cache and the write-ahead log.
+type primary interface {
+	SetMetricsSink(sink obs.Sink)
+	NodeCacheStats() spatialkeyword.NodeCacheStats
+	WALInfo() spatialkeyword.WALInfo
+	SetWALObserver(onAppend func(), onFsync func(time.Duration))
 }
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers.
+const readHeaderTimeout = 10 * time.Second
 
 // openOrCreate reopens an existing durable engine (single or sharded,
 // detected from the directory layout), creates a new durable one, or builds
 // an in-memory engine. shards > 1 selects the sharded backend with a hash
 // partitioner — the service accepts arbitrary points, so there is no dataset
 // MBR to grid over.
-func openOrCreate(dir string, cfg spatialkeyword.Config, shards int) (engine, error) {
+func openOrCreate(dir string, cfg spatialkeyword.Config, shards int) (backend, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("need at least 1 shard, got %d", shards)
 	}
@@ -220,187 +224,36 @@ func openOrCreate(dir string, cfg spatialkeyword.Config, shards int) (engine, er
 		if shards > 1 {
 			return shard.New(cfg, opts)
 		}
-		eng, err := spatialkeyword.NewEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &lockedEngine{eng: eng}, nil
+		return spatialkeyword.NewEngine(cfg)
 	}
 	if shard.IsShardedDir(dir) {
 		return shard.Open(dir)
 	}
 	if eng, err := spatialkeyword.OpenEngine(dir); err == nil {
-		return &lockedEngine{eng: eng}, nil
+		return eng, nil
 	}
 	if shards > 1 {
 		return shard.NewDurable(cfg, dir, opts)
 	}
-	eng, err := spatialkeyword.NewDurableEngine(cfg, dir)
-	if err != nil {
-		return nil, err
-	}
-	return &lockedEngine{eng: eng}, nil
+	return spatialkeyword.NewDurableEngine(cfg, dir)
 }
 
 // attachLeader mounts a replication leader over a WAL-enabled durable
 // backend (nil otherwise). Called before the server accepts traffic, so the
 // ship-buffer hooks are installed ahead of the first mutation.
-func attachLeader(eng engine, dir string) *repl.Leader {
-	if dir == "" {
-		return nil
-	}
-	wr, ok := eng.(walReporter)
-	if !ok || !wr.WALInfo().Enabled {
+func attachLeader(eng backend, dir string) *repl.Leader {
+	p, ok := eng.(primary)
+	if dir == "" || !ok || !p.WALInfo().Enabled {
 		return nil
 	}
 	l := repl.NewLeader(dir)
 	switch b := eng.(type) {
-	case *lockedEngine:
-		l.AttachEngine(b.eng)
+	case *spatialkeyword.Engine:
+		l.AttachEngine(b)
 	case *shard.ShardedEngine:
 		l.AttachSharded(b)
-	default:
-		return nil
 	}
 	return l
-}
-
-// lockedEngine adapts a single Engine to the backend contract. The engine
-// permits concurrent readers but writers need exclusion, so a RWMutex
-// mediates: queries take the read lock, mutations the write lock. Mutations
-// flush before releasing it, keeping queries read-only.
-type lockedEngine struct {
-	mu  sync.RWMutex
-	eng *spatialkeyword.Engine
-}
-
-func (l *lockedEngine) Add(point []float64, text string) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	id, err := l.eng.Add(point, text)
-	if err == nil {
-		err = l.eng.Flush()
-	}
-	return id, err
-}
-
-func (l *lockedEngine) Get(id uint64) (spatialkeyword.Object, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.Get(id)
-}
-
-func (l *lockedEngine) Delete(id uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.eng.Delete(id)
-}
-
-func (l *lockedEngine) TopKWithStats(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.TopKWithStats(k, point, keywords...)
-}
-
-func (l *lockedEngine) TopKRanked(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.TopKRanked(k, point, keywords...)
-}
-
-// SetMetricsSink installs the sink on the wrapped engine. Called once at
-// startup, before the server accepts requests.
-func (l *lockedEngine) SetMetricsSink(sink obs.Sink) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.eng.SetMetricsSink(sink)
-}
-
-func (l *lockedEngine) Stats() spatialkeyword.Stats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.Stats()
-}
-
-func (l *lockedEngine) WALInfo() spatialkeyword.WALInfo {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.WALInfo()
-}
-
-// SetWALObserver installs WAL metrics hooks on the wrapped engine. Called
-// once at startup, before the server accepts requests.
-func (l *lockedEngine) SetWALObserver(onAppend func(), onFsync func(time.Duration)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.eng.SetWALObserver(onAppend, onFsync)
-}
-
-func (l *lockedEngine) NodeCacheStats() spatialkeyword.NodeCacheStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.NodeCacheStats()
-}
-
-func (l *lockedEngine) DurabilityStats() spatialkeyword.DurabilityStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.DurabilityStats()
-}
-
-func (l *lockedEngine) Save() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.eng.Save()
-}
-
-func (l *lockedEngine) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.eng.Close()
-}
-
-// metricsSinkSetter is the optional backend extension for installing a
-// per-query metrics sink; both backends implement it.
-type metricsSinkSetter interface {
-	SetMetricsSink(sink obs.Sink)
-}
-
-// healthReporter is the optional backend extension for degraded-mode
-// serving: the sharded engine takes a faulted shard out of rotation and
-// keeps answering from the rest, and this surface reports that state.
-type healthReporter interface {
-	Degraded() bool
-	Health() []shard.ShardHealth
-	SetHealthMetrics(errs *obs.Counter, unhealthy *obs.Gauge)
-}
-
-// nodeCacheReporter is the optional backend extension for the decoded-node
-// cache on the read hot path; both backends implement it (the sharded
-// engine sums its per-shard caches). The server snapshots the counters into
-// gauges on every /metrics and /debug/vars scrape.
-type nodeCacheReporter interface {
-	NodeCacheStats() spatialkeyword.NodeCacheStats
-}
-
-// walReporter is the optional backend extension for write-ahead-log
-// durability: both backends implement it (the sharded engine aggregates
-// its per-shard logs), and the server uses it to export WAL metrics and
-// the /healthz durability block.
-type walReporter interface {
-	WALInfo() spatialkeyword.WALInfo
-	SetWALObserver(onAppend func(), onFsync func(time.Duration))
-}
-
-// durabilityReporter and shardDurabilityReporter give /healthz a
-// generation/sequence durability block. Both durable backends implement one
-// of them.
-type durabilityReporter interface {
-	DurabilityStats() spatialkeyword.DurabilityStats
-}
-
-type shardDurabilityReporter interface {
-	ShardDurability() []spatialkeyword.DurabilityStats
 }
 
 // serverOptions configures the observability surface and the replication
@@ -420,34 +273,31 @@ type serverOptions struct {
 // (Prometheus text) and /debug/vars (JSON); /stats keeps serving the
 // per-endpoint totals it always had, now read from the same counters.
 type server struct {
-	eng      engine
+	eng      backend
 	durable  bool
 	opts     serverOptions
 	reg      *obs.Registry
 	reqs     map[string]*obs.Counter
 	slow     *obs.SlowLog
-	wal      walReporter     // non-nil when the backend has a live WAL
-	leader   *repl.Leader    // non-nil when serving the replication protocol
-	follower *repl.Follower  // non-nil when the backend is a read replica
-	fences   *fence.Registry // non-nil when the backend exposes mutation events
+	primary  primary              // nil on a replica
+	sharded  *shard.ShardedEngine // non-nil when the backend is sharded
+	follower *repl.Follower       // non-nil when the backend is a read replica
+	leader   *repl.Leader         // non-nil when serving the replication protocol
+	walOn    bool                 // the backend has a live WAL
+	fences   *fence.Registry
+	skql     *skqlServer
 
-	// Node-cache export (optional backend extension): the counters live in
-	// the engine, so every scrape snapshots them into these gauges.
-	ncache                             nodeCacheReporter
+	// Node-cache export: the counters live in the engine, so every scrape
+	// snapshots them into these gauges.
 	ncacheHits, ncacheMisses           *obs.Gauge
 	ncacheEvictions, ncacheInvalidates *obs.Gauge
-
-	// SKQL front-end (optional backend extension): catalog plus the
-	// sk_skql_* metrics family. Non-nil when the backend exposes the
-	// full read surface.
-	skql *skqlServer
 }
 
 // endpoints names every route for the request counter family.
 var endpoints = []string{"add", "get", "delete", "search", "ranked", "query", "stats", "metrics", "vars", "healthz", "save",
 	"fence-add", "fence-list", "fence-get", "fence-delete", "fence-events"}
 
-func newServer(eng engine, durable bool, opts serverOptions) *server {
+func newServer(eng backend, durable bool, opts serverOptions) *server {
 	reg := opts.registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -463,9 +313,9 @@ func newServer(eng engine, durable bool, opts serverOptions) *server {
 		reqs:    make(map[string]*obs.Counter, len(endpoints)),
 		leader:  opts.leader,
 	}
-	if f, ok := eng.(*repl.Follower); ok {
-		s.follower = f
-	}
+	s.primary, _ = eng.(primary)
+	s.sharded, _ = eng.(*shard.ShardedEngine)
+	s.follower, _ = eng.(*repl.Follower)
 	for _, ep := range endpoints {
 		s.reqs[ep] = s.reg.Counter("sk_http_requests_total",
 			"HTTP requests served, by endpoint.", obs.L("endpoint", ep))
@@ -479,19 +329,16 @@ func newServer(eng engine, durable bool, opts serverOptions) *server {
 		s.slow = obs.NewSlowLog(w, opts.slowQuery)
 		sinks = append(sinks, s.slow)
 	}
-	if ms, ok := eng.(metricsSinkSetter); ok {
-		ms.SetMetricsSink(obs.MultiSink(sinks...))
-	}
-	if hr, ok := eng.(healthReporter); ok {
-		hr.SetHealthMetrics(
+	if s.sharded != nil {
+		s.sharded.SetHealthMetrics(
 			s.reg.Counter("sk_shard_errors_total",
 				"Storage faults that degraded a shard."),
 			s.reg.Gauge("sk_shards_unhealthy",
 				"Shards currently marked unhealthy and out of rotation."),
 		)
 	}
-	if nr, ok := eng.(nodeCacheReporter); ok {
-		s.ncache = nr
+	if s.primary != nil {
+		s.primary.SetMetricsSink(obs.MultiSink(sinks...))
 		s.ncacheHits = s.reg.Gauge("sk_nodecache_hits",
 			"Decoded-node cache hits: warm node expansions served without re-decoding.")
 		s.ncacheMisses = s.reg.Gauge("sk_nodecache_misses",
@@ -500,10 +347,8 @@ func newServer(eng engine, durable bool, opts serverOptions) *server {
 			"Decoded nodes evicted by the cache's CLOCK policy.")
 		s.ncacheInvalidates = s.reg.Gauge("sk_nodecache_invalidations",
 			"Decoded nodes dropped because the mutation path rewrote or freed them.")
-	}
-	if wr, ok := eng.(walReporter); ok {
-		if wi := wr.WALInfo(); wi.Enabled {
-			s.wal = wr
+		if wi := s.primary.WALInfo(); wi.Enabled {
+			s.walOn = true
 			appends := s.reg.Counter("sk_wal_appends_total",
 				"Mutations appended to the write-ahead log.")
 			fsyncs := s.reg.Histogram("sk_wal_fsync_seconds",
@@ -514,7 +359,7 @@ func newServer(eng engine, durable bool, opts serverOptions) *server {
 				"Torn WAL tails truncated during recovery.")
 			replayed.Add(wi.ReplayedRecords)
 			torn.Add(wi.TornTails)
-			wr.SetWALObserver(
+			s.primary.SetWALObserver(
 				func() { appends.Inc() },
 				func(d time.Duration) { fsyncs.Observe(d.Seconds()) },
 			)
@@ -544,8 +389,8 @@ func (s *server) role() string {
 
 // numShards reports the backend's shard count (1 for a single engine).
 func (s *server) numShards() int {
-	if sh, ok := s.eng.(sharded); ok {
-		return sh.NumShards()
+	if s.sharded != nil {
+		return s.sharded.NumShards()
 	}
 	return 1
 }
@@ -577,21 +422,17 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("DELETE /objects/{id}", counted("delete", s.handleDelete))
 	mux.HandleFunc("GET /search", counted("search", s.handleSearch))
 	mux.HandleFunc("GET /ranked", counted("ranked", s.handleRanked))
-	if s.skql != nil {
-		mux.HandleFunc("POST /query", counted("query", s.handleQuery))
-	}
+	mux.HandleFunc("POST /query", counted("query", s.handleQuery))
 	mux.HandleFunc("GET /stats", counted("stats", s.handleStats))
 	mux.HandleFunc("GET /metrics", counted("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /debug/vars", counted("vars", s.handleVars))
 	mux.HandleFunc("GET /healthz", counted("healthz", s.handleHealthz))
 	mux.HandleFunc("POST /save", counted("save", s.handleSave))
-	if s.fences != nil {
-		mux.HandleFunc("POST /fences", counted("fence-add", s.handleFenceAdd))
-		mux.HandleFunc("GET /fences", counted("fence-list", s.handleFenceList))
-		mux.HandleFunc("GET /fences/{id}", counted("fence-get", s.handleFenceGet))
-		mux.HandleFunc("DELETE /fences/{id}", counted("fence-delete", s.handleFenceDelete))
-		mux.HandleFunc("GET /fences/{id}/events", counted("fence-events", s.handleFenceEvents))
-	}
+	mux.HandleFunc("POST /fences", counted("fence-add", s.handleFenceAdd))
+	mux.HandleFunc("GET /fences", counted("fence-list", s.handleFenceList))
+	mux.HandleFunc("GET /fences/{id}", counted("fence-get", s.handleFenceGet))
+	mux.HandleFunc("DELETE /fences/{id}", counted("fence-delete", s.handleFenceDelete))
+	mux.HandleFunc("GET /fences/{id}/events", counted("fence-events", s.handleFenceEvents))
 	if s.leader != nil {
 		mux.Handle("/repl/", s.leader.Handler())
 	}
@@ -620,12 +461,12 @@ func (s *server) handleVars(w http.ResponseWriter, r *http.Request) {
 }
 
 // refreshNodeCache snapshots the backend's node-cache counters into the
-// exported gauges. No-op when the backend doesn't report them.
+// exported gauges. No-op on a replica.
 func (s *server) refreshNodeCache() {
-	if s.ncache == nil {
+	if s.primary == nil {
 		return
 	}
-	st := s.ncache.NodeCacheStats()
+	st := s.primary.NodeCacheStats()
 	s.ncacheHits.Set(int64(st.Hits))
 	s.ncacheMisses.Set(int64(st.Misses))
 	s.ncacheEvictions.Set(int64(st.Evictions))
@@ -640,11 +481,16 @@ type addRequest struct {
 
 func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req addRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
+	// Index the add before acknowledging it: the next query then finds
+	// nothing pending and stays read-only. (A no-op on the sharded engine,
+	// which indexes eagerly.)
 	id, err := s.eng.Add(req.Point, req.Text)
+	if err == nil {
+		err = s.eng.Flush()
+	}
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, repl.ErrReadOnlyReplica) {
@@ -799,8 +645,8 @@ type statsResponse struct {
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{Engine: s.eng.Stats(), Requests: s.requestSnapshot()}
-	if sh, ok := s.eng.(sharded); ok {
-		resp.Shards = sh.ShardStats()
+	if s.sharded != nil {
+		resp.Shards = s.sharded.ShardStats()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -823,20 +669,21 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp["replication"] = map[string]any{"position": s.leader.PositionToken()}
 	}
 	if s.durable {
-		if dr, ok := s.eng.(durabilityReporter); ok {
-			resp["durability"] = dr.DurabilityStats()
-		} else if sdr, ok := s.eng.(shardDurabilityReporter); ok {
-			resp["durability"] = sdr.ShardDurability()
+		switch b := s.eng.(type) {
+		case *spatialkeyword.Engine:
+			resp["durability"] = b.DurabilityStats()
+		case *shard.ShardedEngine:
+			resp["durability"] = b.ShardDurability()
 		}
 	}
-	if hr, ok := s.eng.(healthReporter); ok {
-		if hr.Degraded() {
+	if s.sharded != nil {
+		if s.sharded.Degraded() {
 			resp["status"] = "degraded"
 		}
-		resp["shard_health"] = hr.Health()
+		resp["shard_health"] = s.sharded.Health()
 	}
-	if s.wal != nil {
-		wi := s.wal.WALInfo()
+	if s.walOn {
+		wi := s.primary.WALInfo()
 		walState := map[string]any{
 			"enabled":          true,
 			"replayed_records": wi.ReplayedRecords,
@@ -882,6 +729,26 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// decodeBody decodes a JSON request body of at most maxQueryBody bytes into
+// v, answering 413 or 400 itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	httpError(w, bodyErrorStatus(err), fmt.Errorf("bad json: %w", err))
+	return false
+}
+
+// bodyErrorStatus is 413 for a body over the limit and 400 otherwise.
+func bodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -439,3 +439,22 @@ func TestOpenOrCreateRejectsBadShards(t *testing.T) {
 		t.Error("0 shards should fail")
 	}
 }
+
+// TestRequestBodiesBounded: every route that reads a body refuses one over
+// the limit with 413 instead of buffering it (or, as /query used to,
+// truncating it into a JSON syntax error).
+func TestRequestBodiesBounded(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	for _, route := range []string{"/objects", "/fences", "/query"} {
+		// Valid JSON all the way through, so only the size can be at fault.
+		body := `{"text":"` + strings.Repeat("x", 2<<20) + `"}`
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a 2 MiB body: status %d, want 413", route, resp.StatusCode)
+		}
+	}
+}

@@ -20,7 +20,8 @@ import (
 	"spatialkeyword/internal/skql"
 )
 
-// maxQueryBody bounds the request body; SKQL statements are small.
+// maxQueryBody bounds every request body; statements, objects and fences
+// are all small.
 const maxQueryBody = 1 << 20
 
 // skqlServer is the per-server SKQL state: the catalog over the
@@ -43,16 +44,10 @@ type skqlServer struct {
 	idxFolds     *obs.Counter   // sk_skql_index_folds_total
 }
 
-// attachSKQL mounts the SKQL catalog when the backend exposes the full
-// read surface (all three backends do: lockedEngine below, the sharded
-// engine, and the replication follower).
+// attachSKQL mounts the SKQL catalog over the backend.
 func (s *server) attachSKQL() {
-	t, ok := s.eng.(skql.Target)
-	if !ok {
-		return
-	}
 	q := &skqlServer{
-		cat: skql.NewCatalog(t),
+		cat: skql.NewCatalog(s.eng),
 		parse: s.reg.Histogram("sk_skql_parse_seconds",
 			"SKQL statement parse latency.", obs.LatencyBuckets()),
 		plan: s.reg.Histogram("sk_skql_plan_seconds",
@@ -132,9 +127,9 @@ func parseQueryBody(body []byte) (*skql.Query, error) {
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, bodyErrorStatus(err), err)
 		return
 	}
 	sq := s.skql
@@ -188,71 +183,4 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Count:   rs.Count,
 		Explain: rs.Explain,
 	})
-}
-
-// The skql.Target read surface on the lock-wrapped engine: queries
-// take the read lock like every other read path.
-
-func (l *lockedEngine) TopKArea(k int, lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.TopKArea(k, lo, hi, keywords...)
-}
-
-func (l *lockedEngine) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.WithinArea(lo, hi, keywords...)
-}
-
-func (l *lockedEngine) NumObjects() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.NumObjects()
-}
-
-// Scan holds the read lock for the whole pass. Its only caller is the
-// sidecar index's one full build; later adds are indexed through Get.
-func (l *lockedEngine) Scan(fn func(spatialkeyword.Object) error) error {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.Scan(fn)
-}
-
-func (l *lockedEngine) IsDeleted(id uint64) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.IsDeleted(id)
-}
-
-// Corpus hands the planner the engine's document frequencies. The
-// planner calls DocFreq after this returns, beside adds that grow the
-// vocabulary, so the closure takes the read lock itself (as the sharded
-// engine's does).
-func (l *lockedEngine) Corpus() spatialkeyword.CorpusStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	cs := l.eng.Corpus()
-	docFreq := cs.DocFreq
-	cs.DocFreq = func(word string) int {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		return docFreq(word)
-	}
-	return cs
-}
-
-func (l *lockedEngine) MeterIO() func() (random, sequential uint64) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.eng.MeterIO()
-}
-
-// Flush indexes buffered adds under the write lock (it mutates the
-// tree); the planner calls it at plan time so deferred indexing I/O
-// stays out of the per-operator meters.
-func (l *lockedEngine) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.eng.Flush()
 }

@@ -254,3 +254,53 @@ func TestQueryIIOConcurrentWithAdds(t *testing.T) {
 		t.Fatalf("count after the adds = %d, want %d", out.Count, 2+writers*perWriter)
 	}
 }
+
+// TestExplainAnalyzeArmPerBackend pins which executor arm each backend
+// serves. A single engine streams, so EXPLAIN ANALYZE carries the traversal
+// trace the stream folds in; the sharded engine and the replica answer
+// through widening top-k calls, and their bodies are the ones these
+// backends have always produced, byte for byte.
+func TestExplainAnalyzeArmPerBackend(t *testing.T) {
+	const body = `{"query": "EXPLAIN ANALYZE SELECT TOP 2 NEAR (25.4, -80.1) MATCH internet AND pool"}`
+	raw := func(url string) string {
+		t.Helper()
+		resp := postQuery(t, url, body)
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, read error %v", resp.StatusCode, err)
+		}
+		return string(b)
+	}
+	// What every backend's body starts and ends with; the actual and work
+	// lines between differ with the devices behind it.
+	const head = `{"query":"EXPLAIN ANALYZE SELECT TOP 2 NEAR (25.4, -80.1) MATCH \"internet\" AND \"pool\"","results":[{"Object":{"ID":1,"Point":[47.3,-122.2],"Text":"Hotel B wireless Internet pool golf course"},"Dist":47.45545279522682},{"Object":{"ID":2,"Point":[-33.2,-70.4],"Text":"Hotel G Internet airport transportation pool"},"Dist":59.39739051507229}],"count":2,"explain":["EXPLAIN ANALYZE SELECT TOP 2 NEAR (25.4, -80.1) MATCH \"internet\" AND \"pool\"","plan: top 2, merge=distance, dnf union of 1 branches","  common conjuncts: [internet pool]","  cost inputs: n=3 height=1 fanout=64 postings/block=2048 blocks/object=1.0","  op 1: path=ir2 conj=[internet pool] k=2","    est:    blocks=3.2 rows=2.0 sel=0.6667 disk=24ms",`
+	const tail = `"  total: est blocks=3.2 est rows=2.0 est disk=24ms"]}` + "\n"
+
+	_, single := newTestServer(t, "")
+	seedHotels(t, single)
+	got := raw(single.URL)
+	for _, want := range []string{`"    | expand node `, `"    |   prune `, `"    | emit object `} {
+		if !strings.Contains(got, want) {
+			t.Errorf("single engine: EXPLAIN ANALYZE carries no %q line, so the streaming arm did not serve it:\n%s", want, got)
+		}
+	}
+
+	_, sharded := newShardedTestServer(t, "", 3)
+	seedHotels(t, sharded)
+	want := head + `"    actual: blocks=6 (4 rand + 2 seq) rows=2 candidates=2 disk=32.12ms","    work:   nodes=2 objects=2 pruned=1 falsepos=0",` + tail
+	if got := raw(sharded.URL); got != want {
+		t.Errorf("sharded body changed:\n got %s\nwant %s", got, want)
+	}
+
+	_, leaderTS := newLeaderTestServer(t, t.TempDir())
+	seedHotels(t, leaderTS)
+	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, "eventual")
+	if err := srv.follower.WaitFor(srv.leaderToken(t, leaderTS), 10e9); err != nil {
+		t.Fatalf("replica catch-up: %v", err)
+	}
+	want = head + `"    actual: blocks=4 (3 rand + 1 seq) rows=2 candidates=2 disk=24.06ms","    work:   nodes=1 objects=2 pruned=1 falsepos=0",` + tail
+	if got := raw(replicaTS.URL); got != want {
+		t.Errorf("replica body changed:\n got %s\nwant %s", got, want)
+	}
+}

@@ -3,7 +3,6 @@ package spatialkeyword
 import (
 	"fmt"
 
-	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/rtree"
 )
 
@@ -11,51 +10,19 @@ import (
 // returns a human-readable trace of the traversal — the library's analogue
 // of the paper's Example 1/3 walk-throughs. Each line is one step: nodes
 // expanded in best-first order, entries enqueued with their distance lower
-// bounds, subtrees pruned by the signature check, and objects emitted.
+// bounds, subtrees pruned by the signature check, and objects emitted. The
+// metrics sink sees it as op "explain".
 func (e *Engine) Explain(k int, point []float64, keywords ...string) ([]Result, []string, error) {
-	if err := e.Flush(); err != nil {
+	it, err := e.search("explain", k, point, keywords)
+	if err != nil {
 		return nil, nil, err
 	}
-	if len(point) != e.dim {
-		return nil, nil, fmt.Errorf("spatialkeyword: point has %d dimensions, engine uses %d", len(point), e.dim)
-	}
-	it := e.tree.Search(geo.NewPoint(point...), keywords)
+	defer it.Close()
 	var trace []string
-	it.SetTrace(func(ev rtree.TraceEvent) {
-		switch ev.Kind {
-		case rtree.TraceExpand:
-			trace = append(trace, fmt.Sprintf("expand node %d (level %d, bound %.2f)", ev.Node, ev.Level, ev.Score))
-		case rtree.TraceEnqueueNode:
-			trace = append(trace, fmt.Sprintf("  enqueue subtree %d (dist >= %.2f)", ev.Child, ev.Score))
-		case rtree.TraceEnqueueObject:
-			trace = append(trace, fmt.Sprintf("  enqueue object %d (dist %.2f)", ev.Child, ev.Score))
-		case rtree.TracePrune:
-			what := "subtree"
-			if ev.Level == 0 {
-				what = "object"
-			}
-			trace = append(trace, fmt.Sprintf("  prune %s %d: signature mismatch", what, ev.Child))
-		case rtree.TraceEmit:
-			trace = append(trace, fmt.Sprintf("emit object %d (dist %.2f)", ev.Child, ev.Score))
-		}
-	})
-	var out []Result
-	for len(out) < k {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, trace, err
-		}
-		if !ok {
-			break
-		}
-		if e.deleted[uint64(r.Object.ID)] {
-			trace = append(trace, fmt.Sprintf("skip deleted object %d", r.Object.ID))
-			continue
-		}
-		out = append(out, Result{
-			Object: Object{ID: uint64(r.Object.ID), Point: r.Object.Point, Text: r.Object.Text},
-			Dist:   r.Dist,
-		})
+	it.SetTrace(func(ev rtree.TraceEvent) { trace = append(trace, ev.String()) })
+	out, err := takeK(k, it.Next)
+	if err != nil {
+		return nil, trace, err
 	}
 	st := it.Stats()
 	trace = append(trace, fmt.Sprintf(

@@ -8,7 +8,7 @@ import "time"
 // fetch counters, and a storage.Meter I/O bracket) and delivered to a Sink
 // exactly once, after the query finishes — never per traversal step.
 type QueryMetrics struct {
-	// Op names the query kind: "topk", "ranked", "area", "stream".
+	// Op names the query kind: "topk", "ranked", "area", "stream", "explain".
 	Op string
 	// Shard is the shard index the record describes, or -1 for a
 	// whole-engine (or unsharded) record. A sharded engine emits one

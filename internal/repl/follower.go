@@ -100,10 +100,11 @@ type Follower struct {
 	// mu is the serving lock: reads hold RLock, single-engine applies and
 	// rotations hold Lock, and a resync holds Lock across teardown and
 	// re-bootstrap. (Sharded applies take RLock — the shard engine does
-	// its own per-shard write locking.)
-	mu      sync.RWMutex
-	single  *spatialkeyword.Engine
-	sharded *shard.ShardedEngine
+	// its own per-shard write locking.) installed is the local replica —
+	// a *spatialkeyword.Engine or a *shard.ShardedEngine — and nil while a
+	// resync has it torn down.
+	mu        sync.RWMutex
+	installed replica
 
 	// mutObserver is forwarded to whichever engine is currently installed,
 	// and re-installed across resyncs (install tears engines down and
@@ -124,6 +125,16 @@ type Follower struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 }
+
+// replica is what the follower needs of its local engine, whichever kind
+// the leader's topology made it.
+type replica interface {
+	spatialkeyword.Reader
+	SetMutationObserver(func(spatialkeyword.MutationEvent))
+	Close() error
+}
+
+var _ spatialkeyword.Reader = (*Follower)(nil)
 
 // OpenFollower opens (or bootstraps) a replica of the leader at leaderURL
 // in dir and starts tailing. If dir already holds a committed replica, it
@@ -162,12 +173,12 @@ func OpenFollower(dir, leaderURL string, opts Options) (*Follower, error) {
 func (f *Follower) openOrBootstrap() error {
 	if _, err := os.Stat(filepath.Join(f.dir, shard.ManifestFileName)); err == nil {
 		if s, err := shard.Open(f.dir); err == nil {
-			f.install(nil, s)
+			f.install(s)
 			return nil
 		}
 	} else if _, err := os.Stat(filepath.Join(f.dir, spatialkeyword.ManifestFileName)); err == nil {
 		if e, err := spatialkeyword.OpenEngine(f.dir); err == nil {
-			f.install(e, nil)
+			f.install(e)
 			return nil
 		}
 	}
@@ -177,14 +188,15 @@ func (f *Follower) openOrBootstrap() error {
 // install publishes freshly opened engines and derives the stream
 // positions from their durability watermarks: each stream resumes at
 // (generation, durable sequence) — exactly what local recovery replayed.
-func (f *Follower) install(e *spatialkeyword.Engine, s *shard.ShardedEngine) {
-	f.single, f.sharded = e, s
-	f.installObserver()
+func (f *Follower) install(r replica) {
+	f.installed = r
+	r.SetMutationObserver(f.mutObserver)
 	var ds []spatialkeyword.DurabilityStats
-	if s != nil {
-		ds = s.ShardDurability()
-	} else {
-		ds = []spatialkeyword.DurabilityStats{e.DurabilityStats()}
+	switch r := r.(type) {
+	case *shard.ShardedEngine:
+		ds = r.ShardDurability()
+	case *spatialkeyword.Engine:
+		ds = []spatialkeyword.DurabilityStats{r.DurabilityStats()}
 	}
 	f.posMu.Lock()
 	f.positions = make([]Position, len(ds))
@@ -213,34 +225,18 @@ func (f *Follower) SetMutationObserver(fn func(spatialkeyword.MutationEvent)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.mutObserver = fn
-	f.installObserver()
-}
-
-// installObserver pushes the stored observer onto whichever engine is
-// currently published. Callers hold f.mu (or, during OpenFollower, have
-// exclusive access).
-func (f *Follower) installObserver() {
-	if f.single != nil {
-		f.single.SetMutationObserver(f.mutObserver)
-	}
-	if f.sharded != nil {
-		f.sharded.SetMutationObserver(f.mutObserver)
+	if f.installed != nil {
+		f.installed.SetMutationObserver(fn)
 	}
 }
 
-// closeEnginesLocked tears the local engines down (mu held).
+// closeEnginesLocked tears the local replica down (mu held).
 func (f *Follower) closeEnginesLocked() error {
-	var err error
-	if f.single != nil {
-		err = f.single.Close()
-		f.single = nil
+	if f.installed == nil {
+		return nil
 	}
-	if f.sharded != nil {
-		if cerr := f.sharded.Close(); err == nil {
-			err = cerr
-		}
-		f.sharded = nil
-	}
+	err := f.installed.Close()
+	f.installed = nil
 	return err
 }
 
@@ -273,13 +269,13 @@ func (f *Follower) bootstrap() error {
 		if err != nil {
 			return fmt.Errorf("repl: open bootstrapped replica: %w", err)
 		}
-		f.install(nil, s)
+		f.install(s)
 	} else {
 		e, err := spatialkeyword.OpenEngine(f.dir)
 		if err != nil {
 			return fmt.Errorf("repl: open bootstrapped replica: %w", err)
 		}
-		f.install(e, nil)
+		f.install(e)
 	}
 	f.m.snapshots.Inc()
 	return nil
@@ -591,18 +587,19 @@ func (f *Follower) apply(stream int, recs []wal.Record) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.single == nil {
+	e, ok := f.installed.(*spatialkeyword.Engine)
+	if !ok {
 		return errResyncing
 	}
 	for _, rec := range recs {
-		if err := f.single.ApplyReplicated(rec); err != nil {
+		if err := e.ApplyReplicated(rec); err != nil {
 			return err
 		}
 	}
-	if err := f.single.Flush(); err != nil {
+	if err := e.Flush(); err != nil {
 		return err
 	}
-	return f.single.SyncWAL()
+	return e.SyncWAL()
 }
 
 // rotate performs the follower-local generation handoff: the stream's old
@@ -621,23 +618,26 @@ func (f *Follower) rotate(stream int, nextGen uint64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.single == nil {
+	e, ok := f.installed.(*spatialkeyword.Engine)
+	if !ok {
 		return errResyncing
 	}
-	if err := f.single.Save(); err != nil {
+	if err := e.Save(); err != nil {
 		return err
 	}
-	if got := f.single.Generation(); got != nextGen {
+	if got := e.Generation(); got != nextGen {
 		return fmt.Errorf("%w: local rotation reached generation %d, leader is at %d", errResync, got, nextGen)
 	}
 	return nil
 }
 
-// shardedEngine snapshots the sharded-engine pointer under the read lock.
+// shardedEngine snapshots the installed replica under the read lock; nil
+// unless it is a sharded engine.
 func (f *Follower) shardedEngine() *shard.ShardedEngine {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.sharded
+	s, _ := f.installed.(*shard.ShardedEngine)
+	return s
 }
 
 // position reads one stream's current position.
@@ -816,60 +816,134 @@ func (f *Follower) Delete(id uint64) error { return ErrReadOnlyReplica }
 // follower rotates when the leader does), so explicit saves are refused.
 func (f *Follower) Save() error { return ErrReadOnlyReplica }
 
-// Get returns a stored object by ID from the local replica.
-func (f *Follower) Get(id uint64) (spatialkeyword.Object, error) {
+// reader returns the installed replica with the serving lock held shared;
+// the caller releases it through done. While a resync has the replica torn
+// down the reader is one that fails every read with errResyncing.
+func (f *Follower) reader() (r spatialkeyword.Reader, done func()) {
 	f.mu.RLock()
-	defer f.mu.RUnlock()
-	switch {
-	case f.sharded != nil:
-		return f.sharded.Get(id)
-	case f.single != nil:
-		return f.single.Get(id)
+	if f.installed == nil {
+		return resyncing{}, f.mu.RUnlock
 	}
-	return spatialkeyword.Object{}, errResyncing
+	return f.installed, f.mu.RUnlock
 }
 
-// TopK answers the distance-first query from the local replica.
+// The read contract (spatialkeyword.Reader), served from the local replica
+// and safe beside the tail. Scan mirrors the installed engine's own
+// contract (a single engine includes deleted rows, a sharded one skips
+// them). Corpus and MeterIO close over the replica installed when they were
+// called: re-fetch them per query rather than keeping them across a resync.
+
+func (f *Follower) Get(id uint64) (spatialkeyword.Object, error) {
+	r, done := f.reader()
+	defer done()
+	return r.Get(id)
+}
+
 func (f *Follower) TopK(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, error) {
 	res, _, err := f.TopKWithStats(k, point, keywords...)
 	return res, err
 }
 
-// TopKWithStats answers the distance-first query from the local replica.
 func (f *Follower) TopKWithStats(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	switch {
-	case f.sharded != nil:
-		return f.sharded.TopKWithStats(k, point, keywords...)
-	case f.single != nil:
-		return f.single.TopKWithStats(k, point, keywords...)
-	}
+	r, done := f.reader()
+	defer done()
+	return r.TopKWithStats(k, point, keywords...)
+}
+
+func (f *Follower) TopKRanked(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
+	r, done := f.reader()
+	defer done()
+	return r.TopKRanked(k, point, keywords...)
+}
+
+func (f *Follower) TopKArea(k int, lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
+	r, done := f.reader()
+	defer done()
+	return r.TopKArea(k, lo, hi, keywords...)
+}
+
+func (f *Follower) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
+	r, done := f.reader()
+	defer done()
+	return r.WithinArea(lo, hi, keywords...)
+}
+
+func (f *Follower) NumObjects() int {
+	r, done := f.reader()
+	defer done()
+	return r.NumObjects()
+}
+
+func (f *Follower) Scan(fn func(spatialkeyword.Object) error) error {
+	r, done := f.reader()
+	defer done()
+	return r.Scan(fn)
+}
+
+func (f *Follower) IsDeleted(id uint64) bool {
+	r, done := f.reader()
+	defer done()
+	return r.IsDeleted(id)
+}
+
+func (f *Follower) Stats() spatialkeyword.Stats {
+	r, done := f.reader()
+	defer done()
+	return r.Stats()
+}
+
+func (f *Follower) Corpus() spatialkeyword.CorpusStats {
+	r, done := f.reader()
+	defer done()
+	return r.Corpus()
+}
+
+func (f *Follower) MeterIO() func() (random, sequential uint64) {
+	r, done := f.reader()
+	defer done()
+	return r.MeterIO()
+}
+
+func (f *Follower) Flush() error {
+	r, done := f.reader()
+	defer done()
+	return r.Flush()
+}
+
+// resyncing is the reader of a follower whose replica is torn down: reads
+// that can fail do, with errResyncing; the rest answer for an empty engine.
+type resyncing struct{}
+
+func (resyncing) Get(uint64) (spatialkeyword.Object, error) {
+	return spatialkeyword.Object{}, errResyncing
+}
+
+func (resyncing) TopKWithStats(int, []float64, ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
 	return nil, spatialkeyword.QueryStats{}, errResyncing
 }
 
-// TopKRanked answers the general ranked query from the local replica.
-func (f *Follower) TopKRanked(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	switch {
-	case f.sharded != nil:
-		return f.sharded.TopKRanked(k, point, keywords...)
-	case f.single != nil:
-		return f.single.TopKRanked(k, point, keywords...)
-	}
+func (resyncing) TopKRanked(int, []float64, ...string) ([]spatialkeyword.RankedResult, error) {
 	return nil, errResyncing
 }
 
-// Stats reports the local replica's contents and footprint.
-func (f *Follower) Stats() spatialkeyword.Stats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	switch {
-	case f.sharded != nil:
-		return f.sharded.Stats()
-	case f.single != nil:
-		return f.single.Stats()
-	}
-	return spatialkeyword.Stats{}
+func (resyncing) TopKArea(int, []float64, []float64, ...string) ([]spatialkeyword.Result, error) {
+	return nil, errResyncing
+}
+
+func (resyncing) WithinArea([]float64, []float64, ...string) ([]spatialkeyword.Result, error) {
+	return nil, errResyncing
+}
+
+func (resyncing) NumObjects() int                              { return 0 }
+func (resyncing) Scan(func(spatialkeyword.Object) error) error { return errResyncing }
+func (resyncing) IsDeleted(uint64) bool                        { return false }
+func (resyncing) Stats() spatialkeyword.Stats                  { return spatialkeyword.Stats{} }
+func (resyncing) Flush() error                                 { return errResyncing }
+
+func (resyncing) Corpus() spatialkeyword.CorpusStats {
+	return spatialkeyword.CorpusStats{DocFreq: func(string) int { return 0 }}
+}
+
+func (resyncing) MeterIO() func() (random, sequential uint64) {
+	return func() (uint64, uint64) { return 0, 0 }
 }

@@ -166,6 +166,30 @@ type TraceEvent struct {
 	Score float64
 }
 
+// String renders the event as one line of a distance-first traversal
+// narration — the form Engine.Explain and SKQL's EXPLAIN ANALYZE print.
+// Entry events are indented under the expansion that produced them.
+func (ev TraceEvent) String() string {
+	switch ev.Kind {
+	case TraceExpand:
+		return fmt.Sprintf("expand node %d (level %d, bound %.2f)", ev.Node, ev.Level, ev.Score)
+	case TraceEnqueueNode:
+		return fmt.Sprintf("  enqueue subtree %d (dist >= %.2f)", ev.Child, ev.Score)
+	case TraceEnqueueObject:
+		return fmt.Sprintf("  enqueue object %d (dist %.2f)", ev.Child, ev.Score)
+	case TracePrune:
+		what := "subtree"
+		if ev.Level == 0 {
+			what = "object"
+		}
+		return fmt.Sprintf("  prune %s %d: signature mismatch", what, ev.Child)
+	case TraceEmit:
+		return fmt.Sprintf("emit object %d (dist %.2f)", ev.Child, ev.Score)
+	default:
+		return ev.Kind.String()
+	}
+}
+
 // Iter is an incremental best-first traversal of the tree: a priority queue
 // initialized with the root, where dequeuing a node expands (and pays the
 // I/O for) it and dequeuing an object emits it (Figure 3 / Figure 8).

@@ -7,9 +7,11 @@ import (
 	"spatialkeyword/internal/storage"
 )
 
-// Catalog facade: the surface internal/skql's executor and cost model
-// need, mirroring the single-engine methods of the same names so a
-// ShardedEngine can stand behind any skql.Target.
+// The rest of the read contract (see spatialkeyword.Reader): the methods
+// internal/skql's executor and cost model need beyond the queries,
+// mirroring the single engine's of the same names.
+
+var _ spatialkeyword.Reader = (*ShardedEngine)(nil)
 
 // NumObjects returns the number of global IDs ever assigned, including
 // deleted and tombstoned ones. Valid global IDs are [0, NumObjects).

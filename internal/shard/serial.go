@@ -43,6 +43,7 @@ func (s *ShardedEngine) TopKSerial(k int, point []float64, keywords ...string) (
 		if err != nil {
 			return nil, err
 		}
+		defer it.Close()
 		iters[i] = it
 	}
 	col := newCollector(k, true)
@@ -106,6 +107,7 @@ func (s *ShardedEngine) TopKRankedSerial(k int, point []float64, keywords ...str
 		if err != nil {
 			return nil, err
 		}
+		defer it.Close()
 		iters[i] = it
 	}
 	col := newCollector(k, false)

@@ -235,7 +235,7 @@ func (s *ShardedEngine) countUnhealthy() int {
 func (s *ShardedEngine) SetMetricsSink(sink obs.Sink) { s.sink = sink }
 
 // recordShard emits one shard's slice of a fanned-out query.
-func (s *ShardedEngine) recordShard(op string, shard int, st spatialkeyword.QueryStats, io storage.Stats, latency time.Duration, err error) {
+func (s *ShardedEngine) recordShard(op string, shard int, st spatialkeyword.QueryStats, latency time.Duration, err error) {
 	if s.sink == nil {
 		return
 	}
@@ -248,8 +248,8 @@ func (s *ShardedEngine) recordShard(op string, shard int, st spatialkeyword.Quer
 		ObjectsEnqueued:   st.ObjectsEnqueued,
 		ObjectsFetched:    st.ObjectsLoaded,
 		SigFalsePositives: st.FalsePositives,
-		RandomBlocks:      io.Random(),
-		SequentialBlocks:  io.Sequential(),
+		RandomBlocks:      st.BlocksRandom,
+		SequentialBlocks:  st.BlocksSequential,
 		Latency:           latency,
 		Err:               err != nil,
 	})
@@ -280,16 +280,16 @@ func (s *ShardedEngine) recordQuery(op string, k, keywords, results int, qs spat
 	})
 }
 
-// addStats accumulates one shard's traversal counters into the aggregate.
-func addStats(agg *spatialkeyword.QueryStats, st spatialkeyword.QueryStats, io storage.Stats) {
+// addStats accumulates one shard's work counters into the aggregate.
+func addStats(agg *spatialkeyword.QueryStats, st spatialkeyword.QueryStats) {
 	agg.NodesLoaded += st.NodesLoaded
 	agg.ObjectsLoaded += st.ObjectsLoaded
 	agg.FalsePositives += st.FalsePositives
 	agg.EntriesPruned += st.EntriesPruned
 	agg.NodesEnqueued += st.NodesEnqueued
 	agg.ObjectsEnqueued += st.ObjectsEnqueued
-	agg.BlocksRandom += io.Random()
-	agg.BlocksSequential += io.Sequential()
+	agg.BlocksRandom += st.BlocksRandom
+	agg.BlocksSequential += st.BlocksSequential
 }
 
 // resolve fills in Options defaults and builds the partitioner.
@@ -375,13 +375,17 @@ func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 	if sh.eng == nil {
 		return 0, fmt.Errorf("shard %d: %w", sh.idx, errShardDown)
 	}
+	// The shard's write lock makes this the local ID the add will get; it is
+	// read before s.mu is taken so the engine's lock is never acquired under
+	// it (ranked scoring takes them in the other order).
+	local := uint64(sh.eng.NumObjects())
 	if !s.cfg.WAL {
 		// Mirror the WAL path: reserve the global ID first so the engine-
 		// level mutation observer (see SetMutationObserver) sees it as the
 		// record tag while the add is applied.
 		s.mu.Lock()
 		gid := uint64(len(s.assign))
-		s.assign = append(s.assign, shardLoc{shard: sh.idx, local: uint64(sh.eng.NumObjects())})
+		s.assign = append(s.assign, shardLoc{shard: sh.idx, local: local})
 		s.vocab.AddDocWith(s.analyzer(), text)
 		s.mu.Unlock()
 		if _, err := sh.eng.AddTagged(point, text, gid); err != nil {
@@ -402,7 +406,7 @@ func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 	// — the property recovery relies on.
 	s.mu.Lock()
 	gid := uint64(len(s.assign))
-	s.assign = append(s.assign, shardLoc{shard: sh.idx, local: uint64(sh.eng.NumObjects())})
+	s.assign = append(s.assign, shardLoc{shard: sh.idx, local: local})
 	s.vocab.AddDocWith(s.analyzer(), text)
 	s.mu.Unlock()
 	_, err := sh.eng.AddTagged(point, text, gid)
@@ -553,6 +557,7 @@ type streamIter interface {
 	Next() (spatialkeyword.Result, bool, error)
 	PeekBound() (float64, bool)
 	Stats() spatialkeyword.QueryStats
+	Close()
 }
 
 // drainDistanceStream pulls one shard's distance-ordered stream into the
@@ -598,18 +603,17 @@ func (s *ShardedEngine) TopKWithStats(k int, point []float64, keywords ...string
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 		shardStart := time.Now()
-		stop := sh.eng.MeterIOStats()
 		it, err := sh.eng.Search(point, keywords...)
 		if err != nil {
-			s.recordShard("topk", sh.idx, spatialkeyword.QueryStats{}, stop(), time.Since(shardStart), err)
+			s.recordShard("topk", sh.idx, spatialkeyword.QueryStats{}, time.Since(shardStart), err)
 			return err
 		}
 		err = drainDistanceStream(sh, it, col)
+		it.Close()
 		st := it.Stats()
-		io := stop()
-		s.recordShard("topk", sh.idx, st, io, time.Since(shardStart), err)
+		s.recordShard("topk", sh.idx, st, time.Since(shardStart), err)
 		statsMu.Lock()
-		addStats(&agg, st, io)
+		addStats(&agg, st)
 		statsMu.Unlock()
 		return err
 	})
@@ -651,18 +655,17 @@ func (s *ShardedEngine) TopKArea(k int, lo, hi []float64, keywords ...string) ([
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 		shardStart := time.Now()
-		stop := sh.eng.MeterIOStats()
 		it, err := sh.eng.SearchArea(lo, hi, keywords...)
 		if err != nil {
-			s.recordShard("area", sh.idx, spatialkeyword.QueryStats{}, stop(), time.Since(shardStart), err)
+			s.recordShard("area", sh.idx, spatialkeyword.QueryStats{}, time.Since(shardStart), err)
 			return err
 		}
 		err = drainDistanceStream(sh, it, col)
+		it.Close()
 		st := it.Stats()
-		io := stop()
-		s.recordShard("area", sh.idx, st, io, time.Since(shardStart), err)
+		s.recordShard("area", sh.idx, st, time.Since(shardStart), err)
 		statsMu.Lock()
-		addStats(&agg, st, io)
+		addStats(&agg, st)
 		statsMu.Unlock()
 		return err
 	})
@@ -708,10 +711,9 @@ func (s *ShardedEngine) TopKRanked(k int, point []float64, keywords ...string) (
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 		shardStart := time.Now()
-		stop := sh.eng.MeterIOStats()
 		it, err := sh.eng.SearchRankedWith(cs, point, keywords...)
 		if err != nil {
-			s.recordShard("ranked", sh.idx, spatialkeyword.QueryStats{}, stop(), time.Since(shardStart), err)
+			s.recordShard("ranked", sh.idx, spatialkeyword.QueryStats{}, time.Since(shardStart), err)
 			return err
 		}
 		drain := func() error {
@@ -734,11 +736,11 @@ func (s *ShardedEngine) TopKRanked(k int, point []float64, keywords ...string) (
 			}
 		}
 		err = drain()
+		it.Close()
 		st := it.Stats()
-		io := stop()
-		s.recordShard("ranked", sh.idx, st, io, time.Since(shardStart), err)
+		s.recordShard("ranked", sh.idx, st, time.Since(shardStart), err)
 		statsMu.Lock()
-		addStats(&agg, st, io)
+		addStats(&agg, st)
 		statsMu.Unlock()
 		return err
 	})

@@ -11,57 +11,17 @@ import (
 	"spatialkeyword/internal/textutil"
 )
 
-// Target is the read surface a plan executes against. It is satisfied
-// by *spatialkeyword.Engine, *shard.ShardedEngine, *repl.Follower, and
-// skserve's lock-wrapped engine.
-type Target interface {
-	Get(id uint64) (spatialkeyword.Object, error)
-	TopKWithStats(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error)
-	TopKRanked(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error)
-	TopKArea(k int, lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error)
-	WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error)
-	NumObjects() int
-	Scan(fn func(spatialkeyword.Object) error) error
-	IsDeleted(id uint64) bool
-	Stats() spatialkeyword.Stats
-}
+// Target is the read surface a plan executes against: the backend read
+// contract the root package declares, under the name this package has
+// always used for it.
+type Target = spatialkeyword.Reader
 
-// corpusProvider is an optional Target extension: engine-maintained
-// corpus statistics (document frequencies for the cost model). Targets
-// without it fall back to the catalog's sidecar inverted index.
-type corpusProvider interface {
-	Corpus() spatialkeyword.CorpusStats
-}
-
-// ioMeter is an optional Target extension: disk counters for EXPLAIN
-// ANALYZE actual block reads on paths that do not report their own
-// per-query stats.
-type ioMeter interface {
-	MeterIO() func() (random, sequential uint64)
-}
-
-// flusher is an optional Target extension: engines that buffer adds
-// flush the deferred indexing on their first query. The catalog
-// flushes explicitly at plan time so that one-time build I/O lands
-// before the cost model reads the tree statistics and before any
-// operator meter starts — not inside the first operator's actuals.
-type flusher interface {
-	Flush() error
-}
-
-// flushTarget pushes any buffered adds through the target's deferred
-// indexing. A no-op for targets without a Flush or with nothing
-// pending.
-func (c *Catalog) flushTarget() error {
-	if f, ok := c.t.(flusher); ok {
-		return f.Flush()
-	}
-	return nil
-}
-
-// streamer is an optional Target extension: the single engine's
-// incremental distance-first iterators, which let the executor apply
-// residual filters without re-running widening top-k queries.
+// streamer is the one capability the executor observes from its target:
+// the single engine's incremental distance-first iterators, which let it
+// apply residual filters without re-running widening top-k queries.
+// Sharded engines and followers do not stream (measured: a serial shard
+// merge is slower than the parallel widened fetch for conjunctive TOP), so
+// the widening arm serves them.
 type streamer interface {
 	Search(point []float64, keywords ...string) (*spatialkeyword.SearchIter, error)
 	SearchArea(lo, hi []float64, keywords ...string) (*spatialkeyword.SearchIter, error)
@@ -75,8 +35,7 @@ type rankedStreamer interface {
 // Catalog binds a Target to the planner: it owns the text analyzer the
 // query terms are normalized with, the cost-model constants, and a
 // lazily built, incrementally maintained sidecar inverted index that
-// serves the IIO physical path (and document frequencies for targets
-// without a Corpus).
+// serves the IIO physical path.
 //
 // A Catalog is safe for concurrent queries; index refreshes are
 // serialized internally, and queries running beside one read whole
@@ -269,25 +228,14 @@ func (c *Catalog) maxBranches() int {
 }
 
 // costInputs assembles the cost model's inputs from plan-time-free
-// statistics: the target's corpus statistics when it maintains them,
-// else the sidecar index's dictionary (which may trigger a build).
-func (c *Catalog) costInputs() (CostInputs, error) {
-	in := CostInputs{
+// statistics; document frequencies are the target's own.
+func (c *Catalog) costInputs() CostInputs {
+	return CostInputs{
 		NumObjects:       c.t.NumObjects(),
+		DocFreq:          c.t.Corpus().DocFreq,
 		PostingsPerBlock: c.PostingsPerBlock,
 		BlocksPerObject:  c.BlocksPerObject,
 		TreeHeight:       c.t.Stats().TreeHeight,
 		Model:            c.Model,
 	}
-	if cp, ok := c.t.(corpusProvider); ok {
-		cs := cp.Corpus()
-		in.DocFreq = cs.DocFreq
-		return in, nil
-	}
-	ix, err := c.index()
-	if err != nil {
-		return CostInputs{}, err
-	}
-	in.DocFreq = ix.DocFreq
-	return in, nil
 }

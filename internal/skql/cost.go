@@ -9,9 +9,8 @@ import (
 
 // CostInputs is everything the cost model needs, all of it free at
 // plan time: corpus size, keyword document frequencies (from the
-// engine vocabulary or a sidecar inverted index), layout constants,
-// and the deterministic storage cost model. This is the one cost
-// model in the repository; internal/planner is a thin shim over it.
+// target's corpus statistics), layout constants, and the deterministic
+// storage cost model. This is the one cost model in the repository.
 type CostInputs struct {
 	// NumObjects is the corpus size N.
 	NumObjects int

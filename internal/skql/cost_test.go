@@ -128,6 +128,13 @@ func TestPlannerRoutesByFrequency(t *testing.T) {
 	if len(common.Ops) != 1 || common.Ops[0].Path == PathIIO {
 		t.Fatalf("common keyword plan chose %v, want a tree path", common.Ops)
 	}
+	// A conjunction is as selective as its rarest term: the ubiquitous
+	// keyword beside the rare one still routes to the inverted index, whose
+	// cost is driven by the smallest document frequency.
+	conj := mustPlan(t, c, `SELECT TOP 5 NEAR (1, 1) MATCH "common" AND "rare"`)
+	if len(conj.Ops) != 1 || conj.Ops[0].Path != PathIIO || conj.Ops[0].Est.MinDF != 2 {
+		t.Fatalf("conjunction plan chose %+v, want one IIO op with MinDF 2", conj.Ops)
+	}
 }
 
 // TestPlanShapes checks DNF splitting, common-conjunct pushdown, and

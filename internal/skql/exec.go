@@ -89,7 +89,7 @@ func (c *Catalog) execute(p *Plan, rs *ResultSet) error {
 	// RunPlan may execute a plan built before new adds were buffered;
 	// flush outside the operator meters so deferred indexing I/O never
 	// inflates an operator's actual block counts.
-	if err := c.flushTarget(); err != nil {
+	if err := c.t.Flush(); err != nil {
 		return err
 	}
 	switch p.Query.Proj {
@@ -106,10 +106,7 @@ func (c *Catalog) execute(p *Plan, rs *ResultSet) error {
 // engines and the sidecar index); the returned function reports the
 // blocks accessed since.
 func (c *Catalog) opMeter() func() (random, sequential uint64) {
-	var stops []func() (uint64, uint64)
-	if m, ok := c.t.(ioMeter); ok {
-		stops = append(stops, m.MeterIO())
-	}
+	stops := []func() (uint64, uint64){c.t.MeterIO()}
 	c.mu.Lock()
 	if c.invDev != nil {
 		m := storage.StartMeter(c.invDev)
@@ -162,31 +159,15 @@ func (c *Catalog) acceptFn(p *Plan, op *Operator) func(o spatialkeyword.Object) 
 	}
 }
 
-// traceCollector renders engine traversal events in the same format as
-// Engine.Explain, truncating at maxTraceLines.
+// traceCollector collects engine traversal events as Engine.Explain
+// prints them, truncating at maxTraceLines.
 func traceCollector(lines *[]string) func(rtree.TraceEvent) {
 	return func(ev rtree.TraceEvent) {
-		if len(*lines) >= maxTraceLines {
-			if len(*lines) == maxTraceLines {
-				*lines = append(*lines, "... trace truncated")
-			}
-			return
-		}
-		switch ev.Kind {
-		case rtree.TraceExpand:
-			*lines = append(*lines, fmt.Sprintf("expand node %d (level %d, bound %.2f)", ev.Node, ev.Level, ev.Score))
-		case rtree.TraceEnqueueNode:
-			*lines = append(*lines, fmt.Sprintf("  enqueue subtree %d (dist >= %.2f)", ev.Child, ev.Score))
-		case rtree.TraceEnqueueObject:
-			*lines = append(*lines, fmt.Sprintf("  enqueue object %d (dist %.2f)", ev.Child, ev.Score))
-		case rtree.TracePrune:
-			what := "subtree"
-			if ev.Level == 0 {
-				what = "object"
-			}
-			*lines = append(*lines, fmt.Sprintf("  prune %s %d: signature mismatch", what, ev.Child))
-		case rtree.TraceEmit:
-			*lines = append(*lines, fmt.Sprintf("emit object %d (dist %.2f)", ev.Child, ev.Score))
+		switch {
+		case len(*lines) < maxTraceLines:
+			*lines = append(*lines, ev.String())
+		case len(*lines) == maxTraceLines:
+			*lines = append(*lines, "... trace truncated")
 		}
 	}
 }
@@ -224,7 +205,7 @@ func (c *Catalog) execTop(p *Plan, rs *ResultSet) error {
 
 // runEngineTop executes a distance-first operator against the engine:
 // incrementally on streaming targets, by widening top-k calls
-// elsewhere (sharded engines, followers, lock-wrapped engines).
+// elsewhere (sharded engines, followers).
 //
 // SKQL's TOP is deterministic: ties at the k-th distance break by
 // smallest object ID regardless of engine traversal order, so every
@@ -241,84 +222,14 @@ func (c *Catalog) runEngineTop(p *Plan, op *Operator) ([]spatialkeyword.Result, 
 	var act OpActual
 	accept := c.acceptFn(p, op)
 	var out []spatialkeyword.Result
-
+	var err error
 	if st, ok := c.t.(streamer); ok {
-		var it *spatialkeyword.SearchIter
-		var err error
-		if q.Near != nil {
-			it, err = st.Search(q.Near, push...)
-		} else {
-			it, err = st.SearchArea(q.Within.Lo[:], q.Within.Hi[:], push...)
-		}
-		if err != nil {
-			return nil, act, err
-		}
-		if q.Analyze {
-			it.SetTrace(traceCollector(&act.Trace))
-		}
-		for {
-			if len(out) >= op.K {
-				// out is in non-decreasing distance order, so the
-				// last element is the current k-th distance; drain
-				// any remaining ties before stopping.
-				bound, ok := it.PeekBound()
-				if !ok || bound > out[len(out)-1].Dist {
-					break
-				}
-			}
-			r, ok, err := it.Next()
-			if err != nil {
-				return nil, act, err
-			}
-			if !ok {
-				break
-			}
-			act.Candidates++
-			if !accept(r.Object) {
-				continue
-			}
-			out = append(out, r)
-		}
-		act.Stats = it.Stats()
+		out, err = streamTop(st, q, op, push, accept, &act)
 	} else {
-		kk := op.K * 2
-		if kk < 16 {
-			kk = 16
-		}
-		for {
-			var rres []spatialkeyword.Result
-			var qs spatialkeyword.QueryStats
-			var err error
-			if q.Near != nil {
-				rres, qs, err = c.t.TopKWithStats(kk, q.Near, push...)
-			} else {
-				rres, err = c.t.TopKArea(kk, q.Within.Lo[:], q.Within.Hi[:], push...)
-			}
-			if err != nil {
-				return nil, act, err
-			}
-			act.Stats = qs
-			act.Candidates = len(rres)
-			out = out[:0]
-			for _, r := range rres {
-				if !accept(r.Object) {
-					continue
-				}
-				out = append(out, r)
-			}
-			// Stop when the engine is exhausted, or k results are in
-			// hand and the widened fetch already reached strictly past
-			// the k-th distance (so every unfetched object — at least
-			// as far as the last fetched one — cannot tie into the top
-			// k).
-			exhausted := len(rres) < kk
-			deepEnough := len(out) >= op.K && len(rres) > 0 &&
-				rres[len(rres)-1].Dist > out[op.K-1].Dist
-			if exhausted || deepEnough {
-				break
-			}
-			kk *= 2
-		}
+		out, err = c.widenTop(q, op, push, accept, &act)
+	}
+	if err != nil {
+		return nil, act, err
 	}
 	sortByDistance(out)
 	if len(out) > op.K {
@@ -327,6 +238,95 @@ func (c *Catalog) runEngineTop(p *Plan, op *Operator) ([]spatialkeyword.Result, 
 	act.Rows = len(out)
 	act.BlocksRandom, act.BlocksSequential = stop()
 	return out, act, nil
+}
+
+// streamTop is runEngineTop on a streaming target. The stream holds the
+// engine's shared lock until it is closed, so nothing in here calls back
+// into the target.
+func streamTop(st streamer, q *Query, op *Operator, push []string, accept func(spatialkeyword.Object) bool, act *OpActual) ([]spatialkeyword.Result, error) {
+	var it *spatialkeyword.SearchIter
+	var err error
+	if q.Near != nil {
+		it, err = st.Search(q.Near, push...)
+	} else {
+		it, err = st.SearchArea(q.Within.Lo[:], q.Within.Hi[:], push...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	if q.Analyze {
+		it.SetTrace(traceCollector(&act.Trace))
+	}
+	var out []spatialkeyword.Result
+	for {
+		if len(out) >= op.K {
+			// out is in non-decreasing distance order, so the
+			// last element is the current k-th distance; drain
+			// any remaining ties before stopping.
+			bound, ok := it.PeekBound()
+			if !ok || bound > out[len(out)-1].Dist {
+				break
+			}
+		}
+		r, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		act.Candidates++
+		if !accept(r.Object) {
+			continue
+		}
+		out = append(out, r)
+	}
+	act.Stats = it.Stats()
+	return out, nil
+}
+
+// widenTop is runEngineTop by widening top-k calls.
+func (c *Catalog) widenTop(q *Query, op *Operator, push []string, accept func(spatialkeyword.Object) bool, act *OpActual) ([]spatialkeyword.Result, error) {
+	var out []spatialkeyword.Result
+	kk := op.K * 2
+	if kk < 16 {
+		kk = 16
+	}
+	for {
+		var rres []spatialkeyword.Result
+		var qs spatialkeyword.QueryStats
+		var err error
+		if q.Near != nil {
+			rres, qs, err = c.t.TopKWithStats(kk, q.Near, push...)
+		} else {
+			rres, err = c.t.TopKArea(kk, q.Within.Lo[:], q.Within.Hi[:], push...)
+		}
+		if err != nil {
+			return nil, err
+		}
+		act.Stats = qs
+		act.Candidates = len(rres)
+		out = out[:0]
+		for _, r := range rres {
+			if !accept(r.Object) {
+				continue
+			}
+			out = append(out, r)
+		}
+		// Stop when the engine is exhausted, or k results are in
+		// hand and the widened fetch already reached strictly past
+		// the k-th distance (so every unfetched object — at least
+		// as far as the last fetched one — cannot tie into the top
+		// k).
+		exhausted := len(rres) < kk
+		deepEnough := len(out) >= op.K && len(rres) > 0 &&
+			rres[len(rres)-1].Dist > out[op.K-1].Dist
+		if exhausted || deepEnough {
+			return out, nil
+		}
+		kk *= 2
+	}
 }
 
 // runIIOTop executes a distance-first operator on the Inverted Index
@@ -467,6 +467,8 @@ func (c *Catalog) execRanked(p *Plan, rs *ResultSet) error {
 		if err != nil {
 			return err
 		}
+		// The stream holds the engine's shared lock until closed.
+		defer it.Close()
 		for len(out) < op.K {
 			r, ok, err := it.Next()
 			if err != nil {

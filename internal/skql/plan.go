@@ -154,15 +154,12 @@ func (c *Catalog) BuildPlan(q *Query) (*Plan, error) {
 	// Flush buffered adds now: the cost model needs the built tree's
 	// height, and the one-time indexing I/O must not be charged to the
 	// first executed operator's EXPLAIN ANALYZE actuals.
-	if err := c.flushTarget(); err != nil {
+	if err := c.t.Flush(); err != nil {
 		return nil, err
 	}
-	in, err := c.costInputs()
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{Query: q, In: in}
+	p := &Plan{Query: q, In: c.costInputs()}
 
+	var err error
 	if q.Match != nil {
 		tree, err := normalizeTree(q.Match, c.Analyzer)
 		if err != nil {

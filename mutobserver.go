@@ -28,8 +28,11 @@ type MutationEvent struct {
 // keep their event streams identical.
 //
 // Like the replication hooks, fn runs synchronously on the mutating
-// goroutine and must not block on I/O. Passing nil removes the observer.
+// goroutine under the engine's exclusive lock: it must not block on I/O or
+// call back into the engine. Passing nil removes the observer.
 func (e *Engine) SetMutationObserver(fn func(MutationEvent)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.mutObserver = fn
 }
 

@@ -20,31 +20,23 @@ type QueryMetrics = obs.QueryMetrics
 type MetricsSink = obs.Sink
 
 // SetMetricsSink installs (or, with nil, removes) the engine's metrics
-// sink. The sink is invoked once per query — after TopK, TopKRanked, and
-// TopKArea calls, and when a Search stream exhausts — never per traversal
-// step, so the hot path pays only plain counter increments it already
-// paid before any sink existed. Install before sharing the engine between
-// goroutines; the field itself is not synchronized.
-func (e *Engine) SetMetricsSink(s MetricsSink) { e.sink = s }
-
-// queryStatsOf converts the core traversal counters to the public shape.
-func queryStatsOf(nodes, objects, fps, pruned, nodesEnq, objsEnq int) QueryStats {
-	return QueryStats{
-		NodesLoaded:     nodes,
-		ObjectsLoaded:   objects,
-		FalsePositives:  fps,
-		EntriesPruned:   pruned,
-		NodesEnqueued:   nodesEnq,
-		ObjectsEnqueued: objsEnq,
-	}
+// sink. The sink is invoked once per query — when its stream is closed,
+// which TopK, TopKRanked, TopKArea and Explain do themselves, drained or
+// not — never per traversal step, so the hot path pays only plain counter
+// increments it already paid before any sink existed. The record is
+// delivered after the query has released the engine's lock.
+func (e *Engine) SetMetricsSink(s MetricsSink) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sink = s
 }
 
 // record delivers one query's metrics to the sink, if any.
-func (e *Engine) record(op string, k, keywords, results int, qs QueryStats, latency time.Duration, err error) {
-	if e.sink == nil {
+func record(sink MetricsSink, op string, k, keywords, results int, qs QueryStats, latency time.Duration, err error) {
+	if sink == nil {
 		return
 	}
-	e.sink.RecordQuery(QueryMetrics{
+	sink.RecordQuery(QueryMetrics{
 		Op:                op,
 		Shard:             -1,
 		K:                 k,

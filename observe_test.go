@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spatialkeyword/internal/obs"
+	"spatialkeyword/internal/storage"
 )
 
 // seedGrid fills the engine with a deterministic grid of objects. Half the
@@ -79,6 +81,7 @@ func TestExplainTraceMatchesStats(t *testing.T) {
 			t.Fatalf("stream ended early (i=%d, err=%v)", i, err)
 		}
 	}
+	it.Close()
 	qs := it.Stats()
 
 	if got, want := countTrace(trace, "expand node"), qs.NodesLoaded; got != want {
@@ -123,6 +126,7 @@ func TestSearchIterStatsFalsePositives(t *testing.T) {
 		}
 		n++
 	}
+	it.Close()
 	qs := it.Stats()
 	if qs.FalsePositives == 0 {
 		t.Fatal("1-byte signatures produced no false positives")
@@ -170,7 +174,7 @@ func TestEngineSinkRecords(t *testing.T) {
 	if _, err := e.TopKArea(3, []float64{400, 400}, []float64{600, 600}, "alpha"); err != nil {
 		t.Fatal(err)
 	}
-	// A stream records once, when it exhausts.
+	// A stream records once, when it is closed.
 	it, err := e.Search(q, "alpha", "beta")
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +190,7 @@ func TestEngineSinkRecords(t *testing.T) {
 		}
 		streamResults++
 	}
+	it.Close()
 	ops := make([]string, len(recs))
 	for i, r := range recs {
 		ops[i] = r.Op
@@ -224,4 +229,136 @@ func BenchmarkTopKSinkOverhead(b *testing.B) {
 	}
 	e.SetMetricsSink(nil)
 	_ = time.Now // future: report p99 from the recorder's histogram
+}
+
+// TestStreamSinkRecordsOnClose: a stream's one record is delivered when the
+// query ends — at exhaustion, at an error or at Close, never twice — with
+// its results, traversal counters, block counts and error, whether the
+// stream was drained, abandoned after one result, or failed. A stream that
+// ended by itself has released the engine: a writer gets in before Close.
+func TestStreamSinkRecordsOnClose(t *testing.T) {
+	e := newEngine(t, Config{SignatureBytes: 16})
+	seedGrid(t, e, 60)
+	var recs []QueryMetrics
+	e.SetMetricsSink(obs.SinkFunc(func(m QueryMetrics) { recs = append(recs, m) }))
+	// Armed, every device read fails.
+	var failReads atomic.Bool
+	if !e.InjectFault(func(op storage.Op, id storage.BlockID) error {
+		if failReads.Load() && op == storage.OpRead {
+			return &storage.FaultError{Kind: storage.KindReadError, Op: op, Block: id}
+		}
+		return nil
+	}) {
+		t.Fatal("InjectFault refused")
+	}
+	q := []float64{500, 500}
+
+	// closed checks the one record a just-ended stream delivered.
+	closed := func(name string, stats QueryStats, results int, wantErr bool) {
+		t.Helper()
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d records after the stream ended, want 1", name, len(recs))
+		}
+		m := recs[0]
+		recs = nil
+		if m.Op != "stream" || m.Shard != -1 || m.K != 0 || m.Results != results || m.Err != wantErr {
+			t.Errorf("%s: record %+v, want op stream, %d results, err=%v", name, m, results, wantErr)
+		}
+		if m.NodesExpanded != stats.NodesLoaded || m.ObjectsFetched != stats.ObjectsLoaded ||
+			m.EntriesPruned != stats.EntriesPruned || m.SigFalsePositives != stats.FalsePositives ||
+			m.RandomBlocks != stats.BlocksRandom || m.SequentialBlocks != stats.BlocksSequential {
+			t.Errorf("%s: record %+v does not match stats %+v", name, m, stats)
+		}
+		if m.NodesExpanded == 0 || m.RandomBlocks == 0 || m.Latency <= 0 {
+			t.Errorf("%s: record %+v reports no work", name, m)
+		}
+	}
+
+	// Drained.
+	it, err := e.Search(q, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for {
+		_, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		n++
+	}
+	closed("drained", it.Stats(), n, false)
+	if _, err := e.Add([]float64{1, 1}, "gamma"); err != nil { // would block on a held share
+		t.Fatal(err)
+	}
+	it.Close()
+	if len(recs) != 0 {
+		t.Fatal("Close after exhaustion recorded again")
+	}
+
+	// Abandoned after one result, distance-first and ranked.
+	it, err = e.Search(q, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := it.Next(); err != nil || !ok {
+		t.Fatalf("first result: ok=%v err=%v", ok, err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("abandoned: %d records before Close", len(recs))
+	}
+	it.Close()
+	closed("abandoned", it.Stats(), 1, false)
+	if _, ok, _ := it.Next(); ok {
+		t.Error("closed stream produced a result")
+	}
+
+	rit, err := e.SearchRanked(q, "alpha", "beta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := rit.Next(); err != nil || !ok {
+		t.Fatalf("first ranked result: ok=%v err=%v", ok, err)
+	}
+	rit.Close()
+	closed("ranked abandoned", rit.Stats(), 1, false)
+
+	// Errored: the device fails under the stream after its first result.
+	it, err = e.Search(q, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := it.Next(); err != nil || !ok {
+		t.Fatalf("first result: ok=%v err=%v", ok, err)
+	}
+	failReads.Store(true)
+	if _, _, err := it.Next(); !storage.IsIOFault(err) {
+		t.Fatalf("Next over a failing device: %v", err)
+	}
+	failReads.Store(false)
+	closed("errored", it.Stats(), 1, true)
+	it.Close()
+	if len(recs) != 0 {
+		t.Fatal("Close after an error recorded again")
+	}
+}
+
+// TestExplainRecordsItsOwnOp: Explain is a stream like every other query, so
+// it delivers one sink record — under op "explain", not counted among the
+// top-k queries.
+func TestExplainRecordsItsOwnOp(t *testing.T) {
+	e := newEngine(t, Config{SignatureBytes: 16})
+	seedGrid(t, e, 60)
+	var recs []QueryMetrics
+	e.SetMetricsSink(obs.SinkFunc(func(m QueryMetrics) { recs = append(recs, m) }))
+	results, _, err := e.Explain(3, []float64{500, 500}, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Op != "explain" || recs[0].K != 3 || recs[0].Results != len(results) {
+		t.Errorf("sink records = %+v, want one explain record with k 3 and %d results", recs, len(results))
+	}
 }

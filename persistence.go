@@ -163,7 +163,11 @@ func NewDurableEngine(cfg Config, dir string) (*Engine, error) {
 
 // Generation returns the engine's last committed snapshot generation (0
 // before the first successful Save).
-func (e *Engine) Generation() uint64 { return e.gen }
+func (e *Engine) Generation() uint64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.gen
+}
 
 // Save flushes pending objects, checkpoints the engine's state into the
 // working files, snapshots them as a new generation, and commits it with an
@@ -173,6 +177,8 @@ func (e *Engine) Save() error {
 	if e.dir == "" {
 		return ErrNotDurable
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.walBroken != nil {
 		return fmt.Errorf("spatialkeyword: refusing to save with broken write-ahead log: %w", e.walBroken)
 	}
@@ -184,7 +190,7 @@ func (e *Engine) Save() error {
 			return err
 		}
 	}
-	if err := e.Flush(); err != nil {
+	if err := e.flushLocked(); err != nil {
 		return err
 	}
 	storeMeta, err := e.store.Checkpoint()
@@ -294,6 +300,8 @@ func (e *Engine) Save() error {
 // Close releases a durable engine's files (after persisting their device
 // metadata). Memory-only engines have nothing to close.
 func (e *Engine) Close() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var firstErr error
 	if e.walApp != nil && e.walBroken == nil {
 		// Make any async-staged records durable before losing the appender.

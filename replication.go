@@ -38,6 +38,8 @@ type DurabilityStats struct {
 // DurabilityStats returns the engine's WAL generation/sequence watermark.
 // On a non-WAL engine only the snapshot generation is meaningful.
 func (e *Engine) DurabilityStats() DurabilityStats {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	ds := DurabilityStats{Generation: e.gen}
 	if e.walApp != nil {
 		ds.Enabled = true
@@ -51,10 +53,13 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 // after every durably logged mutation with the engine's current generation
 // and the full record (sequence number included); onRotate fires when Save
 // commits a new generation and rotates the log. Either may be nil. The
-// hooks run synchronously on the mutating goroutine — the engine's write
-// path — so they must not block on I/O; the replication leader only stages
-// the record in an in-memory ship buffer. Install before serving traffic.
+// hooks run synchronously on the mutating goroutine under the engine's
+// exclusive lock, so they must not block on I/O or call back into the
+// engine; the replication leader only stages the record in an in-memory
+// ship buffer.
 func (e *Engine) SetReplicationHooks(onAppend func(gen uint64, rec wal.Record), onRotate func(newGen uint64)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.replOnAppend = onAppend
 	e.replOnRotate = onRotate
 }
@@ -67,6 +72,8 @@ func (e *Engine) SetReplicationHooks(onAppend func(gen uint64, rec wal.Record), 
 // boundaries. Any failure is sticky (the local log and applied state may
 // diverge), matching the engine's own mutation path.
 func (e *Engine) ApplyReplicated(rec wal.Record) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.walApp == nil {
 		return errors.New("spatialkeyword: ApplyReplicated needs a WAL-enabled durable engine")
 	}
@@ -113,6 +120,8 @@ func (e *Engine) ApplyReplicated(rec wal.Record) error {
 // SyncWAL group-commits every async-staged WAL record — the follower's
 // batch boundary. A no-op without a WAL.
 func (e *Engine) SyncWAL() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.walApp == nil {
 		return nil
 	}
@@ -125,7 +134,7 @@ func (e *Engine) SyncWAL() error {
 
 // WALReplayRecords returns the full records (points and text included)
 // the open of this engine replayed from its write-ahead log, in log
-// order. A restarted leader seeds its current-generation ship buffer from
+// order (fixed once the engine is open). A restarted leader seeds its current-generation ship buffer from
 // them, so followers can resume mid-generation across leader restarts.
 func (e *Engine) WALReplayRecords() []wal.Record {
 	return e.walReplayRecs

@@ -20,6 +20,7 @@ package spatialkeyword
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"spatialkeyword/internal/core"
@@ -163,12 +164,51 @@ var ErrDeleted = errors.New("spatialkeyword: object deleted")
 // ErrUnknownID is returned for out-of-range object IDs.
 var ErrUnknownID = errors.New("spatialkeyword: unknown object id")
 
+// Reader is the read contract of a backend, declared once: *Engine,
+// *shard.ShardedEngine and *repl.Follower implement it natively, internal/skql
+// plans and executes against it (as skql.Target) and cmd/skserve serves it.
+// Every method is safe for concurrent use beside the backend's writers.
+type Reader interface {
+	Get(id uint64) (Object, error)
+	TopKWithStats(k int, point []float64, keywords ...string) ([]Result, QueryStats, error)
+	TopKRanked(k int, point []float64, keywords ...string) ([]RankedResult, error)
+	TopKArea(k int, lo, hi []float64, keywords ...string) ([]Result, error)
+	WithinArea(lo, hi []float64, keywords ...string) ([]Result, error)
+	// NumObjects is the size of the object-ID space, deleted rows included.
+	NumObjects() int
+	// Scan visits stored objects in ID order; fn must not call the backend.
+	Scan(fn func(Object) error) error
+	IsDeleted(id uint64) bool
+	Stats() Stats
+	// Corpus is the document count and per-word document frequencies ranked
+	// scoring and the SKQL cost model share.
+	Corpus() CorpusStats
+	// MeterIO snapshots the disk counters; the returned function reports the
+	// blocks read since.
+	MeterIO() func() (random, sequential uint64)
+	// Flush indexes buffered adds now instead of on the next read.
+	Flush() error
+}
+
+var _ Reader = (*Engine)(nil)
+
 // Engine is an in-process spatial keyword search engine backed by an
 // IR²-Tree (or MIR²-Tree) over a simulated disk. Adds are buffered and
-// flushed automatically before queries; see Flush. An Engine is safe for
-// concurrent readers once flushed; writers (Add, Delete, Flush) need
-// external exclusion against readers.
+// flushed automatically before queries; see Flush.
+//
+// An Engine is safe for concurrent use: it locks itself. Reads share one
+// lock, mutations and the Set* hooks take it exclusively, and a stream
+// (Search, SearchArea, SearchRanked) keeps its share until it is exhausted,
+// fails or is closed — so a goroutine must not call back into the engine
+// while one of its streams is open (Go's RWMutex is not reentrant once a
+// writer is queued), and the WAL, replication and mutation-observer
+// callbacks, which run under the exclusive lock, must not call back either.
 type Engine struct {
+	// mu is the engine's reader/writer exclusion. Nothing below it is
+	// touched without it, except the fields fixed at construction (cfg,
+	// dim, the devices, store and tree pointers, dir, the replayed log).
+	mu sync.RWMutex
+
 	cfg     Config
 	dim     int
 	objDisk storage.Device
@@ -243,6 +283,30 @@ func (e *Engine) analyzer() *textutil.Analyzer {
 	return a
 }
 
+// checkPoint rejects a point of the wrong dimensionality.
+func (e *Engine) checkPoint(point []float64) error {
+	if len(point) != e.dim {
+		return fmt.Errorf("spatialkeyword: point has %d dimensions, engine uses %d", len(point), e.dim)
+	}
+	return nil
+}
+
+// rlock takes the shared lock with every buffered add indexed. A read that
+// finds adds pending gives its share up, flushes under the exclusive lock
+// and looks again, so readers never see a row the tree does not hold yet.
+func (e *Engine) rlock() error {
+	for {
+		e.mu.RLock()
+		if len(e.pending) == 0 {
+			return nil
+		}
+		e.mu.RUnlock()
+		if err := e.Flush(); err != nil {
+			return err
+		}
+	}
+}
+
 // coreOptions derives the IR²-Tree options from the engine configuration,
 // deterministically, so a saved engine reopens with identical structure.
 func (e *Engine) coreOptions() core.Options {
@@ -285,6 +349,8 @@ func frameDevices(cfg Config, objDev, idxDev storage.Device) (storage.Device, st
 // reports whether every device accepted the hook; fault-tolerance tests use
 // it to make a live engine's storage fail on demand.
 func (e *Engine) InjectFault(f storage.FaultFunc) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	devs := []storage.Device{e.objDisk, e.idxDisk}
 	if e.walFile != nil {
 		devs = append(devs, e.walFile)
@@ -359,9 +425,11 @@ func (e *Engine) Add(point []float64, text string) (uint64, error) {
 // engine stores its global object ID there so crash recovery can rebuild
 // the global→shard assignment. Without a WAL the tag is simply dropped.
 func (e *Engine) AddTagged(point []float64, text string, tag uint64) (uint64, error) {
-	if len(point) != e.dim {
-		return 0, fmt.Errorf("spatialkeyword: point has %d dimensions, engine uses %d", len(point), e.dim)
+	if err := e.checkPoint(point); err != nil {
+		return 0, err
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.walBroken != nil {
 		return 0, fmt.Errorf("spatialkeyword: write-ahead log broken: %w", e.walBroken)
 	}
@@ -414,6 +482,13 @@ func (e *Engine) applyAdd(point []float64, text string) (uint64, error) {
 // Flush durably writes buffered objects and indexes them. Queries call it
 // implicitly; explicit calls let callers control when indexing work happens.
 func (e *Engine) Flush() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.flushLocked()
+}
+
+// flushLocked is Flush under the exclusive lock.
+func (e *Engine) flushLocked() error {
 	if len(e.pending) == 0 {
 		return nil
 	}
@@ -435,19 +510,23 @@ func (e *Engine) Flush() error {
 
 // Get returns a stored object by ID.
 func (e *Engine) Get(id uint64) (Object, error) {
+	e.mu.RLock()
+	// Only flush when the requested row could still be in the unflushed
+	// buffer. Pending IDs are ascending, so anything below the first pending
+	// ID is already synced and readable — a Get on it must not pay write I/O.
+	for len(e.pending) > 0 && id >= e.pending[0] && id < uint64(e.store.NumObjects()) {
+		e.mu.RUnlock()
+		if err := e.Flush(); err != nil {
+			return Object{}, err
+		}
+		e.mu.RLock()
+	}
+	defer e.mu.RUnlock()
 	if id >= uint64(e.store.NumObjects()) {
 		return Object{}, fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
 	if e.deleted[id] {
 		return Object{}, fmt.Errorf("%w: %d", ErrDeleted, id)
-	}
-	// Only flush when the requested row could still be in the unflushed
-	// buffer. Pending IDs are ascending, so anything below the first pending
-	// ID is already synced and readable — a Get on it must not pay write I/O.
-	if len(e.pending) > 0 && id >= e.pending[0] {
-		if err := e.Flush(); err != nil {
-			return Object{}, err
-		}
 	}
 	obj, err := e.store.GetByID(objstore.ID(id))
 	if err != nil {
@@ -460,6 +539,8 @@ func (e *Engine) Get(id uint64) (Object, error) {
 // append-only object file but will never be returned again. On a
 // WAL-enabled engine the deletion is durable before Delete returns.
 func (e *Engine) Delete(id uint64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if id >= uint64(e.store.NumObjects()) {
 		return fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
@@ -502,7 +583,7 @@ func (e *Engine) Delete(id uint64) error {
 // mutation observer wants the object's point and text without paying a
 // second store read. WAL replay calls it directly.
 func (e *Engine) applyDelete(id uint64) (objstore.Object, error) {
-	if err := e.Flush(); err != nil {
+	if err := e.flushLocked(); err != nil {
 		return objstore.Object{}, err
 	}
 	obj, err := e.store.GetByID(objstore.ID(id))
@@ -530,47 +611,13 @@ func (e *Engine) TopK(k int, point []float64, keywords ...string) ([]Result, err
 
 // TopKWithStats is TopK plus per-query work counters.
 func (e *Engine) TopKWithStats(k int, point []float64, keywords ...string) ([]Result, QueryStats, error) {
-	var qs QueryStats
-	if err := e.Flush(); err != nil {
-		return nil, qs, err
+	it, err := e.search("topk", k, point, keywords)
+	if err != nil {
+		return nil, QueryStats{}, err
 	}
-	if len(point) != e.dim {
-		return nil, qs, fmt.Errorf("spatialkeyword: point has %d dimensions, engine uses %d", len(point), e.dim)
-	}
-	start := time.Now()
-	m1 := storage.StartMeter(e.idxDisk)
-	m2 := storage.StartMeter(e.objDisk)
-	it := e.tree.Search(geo.NewPoint(point...), keywords)
-	var out []Result
-	var iterErr error
-	for len(out) < k {
-		r, ok, err := it.Next()
-		if err != nil {
-			iterErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-		if e.deleted[uint64(r.Object.ID)] {
-			continue
-		}
-		out = append(out, Result{
-			Object: Object{ID: uint64(r.Object.ID), Point: r.Object.Point, Text: r.Object.Text},
-			Dist:   r.Dist,
-		})
-	}
-	st := it.Stats()
-	io := m1.Stop().Add(m2.Stop())
-	qs = queryStatsOf(st.NodesLoaded, st.ObjectsLoaded, st.FalsePositives,
-		st.EntriesPruned, st.NodesEnqueued, st.ObjectsEnqueued)
-	qs.BlocksRandom = io.Random()
-	qs.BlocksSequential = io.Sequential()
-	e.record("topk", k, len(keywords), len(out), qs, time.Since(start), iterErr)
-	if iterErr != nil {
-		return nil, qs, iterErr
-	}
-	return out, qs, nil
+	out, err := takeK(k, it.Next)
+	it.Close()
+	return out, it.Stats(), err
 }
 
 // TopKRanked returns the k objects with the best combined
@@ -578,32 +625,27 @@ func (e *Engine) TopKWithStats(k int, point []float64, keywords ...string) ([]Re
 // query (objects may contain only some keywords; tf-idf relevance is
 // discounted by distance).
 func (e *Engine) TopKRanked(k int, point []float64, keywords ...string) ([]RankedResult, error) {
-	it, err := e.SearchRanked(point, keywords...)
+	it, err := e.searchRanked("ranked", k, nil, point, keywords)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	stop := e.MeterIOStats()
-	out := make([]RankedResult, 0, k)
-	var iterErr error
+	defer it.Close()
+	return takeK(k, it.Next)
+}
+
+// takeK is the engine's one top-k loop: IR2TopK (Fig. 8) is an incremental
+// iterator, and every top-k entry point is its first k results.
+func takeK[T any](k int, next func() (T, bool, error)) ([]T, error) {
+	var out []T
 	for len(out) < k {
-		r, ok, err := it.Next()
+		r, ok, err := next()
 		if err != nil {
-			iterErr = err
-			break
+			return nil, err
 		}
 		if !ok {
 			break
 		}
 		out = append(out, r)
-	}
-	qs := it.Stats()
-	io := stop()
-	qs.BlocksRandom = io.Random()
-	qs.BlocksSequential = io.Sequential()
-	e.record("ranked", k, len(keywords), len(out), qs, time.Since(start), iterErr)
-	if iterErr != nil {
-		return nil, iterErr
 	}
 	return out, nil
 }
@@ -640,6 +682,8 @@ type WALInfo struct {
 // WALInfo returns the engine's write-ahead log state. On a non-WAL engine
 // only the zero value is returned.
 func (e *Engine) WALInfo() WALInfo {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	info := WALInfo{
 		Enabled:         e.walApp != nil,
 		Broken:          e.walBroken,
@@ -655,8 +699,9 @@ func (e *Engine) WALInfo() WALInfo {
 }
 
 // WALReplay returns the mutations the open of this engine replayed from
-// the write-ahead log, in log order. The sharded engine consumes the tags
-// to rebuild its global assignment after a crash.
+// the write-ahead log, in log order (fixed once the engine is open). The
+// sharded engine consumes the tags to rebuild its global assignment after a
+// crash.
 func (e *Engine) WALReplay() []WALOp {
 	return e.walReplay
 }
@@ -665,6 +710,8 @@ func (e *Engine) WALReplay() []WALOp {
 // mutation, onFsync after every durable group commit with the sync's
 // duration. Either may be nil; calls on a non-WAL engine are no-ops.
 func (e *Engine) SetWALObserver(onAppend func(), onFsync func(time.Duration)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.walApp == nil {
 		return
 	}
@@ -675,6 +722,7 @@ func (e *Engine) SetWALObserver(onAppend func(), onFsync func(time.Duration)) {
 
 // NodeCacheStats reports the decoded-node cache counters accumulated since
 // the engine was created (all zero when Config.NodeCacheSize is negative).
+// The cache synchronizes its own counters.
 func (e *Engine) NodeCacheStats() NodeCacheStats {
 	st := e.tree.NodeCacheStats()
 	return NodeCacheStats{
@@ -687,6 +735,8 @@ func (e *Engine) NodeCacheStats() NodeCacheStats {
 
 // Stats reports the engine's contents and footprint.
 func (e *Engine) Stats() Stats {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return Stats{
 		Objects:      e.live,
 		IndexMB:      float64(e.idxDisk.SizeBytes()) / 1e6,

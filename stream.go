@@ -1,7 +1,6 @@
 package spatialkeyword
 
 import (
-	"fmt"
 	"time"
 
 	"spatialkeyword/internal/core"
@@ -13,92 +12,160 @@ import (
 )
 
 // Streaming query API. Search, SearchArea, and SearchRanked return pull
-// iterators over the same traversals that back TopK, TopKArea, and
-// TopKRanked, so callers that merge several engines' result streams (see
-// internal/shard) can consume exactly as many results as they need and
+// iterators over the paper's incremental traversals; TopK, TopKArea,
+// TopKRanked and Explain are their first k results. Callers that merge
+// several engines' result streams (see internal/shard) or filter past k
+// (see internal/skql) consume exactly as many results as they need and
 // inspect the next candidate's bound without loading it.
+//
+// A stream holds the engine's shared lock from open until it ends — Next
+// reports exhaustion or an error — or is closed, whichever comes first:
+// writers wait for it, and its goroutine must not call the same engine until
+// then. A stream abandoned part-way must be closed, or it blocks every
+// writer; closing one that has already ended is harmless.
 
-// SearchIter streams distance-first results in non-decreasing distance
-// order, skipping deleted objects. It is valid until the engine's next
-// write.
-type SearchIter struct {
+// query is what the two stream kinds share: the engine's shared lock, the
+// disk I/O bracket and the one metrics record, all settled by finish.
+type query struct {
 	e        *Engine
-	it       *core.ResultIter
+	op       string
+	k        int
 	keywords int
 	start    time.Time
+	ioStart  storage.Stats // the devices' counters when the query opened
 	results  int
-	recorded bool
+	err      error      // the traversal's error, if it failed
+	closed   bool       // finish has run
+	final    QueryStats // the query's work, fixed by finish
+}
+
+// begin takes the shared lock (flushing pending adds first) and opens the
+// query's I/O bracket.
+func (e *Engine) begin(op string, k, keywords int) (query, error) {
+	if err := e.rlock(); err != nil {
+		return query{}, err
+	}
+	return query{e: e, op: op, k: k, keywords: keywords,
+		start: time.Now(), ioStart: e.ioCounters()}, nil
+}
+
+// stats converts the traversal counters, adding the blocks read so far.
+func (q *query) stats(st core.SearchStats) QueryStats {
+	if q.closed {
+		return q.final
+	}
+	io := q.e.ioCounters().Sub(q.ioStart)
+	return QueryStats{
+		NodesLoaded:      st.NodesLoaded,
+		ObjectsLoaded:    st.ObjectsLoaded,
+		FalsePositives:   st.FalsePositives,
+		EntriesPruned:    st.EntriesPruned,
+		NodesEnqueued:    st.NodesEnqueued,
+		ObjectsEnqueued:  st.ObjectsEnqueued,
+		BlocksRandom:     io.Random(),
+		BlocksSequential: io.Sequential(),
+	}
+}
+
+// finish fixes the query's stats, releases the shared lock and delivers the
+// query's one sink record — whether or not the stream was drained.
+func (q *query) finish(st core.SearchStats) {
+	if q.closed {
+		return
+	}
+	q.final = q.stats(st)
+	q.closed = true
+	sink := q.e.sink
+	q.e.mu.RUnlock()
+	record(sink, q.op, q.k, q.keywords, q.results, q.final, time.Since(q.start), q.err)
+}
+
+// SearchIter streams distance-first results in non-decreasing distance
+// order, skipping deleted objects.
+type SearchIter struct {
+	query
+	it *core.ResultIter
 }
 
 // Search starts an incremental distance-first query: the stream behind
 // TopK. Pending adds are flushed first.
 func (e *Engine) Search(point []float64, keywords ...string) (*SearchIter, error) {
-	if err := e.Flush(); err != nil {
+	return e.search("stream", 0, point, keywords)
+}
+
+func (e *Engine) search(op string, k int, point []float64, keywords []string) (*SearchIter, error) {
+	if err := e.checkPoint(point); err != nil {
 		return nil, err
 	}
-	if len(point) != e.dim {
-		return nil, fmt.Errorf("spatialkeyword: point has %d dimensions, engine uses %d", len(point), e.dim)
+	q, err := e.begin(op, k, len(keywords))
+	if err != nil {
+		return nil, err
 	}
-	return &SearchIter{e: e, it: e.tree.Search(geo.NewPoint(point...), keywords),
-		keywords: len(keywords), start: time.Now()}, nil
+	return &SearchIter{query: q, it: e.tree.Search(geo.NewPoint(point...), keywords)}, nil
 }
 
 // SearchArea starts an incremental area-distance query: the stream behind
 // TopKArea. Objects inside the rectangle have distance zero.
 func (e *Engine) SearchArea(lo, hi []float64, keywords ...string) (*SearchIter, error) {
-	if err := e.Flush(); err != nil {
-		return nil, err
-	}
+	return e.searchArea("stream", 0, lo, hi, keywords)
+}
+
+func (e *Engine) searchArea(op string, k int, lo, hi []float64, keywords []string) (*SearchIter, error) {
 	area, err := e.validateArea(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return &SearchIter{e: e, it: e.tree.SearchArea(area, keywords),
-		keywords: len(keywords), start: time.Now()}, nil
+	q, err := e.begin(op, k, len(keywords))
+	if err != nil {
+		return nil, err
+	}
+	return &SearchIter{query: q, it: e.tree.SearchArea(area, keywords)}, nil
 }
 
 // Next returns the next live object containing every keyword. ok is false
-// when the index is exhausted.
+// when the index is exhausted or the stream is closed; exhaustion and errors
+// end the query as Close does.
 func (s *SearchIter) Next() (Result, bool, error) {
-	for {
+	for !s.closed {
 		r, ok, err := s.it.Next()
 		if err != nil || !ok {
-			// A stream has no explicit Close; its one metrics record fires
-			// when the traversal ends (exhaustion or error).
-			if !s.recorded {
-				s.recorded = true
-				s.e.record("stream", 0, s.keywords, s.results, s.Stats(), time.Since(s.start), err)
-			}
+			s.err = err
+			s.Close()
 			return Result{}, false, err
 		}
 		if s.e.deleted[uint64(r.Object.ID)] {
 			continue
 		}
 		s.results++
-		return Result{
-			Object: Object{ID: uint64(r.Object.ID), Point: r.Object.Point, Text: r.Object.Text},
-			Dist:   r.Dist,
-		}, true, nil
+		return Result{Object: publicObject(r.Object), Dist: r.Dist}, true, nil
 	}
+	return Result{}, false, nil
 }
 
 // PeekBound returns a lower bound on the distance of every result the
 // iterator can still produce; ok is false when it is exhausted.
 func (s *SearchIter) PeekBound() (float64, bool) { return s.it.PeekBound() }
 
-// SetTrace installs a traversal trace callback (see Engine.Explain for
-// the event kinds). Call before the first Next; fn must not retain the
-// event. A nil fn removes the callback. Used by internal/skql to fold
-// the traversal walk into EXPLAIN ANALYZE output.
+// SetTrace installs a traversal trace callback (rtree.TraceEvent.String
+// renders the events as Engine.Explain prints them). Call before the first
+// Next; fn must not retain the event. A nil fn removes the callback.
 func (s *SearchIter) SetTrace(fn func(rtree.TraceEvent)) { s.it.SetTrace(fn) }
 
-// Stats returns the traversal work counters accumulated so far (node and
-// object accesses plus signature pruning counts; disk blocks are accounted
-// at the device, see TopKWithStats).
-func (s *SearchIter) Stats() QueryStats {
-	st := s.it.Stats()
-	return queryStatsOf(st.NodesLoaded, st.ObjectsLoaded, st.FalsePositives,
-		st.EntriesPruned, st.NodesEnqueued, st.ObjectsEnqueued)
+// Stats returns the work done so far: traversal counters and the engine's
+// disk blocks since the stream opened. After Close it is the query's total.
+func (s *SearchIter) Stats() QueryStats { return s.stats(s.it.Stats()) }
+
+// Close ends the query: it releases the engine's shared lock, returns the
+// traversal's pooled scratch and delivers the query's one metrics record.
+// Closing a stream that has already ended, or closing twice, is harmless.
+func (s *SearchIter) Close() {
+	s.finish(s.it.Stats())
+	s.it.Close()
+}
+
+// publicObject converts a stored object to the public shape.
+func publicObject(o objstore.Object) Object {
+	return Object{ID: uint64(o.ID), Point: o.Point, Text: o.Text}
 }
 
 // CorpusStats describes the document corpus a ranked query scores against.
@@ -115,34 +182,50 @@ type CorpusStats struct {
 // Corpus returns the engine's own corpus statistics: document count
 // and per-word document frequencies from its vocabulary (both include
 // deleted documents, matching idf semantics — deletions do not rewrite
-// idf). The returned DocFreq reads the live vocabulary; like every
-// read, it needs external exclusion against concurrent writers.
+// idf). The returned DocFreq reads the live vocabulary under the engine's
+// shared lock, so it must not be called while the caller holds a stream
+// open on this engine.
 func (e *Engine) Corpus() CorpusStats {
-	return CorpusStats{NumDocs: e.vocab.NumDocs(), DocFreq: e.vocab.DocFreq}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return CorpusStats{NumDocs: e.vocab.NumDocs(), DocFreq: func(word string) int {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		return e.vocab.DocFreq(word)
+	}}
 }
 
 // RankedSearchIter streams general ranked results in non-increasing score
-// order, skipping deleted objects. It is valid until the engine's next
-// write.
+// order, skipping deleted objects.
 type RankedSearchIter struct {
-	e  *Engine
+	query
 	it *core.RankedIter
 }
 
 // SearchRanked starts an incremental general ranked query: the stream
 // behind TopKRanked, scored against the engine's own corpus statistics.
 func (e *Engine) SearchRanked(point []float64, keywords ...string) (*RankedSearchIter, error) {
-	return e.SearchRankedWith(CorpusStats{NumDocs: e.vocab.NumDocs(), DocFreq: e.vocab.DocFreq}, point, keywords...)
+	return e.searchRanked("stream", 0, nil, point, keywords)
 }
 
 // SearchRankedWith is SearchRanked scoring against the given corpus
 // statistics instead of the engine's own vocabulary.
 func (e *Engine) SearchRankedWith(cs CorpusStats, point []float64, keywords ...string) (*RankedSearchIter, error) {
-	if err := e.Flush(); err != nil {
+	return e.searchRanked("stream", 0, &cs, point, keywords)
+}
+
+func (e *Engine) searchRanked(op string, k int, cs *CorpusStats, point []float64, keywords []string) (*RankedSearchIter, error) {
+	if err := e.checkPoint(point); err != nil {
 		return nil, err
 	}
-	if len(point) != e.dim {
-		return nil, fmt.Errorf("spatialkeyword: point has %d dimensions, engine uses %d", len(point), e.dim)
+	q, err := e.begin(op, k, len(keywords))
+	if err != nil {
+		return nil, err
+	}
+	if cs == nil {
+		// The stream already holds the shared lock, so the scorer reads the
+		// vocabulary directly; Corpus().DocFreq would take the lock again.
+		cs = &CorpusStats{NumDocs: e.vocab.NumDocs(), DocFreq: e.vocab.DocFreq}
 	}
 	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq).WithAnalyzer(e.analyzer())
 	it := e.tree.SearchRanked(geo.NewPoint(point...), keywords, core.GeneralOptions{
@@ -150,67 +233,84 @@ func (e *Engine) SearchRankedWith(cs CorpusStats, point []float64, keywords ...s
 		Combiner:     irscore.DistanceDiscount{Scale: 100},
 		RequireMatch: true,
 	})
-	return &RankedSearchIter{e: e, it: it}, nil
+	return &RankedSearchIter{query: q, it: it}, nil
 }
 
 // Next returns the next best-scoring live object. ok is false when the
-// index is exhausted.
+// index is exhausted or the stream is closed; exhaustion and errors end the
+// query as Close does.
 func (s *RankedSearchIter) Next() (RankedResult, bool, error) {
-	for {
+	for !s.closed {
 		r, ok, err := s.it.Next()
 		if err != nil || !ok {
+			s.err = err
+			s.Close()
 			return RankedResult{}, false, err
 		}
 		if s.e.deleted[uint64(r.Object.ID)] {
 			continue
 		}
+		s.results++
 		return RankedResult{
-			Object:  Object{ID: uint64(r.Object.ID), Point: r.Object.Point, Text: r.Object.Text},
+			Object:  publicObject(r.Object),
 			Dist:    r.Dist,
 			IRScore: r.IRScore,
 			Score:   r.Score,
 		}, true, nil
 	}
+	return RankedResult{}, false, nil
 }
 
 // PeekBound returns an upper bound on the score of every result the
 // iterator can still produce; ok is false when it is exhausted.
 func (s *RankedSearchIter) PeekBound() (float64, bool) { return s.it.PeekBound() }
 
-// Stats returns the traversal work counters accumulated so far (node and
-// object accesses plus signature pruning counts; disk blocks are accounted
-// at the device).
-func (s *RankedSearchIter) Stats() QueryStats {
-	st := s.it.Stats()
-	return queryStatsOf(st.NodesLoaded, st.ObjectsLoaded, st.FalsePositives,
-		st.EntriesPruned, st.NodesEnqueued, st.ObjectsEnqueued)
+// Stats is SearchIter.Stats for a ranked stream.
+func (s *RankedSearchIter) Stats() QueryStats { return s.stats(s.it.Stats()) }
+
+// Close is SearchIter.Close for a ranked stream.
+func (s *RankedSearchIter) Close() {
+	s.finish(s.it.Stats())
+	s.it.Close()
 }
 
 // NumObjects returns the number of rows ever appended to the engine's
 // object file, including deleted ones. Valid object IDs are [0, NumObjects).
-func (e *Engine) NumObjects() int { return e.store.NumObjects() }
+func (e *Engine) NumObjects() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.store.NumObjects()
+}
 
 // Scan visits every row of the object file in ID order — including deleted
 // rows, which still carry the Text that feeds corpus statistics (idf). The
-// caller can filter with IsDeleted. Pending adds are flushed first.
+// caller can filter with IsDeleted once Scan has returned: fn runs under the
+// engine's shared lock and must not call back into the engine. Pending adds
+// are flushed first.
 func (e *Engine) Scan(fn func(Object) error) error {
-	if err := e.Flush(); err != nil {
+	if err := e.rlock(); err != nil {
 		return err
 	}
+	defer e.mu.RUnlock()
 	return e.store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-		return fn(Object{ID: uint64(o.ID), Point: o.Point, Text: o.Text})
+		return fn(publicObject(o))
 	})
 }
 
 // IsDeleted reports whether the object with the given ID has been deleted.
 // Unknown IDs are not deleted.
-func (e *Engine) IsDeleted(id uint64) bool { return e.deleted[id] }
+func (e *Engine) IsDeleted(id uint64) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.deleted[id]
+}
 
 // MeterIO snapshots the engine's disk counters; the returned function
 // reports the random and sequential block accesses performed since the
 // snapshot. Concurrent queries on the same engine share the counters, so
 // per-query attribution is exact only when the engine runs one query at a
-// time.
+// time. The devices count their own accesses; neither call takes the
+// engine's lock.
 func (e *Engine) MeterIO() func() (random, sequential uint64) {
 	stop := e.MeterIOStats()
 	return func() (uint64, uint64) {
@@ -223,9 +323,11 @@ func (e *Engine) MeterIO() func() (random, sequential uint64) {
 // in-module instrumentation that feeds a storage.CostModel (external
 // importers cannot name the internal type; use MeterIO instead).
 func (e *Engine) MeterIOStats() func() storage.Stats {
-	m1 := storage.StartMeter(e.idxDisk)
-	m2 := storage.StartMeter(e.objDisk)
-	return func() storage.Stats {
-		return m1.Stop().Add(m2.Stop())
-	}
+	start := e.ioCounters()
+	return func() storage.Stats { return e.ioCounters().Sub(start) }
+}
+
+// ioCounters sums the index and object devices' access counters.
+func (e *Engine) ioCounters() storage.Stats {
+	return e.idxDisk.Stats().Add(e.objDisk.Stats())
 }
