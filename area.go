@@ -3,6 +3,7 @@ package spatialkeyword
 import (
 	"fmt"
 
+	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
 )
 
@@ -30,7 +31,7 @@ func (e *Engine) TopKArea(k int, lo, hi []float64, keywords ...string) ([]Result
 		return nil, err
 	}
 	defer it.Close()
-	return takeK(k, it.Next)
+	return core.TakeK(k, it.Next)
 }
 
 // WithinArea returns every object inside the rectangle whose text contains

@@ -9,10 +9,10 @@
 //	-dataset     hotels | restaurants | both (default both)
 //	-experiment  all | table1 | vary-k | vary-keywords | vary-siglen |
 //	             selectivity | table2 | maintenance | ingest | repl |
-//	             fence-churn | hotpath | skql | ablate-cache |
-//	             ablate-capacity | ablate-build | ablate-split | parallel
+//	             fence-churn | skql | ablate-cache | ablate-capacity |
+//	             ablate-build | ablate-split | parallel
 //	             (default all; "all" covers the paper experiments; ingest,
-//	             repl, fence-churn, hotpath, skql, the ablations, and the
+//	             repl, fence-churn, skql, the ablations, and the
 //	             sharded-throughput experiment run only when named; a
 //	             comma-separated list runs several, e.g.
 //	             -experiment vary-k,ingest,fence-churn)
@@ -287,23 +287,6 @@ func run(cfg config) error {
 		}
 		if err := render(t); err != nil {
 			return err
-		}
-	}
-
-	// Read hot path: legacy vs packed steady-state traversal on warm caches.
-	// Disk cells are deterministic (verify-on-hit keeps accounting identical
-	// across arms) and gated; allocs/op and wall p50/p99 are appended,
-	// ungated columns.
-	if named("hotpath") {
-		for _, p := range plans(cfg) {
-			base := bench.BuildConfig{Spec: p.spec, SigBytes: p.sigBytes, MaxEntries: cfg.capacity}
-			t, err := bench.HotPath(base, p.fixedK, p.fixedWords, cfg.queries, cfg.seed, cm)
-			if err != nil {
-				return err
-			}
-			if err := render(t); err != nil {
-				return err
-			}
 		}
 	}
 

@@ -492,11 +492,7 @@ func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		err = s.eng.Flush()
 	}
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, repl.ErrReadOnlyReplica) {
-			status = http.StatusForbidden
-		}
-		httpError(w, status, err)
+		httpError(w, statusFor(err), err)
 		return
 	}
 	s.stampPosition(w)
@@ -720,6 +716,8 @@ func (s *server) handleSave(w http.ResponseWriter, r *http.Request) {
 
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, spatialkeyword.ErrBadPoint):
+		return http.StatusBadRequest
 	case errors.Is(err, spatialkeyword.ErrUnknownID):
 		return http.StatusNotFound
 	case errors.Is(err, spatialkeyword.ErrDeleted):

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/shard"
+	"spatialkeyword/internal/storage"
 )
 
 func newTestServer(t *testing.T, durableDir string) (*server, *httptest.Server) {
@@ -456,5 +458,48 @@ func TestRequestBodiesBounded(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with a 2 MiB body: status %d, want 413", route, resp.StatusCode)
 		}
+	}
+}
+
+// TestAddStatusSeparatesClientFromServer: POST /objects answers 400 only for
+// the caller's mistake (a point of the wrong dimensionality); a failing
+// device is the server's problem and answers 500, on both backends.
+func TestAddStatusSeparatesClientFromServer(t *testing.T) {
+	failWrites := func(op storage.Op, id storage.BlockID) error {
+		if op == storage.OpWrite {
+			return &storage.FaultError{Kind: storage.KindWriteError, Op: op, Block: id}
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name   string
+		shards int
+		fault  bool
+		point  []float64
+		want   int
+	}{
+		{"single/wrong-dimension", 1, false, []float64{1, 2, 3}, http.StatusBadRequest},
+		{"sharded/wrong-dimension", 3, false, []float64{1}, http.StatusBadRequest},
+		{"single/device-fault", 1, true, []float64{1, 2}, http.StatusInternalServerError},
+		{"sharded/device-fault", 3, true, []float64{1, 2}, http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newShardedTestServer(t, "", tc.shards)
+			if tc.fault {
+				switch eng := s.eng.(type) {
+				case *spatialkeyword.Engine:
+					eng.InjectFault(failWrites)
+				case *shard.ShardedEngine:
+					for i := 0; i < tc.shards; i++ {
+						eng.InjectShardFault(i, failWrites)
+					}
+				}
+			}
+			resp := post(t, ts.URL+"/objects", addRequest{Point: tc.point, Text: "cafe"})
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("POST /objects = %d, want %d", resp.StatusCode, tc.want)
+			}
+		})
 	}
 }

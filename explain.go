@@ -3,6 +3,7 @@ package spatialkeyword
 import (
 	"fmt"
 
+	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/rtree"
 )
 
@@ -20,7 +21,7 @@ func (e *Engine) Explain(k int, point []float64, keywords ...string) ([]Result, 
 	defer it.Close()
 	var trace []string
 	it.SetTrace(func(ev rtree.TraceEvent) { trace = append(trace, ev.String()) })
-	out, err := takeK(k, it.Next)
+	out, err := core.TakeK(k, it.Next)
 	if err != nil {
 		return nil, trace, err
 	}

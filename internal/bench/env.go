@@ -27,8 +27,8 @@ type Method int
 
 // The four methods of the evaluation, plus the two durability arms of the
 // ingest experiment, the two catch-up arms of the replication experiment,
-// the fence-churn arm, and the two hot-path arms (which compare write-path
-// strategies or engine implementations, not query algorithms, and are
+// the fence-churn arm, and the three SKQL routing arms (which compare
+// write-path strategies or planner choices, not query algorithms, and are
 // therefore excluded from AllMethods).
 const (
 	MethodRTree Method = iota
@@ -40,8 +40,6 @@ const (
 	MethodReplSnapshot
 	MethodReplShip
 	MethodFenceWAL
-	MethodHotLegacy
-	MethodHotPacked
 	MethodSKQLPlanner
 	MethodSKQLIR2
 	MethodSKQLIIO
@@ -71,10 +69,6 @@ func (m Method) String() string {
 		return "LogShip"
 	case MethodFenceWAL:
 		return "Fence+WAL"
-	case MethodHotLegacy:
-		return "Legacy"
-	case MethodHotPacked:
-		return "Packed"
 	case MethodSKQLPlanner:
 		return "Planner"
 	case MethodSKQLIR2:

@@ -44,9 +44,9 @@ func newWarmTree(t *testing.T) *IR2Tree {
 
 // TestWarmTopKAllocBounded gates the distance-first query: once the node
 // cache is warm, a TopK's allocations are per-query constants plus the
-// materialized result objects — never the per-node decode storm. The budget
+// materialized result objects — never a per-node decode storm. The budget
 // is an absolute ceiling with headroom over the measured steady state (~64);
-// the legacy path on the same workload runs an order of magnitude above it.
+// decoding every visited node would run an order of magnitude above it.
 func TestWarmTopKAllocBounded(t *testing.T) {
 	x := newWarmTree(t)
 	p := geo.NewPoint(50, 50)
@@ -56,17 +56,36 @@ func TestWarmTopKAllocBounded(t *testing.T) {
 		}
 	}
 	run() // warm the node cache and pools
-	packed := testing.AllocsPerRun(100, run)
+	allocs := testing.AllocsPerRun(100, run)
 	const budget = 128
-	if packed > budget {
-		t.Fatalf("warm TopK allocates %.1f objects/op, want <= %d", packed, budget)
+	if allocs > budget {
+		t.Fatalf("warm TopK allocates %.1f objects/op, want <= %d", allocs, budget)
 	}
-	x.RTree().SetHotPath(false)
+}
+
+// TestWarmWithinAreaAllocBounded gates the range query's packed walk: with
+// the node cache warm, its allocations are the candidate list, the batch
+// load and the results — nothing per node visited.
+func TestWarmWithinAreaAllocBounded(t *testing.T) {
+	x := newWarmTree(t)
+	area := geo.NewRect(geo.NewPoint(20, 20), geo.NewPoint(70, 70))
+	var results, nodes int
+	run := func() {
+		res, stats, err := x.WithinArea(area, []string{"pizza"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, nodes = len(res), stats.NodesLoaded
+	}
 	run()
-	legacy := testing.AllocsPerRun(100, run)
-	x.RTree().SetHotPath(true)
-	if legacy < 5*packed {
-		t.Fatalf("legacy path allocates %.1f/op vs packed %.1f/op: packed path lost its edge", legacy, packed)
+	allocs := testing.AllocsPerRun(100, run)
+	if results == 0 || nodes < 3 {
+		t.Fatalf("degenerate workload: %d results from %d nodes", results, nodes)
+	}
+	t.Logf("warm WithinArea: %.1f allocs/op for %d results over %d nodes", allocs, results, nodes)
+	const budget = 192
+	if allocs > budget {
+		t.Fatalf("warm WithinArea allocates %.1f objects/op, want <= %d", allocs, budget)
 	}
 }
 

@@ -28,19 +28,9 @@ func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
 // to (or inside) the query area.
 func (x *IR2Tree) TopKArea(k int, area geo.Rect, keywords []string) ([]Result, SearchStats, error) {
 	it := x.SearchArea(area, keywords)
-	defer it.Close()
-	var results []Result
-	for len(results) < k {
-		res, ok, err := it.Next()
-		if err != nil {
-			return nil, it.Stats(), err
-		}
-		if !ok {
-			break
-		}
-		results = append(results, res)
-	}
-	return results, it.Stats(), nil
+	results, err := TakeK(k, it.Next)
+	it.Close()
+	return results, it.Stats(), err
 }
 
 // rectDist is geo.Rect.MinDistRect, aliased for readability at call sites.

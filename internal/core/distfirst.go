@@ -135,19 +135,27 @@ func (r *ResultIter) PeekBound() (float64, bool) {
 // containing all keywords, closest to p first (IR2TopK, Figure 8).
 func (x *IR2Tree) TopK(k int, p geo.Point, keywords []string) ([]Result, SearchStats, error) {
 	it := x.Search(p, keywords)
-	defer it.Close()
-	var results []Result
-	for len(results) < k {
-		res, ok, err := it.Next()
+	results, err := TakeK(k, it.Next)
+	it.Close()
+	return results, it.Stats(), err
+}
+
+// TakeK is the one top-k loop: IR2TopK (Fig. 8) is an incremental iterator,
+// and every top-k entry point — here and in the engine above — is the first
+// k results of a stream's Next.
+func TakeK[T any](k int, next func() (T, bool, error)) ([]T, error) {
+	var out []T
+	for len(out) < k {
+		r, ok, err := next()
 		if err != nil {
-			return nil, it.Stats(), err
+			return nil, err
 		}
 		if !ok {
 			break
 		}
-		results = append(results, res)
+		out = append(out, r)
 	}
-	return results, it.Stats(), nil
+	return out, nil
 }
 
 // RTreeBaseline is the first baseline algorithm of Section 5.1: a plain

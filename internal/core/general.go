@@ -210,21 +210,8 @@ func (r *RankedIter) PeekBound() (float64, bool) {
 
 // TopKRanked collects the k best results of SearchRanked.
 func (x *IR2Tree) TopKRanked(k int, p geo.Point, keywords []string, opts GeneralOptions) ([]RankedResult, SearchStats, error) {
-	if k <= 0 {
-		return nil, SearchStats{}, nil
-	}
 	it := x.SearchRanked(p, keywords, opts)
-	defer it.Close()
-	var results []RankedResult
-	for len(results) < k {
-		res, ok, err := it.Next()
-		if err != nil {
-			return nil, it.Stats(), err
-		}
-		if !ok {
-			break
-		}
-		results = append(results, res)
-	}
-	return results, it.Stats(), nil
+	results, err := TakeK(k, it.Next)
+	it.Close()
+	return results, it.Stats(), err
 }

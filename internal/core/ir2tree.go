@@ -63,8 +63,7 @@ type Options struct {
 	Split rtree.SplitAlgorithm
 
 	// CacheNodes bounds the tree's decoded-node cache (see rtree.Config):
-	// zero for the default capacity, negative to disable the packed hot
-	// path entirely.
+	// zero for the default capacity, negative to disable the cache.
 	CacheNodes int
 
 	// Analyzer is the text-analysis pipeline shared by indexing and

@@ -20,7 +20,7 @@ func (x *IR2Tree) WithinArea(area geo.Rect, keywords []string) ([]Result, Search
 	sigs := &levelSigs{scheme: x.scheme, kws: kws}
 
 	var stats SearchStats
-	root, err := x.rt.Root()
+	root, err := x.rt.RootPacked()
 	if err != nil {
 		return nil, stats, err
 	}
@@ -29,30 +29,28 @@ func (x *IR2Tree) WithinArea(area geo.Rect, keywords []string) ([]Result, Search
 	}
 	// Phase one walks the tree collecting candidate object pointers; phase
 	// two loads them in one batch, so rows sharing a block are read once
-	// instead of once per object.
+	// instead of once per object. One pair of corner points serves every
+	// entry: a rectangle is tested before the walk moves on.
 	var ptrs []objstore.Ptr
-	var walk func(n *rtree.Node) error
-	walk = func(n *rtree.Node) error {
+	lo, hi := make(geo.Point, x.rt.Dim()), make(geo.Point, x.rt.Dim())
+	var walk func(n *rtree.PackedNode) error
+	walk = func(n *rtree.PackedNode) error {
 		stats.NodesLoaded++
 		for i := 0; i < n.NumEntries(); i++ {
-			ptr, rect, aux := n.Entry(i)
-			if !rect.Intersects(area) {
+			if !n.EntryRectInto(i, lo, hi).Intersects(area) || !sigs.matches(n.Level(), n.EntryAux(i)) {
 				continue
 			}
-			if !sigs.matches(n.Level(), aux) {
+			if n.Level() == 0 {
+				ptrs = append(ptrs, objstore.Ptr(n.EntryPtr(i)))
 				continue
 			}
-			if n.Level() > 0 {
-				child, err := x.rt.LoadNode(storage.BlockID(ptr))
-				if err != nil {
-					return err
-				}
-				if err := walk(child); err != nil {
-					return err
-				}
-				continue
+			child, err := x.rt.LoadPacked(storage.BlockID(n.EntryPtr(i)))
+			if err != nil {
+				return err
 			}
-			ptrs = append(ptrs, objstore.Ptr(ptr))
+			if err := walk(child); err != nil {
+				return err
+			}
 		}
 		return nil
 	}

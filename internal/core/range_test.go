@@ -7,6 +7,8 @@ import (
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/rtree"
+	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
 )
 
@@ -21,6 +23,44 @@ func bruteWithinArea(objs []objstore.Object, area geo.Rect, keywords []string) [
 	return out
 }
 
+// decodedAreaWalk is WithinArea's tree walk written over decoded LoadNode
+// images, as it read the tree before the packed image became the only read
+// representation: the nodes it visits and the candidate pointers it collects.
+func decodedAreaWalk(t *testing.T, x *IR2Tree, area geo.Rect, keywords []string) (nodes int, ptrs []objstore.Ptr) {
+	t.Helper()
+	sigs := &levelSigs{scheme: x.scheme, kws: x.an.Keywords(keywords)}
+	var walk func(n *rtree.Node)
+	walk = func(n *rtree.Node) {
+		nodes++
+		for i := 0; i < n.NumEntries(); i++ {
+			ptr, rect, aux := n.Entry(i)
+			if !rect.Intersects(area) || !sigs.matches(n.Level(), aux) {
+				continue
+			}
+			if n.Level() == 0 {
+				ptrs = append(ptrs, objstore.Ptr(ptr))
+				continue
+			}
+			child, err := x.rt.LoadNode(storage.BlockID(ptr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			walk(child)
+		}
+	}
+	root, err := x.rt.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root != nil {
+		walk(root)
+	}
+	return nodes, ptrs
+}
+
+// TestWithinAreaMatchesBruteForce checks the range query's answers against a
+// scan, and its SearchStats and index-device accesses against the decoded
+// walk: moving it onto packed images changed neither.
 func TestWithinAreaMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(121))
 	rows := randomRows(rng, 400)
@@ -31,12 +71,26 @@ func TestWithinAreaMatchesBruteForce(t *testing.T) {
 		kw := [][]string{{"pool"}, {"internet", "spa"}, {"gym", "bar", "wifi"}, nil}[trial%4]
 		want := bruteWithinArea(f.objects, area, kw)
 		for name, tree := range map[string]*IR2Tree{"IR2": f.ir2, "MIR2": f.mir2} {
-			got, _, err := tree.WithinArea(area, kw)
+			dev := tree.RTree().Device()
+			dev.ResetStats()
+			nodes, ptrs := decodedAreaWalk(t, tree, area, kw)
+			wantIO := dev.Stats()
+			dev.ResetStats()
+			got, stats, err := tree.WithinArea(area, kw)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(resultIDs(got)) != fmt.Sprint(want) {
 				t.Fatalf("trial %d (%s): got %v, want %v", trial, name, resultIDs(got), want)
+			}
+			// Points have degenerate MBRs, so every candidate lies in the
+			// area and the ones that are not answers are false positives.
+			wantStats := SearchStats{NodesLoaded: nodes, ObjectsLoaded: len(ptrs), FalsePositives: len(ptrs) - len(want)}
+			if stats != wantStats {
+				t.Fatalf("trial %d (%s): stats %+v, decoded walk %+v", trial, name, stats, wantStats)
+			}
+			if io := dev.Stats(); io != wantIO {
+				t.Fatalf("trial %d (%s): index device saw %+v, decoded walk %+v", trial, name, io, wantIO)
 			}
 		}
 	}

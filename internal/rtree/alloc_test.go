@@ -85,7 +85,8 @@ func TestWarmIterAllocBounded(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, scan)
 	// The budget covers the Iter struct and pprof label plumbing — not the
 	// per-node, per-entry decode storm the packed path eliminates. With ~40
-	// nodes of 8 entries each, the legacy path would allocate thousands.
+	// nodes of 8 entries each, decoding every visited node would allocate
+	// thousands.
 	const budget = 16
 	if allocs > budget {
 		t.Fatalf("warm full scan allocates %.1f objects/op, want <= %d", allocs, budget)

@@ -1,14 +1,16 @@
-// Packed node images and the pinned decoded-node cache — the zero-allocation
-// read hot path.
+// Packed node images and the pinned decoded-node cache — the only
+// representation a reader of the tree sees.
 //
 // loadNode decodes a node into pointer-rich structs: a Node, an entry slice,
 // two geo.Points and an aux copy per entry — for a 102-entry node that is
-// several hundred allocations, repeated on every visit. A PackedNode instead
-// pins the node's trimmed on-disk image (exactly the bytes storeNode wrote)
-// in a single allocation and serves pointers, rectangles, and payloads by
-// offset arithmetic straight off that buffer. Decoded images live in a
-// nodecache.Cache keyed by the node's first BlockID, shared by every query
-// on the tree.
+// several hundred allocations. That is what the mutation path and the
+// invariant checker work on. A PackedNode instead pins the node's trimmed
+// on-disk image (exactly the bytes storeNode wrote) in a single allocation
+// and serves pointers, rectangles, and payloads by offset arithmetic
+// straight off that buffer. Decoded images live in a nodecache.Cache keyed
+// by the node's first BlockID, shared by every query on the tree; a tree
+// built with a negative Config.CacheNodes has no cache and pins each image
+// for one visit.
 //
 // Cache correctness does not rest on invalidation alone. A hit still pays
 // the node's full modeled device I/O — ReadRunTo over the same block
@@ -125,11 +127,22 @@ func (t *Tree) putScratch(sb *scratchBuf) { t.scratchPool.Put(sb) }
 // it from the decoded-node cache when possible. The modeled device I/O is
 // identical to LoadNode's: a cache hit re-reads the node's blocks to verify
 // the pinned image (see the package comment), so the benchmark cost model
-// cannot tell the two paths apart.
+// cannot tell a hit from a miss or from a tree without a cache.
 func (t *Tree) LoadPacked(id storage.BlockID) (*PackedNode, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.loadPacked(id)
+}
+
+// RootPacked is LoadPacked of the root, or nil for an empty tree — where a
+// reader that walks the tree itself (core's range query) starts.
+func (t *Tree) RootPacked() (*PackedNode, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.root == storage.NilBlock {
+		return nil, nil
+	}
+	return t.loadPacked(t.root)
 }
 
 func (t *Tree) loadPacked(id storage.BlockID) (*PackedNode, error) {
@@ -230,24 +243,6 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte) (*PackedNode, error) 
 		auxLen: t.scheme.EntryAuxLen(level),
 		buf:    buf,
 	}, nil
-}
-
-// SetHotPath toggles the packed-node traversal. It exists for the hotpath
-// benchmark, which measures the legacy decode-per-visit path against the
-// packed path on the same tree; production trees leave it at its default
-// (enabled whenever the tree has a cache). Not safe to call concurrently
-// with running iterators.
-func (t *Tree) SetHotPath(on bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.hot = on && t.cache != nil
-}
-
-// HotPath reports whether traversals use the packed-node path.
-func (t *Tree) HotPath() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.hot
 }
 
 // CacheStats returns the decoded-node cache counters, or zeros when the

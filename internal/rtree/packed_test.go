@@ -2,7 +2,10 @@ package rtree
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialkeyword/internal/geo"
@@ -198,19 +201,126 @@ func TestCacheInvalidatedOnMutation(t *testing.T) {
 	}
 }
 
-// TestSetHotPathRequiresCache checks the hot path cannot be enabled on a
-// cache-less tree.
-func TestSetHotPathRequiresCache(t *testing.T) {
-	disk := storage.NewDisk(4096)
-	tree, err := New(disk, Config{Dim: 2, MaxEntries: 4, CacheNodes: -1})
-	if err != nil {
-		t.Fatal(err)
+// decodedWalk is the reference the packed Iter is checked against: the same
+// best-first search (Figure 3 with Figure 8's keep test) written over decoded
+// LoadNode images, as the traversal read nodes before the packed image became
+// the only read representation.
+func decodedWalk(t *testing.T, tree *Tree, scorer EntryScorer) (refs []uint64, scores []float64, st TraversalStats) {
+	t.Helper()
+	var q itemHeap
+	var seq uint64
+	if tree.root != storage.NilBlock {
+		q.push(queueItem{node: tree.root, score: math.Inf(-1)})
+		seq = 1
 	}
-	if tree.HotPath() {
-		t.Fatal("cache-less tree starts with hot path on")
+	for len(q) > 0 {
+		item := q.pop()
+		if item.isObject {
+			st.ObjectsEmitted++
+			refs, scores = append(refs, item.ref), append(scores, item.score)
+			continue
+		}
+		n, err := tree.LoadNode(item.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.NodesLoaded++
+		for i := 0; i < n.NumEntries(); i++ {
+			ptr, rect, aux := n.Entry(i)
+			score, keep := scorer(n.Level() == 0, n.Level(), rect, aux)
+			if !keep {
+				st.EntriesPruned++
+				continue
+			}
+			qi := queueItem{isObject: n.Level() == 0, score: score, seq: seq}
+			seq++
+			if qi.isObject {
+				st.ObjectsEnqueued++
+				qi.ref = ptr
+			} else {
+				st.NodesEnqueued++
+				qi.node = storage.BlockID(ptr)
+			}
+			q.push(qi)
+		}
 	}
-	tree.SetHotPath(true)
-	if tree.HotPath() {
-		t.Fatal("SetHotPath(true) enabled the hot path without a cache")
+	return refs, scores, st
+}
+
+// TestPackedIterMatchesDecodedWalk holds the two promises the retired E-X10
+// experiment gated. For random trees with the default cache, a 2-node cache
+// and no cache at all, the packed Iter yields the (ref, score) sequence and
+// the TraversalStats of decodedWalk; and the device's random and sequential
+// counters are the decoded walk's whether the traversal runs cold, warm or
+// cache-less — disk accounting cannot tell cached from uncached.
+func TestPackedIterMatchesDecodedWalk(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scheme AuxScheme
+		maxE   int
+	}{
+		{"aux4", orScheme{n: 4}, 3},
+		{"multiblock", bigScheme{orScheme{n: 2048}}, 4},
+	} {
+		for _, cacheNodes := range []int{0, 2, -1} {
+			t.Run(fmt.Sprintf("%s/cache=%d", tc.name, cacheNodes), func(t *testing.T) {
+				disk := storage.NewDisk(4096)
+				tree, err := New(disk, Config{Dim: 2, MaxEntries: tc.maxE, Scheme: tc.scheme, CacheNodes: cacheNodes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(17 + cacheNodes)))
+				for i := 0; i < 200; i++ {
+					aux := make([]byte, tc.scheme.EntryAuxLen(0))
+					copy(aux, refMask(uint64(i)))
+					p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
+					if err := tree.Insert(uint64(i), geo.PointRect(p), aux); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Keep entries whose mask has bit 0 of byte 0: prunes most
+				// objects and some subtrees, like a signature test.
+				scorer := DistanceScorer(geo.NewPoint(40, 60), func(_ bool, _ int, aux []byte) bool {
+					return aux[0]&1 != 0
+				})
+				disk.ResetStats()
+				wantRefs, wantScores, wantStats := decodedWalk(t, tree, scorer)
+				wantIO := disk.Stats()
+				if len(wantRefs) == 0 || wantStats.EntriesPruned == 0 {
+					t.Fatalf("degenerate workload: %d results, %+v", len(wantRefs), wantStats)
+				}
+				for _, pass := range []string{"cold", "warm"} {
+					disk.ResetStats()
+					it := tree.Seek(scorer)
+					var refs []uint64
+					var scores []float64
+					for {
+						ref, score, ok, err := it.Next()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						refs, scores = append(refs, ref), append(scores, score)
+					}
+					it.Close()
+					if !slices.Equal(refs, wantRefs) || !slices.Equal(scores, wantScores) {
+						t.Fatalf("%s: packed sequence diverges from the decoded walk\n got %v %v\nwant %v %v",
+							pass, refs, scores, wantRefs, wantScores)
+					}
+					if got := it.TraversalStats(); got != wantStats {
+						t.Fatalf("%s: traversal stats %+v, decoded walk %+v", pass, got, wantStats)
+					}
+					if got := disk.Stats(); got.Random() != wantIO.Random() || got.Sequential() != wantIO.Sequential() {
+						t.Fatalf("%s: device saw %d random + %d sequential, decoded walk %d + %d",
+							pass, got.Random(), got.Sequential(), wantIO.Random(), wantIO.Sequential())
+					}
+				}
+				if st := tree.CacheStats(); (cacheNodes < 0) != (st.Hits+st.Misses == 0) {
+					t.Fatalf("cache=%d: cache counters %+v", cacheNodes, st)
+				}
+			})
+		}
 	}
 }

@@ -90,9 +90,9 @@ type Config struct {
 	Split SplitAlgorithm
 	// Scheme maintains entry payloads. Nil means a plain R-Tree.
 	Scheme AuxScheme
-	// CacheNodes bounds the decoded-node cache behind the packed read hot
-	// path. Zero means nodecache.DefaultCapacity; a negative value disables
-	// the cache (and with it the packed traversal).
+	// CacheNodes bounds the decoded-node cache the read path serves packed
+	// node images from. Zero means nodecache.DefaultCapacity; a negative
+	// value disables the cache (every visit then decodes its node afresh).
 	CacheNodes int
 }
 
@@ -154,7 +154,6 @@ type Tree struct {
 	height int // number of levels; 0 = empty tree
 	size   int // number of object entries
 	nodes  int // number of nodes
-	hot    bool
 
 	cache       *nodecache.Cache[*PackedNode]
 	scratchPool sync.Pool // *scratchBuf: raw block images for loadPacked
@@ -201,7 +200,6 @@ func New(dev storage.Device, cfg Config) (*Tree, error) {
 	}
 	if cfg.CacheNodes >= 0 {
 		t.cache = nodecache.New[*PackedNode](cfg.CacheNodes)
-		t.hot = true
 	}
 	t.scratchPool.New = func() interface{} { return new(scratchBuf) }
 	t.iterPool.New = func() interface{} { return new(iterScratch) }
@@ -270,8 +268,8 @@ func (t *Tree) Root() (*Node, error) {
 	return t.loadNode(t.root)
 }
 
-// LoadNode reads the node starting at block id. It is exported for the
-// search algorithms in package core that traverse the tree themselves.
+// LoadNode reads the node starting at block id as a decoded Node — the
+// mutation path's and the invariant checker's view. Readers use LoadPacked.
 func (t *Tree) LoadNode(id storage.BlockID) (*Node, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -19,9 +19,9 @@ import (
 // Lower scores are dequeued first, so a scorer implementing the paper's
 // general ranking (higher f is better) should return a negated score.
 //
-// Scorers must not retain rect or aux past the call: on the packed hot path
-// the rectangle's corner points are reused for the next entry and the
-// payload aliases a pinned node image.
+// Scorers must not retain rect or aux past the call: the rectangle's corner
+// points are reused for the next entry and the payload aliases a pinned node
+// image.
 type EntryScorer func(isObject bool, level int, rect geo.Rect, aux []byte) (score float64, keep bool)
 
 // DistanceScorer returns the scorer of the incremental nearest-neighbor
@@ -208,12 +208,11 @@ type Iter struct {
 	seq    uint64
 	stats  TraversalStats
 	trace  func(TraceEvent)
-	packed bool
 	scr    *iterScratch
 }
 
 // iterScratch is the pooled per-traversal state: the queue's backing array
-// and the corner points the packed path decodes entry MBRs into. One pair
+// and the corner points entry MBRs are decoded into. One pair
 // of points serves every entry the traversal scores, because scorers do not
 // retain the rectangle (see EntryScorer).
 type iterScratch struct {
@@ -257,7 +256,6 @@ func (t *Tree) Seek(scorer EntryScorer) *Iter {
 	it := &Iter{t: t, scorer: scorer}
 	t.mu.RLock()
 	root := t.root
-	it.packed = t.hot
 	t.mu.RUnlock()
 	scr := t.iterPool.Get().(*iterScratch)
 	if len(scr.lo) != t.dim {
@@ -306,32 +304,17 @@ func (it *Iter) Next() (ref uint64, score float64, ok bool, err error) {
 			}
 			return item.ref, item.score, true, nil
 		}
-		if it.packed {
-			if err := it.expandPacked(item.node, item.score); err != nil {
-				return 0, 0, false, err
-			}
-			continue
-		}
-		n, err := it.t.LoadNode(item.node)
-		if err != nil {
-			return 0, 0, false, fmt.Errorf("rtree: search: %w", err)
-		}
-		it.stats.NodesLoaded++
-		if it.trace != nil {
-			it.trace(TraceEvent{Kind: TraceExpand, Node: n.id, Level: n.level, Score: item.score})
-		}
-		isObject := n.level == 0
-		for i := range n.entries {
-			e := &n.entries[i]
-			it.enqueueEntry(isObject, n.level, n.id, e.ptr, e.rect, e.aux)
+		if err := it.expandPacked(item.node, item.score); err != nil {
+			return 0, 0, false, err
 		}
 	}
 	return 0, 0, false, nil
 }
 
-// expandPacked is Next's node-expansion step on the packed hot path: the
-// node comes from the decoded-node cache and its entries are scored straight
-// off the pinned image, reusing the iterator's corner-point scratch.
+// expandPacked is Next's node-expansion step: the node comes from the
+// decoded-node cache (or, without one, is pinned for this visit) and its
+// entries are scored straight off the image, reusing the iterator's
+// corner-point scratch.
 //
 //skvet:hotpath
 func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
@@ -351,8 +334,7 @@ func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
 	return nil
 }
 
-// enqueueEntry scores one entry and pushes it on the queue (or prunes it),
-// with identical bookkeeping on both traversal paths.
+// enqueueEntry scores one entry and pushes it on the queue (or prunes it).
 //
 //skvet:hotpath
 func (it *Iter) enqueueEntry(isObject bool, level int, nodeID storage.BlockID, ptr uint64, rect geo.Rect, aux []byte) {

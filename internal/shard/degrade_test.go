@@ -138,6 +138,90 @@ func TestShardFaultDegradesAllQueryKinds(t *testing.T) {
 	}
 }
 
+// topkKinds runs each of the five sharded top-k entry points with a k that
+// covers the whole fixture, returning the result count.
+var topkKinds = []struct {
+	name string
+	run  func(s *ShardedEngine) (int, error)
+}{
+	{"TopK", func(s *ShardedEngine) (int, error) {
+		r, err := s.TopK(200, []float64{5, 5}, "common")
+		return len(r), err
+	}},
+	{"TopKSerial", func(s *ShardedEngine) (int, error) {
+		r, err := s.TopKSerial(200, []float64{5, 5}, "common")
+		return len(r), err
+	}},
+	{"TopKArea", func(s *ShardedEngine) (int, error) {
+		r, err := s.TopKArea(200, []float64{4, 4}, []float64{6, 6}, "common")
+		return len(r), err
+	}},
+	{"TopKRanked", func(s *ShardedEngine) (int, error) {
+		r, err := s.TopKRanked(200, []float64{5, 5}, "common")
+		return len(r), err
+	}},
+	{"TopKRankedSerial", func(s *ShardedEngine) (int, error) {
+		r, err := s.TopKRankedSerial(200, []float64{5, 5}, "common")
+		return len(r), err
+	}},
+}
+
+// TestEveryMergeFollowsShardSafetyRules runs the one merge's safety rules
+// through all five entry points and both schedulers — the coordinated ones
+// used to read unhealthy shards, fail the whole query on a mid-query fault
+// and index the ID map unchecked. A faulting shard: degraded answer from the
+// healthy shards, shard marked unhealthy, no error, and the shard is not
+// touched again. A shard handing back a local ID it never assigned: the same
+// degradation with the typed corruption error on record, and no panic.
+func TestEveryMergeFollowsShardSafetyRules(t *testing.T) {
+	for _, kind := range topkKinds {
+		t.Run(kind.name+"/fault", func(t *testing.T) {
+			checkGoroutines(t)
+			s, errs, unhealthy, _ := degradeFixture(t)
+			if !s.InjectShardFault(1, failAllReads) {
+				t.Fatal("InjectShardFault refused")
+			}
+			n, err := kind.run(s)
+			if err != nil {
+				t.Fatalf("faulted shard failed the query: %v", err)
+			}
+			if n == 0 || n >= 120 {
+				t.Fatalf("partial results = %d of 120, want a proper non-empty subset", n)
+			}
+			for i, h := range s.Health() {
+				if h.Healthy != (i != 1) {
+					t.Fatalf("shard %d healthy = %v, want exactly shard 1 unhealthy", i, h.Healthy)
+				}
+			}
+			if errs.Value() != 1 || unhealthy.Value() != 1 {
+				t.Fatalf("shard errors = %d, unhealthy gauge = %d, want 1 and 1", errs.Value(), unhealthy.Value())
+			}
+			// The fault is still armed: a second query that read the shard
+			// would count a second error.
+			if again, err := kind.run(s); err != nil || again != n || errs.Value() != 1 {
+				t.Fatalf("repeat query: n=%d (want %d) err=%v shard errors=%d (want 1)", again, n, err, errs.Value())
+			}
+		})
+		t.Run(kind.name+"/corrupt", func(t *testing.T) {
+			checkGoroutines(t)
+			s, _, _, _ := degradeFixture(t)
+			sh := s.shards[2]
+			held := len(sh.globals)
+			sh.globals = sh.globals[:held/2] // the shard now returns IDs it "never assigned"
+			n, err := kind.run(s)
+			if err != nil {
+				t.Fatalf("corrupt shard failed the query: %v", err)
+			}
+			if n == 0 || n > 120-(held-held/2) {
+				t.Fatalf("results = %d, want between 1 and %d", n, 120-(held-held/2))
+			}
+			if last, _ := sh.lastErr.Load().(error); !sh.unhealthy.Load() || !errors.Is(last, errCorruptShard) {
+				t.Fatalf("shard 2 unhealthy=%v lastErr=%v, want the typed corruption error", sh.unhealthy.Load(), last)
+			}
+		})
+	}
+}
+
 // TestDegradedQueryMetric checks the aggregate observability record: a
 // degraded fan-out bumps sk_query_degraded_total.
 func TestDegradedQueryMetric(t *testing.T) {

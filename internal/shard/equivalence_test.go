@@ -187,3 +187,100 @@ func TestShardedEarlyStopStillExact(t *testing.T) {
 		t.Errorf("early stop ineffective: %d objects loaded of %d", qs.ObjectsLoaded, len(rows))
 	}
 }
+
+// TestMergeBeyondCorpusAndOnTies pins the two edges of the one merge on all
+// five entry points. With k larger than the corpus every scheduler returns
+// exactly the single engine's matches. With exact distance (and score) ties
+// spread across shards and k cutting through the tie, the smallest global
+// IDs win, in ID order, whichever scheduler ran.
+func TestMergeBeyondCorpusAndOnTies(t *testing.T) {
+	bounds := geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1000, 1000))
+	cfg := spatialkeyword.Config{SignatureBytes: 16}
+	single, err := spatialkeyword.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := New(cfg, Options{Shards: 4, Bounds: bounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twelve objects at distance exactly 50 from the centre, three per grid
+	// cell, added round-robin so consecutive global IDs sit on different
+	// shards; then a farther ring that never ties.
+	var rows []spatialkeyword.Object
+	corners := [][2]float64{{-30, -40}, {30, -40}, {-30, 40}, {30, 40}}
+	for i := 0; i < 12; i++ {
+		c := corners[i%4]
+		rows = append(rows, spatialkeyword.Object{Point: []float64{500 + c[0], 500 + c[1]}, Text: "harbor fish"})
+	}
+	for i := 0; i < 8; i++ {
+		c := corners[i%4]
+		rows = append(rows, spatialkeyword.Object{Point: []float64{500 + 5*c[0], 500 + 5*c[1] + float64(i)}, Text: "harbor fish"})
+	}
+	fill(t, single, rows)
+	fill(t, sharded, rows)
+	center := []float64{500, 500}
+	kws := []string{"harbor", "fish"}
+
+	distance := map[string]func(k int) ([]spatialkeyword.Result, error){
+		"TopK":       func(k int) ([]spatialkeyword.Result, error) { return sharded.TopK(k, center, kws...) },
+		"TopKSerial": func(k int) ([]spatialkeyword.Result, error) { return sharded.TopKSerial(k, center, kws...) },
+		"TopKArea":   func(k int) ([]spatialkeyword.Result, error) { return sharded.TopKArea(k, center, center, kws...) },
+	}
+	ranked := map[string]func(k int) ([]spatialkeyword.RankedResult, error){
+		"TopKRanked":       func(k int) ([]spatialkeyword.RankedResult, error) { return sharded.TopKRanked(k, center, kws...) },
+		"TopKRankedSerial": func(k int) ([]spatialkeyword.RankedResult, error) { return sharded.TopKRankedSerial(k, center, kws...) },
+	}
+
+	beyond := len(rows) + 10
+	want, err := single.TopK(beyond, center, kws...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantR, err := single.TopKRanked(beyond, center, kws...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(rows) || len(wantR) != len(rows) {
+		t.Fatalf("single engine found %d / %d of %d", len(want), len(wantR), len(rows))
+	}
+	for name, run := range distance {
+		got, err := run(beyond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, name+" beyond corpus", want, got)
+		tied, err := run(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range tied {
+			if r.Object.ID != uint64(i) || r.Dist != 50 {
+				t.Fatalf("%s on ties: result %d = id %d at %v, want id %d at 50", name, i, r.Object.ID, r.Dist, i)
+			}
+		}
+		if len(tied) != 5 {
+			t.Fatalf("%s on ties: %d results, want 5", name, len(tied))
+		}
+	}
+	for name, run := range ranked {
+		got, err := run(beyond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRanked(t, name+" beyond corpus", wantR, got)
+		tied, err := run(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range tied {
+			if r.Object.ID != uint64(i) || r.Score != wantR[0].Score {
+				t.Fatalf("%s on ties: result %d = id %d score %v, want id %d score %v",
+					name, i, r.Object.ID, r.Score, i, wantR[0].Score)
+			}
+		}
+		if len(tied) != 5 {
+			t.Fatalf("%s on ties: %d results, want 5", name, len(tied))
+		}
+	}
+}

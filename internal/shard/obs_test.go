@@ -34,8 +34,19 @@ func (c *captureSink) byShard() (perShard []obs.QueryMetrics, agg []obs.QueryMet
 	return perShard, agg
 }
 
-// TestMetricsSink checks that one fanned-out query delivers one record per
-// shard plus one aggregate record whose counters are the per-shard sums.
+// take returns the records delivered since the last call, split into
+// per-shard and aggregate ones.
+func (c *captureSink) take() (perShard []obs.QueryMetrics, agg []obs.QueryMetrics) {
+	perShard, agg = c.byShard()
+	c.mu.Lock()
+	c.recs = nil
+	c.mu.Unlock()
+	return perShard, agg
+}
+
+// TestMetricsSink checks that every fanned-out top-k — free-running or
+// coordinated — delivers one record per shard plus one aggregate record
+// whose counters are the per-shard sums.
 func TestMetricsSink(t *testing.T) {
 	rows, stats, bounds := loadDataset(t, dataset.Restaurants(0.001))
 	const shards = 4
@@ -50,64 +61,74 @@ func TestMetricsSink(t *testing.T) {
 	eng.SetMetricsSink(sink)
 
 	kw := stats.WordsByFreq()[:1]
-	res, qs, err := eng.TopKWithStats(5, rows[0].Point, kw...)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	perShard, agg := sink.byShard()
-	if len(perShard) != shards {
-		t.Fatalf("per-shard records = %d, want %d", len(perShard), shards)
-	}
-	if len(agg) != 1 {
-		t.Fatalf("aggregate records = %d, want 1", len(agg))
-	}
-	seen := map[int]bool{}
-	var nodes int
-	var random uint64
-	for _, m := range perShard {
-		if m.Op != "topk" {
-			t.Fatalf("per-shard op = %q", m.Op)
-		}
-		if seen[m.Shard] {
-			t.Fatalf("duplicate record for shard %d", m.Shard)
-		}
-		seen[m.Shard] = true
-		nodes += m.NodesExpanded
-		random += m.RandomBlocks
-	}
-	a := agg[0]
-	if a.Op != "topk" || a.K != 5 || a.Keywords != len(kw) || a.Results != len(res) {
-		t.Fatalf("aggregate record = %+v", a)
-	}
-	if a.NodesExpanded != nodes || a.NodesExpanded != qs.NodesLoaded {
-		t.Fatalf("aggregate nodes %d, per-shard sum %d, stats %d",
-			a.NodesExpanded, nodes, qs.NodesLoaded)
-	}
-	if a.RandomBlocks != random || a.RandomBlocks != qs.BlocksRandom {
-		t.Fatalf("aggregate random blocks %d, per-shard sum %d, stats %d",
-			a.RandomBlocks, random, qs.BlocksRandom)
-	}
-	if a.Latency <= 0 {
-		t.Fatal("aggregate latency not set")
-	}
-
-	// Ranked and area queries follow the same per-shard + aggregate shape.
-	sink.mu.Lock()
-	sink.recs = nil
-	sink.mu.Unlock()
-	if _, err := eng.TopKRanked(3, rows[0].Point, kw...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.TopKArea(3, rows[0].Point, rows[0].Point, kw...); err != nil {
-		t.Fatal(err)
-	}
-	perShard, agg = sink.byShard()
-	if len(perShard) != 2*shards || len(agg) != 2 {
-		t.Fatalf("ranked+area records = %d per-shard, %d aggregate; want %d and 2",
-			len(perShard), len(agg), 2*shards)
-	}
-	if agg[0].Op != "ranked" || agg[1].Op != "area" {
-		t.Fatalf("aggregate ops = %q, %q", agg[0].Op, agg[1].Op)
+	p := rows[0].Point
+	for _, tc := range []struct {
+		name, op string
+		k        int
+		run      func(k int) (results int, qs *spatialkeyword.QueryStats, err error)
+	}{
+		{"TopKWithStats", "topk", 5, func(k int) (int, *spatialkeyword.QueryStats, error) {
+			res, qs, err := eng.TopKWithStats(k, p, kw...)
+			return len(res), &qs, err
+		}},
+		{"TopKSerial", "topk", 5, func(k int) (int, *spatialkeyword.QueryStats, error) {
+			res, err := eng.TopKSerial(k, p, kw...)
+			return len(res), nil, err
+		}},
+		{"TopKRanked", "ranked", 3, func(k int) (int, *spatialkeyword.QueryStats, error) {
+			res, err := eng.TopKRanked(k, p, kw...)
+			return len(res), nil, err
+		}},
+		{"TopKRankedSerial", "ranked", 3, func(k int) (int, *spatialkeyword.QueryStats, error) {
+			res, err := eng.TopKRankedSerial(k, p, kw...)
+			return len(res), nil, err
+		}},
+		{"TopKArea", "area", 3, func(k int) (int, *spatialkeyword.QueryStats, error) {
+			res, err := eng.TopKArea(k, p, p, kw...)
+			return len(res), nil, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			results, qs, err := tc.run(tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perShard, agg := sink.take()
+			if len(perShard) != shards {
+				t.Fatalf("per-shard records = %d, want %d", len(perShard), shards)
+			}
+			if len(agg) != 1 {
+				t.Fatalf("aggregate records = %d, want 1", len(agg))
+			}
+			seen := map[int]bool{}
+			var nodes int
+			var random uint64
+			for _, m := range perShard {
+				if m.Op != tc.op {
+					t.Fatalf("per-shard op = %q, want %q", m.Op, tc.op)
+				}
+				if seen[m.Shard] {
+					t.Fatalf("duplicate record for shard %d", m.Shard)
+				}
+				seen[m.Shard] = true
+				nodes += m.NodesExpanded
+				random += m.RandomBlocks
+			}
+			a := agg[0]
+			if a.Op != tc.op || a.K != tc.k || a.Keywords != len(kw) || a.Results != results {
+				t.Fatalf("aggregate record = %+v", a)
+			}
+			if a.NodesExpanded == 0 || a.NodesExpanded != nodes || a.RandomBlocks != random {
+				t.Fatalf("aggregate nodes %d / random blocks %d, per-shard sums %d / %d",
+					a.NodesExpanded, a.RandomBlocks, nodes, random)
+			}
+			if qs != nil && (a.NodesExpanded != qs.NodesLoaded || a.RandomBlocks != qs.BlocksRandom) {
+				t.Fatalf("aggregate nodes %d / random blocks %d, returned stats %d / %d",
+					a.NodesExpanded, a.RandomBlocks, qs.NodesLoaded, qs.BlocksRandom)
+			}
+			if a.Latency <= 0 {
+				t.Fatal("aggregate latency not set")
+			}
+		})
 	}
 }

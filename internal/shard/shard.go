@@ -200,9 +200,13 @@ func degradeable(err error) bool {
 		errors.Is(err, errCorruptShard)
 }
 
-// markUnhealthy takes a shard out of rotation after a degradeable fault and
-// bumps the health instruments.
-func (s *ShardedEngine) markUnhealthy(sh *shardHandle, err error) {
+// degrade takes the shard out of rotation if err is a storage-level failure
+// (see degradeable), bumping the health instruments, and reports whether it
+// was one.
+func (s *ShardedEngine) degrade(sh *shardHandle, err error) bool {
+	if !degradeable(err) {
+		return false
+	}
 	sh.lastErr.Store(err)
 	first := sh.unhealthy.CompareAndSwap(false, true)
 	if s.shardErrs != nil {
@@ -211,6 +215,7 @@ func (s *ShardedEngine) markUnhealthy(sh *shardHandle, err error) {
 	if first && s.unhealthyGauge != nil {
 		s.unhealthyGauge.Set(int64(s.countUnhealthy()))
 	}
+	return true
 }
 
 func (s *ShardedEngine) countUnhealthy() int {
@@ -358,16 +363,18 @@ func (s *ShardedEngine) analyzer() *textutil.Analyzer {
 
 // Add routes the object to its shard by location, indexes it immediately
 // (sharded adds are always flushed, so queries never contend with pending
-// buffers), and returns its global ID. With a WAL, the global ID is
-// reserved first and logged as the record's tag, so crash recovery can
-// rebuild the global→shard assignment from the shards' logs alone.
+// buffers), and returns its global ID. The global ID is reserved first and
+// handed to the shard as the record's tag: the engine-level mutation
+// observer sees it while the add is applied, and with a WAL it is logged, so
+// crash recovery can rebuild the global→shard assignment from the shards'
+// logs alone. A storage fault takes the shard out of rotation.
 func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 	dim := s.cfg.Dim
 	if dim == 0 {
 		dim = 2
 	}
 	if len(point) != dim {
-		return 0, fmt.Errorf("shard: point has %d dimensions, engine uses %d", len(point), dim)
+		return 0, fmt.Errorf("%w: has %d dimensions, engine uses %d", spatialkeyword.ErrBadPoint, len(point), dim)
 	}
 	sh := s.shards[s.part.Locate(geo.NewPoint(point...))]
 	sh.mu.Lock()
@@ -377,64 +384,34 @@ func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 	}
 	// The shard's write lock makes this the local ID the add will get; it is
 	// read before s.mu is taken so the engine's lock is never acquired under
-	// it (ranked scoring takes them in the other order).
+	// it (ranked scoring takes them in the other order). The shard lock also
+	// serializes per-shard adds, so global order restricted to one shard
+	// equals its local insertion order — the property recovery relies on.
 	local := uint64(sh.eng.NumObjects())
-	if !s.cfg.WAL {
-		// Mirror the WAL path: reserve the global ID first so the engine-
-		// level mutation observer (see SetMutationObserver) sees it as the
-		// record tag while the add is applied.
-		s.mu.Lock()
-		gid := uint64(len(s.assign))
-		s.assign = append(s.assign, shardLoc{shard: sh.idx, local: local})
-		s.vocab.AddDocWith(s.analyzer(), text)
-		s.mu.Unlock()
-		if _, err := sh.eng.AddTagged(point, text, gid); err != nil {
-			s.mu.Lock()
-			s.assign[gid] = tombstone
-			s.mu.Unlock()
-			return 0, err
-		}
-		sh.globals = append(sh.globals, gid)
-		if err := sh.eng.Flush(); err != nil {
-			return gid, err
-		}
-		return gid, nil
-	}
-	// WAL path: reserve the global ID before the durable append so the log
-	// record can carry it. The shard lock serializes per-shard adds, so
-	// global order restricted to one shard equals its local insertion order
-	// — the property recovery relies on.
 	s.mu.Lock()
 	gid := uint64(len(s.assign))
 	s.assign = append(s.assign, shardLoc{shard: sh.idx, local: local})
 	s.vocab.AddDocWith(s.analyzer(), text)
 	s.mu.Unlock()
-	_, err := sh.eng.AddTagged(point, text, gid)
-	if err != nil {
-		// The record may or may not have reached the log durably (a failed
-		// sync leaves that unknown), so the global ID must never be reused —
-		// recovery could resurrect the record under it. Tombstone it and
-		// take the shard out of rotation; the shard's sticky-broken WAL
-		// guarantees the local ID cannot alias either.
+	if _, err := sh.eng.AddTagged(point, text, gid); err != nil {
+		// With a WAL the record may or may not have reached the log durably
+		// (a failed sync leaves that unknown), so the global ID must never be
+		// reused — recovery could resurrect the record under it. Tombstone
+		// it; the shard's sticky-broken WAL guarantees the local ID cannot
+		// alias either.
 		s.mu.Lock()
 		s.assign[gid] = tombstone
 		s.mu.Unlock()
-		if degradeable(err) {
-			s.markUnhealthy(sh, err)
-		}
+		s.degrade(sh, err)
 		return 0, fmt.Errorf("shard %d: %w", sh.idx, err)
 	}
+	sh.globals = append(sh.globals, gid)
 	if err := sh.eng.Flush(); err != nil {
-		// The add is durable in the log; only the in-memory apply failed.
-		// Keep the assignment (recovery will replay it) but stop using the
-		// shard.
-		sh.globals = append(sh.globals, gid)
-		if degradeable(err) {
-			s.markUnhealthy(sh, err)
-		}
+		// The add is applied (and, with a WAL, durable in the log; recovery
+		// will replay it); only the indexing failed. Keep the assignment.
+		s.degrade(sh, err)
 		return gid, fmt.Errorf("shard %d: %w", sh.idx, err)
 	}
-	sh.globals = append(sh.globals, gid)
 	return gid, nil
 }
 
@@ -525,8 +502,7 @@ func (s *ShardedEngine) fanOut(which []int, fn func(sh *shardHandle) error) (deg
 			return
 		}
 		if err := fn(sh); err != nil {
-			if degradeable(err) {
-				s.markUnhealthy(sh, err)
+			if s.degrade(sh, err) {
 				deg.Store(true)
 				return
 			}
@@ -552,36 +528,9 @@ func (s *ShardedEngine) fanOut(which []int, fn func(sh *shardHandle) error) (deg
 	return deg.Load(), firstErr
 }
 
-// streamIter abstracts the two distance-ordered streams (point and area).
-type streamIter interface {
-	Next() (spatialkeyword.Result, bool, error)
-	PeekBound() (float64, bool)
-	Stats() spatialkeyword.QueryStats
-	Close()
-}
-
-// drainDistanceStream pulls one shard's distance-ordered stream into the
-// collector until the shard is exhausted or its bound proves it cannot beat
-// the global k-th result.
-func drainDistanceStream(sh *shardHandle, it streamIter, col *collector) error {
-	for {
-		if bound, ok := it.PeekBound(); !ok || !col.admissible(bound) {
-			return nil
-		}
-		r, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		gid, err := sh.globalID(r.Object.ID)
-		if err != nil {
-			return err
-		}
-		col.offer(r.Dist, gid, r)
-	}
-}
+// The five top-k entry points are merge (see merge.go) with a stream opener:
+// three kinds — "topk", "area", "ranked" — and, for the first and last, a
+// choice of scheduler.
 
 // TopK returns the k objects containing every keyword, nearest to point
 // first — fanned out across all shards.
@@ -592,51 +541,23 @@ func (s *ShardedEngine) TopK(k int, point []float64, keywords ...string) ([]spat
 
 // TopKWithStats is TopK plus aggregated per-shard work counters.
 func (s *ShardedEngine) TopKWithStats(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
-	var agg spatialkeyword.QueryStats
-	if k <= 0 {
-		return nil, agg, nil
-	}
-	start := time.Now()
-	col := newCollector(k, true)
-	var statsMu sync.Mutex
-	degraded, err := s.fanOut(nil, func(sh *shardHandle) error {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		shardStart := time.Now()
-		it, err := sh.eng.Search(point, keywords...)
-		if err != nil {
-			s.recordShard("topk", sh.idx, spatialkeyword.QueryStats{}, time.Since(shardStart), err)
-			return err
-		}
-		err = drainDistanceStream(sh, it, col)
-		it.Close()
-		st := it.Stats()
-		s.recordShard("topk", sh.idx, st, time.Since(shardStart), err)
-		statsMu.Lock()
-		addStats(&agg, st)
-		statsMu.Unlock()
-		return err
-	})
-	agg.Degraded = degraded
-	results := distanceResults(col)
-	s.recordQuery("topk", k, len(keywords), len(results), agg, time.Since(start), err)
-	if err != nil {
-		return nil, agg, err
-	}
-	return results, agg, nil
+	return s.topK(k, false, point, keywords)
 }
 
-// distanceResults converts a collector's items back to engine results with
-// global IDs.
-func distanceResults(col *collector) []spatialkeyword.Result {
-	items := col.results()
-	out := make([]spatialkeyword.Result, 0, len(items))
-	for _, it := range items {
-		r := it.val.(spatialkeyword.Result)
-		r.Object.ID = it.id
-		out = append(out, r)
-	}
-	return out
+// TopKSerial returns exactly TopK's results via the coordinated best-first
+// merge. All shards are read-locked for the duration of the merge.
+func (s *ShardedEngine) TopKSerial(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, error) {
+	res, _, err := s.topK(k, true, point, keywords)
+	return res, err
+}
+
+func (s *ShardedEngine) topK(k int, coordinated bool, point []float64, keywords []string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
+	return merge(s, topkQuery[spatialkeyword.Result]{
+		op: "topk", k: k, keywords: len(keywords), asc: true, coordinated: coordinated, at: distanceKey,
+		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.Result], error) {
+			return e.Search(point, keywords...)
+		},
+	})
 }
 
 // TopKArea returns the k objects containing every keyword nearest to the
@@ -644,44 +565,20 @@ func distanceResults(col *collector) []spatialkeyword.Result {
 // query it fans out to every shard: objects far outside a shard's region
 // can still be among the k nearest to the area.
 func (s *ShardedEngine) TopKArea(k int, lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	start := time.Now()
-	var agg spatialkeyword.QueryStats
-	var statsMu sync.Mutex
-	col := newCollector(k, true)
-	degraded, err := s.fanOut(nil, func(sh *shardHandle) error {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		shardStart := time.Now()
-		it, err := sh.eng.SearchArea(lo, hi, keywords...)
-		if err != nil {
-			s.recordShard("area", sh.idx, spatialkeyword.QueryStats{}, time.Since(shardStart), err)
-			return err
-		}
-		err = drainDistanceStream(sh, it, col)
-		it.Close()
-		st := it.Stats()
-		s.recordShard("area", sh.idx, st, time.Since(shardStart), err)
-		statsMu.Lock()
-		addStats(&agg, st)
-		statsMu.Unlock()
-		return err
+	res, _, err := merge(s, topkQuery[spatialkeyword.Result]{
+		op: "area", k: k, keywords: len(keywords), asc: true, at: distanceKey,
+		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.Result], error) {
+			return e.SearchArea(lo, hi, keywords...)
+		},
 	})
-	agg.Degraded = degraded
-	results := distanceResults(col)
-	s.recordQuery("area", k, len(keywords), len(results), agg, time.Since(start), err)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return res, err
 }
 
-// corpusStats snapshots the engine-wide document count and exposes a
+// Corpus snapshots the engine-wide document count and exposes a
 // concurrency-safe document-frequency reader, so every shard of one ranked
 // query scores with the same global idf weights a single engine would use.
-func (s *ShardedEngine) corpusStats() spatialkeyword.CorpusStats {
+// Both include deleted documents, matching single-engine idf semantics.
+func (s *ShardedEngine) Corpus() spatialkeyword.CorpusStats {
 	s.mu.RLock()
 	numDocs := s.vocab.NumDocs()
 	s.mu.RUnlock()
@@ -699,65 +596,24 @@ func (s *ShardedEngine) corpusStats() spatialkeyword.CorpusStats {
 // relevance-and-proximity score, fanned out across all shards and merged by
 // descending score (score ties broken by smallest global ID).
 func (s *ShardedEngine) TopKRanked(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	start := time.Now()
-	cs := s.corpusStats()
-	var agg spatialkeyword.QueryStats
-	var statsMu sync.Mutex
-	col := newCollector(k, false)
-	degraded, err := s.fanOut(nil, func(sh *shardHandle) error {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		shardStart := time.Now()
-		it, err := sh.eng.SearchRankedWith(cs, point, keywords...)
-		if err != nil {
-			s.recordShard("ranked", sh.idx, spatialkeyword.QueryStats{}, time.Since(shardStart), err)
-			return err
-		}
-		drain := func() error {
-			for {
-				if bound, ok := it.PeekBound(); !ok || !col.admissible(bound) {
-					return nil
-				}
-				r, ok, err := it.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				gid, err := sh.globalID(r.Object.ID)
-				if err != nil {
-					return err
-				}
-				col.offer(r.Score, gid, r)
-			}
-		}
-		err = drain()
-		it.Close()
-		st := it.Stats()
-		s.recordShard("ranked", sh.idx, st, time.Since(shardStart), err)
-		statsMu.Lock()
-		addStats(&agg, st)
-		statsMu.Unlock()
-		return err
+	return s.topKRanked(k, false, point, keywords)
+}
+
+// TopKRankedSerial returns exactly TopKRanked's results via the coordinated
+// best-first merge (highest score bound pulls first).
+func (s *ShardedEngine) TopKRankedSerial(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
+	return s.topKRanked(k, true, point, keywords)
+}
+
+func (s *ShardedEngine) topKRanked(k int, coordinated bool, point []float64, keywords []string) ([]spatialkeyword.RankedResult, error) {
+	cs := s.Corpus()
+	res, _, err := merge(s, topkQuery[spatialkeyword.RankedResult]{
+		op: "ranked", k: k, keywords: len(keywords), coordinated: coordinated, at: scoreKey,
+		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.RankedResult], error) {
+			return e.SearchRankedWith(cs, point, keywords...)
+		},
 	})
-	agg.Degraded = degraded
-	if err != nil {
-		s.recordQuery("ranked", k, len(keywords), 0, agg, time.Since(start), err)
-		return nil, err
-	}
-	items := col.results()
-	out := make([]spatialkeyword.RankedResult, 0, len(items))
-	for _, it := range items {
-		r := it.val.(spatialkeyword.RankedResult)
-		r.Object.ID = it.id
-		out = append(out, r)
-	}
-	s.recordQuery("ranked", k, len(keywords), len(out), agg, time.Since(start), nil)
-	return out, nil
+	return res, err
 }
 
 // WithinArea returns every object inside the rectangle containing all the
@@ -799,6 +655,81 @@ func (s *ShardedEngine) WithinArea(lo, hi []float64, keywords ...string) ([]spat
 // single engine's output order.
 func sortResultsByID(rs []spatialkeyword.Result) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Object.ID < rs[j].Object.ID })
+}
+
+// The rest of the read contract (see spatialkeyword.Reader), beside the
+// queries and Corpus: the methods internal/skql's executor and cost model
+// need, mirroring the single engine's of the same names.
+
+var _ spatialkeyword.Reader = (*ShardedEngine)(nil)
+
+// NumObjects returns the number of global IDs ever assigned, including
+// deleted and tombstoned ones. Valid global IDs are [0, NumObjects).
+func (s *ShardedEngine) NumObjects() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.assign)
+}
+
+// IsDeleted reports whether gid no longer resolves to a live object:
+// deleted on its shard, or tombstoned (reserved but never durable).
+// Unknown IDs and IDs on an unavailable shard report false — reads of
+// those fail with their own typed errors.
+func (s *ShardedEngine) IsDeleted(gid uint64) bool {
+	s.mu.RLock()
+	if gid >= uint64(len(s.assign)) {
+		s.mu.RUnlock()
+		return false
+	}
+	loc := s.assign[gid]
+	s.mu.RUnlock()
+	if loc.shard < 0 {
+		return true
+	}
+	sh := s.shards[loc.shard]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if sh.eng == nil {
+		return false
+	}
+	return sh.eng.IsDeleted(loc.local)
+}
+
+// Scan visits every live object in global-ID order. Unlike the
+// single engine's Scan it skips deleted rows (per-shard object files
+// cannot be addressed globally, so rows are read through Get); an
+// unavailable shard fails the scan.
+func (s *ShardedEngine) Scan(fn func(spatialkeyword.Object) error) error {
+	n := s.NumObjects()
+	for gid := 0; gid < n; gid++ {
+		obj, err := s.Get(uint64(gid))
+		if err != nil {
+			if errors.Is(err, spatialkeyword.ErrDeleted) || errors.Is(err, spatialkeyword.ErrUnknownID) {
+				continue
+			}
+			return err
+		}
+		if err := fn(obj); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MeterIO snapshots every shard's disk counters; the returned function
+// reports the random and sequential block accesses performed since the
+// snapshot, summed across shards. Concurrent queries share the
+// counters, so per-query attribution is exact only when the engine
+// runs one query at a time.
+func (s *ShardedEngine) MeterIO() func() (random, sequential uint64) {
+	stop := s.MeterShardIO()
+	return func() (uint64, uint64) {
+		var total storage.Stats
+		for _, st := range stop() {
+			total = total.Add(st)
+		}
+		return total.Random(), total.Sequential()
+	}
 }
 
 // Stats sums the per-shard engine statistics: object counts and disk

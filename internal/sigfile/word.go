@@ -6,7 +6,7 @@
 // kernels below process eight bytes per step and fall back to byte-wise code
 // only on the tail (len mod 8 bytes).
 //
-// The byte-wise originals survive as unexported reference implementations;
+// The byte-wise originals live in word_test.go as reference implementations;
 // the differential tests and FuzzSig64Equivalence hold the two forms equal on
 // every length class mod 8.
 
@@ -47,24 +47,6 @@ func superimposeWords(dst, src []byte) {
 		binary.LittleEndian.PutUint64(dst[i:], w)
 	}
 	for ; i < n; i++ {
-		dst[i] |= src[i]
-	}
-}
-
-// matchesBytewise is the original byte-at-a-time match, kept as the oracle
-// for the differential and fuzz tests.
-func matchesBytewise(s, q []byte) bool {
-	for i := range q {
-		if s[i]&q[i] != q[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// superimposeBytewise is the original byte-at-a-time superimposition oracle.
-func superimposeBytewise(dst, src []byte) {
-	for i := range src {
 		dst[i] |= src[i]
 	}
 }

@@ -16,6 +16,24 @@ func randSig(rng *rand.Rand, n int, mask byte) Signature {
 	return s
 }
 
+// matchesBytewise is the original byte-at-a-time match, kept as the oracle
+// for the differential and fuzz tests.
+func matchesBytewise(s, q []byte) bool {
+	for i := range q {
+		if s[i]&q[i] != q[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// superimposeBytewise is the original byte-at-a-time superimposition oracle.
+func superimposeBytewise(dst, src []byte) {
+	for i := range src {
+		dst[i] |= src[i]
+	}
+}
+
 // TestWordKernelsAgreeWithBytewise holds the word-at-a-time kernels equal to
 // the byte-wise reference implementations on randomized signatures of every
 // length class mod 8 (lengths 0..40 cover each residue five times, plus the

@@ -79,7 +79,7 @@ run_cover() {
 run_bench() {
 	step bench
 	go run ./cmd/skbench \
-		-dataset restaurants -experiment vary-k,ingest,repl,fence-churn,hotpath,skql \
+		-dataset restaurants -experiment vary-k,ingest,repl,fence-churn,skql \
 		-scale 0.01 -queries 5 -seed 1 \
 		-json -out benchmarks -baseline benchmarks/baseline.json
 }

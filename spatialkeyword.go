@@ -65,7 +65,8 @@ type Config struct {
 	// per-entry parsing and allocation. Cache hits still pay the full
 	// modeled disk I/O (and re-verify the node image against the device), so
 	// disk accounting is identical with and without the cache. Zero means
-	// 1024 nodes; negative disables the cache and the packed read path.
+	// 1024 nodes; negative disables the cache (every visit then decodes its
+	// node's packed image afresh; answers and disk accounting are the same).
 	NodeCacheSize int
 	// Checksums frames every disk block with a CRC32-C trailer, verified on
 	// read, so silent corruption (bit rot, torn writes) surfaces as a typed
@@ -163,6 +164,11 @@ var ErrDeleted = errors.New("spatialkeyword: object deleted")
 
 // ErrUnknownID is returned for out-of-range object IDs.
 var ErrUnknownID = errors.New("spatialkeyword: unknown object id")
+
+// ErrBadPoint is wrapped by every backend's rejection of a point whose
+// dimensionality is not the engine's — the caller's mistake, where any other
+// failed Add is the engine's.
+var ErrBadPoint = errors.New("spatialkeyword: bad point")
 
 // Reader is the read contract of a backend, declared once: *Engine,
 // *shard.ShardedEngine and *repl.Follower implement it natively, internal/skql
@@ -286,7 +292,7 @@ func (e *Engine) analyzer() *textutil.Analyzer {
 // checkPoint rejects a point of the wrong dimensionality.
 func (e *Engine) checkPoint(point []float64) error {
 	if len(point) != e.dim {
-		return fmt.Errorf("spatialkeyword: point has %d dimensions, engine uses %d", len(point), e.dim)
+		return fmt.Errorf("%w: has %d dimensions, engine uses %d", ErrBadPoint, len(point), e.dim)
 	}
 	return nil
 }
@@ -615,7 +621,7 @@ func (e *Engine) TopKWithStats(k int, point []float64, keywords ...string) ([]Re
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	out, err := takeK(k, it.Next)
+	out, err := core.TakeK(k, it.Next)
 	it.Close()
 	return out, it.Stats(), err
 }
@@ -630,24 +636,7 @@ func (e *Engine) TopKRanked(k int, point []float64, keywords ...string) ([]Ranke
 		return nil, err
 	}
 	defer it.Close()
-	return takeK(k, it.Next)
-}
-
-// takeK is the engine's one top-k loop: IR2TopK (Fig. 8) is an incremental
-// iterator, and every top-k entry point is its first k results.
-func takeK[T any](k int, next func() (T, bool, error)) ([]T, error) {
-	var out []T
-	for len(out) < k {
-		r, ok, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return core.TakeK(k, it.Next)
 }
 
 // WALOp is one mutation replayed from the write-ahead log at open.
