@@ -1,7 +1,7 @@
 # Convenience wrappers around scripts/ci.sh, which mirrors the GitHub
 # Actions workflows. `make ci` runs everything CI runs.
 
-.PHONY: build lint vet test cover bench fuzz loc ci
+.PHONY: build lint analyze vet test perf-build cover bench fuzz loc ci
 
 build:
 	sh scripts/ci.sh build
@@ -9,11 +9,16 @@ build:
 lint:
 	sh scripts/ci.sh lint
 
-vet:
+# skvet, the project's own invariant passes; `vet` is its older name.
+analyze vet:
 	sh scripts/ci.sh analyze
 
 test:
 	sh scripts/ci.sh test
+
+# benchmarks/perf is a module of its own that root ./... never compiles.
+perf-build:
+	sh scripts/ci.sh perf-build
 
 cover:
 	sh scripts/ci.sh cover
@@ -24,7 +29,7 @@ bench:
 fuzz:
 	sh scripts/ci.sh fuzz
 
-# Net non-test Go lines against BASE (default HEAD~1).
+# Net non-test Go lines against BASE (default HEAD~1), total and per directory.
 loc:
 	sh scripts/loc.sh $(BASE)
 

@@ -110,20 +110,18 @@ func run(input, generate string, scale float64, sig int, pointStr string, k int,
 	return query(eng, p, k, keywords, ranked)
 }
 
-// explain runs the query with tracing and prints each traversal step.
+// explain runs the query as EXPLAIN ANALYZE on the IR²-Tree path, whose
+// report folds in the traversal trace step by step.
 func explain(eng *spatialkeyword.Engine, p []float64, k int, keywords []string) error {
-	results, trace, err := eng.Explain(k, p, keywords...)
-	if err != nil {
-		return err
+	q := &skql.Query{Explain: true, Analyze: true, Proj: skql.ProjTop, K: k, Near: p, Force: skql.PathIR2}
+	if len(keywords) > 0 {
+		kids := make([]skql.Expr, len(keywords))
+		for i, w := range keywords {
+			kids[i] = skql.Term{Word: w}
+		}
+		q.Match = skql.And{Kids: kids}
 	}
-	for _, line := range trace {
-		fmt.Println(line)
-	}
-	fmt.Printf("\n%d results:\n", len(results))
-	for i, r := range results {
-		fmt.Printf("%2d. dist=%.1f  #%d %s\n", i+1, r.Dist, r.Object.ID, snippet(r.Object.Text))
-	}
-	return nil
+	return runStatement(os.Stdout, skql.NewCatalog(eng), q)
 }
 
 func loadTSV(eng *spatialkeyword.Engine, path string) (int, error) {
@@ -237,6 +235,11 @@ func runSKQL(w io.Writer, cat *skql.Catalog, src string) error {
 	if err != nil {
 		return err
 	}
+	return runStatement(w, cat, q)
+}
+
+// runStatement executes a parsed statement and prints its report and answer.
+func runStatement(w io.Writer, cat *skql.Catalog, q *skql.Query) error {
 	start := time.Now()
 	rs, err := cat.Run(q)
 	if err != nil {

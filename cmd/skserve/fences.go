@@ -34,11 +34,12 @@ import (
 //	                            (?since=SEQ&wait=DUR&max=N)
 
 // attachFences wires a fence registry to the backend's mutation stream
-// (every backend reports global object IDs). Called from newServer before
+// (every backend reports global object IDs), matching keywords with the
+// backend's own text pipeline. Called from newServer before
 // the server accepts traffic; the observer runs on mutation paths that hold
 // the backend's write lock and only feeds the registry.
 func (s *server) attachFences() {
-	reg := fence.NewRegistry(fence.Options{Metrics: fence.NewMetrics(s.reg)})
+	reg := fence.NewRegistry(fence.Options{Analyzer: s.eng.Corpus().Analyzer, Metrics: fence.NewMetrics(s.reg)})
 	s.eng.SetMutationObserver(func(ev spatialkeyword.MutationEvent) {
 		reg.Apply(fence.Mutation{
 			Delete: ev.Delete,

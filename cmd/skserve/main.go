@@ -601,7 +601,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	results, stats, err := s.eng.TopKWithStats(k, point, keywords...)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, statusFor(err), err)
 		return
 	}
 	if results == nil {
@@ -621,7 +621,7 @@ func (s *server) handleRanked(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := s.eng.TopKRanked(k, point, keywords...)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, statusFor(err), err)
 		return
 	}
 	if results == nil {
@@ -714,6 +714,9 @@ func (s *server) handleSave(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// statusFor maps a backend error to its HTTP status: the caller's mistakes
+// are 4xx, a replica between snapshots is 503 (httpError adds Retry-After),
+// and anything else is the server's fault.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, spatialkeyword.ErrBadPoint):
@@ -724,6 +727,8 @@ func statusFor(err error) int {
 		return http.StatusGone
 	case errors.Is(err, repl.ErrReadOnlyReplica):
 		return http.StatusForbidden
+	case errors.Is(err, repl.ErrResyncing):
+		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
 	}
@@ -756,5 +761,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"spatialkeyword"
 	"spatialkeyword/internal/shard"
@@ -502,4 +506,88 @@ func TestAddStatusSeparatesClientFromServer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestQueryStatusSeparatesClientRetryAndServer: the three query endpoints
+// answer a failed execution the way POST /objects does — a point of the wrong
+// dimensionality is the client's (400), a replica between snapshots is a
+// passing state (503 with Retry-After), and only the rest is a 500.
+func TestQueryStatusSeparatesClientRetryAndServer(t *testing.T) {
+	queries := func(t *testing.T, base string, want int) {
+		t.Helper()
+		for _, path := range []string{"/search?lat=1&lon=2&k=1&q=x", "/ranked?lat=1&lon=2&k=1&q=x", "/query"} {
+			var resp *http.Response
+			var err error
+			if path == "/query" {
+				resp = postQuery(t, base, `{"query": "SELECT TOP 1 NEAR (1, 2) MATCH x"}`)
+			} else if resp, err = http.Get(base + path); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s: status %d, want %d", path, resp.StatusCode, want)
+			}
+			if want == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
+				t.Errorf("%s: 503 without Retry-After", path)
+			}
+		}
+	}
+
+	t.Run("wrong dimension", func(t *testing.T) {
+		eng, err := spatialkeyword.NewEngine(spatialkeyword.Config{Dim: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Add([]float64{1, 2, 3}, "x marks the voxel"); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(newServer(eng, false, serverOptions{}).routes())
+		defer ts.Close()
+		queries(t, ts.URL, http.StatusBadRequest)
+	})
+
+	t.Run("replica resyncing", func(t *testing.T) {
+		_, leaderTS := newLeaderTestServer(t, t.TempDir())
+		seedHotels(t, leaderTS)
+		// The replica reaches its leader through a gate that can turn the
+		// leader into one whose log no longer serves the replica's position
+		// (410, forcing a resync) and whose snapshots are unreachable.
+		target, err := url.Parse(leaderTS.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proxy := httputil.NewSingleHostReverseProxy(target)
+		var down atomic.Bool
+		gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case !down.Load():
+				proxy.ServeHTTP(w, r)
+			case strings.HasPrefix(r.URL.Path, "/repl/log"):
+				w.WriteHeader(http.StatusGone)
+			default:
+				w.WriteHeader(http.StatusBadGateway)
+			}
+		}))
+		defer gate.Close()
+		_, replicaTS := newReplicaTestServer(t, t.TempDir(), gate.URL, "eventual")
+		queries(t, replicaTS.URL, http.StatusOK)
+
+		down.Store(true)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			resp, err := http.Get(replicaTS.URL + "/search?lat=1&lon=2&k=1&q=x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusServiceUnavailable {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica never started resyncing (last status %d)", resp.StatusCode)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		queries(t, replicaTS.URL, http.StatusServiceUnavailable)
+	})
 }

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -180,6 +182,96 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if _, ok := entry["latency_ms"]; !ok {
 		t.Error("slow log missing latency_ms")
+	}
+}
+
+var (
+	goldenNumber = regexp.MustCompile(`[0-9]+(\.[0-9]+)?`)
+	goldenStats  = regexp.MustCompile(`"stats":(\{[^}]*\})`)
+	goldenClock  = regexp.MustCompile(`"t":"[^"]*","op":"topk","latency_ms":[0-9.e+-]+`)
+)
+
+// TestWorkRecordGolden pins, byte for byte, the three shapes in which a
+// query's work record leaves the process: the stats object of GET /search,
+// a slow-query log line, and the sample names and label sets of the
+// sk_query_* and sk_io_blocks_total families. The single engine's counters
+// are deterministic and compared whole; a free-running 3-shard merge loads a
+// scheduling-dependent number of speculative objects, so there every number
+// is masked and only keys, order and labels are compared.
+func TestWorkRecordGolden(t *testing.T) {
+	const (
+		wantStats = `{"NodesLoaded":1,"ObjectsLoaded":2,"FalsePositives":0,"EntriesPruned":1,"NodesEnqueued":0,"ObjectsEnqueued":2,"BlocksRandom":3,"BlocksSequential":1,"Degraded":false}`
+		wantSlow  = `{"t":T,"op":"topk","latency_ms":L,"k":2,"keywords":2,"results":2,"nodes_expanded":1,"entries_pruned":1,"objects_fetched":2,"sig_false_positives":0,"random_blocks":3,"sequential_blocks":1}`
+	)
+	for _, tc := range []struct {
+		shards      int
+		shardLabels []string
+	}{
+		{1, []string{"all"}},
+		{3, []string{"0", "1", "2", "all"}},
+	} {
+		var buf syncBuffer
+		_, ts := newObsTestServer(t, tc.shards, serverOptions{slowQuery: time.Nanosecond, slowLogTo: &buf})
+		seedHotels(t, ts)
+		resp, err := http.Get(ts.URL + "/search?lat=30.5&lon=100&k=2&q=internet,pool")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := goldenStats.FindSubmatch(body)
+		if m == nil {
+			t.Fatalf("shards=%d: no stats object in %s", tc.shards, body)
+		}
+		stats, wantSt := string(m[1]), wantStats
+		slow := goldenClock.ReplaceAllString(strings.TrimSpace(buf.String()), `"t":T,"op":"topk","latency_ms":L`)
+		wantSl := wantSlow
+		if tc.shards > 1 {
+			stats, wantSt = goldenNumber.ReplaceAllString(stats, "N"), goldenNumber.ReplaceAllString(wantSt, "N")
+			slow, wantSl = goldenNumber.ReplaceAllString(slow, "N"), goldenNumber.ReplaceAllString(wantSl, "N")
+		}
+		if stats != wantSt {
+			t.Errorf("shards=%d: /search stats object\n got %s\nwant %s", tc.shards, stats, wantSt)
+		}
+		if slow != wantSl {
+			t.Errorf("shards=%d: slow-query line\n got %s\nwant %s", tc.shards, slow, wantSl)
+		}
+
+		want := []string{
+			`sk_queries_total{op="topk"}`,
+			`sk_query_latency_seconds_bucket{op="topk",le="+Inf"}`,
+			`sk_query_latency_seconds_count{op="topk"}`,
+			`sk_query_latency_seconds_sum{op="topk"}`,
+			`sk_query_random_blocks_bucket{op="topk",le="+Inf"}`,
+			`sk_query_random_blocks_count{op="topk"}`,
+			`sk_query_random_blocks_sum{op="topk"}`,
+			`sk_query_results_total{op="topk"}`,
+		}
+		for _, sh := range tc.shardLabels {
+			want = append(want,
+				`sk_io_blocks_total{kind="random",shard="`+sh+`"}`,
+				`sk_io_blocks_total{kind="sequential",shard="`+sh+`"}`,
+				`sk_query_entries_pruned_total{shard="`+sh+`"}`,
+				`sk_query_nodes_expanded_total{shard="`+sh+`"}`,
+				`sk_query_objects_fetched_total{shard="`+sh+`"}`,
+				`sk_query_sig_false_positives_total{shard="`+sh+`"}`)
+		}
+		sort.Strings(want)
+		_, series := scrapeProm(t, ts.URL)
+		var got []string
+		for s := range series {
+			finite := strings.Contains(s, "_bucket{") && !strings.Contains(s, `le="+Inf"`)
+			if (strings.HasPrefix(s, "sk_quer") || strings.HasPrefix(s, "sk_io_blocks_total")) && !finite {
+				got = append(got, s)
+			}
+		}
+		sort.Strings(got)
+		if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+			t.Errorf("shards=%d: query series\n got:\n%s\nwant:\n%s", tc.shards, g, w)
+		}
 	}
 }
 

@@ -151,7 +151,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sq.plan.Observe(time.Since(start).Seconds())
 	if err != nil {
 		sq.errs.Inc()
-		httpError(w, http.StatusBadRequest, err)
+		status := statusFor(err)
+		if status == http.StatusInternalServerError {
+			status = http.StatusBadRequest // a statement that does not plan is the client's
+		}
+		httpError(w, status, err)
 		return
 	}
 	for i := range plan.Ops {
@@ -173,7 +177,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sq.exec.Observe(time.Since(start).Seconds())
 	if err != nil {
 		sq.errs.Inc()
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, statusFor(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, queryResponse{

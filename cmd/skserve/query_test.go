@@ -1,11 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"spatialkeyword"
 )
 
 func postQuery(t *testing.T, url, body string) *http.Response {
@@ -302,5 +307,79 @@ func TestExplainAnalyzeArmPerBackend(t *testing.T) {
 	want = head + `"    actual: blocks=4 (3 rand + 1 seq) rows=2 candidates=2 disk=24.06ms","    work:   nodes=1 objects=2 pruned=1 falsepos=0",` + tail
 	if got := raw(replicaTS.URL); got != want {
 		t.Errorf("replica body changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestTextPipelineReachesSKQLAndFences: a backend built with stemming or
+// stopword removal indexes normalised terms, so SKQL (planner statistics,
+// sidecar index, residual filters) and geofence keywords must normalise the
+// same way — the pipeline travels with the backend's Corpus. Every physical
+// path of a TOP statement has to agree with GET /search on an inflected
+// keyword, a stopword has to be refused at planning as the engine would drop
+// it, and a fence registered under the inflected keyword has to fire.
+func TestTextPipelineReachesSKQLAndFences(t *testing.T) {
+	fenceLeakCheck(t)
+	for _, cfg := range []spatialkeyword.Config{
+		{SignatureBytes: 16, Stemming: true},
+		{SignatureBytes: 16, RemoveStopwords: true},
+		{SignatureBytes: 16, Stemming: true, RemoveStopwords: true},
+	} {
+		for _, shards := range []int{1, 3} {
+			name := fmt.Sprintf("stem=%v/stop=%v/shards=%d", cfg.Stemming, cfg.RemoveStopwords, shards)
+			eng, err := openOrCreate("", cfg, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(newServer(eng, false, serverOptions{}).routes())
+			t.Cleanup(ts.Close)
+			for i := 0; i < 60; i++ {
+				text := "marina with fuel dock"
+				if i%10 == 3 {
+					text = "fishing charters with bait"
+				}
+				if _, err := eng.Add([]float64{float64(i%8) + 1, float64(i/8) + 1}, text); err != nil {
+					t.Fatal(err)
+				}
+			}
+			word := "fishing"
+			if cfg.Stemming {
+				word = "fished" // only the stemmer makes this a match
+			}
+			resp, err := http.Get(ts.URL + "/search?lat=0&lon=0&k=10&q=" + word)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := decode[searchResponse](t, resp).Results
+			if len(want) != 6 {
+				t.Fatalf("%s: /search finds %d rows for %q, want 6", name, len(want), word)
+			}
+			for _, path := range []string{"ir2", "iio", "rtree"} {
+				resp := postQuery(t, ts.URL, fmt.Sprintf(`{"query": "SELECT TOP 10 NEAR (0, 0) MATCH %s USING %s"}`, word, path))
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: USING %s: status %d", name, path, resp.StatusCode)
+				}
+				if got := decode[queryResponse](t, resp).Results; !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: USING %s answers %d rows, /search %d:\n got %+v\nwant %+v", name, path, len(got), len(want), got, want)
+				}
+			}
+			if cfg.RemoveStopwords {
+				resp := postQuery(t, ts.URL, `{"query": "SELECT TOP 10 NEAR (0, 0) MATCH with"}`)
+				if msg := decode[map[string]string](t, resp)["error"]; resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "dissolves") {
+					t.Errorf("%s: stopword keyword: status %d, error %q; want it refused at planning", name, resp.StatusCode, msg)
+				}
+			}
+			info := registerFence(t, ts, fenceRequest{
+				Region:   &fenceRect{Lo: []float64{0, 0}, Hi: []float64{100, 100}},
+				Keywords: []string{word},
+			})
+			post(t, ts.URL+"/objects", addRequest{Point: []float64{5, 5}, Text: "night fishing pier"}).Body.Close()
+			resp, err = http.Get(fmt.Sprintf("%s/fences/%d", ts.URL, info.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := decode[fenceInfo](t, resp); got.Members != 1 {
+				t.Errorf("%s: fence on %q has %d members after a matching add, want 1", name, word, got.Members)
+			}
+		}
 	}
 }

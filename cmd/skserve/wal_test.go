@@ -86,6 +86,35 @@ func TestWALServerRecoversWithoutSave(t *testing.T) {
 	}
 }
 
+// TestWALHealthzCountsAcrossSave: /healthz reports the log's appends and
+// fsyncs since open. POST /save rotates the log — every shard's — and must
+// not start them again from zero.
+func TestWALHealthzCountsAcrossSave(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		s, ts := newWALTestServer(t, t.TempDir(), shards)
+		n := float64(len(seedHotels(t, ts)))
+		_, before := healthzWAL(t, ts)
+		resp := post(t, ts.URL+"/save", nil)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("shards=%d: save status %d", shards, resp.StatusCode)
+		}
+		seedHotels(t, ts)
+		_, after := healthzWAL(t, ts)
+		if before["appends"] != n || after["appends"] != 2*n {
+			t.Errorf("shards=%d: wal appends = %v before the save and %v after, want %v and %v",
+				shards, before["appends"], after["appends"], n, 2*n)
+		}
+		if after["fsyncs"].(float64) < before["fsyncs"].(float64)+n {
+			t.Errorf("shards=%d: wal fsyncs = %v before the save and %v after %v more durable adds",
+				shards, before["fsyncs"], after["fsyncs"], n)
+		}
+		if err := s.eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWALServerMetrics: the WAL metric families are registered, seeded from
 // the recovery counters, and driven by the live observer hooks.
 func TestWALServerMetrics(t *testing.T) {

@@ -1,8 +1,8 @@
 // Persistent: a durable search engine across "restarts". The paper's
 // structures are disk-resident by design; this example exercises the
 // library's durability surface — a file-backed engine that is built once,
-// saved, closed, and reopened with its index intact — plus the Explain
-// trace showing the IR²-Tree pruning on the reopened index.
+// saved, closed, and reopened with its index intact — plus an EXPLAIN
+// ANALYZE statement showing the IR²-Tree pruning on the reopened index.
 //
 //	go run ./examples/persistent
 package main
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/skql"
 )
 
 func main() {
@@ -71,20 +72,18 @@ func main() {
 		fmt.Printf("  %d. %-38s %.1f away\n", i+1, r.Object.Text, r.Dist)
 	}
 
-	// Explain shows the IR²-Tree at work on the reopened index.
-	_, trace, err := reopened.Explain(1, []float64{50, 50}, "sailing")
+	// EXPLAIN ANALYZE shows the IR²-Tree at work on the reopened index: the
+	// plan, its estimate beside what the traversal really read, and the trace.
+	q, err := skql.Parse("EXPLAIN ANALYZE SELECT TOP 1 NEAR (50, 50) MATCH sailing USING ir2")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\ntraversal trace for top-1 'sailing' (paper Example 3 style):")
-	max := len(trace)
-	if max > 12 {
-		max = 12
+	rs, err := skql.NewCatalog(reopened).Run(q)
+	if err != nil {
+		log.Fatal(err)
 	}
-	for _, line := range trace[:max] {
+	fmt.Println("\ntop-1 'sailing', explained (the trace is paper Example 3 style):")
+	for _, line := range rs.Explain {
 		fmt.Println(" ", line)
-	}
-	if len(trace) > max {
-		fmt.Printf("  ... (%d more steps)\n", len(trace)-max)
 	}
 }

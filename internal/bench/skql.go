@@ -170,8 +170,8 @@ func (e *SKQLEnv) MeasureSKQL(method Method, force string, stmts []string, cm st
 		for _, a := range rs.Actuals {
 			qr += a.BlocksRandom
 			qs += a.BlocksSequential
-			if a.Stats.ObjectsLoaded > 0 {
-				objects += a.Stats.ObjectsLoaded
+			if a.ObjectsLoaded > 0 {
+				objects += a.ObjectsLoaded
 			} else {
 				objects += a.Candidates
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
@@ -14,27 +15,14 @@ type Result struct {
 	Dist   float64
 }
 
-// SearchStats reports the work performed by a query.
-type SearchStats struct {
-	// NodesLoaded is the number of tree nodes expanded.
-	NodesLoaded int
-	// ObjectsLoaded is the number of objects read from the object file.
-	ObjectsLoaded int
-	// FalsePositives counts loaded objects whose signature matched the
-	// query but whose text did not contain all keywords (IR2TopK line 21
-	// failing).
-	FalsePositives int
-	// EntriesPruned is the number of tree entries dropped by the
-	// signature check — subtrees and objects never visited.
-	EntriesPruned int
-	// NodesEnqueued and ObjectsEnqueued count entries that passed the
-	// signature check and entered the traversal's priority queue.
-	NodesEnqueued   int
-	ObjectsEnqueued int
-}
+// SearchStats reports the work performed by a query: the one work record
+// (see obs.Work), of which a traversal fills the six counters it owns and
+// leaves the block counts to whoever brackets the devices.
+type SearchStats = obs.Work
 
-// fillTraversal copies the underlying traversal's counters into s.
-func (s *SearchStats) fillTraversal(t rtree.TraversalStats) {
+// fillTraversal copies the underlying traversal's counters into s — the
+// boundary between the generic R-Tree's counters and the work record.
+func fillTraversal(s *SearchStats, t rtree.TraversalStats) {
 	s.NodesLoaded = t.NodesLoaded
 	s.EntriesPruned = t.EntriesPruned
 	s.NodesEnqueued = t.NodesEnqueued
@@ -95,7 +83,7 @@ func (r *ResultIter) Next() (Result, bool, error) {
 			return Result{}, false, err
 		}
 		if !ok {
-			r.stats.fillTraversal(r.it.TraversalStats())
+			fillTraversal(&r.stats, r.it.TraversalStats())
 			return Result{}, false, nil
 		}
 		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc, r.accept)
@@ -107,14 +95,14 @@ func (r *ResultIter) Next() (Result, bool, error) {
 			r.stats.FalsePositives++
 			continue
 		}
-		r.stats.fillTraversal(r.it.TraversalStats())
+		fillTraversal(&r.stats, r.it.TraversalStats())
 		return Result{Object: obj, Dist: dist}, true, nil
 	}
 }
 
 // Stats returns the work counters accumulated so far.
 func (r *ResultIter) Stats() SearchStats {
-	r.stats.fillTraversal(r.it.TraversalStats())
+	fillTraversal(&r.stats, r.it.TraversalStats())
 	return r.stats
 }
 

@@ -145,13 +145,13 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 			return RankedResult{}, false, err
 		}
 		if !ok {
-			r.stats.fillTraversal(r.it.TraversalStats())
+			fillTraversal(&r.stats, r.it.TraversalStats())
 			return RankedResult{}, false, nil
 		}
 		if c, seen := r.exact[ref]; seen && c.score == score {
 			// Re-dequeued with its exact score: nothing remaining can beat it.
 			delete(r.exact, ref)
-			r.stats.fillTraversal(r.it.TraversalStats())
+			fillTraversal(&r.stats, r.it.TraversalStats())
 			return c.res, true, nil
 		}
 		// GetFiltered counts the candidate's term frequencies into r.tf
@@ -180,7 +180,7 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 		res := RankedResult{Object: obj, Dist: dist, IRScore: ir, Score: f}
 		if top, any := r.it.PeekScore(); !any || -f <= top {
 			// Exact score at least as good as every remaining upper bound.
-			r.stats.fillTraversal(r.it.TraversalStats())
+			fillTraversal(&r.stats, r.it.TraversalStats())
 			return res, true, nil
 		}
 		r.it.Push(ref, -f)
@@ -190,7 +190,7 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 
 // Stats returns the work counters accumulated so far.
 func (r *RankedIter) Stats() SearchStats {
-	r.stats.fillTraversal(r.it.TraversalStats())
+	fillTraversal(&r.stats, r.it.TraversalStats())
 	return r.stats
 }
 

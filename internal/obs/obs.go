@@ -1,5 +1,6 @@
 // Package obs is the query-level observability layer: lock-free counters,
-// gauges, and fixed-bucket histograms, a per-query metrics record
+// gauges, and fixed-bucket histograms, the work record every layer counts a
+// query's work in (Work) and the per-query metrics record around it
 // (QueryMetrics), a registry that renders Prometheus text exposition and
 // expvar-style JSON, and a structured slow-query log.
 //

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -104,5 +105,29 @@ func TestMultiSink(t *testing.T) {
 	s.RecordQuery(QueryMetrics{})
 	if a != 1 || b != 1 {
 		t.Fatalf("sinks called a=%d b=%d, want 1/1", a, b)
+	}
+}
+
+// TestWorkAddCoversEveryField: Add is written out field by field, so a
+// counter added to Work and forgotten there would silently drop out of every
+// sharded total.
+func TestWorkAddCoversEveryField(t *testing.T) {
+	var one Work
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanInt() {
+			f.SetInt(int64(i + 1))
+		} else {
+			f.SetUint(uint64(i + 1))
+		}
+	}
+	sum := one
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		f := got.Field(i)
+		if (f.CanInt() && f.Int() != int64(2*(i+1))) || (f.CanUint() && f.Uint() != uint64(2*(i+1))) {
+			t.Errorf("Work.Add leaves %s at %v, want %d", got.Type().Field(i).Name, f, 2*(i+1))
+		}
 	}
 }

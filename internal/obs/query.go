@@ -2,13 +2,52 @@ package obs
 
 import "time"
 
-// QueryMetrics is the per-query observability record: one is populated per
-// engine query from the traversal counters the search already keeps
-// (rtree's per-iterator expand/prune/enqueue counts, the object-store
-// fetch counters, and a storage.Meter I/O bracket) and delivered to a Sink
-// exactly once, after the query finishes — never per traversal step.
+// Work is what one query did, counted the way the paper's evaluation counts
+// it (Section 6, Figures 9-12): node accesses, object accesses and disk
+// blocks, plus how well the signatures pruned. It is the one declaration of
+// these counters. The traversal fills the first six (core.SearchStats is
+// this type), the engine's query bracket adds the two block counts, a sharded
+// merge sums its shards' records with Add, and the struct travels whole from
+// there to the HTTP response, the sink and EXPLAIN ANALYZE.
+type Work struct {
+	// NodesLoaded is the number of index nodes dequeued and read.
+	NodesLoaded int
+	// ObjectsLoaded is the number of objects read from the object file.
+	ObjectsLoaded int
+	// FalsePositives counts loaded objects whose signature matched the
+	// query but whose text failed verification (IR2TopK line 21 failing);
+	// pruned entries are never verified, so EntriesPruned is their
+	// upper-bound complement.
+	FalsePositives int
+	// EntriesPruned is the number of index entries the signature check
+	// dropped — subtrees and objects never visited.
+	EntriesPruned int
+	// NodesEnqueued and ObjectsEnqueued count entries that passed the
+	// signature check and entered the traversal's priority queue.
+	NodesEnqueued, ObjectsEnqueued int
+	// BlocksRandom and BlocksSequential are the disk block accesses, split
+	// as in the paper's Figures 9b/12b.
+	BlocksRandom, BlocksSequential uint64
+}
+
+// Add accumulates another record — one shard's slice of a fanned-out query —
+// into w.
+func (w *Work) Add(o Work) {
+	w.NodesLoaded += o.NodesLoaded
+	w.ObjectsLoaded += o.ObjectsLoaded
+	w.FalsePositives += o.FalsePositives
+	w.EntriesPruned += o.EntriesPruned
+	w.NodesEnqueued += o.NodesEnqueued
+	w.ObjectsEnqueued += o.ObjectsEnqueued
+	w.BlocksRandom += o.BlocksRandom
+	w.BlocksSequential += o.BlocksSequential
+}
+
+// QueryMetrics is the per-query observability record: a finished query's
+// identity and outcome around the Work it did, delivered to a Sink exactly
+// once, after the query finishes — never per traversal step.
 type QueryMetrics struct {
-	// Op names the query kind: "topk", "ranked", "area", "stream", "explain".
+	// Op names the query kind: "topk", "ranked", "area", "stream".
 	Op string
 	// Shard is the shard index the record describes, or -1 for a
 	// whole-engine (or unsharded) record. A sharded engine emits one
@@ -21,27 +60,7 @@ type QueryMetrics struct {
 	// Results is the number of results returned.
 	Results int
 
-	// NodesExpanded is the number of index nodes dequeued and loaded.
-	NodesExpanded int
-	// EntriesPruned is the number of entries dropped by the signature
-	// check — subtrees or objects never visited.
-	EntriesPruned int
-	// NodesEnqueued and ObjectsEnqueued count entries that passed the
-	// check and entered the priority queue.
-	NodesEnqueued   int
-	ObjectsEnqueued int
-	// ObjectsFetched is the number of objects read from the object file.
-	ObjectsFetched int
-	// SigFalsePositives counts fetched objects whose signature matched
-	// the query but whose text failed verification (emitted-then-rejected
-	// false positives; pruned entries are never verified, so
-	// EntriesPruned is their upper-bound complement).
-	SigFalsePositives int
-
-	// RandomBlocks and SequentialBlocks are the disk block accesses the
-	// query performed, split as in the paper's Figures 9b/12b.
-	RandomBlocks     uint64
-	SequentialBlocks uint64
+	Work
 
 	// Latency is the query's wall time.
 	Latency time.Duration

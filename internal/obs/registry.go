@@ -333,12 +333,12 @@ func (q *QueryRecorder) RecordQuery(m QueryMetrics) {
 		shard = strconv.Itoa(m.Shard)
 	}
 	sl := L("shard", shard)
-	q.reg.Counter("sk_query_nodes_expanded_total", "Index nodes dequeued and loaded.", sl).Add(uint64(m.NodesExpanded))
+	q.reg.Counter("sk_query_nodes_expanded_total", "Index nodes dequeued and loaded.", sl).Add(uint64(m.NodesLoaded))
 	q.reg.Counter("sk_query_entries_pruned_total", "Entries dropped by the signature check.", sl).Add(uint64(m.EntriesPruned))
-	q.reg.Counter("sk_query_objects_fetched_total", "Objects read from the object file.", sl).Add(uint64(m.ObjectsFetched))
-	q.reg.Counter("sk_query_sig_false_positives_total", "Fetched objects rejected by text verification.", sl).Add(uint64(m.SigFalsePositives))
-	q.reg.Counter("sk_io_blocks_total", "Disk block accesses by kind.", L("kind", "random"), sl).Add(m.RandomBlocks)
-	q.reg.Counter("sk_io_blocks_total", "Disk block accesses by kind.", L("kind", "sequential"), sl).Add(m.SequentialBlocks)
+	q.reg.Counter("sk_query_objects_fetched_total", "Objects read from the object file.", sl).Add(uint64(m.ObjectsLoaded))
+	q.reg.Counter("sk_query_sig_false_positives_total", "Fetched objects rejected by text verification.", sl).Add(uint64(m.FalsePositives))
+	q.reg.Counter("sk_io_blocks_total", "Disk block accesses by kind.", L("kind", "random"), sl).Add(m.BlocksRandom)
+	q.reg.Counter("sk_io_blocks_total", "Disk block accesses by kind.", L("kind", "sequential"), sl).Add(m.BlocksSequential)
 
 	if m.Shard >= 0 {
 		return // per-shard slice of a query; op-level families take the aggregate record
@@ -357,5 +357,5 @@ func (q *QueryRecorder) RecordQuery(m QueryMetrics) {
 	}
 	q.reg.Counter("sk_query_results_total", "Results returned.", ol).Add(uint64(m.Results))
 	q.reg.Histogram("sk_query_latency_seconds", "Query wall latency.", LatencyBuckets(), ol).Observe(m.Latency.Seconds())
-	q.reg.Histogram("sk_query_random_blocks", "Random disk blocks per query.", BlockBuckets(), ol).Observe(float64(m.RandomBlocks))
+	q.reg.Histogram("sk_query_random_blocks", "Random disk blocks per query.", BlockBuckets(), ol).Observe(float64(m.BlocksRandom))
 }

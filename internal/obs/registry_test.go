@@ -176,11 +176,11 @@ func TestQueryRecorder(t *testing.T) {
 	// Whole-engine record feeds op-level and shard="all" families.
 	rec.RecordQuery(QueryMetrics{
 		Op: "topk", Shard: -1, K: 10, Keywords: 2, Results: 10,
-		NodesExpanded: 5, EntriesPruned: 40, ObjectsFetched: 12, SigFalsePositives: 2,
-		RandomBlocks: 17, SequentialBlocks: 3, Latency: 2 * time.Millisecond,
+		Work:    Work{NodesLoaded: 5, EntriesPruned: 40, ObjectsLoaded: 12, FalsePositives: 2, BlocksRandom: 17, BlocksSequential: 3},
+		Latency: 2 * time.Millisecond,
 	})
 	// Per-shard slice feeds only shard-labelled families.
-	rec.RecordQuery(QueryMetrics{Op: "topk", Shard: 1, NodesExpanded: 3, RandomBlocks: 9})
+	rec.RecordQuery(QueryMetrics{Op: "topk", Shard: 1, Work: Work{NodesLoaded: 3, BlocksRandom: 9}})
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -218,8 +218,8 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				rec.RecordQuery(QueryMetrics{Op: "topk", Shard: -1, RandomBlocks: 1, Latency: time.Millisecond})
-				rec.RecordQuery(QueryMetrics{Op: "topk", Shard: i % 4, RandomBlocks: 1})
+				rec.RecordQuery(QueryMetrics{Op: "topk", Shard: -1, Work: Work{BlocksRandom: 1}, Latency: time.Millisecond})
+				rec.RecordQuery(QueryMetrics{Op: "topk", Shard: i % 4, Work: Work{BlocksRandom: 1}})
 			}
 		}(w)
 	}

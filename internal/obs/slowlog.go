@@ -61,12 +61,12 @@ func (l *SlowLog) RecordQuery(m QueryMetrics) {
 		K:                 m.K,
 		Keywords:          m.Keywords,
 		Results:           m.Results,
-		NodesExpanded:     m.NodesExpanded,
+		NodesExpanded:     m.NodesLoaded,
 		EntriesPruned:     m.EntriesPruned,
-		ObjectsFetched:    m.ObjectsFetched,
-		SigFalsePositives: m.SigFalsePositives,
-		RandomBlocks:      m.RandomBlocks,
-		SequentialBlocks:  m.SequentialBlocks,
+		ObjectsFetched:    m.ObjectsLoaded,
+		SigFalsePositives: m.FalsePositives,
+		RandomBlocks:      m.BlocksRandom,
+		SequentialBlocks:  m.BlocksSequential,
 		Err:               m.Err,
 	}
 	line, err := json.Marshal(e)

@@ -18,8 +18,8 @@ func TestSlowLogThreshold(t *testing.T) {
 	}
 	l.RecordQuery(QueryMetrics{
 		Op: "topk", Shard: -1, Latency: 60 * time.Millisecond,
-		K: 5, Keywords: 2, Results: 5, NodesExpanded: 7, EntriesPruned: 12,
-		ObjectsFetched: 6, SigFalsePositives: 1, RandomBlocks: 13, SequentialBlocks: 2,
+		K: 5, Keywords: 2, Results: 5,
+		Work: Work{NodesLoaded: 7, EntriesPruned: 12, ObjectsLoaded: 6, FalsePositives: 1, BlocksRandom: 13, BlocksSequential: 2},
 	})
 	line := strings.TrimSpace(buf.String())
 	if line == "" {

@@ -29,9 +29,10 @@ var ErrReadOnlyReplica = errors.New("repl: read-only replica")
 // from a fresh snapshot.
 var errResync = errors.New("repl: full resync required")
 
-// errResyncing is returned to reads that land while a resync has torn the
-// local engine down.
-var errResyncing = errors.New("repl: replica resyncing")
+// ErrResyncing is returned to reads that land while a resync has torn the
+// local engine down: a passing state — the read succeeds once the fresh
+// snapshot is installed — so a server answers it as "retry", not as a fault.
+var ErrResyncing = errors.New("repl: replica resyncing")
 
 // badFrameLimit is how many consecutive undecodable /repl/log responses
 // the tail re-requests before escalating to a full resync.
@@ -589,7 +590,7 @@ func (f *Follower) apply(stream int, recs []wal.Record) error {
 	defer f.mu.Unlock()
 	e, ok := f.installed.(*spatialkeyword.Engine)
 	if !ok {
-		return errResyncing
+		return ErrResyncing
 	}
 	for _, rec := range recs {
 		if err := e.ApplyReplicated(rec); err != nil {
@@ -620,7 +621,7 @@ func (f *Follower) rotate(stream int, nextGen uint64) error {
 	defer f.mu.Unlock()
 	e, ok := f.installed.(*spatialkeyword.Engine)
 	if !ok {
-		return errResyncing
+		return ErrResyncing
 	}
 	if err := e.Save(); err != nil {
 		return err
@@ -818,7 +819,7 @@ func (f *Follower) Save() error { return ErrReadOnlyReplica }
 
 // reader returns the installed replica with the serving lock held shared;
 // the caller releases it through done. While a resync has the replica torn
-// down the reader is one that fails every read with errResyncing.
+// down the reader is one that fails every read with ErrResyncing.
 func (f *Follower) reader() (r spatialkeyword.Reader, done func()) {
 	f.mu.RLock()
 	if f.installed == nil {
@@ -911,34 +912,34 @@ func (f *Follower) Flush() error {
 }
 
 // resyncing is the reader of a follower whose replica is torn down: reads
-// that can fail do, with errResyncing; the rest answer for an empty engine.
+// that can fail do, with ErrResyncing; the rest answer for an empty engine.
 type resyncing struct{}
 
 func (resyncing) Get(uint64) (spatialkeyword.Object, error) {
-	return spatialkeyword.Object{}, errResyncing
+	return spatialkeyword.Object{}, ErrResyncing
 }
 
 func (resyncing) TopKWithStats(int, []float64, ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
-	return nil, spatialkeyword.QueryStats{}, errResyncing
+	return nil, spatialkeyword.QueryStats{}, ErrResyncing
 }
 
 func (resyncing) TopKRanked(int, []float64, ...string) ([]spatialkeyword.RankedResult, error) {
-	return nil, errResyncing
+	return nil, ErrResyncing
 }
 
 func (resyncing) TopKArea(int, []float64, []float64, ...string) ([]spatialkeyword.Result, error) {
-	return nil, errResyncing
+	return nil, ErrResyncing
 }
 
 func (resyncing) WithinArea([]float64, []float64, ...string) ([]spatialkeyword.Result, error) {
-	return nil, errResyncing
+	return nil, ErrResyncing
 }
 
 func (resyncing) NumObjects() int                              { return 0 }
-func (resyncing) Scan(func(spatialkeyword.Object) error) error { return errResyncing }
+func (resyncing) Scan(func(spatialkeyword.Object) error) error { return ErrResyncing }
 func (resyncing) IsDeleted(uint64) bool                        { return false }
 func (resyncing) Stats() spatialkeyword.Stats                  { return spatialkeyword.Stats{} }
-func (resyncing) Flush() error                                 { return errResyncing }
+func (resyncing) Flush() error                                 { return ErrResyncing }
 
 func (resyncing) Corpus() spatialkeyword.CorpusStats {
 	return spatialkeyword.CorpusStats{DocFreq: func(string) int { return 0 }}

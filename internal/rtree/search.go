@@ -167,8 +167,8 @@ type TraceEvent struct {
 }
 
 // String renders the event as one line of a distance-first traversal
-// narration — the form Engine.Explain and SKQL's EXPLAIN ANALYZE print.
-// Entry events are indented under the expansion that produced them.
+// narration — the form SKQL's EXPLAIN ANALYZE prints. Entry events are
+// indented under the expansion that produced them.
 func (ev TraceEvent) String() string {
 	switch ev.Kind {
 	case TraceExpand:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/obs"
 )
 
 // The fan-out/merge machinery: one merge for every sharded top-k. A sharded
@@ -107,7 +108,8 @@ func merge[R any](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QuerySt
 	degraded, err := schedule()
 	m.agg.Degraded = degraded
 	results := m.col.results()
-	s.recordQuery(q.op, q.k, q.keywords, len(results), m.agg, time.Since(start), err)
+	s.record(obs.QueryMetrics{Op: q.op, Shard: -1, K: q.k, Keywords: q.keywords, Results: len(results),
+		Work: m.agg.Work, Latency: time.Since(start), Err: err != nil, Degraded: degraded})
 	if err != nil {
 		return nil, m.agg, err
 	}
@@ -155,9 +157,9 @@ func (m *merger[R]) finish(ln *lane[R]) error {
 		st = ln.it.Stats()
 	}
 	ln.sh.mu.RUnlock()
-	m.s.recordShard(m.q.op, ln.sh.idx, st, time.Since(ln.start), ln.err)
+	m.s.record(obs.QueryMetrics{Op: m.q.op, Shard: ln.sh.idx, Work: st.Work, Latency: time.Since(ln.start), Err: ln.err != nil})
 	m.mu.Lock()
-	addStats(&m.agg, st)
+	m.agg.Add(st.Work)
 	m.mu.Unlock()
 	return ln.err
 }

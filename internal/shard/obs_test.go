@@ -111,20 +111,20 @@ func TestMetricsSink(t *testing.T) {
 					t.Fatalf("duplicate record for shard %d", m.Shard)
 				}
 				seen[m.Shard] = true
-				nodes += m.NodesExpanded
-				random += m.RandomBlocks
+				nodes += m.NodesLoaded
+				random += m.BlocksRandom
 			}
 			a := agg[0]
 			if a.Op != tc.op || a.K != tc.k || a.Keywords != len(kw) || a.Results != results {
 				t.Fatalf("aggregate record = %+v", a)
 			}
-			if a.NodesExpanded == 0 || a.NodesExpanded != nodes || a.RandomBlocks != random {
+			if a.NodesLoaded == 0 || a.NodesLoaded != nodes || a.BlocksRandom != random {
 				t.Fatalf("aggregate nodes %d / random blocks %d, per-shard sums %d / %d",
-					a.NodesExpanded, a.RandomBlocks, nodes, random)
+					a.NodesLoaded, a.BlocksRandom, nodes, random)
 			}
-			if qs != nil && (a.NodesExpanded != qs.NodesLoaded || a.RandomBlocks != qs.BlocksRandom) {
+			if qs != nil && (a.NodesLoaded != qs.NodesLoaded || a.BlocksRandom != qs.BlocksRandom) {
 				t.Fatalf("aggregate nodes %d / random blocks %d, returned stats %d / %d",
-					a.NodesExpanded, a.RandomBlocks, qs.NodesLoaded, qs.BlocksRandom)
+					a.NodesLoaded, a.BlocksRandom, qs.NodesLoaded, qs.BlocksRandom)
 			}
 			if a.Latency <= 0 {
 				t.Fatal("aggregate latency not set")

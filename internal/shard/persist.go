@@ -11,6 +11,7 @@ import (
 	"spatialkeyword"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
+	"spatialkeyword/internal/wal"
 )
 
 // Durability. A durable sharded engine lives in a directory holding one
@@ -76,7 +77,7 @@ func NewDurable(cfg spatialkeyword.Config, dir string, opts Options) (*ShardedEn
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: create engine dir: %w", err)
 	}
-	s := &ShardedEngine{cfg: cfg, part: part, vocab: textutil.NewVocabulary(), dir: dir}
+	s := &ShardedEngine{cfg: cfg, part: part, vocab: textutil.NewVocabulary(), an: cfg.Analyzer(), dir: dir}
 	for i := 0; i < part.Shards(); i++ {
 		eng, err := spatialkeyword.NewDurableEngine(cfg, shardDir(dir, i))
 		if err != nil {
@@ -207,7 +208,7 @@ func Open(dir string) (*ShardedEngine, error) {
 	if m.Gens != nil && len(m.Gens) != part.Shards() {
 		return nil, fmt.Errorf("shard: manifest pins %d generations for %d shards", len(m.Gens), part.Shards())
 	}
-	s := &ShardedEngine{cfg: m.Config, part: part, vocab: textutil.NewVocabulary(), dir: dir}
+	s := &ShardedEngine{cfg: m.Config, part: part, vocab: textutil.NewVocabulary(), an: m.Config.Analyzer(), dir: dir}
 	for i := 0; i < part.Shards(); i++ {
 		var eng *spatialkeyword.Engine
 		var err error
@@ -275,7 +276,7 @@ func Open(dir string) (*ShardedEngine, error) {
 			continue
 		}
 		err := sh.eng.Scan(func(o spatialkeyword.Object) error {
-			s.vocab.AddDocWith(s.analyzer(), o.Text)
+			s.vocab.AddDocWith(s.an, o.Text)
 			return nil
 		})
 		if err != nil {
@@ -300,7 +301,7 @@ func (s *ShardedEngine) reconcileWAL(manifestLen int) error {
 		}
 		if n := sh.eng.NumObjects(); n < len(sh.globals) {
 			for _, gid := range sh.globals[n:] {
-				s.assign[gid] = tombstone
+				s.unplace(gid)
 			}
 			sh.globals = sh.globals[:n]
 		}
@@ -320,22 +321,18 @@ func (s *ShardedEngine) reconcileWAL(manifestLen int) error {
 		if sh.eng == nil {
 			continue
 		}
-		for _, op := range sh.eng.WALReplay() {
-			if op.Delete || op.Tag < uint64(manifestLen) {
+		for _, rec := range sh.eng.WALReplayRecords() {
+			if rec.Op != wal.OpAdd || rec.Tag < uint64(manifestLen) {
 				continue // deletes and manifest-covered adds change no assignment
 			}
-			adds = append(adds, newAdd{gid: op.Tag, shard: sh})
+			adds = append(adds, newAdd{gid: rec.Tag, shard: sh})
 		}
 	}
 	sort.Slice(adds, func(i, j int) bool { return adds[i].gid < adds[j].gid })
 	for _, a := range adds {
-		for uint64(len(s.assign)) < a.gid {
-			s.assign = append(s.assign, tombstone)
+		if err := s.place(a.gid, shardLoc{shard: a.shard.idx, local: uint64(len(a.shard.globals))}); err != nil {
+			return fmt.Errorf("shard %d: wal replay: %w", a.shard.idx, err)
 		}
-		if uint64(len(s.assign)) != a.gid {
-			return fmt.Errorf("shard %d: wal replay assigns global id %d twice", a.shard.idx, a.gid)
-		}
-		s.assign = append(s.assign, shardLoc{shard: a.shard.idx, local: uint64(len(a.shard.globals))})
 		a.shard.globals = append(a.shard.globals, a.gid)
 	}
 	return nil

@@ -76,11 +76,10 @@ func (s *ShardedEngine) ShardReplayRecords(i int) []wal.Record {
 // never observe a half-applied batch (or race the flush).
 //
 // Global-assignment bookkeeping mirrors crash recovery: an add's tag is the
-// leader's reserved global ID. A gid beyond the current assignment extends
-// it (gap-filling with tombstones — the gap belongs to other shards' still
-// undelivered streams); a gid already assigned must be a tombstone, which
-// the record resurrects. A live duplicate means the streams and the local
-// state disagree — corruption, never silently absorbed.
+// leader's reserved global ID, assigned through place — gaps (other shards'
+// still undelivered streams) fill with tombstones, a tombstone is
+// resurrected, and a live duplicate means the streams and the local state
+// disagree: corruption, never silently absorbed.
 func (s *ShardedEngine) ApplyReplicatedBatch(shard int, recs []wal.Record) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("shard: no shard %d", shard)
@@ -92,36 +91,27 @@ func (s *ShardedEngine) ApplyReplicatedBatch(shard int, recs []wal.Record) error
 		return fmt.Errorf("shard %d: %w", shard, errShardDown)
 	}
 	for _, rec := range recs {
-		if rec.Op == wal.OpAdd {
-			gid := rec.Tag
+		add := rec.Op == wal.OpAdd
+		if add {
 			// Lock order matches Add: sh.mu (held) then s.mu.
 			s.mu.Lock()
-			for uint64(len(s.assign)) < gid {
-				s.assign = append(s.assign, tombstone)
+			err := s.place(rec.Tag, shardLoc{shard: shard, local: rec.ID})
+			if err == nil {
+				s.vocab.AddDocWith(s.an, rec.Text)
 			}
-			if uint64(len(s.assign)) == gid {
-				s.assign = append(s.assign, shardLoc{shard: shard, local: rec.ID})
-			} else if s.assign[gid].shard < 0 {
-				s.assign[gid] = shardLoc{shard: shard, local: rec.ID}
-			} else {
-				s.mu.Unlock()
-				return fmt.Errorf("%w: replicated record %d reassigns live global id %d", errCorruptShard, rec.Seq, gid)
-			}
-			s.vocab.AddDocWith(s.analyzer(), rec.Text)
 			s.mu.Unlock()
-			if err := sh.eng.ApplyReplicated(rec); err != nil {
-				// Reserved but never applied — same rule as a failed Add: the
-				// gid must never resolve.
-				s.mu.Lock()
-				s.assign[gid] = tombstone
-				s.mu.Unlock()
-				return fmt.Errorf("shard %d: %w", shard, err)
+			if err != nil {
+				return fmt.Errorf("replicated record %d: %w", rec.Seq, err)
 			}
-			sh.globals = append(sh.globals, gid)
-			continue
 		}
 		if err := sh.eng.ApplyReplicated(rec); err != nil {
+			if add {
+				s.unplace(rec.Tag) // reserved but never applied — same rule as a failed Add
+			}
 			return fmt.Errorf("shard %d: %w", shard, err)
+		}
+		if add {
+			sh.globals = append(sh.globals, rec.Tag)
 		}
 	}
 	if err := sh.eng.Flush(); err != nil {

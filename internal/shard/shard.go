@@ -63,6 +63,37 @@ type shardLoc struct {
 // tombstone marks a reserved-but-dead global ID.
 var tombstone = shardLoc{shard: -1}
 
+// place records that global ID gid lives at loc. With unplace it is the only
+// writer of the assignment once Open has loaded the manifest: a local Add, a
+// replicated record and a record replayed at open all assign through it. IDs
+// between the end of the assignment and gid are reservations whose record
+// has not arrived, or never will — another shard's stream still in flight,
+// a crash — and become tombstones; a tombstone at gid is resurrected; a live
+// entry is refused, because two records claiming one ID mean the logs and the
+// assignment disagree. The caller holds s.mu (Open, alone with s, need not).
+func (s *ShardedEngine) place(gid uint64, loc shardLoc) error {
+	for uint64(len(s.assign)) < gid {
+		s.assign = append(s.assign, tombstone)
+	}
+	switch {
+	case uint64(len(s.assign)) == gid:
+		s.assign = append(s.assign, loc)
+	case s.assign[gid].shard < 0:
+		s.assign[gid] = loc
+	default:
+		return fmt.Errorf("%w: global id %d is assigned twice", errCorruptShard, gid)
+	}
+	return nil
+}
+
+// unplace is place's inverse, for a reservation whose record did not apply or
+// did not survive: the ID is never reused and never resolves. It takes s.mu.
+func (s *ShardedEngine) unplace(gid uint64) {
+	s.mu.Lock()
+	s.assign[gid] = tombstone
+	s.mu.Unlock()
+}
+
 // shardHandle is one shard: an independent engine plus its own lock and the
 // local→global ID translation. The lock follows the engine's contract —
 // queries are concurrent, writes exclusive.
@@ -108,6 +139,7 @@ type ShardedEngine struct {
 	mu     sync.RWMutex
 	assign []shardLoc // global object ID → location
 	vocab  *textutil.Vocabulary
+	an     *textutil.Analyzer // the shards' text pipeline, so vocab accumulates the terms they index
 
 	dir string // backing directory; empty = in-memory
 
@@ -239,62 +271,11 @@ func (s *ShardedEngine) countUnhealthy() int {
 // traffic; the field itself is not synchronized.
 func (s *ShardedEngine) SetMetricsSink(sink obs.Sink) { s.sink = sink }
 
-// recordShard emits one shard's slice of a fanned-out query.
-func (s *ShardedEngine) recordShard(op string, shard int, st spatialkeyword.QueryStats, latency time.Duration, err error) {
-	if s.sink == nil {
-		return
+// record delivers one record of a fanned-out query to the sink, if any.
+func (s *ShardedEngine) record(m obs.QueryMetrics) {
+	if s.sink != nil {
+		s.sink.RecordQuery(m)
 	}
-	s.sink.RecordQuery(obs.QueryMetrics{
-		Op:                op,
-		Shard:             shard,
-		NodesExpanded:     st.NodesLoaded,
-		EntriesPruned:     st.EntriesPruned,
-		NodesEnqueued:     st.NodesEnqueued,
-		ObjectsEnqueued:   st.ObjectsEnqueued,
-		ObjectsFetched:    st.ObjectsLoaded,
-		SigFalsePositives: st.FalsePositives,
-		RandomBlocks:      st.BlocksRandom,
-		SequentialBlocks:  st.BlocksSequential,
-		Latency:           latency,
-		Err:               err != nil,
-	})
-}
-
-// recordQuery emits the aggregate record of a fanned-out query.
-func (s *ShardedEngine) recordQuery(op string, k, keywords, results int, qs spatialkeyword.QueryStats, latency time.Duration, err error) {
-	if s.sink == nil {
-		return
-	}
-	s.sink.RecordQuery(obs.QueryMetrics{
-		Op:                op,
-		Shard:             -1,
-		K:                 k,
-		Keywords:          keywords,
-		Results:           results,
-		NodesExpanded:     qs.NodesLoaded,
-		EntriesPruned:     qs.EntriesPruned,
-		NodesEnqueued:     qs.NodesEnqueued,
-		ObjectsEnqueued:   qs.ObjectsEnqueued,
-		ObjectsFetched:    qs.ObjectsLoaded,
-		SigFalsePositives: qs.FalsePositives,
-		RandomBlocks:      qs.BlocksRandom,
-		SequentialBlocks:  qs.BlocksSequential,
-		Latency:           latency,
-		Err:               err != nil,
-		Degraded:          qs.Degraded,
-	})
-}
-
-// addStats accumulates one shard's work counters into the aggregate.
-func addStats(agg *spatialkeyword.QueryStats, st spatialkeyword.QueryStats) {
-	agg.NodesLoaded += st.NodesLoaded
-	agg.ObjectsLoaded += st.ObjectsLoaded
-	agg.FalsePositives += st.FalsePositives
-	agg.EntriesPruned += st.EntriesPruned
-	agg.NodesEnqueued += st.NodesEnqueued
-	agg.ObjectsEnqueued += st.ObjectsEnqueued
-	agg.BlocksRandom += st.BlocksRandom
-	agg.BlocksSequential += st.BlocksSequential
 }
 
 // resolve fills in Options defaults and builds the partitioner.
@@ -331,7 +312,7 @@ func New(cfg spatialkeyword.Config, opts Options) (*ShardedEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedEngine{cfg: cfg, part: part, vocab: textutil.NewVocabulary()}
+	s := &ShardedEngine{cfg: cfg, part: part, vocab: textutil.NewVocabulary(), an: cfg.Analyzer()}
 	for i := 0; i < part.Shards(); i++ {
 		eng, err := spatialkeyword.NewEngine(cfg)
 		if err != nil {
@@ -347,19 +328,6 @@ func (s *ShardedEngine) NumShards() int { return len(s.shards) }
 
 // Partitioner returns the engine's partitioner.
 func (s *ShardedEngine) Partitioner() Partitioner { return s.part }
-
-// analyzer mirrors the per-shard engines' text pipeline so the global
-// vocabulary accumulates the same terms the shards index.
-func (s *ShardedEngine) analyzer() *textutil.Analyzer {
-	if !s.cfg.RemoveStopwords && !s.cfg.Stemming {
-		return nil
-	}
-	a := &textutil.Analyzer{Stemming: s.cfg.Stemming}
-	if s.cfg.RemoveStopwords {
-		a.Stopwords = textutil.DefaultStopwords()
-	}
-	return a
-}
 
 // Add routes the object to its shard by location, indexes it immediately
 // (sharded adds are always flushed, so queries never contend with pending
@@ -390,8 +358,8 @@ func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 	local := uint64(sh.eng.NumObjects())
 	s.mu.Lock()
 	gid := uint64(len(s.assign))
-	s.assign = append(s.assign, shardLoc{shard: sh.idx, local: local})
-	s.vocab.AddDocWith(s.analyzer(), text)
+	_ = s.place(gid, shardLoc{shard: sh.idx, local: local}) // the next free ID is never a live one
+	s.vocab.AddDocWith(s.an, text)
 	s.mu.Unlock()
 	if _, err := sh.eng.AddTagged(point, text, gid); err != nil {
 		// With a WAL the record may or may not have reached the log durably
@@ -399,9 +367,7 @@ func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 		// reused — recovery could resurrect the record under it. Tombstone
 		// it; the shard's sticky-broken WAL guarantees the local ID cannot
 		// alias either.
-		s.mu.Lock()
-		s.assign[gid] = tombstone
-		s.mu.Unlock()
+		s.unplace(gid)
 		s.degrade(sh, err)
 		return 0, fmt.Errorf("shard %d: %w", sh.idx, err)
 	}
@@ -583,7 +549,8 @@ func (s *ShardedEngine) Corpus() spatialkeyword.CorpusStats {
 	numDocs := s.vocab.NumDocs()
 	s.mu.RUnlock()
 	return spatialkeyword.CorpusStats{
-		NumDocs: numDocs,
+		NumDocs:  numDocs,
+		Analyzer: s.an,
 		DocFreq: func(word string) int {
 			s.mu.RLock()
 			defer s.mu.RUnlock()

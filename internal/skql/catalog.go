@@ -8,7 +8,6 @@ import (
 	"spatialkeyword"
 	"spatialkeyword/internal/invindex"
 	"spatialkeyword/internal/storage"
-	"spatialkeyword/internal/textutil"
 )
 
 // Target is the read surface a plan executes against: the backend read
@@ -32,30 +31,17 @@ type rankedStreamer interface {
 	SearchRanked(point []float64, keywords ...string) (*spatialkeyword.RankedSearchIter, error)
 }
 
-// Catalog binds a Target to the planner: it owns the text analyzer the
-// query terms are normalized with, the cost-model constants, and a
-// lazily built, incrementally maintained sidecar inverted index that
-// serves the IIO physical path.
+// Catalog binds a Target to the planner and owns a lazily built,
+// incrementally maintained sidecar inverted index that serves the IIO
+// physical path. Query terms, residual filters and the index's tokens
+// all pass through the text pipeline the target's corpus was normalised
+// with (Target.Corpus().Analyzer), so every physical path sees the
+// terms the engine indexed.
 //
 // A Catalog is safe for concurrent queries; index refreshes are
 // serialized internally, and queries running beside one read whole
-// documents only. The Analyzer and tuning fields must be set before
-// the first query.
+// documents only.
 type Catalog struct {
-	// Analyzer normalizes query terms and sidecar index tokens. It
-	// must match the target engine's text configuration; nil is the
-	// plain pipeline (the default engine configuration).
-	Analyzer *textutil.Analyzer
-	// Model is the storage cost model for estimated and modeled
-	// times. The zero value means storage.DefaultCostModel().
-	Model storage.CostModel
-	// MaxBranches caps the DNF split. Zero means DefaultMaxBranches.
-	MaxBranches int
-	// PostingsPerBlock and BlocksPerObject override the cost-model
-	// layout constants (zero = defaults, see CostInputs).
-	PostingsPerBlock int
-	BlocksPerObject  float64
-
 	t Target
 
 	// The sidecar inverted index: built from one target Scan on first
@@ -94,7 +80,7 @@ type IndexStats struct {
 	Refreshes uint64
 }
 
-// NewCatalog returns a Catalog over the target with default settings.
+// NewCatalog returns a Catalog over the target.
 func NewCatalog(t Target) *Catalog {
 	return &Catalog{t: t}
 }
@@ -162,11 +148,12 @@ func (c *Catalog) index() (*invindex.Index, error) {
 func (c *Catalog) buildIndex(n int) error {
 	dev := storage.NewDisk(4096)
 	ix := invindex.New(dev)
+	an := c.t.Corpus().Analyzer
 	rows := uint64(0)
 	err := c.t.Scan(func(o spatialkeyword.Object) error {
 		// Rows added since n was read belong to the next catch-up.
 		if o.ID < uint64(n) {
-			ix.Add(o.ID, c.Analyzer.Unique(o.Text))
+			ix.Add(o.ID, an.Unique(o.Text))
 			rows++
 		}
 		return nil
@@ -189,11 +176,12 @@ func (c *Catalog) buildIndex(n int) error {
 // the mark at the unread row, so the next use retries it and a
 // transient fault never leaves a hole.
 func (c *Catalog) catchUp(n int) error {
+	an := c.t.Corpus().Analyzer
 	for c.invMark < n {
 		o, err := c.t.Get(uint64(c.invMark))
 		switch {
 		case err == nil:
-			if err := c.inv.Append(uint64(c.invMark), c.Analyzer.Unique(o.Text)); err != nil {
+			if err := c.inv.Append(uint64(c.invMark), an.Unique(o.Text)); err != nil {
 				return err
 			}
 			c.stats.RowsIndexed++
@@ -217,25 +205,4 @@ func (c *Catalog) catchUp(n int) error {
 	}
 	c.stats.Folds++
 	return nil
-}
-
-// maxBranches returns the effective DNF cap.
-func (c *Catalog) maxBranches() int {
-	if c.MaxBranches > 0 {
-		return c.MaxBranches
-	}
-	return DefaultMaxBranches
-}
-
-// costInputs assembles the cost model's inputs from plan-time-free
-// statistics; document frequencies are the target's own.
-func (c *Catalog) costInputs() CostInputs {
-	return CostInputs{
-		NumObjects:       c.t.NumObjects(),
-		DocFreq:          c.t.Corpus().DocFreq,
-		PostingsPerBlock: c.PostingsPerBlock,
-		BlocksPerObject:  c.BlocksPerObject,
-		TreeHeight:       c.t.Stats().TreeHeight,
-		Model:            c.Model,
-	}
 }

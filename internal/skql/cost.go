@@ -9,28 +9,29 @@ import (
 
 // CostInputs is everything the cost model needs, all of it free at
 // plan time: corpus size, keyword document frequencies (from the
-// target's corpus statistics), layout constants, and the deterministic
-// storage cost model. This is the one cost model in the repository.
+// target's corpus statistics) and the tree's height. This is the one
+// cost model in the repository.
 type CostInputs struct {
 	// NumObjects is the corpus size N.
 	NumObjects int
 	// DocFreq returns the document frequency of a normalized term.
 	DocFreq func(term string) int
-	// PostingsPerBlock estimates how many postings fit in one block
-	// (varint-delta encoded ≈ 2 bytes each at 4 KB). Zero means 2048.
-	PostingsPerBlock int
-	// BlocksPerObject estimates the cost of loading one object.
-	// Zero means 1.
-	BlocksPerObject float64
-	// TreeFanout is the R-Tree max entries per node. Zero means 64.
-	TreeFanout int
 	// TreeHeight is the R-Tree height. Zero means an estimate from
-	// NumObjects and TreeFanout.
+	// NumObjects and treeFanout.
 	TreeHeight int
-	// Model converts estimated block counts into modeled time.
-	// The zero value means storage.DefaultCostModel().
-	Model storage.CostModel
 }
+
+// The layout the estimates assume. Nothing ever needed other values, so
+// they are constants, not inputs.
+const (
+	// postingsPerBlock is how many postings fit in one block
+	// (varint-delta encoded ≈ 2 bytes each at 4 KB).
+	postingsPerBlock = 2048.0
+	// blocksPerObject is the cost of loading one object.
+	blocksPerObject = 1.0
+	// treeFanout is the R-Tree's maximum entries per node.
+	treeFanout = 64.0
+)
 
 // sigFalsePositiveRate is the modeled probability that a non-matching
 // entry still passes the signature test and is loaded then discarded.
@@ -41,40 +42,12 @@ type CostInputs struct {
 // paper's Restaurants setup; larger signatures only widen the gap.
 const sigFalsePositiveRate = 0.2
 
-func (in CostInputs) postingsPerBlock() float64 {
-	if in.PostingsPerBlock > 0 {
-		return float64(in.PostingsPerBlock)
-	}
-	return 2048
-}
-
-func (in CostInputs) objBlocks() float64 {
-	if in.BlocksPerObject > 0 {
-		return in.BlocksPerObject
-	}
-	return 1
-}
-
-func (in CostInputs) fanout() float64 {
-	if in.TreeFanout > 0 {
-		return float64(in.TreeFanout)
-	}
-	return 64
-}
-
 func (in CostInputs) height() float64 {
 	if in.TreeHeight > 0 {
 		return float64(in.TreeHeight)
 	}
 	n := math.Max(2, float64(in.NumObjects))
-	return math.Max(1, math.Ceil(math.Log(n)/math.Log(math.Max(2, in.fanout()))))
-}
-
-func (in CostInputs) model() storage.CostModel {
-	if in.Model == (storage.CostModel{}) {
-		return storage.DefaultCostModel()
-	}
-	return in.Model
+	return math.Max(1, math.Ceil(math.Log(n)/math.Log(treeFanout)))
 }
 
 // TermSelectivity returns df/N for one term under the independence
@@ -94,7 +67,6 @@ func (in CostInputs) conjunction(terms []string) (minDF int, sel float64, postin
 	n := in.NumObjects
 	minDF = n
 	sel = 1.0
-	perBlock := in.postingsPerBlock()
 	for _, t := range terms {
 		df := in.DocFreq(t)
 		if df < minDF {
@@ -103,7 +75,7 @@ func (in CostInputs) conjunction(terms []string) (minDF int, sel float64, postin
 		if n > 0 {
 			sel *= float64(df) / float64(n)
 		}
-		postingBlocks += math.Ceil(float64(df) / perBlock)
+		postingBlocks += math.Ceil(float64(df) / postingsPerBlock)
 	}
 	return minDF, sel, postingBlocks
 }
@@ -123,10 +95,11 @@ type PathEstimate struct {
 }
 
 // ModeledTime converts an estimated block count into modeled disk
-// time, charging every estimated access at the random rate — plan
-// estimates cannot know which accesses will coalesce sequentially.
-func (in CostInputs) ModeledTime(blocks float64) time.Duration {
-	return time.Duration(math.Round(blocks)) * in.model().RandomAccess
+// time under storage.DefaultCostModel, charging every estimated access
+// at the random rate — plan estimates cannot know which accesses will
+// coalesce sequentially.
+func ModeledTime(blocks float64) time.Duration {
+	return time.Duration(math.Round(blocks)) * storage.DefaultCostModel().RandomAccess
 }
 
 // EstimateIIO costs the Inverted Index Only path for a conjunction:
@@ -140,7 +113,7 @@ func (in CostInputs) EstimateIIO(pos []string, residualSel float64) PathEstimate
 	candidates := math.Min(expected, float64(minDF))
 	return PathEstimate{
 		Path:        PathIIO,
-		Blocks:      postingBlocks + candidates*in.objBlocks(),
+		Blocks:      postingBlocks + candidates*blocksPerObject,
 		Rows:        expected * clamp01(residualSel),
 		MinDF:       minDF,
 		Selectivity: sel * clamp01(residualSel),
@@ -163,10 +136,10 @@ func (in CostInputs) EstimateIR2(k int, pos []string, residualSel float64) PathE
 		scanned = n // nothing matches: worst case, full traversal
 	}
 	loads := scanned * (fullSel + (1-fullSel)*sigFalsePositiveRate)
-	nodeReads := scanned/math.Max(1, in.fanout()) + in.height()
+	nodeReads := scanned/treeFanout + in.height()
 	return PathEstimate{
 		Path:        PathIR2,
-		Blocks:      loads*in.objBlocks() + nodeReads,
+		Blocks:      loads*blocksPerObject + nodeReads,
 		Rows:        math.Min(float64(k), fullSel*n),
 		MinDF:       minDF,
 		Selectivity: fullSel,
@@ -187,10 +160,10 @@ func (in CostInputs) EstimateRTree(k int, fullSel float64) PathEstimate {
 	} else {
 		scanned = n
 	}
-	nodeReads := scanned/math.Max(1, in.fanout()) + in.height()
+	nodeReads := scanned/treeFanout + in.height()
 	return PathEstimate{
 		Path:        PathRTree,
-		Blocks:      scanned*in.objBlocks() + nodeReads,
+		Blocks:      scanned*blocksPerObject + nodeReads,
 		Rows:        math.Min(float64(k), fullSel*n),
 		Selectivity: fullSel,
 	}
@@ -208,10 +181,10 @@ func (in CostInputs) EstimateRankedScan(k int, pos []string, treeSel float64) Pa
 	unionSel := 1 - miss
 	scanned := math.Max(float64(k), unionSel*n)
 	scanned = math.Min(scanned, n)
-	nodeReads := scanned/math.Max(1, in.fanout()) + in.height()
+	nodeReads := scanned/treeFanout + in.height()
 	return PathEstimate{
 		Path:        PathRanked,
-		Blocks:      scanned*in.objBlocks() + nodeReads,
+		Blocks:      scanned*blocksPerObject + nodeReads,
 		Rows:        math.Min(float64(k), clamp01(treeSel)*n),
 		Selectivity: clamp01(treeSel),
 	}
@@ -225,11 +198,11 @@ func (in CostInputs) EstimateAreaNative(pos []string, residualSel float64) PathE
 	minDF, sel, _ := in.conjunction(pos)
 	n := float64(in.NumObjects)
 	loads := (sel + (1-sel)*sigFalsePositiveRate) * n
-	nodeReads := n/math.Max(1, in.fanout()) + in.height()
+	nodeReads := n/treeFanout + in.height()
 	fullSel := sel * clamp01(residualSel)
 	return PathEstimate{
 		Path:        PathIR2,
-		Blocks:      loads*in.objBlocks() + nodeReads,
+		Blocks:      loads*blocksPerObject + nodeReads,
 		Rows:        fullSel * n,
 		MinDF:       minDF,
 		Selectivity: fullSel,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"spatialkeyword"
-	"spatialkeyword/internal/storage"
 )
 
 // fakeInputs builds CostInputs over a synthetic corpus where term
@@ -71,11 +70,10 @@ func TestCostEstimateFields(t *testing.T) {
 // TestModeledTime pins the deterministic time model: block counts times
 // the cost model's random access rate, no wall clock anywhere.
 func TestModeledTime(t *testing.T) {
-	in := CostInputs{Model: storage.CostModel{RandomAccess: 8 * time.Millisecond, SequentialAccess: 60 * time.Microsecond}}
-	if got := in.ModeledTime(10); got != 80*time.Millisecond {
+	if got := ModeledTime(10); got != 80*time.Millisecond {
 		t.Fatalf("ModeledTime(10) = %v, want 80ms", got)
 	}
-	if got := actualTime(in, 3, 100); got != 24*time.Millisecond+6*time.Millisecond {
+	if got := actualTime(3, 100); got != 24*time.Millisecond+6*time.Millisecond {
 		t.Fatalf("actualTime(3, 100) = %v, want 30ms", got)
 	}
 }

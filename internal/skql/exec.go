@@ -7,6 +7,7 @@ import (
 
 	"spatialkeyword"
 	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/storage"
 )
@@ -24,12 +25,11 @@ type OpActual struct {
 	// residual filtering (stream results pulled, widened top-k size,
 	// or posting-intersection cardinality).
 	Candidates int
-	// Stats are the engine traversal counters, when the path exposes
-	// them (zero for IIO and stat-less engine calls).
-	Stats spatialkeyword.QueryStats
-	// BlocksRandom and BlocksSequential are the actual device block
-	// accesses (engine devices plus the sidecar index).
-	BlocksRandom, BlocksSequential uint64
+	// Work is the operator's work record: the engine's traversal
+	// counters when the path exposes them (zero for IIO and stat-less
+	// engine calls), and the block accesses of every device the
+	// operator touched (the engine's plus the sidecar index).
+	obs.Work
 	// Trace is the folded engine traversal trace (EXPLAIN ANALYZE on
 	// streaming targets only), capped at maxTraceLines.
 	Trace []string
@@ -154,13 +154,13 @@ func (c *Catalog) acceptFn(p *Plan, op *Operator) func(o spatialkeyword.Object) 
 		if trivialTerms {
 			return true
 		}
-		set := termSet(c.Analyzer.Unique(o.Text))
+		set := termSet(p.an.Unique(o.Text))
 		return op.requires(func(t string) bool { return set[t] })
 	}
 }
 
-// traceCollector collects engine traversal events as Engine.Explain
-// prints them, truncating at maxTraceLines.
+// traceCollector collects engine traversal events as lines, truncating
+// at maxTraceLines.
 func traceCollector(lines *[]string) func(rtree.TraceEvent) {
 	return func(ev rtree.TraceEvent) {
 		switch {
@@ -282,7 +282,7 @@ func streamTop(st streamer, q *Query, op *Operator, push []string, accept func(s
 		}
 		out = append(out, r)
 	}
-	act.Stats = it.Stats()
+	act.Work = it.Stats().Work
 	return out, nil
 }
 
@@ -305,7 +305,7 @@ func (c *Catalog) widenTop(q *Query, op *Operator, push []string, accept func(sp
 		if err != nil {
 			return nil, err
 		}
-		act.Stats = qs
+		act.Work = qs.Work
 		act.Candidates = len(rres)
 		out = out[:0]
 		for _, r := range rres {
@@ -376,12 +376,12 @@ func (c *Catalog) runIIOTop(p *Plan, op *Operator) ([]spatialkeyword.Result, OpA
 		pt := geo.NewPoint(o.Point...)
 		if near != nil {
 			if len(near) != len(pt) {
-				return nil, act, fmt.Errorf("skql: query point has %d dimensions, object %d has %d", len(near), o.ID, len(pt))
+				return nil, act, fmt.Errorf("skql: %w: query point has %d dimensions, object %d has %d", spatialkeyword.ErrBadPoint, len(near), o.ID, len(pt))
 			}
 			dist = near.Dist(pt)
 		} else {
 			if len(areaRect.Lo) != len(pt) {
-				return nil, act, fmt.Errorf("skql: query rect has %d dimensions, object %d has %d", len(areaRect.Lo), o.ID, len(pt))
+				return nil, act, fmt.Errorf("skql: %w: query rect has %d dimensions, object %d has %d", spatialkeyword.ErrBadPoint, len(areaRect.Lo), o.ID, len(pt))
 			}
 			dist = areaRect.MinDist(pt)
 		}
@@ -445,7 +445,7 @@ func (c *Catalog) execRanked(p *Plan, rs *ResultSet) error {
 			return false
 		}
 		if op.Residual != nil {
-			set := termSet(c.Analyzer.Unique(o.Text))
+			set := termSet(p.an.Unique(o.Text))
 			if !evalExpr(op.Residual, func(t string) bool { return set[t] }) {
 				return false
 			}
@@ -483,7 +483,7 @@ func (c *Catalog) execRanked(p *Plan, rs *ResultSet) error {
 			}
 			out = append(out, r)
 		}
-		act.Stats = it.Stats()
+		act.Work = it.Stats().Work
 	} else {
 		kk := op.K * 2
 		if kk < 16 {

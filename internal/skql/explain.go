@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"spatialkeyword"
+	"spatialkeyword/internal/storage"
 )
 
 // String names the merge strategy for EXPLAIN output.
@@ -50,7 +50,7 @@ func renderPlan(p *Plan, actuals []OpActual) []string {
 		out = append(out, fmt.Sprintf("  common conjuncts: %v", p.Common))
 	}
 	out = append(out, fmt.Sprintf("  cost inputs: n=%d height=%.0f fanout=%.0f postings/block=%.0f blocks/object=%.1f",
-		p.In.NumObjects, p.In.height(), p.In.fanout(), p.In.postingsPerBlock(), p.In.objBlocks()))
+		p.In.NumObjects, p.In.height(), treeFanout, postingsPerBlock, blocksPerObject))
 
 	for i := range p.Ops {
 		op := &p.Ops[i]
@@ -69,17 +69,17 @@ func renderPlan(p *Plan, actuals []OpActual) []string {
 		}
 		out = append(out, line)
 		out = append(out, fmt.Sprintf("    est:    blocks=%.1f rows=%.1f sel=%.4g disk=%s",
-			op.Est.Blocks, op.Est.Rows, op.Est.Selectivity, p.In.ModeledTime(op.Est.Blocks)))
+			op.Est.Blocks, op.Est.Rows, op.Est.Selectivity, ModeledTime(op.Est.Blocks)))
 		if actuals == nil || i >= len(actuals) {
 			continue
 		}
 		a := actuals[i]
 		out = append(out, fmt.Sprintf("    actual: blocks=%d (%d rand + %d seq) rows=%d candidates=%d disk=%s",
 			a.BlocksRandom+a.BlocksSequential, a.BlocksRandom, a.BlocksSequential,
-			a.Rows, a.Candidates, actualTime(p.In, a.BlocksRandom, a.BlocksSequential)))
-		if a.Stats != (spatialkeyword.QueryStats{}) {
+			a.Rows, a.Candidates, actualTime(a.BlocksRandom, a.BlocksSequential)))
+		if a.NodesLoaded > 0 {
 			out = append(out, fmt.Sprintf("    work:   nodes=%d objects=%d pruned=%d falsepos=%d",
-				a.Stats.NodesLoaded, a.Stats.ObjectsLoaded, a.Stats.EntriesPruned, a.Stats.FalsePositives))
+				a.NodesLoaded, a.ObjectsLoaded, a.EntriesPruned, a.FalsePositives))
 		}
 		for _, t := range a.Trace {
 			out = append(out, "    | "+t)
@@ -87,14 +87,14 @@ func renderPlan(p *Plan, actuals []OpActual) []string {
 	}
 
 	out = append(out, fmt.Sprintf("  total: est blocks=%.1f est rows=%.1f est disk=%s",
-		p.EstBlocks, p.EstRows, p.In.ModeledTime(p.EstBlocks)))
+		p.EstBlocks, p.EstRows, ModeledTime(p.EstBlocks)))
 	return out
 }
 
 // actualTime converts measured block counts into modeled disk time,
 // charging random and sequential accesses at their own rates (unlike
 // plan estimates, actuals know which accesses coalesced).
-func actualTime(in CostInputs, random, sequential uint64) time.Duration {
-	m := in.model()
+func actualTime(random, sequential uint64) time.Duration {
+	m := storage.DefaultCostModel()
 	return time.Duration(random)*m.RandomAccess + time.Duration(sequential)*m.SequentialAccess
 }

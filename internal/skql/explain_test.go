@@ -3,6 +3,9 @@ package skql
 import (
 	"strings"
 	"testing"
+
+	"spatialkeyword"
+	"spatialkeyword/internal/obs"
 )
 
 func runExplain(t *testing.T, c *Catalog, src string) []string {
@@ -128,17 +131,50 @@ func TestExplainAnalyzeDNFBranches(t *testing.T) {
 }
 
 // TestExplainAnalyzeTraceFold checks the engine trace folds under the
-// operator that produced it.
+// operator that produced it — expansions, and one emit per result of the
+// statement — and that the traced statement is one query to the engine's
+// metrics sink, like any other stream.
 func TestExplainAnalyzeTraceFold(t *testing.T) {
-	c := planTestCatalog(t)
-	lines := runExplain(t, c, `EXPLAIN ANALYZE SELECT TOP 3 NEAR (1, 1) MATCH "common"`)
-	var traced int
-	for _, l := range lines {
-		if strings.HasPrefix(l, "    | ") {
-			traced++
+	// Few enough rows that the whole trace fits under maxTraceLines.
+	e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range []string{"cafe wifi", "bar pool", "cafe patio", "gym", "cafe vinyl", "pool hall"} {
+		if _, err := e.Add([]float64{float64(i), float64(i)}, text); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if traced == 0 {
-		t.Fatalf("no folded engine trace lines:\n%s", strings.Join(lines, "\n"))
+	var recs []obs.QueryMetrics
+	e.SetMetricsSink(obs.SinkFunc(func(m obs.QueryMetrics) { recs = append(recs, m) }))
+	q, err := Parse(`EXPLAIN ANALYZE SELECT TOP 2 NEAR (0, 0) MATCH cafe USING ir2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := NewCatalog(e).Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Results) != 2 || rs.Results[0].Object.ID != 0 || rs.Results[1].Object.ID != 2 {
+		t.Fatalf("results = %+v, want objects 0 and 2", rs.Results)
+	}
+	var expands, emits int
+	for _, l := range rs.Explain {
+		if !strings.HasPrefix(l, "    | ") {
+			continue
+		}
+		if strings.Contains(l, "expand node") {
+			expands++
+		}
+		if strings.Contains(l, "emit object") {
+			emits++
+		}
+	}
+	if expands == 0 || emits < len(rs.Results) {
+		t.Fatalf("folded trace has %d expand and %d emit lines for %d results:\n%s",
+			expands, emits, len(rs.Results), strings.Join(rs.Explain, "\n"))
+	}
+	if len(recs) != 1 || recs[0].Op != "stream" || recs[0].Results != len(rs.Results) || recs[0].NodesLoaded != expands {
+		t.Errorf("sink records = %+v, want one stream record with %d results and %d nodes", recs, len(rs.Results), expands)
 	}
 }

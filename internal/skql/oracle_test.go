@@ -55,7 +55,7 @@ func oracleRows(t *testing.T, c *Catalog, q *Query) []oracleRow {
 	var tree Expr
 	if q.Match != nil {
 		var err error
-		tree, err = normalizeTree(q.Match, c.Analyzer)
+		tree, err = normalizeTree(q.Match, c.t.Corpus().Analyzer)
 		if err != nil {
 			t.Fatalf("normalizeTree: %v", err)
 		}
@@ -73,7 +73,7 @@ func oracleRows(t *testing.T, c *Catalog, q *Query) []oracleRow {
 		if c.Target().IsDeleted(o.ID) {
 			return nil
 		}
-		set := termSet(c.Analyzer.Unique(o.Text))
+		set := termSet(c.t.Corpus().Analyzer.Unique(o.Text))
 		if tree != nil && !evalExpr(tree, func(w string) bool { return set[w] }) {
 			return nil
 		}
@@ -248,13 +248,13 @@ func runRankedSuite(t *testing.T, c *Catalog, rng *rand.Rand) {
 		if err != nil {
 			t.Fatalf("TopKRanked oracle: %v", err)
 		}
-		tree, err := normalizeTree(q.Match, c.Analyzer)
+		tree, err := normalizeTree(q.Match, c.t.Corpus().Analyzer)
 		if err != nil {
 			t.Fatalf("normalizeTree: %v", err)
 		}
 		var want []spatialkeyword.RankedResult
 		for _, r := range all {
-			set := termSet(c.Analyzer.Unique(r.Object.Text))
+			set := termSet(c.t.Corpus().Analyzer.Unique(r.Object.Text))
 			if !evalExpr(tree, func(w string) bool { return set[w] }) {
 				continue
 			}

@@ -2,6 +2,8 @@ package skql
 
 import (
 	"fmt"
+
+	"spatialkeyword/internal/textutil"
 )
 
 // Merge describes how an executed plan's operator outputs combine.
@@ -81,6 +83,9 @@ type Plan struct {
 	Merge Merge
 	// In are the cost inputs the estimates were computed from.
 	In CostInputs
+	// an is the text pipeline of the corpus In describes: it normalised
+	// Tree, and residual filters tokenise candidate rows with it.
+	an *textutil.Analyzer
 	// EstBlocks and EstRows are the plan-total estimates.
 	EstBlocks float64
 	EstRows   float64
@@ -157,11 +162,18 @@ func (c *Catalog) BuildPlan(q *Query) (*Plan, error) {
 	if err := c.t.Flush(); err != nil {
 		return nil, err
 	}
-	p := &Plan{Query: q, In: c.costInputs()}
+	// Document frequencies are the target's own, and so is the pipeline
+	// the terms they are keyed by went through.
+	cs := c.t.Corpus()
+	p := &Plan{Query: q, an: cs.Analyzer, In: CostInputs{
+		NumObjects: c.t.NumObjects(),
+		DocFreq:    cs.DocFreq,
+		TreeHeight: c.t.Stats().TreeHeight,
+	}}
 
 	var err error
 	if q.Match != nil {
-		tree, err := normalizeTree(q.Match, c.Analyzer)
+		tree, err := normalizeTree(q.Match, p.an)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +280,7 @@ func (c *Catalog) planTop(p *Plan) error {
 	}
 
 	nt := nnf(p.Tree, false)
-	branches, dnfOK := dnfSplit(nt, c.maxBranches())
+	branches, dnfOK := dnfSplit(nt, DefaultMaxBranches)
 	fullSel := fullSelectivity(in, p.Tree)
 
 	if dnfOK {
@@ -303,7 +315,7 @@ func (c *Catalog) planTop(p *Plan) error {
 	switch q.Force {
 	case PathIIO:
 		if !branchesOK {
-			return fmt.Errorf("skql: USING iio requires a conjunctive keyword tree (DNF split over %d branches failed or a branch has no positive keyword)", c.maxBranches())
+			return fmt.Errorf("skql: USING iio requires a conjunctive keyword tree (DNF split over %d branches failed or a branch has no positive keyword)", DefaultMaxBranches)
 		}
 		p.DNF, p.Ops = true, branchOps
 		return nil
@@ -422,7 +434,7 @@ func (c *Catalog) planArea(p *Plan) error {
 	}
 
 	nt := nnf(p.Tree, false)
-	if branches, ok := dnfSplit(nt, c.maxBranches()); ok {
+	if branches, ok := dnfSplit(nt, DefaultMaxBranches); ok {
 		if len(branches) == 0 {
 			p.Ops = nil
 			return nil

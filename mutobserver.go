@@ -35,15 +35,3 @@ func (e *Engine) SetMutationObserver(fn func(MutationEvent)) {
 	defer e.mu.Unlock()
 	e.mutObserver = fn
 }
-
-func (e *Engine) notifyAdd(id, tag uint64, point []float64, text string) {
-	if e.mutObserver != nil {
-		e.mutObserver(MutationEvent{ID: id, Tag: tag, Point: point, Text: text})
-	}
-}
-
-func (e *Engine) notifyDelete(id uint64, point []float64, text string) {
-	if e.mutObserver != nil {
-		e.mutObserver(MutationEvent{Delete: true, ID: id, Point: point, Text: text})
-	}
-}

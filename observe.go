@@ -1,16 +1,12 @@
 package spatialkeyword
 
-import (
-	"time"
-
-	"spatialkeyword/internal/obs"
-)
+import "spatialkeyword/internal/obs"
 
 // QueryMetrics is the per-query observability record delivered to a
-// MetricsSink: one per finished query, populated from the traversal
-// counters the search already keeps and a disk I/O bracket. It is an alias
-// of the internal obs type, so module-internal consumers (cmd/skserve,
-// internal/shard) and external callers share one definition.
+// MetricsSink: one per finished query, the query's identity and outcome
+// around its QueryStats work record. It is an alias of the internal obs type,
+// so module-internal consumers (cmd/skserve, internal/shard) and external
+// callers share one definition.
 type QueryMetrics = obs.QueryMetrics
 
 // MetricsSink receives one QueryMetrics per finished query. Install one
@@ -21,7 +17,7 @@ type MetricsSink = obs.Sink
 
 // SetMetricsSink installs (or, with nil, removes) the engine's metrics
 // sink. The sink is invoked once per query — when its stream is closed,
-// which TopK, TopKRanked, TopKArea and Explain do themselves, drained or
+// which TopK, TopKRanked and TopKArea do themselves, drained or
 // not — never per traversal step, so the hot path pays only plain counter
 // increments it already paid before any sink existed. The record is
 // delivered after the query has released the engine's lock.
@@ -29,28 +25,4 @@ func (e *Engine) SetMetricsSink(s MetricsSink) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sink = s
-}
-
-// record delivers one query's metrics to the sink, if any.
-func record(sink MetricsSink, op string, k, keywords, results int, qs QueryStats, latency time.Duration, err error) {
-	if sink == nil {
-		return
-	}
-	sink.RecordQuery(QueryMetrics{
-		Op:                op,
-		Shard:             -1,
-		K:                 k,
-		Keywords:          keywords,
-		Results:           results,
-		NodesExpanded:     qs.NodesLoaded,
-		EntriesPruned:     qs.EntriesPruned,
-		NodesEnqueued:     qs.NodesEnqueued,
-		ObjectsEnqueued:   qs.ObjectsEnqueued,
-		ObjectsFetched:    qs.ObjectsLoaded,
-		SigFalsePositives: qs.FalsePositives,
-		RandomBlocks:      qs.BlocksRandom,
-		SequentialBlocks:  qs.BlocksSequential,
-		Latency:           latency,
-		Err:               err != nil,
-	})
 }

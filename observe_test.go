@@ -1,6 +1,7 @@
 package spatialkeyword
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"spatialkeyword/internal/obs"
+	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/storage"
 )
 
@@ -37,7 +39,7 @@ func seedGrid(tb testing.TB, e *Engine, n int) {
 	}
 }
 
-// countTrace counts Explain trace lines containing the marker.
+// countTrace counts trace lines containing the marker.
 func countTrace(trace []string, marker string) int {
 	n := 0
 	for _, line := range trace {
@@ -48,10 +50,10 @@ func countTrace(trace []string, marker string) int {
 	return n
 }
 
-// TestExplainTraceMatchesStats pins the trace events to the traversal
-// counters on a tree that is at least two levels tall: every expand, prune,
-// and enqueue line of the Explain narration must be counted by the
-// identical traversal's SearchIter.Stats().
+// TestExplainTraceMatchesStats pins the trace EXPLAIN ANALYZE prints to the
+// traversal counters on a tree that is at least two levels tall: every
+// expand, prune, enqueue and emit event a stream delivers to SetTrace must be
+// counted by the same stream's Stats().
 func TestExplainTraceMatchesStats(t *testing.T) {
 	// 256-byte blocks cap nodes at a few entries, so 150 objects need a
 	// root above the leaves.
@@ -60,23 +62,18 @@ func TestExplainTraceMatchesStats(t *testing.T) {
 	if h := e.Stats().TreeHeight; h < 2 {
 		t.Fatalf("tree height %d, want >= 2", h)
 	}
+	if _, err := e.Search([]float64{500}, "alpha"); !errors.Is(err, ErrBadPoint) {
+		t.Errorf("1-d point on a 2-d engine: err = %v, want ErrBadPoint", err)
+	}
 
-	q := []float64{500, 500}
-	results, trace, err := e.Explain(5, q, "alpha", "beta")
+	it, err := e.Search([]float64{500, 500}, "alpha", "beta")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 5 {
-		t.Fatalf("results = %d", len(results))
-	}
-
-	// Re-run the identical (deterministic) traversal through the stream
-	// API and pull the same number of results.
-	it, err := e.Search(q, "alpha", "beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(results); i++ {
+	var trace []string
+	it.SetTrace(func(ev rtree.TraceEvent) { trace = append(trace, ev.String()) })
+	const pulled = 5
+	for i := 0; i < pulled; i++ {
 		if _, ok, err := it.Next(); err != nil || !ok {
 			t.Fatalf("stream ended early (i=%d, err=%v)", i, err)
 		}
@@ -95,6 +92,11 @@ func TestExplainTraceMatchesStats(t *testing.T) {
 	}
 	if got, want := countTrace(trace, "enqueue object"), qs.ObjectsEnqueued; got != want {
 		t.Errorf("enqueue-object lines = %d, ObjectsEnqueued = %d", got, want)
+	}
+	// No false positives at this signature length would make the two equal;
+	// either way every result was emitted, and only loaded objects are.
+	if got := countTrace(trace, "emit object"); got < pulled || got != qs.ObjectsLoaded {
+		t.Errorf("emit lines = %d, want ObjectsLoaded = %d and at least the %d results", got, qs.ObjectsLoaded, pulled)
 	}
 	if qs.NodesLoaded < 3 {
 		t.Errorf("NodesLoaded = %d; a 2-level traversal should expand the root and leaves", qs.NodesLoaded)
@@ -158,9 +160,7 @@ func TestEngineSinkRecords(t *testing.T) {
 	if m.Op != "topk" || m.Shard != -1 || m.K != 3 || m.Keywords != 1 || m.Results != len(res) {
 		t.Fatalf("topk record = %+v", m)
 	}
-	if m.NodesExpanded != qs.NodesLoaded || m.ObjectsFetched != qs.ObjectsLoaded ||
-		m.SigFalsePositives != qs.FalsePositives || m.EntriesPruned != qs.EntriesPruned ||
-		m.RandomBlocks != qs.BlocksRandom || m.SequentialBlocks != qs.BlocksSequential {
+	if m.Work != qs.Work {
 		t.Fatalf("topk record %+v does not match stats %+v", m, qs)
 	}
 	if m.Latency <= 0 {
@@ -264,12 +264,10 @@ func TestStreamSinkRecordsOnClose(t *testing.T) {
 		if m.Op != "stream" || m.Shard != -1 || m.K != 0 || m.Results != results || m.Err != wantErr {
 			t.Errorf("%s: record %+v, want op stream, %d results, err=%v", name, m, results, wantErr)
 		}
-		if m.NodesExpanded != stats.NodesLoaded || m.ObjectsFetched != stats.ObjectsLoaded ||
-			m.EntriesPruned != stats.EntriesPruned || m.SigFalsePositives != stats.FalsePositives ||
-			m.RandomBlocks != stats.BlocksRandom || m.SequentialBlocks != stats.BlocksSequential {
+		if m.Work != stats.Work {
 			t.Errorf("%s: record %+v does not match stats %+v", name, m, stats)
 		}
-		if m.NodesExpanded == 0 || m.RandomBlocks == 0 || m.Latency <= 0 {
+		if m.NodesLoaded == 0 || m.BlocksRandom == 0 || m.Latency <= 0 {
 			t.Errorf("%s: record %+v reports no work", name, m)
 		}
 	}
@@ -343,22 +341,5 @@ func TestStreamSinkRecordsOnClose(t *testing.T) {
 	it.Close()
 	if len(recs) != 0 {
 		t.Fatal("Close after an error recorded again")
-	}
-}
-
-// TestExplainRecordsItsOwnOp: Explain is a stream like every other query, so
-// it delivers one sink record — under op "explain", not counted among the
-// top-k queries.
-func TestExplainRecordsItsOwnOp(t *testing.T) {
-	e := newEngine(t, Config{SignatureBytes: 16})
-	seedGrid(t, e, 60)
-	var recs []QueryMetrics
-	e.SetMetricsSink(obs.SinkFunc(func(m QueryMetrics) { recs = append(recs, m) }))
-	results, _, err := e.Explain(3, []float64{500, 500}, "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Op != "explain" || recs[0].K != 3 || recs[0].Results != len(results) {
-		t.Errorf("sink records = %+v, want one explain record with k 3 and %d results", recs, len(results))
 	}
 }

@@ -274,6 +274,11 @@ func (e *Engine) Save() error {
 		// file (wal.<G-1>.db) stays on disk for pinned readers.
 		old := e.walFile
 		e.walFile = newWAL
+		if e.walApp != nil {
+			st := e.walApp.Stats()
+			e.walAppends += st.Appends
+			e.walFsyncs += st.Fsyncs
+		}
 		e.walApp = wal.NewAppender(newLog, e.cfg.WALSyncWindow)
 		if e.walOnFsync != nil {
 			e.walApp.SetFsyncObserver(e.walOnFsync)
@@ -404,7 +409,7 @@ func openFromManifest(dir string, m manifest) (*Engine, error) {
 	// engine never removes deleted documents from it, so a full scan
 	// reproduces the live state.
 	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-		e.vocab.AddDocWith(e.analyzer(), o.Text)
+		e.vocab.AddDocWith(e.an, o.Text)
 		return nil
 	}); err != nil {
 		e.Close()
@@ -438,26 +443,9 @@ func (e *Engine) openWAL(dir string, gen uint64) error {
 		e.walTorn++
 	}
 	for _, r := range rec.Records {
-		switch r.Op {
-		case wal.OpAdd:
-			// The record carries the ID the store assigned at log time;
-			// replay onto the snapshot must reproduce it exactly.
-			if got := uint64(e.store.NumObjects()); r.ID != got {
-				return errors.Join(
-					fmt.Errorf("spatialkeyword: wal replay: record %d adds object %d, store is at %d", r.Seq, r.ID, got),
-					wd.Close())
-			}
-			if _, err := e.applyAdd(r.Point, r.Text); err != nil {
-				return errors.Join(fmt.Errorf("spatialkeyword: wal replay add %d: %w", r.ID, err), wd.Close())
-			}
-		case wal.OpDelete:
-			if _, err := e.applyDelete(r.ID); err != nil {
-				return errors.Join(fmt.Errorf("spatialkeyword: wal replay delete %d: %w", r.ID, err), wd.Close())
-			}
-		default:
-			return errors.Join(fmt.Errorf("spatialkeyword: wal replay: unknown op %d", r.Op), wd.Close())
+		if err := e.apply(r, logged); err != nil {
+			return errors.Join(err, wd.Close())
 		}
-		e.walReplay = append(e.walReplay, WALOp{Delete: r.Op == wal.OpDelete, ID: r.ID, Tag: r.Tag})
 	}
 	e.walReplayRecs = rec.Records
 	e.walFile = wd

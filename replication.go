@@ -2,7 +2,6 @@ package spatialkeyword
 
 import (
 	"errors"
-	"fmt"
 
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/wal"
@@ -77,44 +76,7 @@ func (e *Engine) ApplyReplicated(rec wal.Record) error {
 	if e.walApp == nil {
 		return errors.New("spatialkeyword: ApplyReplicated needs a WAL-enabled durable engine")
 	}
-	if e.walBroken != nil {
-		return fmt.Errorf("spatialkeyword: write-ahead log broken: %w", e.walBroken)
-	}
-	seq, err := e.walApp.AppendAsync(wal.Record{Op: rec.Op, ID: rec.ID, Tag: rec.Tag, Point: rec.Point, Text: rec.Text})
-	if err != nil {
-		e.walBroken = err
-		return err
-	}
-	if seq != rec.Seq {
-		e.walBroken = fmt.Errorf("spatialkeyword: replicated record %d landed at local sequence %d", rec.Seq, seq)
-		return e.walBroken
-	}
-	switch rec.Op {
-	case wal.OpAdd:
-		if got := uint64(e.store.NumObjects()); rec.ID != got {
-			e.walBroken = fmt.Errorf("spatialkeyword: replicated record %d adds object %d, store is at %d", rec.Seq, rec.ID, got)
-			return e.walBroken
-		}
-		if _, err := e.applyAdd(rec.Point, rec.Text); err != nil {
-			e.walBroken = err
-			return err
-		}
-		e.notifyAdd(rec.ID, rec.Tag, rec.Point, rec.Text)
-	case wal.OpDelete:
-		obj, err := e.applyDelete(rec.ID)
-		if err != nil {
-			e.walBroken = err
-			return err
-		}
-		e.notifyDelete(rec.ID, obj.Point, obj.Text)
-	default:
-		e.walBroken = fmt.Errorf("spatialkeyword: replicated record %d has unknown op %d", rec.Seq, rec.Op)
-		return e.walBroken
-	}
-	if e.walOnAppend != nil {
-		e.walOnAppend()
-	}
-	return nil
+	return e.apply(rec, stage)
 }
 
 // SyncWAL group-commits every async-staged WAL record — the follower's
@@ -132,10 +94,11 @@ func (e *Engine) SyncWAL() error {
 	return nil
 }
 
-// WALReplayRecords returns the full records (points and text included)
-// the open of this engine replayed from its write-ahead log, in log
-// order (fixed once the engine is open). A restarted leader seeds its current-generation ship buffer from
-// them, so followers can resume mid-generation across leader restarts.
+// WALReplayRecords returns the records the open of this engine replayed
+// from its write-ahead log, in log order (fixed once the engine is open). A
+// restarted leader seeds its current-generation ship buffer from them, so
+// followers can resume mid-generation across leader restarts; the sharded
+// engine reads the adds' tags to rebuild its global assignment after a crash.
 func (e *Engine) WALReplayRecords() []wal.Record {
 	return e.walReplayRecs
 }

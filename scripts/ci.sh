@@ -16,7 +16,8 @@
 #   all     everything above (the default)
 #
 # Not a check: scripts/loc.sh [base-ref] prints the root module's non-test Go
-# line count at base-ref and now, the figure a simplicity PR reports.
+# line count at base-ref and now, in total and per directory — the figure and
+# the breakdown a simplicity PR reports.
 #
 # staticcheck is optional locally: if the binary is not on PATH the lint
 # step prints a warning and moves on, while CI always installs and runs it.

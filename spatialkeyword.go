@@ -26,6 +26,7 @@ import (
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
@@ -116,23 +117,11 @@ type RankedResult struct {
 	Score float64
 }
 
-// QueryStats describes the work one query performed.
+// QueryStats describes the work one query performed: the work record every
+// layer shares (node and object accesses, signature pruning, disk blocks —
+// see obs.Work for the fields) plus the one thing only a sharded answer has.
 type QueryStats struct {
-	// NodesLoaded is the number of index nodes read.
-	NodesLoaded int
-	// ObjectsLoaded is the number of objects read from the object file.
-	ObjectsLoaded int
-	// FalsePositives is how many loaded objects were signature false
-	// positives.
-	FalsePositives int
-	// EntriesPruned is how many index entries the signature check dropped
-	// (subtrees and objects never visited).
-	EntriesPruned int
-	// NodesEnqueued and ObjectsEnqueued count entries that passed the
-	// signature check and entered the traversal's priority queue.
-	NodesEnqueued, ObjectsEnqueued int
-	// BlocksRandom and BlocksSequential are the disk block accesses.
-	BlocksRandom, BlocksSequential uint64
+	obs.Work
 	// Degraded reports that the answer may be incomplete because one or
 	// more shards of a sharded engine were unavailable (storage faults).
 	// Single-engine queries never set it.
@@ -212,7 +201,7 @@ var _ Reader = (*Engine)(nil)
 type Engine struct {
 	// mu is the engine's reader/writer exclusion. Nothing below it is
 	// touched without it, except the fields fixed at construction (cfg,
-	// dim, the devices, store and tree pointers, dir, the replayed log).
+	// dim, an, the devices, store and tree pointers, dir, the replayed log).
 	mu sync.RWMutex
 
 	cfg     Config
@@ -222,6 +211,7 @@ type Engine struct {
 	store   *objstore.Store
 	tree    *core.IR2Tree
 	vocab   *textutil.Vocabulary
+	an      *textutil.Analyzer // cfg.Analyzer(); nil = plain tokenization
 
 	// Durable engines (NewDurableEngine / OpenEngine) also track their
 	// backing directory, file devices, and last committed snapshot
@@ -241,7 +231,8 @@ type Engine struct {
 	walApp      *wal.Appender
 	walFile     *storage.FileDisk
 	walBroken   error               // sticky: set when the log and applied state may diverge
-	walReplay   []WALOp             // mutations replayed at open, in log order
+	walAppends  uint64              // appends of the logs Save has rotated out (WALInfo adds the live log's)
+	walFsyncs   uint64              // fsyncs, likewise
 	walTorn     uint64              // torn tails truncated at open
 	walOnAppend func()              // metrics hook; see SetWALObserver
 	walOnFsync  func(time.Duration) // kept so Save's rotation re-installs it
@@ -273,17 +264,22 @@ func engineShell(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		dim:     dim,
 		vocab:   textutil.NewVocabulary(),
+		an:      cfg.Analyzer(),
 		deleted: make(map[uint64]bool),
 	}, nil
 }
 
-// analyzer returns the engine's text pipeline (nil for the plain default).
-func (e *Engine) analyzer() *textutil.Analyzer {
-	if !e.cfg.RemoveStopwords && !e.cfg.Stemming {
+// Analyzer returns the text pipeline the configuration selects — stopword
+// removal and stemming — or nil for the plain default. It is the one
+// constructor: an engine, a sharded engine's corpus-wide vocabulary and,
+// through CorpusStats.Analyzer, everything that normalises query terms
+// against them share it, so they all see the terms the index holds.
+func (c Config) Analyzer() *textutil.Analyzer {
+	if !c.RemoveStopwords && !c.Stemming {
 		return nil
 	}
-	a := &textutil.Analyzer{Stemming: e.cfg.Stemming}
-	if e.cfg.RemoveStopwords {
+	a := &textutil.Analyzer{Stemming: c.Stemming}
+	if c.RemoveStopwords {
 		a.Stopwords = textutil.DefaultStopwords()
 	}
 	return a
@@ -335,7 +331,7 @@ func (e *Engine) coreOptions() core.Options {
 		AvgWordsPerObject: cfg.ExpectedWordsPerObject,
 		VocabSize:         vocabCap,
 		Dim:               e.dim,
-		Analyzer:          e.analyzer(),
+		Analyzer:          e.an,
 		CacheNodes:        cfg.NodeCacheSize,
 	}
 }
@@ -436,53 +432,113 @@ func (e *Engine) AddTagged(point []float64, text string, tag uint64) (uint64, er
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.walBroken != nil {
-		return 0, fmt.Errorf("spatialkeyword: write-ahead log broken: %w", e.walBroken)
-	}
-	if e.walApp == nil {
-		id, err := e.applyAdd(point, text)
-		if err != nil {
-			return id, err
-		}
-		e.notifyAdd(id, tag, point, text)
-		return id, nil
-	}
-	// Log before apply: the record carries the ID the store will assign, so
-	// replay can verify it reconstructs the same assignment.
+	// The record carries the ID the store will assign, so replay and
+	// replicas can verify they reconstruct the same assignment.
 	id := uint64(e.store.NumObjects())
-	seq, err := e.walApp.Append(wal.Record{Op: wal.OpAdd, ID: id, Tag: tag, Point: point, Text: text})
-	if err != nil {
-		e.walBroken = err
+	if err := e.apply(wal.Record{Op: wal.OpAdd, ID: id, Tag: tag, Point: point, Text: text}, commit); err != nil {
 		return 0, err
 	}
-	if e.walOnAppend != nil {
-		e.walOnAppend()
+	return id, nil
+}
+
+// route says how a mutation's record reaches the write-ahead log.
+type route int
+
+const (
+	// commit is a local write: the record is group-committed — durable when
+	// the append returns — and then shown to the WAL-append and replication
+	// hooks. On an engine without a log it is logged's equal.
+	commit route = iota
+	// stage is a record shipped from a leader's log: staged without waiting
+	// for the fsync (SyncWAL is the batch boundary), and required to land at
+	// the leader's sequence number, i.e. the stream arrived gap-free.
+	stage
+	// logged is a record read back from the log at open: nothing to write.
+	logged
+)
+
+// routeNoun is how each route's log-integrity errors name a record.
+var routeNoun = [...]string{commit: "record", stage: "replicated record", logged: "wal replay: record"}
+
+// apply is the engine's one write path (DESIGN.md S23): every mutation —
+// local, replicated or replayed — is a wal.Record that is logged the way via
+// says, checked against the store, applied to store and index, and then shown
+// to the mutation observer, in that order, under the exclusive lock. Once the
+// record is in the log a failure leaves log and applied state apart, so it
+// marks the log broken, which is sticky: every later mutation and Save is
+// refused until the engine is reopened.
+func (e *Engine) apply(rec wal.Record, via route) error {
+	if e.walBroken != nil {
+		return fmt.Errorf("spatialkeyword: write-ahead log broken: %w", e.walBroken)
 	}
-	if e.replOnAppend != nil {
-		e.replOnAppend(e.gen, wal.Record{Seq: seq, Op: wal.OpAdd, ID: id, Tag: tag, Point: append([]float64(nil), point...), Text: text})
+	logs := e.walApp != nil && via != logged
+	fail := func(err error) error {
+		if logs {
+			e.walBroken = err
+		}
+		return err
 	}
-	gotID, err := e.applyAdd(point, text)
+	if logs {
+		var seq uint64
+		var err error
+		if via == commit {
+			seq, err = e.walApp.Append(rec)
+		} else {
+			seq, err = e.walApp.AppendAsync(rec)
+		}
+		if err != nil {
+			return fail(err)
+		}
+		if via == stage && seq != rec.Seq {
+			return fail(fmt.Errorf("spatialkeyword: replicated record %d landed at local sequence %d", rec.Seq, seq))
+		}
+		rec.Seq = seq
+		if e.walOnAppend != nil {
+			e.walOnAppend()
+		}
+		if via == commit && e.replOnAppend != nil {
+			shipped := rec
+			shipped.Point = append([]float64(nil), rec.Point...)
+			e.replOnAppend(e.gen, shipped)
+		}
+	}
+	ev := MutationEvent{Delete: rec.Op == wal.OpDelete, ID: rec.ID, Tag: rec.Tag, Point: rec.Point, Text: rec.Text}
+	var err error
+	switch rec.Op {
+	case wal.OpAdd:
+		if got := uint64(e.store.NumObjects()); rec.ID != got {
+			return fail(fmt.Errorf("spatialkeyword: %s %d adds object %d, store is at %d", routeNoun[via], rec.Seq, rec.ID, got))
+		}
+		err = e.applyAdd(rec.Point, rec.Text)
+	case wal.OpDelete:
+		var old objstore.Object
+		old, err = e.applyDelete(rec.ID)
+		ev.Point, ev.Text = old.Point, old.Text
+	default:
+		return fail(fmt.Errorf("spatialkeyword: %s %d has unknown op %d", routeNoun[via], rec.Seq, rec.Op))
+	}
 	if err != nil {
-		// Logged but not applied: in-memory state no longer matches the
-		// durable log, so refuse further mutations until reopen.
-		e.walBroken = err
-		return gotID, err
+		if via == logged {
+			err = fmt.Errorf("spatialkeyword: wal replay %s %d: %w", rec.Op, rec.ID, err)
+		}
+		return fail(err)
 	}
-	e.notifyAdd(gotID, tag, point, text)
-	return gotID, nil
+	if e.mutObserver != nil {
+		e.mutObserver(ev)
+	}
+	return nil
 }
 
 // applyAdd performs the insertion against the store and index structures.
-// WAL replay calls it directly (mutations in the log are already durable).
-func (e *Engine) applyAdd(point []float64, text string) (uint64, error) {
+func (e *Engine) applyAdd(point []float64, text string) error {
 	id, _, err := e.store.Append(geo.NewPoint(point...), text)
 	if err != nil {
-		return uint64(id), err
+		return err
 	}
-	e.vocab.AddDocWith(e.analyzer(), text)
+	e.vocab.AddDocWith(e.an, text)
 	e.pending = append(e.pending, uint64(id))
 	e.live++
-	return uint64(id), nil
+	return nil
 }
 
 // Flush durably writes buffered objects and indexes them. Queries call it
@@ -553,41 +609,13 @@ func (e *Engine) Delete(id uint64) error {
 	if e.deleted[id] {
 		return fmt.Errorf("%w: %d", ErrDeleted, id)
 	}
-	if e.walBroken != nil {
-		return fmt.Errorf("spatialkeyword: write-ahead log broken: %w", e.walBroken)
-	}
-	if e.walApp == nil {
-		obj, err := e.applyDelete(id)
-		if err != nil {
-			return err
-		}
-		e.notifyDelete(id, obj.Point, obj.Text)
-		return nil
-	}
-	seq, err := e.walApp.Append(wal.Record{Op: wal.OpDelete, ID: id})
-	if err != nil {
-		e.walBroken = err
-		return err
-	}
-	if e.walOnAppend != nil {
-		e.walOnAppend()
-	}
-	if e.replOnAppend != nil {
-		e.replOnAppend(e.gen, wal.Record{Seq: seq, Op: wal.OpDelete, ID: id})
-	}
-	obj, err := e.applyDelete(id)
-	if err != nil {
-		e.walBroken = err
-		return err
-	}
-	e.notifyDelete(id, obj.Point, obj.Text)
-	return nil
+	return e.apply(wal.Record{Op: wal.OpDelete, ID: id}, commit)
 }
 
 // applyDelete performs the deletion against the index and returns the
 // deleted object — it has to load the row to unindex it anyway, and the
 // mutation observer wants the object's point and text without paying a
-// second store read. WAL replay calls it directly.
+// second store read.
 func (e *Engine) applyDelete(id uint64) (objstore.Object, error) {
 	if err := e.flushLocked(); err != nil {
 		return objstore.Object{}, err
@@ -639,17 +667,6 @@ func (e *Engine) TopKRanked(k int, point []float64, keywords ...string) ([]Ranke
 	return core.TakeK(k, it.Next)
 }
 
-// WALOp is one mutation replayed from the write-ahead log at open.
-type WALOp struct {
-	// Delete distinguishes a replayed deletion from an insertion.
-	Delete bool
-	// ID is the engine-local object ID the mutation applied to.
-	ID uint64
-	// Tag is the opaque tag the writer attached (see AddTagged); zero for
-	// deletions and untagged adds.
-	Tag uint64
-}
-
 // WALInfo describes an engine's write-ahead log state.
 type WALInfo struct {
 	// Enabled reports whether the engine has a live log.
@@ -661,7 +678,8 @@ type WALInfo struct {
 	ReplayedRecords uint64
 	// TornTails is how many torn tails the open truncated.
 	TornTails uint64
-	// Appends is the number of mutations logged since open.
+	// Appends is the number of mutations logged since open, across every
+	// log rotation a Save made.
 	Appends uint64
 	// Fsyncs is the number of group commits since open; Appends/Fsyncs is
 	// the realized batching factor.
@@ -676,23 +694,17 @@ func (e *Engine) WALInfo() WALInfo {
 	info := WALInfo{
 		Enabled:         e.walApp != nil,
 		Broken:          e.walBroken,
-		ReplayedRecords: uint64(len(e.walReplay)),
+		ReplayedRecords: uint64(len(e.walReplayRecs)),
 		TornTails:       e.walTorn,
+		Appends:         e.walAppends,
+		Fsyncs:          e.walFsyncs,
 	}
 	if e.walApp != nil {
 		st := e.walApp.Stats()
-		info.Appends = st.Appends
-		info.Fsyncs = st.Fsyncs
+		info.Appends += st.Appends
+		info.Fsyncs += st.Fsyncs
 	}
 	return info
-}
-
-// WALReplay returns the mutations the open of this engine replayed from
-// the write-ahead log, in log order (fixed once the engine is open). The
-// sharded engine consumes the tags to rebuild its global assignment after a
-// crash.
-func (e *Engine) WALReplay() []WALOp {
-	return e.walReplay
 }
 
 // SetWALObserver installs metrics hooks: onAppend fires after every logged

@@ -9,11 +9,12 @@ import (
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/storage"
+	"spatialkeyword/internal/textutil"
 )
 
 // Streaming query API. Search, SearchArea, and SearchRanked return pull
-// iterators over the paper's incremental traversals; TopK, TopKArea,
-// TopKRanked and Explain are their first k results. Callers that merge
+// iterators over the paper's incremental traversals; TopK, TopKArea and
+// TopKRanked are their first k results. Callers that merge
 // several engines' result streams (see internal/shard) or filter past k
 // (see internal/skql) consume exactly as many results as they need and
 // inspect the next candidate's bound without loading it.
@@ -49,22 +50,14 @@ func (e *Engine) begin(op string, k, keywords int) (query, error) {
 		start: time.Now(), ioStart: e.ioCounters()}, nil
 }
 
-// stats converts the traversal counters, adding the blocks read so far.
+// stats is the traversal's work record with the blocks read so far added.
 func (q *query) stats(st core.SearchStats) QueryStats {
 	if q.closed {
 		return q.final
 	}
 	io := q.e.ioCounters().Sub(q.ioStart)
-	return QueryStats{
-		NodesLoaded:      st.NodesLoaded,
-		ObjectsLoaded:    st.ObjectsLoaded,
-		FalsePositives:   st.FalsePositives,
-		EntriesPruned:    st.EntriesPruned,
-		NodesEnqueued:    st.NodesEnqueued,
-		ObjectsEnqueued:  st.ObjectsEnqueued,
-		BlocksRandom:     io.Random(),
-		BlocksSequential: io.Sequential(),
-	}
+	st.BlocksRandom, st.BlocksSequential = io.Random(), io.Sequential()
+	return QueryStats{Work: st}
 }
 
 // finish fixes the query's stats, releases the shared lock and delivers the
@@ -77,7 +70,10 @@ func (q *query) finish(st core.SearchStats) {
 	q.closed = true
 	sink := q.e.sink
 	q.e.mu.RUnlock()
-	record(sink, q.op, q.k, q.keywords, q.results, q.final, time.Since(q.start), q.err)
+	if sink != nil {
+		sink.RecordQuery(QueryMetrics{Op: q.op, Shard: -1, K: q.k, Keywords: q.keywords, Results: q.results,
+			Work: q.final.Work, Latency: time.Since(q.start), Err: q.err != nil})
+	}
 }
 
 // SearchIter streams distance-first results in non-decreasing distance
@@ -147,8 +143,9 @@ func (s *SearchIter) Next() (Result, bool, error) {
 func (s *SearchIter) PeekBound() (float64, bool) { return s.it.PeekBound() }
 
 // SetTrace installs a traversal trace callback (rtree.TraceEvent.String
-// renders the events as Engine.Explain prints them). Call before the first
-// Next; fn must not retain the event. A nil fn removes the callback.
+// renders the events as SKQL's EXPLAIN ANALYZE prints them). Call before
+// the first Next; fn must not retain the event. A nil fn removes the
+// callback.
 func (s *SearchIter) SetTrace(fn func(rtree.TraceEvent)) { s.it.SetTrace(fn) }
 
 // Stats returns the work done so far: traversal counters and the engine's
@@ -177,6 +174,13 @@ type CorpusStats struct {
 	NumDocs int
 	// DocFreq returns the number of documents containing the word.
 	DocFreq func(word string) int
+	// Analyzer is the text pipeline the corpus was normalised with (nil is
+	// the plain one): DocFreq is keyed by its output, so whatever looks a
+	// query term up — SKQL's planner, its sidecar index and residual
+	// filters, a geofence's keywords — passes the term and the rows it
+	// compares against through it first. Ranked scoring ignores it: an
+	// engine scores with its own pipeline, which is the same one.
+	Analyzer *textutil.Analyzer
 }
 
 // Corpus returns the engine's own corpus statistics: document count
@@ -188,7 +192,7 @@ type CorpusStats struct {
 func (e *Engine) Corpus() CorpusStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return CorpusStats{NumDocs: e.vocab.NumDocs(), DocFreq: func(word string) int {
+	return CorpusStats{NumDocs: e.vocab.NumDocs(), Analyzer: e.an, DocFreq: func(word string) int {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		return e.vocab.DocFreq(word)
@@ -227,7 +231,7 @@ func (e *Engine) searchRanked(op string, k int, cs *CorpusStats, point []float64
 		// vocabulary directly; Corpus().DocFreq would take the lock again.
 		cs = &CorpusStats{NumDocs: e.vocab.NumDocs(), DocFreq: e.vocab.DocFreq}
 	}
-	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq).WithAnalyzer(e.analyzer())
+	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq).WithAnalyzer(e.an)
 	it := e.tree.SearchRanked(geo.NewPoint(point...), keywords, core.GeneralOptions{
 		Scorer:       scorer,
 		Combiner:     irscore.DistanceDiscount{Scale: 100},

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"spatialkeyword/internal/storage"
+	"spatialkeyword/internal/wal"
 )
 
 // walConfig is the WAL-enabled configuration the crash tests use.
@@ -118,7 +119,7 @@ func TestWALReplayDeterministic(t *testing.T) {
 	type snapshot struct {
 		texts   []string
 		results []Result
-		replay  []WALOp
+		replay  []wal.Record
 		raw     []byte
 	}
 	open := func() snapshot {
@@ -130,7 +131,7 @@ func TestWALReplayDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := snapshot{texts: liveTexts(t, e), results: res, replay: e.WALReplay()}
+		s := snapshot{texts: liveTexts(t, e), results: res, replay: e.WALReplayRecords()}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
