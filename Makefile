@@ -1,7 +1,7 @@
 # Convenience wrappers around scripts/ci.sh, which mirrors the GitHub
 # Actions workflows. `make ci` runs everything CI runs.
 
-.PHONY: build lint analyze vet test perf-build cover bench fuzz loc ci
+.PHONY: build lint analyze vet test allocs perf-build cover bench fuzz loc ci
 
 build:
 	sh scripts/ci.sh build
@@ -15,6 +15,10 @@ analyze vet:
 
 test:
 	sh scripts/ci.sh test
+
+# The AllocsPerRun gates are //go:build !race, so `test` never runs them.
+allocs:
+	sh scripts/ci.sh allocs
 
 # benchmarks/perf is a module of its own that root ./... never compiles.
 perf-build:

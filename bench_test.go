@@ -13,8 +13,10 @@ package spatialkeyword_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"spatialkeyword"
 	"spatialkeyword/internal/bench"
 	"spatialkeyword/internal/dataset"
 	"spatialkeyword/internal/objstore"
@@ -311,4 +313,82 @@ func BenchmarkSelectivitySweep(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkDurableTopK times the query skserve -dir answers: a warm
+// two-keyword conjunctive TopK on a saved-and-reopened engine, i.e. on
+// storage.FileDisk — the shape of benchmarks/perf's topk_restaurants
+// (Restaurants(0.03), 64-byte signatures, one keyword from the top 2 % of
+// words by document frequency and one from the next 18 %) without HTTP
+// around it. serial is one goroutine; parallel is b.RunParallel, whose ns/op
+// falls below serial's only if concurrent queries do not serialise at the
+// device.
+func BenchmarkDurableTopK(b *testing.B) {
+	store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
+	stats, err := dataset.Generate(dataset.Restaurants(0.03), store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	built, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: 64}, dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var points [][]float64
+	err = store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		points = append(points, o.Point)
+		_, err := built.Add(o.Point, o.Text)
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := built.Save(); err != nil {
+		b.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := spatialkeyword.OpenEngine(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+
+	words := stats.WordsByFreq()
+	frequent, mid := words[:len(words)/50], words[len(words)/50:len(words)/5]
+	type query struct {
+		point []float64
+		words []string
+	}
+	queries := make([]query, 256)
+	for i := range queries {
+		queries[i] = query{
+			point: points[i*len(points)/len(queries)],
+			words: []string{frequent[i*7%len(frequent)], mid[i*13%len(mid)]},
+		}
+	}
+	run := func(b *testing.B, q query) {
+		if _, err := eng.TopK(10, q.point, q.words...); err != nil {
+			b.Error(err)
+		}
+	}
+	for _, q := range queries { // warm the node cache
+		run(b, q)
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(b, queries[i%len(queries)])
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		var next atomic.Uint64
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				run(b, queries[next.Add(1)%uint64(len(queries))])
+			}
+		})
+	})
 }

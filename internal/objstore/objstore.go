@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/storage"
@@ -46,8 +47,8 @@ var ErrCorrupt = errors.New("objstore: corrupt row")
 
 // Store is an append-only object file on a block device. Appends are
 // buffered; call Sync before reading back. Store is not safe for concurrent
-// writers; concurrent readers are safe once synced (reads go through the
-// device, which serializes).
+// writers; concurrent readers are safe once synced (every read goes through
+// the device into a scratch buffer of its own).
 type Store struct {
 	dev storage.Device
 
@@ -177,46 +178,78 @@ func (s *Store) Sync() error {
 // I/O cost is one random access plus sequential accesses for any
 // continuation blocks.
 func (s *Store) Get(ptr Ptr) (Object, error) {
-	if uint64(ptr) >= s.synced {
-		return Object{}, fmt.Errorf("%w: offset %d >= synced %d", ErrNotSynced, ptr, s.synced)
+	sc := rowScratchPool.Get().(*RowScratch)
+	defer rowScratchPool.Put(sc)
+	return s.get(ptr, sc, false)
+}
+
+// get is Get through a caller-held scratch: readRow, then decode.
+func (s *Store) get(ptr Ptr, sc *RowScratch, shareBlocks bool) (Object, error) {
+	if err := s.readRow(ptr, sc, shareBlocks); err != nil {
+		return Object{}, err
 	}
-	bs := uint64(s.dev.BlockSize())
-	blockIdx := uint64(ptr) / bs
-	// Read blocks until the row's terminating newline appears.
-	var row []byte
-	offsetInBlock := uint64(ptr) % bs
-	for {
-		if blockIdx >= uint64(len(s.blocks)) {
-			// The row starts in a synced block but its continuation is
-			// still sitting in the tail buffer.
-			return Object{}, fmt.Errorf("%w: row at %d continues past synced data", ErrNotSynced, ptr)
-		}
-		data, err := s.dev.Read(s.blocks[blockIdx])
-		if err != nil {
-			return Object{}, fmt.Errorf("objstore: get %d: %w", ptr, err)
-		}
-		chunk := data[offsetInBlock:]
-		if i := indexByte(chunk, '\n'); i >= 0 {
-			row = append(row, chunk[:i]...)
-			break
-		}
-		row = append(row, chunk...)
-		blockIdx++
-		offsetInBlock = 0
-	}
-	obj, err := decodeRow(row)
+	obj, err := decodeRow(sc.row)
 	if err != nil {
 		return Object{}, fmt.Errorf("row at %d: %w", ptr, err)
 	}
 	return obj, nil
 }
 
-// RowScratch holds the reusable buffers of GetFiltered. Once the buffers
+// RowScratch holds the reusable buffers of a row read. Once the buffers
 // reach steady-state size, row fetches through the same scratch stop
 // allocating — the point of the read hot path's candidate filter.
 type RowScratch struct {
 	block []byte
 	row   []byte
+	held  int // GetBatch only: file-block index sitting in block, -1 for none
+}
+
+// rowScratchPool serves the readers that take no scratch of their own (Get,
+// GetBatch, Scan); decodeRow copies everything an Object keeps, so a scratch
+// goes back to the pool as soon as the row is decoded.
+var rowScratchPool = sync.Pool{New: func() any { return new(RowScratch) }}
+
+// readRow reads the row at ptr into sc.row, without its newline: the one
+// row-read body of the store. Blocks go through the device's ReadRunInto
+// into sc.block one at a time until the terminating newline appears — one
+// random access plus a sequential access per continuation block. With
+// shareBlocks a block still sitting in sc.block from the previous row is
+// not read again (GetBatch); otherwise every row pays its own accesses.
+//
+//skvet:hotpath
+func (s *Store) readRow(ptr Ptr, sc *RowScratch, shareBlocks bool) error {
+	if uint64(ptr) >= s.synced {
+		return fmt.Errorf("%w: offset %d >= synced %d", ErrNotSynced, ptr, s.synced)
+	}
+	bs := s.dev.BlockSize()
+	if len(sc.block) != bs {
+		//skvet:ignore hotalloc one-time scratch warm-up, amortized across a query's loads
+		sc.block = make([]byte, bs)
+	}
+	blockIdx := int(uint64(ptr) / uint64(bs))
+	offsetInBlock := int(uint64(ptr) % uint64(bs))
+	sc.row = sc.row[:0]
+	for {
+		if blockIdx >= len(s.blocks) {
+			// The row starts in a synced block but its continuation is
+			// still sitting in the tail buffer.
+			return fmt.Errorf("%w: row at %d continues past synced data", ErrNotSynced, ptr)
+		}
+		if !shareBlocks || sc.held != blockIdx {
+			if err := s.dev.ReadRunInto(s.blocks[blockIdx], 1, sc.block); err != nil {
+				return fmt.Errorf("objstore: get %d: %w", ptr, err)
+			}
+			sc.held = blockIdx
+		}
+		chunk := sc.block[offsetInBlock:]
+		if i := indexByte(chunk, '\n'); i >= 0 {
+			sc.row = append(sc.row, chunk[:i]...)
+			return nil
+		}
+		sc.row = append(sc.row, chunk...)
+		blockIdx++
+		offsetInBlock = 0
+	}
 }
 
 // GetFiltered loads the row at ptr with Get's exact device-access pattern
@@ -230,32 +263,8 @@ type RowScratch struct {
 //
 //skvet:hotpath
 func (s *Store) GetFiltered(ptr Ptr, sc *RowScratch, accept func(text []byte) bool) (Object, bool, error) {
-	if uint64(ptr) >= s.synced {
-		return Object{}, false, fmt.Errorf("%w: offset %d >= synced %d", ErrNotSynced, ptr, s.synced)
-	}
-	bs := uint64(s.dev.BlockSize())
-	if len(sc.block) != int(bs) {
-		//skvet:ignore hotalloc one-time scratch warm-up, amortized across a query's loads
-		sc.block = make([]byte, bs)
-	}
-	blockIdx := uint64(ptr) / bs
-	offsetInBlock := uint64(ptr) % bs
-	sc.row = sc.row[:0]
-	for {
-		if blockIdx >= uint64(len(s.blocks)) {
-			return Object{}, false, fmt.Errorf("%w: row at %d continues past synced data", ErrNotSynced, ptr)
-		}
-		if err := storage.ReadRunTo(s.dev, s.blocks[blockIdx], 1, sc.block); err != nil {
-			return Object{}, false, fmt.Errorf("objstore: get %d: %w", ptr, err)
-		}
-		chunk := sc.block[offsetInBlock:]
-		if i := indexByte(chunk, '\n'); i >= 0 {
-			sc.row = append(sc.row, chunk[:i]...)
-			break
-		}
-		sc.row = append(sc.row, chunk...)
-		blockIdx++
-		offsetInBlock = 0
+	if err := s.readRow(ptr, sc, false); err != nil {
+		return Object{}, false, err
 	}
 	if text, ok := rowText(sc.row); ok {
 		if !accept(text) {
@@ -317,52 +326,14 @@ func rowText(row []byte) ([]byte, bool) {
 // through here pays one read per block instead of one per object. Error
 // semantics match Get; on error the partial results are discarded.
 func (s *Store) GetBatch(ptrs []Ptr) ([]Object, error) {
+	sc := rowScratchPool.Get().(*RowScratch)
+	defer rowScratchPool.Put(sc)
+	sc.held = -1 // whatever the pooled scratch last read is not this store's
 	out := make([]Object, 0, len(ptrs))
-	bs := uint64(s.dev.BlockSize())
-	var (
-		cached    []byte
-		cachedIdx uint64
-		have      bool
-		row       []byte
-	)
-	readBlock := func(idx uint64) ([]byte, error) {
-		if have && idx == cachedIdx {
-			return cached, nil
-		}
-		if idx >= uint64(len(s.blocks)) {
-			return nil, fmt.Errorf("%w: block %d past synced data", ErrNotSynced, idx)
-		}
-		data, err := s.dev.Read(s.blocks[idx])
+	for _, ptr := range ptrs {
+		obj, err := s.get(ptr, sc, true)
 		if err != nil {
 			return nil, err
-		}
-		cached, cachedIdx, have = data, idx, true
-		return data, nil
-	}
-	for _, ptr := range ptrs {
-		if uint64(ptr) >= s.synced {
-			return nil, fmt.Errorf("%w: offset %d >= synced %d", ErrNotSynced, ptr, s.synced)
-		}
-		blockIdx := uint64(ptr) / bs
-		offsetInBlock := uint64(ptr) % bs
-		row = row[:0]
-		for {
-			data, err := readBlock(blockIdx)
-			if err != nil {
-				return nil, fmt.Errorf("objstore: get %d: %w", ptr, err)
-			}
-			chunk := data[offsetInBlock:]
-			if i := indexByte(chunk, '\n'); i >= 0 {
-				row = append(row, chunk[:i]...)
-				break
-			}
-			row = append(row, chunk...)
-			blockIdx++
-			offsetInBlock = 0
-		}
-		obj, err := decodeRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("row at %d: %w", ptr, err)
 		}
 		out = append(out, obj)
 	}
@@ -379,13 +350,15 @@ func (s *Store) GetByID(id ID) (Object, error) {
 
 // Scan calls fn for every stored object in append order. It stops early and
 // returns fn's error if non-nil. Scan performs device reads (it is how index
-// builders pay for reading the file once).
+// builders pay for reading the file once), each row with Get's accesses.
 func (s *Store) Scan(fn func(Object, Ptr) error) error {
+	sc := rowScratchPool.Get().(*RowScratch)
+	defer rowScratchPool.Put(sc)
 	for id := uint64(0); id < s.count; id++ {
 		if uint64(s.ptrs[id]) >= s.synced {
 			return fmt.Errorf("%w: object %d", ErrNotSynced, id)
 		}
-		obj, err := s.Get(s.ptrs[id])
+		obj, err := s.get(s.ptrs[id], sc, false)
 		if err != nil {
 			return err
 		}

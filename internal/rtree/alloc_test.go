@@ -8,6 +8,7 @@ package rtree
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"spatialkeyword/internal/geo"
@@ -16,37 +17,57 @@ import (
 
 // TestLoadPackedHitAllocFree pins the core cache property: once a node is
 // decoded and pinned, re-loading it — including the verify re-read of its
-// device blocks — allocates nothing.
+// device blocks — allocates nothing, on the in-memory simulator and on the
+// file device (bare and checksummed) that a served engine actually reads.
 func TestLoadPackedHitAllocFree(t *testing.T) {
-	disk := storage.NewDisk(4096)
-	tree, err := New(disk, Config{Dim: 2, MaxEntries: 3, Scheme: orScheme{n: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 60; i++ {
-		p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		aux := make([]byte, 8)
-		copy(aux, refMask(uint64(i)))
-		if err := tree.Insert(uint64(i), geo.PointRect(p), aux); err != nil {
+	fileDisk := func(t *testing.T) *storage.FileDisk {
+		d, err := storage.CreateFileDisk(filepath.Join(t.TempDir(), "tree.db"), 4096)
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { d.Close() })
+		return d
 	}
-	root, err := tree.Root()
-	if err != nil {
-		t.Fatal(err)
+	devices := []struct {
+		name string
+		mk   func(t *testing.T) storage.Device
+	}{
+		{"Disk", func(*testing.T) storage.Device { return storage.NewDisk(4096) }},
+		{"FileDisk", func(t *testing.T) storage.Device { return fileDisk(t) }},
+		{"Checksum(FileDisk)", func(t *testing.T) storage.Device { return storage.NewChecksumDisk(fileDisk(t)) }},
 	}
-	id := root.ID()
-	if _, err := tree.LoadPacked(id); err != nil { // prime the cache and the scratch pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := tree.LoadPacked(id); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm LoadPacked allocates %.1f objects/op, want 0", allocs)
+	for _, dev := range devices {
+		t.Run(dev.name, func(t *testing.T) {
+			tree, err := New(dev.mk(t), Config{Dim: 2, MaxEntries: 3, Scheme: orScheme{n: 8}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 60; i++ {
+				p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
+				aux := make([]byte, 8)
+				copy(aux, refMask(uint64(i)))
+				if err := tree.Insert(uint64(i), geo.PointRect(p), aux); err != nil {
+					t.Fatal(err)
+				}
+			}
+			root, err := tree.Root()
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := root.ID()
+			if _, err := tree.LoadPacked(id); err != nil { // prime the cache and the scratch pools
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := tree.LoadPacked(id); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("warm LoadPacked allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 

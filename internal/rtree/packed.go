@@ -13,16 +13,19 @@
 // for one visit.
 //
 // Cache correctness does not rest on invalidation alone. A hit still pays
-// the node's full modeled device I/O — ReadRunTo over the same block
-// sequence loadNode would read, so the random/sequential counters that feed
-// the benchmark cost model are bit-identical with and without the cache —
-// and then verifies the fresh image against the pinned one, reparsing on any
-// difference. The mutation path additionally invalidates rewritten and
-// freed nodes (storeNode/freeNode), which keeps the verify step from ever
-// wasting a reparse in normal operation; but even a hypothetical missed
-// invalidation can only cost a decode, never serve stale entries. The
-// header (level + count) occupies the image's first bytes, so any
-// structural change to a node changes the prefix the comparison sees.
+// the node's full modeled device I/O — the device's ReadRunInto over the
+// same block sequence loadNode would read, into a pooled scratch buffer, so
+// the random/sequential counters that feed the benchmark cost model are
+// bit-identical with and without the cache — and then verifies the fresh
+// image against the pinned one, reparsing on any difference. ReadRunInto is
+// every storage.Device's one read body, so the replay costs one buffer copy
+// (one pread on a FileDisk) and no allocation whichever device, wrapped or
+// not, the tree was opened on. The mutation path additionally invalidates
+// rewritten and freed nodes (storeNode/freeNode), which keeps the verify
+// step from ever wasting a reparse in normal operation; but even a
+// hypothetical missed invalidation can only cost a decode, never serve stale
+// entries. The header (level + count) occupies the image's first bytes, so
+// any structural change to a node changes the prefix the comparison sees.
 package rtree
 
 import (
@@ -167,7 +170,7 @@ func (t *Tree) loadPacked(id storage.BlockID) (*PackedNode, error) {
 func (t *Tree) verifyPacked(id storage.BlockID, pn *PackedNode) (*PackedNode, error) {
 	nblocks := t.blocksForLevel(pn.level)
 	sb := t.getScratch(nblocks * t.dev.BlockSize())
-	if err := storage.ReadRunTo(t.dev, id, nblocks, sb.b); err != nil {
+	if err := t.dev.ReadRunInto(id, nblocks, sb.b); err != nil {
 		t.putScratch(sb)
 		return nil, fmt.Errorf("rtree: load node %d: %w", id, err)
 	}
@@ -184,19 +187,33 @@ func (t *Tree) verifyPacked(id storage.BlockID, pn *PackedNode) (*PackedNode, er
 	return fresh, nil
 }
 
-// readPacked cold-loads a node image with the same access pattern as
-// loadNode: the first block (one, typically random, access), then the
-// continuation run (sequential accesses).
+// readPacked cold-loads a node image and pins it.
 func (t *Tree) readPacked(id storage.BlockID) (*PackedNode, error) {
+	sb, err := t.readImage(id)
+	if err != nil {
+		return nil, err
+	}
+	pn, err := t.parsePacked(id, sb.b)
+	t.putScratch(sb)
+	return pn, err
+}
+
+// readImage reads a node's whole block run into pooled scratch, which the
+// caller returns with putScratch. It is the access pattern of every cold
+// node load, decoded or packed: the first block (one, typically random,
+// access) to learn the level, then the continuation run (sequential
+// accesses). A header that cannot be a node fails before the continuation
+// is read.
+func (t *Tree) readImage(id storage.BlockID) (*scratchBuf, error) {
 	bs := t.dev.BlockSize()
 	sb := t.getScratch(bs)
-	if err := storage.ReadRunTo(t.dev, id, 1, sb.b); err != nil {
+	if err := t.dev.ReadRunInto(id, 1, sb.b); err != nil {
 		t.putScratch(sb)
 		return nil, fmt.Errorf("rtree: load node %d: %w", id, err)
 	}
 	level := int(binary.LittleEndian.Uint32(sb.b[0:4]))
-	if level < 0 || level > 64 {
-		count := int(binary.LittleEndian.Uint32(sb.b[4:8]))
+	count := int(binary.LittleEndian.Uint32(sb.b[4:8]))
+	if level < 0 || level > 64 || count < 0 || count > t.maxE {
 		t.putScratch(sb)
 		return nil, fmt.Errorf("rtree: corrupt node %d: level=%d count=%d", id, level, count)
 	}
@@ -208,14 +225,12 @@ func (t *Tree) readPacked(id storage.BlockID) (*PackedNode, error) {
 			sb.b = grown
 		}
 		sb.b = sb.b[:need]
-		if err := storage.ReadRunTo(t.dev, id+1, nblocks-1, sb.b[bs:]); err != nil {
+		if err := t.dev.ReadRunInto(id+1, nblocks-1, sb.b[bs:]); err != nil {
 			t.putScratch(sb)
 			return nil, fmt.Errorf("rtree: load node %d continuation: %w", id, err)
 		}
 	}
-	pn, err := t.parsePacked(id, sb.b)
-	t.putScratch(sb)
-	return pn, err
+	return sb, nil
 }
 
 // parsePacked validates a raw node image (with loadNode's exact checks) and

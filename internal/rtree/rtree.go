@@ -156,7 +156,7 @@ type Tree struct {
 	nodes  int // number of nodes
 
 	cache       *nodecache.Cache[*PackedNode]
-	scratchPool sync.Pool // *scratchBuf: raw block images for loadPacked
+	scratchPool sync.Pool // *scratchBuf: raw block images for every node read
 	iterPool    sync.Pool // *iterScratch: priority queues + rect corners
 }
 
@@ -276,27 +276,17 @@ func (t *Tree) LoadNode(id storage.BlockID) (*Node, error) {
 	return t.loadNode(id)
 }
 
-// loadNode reads and decodes a node. The first block is one (typically
-// random) access; continuation blocks are sequential accesses.
+// loadNode reads a node (readImage's access pattern, into the tree's scratch
+// pool) and decodes it into structs that own their memory.
 func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
-	first, err := t.dev.Read(id)
+	sb, err := t.readImage(id)
 	if err != nil {
-		return nil, fmt.Errorf("rtree: load node %d: %w", id, err)
+		return nil, err
 	}
-	level := int(binary.LittleEndian.Uint32(first[0:4]))
-	count := int(binary.LittleEndian.Uint32(first[4:8]))
-	if level < 0 || level > 64 || count < 0 || count > t.maxE {
-		return nil, fmt.Errorf("rtree: corrupt node %d: level=%d count=%d", id, level, count)
-	}
-	nblocks := t.blocksForLevel(level)
-	buf := first
-	if nblocks > 1 {
-		rest, err := t.dev.ReadRun(id+1, nblocks-1)
-		if err != nil {
-			return nil, fmt.Errorf("rtree: load node %d continuation: %w", id, err)
-		}
-		buf = append(buf, rest...)
-	}
+	defer t.putScratch(sb)
+	buf := sb.b
+	level := int(binary.LittleEndian.Uint32(buf[0:4]))
+	count := int(binary.LittleEndian.Uint32(buf[4:8]))
 	es := t.entrySize(level)
 	need := nodeHeaderSize + count*es
 	if need > len(buf) {

@@ -77,66 +77,45 @@ func (c *CachedDisk) Free(id BlockID) {
 }
 
 // Read returns one block, from the pool when possible.
-func (c *CachedDisk) Read(id BlockID) ([]byte, error) {
+func (c *CachedDisk) Read(id BlockID) ([]byte, error) { return readAlloc(c, id, 1) }
+
+// ReadRun reads n consecutive blocks, from the pool where possible.
+func (c *CachedDisk) ReadRun(id BlockID, n int) ([]byte, error) { return readAlloc(c, id, n) }
+
+// ReadRunInto implements Device. Cached prefix blocks are served from the
+// pool; the first miss falls through to one underlying read of the rest of
+// the run, so the sequential-access accounting matches an uncached run read.
+func (c *CachedDisk) ReadRunInto(id BlockID, n int, dst []byte) error {
+	bs := c.BlockSize()
+	if err := checkRun(n, bs, dst); err != nil {
+		return err
+	}
+	i := 0
 	c.mu.Lock()
-	if el, ok := c.items[id]; ok {
+	for ; i < n; i++ {
+		el, ok := c.items[id+BlockID(i)]
+		if !ok {
+			break
+		}
 		c.lru.MoveToFront(el)
 		c.hits++
-		data := el.Value.(*cacheEntry).data
-		out := make([]byte, len(data))
-		copy(out, data)
-		c.mu.Unlock()
-		return out, nil
+		copy(dst[i*bs:(i+1)*bs], el.Value.(*cacheEntry).data)
 	}
-	c.misses++
+	c.misses += uint64(n - i)
 	c.mu.Unlock()
-
-	data, err := c.under.Read(id)
-	if err != nil {
-		return nil, err
+	if i == n {
+		return nil
 	}
-	c.insert(id, data)
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
-}
-
-// ReadRun reads n consecutive blocks. Cached prefix blocks are served from
-// the pool; the first miss falls through to a run read of the remainder.
-func (c *CachedDisk) ReadRun(id BlockID, n int) ([]byte, error) {
-	bs := c.BlockSize()
-	out := make([]byte, n*bs)
-	for i := 0; i < n; {
-		c.mu.Lock()
-		el, ok := c.items[id+BlockID(i)]
-		if ok {
-			c.lru.MoveToFront(el)
-			c.hits++
-			copy(out[i*bs:], el.Value.(*cacheEntry).data)
-			c.mu.Unlock()
-			i++
-			continue
-		}
-		c.mu.Unlock()
-		// Miss: read the rest of the run in one underlying call so the
-		// sequential-access accounting matches an uncached run read.
-		rest := n - i
-		c.mu.Lock()
-		c.misses += uint64(rest)
-		c.mu.Unlock()
-		data, err := c.under.ReadRun(id+BlockID(i), rest)
-		if err != nil {
-			return nil, err
-		}
-		copy(out[i*bs:], data)
-		for j := 0; j < rest; j++ {
-			blk := make([]byte, bs)
-			copy(blk, data[j*bs:(j+1)*bs])
-			c.insert(id+BlockID(i+j), blk)
-		}
-		i = n
+	rest := dst[i*bs : n*bs]
+	if err := c.under.ReadRunInto(id+BlockID(i), n-i, rest); err != nil {
+		return err
 	}
-	return out, nil
+	for j := i; j < n; j++ {
+		blk := make([]byte, bs)
+		copy(blk, rest[(j-i)*bs:])
+		c.insert(id+BlockID(j), blk)
+	}
+	return nil
 }
 
 // Write stores a block write-through and refreshes the pool. If the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // Checksummed block framing. ChecksumDisk wraps any Device and reserves the
@@ -43,10 +44,9 @@ func (e *CorruptBlockError) Error() string {
 // all-zero pattern cannot be a validly checksummed frame and the two cases
 // never collide.
 type ChecksumDisk struct {
-	under Device
+	under  Device
+	frames sync.Pool // *[]byte: raw frames of one run, between the device and the CRC check
 }
-
-var _ Device = (*ChecksumDisk)(nil)
 
 // NewChecksumDisk wraps under with checksum framing. It panics if the
 // underlying block size leaves no payload room.
@@ -55,7 +55,9 @@ func NewChecksumDisk(under Device) *ChecksumDisk {
 		//skvet:ignore nopanic documented constructor invariant
 		panic(fmt.Sprintf("storage: block size %d too small for checksum framing", under.BlockSize()))
 	}
-	return &ChecksumDisk{under: under}
+	c := &ChecksumDisk{under: under}
+	c.frames.New = func() any { return new([]byte) }
+	return c
 }
 
 // Under returns the wrapped device (so tests can corrupt raw frames and
@@ -99,36 +101,37 @@ func (c *ChecksumDisk) encode(dst, payload []byte) {
 }
 
 // Read implements Device, verifying the block's checksum.
-func (c *ChecksumDisk) Read(id BlockID) ([]byte, error) {
-	frame, err := c.under.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.decode(id, frame)
-	if err != nil {
-		return nil, err
-	}
-	return payload[:c.BlockSize():c.BlockSize()], nil
-}
+func (c *ChecksumDisk) Read(id BlockID) ([]byte, error) { return readAlloc(c, id, 1) }
 
 // ReadRun implements Device, verifying every block of the run and returning
 // the concatenated payloads.
-func (c *ChecksumDisk) ReadRun(id BlockID, n int) ([]byte, error) {
-	frames, err := c.under.ReadRun(id, n)
-	if err != nil {
-		return nil, err
+func (c *ChecksumDisk) ReadRun(id BlockID, n int) ([]byte, error) { return readAlloc(c, id, n) }
+
+// ReadRunInto implements Device: the run's raw frames land in a pooled
+// buffer, each is verified, and only payloads reach dst.
+func (c *ChecksumDisk) ReadRunInto(id BlockID, n int, dst []byte) error {
+	pbs := c.BlockSize()
+	if err := checkRun(n, pbs, dst); err != nil {
+		return err
 	}
 	ubs := c.under.BlockSize()
-	pbs := c.BlockSize()
-	out := make([]byte, n*pbs)
+	fp := c.frames.Get().(*[]byte)
+	defer c.frames.Put(fp)
+	if cap(*fp) < n*ubs {
+		*fp = make([]byte, n*ubs)
+	}
+	frames := (*fp)[:n*ubs]
+	if err := c.under.ReadRunInto(id, n, frames); err != nil {
+		return err
+	}
 	for i := 0; i < n; i++ {
 		payload, err := c.decode(id+BlockID(i), frames[i*ubs:(i+1)*ubs])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		copy(out[i*pbs:], payload)
+		copy(dst[i*pbs:], payload)
 	}
-	return out, nil
+	return nil
 }
 
 // Write implements Device, framing the payload with its checksum.

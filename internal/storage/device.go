@@ -1,8 +1,16 @@
 package storage
 
+import "fmt"
+
 // Device is the block-device abstraction the index structures are built on.
-// *Disk is the canonical implementation; *CachedDisk layers an LRU buffer
-// pool on top of any Device for the buffer-cache ablation experiments.
+// *Disk is the in-memory simulator the evaluation meters, *FileDisk the
+// durable file, and *ChecksumDisk, *FaultDevice and *CachedDisk wrap either.
+//
+// Every device has exactly one read body, ReadRunInto; Read and ReadRun are
+// its allocating forms (readAlloc). Validation, the fault hook, the
+// random/sequential accounting and the data movement therefore happen in one
+// place per device, and a reader that owns a scratch buffer pays no
+// allocation on any of them — wrapped or not.
 type Device interface {
 	// BlockSize returns the block size in bytes.
 	BlockSize() int
@@ -12,9 +20,16 @@ type Device interface {
 	AllocRun(n int) BlockID
 	// Free releases a block.
 	Free(id BlockID)
-	// Read returns a copy of one block.
+	// ReadRunInto reads n consecutive blocks starting at id into dst, which
+	// must hold at least n blocks. Blocks are validated, passed to the fault
+	// hook and charged one by one in order, so a fault on the i-th block of a
+	// run leaves i blocks charged; n <= 0 and a short dst are errors that
+	// charge nothing. Every byte of dst[:n*BlockSize()] is written: blocks
+	// (or block tails) that were never written read as zeros.
+	ReadRunInto(id BlockID, n int, dst []byte) error
+	// Read returns a copy of one block: ReadRunInto into a fresh buffer.
 	Read(id BlockID) ([]byte, error)
-	// ReadRun reads n consecutive blocks into one buffer.
+	// ReadRun reads n consecutive blocks into one fresh buffer.
 	ReadRun(id BlockID, n int) ([]byte, error)
 	// Write stores up to BlockSize bytes into a block.
 	Write(id BlockID, data []byte) error
@@ -32,33 +47,39 @@ type Device interface {
 
 var (
 	_ Device = (*Disk)(nil)
+	_ Device = (*FileDisk)(nil)
+	_ Device = (*ChecksumDisk)(nil)
+	_ Device = (*FaultDevice)(nil)
 	_ Device = (*CachedDisk)(nil)
 )
 
-// RunReaderInto is the optional fast-read extension of Device: reading a run
-// of blocks into a caller-provided buffer, so steady-state readers need not
-// allocate per node. *Disk implements it; wrapped devices (checksums, fault
-// injection, buffer-cache ablations) fall back to ReadRun plus a copy.
-type RunReaderInto interface {
-	// ReadRunInto reads n consecutive blocks starting at id into dst,
-	// with accounting identical to ReadRun.
-	ReadRunInto(id BlockID, n int, dst []byte) error
+func errRunLength(n int) error {
+	return fmt.Errorf("storage: invalid run length %d", n)
 }
 
-var _ RunReaderInto = (*Disk)(nil)
-
-// ReadRunTo reads n blocks from dev into dst, using ReadRunInto when the
-// device supports it and falling back to an allocating ReadRun otherwise.
-func ReadRunTo(dev Device, id BlockID, n int, dst []byte) error {
-	if r, ok := dev.(RunReaderInto); ok {
-		return r.ReadRunInto(id, n, dst)
+// checkRun validates the arguments every ReadRunInto shares: a positive run
+// length and a dst that holds it.
+func checkRun(n, blockSize int, dst []byte) error {
+	if n <= 0 {
+		return errRunLength(n)
 	}
-	buf, err := dev.ReadRun(id, n)
-	if err != nil {
-		return err
+	if len(dst)/blockSize < n {
+		return fmt.Errorf("storage: short buffer %d for %d-block run", len(dst), n)
 	}
-	copy(dst, buf)
 	return nil
+}
+
+// readAlloc is the body of every device's Read and ReadRun: ReadRunInto into
+// a buffer of exactly the run's size.
+func readAlloc(dev Device, id BlockID, n int) ([]byte, error) {
+	if n <= 0 {
+		return nil, errRunLength(n)
+	}
+	buf := make([]byte, n*dev.BlockSize())
+	if err := dev.ReadRunInto(id, n, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Meter measures the I/O performed by a bracketed operation on a Device.

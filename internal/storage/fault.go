@@ -141,8 +141,6 @@ type FaultDevice struct {
 	injected  uint64
 }
 
-var _ Device = (*FaultDevice)(nil)
-
 // NewFaultDevice wraps under with the given plan.
 func NewFaultDevice(under Device, plan FaultPlan) *FaultDevice {
 	return &FaultDevice{
@@ -284,45 +282,38 @@ func (d *FaultDevice) Free(id BlockID) {
 }
 
 // Read implements Device.
-func (d *FaultDevice) Read(id BlockID) ([]byte, error) {
-	d.sleep()
-	flip, err := d.checkRead(id)
-	if err != nil {
-		return nil, err
-	}
-	data, err := d.under.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	if flip {
-		d.flipBit(data)
-	}
-	return data, nil
-}
+func (d *FaultDevice) Read(id BlockID) ([]byte, error) { return readAlloc(d, id, 1) }
 
-// ReadRun implements Device. Each block of the run is checked against the
-// plan, so per-block read errors and flips hit runs too.
-func (d *FaultDevice) ReadRun(id BlockID, n int) ([]byte, error) {
+// ReadRun implements Device.
+func (d *FaultDevice) ReadRun(id BlockID, n int) ([]byte, error) { return readAlloc(d, id, n) }
+
+// ReadRunInto implements Device. Each block of the run is checked against
+// the plan before anything reaches the wrapped device, so per-block read
+// errors and flips hit runs too; flips land in dst after the real read.
+func (d *FaultDevice) ReadRunInto(id BlockID, n int, dst []byte) error {
+	if err := checkRun(n, d.under.BlockSize(), dst); err != nil {
+		return err
+	}
 	d.sleep()
-	var flips []int
+	var few [8]int
+	flips := few[:0]
 	for i := 0; i < n; i++ {
 		flip, err := d.checkRead(id + BlockID(i))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if flip {
 			flips = append(flips, i)
 		}
 	}
-	data, err := d.under.ReadRun(id, n)
-	if err != nil {
-		return nil, err
+	if err := d.under.ReadRunInto(id, n, dst); err != nil {
+		return err
 	}
 	bs := d.under.BlockSize()
 	for _, i := range flips {
-		d.flipBit(data[i*bs : (i+1)*bs])
+		d.flipBit(dst[i*bs : (i+1)*bs])
 	}
-	return data, nil
+	return nil
 }
 
 // Write implements Device.

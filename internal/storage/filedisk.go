@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 )
@@ -19,28 +20,48 @@ import (
 // block ID, free-list head); data blocks follow at offset (id-1)*blockSize.
 // Freed blocks form an on-disk chain: the first 8 bytes of a free block
 // point to the next free block, so the free list survives reopening.
+//
+// Locking. mu guards the file's contents and the allocator state: a read
+// holds it shared for the whole run, so any number of reads sit in the
+// pread syscall at once, and every writer (Write, WriteRun, Alloc, Free,
+// SyncMeta, Close) holds it exclusively, so a read never observes half of a
+// concurrent write of the same block. acct guards what the accounting
+// needs — the head position, the counters and the fault hook — and is held
+// only while a run's blocks are validated and charged, never across file
+// I/O. Under concurrent readers the position one reader leaves is the
+// position the next one sees, so the split of a run's blocks between
+// RandomReads and SequentialReads depends on the schedule; their sum does
+// not, and a single-threaded caller sees exactly Disk's accounting.
 type FileDisk struct {
 	f         *os.File
 	blockSize int
 
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	next     BlockID
 	freeHead BlockID
 	nAlloc   int
-	last     BlockID
-	stats    Stats
-	fault    FaultFunc
+
+	acct  sync.Mutex
+	last  BlockID
+	stats Stats
+	fault FaultFunc
 }
 
 const (
 	fileDiskMagic   = 0x49523254 // "IR2T"
 	fileMetaBlockID = 1
+
+	// A block must hold the 32-byte header, and no index structure here
+	// uses blocks anywhere near 1 MiB: a larger size in a header is
+	// corruption, not a request for a 2 GB buffer on the first read.
+	minFileBlockSize = 32
+	maxFileBlockSize = 1 << 20
 )
 
 // CreateFileDisk creates (truncating) a file-backed device at path.
 func CreateFileDisk(path string, blockSize int) (*FileDisk, error) {
-	if blockSize < 32 {
-		return nil, fmt.Errorf("storage: block size %d too small for a file disk", blockSize)
+	if blockSize < minFileBlockSize || blockSize > maxFileBlockSize {
+		return nil, fmt.Errorf("storage: file disk block size %d outside [%d, %d]", blockSize, minFileBlockSize, maxFileBlockSize)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -74,13 +95,31 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 		blockSize: int(binary.LittleEndian.Uint32(hdr[4:8])),
 		next:      BlockID(binary.LittleEndian.Uint64(hdr[8:16])),
 		freeHead:  BlockID(binary.LittleEndian.Uint64(hdr[16:24])),
-		nAlloc:    int(binary.LittleEndian.Uint64(hdr[24:32])),
 	}
-	if d.blockSize < 32 {
+	nAlloc := binary.LittleEndian.Uint64(hdr[24:32])
+	var bad string
+	switch {
+	case d.blockSize < minFileBlockSize || d.blockSize > maxFileBlockSize:
+		bad = fmt.Sprintf("block size %d", d.blockSize)
+	case d.next <= fileMetaBlockID || uint64(d.next-1) > math.MaxInt64/uint64(d.blockSize):
+		bad = fmt.Sprintf("next block %d", d.next)
+	case d.freeHead != NilBlock && !d.valid(d.freeHead):
+		bad = fmt.Sprintf("free-list head %d with next block %d", d.freeHead, d.next)
+	case nAlloc > uint64(d.next)-fileMetaBlockID-1:
+		bad = fmt.Sprintf("%d blocks allocated with next block %d", nAlloc, d.next)
+	}
+	if bad != "" {
 		f.Close()
-		return nil, fmt.Errorf("storage: corrupt file disk header (block size %d)", d.blockSize)
+		return nil, fmt.Errorf("storage: corrupt file disk header in %s: %s", path, bad)
 	}
+	d.nAlloc = int(nAlloc)
 	return d, nil
+}
+
+// valid reports whether id names a data block: past the metadata block and
+// below the allocation frontier. Callers hold mu (or are the constructor).
+func (d *FileDisk) valid(id BlockID) bool {
+	return id > fileMetaBlockID && id < d.next
 }
 
 // writeMeta persists the allocator state. Callers must hold mu (or be the
@@ -151,10 +190,14 @@ func (d *FileDisk) allocLocked() BlockID {
 	if d.freeHead != NilBlock {
 		id := d.freeHead
 		var buf [8]byte
+		// A link that cannot be read, or that points outside the data
+		// blocks, ends the chain: leaking the rest of the free list beats
+		// handing out the metadata block or an unallocated one.
+		d.freeHead = NilBlock
 		if _, err := d.f.ReadAt(buf[:], d.offset(id)); err == nil {
-			d.freeHead = BlockID(binary.LittleEndian.Uint64(buf[:]))
-		} else {
-			d.freeHead = NilBlock
+			if link := BlockID(binary.LittleEndian.Uint64(buf[:])); d.valid(link) {
+				d.freeHead = link
+			}
 		}
 		// Zero the recycled block so it reads like a fresh one.
 		d.f.WriteAt(make([]byte, d.blockSize), d.offset(id)) //nolint:errcheck
@@ -188,7 +231,7 @@ func (d *FileDisk) AllocRun(n int) BlockID {
 func (d *FileDisk) Free(id BlockID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id <= fileMetaBlockID || id >= d.next {
+	if !d.valid(id) {
 		return
 	}
 	var buf [8]byte
@@ -203,45 +246,34 @@ func (d *FileDisk) Free(id BlockID) {
 }
 
 // Read implements Device.
-func (d *FileDisk) Read(id BlockID) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.readLocked(id)
-}
-
-func (d *FileDisk) readLocked(id BlockID) ([]byte, error) {
-	if err := d.checkAccess(OpRead, id); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, d.blockSize)
-	if _, err := d.f.ReadAt(buf, d.offset(id)); err != nil && err != io.EOF {
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: read %d: %v", ErrBadBlock, id, err)
-		}
-	}
-	// Allocated blocks past the current file end (never written) read as
-	// zeros, like a sparse file; ReadAt signals them with (Unexpected)EOF
-	// and buf is already zero-filled past the bytes it delivered.
-	d.account(id, OpRead)
-	return buf, nil
-}
+func (d *FileDisk) Read(id BlockID) ([]byte, error) { return readAlloc(d, id, 1) }
 
 // ReadRun implements Device.
-func (d *FileDisk) ReadRun(id BlockID, n int) ([]byte, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("storage: invalid run length %d", n)
+func (d *FileDisk) ReadRun(id BlockID, n int) ([]byte, error) { return readAlloc(d, id, n) }
+
+// ReadRunInto implements Device: the run's blocks are admitted (validated,
+// fault-checked, charged) one by one, then one pread moves the whole run
+// into dst while mu is held shared — see the type comment for what that
+// makes schedule-dependent.
+func (d *FileDisk) ReadRunInto(id BlockID, n int, dst []byte) error {
+	if err := checkRun(n, d.blockSize, dst); err != nil {
+		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]byte, 0, n*d.blockSize)
-	for i := 0; i < n; i++ {
-		blk, err := d.readLocked(id + BlockID(i))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, blk...)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if err := d.admit(OpRead, id, n); err != nil {
+		return err
 	}
-	return out, nil
+	dst = dst[:n*d.blockSize]
+	got, err := d.f.ReadAt(dst, d.offset(id))
+	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: read %d: %v", ErrBadBlock, id, err)
+	}
+	// Allocated blocks past the current file end (never written) read as
+	// zeros, like a sparse file. ReadAt stops short there, and dst is the
+	// caller's scratch: whatever it did not deliver must be cleared here.
+	clear(dst[got:])
+	return nil
 }
 
 // Write implements Device.
@@ -255,7 +287,7 @@ func (d *FileDisk) Write(id BlockID, data []byte) error {
 }
 
 func (d *FileDisk) writeLocked(id BlockID, data []byte) error {
-	if err := d.checkAccess(OpWrite, id); err != nil {
+	if err := d.admit(OpWrite, id, 1); err != nil {
 		return err
 	}
 	buf := make([]byte, d.blockSize)
@@ -263,7 +295,6 @@ func (d *FileDisk) writeLocked(id BlockID, data []byte) error {
 	if _, err := d.f.WriteAt(buf, d.offset(id)); err != nil {
 		return fmt.Errorf("%w: write %d: %v", ErrBadBlock, id, err)
 	}
-	d.account(id, OpWrite)
 	return nil
 }
 
@@ -291,20 +322,29 @@ func (d *FileDisk) WriteRun(id BlockID, n int, data []byte) error {
 	return nil
 }
 
-// checkAccess validates the block ID and runs the fault hook. Callers hold mu.
-func (d *FileDisk) checkAccess(op Op, id BlockID) error {
-	if id <= fileMetaBlockID || id >= d.next {
-		return fmt.Errorf("%w: %s %d", ErrBadBlock, op, id)
-	}
-	if d.fault != nil {
-		if err := d.fault(op, id); err != nil {
-			return err
+// admit validates, fault-checks and charges blocks id..id+n-1 in order,
+// stopping at the first that fails — so a fault on the i-th block of a run
+// leaves i blocks charged. Callers hold mu (shared suffices: it only reads
+// the allocation frontier).
+func (d *FileDisk) admit(op Op, id BlockID, n int) error {
+	d.acct.Lock()
+	defer d.acct.Unlock()
+	for i := 0; i < n; i++ {
+		b := id + BlockID(i)
+		if !d.valid(b) {
+			return fmt.Errorf("%w: %s %d", ErrBadBlock, op, b)
 		}
+		if d.fault != nil {
+			if err := d.fault(op, b); err != nil {
+				return err
+			}
+		}
+		d.account(b, op)
 	}
 	return nil
 }
 
-// account mirrors Disk.account. Callers hold mu.
+// account mirrors Disk.account. Callers hold acct.
 func (d *FileDisk) account(id BlockID, op Op) {
 	seq := d.last != 0 && id == d.last+1
 	d.last = id
@@ -322,30 +362,30 @@ func (d *FileDisk) account(id BlockID, op Op) {
 
 // SetFault installs (or clears) a fault-injection hook.
 func (d *FileDisk) SetFault(f FaultFunc) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.acct.Lock()
+	defer d.acct.Unlock()
 	d.fault = f
 }
 
 // Stats implements Device.
 func (d *FileDisk) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.acct.Lock()
+	defer d.acct.Unlock()
 	return d.stats
 }
 
 // ResetStats implements Device.
 func (d *FileDisk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.acct.Lock()
+	defer d.acct.Unlock()
 	d.stats = Stats{}
 	d.last = 0
 }
 
 // NumBlocks implements Device: currently allocated blocks.
 func (d *FileDisk) NumBlocks() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	return d.nAlloc
 }
 
@@ -354,5 +394,3 @@ func (d *FileDisk) NumBlocks() int {
 func (d *FileDisk) SizeBytes() int64 {
 	return int64(d.NumBlocks()) * int64(d.blockSize)
 }
-
-var _ Device = (*FileDisk)(nil)

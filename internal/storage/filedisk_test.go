@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -152,6 +154,81 @@ func TestOpenFileDiskRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenFileDisk(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file opened")
+	}
+}
+
+// fileDiskHeader renders a metadata block the way writeMeta does.
+func fileDiskHeader(blockSize uint32, next, freeHead, nAlloc uint64) []byte {
+	hdr := make([]byte, 32)
+	binary.LittleEndian.PutUint32(hdr[0:4], fileDiskMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], blockSize)
+	binary.LittleEndian.PutUint64(hdr[8:16], next)
+	binary.LittleEndian.PutUint64(hdr[16:24], freeHead)
+	binary.LittleEndian.PutUint64(hdr[24:32], nAlloc)
+	return hdr
+}
+
+// TestOpenFileDiskValidatesHeader: a header whose magic survived but whose
+// fields cannot describe a device is refused on open, by name, instead of
+// turning into a 2 GB allocation or a free-chain walk into live data later.
+func TestOpenFileDiskValidatesHeader(t *testing.T) {
+	cases := []struct {
+		name string
+		hdr  []byte
+	}{
+		{"block size 2 GB", fileDiskHeader(0x7fffffff, 5, 0, 3)},
+		{"block size above the bound", fileDiskHeader(maxFileBlockSize+1, 5, 0, 3)},
+		{"block size below the header", fileDiskHeader(16, 5, 0, 3)},
+		{"next inside the metadata block", fileDiskHeader(64, 1, 0, 0)},
+		{"next overflows the file offset", fileDiskHeader(64, 1<<62, 0, 0)},
+		{"free head at the frontier", fileDiskHeader(64, 5, 5, 2)},
+		{"free head on the metadata block", fileDiskHeader(64, 5, 1, 2)},
+		{"more allocated than exist", fileDiskHeader(64, 5, 0, 4)},
+		{"negative allocation count", fileDiskHeader(64, 5, 0, 1<<63)},
+	}
+	for _, c := range cases {
+		path := filepath.Join(t.TempDir(), "disk.db")
+		if err := writeFile(path, c.hdr); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenFileDisk(path)
+		if err == nil {
+			d.f.Close()
+			t.Errorf("%s: opened cleanly", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error does not name the file: %v", c.name, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "disk.db")
+	if err := writeFile(path, fileDiskHeader(64, 5, 4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenFileDisk(path)
+	if err != nil {
+		t.Fatalf("valid header refused: %v", err)
+	}
+	d.f.Close()
+}
+
+// TestFileDiskAllocStopsAtBadFreeLink: the free chain lives in block
+// payloads, which open cannot vet; a link that leaves the data blocks ends
+// the chain instead of handing out the metadata block.
+func TestFileDiskAllocStopsAtBadFreeLink(t *testing.T) {
+	d := newFileDisk(t, 64)
+	a, b := d.Alloc(), d.Alloc()
+	d.Free(a)
+	var link [8]byte
+	binary.LittleEndian.PutUint64(link[:], fileMetaBlockID)
+	if _, err := d.f.WriteAt(link[:], d.offset(a)); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Alloc(); got != a {
+		t.Fatalf("first alloc = %d, want the freed block %d", got, a)
+	}
+	if got := d.Alloc(); got != b+1 {
+		t.Fatalf("alloc after a corrupt link = %d, want fresh block %d", got, b+1)
 	}
 }
 

@@ -238,63 +238,19 @@ func (d *Disk) Free(id BlockID) {
 }
 
 // Read returns a copy of the block's contents, counting one read access.
-func (d *Disk) Read(id BlockID) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.fault != nil {
-		if err := d.fault(OpRead, id); err != nil {
-			return nil, err
-		}
-	}
-	data, ok := d.blocks[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: read %d", ErrBadBlock, id)
-	}
-	d.account(id, OpRead)
-	out := make([]byte, d.blockSize)
-	copy(out, data)
-	return out, nil
-}
+func (d *Disk) Read(id BlockID) ([]byte, error) { return readAlloc(d, id, 1) }
 
 // ReadRun reads n consecutive blocks starting at id into a single buffer,
 // counting one random access and n-1 sequential accesses (assuming the
 // previous access did not already position the head just before id).
-func (d *Disk) ReadRun(id BlockID, n int) ([]byte, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("storage: invalid run length %d", n)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]byte, n*d.blockSize)
-	for i := 0; i < n; i++ {
-		b := id + BlockID(i)
-		if d.fault != nil {
-			if err := d.fault(OpRead, b); err != nil {
-				return nil, err
-			}
-		}
-		data, ok := d.blocks[b]
-		if !ok {
-			return nil, fmt.Errorf("%w: read %d", ErrBadBlock, b)
-		}
-		d.account(b, OpRead)
-		copy(out[i*d.blockSize:], data)
-	}
-	return out, nil
-}
+func (d *Disk) ReadRun(id BlockID, n int) ([]byte, error) { return readAlloc(d, id, n) }
 
-// ReadRunInto reads n consecutive blocks starting at id into dst, which must
-// hold at least n blocks' worth of bytes. Accounting and fault injection are
-// identical to ReadRun — per block, in order — the only difference is that
-// the caller owns the buffer, so a warm read path can reuse one scratch
-// buffer across queries instead of allocating per node. With n = 1 it is the
-// allocation-free equivalent of Read.
+// ReadRunInto implements Device: the disk's one read body. The caller owns
+// the buffer, so a warm read path can reuse one scratch buffer across
+// queries instead of allocating per node.
 func (d *Disk) ReadRunInto(id BlockID, n int, dst []byte) error {
-	if n <= 0 {
-		return fmt.Errorf("storage: invalid run length %d", n)
-	}
-	if len(dst) < n*d.blockSize {
-		return fmt.Errorf("storage: short buffer %d for %d-block run", len(dst), n)
+	if err := checkRun(n, d.blockSize, dst); err != nil {
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

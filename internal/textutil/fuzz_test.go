@@ -44,3 +44,30 @@ func FuzzTokenize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzByteKernelsMatchRunePath: the byte kernels take a table-driven fast
+// path for ASCII and the rune path for everything else; the string kernels
+// only have the rune path. On arbitrary bytes — invalid UTF-8, mixed case,
+// terms that are not even normalized — the two must agree exactly.
+func FuzzByteKernelsMatchRunePath(f *testing.F) {
+	f.Add([]byte("Wireless INTERNET, pool; golf-course a1"), "internet", "a1")
+	f.Add([]byte("Café CAFÉ café \xc3 caf\xc3\xa9!"), "café", "caf")
+	f.Add([]byte("\x00\xff\xfe broken \xc3\x28 utf8 İstanbul ǅ"), "i̇stanbul", "ǆ")
+	f.Add([]byte("K k K"), "k", "\xff")
+	f.Add([]byte(""), "", "x")
+	f.Fuzz(func(t *testing.T, text []byte, t1, t2 string) {
+		terms := []string{t1, t2}
+		want, got := make([]int, 2), make([]int, 2)
+		CountTermsInto(want, string(text), terms)
+		CountTermsBytesInto(got, text, terms)
+		if want[0] != got[0] || want[1] != got[1] {
+			t.Fatalf("counts of %q in %q: rune path %v, byte kernels %v", terms, text, want, got)
+		}
+		if w, g := containsTermsScan(string(text), terms), containsTermsScanBytes(text, terms); w != g {
+			t.Fatalf("contains %q in %q: rune path %v, byte kernels %v", terms, text, w, g)
+		}
+		if w, g := tokenFoldEq(string(text), t1), tokenFoldEqBytes(text, t1); w != g {
+			t.Fatalf("fold-equal %q vs %q: rune path %v, byte kernels %v", text, t1, w, g)
+		}
+	})
+}

@@ -11,21 +11,59 @@ import (
 // per-candidate allocation the kernels exist to remove. Equivalence with
 // the string kernels is pinned by tests.
 
+// Rows are almost entirely ASCII, so the kernels classify and fold a byte
+// below utf8.RuneSelf from asciiTab and only decode a rune — and consult the
+// unicode tables — for the rest. An entry's low seven bits are the byte
+// lower-cased (unicode.ToLower of an ASCII rune is ASCII); asciiTokenBit is
+// set when the byte is a letter or digit, i.e. part of a token.
+const asciiTokenBit = 0x80
+
+var asciiTab = func() (t [utf8.RuneSelf]byte) {
+	for c := range t {
+		r := rune(c)
+		t[c] = byte(unicode.ToLower(r))
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			t[c] |= asciiTokenBit
+		}
+	}
+	return t
+}()
+
+// tokenRune is the rune path of the scanners: whether the (non-ASCII or
+// invalid) rune at the head of b belongs to a token, and its width. The
+// ASCII test stays spelled out in each scan loop — a helper holding both
+// arms is over the inlining budget, and a call per byte costs more than the
+// table saves.
+func tokenRune(b []byte) (tok bool, size int) {
+	r, sz := utf8.DecodeRune(b)
+	return unicode.IsLetter(r) || unicode.IsDigit(r), sz
+}
+
 // tokenFoldEqBytes is tokenFoldEq for a raw byte token.
 //
 //skvet:hotpath
 func tokenFoldEqBytes(tok []byte, term string) bool {
 	ti := 0
 	for i := 0; i < len(tok); {
-		r, sz := utf8.DecodeRune(tok[i:])
-		i += sz
 		if ti >= len(term) {
 			return false
 		}
+		if c := tok[i]; c < utf8.RuneSelf {
+			// An ASCII rune has exactly one encoding, the byte itself, so
+			// the term's next rune equals it iff the term's next byte does.
+			if asciiTab[c]&^asciiTokenBit != term[ti] {
+				return false
+			}
+			i++
+			ti++
+			continue
+		}
+		r, sz := utf8.DecodeRune(tok[i:])
 		tr, tsz := utf8.DecodeRuneInString(term[ti:])
 		if unicode.ToLower(r) != tr {
 			return false
 		}
+		i += sz
 		ti += tsz
 	}
 	return ti == len(term)
@@ -51,8 +89,14 @@ func CountTermsBytesInto(counts []int, text []byte, terms []string) {
 	}
 	start := -1
 	for i := 0; i < len(text); {
-		r, sz := utf8.DecodeRune(text[i:])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		var tok bool
+		sz := 1
+		if c := text[i]; c < utf8.RuneSelf {
+			tok = asciiTab[c]&asciiTokenBit != 0
+		} else {
+			tok, sz = tokenRune(text[i:])
+		}
+		if tok {
 			if start < 0 {
 				start = i
 			}
@@ -84,8 +128,14 @@ func containsTermsScanBytes(text []byte, terms []string) bool {
 	}
 	start := -1
 	for i := 0; i < len(text); {
-		r, sz := utf8.DecodeRune(text[i:])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		var tok bool
+		sz := 1
+		if c := text[i]; c < utf8.RuneSelf {
+			tok = asciiTab[c]&asciiTokenBit != 0
+		} else {
+			tok, sz = tokenRune(text[i:])
+		}
+		if tok {
 			if start < 0 {
 				start = i
 			}

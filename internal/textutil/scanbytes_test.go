@@ -84,3 +84,25 @@ func TestAnalyzerBytesFallbacks(t *testing.T) {
 		t.Error("empty term set must be vacuously contained")
 	}
 }
+
+// BenchmarkCountTermsBytes times the tf-counting kernel of the ranked
+// candidate filter on a Hotels-sized row: pure ASCII (the table path for
+// every byte) and with an accented word in every tenth position.
+func BenchmarkCountTermsBytes(b *testing.B) {
+	terms := []string{"pool", "internet", "café"}
+	counts := make([]int, len(terms))
+	ascii := []byte(strings.Repeat("Wireless Internet, heated pool and a golf course nearby; ", 40))
+	mixed := []byte(strings.Repeat("Wireless Internet, heated pool and a café Zürich nearby; ", 40))
+	for _, c := range []struct {
+		name string
+		text []byte
+	}{{"ascii", ascii}, {"mixed", mixed}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CountTermsBytesInto(counts, c.text, terms)
+			}
+		})
+	}
+}

@@ -5,6 +5,11 @@
 #   lint    gofmt -l (+ staticcheck when installed)
 #   analyze skvet, the project's own invariant passes (cmd/skvet)
 #   test    go test -race ./...
+#   allocs  the AllocsPerRun gates, without -race: they sit behind
+#           //go:build !race (the detector breaks AllocsPerRun's accounting),
+#           so the test step never compiles them — and coverage.sh only runs
+#           ./internal/..., so the root package's durable-engine gate would
+#           run nowhere
 #   perf-build  build, vet and test benchmarks/perf, the wall-clock harness
 #           (a module of its own that imports internal/...; root ./... never
 #           sees it, so only this step catches a change that breaks it)
@@ -65,6 +70,11 @@ run_test() {
 	go test -race ./...
 }
 
+run_allocs() {
+	step allocs
+	go test -run 'Alloc' ./...
+}
+
 run_perf_build() {
 	step perf-build
 	# -o /dev/null: the harness is one main package, and a bare
@@ -104,6 +114,7 @@ build) run_build ;;
 lint) run_lint ;;
 analyze) run_analyze ;;
 test) run_test ;;
+allocs) run_allocs ;;
 perf-build) run_perf_build ;;
 cover) run_cover ;;
 bench) run_bench ;;
@@ -113,13 +124,14 @@ all)
 	run_lint
 	run_analyze
 	run_test
+	run_allocs
 	run_perf_build
 	run_cover
 	run_bench
 	run_fuzz
 	;;
 *)
-	echo "usage: scripts/ci.sh [build|lint|analyze|test|perf-build|cover|bench|fuzz|all]" >&2
+	echo "usage: scripts/ci.sh [build|lint|analyze|test|allocs|perf-build|cover|bench|fuzz|all]" >&2
 	exit 2
 	;;
 esac
