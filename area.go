@@ -7,16 +7,28 @@ import (
 	"spatialkeyword/internal/geo"
 )
 
-// validateArea checks the corner points and returns the query rectangle.
-func (e *Engine) validateArea(lo, hi []float64) (geo.Rect, error) {
-	if len(lo) != e.dim || len(hi) != e.dim {
-		return geo.Rect{}, fmt.Errorf("spatialkeyword: area corners have %d/%d dimensions, engine uses %d",
-			len(lo), len(hi), e.dim)
+// CheckArea is the one validation of a caller-supplied query rectangle: both
+// corners pass CheckPoint and lo does not exceed hi on any axis. Errors wrap
+// ErrBadPoint.
+func CheckArea(lo, hi []float64, dim int) error {
+	if err := CheckPoint(lo, dim); err != nil {
+		return fmt.Errorf("area low corner: %w", err)
+	}
+	if err := CheckPoint(hi, dim); err != nil {
+		return fmt.Errorf("area high corner: %w", err)
 	}
 	for i := range lo {
 		if lo[i] > hi[i] {
-			return geo.Rect{}, fmt.Errorf("spatialkeyword: inverted area on axis %d (%g > %g)", i, lo[i], hi[i])
+			return fmt.Errorf("%w: inverted area on axis %d (%g > %g)", ErrBadPoint, i, lo[i], hi[i])
 		}
+	}
+	return nil
+}
+
+// validateArea checks the corner points and returns the query rectangle.
+func (e *Engine) validateArea(lo, hi []float64) (geo.Rect, error) {
+	if err := CheckArea(lo, hi, e.dim); err != nil {
+		return geo.Rect{}, err
 	}
 	return geo.NewRect(geo.NewPoint(lo...), geo.NewPoint(hi...)), nil
 }

@@ -1,6 +1,8 @@
 package spatialkeyword
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -66,11 +68,59 @@ func TestEngineWithinArea(t *testing.T) {
 
 func TestEngineAreaValidation(t *testing.T) {
 	e := newEngine(t, Config{})
-	if _, err := e.TopKArea(1, []float64{0}, []float64{1, 1}, "x"); err == nil {
-		t.Error("bad lo dimension accepted")
+	if _, err := e.TopKArea(1, []float64{0}, []float64{1, 1}, "x"); !errors.Is(err, ErrBadPoint) {
+		t.Errorf("bad lo dimension: err = %v, want ErrBadPoint", err)
 	}
-	if _, err := e.WithinArea([]float64{5, 5}, []float64{1, 1}, "x"); err == nil {
-		t.Error("inverted area accepted")
+	if _, err := e.WithinArea([]float64{5, 5}, []float64{1, 1}, "x"); !errors.Is(err, ErrBadPoint) {
+		t.Errorf("inverted area: err = %v, want ErrBadPoint", err)
+	}
+}
+
+// TestBadPointRefusedAtEveryEntry: a point of the wrong dimensionality or
+// with a NaN or infinite coordinate is ErrBadPoint at every public entry that
+// takes one, and a refused Add leaves nothing behind.
+func TestBadPointRefusedAtEveryEntry(t *testing.T) {
+	e := newEngine(t, Config{})
+	addFigure1(t, e)
+	before := e.Stats().Objects
+	good := []float64{1, 1}
+	// closed releases a stream the engine should not have opened, so a
+	// regression fails the assertion instead of wedging the next Add.
+	closed := func(it interface{ Close() }, err error) error {
+		if err == nil {
+			it.Close()
+		}
+		return err
+	}
+	for name, bad := range map[string][]float64{
+		"1-d":  {1},
+		"3-d":  {1, 2, 3},
+		"NaN":  {math.NaN(), 3},
+		"+Inf": {3, math.Inf(1)},
+		"-Inf": {math.Inf(-1), 3},
+	} {
+		entries := map[string]func() error{
+			"Add":           func() error { _, err := e.Add(bad, "pool"); return err },
+			"Search":        func() error { return closed(e.Search(bad, "pool")) },
+			"TopK":          func() error { _, err := e.TopK(1, bad, "pool"); return err },
+			"SearchArea/lo": func() error { return closed(e.SearchArea(bad, good, "pool")) },
+			"SearchArea/hi": func() error { return closed(e.SearchArea(good, bad, "pool")) },
+			"SearchRanked":  func() error { return closed(e.SearchRanked(bad, "pool")) },
+			"TopKRanked":    func() error { _, err := e.TopKRanked(1, bad, "pool"); return err },
+			"WithinArea/lo": func() error { _, err := e.WithinArea(bad, good, "pool"); return err },
+			"WithinArea/hi": func() error { _, err := e.WithinArea(good, bad, "pool"); return err },
+		}
+		for entry, call := range entries {
+			if err := call(); !errors.Is(err, ErrBadPoint) {
+				t.Errorf("%s with a %s point: err = %v, want ErrBadPoint", entry, name, err)
+			}
+		}
+	}
+	if got := e.Stats().Objects; got != before {
+		t.Errorf("refused adds changed the object count: %d -> %d", before, got)
+	}
+	if res, err := e.TopK(3, []float64{30.5, 100.0}, "pool"); err != nil || len(res) != 3 {
+		t.Errorf("engine unusable after refused points: %d results, %v", len(res), err)
 	}
 }
 

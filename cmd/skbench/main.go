@@ -9,8 +9,8 @@
 //	-dataset     hotels | restaurants | both (default both)
 //	-experiment  all | table1 | vary-k | vary-keywords | vary-siglen |
 //	             selectivity | table2 | maintenance | ingest | repl |
-//	             fence-churn | skql | ablate-cache | ablate-capacity |
-//	             ablate-build | ablate-split | parallel
+//	             fence-churn | skql | ablate-capacity | ablate-build |
+//	             parallel
 //	             (default all; "all" covers the paper experiments; ingest,
 //	             repl, fence-churn, skql, the ablations, and the
 //	             sharded-throughput experiment run only when named; a
@@ -311,14 +311,10 @@ func run(cfg config) error {
 		var t *bench.Table
 		var err error
 		switch {
-		case named("ablate-cache"):
-			t, err = bench.CacheAblation(base, []int{0, 256, 1024, 8192}, p.fixedK, p.fixedWords, cfg.queries, cfg.seed, cm)
 		case named("ablate-capacity"):
 			t, err = bench.CapacityAblation(base, []int{8, 32, 0, 256}, p.fixedK, p.fixedWords, cfg.queries, cfg.seed, cm)
 		case named("ablate-build"):
 			t, err = bench.BulkBuildAblation(base, p.fixedK, p.fixedWords, cfg.queries, cfg.seed, cm)
-		case named("ablate-split"):
-			t, err = bench.SplitAblation(base, p.fixedK, p.fixedWords, cfg.queries, cfg.seed, cm)
 		default:
 			continue
 		}

@@ -74,6 +74,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -87,6 +88,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -754,10 +756,25 @@ func bodyErrorStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// jsonBufs holds the buffers responses are encoded into before the status
+// line is written.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v first and only then commits to the status: a value
+// json refuses (a distance that overflowed to +Inf) is a 500 with an error
+// body, not the intended status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(map[string]string{"error": "encode response: " + err.Error()}) //nolint:errcheck // strings always encode
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // best effort to a client
+	w.Write(buf.Bytes()) //nolint:errcheck // best effort to a client
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

@@ -191,6 +191,10 @@ func TestStatsAndValidation(t *testing.T) {
 		"/search?lat=x&lon=1&q=a",
 		"/search?lat=1&lon=1&k=0&q=a",
 		"/search?lat=1&lon=1&k=9999&q=a",
+		"/search?lat=NaN&lon=1&k=2&q=cafe",
+		"/search?lat=1&lon=-Inf&k=2&q=cafe",
+		"/ranked?lat=Inf&lon=1&k=2&q=cafe",
+		"/ranked?lat=1&lon=nan&k=2&q=cafe",
 		"/objects/notanumber",
 	} {
 		resp, err := http.Get(ts.URL + path)
@@ -216,6 +220,15 @@ func TestStatsAndValidation(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("3-d point = %d", resp3.StatusCode)
+	}
+	// A coordinate JSON cannot carry as a finite number.
+	resp4, err := http.Post(ts.URL+"/objects", "application/json", strings.NewReader(`{"point":[1e999,2],"text":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp4.Body.Close()
+	if resp4.StatusCode != http.StatusBadRequest {
+		t.Errorf("overflowing coordinate = %d", resp4.StatusCode)
 	}
 }
 
@@ -531,6 +544,40 @@ func TestQueryStatusSeparatesClientRetryAndServer(t *testing.T) {
 				t.Errorf("%s: 503 without Retry-After", path)
 			}
 		}
+	}
+
+	// A non-finite coordinate is the client's mistake on every endpoint and
+	// backend; a finite one so large that every distance overflows to +Inf is
+	// a value json refuses, which must surface as a 500 with an error body —
+	// never as a 2xx with none.
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("non-finite and overflow/shards=%d", shards), func(t *testing.T) {
+			_, ts := newShardedTestServer(t, "", shards)
+			seedHotels(t, ts)
+			for _, tc := range []struct {
+				path, body string
+				want       int
+			}{
+				{"/search?lat=NaN&lon=1&k=2&q=pool", "", http.StatusBadRequest},
+				{"/ranked?lat=Inf&lon=1&k=2&q=pool", "", http.StatusBadRequest},
+				{"/query", `{"query": "SELECT TOP 2 NEAR (1e999, 1) MATCH pool"}`, http.StatusBadRequest},
+				{"/search?lat=1e308&lon=1&k=2&q=pool", "", http.StatusInternalServerError},
+				{"/ranked?lat=1e308&lon=1&k=2&q=pool", "", http.StatusInternalServerError},
+				{"/query", `{"query": "SELECT TOP 2 NEAR (1e308, 1) MATCH pool"}`, http.StatusInternalServerError},
+			} {
+				var resp *http.Response
+				var err error
+				if tc.body != "" {
+					resp = postQuery(t, ts.URL, tc.body)
+				} else if resp, err = http.Get(ts.URL + tc.path); err != nil {
+					t.Fatal(err)
+				}
+				msg := decode[map[string]string](t, resp)["error"]
+				if resp.StatusCode != tc.want || msg == "" {
+					t.Errorf("%s %s: status %d, error %q; want %d with an error body", tc.path, tc.body, resp.StatusCode, msg, tc.want)
+				}
+			}
+		})
 	}
 
 	t.Run("wrong dimension", func(t *testing.T) {

@@ -25,58 +25,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// CacheAblation measures how an LRU buffer pool changes the picture — a
-// design question the paper leaves open by running everything uncached.
-// The environment is rebuilt per cache size (the pool must wrap the devices
-// before the structures are built); query workload and dataset are held
-// fixed through the shared seed.
-//
-// Expected: caching narrows every method's disk cost (upper tree levels pin
-// themselves in the pool) but does not change the ranking — the IR²-Tree's
-// advantage is in touching fewer distinct blocks, which no pool recovers
-// for the baselines until it approaches the dataset size.
-func CacheAblation(base BuildConfig, cacheSizes []int, k, numKeywords, nQueries int, seed int64, cm storage.CostModel) (*Table, error) {
-	t := &Table{
-		Title: fmt.Sprintf("Buffer-pool ablation — %s dataset, k=%d, %d keywords (extension)",
-			base.Spec.Name, k, numKeywords),
-		Columns: measurementColumns,
-		Notes: []string{
-			"cache=0 is the paper's configuration (every access is an I/O);",
-			"pools shrink all methods' misses but preserve the method ranking",
-		},
-	}
-	for _, size := range cacheSizes {
-		cfg := base
-		cfg.CacheBlocks = size
-		env, err := BuildEnv(cfg)
-		if err != nil {
-			return nil, err
-		}
-		queries, err := env.MakeQueries(nQueries, k, numKeywords, seed)
-		if err != nil {
-			return nil, err
-		}
-		// Warm the pools with one pass so the measurement reflects steady
-		// state rather than compulsory misses from the build.
-		for _, m := range AllMethods {
-			if !env.has(m) {
-				continue
-			}
-			for _, q := range queries {
-				if _, _, err := env.RunQuery(m, q); err != nil {
-					return nil, err
-				}
-			}
-			meas, err := env.Measure(m, queries, cm)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, t.measurementRow(fmt.Sprintf("cache=%d", size), meas))
-		}
-	}
-	return t, nil
-}
-
 // CapacityAblation sweeps the R-Tree node capacity (fanout), an implicit
 // design choice in the paper (113 children from the 4 KB block). Small
 // fanouts make deep trees with more random node reads; very large fanouts

@@ -28,46 +28,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestCacheAblation(t *testing.T) {
-	base := BuildConfig{Spec: dataset.Restaurants(0.001), SigBytes: 8}
-	tbl, err := CacheAblation(base, []int{0, 4096}, 5, 2, 5, 41, storage.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2*len(AllMethods) {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	// With a pool holding thousands of blocks over a ~1k-object dataset,
-	// misses must drop dramatically versus uncached. Compare the IR2 rows.
-	var uncached, cached string
-	for _, row := range tbl.Rows {
-		if row[1] == "IR2-Tree" {
-			if row[0] == "cache=0" {
-				uncached = row[5] // randBlk column
-			} else {
-				cached = row[5]
-			}
-		}
-	}
-	if uncached == "" || cached == "" {
-		t.Fatal("missing rows")
-	}
-	if cached >= uncached && cached != "0.0" {
-		// String compare is crude; just require the cached value starts
-		// lower or is zero. Parse properly:
-		var cu, cc float64
-		if _, err := sscan(uncached, &cu); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sscan(cached, &cc); err != nil {
-			t.Fatal(err)
-		}
-		if cc >= cu {
-			t.Errorf("cache did not reduce misses: %v -> %v", cu, cc)
-		}
-	}
-}
-
 func sscan(s string, v *float64) (int, error) {
 	return fmt.Sscan(s, v)
 }

@@ -91,10 +91,6 @@ type BuildConfig struct {
 	BitsPerWord int
 	// MaxEntries overrides node capacity (0 derives ≈102 from 4 KB blocks).
 	MaxEntries int
-	// CacheBlocks, when positive, layers an LRU buffer pool of that many
-	// blocks over every device — the buffer-cache ablation. The paper's
-	// experiments run uncached (every node access is a disk I/O).
-	CacheBlocks int
 	// Methods selects which structures to build; nil means all four.
 	Methods []Method
 }
@@ -148,13 +144,7 @@ func BuildEnv(cfg BuildConfig) (*Env, error) {
 	if methods == nil {
 		methods = AllMethods
 	}
-	newDev := func() storage.Device {
-		var dev storage.Device = storage.NewDisk(storage.DefaultBlockSize)
-		if cfg.CacheBlocks > 0 {
-			dev = storage.NewCachedDisk(dev, cfg.CacheBlocks)
-		}
-		return dev
-	}
+	newDev := func() storage.Device { return storage.NewDisk(storage.DefaultBlockSize) }
 	e := &Env{Cfg: cfg, ObjDisk: newDev()}
 	e.Store = objstore.New(e.ObjDisk)
 	stats, err := dataset.Generate(cfg.Spec, e.Store)

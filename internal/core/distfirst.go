@@ -185,9 +185,6 @@ func (b *RTreeBaseline) Build() error {
 	})
 }
 
-// RTree exposes the underlying tree.
-func (b *RTreeBaseline) RTree() *rtree.Tree { return b.rt }
-
 // SizeBytes returns the index footprint.
 func (b *RTreeBaseline) SizeBytes() int64 { return b.rt.Device().SizeBytes() }
 

@@ -58,10 +58,6 @@ type Options struct {
 	// size, as in the paper).
 	MaxEntries int
 
-	// Split selects the R-Tree node-split algorithm (default: Guttman's
-	// Quadratic Split, as in the paper).
-	Split rtree.SplitAlgorithm
-
 	// CacheNodes bounds the tree's decoded-node cache (see rtree.Config):
 	// zero for the default capacity, negative to disable the cache.
 	CacheNodes int
@@ -264,7 +260,6 @@ func New(dev storage.Device, store *objstore.Store, opts Options) (*IR2Tree, err
 		Dim:        dim,
 		MaxEntries: opts.MaxEntries,
 		Scheme:     scheme,
-		Split:      opts.Split,
 		CacheNodes: opts.CacheNodes,
 	})
 	if err != nil {
@@ -273,17 +268,8 @@ func New(dev storage.Device, store *objstore.Store, opts Options) (*IR2Tree, err
 	return &IR2Tree{rt: rt, store: store, scheme: scheme, multilevel: opts.Multilevel, an: opts.Analyzer}, nil
 }
 
-// Multilevel reports whether this is a MIR²-Tree.
-func (x *IR2Tree) Multilevel() bool { return x.multilevel }
-
-// Analyzer returns the tree's text pipeline (nil means plain tokenization).
-func (x *IR2Tree) Analyzer() *textutil.Analyzer { return x.an }
-
 // RTree exposes the underlying tree (for statistics and invariant checks).
 func (x *IR2Tree) RTree() *rtree.Tree { return x.rt }
-
-// Store returns the object store the tree indexes.
-func (x *IR2Tree) Store() *objstore.Store { return x.store }
 
 // NodeCacheStats reports the decoded-node cache counters of the underlying
 // tree (all zero when the cache is disabled).

@@ -38,7 +38,6 @@ func Open(dev storage.Device, store *objstore.Store, opts Options, stateBlock st
 		Dim:        dims(opts),
 		MaxEntries: opts.MaxEntries,
 		Scheme:     x.scheme,
-		Split:      opts.Split,
 		CacheNodes: opts.CacheNodes,
 	}, stateBlock)
 	if err != nil {

@@ -152,13 +152,8 @@ const (
 	defaultSubBuffer = 64
 )
 
-var (
-	// ErrNoFence is returned for operations on an unknown fence id.
-	ErrNoFence = errors.New("fence: no such fence")
-	// ErrClosed is returned when subscribing to a closed subscription's
-	// fence after the registry dropped it.
-	ErrClosed = errors.New("fence: subscription closed")
-)
+// ErrNoFence is returned for operations on an unknown fence id.
+var ErrNoFence = errors.New("fence: no such fence")
 
 type member struct {
 	id   uint64

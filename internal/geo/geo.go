@@ -148,16 +148,6 @@ func (r Rect) Area() float64 {
 	return a
 }
 
-// Margin returns the sum of the edge lengths of r (the "perimeter" measure
-// used by some split heuristics).
-func (r Rect) Margin() float64 {
-	var m float64
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
-}
-
 // Union returns the smallest rectangle containing both r and s.
 // If r is the zero rectangle, it returns s (and vice versa), so a running
 // union can start from Rect{}.
@@ -270,22 +260,6 @@ func (r Rect) MinDistRect(s Rect) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// MaxDist returns the maximum Euclidean distance from p to any point of r.
-// It upper-bounds the distance from p to an object inside r and is useful
-// for pruning in aggregate queries.
-func (r Rect) MaxDist(p Point) float64 {
-	if len(p) != len(r.Lo) {
-		//skvet:ignore nopanic documented invariant: mixed dimensions are a caller logic error
-		panic(fmt.Sprintf("geo: maxdist dimension mismatch %d vs %d", len(p), len(r.Lo)))
-	}
-	var s float64
-	for i := range p {
-		d := math.Max(math.Abs(p[i]-r.Lo[i]), math.Abs(p[i]-r.Hi[i]))
-		s += d * d
-	}
-	return math.Sqrt(s)
 }
 
 // String formats the rectangle as "lo..hi".

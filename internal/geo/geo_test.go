@@ -162,26 +162,10 @@ func TestRectMinDist(t *testing.T) {
 	}
 }
 
-func TestRectMaxDist(t *testing.T) {
-	r := NewRect(NewPoint(0, 0), NewPoint(2, 2))
-	// From the origin corner, the farthest point of r is (2,2).
-	if got, want := r.MaxDist(NewPoint(0, 0)), math.Sqrt(8); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MaxDist = %g, want %g", got, want)
-	}
-	// From far away, max dist >= min dist always.
-	p := NewPoint(10, -3)
-	if r.MaxDist(p) < r.MinDist(p) {
-		t.Error("MaxDist < MinDist")
-	}
-}
-
-func TestRectCenterAndMargin(t *testing.T) {
+func TestRectCenter(t *testing.T) {
 	r := NewRect(NewPoint(0, 2), NewPoint(4, 8))
 	if c := r.Center(); !c.Equal(NewPoint(2, 5)) {
 		t.Errorf("Center = %v", c)
-	}
-	if m := r.Margin(); m != 10 {
-		t.Errorf("Margin = %g, want 10", m)
 	}
 }
 
@@ -224,9 +208,6 @@ func TestQuickMinDistLowerBoundsContainedPoints(t *testing.T) {
 		)
 		if d, min := q.Dist(in), r.MinDist(q); d < min-1e-9 {
 			t.Fatalf("point %v in %v closer (%g) to %v than MinDist %g", in, r, d, q, min)
-		}
-		if d, max := q.Dist(in), r.MaxDist(q); d > max+1e-9 {
-			t.Fatalf("point %v in %v farther (%g) from %v than MaxDist %g", in, r, d, q, max)
 		}
 	}
 }

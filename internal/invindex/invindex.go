@@ -367,9 +367,6 @@ func (ix *Index) SizeBytes() int64 { return ix.dev.SizeBytes() }
 // SizeMB returns the footprint in megabytes (10^6 bytes).
 func (ix *Index) SizeMB() float64 { return float64(ix.SizeBytes()) / 1e6 }
 
-// Device returns the index's block device (for I/O metering).
-func (ix *Index) Device() storage.Device { return ix.dev }
-
 // Postings reads word's posting list from the device and returns the sorted
 // object references ("I.RetrieveObjectPointersList(w)" of Figure 7): the
 // on-device list followed by the word's tail. A word absent from the

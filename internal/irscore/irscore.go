@@ -18,7 +18,6 @@ package irscore
 
 import (
 	"math"
-	"sort"
 
 	"spatialkeyword/internal/textutil"
 )
@@ -162,36 +161,4 @@ func (c DistanceDiscount) Combine(dist, ir float64) float64 {
 		eps = 1e-9
 	}
 	return (eps + ir) / (1 + dist/scale)
-}
-
-// LinearCombiner is f = Alpha·IRscore − (1−Alpha)·dist/Scale: the weighted
-// trade-off formulation common in later spatial-keyword literature.
-type LinearCombiner struct {
-	// Alpha in [0,1] weights relevance against proximity. Zero value means
-	// 0.5.
-	Alpha float64
-	// Scale normalizes distances. Zero means 1.
-	Scale float64
-}
-
-// Combine implements Combiner.
-func (c LinearCombiner) Combine(dist, ir float64) float64 {
-	alpha := c.Alpha
-	if alpha == 0 {
-		alpha = 0.5
-	}
-	scale := c.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	return alpha*ir - (1-alpha)*dist/scale
-}
-
-// TopIDFPrefix returns, for diagnostics and workload construction, the
-// given idfs sorted descending. It does not modify its input.
-func TopIDFPrefix(idfs []float64) []float64 {
-	out := make([]float64, len(idfs))
-	copy(out, idfs)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
 }

@@ -183,28 +183,3 @@ func TestDistanceDiscountMonotone(t *testing.T) {
 		t.Error("epsilon floor missing: zero-relevance ties not broken by distance")
 	}
 }
-
-func TestLinearCombinerMonotone(t *testing.T) {
-	c := LinearCombiner{Alpha: 0.7, Scale: 10}
-	if c.Combine(0, 5) <= c.Combine(100, 5) {
-		t.Error("not decreasing in distance")
-	}
-	if c.Combine(10, 5) <= c.Combine(10, 1) {
-		t.Error("not increasing in ir")
-	}
-	zero := LinearCombiner{}
-	if zero.Combine(0, 2) <= zero.Combine(0, 1) {
-		t.Error("zero-value alpha broken")
-	}
-}
-
-func TestTopIDFPrefix(t *testing.T) {
-	in := []float64{1, 3, 2}
-	out := TopIDFPrefix(in)
-	if out[0] != 3 || out[1] != 2 || out[2] != 1 {
-		t.Errorf("TopIDFPrefix = %v", out)
-	}
-	if in[0] != 1 {
-		t.Error("input mutated")
-	}
-}

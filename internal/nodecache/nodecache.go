@@ -136,18 +136,6 @@ func (c *Cache[V]) Invalidate(id storage.BlockID) {
 	}
 }
 
-// Reset empties the cache, keeping its statistics.
-func (c *Cache[V]) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.slots {
-		var zero V
-		c.slots[i] = slot[V]{val: zero}
-	}
-	clear(c.index)
-	c.hand = 0
-}
-
 // Len returns the number of resident nodes.
 func (c *Cache[V]) Len() int {
 	c.mu.Lock()

@@ -32,6 +32,9 @@ func TestGetPutInvalidate(t *testing.T) {
 	if c.Len() != 1 || c.Cap() != 4 {
 		t.Fatalf("Len=%d Cap=%d, want 1,4", c.Len(), c.Cap())
 	}
+	if def := New[string](0); def.Cap() != DefaultCapacity {
+		t.Fatalf("default Cap = %d want %d", def.Cap(), DefaultCapacity)
+	}
 }
 
 func TestClockEviction(t *testing.T) {
@@ -88,20 +91,5 @@ func TestDeterministicEviction(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic resident set: %v vs %v", a, b)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := New[string](0) // default capacity
-	if c.Cap() != DefaultCapacity {
-		t.Fatalf("Cap = %d want %d", c.Cap(), DefaultCapacity)
-	}
-	c.Put(1, "a")
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatal("Reset left residents")
-	}
-	if _, ok := c.Get(1); ok {
-		t.Fatal("Reset left entry 1")
 	}
 }

@@ -68,9 +68,6 @@ func New(dev storage.Device) *Store {
 // NumObjects returns the number of appended objects.
 func (s *Store) NumObjects() int { return int(s.count) }
 
-// Device returns the store's block device (for I/O metering).
-func (s *Store) Device() storage.Device { return s.dev }
-
 // Ptrs returns the row pointer for every object, indexed by ID. The returned
 // slice is owned by the store; callers must not modify it. Index builders
 // use this to scan the file without re-deriving offsets.

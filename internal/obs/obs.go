@@ -43,9 +43,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds d (which may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -145,14 +142,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Mean returns the mean of the snapshot's observations (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // ExpBuckets returns n strictly increasing bounds starting at start and

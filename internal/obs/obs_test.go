@@ -16,9 +16,8 @@ func TestCounterGauge(t *testing.T) {
 	}
 	var g Gauge
 	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	if got := g.Value(); got != 7 {
+		t.Fatalf("gauge = %d, want 7", got)
 	}
 }
 
@@ -40,9 +39,6 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 	if got, want := s.Sum, 0.5+1+1.5+2+3+4+100; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("sum = %g, want %g", got, want)
-	}
-	if got := s.Mean(); math.Abs(got-112.0/7) > 1e-9 {
-		t.Fatalf("mean = %g", got)
 	}
 }
 

@@ -323,9 +323,6 @@ func NewQueryRecorder(reg *Registry) *QueryRecorder {
 	return &QueryRecorder{reg: reg}
 }
 
-// Registry returns the backing registry.
-func (q *QueryRecorder) Registry() *Registry { return q.reg }
-
 // RecordQuery implements Sink.
 func (q *QueryRecorder) RecordQuery(m QueryMetrics) {
 	shard := "all"

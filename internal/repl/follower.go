@@ -760,13 +760,6 @@ func (f *Follower) Status() Status {
 	return st
 }
 
-// PositionToken returns the follower's applied position vector as a token.
-func (f *Follower) PositionToken() string {
-	f.posMu.Lock()
-	defer f.posMu.Unlock()
-	return EncodePositions(f.positions)
-}
-
 // WaitFor blocks until the follower's applied positions cover the token
 // (a leader write-position, see Leader.PositionToken) — the
 // read-your-writes barrier — or the timeout passes.

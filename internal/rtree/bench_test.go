@@ -11,9 +11,9 @@ import (
 // Micro-benchmarks for the spatial substrate. The paper-level benchmarks
 // (per figure/table) live in the repository root's bench_test.go.
 
-func benchTree(b *testing.B, n int, split SplitAlgorithm) (*Tree, []geo.Point) {
+func benchTree(b *testing.B, n int) (*Tree, []geo.Point) {
 	b.Helper()
-	tree, err := New(storage.NewDisk(4096), Config{Dim: 2, Split: split})
+	tree, err := New(storage.NewDisk(4096), Config{Dim: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func benchTree(b *testing.B, n int, split SplitAlgorithm) (*Tree, []geo.Point) {
 }
 
 func BenchmarkInsert(b *testing.B) {
-	tree, _ := benchTree(b, 1, QuadraticSplit)
+	tree, _ := benchTree(b, 1)
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +60,7 @@ func BenchmarkBulkLoad10k(b *testing.B) {
 }
 
 func BenchmarkNearestNeighbor10(b *testing.B) {
-	tree, _ := benchTree(b, 20000, QuadraticSplit)
+	tree, _ := benchTree(b, 20000)
 	rng := rand.New(rand.NewSource(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -74,7 +74,7 @@ func BenchmarkNearestNeighbor10(b *testing.B) {
 }
 
 func BenchmarkDelete(b *testing.B) {
-	tree, pts := benchTree(b, 50000, QuadraticSplit)
+	tree, pts := benchTree(b, 50000)
 	b.ResetTimer()
 	for i := 0; i < b.N && i < len(pts); i++ {
 		ok, err := tree.Delete(uint64(i), geo.PointRect(pts[i]))

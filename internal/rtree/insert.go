@@ -108,10 +108,10 @@ func (t *Tree) chooseNode(rect geo.Rect, level int) ([]pathStep, error) {
 }
 
 // splitNode divides an overflowing node's entries between n and a freshly
-// allocated sibling using the configured split algorithm, returning the
-// sibling. Both nodes end up with at least MinEntries entries.
+// allocated sibling with Guttman's Quadratic Split, returning the sibling.
+// Both nodes end up with at least MinEntries entries.
 func (t *Tree) splitNode(n *Node) (*Node, error) {
-	groupA, groupB := t.splitEntries(n.entries)
+	groupA, groupB := t.quadraticSplit(n.entries)
 	sibling := t.allocNode(n.level)
 	n.entries = groupA
 	sibling.entries = groupB

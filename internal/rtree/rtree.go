@@ -39,8 +39,6 @@ const nodeHeaderSize = 8
 // lock, so implementations must use this reader rather than the public Tree
 // methods (which would self-deadlock).
 type NodeReader interface {
-	// LoadNode reads a node (paying its I/O).
-	LoadNode(id storage.BlockID) (*Node, error)
 	// SubtreeObjectRefs returns every object reference under n, reading the
 	// whole subtree.
 	SubtreeObjectRefs(n *Node) ([]uint64, error)
@@ -70,7 +68,6 @@ func (plainScheme) NodeAux(NodeReader, *Node) ([]byte, error) { return nil, nil 
 // while the tree's lock is already held by the calling operation.
 type nodeReader struct{ t *Tree }
 
-func (r nodeReader) LoadNode(id storage.BlockID) (*Node, error) { return r.t.loadNode(id) }
 func (r nodeReader) SubtreeObjectRefs(n *Node) ([]uint64, error) {
 	return r.t.subtreeObjectRefs(n)
 }
@@ -85,9 +82,6 @@ type Config struct {
 	// MinFill is the minimum fill fraction m/M in (0, 0.5]. Zero means 0.4,
 	// a standard choice for Guttman trees.
 	MinFill float64
-	// Split selects the node-split algorithm. The zero value is
-	// QuadraticSplit, the paper's choice.
-	Split SplitAlgorithm
 	// Scheme maintains entry payloads. Nil means a plain R-Tree.
 	Scheme AuxScheme
 	// CacheNodes bounds the decoded-node cache the read path serves packed
@@ -147,7 +141,6 @@ type Tree struct {
 	maxE   int
 	minE   int
 	scheme AuxScheme
-	split  SplitAlgorithm
 
 	mu     sync.RWMutex
 	root   storage.BlockID
@@ -196,7 +189,6 @@ func New(dev storage.Device, cfg Config) (*Tree, error) {
 		maxE:   maxE,
 		minE:   minE,
 		scheme: scheme,
-		split:  cfg.Split,
 	}
 	if cfg.CacheNodes >= 0 {
 		t.cache = nodecache.New[*PackedNode](cfg.CacheNodes)

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,80 +9,60 @@ import (
 	"spatialkeyword/internal/storage"
 )
 
-var allSplits = []SplitAlgorithm{QuadraticSplit, LinearSplit, RStarSplit}
-
-func TestSplitAlgorithmString(t *testing.T) {
-	want := map[SplitAlgorithm]string{
-		QuadraticSplit: "quadratic",
-		LinearSplit:    "linear",
-		RStarSplit:     "rstar",
-	}
-	for alg, name := range want {
-		if alg.String() != name {
-			t.Errorf("%d.String() = %q, want %q", alg, alg.String(), name)
-		}
-	}
-}
-
 func TestAllSplitsPreserveEntriesAndFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
-	for _, alg := range allSplits {
-		t.Run(alg.String(), func(t *testing.T) {
-			tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 10, Split: alg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for trial := 0; trial < 200; trial++ {
-				entries := make([]entry, 11)
-				seen := make(map[uint64]bool)
-				for i := range entries {
-					x, y := rng.Float64()*100, rng.Float64()*100
-					entries[i] = entry{
-						ptr: uint64(trial*100 + i),
-						rect: geo.NewRect(
-							geo.NewPoint(x, y),
-							geo.NewPoint(x+rng.Float64()*5, y+rng.Float64()*5),
-						),
-					}
-					seen[entries[i].ptr] = true
-				}
-				a, b := tree.splitEntries(entries)
-				if len(a)+len(b) != len(entries) {
-					t.Fatalf("trial %d: lost entries %d+%d", trial, len(a), len(b))
-				}
-				if len(a) < tree.minE || len(b) < tree.minE {
-					t.Fatalf("trial %d: under min fill %d/%d", trial, len(a), len(b))
-				}
-				for _, e := range append(append([]entry{}, a...), b...) {
-					if !seen[e.ptr] {
-						t.Fatalf("trial %d: unknown entry %d", trial, e.ptr)
-					}
-					delete(seen, e.ptr)
-				}
-				if len(seen) != 0 {
-					t.Fatalf("trial %d: %d entries vanished", trial, len(seen))
-				}
-			}
-		})
-	}
-}
-
-func TestAllSplitsIdenticalRects(t *testing.T) {
-	// Degenerate input: every entry identical. All algorithms must still
-	// produce a legal split.
-	for _, alg := range allSplits {
-		tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 6, Split: alg})
+	t.Run("quadratic", func(t *testing.T) {
+		tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries := make([]entry, 7)
-		for i := range entries {
-			entries[i] = entry{ptr: uint64(i), rect: geo.PointRect(geo.NewPoint(5, 5))}
+		for trial := 0; trial < 200; trial++ {
+			entries := make([]entry, 11)
+			seen := make(map[uint64]bool)
+			for i := range entries {
+				x, y := rng.Float64()*100, rng.Float64()*100
+				entries[i] = entry{
+					ptr: uint64(trial*100 + i),
+					rect: geo.NewRect(
+						geo.NewPoint(x, y),
+						geo.NewPoint(x+rng.Float64()*5, y+rng.Float64()*5),
+					),
+				}
+				seen[entries[i].ptr] = true
+			}
+			a, b := tree.quadraticSplit(entries)
+			if len(a)+len(b) != len(entries) {
+				t.Fatalf("trial %d: lost entries %d+%d", trial, len(a), len(b))
+			}
+			if len(a) < tree.minE || len(b) < tree.minE {
+				t.Fatalf("trial %d: under min fill %d/%d", trial, len(a), len(b))
+			}
+			for _, e := range append(append([]entry{}, a...), b...) {
+				if !seen[e.ptr] {
+					t.Fatalf("trial %d: unknown entry %d", trial, e.ptr)
+				}
+				delete(seen, e.ptr)
+			}
+			if len(seen) != 0 {
+				t.Fatalf("trial %d: %d entries vanished", trial, len(seen))
+			}
 		}
-		a, b := tree.splitEntries(entries)
-		if len(a)+len(b) != 7 || len(a) < tree.minE || len(b) < tree.minE {
-			t.Errorf("%s: degenerate split %d/%d", alg, len(a), len(b))
-		}
+	})
+}
+
+func TestAllSplitsIdenticalRects(t *testing.T) {
+	// Degenerate input: every entry identical. The split must still be legal.
+	tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]entry, 7)
+	for i := range entries {
+		entries[i] = entry{ptr: uint64(i), rect: geo.PointRect(geo.NewPoint(5, 5))}
+	}
+	a, b := tree.quadraticSplit(entries)
+	if len(a)+len(b) != 7 || len(a) < tree.minE || len(b) < tree.minE {
+		t.Errorf("degenerate split %d/%d", len(a), len(b))
 	}
 }
 
@@ -105,125 +84,38 @@ func TestTreesCorrectUnderEverySplit(t *testing.T) {
 		}
 		return order[a] < order[b]
 	})
-	for _, alg := range allSplits {
-		t.Run(alg.String(), func(t *testing.T) {
-			tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 8, Split: alg})
-			if err != nil {
+	t.Run("quadratic", func(t *testing.T) {
+		tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pts {
+			if err := tree.Insert(uint64(i), geo.PointRect(p), nil); err != nil {
 				t.Fatal(err)
-			}
-			for i, p := range pts {
-				if err := tree.Insert(uint64(i), geo.PointRect(p), nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tree.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			it := tree.NearestNeighbors(q, nil)
-			for rank := 0; rank < 50; rank++ {
-				ref, _, ok, err := it.Next()
-				if err != nil || !ok {
-					t.Fatalf("rank %d: %v %v", rank, ok, err)
-				}
-				if ref != uint64(order[rank]) {
-					t.Fatalf("%s rank %d: %d, want %d", alg, rank, ref, order[rank])
-				}
-			}
-			// Deletions stay correct too.
-			for i := 0; i < 100; i++ {
-				ok, err := tree.Delete(uint64(i), geo.PointRect(pts[i]))
-				if err != nil || !ok {
-					t.Fatalf("delete %d: %v %v", i, ok, err)
-				}
-			}
-			if err := tree.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestRStarSplitReducesOverlap is the quality property motivating the R*
-// split: across many random overflow sets, the R* distribution's group
-// overlap must be no worse on average than quadratic's.
-func TestRStarSplitReducesOverlap(t *testing.T) {
-	rng := rand.New(rand.NewSource(153))
-	quadTree, _ := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 20, Split: QuadraticSplit})
-	rstarTree, _ := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 20, Split: RStarSplit})
-	var quadOverlap, rstarOverlap float64
-	for trial := 0; trial < 300; trial++ {
-		entries := make([]entry, 21)
-		for i := range entries {
-			x, y := rng.Float64()*100, rng.Float64()*100
-			entries[i] = entry{
-				ptr:  uint64(i),
-				rect: geo.NewRect(geo.NewPoint(x, y), geo.NewPoint(x+rng.Float64()*20, y+rng.Float64()*20)),
 			}
 		}
-		measure := func(a, b []entry) float64 {
-			var ra, rb geo.Rect
-			for _, e := range a {
-				ra = ra.Union(e.rect)
-			}
-			for _, e := range b {
-				rb = rb.Union(e.rect)
-			}
-			return intersectionArea(ra, rb)
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
-		qa, qb := quadTree.splitEntries(cloneEntries(entries))
-		ra, rb := rstarTree.splitEntries(cloneEntries(entries))
-		quadOverlap += measure(qa, qb)
-		rstarOverlap += measure(ra, rb)
-	}
-	if rstarOverlap > quadOverlap {
-		t.Errorf("R* split overlap %.0f exceeds quadratic's %.0f", rstarOverlap, quadOverlap)
-	}
-}
-
-func cloneEntries(in []entry) []entry {
-	out := make([]entry, len(in))
-	copy(out, in)
-	return out
-}
-
-func TestIntersectionArea(t *testing.T) {
-	a := geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(10, 10))
-	tests := []struct {
-		name string
-		b    geo.Rect
-		want float64
-	}{
-		{"disjoint", geo.NewRect(geo.NewPoint(20, 20), geo.NewPoint(30, 30)), 0},
-		{"touching", geo.NewRect(geo.NewPoint(10, 0), geo.NewPoint(20, 10)), 0},
-		{"quarter", geo.NewRect(geo.NewPoint(5, 5), geo.NewPoint(15, 15)), 25},
-		{"contained", geo.NewRect(geo.NewPoint(2, 2), geo.NewPoint(4, 4)), 4},
-		{"identical", a, 100},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := intersectionArea(a, tt.b); got != tt.want {
-				t.Errorf("intersectionArea = %g, want %g", got, tt.want)
+		it := tree.NearestNeighbors(q, nil)
+		for rank := 0; rank < 50; rank++ {
+			ref, _, ok, err := it.Next()
+			if err != nil || !ok {
+				t.Fatalf("rank %d: %v %v", rank, ok, err)
 			}
-			if got := intersectionArea(tt.b, a); got != tt.want {
-				t.Error("not symmetric")
+			if ref != uint64(order[rank]) {
+				t.Fatalf("rank %d: %d, want %d", rank, ref, order[rank])
 			}
-		})
-	}
-}
-
-func TestLinearPickSeeds(t *testing.T) {
-	// Two clearly separated entries must be the seeds.
-	entries := []entry{
-		{ptr: 0, rect: geo.PointRect(geo.NewPoint(0, 0))},
-		{ptr: 1, rect: geo.PointRect(geo.NewPoint(1, 1))},
-		{ptr: 2, rect: geo.PointRect(geo.NewPoint(100, 100))},
-	}
-	a, b := linearPickSeeds(entries, 2)
-	got := fmt.Sprint(map[int]bool{a: true, b: true})
-	if a == b {
-		t.Fatalf("identical seeds %d", a)
-	}
-	if !((a == 0 && b == 2) || (a == 2 && b == 0)) {
-		t.Errorf("seeds = %s, want {0,2}", got)
-	}
+		}
+		// Deletions stay correct too.
+		for i := 0; i < 100; i++ {
+			ok, err := tree.Delete(uint64(i), geo.PointRect(pts[i]))
+			if err != nil || !ok {
+				t.Fatalf("delete %d: %v %v", i, ok, err)
+			}
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -63,9 +63,6 @@ func NewGridPartitioner(n int, bounds geo.Rect) (*GridPartitioner, error) {
 // Shards implements Partitioner.
 func (g *GridPartitioner) Shards() int { return g.n }
 
-// Bounds returns the grid's bounding box.
-func (g *GridPartitioner) Bounds() geo.Rect { return g.bounds }
-
 // cell returns the clamped cell coordinate of value v along one axis.
 func gridCell(v, lo, hi float64, cells int) int {
 	if cells <= 1 || hi <= lo {

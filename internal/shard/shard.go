@@ -329,6 +329,14 @@ func (s *ShardedEngine) NumShards() int { return len(s.shards) }
 // Partitioner returns the engine's partitioner.
 func (s *ShardedEngine) Partitioner() Partitioner { return s.part }
 
+// dim is the dimensionality every shard's engine indexes.
+func (s *ShardedEngine) dim() int {
+	if s.cfg.Dim == 0 {
+		return 2
+	}
+	return s.cfg.Dim
+}
+
 // Add routes the object to its shard by location, indexes it immediately
 // (sharded adds are always flushed, so queries never contend with pending
 // buffers), and returns its global ID. The global ID is reserved first and
@@ -337,12 +345,8 @@ func (s *ShardedEngine) Partitioner() Partitioner { return s.part }
 // crash recovery can rebuild the global→shard assignment from the shards'
 // logs alone. A storage fault takes the shard out of rotation.
 func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
-	dim := s.cfg.Dim
-	if dim == 0 {
-		dim = 2
-	}
-	if len(point) != dim {
-		return 0, fmt.Errorf("%w: has %d dimensions, engine uses %d", spatialkeyword.ErrBadPoint, len(point), dim)
+	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
+		return 0, err
 	}
 	sh := s.shards[s.part.Locate(geo.NewPoint(point...))]
 	sh.mu.Lock()
@@ -587,6 +591,11 @@ func (s *ShardedEngine) topKRanked(k int, coordinated bool, point []float64, key
 // keywords, ordered by global ID. Only shards whose region intersects the
 // rectangle are consulted.
 func (s *ShardedEngine) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
+	// Checked here as well as by each engine: the partitioner indexes the
+	// corners' coordinates and geo.NewRect panics on an inverted rectangle.
+	if err := spatialkeyword.CheckArea(lo, hi, s.dim()); err != nil {
+		return nil, err
+	}
 	which := s.part.Overlapping(geo.NewRect(geo.NewPoint(lo...), geo.NewPoint(hi...)))
 	var (
 		mu  sync.Mutex

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -214,5 +215,71 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, ok := s.Partitioner().(*HashPartitioner); !ok {
 		t.Errorf("default partitioner = %T, want hash", s.Partitioner())
+	}
+}
+
+// TestBadPointRefusedAtEveryEntry: the sharded engine refuses a point of the
+// wrong dimensionality or with a NaN or infinite coordinate with ErrBadPoint
+// at every entry that takes one — before the partitioner indexes it — under
+// both partitioners, and a refused Add reserves no global ID.
+func TestBadPointRefusedAtEveryEntry(t *testing.T) {
+	hash, err := NewHashPartitioner(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pname, opts := range map[string]Options{
+		"grid": {Shards: 4, Bounds: geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(100, 100))},
+		"hash": {Shards: 3, Partitioner: hash},
+	} {
+		s, err := New(spatialkeyword.Config{SignatureBytes: 16}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range [][]float64{{10, 10}, {90, 20}, {20, 90}, {80, 80}} {
+			if _, err := s.Add(pt, "pool spa"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		good := []float64{1, 1}
+		for name, bad := range map[string][]float64{
+			"0-d":  {},
+			"3-d":  {1, 2, 3},
+			"NaN":  {math.NaN(), 3},
+			"+Inf": {3, math.Inf(1)},
+			"-Inf": {math.Inf(-1), 3},
+		} {
+			entries := map[string]func() error{
+				"Add":           func() error { _, err := s.Add(bad, "pool"); return err },
+				"TopK":          func() error { _, err := s.TopK(1, bad, "pool"); return err },
+				"TopKSerial":    func() error { _, err := s.TopKSerial(1, bad, "pool"); return err },
+				"TopKArea/lo":   func() error { _, err := s.TopKArea(1, bad, good, "pool"); return err },
+				"TopKArea/hi":   func() error { _, err := s.TopKArea(1, good, bad, "pool"); return err },
+				"TopKRanked":    func() error { _, err := s.TopKRanked(1, bad, "pool"); return err },
+				"WithinArea/lo": func() error { _, err := s.WithinArea(bad, good, "pool"); return err },
+				"WithinArea/hi": func() error { _, err := s.WithinArea(good, bad, "pool"); return err },
+			}
+			for entry, call := range entries {
+				if err := call(); !errors.Is(err, spatialkeyword.ErrBadPoint) {
+					t.Errorf("%s: %s with a %s point: err = %v, want ErrBadPoint", pname, entry, name, err)
+				}
+			}
+		}
+		if _, err := s.WithinArea([]float64{5, 5}, good, "pool"); !errors.Is(err, spatialkeyword.ErrBadPoint) {
+			t.Errorf("%s: WithinArea on an inverted area: err = %v, want ErrBadPoint", pname, err)
+		}
+		if _, err := s.TopKArea(1, []float64{5, 5}, good, "pool"); !errors.Is(err, spatialkeyword.ErrBadPoint) {
+			t.Errorf("%s: TopKArea on an inverted area: err = %v, want ErrBadPoint", pname, err)
+		}
+		if got := s.NumObjects(); got != 4 {
+			t.Errorf("%s: refused adds moved NumObjects to %d", pname, got)
+		}
+		for i, h := range s.Health() {
+			if !h.Healthy {
+				t.Errorf("%s: a bad point took shard %d out of rotation: %+v", pname, i, h)
+			}
+		}
+		if res, err := s.TopK(4, []float64{50, 50}, "pool"); err != nil || len(res) != 4 {
+			t.Errorf("%s: engine unusable after refused points: %d results, %v", pname, len(res), err)
+		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/bits"
 )
 
 // Signature is an m-bit superimposed code stored as bytes (bit i lives in
@@ -141,14 +140,6 @@ func MatchesTolerant(s, q Signature) bool {
 	return matchesWords(s, q)
 }
 
-// Union returns a new signature that superimposes a and b.
-func Union(a, b Signature) Signature {
-	out := make(Signature, len(a))
-	copy(out, a)
-	Superimpose(out, b)
-	return out
-}
-
 // Matches reports whether a document (or subtree) with signature s may
 // contain everything described by query signature q — i.e. every set bit of
 // q is set in s. This is the "s matches w" test of IR2NearestNeighbor
@@ -191,43 +182,8 @@ func (s Signature) IsZero() bool {
 	return true
 }
 
-// Weight returns the number of set bits.
-func (s Signature) Weight() int {
-	var w int
-	for _, b := range s {
-		w += bits.OnesCount8(b)
-	}
-	return w
-}
-
-// Density returns the fraction of set bits in [0, 1].
-func (s Signature) Density() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	return float64(s.Weight()) / float64(len(s)*8)
-}
-
 // String renders the signature as hex for debugging.
 func (s Signature) String() string { return fmt.Sprintf("%x", []byte(s)) }
-
-// FalsePositiveProb estimates the probability that a signature with the
-// given bit density spuriously matches a query that sets qbits distinct bit
-// positions: each query bit is independently found set with probability
-// density.
-func FalsePositiveProb(density float64, qbits int) float64 {
-	return math.Pow(density, float64(qbits))
-}
-
-// ExpectedDensity estimates the bit density of a signature of mbits bits
-// after superimposing words distinct words at k bits each:
-// 1 - (1 - 1/m)^(k·words).
-func ExpectedDensity(mbits, k, words int) float64 {
-	if mbits <= 0 {
-		return 1
-	}
-	return 1 - math.Pow(1-1/float64(mbits), float64(k*words))
-}
 
 // OptimalBits returns the signature length in bits that minimizes the
 // false-positive rate for a signature absorbing distinctWords words at k
@@ -244,43 +200,4 @@ func OptimalBits(distinctWords, k int) int {
 // OptimalLengthBytes returns OptimalBits rounded up to whole bytes.
 func OptimalLengthBytes(distinctWords, k int) int {
 	return (OptimalBits(distinctWords, k) + 7) / 8
-}
-
-// LevelConfigs computes per-level signature configurations for a Multi-level
-// IR²-Tree of the given height. Level 0 is the leaf level, which uses the
-// caller-chosen leaf configuration (the experiments sweep this length).
-// Level i (counting up from the leaves) covers roughly fanout^i times more
-// objects, so its signatures absorb more distinct words; each level gets the
-// optimal length for its expected distinct-word count, capped at the corpus
-// vocabulary size (a subtree can never contain more distinct words than the
-// corpus has).
-//
-// avgWordsPerObject is the mean number of distinct words per object document
-// and vocabSize the corpus vocabulary size (both from Table 1 for the
-// paper's datasets).
-func LevelConfigs(leaf Config, height, fanout int, avgWordsPerObject float64, vocabSize int) []Config {
-	if height < 1 {
-		height = 1
-	}
-	if fanout < 2 {
-		fanout = 2
-	}
-	cfgs := make([]Config, height)
-	cfgs[0] = leaf
-	words := avgWordsPerObject
-	for lvl := 1; lvl < height; lvl++ {
-		// Distinct words in a subtree grow sublinearly with the object
-		// count; modeling them as capped linear growth keeps higher levels
-		// near the vocabulary size, which is the regime that matters.
-		words *= float64(fanout)
-		d := int(math.Ceil(words))
-		if vocabSize > 0 && d > vocabSize {
-			d = vocabSize
-		}
-		cfgs[lvl] = Config{
-			LengthBytes: OptimalLengthBytes(d, leaf.BitsPerWord),
-			BitsPerWord: leaf.BitsPerWord,
-		}
-	}
-	return cfgs
 }

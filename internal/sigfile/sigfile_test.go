@@ -2,7 +2,7 @@ package sigfile
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -36,7 +36,11 @@ func TestWordSignatureDeterministicAndWeight(t *testing.T) {
 	if !a.Equal(b) {
 		t.Error("same word produced different signatures")
 	}
-	if w := a.Weight(); w == 0 || w > testCfg.BitsPerWord {
+	w := 0
+	for _, b := range a {
+		w += bits.OnesCount8(b)
+	}
+	if w == 0 || w > testCfg.BitsPerWord {
 		t.Errorf("word signature weight = %d, want 1..%d", w, testCfg.BitsPerWord)
 	}
 	if a.Equal(testCfg.WordSignature("pool")) {
@@ -104,21 +108,15 @@ func TestMatchesLengthMismatchPanics(t *testing.T) {
 func TestSuperimposeMonotone(t *testing.T) {
 	a := testCfg.DocSignature([]string{"internet"})
 	b := testCfg.DocSignature([]string{"pool", "spa"})
-	u := Union(a, b)
-	if !Matches(u, a) || !Matches(u, b) {
-		t.Error("union does not cover its parts")
-	}
-	if u.Weight() < a.Weight() || u.Weight() < b.Weight() {
-		t.Error("union weight below part weight")
-	}
+	part := a.Clone()
 	// Superimpose must not mutate src.
 	before := b.Clone()
 	Superimpose(a, b)
 	if !b.Equal(before) {
 		t.Error("Superimpose mutated src")
 	}
-	if !a.Equal(u) {
-		t.Error("Superimpose != Union")
+	if !Matches(a, part) || !Matches(a, b) {
+		t.Error("superimposition does not cover its parts")
 	}
 }
 
@@ -141,7 +139,8 @@ func TestQuickSuperimpositionPreservesMatches(t *testing.T) {
 		if !Matches(doc, q) {
 			return true // antecedent false
 		}
-		parent := Union(doc, cfg.DocSignature(otherWords))
+		parent := doc.Clone()
+		Superimpose(parent, cfg.DocSignature(otherWords))
 		return Matches(parent, q)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -151,7 +150,7 @@ func TestQuickSuperimpositionPreservesMatches(t *testing.T) {
 
 func TestSignatureBasics(t *testing.T) {
 	s := testCfg.New()
-	if !s.IsZero() || s.Weight() != 0 || s.Density() != 0 {
+	if !s.IsZero() {
 		t.Error("fresh signature not zero")
 	}
 	testCfg.SetWord(s, "x")
@@ -166,47 +165,8 @@ func TestSignatureBasics(t *testing.T) {
 	if s.Equal(make(Signature, 1)) {
 		t.Error("Equal across lengths")
 	}
-	if (Signature{}).Density() != 0 {
-		t.Error("empty signature density")
-	}
 	if fmt.Sprintf("%v", Signature{0xab, 0x01}) != "ab01" {
 		t.Errorf("String = %v", Signature{0xab, 0x01})
-	}
-}
-
-func TestDensityAndFalsePositiveModel(t *testing.T) {
-	if got := FalsePositiveProb(0.5, 4); math.Abs(got-0.0625) > 1e-12 {
-		t.Errorf("FalsePositiveProb = %g", got)
-	}
-	// ExpectedDensity grows with words and shrinks with length.
-	d1 := ExpectedDensity(64, 4, 5)
-	d2 := ExpectedDensity(64, 4, 20)
-	d3 := ExpectedDensity(512, 4, 20)
-	if !(d1 < d2) || !(d3 < d2) {
-		t.Errorf("density ordering wrong: %g %g %g", d1, d2, d3)
-	}
-	if ExpectedDensity(0, 4, 5) != 1 {
-		t.Error("degenerate length should saturate")
-	}
-}
-
-func TestExpectedDensityMatchesSimulation(t *testing.T) {
-	cfg := Config{LengthBytes: 32, BitsPerWord: 4} // 256 bits
-	const words = 30
-	rng := rand.New(rand.NewSource(5))
-	var sum float64
-	const trials = 50
-	for trial := 0; trial < trials; trial++ {
-		ws := make([]string, words)
-		for i := range ws {
-			ws[i] = fmt.Sprintf("w%d-%d", trial, rng.Int63())
-		}
-		sum += cfg.DocSignature(ws).Density()
-	}
-	got := sum / trials
-	want := ExpectedDensity(cfg.Bits(), cfg.BitsPerWord, words)
-	if math.Abs(got-want) > 0.05 {
-		t.Errorf("simulated density %g vs model %g", got, want)
 	}
 }
 
@@ -220,45 +180,6 @@ func TestOptimalBits(t *testing.T) {
 	}
 	if got := OptimalLengthBytes(100, 4); got != 73 {
 		t.Errorf("OptimalLengthBytes(100,4) = %d, want 73", got)
-	}
-	// Optimal design should land near 50% density.
-	d := ExpectedDensity(OptimalBits(200, 4), 4, 200)
-	if d < 0.45 || d > 0.55 {
-		t.Errorf("optimal-length density = %g, want ≈0.5", d)
-	}
-}
-
-func TestLevelConfigs(t *testing.T) {
-	leaf := Config{LengthBytes: 8, BitsPerWord: 4}
-	cfgs := LevelConfigs(leaf, 4, 100, 14, 73855)
-	if len(cfgs) != 4 {
-		t.Fatalf("got %d levels", len(cfgs))
-	}
-	if cfgs[0] != leaf {
-		t.Error("leaf level config replaced")
-	}
-	for i := 1; i < len(cfgs); i++ {
-		if cfgs[i].LengthBytes < cfgs[i-1].LengthBytes {
-			t.Errorf("level %d shorter than level %d (%d < %d)",
-				i, i-1, cfgs[i].LengthBytes, cfgs[i-1].LengthBytes)
-		}
-		if cfgs[i].BitsPerWord != leaf.BitsPerWord {
-			t.Errorf("level %d changed k", i)
-		}
-	}
-	// Top level should be capped by vocabulary size:
-	// optimal for 73855 words at k=4.
-	capLen := OptimalLengthBytes(73855, 4)
-	if cfgs[3].LengthBytes != capLen {
-		t.Errorf("top level = %d bytes, want vocab-capped %d", cfgs[3].LengthBytes, capLen)
-	}
-}
-
-func TestLevelConfigsDegenerate(t *testing.T) {
-	leaf := Config{LengthBytes: 8, BitsPerWord: 2}
-	cfgs := LevelConfigs(leaf, 0, 0, 10, 100)
-	if len(cfgs) != 1 || cfgs[0] != leaf {
-		t.Errorf("degenerate LevelConfigs = %v", cfgs)
 	}
 }
 

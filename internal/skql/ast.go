@@ -164,7 +164,6 @@ const (
 	precOr = iota + 1
 	precAnd
 	precNot
-	precTerm
 )
 
 func (t Term) write(b *strings.Builder, prec int) {

@@ -299,21 +299,6 @@ func evalExpr(e Expr, has func(string) bool) bool {
 	return false
 }
 
-// matchesConj reports whether a term set satisfies one DNF branch.
-func matchesConj(c Conj, has func(string) bool) bool {
-	for _, t := range c.Pos {
-		if !has(t) {
-			return false
-		}
-	}
-	for _, t := range c.Neg {
-		if has(t) {
-			return false
-		}
-	}
-	return true
-}
-
 // selectivityExpr estimates the fraction of documents matching the
 // tree under the paper's term-independence assumption: terms are
 // independent Bernoulli events with probability df/N.

@@ -4,7 +4,7 @@ import "fmt"
 
 // Device is the block-device abstraction the index structures are built on.
 // *Disk is the in-memory simulator the evaluation meters, *FileDisk the
-// durable file, and *ChecksumDisk, *FaultDevice and *CachedDisk wrap either.
+// durable file, and *ChecksumDisk and *FaultDevice wrap either.
 //
 // Every device has exactly one read body, ReadRunInto; Read and ReadRun are
 // its allocating forms (readAlloc). Validation, the fault hook, the
@@ -50,7 +50,6 @@ var (
 	_ Device = (*FileDisk)(nil)
 	_ Device = (*ChecksumDisk)(nil)
 	_ Device = (*FaultDevice)(nil)
-	_ Device = (*CachedDisk)(nil)
 )
 
 func errRunLength(n int) error {

@@ -13,58 +13,49 @@ import (
 )
 
 // Every Device reads the same way: one body (ReadRunInto) per device, with
-// Read and ReadRun as its allocating forms. The tests below hold all seven
+// Read and ReadRun as its allocating forms. The tests below hold all six
 // shipped compositions to that, against the in-memory Disk as the reference.
 
 const devTestBlockSize = 64
 
-// devCase builds one device composition. dev is what readers use; w is what
-// the fixture allocates and writes through (the device itself, except for
-// CachedDisk, whose write-through would pre-load the pool and leave nothing
-// to read); base is the innermost device, which owns the fault hook.
+// devCase builds one device composition: dev is the device under test, base
+// the innermost device, which owns the fault hook.
 type devCase struct {
 	name string
-	mk   func(t *testing.T) (dev, w Device, base interface{ SetFault(FaultFunc) })
+	mk   func(t *testing.T) (dev Device, base interface{ SetFault(FaultFunc) })
 }
-
-// A buffer pool's whole point is to charge less than the device below it.
-func (c devCase) absorbsReads() bool { return c.name == "Cached(Disk)" }
 
 func devCases() []devCase {
 	mem := func(*testing.T) *Disk { return NewDisk(devTestBlockSize) }
 	file := func(t *testing.T) *FileDisk { return newFileDisk(t, devTestBlockSize) }
 	return []devCase{
-		{"Disk", func(t *testing.T) (Device, Device, interface{ SetFault(FaultFunc) }) {
+		{"Disk", func(t *testing.T) (Device, interface{ SetFault(FaultFunc) }) {
 			d := mem(t)
-			return d, d, d
+			return d, d
 		}},
-		{"FileDisk", func(t *testing.T) (Device, Device, interface{ SetFault(FaultFunc) }) {
+		{"FileDisk", func(t *testing.T) (Device, interface{ SetFault(FaultFunc) }) {
 			d := file(t)
-			return d, d, d
+			return d, d
 		}},
-		{"Checksum(Disk)", func(t *testing.T) (Device, Device, interface{ SetFault(FaultFunc) }) {
+		{"Checksum(Disk)", func(t *testing.T) (Device, interface{ SetFault(FaultFunc) }) {
 			d := mem(t)
 			c := NewChecksumDisk(d)
-			return c, c, d
+			return c, d
 		}},
-		{"Checksum(FileDisk)", func(t *testing.T) (Device, Device, interface{ SetFault(FaultFunc) }) {
+		{"Checksum(FileDisk)", func(t *testing.T) (Device, interface{ SetFault(FaultFunc) }) {
 			d := file(t)
 			c := NewChecksumDisk(d)
-			return c, c, d
+			return c, d
 		}},
-		{"Fault(Disk)", func(t *testing.T) (Device, Device, interface{ SetFault(FaultFunc) }) {
+		{"Fault(Disk)", func(t *testing.T) (Device, interface{ SetFault(FaultFunc) }) {
 			d := mem(t)
 			f := NewFaultDevice(d, FaultPlan{})
-			return f, f, d
+			return f, d
 		}},
-		{"Fault(FileDisk)", func(t *testing.T) (Device, Device, interface{ SetFault(FaultFunc) }) {
+		{"Fault(FileDisk)", func(t *testing.T) (Device, interface{ SetFault(FaultFunc) }) {
 			d := file(t)
 			f := NewFaultDevice(d, FaultPlan{})
-			return f, f, d
-		}},
-		{"Cached(Disk)", func(t *testing.T) (Device, Device, interface{ SetFault(FaultFunc) }) {
-			d := mem(t)
-			return NewCachedDisk(d, 16), d, d
+			return f, d
 		}},
 	}
 }
@@ -72,11 +63,11 @@ func devCases() []devCase {
 // devFixture allocates a six-block run and writes the first four blocks;
 // the last two are allocated but never written, so on a FileDisk they lie
 // past the file's end.
-func devFixture(t *testing.T, w Device) BlockID {
+func devFixture(t *testing.T, dev Device) BlockID {
 	t.Helper()
-	first := w.AllocRun(6)
+	first := dev.AllocRun(6)
 	for i := 0; i < 4; i++ {
-		if err := w.Write(first+BlockID(i), devPayload(i)); err != nil {
+		if err := dev.Write(first+BlockID(i), devPayload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,8 +128,8 @@ type devTrace struct {
 // never written.
 func runDevScript(t *testing.T, c devCase, read func(Device, BlockID, int) ([]byte, error)) devTrace {
 	t.Helper()
-	dev, w, base := c.mk(t)
-	first := devFixture(t, w)
+	dev, base := c.mk(t)
+	first := devFixture(t, dev)
 	var tr devTrace
 	dev.ResetStats()
 	base.SetFault(func(op Op, id BlockID) error {
@@ -176,7 +167,7 @@ func runDevScript(t *testing.T, c devCase, read func(Device, BlockID, int) ([]by
 // including the run that continues the previous access) and present the same
 // (op, id) sequence to the fault hook; never-written blocks — past the
 // file's end on a FileDisk — read as zeros into a dirty buffer; and every
-// device that does not absorb reads agrees with the in-memory Disk.
+// device agrees with the in-memory Disk.
 func TestEveryDeviceReadsTheSameWay(t *testing.T) {
 	var reference devTrace
 	for ci, c := range devCases() {
@@ -198,7 +189,7 @@ func TestEveryDeviceReadsTheSameWay(t *testing.T) {
 				}
 				return
 			}
-			if !c.absorbsReads() && !reflect.DeepEqual(traces[0], reference) {
+			if !reflect.DeepEqual(traces[0], reference) {
 				t.Errorf("differs from Disk:\n%+v\nvs\n%+v", traces[0], reference)
 			}
 		})
@@ -212,8 +203,8 @@ func TestEveryDeviceChargesFaultedRunsByBlock(t *testing.T) {
 	for _, c := range devCases() {
 		for _, m := range readMethods {
 			t.Run(c.name+"/"+m.name, func(t *testing.T) {
-				dev, w, base := c.mk(t)
-				first := devFixture(t, w)
+				dev, base := c.mk(t)
+				first := devFixture(t, dev)
 				for i := 0; i < 4; i++ {
 					dev.ResetStats()
 					base.SetFault(func(op Op, id BlockID) error {
@@ -228,11 +219,6 @@ func TestEveryDeviceChargesFaultedRunsByBlock(t *testing.T) {
 					if got := dev.Stats().Reads(); got != uint64(i) {
 						t.Errorf("fault on block %d charged %d blocks", i, got)
 					}
-					// Blocks a per-block Read fetched before the fault are
-					// pooled by now; the next round must start cold again.
-					if cd, ok := dev.(*CachedDisk); ok {
-						cd.invalidate(first, 4)
-					}
 				}
 			})
 		}
@@ -244,8 +230,8 @@ func TestEveryDeviceChargesFaultedRunsByBlock(t *testing.T) {
 func TestEveryDeviceRejectsBadRuns(t *testing.T) {
 	for _, c := range devCases() {
 		t.Run(c.name, func(t *testing.T) {
-			dev, w, base := c.mk(t)
-			first := devFixture(t, w)
+			dev, base := c.mk(t)
+			first := devFixture(t, dev)
 			dev.ResetStats()
 			base.SetFault(func(op Op, id BlockID) error {
 				t.Errorf("hook saw %s %d", op, id)

@@ -165,9 +165,6 @@ func (d *FileDisk) SyncMeta() error {
 	return d.f.Sync()
 }
 
-// Path returns the underlying file's name.
-func (d *FileDisk) Path() string { return d.f.Name() }
-
 // BlockSize implements Device.
 func (d *FileDisk) BlockSize() int { return d.blockSize }
 

@@ -451,114 +451,6 @@ func TestChecksumTooSmallBlockPanics(t *testing.T) {
 	NewChecksumDisk(NewDisk(4))
 }
 
-// --- CachedDisk regressions ---
-
-func TestCachedDiskDoesNotCacheFailedRead(t *testing.T) {
-	under := NewDisk(64)
-	id := under.Alloc()
-	if err := under.Write(id, []byte("good")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	fd := NewFaultDevice(under, FaultPlan{FailReadAt: []uint64{1}})
-	c := NewCachedDisk(fd, 4)
-	if _, err := c.Read(id); !errors.Is(err, ErrInjected) {
-		t.Fatalf("first read should fail injected, got %v", err)
-	}
-	// The failed read must not have populated the pool: the next read goes
-	// to the device (now clean) and returns the real data.
-	got, err := c.Read(id)
-	if err != nil {
-		t.Fatalf("second read: %v", err)
-	}
-	if string(got[:4]) != "good" {
-		t.Fatalf("second read returned %q", got[:4])
-	}
-	if _, hits, _ := c.HitRate(); hits != 0 {
-		t.Fatalf("failed read was served from cache (hits=%d)", hits)
-	}
-}
-
-func TestCachedDiskInvalidatesOnFree(t *testing.T) {
-	under := NewDisk(64)
-	c := NewCachedDisk(under, 4)
-	id := c.Alloc()
-	if err := c.Write(id, []byte("cached")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, err := c.Read(id); err != nil { // warm the pool
-		t.Fatalf("read: %v", err)
-	}
-	c.Free(id)
-	// Reallocation recycles the same ID on Disk; the fresh block must read
-	// as zeros, not the stale cached bytes.
-	id2 := c.Alloc()
-	if id2 != id {
-		t.Fatalf("expected recycled block ID %d, got %d", id, id2)
-	}
-	got, err := c.Read(id2)
-	if err != nil {
-		t.Fatalf("read recycled: %v", err)
-	}
-	if !allZero(got) {
-		t.Fatalf("stale cache served after Free: %q", got)
-	}
-}
-
-func TestCachedDiskInvalidatesOnFailedWrite(t *testing.T) {
-	under := NewDisk(64)
-	fd := NewFaultDevice(under, FaultPlan{})
-	c := NewCachedDisk(fd, 4)
-	id := c.Alloc()
-	if err := c.Write(id, []byte("v1")); err != nil {
-		t.Fatalf("write v1: %v", err)
-	}
-	if _, err := c.Read(id); err != nil { // warm the pool with v1
-		t.Fatalf("read: %v", err)
-	}
-	fd.SetPlan(FaultPlan{FailWriteBlocks: []BlockID{id}})
-	if err := c.Write(id, []byte("v2")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("write v2 should fail, got %v", err)
-	}
-	fd.SetPlan(FaultPlan{})
-	// After a failed write the pool entry is gone; the next read reflects
-	// the device's actual state (still v1 here).
-	got, err := c.Read(id)
-	if err != nil {
-		t.Fatalf("read after failed write: %v", err)
-	}
-	if string(got[:2]) != "v1" {
-		t.Fatalf("read %q after failed write, want device state v1", got[:2])
-	}
-}
-
-func TestCachedDiskInvalidatesRunOnTornWrite(t *testing.T) {
-	under := NewDisk(16)
-	fd := NewFaultDevice(under, FaultPlan{})
-	c := NewCachedDisk(fd, 8)
-	id := c.AllocRun(3)
-	v1 := bytes.Repeat([]byte{1}, 48)
-	if err := c.WriteRun(id, 3, v1); err != nil {
-		t.Fatalf("WriteRun v1: %v", err)
-	}
-	// Torn second write: the first block lands on the device, the rest do
-	// not. All three cached copies must be dropped, so reads reflect the
-	// true (mixed) device state rather than either full version.
-	fd.SetPlan(FaultPlan{TornWriteAt: []uint64{2}})
-	v2 := bytes.Repeat([]byte{2}, 48)
-	if err := c.WriteRun(id, 3, v2); !errors.Is(err, ErrInjected) {
-		t.Fatalf("torn WriteRun should fail, got %v", err)
-	}
-	fd.SetPlan(FaultPlan{})
-	got, err := c.ReadRun(id, 3)
-	if err != nil {
-		t.Fatalf("ReadRun: %v", err)
-	}
-	want := append(bytes.Repeat([]byte{2}, 16), bytes.Repeat([]byte{1}, 32)...)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("cache masked torn write:\n got %x\nwant %x", got, want)
-	}
-}
-
 // --- FileDisk.SyncMeta ---
 
 func TestFileDiskSyncMeta(t *testing.T) {

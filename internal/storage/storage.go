@@ -375,9 +375,3 @@ func (d *Disk) NumBlocks() int {
 func (d *Disk) SizeBytes() int64 {
 	return int64(d.NumBlocks()) * int64(d.blockSize)
 }
-
-// SizeMB returns the allocated size in megabytes (10^6 bytes, as the paper
-// reports sizes).
-func (d *Disk) SizeMB() float64 {
-	return float64(d.SizeBytes()) / 1e6
-}

@@ -194,9 +194,6 @@ func TestNumBlocksAndSize(t *testing.T) {
 	if d.SizeBytes() != 10*4096 {
 		t.Errorf("SizeBytes = %d", d.SizeBytes())
 	}
-	if mb := d.SizeMB(); mb != 10*4096/1e6 {
-		t.Errorf("SizeMB = %g", mb)
-	}
 }
 
 func TestStatsArithmetic(t *testing.T) {
@@ -284,91 +281,6 @@ func TestStatsString(t *testing.T) {
 	want := fmt.Sprintf("random=%d sequential=%d (reads %d+%d, writes %d+%d)", 4, 6, 1, 2, 3, 4)
 	if s.String() != want {
 		t.Errorf("String = %q, want %q", s.String(), want)
-	}
-}
-
-func TestCachedDiskHits(t *testing.T) {
-	d := NewDisk(16)
-	c := NewCachedDisk(d, 2)
-	a, b, e := c.Alloc(), c.Alloc(), c.Alloc()
-	for _, id := range []BlockID{a, b, e} {
-		if err := c.Write(id, []byte{byte(id)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.ResetStats()
-	c.ResetStats()
-
-	// b and e are the two most recently written → cached. a was evicted.
-	if _, err := c.Read(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Read(e); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Stats().Reads(); got != 0 {
-		t.Errorf("cached reads hit the disk %d times", got)
-	}
-	if _, err := c.Read(a); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Stats().Reads(); got != 1 {
-		t.Errorf("miss should read disk once, got %d", got)
-	}
-	rate, hits, misses := c.HitRate()
-	if hits != 2 || misses != 1 {
-		t.Errorf("hits=%d misses=%d", hits, misses)
-	}
-	if rate < 0.66 || rate > 0.67 {
-		t.Errorf("rate = %g", rate)
-	}
-}
-
-func TestCachedDiskCorrectness(t *testing.T) {
-	d := NewDisk(16)
-	c := NewCachedDisk(d, 4)
-	id := c.AllocRun(3)
-	if err := c.WriteRun(id, 3, []byte("0123456789abcdefGHIJKLMNOPQRSTUVxy")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadRun(id, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:16]) != "0123456789abcdef" || string(got[32:34]) != "xy" {
-		t.Errorf("ReadRun through cache = %q", got)
-	}
-	// Overwrite through cache and re-read.
-	if err := c.Write(id, []byte("NEW")); err != nil {
-		t.Fatal(err)
-	}
-	one, err := c.Read(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(one[:3]) != "NEW" {
-		t.Errorf("Read after Write = %q", one[:3])
-	}
-	// Underlying disk must agree (write-through).
-	raw, err := d.Read(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw[:3]) != "NEW" {
-		t.Errorf("underlying disk = %q", raw[:3])
-	}
-}
-
-func TestCachedDiskFree(t *testing.T) {
-	d := NewDisk(16)
-	c := NewCachedDisk(d, 4)
-	id := c.Alloc()
-	if err := c.Write(id, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	c.Free(id)
-	if _, err := c.Read(id); !errors.Is(err, ErrBadBlock) {
-		t.Errorf("read of freed block served from cache: %v", err)
 	}
 }
 

@@ -10,7 +10,6 @@
 package textutil
 
 import (
-	"sort"
 	"strings"
 	"unicode"
 )
@@ -73,19 +72,6 @@ func ContainsAll(text string, keywords []string) bool {
 	return true
 }
 
-// ContainsAny reports whether the document contains at least one query
-// keyword (the disjunctive semantics of general top-k queries, where "an
-// object containing only some of the query keywords may be in the result").
-func ContainsAny(text string, keywords []string) bool {
-	set := TokenSet(text)
-	for _, w := range keywords {
-		if _, ok := set[Normalize(w)]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // TokenSet returns the distinct-word set of a document.
 func TokenSet(text string) map[string]struct{} {
 	tokens := Tokenize(text)
@@ -94,18 +80,6 @@ func TokenSet(text string) map[string]struct{} {
 		set[tok] = struct{}{}
 	}
 	return set
-}
-
-// TermFreqs returns the term-frequency map of a document: distinct word ->
-// number of occurrences. Used by the tf-idf IR score of the general
-// algorithm.
-func TermFreqs(text string) map[string]int {
-	tokens := Tokenize(text)
-	tf := make(map[string]int, len(tokens))
-	for _, tok := range tokens {
-		tf[tok]++
-	}
-	return tf
 }
 
 // Normalize applies the token normalization rules to a single keyword,
@@ -191,22 +165,4 @@ func (v *Vocabulary) AvgUniqueWordsPerDoc() float64 {
 		return 0
 	}
 	return float64(v.uniqueSum) / float64(v.numDocs)
-}
-
-// WordsByFreq returns all distinct words ordered by descending document
-// frequency (ties broken lexicographically). Experiment workloads draw
-// query keywords from this ranking.
-func (v *Vocabulary) WordsByFreq() []string {
-	words := make([]string, 0, len(v.docFreq))
-	for w := range v.docFreq {
-		words = append(words, w)
-	}
-	sort.Slice(words, func(i, j int) bool {
-		fi, fj := v.docFreq[words[i]], v.docFreq[words[j]]
-		if fi != fj {
-			return fi > fj
-		}
-		return words[i] < words[j]
-	})
-	return words
 }

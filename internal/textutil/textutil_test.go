@@ -66,26 +66,6 @@ func TestContainsAll(t *testing.T) {
 	}
 }
 
-func TestContainsAny(t *testing.T) {
-	doc := "sauna, pool, conference rooms"
-	if !ContainsAny(doc, []string{"internet", "pool"}) {
-		t.Error("ContainsAny missed 'pool'")
-	}
-	if ContainsAny(doc, []string{"internet", "spa"}) {
-		t.Error("ContainsAny false positive")
-	}
-	if ContainsAny(doc, nil) {
-		t.Error("ContainsAny with no keywords should be false")
-	}
-}
-
-func TestTermFreqs(t *testing.T) {
-	tf := TermFreqs("pool spa pool POOL")
-	if tf["pool"] != 3 || tf["spa"] != 1 {
-		t.Errorf("TermFreqs = %v", tf)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	tests := []struct{ in, want string }{
 		{"Internet", "internet"},
@@ -135,20 +115,6 @@ func TestVocabulary(t *testing.T) {
 	// Doc unique counts: 6, 5, 4 → avg 5.
 	if got, want := v.AvgUniqueWordsPerDoc(), 5.0; got != want {
 		t.Errorf("AvgUniqueWordsPerDoc = %g, want %g", got, want)
-	}
-	words := v.WordsByFreq()
-	if len(words) != v.NumWords() {
-		t.Fatalf("WordsByFreq length %d != NumWords %d", len(words), v.NumWords())
-	}
-	for i := 1; i < len(words); i++ {
-		if v.DocFreq(words[i-1]) < v.DocFreq(words[i]) {
-			t.Fatalf("WordsByFreq not sorted at %d: %s(%d) before %s(%d)",
-				i, words[i-1], v.DocFreq(words[i-1]), words[i], v.DocFreq(words[i]))
-		}
-	}
-	// internet/pool/spa (freq 2) must precede freq-1 words.
-	if v.DocFreq(words[0]) != 2 {
-		t.Errorf("most frequent word has freq %d", v.DocFreq(words[0]))
 	}
 }
 

@@ -14,9 +14,11 @@
 #           (a module of its own that imports internal/...; root ./... never
 #           sees it, so only this step catches a change that breaks it)
 #   cover   coverage with the CI floor (scripts/coverage.sh)
-#   bench   benchmark-regression gate against benchmarks/baseline.json
-#           (the one definition of the gated workload: ci.yml bench-smoke
-#           and the nightly bench.yml both invoke this step)
+#   bench   benchmark-regression gate against benchmarks/baseline.json at
+#           tolerance 0 — modeled disk time is seed-deterministic, so no
+#           cell may cost more than the baseline says (the one definition
+#           of the gated workload: ci.yml bench-smoke and the nightly
+#           bench.yml both invoke this step)
 #   fuzz    every Fuzz target for FUZZTIME (default 30s) each
 #   all     everything above (the default)
 #
@@ -92,7 +94,7 @@ run_bench() {
 	go run ./cmd/skbench \
 		-dataset restaurants -experiment vary-k,ingest,repl,fence-churn,skql \
 		-scale 0.01 -queries 5 -seed 1 \
-		-json -out benchmarks -baseline benchmarks/baseline.json
+		-json -out benchmarks -baseline benchmarks/baseline.json -regress 0
 }
 
 run_fuzz() {

@@ -20,6 +20,7 @@ package spatialkeyword
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -154,10 +155,27 @@ var ErrDeleted = errors.New("spatialkeyword: object deleted")
 // ErrUnknownID is returned for out-of-range object IDs.
 var ErrUnknownID = errors.New("spatialkeyword: unknown object id")
 
-// ErrBadPoint is wrapped by every backend's rejection of a point whose
-// dimensionality is not the engine's — the caller's mistake, where any other
-// failed Add is the engine's.
+// ErrBadPoint is wrapped by every backend's rejection of a point (or area
+// corner) that CheckPoint refuses — the caller's mistake, where any other
+// failed Add or query is the engine's.
 var ErrBadPoint = errors.New("spatialkeyword: bad point")
+
+// CheckPoint is the one validation of a caller-supplied point: it must have
+// dim coordinates, all of them finite. A NaN or infinite coordinate would
+// otherwise poison every MBR above the leaf it lands in, and makes every
+// distance meaningless. The check sits at the public entry points, not in the
+// apply path, so a record already in a write-ahead log still replays.
+func CheckPoint(point []float64, dim int) error {
+	if len(point) != dim {
+		return fmt.Errorf("%w: has %d dimensions, engine uses %d", ErrBadPoint, len(point), dim)
+	}
+	for i, c := range point {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("%w: coordinate %d is %g", ErrBadPoint, i, c)
+		}
+	}
+	return nil
+}
 
 // Reader is the read contract of a backend, declared once: *Engine,
 // *shard.ShardedEngine and *repl.Follower implement it natively, internal/skql
@@ -285,13 +303,8 @@ func (c Config) Analyzer() *textutil.Analyzer {
 	return a
 }
 
-// checkPoint rejects a point of the wrong dimensionality.
-func (e *Engine) checkPoint(point []float64) error {
-	if len(point) != e.dim {
-		return fmt.Errorf("%w: has %d dimensions, engine uses %d", ErrBadPoint, len(point), e.dim)
-	}
-	return nil
-}
+// checkPoint rejects a point this engine cannot index or query from.
+func (e *Engine) checkPoint(point []float64) error { return CheckPoint(point, e.dim) }
 
 // rlock takes the shared lock with every buffered add indexed. A read that
 // finds adds pending gives its share up, flushes under the exclusive lock
