@@ -1,7 +1,7 @@
 # Convenience wrappers around scripts/ci.sh, which mirrors the GitHub
 # Actions workflows. `make ci` runs everything CI runs.
 
-.PHONY: build lint analyze vet test allocs perf-build cover bench fuzz loc ci
+.PHONY: build lint analyze vet test allocs perf-build compat cover bench fuzz loc ci
 
 build:
 	sh scripts/ci.sh build
@@ -23,6 +23,10 @@ allocs:
 # benchmarks/perf is a module of its own that root ./... never compiles.
 perf-build:
 	sh scripts/ci.sh perf-build
+
+# The tests over testdata/compat, then a check that they left it untouched.
+compat:
+	sh scripts/ci.sh compat
 
 cover:
 	sh scripts/ci.sh cover

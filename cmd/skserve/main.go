@@ -1,8 +1,8 @@
 // Command skserve exposes a spatial keyword search engine over HTTP — the
 // paper's motivating "online yellow pages" as a running service. It serves
-// a JSON API backed by the IR²-Tree engine — or, with -shards, by a
-// spatially sharded pool of engines answering queries with a parallel
-// fan-out/merge — optionally durable on disk. SIGINT/SIGTERM drain in-flight
+// a JSON API backed by a pool of IR²-Tree engines — one by default, -shards
+// of them partitioned by location — answering queries with a parallel
+// fan-out/merge, optionally durable on disk. SIGINT/SIGTERM drain in-flight
 // requests and checkpoint a durable engine before exiting.
 //
 // Usage:
@@ -11,8 +11,11 @@
 //
 //	-addr       listen address (default :8080)
 //	-dir        backing directory; empty = in-memory, existing manifest = reopen
+//	            (a sharded engine's, or a single engine's directory, which is
+//	            served in place as one shard)
 //	-sig        leaf signature bytes (default 64)
-//	-shards     number of spatial shards (default 1 = single engine)
+//	-shards     number of spatial shards (default 1) of a new engine; an
+//	            existing directory keeps the count it was created with
 //	-wal        write-ahead log: every acknowledged mutation is durable
 //	            before the HTTP response (requires -dir; reopening an
 //	            existing directory keeps whatever the manifest recorded)
@@ -52,9 +55,8 @@
 //	GET    /metrics          → Prometheus text exposition (query latency
 //	                           histograms, traversal counters, per-shard I/O)
 //	GET    /debug/vars       → the same metrics as expvar-style JSON
-//	GET    /healthz          → liveness probe; sharded backends report
-//	                           degraded status and per-shard health, WAL
-//	                           backends their durability state
+//	GET    /healthz          → liveness probe: degraded status, per-shard
+//	                           health and durability, and the WAL's state
 //	POST   /save             → checkpoint a durable engine
 //	POST   /fences           register a standing query (geofence); every
 //	                           applied mutation is evaluated against it
@@ -142,9 +144,9 @@ func main() {
 		eng, err = repl.OpenFollower(*dir, *replicaOf, repl.Options{Registry: reg})
 	} else {
 		cfg := spatialkeyword.Config{SignatureBytes: *sig, WAL: *walEnable, WALSyncWindow: *walFsync}
-		eng, err = openOrCreate(*dir, cfg, *shards)
-		if err == nil {
-			leader = attachLeader(eng, *dir)
+		var s *shard.ShardedEngine
+		if s, err = openOrCreate(*dir, cfg, *shards); err == nil {
+			eng, leader = s, attachLeader(s, *dir)
 		}
 	}
 	if err != nil {
@@ -167,7 +169,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("skserve listening on %s (role=%s, durable=%v, shards=%d, wal=%v)",
-		*addr, srv.role(), *dir != "", srv.numShards(), srv.walOn)
+		*addr, srv.role(), *dir != "", srv.shards(), srv.walOn)
 
 	select {
 	case err := <-errc:
@@ -187,9 +189,9 @@ func main() {
 	}
 }
 
-// backend is the contract the HTTP layer serves. All three backends — a
-// *spatialkeyword.Engine, a *shard.ShardedEngine and a *repl.Follower —
-// implement it natively and synchronize themselves.
+// backend is the contract the HTTP layer serves. Both served backends — a
+// *shard.ShardedEngine of one or more shards, and a *repl.Follower holding
+// one — implement it natively and synchronize themselves.
 type backend interface {
 	spatialkeyword.Reader
 	Add(point []float64, text string) (uint64, error)
@@ -199,63 +201,38 @@ type backend interface {
 	SetMutationObserver(func(spatialkeyword.MutationEvent))
 }
 
-// primary is what the two writable backends have and a replica lacks: the
-// per-query metrics sink, the decoded-node cache and the write-ahead log.
-type primary interface {
-	SetMetricsSink(sink obs.Sink)
-	NodeCacheStats() spatialkeyword.NodeCacheStats
-	WALInfo() spatialkeyword.WALInfo
-	SetWALObserver(onAppend func(), onFsync func(time.Duration))
-}
-
 // readHeaderTimeout bounds how long a connection may take to send its
 // request headers.
 const readHeaderTimeout = 10 * time.Second
 
-// openOrCreate reopens an existing durable engine (single or sharded,
-// detected from the directory layout), creates a new durable one, or builds
-// an in-memory engine. shards > 1 selects the sharded backend with a hash
-// partitioner — the service accepts arbitrary points, so there is no dataset
+// openOrCreate reopens an existing durable engine (sharded, or a single
+// engine's directory adopted in place as one shard), creates a new durable
+// one, or builds an in-memory engine — of shards shards, with a hash
+// partitioner: the service accepts arbitrary points, so there is no dataset
 // MBR to grid over.
-func openOrCreate(dir string, cfg spatialkeyword.Config, shards int) (backend, error) {
+func openOrCreate(dir string, cfg spatialkeyword.Config, shards int) (*shard.ShardedEngine, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("need at least 1 shard, got %d", shards)
 	}
 	opts := shard.Options{Shards: shards}
-	if dir == "" {
-		if shards > 1 {
-			return shard.New(cfg, opts)
-		}
-		return spatialkeyword.NewEngine(cfg)
-	}
-	if shard.IsShardedDir(dir) {
+	switch {
+	case dir == "":
+		return shard.New(cfg, opts)
+	case shard.IsShardedDir(dir):
 		return shard.Open(dir)
-	}
-	if eng, err := spatialkeyword.OpenEngine(dir); err == nil {
-		return eng, nil
-	}
-	if shards > 1 {
+	default:
 		return shard.NewDurable(cfg, dir, opts)
 	}
-	return spatialkeyword.NewDurableEngine(cfg, dir)
 }
 
 // attachLeader mounts a replication leader over a WAL-enabled durable
-// backend (nil otherwise). Called before the server accepts traffic, so the
+// engine (nil otherwise). Called before the server accepts traffic, so the
 // ship-buffer hooks are installed ahead of the first mutation.
-func attachLeader(eng backend, dir string) *repl.Leader {
-	p, ok := eng.(primary)
-	if dir == "" || !ok || !p.WALInfo().Enabled {
+func attachLeader(s *shard.ShardedEngine, dir string) *repl.Leader {
+	if dir == "" || !s.WALInfo().Enabled {
 		return nil
 	}
-	l := repl.NewLeader(dir)
-	switch b := eng.(type) {
-	case *spatialkeyword.Engine:
-		l.AttachEngine(b)
-	case *shard.ShardedEngine:
-		l.AttachSharded(b)
-	}
-	return l
+	return repl.NewLeader(s)
 }
 
 // serverOptions configures the observability surface and the replication
@@ -281,9 +258,8 @@ type server struct {
 	reg      *obs.Registry
 	reqs     map[string]*obs.Counter
 	slow     *obs.SlowLog
-	primary  primary              // nil on a replica
-	sharded  *shard.ShardedEngine // non-nil when the backend is sharded
-	follower *repl.Follower       // non-nil when the backend is a read replica
+	primary  *shard.ShardedEngine // the backend when it is the writable engine; nil on a replica
+	follower *repl.Follower       // the backend when it is a read replica
 	leader   *repl.Leader         // non-nil when serving the replication protocol
 	walOn    bool                 // the backend has a live WAL
 	fences   *fence.Registry
@@ -315,8 +291,7 @@ func newServer(eng backend, durable bool, opts serverOptions) *server {
 		reqs:    make(map[string]*obs.Counter, len(endpoints)),
 		leader:  opts.leader,
 	}
-	s.primary, _ = eng.(primary)
-	s.sharded, _ = eng.(*shard.ShardedEngine)
+	s.primary, _ = eng.(*shard.ShardedEngine)
 	s.follower, _ = eng.(*repl.Follower)
 	for _, ep := range endpoints {
 		s.reqs[ep] = s.reg.Counter("sk_http_requests_total",
@@ -331,15 +306,13 @@ func newServer(eng backend, durable bool, opts serverOptions) *server {
 		s.slow = obs.NewSlowLog(w, opts.slowQuery)
 		sinks = append(sinks, s.slow)
 	}
-	if s.sharded != nil {
-		s.sharded.SetHealthMetrics(
+	if s.primary != nil {
+		s.primary.SetHealthMetrics(
 			s.reg.Counter("sk_shard_errors_total",
 				"Storage faults that degraded a shard."),
 			s.reg.Gauge("sk_shards_unhealthy",
 				"Shards currently marked unhealthy and out of rotation."),
 		)
-	}
-	if s.primary != nil {
 		s.primary.SetMetricsSink(obs.MultiSink(sinks...))
 		s.ncacheHits = s.reg.Gauge("sk_nodecache_hits",
 			"Decoded-node cache hits: warm node expansions served without re-decoding.")
@@ -389,12 +362,13 @@ func (s *server) role() string {
 	return "primary"
 }
 
-// numShards reports the backend's shard count (1 for a single engine).
-func (s *server) numShards() int {
-	if s.sharded != nil {
-		return s.sharded.NumShards()
+// shards reports the backend's shard count: a replica tails one stream per
+// shard of its leader.
+func (s *server) shards() int {
+	if s.follower != nil {
+		return len(s.follower.Status().Streams)
 	}
-	return 1
+	return s.primary.NumShards()
 }
 
 // checkpoint persists a durable backend and releases its files — the
@@ -486,13 +460,9 @@ func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	// Index the add before acknowledging it: the next query then finds
-	// nothing pending and stays read-only. (A no-op on the sharded engine,
-	// which indexes eagerly.)
+	// The engine indexes an add before acknowledging it, so the next query
+	// finds nothing pending and stays read-only.
 	id, err := s.eng.Add(req.Point, req.Text)
-	if err == nil {
-		err = s.eng.Flush()
-	}
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
@@ -633,8 +603,8 @@ func (s *server) handleRanked(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsResponse is the GET /stats payload: engine-wide statistics, the
-// per-shard breakdown for a sharded backend, and per-endpoint request
-// counters.
+// per-shard breakdown (a primary's; a replica reports none), and per-endpoint
+// request counters.
 type statsResponse struct {
 	Engine   spatialkeyword.Stats   `json:"engine"`
 	Shards   []spatialkeyword.Stats `json:"shards,omitempty"`
@@ -643,8 +613,8 @@ type statsResponse struct {
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{Engine: s.eng.Stats(), Requests: s.requestSnapshot()}
-	if s.sharded != nil {
-		resp.Shards = s.sharded.ShardStats()
+	if s.primary != nil {
+		resp.Shards = s.primary.ShardStats()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -653,7 +623,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
 		"status":  "ok",
 		"durable": s.durable,
-		"shards":  s.numShards(),
+		"shards":  s.shards(),
 		"objects": s.eng.Stats().Objects,
 		"role":    s.role(),
 	}
@@ -666,19 +636,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else if s.leader != nil {
 		resp["replication"] = map[string]any{"position": s.leader.PositionToken()}
 	}
-	if s.durable {
-		switch b := s.eng.(type) {
-		case *spatialkeyword.Engine:
-			resp["durability"] = b.DurabilityStats()
-		case *shard.ShardedEngine:
-			resp["durability"] = b.ShardDurability()
+	if s.primary != nil {
+		if s.durable {
+			resp["durability"] = s.primary.ShardDurability()
 		}
-	}
-	if s.sharded != nil {
-		if s.sharded.Degraded() {
+		if s.primary.Degraded() {
 			resp["status"] = "degraded"
 		}
-		resp["shard_health"] = s.sharded.Health()
+		resp["shard_health"] = s.primary.Health()
 	}
 	if s.walOn {
 		wi := s.primary.WALInfo()

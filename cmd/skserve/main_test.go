@@ -183,8 +183,8 @@ func TestStatsAndValidation(t *testing.T) {
 	if st.Requests["add"] != 3 || st.Requests["stats"] != 1 {
 		t.Errorf("request counters = %v", st.Requests)
 	}
-	if len(st.Shards) != 0 {
-		t.Errorf("single engine reported shard stats: %+v", st.Shards)
+	if len(st.Shards) != 1 || st.Shards[0].Objects != 3 {
+		t.Errorf("one-shard engine's shard stats: %+v", st.Shards)
 	}
 	// Bad inputs.
 	for _, path := range []string{
@@ -418,8 +418,8 @@ func TestShardedDurableReopen(t *testing.T) {
 
 	// Reopen with shards=1: the layout wins, the engine comes back sharded.
 	s2, ts2 := newShardedTestServer(t, dir, 1)
-	if s2.numShards() != 2 {
-		t.Fatalf("reopened shards = %d, want 2", s2.numShards())
+	if s2.shards() != 2 {
+		t.Fatalf("reopened shards = %d, want 2", s2.shards())
 	}
 	resp, err = http.Get(ts2.URL + "/search?lat=30.5&lon=100&k=5&q=internet")
 	if err != nil {
@@ -480,7 +480,7 @@ func TestRequestBodiesBounded(t *testing.T) {
 
 // TestAddStatusSeparatesClientFromServer: POST /objects answers 400 only for
 // the caller's mistake (a point of the wrong dimensionality); a failing
-// device is the server's problem and answers 500, on both backends.
+// device is the server's problem and answers 500.
 func TestAddStatusSeparatesClientFromServer(t *testing.T) {
 	failWrites := func(op storage.Op, id storage.BlockID) error {
 		if op == storage.OpWrite {
@@ -495,21 +495,14 @@ func TestAddStatusSeparatesClientFromServer(t *testing.T) {
 		point  []float64
 		want   int
 	}{
-		{"single/wrong-dimension", 1, false, []float64{1, 2, 3}, http.StatusBadRequest},
 		{"sharded/wrong-dimension", 3, false, []float64{1}, http.StatusBadRequest},
-		{"single/device-fault", 1, true, []float64{1, 2}, http.StatusInternalServerError},
 		{"sharded/device-fault", 3, true, []float64{1, 2}, http.StatusInternalServerError},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := newShardedTestServer(t, "", tc.shards)
 			if tc.fault {
-				switch eng := s.eng.(type) {
-				case *spatialkeyword.Engine:
-					eng.InjectFault(failWrites)
-				case *shard.ShardedEngine:
-					for i := 0; i < tc.shards; i++ {
-						eng.InjectShardFault(i, failWrites)
-					}
+				for i := 0; i < tc.shards; i++ {
+					s.primary.InjectShardFault(i, failWrites)
 				}
 			}
 			resp := post(t, ts.URL+"/objects", addRequest{Point: tc.point, Text: "cafe"})
@@ -581,7 +574,7 @@ func TestQueryStatusSeparatesClientRetryAndServer(t *testing.T) {
 	}
 
 	t.Run("wrong dimension", func(t *testing.T) {
-		eng, err := spatialkeyword.NewEngine(spatialkeyword.Config{Dim: 3})
+		eng, err := shard.New(spatialkeyword.Config{Dim: 3}, shard.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -194,10 +194,11 @@ var (
 // TestWorkRecordGolden pins, byte for byte, the three shapes in which a
 // query's work record leaves the process: the stats object of GET /search,
 // a slow-query log line, and the sample names and label sets of the
-// sk_query_* and sk_io_blocks_total families. The single engine's counters
-// are deterministic and compared whole; a free-running 3-shard merge loads a
+// sk_query_* and sk_io_blocks_total families. One shard's counters are
+// deterministic and compared whole; a free-running 3-shard merge loads a
 // scheduling-dependent number of speculative objects, so there every number
-// is masked and only keys, order and labels are compared.
+// is masked and only keys, order and labels are compared. The one-shard
+// golden is the three-shard one with shards 1 and 2 removed.
 func TestWorkRecordGolden(t *testing.T) {
 	const (
 		wantStats = `{"NodesLoaded":1,"ObjectsLoaded":2,"FalsePositives":0,"EntriesPruned":1,"NodesEnqueued":0,"ObjectsEnqueued":2,"BlocksRandom":3,"BlocksSequential":1,"Degraded":false}`
@@ -207,7 +208,7 @@ func TestWorkRecordGolden(t *testing.T) {
 		shards      int
 		shardLabels []string
 	}{
-		{1, []string{"all"}},
+		{1, []string{"0", "all"}},
 		{3, []string{"0", "1", "2", "all"}},
 	} {
 		var buf syncBuffer

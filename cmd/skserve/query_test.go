@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -260,43 +261,43 @@ func TestQueryIIOConcurrentWithAdds(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeArmPerBackend pins which executor arm each backend
-// serves. A single engine streams, so EXPLAIN ANALYZE carries the traversal
-// trace the stream folds in; the sharded engine and the replica answer
-// through widening top-k calls, and their bodies are the ones these
-// backends have always produced, byte for byte.
-func TestExplainAnalyzeArmPerBackend(t *testing.T) {
+// TestExplainAnalyzeFoldsTraceOnEveryBackend: there is one executor arm, the
+// stream, so EXPLAIN ANALYZE carries the traversal trace the stream folds in
+// on every backend — one shard, three, and a replica. Around the trace lines
+// the bodies are the ones these backends have always produced, byte for byte.
+func TestExplainAnalyzeFoldsTraceOnEveryBackend(t *testing.T) {
 	const body = `{"query": "EXPLAIN ANALYZE SELECT TOP 2 NEAR (25.4, -80.1) MATCH internet AND pool"}`
-	raw := func(url string) string {
+	// What every backend's body starts and ends with; the actual and work
+	// lines between differ with the devices behind it.
+	const head = `{"query":"EXPLAIN ANALYZE SELECT TOP 2 NEAR (25.4, -80.1) MATCH \"internet\" AND \"pool\"","results":[{"Object":{"ID":1,"Point":[47.3,-122.2],"Text":"Hotel B wireless Internet pool golf course"},"Dist":47.45545279522682},{"Object":{"ID":2,"Point":[-33.2,-70.4],"Text":"Hotel G Internet airport transportation pool"},"Dist":59.39739051507229}],"count":2,"explain":["EXPLAIN ANALYZE SELECT TOP 2 NEAR (25.4, -80.1) MATCH \"internet\" AND \"pool\"","plan: top 2, merge=distance, dnf union of 1 branches","  common conjuncts: [internet pool]","  cost inputs: n=3 height=1 fanout=64 postings/block=2048 blocks/object=1.0","  op 1: path=ir2 conj=[internet pool] k=2","    est:    blocks=3.2 rows=2.0 sel=0.6667 disk=24ms",`
+	const tail = `"  total: est blocks=3.2 est rows=2.0 est disk=24ms"]}` + "\n"
+	traceLine := regexp.MustCompile(`"    \|[^"]*",`)
+	check := func(name, url, actual string) {
 		t.Helper()
 		resp := postQuery(t, url, body)
 		defer resp.Body.Close()
 		b, err := io.ReadAll(resp.Body)
 		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d, read error %v", resp.StatusCode, err)
+			t.Fatalf("%s: status %d, read error %v", name, resp.StatusCode, err)
 		}
-		return string(b)
-	}
-	// What every backend's body starts and ends with; the actual and work
-	// lines between differ with the devices behind it.
-	const head = `{"query":"EXPLAIN ANALYZE SELECT TOP 2 NEAR (25.4, -80.1) MATCH \"internet\" AND \"pool\"","results":[{"Object":{"ID":1,"Point":[47.3,-122.2],"Text":"Hotel B wireless Internet pool golf course"},"Dist":47.45545279522682},{"Object":{"ID":2,"Point":[-33.2,-70.4],"Text":"Hotel G Internet airport transportation pool"},"Dist":59.39739051507229}],"count":2,"explain":["EXPLAIN ANALYZE SELECT TOP 2 NEAR (25.4, -80.1) MATCH \"internet\" AND \"pool\"","plan: top 2, merge=distance, dnf union of 1 branches","  common conjuncts: [internet pool]","  cost inputs: n=3 height=1 fanout=64 postings/block=2048 blocks/object=1.0","  op 1: path=ir2 conj=[internet pool] k=2","    est:    blocks=3.2 rows=2.0 sel=0.6667 disk=24ms",`
-	const tail = `"  total: est blocks=3.2 est rows=2.0 est disk=24ms"]}` + "\n"
-
-	_, single := newTestServer(t, "")
-	seedHotels(t, single)
-	got := raw(single.URL)
-	for _, want := range []string{`"    | expand node `, `"    |   prune `, `"    | emit object `} {
-		if !strings.Contains(got, want) {
-			t.Errorf("single engine: EXPLAIN ANALYZE carries no %q line, so the streaming arm did not serve it:\n%s", want, got)
+		got := string(b)
+		for _, want := range []string{`"    | expand node `, `"    |   prune `, `"    | emit object `} {
+			if !strings.Contains(got, want) {
+				t.Errorf("%s: EXPLAIN ANALYZE carries no %q line:\n%s", name, want, got)
+			}
+		}
+		if got, want := traceLine.ReplaceAllString(got, ""), head+actual+tail; got != want {
+			t.Errorf("%s: body around the trace changed:\n got %s\nwant %s", name, got, want)
 		}
 	}
 
-	_, sharded := newShardedTestServer(t, "", 3)
-	seedHotels(t, sharded)
-	want := head + `"    actual: blocks=6 (4 rand + 2 seq) rows=2 candidates=2 disk=32.12ms","    work:   nodes=2 objects=2 pruned=1 falsepos=0",` + tail
-	if got := raw(sharded.URL); got != want {
-		t.Errorf("sharded body changed:\n got %s\nwant %s", got, want)
-	}
+	_, one := newTestServer(t, "")
+	seedHotels(t, one)
+	check("one shard", one.URL, `"    actual: blocks=4 (2 rand + 2 seq) rows=2 candidates=2 disk=16.12ms","    work:   nodes=1 objects=2 pruned=1 falsepos=0",`)
+
+	_, three := newShardedTestServer(t, "", 3)
+	seedHotels(t, three)
+	check("three shards", three.URL, `"    actual: blocks=6 (4 rand + 2 seq) rows=2 candidates=2 disk=32.12ms","    work:   nodes=2 objects=2 pruned=1 falsepos=0",`)
 
 	_, leaderTS := newLeaderTestServer(t, t.TempDir())
 	seedHotels(t, leaderTS)
@@ -304,10 +305,7 @@ func TestExplainAnalyzeArmPerBackend(t *testing.T) {
 	if err := srv.follower.WaitFor(srv.leaderToken(t, leaderTS), 10e9); err != nil {
 		t.Fatalf("replica catch-up: %v", err)
 	}
-	want = head + `"    actual: blocks=4 (3 rand + 1 seq) rows=2 candidates=2 disk=24.06ms","    work:   nodes=1 objects=2 pruned=1 falsepos=0",` + tail
-	if got := raw(replicaTS.URL); got != want {
-		t.Errorf("replica body changed:\n got %s\nwant %s", got, want)
-	}
+	check("replica", replicaTS.URL, `"    actual: blocks=4 (3 rand + 1 seq) rows=2 candidates=2 disk=24.06ms","    work:   nodes=1 objects=2 pruned=1 falsepos=0",`)
 }
 
 // TestTextPipelineReachesSKQLAndFences: a backend built with stemming or

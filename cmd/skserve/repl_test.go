@@ -156,11 +156,11 @@ func TestHealthzReplicationBlocks(t *testing.T) {
 	if out["role"] != "primary" {
 		t.Fatalf("leader role %v", out["role"])
 	}
-	dur, ok := out["durability"].(map[string]any)
-	if !ok {
-		t.Fatalf("leader /healthz has no durability block: %v", out)
+	durs, ok := out["durability"].([]any)
+	if !ok || len(durs) != 1 {
+		t.Fatalf("leader /healthz has no one-shard durability block: %v", out)
 	}
-	if dur["enabled"] != true || dur["durable_seq"].(float64) != 3 {
+	if dur := durs[0].(map[string]any); dur["enabled"] != true || dur["durable_seq"].(float64) != 3 {
 		t.Fatalf("leader durability block %v", dur)
 	}
 

@@ -1,17 +1,20 @@
 package faultmatrix
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"spatialkeyword"
 	"spatialkeyword/internal/repl"
+	"spatialkeyword/internal/shard"
 )
 
 // The replication row of the matrix: the faults here live on the wire and
@@ -96,25 +99,39 @@ func (p *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Write(body) //nolint:errcheck // best-effort response write
 }
 
-// newReplLeader builds a WAL leader engine with a fault proxy in front of
-// its replication handler.
-func newReplLeader(t *testing.T) (*spatialkeyword.Engine, *repl.Leader, *faultProxy, *httptest.Server) {
+// newReplLeader builds a WAL leader engine — a single engine's directory,
+// served in place as one flat shard — with a fault proxy in front of its
+// replication handler.
+func newReplLeader(t *testing.T) (*shard.ShardedEngine, *repl.Leader, *faultProxy, *httptest.Server) {
 	t.Helper()
 	dir := t.TempDir()
-	e, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: 16, WAL: true}, dir)
+	single, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: 16, WAL: true}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return serveReplLeader(t, dir)
+}
+
+// serveReplLeader opens the engine directory dir and mounts a replication
+// leader for it behind a fault proxy.
+func serveReplLeader(t *testing.T, dir string) (*shard.ShardedEngine, *repl.Leader, *faultProxy, *httptest.Server) {
+	t.Helper()
+	e, err := shard.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() }) //nolint:errcheck // test teardown
-	l := repl.NewLeader(dir)
-	l.AttachEngine(e)
+	l := repl.NewLeader(e)
 	proxy := &faultProxy{h: l.Handler()}
 	srv := httptest.NewServer(proxy)
 	t.Cleanup(srv.Close)
 	return e, l, proxy, srv
 }
 
-func replAddN(t *testing.T, e *spatialkeyword.Engine, start, n int) {
+func replAddN(t *testing.T, e *shard.ShardedEngine, start, n int) {
 	t.Helper()
 	for i := start; i < start+n; i++ {
 		text := fmt.Sprintf("poi %d fault matrix row with some padding text", i)
@@ -129,7 +146,7 @@ func replFastOpts() repl.Options {
 }
 
 // replConverged asserts the follower serves exactly the leader's live set.
-func replConverged(t *testing.T, e *spatialkeyword.Engine, l *repl.Leader, f *repl.Follower) {
+func replConverged(t *testing.T, e *shard.ShardedEngine, l *repl.Leader, f *repl.Follower) {
 	t.Helper()
 	if err := f.WaitFor(l.PositionToken(), 10*time.Second); err != nil {
 		t.Fatalf("follower never converged: %v", err)
@@ -235,8 +252,8 @@ func TestReplLeaderRotationDuringTail(t *testing.T) {
 	if st.Snapshots != 1 {
 		t.Fatalf("rotation forced %d snapshots, want only the bootstrap", st.Snapshots)
 	}
-	if st.Streams[0].Gen != e.Generation() {
-		t.Fatalf("follower at generation %d, leader at %d", st.Streams[0].Gen, e.Generation())
+	if gen := e.ShardDurability()[0].Generation; st.Streams[0].Gen != gen {
+		t.Fatalf("follower at generation %d, leader at %d", st.Streams[0].Gen, gen)
 	}
 }
 
@@ -371,4 +388,141 @@ func TestReplKillFollowerLoop(t *testing.T) {
 	}
 	defer f.Close() //nolint:errcheck // test teardown
 	replConverged(t, e, l, f)
+}
+
+// replSameRows asserts the follower stores exactly the leader's rows — IDs,
+// points, text and deletions, not only what one query shows.
+func replSameRows(t *testing.T, e *shard.ShardedEngine, f *repl.Follower) {
+	t.Helper()
+	rows := func(r spatialkeyword.Reader) (out []string) {
+		err := r.Scan(func(o spatialkeyword.Object) error {
+			out = append(out, fmt.Sprintf("%d %v %q", o.ID, o.Point, o.Text))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range out {
+			out[i] += fmt.Sprintf(" deleted=%v", r.IsDeleted(uint64(i)))
+		}
+		return out
+	}
+	if got, want := rows(f), rows(e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower rows differ from the leader's:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestReplFlatLeaderFromParentDirectory: the leader serves, in place, a
+// directory the parent build's single engine wrote (testdata/compat) — its log
+// holds adds logged without global IDs. A fresh replica bootstraps into the
+// same flat layout and converges byte for byte on what replication copies
+// (the snapshot generation) and row for row on the rest; a replica directory
+// the parent build wrote resumes from its watermark without a snapshot; the
+// replica follows a rotation, restarts from its own log, and re-bootstraps —
+// flat again — when it was left two rotations behind.
+func TestReplFlatLeaderFromParentDirectory(t *testing.T) {
+	checkNoGoroutineLeak(t)
+	const fixture = "../../testdata/compat/single-ae80bff"
+	ldir := filepath.Join(t.TempDir(), "leader")
+	if err := copyTree(ldir, fixture); err != nil {
+		t.Fatal(err)
+	}
+	e, l, _, srv := serveReplLeader(t, ldir)
+
+	// A replica the parent build left behind is a copy of its leader's
+	// directory at some watermark: it is adopted the same way and resumes.
+	olddir := filepath.Join(t.TempDir(), "old-replica")
+	if err := copyTree(olddir, fixture); err != nil {
+		t.Fatal(err)
+	}
+	old, err := repl.OpenFollower(olddir, srv.URL, replFastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fdir := filepath.Join(t.TempDir(), "replica")
+	f, err := repl.OpenFollower(fdir, srv.URL, replFastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { f.Close() }() //nolint:errcheck // test teardown
+
+	replAddN(t, e, 100, 10)
+	if err := e.Delete(9); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*repl.Follower{"parent-written": old, "fresh": f} {
+		if err := r.WaitFor(l.PositionToken(), 10*time.Second); err != nil {
+			t.Fatalf("%s replica never converged: %v", name, err)
+		}
+		replSameRows(t, e, r)
+	}
+	if st := old.Status(); st.Snapshots != 0 || st.Resyncs != 0 {
+		t.Fatalf("parent-written replica did not resume: %+v", st)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Status(); st.Snapshots != 1 || len(st.Streams) != 1 {
+		t.Fatalf("fresh replica: %+v", st)
+	}
+	// Flat like its leader, and the generation it copied is the leader's.
+	if _, err := os.Stat(filepath.Join(fdir, "shard-0000")); !os.IsNotExist(err) {
+		t.Fatalf("replica of a flat leader has a shard subdirectory: %v", err)
+	}
+	objects, index, manifest := spatialkeyword.SnapshotFileNames(2)
+	for _, name := range []string{objects, index, manifest} {
+		want, err := os.ReadFile(filepath.Join(ldir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(fdir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("replica's %s differs from the leader's (%v)", name, err)
+		}
+	}
+
+	// A rotation is followed, not re-bootstrapped.
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	replAddN(t, e, 200, 10)
+	replConverged(t, e, l, f)
+	replSameRows(t, e, f)
+	if st := f.Status(); st.Snapshots != 1 || st.Streams[0].Gen != 3 {
+		t.Fatalf("after the leader's rotation: %+v", st)
+	}
+
+	// Restart: local recovery, then the tail resumes.
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replAddN(t, e, 300, 5)
+	if f, err = repl.OpenFollower(fdir, srv.URL, replFastOpts()); err != nil {
+		t.Fatal(err)
+	}
+	replConverged(t, e, l, f)
+	if st := f.Status(); st.Snapshots != 0 {
+		t.Fatalf("restart bootstrapped: %+v", st)
+	}
+
+	// Left two rotations behind, the replica rebuilds from a fresh snapshot.
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		replAddN(t, e, 400+10*round, 5)
+		if err := e.Save(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f, err = repl.OpenFollower(fdir, srv.URL, replFastOpts()); err != nil {
+		t.Fatal(err)
+	}
+	replConverged(t, e, l, f)
+	replSameRows(t, e, f)
+	if st := f.Status(); st.Snapshots == 0 {
+		t.Fatalf("expected a re-bootstrap: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(fdir, "shard-0000")); !os.IsNotExist(err) {
+		t.Fatalf("re-bootstrapped replica is not flat: %v", err)
+	}
 }

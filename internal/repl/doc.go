@@ -17,8 +17,8 @@
 // locally, and continues in the next generation. The leader keeps the
 // previous generation's records in memory so a mid-drain follower can
 // finish; anything older answers 410 Gone and the follower rebuilds from a
-// fresh snapshot. A sharded engine replicates as one independent stream
-// per shard.
+// fresh snapshot. Leader and follower both hold a shard.ShardedEngine of
+// one or more shards, replicated as one independent stream per shard.
 //
 // See the wire-protocol comment in wire.go and the replication section of
 // DESIGN.md for the frame format, the resync state machine, and the

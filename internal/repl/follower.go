@@ -2,7 +2,6 @@ package repl
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -98,18 +97,15 @@ type Follower struct {
 	retry    time.Duration
 	m        followerMetrics
 
-	// mu is the serving lock: reads hold RLock, single-engine applies and
-	// rotations hold Lock, and a resync holds Lock across teardown and
-	// re-bootstrap. (Sharded applies take RLock — the shard engine does
-	// its own per-shard write locking.) installed is the local replica —
-	// a *spatialkeyword.Engine or a *shard.ShardedEngine — and nil while a
-	// resync has it torn down.
+	// mu guards installed, the local replica: everything that uses it —
+	// reads, and the tail's applies and rotations — holds RLock for as long
+	// as it does (the engine locks itself, per shard), and a resync holds
+	// Lock across teardown and re-bootstrap, during which installed is nil.
 	mu        sync.RWMutex
-	installed replica
+	installed *shard.ShardedEngine
 
-	// mutObserver is forwarded to whichever engine is currently installed,
-	// and re-installed across resyncs (install tears engines down and
-	// republishes them). See SetMutationObserver.
+	// mutObserver is forwarded to the engine currently installed, and
+	// re-installed across resyncs. See SetMutationObserver.
 	mutObserver func(spatialkeyword.MutationEvent)
 
 	// posMu guards the position/watermark vectors and the lag metrics
@@ -125,14 +121,6 @@ type Follower struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-}
-
-// replica is what the follower needs of its local engine, whichever kind
-// the leader's topology made it.
-type replica interface {
-	spatialkeyword.Reader
-	SetMutationObserver(func(spatialkeyword.MutationEvent))
-	Close() error
 }
 
 var _ spatialkeyword.Reader = (*Follower)(nil)
@@ -172,33 +160,20 @@ func OpenFollower(dir, leaderURL string, opts Options) (*Follower, error) {
 // openOrBootstrap recovers a committed local replica, or bootstraps from
 // the leader when there is none (or the local one no longer opens).
 func (f *Follower) openOrBootstrap() error {
-	if _, err := os.Stat(filepath.Join(f.dir, shard.ManifestFileName)); err == nil {
-		if s, err := shard.Open(f.dir); err == nil {
-			f.install(s)
-			return nil
-		}
-	} else if _, err := os.Stat(filepath.Join(f.dir, spatialkeyword.ManifestFileName)); err == nil {
-		if e, err := spatialkeyword.OpenEngine(f.dir); err == nil {
-			f.install(e)
-			return nil
-		}
+	if s, err := shard.Open(f.dir); err == nil {
+		f.install(s)
+		return nil
 	}
 	return f.bootstrap()
 }
 
-// install publishes freshly opened engines and derives the stream
-// positions from their durability watermarks: each stream resumes at
+// install publishes a freshly opened replica and derives the stream
+// positions from its durability watermarks: each stream resumes at
 // (generation, durable sequence) — exactly what local recovery replayed.
-func (f *Follower) install(r replica) {
-	f.installed = r
-	r.SetMutationObserver(f.mutObserver)
-	var ds []spatialkeyword.DurabilityStats
-	switch r := r.(type) {
-	case *shard.ShardedEngine:
-		ds = r.ShardDurability()
-	case *spatialkeyword.Engine:
-		ds = []spatialkeyword.DurabilityStats{r.DurabilityStats()}
-	}
+func (f *Follower) install(s *shard.ShardedEngine) {
+	f.installed = s
+	s.SetMutationObserver(f.mutObserver)
+	ds := s.ShardDurability()
 	f.posMu.Lock()
 	f.positions = make([]Position, len(ds))
 	f.heads = make([]Position, len(ds))
@@ -211,10 +186,10 @@ func (f *Follower) install(r replica) {
 	f.posMu.Unlock()
 }
 
-// SetMutationObserver installs fn as the mutation observer on the
-// replica's underlying engine (single or sharded), and keeps it installed
-// across resyncs — a full re-bootstrap tears the engines down and opens
-// fresh ones, and install re-attaches the observer to them.
+// SetMutationObserver installs fn as the mutation observer on the replica's
+// underlying engine, and keeps it installed across resyncs — a full
+// re-bootstrap tears the engine down and opens a fresh one, and install
+// re-attaches the observer to it.
 //
 // The observer fires for every replicated record the follower applies,
 // post-WAL and post-apply, so a fence registry fed from it emits the same
@@ -241,99 +216,57 @@ func (f *Follower) closeEnginesLocked() error {
 	return err
 }
 
-// bootstrap wipes dir and rebuilds it from the leader's snapshot: the
-// immutable generation files first, the commit manifest last — so a crash
-// mid-bootstrap leaves a directory without a commit point, which the next
-// open simply re-bootstraps. Finishes by opening the replica and
+// bootstrap wipes dir and rebuilds it from the leader's snapshot. The
+// leader's sharded manifest names the layout — one subdirectory per shard, or
+// the flat layout of an adopted single-engine directory — and pins every
+// shard's generation; each shard is staged at its pin, immutable generation
+// files and an empty log, and then the manifest itself commits the bootstrap
+// — so a crash mid-bootstrap leaves a directory without a commit point, which
+// the next open simply re-bootstraps. Finishes by opening the replica and
 // installing it.
 func (f *Follower) bootstrap() error {
-	meta, err := f.fetchMeta()
-	if err != nil {
-		return err
-	}
-	if err := os.RemoveAll(f.dir); err != nil {
-		return fmt.Errorf("repl: wipe replica dir: %w", err)
-	}
-	if err := os.MkdirAll(f.dir, 0o755); err != nil {
-		return err
-	}
-	if meta.Sharded {
-		err = f.bootstrapSharded()
-	} else {
-		err = f.bootstrapSingle(meta)
-	}
-	if err != nil {
-		return err
-	}
-	if meta.Sharded {
-		s, err := shard.Open(f.dir)
-		if err != nil {
-			return fmt.Errorf("repl: open bootstrapped replica: %w", err)
-		}
-		f.install(s)
-	} else {
-		e, err := spatialkeyword.OpenEngine(f.dir)
-		if err != nil {
-			return fmt.Errorf("repl: open bootstrapped replica: %w", err)
-		}
-		f.install(e)
-	}
-	f.m.snapshots.Inc()
-	return nil
-}
-
-// bootstrapSingle stages one engine directory at the leader's committed
-// generation: snapshot files, a fresh empty WAL, then manifest.json.
-func (f *Follower) bootstrapSingle(meta Meta) error {
-	if len(meta.Streams) != 1 {
-		return fmt.Errorf("repl: leader reports %d streams for a single engine", len(meta.Streams))
-	}
-	gen := meta.Streams[0].Gen
-	if gen == 0 {
-		return fmt.Errorf("repl: leader has no committed generation")
-	}
-	return f.stageStream(f.dir, 0, gen, true)
-}
-
-// bootstrapSharded stages a sharded engine directory: the leader's
-// shards.json pins every shard's generation; each shard is staged at its
-// pinned generation, then shards.json itself commits the bootstrap.
-func (f *Follower) bootstrapSharded() error {
 	manifestBytes, err := f.fetchSnapshot(0, 0, "shards")
 	if err != nil {
 		return err
 	}
-	var pins struct {
-		Gens []uint64 `json:"gens"`
+	dirs, gens, err := shard.Layout(f.dir, manifestBytes)
+	if err != nil {
+		return fmt.Errorf("repl: leader shards manifest: %w", err)
 	}
-	if err := json.Unmarshal(manifestBytes, &pins); err != nil {
-		return fmt.Errorf("repl: parse leader shards manifest: %w", err)
-	}
-	if len(pins.Gens) == 0 {
+	if len(gens) == 0 {
 		return fmt.Errorf("repl: leader shards manifest pins no generations")
 	}
-	for i, gen := range pins.Gens {
+	if err := os.RemoveAll(f.dir); err != nil {
+		return fmt.Errorf("repl: wipe replica dir: %w", err)
+	}
+	for i, gen := range gens {
 		if gen == 0 {
 			return fmt.Errorf("repl: shard %d has no committed generation", i)
 		}
-		sub := filepath.Join(f.dir, shard.DirName(i))
-		if err := os.MkdirAll(sub, 0o755); err != nil {
+		if err := os.MkdirAll(dirs[i], 0o755); err != nil {
 			return err
 		}
-		if err := f.stageStream(sub, i, gen, false); err != nil {
+		if err := f.stageStream(dirs[i], i, gen); err != nil {
 			return err
 		}
 	}
-	return writeFileSync(filepath.Join(f.dir, shard.ManifestFileName), manifestBytes)
+	if err := writeFileSync(filepath.Join(f.dir, shard.ManifestFileName), manifestBytes); err != nil {
+		return err
+	}
+	s, err := shard.Open(f.dir)
+	if err != nil {
+		return fmt.Errorf("repl: open bootstrapped replica: %w", err)
+	}
+	f.install(s)
+	f.m.snapshots.Inc()
+	return nil
 }
 
 // stageStream downloads one stream's generation-gen snapshot into dir and
-// creates the generation's empty local WAL. With commit set it also writes
-// the engine's top-level manifest.json (same bytes as the generation
-// manifest) — the single-engine commit point. Sharded staging leaves the
-// per-shard manifest.json absent: shards.json pins the generation and
-// shard.Open never reads it.
-func (f *Follower) stageStream(dir string, stream int, gen uint64, commit bool) error {
+// creates the generation's empty local WAL. The engine's own manifest.json
+// stays absent until the replica's first rotation writes it: the sharded
+// manifest pins the generation and shard.Open never reads it.
+func (f *Follower) stageStream(dir string, stream int, gen uint64) error {
 	objects, index, manifest := spatialkeyword.SnapshotFileNames(gen)
 	manifestBytes, err := f.fetchSnapshot(stream, gen, "manifest")
 	if err != nil {
@@ -361,13 +294,7 @@ func (f *Follower) stageStream(dir string, stream int, gen uint64, commit bool) 
 	if !cfg.WAL {
 		return fmt.Errorf("repl: leader engine has no write-ahead log")
 	}
-	if err := spatialkeyword.CreateEmptyWAL(filepath.Join(dir, spatialkeyword.WALFileName(gen)), cfg.BlockSize); err != nil {
-		return err
-	}
-	if commit {
-		return writeFileSync(filepath.Join(dir, spatialkeyword.ManifestFileName), manifestBytes)
-	}
-	return nil
+	return spatialkeyword.CreateEmptyWAL(filepath.Join(dir, spatialkeyword.WALFileName(gen)), cfg.BlockSize)
 }
 
 // writeFileSync writes data to path and fsyncs it.
@@ -385,23 +312,6 @@ func writeFileSync(path string, data []byte) error {
 		return err
 	}
 	return fd.Close()
-}
-
-// fetchMeta asks the leader for its replication topology.
-func (f *Follower) fetchMeta() (Meta, error) {
-	var m Meta
-	resp, err := f.client.Get(f.base + MetaPath)
-	if err != nil {
-		return m, err
-	}
-	defer resp.Body.Close() //nolint:errcheck // read-only body
-	if resp.StatusCode != http.StatusOK {
-		return m, fmt.Errorf("repl: meta: leader answered %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return m, fmt.Errorf("repl: meta: %w", err)
-	}
-	return m, nil
 }
 
 // fetchSnapshot downloads one snapshot file's bytes.
@@ -578,29 +488,16 @@ func (f *Follower) fetchLog(ctx context.Context, stream int, pos Position) ([]by
 	return body, resp.Header, resp.StatusCode, nil
 }
 
-// apply replays one verified batch into the local replica. Single-engine
-// applies hold the serving write lock across the batch, its flush, and the
-// WAL group commit, so concurrent reads never see a half-applied batch;
-// sharded applies delegate to the shard engine's own per-shard locking.
+// apply replays one verified batch into the local replica. The shard's own
+// write lock covers the batch, its flush and the WAL group commit, so
+// concurrent reads never see a half-applied batch.
 func (f *Follower) apply(stream int, recs []wal.Record) error {
-	if s := f.shardedEngine(); s != nil {
-		return s.ApplyReplicatedBatch(stream, recs)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e, ok := f.installed.(*spatialkeyword.Engine)
-	if !ok {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.installed == nil {
 		return ErrResyncing
 	}
-	for _, rec := range recs {
-		if err := e.ApplyReplicated(rec); err != nil {
-			return err
-		}
-	}
-	if err := e.Flush(); err != nil {
-		return err
-	}
-	return e.SyncWAL()
+	return f.installed.ApplyReplicatedBatch(stream, recs)
 }
 
 // rotate performs the follower-local generation handoff: the stream's old
@@ -608,37 +505,18 @@ func (f *Follower) apply(stream int, recs []wal.Record) error {
 // leader's rotation did, opens the same new generation, and lets the local
 // WAL track the leader's new log from sequence 1.
 func (f *Follower) rotate(stream int, nextGen uint64) error {
-	if s := f.shardedEngine(); s != nil {
-		if err := s.RotateShard(stream); err != nil {
-			return err
-		}
-		if got := s.ShardDurability()[stream].Generation; got != nextGen {
-			return fmt.Errorf("%w: local rotation reached generation %d, leader is at %d", errResync, got, nextGen)
-		}
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e, ok := f.installed.(*spatialkeyword.Engine)
-	if !ok {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.installed == nil {
 		return ErrResyncing
 	}
-	if err := e.Save(); err != nil {
+	if err := f.installed.RotateShard(stream); err != nil {
 		return err
 	}
-	if got := e.Generation(); got != nextGen {
+	if got := f.installed.ShardDurability()[stream].Generation; got != nextGen {
 		return fmt.Errorf("%w: local rotation reached generation %d, leader is at %d", errResync, got, nextGen)
 	}
 	return nil
-}
-
-// shardedEngine snapshots the installed replica under the read lock; nil
-// unless it is a sharded engine.
-func (f *Follower) shardedEngine() *shard.ShardedEngine {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	s, _ := f.installed.(*shard.ShardedEngine)
-	return s
 }
 
 // position reads one stream's current position.
@@ -822,10 +700,9 @@ func (f *Follower) reader() (r spatialkeyword.Reader, done func()) {
 }
 
 // The read contract (spatialkeyword.Reader), served from the local replica
-// and safe beside the tail. Scan mirrors the installed engine's own
-// contract (a single engine includes deleted rows, a sharded one skips
-// them). Corpus and MeterIO close over the replica installed when they were
-// called: re-fetch them per query rather than keeping them across a resync.
+// and safe beside the tail. Corpus and MeterIO close over the replica
+// installed when they were called: re-fetch them per query rather than
+// keeping them across a resync.
 
 func (f *Follower) Get(id uint64) (spatialkeyword.Object, error) {
 	r, done := f.reader()
@@ -850,16 +727,31 @@ func (f *Follower) TopKRanked(k int, point []float64, keywords ...string) ([]spa
 	return r.TopKRanked(k, point, keywords...)
 }
 
-func (f *Follower) TopKArea(k int, lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	r, done := f.reader()
-	defer done()
-	return r.TopKArea(k, lo, hi, keywords...)
-}
-
 func (f *Follower) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
 	r, done := f.reader()
 	defer done()
 	return r.WithinArea(lo, hi, keywords...)
+}
+
+// The streams outlive the serving lock: a stream read-locks the replica's
+// shards until it is closed, and a resync's teardown waits for those locks.
+
+func (f *Follower) Search(point []float64, keywords ...string) (spatialkeyword.ResultStream, error) {
+	r, done := f.reader()
+	defer done()
+	return r.Search(point, keywords...)
+}
+
+func (f *Follower) SearchArea(lo, hi []float64, keywords ...string) (spatialkeyword.ResultStream, error) {
+	r, done := f.reader()
+	defer done()
+	return r.SearchArea(lo, hi, keywords...)
+}
+
+func (f *Follower) SearchRanked(point []float64, keywords ...string) (spatialkeyword.RankedStream, error) {
+	r, done := f.reader()
+	defer done()
+	return r.SearchRanked(point, keywords...)
 }
 
 func (f *Follower) NumObjects() int {
@@ -920,11 +812,19 @@ func (resyncing) TopKRanked(int, []float64, ...string) ([]spatialkeyword.RankedR
 	return nil, ErrResyncing
 }
 
-func (resyncing) TopKArea(int, []float64, []float64, ...string) ([]spatialkeyword.Result, error) {
+func (resyncing) WithinArea([]float64, []float64, ...string) ([]spatialkeyword.Result, error) {
 	return nil, ErrResyncing
 }
 
-func (resyncing) WithinArea([]float64, []float64, ...string) ([]spatialkeyword.Result, error) {
+func (resyncing) Search([]float64, ...string) (spatialkeyword.ResultStream, error) {
+	return nil, ErrResyncing
+}
+
+func (resyncing) SearchArea([]float64, []float64, ...string) (spatialkeyword.ResultStream, error) {
+	return nil, ErrResyncing
+}
+
+func (resyncing) SearchRanked([]float64, ...string) (spatialkeyword.RankedStream, error) {
 	return nil, ErrResyncing
 }
 

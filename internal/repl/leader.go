@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -31,54 +32,43 @@ type streamBuf struct {
 	notify   chan struct{} // closed and replaced on every append/rotate
 }
 
-// Leader publishes an engine's WAL stream(s) over HTTP for followers. Wire
-// one up with NewLeader + AttachEngine/AttachSharded before the engine
-// serves traffic, and mount Handler() on the leader's HTTP server.
+// Leader publishes a WAL engine's record streams — one per shard — over HTTP
+// for followers. Create one with NewLeader before the engine serves traffic,
+// and mount Handler() on the leader's HTTP server.
 type Leader struct {
-	dir     string
-	sharded bool
+	eng *shard.ShardedEngine
 
-	mu         sync.Mutex
-	streams    []*streamBuf
-	streamDirs []string // per-stream snapshot directory
+	mu      sync.Mutex
+	streams []*streamBuf
 }
 
-// NewLeader creates a leader serving replication for the durable engine in
-// dir. Attach the engine before serving.
-func NewLeader(dir string) *Leader {
-	return &Leader{dir: dir}
-}
-
-// AttachEngine wires a single (non-sharded) WAL engine: the current
-// generation's ship buffer is seeded from the records the engine replayed
-// at open (so followers survive leader restarts mid-generation), and the
-// replication hooks are installed. Call before the engine serves traffic.
-func (l *Leader) AttachEngine(e *spatialkeyword.Engine) {
-	l.sharded = false
-	l.streams = []*streamBuf{newStreamBuf(e.Generation(), e.WALReplayRecords())}
-	l.streamDirs = []string{l.dir}
-	e.SetReplicationHooks(
-		func(gen uint64, rec wal.Record) { l.onAppend(0, gen, rec) },
-		func(newGen uint64) { l.onRotate(0, newGen) },
-	)
-}
-
-// AttachSharded wires a sharded WAL engine: one stream per shard. Call
-// before the engine serves traffic.
-func (l *Leader) AttachSharded(s *shard.ShardedEngine) {
-	l.sharded = true
-	dur := s.ShardDurability()
-	l.streams = make([]*streamBuf, len(dur))
-	l.streamDirs = make([]string, len(dur))
-	for i, d := range dur {
-		l.streams[i] = newStreamBuf(d.Generation, s.ShardReplayRecords(i))
-		l.streamDirs[i] = filepath.Join(l.dir, shard.DirName(i))
+// NewLeader wires a leader to a durable WAL engine: every shard's ship buffer
+// is seeded from the records the shard replayed at open (so followers survive
+// leader restarts mid-generation), and the replication hooks are installed.
+// Call before the engine serves traffic.
+func NewLeader(s *shard.ShardedEngine) *Leader {
+	l := &Leader{eng: s}
+	for i, d := range s.ShardDurability() {
+		l.streams = append(l.streams, newStreamBuf(d, s.ShardReplayRecords(i)))
 	}
 	s.SetReplicationHooks(l.onAppend, l.onRotate)
+	return l
 }
 
-func newStreamBuf(gen uint64, recs []wal.Record) *streamBuf {
-	return &streamBuf{gen: gen, recs: recs, notify: make(chan struct{})}
+// newStreamBuf seeds a ship buffer from what the shard's open replayed (see
+// Engine.WALReplayRecords): the live log's records — as many as it has
+// assigned sequence numbers — are the current generation's, and when the open
+// went through an older log first, that one's are the previous generation's,
+// which a follower still pinned there drains before it rotates.
+func newStreamBuf(d spatialkeyword.DurabilityStats, replayed []wal.Record) *streamBuf {
+	sb := &streamBuf{gen: d.Generation, notify: make(chan struct{})}
+	cut := len(replayed) - int(d.StagedSeq)
+	sb.recs = slices.Clip(replayed[cut:])
+	if older := replayed[:cut]; len(older) > 0 {
+		start := len(older) - int(older[len(older)-1].Seq) // a log's sequence numbers are dense from 1
+		sb.prevGen, sb.prevRecs = d.Generation-1, older[start:]
+	}
+	return sb
 }
 
 // onAppend stages one durably logged record in the stream's ship buffer.
@@ -129,7 +119,7 @@ func (l *Leader) Handler() http.Handler {
 
 func (l *Leader) handleMeta(w http.ResponseWriter, r *http.Request) {
 	l.mu.Lock()
-	m := Meta{Sharded: l.sharded, Streams: make([]StreamMeta, len(l.streams))}
+	m := Meta{Streams: make([]StreamMeta, len(l.streams))}
 	for i, sb := range l.streams {
 		m.Streams[i] = StreamMeta{Gen: sb.gen, Head: uint64(len(sb.recs))}
 	}
@@ -156,11 +146,8 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	file := q.Get("file")
 	if file == "shards" {
-		if !l.sharded {
-			http.Error(w, "repl: leader is not sharded", http.StatusBadRequest)
-			return
-		}
-		l.serveFile(w, filepath.Join(l.dir, shard.ManifestFileName))
+		data, err := l.eng.Manifest()
+		serveFile(w, data, err)
 		return
 	}
 	stream, err := l.parseStream(r)
@@ -188,14 +175,14 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("repl: unknown snapshot file %q", file), http.StatusBadRequest)
 		return
 	}
-	l.serveFile(w, filepath.Join(l.streamDirs[stream], name))
+	data, err := os.ReadFile(filepath.Join(l.eng.ShardDir(stream), name))
+	serveFile(w, data, err)
 }
 
 // serveFile writes a file's bytes, answering 404 when it does not exist
 // (e.g. the generation was pruned mid-bootstrap — the follower restarts
-// from meta).
-func (l *Leader) serveFile(w http.ResponseWriter, path string) {
-	data, err := os.ReadFile(path)
+// from the manifest).
+func serveFile(w http.ResponseWriter, data []byte, err error) {
 	if err != nil {
 		if os.IsNotExist(err) {
 			http.Error(w, "repl: snapshot file gone", http.StatusNotFound)

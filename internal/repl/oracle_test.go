@@ -123,8 +123,7 @@ func testOracleSharded(t *testing.T, opts shard.Options) {
 		t.Fatalf("NewDurable: %v", err)
 	}
 	defer s.Close() //nolint:errcheck // test teardown
-	l := NewLeader(ldir)
-	l.AttachSharded(s)
+	l := NewLeader(s)
 	srv := httptest.NewServer(l.Handler())
 	defer srv.Close()
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/shard"
 	"spatialkeyword/internal/wal"
 )
 
@@ -16,23 +17,30 @@ func fastOpts() Options {
 	return Options{PollWait: 50 * time.Millisecond, RetryInterval: 10 * time.Millisecond}
 }
 
-// newLeaderEngine starts a durable WAL engine in dir with a replication
-// leader mounted on an httptest server.
-func newLeaderEngine(t *testing.T, dir string) (*spatialkeyword.Engine, *Leader, *httptest.Server) {
+// newLeaderEngine starts a durable WAL engine in dir — a single engine's
+// directory, adopted in place as one flat shard — with a replication leader
+// mounted on an httptest server.
+func newLeaderEngine(t *testing.T, dir string) (*shard.ShardedEngine, *Leader, *httptest.Server) {
 	t.Helper()
-	e, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{WAL: true}, dir)
+	single, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{WAL: true}, dir)
 	if err != nil {
 		t.Fatalf("NewDurableEngine: %v", err)
 	}
+	if err := single.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	e, err := shard.Open(dir)
+	if err != nil {
+		t.Fatalf("shard.Open: %v", err)
+	}
 	t.Cleanup(func() { e.Close() }) //nolint:errcheck // test teardown
-	l := NewLeader(dir)
-	l.AttachEngine(e)
+	l := NewLeader(e)
 	srv := httptest.NewServer(l.Handler())
 	t.Cleanup(srv.Close)
 	return e, l, srv
 }
 
-func addN(t *testing.T, e *spatialkeyword.Engine, start, n int) {
+func addN(t *testing.T, e *shard.ShardedEngine, start, n int) {
 	t.Helper()
 	for i := start; i < start+n; i++ {
 		x := float64(i % 10)
@@ -158,7 +166,7 @@ func TestFollowerRotationHandoff(t *testing.T) {
 	if st.Snapshots != 1 {
 		t.Fatalf("expected exactly the bootstrap snapshot, got %d", st.Snapshots)
 	}
-	if want := e.Generation(); st.Streams[0].Gen != want {
+	if want := e.ShardDurability()[0].Generation; st.Streams[0].Gen != want {
 		t.Fatalf("follower at generation %d, leader at %d", st.Streams[0].Gen, want)
 	}
 	sameTopK(t, e, f, 8, []float64{4, 3}, "coffee")

@@ -12,13 +12,14 @@ import (
 // mounts under /repl:
 //
 //	GET /repl/meta
-//	    JSON topology: sharded or not, and each stream's current
-//	    (generation, head-sequence) watermark.
+//	    JSON topology: each stream's current (generation, head-sequence)
+//	    watermark, one stream per shard.
 //
 //	GET /repl/snapshot?shard=S&gen=G&file=objects|index|manifest|shards
 //	    Raw bytes of one immutable file of a committed generation —
-//	    follower bootstrap. "shards" is the top-level sharded manifest
-//	    (gen ignored); the rest are generation-G files of stream S.
+//	    follower bootstrap. "shards" is the sharded manifest (S and G
+//	    ignored): it names the layout and pins every stream's generation;
+//	    the rest are generation-G files of stream S.
 //
 //	GET /repl/log?shard=S&gen=G&after=N&wait=MS
 //	    The stream's log records after sequence N in generation G, as
@@ -55,11 +56,8 @@ const (
 
 // Meta is the /repl/meta payload.
 type Meta struct {
-	// Sharded reports whether the leader is a sharded engine; the follower
-	// mirrors the layout.
-	Sharded bool `json:"sharded"`
-	// Streams is one entry per replication stream (one for a single
-	// engine, one per shard otherwise), in stream order.
+	// Streams is one entry per replication stream — one per shard — in
+	// stream order.
 	Streams []StreamMeta `json:"streams"`
 }
 

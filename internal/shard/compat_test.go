@@ -1,0 +1,266 @@
+package shard
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"spatialkeyword"
+	"spatialkeyword/internal/skql"
+)
+
+// The compat fixtures are engine directories written by the build at commit
+// ae80bff — the last one in which skserve held a plain Engine — and never by
+// this one (testdata/compat/README.md has the program). Every test works on a
+// copy: opening an engine directory restores its working files in place, and
+// scripts/ci.sh compat fails if a run leaves the fixture changed.
+const compatDir = "../../testdata/compat"
+
+// copyFixture copies a fixture (or a subdirectory of one) to a fresh
+// temporary directory and returns it.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	dst := t.TempDir()
+	for rel, data := range dirBytes(t, filepath.Join(compatDir, name)) {
+		path := filepath.Join(dst, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// dirBytes reads every regular file under dir, keyed by relative path.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		out[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// answers is everything the compat tests compare between two backends.
+type answers struct {
+	Rows    []spatialkeyword.Object
+	Deleted []uint64
+	TopK    []spatialkeyword.Result
+	Ranked  []spatialkeyword.RankedResult
+	Within  []spatialkeyword.Result
+	SKQL    map[string]*skql.ResultSet
+}
+
+var compatStatements = []string{
+	`SELECT TOP 6 NEAR (25.3, -79.7) MATCH "cafe" AND "wifi"`,
+	`SELECT RANKED 6 NEAR (25.3, -79.7) MATCH "pool" OR "espresso"`,
+	`SELECT ALL MATCH "cafe" AND NOT "thai" WITHIN rect(25, -80.2, 25.6, -79.5)`,
+	`SELECT COUNT MATCH "patio" WITHIN rect(25, -80.2, 26, -79)`,
+	`SELECT TOP 4 NEAR (25.3, -79.7) MATCH "late" AND "night" USING iio`,
+}
+
+func answersOf(t *testing.T, r spatialkeyword.Reader) answers {
+	t.Helper()
+	var a answers
+	if err := r.Scan(func(o spatialkeyword.Object) error {
+		a.Rows = append(a.Rows, o)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range a.Rows {
+		if r.IsDeleted(o.ID) {
+			a.Deleted = append(a.Deleted, o.ID)
+		}
+	}
+	var err error
+	p := []float64{25.3, -79.7}
+	if a.TopK, _, err = r.TopKWithStats(7, p, "cafe"); err != nil {
+		t.Fatal(err)
+	}
+	if a.Ranked, err = r.TopKRanked(7, p, "pool", "wifi"); err != nil {
+		t.Fatal(err)
+	}
+	if a.Within, err = r.WithinArea([]float64{25, -80.2}, []float64{25.6, -79.5}, "cafe"); err != nil {
+		t.Fatal(err)
+	}
+	a.SKQL = map[string]*skql.ResultSet{}
+	cat := skql.NewCatalog(r)
+	for _, text := range compatStatements {
+		q, err := skql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := cat.Run(q)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		// The answer, not how it was reached: plans and block counts depend
+		// on the devices behind the backend.
+		a.SKQL[text] = &skql.ResultSet{Proj: rs.Proj, Results: rs.Results, Ranked: rs.Ranked, Count: rs.Count}
+	}
+	return a
+}
+
+// TestCompatParentDirectories: a directory the parent build wrote — a single
+// engine's, with and without a write-ahead log, and a nested one-shard
+// engine's — opens through shard.Open to exactly what the parent's own
+// reader, spatialkeyword.OpenEngine, gives on a copy; opening moves and
+// rewrites no engine file; and after Save and Close both readers reopen it.
+func TestCompatParentDirectories(t *testing.T) {
+	for _, tc := range []struct {
+		fixture, engine string // engine: where the plain engine's files are
+		replayed        uint64
+		objects         int
+	}{
+		{"single-ae80bff", ".", 11, 42},
+		{"single-nowal-ae80bff", ".", 0, 37},
+		{"nested-ae80bff", "shard-0000", 6, 12},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			oracleDir := copyFixture(t, filepath.Join(tc.fixture, tc.engine))
+			oracle, err := spatialkeyword.OpenEngine(oracleDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := answersOf(t, oracle)
+			wantReplayed := oracle.WALInfo().ReplayedRecords
+			if err := oracle.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if wantReplayed != tc.replayed || len(want.Rows)-len(want.Deleted) != tc.objects {
+				t.Fatalf("fixture holds %d live rows and %d logged records, want %d and %d",
+					len(want.Rows)-len(want.Deleted), wantReplayed, tc.objects, tc.replayed)
+			}
+			if len(want.TopK) == 0 || len(want.Ranked) == 0 || len(want.Within) == 0 {
+				t.Fatalf("fixture queries are vacuous: %+v", want)
+			}
+
+			dir := copyFixture(t, tc.fixture)
+			before := dirBytes(t, dir)
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := answersOf(t, s); !reflect.DeepEqual(got, want) {
+				t.Errorf("shard.Open answers differ from OpenEngine's:\n got %+v\nwant %+v", got, want)
+			}
+			if got := s.WALInfo().ReplayedRecords; got != wantReplayed {
+				t.Errorf("replayed %d records, OpenEngine replays %d", got, wantReplayed)
+			}
+			if got := s.Stats().Objects; got != tc.objects {
+				t.Errorf("%d live objects, want %d", got, tc.objects)
+			}
+			// Opening is in place: same files, and every one but the two
+			// working files — which any open restores from the snapshot and
+			// the log — has the bytes the parent wrote.
+			after := dirBytes(t, dir)
+			for name, data := range before {
+				if base := filepath.Base(name); base == "objects.db" || base == "index.db" {
+					continue
+				}
+				if !bytes.Equal(after[name], data) {
+					t.Errorf("opening changed %s", name)
+				}
+			}
+			for name := range after {
+				if _, ok := before[name]; !ok {
+					t.Errorf("opening created %s", name)
+				}
+			}
+
+			// Mutate, save, close: both readers reopen the directory.
+			id, err := s.Add([]float64{25.31, -79.71}, "cuban cafe wifi added after adoption")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != uint64(len(want.Rows)) {
+				t.Errorf("first add after adoption got ID %d, want %d", id, len(want.Rows))
+			}
+			if err := s.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, err = Open(dir)
+			if err != nil {
+				t.Fatalf("shard.Open after Save: %v", err)
+			}
+			saved := answersOf(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(saved.Rows) != len(want.Rows)+1 || !reflect.DeepEqual(saved.Rows[:len(want.Rows)], want.Rows) || !reflect.DeepEqual(saved.Deleted, want.Deleted) {
+				t.Errorf("rows after Save and reopen: %d, deleted %v; want the %d opened plus one, deleted %v",
+					len(saved.Rows), saved.Deleted, len(want.Rows), want.Deleted)
+			}
+			plain, err := spatialkeyword.OpenEngine(filepath.Join(dir, tc.engine))
+			if err != nil {
+				t.Fatalf("OpenEngine after the sharded Save: %v", err)
+			}
+			defer plain.Close()
+			if got := answersOf(t, plain); !reflect.DeepEqual(got, saved) {
+				t.Errorf("OpenEngine after the sharded Save differs from shard.Open:\n got %+v\nwant %+v", got, saved)
+			}
+		})
+	}
+}
+
+// TestShardManifestStaysSmall: the manifest a flat engine's first Save adds
+// to a single engine's directory records one shard index per object. On
+// rows the size of the harness's topk_restaurants corpus it has to stay well
+// under the 2 % by which the benchmark lets a directory grow.
+func TestShardManifestStaysSmall(t *testing.T) {
+	dir := t.TempDir()
+	e, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: 16}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 3000
+	for i := 0; i < rows; i++ {
+		text := fmt.Sprintf("restaurant %d thai cafe espresso wifi patio seating downtown open late delivery %d", i, i*7919)
+		if _, err := e.Add([]float64{float64(i % 97), float64(i % 89)}, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var total, manifest int
+	for name, data := range dirBytes(t, dir) {
+		total += len(data)
+		if name == shardManifestName {
+			manifest = len(data)
+		}
+	}
+	if manifest == 0 || manifest > 3*rows || float64(manifest) > 0.005*float64(total) {
+		t.Fatalf("shards.json is %d bytes for %d rows in a %d-byte directory", manifest, rows, total)
+	}
+}

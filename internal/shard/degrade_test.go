@@ -138,8 +138,22 @@ func TestShardFaultDegradesAllQueryKinds(t *testing.T) {
 	}
 }
 
+// drain pulls a stream dry and closes it, returning the result count.
+func drain[R any](it stream[R], err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	defer it.Close()
+	for n := 0; ; n++ {
+		if _, ok, err := it.Next(); err != nil || !ok {
+			return n, err
+		}
+	}
+}
+
 // topkKinds runs each of the five sharded top-k entry points with a k that
-// covers the whole fixture, returning the result count.
+// covers the whole fixture, and each of the three streams to its end,
+// returning the result count.
 var topkKinds = []struct {
 	name string
 	run  func(s *ShardedEngine) (int, error)
@@ -164,12 +178,21 @@ var topkKinds = []struct {
 		r, err := s.TopKRankedSerial(200, []float64{5, 5}, "common")
 		return len(r), err
 	}},
+	{"Search", func(s *ShardedEngine) (int, error) {
+		return drain[spatialkeyword.Result](s.Search([]float64{5, 5}, "common"))
+	}},
+	{"SearchArea", func(s *ShardedEngine) (int, error) {
+		return drain[spatialkeyword.Result](s.SearchArea([]float64{4, 4}, []float64{6, 6}, "common"))
+	}},
+	{"SearchRanked", func(s *ShardedEngine) (int, error) {
+		return drain[spatialkeyword.RankedResult](s.SearchRanked([]float64{5, 5}, "common"))
+	}},
 }
 
 // TestEveryMergeFollowsShardSafetyRules runs the one merge's safety rules
-// through all five entry points and both schedulers — the coordinated ones
-// used to read unhealthy shards, fail the whole query on a mid-query fault
-// and index the ID map unchecked. A faulting shard: degraded answer from the
+// through all five entry points, the three streams and both schedulers — the
+// coordinated ones used to read unhealthy shards, fail the whole query on a
+// mid-query fault and index the ID map unchecked. A faulting shard: degraded answer from the
 // healthy shards, shard marked unhealthy, no error, and the shard is not
 // touched again. A shard handing back a local ID it never assigned: the same
 // degradation with the typed corruption error on record, and no panic.

@@ -2,38 +2,39 @@ package shard
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"spatialkeyword"
 	"spatialkeyword/internal/obs"
+	"spatialkeyword/internal/rtree"
 )
 
 // The fan-out/merge machinery: one merge for every sharded top-k. A sharded
 // top-k is the paper's best-first search one level up — each shard is an
 // incremental stream (Search, SearchArea, SearchRankedWith) with a bound on
-// everything it can still produce, and the merge keeps the global best k.
-// merge owns everything the query kinds share: the shard's read lock, open,
-// pull-while-admissible, local→global ID translation, Close, the per-shard
-// and aggregate sink records, degrade-on-storage-fault and result order.
-// What differs per kind is a topkQuery: op name, direction, stream opener,
-// key accessor.
+// everything it can still produce, and the merge delivers the global best
+// first. merger owns what the query kinds share: the shard's read lock, open,
+// pull, local→global ID translation, Close, the per-shard and aggregate sink
+// records, degrade-on-storage-fault. What differs per kind is a topkQuery.
 //
-// Two schedulers drive the same lanes into the same collector:
+// Two schedulers drive the same lanes:
 //
-//   - free-running (freeRun): one goroutine per shard drains its stream
-//     until the collector's threshold proves it useless. It maximizes
-//     wall-clock overlap and is what serving uses, but a shard scheduled
-//     ahead of the others can load up to k speculative results before the
-//     threshold tightens.
-//   - coordinated (coordinated): a sequential best-first k-way merge that
+//   - free-running (merge): one goroutine per shard drains its stream into a
+//     shared collector until the collector's threshold proves it useless. It
+//     maximizes wall-clock overlap and is what TopK, TopKArea and TopKRanked
+//     use, but a shard scheduled ahead of the others can load up to k
+//     speculative results before the threshold tightens.
+//   - coordinated (mergedStream): a sequential best-first k-way merge that
 //     pulls one result at a time from the shard whose next candidate has the
-//     best bound. Per device this is the minimum I/O any exact merge can do,
-//     so the cost-model benchmark (internal/bench.ShardedDiskScaling) and
-//     the perf harness meter it to report what the sharded layout costs per
-//     device without the scheduler's speculation.
+//     best bound and delivers it once no shard's bound beats it. It is the
+//     stream Search, SearchArea and SearchRanked return — one lane is a
+//     pass-through with ID translation — and TopKSerial and TopKRankedSerial
+//     are its first k results plus the ties on the k-th key. Per device this
+//     is the minimum I/O any exact merge can do, so the cost-model benchmark
+//     (internal/bench.ShardedDiskScaling) and the perf harness meter it.
 //
 // Both return the same results: the collector's result set is independent
 // of the interleaving, and the coordinated pull order is one of the
@@ -58,10 +59,9 @@ type stream[R any] interface {
 
 // topkQuery is what distinguishes one kind of sharded top-k from another.
 type topkQuery[R any] struct {
-	op          string // sink op: "topk", "area", "ranked"
-	k, keywords int
-	asc         bool // true keeps the k smallest keys (distances), false the k largest (scores)
-	coordinated bool // scheduler: best-bound pull instead of goroutine per shard
+	op          string // sink op: "topk", "area", "ranked", or "stream" when the caller pulls
+	k, keywords int    // k is 0 when the caller pulls
+	asc         bool   // true: smallest keys are best (distances); false: largest (scores)
 	open        func(*spatialkeyword.Engine) (stream[R], error)
 	// at returns a result's ordering key and the address of its object ID
 	// (shard-local as the stream delivers it, global once merged).
@@ -72,11 +72,28 @@ func distanceKey(r *spatialkeyword.Result) (float64, *uint64) { return r.Dist, &
 
 func scoreKey(r *spatialkeyword.RankedResult) (float64, *uint64) { return r.Score, &r.Object.ID }
 
-// merger is the state of one running merge.
+// before reports whether key a strictly beats key b.
+func before(asc bool, a, b float64) bool {
+	if asc {
+		return a < b
+	}
+	return a > b
+}
+
+// better reports whether candidate a strictly beats b: by key, then by
+// smallest global ID in both directions.
+func better[R any](asc bool, a, b *item[R]) bool {
+	if a.key != b.key {
+		return before(asc, a.key, b.key)
+	}
+	return a.id < b.id
+}
+
+// merger is the state of one running merge that both schedulers share.
 type merger[R any] struct {
-	s   *ShardedEngine
-	q   topkQuery[R]
-	col *collector[R]
+	s     *ShardedEngine
+	q     topkQuery[R]
+	start time.Time
 
 	mu  sync.Mutex // guards agg: free-running lanes finish concurrently
 	agg spatialkeyword.QueryStats
@@ -88,32 +105,9 @@ type lane[R any] struct {
 	sh    *shardHandle
 	it    stream[R]
 	start time.Time
-	r     R     // the result being offered; a field so at's pointer costs no allocation per result
-	done  bool  // exhausted or failed: not to be pulled again
+	r     R     // the result last pulled; a field so at's pointer costs no allocation per result
+	done  bool  // exhausted, failed or finished: not to be pulled again
 	err   error // why the lane failed, if it did
-}
-
-// merge answers one sharded top-k query: the k best results across all
-// healthy shards, best first, with global IDs, plus the summed work.
-func merge[R any](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QueryStats, error) {
-	if q.k <= 0 {
-		return nil, spatialkeyword.QueryStats{}, nil
-	}
-	start := time.Now()
-	m := &merger[R]{s: s, q: q, col: &collector[R]{k: q.k, asc: q.asc}}
-	schedule := m.freeRun
-	if q.coordinated {
-		schedule = m.coordinated
-	}
-	degraded, err := schedule()
-	m.agg.Degraded = degraded
-	results := m.col.results()
-	s.record(obs.QueryMetrics{Op: q.op, Shard: -1, K: q.k, Keywords: q.keywords, Results: len(results),
-		Work: m.agg.Work, Latency: time.Since(start), Err: err != nil, Degraded: degraded})
-	if err != nil {
-		return nil, m.agg, err
-	}
-	return results, m.agg, nil
 }
 
 // open read-locks the shard and opens its stream. Every opened lane must be
@@ -130,21 +124,18 @@ func (m *merger[R]) open(sh *shardHandle) *lane[R] {
 	return ln
 }
 
-// pull moves the lane's next result into the collector, translated to its
-// global ID — the step a scheduler repeats once PeekBound says the lane is
-// worth advancing.
-func (m *merger[R]) pull(ln *lane[R]) {
-	var ok bool
-	if ln.r, ok, ln.err = ln.it.Next(); ln.err != nil || !ok {
-		ln.done = true
-		return
+// pull takes the lane's next result, translated to its global ID — the step a
+// scheduler repeats once PeekBound says the lane is worth advancing. ok is
+// false, and the lane done, when there was none.
+func (m *merger[R]) pull(ln *lane[R]) (it item[R], ok bool) {
+	if ln.r, ok, ln.err = ln.it.Next(); ln.err == nil && ok {
+		key, id := m.q.at(&ln.r)
+		if *id, ln.err = ln.sh.globalID(*id); ln.err == nil {
+			return item[R]{key: key, id: *id, val: ln.r}, true
+		}
 	}
-	key, id := m.q.at(&ln.r)
-	if *id, ln.err = ln.sh.globalID(*id); ln.err != nil {
-		ln.done = true
-		return
-	}
-	m.col.offer(key, *id, ln.r)
+	ln.done = true
+	return it, false
 }
 
 // finish closes the lane's stream, releases the shard, delivers the
@@ -156,6 +147,7 @@ func (m *merger[R]) finish(ln *lane[R]) error {
 		ln.it.Close()
 		st = ln.it.Stats()
 	}
+	ln.done = true
 	ln.sh.mu.RUnlock()
 	m.s.record(obs.QueryMetrics{Op: m.q.op, Shard: ln.sh.idx, Work: st.Work, Latency: time.Since(ln.start), Err: ln.err != nil})
 	m.mu.Lock()
@@ -164,66 +156,217 @@ func (m *merger[R]) finish(ln *lane[R]) error {
 	return ln.err
 }
 
-// freeRun is the free-running scheduler: every healthy shard drains its own
-// lane on its own goroutine until the shared threshold stops it.
-func (m *merger[R]) freeRun() (degraded bool, err error) {
-	return m.s.fanOut(nil, func(sh *shardHandle) error {
+// record delivers the query's aggregate record.
+func (m *merger[R]) record(results int, err error) {
+	m.s.record(obs.QueryMetrics{Op: m.q.op, Shard: -1, K: m.q.k, Keywords: m.q.keywords, Results: results,
+		Work: m.agg.Work, Latency: time.Since(m.start), Err: err != nil, Degraded: m.agg.Degraded})
+}
+
+// merge answers one sharded top-k query with the free-running scheduler: the
+// k best results across all healthy shards, best first, with global IDs, plus
+// the summed work.
+func merge[R any](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QueryStats, error) {
+	if q.k <= 0 {
+		return nil, spatialkeyword.QueryStats{}, nil
+	}
+	m := &merger[R]{s: s, q: q, start: time.Now()}
+	col := &collector[R]{k: q.k, asc: q.asc}
+	var err error
+	m.agg.Degraded, err = s.fanOut(nil, func(sh *shardHandle) error {
 		ln := m.open(sh)
 		for !ln.done {
-			if bound, ok := ln.it.PeekBound(); !ok || !m.col.admissible(bound) {
+			if bound, ok := ln.it.PeekBound(); !ok || !col.admissible(bound) {
 				break
 			}
-			m.pull(ln)
+			if it, ok := m.pull(ln); ok {
+				col.offer(it)
+			}
 		}
 		return m.finish(ln)
 	})
+	results := col.results()
+	m.record(len(results), err)
+	if err != nil {
+		return nil, m.agg, err
+	}
+	return results, m.agg, nil
 }
 
-// coordinated is the coordinated scheduler: all healthy shards are
-// read-locked for the whole merge, and each step pulls from the lane with
-// the best bound (lowest shard index on ties) until no lane's next
-// candidate can beat the global k-th result.
-func (m *merger[R]) coordinated() (degraded bool, err error) {
-	var lanes []*lane[R]
-	for _, sh := range m.s.shards {
+// mergedStream is the coordinated scheduler as a stream: every healthy shard
+// is read-locked from open to Close, each step pulls from the lane with the
+// best bound (lowest shard index on ties), and a pulled result is delivered
+// once no lane's bound beats it — best first, equal keys by smallest global
+// ID among those pulled. It implements spatialkeyword.ResultStream and
+// RankedStream.
+type mergedStream[R any] struct {
+	merger[R]
+	lanes     []*lane[R]
+	pending   []item[R] // pulled and not yet delivered, best first
+	delivered int
+	err       error // the first error that was not a shard's storage fault
+	closed    bool
+}
+
+// openStream read-locks every healthy shard and opens its lane. When a lane
+// cannot open for a reason other than its shard's storage, the stream comes
+// back closed with that error.
+func openStream[R any](s *ShardedEngine, q topkQuery[R]) (*mergedStream[R], error) {
+	st := &mergedStream[R]{merger: merger[R]{s: s, q: q, start: time.Now()}}
+	for _, sh := range s.shards {
 		if sh.unhealthy.Load() {
-			degraded = true
+			st.agg.Degraded = true
 			continue
 		}
-		lanes = append(lanes, m.open(sh))
+		ln := st.open(sh)
+		st.lanes = append(st.lanes, ln)
+		st.settle(ln)
 	}
-	for {
+	if st.err != nil {
+		st.Close()
+	}
+	return st, st.err
+}
+
+// settle classifies a lane's failure, once: a storage fault takes the shard
+// out of rotation and the stream goes on degraded, anything else fails it.
+func (st *mergedStream[R]) settle(ln *lane[R]) {
+	switch {
+	case ln.err == nil:
+	case st.s.degrade(ln.sh, ln.err):
+		st.agg.Degraded = true
+	case st.err == nil:
+		st.err = ln.err
+	}
+}
+
+// step advances the merge — pulling, if pull is set — until a pulled result
+// can be delivered: no lane's bound beats it. It returns the bound on what is
+// left, whether pending's first is deliverable, and whether anything is left.
+func (st *mergedStream[R]) step(pull bool) (bound float64, ready, ok bool) {
+	for !st.closed && st.err == nil {
 		var best *lane[R]
-		var bestBound float64
-		for _, ln := range lanes {
+		for _, ln := range st.lanes {
 			if ln.done {
 				continue
 			}
-			b, ok := ln.it.PeekBound()
-			if !ok {
+			if b, more := ln.it.PeekBound(); !more {
 				ln.done = true
-			} else if best == nil || m.col.before(b, bestBound) {
-				best, bestBound = ln, b
+			} else if best == nil || before(st.q.asc, b, bound) {
+				best, bound = ln, b
 			}
 		}
-		if best == nil || !m.col.admissible(bestBound) {
-			break // every remaining bound is no better than bestBound
+		if len(st.pending) > 0 && (best == nil || !before(st.q.asc, bound, st.pending[0].key)) {
+			return st.pending[0].key, true, true
 		}
-		m.pull(best)
-	}
-	for _, ln := range lanes {
-		if e := m.finish(ln); e != nil {
-			if m.s.degrade(ln.sh, e) {
-				degraded = true
-			} else if err == nil {
-				err = e
-			}
+		if best == nil || !pull {
+			return bound, false, best != nil
+		}
+		if it, pulled := st.pull(best); pulled {
+			st.pending = insert(st.q.asc, st.pending, it)
+		} else {
+			st.settle(best)
 		}
 	}
-	return degraded, err
+	return 0, false, false
 }
 
-// item is one candidate in a collector: its ordering key (distance for
+// next is Next on the stream's own terms: the candidate with its key and
+// global ID, and no closing.
+func (st *mergedStream[R]) next() (it item[R], ok bool) {
+	if _, ok, _ = st.step(true); ok {
+		it = st.pending[0]
+		st.pending = slices.Delete(st.pending, 0, 1)
+		st.delivered++
+	}
+	return it, ok
+}
+
+// Next returns the next best result across the shards. ok is false when
+// every shard is exhausted or the stream is closed; exhaustion and errors end
+// the query as Close does.
+func (st *mergedStream[R]) Next() (R, bool, error) {
+	it, ok := st.next()
+	if !ok {
+		st.Close()
+	}
+	return it.val, ok, st.err
+}
+
+// PeekBound bounds the key of everything Next can still return; ok is false
+// when nothing is left.
+func (st *mergedStream[R]) PeekBound() (float64, bool) {
+	bound, _, ok := st.step(false)
+	return bound, ok
+}
+
+// SetTrace installs fn on every lane that traces (distance streams do).
+func (st *mergedStream[R]) SetTrace(fn func(rtree.TraceEvent)) {
+	for _, ln := range st.lanes {
+		if t, ok := ln.it.(interface{ SetTrace(func(rtree.TraceEvent)) }); ok {
+			t.SetTrace(fn)
+		}
+	}
+}
+
+// Stats sums the lanes' work so far; after Close it is the query's total.
+func (st *mergedStream[R]) Stats() spatialkeyword.QueryStats {
+	live := st.agg
+	for _, ln := range st.lanes {
+		if !st.closed && ln.it != nil {
+			live.Add(ln.it.Stats().Work)
+		}
+	}
+	return live
+}
+
+// Close ends the query: every lane is finished — stream closed, shard
+// released, per-shard record delivered — and then the aggregate record is.
+// Closing a stream that has already ended is harmless.
+func (st *mergedStream[R]) Close() { st.end(st.delivered) }
+
+// end is Close reporting results as the query's result count.
+func (st *mergedStream[R]) end(results int) {
+	if st.closed {
+		return
+	}
+	st.closed = true
+	for _, ln := range st.lanes {
+		st.finish(ln) //nolint:errcheck // settle classified the lane's error when it happened
+	}
+	st.record(results, st.err)
+}
+
+// serial answers a sharded top-k with the coordinated scheduler: the stream
+// is pulled for as long as its bound could still enter a collector of k — k
+// results and everything tied with the k-th — and the collector keeps what
+// the free-running merge would, smallest global ID first within a tie.
+func serial[R any](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QueryStats, error) {
+	if q.k <= 0 {
+		return nil, spatialkeyword.QueryStats{}, nil
+	}
+	st, err := openStream(s, q)
+	if err != nil {
+		return nil, st.agg, err
+	}
+	col := &collector[R]{k: q.k, asc: q.asc}
+	for {
+		bound, ok := st.PeekBound()
+		if !ok || !col.admissible(bound) {
+			break
+		}
+		if it, ok := st.next(); ok {
+			col.offer(it)
+		}
+	}
+	results := col.results()
+	st.end(len(results))
+	if st.err != nil {
+		return nil, st.agg, st.err
+	}
+	return results, st.agg, nil
+}
+
+// item is one candidate of a merge: its ordering key (distance for
 // distance-first and area queries, score for ranked queries), the global
 // object ID used as the deterministic tie-break, and the result itself.
 type item[R any] struct {
@@ -232,37 +375,29 @@ type item[R any] struct {
 	val R
 }
 
+// insert puts it into items, which are ordered best first, at its place.
+func insert[R any](asc bool, items []item[R], it item[R]) []item[R] {
+	at, _ := slices.BinarySearchFunc(items, &it, func(p item[R], it *item[R]) int {
+		if better(asc, &p, it) {
+			return -1
+		}
+		return 1
+	})
+	return slices.Insert(items, at, it)
+}
+
 // collector is a bounded top-k merge buffer shared by all shards of one
-// query. asc selects the direction: true keeps the k smallest keys
-// (distances), false the k largest (scores). Ties on key prefer the
-// smallest id in both directions. It publishes the current k-th key through
-// an atomic, so shards can test their next candidate's bound without taking
-// the lock.
+// query, keeping the k best candidates, best first. It publishes the current
+// k-th key through an atomic, so shards can test their next candidate's bound
+// without taking the lock.
 type collector[R any] struct {
 	k   int
 	asc bool
 
 	mu    sync.Mutex
-	items []item[R] // binary heap, weakest kept candidate at the root; at most k
+	items []item[R] // at most k
 	thr   atomic.Uint64
 	full  atomic.Bool
-}
-
-// before reports whether key a strictly beats key b under the collector's
-// direction.
-func (c *collector[R]) before(a, b float64) bool {
-	if c.asc {
-		return a < b
-	}
-	return a > b
-}
-
-// better reports whether a strictly beats b: by key, then by smallest id.
-func (c *collector[R]) better(a, b *item[R]) bool {
-	if a.key != b.key {
-		return c.before(a.key, b.key)
-	}
-	return a.id < b.id
 }
 
 // admissible reports whether a shard whose best remaining candidate has the
@@ -270,59 +405,32 @@ func (c *collector[R]) better(a, b *item[R]) bool {
 // must stop pulling once this turns false — and it never turns true again,
 // because the threshold only tightens.
 func (c *collector[R]) admissible(bound float64) bool {
-	return !c.full.Load() || !c.before(math.Float64frombits(c.thr.Load()), bound)
+	return !c.full.Load() || !before(c.asc, math.Float64frombits(c.thr.Load()), bound)
 }
 
-// offer submits one candidate. It returns immediately when the candidate
-// cannot enter the current top k.
-func (c *collector[R]) offer(key float64, id uint64, val R) {
-	it := item[R]{key: key, id: id, val: val}
+// offer submits one candidate; one that cannot enter the current top k is
+// dropped.
+func (c *collector[R]) offer(it item[R]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h := c.items
-	if len(h) < c.k {
-		// Sift the newcomer up: a parent must be no better than its children.
-		h = append(h, it)
-		i := len(h) - 1
-		for i > 0 && c.better(&h[(i-1)/2], &h[i]) {
-			h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
-			i = (i - 1) / 2
-		}
-		c.items = h
-		if len(h) == c.k {
-			// The threshold before the flag: admissible reads them unlocked.
-			c.thr.Store(math.Float64bits(h[0].key))
-			c.full.Store(true)
-		}
+	if len(c.items) == c.k && !better(c.asc, &it, &c.items[c.k-1]) {
 		return
 	}
-	if !c.better(&it, &h[0]) {
-		return
+	c.items = insert(c.asc, c.items, it)
+	if len(c.items) > c.k {
+		c.items = c.items[:c.k]
 	}
-	// Replace the weakest kept candidate and sift the newcomer down.
-	h[0] = it
-	for i := 0; ; {
-		w := i // the weakest of i and its children
-		for _, ch := range [2]int{2*i + 1, 2*i + 2} {
-			if ch < len(h) && c.better(&h[w], &h[ch]) {
-				w = ch
-			}
-		}
-		if w == i {
-			break
-		}
-		h[i], h[w] = h[w], h[i]
-		i = w
+	if len(c.items) == c.k {
+		// The threshold before the flag: admissible reads them unlocked.
+		c.thr.Store(math.Float64bits(c.items[c.k-1].key))
+		c.full.Store(true)
 	}
-	c.thr.Store(math.Float64bits(h[0].key))
 }
 
-// results returns the collected top k, best first. The collector is spent
-// afterwards: the heap order is gone.
+// results returns the collected top k, best first.
 func (c *collector[R]) results() []R {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sort.Slice(c.items, func(i, j int) bool { return c.better(&c.items[i], &c.items[j]) })
 	out := make([]R, len(c.items))
 	for i := range c.items {
 		out[i] = c.items[i].val

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"spatialkeyword"
@@ -28,6 +30,17 @@ import (
 // Per-shard local IDs are insertion-ordered, so the assignment array (the
 // shard index of every global ID, in global order) reconstructs both
 // directions of the ID translation on reopen.
+//
+// That is the layout NewDurable creates, for any number of shards. Open also
+// adopts, in place, a directory a plain spatialkeyword.Engine wrote
+// (manifest.json and its files, no shards.json) as shard 0 of a one-shard
+// engine — the flat layout; the first Save adds a shards.json saying so:
+//
+//	dir/
+//	  shards.json      "flat": true
+//	  manifest.json, objects.db, index.db, wal.<G>.db, ...
+//
+// No engine file is moved or rewritten: OpenEngine keeps opening it.
 
 const shardManifestName = "shards.json"
 
@@ -35,6 +48,9 @@ const shardManifestName = "shards.json"
 type shardManifest struct {
 	Config      spatialkeyword.Config `json:"config"`
 	Partitioner partitionerState      `json:"partitioner"`
+	// Flat says the one shard's files sit in the engine directory itself: an
+	// adopted single-engine directory (see shardDir).
+	Flat bool `json:"flat,omitempty"`
 	// Assign holds the shard index of each global object ID.
 	Assign []int `json:"assign"`
 	// Gens pins each shard to the snapshot generation it had when this
@@ -55,15 +71,24 @@ var (
 	saveStepHook func(step int) error
 )
 
-// shardDir names the i-th shard's subdirectory.
-func shardDir(dir string, i int) string {
-	return filepath.Join(dir, DirName(i))
+// shardDir names the i-th shard's directory: a subdirectory of dir, or dir
+// itself in the flat layout.
+func shardDir(dir string, flat bool, i int) string {
+	if flat {
+		return dir
+	}
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
 }
 
-// IsShardedDir reports whether dir holds a durable sharded engine.
+// IsShardedDir reports whether dir holds a durable engine Open restores: a
+// sharded manifest, or the manifest of a plain engine to adopt.
 func IsShardedDir(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, shardManifestName))
-	return err == nil
+	for _, name := range []string{shardManifestName, spatialkeyword.ManifestFileName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // NewDurable creates an empty sharded engine whose shards live in
@@ -79,7 +104,7 @@ func NewDurable(cfg spatialkeyword.Config, dir string, opts Options) (*ShardedEn
 	}
 	s := &ShardedEngine{cfg: cfg, part: part, vocab: textutil.NewVocabulary(), an: cfg.Analyzer(), dir: dir}
 	for i := 0; i < part.Shards(); i++ {
-		eng, err := spatialkeyword.NewDurableEngine(cfg, shardDir(dir, i))
+		eng, err := spatialkeyword.NewDurableEngine(cfg, shardDir(dir, false, i))
 		if err != nil {
 			s.Close() //nolint:errcheck // already failing
 			return nil, err
@@ -147,22 +172,29 @@ func (s *ShardedEngine) Save() error {
 	return s.writeShardManifest(gens)
 }
 
-// writeShardManifest atomically commits the sharded manifest — the current
-// assignment pinned to the given per-shard generation vector. Save and
-// RotateShard share it.
-func (s *ShardedEngine) writeShardManifest(gens []uint64) error {
+// marshalManifest encodes the sharded manifest: the current assignment pinned
+// to the given per-shard generation vector.
+func (s *ShardedEngine) marshalManifest(gens []uint64) ([]byte, error) {
 	ps, err := marshalPartitioner(s.part)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m := shardManifest{Config: s.cfg, Partitioner: ps, Gens: gens}
+	m := shardManifest{Config: s.cfg, Partitioner: ps, Flat: s.flat, Gens: gens}
 	s.mu.RLock()
 	m.Assign = make([]int, len(s.assign))
 	for gid, loc := range s.assign {
 		m.Assign[gid] = loc.shard
 	}
 	s.mu.RUnlock()
-	data, err := json.MarshalIndent(&m, "", "  ")
+	// Not indented: one line per assigned ID would make the manifest a
+	// visible share of a small engine's directory.
+	return json.Marshal(&m)
+}
+
+// writeShardManifest atomically commits the sharded manifest. Save,
+// RotateShard and Open's re-pin share it.
+func (s *ShardedEngine) writeShardManifest(gens []uint64) error {
+	data, err := s.marshalManifest(gens)
 	if err != nil {
 		return err
 	}
@@ -171,6 +203,28 @@ func (s *ShardedEngine) writeShardManifest(gens []uint64) error {
 		return err
 	}
 	return fsRename(tmp, filepath.Join(s.dir, shardManifestName))
+}
+
+// Manifest returns the sharded manifest a replica bootstraps from: the
+// committed one, or — for an adopted directory no Save has given one yet —
+// the engine as it stands, pinned at its generation (what is past that
+// generation's snapshot, the replica finds in the log it then tails).
+func (s *ShardedEngine) Manifest() ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(s.dir, shardManifestName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return s.marshalManifest(s.generations())
+	}
+	return data, err
+}
+
+// generations returns every shard's current snapshot generation, in shard
+// order; a shard that is not open reports 0.
+func (s *ShardedEngine) generations() []uint64 {
+	gens := make([]uint64, len(s.shards))
+	for i, d := range s.ShardDurability() {
+		gens[i] = d.Generation
+	}
+	return gens
 }
 
 // Close releases every shard's files. Memory-only engines have nothing to
@@ -191,15 +245,35 @@ func (s *ShardedEngine) Close() error {
 	return firstErr
 }
 
-// Open restores a durable sharded engine saved in dir.
-func Open(dir string) (*ShardedEngine, error) {
+// readShardManifest loads dir's sharded manifest. For a directory that has a
+// plain engine's manifest and no sharded one it makes up the one that
+// describes it — one hash shard, flat — and adopted says that the assignment
+// is still to be filled in from the engine (see adopt).
+func readShardManifest(dir string) (m shardManifest, adopted bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, shardManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("shard: read manifest: %w", err)
+	if errors.Is(err, fs.ErrNotExist) {
+		cfg, _, perr := spatialkeyword.PeekManifest(filepath.Join(dir, spatialkeyword.ManifestFileName))
+		if perr != nil {
+			return m, false, fmt.Errorf("shard: read manifest: %w", err)
+		}
+		return shardManifest{Config: cfg, Partitioner: partitionerState{Kind: "hash", Shards: 1}, Flat: true}, true, nil
 	}
-	var m shardManifest
+	if err != nil {
+		return m, false, fmt.Errorf("shard: read manifest: %w", err)
+	}
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("shard: parse manifest: %w", err)
+		return m, false, fmt.Errorf("shard: parse manifest: %w", err)
+	}
+	return m, false, nil
+}
+
+// Open restores a durable sharded engine saved in dir — or adopts, in place,
+// the directory of a plain spatialkeyword.Engine as a one-shard engine in the
+// flat layout: every row is shard 0's and its global ID is its own.
+func Open(dir string) (*ShardedEngine, error) {
+	m, adopted, err := readShardManifest(dir)
+	if err != nil {
+		return nil, err
 	}
 	part, err := unmarshalPartitioner(m.Partitioner)
 	if err != nil {
@@ -208,18 +282,19 @@ func Open(dir string) (*ShardedEngine, error) {
 	if m.Gens != nil && len(m.Gens) != part.Shards() {
 		return nil, fmt.Errorf("shard: manifest pins %d generations for %d shards", len(m.Gens), part.Shards())
 	}
-	s := &ShardedEngine{cfg: m.Config, part: part, vocab: textutil.NewVocabulary(), an: m.Config.Analyzer(), dir: dir}
+	if m.Flat && part.Shards() != 1 {
+		return nil, fmt.Errorf("shard: flat manifest has %d shards", part.Shards())
+	}
+	s := &ShardedEngine{cfg: m.Config, part: part, vocab: textutil.NewVocabulary(), an: m.Config.Analyzer(), dir: dir, flat: m.Flat}
 	for i := 0; i < part.Shards(); i++ {
-		var eng *spatialkeyword.Engine
-		var err error
+		// Open from the pinned generation, not whatever the shard's own
+		// manifest points at: a crash between per-shard saves may have
+		// advanced some shards past this manifest's assignment.
+		pin := uint64(0) // none: the shard's own commit point
 		if m.Gens != nil {
-			// Open at the pinned generation, not whatever the shard's own
-			// manifest points at: a crash between per-shard saves may have
-			// advanced some shards past this manifest.
-			eng, err = spatialkeyword.OpenEngineAt(shardDir(dir, i), m.Gens[i])
-		} else {
-			eng, err = spatialkeyword.OpenEngine(shardDir(dir, i))
+			pin = m.Gens[i]
 		}
+		eng, err := spatialkeyword.OpenEngineAt(shardDir(dir, m.Flat, i), pin)
 		if err != nil {
 			if m.Config.WAL && storage.IsIOFault(err) {
 				// Degraded open: one shard's storage is faulting, but with a
@@ -237,6 +312,9 @@ func Open(dir string) (*ShardedEngine, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s.shards = append(s.shards, &shardHandle{idx: i, eng: eng})
+	}
+	if eng := s.shards[0].eng; adopted && eng != nil {
+		adopt(&m, eng)
 	}
 	// Rebuild the ID translation from the assignment: local IDs are
 	// insertion-ordered within each shard, in global order.
@@ -284,7 +362,36 @@ func Open(dir string) (*ShardedEngine, error) {
 			return nil, err
 		}
 	}
+	// A shard whose recovery went past its pin (see OpenEngineAt) is pinned
+	// again where it stands, with the assignment the logs just rebuilt: its
+	// next Save prunes the generation the stale pin names.
+	gens := s.generations()
+	for i, sh := range s.shards {
+		if sh.eng == nil && m.Gens != nil {
+			gens[i] = m.Gens[i] // not open: its pin stands
+		}
+	}
+	if m.Gens != nil && !slices.Equal(gens, m.Gens) {
+		if err := s.writeShardManifest(gens); err != nil {
+			s.Close() //nolint:errcheck // already failing
+			return nil, fmt.Errorf("shard: repin recovered shards: %w", err)
+		}
+	}
 	return s, nil
+}
+
+// adopt completes the manifest made up for a plain engine's directory, now
+// that the engine is open: its rows are global IDs 0..n-1 of shard 0. Its log
+// was written without tags, so the replayed adds are given theirs — their
+// own IDs — which is where a replica tailing this engine reads a global ID.
+func adopt(m *shardManifest, eng *spatialkeyword.Engine) {
+	m.Assign = make([]int, eng.NumObjects())
+	recs := eng.WALReplayRecords()
+	for i := range recs {
+		if recs[i].Op == wal.OpAdd {
+			recs[i].Tag = recs[i].ID
+		}
+	}
 }
 
 // reconcileWAL extends the manifest's global assignment with the mutations

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"spatialkeyword"
@@ -15,11 +16,25 @@ import (
 // exactly the way crash recovery rebuilds it from the per-shard logs.
 
 // ManifestFileName is the sharded manifest's name within the engine
-// directory; replication serves and stages it by this name.
+// directory; a replica's bootstrap commits by writing it.
 const ManifestFileName = shardManifestName
 
-// DirName names shard i's subdirectory within a sharded engine directory.
-func DirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
+// ShardDir returns the directory holding shard i's engine files.
+func (s *ShardedEngine) ShardDir(i int) string { return shardDir(s.dir, s.flat, i) }
+
+// Layout reads from a sharded manifest's bytes (see Manifest) what a replica
+// stages before it commits them: shard i's directory within dir, and the
+// snapshot generation the manifest pins it at.
+func Layout(dir string, manifest []byte) (dirs []string, gens []uint64, err error) {
+	var m shardManifest
+	if err := json.Unmarshal(manifest, &m); err != nil {
+		return nil, nil, fmt.Errorf("shard: parse manifest: %w", err)
+	}
+	for i := range m.Gens {
+		dirs = append(dirs, shardDir(dir, m.Flat, i))
+	}
+	return dirs, m.Gens, nil
+}
 
 // SetReplicationHooks installs the leader-side tail hooks on every shard's
 // engine: onAppend fires after shard i durably logs a record, onRotate when
@@ -59,7 +74,7 @@ func (s *ShardedEngine) ShardDurability() []spatialkeyword.DurabilityStats {
 }
 
 // ShardReplayRecords returns the full records shard i's open replayed from
-// its write-ahead log, in log order (see Engine.WALReplayRecords).
+// its write-ahead logs, in replay order (see Engine.WALReplayRecords).
 func (s *ShardedEngine) ShardReplayRecords(i int) []wal.Record {
 	sh := s.shards[i]
 	sh.mu.RLock()
@@ -147,13 +162,5 @@ func (s *ShardedEngine) RotateShard(i int) error {
 	if err != nil {
 		return fmt.Errorf("shard %d: %w", i, err)
 	}
-	gens := make([]uint64, len(s.shards))
-	for j, other := range s.shards {
-		other.mu.RLock()
-		if other.eng != nil {
-			gens[j] = other.eng.Generation()
-		}
-		other.mu.RUnlock()
-	}
-	return s.writeShardManifest(gens)
+	return s.writeShardManifest(s.generations())
 }

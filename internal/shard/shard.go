@@ -141,7 +141,8 @@ type ShardedEngine struct {
 	vocab  *textutil.Vocabulary
 	an     *textutil.Analyzer // the shards' text pipeline, so vocab accumulates the terms they index
 
-	dir string // backing directory; empty = in-memory
+	dir  string // backing directory; empty = in-memory
+	flat bool   // shard 0 lives in dir itself: an adopted single-engine directory (see persist.go)
 
 	sink obs.Sink // per-query observability sink; nil = disabled
 
@@ -498,9 +499,40 @@ func (s *ShardedEngine) fanOut(which []int, fn func(sh *shardHandle) error) (deg
 	return deg.Load(), firstErr
 }
 
-// The five top-k entry points are merge (see merge.go) with a stream opener:
-// three kinds — "topk", "area", "ranked" — and, for the first and last, a
-// choice of scheduler.
+// The top-k entry points are one of three query kinds — nearest to a point,
+// nearest to an area, ranked — under one of three drivers: merge (the
+// free-running scheduler), serial (the coordinated one) or the caller itself,
+// pulling from the stream openStream returns.
+
+func (s *ShardedEngine) nearQuery(op string, k int, point []float64, keywords []string) topkQuery[spatialkeyword.Result] {
+	return topkQuery[spatialkeyword.Result]{
+		op: op, k: k, keywords: len(keywords), asc: true, at: distanceKey,
+		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.Result], error) {
+			return e.Search(point, keywords...)
+		},
+	}
+}
+
+func (s *ShardedEngine) areaQuery(op string, k int, lo, hi []float64, keywords []string) topkQuery[spatialkeyword.Result] {
+	return topkQuery[spatialkeyword.Result]{
+		op: op, k: k, keywords: len(keywords), asc: true, at: distanceKey,
+		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.Result], error) {
+			return e.SearchArea(lo, hi, keywords...)
+		},
+	}
+}
+
+// rankedQuery scores every shard against the corpus-wide statistics, read
+// once, so all of them rank with the idf weights a single engine would use.
+func (s *ShardedEngine) rankedQuery(op string, k int, point []float64, keywords []string) topkQuery[spatialkeyword.RankedResult] {
+	cs := s.Corpus()
+	return topkQuery[spatialkeyword.RankedResult]{
+		op: op, k: k, keywords: len(keywords), at: scoreKey,
+		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.RankedResult], error) {
+			return e.SearchRankedWith(cs, point, keywords...)
+		},
+	}
+}
 
 // TopK returns the k objects containing every keyword, nearest to point
 // first — fanned out across all shards.
@@ -511,23 +543,22 @@ func (s *ShardedEngine) TopK(k int, point []float64, keywords ...string) ([]spat
 
 // TopKWithStats is TopK plus aggregated per-shard work counters.
 func (s *ShardedEngine) TopKWithStats(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
-	return s.topK(k, false, point, keywords)
+	return merge(s, s.nearQuery("topk", k, point, keywords))
 }
 
 // TopKSerial returns exactly TopK's results via the coordinated best-first
 // merge. All shards are read-locked for the duration of the merge.
 func (s *ShardedEngine) TopKSerial(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	res, _, err := s.topK(k, true, point, keywords)
+	res, _, err := serial(s, s.nearQuery("topk", k, point, keywords))
 	return res, err
 }
 
-func (s *ShardedEngine) topK(k int, coordinated bool, point []float64, keywords []string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
-	return merge(s, topkQuery[spatialkeyword.Result]{
-		op: "topk", k: k, keywords: len(keywords), asc: true, coordinated: coordinated, at: distanceKey,
-		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.Result], error) {
-			return e.Search(point, keywords...)
-		},
-	})
+// Search starts an incremental distance-first query over all shards: the
+// coordinated merge as a stream. Every healthy shard stays read-locked until
+// the stream ends or is closed. (With an error the stream returned is a
+// closed one, not nil: closing it again is harmless.)
+func (s *ShardedEngine) Search(point []float64, keywords ...string) (spatialkeyword.ResultStream, error) {
+	return openStream(s, s.nearQuery("stream", 0, point, keywords))
 }
 
 // TopKArea returns the k objects containing every keyword nearest to the
@@ -535,13 +566,13 @@ func (s *ShardedEngine) topK(k int, coordinated bool, point []float64, keywords 
 // query it fans out to every shard: objects far outside a shard's region
 // can still be among the k nearest to the area.
 func (s *ShardedEngine) TopKArea(k int, lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	res, _, err := merge(s, topkQuery[spatialkeyword.Result]{
-		op: "area", k: k, keywords: len(keywords), asc: true, at: distanceKey,
-		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.Result], error) {
-			return e.SearchArea(lo, hi, keywords...)
-		},
-	})
+	res, _, err := merge(s, s.areaQuery("area", k, lo, hi, keywords))
 	return res, err
+}
+
+// SearchArea is Search ordered by distance to the rectangle.
+func (s *ShardedEngine) SearchArea(lo, hi []float64, keywords ...string) (spatialkeyword.ResultStream, error) {
+	return openStream(s, s.areaQuery("stream", 0, lo, hi, keywords))
 }
 
 // Corpus snapshots the engine-wide document count and exposes a
@@ -567,24 +598,21 @@ func (s *ShardedEngine) Corpus() spatialkeyword.CorpusStats {
 // relevance-and-proximity score, fanned out across all shards and merged by
 // descending score (score ties broken by smallest global ID).
 func (s *ShardedEngine) TopKRanked(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
-	return s.topKRanked(k, false, point, keywords)
+	res, _, err := merge(s, s.rankedQuery("ranked", k, point, keywords))
+	return res, err
 }
 
 // TopKRankedSerial returns exactly TopKRanked's results via the coordinated
 // best-first merge (highest score bound pulls first).
 func (s *ShardedEngine) TopKRankedSerial(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
-	return s.topKRanked(k, true, point, keywords)
+	res, _, err := serial(s, s.rankedQuery("ranked", k, point, keywords))
+	return res, err
 }
 
-func (s *ShardedEngine) topKRanked(k int, coordinated bool, point []float64, keywords []string) ([]spatialkeyword.RankedResult, error) {
-	cs := s.Corpus()
-	res, _, err := merge(s, topkQuery[spatialkeyword.RankedResult]{
-		op: "ranked", k: k, keywords: len(keywords), coordinated: coordinated, at: scoreKey,
-		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.RankedResult], error) {
-			return e.SearchRankedWith(cs, point, keywords...)
-		},
-	})
-	return res, err
+// SearchRanked starts an incremental general ranked query over all shards,
+// best combined score first.
+func (s *ShardedEngine) SearchRanked(point []float64, keywords ...string) (spatialkeyword.RankedStream, error) {
+	return openStream(s, s.rankedQuery("stream", 0, point, keywords))
 }
 
 // WithinArea returns every object inside the rectangle containing all the
@@ -671,26 +699,76 @@ func (s *ShardedEngine) IsDeleted(gid uint64) bool {
 	return sh.eng.IsDeleted(loc.local)
 }
 
-// Scan visits every live object in global-ID order. Unlike the
-// single engine's Scan it skips deleted rows (per-shard object files
-// cannot be addressed globally, so rows are read through Get); an
-// unavailable shard fails the scan.
+// Scan visits every stored row in global-ID order, deleted rows included (see
+// spatialkeyword.Reader): each shard's object file is walked once, front to
+// back, on its own goroutine, and the walks are merged by global ID — a
+// shard's local order is its global order. Tombstoned IDs have no row. Every
+// shard stays read-locked until the scan returns; an unavailable shard fails
+// it.
 func (s *ShardedEngine) Scan(fn func(spatialkeyword.Object) error) error {
-	n := s.NumObjects()
-	for gid := 0; gid < n; gid++ {
-		obj, err := s.Get(uint64(gid))
-		if err != nil {
-			if errors.Is(err, spatialkeyword.ErrDeleted) || errors.Is(err, spatialkeyword.ErrUnknownID) {
-				continue
-			}
-			return err
-		}
-		if err := fn(obj); err != nil {
-			return err
-		}
+	type walk struct {
+		rows chan spatialkeyword.Object // closed when the shard's walk ends
+		err  error                      // set before rows is closed
+		head spatialkeyword.Object      // received and not yet visited, if has
+		has  bool
 	}
-	return nil
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop) // first: a walk blocked on its channel must see it
+	walks := make([]*walk, len(s.shards))
+	for i, sh := range s.shards {
+		// Buffered so that a walk runs ahead of the merge by a few blocks'
+		// worth of rows instead of handing them over one rendezvous each.
+		w := &walk{rows: make(chan spatialkeyword.Object, 256)}
+		walks[i] = w
+		wg.Add(1)
+		go func(sh *shardHandle) {
+			defer wg.Done()
+			defer close(w.rows)
+			sh.mu.RLock()
+			defer sh.mu.RUnlock()
+			if sh.eng == nil {
+				w.err = fmt.Errorf("shard %d: %w", sh.idx, errShardDown)
+				return
+			}
+			w.err = sh.eng.Scan(func(o spatialkeyword.Object) (err error) {
+				if o.ID, err = sh.globalID(o.ID); err != nil {
+					return err
+				}
+				select {
+				case w.rows <- o:
+					return nil
+				case <-stop:
+					return errScanStopped
+				}
+			})
+		}(sh)
+	}
+	for {
+		var next *walk
+		for _, w := range walks {
+			if !w.has {
+				if w.head, w.has = <-w.rows; !w.has && w.err != nil {
+					return w.err
+				}
+			}
+			if w.has && (next == nil || w.head.ID < next.head.ID) {
+				next = w
+			}
+		}
+		if next == nil {
+			return nil
+		}
+		if err := fn(next.head); err != nil {
+			return err
+		}
+		next.has = false
+	}
 }
+
+// errScanStopped ends a shard's walk whose scan has already returned.
+var errScanStopped = errors.New("shard: scan stopped")
 
 // MeterIO snapshots every shard's disk counters; the returned function
 // reports the random and sequential block accesses performed since the

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/geo"
 )
 
 // walShardConfig enables per-shard write-ahead logging.
@@ -211,6 +212,19 @@ func TestShardedWALKillDuringSaveLosesNothing(t *testing.T) {
 		step := steps[iter%len(steps)]
 		add(fmt.Sprintf("iter %d poi", iter), float64(iter%6), float64(iter%5))
 		restore := armShardCrash(step)
+		if step >= 1 {
+			// An add acknowledged between the steps: shard 0 has saved and
+			// rotated its log, the manifest that would pin it there never
+			// commits.
+			crash := saveStepHook
+			saveStepHook = func(i int) error {
+				if i == step {
+					p := pointOnShard(s, 0)
+					add(fmt.Sprintf("iter %d between steps poi", iter), p[0], p[1])
+				}
+				return crash(i)
+			}
+		}
 		saveErr := s.Save()
 		restore()
 		if saveErr == nil {
@@ -260,6 +274,126 @@ func TestShardedWALKillDuringSaveLosesNothing(t *testing.T) {
 	}
 }
 
+// pointOnShard finds a point the engine's partitioner routes to shard i.
+func pointOnShard(s *ShardedEngine, i int) []float64 {
+	for x := 0.0; ; x++ {
+		if s.part.Locate(geo.NewPoint(x, 1)) == i {
+			return []float64{x, 1}
+		}
+	}
+}
+
+// TestAckBetweenShardSaveAndManifestSurvives: a sharded Save checkpoints its
+// shards one after another and commits their generations in shards.json last.
+// An add acknowledged by a shard that has already saved — it is in that
+// shard's new log — while the manifest still pins the shard's old generation
+// must survive both ways the manifest can fail to follow: a crash before it
+// commits, and a Save that fails while the process keeps serving. Recovery
+// goes on from the pinned snapshot through every log up to the shard's own
+// commit point.
+func TestAckBetweenShardSaveAndManifestSurvives(t *testing.T) {
+	layouts := map[string]func(t *testing.T, dir string) *ShardedEngine{
+		"nested-2": func(t *testing.T, dir string) *ShardedEngine {
+			s, err := NewDurable(walShardConfig(), dir, Options{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"flat-1": func(t *testing.T, dir string) *ShardedEngine {
+			e, err := spatialkeyword.NewDurableEngine(walShardConfig(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+	}
+	for name, create := range layouts {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := create(t, dir)
+			for i := 0; i < 8; i++ {
+				if _, err := s.Add([]float64{float64(i), 1}, fmt.Sprintf("base %d poi", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Save(); err != nil { // shards.json now pins every shard
+				t.Fatal(err)
+			}
+			// The save dies before the manifest commit, after an add to
+			// shard 0 — which saved first — was acknowledged.
+			errCrash := errors.New("simulated crash")
+			manifestStep := s.NumShards()
+			var between uint64
+			saveStepHook = func(step int) error {
+				if step < manifestStep {
+					return nil
+				}
+				var err error
+				if between, err = s.Add(pointOnShard(s, 0), "between the steps poi"); err != nil {
+					t.Fatal(err)
+				}
+				return errCrash
+			}
+			err := s.Save()
+			saveStepHook = nil
+			if !errors.Is(err, errCrash) {
+				t.Fatalf("Save = %v, want the simulated crash", err)
+			}
+			// The process keeps serving after the failed save.
+			after, err := s.Add(pointOnShard(s, 0), "after the failed save poi")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for round := 0; round < 2; round++ { // the second open finds what the first one repinned
+				s, err = Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range []uint64{between, after} {
+					if _, err := s.Get(id); err != nil {
+						t.Fatalf("open %d: acknowledged object %d: %v", round, id, err)
+					}
+				}
+				if got := s.Stats().Objects; got != 10 {
+					t.Fatalf("open %d: %d objects, want 10", round, got)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The next save and reopen find nothing left to replay.
+			if s, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if wi := s.WALInfo(); wi.ReplayedRecords != 0 || s.Stats().Objects != 10 {
+				t.Fatalf("after a clean save: replayed %d records, %d objects", wi.ReplayedRecords, s.Stats().Objects)
+			}
+		})
+	}
+}
+
 // TestShardedWALDegradedOpenServesHealthyShards: when one shard's storage
 // is corrupt at open time, a WAL-enabled sharded engine opens degraded —
 // the dead shard is out of rotation (sticky) while the healthy shards keep
@@ -289,7 +423,7 @@ func TestShardedWALDegradedOpenServesHealthyShards(t *testing.T) {
 	// Rot shard 1's object file and its snapshots: every data block (the
 	// raw device header in the first 4 KiB is left intact so the files
 	// still open as file disks — the checksummed reads are what fail).
-	matches, err := filepath.Glob(filepath.Join(shardDir(dir, 1), "objects*"))
+	matches, err := filepath.Glob(filepath.Join(shardDir(dir, false, 1), "objects*"))
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no object files to corrupt: %v (%d)", err, len(matches))
 	}

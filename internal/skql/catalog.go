@@ -15,22 +15,6 @@ import (
 // always used for it.
 type Target = spatialkeyword.Reader
 
-// streamer is the one capability the executor observes from its target:
-// the single engine's incremental distance-first iterators, which let it
-// apply residual filters without re-running widening top-k queries.
-// Sharded engines and followers do not stream (measured: a serial shard
-// merge is slower than the parallel widened fetch for conjunctive TOP), so
-// the widening arm serves them.
-type streamer interface {
-	Search(point []float64, keywords ...string) (*spatialkeyword.SearchIter, error)
-	SearchArea(lo, hi []float64, keywords ...string) (*spatialkeyword.SearchIter, error)
-}
-
-// rankedStreamer is streamer's scored counterpart.
-type rankedStreamer interface {
-	SearchRanked(point []float64, keywords ...string) (*spatialkeyword.RankedSearchIter, error)
-}
-
 // Catalog binds a Target to the planner and owns a lazily built,
 // incrementally maintained sidecar inverted index that serves the IIO
 // physical path. Query terms, residual filters and the index's tokens

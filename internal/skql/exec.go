@@ -22,16 +22,16 @@ type OpActual struct {
 	// Rows is how many results the operator emitted (pre-merge).
 	Rows int
 	// Candidates is how many candidates the operator examined before
-	// residual filtering (stream results pulled, widened top-k size,
-	// or posting-intersection cardinality).
+	// residual filtering (stream results pulled, or posting-intersection
+	// cardinality).
 	Candidates int
 	// Work is the operator's work record: the engine's traversal
 	// counters when the path exposes them (zero for IIO and stat-less
 	// engine calls), and the block accesses of every device the
 	// operator touched (the engine's plus the sidecar index).
 	obs.Work
-	// Trace is the folded engine traversal trace (EXPLAIN ANALYZE on
-	// streaming targets only), capped at maxTraceLines.
+	// Trace is the folded engine traversal trace (EXPLAIN ANALYZE
+	// only), capped at maxTraceLines.
 	Trace []string
 }
 
@@ -203,15 +203,15 @@ func (c *Catalog) execTop(p *Plan, rs *ResultSet) error {
 	return nil
 }
 
-// runEngineTop executes a distance-first operator against the engine:
-// incrementally on streaming targets, by widening top-k calls
-// elsewhere (sharded engines, followers).
+// runEngineTop executes a distance-first operator against the engine,
+// incrementally: it pulls from the target's stream and filters residually
+// until k results are accepted.
 //
 // SKQL's TOP is deterministic: ties at the k-th distance break by
 // smallest object ID regardless of engine traversal order, so every
-// physical path answers byte-identically. Both strategies therefore
-// keep fetching past k accepted results until the next candidate is
-// strictly farther than the k-th, then sort by (distance, ID).
+// physical path answers byte-identically. It therefore keeps fetching
+// past k accepted results until the next candidate is strictly farther
+// than the k-th, then sorts by (distance, ID).
 func (c *Catalog) runEngineTop(p *Plan, op *Operator) ([]spatialkeyword.Result, OpActual, error) {
 	q := p.Query
 	var push []string
@@ -221,13 +221,7 @@ func (c *Catalog) runEngineTop(p *Plan, op *Operator) ([]spatialkeyword.Result, 
 	stop := c.opMeter()
 	var act OpActual
 	accept := c.acceptFn(p, op)
-	var out []spatialkeyword.Result
-	var err error
-	if st, ok := c.t.(streamer); ok {
-		out, err = streamTop(st, q, op, push, accept, &act)
-	} else {
-		out, err = c.widenTop(q, op, push, accept, &act)
-	}
+	out, err := c.streamTop(q, op, push, accept, &act)
 	if err != nil {
 		return nil, act, err
 	}
@@ -240,16 +234,16 @@ func (c *Catalog) runEngineTop(p *Plan, op *Operator) ([]spatialkeyword.Result, 
 	return out, act, nil
 }
 
-// streamTop is runEngineTop on a streaming target. The stream holds the
-// engine's shared lock until it is closed, so nothing in here calls back
-// into the target.
-func streamTop(st streamer, q *Query, op *Operator, push []string, accept func(spatialkeyword.Object) bool, act *OpActual) ([]spatialkeyword.Result, error) {
-	var it *spatialkeyword.SearchIter
+// streamTop is runEngineTop's pull loop. The stream holds the target's
+// read locks until it is closed, so nothing in here calls back into the
+// target.
+func (c *Catalog) streamTop(q *Query, op *Operator, push []string, accept func(spatialkeyword.Object) bool, act *OpActual) ([]spatialkeyword.Result, error) {
+	var it spatialkeyword.ResultStream
 	var err error
 	if q.Near != nil {
-		it, err = st.Search(q.Near, push...)
+		it, err = c.t.Search(q.Near, push...)
 	} else {
-		it, err = st.SearchArea(q.Within.Lo[:], q.Within.Hi[:], push...)
+		it, err = c.t.SearchArea(q.Within.Lo[:], q.Within.Hi[:], push...)
 	}
 	if err != nil {
 		return nil, err
@@ -284,49 +278,6 @@ func streamTop(st streamer, q *Query, op *Operator, push []string, accept func(s
 	}
 	act.Work = it.Stats().Work
 	return out, nil
-}
-
-// widenTop is runEngineTop by widening top-k calls.
-func (c *Catalog) widenTop(q *Query, op *Operator, push []string, accept func(spatialkeyword.Object) bool, act *OpActual) ([]spatialkeyword.Result, error) {
-	var out []spatialkeyword.Result
-	kk := op.K * 2
-	if kk < 16 {
-		kk = 16
-	}
-	for {
-		var rres []spatialkeyword.Result
-		var qs spatialkeyword.QueryStats
-		var err error
-		if q.Near != nil {
-			rres, qs, err = c.t.TopKWithStats(kk, q.Near, push...)
-		} else {
-			rres, err = c.t.TopKArea(kk, q.Within.Lo[:], q.Within.Hi[:], push...)
-		}
-		if err != nil {
-			return nil, err
-		}
-		act.Work = qs.Work
-		act.Candidates = len(rres)
-		out = out[:0]
-		for _, r := range rres {
-			if !accept(r.Object) {
-				continue
-			}
-			out = append(out, r)
-		}
-		// Stop when the engine is exhausted, or k results are in
-		// hand and the widened fetch already reached strictly past
-		// the k-th distance (so every unfetched object — at least
-		// as far as the last fetched one — cannot tie into the top
-		// k).
-		exhausted := len(rres) < kk
-		deepEnough := len(out) >= op.K && len(rres) > 0 &&
-			rres[len(rres)-1].Dist > out[op.K-1].Dist
-		if exhausted || deepEnough {
-			return out, nil
-		}
-		kk *= 2
-	}
 }
 
 // runIIOTop executes a distance-first operator on the Inverted Index
@@ -461,56 +412,28 @@ func (c *Catalog) execRanked(p *Plan, rs *ResultSet) error {
 		return true
 	}
 
+	it, err := c.t.SearchRanked(q.Near, op.Conj...)
+	if err != nil {
+		return err
+	}
+	// The stream holds the target's read locks until closed.
+	defer it.Close()
 	var out []spatialkeyword.RankedResult
-	if st, ok := c.t.(rankedStreamer); ok {
-		it, err := st.SearchRanked(q.Near, op.Conj...)
+	for len(out) < op.K {
+		r, ok, err := it.Next()
 		if err != nil {
 			return err
 		}
-		// The stream holds the engine's shared lock until closed.
-		defer it.Close()
-		for len(out) < op.K {
-			r, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			act.Candidates++
-			if !accept(r.Object, r.Score) {
-				continue
-			}
-			out = append(out, r)
+		if !ok {
+			break
 		}
-		act.Work = it.Stats().Work
-	} else {
-		kk := op.K * 2
-		if kk < 16 {
-			kk = 16
+		act.Candidates++
+		if !accept(r.Object, r.Score) {
+			continue
 		}
-		for {
-			rres, err := c.t.TopKRanked(kk, q.Near, op.Conj...)
-			if err != nil {
-				return err
-			}
-			act.Candidates = len(rres)
-			out = out[:0]
-			for _, r := range rres {
-				if !accept(r.Object, r.Score) {
-					continue
-				}
-				out = append(out, r)
-				if len(out) == op.K {
-					break
-				}
-			}
-			if len(out) >= op.K || len(rres) < kk {
-				break
-			}
-			kk *= 2
-		}
+		out = append(out, r)
 	}
+	act.Work = it.Stats().Work
 	act.Rows = len(out)
 	act.BlocksRandom, act.BlocksSequential = stop()
 	rs.Actuals = append(rs.Actuals, act)

@@ -147,13 +147,12 @@ func TestIndexProgramShardedEngine(t *testing.T) {
 
 func TestIndexProgramFollower(t *testing.T) {
 	ldir, fdir := t.TempDir(), t.TempDir()
-	e, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{WAL: true}, ldir)
+	e, err := shard.NewDurable(spatialkeyword.Config{WAL: true}, ldir, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close() //nolint:errcheck // test teardown
-	l := repl.NewLeader(ldir)
-	l.AttachEngine(e)
+	l := repl.NewLeader(e)
 	srv := httptest.NewServer(l.Handler())
 	defer srv.Close()
 	f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{

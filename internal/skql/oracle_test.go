@@ -320,13 +320,12 @@ func TestOracleShardedEngine(t *testing.T) {
 func TestOracleReplicatedFollower(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ldir, fdir := t.TempDir(), t.TempDir()
-	e, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{WAL: true}, ldir)
+	e, err := shard.NewDurable(spatialkeyword.Config{WAL: true}, ldir, shard.Options{})
 	if err != nil {
-		t.Fatalf("NewDurableEngine: %v", err)
+		t.Fatalf("NewDurable: %v", err)
 	}
 	defer e.Close() //nolint:errcheck // test teardown
-	l := repl.NewLeader(ldir)
-	l.AttachEngine(e)
+	l := repl.NewLeader(e)
 	srv := httptest.NewServer(l.Handler())
 	defer srv.Close()
 

@@ -336,14 +336,18 @@ func OpenEngine(dir string) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return openFromManifest(dir, m)
+	return openFromManifest(dir, m, m.Generation)
 }
 
-// OpenEngineAt restores a durable engine pinned to a specific committed
-// generation, regardless of what manifest.json currently points at. Sharded
-// manifests use this so that a crash between per-shard saves still reopens
-// every shard at one mutually consistent generation. The generation must
-// still be on disk (Save retains the current and previous one).
+// OpenEngineAt restores a durable engine from a specific committed
+// generation's snapshot, regardless of what manifest.json currently points
+// at. Sharded manifests use this: a crash between per-shard saves leaves some
+// shards committed past the generation the manifest pins. Without a
+// write-ahead log such a shard reopens at the pinned — older, mutually
+// consistent — state. With one nothing acknowledged may be lost: recovery
+// goes on through every log up to the directory's own commit point (see
+// openWAL). The generation must still be on disk (Save retains the current
+// and previous one).
 func OpenEngineAt(dir string, gen uint64) (*Engine, error) {
 	if gen == 0 {
 		return OpenEngine(dir)
@@ -355,7 +359,11 @@ func OpenEngineAt(dir string, gen uint64) (*Engine, error) {
 	if m.Generation != gen {
 		return nil, fmt.Errorf("spatialkeyword: manifest %s claims generation %d", genManifestName(gen), m.Generation)
 	}
-	return openFromManifest(dir, m)
+	committed := gen
+	if cur, err := readManifest(filepath.Join(dir, manifestName)); err == nil && cur.Generation > gen {
+		committed = cur.Generation
+	}
+	return openFromManifest(dir, m, committed)
 }
 
 // readManifest loads and parses one manifest file.
@@ -372,9 +380,10 @@ func readManifest(path string) (manifest, error) {
 }
 
 // openFromManifest recovers the working files from m's snapshot generation
-// (when it has one; legacy manifests predate snapshots) and assembles the
-// engine on them.
-func openFromManifest(dir string, m manifest) (*Engine, error) {
+// (when it has one; legacy manifests predate snapshots), assembles the
+// engine on them and, with a write-ahead log, replays it up to the committed
+// generation.
+func openFromManifest(dir string, m manifest, committed uint64) (*Engine, error) {
 	if m.Generation > 0 {
 		if err := fsCopyFile(filepath.Join(dir, objectsName), filepath.Join(dir, genObjectsName(m.Generation))); err != nil {
 			return nil, fmt.Errorf("spatialkeyword: recover objects snapshot: %w", err)
@@ -417,7 +426,7 @@ func openFromManifest(dir string, m manifest) (*Engine, error) {
 	}
 	e.live = store.NumObjects() - len(m.Deleted)
 	if m.Config.WAL && m.Generation > 0 {
-		if err := e.openWAL(dir, m.Generation); err != nil {
+		if err := e.openWAL(dir, m.Generation, committed); err != nil {
 			e.Close()
 			return nil, err
 		}
@@ -425,32 +434,46 @@ func openFromManifest(dir string, m manifest) (*Engine, error) {
 	return e, nil
 }
 
-// openWAL opens generation gen's write-ahead log, replays its records on
-// top of the freshly recovered snapshot, and installs the log for further
-// appends. Replay is deterministic: the log was physically truncated at the
-// first torn frame, so two opens of the same directory apply the same
-// mutations in the same order.
-func (e *Engine) openWAL(dir string, gen uint64) error {
-	wd, err := storage.OpenFileDisk(filepath.Join(dir, walName(gen)))
-	if err != nil {
-		return fmt.Errorf("spatialkeyword: open wal: %w", err)
-	}
-	l, rec, err := wal.Open(wd)
-	if err != nil {
-		return errors.Join(fmt.Errorf("spatialkeyword: recover wal: %w", err), wd.Close())
-	}
-	if rec.Torn != nil {
-		e.walTorn++
-	}
-	for _, r := range rec.Records {
-		if err := e.apply(r, logged); err != nil {
-			return errors.Join(err, wd.Close())
+// openWAL replays the write-ahead logs of generations gen through committed,
+// in order, on top of the freshly recovered generation-gen snapshot, and
+// installs the last one for further appends; the engine continues in that
+// generation. The two differ when the engine is opened behind its own commit
+// point (see OpenEngineAt) and has acknowledged mutations into a later log.
+// A checkpoint's snapshot equals the one before it plus the whole log between
+// them, so the chain reconstructs the latest state; a log missing from it
+// fails the open, and the check every replayed add passes — its ID is the
+// store's next — proves it gap-free. Replay is deterministic: each log was
+// physically truncated at its first torn frame, so two opens of the same
+// directory apply the same mutations in the same order.
+func (e *Engine) openWAL(dir string, gen, committed uint64) error {
+	for ; ; gen++ {
+		wd, err := storage.OpenFileDisk(filepath.Join(dir, walName(gen)))
+		if err != nil {
+			return fmt.Errorf("spatialkeyword: open wal: %w", err)
+		}
+		l, rec, err := wal.Open(wd)
+		if err != nil {
+			return errors.Join(fmt.Errorf("spatialkeyword: recover wal: %w", err), wd.Close())
+		}
+		if rec.Torn != nil {
+			e.walTorn++
+		}
+		for _, r := range rec.Records {
+			if err := e.apply(r, logged); err != nil {
+				return errors.Join(err, wd.Close())
+			}
+		}
+		e.walReplayRecs = append(e.walReplayRecs, rec.Records...)
+		if gen >= committed {
+			e.gen = gen
+			e.walFile = wd
+			e.walApp = wal.NewAppender(l, e.cfg.WALSyncWindow)
+			return nil
+		}
+		if err := wd.Close(); err != nil {
+			return err
 		}
 	}
-	e.walReplayRecs = rec.Records
-	e.walFile = wd
-	e.walApp = wal.NewAppender(l, e.cfg.WALSyncWindow)
-	return nil
 }
 
 // assembleEngine builds an Engine around an existing store and a

@@ -94,11 +94,14 @@ func (e *Engine) SyncWAL() error {
 	return nil
 }
 
-// WALReplayRecords returns the records the open of this engine replayed
-// from its write-ahead log, in log order (fixed once the engine is open). A
-// restarted leader seeds its current-generation ship buffer from them, so
-// followers can resume mid-generation across leader restarts; the sharded
-// engine reads the adds' tags to rebuild its global assignment after a crash.
+// WALReplayRecords returns the records the open of this engine replayed, in
+// replay order (fixed once the engine is open): the log of the generation it
+// was opened from and, when that was behind the directory's commit point (see
+// OpenEngineAt), of every generation after it — consecutive generations, each
+// log's sequence numbers starting again at 1, the last log the live one. A
+// restarted leader seeds its ship buffers from them, so followers can resume
+// mid-generation across leader restarts; the sharded engine reads the adds'
+// tags to rebuild its global assignment after a crash.
 func (e *Engine) WALReplayRecords() []wal.Record {
 	return e.walReplayRecs
 }

@@ -13,6 +13,11 @@
 #   perf-build  build, vet and test benchmarks/perf, the wall-clock harness
 #           (a module of its own that imports internal/...; root ./... never
 #           sees it, so only this step catches a change that breaks it)
+#   compat  the tests that open testdata/compat — engine directories written
+#           by an older build (see the README there) — and then a check that
+#           the fixture is byte for byte what git holds: every one of those
+#           tests works on a copy, and one that opened the fixture in place
+#           would rewrite it and from then on pass against its own output
 #   cover   coverage with the CI floor (scripts/coverage.sh)
 #   bench   benchmark-regression gate against benchmarks/baseline.json at
 #           tolerance 0 — modeled disk time is seed-deterministic, so no
@@ -84,6 +89,17 @@ run_perf_build() {
 	(cd benchmarks/perf && go build -o /dev/null ./... && go vet ./... && go test ./...)
 }
 
+run_compat() {
+	step compat
+	go test -count=1 -run 'Parent' ./internal/shard ./internal/faultmatrix ./cmd/skserve
+	changed="$(git status --porcelain testdata/compat)"
+	if [ -n "$changed" ]; then
+		echo "a test changed the compat fixture (or it is not committed):" >&2
+		echo "$changed" >&2
+		exit 1
+	fi
+}
+
 run_cover() {
 	step cover
 	sh scripts/coverage.sh 70
@@ -118,6 +134,7 @@ analyze) run_analyze ;;
 test) run_test ;;
 allocs) run_allocs ;;
 perf-build) run_perf_build ;;
+compat) run_compat ;;
 cover) run_cover ;;
 bench) run_bench ;;
 fuzz) run_fuzz ;;
@@ -128,12 +145,13 @@ all)
 	run_test
 	run_allocs
 	run_perf_build
+	run_compat
 	run_cover
 	run_bench
 	run_fuzz
 	;;
 *)
-	echo "usage: scripts/ci.sh [build|lint|analyze|test|allocs|perf-build|cover|bench|fuzz|all]" >&2
+	echo "usage: scripts/ci.sh [build|lint|analyze|test|allocs|perf-build|compat|cover|bench|fuzz|all]" >&2
 	exit 2
 	;;
 esac

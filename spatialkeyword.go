@@ -177,19 +177,29 @@ func CheckPoint(point []float64, dim int) error {
 	return nil
 }
 
-// Reader is the read contract of a backend, declared once: *Engine,
-// *shard.ShardedEngine and *repl.Follower implement it natively, internal/skql
-// plans and executes against it (as skql.Target) and cmd/skserve serves it.
-// Every method is safe for concurrent use beside the backend's writers.
+// Reader is the read contract of a backend, declared once: *Engine — the
+// per-shard library type — and the two served backends, *shard.ShardedEngine
+// and *repl.Follower, implement it natively; internal/skql plans and executes
+// against it (as skql.Target) and cmd/skserve serves it. Every method is safe
+// for concurrent use beside the backend's writers.
 type Reader interface {
 	Get(id uint64) (Object, error)
 	TopKWithStats(k int, point []float64, keywords ...string) ([]Result, QueryStats, error)
 	TopKRanked(k int, point []float64, keywords ...string) ([]RankedResult, error)
-	TopKArea(k int, lo, hi []float64, keywords ...string) ([]Result, error)
 	WithinArea(lo, hi []float64, keywords ...string) ([]Result, error)
+	// Search, SearchArea and SearchRanked open the incremental streams the
+	// top-k calls (and the backends' TopKArea) are the first k results of.
+	// An open stream holds the backend's read locks: close it, and do not
+	// call the backend from the goroutine that holds it open.
+	Search(point []float64, keywords ...string) (ResultStream, error)
+	SearchArea(lo, hi []float64, keywords ...string) (ResultStream, error)
+	SearchRanked(point []float64, keywords ...string) (RankedStream, error)
 	// NumObjects is the size of the object-ID space, deleted rows included.
 	NumObjects() int
-	// Scan visits stored objects in ID order; fn must not call the backend.
+	// Scan visits every stored row in ID order, deleted rows included (their
+	// text still counts toward corpus statistics; filter with IsDeleted once
+	// Scan has returned); IDs that were reserved but never stored are not
+	// rows. fn runs under the backend's read locks and must not call it.
 	Scan(fn func(Object) error) error
 	IsDeleted(id uint64) bool
 	Stats() Stats

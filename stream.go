@@ -25,6 +25,34 @@ import (
 // then. A stream abandoned part-way must be closed, or it blocks every
 // writer; closing one that has already ended is harmless.
 
+// ResultStream is a distance-first stream as every backend serves it (see
+// Reader): *SearchIter for one engine, a best-first merge of the shards'
+// streams for a sharded one. Results arrive in non-decreasing distance
+// order; the order within a run of equal distances is the backend's own.
+type ResultStream interface {
+	// Next returns the next result; ok is false once the stream has ended.
+	Next() (Result, bool, error)
+	// PeekBound is a lower bound on the distance of everything Next can still
+	// return; ok is false when nothing is left.
+	PeekBound() (float64, bool)
+	// SetTrace installs a traversal trace callback; call before the first Next.
+	SetTrace(fn func(rtree.TraceEvent))
+	// Stats is the work done so far, and after Close the query's total.
+	Stats() QueryStats
+	// Close ends the query and releases its locks; closing twice is harmless.
+	Close()
+}
+
+// RankedStream is ResultStream's scored counterpart: results arrive in
+// non-increasing score order and PeekBound is an upper bound on the score of
+// everything still to come.
+type RankedStream interface {
+	Next() (RankedResult, bool, error)
+	PeekBound() (float64, bool)
+	Stats() QueryStats
+	Close()
+}
+
 // query is what the two stream kinds share: the engine's shared lock, the
 // disk I/O bracket and the one metrics record, all settled by finish.
 type query struct {
@@ -85,11 +113,11 @@ type SearchIter struct {
 
 // Search starts an incremental distance-first query: the stream behind
 // TopK. Pending adds are flushed first.
-func (e *Engine) Search(point []float64, keywords ...string) (*SearchIter, error) {
+func (e *Engine) Search(point []float64, keywords ...string) (ResultStream, error) {
 	return e.search("stream", 0, point, keywords)
 }
 
-func (e *Engine) search(op string, k int, point []float64, keywords []string) (*SearchIter, error) {
+func (e *Engine) search(op string, k int, point []float64, keywords []string) (ResultStream, error) {
 	if err := e.checkPoint(point); err != nil {
 		return nil, err
 	}
@@ -102,11 +130,11 @@ func (e *Engine) search(op string, k int, point []float64, keywords []string) (*
 
 // SearchArea starts an incremental area-distance query: the stream behind
 // TopKArea. Objects inside the rectangle have distance zero.
-func (e *Engine) SearchArea(lo, hi []float64, keywords ...string) (*SearchIter, error) {
+func (e *Engine) SearchArea(lo, hi []float64, keywords ...string) (ResultStream, error) {
 	return e.searchArea("stream", 0, lo, hi, keywords)
 }
 
-func (e *Engine) searchArea(op string, k int, lo, hi []float64, keywords []string) (*SearchIter, error) {
+func (e *Engine) searchArea(op string, k int, lo, hi []float64, keywords []string) (ResultStream, error) {
 	area, err := e.validateArea(lo, hi)
 	if err != nil {
 		return nil, err
@@ -208,17 +236,17 @@ type RankedSearchIter struct {
 
 // SearchRanked starts an incremental general ranked query: the stream
 // behind TopKRanked, scored against the engine's own corpus statistics.
-func (e *Engine) SearchRanked(point []float64, keywords ...string) (*RankedSearchIter, error) {
+func (e *Engine) SearchRanked(point []float64, keywords ...string) (RankedStream, error) {
 	return e.searchRanked("stream", 0, nil, point, keywords)
 }
 
 // SearchRankedWith is SearchRanked scoring against the given corpus
 // statistics instead of the engine's own vocabulary.
-func (e *Engine) SearchRankedWith(cs CorpusStats, point []float64, keywords ...string) (*RankedSearchIter, error) {
+func (e *Engine) SearchRankedWith(cs CorpusStats, point []float64, keywords ...string) (RankedStream, error) {
 	return e.searchRanked("stream", 0, &cs, point, keywords)
 }
 
-func (e *Engine) searchRanked(op string, k int, cs *CorpusStats, point []float64, keywords []string) (*RankedSearchIter, error) {
+func (e *Engine) searchRanked(op string, k int, cs *CorpusStats, point []float64, keywords []string) (RankedStream, error) {
 	if err := e.checkPoint(point); err != nil {
 		return nil, err
 	}

@@ -392,17 +392,22 @@ func TestWALSaveRotatesAndPrunes(t *testing.T) {
 		t.Fatalf("current generation has %d objects, want 10", got)
 	}
 	cur.Close()
-	// A reader pinned at generation 2 replays generation 2's retained log.
+	// A reader pinned at generation 2 recovers that snapshot and replays its
+	// retained log and then generation 3's: acknowledged mutations are never
+	// behind a pin, and the engine goes on in the last log's generation.
 	old, err := OpenEngineAt(dir, 2)
 	if err != nil {
 		t.Fatalf("open pinned generation with wal: %v", err)
 	}
 	defer old.Close()
-	if info := old.WALInfo(); info.ReplayedRecords != 3 {
-		t.Fatalf("pinned generation replayed %d records, want 3", info.ReplayedRecords)
+	if info := old.WALInfo(); info.ReplayedRecords != 5 {
+		t.Fatalf("pinned generation replayed %d records, want 3 + 2", info.ReplayedRecords)
 	}
-	if got := len(engineTexts(t, old)); got != 8 {
-		t.Fatalf("pinned generation has %d objects, want 8", got)
+	if got := len(engineTexts(t, old)); got != 10 {
+		t.Fatalf("pinned generation has %d objects, want 10", got)
+	}
+	if got := old.Generation(); got != 3 {
+		t.Fatalf("pinned open continues in generation %d, want 3", got)
 	}
 }
 
