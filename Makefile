@@ -1,7 +1,7 @@
 # Convenience wrappers around scripts/ci.sh, which mirrors the GitHub
 # Actions workflows. `make ci` runs everything CI runs.
 
-.PHONY: build lint analyze vet test allocs perf-build compat cover bench fuzz loc ci
+.PHONY: build lint analyze vet test stress allocs perf-build compat cover bench fuzz loc ci
 
 build:
 	sh scripts/ci.sh build
@@ -15,6 +15,10 @@ analyze vet:
 
 test:
 	sh scripts/ci.sh test
+
+# The concurrency tests, five times each under -race.
+stress:
+	sh scripts/ci.sh stress
 
 # The AllocsPerRun gates are //go:build !race, so `test` never runs them.
 allocs:

@@ -412,7 +412,7 @@ func TestFenceMetricsExposed(t *testing.T) {
 func TestFenceReplicaMirrorsLeader(t *testing.T) {
 	fenceLeakCheck(t)
 	_, leaderTS := newLeaderTestServer(t, t.TempDir())
-	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, "eventual")
+	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, serverOptions{readMode: "eventual"})
 
 	q := fenceRequest{
 		Region:   &fenceRect{Lo: []float64{0, 0}, Hi: []float64{20, 20}},

@@ -199,6 +199,7 @@ type backend interface {
 	Save() error
 	Close() error
 	SetMutationObserver(func(spatialkeyword.MutationEvent))
+	SetMetricsSink(obs.Sink)
 }
 
 // readHeaderTimeout bounds how long a connection may take to send its
@@ -306,6 +307,7 @@ func newServer(eng backend, durable bool, opts serverOptions) *server {
 		s.slow = obs.NewSlowLog(w, opts.slowQuery)
 		sinks = append(sinks, s.slow)
 	}
+	eng.SetMetricsSink(obs.MultiSink(sinks...))
 	if s.primary != nil {
 		s.primary.SetHealthMetrics(
 			s.reg.Counter("sk_shard_errors_total",
@@ -313,7 +315,6 @@ func newServer(eng backend, durable bool, opts serverOptions) *server {
 			s.reg.Gauge("sk_shards_unhealthy",
 				"Shards currently marked unhealthy and out of rotation."),
 		)
-		s.primary.SetMetricsSink(obs.MultiSink(sinks...))
 		s.ncacheHits = s.reg.Gauge("sk_nodecache_hits",
 			"Decoded-node cache hits: warm node expansions served without re-decoding.")
 		s.ncacheMisses = s.reg.Gauge("sk_nodecache_misses",

@@ -609,7 +609,7 @@ func TestQueryStatusSeparatesClientRetryAndServer(t *testing.T) {
 			}
 		}))
 		defer gate.Close()
-		_, replicaTS := newReplicaTestServer(t, t.TempDir(), gate.URL, "eventual")
+		_, replicaTS := newReplicaTestServer(t, t.TempDir(), gate.URL, serverOptions{readMode: "eventual"})
 		queries(t, replicaTS.URL, http.StatusOK)
 
 		down.Store(true)

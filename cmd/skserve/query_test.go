@@ -125,7 +125,7 @@ func TestQueryEndpointErrors(t *testing.T) {
 func TestQueryEndpointReplica(t *testing.T) {
 	_, leaderTS := newLeaderTestServer(t, t.TempDir())
 	seedHotels(t, leaderTS)
-	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, "eventual")
+	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, serverOptions{readMode: "eventual"})
 	tok := srv.leaderToken(t, leaderTS)
 	if err := srv.follower.WaitFor(tok, 10e9); err != nil {
 		t.Fatalf("replica catch-up: %v", err)
@@ -301,7 +301,7 @@ func TestExplainAnalyzeFoldsTraceOnEveryBackend(t *testing.T) {
 
 	_, leaderTS := newLeaderTestServer(t, t.TempDir())
 	seedHotels(t, leaderTS)
-	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, "eventual")
+	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, serverOptions{readMode: "eventual"})
 	if err := srv.follower.WaitFor(srv.leaderToken(t, leaderTS), 10e9); err != nil {
 		t.Fatalf("replica catch-up: %v", err)
 	}

@@ -31,19 +31,23 @@ func newLeaderTestServer(t *testing.T, dir string) (*server, *httptest.Server) {
 	return s, ts
 }
 
-// newReplicaTestServer starts a read replica of leaderURL.
-func newReplicaTestServer(t *testing.T, dir, leaderURL, readMode string) (*server, *httptest.Server) {
+// newReplicaTestServer starts a read replica of leaderURL with opts (its
+// registry is the follower's; rywTimeout defaults to 5s).
+func newReplicaTestServer(t *testing.T, dir, leaderURL string, opts serverOptions) (*server, *httptest.Server) {
 	t.Helper()
-	reg := obs.NewRegistry()
+	opts.registry = obs.NewRegistry()
+	if opts.rywTimeout == 0 {
+		opts.rywTimeout = 5 * time.Second
+	}
 	f, err := repl.OpenFollower(dir, leaderURL, repl.Options{
-		Registry:      reg,
+		Registry:      opts.registry,
 		PollWait:      50 * time.Millisecond,
 		RetryInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(f, false, serverOptions{registry: reg, readMode: readMode, rywTimeout: 5 * time.Second})
+	s := newServer(f, false, opts)
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { f.Close() }) //nolint:errcheck // test teardown
@@ -54,7 +58,7 @@ func TestReplicaServesLeaderWrites(t *testing.T) {
 	_, leaderTS := newLeaderTestServer(t, t.TempDir())
 	seedHotels(t, leaderTS)
 
-	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, "eventual")
+	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, serverOptions{readMode: "eventual"})
 	if srv.role() != "replica" {
 		t.Fatalf("role = %q, want replica", srv.role())
 	}
@@ -116,7 +120,7 @@ func (s *server) leaderToken(t *testing.T, leaderTS *httptest.Server) string {
 
 func TestReplicaReadYourWrites(t *testing.T) {
 	_, leaderTS := newLeaderTestServer(t, t.TempDir())
-	_, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, "ryw")
+	_, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, serverOptions{readMode: "ryw"})
 
 	// Every write's position token, echoed on the replica read, must make
 	// the written object visible there.
@@ -164,7 +168,9 @@ func TestHealthzReplicationBlocks(t *testing.T) {
 		t.Fatalf("leader durability block %v", dur)
 	}
 
-	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL, "eventual")
+	var slow syncBuffer
+	srv, replicaTS := newReplicaTestServer(t, t.TempDir(), leaderTS.URL,
+		serverOptions{readMode: "eventual", slowQuery: time.Nanosecond, slowLogTo: &slow})
 	if err := srv.follower.WaitFor(srv.leaderToken(t, leaderTS), 10*time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -184,7 +190,19 @@ func TestHealthzReplicationBlocks(t *testing.T) {
 		t.Fatalf("replica replication block %v", replBlock)
 	}
 
-	// The replica's /metrics exposes the five sk_repl_* series.
+	// A replica records the queries it answers, like its leader: the query
+	// series and one slow-query line for one /search.
+	resp, err = http.Get(replicaTS.URL + "/search?lat=25.5&lon=-80.0&k=2&q=internet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() //nolint:errcheck // the metrics are the assertion
+	if lines := strings.Split(strings.TrimSpace(slow.String()), "\n"); len(lines) != 1 || !strings.Contains(lines[0], `"op":"topk"`) {
+		t.Fatalf("replica slow-query log after one /search: %q", slow.String())
+	}
+
+	// The replica's /metrics exposes the five sk_repl_* series and the
+	// query series.
 	resp, err = http.Get(replicaTS.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -199,6 +217,7 @@ func TestHealthzReplicationBlocks(t *testing.T) {
 		"sk_repl_lag_seconds", "sk_repl_lag_records",
 		"sk_repl_snapshots_total", "sk_repl_resyncs_total",
 		"sk_repl_follower_connected",
+		`sk_queries_total{op="topk"}`,
 	} {
 		if !strings.Contains(text, "\n"+m) {
 			t.Fatalf("replica /metrics missing %s:\n%s", m, text)

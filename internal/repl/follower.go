@@ -104,9 +104,11 @@ type Follower struct {
 	mu        sync.RWMutex
 	installed *shard.ShardedEngine
 
-	// mutObserver is forwarded to the engine currently installed, and
-	// re-installed across resyncs. See SetMutationObserver.
+	// mutObserver and sink are forwarded to the engine currently installed,
+	// and re-installed across resyncs. See SetMutationObserver and
+	// SetMetricsSink.
 	mutObserver func(spatialkeyword.MutationEvent)
+	sink        obs.Sink
 
 	// posMu guards the position/watermark vectors and the lag metrics
 	// derived from them. posChanged is closed and replaced on every
@@ -173,6 +175,7 @@ func (f *Follower) openOrBootstrap() error {
 func (f *Follower) install(s *shard.ShardedEngine) {
 	f.installed = s
 	s.SetMutationObserver(f.mutObserver)
+	s.SetMetricsSink(f.sink)
 	ds := s.ShardDurability()
 	f.posMu.Lock()
 	f.positions = make([]Position, len(ds))
@@ -203,6 +206,18 @@ func (f *Follower) SetMutationObserver(fn func(spatialkeyword.MutationEvent)) {
 	f.mutObserver = fn
 	if f.installed != nil {
 		f.installed.SetMutationObserver(fn)
+	}
+}
+
+// SetMetricsSink installs sink as the replica's query metrics sink (see
+// shard.ShardedEngine.SetMetricsSink) and, like SetMutationObserver, keeps
+// it installed across resyncs. Install before traffic; nil removes it.
+func (f *Follower) SetMetricsSink(sink obs.Sink) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.sink = sink
+	if f.installed != nil {
+		f.installed.SetMetricsSink(sink)
 	}
 }
 

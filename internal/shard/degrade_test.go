@@ -10,6 +10,7 @@ import (
 	"spatialkeyword"
 	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/storage"
+	"spatialkeyword/internal/wal"
 )
 
 // degradeFixture builds a 4-shard in-memory engine with a spread of objects
@@ -283,6 +284,111 @@ func TestNonStorageErrorStillFails(t *testing.T) {
 	if errs.Value() != 0 {
 		t.Error("non-storage error bumped the shard error counter")
 	}
+}
+
+// TestFailedWriteLeavesCorpusUntouched: corpus statistics have one owner,
+// each shard's engine, which counts a row only once it is applied. An Add
+// whose log append fails and a replicated batch whose apply fails must move
+// neither NumDocs nor the document frequency of the failed row's words, and
+// ranked scores must equal those of the same directory reopened, which
+// counts from the files.
+func TestFailedWriteLeavesCorpusUntouched(t *testing.T) {
+	const failedText = "phantom common"
+	create := func(t *testing.T, dir string) *ShardedEngine {
+		t.Helper()
+		s, err := NewDurable(walShardConfig(), dir, Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ranked := func(t *testing.T, s *ShardedEngine) []spatialkeyword.RankedResult {
+		t.Helper()
+		res, err := s.TopKRanked(30, []float64{5, 1}, "phantom", "common")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// corpus reads the document count and the failed row's words' frequencies.
+	corpus := func(s *ShardedEngine) [3]int {
+		cs := s.Corpus()
+		return [3]int{cs.NumDocs, cs.DocFreq("phantom"), cs.DocFreq("common")}
+	}
+	// check requires the corpus the failed write met, and the scores of the
+	// directory reopened; it closes s.
+	check := func(t *testing.T, s *ShardedEngine, dir string, want [3]int) {
+		t.Helper()
+		if got := corpus(s); got != want {
+			t.Errorf("NumDocs, DocFreq(phantom), DocFreq(common) = %v after the failed write, want %v", got, want)
+		}
+		live := ranked(t, s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Close()
+		sameRanked(t, "live vs reopened", ranked(t, reopened), live)
+	}
+	failWrites := func(op storage.Op, id storage.BlockID) error {
+		if op == storage.OpWrite {
+			return &storage.FaultError{Kind: storage.KindWriteError, Op: op, Block: id}
+		}
+		return nil
+	}
+
+	t.Run("Add", func(t *testing.T) {
+		checkGoroutines(t)
+		dir := t.TempDir()
+		s := create(t, dir)
+		for i := 0; i < 20; i++ {
+			if _, err := s.Add([]float64{float64(i), 1}, fmt.Sprintf("poi %d common", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := corpus(s)
+		s.InjectShardFault(1, failWrites)
+		if _, err := s.Add(pointOnShard(s, 1), failedText); err == nil {
+			t.Fatal("add over a failing log succeeded")
+		}
+		s.InjectShardFault(1, nil)
+		s.ResetHealth()
+		check(t, s, dir, before)
+	})
+
+	t.Run("ApplyReplicatedBatch", func(t *testing.T) {
+		checkGoroutines(t)
+		leader := create(t, t.TempDir())
+		defer leader.Close()
+		streams := make([][]wal.Record, 2)
+		leader.SetReplicationHooks(func(shard int, _ uint64, rec wal.Record) {
+			streams[shard] = append(streams[shard], rec)
+		}, nil)
+		for i := 0; i < 20; i++ {
+			if _, err := leader.Add([]float64{float64(i), 1}, fmt.Sprintf("poi %d common", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := t.TempDir()
+		replica := create(t, dir)
+		for shard, recs := range streams {
+			if err := replica.ApplyReplicatedBatch(shard, recs); err != nil {
+				t.Fatalf("stream %d: %v", shard, err)
+			}
+		}
+		before := corpus(replica)
+		// The next record of shard 1's stream arrives after a gap: it lands
+		// at the wrong local sequence number, and the apply fails.
+		gap := wal.Record{Seq: uint64(len(streams[1]) + 2), Op: wal.OpAdd, ID: uint64(len(replica.shards[1].globals)),
+			Tag: uint64(leader.NumObjects()), Point: pointOnShard(replica, 1), Text: failedText}
+		if err := replica.ApplyReplicatedBatch(1, []wal.Record{gap}); err == nil {
+			t.Fatal("a record past a stream gap applied")
+		}
+		check(t, replica, dir, before)
+	})
 }
 
 // checkGoroutines fails the test when the fan-out leaks goroutines (a

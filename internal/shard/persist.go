@@ -12,7 +12,6 @@ import (
 
 	"spatialkeyword"
 	"spatialkeyword/internal/storage"
-	"spatialkeyword/internal/textutil"
 	"spatialkeyword/internal/wal"
 )
 
@@ -102,7 +101,7 @@ func NewDurable(cfg spatialkeyword.Config, dir string, opts Options) (*ShardedEn
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: create engine dir: %w", err)
 	}
-	s := &ShardedEngine{cfg: cfg, part: part, vocab: textutil.NewVocabulary(), an: cfg.Analyzer(), dir: dir}
+	s := &ShardedEngine{cfg: cfg, part: part, an: cfg.Analyzer(), dir: dir}
 	for i := 0; i < part.Shards(); i++ {
 		eng, err := spatialkeyword.NewDurableEngine(cfg, shardDir(dir, false, i))
 		if err != nil {
@@ -285,7 +284,7 @@ func Open(dir string) (*ShardedEngine, error) {
 	if m.Flat && part.Shards() != 1 {
 		return nil, fmt.Errorf("shard: flat manifest has %d shards", part.Shards())
 	}
-	s := &ShardedEngine{cfg: m.Config, part: part, vocab: textutil.NewVocabulary(), an: m.Config.Analyzer(), dir: dir, flat: m.Flat}
+	s := &ShardedEngine{cfg: m.Config, part: part, an: m.Config.Analyzer(), dir: dir, flat: m.Flat}
 	for i := 0; i < part.Shards(); i++ {
 		// Open from the pinned generation, not whatever the shard's own
 		// manifest points at: a crash between per-shard saves may have
@@ -345,21 +344,6 @@ func Open(dir string) (*ShardedEngine, error) {
 		if got := sh.eng.NumObjects(); got != len(sh.globals) {
 			s.Close() //nolint:errcheck // already failing
 			return nil, fmt.Errorf("shard %d: manifest assigns %d objects, engine holds %d", sh.idx, len(sh.globals), got)
-		}
-	}
-	// Rebuild corpus statistics from every shard's object file (deleted
-	// rows included, matching single-engine reopen semantics).
-	for _, sh := range s.shards {
-		if sh.eng == nil {
-			continue
-		}
-		err := sh.eng.Scan(func(o spatialkeyword.Object) error {
-			s.vocab.AddDocWith(s.an, o.Text)
-			return nil
-		})
-		if err != nil {
-			s.Close() //nolint:errcheck // already failing
-			return nil, err
 		}
 	}
 	// A shard whose recovery went past its pin (see OpenEngineAt) is pinned

@@ -111,9 +111,6 @@ func (s *ShardedEngine) ApplyReplicatedBatch(shard int, recs []wal.Record) error
 			// Lock order matches Add: sh.mu (held) then s.mu.
 			s.mu.Lock()
 			err := s.place(rec.Tag, shardLoc{shard: shard, local: rec.ID})
-			if err == nil {
-				s.vocab.AddDocWith(s.an, rec.Text)
-			}
 			s.mu.Unlock()
 			if err != nil {
 				return fmt.Errorf("replicated record %d: %w", rec.Seq, err)

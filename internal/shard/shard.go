@@ -16,8 +16,9 @@
 //
 // Results are identical to a single engine over the same objects: the
 // merge is exact (see the correctness note in merge.go), object IDs are
-// global, and ranked queries score against engine-wide corpus statistics
-// rather than per-shard vocabularies (shard-local idf would re-rank
+// global, and ranked queries score against engine-wide corpus statistics —
+// the sums of the shards' own counts, exact because document frequencies
+// over a partition of the documents add up (shard-local idf would re-rank
 // results). Distance ties are broken by smallest global ID, where a single
 // engine breaks them by traversal order.
 package shard
@@ -134,12 +135,11 @@ type ShardedEngine struct {
 	cfg    spatialkeyword.Config
 	part   Partitioner
 	shards []*shardHandle
+	an     *textutil.Analyzer // the shards' text pipeline: query terms are looked up as they index them
 
-	// mu guards the global ID map and the corpus-wide vocabulary.
+	// mu guards the global ID map.
 	mu     sync.RWMutex
 	assign []shardLoc // global object ID → location
-	vocab  *textutil.Vocabulary
-	an     *textutil.Analyzer // the shards' text pipeline, so vocab accumulates the terms they index
 
 	dir  string // backing directory; empty = in-memory
 	flat bool   // shard 0 lives in dir itself: an adopted single-engine directory (see persist.go)
@@ -313,7 +313,7 @@ func New(cfg spatialkeyword.Config, opts Options) (*ShardedEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedEngine{cfg: cfg, part: part, vocab: textutil.NewVocabulary(), an: cfg.Analyzer()}
+	s := &ShardedEngine{cfg: cfg, part: part, an: cfg.Analyzer()}
 	for i := 0; i < part.Shards(); i++ {
 		eng, err := spatialkeyword.NewEngine(cfg)
 		if err != nil {
@@ -355,16 +355,13 @@ func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 	if sh.eng == nil {
 		return 0, fmt.Errorf("shard %d: %w", sh.idx, errShardDown)
 	}
-	// The shard's write lock makes this the local ID the add will get; it is
-	// read before s.mu is taken so the engine's lock is never acquired under
-	// it (ranked scoring takes them in the other order). The shard lock also
+	// The shard's write lock makes this the local ID the add will get, and
 	// serializes per-shard adds, so global order restricted to one shard
 	// equals its local insertion order — the property recovery relies on.
 	local := uint64(sh.eng.NumObjects())
 	s.mu.Lock()
 	gid := uint64(len(s.assign))
 	_ = s.place(gid, shardLoc{shard: sh.idx, local: local}) // the next free ID is never a live one
-	s.vocab.AddDocWith(s.an, text)
 	s.mu.Unlock()
 	if _, err := sh.eng.AddTagged(point, text, gid); err != nil {
 		// With a WAL the record may or may not have reached the log durably
@@ -522,10 +519,19 @@ func (s *ShardedEngine) areaQuery(op string, k int, lo, hi []float64, keywords [
 	}
 }
 
-// rankedQuery scores every shard against the corpus-wide statistics, read
-// once, so all of them rank with the idf weights a single engine would use.
+// rankedQuery scores every shard against the corpus-wide statistics, so all
+// of them rank with the idf weights a single engine would use. The document
+// count and the frequency of each normalised query term are resolved here,
+// before any lane opens: a lane holds its engine's shared lock, and Corpus's
+// DocFreq taken inside it would be the reentrant read lock DESIGN.md §7.2
+// (Locks, rule 2) forbids.
 func (s *ShardedEngine) rankedQuery(op string, k int, point []float64, keywords []string) topkQuery[spatialkeyword.RankedResult] {
 	cs := s.Corpus()
+	dfs := make(map[string]int) // the scorer looks up nothing but these terms
+	for _, t := range s.an.Keywords(keywords) {
+		dfs[t] = cs.DocFreq(t)
+	}
+	cs.DocFreq = func(term string) int { return dfs[term] }
 	return topkQuery[spatialkeyword.RankedResult]{
 		op: op, k: k, keywords: len(keywords), at: scoreKey,
 		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.RankedResult], error) {
@@ -575,23 +581,31 @@ func (s *ShardedEngine) SearchArea(lo, hi []float64, keywords ...string) (spatia
 	return openStream(s, s.areaQuery("stream", 0, lo, hi, keywords))
 }
 
-// Corpus snapshots the engine-wide document count and exposes a
-// concurrency-safe document-frequency reader, so every shard of one ranked
-// query scores with the same global idf weights a single engine would use.
-// Both include deleted documents, matching single-engine idf semantics.
+// Corpus returns the engine-wide corpus statistics as sums over the open
+// shards, each shard's engine the only owner of its own counts: NumDocs is
+// read now, and DocFreq adds every engine's Engine.Corpus().DocFreq, which
+// takes that engine's shared lock — so, as for a single engine, it must not
+// be called while the caller holds a stream open on this engine. Both
+// include deleted documents, matching single-engine idf semantics.
 func (s *ShardedEngine) Corpus() spatialkeyword.CorpusStats {
-	s.mu.RLock()
-	numDocs := s.vocab.NumDocs()
-	s.mu.RUnlock()
-	return spatialkeyword.CorpusStats{
-		NumDocs:  numDocs,
-		Analyzer: s.an,
-		DocFreq: func(word string) int {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return s.vocab.DocFreq(word)
-		},
+	cs := spatialkeyword.CorpusStats{Analyzer: s.an}
+	docFreqs := make([]func(string) int, 0, len(s.shards))
+	for _, sh := range s.shards {
+		if sh.eng == nil {
+			continue
+		}
+		c := sh.eng.Corpus()
+		cs.NumDocs += c.NumDocs
+		docFreqs = append(docFreqs, c.DocFreq)
 	}
+	cs.DocFreq = func(word string) int {
+		n := 0
+		for _, df := range docFreqs {
+			n += df(word)
+		}
+		return n
+	}
+	return cs
 }
 
 // TopKRanked returns the k objects with the best combined
@@ -787,21 +801,21 @@ func (s *ShardedEngine) MeterIO() func() (random, sequential uint64) {
 }
 
 // Stats sums the per-shard engine statistics: object counts and disk
-// footprints add up, tree height reports the tallest shard, and the
-// vocabulary is the corpus-wide count (shards can share words).
+// footprints add up, and tree height reports the tallest shard. Vocabulary
+// is the sum of the shards' word counts too — exact for one shard, while a
+// word two shards index counts twice. SKQL plans call Stats per statement,
+// so it stays a sum: no per-word work.
 func (s *ShardedEngine) Stats() spatialkeyword.Stats {
 	var out spatialkeyword.Stats
 	for _, st := range s.ShardStats() {
 		out.Objects += st.Objects
 		out.IndexMB += st.IndexMB
 		out.ObjectFileMB += st.ObjectFileMB
+		out.Vocabulary += st.Vocabulary
 		if st.TreeHeight > out.TreeHeight {
 			out.TreeHeight = st.TreeHeight
 		}
 	}
-	s.mu.RLock()
-	out.Vocabulary = s.vocab.NumWords()
-	s.mu.RUnlock()
 	return out
 }
 

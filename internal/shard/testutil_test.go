@@ -13,7 +13,7 @@ import (
 
 // loadDataset generates a seed dataset into a scratch store and returns its
 // rows plus corpus statistics (for query keywords) and the dataset MBR.
-func loadDataset(t *testing.T, spec dataset.Spec) ([]spatialkeyword.Object, *dataset.Stats, geo.Rect) {
+func loadDataset(t testing.TB, spec dataset.Spec) ([]spatialkeyword.Object, *dataset.Stats, geo.Rect) {
 	t.Helper()
 	st := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
 	stats, err := dataset.Generate(spec, st)
@@ -44,7 +44,7 @@ type adder interface {
 	Add(point []float64, text string) (uint64, error)
 }
 
-func fill(t *testing.T, eng adder, rows []spatialkeyword.Object) {
+func fill(t testing.TB, eng adder, rows []spatialkeyword.Object) {
 	t.Helper()
 	for i, o := range rows {
 		id, err := eng.Add(o.Point, o.Text)

@@ -5,6 +5,16 @@
 #   lint    gofmt -l (+ staticcheck when installed)
 #   analyze skvet, the project's own invariant passes (cmd/skvet)
 #   test    go test -race ./...
+#   stress  the concurrency tests again, five times each under -race, so a
+#           lock-order slip that one pass misses (ranked scoring reads every
+#           shard's corpus counts under those shards' locks) fails here:
+#           TestEngineConcurrentUse (root), TestConcurrentHTTPTraffic,
+#           TestConcurrentMetricsScrape and TestQueryIIOConcurrentWithAdds
+#           (cmd/skserve), TestShardedConcurrentStress and
+#           TestConcurrentWarmQueries (internal/shard),
+#           TestIndexConcurrentAddsAndQueries (internal/skql),
+#           TestConcurrentReaders and TestConcurrentReadersAcrossTrees
+#           (internal/core) — about 30 s on a 2-core box
 #   allocs  the AllocsPerRun gates, without -race: they sit behind
 #           //go:build !race (the detector breaks AllocsPerRun's accounting),
 #           so the test step never compiles them — and coverage.sh only runs
@@ -77,6 +87,11 @@ run_test() {
 	go test -race ./...
 }
 
+run_stress() {
+	step stress
+	go test -race -count=5 -run 'Concurrent|Stress' . ./cmd/skserve ./internal/shard ./internal/skql ./internal/core
+}
+
 run_allocs() {
 	step allocs
 	go test -run 'Alloc' ./...
@@ -132,6 +147,7 @@ build) run_build ;;
 lint) run_lint ;;
 analyze) run_analyze ;;
 test) run_test ;;
+stress) run_stress ;;
 allocs) run_allocs ;;
 perf-build) run_perf_build ;;
 compat) run_compat ;;
@@ -143,6 +159,7 @@ all)
 	run_lint
 	run_analyze
 	run_test
+	run_stress
 	run_allocs
 	run_perf_build
 	run_compat
@@ -151,7 +168,7 @@ all)
 	run_fuzz
 	;;
 *)
-	echo "usage: scripts/ci.sh [build|lint|analyze|test|allocs|perf-build|compat|cover|bench|fuzz|all]" >&2
+	echo "usage: scripts/ci.sh [build|lint|analyze|test|stress|allocs|perf-build|compat|cover|bench|fuzz|all]" >&2
 	exit 2
 	;;
 esac

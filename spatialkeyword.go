@@ -299,7 +299,7 @@ func engineShell(cfg Config) (*Engine, error) {
 
 // Analyzer returns the text pipeline the configuration selects — stopword
 // removal and stemming — or nil for the plain default. It is the one
-// constructor: an engine, a sharded engine's corpus-wide vocabulary and,
+// constructor: an engine, a sharded engine's query-term lookups and,
 // through CorpusStats.Analyzer, everything that normalises query terms
 // against them share it, so they all see the terms the index holds.
 func (c Config) Analyzer() *textutil.Analyzer {
