@@ -195,10 +195,9 @@ var (
 // query's work record leaves the process: the stats object of GET /search,
 // a slow-query log line, and the sample names and label sets of the
 // sk_query_* and sk_io_blocks_total families. One shard's counters are
-// deterministic and compared whole; a free-running 3-shard merge loads a
-// scheduling-dependent number of speculative objects, so there every number
-// is masked and only keys, order and labels are compared. The one-shard
-// golden is the three-shard one with shards 1 and 2 removed.
+// compared whole; on three shards every number is masked and only keys,
+// order and labels are compared. The one-shard golden is the three-shard one
+// with shards 1 and 2 removed.
 func TestWorkRecordGolden(t *testing.T) {
 	const (
 		wantStats = `{"NodesLoaded":1,"ObjectsLoaded":2,"FalsePositives":0,"EntriesPruned":1,"NodesEnqueued":0,"ObjectsEnqueued":2,"BlocksRandom":3,"BlocksSequential":1,"Degraded":false}`

@@ -18,17 +18,14 @@ import (
 // queries per second, sweeping the shard count against the number of client
 // goroutines. This experiment is not in the paper — it quantifies the
 // scale-out extension. Unlike the figure harness, which models disk time, the
-// numbers here are real elapsed time: the point of sharding is to spread one
-// query's traversal (and many queries' locking) across CPU cores, which only
-// wall clock can see.
+// numbers here are real elapsed time on the host's cores.
 //
-// Two effects compose:
-//
-//   - fan-out parallelism: one query runs on every shard concurrently, and
-//     the merge's early stop keeps distant shards from draining, so even a
-//     single client gets faster answers from smaller per-shard trees;
-//   - write/read concurrency: each shard has its own lock, so clients only
-//     collide when they hit the same shard.
+// One query runs on one goroutine: the sharded top-k is the first k of a
+// sequential best-first merge over the shards' streams, whose early stop
+// keeps distant shards from draining. Parallelism comes from the clients
+// alone, and from the shards' separate locks letting their queries proceed
+// side by side; a single client sees the merge's overhead over one tree,
+// not a speedup.
 func ParallelThroughput(spec dataset.Spec, sigBytes int, shardCounts, clientCounts []int, queriesPerClient int, seed int64) (*Table, error) {
 	rows, bounds, stats, err := generateRows(spec)
 	if err != nil {
@@ -40,7 +37,7 @@ func ParallelThroughput(spec dataset.Spec, sigBytes int, shardCounts, clientCoun
 		Columns: []string{"shards", "clients", "topkQPS", "rankedQPS", "topkSpeedup"},
 		Notes: []string{
 			"wall-clock QPS (not modeled disk time); speedup is topkQPS vs 1 shard at the same client count",
-			"expect: shards > 1 beat 1 shard — within-query fan-out at few clients, lock spreading at many",
+			"expect: shards > 1 cost a single client the merge's overhead; clients on idle cores gain",
 		},
 	}
 
@@ -90,12 +87,10 @@ func ParallelThroughput(spec dataset.Spec, sigBytes int, shardCounts, clientCoun
 // standard cost accounting (modeled disk time + measured CPU, see
 // DefaultCostModel), with one independent device per shard — the
 // paper-era shared-nothing deployment sharding models (one spindle per
-// shard). Queries use the coordinated best-first merge (TopKSerial), which
-// meters the minimum per-device I/O of an exact merge — the free-running
-// goroutine drain approaches it on genuinely concurrent hardware but
-// speculates wildly when goroutines serialize on few cores, so metering it
-// here would charge the devices for a scheduling artifact. Each shard's
-// devices are metered separately, giving two numbers per shard count:
+// shard). Queries use the sharded engine's best-first merge (TopK,
+// TopKRanked), which pulls the minimum per-device I/O of an exact merge
+// whatever the host's core count. Each shard's devices are metered
+// separately, giving two numbers per shard count:
 //
 //   - throughput: modeled wall time is the busiest device's total busy
 //     time over the workload (plus total CPU, negligible against disk) —
@@ -118,7 +113,7 @@ func ShardedDiskScaling(spec dataset.Spec, sigBytes int, shardCounts []int, nQue
 			stats.Name, len(rows), sigBytes),
 		Columns: []string{"shards", "topkQPS", "rankedQPS", "latencyMs", "randBlk", "topkSpeedup"},
 		Notes: []string{
-			"coordinated merge (TopKSerial), one device per shard; QPS = workload / (busiest device's disk time + CPU)",
+			"best-first merge (TopK), one device per shard; QPS = workload / (busiest device's disk time + CPU)",
 			"latencyMs = avg per-query modeled time (slowest shard + CPU); randBlk = avg random blocks/query, all shards",
 			"expect: >1 shard beats 1 shard QPS — hot shards rotate with the query point, spreading disk work",
 		},
@@ -134,14 +129,14 @@ func ShardedDiskScaling(spec dataset.Spec, sigBytes int, shardCounts []int, nQue
 			return nil, err
 		}
 		topk, err := measureModeled(eng, queries, nQueries, cm, func(q *throughputQuery) error {
-			_, err := eng.TopKSerial(10, q.point, q.keywords...)
+			_, err := eng.TopK(10, q.point, q.keywords...)
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		ranked, err := measureModeled(eng, queries, nQueries, cm, func(q *throughputQuery) error {
-			_, err := eng.TopKRankedSerial(10, q.point, q.keywords...)
+			_, err := eng.TopKRanked(10, q.point, q.keywords...)
 			return err
 		})
 		if err != nil {

@@ -113,8 +113,8 @@ func (r *ResultIter) Close() { r.it.Close() }
 // PeekBound returns a lower bound on the distance of every result the
 // iterator can still produce: the priority of the best queued entry (an
 // object's exact distance or a subtree MBR's minimum distance). ok is false
-// when the traversal is exhausted. A parallel fan-out merger uses it to stop
-// a shard whose best remaining candidate cannot beat the global k-th result.
+// when the traversal is exhausted. The shard merge uses it to pull only from
+// the shard whose best remaining candidate is the global best.
 func (r *ResultIter) PeekBound() (float64, bool) {
 	return r.it.PeekScore()
 }

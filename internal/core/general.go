@@ -200,9 +200,9 @@ func (r *RankedIter) Close() { r.it.Close() }
 
 // PeekBound returns an upper bound on the score of every result the
 // iterator can still produce: the (un-negated) priority of the best queued
-// entry. ok is false when the traversal is exhausted. A parallel fan-out
-// merger uses it to stop a shard whose best remaining candidate cannot beat
-// the global k-th result.
+// entry. ok is false when the traversal is exhausted. The shard merge uses
+// it to pull only from the shard whose best remaining candidate is the
+// global best.
 func (r *RankedIter) PeekBound() (float64, bool) {
 	s, ok := r.it.PeekScore()
 	return -s, ok

@@ -1,0 +1,68 @@
+//go:build !race
+
+// Allocation gate on the shard merge. Skipped under -race: the detector's
+// instrumentation breaks testing.AllocsPerRun's accounting.
+package shard
+
+import (
+	"testing"
+
+	"spatialkeyword"
+)
+
+// TestOneShardMergeAllocs gates what the merge adds to a warm query on a
+// one-shard engine, the layout skserve serves by default: the benchmarks'
+// rows and query cycle, k = 10. The budgets are the figures the free-running
+// merge read before the stream's first k took its place; the plain engine
+// under the same queries is logged beside them, the difference being the
+// merge's own overhead.
+func TestOneShardMergeAllocs(t *testing.T) {
+	rows, stats, _ := loadDataset(t, benchSpec)
+	cfg := spatialkeyword.Config{SignatureBytes: 16}
+	single, err := spatialkeyword.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, single, rows)
+	s, err := New(cfg, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, s, rows)
+	points, kwSets := queryPoints(rows, 32, 42), keywordSets(stats, 32, 2, 99)
+
+	type query func(e spatialkeyword.Reader, p []float64, kws []string) error
+	for _, q := range []struct {
+		name   string
+		budget float64
+		run    query
+	}{
+		{"TopKWithStats", 79, func(e spatialkeyword.Reader, p []float64, kws []string) error {
+			_, _, err := e.TopKWithStats(10, p, kws...)
+			return err
+		}},
+		{"TopKRanked", 172, func(e spatialkeyword.Reader, p []float64, kws []string) error {
+			_, err := e.TopKRanked(10, p, kws...)
+			return err
+		}},
+	} {
+		measure := func(e spatialkeyword.Reader) float64 {
+			i := 0
+			run := func() {
+				if err := q.run(e, points[i%len(points)], kwSets[i%len(kwSets)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			for range points {
+				run() // warm the node cache and the scratch pools
+			}
+			return testing.AllocsPerRun(100, run)
+		}
+		got, base := measure(s), measure(single)
+		t.Logf("%s: %.0f allocs/op on one shard, %.0f on the plain engine", q.name, got, base)
+		if got > q.budget {
+			t.Errorf("%s allocates %.0f objects/op on one shard, budget %.0f", q.name, got, q.budget)
+		}
+	}
+}

@@ -9,17 +9,15 @@ import (
 )
 
 // The shard merge's microbenchmarks (ROADMAP item 1(c)): one warm query per
-// op over a few thousand restaurants rows, on one and four hash shards, under
-// both schedulers — free-running (what /search and /ranked use) and serial
-// (the coordinated merge SKQL's streams pull from) — and the open of a WAL
-// directory of the same rows.
+// op over a few thousand restaurants rows, on one and four hash shards, and
+// the open of a WAL directory of the same rows.
 
 // benchSpec is the benchmarks' data: about 2,700 rows.
 var benchSpec = dataset.Restaurants(0.006)
 
-// benchMerge runs query on {1, 4} shards × {free, serial}, cycling through
-// fixed query points and keyword pairs.
-func benchMerge(b *testing.B, query func(s *ShardedEngine, serial bool, p []float64, kws []string) error) {
+// benchMerge runs query on {1, 4} shards, cycling through fixed query points
+// and keyword pairs.
+func benchMerge(b *testing.B, query func(s *ShardedEngine, p []float64, kws []string) error) {
 	rows, stats, _ := loadDataset(b, benchSpec)
 	points, kwSets := queryPoints(rows, 32, 42), keywordSets(stats, 32, 2, 99)
 	for _, shards := range []int{1, 4} {
@@ -28,43 +26,27 @@ func benchMerge(b *testing.B, query func(s *ShardedEngine, serial bool, p []floa
 			b.Fatal(err)
 		}
 		fill(b, s, rows)
-		for _, serial := range []bool{false, true} {
-			name := fmt.Sprintf("%dshards/free", shards)
-			if serial {
-				name = fmt.Sprintf("%dshards/serial", shards)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := query(s, serial, points[i%len(points)], kwSets[i%len(kwSets)]); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("%dshards", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := query(s, points[i%len(points)], kwSets[i%len(kwSets)]); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 func BenchmarkTopK(b *testing.B) {
-	benchMerge(b, func(s *ShardedEngine, serial bool, p []float64, kws []string) error {
-		var err error
-		if serial {
-			_, err = s.TopKSerial(10, p, kws...)
-		} else {
-			_, _, err = s.TopKWithStats(10, p, kws...)
-		}
+	benchMerge(b, func(s *ShardedEngine, p []float64, kws []string) error {
+		_, _, err := s.TopKWithStats(10, p, kws...)
 		return err
 	})
 }
 
 func BenchmarkTopKRanked(b *testing.B) {
-	benchMerge(b, func(s *ShardedEngine, serial bool, p []float64, kws []string) error {
-		var err error
-		if serial {
-			_, err = s.TopKRankedSerial(10, p, kws...)
-		} else {
-			_, err = s.TopKRanked(10, p, kws...)
-		}
+	benchMerge(b, func(s *ShardedEngine, p []float64, kws []string) error {
+		_, err := s.TopKRanked(10, p, kws...)
 		return err
 	})
 }

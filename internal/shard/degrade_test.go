@@ -152,9 +152,9 @@ func drain[R any](it stream[R], err error) (int, error) {
 	}
 }
 
-// topkKinds runs each of the five sharded top-k entry points with a k that
-// covers the whole fixture, and each of the three streams to its end,
-// returning the result count.
+// topkKinds runs each of the sharded top-k entry points with a k that covers
+// the whole fixture, and each of the three streams to its end, returning the
+// result count.
 var topkKinds = []struct {
 	name string
 	run  func(s *ShardedEngine) (int, error)
@@ -175,10 +175,6 @@ var topkKinds = []struct {
 		r, err := s.TopKRanked(200, []float64{5, 5}, "common")
 		return len(r), err
 	}},
-	{"TopKRankedSerial", func(s *ShardedEngine) (int, error) {
-		r, err := s.TopKRankedSerial(200, []float64{5, 5}, "common")
-		return len(r), err
-	}},
 	{"Search", func(s *ShardedEngine) (int, error) {
 		return drain[spatialkeyword.Result](s.Search([]float64{5, 5}, "common"))
 	}},
@@ -191,12 +187,11 @@ var topkKinds = []struct {
 }
 
 // TestEveryMergeFollowsShardSafetyRules runs the one merge's safety rules
-// through all five entry points, the three streams and both schedulers — the
-// coordinated ones used to read unhealthy shards, fail the whole query on a
-// mid-query fault and index the ID map unchecked. A faulting shard: degraded answer from the
-// healthy shards, shard marked unhealthy, no error, and the shard is not
-// touched again. A shard handing back a local ID it never assigned: the same
-// degradation with the typed corruption error on record, and no panic.
+// through every top-k entry point and the three streams. A faulting shard:
+// degraded answer from the healthy shards, shard marked unhealthy, no error,
+// and the shard is not touched again. A shard handing back a local ID it
+// never assigned: the same degradation with the typed corruption error on
+// record, and no panic.
 func TestEveryMergeFollowsShardSafetyRules(t *testing.T) {
 	for _, kind := range topkKinds {
 		t.Run(kind.name+"/fault", func(t *testing.T) {

@@ -74,11 +74,6 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 							t.Fatal(err)
 						}
 						sameResults(t, e.name+" TopK", want, got)
-						gotS, err := e.s.TopKSerial(k, p, kws...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameResults(t, e.name+" TopKSerial", want, gotS)
 					}
 				}
 
@@ -92,11 +87,6 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameRanked(t, e.name+" TopKRanked", wantR, gotR)
-					gotRS, err := e.s.TopKRankedSerial(10, p, kws...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameRanked(t, e.name+" TopKRankedSerial", wantR, gotRS)
 				}
 
 				// Area queries around the query point.
@@ -135,10 +125,10 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-// TestShardedEarlyStopStillExact drives the atomic-bound early stop hard: a
-// tight cluster on one shard with the query centered there means the other
-// shards' best candidates can never beat the global k-th, so they must stop
-// after peeking — and the answer must still be exact.
+// TestShardedEarlyStopStillExact drives the merge's early stop hard: a tight
+// cluster on one shard with the query centered there means the other shards'
+// best candidates can never beat the global k-th, so they must stop after
+// peeking — and the answer must still be exact.
 func TestShardedEarlyStopStillExact(t *testing.T) {
 	bounds := geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1000, 1000))
 	cfg := spatialkeyword.Config{SignatureBytes: 16}
@@ -188,11 +178,11 @@ func TestShardedEarlyStopStillExact(t *testing.T) {
 	}
 }
 
-// TestMergeBeyondCorpusAndOnTies pins the two edges of the one merge on all
-// five entry points. With k larger than the corpus every scheduler returns
+// TestMergeBeyondCorpusAndOnTies pins the two edges of the one merge on the
+// three top-k entry points. With k larger than the corpus each returns
 // exactly the single engine's matches. With exact distance (and score) ties
 // spread across shards and k cutting through the tie, the smallest global
-// IDs win, in ID order, whichever scheduler ran.
+// IDs win, in ID order.
 func TestMergeBeyondCorpusAndOnTies(t *testing.T) {
 	bounds := geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1000, 1000))
 	cfg := spatialkeyword.Config{SignatureBytes: 16}
@@ -223,13 +213,11 @@ func TestMergeBeyondCorpusAndOnTies(t *testing.T) {
 	kws := []string{"harbor", "fish"}
 
 	distance := map[string]func(k int) ([]spatialkeyword.Result, error){
-		"TopK":       func(k int) ([]spatialkeyword.Result, error) { return sharded.TopK(k, center, kws...) },
-		"TopKSerial": func(k int) ([]spatialkeyword.Result, error) { return sharded.TopKSerial(k, center, kws...) },
-		"TopKArea":   func(k int) ([]spatialkeyword.Result, error) { return sharded.TopKArea(k, center, center, kws...) },
+		"TopK":     func(k int) ([]spatialkeyword.Result, error) { return sharded.TopK(k, center, kws...) },
+		"TopKArea": func(k int) ([]spatialkeyword.Result, error) { return sharded.TopKArea(k, center, center, kws...) },
 	}
 	ranked := map[string]func(k int) ([]spatialkeyword.RankedResult, error){
-		"TopKRanked":       func(k int) ([]spatialkeyword.RankedResult, error) { return sharded.TopKRanked(k, center, kws...) },
-		"TopKRankedSerial": func(k int) ([]spatialkeyword.RankedResult, error) { return sharded.TopKRankedSerial(k, center, kws...) },
+		"TopKRanked": func(k int) ([]spatialkeyword.RankedResult, error) { return sharded.TopKRanked(k, center, kws...) },
 	}
 
 	beyond := len(rows) + 10

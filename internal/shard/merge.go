@@ -1,10 +1,7 @@
 package shard
 
 import (
-	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"spatialkeyword"
@@ -16,37 +13,26 @@ import (
 // top-k is the paper's best-first search one level up — each shard is an
 // incremental stream (Search, SearchArea, SearchRankedWith) with a bound on
 // everything it can still produce, and the merge delivers the global best
-// first. merger owns what the query kinds share: the shard's read lock, open,
-// pull, local→global ID translation, Close, the per-shard and aggregate sink
-// records, degrade-on-storage-fault. What differs per kind is a topkQuery.
+// first. mergedStream owns what the query kinds share: the shard's read lock,
+// open, pull, local→global ID translation, Close, the per-shard and aggregate
+// sink records, degrade-on-storage-fault. What differs per kind is a topkQuery.
 //
-// Two schedulers drive the same lanes:
+// One scheduler drives the lanes: mergedStream, a sequential best-first k-way
+// merge that pulls one result at a time from the shard whose next candidate
+// has the best bound and delivers it once no shard's bound beats it. It is the
+// stream Search, SearchArea and SearchRanked return — one lane is a
+// pass-through with ID translation — and TopK, TopKArea and TopKRanked are
+// its first k results plus the ties on the k-th key (topK). Per device this
+// is the minimum I/O any exact merge can do, and which lane is pulled depends
+// on the bounds alone, never on goroutine scheduling.
 //
-//   - free-running (merge): one goroutine per shard drains its stream into a
-//     shared collector until the collector's threshold proves it useless. It
-//     maximizes wall-clock overlap and is what TopK, TopKArea and TopKRanked
-//     use, but a shard scheduled ahead of the others can load up to k
-//     speculative results before the threshold tightens.
-//   - coordinated (mergedStream): a sequential best-first k-way merge that
-//     pulls one result at a time from the shard whose next candidate has the
-//     best bound and delivers it once no shard's bound beats it. It is the
-//     stream Search, SearchArea and SearchRanked return — one lane is a
-//     pass-through with ID translation — and TopKSerial and TopKRankedSerial
-//     are its first k results plus the ties on the k-th key. Per device this
-//     is the minimum I/O any exact merge can do, so the cost-model benchmark
-//     (internal/bench.ShardedDiskScaling) and the perf harness meter it.
-//
-// Both return the same results: the collector's result set is independent
-// of the interleaving, and the coordinated pull order is one of the
-// interleavings the free-running drain admits.
-//
-// Correctness of the early stop: the threshold only tightens over time, so
-// if a shard's remaining bound is strictly worse than the threshold at any
-// moment, everything it still holds is strictly worse than the final k-th
-// result and can contribute neither a result nor a tie. Candidates exactly
-// at the threshold are still offered (the stop test is strict), which keeps
-// the tie-handling deterministic: ties on the boundary key are broken by
-// smallest global ID, independent of shard arrival order.
+// Correctness of the early stop: the stream is best first, so once its bound
+// is strictly worse than the k-th collected key, everything it still holds is
+// strictly worse than the final k-th result and can contribute neither a
+// result nor a tie. Candidates exactly at the k-th key are still taken (the
+// stop test is strict), which keeps the tie-handling deterministic: ties on
+// the boundary key are broken by smallest global ID, independent of the order
+// the shards deliver them in.
 
 // stream is one shard's result stream as the merge sees it — the methods
 // the engine's distance and ranked streams share.
@@ -89,14 +75,41 @@ func better[R any](asc bool, a, b *item[R]) bool {
 	return a.id < b.id
 }
 
-// merger is the state of one running merge that both schedulers share.
-type merger[R any] struct {
-	s     *ShardedEngine
-	q     topkQuery[R]
-	start time.Time
+// mergedStream is the merge as a stream: every healthy shard is read-locked
+// from open to Close, each step pulls from the lane with the best bound
+// (lowest shard index on ties), and a pulled result is delivered once no
+// lane's bound beats it — best first, equal keys by smallest global ID among
+// those pulled. It implements spatialkeyword.ResultStream and RankedStream.
+type mergedStream[R any] struct {
+	s         *ShardedEngine
+	q         topkQuery[R]
+	start     time.Time
+	agg       spatialkeyword.QueryStats // the finished lanes' work, and whether a shard was skipped
+	lanes     []*lane[R]
+	pending   []item[R] // pulled and not yet delivered, best first
+	delivered int
+	err       error // the first error that was not a shard's storage fault
+	closed    bool
+}
 
-	mu  sync.Mutex // guards agg: free-running lanes finish concurrently
-	agg spatialkeyword.QueryStats
+// openStream read-locks every healthy shard and opens its lane. When a lane
+// cannot open for a reason other than its shard's storage, the stream comes
+// back closed with that error.
+func openStream[R any](s *ShardedEngine, q topkQuery[R]) (*mergedStream[R], error) {
+	st := &mergedStream[R]{s: s, q: q, start: time.Now(), lanes: make([]*lane[R], 0, len(s.shards))}
+	for _, sh := range s.shards {
+		if sh.unhealthy.Load() {
+			st.agg.Degraded = true
+			continue
+		}
+		ln := st.open(sh)
+		st.lanes = append(st.lanes, ln)
+		st.settle(ln)
+	}
+	if st.err != nil {
+		st.Close()
+	}
+	return st, st.err
 }
 
 // lane is one shard's part of a merge, from taking the shard's read lock
@@ -113,10 +126,10 @@ type lane[R any] struct {
 // open read-locks the shard and opens its stream. Every opened lane must be
 // finished. The shard's lock is taken before the engine's (the stream holds
 // Engine.mu shared until it ends), and s.mu is never held across either.
-func (m *merger[R]) open(sh *shardHandle) *lane[R] {
+func (st *mergedStream[R]) open(sh *shardHandle) *lane[R] {
 	sh.mu.RLock()
 	ln := &lane[R]{sh: sh, start: time.Now()}
-	if it, err := m.q.open(sh.eng); err != nil {
+	if it, err := st.q.open(sh.eng); err != nil {
 		ln.done, ln.err = true, err
 	} else {
 		ln.it = it
@@ -124,12 +137,12 @@ func (m *merger[R]) open(sh *shardHandle) *lane[R] {
 	return ln
 }
 
-// pull takes the lane's next result, translated to its global ID — the step a
-// scheduler repeats once PeekBound says the lane is worth advancing. ok is
+// pull takes the lane's next result, translated to its global ID — the step
+// the merge repeats once PeekBound says the lane is worth advancing. ok is
 // false, and the lane done, when there was none.
-func (m *merger[R]) pull(ln *lane[R]) (it item[R], ok bool) {
+func (st *mergedStream[R]) pull(ln *lane[R]) (it item[R], ok bool) {
 	if ln.r, ok, ln.err = ln.it.Next(); ln.err == nil && ok {
-		key, id := m.q.at(&ln.r)
+		key, id := st.q.at(&ln.r)
 		if *id, ln.err = ln.sh.globalID(*id); ln.err == nil {
 			return item[R]{key: key, id: *id, val: ln.r}, true
 		}
@@ -139,92 +152,23 @@ func (m *merger[R]) pull(ln *lane[R]) (it item[R], ok bool) {
 }
 
 // finish closes the lane's stream, releases the shard, delivers the
-// per-shard record and adds the shard's work to the aggregate. It returns
-// the lane's error for the scheduler to classify (see degrade).
-func (m *merger[R]) finish(ln *lane[R]) error {
-	var st spatialkeyword.QueryStats
+// per-shard record and adds the shard's work to the aggregate.
+func (st *mergedStream[R]) finish(ln *lane[R]) {
+	var qs spatialkeyword.QueryStats
 	if ln.it != nil {
 		ln.it.Close()
-		st = ln.it.Stats()
+		qs = ln.it.Stats()
 	}
 	ln.done = true
 	ln.sh.mu.RUnlock()
-	m.s.record(obs.QueryMetrics{Op: m.q.op, Shard: ln.sh.idx, Work: st.Work, Latency: time.Since(ln.start), Err: ln.err != nil})
-	m.mu.Lock()
-	m.agg.Add(st.Work)
-	m.mu.Unlock()
-	return ln.err
+	st.s.record(obs.QueryMetrics{Op: st.q.op, Shard: ln.sh.idx, Work: qs.Work, Latency: time.Since(ln.start), Err: ln.err != nil})
+	st.agg.Add(qs.Work)
 }
 
 // record delivers the query's aggregate record.
-func (m *merger[R]) record(results int, err error) {
-	m.s.record(obs.QueryMetrics{Op: m.q.op, Shard: -1, K: m.q.k, Keywords: m.q.keywords, Results: results,
-		Work: m.agg.Work, Latency: time.Since(m.start), Err: err != nil, Degraded: m.agg.Degraded})
-}
-
-// merge answers one sharded top-k query with the free-running scheduler: the
-// k best results across all healthy shards, best first, with global IDs, plus
-// the summed work.
-func merge[R any](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QueryStats, error) {
-	if q.k <= 0 {
-		return nil, spatialkeyword.QueryStats{}, nil
-	}
-	m := &merger[R]{s: s, q: q, start: time.Now()}
-	col := &collector[R]{k: q.k, asc: q.asc}
-	var err error
-	m.agg.Degraded, err = s.fanOut(nil, func(sh *shardHandle) error {
-		ln := m.open(sh)
-		for !ln.done {
-			if bound, ok := ln.it.PeekBound(); !ok || !col.admissible(bound) {
-				break
-			}
-			if it, ok := m.pull(ln); ok {
-				col.offer(it)
-			}
-		}
-		return m.finish(ln)
-	})
-	results := col.results()
-	m.record(len(results), err)
-	if err != nil {
-		return nil, m.agg, err
-	}
-	return results, m.agg, nil
-}
-
-// mergedStream is the coordinated scheduler as a stream: every healthy shard
-// is read-locked from open to Close, each step pulls from the lane with the
-// best bound (lowest shard index on ties), and a pulled result is delivered
-// once no lane's bound beats it — best first, equal keys by smallest global
-// ID among those pulled. It implements spatialkeyword.ResultStream and
-// RankedStream.
-type mergedStream[R any] struct {
-	merger[R]
-	lanes     []*lane[R]
-	pending   []item[R] // pulled and not yet delivered, best first
-	delivered int
-	err       error // the first error that was not a shard's storage fault
-	closed    bool
-}
-
-// openStream read-locks every healthy shard and opens its lane. When a lane
-// cannot open for a reason other than its shard's storage, the stream comes
-// back closed with that error.
-func openStream[R any](s *ShardedEngine, q topkQuery[R]) (*mergedStream[R], error) {
-	st := &mergedStream[R]{merger: merger[R]{s: s, q: q, start: time.Now()}}
-	for _, sh := range s.shards {
-		if sh.unhealthy.Load() {
-			st.agg.Degraded = true
-			continue
-		}
-		ln := st.open(sh)
-		st.lanes = append(st.lanes, ln)
-		st.settle(ln)
-	}
-	if st.err != nil {
-		st.Close()
-	}
-	return st, st.err
+func (st *mergedStream[R]) record(results int, err error) {
+	st.s.record(obs.QueryMetrics{Op: st.q.op, Shard: -1, K: st.q.k, Keywords: st.q.keywords, Results: results,
+		Work: st.agg.Work, Latency: time.Since(st.start), Err: err != nil, Degraded: st.agg.Degraded})
 }
 
 // settle classifies a lane's failure, once: a storage fault takes the shard
@@ -331,24 +275,26 @@ func (st *mergedStream[R]) end(results int) {
 	}
 	st.closed = true
 	for _, ln := range st.lanes {
-		st.finish(ln) //nolint:errcheck // settle classified the lane's error when it happened
+		st.finish(ln)
 	}
 	st.record(results, st.err)
 }
 
-// serial answers a sharded top-k with the coordinated scheduler: the stream
-// is pulled for as long as its bound could still enter a collector of k — k
-// results and everything tied with the k-th — and the collector keeps what
-// the free-running merge would, smallest global ID first within a tie.
-func serial[R any](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QueryStats, error) {
+// topK answers a sharded top-k: the stream is pulled for as long as its bound
+// could still enter a collector of k — k results and everything tied with the
+// k-th — and the collector keeps the k best, smallest global ID first within
+// a tie.
+func topK[R any](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QueryStats, error) {
 	if q.k <= 0 {
 		return nil, spatialkeyword.QueryStats{}, nil
 	}
+	// Room for k and the one insert beyond it, but k is the caller's: never
+	// more than the rows held. Sized before any lane holds a lock.
+	col := &collector[R]{k: q.k, asc: q.asc, items: make([]item[R], 0, min(q.k, s.NumObjects())+1)}
 	st, err := openStream(s, q)
 	if err != nil {
 		return nil, st.agg, err
 	}
-	col := &collector[R]{k: q.k, asc: q.asc}
 	for {
 		bound, ok := st.PeekBound()
 		if !ok || !col.admissible(bound) {
@@ -386,33 +332,24 @@ func insert[R any](asc bool, items []item[R], it item[R]) []item[R] {
 	return slices.Insert(items, at, it)
 }
 
-// collector is a bounded top-k merge buffer shared by all shards of one
-// query, keeping the k best candidates, best first. It publishes the current
-// k-th key through an atomic, so shards can test their next candidate's bound
-// without taking the lock.
+// collector is a bounded top-k buffer keeping the k best candidates offered,
+// best first.
 type collector[R any] struct {
-	k   int
-	asc bool
-
-	mu    sync.Mutex
+	k     int
+	asc   bool
 	items []item[R] // at most k
-	thr   atomic.Uint64
-	full  atomic.Bool
 }
 
-// admissible reports whether a shard whose best remaining candidate has the
-// given bound could still contribute a result or a boundary tie. Shards
-// must stop pulling once this turns false — and it never turns true again,
-// because the threshold only tightens.
+// admissible reports whether a candidate with the given bound could still
+// enter the collector as a result or a boundary tie. Once it turns false for
+// the stream's bound it stays false: the stream's bound only worsens.
 func (c *collector[R]) admissible(bound float64) bool {
-	return !c.full.Load() || !before(c.asc, math.Float64frombits(c.thr.Load()), bound)
+	return len(c.items) < c.k || !before(c.asc, c.items[c.k-1].key, bound)
 }
 
 // offer submits one candidate; one that cannot enter the current top k is
 // dropped.
 func (c *collector[R]) offer(it item[R]) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.items) == c.k && !better(c.asc, &it, &c.items[c.k-1]) {
 		return
 	}
@@ -420,17 +357,10 @@ func (c *collector[R]) offer(it item[R]) {
 	if len(c.items) > c.k {
 		c.items = c.items[:c.k]
 	}
-	if len(c.items) == c.k {
-		// The threshold before the flag: admissible reads them unlocked.
-		c.thr.Store(math.Float64bits(c.items[c.k-1].key))
-		c.full.Store(true)
-	}
 }
 
 // results returns the collected top k, best first.
 func (c *collector[R]) results() []R {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]R, len(c.items))
 	for i := range c.items {
 		out[i] = c.items[i].val

@@ -44,9 +44,8 @@ func (c *captureSink) take() (perShard []obs.QueryMetrics, agg []obs.QueryMetric
 	return perShard, agg
 }
 
-// TestMetricsSink checks that every fanned-out top-k — free-running or
-// coordinated — delivers one record per shard plus one aggregate record
-// whose counters are the per-shard sums.
+// TestMetricsSink checks that every sharded top-k delivers one record per
+// shard plus one aggregate record whose counters are the per-shard sums.
 func TestMetricsSink(t *testing.T) {
 	rows, stats, bounds := loadDataset(t, dataset.Restaurants(0.001))
 	const shards = 4
@@ -77,10 +76,6 @@ func TestMetricsSink(t *testing.T) {
 		}},
 		{"TopKRanked", "ranked", 3, func(k int) (int, *spatialkeyword.QueryStats, error) {
 			res, err := eng.TopKRanked(k, p, kw...)
-			return len(res), nil, err
-		}},
-		{"TopKRankedSerial", "ranked", 3, func(k int) (int, *spatialkeyword.QueryStats, error) {
-			res, err := eng.TopKRankedSerial(k, p, kw...)
 			return len(res), nil, err
 		}},
 		{"TopKArea", "area", 3, func(k int) (int, *spatialkeyword.QueryStats, error) {

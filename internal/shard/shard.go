@@ -1,18 +1,16 @@
-// Package shard scales the spatial keyword engine across CPU cores: a
-// ShardedEngine partitions objects over N independent engines (each a full
-// IR²-Tree over its own simulated disks) using a pluggable spatial
-// partitioner, and answers queries by fanning out to the shards in parallel
-// and merging their result streams.
+// Package shard scales the spatial keyword engine out: a ShardedEngine
+// partitions objects over N independent engines (each a full IR²-Tree over
+// its own simulated disks) using a pluggable spatial partitioner, and answers
+// queries by merging the shards' result streams.
 //
 // Writes touch exactly one shard, guarded by that shard's own RWMutex, so
 // an insert no longer blocks searches on the rest of the data. Top-k
-// queries (distance-first, area, and general ranked) run one goroutine per
-// shard; each shard streams results into a bounded k-way merge that
-// preserves exact top-k semantics — a shard stops early once its best
-// remaining candidate cannot beat the current global k-th result, which the
-// merge publishes through an atomic bound. Boolean range queries and the
-// maintenance operations route only to the shards whose region intersects
-// the target.
+// queries (distance-first, area, and general ranked) are the first k of a
+// best-first k-way merge over every shard's stream, which preserves exact
+// top-k semantics — a shard is not pulled once its best remaining candidate
+// cannot beat the merge's next result, and the merge stops once nothing left
+// can beat the k-th. Boolean range queries and the maintenance operations
+// route only to the shards whose region intersects the target, in parallel.
 //
 // Results are identical to a single engine over the same objects: the
 // merge is exact (see the correctness note in merge.go), object IDs are
@@ -450,7 +448,8 @@ func (s *ShardedEngine) Delete(gid uint64) error {
 	return reglobal(err, gid)
 }
 
-// fanOut runs fn once per listed shard (nil = all shards) in parallel.
+// fanOut runs fn once per listed shard (nil = all shards) in parallel; it
+// serves WithinArea, whose per-shard answers need no merge order.
 // Shards already marked unhealthy are skipped, and a shard whose fn fails
 // with a storage-level fault (see degradeable) is taken out of rotation
 // mid-query; both cases set the degraded flag and the query completes on
@@ -497,9 +496,10 @@ func (s *ShardedEngine) fanOut(which []int, fn func(sh *shardHandle) error) (deg
 }
 
 // The top-k entry points are one of three query kinds — nearest to a point,
-// nearest to an area, ranked — under one of three drivers: merge (the
-// free-running scheduler), serial (the coordinated one) or the caller itself,
-// pulling from the stream openStream returns.
+// nearest to an area, ranked — pulled by one of two consumers: topK, which
+// takes the first k of the merged stream, or the caller itself, pulling from
+// the stream openStream returns. The entries topK serves check the point or area first:
+// with k ≤ 0 topK opens no lane, so no shard's engine would.
 
 func (s *ShardedEngine) nearQuery(op string, k int, point []float64, keywords []string) topkQuery[spatialkeyword.Result] {
 	return topkQuery[spatialkeyword.Result]{
@@ -549,20 +549,22 @@ func (s *ShardedEngine) TopK(k int, point []float64, keywords ...string) ([]spat
 
 // TopKWithStats is TopK plus aggregated per-shard work counters.
 func (s *ShardedEngine) TopKWithStats(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
-	return merge(s, s.nearQuery("topk", k, point, keywords))
+	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
+		return nil, spatialkeyword.QueryStats{}, err
+	}
+	return topK(s, s.nearQuery("topk", k, point, keywords))
 }
 
-// TopKSerial returns exactly TopK's results via the coordinated best-first
-// merge. All shards are read-locked for the duration of the merge.
+// TopKSerial is TopK, kept under the name the wall-clock benchmark harness
+// calls.
 func (s *ShardedEngine) TopKSerial(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	res, _, err := serial(s, s.nearQuery("topk", k, point, keywords))
-	return res, err
+	return s.TopK(k, point, keywords...)
 }
 
 // Search starts an incremental distance-first query over all shards: the
-// coordinated merge as a stream. Every healthy shard stays read-locked until
-// the stream ends or is closed. (With an error the stream returned is a
-// closed one, not nil: closing it again is harmless.)
+// merge as a stream. Every healthy shard stays read-locked until the stream
+// ends or is closed. (With an error the stream returned is a closed one, not
+// nil: closing it again is harmless.)
 func (s *ShardedEngine) Search(point []float64, keywords ...string) (spatialkeyword.ResultStream, error) {
 	return openStream(s, s.nearQuery("stream", 0, point, keywords))
 }
@@ -572,7 +574,10 @@ func (s *ShardedEngine) Search(point []float64, keywords ...string) (spatialkeyw
 // query it fans out to every shard: objects far outside a shard's region
 // can still be among the k nearest to the area.
 func (s *ShardedEngine) TopKArea(k int, lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	res, _, err := merge(s, s.areaQuery("area", k, lo, hi, keywords))
+	if err := spatialkeyword.CheckArea(lo, hi, s.dim()); err != nil {
+		return nil, err
+	}
+	res, _, err := topK(s, s.areaQuery("area", k, lo, hi, keywords))
 	return res, err
 }
 
@@ -612,14 +617,10 @@ func (s *ShardedEngine) Corpus() spatialkeyword.CorpusStats {
 // relevance-and-proximity score, fanned out across all shards and merged by
 // descending score (score ties broken by smallest global ID).
 func (s *ShardedEngine) TopKRanked(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
-	res, _, err := merge(s, s.rankedQuery("ranked", k, point, keywords))
-	return res, err
-}
-
-// TopKRankedSerial returns exactly TopKRanked's results via the coordinated
-// best-first merge (highest score bound pulls first).
-func (s *ShardedEngine) TopKRankedSerial(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
-	res, _, err := serial(s, s.rankedQuery("ranked", k, point, keywords))
+	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
+		return nil, err
+	}
+	res, _, err := topK(s, s.rankedQuery("ranked", k, point, keywords))
 	return res, err
 }
 

@@ -161,6 +161,9 @@ func TestShardedEmptyAndSmallK(t *testing.T) {
 	if err != nil || len(res) != 1 {
 		t.Errorf("TopK = %v, %v", res, err)
 	}
+	if res, err := s.TopKRanked(math.MaxInt, []float64{0, 0}, "espresso"); err != nil || len(res) != 1 {
+		t.Errorf("k=MaxInt ranked = %v, %v", res, err)
+	}
 	if err := s.Flush(); err != nil {
 		t.Errorf("Flush = %v", err)
 	}
@@ -220,8 +223,9 @@ func TestOptionsValidation(t *testing.T) {
 
 // TestBadPointRefusedAtEveryEntry: the sharded engine refuses a point of the
 // wrong dimensionality or with a NaN or infinite coordinate with ErrBadPoint
-// at every entry that takes one — before the partitioner indexes it — under
-// both partitioners, and a refused Add reserves no global ID.
+// at every entry that takes one — before the partitioner indexes it, and
+// whatever k is — under both partitioners, and a refused Add reserves no
+// global ID.
 func TestBadPointRefusedAtEveryEntry(t *testing.T) {
 	hash, err := NewHashPartitioner(3)
 	if err != nil {
@@ -249,14 +253,17 @@ func TestBadPointRefusedAtEveryEntry(t *testing.T) {
 			"-Inf": {math.Inf(-1), 3},
 		} {
 			entries := map[string]func() error{
-				"Add":           func() error { _, err := s.Add(bad, "pool"); return err },
-				"TopK":          func() error { _, err := s.TopK(1, bad, "pool"); return err },
-				"TopKSerial":    func() error { _, err := s.TopKSerial(1, bad, "pool"); return err },
-				"TopKArea/lo":   func() error { _, err := s.TopKArea(1, bad, good, "pool"); return err },
-				"TopKArea/hi":   func() error { _, err := s.TopKArea(1, good, bad, "pool"); return err },
-				"TopKRanked":    func() error { _, err := s.TopKRanked(1, bad, "pool"); return err },
-				"WithinArea/lo": func() error { _, err := s.WithinArea(bad, good, "pool"); return err },
-				"WithinArea/hi": func() error { _, err := s.WithinArea(good, bad, "pool"); return err },
+				"Add":             func() error { _, err := s.Add(bad, "pool"); return err },
+				"TopK":            func() error { _, err := s.TopK(1, bad, "pool"); return err },
+				"TopK/k=0":        func() error { _, err := s.TopK(0, bad, "pool"); return err },
+				"TopKArea/lo":     func() error { _, err := s.TopKArea(1, bad, good, "pool"); return err },
+				"TopKArea/hi":     func() error { _, err := s.TopKArea(1, good, bad, "pool"); return err },
+				"TopKArea/lo/k=0": func() error { _, err := s.TopKArea(0, bad, good, "pool"); return err },
+				"TopKArea/hi/k=0": func() error { _, err := s.TopKArea(0, good, bad, "pool"); return err },
+				"TopKRanked":      func() error { _, err := s.TopKRanked(1, bad, "pool"); return err },
+				"TopKRanked/k=0":  func() error { _, err := s.TopKRanked(0, bad, "pool"); return err },
+				"WithinArea/lo":   func() error { _, err := s.WithinArea(bad, good, "pool"); return err },
+				"WithinArea/hi":   func() error { _, err := s.WithinArea(good, bad, "pool"); return err },
 			}
 			for entry, call := range entries {
 				if err := call(); !errors.Is(err, spatialkeyword.ErrBadPoint) {

@@ -74,8 +74,8 @@ func streamLayouts(t *testing.T, cfg spatialkeyword.Config, bounds geo.Rect, row
 }
 
 // TestStreamIsTheMerge: on one and three shards, grid and hash, each of the
-// three streams consumed to k gives exactly what its TopK* and TopK*Serial
-// give — IDs included, on a seed dataset with deletions, with k beyond the
+// three streams consumed to k by a caller gives exactly what its TopK* gives —
+// IDs included, on a seed dataset with deletions, with k beyond the
 // corpus, and with k cutting through exact ties spread across the shards
 // (the rows of TestMergeBeyondCorpusAndOnTies).
 func TestStreamIsTheMerge(t *testing.T) {
@@ -101,13 +101,9 @@ func TestStreamIsTheMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := s.TopKSerial(k, p, kws...)
-		if err != nil {
-			t.Fatal(err)
-		}
 		it, err := s.Search(p, kws...)
-		if got := firstK[spatialkeyword.Result](t, it, err, k, true, distanceKey); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(serial, want) {
-			t.Fatalf("k=%d %v: Search / TopKSerial / TopK differ:\n%+v\n%+v\n%+v", k, kws, got, serial, want)
+		if got := firstK[spatialkeyword.Result](t, it, err, k, true, distanceKey); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d %v: Search / TopK differ:\n%+v\n%+v", k, kws, got, want)
 		}
 
 		lo, hi := []float64{p[0] - 40, p[1] - 40}, []float64{p[0] + 40, p[1] + 40}
@@ -123,13 +119,9 @@ func TestStreamIsTheMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialR, err := s.TopKRankedSerial(k, p, kws...)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rit, err := s.SearchRanked(p, kws...)
-		if got := firstK[spatialkeyword.RankedResult](t, rit, err, k, false, scoreKey); !reflect.DeepEqual(got, wantR) || !reflect.DeepEqual(serialR, wantR) {
-			t.Fatalf("k=%d %v: SearchRanked / TopKRankedSerial / TopKRanked differ:\n%+v\n%+v\n%+v", k, kws, got, serialR, wantR)
+		if got := firstK[spatialkeyword.RankedResult](t, rit, err, k, false, scoreKey); !reflect.DeepEqual(got, wantR) {
+			t.Fatalf("k=%d %v: SearchRanked / TopKRanked differ:\n%+v\n%+v", k, kws, got, wantR)
 		}
 	}
 
@@ -153,7 +145,7 @@ func TestStreamIsTheMerge(t *testing.T) {
 			for _, k := range []int{1, 5, 12, 13, len(ties) + 10} {
 				check(t, s, k, []float64{500, 500}, []string{"harbor", "fish"})
 			}
-			got, err := s.TopKSerial(5, []float64{500, 500}, "harbor", "fish")
+			got, err := s.TopK(5, []float64{500, 500}, "harbor", "fish")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,11 +181,12 @@ func counted[R any](q topkQuery[R], pulls []int) topkQuery[R] {
 	return q
 }
 
-// TestSerialPullsArePinned: TopKSerial and TopKRankedSerial over the stream
-// pull, lane by lane, exactly as many results as the coordinated scheduler
-// they replaced did. The numbers were recorded at commit ae80bff, with the
-// same counting opener handed to that commit's merge(coordinated: true), on
-// Restaurants(0.001), k = 5, the first keyword of each set for the distance
+// TestSerialPullsArePinned: TopK and TopKRanked — what /search and /ranked
+// serve — pull, lane by lane, exactly as many results as the coordinated
+// scheduler the stream replaced did: each is topK over its query, run here
+// with a counting opener. The numbers were recorded at commit ae80bff, with
+// the same counting opener handed to that commit's merge(coordinated: true),
+// on Restaurants(0.001), k = 5, the first keyword of each set for the distance
 // query and both for the ranked one.
 func TestSerialPullsArePinned(t *testing.T) {
 	pinned := map[string][][2][]int{ // layout → query → {distance, ranked} pulls per lane
@@ -213,10 +206,10 @@ func TestSerialPullsArePinned(t *testing.T) {
 	for name, s := range streamLayouts(t, spatialkeyword.Config{SignatureBytes: 16}, bounds, rows) {
 		for qi, p := range points {
 			dist, ranked := make([]int, s.NumShards()), make([]int, s.NumShards())
-			if _, _, err := serial(s, counted(s.nearQuery("topk", 5, p, kwSets[qi][:1]), dist)); err != nil {
+			if _, _, err := topK(s, counted(s.nearQuery("topk", 5, p, kwSets[qi][:1]), dist)); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := serial(s, counted(s.rankedQuery("ranked", 5, p, kwSets[qi]), ranked)); err != nil {
+			if _, _, err := topK(s, counted(s.rankedQuery("ranked", 5, p, kwSets[qi]), ranked)); err != nil {
 				t.Fatal(err)
 			}
 			if want := pinned[name][qi]; !reflect.DeepEqual(dist, want[0]) || !reflect.DeepEqual(ranked, want[1]) {

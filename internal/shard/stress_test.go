@@ -110,9 +110,6 @@ func TestShardedConcurrentStress(t *testing.T) {
 						return
 					}
 				}
-				if _, err := s.TopKSerial(5, p, kw); err != nil {
-					t.Errorf("querier %d TopKSerial: %v", q, err)
-				}
 				if _, err := s.TopKRanked(5, p, kw, words[rng.Intn(len(words))]); err != nil {
 					t.Errorf("querier %d TopKRanked: %v", q, err)
 					return
@@ -253,8 +250,8 @@ func idKey[T any](res []T, id func(T) uint64) string {
 // scratch — from many goroutines at once, against both a single Engine and a
 // ShardedEngine, checking every answer against a single-threaded oracle
 // computed up front. Run under -race this is the data-race gate for the
-// packed node cache; the goroutine-leak check covers the sharded fan-out's
-// worker lifecycle. Unlike TestShardedConcurrentStress there are no writers:
+// packed node cache; the goroutine-leak check covers the sharded engine's
+// query lifecycle. Unlike TestShardedConcurrentStress there are no writers:
 // the point is that a purely warm, hit-dominated workload stays correct and
 // race-free under contention.
 func TestConcurrentWarmQueries(t *testing.T) {

@@ -39,7 +39,8 @@
 #
 # Not a check: scripts/loc.sh [base-ref] prints the root module's non-test Go
 # line count at base-ref and now, in total and per directory — the figure and
-# the breakdown a simplicity PR reports.
+# the breakdown a simplicity PR reports. ci.yml's loc job prints it against a
+# pull request's base commit.
 #
 # staticcheck is optional locally: if the binary is not on PATH the lint
 # step prints a warning and moves on, while CI always installs and runs it.
