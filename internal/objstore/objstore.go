@@ -10,6 +10,12 @@
 // row spills into (sequential accesses). This is exactly the cost model
 // behind Table 1's "average # disk blocks per object" column: a Restaurants
 // row fits in one block, a Hotels row typically spans two.
+//
+// The last, partly filled block of the file is the open block. Sync writes
+// it in place — allocated the first time, rewritten after that — so rows
+// added one at a time between checkpoints still pack back to back instead of
+// taking a block each. Only Checkpoint seals the open block (pads the file to
+// the next block boundary), so every checkpointed file ends on one.
 package objstore
 
 import (
@@ -54,7 +60,8 @@ type Store struct {
 
 	blocks   []storage.BlockID // i-th file block -> device block
 	synced   uint64            // bytes durably written
-	tail     []byte            // bytes not yet flushed
+	open     uint64            // offset of the open block: where tail starts, a block boundary
+	tail     []byte            // the open block's bytes, synced or not
 	count    uint64            // number of objects appended
 	ptrs     []Ptr             // object ID -> row offset (in-memory directory)
 	blockSum uint64            // total blocks spanned by all rows (for stats)
@@ -82,7 +89,7 @@ func (s *Store) Ptrs() []Ptr { return s.ptrs }
 // Append or Sync retries the flush once the device recovers.
 func (s *Store) Append(point geo.Point, text string) (ID, Ptr, error) {
 	id := ID(s.count)
-	ptr := Ptr(s.synced + uint64(len(s.tail)))
+	ptr := Ptr(s.open + uint64(len(s.tail)))
 	row := encodeRow(id, point, text)
 	s.tail = append(s.tail, row...)
 	s.count++
@@ -112,26 +119,33 @@ func (s *Store) AvgBlocksPerObject() float64 {
 	return float64(s.blockSum) / float64(s.count)
 }
 
-// flushFullBlocks writes every complete block sitting in the tail buffer.
-// On error the unflushed bytes stay in the tail, so the flush is retryable.
+// flushFullBlocks writes every complete block sitting in the tail buffer and
+// opens the block after it. On error the unflushed bytes stay in the tail,
+// so the flush is retryable.
 func (s *Store) flushFullBlocks() error {
 	bs := s.dev.BlockSize()
 	for len(s.tail) >= bs {
-		if err := s.appendBlock(s.tail[:bs]); err != nil {
+		if err := s.writeOpen(s.tail[:bs]); err != nil {
 			return err
 		}
 		s.tail = s.tail[bs:]
-		s.synced += uint64(bs)
+		s.open += uint64(bs)
+		s.synced = s.open
 	}
 	return nil
 }
 
-// appendBlock allocates the next file block and writes data into it. A
-// failed write releases the allocation and leaves the file unchanged.
-func (s *Store) appendBlock(data []byte) error {
+// writeOpen writes data, the open block's bytes from its start, to the open
+// block's device block: a rewrite once Sync has given it one, otherwise a
+// fresh allocation, which a failed write releases again. Either way a
+// failure leaves the block list as it was.
+func (s *Store) writeOpen(data []byte) error {
+	if i := int(s.open / uint64(s.dev.BlockSize())); i < len(s.blocks) {
+		return s.dev.Write(s.blocks[i], data)
+	}
 	id := s.dev.Alloc()
 	if id == storage.NilBlock {
-		return fmt.Errorf("objstore: append: %w", storage.ErrDeviceFull)
+		return storage.ErrDeviceFull
 	}
 	if err := s.dev.Write(id, data); err != nil {
 		s.dev.Free(id)
@@ -141,33 +155,37 @@ func (s *Store) appendBlock(data []byte) error {
 	return nil
 }
 
-// Sync flushes the partially filled tail block, making all appended rows
-// readable. The flushed block is sealed: the logical file is padded with
-// zeros to the next block boundary, so row offsets keep mapping directly to
-// block indexes. (Rows end in '\n' and padding is zero bytes, so readers
-// never confuse padding for data.)
+// Sync makes every appended row readable by writing the open block in place,
+// and leaves that block open: the next Append continues in it, and the next
+// Sync rewrites it, so rows synced one at a time still pack back to back. A
+// torn rewrite can damage rows an earlier Sync wrote into the same block;
+// they are as durable as the store's owner makes them between checkpoints
+// (a durable engine restores its last checkpoint and replays its log).
 func (s *Store) Sync() error {
-	if len(s.tail) == 0 {
-		return nil
-	}
-	bs := s.dev.BlockSize()
-	if len(s.tail) > bs {
-		//skvet:ignore nopanic internal invariant: Put bounds the tail to one block
-		panic("objstore: tail exceeds block size")
-	}
-	id := s.dev.Alloc()
-	if id == storage.NilBlock {
-		return fmt.Errorf("objstore: sync: %w", storage.ErrDeviceFull)
-	}
-	s.blocks = append(s.blocks, id)
-	if err := s.dev.Write(id, s.tail); err != nil {
-		s.blocks = s.blocks[:len(s.blocks)-1]
-		s.dev.Free(id)
+	if err := s.flushFullBlocks(); err != nil {
 		return fmt.Errorf("objstore: sync: %w", err)
 	}
-	s.synced += uint64(bs) // seal: pad to block boundary
-	s.tail = nil
+	end := s.open + uint64(len(s.tail))
+	if end == s.synced {
+		return nil
+	}
+	if err := s.writeOpen(s.tail); err != nil {
+		return fmt.Errorf("objstore: sync: %w", err)
+	}
+	s.synced = end
 	return nil
+}
+
+// seal closes a synced open block: the logical file is padded with zeros to
+// the next block boundary, where the next row starts. (Rows end in '\n' and
+// padding is zero bytes, so readers never confuse padding for data.)
+func (s *Store) seal() {
+	if len(s.tail) == 0 {
+		return
+	}
+	s.open += uint64(s.dev.BlockSize())
+	s.synced = s.open
+	s.tail = nil
 }
 
 // Get loads the object whose row starts at ptr, reading the row's block(s)
@@ -198,7 +216,7 @@ func (s *Store) get(ptr Ptr, sc *RowScratch, shareBlocks bool) (Object, error) {
 type RowScratch struct {
 	block []byte
 	row   []byte
-	held  int // GetBatch only: file-block index sitting in block, -1 for none
+	held  int // GetBatch and Scan only: file-block index sitting in block, -1 for none
 }
 
 // rowScratchPool serves the readers that take no scratch of their own (Get,
@@ -211,7 +229,7 @@ var rowScratchPool = sync.Pool{New: func() any { return new(RowScratch) }}
 // into sc.block one at a time until the terminating newline appears — one
 // random access plus a sequential access per continuation block. With
 // shareBlocks a block still sitting in sc.block from the previous row is
-// not read again (GetBatch); otherwise every row pays its own accesses.
+// not read again (GetBatch, Scan); otherwise every row pays its own accesses.
 //
 //skvet:hotpath
 func (s *Store) readRow(ptr Ptr, sc *RowScratch, shareBlocks bool) error {
@@ -347,15 +365,17 @@ func (s *Store) GetByID(id ID) (Object, error) {
 
 // Scan calls fn for every stored object in append order. It stops early and
 // returns fn's error if non-nil. Scan performs device reads (it is how index
-// builders pay for reading the file once), each row with Get's accesses.
+// builders pay for reading the file once): rows that share a block share its
+// read, as in GetBatch.
 func (s *Store) Scan(fn func(Object, Ptr) error) error {
 	sc := rowScratchPool.Get().(*RowScratch)
 	defer rowScratchPool.Put(sc)
+	sc.held = -1 // whatever the pooled scratch last read is not this store's
 	for id := uint64(0); id < s.count; id++ {
 		if uint64(s.ptrs[id]) >= s.synced {
 			return fmt.Errorf("%w: object %d", ErrNotSynced, id)
 		}
-		obj, err := s.get(s.ptrs[id], sc, false)
+		obj, err := s.get(s.ptrs[id], sc, true)
 		if err != nil {
 			return err
 		}

@@ -117,32 +117,80 @@ func TestRowSpanningSyncBoundary(t *testing.T) {
 	}
 }
 
+// TestAppendAfterSync pins the open-block contract: Sync leaves the block
+// open, so the next row packs right after the synced one and the next Sync
+// rewrites the same device block; only Checkpoint seals, so the row after
+// it starts a block; and a reopened store goes on appending.
 func TestAppendAfterSync(t *testing.T) {
-	// Sync seals the block; later rows must still be addressable.
-	s, _ := newStore(64)
+	s, d := newStore(64)
 	_, p1, _ := s.Append(geo.NewPoint(1, 1), "first")
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	blocks := d.NumBlocks()
 	_, p2, _ := s.Append(geo.NewPoint(2, 2), "second")
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
+	if want := p1 + Ptr(len(encodeRow(0, geo.NewPoint(1, 1), "first"))); p2 != want {
+		t.Errorf("row after Sync at %d, want %d (packed after the first)", p2, want)
+	}
+	if p2/64 != p1/64 || len(s.blocks) != 1 {
+		t.Errorf("rows at %d and %d over %d file blocks, want one shared block", p1, p2, len(s.blocks))
+	}
+	if got := d.NumBlocks(); got != blocks {
+		t.Errorf("second Sync allocated: %d device blocks, was %d", got, blocks)
+	}
+	meta, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.synced%64 != 0 {
+		t.Errorf("checkpointed store synced %d bytes, want a block boundary", s.synced)
+	}
+	_, p3, _ := s.Append(geo.NewPoint(3, 3), "third")
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if p3%64 != 0 {
+		t.Errorf("row after Checkpoint not block aligned: %d", p3)
+	}
+	type row struct {
 		ptr  Ptr
 		text string
-	}{{p1, "first"}, {p2, "second"}} {
-		obj, err := s.Get(tc.ptr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if obj.Text != tc.text {
-			t.Errorf("Get(%d).Text = %q, want %q", tc.ptr, obj.Text, tc.text)
+	}
+	check := func(s *Store, rows ...row) {
+		t.Helper()
+		for _, r := range rows {
+			obj, err := s.Get(r.ptr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if obj.Text != r.text {
+				t.Errorf("Get(%d).Text = %q, want %q", r.ptr, obj.Text, r.text)
+			}
 		}
 	}
-	if p2%64 != 0 {
-		t.Errorf("post-sync row not block aligned: %d", p2)
+	check(s, row{p1, "first"}, row{p2, "second"}, row{p3, "third"})
+
+	r, err := Open(d, meta)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if r.NumObjects() != 2 {
+		t.Fatalf("reopened NumObjects = %d, want 2", r.NumObjects())
+	}
+	id, p4, err := r.Append(geo.NewPoint(4, 4), "fourth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if id != 2 || p4%64 != 0 {
+		t.Errorf("append after Open: id %d at %d, want id 2 on a block boundary", id, p4)
+	}
+	check(r, row{p1, "first"}, row{p2, "second"}, row{p4, "fourth"})
 }
 
 func TestSanitization(t *testing.T) {
@@ -291,23 +339,65 @@ func TestReadFaultPropagates(t *testing.T) {
 	}
 }
 
+// TestSyncFaultPropagates fails the Sync that allocates the open block and
+// the one that rewrites it, on a plain disk and under checksum framing: each
+// failure surfaces, leaves earlier rows readable, and a retry succeeds.
 func TestSyncFaultPropagates(t *testing.T) {
-	s, d := newStore(64)
-	s.Append(geo.NewPoint(1, 1), "x")
-	boom := errors.New("write fault")
-	d.SetFault(func(op storage.Op, id storage.BlockID) error {
-		if op == storage.OpWrite {
-			return boom
-		}
-		return nil
-	})
-	if err := s.Sync(); !errors.Is(err, boom) {
-		t.Errorf("err = %v, want wrapped fault", err)
-	}
-	// Clearing the fault allows a retry to succeed.
-	d.SetFault(nil)
-	if err := s.Sync(); err != nil {
-		t.Errorf("retry failed: %v", err)
+	for _, checksums := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checksums=%v", checksums), func(t *testing.T) {
+			d := storage.NewDisk(64)
+			var dev storage.Device = d
+			if checksums {
+				dev = storage.NewChecksumDisk(d)
+			}
+			s := New(dev)
+			boom := errors.New("write fault")
+			failingSync := func() {
+				t.Helper()
+				d.SetFault(func(op storage.Op, id storage.BlockID) error {
+					if op == storage.OpWrite {
+						return boom
+					}
+					return nil
+				})
+				if err := s.Sync(); !errors.Is(err, boom) {
+					t.Errorf("err = %v, want wrapped fault", err)
+				}
+				// Clearing the fault allows a retry to succeed.
+				d.SetFault(nil)
+			}
+			readBack := func(ptr Ptr, text string) {
+				t.Helper()
+				if obj, err := s.Get(ptr); err != nil || obj.Text != text {
+					t.Errorf("Get(%d) = %q, %v; want %q", ptr, obj.Text, err, text)
+				}
+			}
+
+			_, p1, _ := s.Append(geo.NewPoint(1, 1), "x")
+			failingSync() // allocates the open block
+			if d.NumBlocks() != 0 {
+				t.Errorf("failed first Sync kept %d device blocks", d.NumBlocks())
+			}
+			if err := s.Sync(); err != nil {
+				t.Errorf("retry failed: %v", err)
+			}
+			readBack(p1, "x")
+
+			_, p2, _ := s.Append(geo.NewPoint(2, 2), "y")
+			failingSync() // rewrites it
+			readBack(p1, "x")
+			if _, err := s.Get(p2); !errors.Is(err, ErrNotSynced) {
+				t.Errorf("row of the failed rewrite: err = %v, want ErrNotSynced", err)
+			}
+			if err := s.Sync(); err != nil {
+				t.Errorf("retry of the rewrite failed: %v", err)
+			}
+			readBack(p1, "x")
+			readBack(p2, "y")
+			if d.NumBlocks() != 1 {
+				t.Errorf("two rows over %d device blocks, want 1", d.NumBlocks())
+			}
+		})
 	}
 }
 

@@ -16,11 +16,14 @@ import (
 const storeStateMagic = 0x4f424a53 // "OBJS"
 
 // Checkpoint persists the store's state and returns the metadata block to
-// pass to Open. Buffered rows must be synced first (Checkpoint calls Sync).
+// pass to Open. It syncs buffered rows and seals the open block, so the
+// checkpointed file ends on a block boundary and the next row starts a new
+// block: a checkpoint never has a block of its data rewritten after it.
 func (s *Store) Checkpoint() (storage.BlockID, error) {
 	if err := s.Sync(); err != nil {
 		return storage.NilBlock, err
 	}
+	s.seal()
 	bs := s.dev.BlockSize()
 	need := 4 + 8 + 8 + 8*len(s.blocks)
 	nblocks := (need + bs - 1) / bs
@@ -81,6 +84,10 @@ func Open(dev storage.Device, meta storage.BlockID) (*Store, error) {
 	if err := s.rebuildDirectory(); err != nil {
 		return nil, err
 	}
+	// A checkpoint is sealed, so synced sits on a block boundary and the next
+	// row opens a fresh block. Rounding up means that metadata saying
+	// otherwise never gets a block of its data rewritten.
+	s.open = (synced + uint64(bs) - 1) / uint64(bs) * uint64(bs)
 	return s, nil
 }
 

@@ -25,8 +25,8 @@ func TestCheckpointOpenInMemory(t *testing.T) {
 	for _, r := range rows {
 		s.Append(r.p, r.text)
 	}
-	// Sync mid-way to create sealed-block padding, then append more.
-	if err := s.Sync(); err != nil {
+	// Checkpoint mid-way to create sealed-block padding, then append more.
+	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	s.Append(geo.NewPoint(7, 8), "after the seal")

@@ -3,13 +3,16 @@ package shard
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spatialkeyword"
 	"spatialkeyword/internal/dataset"
 	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/storage"
 )
 
 func TestIsShardedDir(t *testing.T) {
@@ -167,5 +170,51 @@ func TestOpenRejectsInconsistentAssignment(t *testing.T) {
 	rewrite([]int{1})
 	if _, err := Open(dir); err == nil {
 		t.Error("Open should reject assignment disagreeing with shard contents")
+	}
+}
+
+// TestOneAtATimeAddsPackObjectFile: every sharded Add syncs its shard's
+// object file, and Sync rewrites the open block rather than sealing it, so
+// rows added one at a time pack back to back as a bulk load's would. Each
+// shard's objects.db holds its rows' bytes rounded up to blocks plus at most
+// two, beside the device header block and the one checkpoint's metadata
+// block — not a block per row.
+func TestOneAtATimeAddsPackObjectFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDurable(spatialkeyword.Config{SignatureBytes: 16}, dir, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const adds = 2000
+	for i := 0; i < adds; i++ {
+		text := fmt.Sprintf("object %04d %s", i, strings.Repeat("word ", 14))
+		if _, err := s.Add([]float64{float64(i % 37), float64(i / 37)}, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Save(); err != nil {
+		t.Fatal(err)
+	}
+	const bs = storage.DefaultBlockSize
+	for i, sh := range s.shards {
+		// A row is "id \t dim \t x \t y \t text \n"; the coordinates are
+		// integers, which the row writes without a fraction.
+		var rowBytes int
+		if err := sh.eng.Scan(func(o spatialkeyword.Object) error {
+			rowBytes += len(fmt.Sprintf("%d\t2\t%g\t%g\t%s\n", o.ID, o.Point[0], o.Point[1], o.Text))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(shardDir(dir, false, i), "objects.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := int(fi.Size()/bs) - 2 // the device header and the checkpoint's metadata
+		if limit := (rowBytes+bs-1)/bs + 2; data > limit {
+			t.Errorf("shard %d: %d rows (%d bytes) over %d data blocks, want at most %d",
+				i, sh.eng.NumObjects(), rowBytes, data, limit)
+		}
 	}
 }

@@ -338,11 +338,14 @@ func (s *ShardedEngine) dim() int {
 
 // Add routes the object to its shard by location, indexes it immediately
 // (sharded adds are always flushed, so queries never contend with pending
-// buffers), and returns its global ID. The global ID is reserved first and
-// handed to the shard as the record's tag: the engine-level mutation
-// observer sees it while the add is applied, and with a WAL it is logged, so
-// crash recovery can rebuild the global→shard assignment from the shards'
-// logs alone. A storage fault takes the shard out of rotation.
+// buffers), and returns its global ID. The flush syncs the shard's object
+// file, which rewrites its open block in place rather than sealing it, so
+// rows added one at a time still pack back to back; only a Save seals the
+// block. The global ID is reserved first and handed to the shard as the
+// record's tag: the engine-level mutation observer sees it while the add is
+// applied, and with a WAL it is logged, so crash recovery can rebuild the
+// global→shard assignment from the shards' logs alone. A storage fault takes
+// the shard out of rotation.
 func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
 		return 0, err

@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"spatialkeyword"
 	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/storage"
 )
 
 // walShardConfig enables per-shard write-ahead logging.
@@ -469,5 +472,150 @@ func TestShardedWALDegradedOpenServesHealthyShards(t *testing.T) {
 	}
 	if err := s.Save(); !errors.Is(err, ErrUnhealthyShard) {
 		t.Fatalf("Save on degraded-open engine: got %v, want ErrUnhealthyShard", err)
+	}
+}
+
+// fromObjectStore reports whether the running device operation was issued by
+// the object store. A shard's fault hook is installed on all of its devices
+// at once; this is how a hook tells object-file writes from the index's and
+// the log's.
+func fromObjectStore() bool {
+	pc := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.HasPrefix(f.Function, "spatialkeyword/internal/objstore.") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestKillDuringTailRewriteRecovers kills the object file's write path: each
+// iteration makes the shards' object-file writes fail from a rotating
+// operation on — the Sync that allocates a shard's open block or the one
+// that rewrites it — then tears the working objects.db's last block, as a
+// crash in the middle of that rewrite would, and reopens. Every add that
+// returned nil must be back. An add that failed after its record reached the
+// log (the object write came after the append) may be back, and if it is, it
+// stays; nothing else may appear.
+func TestKillDuringTailRewriteRecovers(t *testing.T) {
+	for _, checksums := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checksums=%v", checksums), func(t *testing.T) {
+			checkGoroutines(t)
+			cfg := walShardConfig()
+			cfg.Checksums = checksums
+			dir := t.TempDir()
+			s, err := NewDurable(cfg, dir, Options{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := map[string]bool{}
+			failed := map[string]bool{} // since the last reopen
+			failures := 0
+			for iter := 0; iter < 100; iter++ {
+				if iter%10 == 5 {
+					// A checkpoint now and then, so later reopens start from
+					// a sealed, non-empty object file and not only the log.
+					if err := s.Save(); err != nil {
+						t.Fatalf("iter %d: save: %v", iter, err)
+					}
+				}
+				n := iter%4 + 1
+				var writes int
+				fault := func(op storage.Op, id storage.BlockID) error {
+					if op != storage.OpWrite || !fromObjectStore() {
+						return nil
+					}
+					writes++
+					if writes >= n {
+						return &storage.FaultError{Kind: storage.KindWriteError, Op: op, Block: id}
+					}
+					return nil
+				}
+				for i := 0; i < s.NumShards(); i++ {
+					if !s.InjectShardFault(i, fault) {
+						t.Fatal("InjectShardFault refused")
+					}
+				}
+				for j := 0; j < 3; j++ {
+					text := fmt.Sprintf("iter %d rec %d poi", iter, j)
+					if _, err := s.Add([]float64{float64(iter % 13), float64(j)}, text); err == nil {
+						acked[text] = true
+					} else if storage.IsIOFault(err) {
+						failed[text] = true
+						failures++
+					} else {
+						t.Fatalf("iter %d: add failed without fault provenance: %v", iter, err)
+					}
+				}
+				for i := 0; i < s.NumShards(); i++ {
+					s.InjectShardFault(i, nil)
+				}
+				// Simulated process death, then the torn rewrite on disk.
+				if err := s.Close(); err != nil {
+					t.Fatalf("iter %d: close: %v", iter, err)
+				}
+				for i := 0; i < s.NumShards(); i++ {
+					tearLastBlock(t, filepath.Join(shardDir(dir, false, i), "objects.db"))
+				}
+				if s, err = Open(dir); err != nil {
+					t.Fatalf("iter %d: reopen after object-file fault: %v", iter, err)
+				}
+				got := shardedLiveTexts(t, s)
+				present := map[string]bool{}
+				for _, text := range got {
+					present[text] = true
+					if !acked[text] && !failed[text] {
+						t.Fatalf("iter %d: recovered %q, which no add wrote", iter, text)
+					}
+				}
+				for text := range acked {
+					if !present[text] {
+						t.Fatalf("iter %d: acknowledged %q lost (%d recovered, %d acknowledged)",
+							iter, text, len(got), len(acked))
+					}
+				}
+				for text := range failed {
+					// Replayed from the log, a failed add is as durable as an
+					// acknowledged one; missing now, it never comes back.
+					if present[text] {
+						acked[text] = true
+					}
+					delete(failed, text)
+				}
+				res, err := s.TopK(len(got)+1, []float64{5, 5}, "poi")
+				if err != nil {
+					t.Fatalf("iter %d: query after recovery: %v", iter, err)
+				}
+				if len(res) != len(got) {
+					t.Fatalf("iter %d: query found %d objects, scan %d", iter, len(res), len(got))
+				}
+			}
+			if failures == 0 {
+				t.Fatal("no add failed: the fault never reached the object file")
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// tearLastBlock overwrites the second half of a file's last block with
+// garbage: a write that stopped halfway.
+func tearLastBlock(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(data) - storage.DefaultBlockSize/2; i < len(data); i++ {
+		data[i] ^= 0xA5
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -14,7 +14,9 @@
 #           TestConcurrentWarmQueries (internal/shard),
 #           TestIndexConcurrentAddsAndQueries (internal/skql),
 #           TestConcurrentReaders and TestConcurrentReadersAcrossTrees
-#           (internal/core) — about 30 s on a 2-core box
+#           (internal/core) — plus the object-file crash loop,
+#           TestKillDuringTailRewriteRecovers (internal/shard) — about 35 s
+#           on a 2-core box, 15 s of it the crash loop
 #   allocs  the AllocsPerRun gates, without -race: they sit behind
 #           //go:build !race (the detector breaks AllocsPerRun's accounting),
 #           so the test step never compiles them — and coverage.sh only runs
@@ -90,7 +92,7 @@ run_test() {
 
 run_stress() {
 	step stress
-	go test -race -count=5 -run 'Concurrent|Stress' . ./cmd/skserve ./internal/shard ./internal/skql ./internal/core
+	go test -race -count=5 -run 'Concurrent|Stress|TestKillDuringTailRewriteRecovers' . ./cmd/skserve ./internal/shard ./internal/skql ./internal/core
 }
 
 run_allocs() {
