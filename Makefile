@@ -1,7 +1,7 @@
 # Convenience wrappers around scripts/ci.sh, which mirrors the GitHub
 # Actions workflows. `make ci` runs everything CI runs.
 
-.PHONY: build lint analyze vet test stress allocs perf-build compat cover bench fuzz loc ci
+.PHONY: build lint analyze vet test stress allocs perf-build compat cover bench fuzz loc options ci
 
 build:
 	sh scripts/ci.sh build
@@ -44,6 +44,10 @@ fuzz:
 # Net non-test Go lines against BASE (default HEAD~1), total and per directory.
 loc:
 	sh scripts/loc.sh $(BASE)
+
+# Options/Config field counts and skserve's flag count against BASE.
+options:
+	sh scripts/options.sh $(BASE)
 
 ci:
 	sh scripts/ci.sh all

@@ -3,7 +3,6 @@ package spatialkeyword
 import (
 	"fmt"
 
-	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
 )
 
@@ -31,19 +30,6 @@ func (e *Engine) validateArea(lo, hi []float64) (geo.Rect, error) {
 		return geo.Rect{}, err
 	}
 	return geo.NewRect(geo.NewPoint(lo...), geo.NewPoint(hi...)), nil
-}
-
-// TopKArea returns the k objects containing every keyword that are nearest
-// to the query rectangle — zero distance for objects inside it. This is the
-// query-area variant the paper notes for the incremental NN algorithm ("an
-// area could be used instead" of the point).
-func (e *Engine) TopKArea(k int, lo, hi []float64, keywords ...string) ([]Result, error) {
-	it, err := e.searchArea("area", k, lo, hi, keywords)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	return core.TakeK(k, it.Next)
 }
 
 // WithinArea returns every object inside the rectangle whose text contains

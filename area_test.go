@@ -5,14 +5,27 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"spatialkeyword/internal/core"
 )
+
+// topKArea is an area top-k as SKQL's TOP … WITHIN asks for one: the first k
+// results of SearchArea.
+func topKArea(e *Engine, k int, lo, hi []float64, keywords ...string) ([]Result, error) {
+	it, err := e.SearchArea(lo, hi, keywords...)
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	return core.TakeK(k, it.Next)
+}
 
 func TestEngineTopKArea(t *testing.T) {
 	e := newEngine(t, Config{SignatureBytes: 16})
 	addFigure1(t, e)
 	// An area over East Asia: Hotels C (35.5, 139.4) and D (39.5, 116.2)
 	// are inside; the nearest pool outside is elsewhere.
-	results, err := e.TopKArea(3, []float64{30, 100}, []float64{45, 145}, "pool")
+	results, err := topKArea(e, 3, []float64{30, 100}, []float64{45, 145}, "pool")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +81,7 @@ func TestEngineWithinArea(t *testing.T) {
 
 func TestEngineAreaValidation(t *testing.T) {
 	e := newEngine(t, Config{})
-	if _, err := e.TopKArea(1, []float64{0}, []float64{1, 1}, "x"); !errors.Is(err, ErrBadPoint) {
+	if _, err := e.SearchArea([]float64{0}, []float64{1, 1}, "x"); !errors.Is(err, ErrBadPoint) {
 		t.Errorf("bad lo dimension: err = %v, want ErrBadPoint", err)
 	}
 	if _, err := e.WithinArea([]float64{5, 5}, []float64{1, 1}, "x"); !errors.Is(err, ErrBadPoint) {

@@ -13,7 +13,8 @@
 //	-dir        backing directory; empty = in-memory, existing manifest = reopen
 //	            (a sharded engine's, or a single engine's directory, which is
 //	            served in place as one shard)
-//	-sig        leaf signature bytes (default 64)
+//	-sig        leaf signature bytes (default 64) of a new engine; an
+//	            existing directory keeps its manifest's length
 //	-shards     number of spatial shards (default 1) of a new engine; an
 //	            existing directory keeps the count it was created with
 //	-wal        write-ahead log: every acknowledged mutation is durable

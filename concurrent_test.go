@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"spatialkeyword"
-	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/skql"
 )
 
@@ -74,9 +73,8 @@ func TestEngineConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var observed, recorded atomic.Int64
+	var observed atomic.Int64
 	e.SetMutationObserver(func(spatialkeyword.MutationEvent) { observed.Add(1) })
-	e.SetMetricsSink(obs.SinkFunc(func(spatialkeyword.QueryMetrics) { recorded.Add(1) }))
 	cat := skql.NewCatalog(e)
 
 	m := &stressModel{objs: map[uint64]stressObj{}, delStarted: map[uint64]bool{}, delDone: map[uint64]bool{}}
@@ -290,9 +288,6 @@ func TestEngineConcurrentUse(t *testing.T) {
 	}
 	if got := observed.Load(); got != mutations.Load() {
 		t.Errorf("mutation observer saw %d events, %d mutations were acknowledged", got, mutations.Load())
-	}
-	if recorded.Load() == 0 {
-		t.Error("no query reached the metrics sink")
 	}
 
 	// The quiesced engine, saved and reopened, answers exactly as the

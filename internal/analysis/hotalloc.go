@@ -72,11 +72,7 @@ func (hotAlloc) Run(prog *Program) []Diagnostic {
 
 	// Group the packages that contain annotations by module root so one
 	// build covers each module.
-	type buildGroup struct {
-		root string
-		dirs map[string]bool
-	}
-	groups := make(map[string]*buildGroup)
+	groups := make(map[string]map[string]bool) // module root → package dirs
 	for _, hf := range funcs {
 		if hf.pkg.Name == "main" {
 			diags = append(diags, Diagnostic{
@@ -93,12 +89,10 @@ func (hotAlloc) Run(prog *Program) []Diagnostic {
 			})
 			continue
 		}
-		g := groups[root]
-		if g == nil {
-			g = &buildGroup{root: root, dirs: make(map[string]bool)}
-			groups[root] = g
+		if groups[root] == nil {
+			groups[root] = make(map[string]bool)
 		}
-		g.dirs[hf.pkg.Dir] = true
+		groups[root][hf.pkg.Dir] = true
 	}
 
 	var facts []m2Fact
@@ -108,9 +102,8 @@ func (hotAlloc) Run(prog *Program) []Diagnostic {
 	}
 	sort.Strings(roots)
 	for _, root := range roots {
-		g := groups[root]
 		var pats []string
-		for dir := range g.dirs {
+		for dir := range groups[root] {
 			rel, err := filepath.Rel(root, dir)
 			if err != nil {
 				continue

@@ -31,7 +31,7 @@ func TestBuildEnvAllStructures(t *testing.T) {
 	if e.Store.NumObjects() != e.Stats.Objects {
 		t.Errorf("store %d objects, stats %d", e.Store.NumObjects(), e.Stats.Objects)
 	}
-	if e.IR2.Len() != e.Stats.Objects || e.MIR2.Len() != e.Stats.Objects {
+	if e.IR2.RTree().Len() != e.Stats.Objects || e.MIR2.RTree().Len() != e.Stats.Objects {
 		t.Error("trees incomplete")
 	}
 	if err := e.IR2.RTree().CheckInvariants(); err != nil {

@@ -18,7 +18,6 @@ import (
 	"spatialkeyword/internal/invindex"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/obs"
-	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 )
 
@@ -87,8 +86,6 @@ type BuildConfig struct {
 	// SigBytes is the leaf signature length (the paper uses 189 for Hotels
 	// and 8 for Restaurants).
 	SigBytes int
-	// BitsPerWord is the signature k. Zero means sigfile.DefaultBitsPerWord.
-	BitsPerWord int
 	// MaxEntries overrides node capacity (0 derives ≈102 from 4 KB blocks).
 	MaxEntries int
 	// Methods selects which structures to build; nil means all four.
@@ -136,10 +133,6 @@ func BuildEnv(cfg BuildConfig) (*Env, error) {
 	if cfg.SigBytes <= 0 {
 		return nil, fmt.Errorf("bench: SigBytes %d", cfg.SigBytes)
 	}
-	k := cfg.BitsPerWord
-	if k == 0 {
-		k = sigfile.DefaultBitsPerWord
-	}
 	methods := cfg.Methods
 	if methods == nil {
 		methods = AllMethods
@@ -154,7 +147,7 @@ func BuildEnv(cfg BuildConfig) (*Env, error) {
 	e.Stats = stats
 	e.wordsByFreq = stats.WordsByFreq()
 
-	leaf := sigfile.Config{LengthBytes: cfg.SigBytes, BitsPerWord: k}
+	leaf := e.leafConfig()
 	for _, m := range methods {
 		switch m {
 		case MethodRTree:

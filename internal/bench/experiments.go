@@ -253,13 +253,9 @@ func (e *Env) rebuildSigTrees(sigBytes int) (*Env, error) {
 	return &sub, nil
 }
 
-func (e *Env) leafConfig() (cfg sigfile.Config) {
-	cfg.LengthBytes = e.Cfg.SigBytes
-	cfg.BitsPerWord = e.Cfg.BitsPerWord
-	if cfg.BitsPerWord == 0 {
-		cfg.BitsPerWord = sigfile.DefaultBitsPerWord
-	}
-	return cfg
+// leafConfig is the leaf signature layout: SigBytes bytes, the default k.
+func (e *Env) leafConfig() sigfile.Config {
+	return sigfile.Config{LengthBytes: e.Cfg.SigBytes, BitsPerWord: sigfile.DefaultBitsPerWord}
 }
 
 // Table1 reproduces the paper's Table 1 (dataset details) from generation

@@ -95,7 +95,7 @@ func TestWarmRankedAllocBounded(t *testing.T) {
 	sc := irscore.NewScorer(400, func(string) int { return 50 })
 	p := geo.NewPoint(50, 50)
 	run := func() {
-		if _, _, err := x.TopKRanked(5, p, []string{"pizza", "cafe"}, GeneralOptions{Scorer: sc}); err != nil {
+		if _, _, err := topKRanked(x, 5, p, []string{"pizza", "cafe"}, GeneralOptions{Scorer: sc}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,6 +103,6 @@ func TestWarmRankedAllocBounded(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, run)
 	const budget = 160
 	if allocs > budget {
-		t.Fatalf("warm TopKRanked allocates %.1f objects/op, want <= %d", allocs, budget)
+		t.Fatalf("warm ranked top-k allocates %.1f objects/op, want <= %d", allocs, budget)
 	}
 }

@@ -24,15 +24,6 @@ func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
 	return newResultIter(x, x.rt.Seek(scorer), kws)
 }
 
-// TopKArea returns the k objects containing every keyword that are nearest
-// to (or inside) the query area.
-func (x *IR2Tree) TopKArea(k int, area geo.Rect, keywords []string) ([]Result, SearchStats, error) {
-	it := x.SearchArea(area, keywords)
-	results, err := TakeK(k, it.Next)
-	it.Close()
-	return results, it.Stats(), err
-}
-
 // rectDist is geo.Rect.MinDistRect, aliased for readability at call sites.
 func rectDist(a, b geo.Rect) float64 { return a.MinDistRect(b) }
 

@@ -48,7 +48,7 @@ func TestAreaQueryMatchesBruteForce(t *testing.T) {
 		}
 		want := objIDs(bruteTopKArea(f.objects, 10, area, kw))
 		for name, tree := range map[string]*IR2Tree{"IR2": f.ir2, "MIR2": f.mir2} {
-			got, _, err := tree.TopKArea(10, area, kw)
+			got, _, err := topKArea(tree, 10, area, kw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestAreaQueryInsideObjectsFirst(t *testing.T) {
 	}
 	f := buildFixture(t, rows, 3, 8)
 	area := geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(10, 10))
-	got, _, err := f.ir2.TopKArea(3, area, []string{"pool"})
+	got, _, err := topKArea(f.ir2, 3, area, []string{"pool"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestBuildBulkEquivalentToBuild(t *testing.T) {
 			if err := bulk.RTree().CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if bulk.Len() != len(rows) {
-				t.Fatalf("Len = %d", bulk.Len())
+			if bulk.RTree().Len() != len(rows) {
+				t.Fatalf("Len = %d", bulk.RTree().Len())
 			}
 			ref := f.ir2
 			if multilevel {
@@ -183,7 +183,7 @@ func TestBuildBulkEmptyStore(t *testing.T) {
 	if err := tree.BuildBulk(); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Len() != 0 {
+	if tree.RTree().Len() != 0 {
 		t.Error("empty bulk build populated tree")
 	}
 }

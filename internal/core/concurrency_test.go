@@ -49,12 +49,12 @@ func TestConcurrentReaders(t *testing.T) {
 					}
 				case 1:
 					area := geo.NewRect(p, geo.NewPoint(p[0]+100, p[1]+100))
-					if _, _, err := f.ir2.TopKArea(5, area, kw); err != nil {
+					if _, _, err := topKArea(f.ir2, 5, area, kw); err != nil {
 						errs <- err
 						return
 					}
 				case 2:
-					if _, _, err := f.ir2.TopKRanked(5, p, kw, GeneralOptions{
+					if _, _, err := topKRanked(f.ir2, 5, p, kw, GeneralOptions{
 						Scorer: scorer, RequireMatch: true,
 					}); err != nil {
 						errs <- err

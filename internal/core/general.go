@@ -207,11 +207,3 @@ func (r *RankedIter) PeekBound() (float64, bool) {
 	s, ok := r.it.PeekScore()
 	return -s, ok
 }
-
-// TopKRanked collects the k best results of SearchRanked.
-func (x *IR2Tree) TopKRanked(k int, p geo.Point, keywords []string, opts GeneralOptions) ([]RankedResult, SearchStats, error) {
-	it := x.SearchRanked(p, keywords, opts)
-	results, err := TakeK(k, it.Next)
-	it.Close()
-	return results, it.Stats(), err
-}

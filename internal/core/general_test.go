@@ -86,7 +86,7 @@ func TestGeneralMatchesBruteForce(t *testing.T) {
 				Combiner:     irscore.DistanceDiscount{Scale: 200},
 				RequireMatch: true,
 			}
-			got, _, err := tree.TopKRanked(q.k, p, q.keywords, opts)
+			got, _, err := topKRanked(tree, q.k, p, q.keywords, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestGeneralWithLinearCombiner(t *testing.T) {
 		RequireMatch: true,
 	}
 	p := geo.NewPoint(300, 700)
-	got, _, err := f.ir2.TopKRanked(8, p, []string{"pool", "sauna"}, opts)
+	got, _, err := topKRanked(f.ir2, 8, p, []string{"pool", "sauna"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestGeneralDisjunctiveSemantics(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
 	scorer := generalScorer(f)
 	opts := GeneralOptions{Scorer: scorer, RequireMatch: true}
-	got, _, err := f.ir2.TopKRanked(8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, opts)
+	got, _, err := topKRanked(f.ir2, 8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGeneralRequireMatchFalse(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
 	scorer := generalScorer(f)
 	opts := GeneralOptions{Scorer: scorer, RequireMatch: false, Combiner: irscore.DistanceDiscount{Scale: 100}}
-	got, _, err := f.ir2.TopKRanked(8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, opts)
+	got, _, err := topKRanked(f.ir2, 8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestGeneralPrunesAgainstBaselineWork(t *testing.T) {
 	rows[17].text = "only here unobtainium"
 	f := buildFixture(t, rows, 4, 16)
 	scorer := generalScorer(f)
-	got, stats, err := f.ir2.TopKRanked(3, geo.NewPoint(0, 0), []string{"unobtainium"},
+	got, stats, err := topKRanked(f.ir2, 3, geo.NewPoint(0, 0), []string{"unobtainium"},
 		GeneralOptions{Scorer: scorer, RequireMatch: true})
 	if err != nil {
 		t.Fatal(err)
@@ -190,19 +190,19 @@ func TestGeneralEdgeCases(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
 	scorer := generalScorer(f)
 	// k = 0.
-	got, _, err := f.ir2.TopKRanked(0, geo.NewPoint(0, 0), []string{"pool"},
+	got, _, err := topKRanked(f.ir2, 0, geo.NewPoint(0, 0), []string{"pool"},
 		GeneralOptions{Scorer: scorer})
 	if err != nil || got != nil {
 		t.Errorf("k=0: %v %v", got, err)
 	}
 	// Unknown keyword with RequireMatch: empty.
-	got, _, err = f.ir2.TopKRanked(3, geo.NewPoint(0, 0), []string{"krypton"},
+	got, _, err = topKRanked(f.ir2, 3, geo.NewPoint(0, 0), []string{"krypton"},
 		GeneralOptions{Scorer: scorer, RequireMatch: true})
 	if err != nil || len(got) != 0 {
 		t.Errorf("unknown keyword: %v %v", got, err)
 	}
 	// Empty keywords with RequireMatch=false: pure spatial ranking.
-	got, _, err = f.ir2.TopKRanked(3, geo.NewPoint(30.5, 100), nil,
+	got, _, err = topKRanked(f.ir2, 3, geo.NewPoint(30.5, 100), nil,
 		GeneralOptions{Scorer: scorer, Combiner: irscore.DistanceDiscount{Scale: 100}})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestGeneralTieOnIdenticalObjects(t *testing.T) {
 	}
 	f := buildFixture(t, rows, 3, 8)
 	scorer := generalScorer(f)
-	got, _, err := f.ir2.TopKRanked(4, geo.NewPoint(10, 10), []string{"pool"},
+	got, _, err := topKRanked(f.ir2, 4, geo.NewPoint(10, 10), []string{"pool"},
 		GeneralOptions{Scorer: scorer, RequireMatch: true})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestGeneralMatchesIIOOracle(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		kw := []string{"pool", "internet", "gym", "bar"}[:1+rng.Intn(4)]
-		treeRes, _, err := f.ir2.TopKRanked(12, p, kw, GeneralOptions{
+		treeRes, _, err := topKRanked(f.ir2, 12, p, kw, GeneralOptions{
 			Scorer: scorer, Combiner: comb, RequireMatch: true,
 		})
 		if err != nil {

@@ -275,9 +275,6 @@ func (x *IR2Tree) RTree() *rtree.Tree { return x.rt }
 // tree (all zero when the cache is disabled).
 func (x *IR2Tree) NodeCacheStats() nodecache.Stats { return x.rt.CacheStats() }
 
-// Len returns the number of indexed objects.
-func (x *IR2Tree) Len() int { return x.rt.Len() }
-
 // SizeBytes returns the tree's on-disk footprint (excluding the object file).
 func (x *IR2Tree) SizeBytes() int64 { return x.rt.Device().SizeBytes() }
 

@@ -99,8 +99,8 @@ func TestDurableIndexEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tree2.Len() != len(rows) {
-				t.Fatalf("Len = %d", tree2.Len())
+			if tree2.RTree().Len() != len(rows) {
+				t.Fatalf("Len = %d", tree2.RTree().Len())
 			}
 			got, _, err := tree2.TopK(10, q, []string{"pool"})
 			if err != nil {

@@ -125,7 +125,7 @@ func TestQuickGeneralScoreMonotone(t *testing.T) {
 }
 
 // TestQuickAreaConsistentWithPointQueries: an object returned by WithinArea
-// must also be returned by a large-enough TopKArea and vice versa.
+// must also be returned by a large-enough area top-k and vice versa.
 func TestQuickAreaConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(162))
 	rows := randomRows(rng, 300)
@@ -138,11 +138,11 @@ func TestQuickAreaConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		topArea, _, err := f.ir2.TopKArea(len(f.objects), area, kw)
+		topArea, _, err := topKArea(f.ir2, len(f.objects), area, kw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every zero-distance TopKArea result must be in WithinArea and
+		// Every zero-distance area top-k result must be in WithinArea and
 		// vice versa.
 		zeroDist := make(map[objstore.ID]bool)
 		for _, r := range topArea {
@@ -155,7 +155,7 @@ func TestQuickAreaConsistency(t *testing.T) {
 		}
 		for _, r := range within {
 			if !zeroDist[r.Object.ID] {
-				t.Fatalf("trial %d: object %d in WithinArea missing from TopKArea", trial, r.Object.ID)
+				t.Fatalf("trial %d: object %d in WithinArea missing from the area top-k", trial, r.Object.ID)
 			}
 		}
 	}

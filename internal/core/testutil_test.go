@@ -175,6 +175,22 @@ func randomRows(rng *rand.Rand, n int) []struct {
 	return rows
 }
 
+// topKArea and topKRanked are the first k results of SearchArea and
+// SearchRanked with the traversal's work, as a top-k caller takes them.
+func topKArea(x *IR2Tree, k int, area geo.Rect, keywords []string) ([]Result, SearchStats, error) {
+	it := x.SearchArea(area, keywords)
+	results, err := TakeK(k, it.Next)
+	it.Close()
+	return results, it.Stats(), err
+}
+
+func topKRanked(x *IR2Tree, k int, p geo.Point, keywords []string, opts GeneralOptions) ([]RankedResult, SearchStats, error) {
+	it := x.SearchRanked(p, keywords, opts)
+	results, err := TakeK(k, it.Next)
+	it.Close()
+	return results, it.Stats(), err
+}
+
 // resultIDs extracts object IDs from distance-first results.
 func resultIDs(rs []Result) []objstore.ID {
 	ids := make([]objstore.ID, len(rs))

@@ -159,7 +159,7 @@ func replConverged(t *testing.T, e *shard.ShardedEngine, l *repl.Leader, f *repl
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.TopK(n+1, []float64{4, 2}, "poi")
+	got, _, err := f.TopKWithStats(n+1, []float64{4, 2}, "poi")
 	if err != nil {
 		t.Fatal(err)
 	}

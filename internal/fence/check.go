@@ -46,7 +46,7 @@ func (r *Registry) Check() error {
 			// The ring is contiguous in sequence space except at the
 			// wrap point (histPos), where the oldest event follows the
 			// newest.
-			if i == f.histPos && len(f.hist) == r.history {
+			if i == f.histPos && len(f.hist) == historyLen {
 				continue
 			}
 			if f.hist[i].Seq != f.hist[i-1].Seq+1 {

@@ -131,26 +131,24 @@ type EvalStats struct {
 
 // Options configure a Registry.
 type Options struct {
-	// Dims is the dimensionality of fence and object points (default 2).
-	Dims int
 	// Analyzer normalizes fence keywords and object text; it must be the
 	// same analyzer the engine indexes with. Nil uses the default chain.
 	Analyzer *textutil.Analyzer
-	// Signature is the superimposed-coding layout for fence and object
-	// signatures. Zero uses 16 bytes × 4 bits/word.
-	Signature sigfile.Config
-	// History is the per-fence ring of recent events kept for long-poll
-	// and SSE resume (default 256).
-	History int
 	// Metrics, when non-nil, receives registry instrumentation.
 	Metrics *Metrics
 }
 
 const (
-	defaultHistory   = 256
-	defaultSigBytes  = 16
+	// dims is the dimensionality of fence and object points.
+	dims = 2
+	// historyLen is the per-fence ring of recent events kept for long-poll and
+	// SSE resume.
+	historyLen       = 256
 	defaultSubBuffer = 64
 )
+
+// fenceSig is the superimposed-coding layout of fence and object signatures.
+var fenceSig = sigfile.Config{LengthBytes: 16, BitsPerWord: sigfile.DefaultBitsPerWord}
 
 // ErrNoFence is returned for operations on an unknown fence id.
 var ErrNoFence = errors.New("fence: no such fence")
@@ -175,7 +173,7 @@ type fenceState struct {
 	// ever querying the engine.
 	matched []member
 	subs    map[*Subscription]struct{}
-	hist    []Event // ring buffer, capacity Options.History
+	hist    []Event // ring buffer, capacity historyLen
 	histPos int     // next write position
 	dropped uint64
 }
@@ -185,36 +183,21 @@ type fenceState struct {
 // single write lock; evaluation is purely in-memory (no device I/O), so
 // the critical section is short and lockio-clean by construction.
 type Registry struct {
-	mu      sync.RWMutex
-	opts    Options
-	sig     sigfile.Config
-	history int
-	nextID  uint64
-	fences  map[uint64]*fenceState
-	tree    *memTree
-	stats   EvalStats
+	mu     sync.RWMutex
+	opts   Options
+	nextID uint64
+	fences map[uint64]*fenceState
+	tree   *memTree
+	stats  EvalStats
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry(opts Options) *Registry {
-	if opts.Dims <= 0 {
-		opts.Dims = 2
-	}
-	sig := opts.Signature
-	if sig.LengthBytes == 0 {
-		sig = sigfile.Config{LengthBytes: defaultSigBytes, BitsPerWord: sigfile.DefaultBitsPerWord}
-	}
-	hist := opts.History
-	if hist <= 0 {
-		hist = defaultHistory
-	}
 	return &Registry{
-		opts:    opts,
-		sig:     sig,
-		history: hist,
-		nextID:  1,
-		fences:  make(map[uint64]*fenceState),
-		tree:    newMemTree(),
+		opts:   opts,
+		nextID: 1,
+		fences: make(map[uint64]*fenceState),
+		tree:   newMemTree(),
 	}
 }
 
@@ -226,15 +209,15 @@ func (r *Registry) validate(q *Query) (geo.Rect, error) {
 	case q.radial() && !q.Region.IsZero():
 		return geo.Rect{}, errors.New("fence: query sets both region and center")
 	case q.radial():
-		if len(q.Center) != r.opts.Dims {
-			return geo.Rect{}, fmt.Errorf("fence: center has %d dims, registry wants %d", len(q.Center), r.opts.Dims)
+		if len(q.Center) != dims {
+			return geo.Rect{}, fmt.Errorf("fence: center has %d dims, registry wants %d", len(q.Center), dims)
 		}
 		if q.Radius <= 0 {
 			return geo.Rect{}, errors.New("fence: radius must be positive")
 		}
 	case !q.Region.IsZero():
-		if q.Region.Dim() != r.opts.Dims {
-			return geo.Rect{}, fmt.Errorf("fence: region has %d dims, registry wants %d", q.Region.Dim(), r.opts.Dims)
+		if q.Region.Dim() != dims {
+			return geo.Rect{}, fmt.Errorf("fence: region has %d dims, registry wants %d", q.Region.Dim(), dims)
 		}
 		for i := range q.Region.Lo {
 			if q.Region.Lo[i] > q.Region.Hi[i] {
@@ -276,7 +259,7 @@ func (r *Registry) Add(q Query) (uint64, error) {
 	f := &fenceState{
 		query: q,
 		terms: terms,
-		sig:   r.sig.DocSignature(terms),
+		sig:   fenceSig.DocSignature(terms),
 		bound: bound,
 		focus: q.focus().Clone(),
 		subs:  make(map[*Subscription]struct{}),
@@ -366,14 +349,14 @@ func (r *Registry) Stats() EvalStats {
 // produces. Mutations whose dimensionality does not match the registry
 // are ignored.
 func (r *Registry) Apply(m Mutation) []Event {
-	if len(m.Point) != r.opts.Dims {
+	if len(m.Point) != dims {
 		return nil
 	}
 	var start time.Time
 	if r.opts.Metrics != nil {
 		start = time.Now()
 	}
-	objSig := r.sig.DocSignature(r.analyzer().Unique(m.Text))
+	objSig := fenceSig.DocSignature(r.analyzer().Unique(m.Text))
 
 	r.mu.Lock()
 	r.stats.Mutations++
@@ -521,11 +504,11 @@ func (r *Registry) emitLocked(f *fenceState, evs []Event, out []Event) []Event {
 		f.seq++
 		ev.Fence = f.id
 		ev.Seq = f.seq
-		if len(f.hist) < r.history {
+		if len(f.hist) < historyLen {
 			f.hist = append(f.hist, ev)
 		} else {
 			f.hist[f.histPos] = ev
-			f.histPos = (f.histPos + 1) % r.history
+			f.histPos = (f.histPos + 1) % historyLen
 		}
 		for sub := range f.subs {
 			select {
@@ -562,7 +545,7 @@ func (r *Registry) EventsSince(id, since uint64, max int) (evs []Event, lagged b
 	n := len(f.hist)
 	var first uint64
 	if n > 0 {
-		if n < r.history {
+		if n < historyLen {
 			first = f.hist[0].Seq
 		} else {
 			first = f.hist[f.histPos].Seq
@@ -575,7 +558,7 @@ func (r *Registry) EventsSince(id, since uint64, max int) (evs []Event, lagged b
 	}
 	for i := 0; i < n; i++ {
 		var ev Event
-		if n < r.history {
+		if n < historyLen {
 			ev = f.hist[i]
 		} else {
 			ev = f.hist[(f.histPos+i)%n]

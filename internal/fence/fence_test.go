@@ -206,12 +206,13 @@ func TestSubscriptionDropAndSeqGap(t *testing.T) {
 }
 
 func TestEventsSinceLagged(t *testing.T) {
-	r := NewRegistry(Options{History: 4})
+	r := NewRegistry(Options{})
 	id, _ := r.Add(Query{Region: region(0, 0, 100, 100)})
-	for i := uint64(1); i <= 10; i++ {
+	const n = historyLen + 6
+	for i := uint64(1); i <= n; i++ {
 		r.Apply(Mutation{ID: i, Point: geo.Point{1, 1}, Text: "x"})
 	}
-	// Ring holds seqs 7..10; asking from 2 must flag the lost 3..6.
+	// Ring holds seqs 7..n; asking from 2 must flag the lost 3..6.
 	evs, lagged, err := r.EventsSince(id, 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +220,8 @@ func TestEventsSinceLagged(t *testing.T) {
 	if !lagged {
 		t.Fatal("want lagged=true")
 	}
-	if len(evs) != 4 || evs[0].Seq != 7 {
-		t.Fatalf("got %+v", evs)
+	if len(evs) != historyLen || evs[0].Seq != 7 || evs[len(evs)-1].Seq != n {
+		t.Fatalf("got %d events, %+v first", len(evs), evs[0])
 	}
 	// max caps the page.
 	evs, _, _ = r.EventsSince(id, 0, 2)
@@ -228,7 +229,7 @@ func TestEventsSinceLagged(t *testing.T) {
 		t.Fatalf("paged %+v", evs)
 	}
 	// Up to date: no events, not lagged.
-	evs, lagged, _ = r.EventsSince(id, 10, 0)
+	evs, lagged, _ = r.EventsSince(id, n, 0)
 	if len(evs) != 0 || lagged {
 		t.Fatalf("caught-up: %v lagged=%v", evs, lagged)
 	}

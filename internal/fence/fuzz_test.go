@@ -25,7 +25,7 @@ func FuzzFenceRegistry(f *testing.F) {
 			data = data[1:]
 			return b
 		}
-		r := NewRegistry(Options{History: 8})
+		r := NewRegistry(Options{})
 		words := []string{"", "alpha", "beta", "gamma delta"}
 		var fences []uint64
 		var objects []Mutation

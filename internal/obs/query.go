@@ -47,11 +47,12 @@ func (w *Work) Add(o Work) {
 // identity and outcome around the Work it did, delivered to a Sink exactly
 // once, after the query finishes — never per traversal step.
 type QueryMetrics struct {
-	// Op names the query kind: "topk", "ranked", "area", "stream".
+	// Op names the query kind: "topk", "ranked", or "stream" for a stream
+	// its caller pulls.
 	Op string
-	// Shard is the shard index the record describes, or -1 for a
-	// whole-engine (or unsharded) record. A sharded engine emits one
-	// record per shard plus one aggregate record per query.
+	// Shard is the shard index the record describes, or -1 for the
+	// query's aggregate record. The shard merge, the one producer, emits
+	// one record per shard plus one aggregate record per query.
 	Shard int
 	// K is the requested result count (0 for streaming queries).
 	K int

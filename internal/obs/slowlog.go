@@ -33,7 +33,6 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 type slowEntry struct {
 	Time              string  `json:"t"`
 	Op                string  `json:"op"`
-	Shard             *int    `json:"shard,omitempty"`
 	LatencyMS         float64 `json:"latency_ms"`
 	K                 int     `json:"k"`
 	Keywords          int     `json:"keywords"`
@@ -47,7 +46,7 @@ type slowEntry struct {
 	Err               bool    `json:"err,omitempty"`
 }
 
-// RecordQuery implements Sink: whole-engine records over the threshold are
+// RecordQuery implements Sink: aggregate records over the threshold are
 // written as one JSON line; per-shard slices are skipped (the aggregate
 // record carries the query's totals).
 func (l *SlowLog) RecordQuery(m QueryMetrics) {

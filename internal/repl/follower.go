@@ -41,9 +41,6 @@ const badFrameLimit = 5
 type Options struct {
 	// Registry, when set, registers the follower's sk_repl_* metrics.
 	Registry *obs.Registry
-	// Client is the HTTP client used against the leader (default: a plain
-	// http.Client).
-	Client *http.Client
 	// PollWait is the /repl/log long-poll duration (default 500ms).
 	PollWait time.Duration
 	// RetryInterval is the backoff after a failed leader request
@@ -87,12 +84,12 @@ func newFollowerMetrics(reg *obs.Registry) followerMetrics {
 // applying it — so a killed and restarted follower recovers by the
 // ordinary open path and resumes from its durable watermark.
 //
-// Reads (Get, TopK*, Stats) are served from the local replica and are safe
-// concurrently with the tail. Mutations return ErrReadOnlyReplica.
+// Reads (Get, TopKWithStats, TopKRanked, the streams, Stats) are served
+// from the local replica and are safe concurrently with the tail. Mutations
+// return ErrReadOnlyReplica.
 type Follower struct {
 	dir      string
 	base     string
-	client   *http.Client
 	pollWait time.Duration
 	retry    time.Duration
 	m        followerMetrics
@@ -135,14 +132,10 @@ func OpenFollower(dir, leaderURL string, opts Options) (*Follower, error) {
 	f := &Follower{
 		dir:        dir,
 		base:       strings.TrimRight(leaderURL, "/"),
-		client:     opts.Client,
 		pollWait:   opts.PollWait,
 		retry:      opts.RetryInterval,
 		m:          newFollowerMetrics(opts.Registry),
 		posChanged: make(chan struct{}),
-	}
-	if f.client == nil {
-		f.client = &http.Client{}
 	}
 	if f.pollWait <= 0 {
 		f.pollWait = 500 * time.Millisecond
@@ -150,10 +143,13 @@ func OpenFollower(dir, leaderURL string, opts Options) (*Follower, error) {
 	if f.retry <= 0 {
 		f.retry = 100 * time.Millisecond
 	}
+	// Every leader request, the bootstraps' included, runs under ctx, so
+	// Close's cancel ends one a resync is blocked in.
+	f.ctx, f.cancel = context.WithCancel(context.Background())
 	if err := f.openOrBootstrap(); err != nil {
+		f.cancel()
 		return nil, err
 	}
-	f.ctx, f.cancel = context.WithCancel(context.Background())
 	f.wg.Add(1)
 	go f.run()
 	return f, nil
@@ -329,10 +325,15 @@ func writeFileSync(path string, data []byte) error {
 	return fd.Close()
 }
 
-// fetchSnapshot downloads one snapshot file's bytes.
+// fetchSnapshot downloads one snapshot file's bytes. The request is bound
+// to the follower's context: Close cancels it.
 func (f *Follower) fetchSnapshot(stream int, gen uint64, file string) ([]byte, error) {
 	url := fmt.Sprintf("%s%s?shard=%d&gen=%d&file=%s", f.base, SnapshotPath, stream, gen, file)
-	resp, err := f.client.Get(url)
+	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +492,7 @@ func (f *Follower) fetchLog(ctx context.Context, stream int, pos Position) ([]by
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	resp, err := f.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -723,11 +724,6 @@ func (f *Follower) Get(id uint64) (spatialkeyword.Object, error) {
 	r, done := f.reader()
 	defer done()
 	return r.Get(id)
-}
-
-func (f *Follower) TopK(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	res, _, err := f.TopKWithStats(k, point, keywords...)
-	return res, err
 }
 
 func (f *Follower) TopKWithStats(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {

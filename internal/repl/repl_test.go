@@ -3,7 +3,9 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -239,6 +241,69 @@ func TestFollowerRebootstrapsWhenLeftBehind(t *testing.T) {
 	sameTopK(t, e, f, 10, []float64{3, 1}, "coffee")
 	if f.Stats().Objects != e.Stats().Objects {
 		t.Fatalf("follower stats %+v, leader %+v", f.Stats(), e.Stats())
+	}
+}
+
+// TestCloseDuringResyncReturns: a follower whose resync is stuck in a
+// snapshot download — the leader answers the log with 410 and never finishes
+// the snapshot — still closes promptly, and leaves no goroutine behind.
+func TestCloseDuringResyncReturns(t *testing.T) {
+	ldir, fdir := t.TempDir(), t.TempDir()
+	e, l, srv := newLeaderEngine(t, ldir)
+	addN(t, e, 0, 5)
+	f, err := OpenFollower(fdir, srv.URL, fastOpts())
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	drain(t, f, l)
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	before := runtime.NumGoroutine()
+	asked, release := make(chan struct{}, 1), make(chan struct{})
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case LogPath:
+			w.WriteHeader(http.StatusGone)
+		case SnapshotPath:
+			select {
+			case asked <- struct{}{}:
+			default:
+			}
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+		}
+	}))
+	f, err = OpenFollower(fdir, stub.URL, fastOpts())
+	if err != nil {
+		t.Fatalf("reopen follower: %v", err)
+	}
+	select {
+	case <-asked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower never started a resync")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- f.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Close is still waiting for the snapshot download after 2s")
+		close(release)
+		<-closed
+	}
+	stub.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

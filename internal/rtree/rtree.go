@@ -72,6 +72,9 @@ func (r nodeReader) SubtreeObjectRefs(n *Node) ([]uint64, error) {
 	return r.t.subtreeObjectRefs(n)
 }
 
+// minFill is the minimum node fill m/M, a standard choice for Guttman trees.
+const minFill = 0.4
+
 // Config parameterizes a Tree.
 type Config struct {
 	// Dim is the dimensionality of indexed rectangles. Required, >= 1.
@@ -79,9 +82,6 @@ type Config struct {
 	// MaxEntries is the node capacity M. Zero derives it from the device
 	// block size with zero-length payloads, per the paper.
 	MaxEntries int
-	// MinFill is the minimum fill fraction m/M in (0, 0.5]. Zero means 0.4,
-	// a standard choice for Guttman trees.
-	MinFill float64
 	// Scheme maintains entry payloads. Nil means a plain R-Tree.
 	Scheme AuxScheme
 	// CacheNodes bounds the decoded-node cache the read path serves packed
@@ -172,17 +172,7 @@ func New(dev storage.Device, cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("rtree: capacity %d too small (block size %d, dim %d)",
 			maxE, dev.BlockSize(), cfg.Dim)
 	}
-	minFill := cfg.MinFill
-	if minFill == 0 {
-		minFill = 0.4
-	}
-	if minFill < 0 || minFill > 0.5 {
-		return nil, fmt.Errorf("rtree: MinFill %g outside (0, 0.5]", minFill)
-	}
-	minE := int(minFill * float64(maxE))
-	if minE < 1 {
-		minE = 1
-	}
+	minE := max(int(minFill*float64(maxE)), 1)
 	t := &Tree{
 		dev:    dev,
 		dim:    cfg.Dim,

@@ -59,9 +59,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(d, Config{Dim: 2, MaxEntries: 1}); err == nil {
 		t.Error("capacity 1 accepted")
 	}
-	if _, err := New(d, Config{Dim: 2, MinFill: 0.9}); err == nil {
-		t.Error("MinFill 0.9 accepted")
-	}
 	if _, err := New(storage.NewDisk(32), Config{Dim: 2}); err == nil {
 		t.Error("block too small for two entries accepted")
 	}

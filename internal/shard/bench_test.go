@@ -6,6 +6,7 @@ import (
 
 	"spatialkeyword"
 	"spatialkeyword/internal/dataset"
+	"spatialkeyword/internal/obs"
 )
 
 // The shard merge's microbenchmarks (ROADMAP item 1(c)): one warm query per
@@ -75,6 +76,34 @@ func BenchmarkOpen(b *testing.B) {
 					b.Fatal(err)
 				}
 				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTopKSinkOverhead measures a one-shard TopK with the metrics sink
+// off and recording into a registry. The merge records once per shard and
+// once per query, never per traversal step, so the two should stay within a
+// few per cent of each other.
+func BenchmarkTopKSinkOverhead(b *testing.B) {
+	rows, stats, _ := loadDataset(b, benchSpec)
+	points, kwSets := queryPoints(rows, 32, 42), keywordSets(stats, 32, 2, 99)
+	s, err := New(spatialkeyword.Config{SignatureBytes: 16}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill(b, s, rows)
+	for _, mode := range []struct {
+		name string
+		sink obs.Sink
+	}{{"off", nil}, {"on", obs.NewQueryRecorder(obs.NewRegistry())}} {
+		s.SetMetricsSink(mode.sink)
+		b.Run("sink="+mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.TopKWithStats(10, points[i%len(points)], kwSets[i%len(kwSets)]...); err != nil {
 					b.Fatal(err)
 				}
 			}

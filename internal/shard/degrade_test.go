@@ -128,8 +128,8 @@ func TestShardFaultDegradesAllQueryKinds(t *testing.T) {
 	if _, err := s.TopKRanked(10, []float64{5, 5}, "common"); err != nil {
 		t.Errorf("TopKRanked on degraded engine: %v", err)
 	}
-	if _, err := s.TopKArea(10, []float64{0, 0}, []float64{12, 12}, "common"); err != nil {
-		t.Errorf("TopKArea on degraded engine: %v", err)
+	if _, err := drain[spatialkeyword.Result](s.SearchArea([]float64{0, 0}, []float64{12, 12}, "common")); err != nil {
+		t.Errorf("SearchArea on degraded engine: %v", err)
 	}
 	if _, err := s.WithinArea([]float64{0, 0}, []float64{12, 12}, "common"); err != nil {
 		t.Errorf("WithinArea on degraded engine: %v", err)
@@ -165,10 +165,6 @@ var topkKinds = []struct {
 	}},
 	{"TopKSerial", func(s *ShardedEngine) (int, error) {
 		r, err := s.TopKSerial(200, []float64{5, 5}, "common")
-		return len(r), err
-	}},
-	{"TopKArea", func(s *ShardedEngine) (int, error) {
-		r, err := s.TopKArea(200, []float64{4, 4}, []float64{6, 6}, "common")
 		return len(r), err
 	}},
 	{"TopKRanked", func(s *ShardedEngine) (int, error) {

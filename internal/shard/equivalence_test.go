@@ -92,20 +92,13 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 				// Area queries around the query point.
 				lo := []float64{p[0] - 200, p[1] - 200}
 				hi := []float64{p[0] + 200, p[1] + 200}
-				wantA, err := single.TopKArea(8, lo, hi, kws...)
-				if err != nil {
-					t.Fatal(err)
-				}
+				wantA := areaTopK(t, single, 8, lo, hi, kws...)
 				wantW, err := single.WithinArea(lo, hi, kws[:1]...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, e := range engines {
-					gotA, err := e.s.TopKArea(8, lo, hi, kws...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResults(t, e.name+" TopKArea", wantA, gotA)
+					sameResults(t, e.name+" SearchArea", wantA, areaTopK(t, e.s, 8, lo, hi, kws...))
 					gotW, err := e.s.WithinArea(lo, hi, kws[:1]...)
 					if err != nil {
 						t.Fatal(err)
@@ -213,8 +206,10 @@ func TestMergeBeyondCorpusAndOnTies(t *testing.T) {
 	kws := []string{"harbor", "fish"}
 
 	distance := map[string]func(k int) ([]spatialkeyword.Result, error){
-		"TopK":     func(k int) ([]spatialkeyword.Result, error) { return sharded.TopK(k, center, kws...) },
-		"TopKArea": func(k int) ([]spatialkeyword.Result, error) { return sharded.TopKArea(k, center, center, kws...) },
+		"TopK": func(k int) ([]spatialkeyword.Result, error) { return sharded.TopK(k, center, kws...) },
+		"SearchArea": func(k int) ([]spatialkeyword.Result, error) {
+			return areaTopK(t, sharded, k, center, center, kws...), nil
+		},
 	}
 	ranked := map[string]func(k int) ([]spatialkeyword.RankedResult, error){
 		"TopKRanked": func(k int) ([]spatialkeyword.RankedResult, error) { return sharded.TopKRanked(k, center, kws...) },

@@ -21,10 +21,10 @@ import (
 // merge that pulls one result at a time from the shard whose next candidate
 // has the best bound and delivers it once no shard's bound beats it. It is the
 // stream Search, SearchArea and SearchRanked return — one lane is a
-// pass-through with ID translation — and TopK, TopKArea and TopKRanked are
-// its first k results plus the ties on the k-th key (topK). Per device this
-// is the minimum I/O any exact merge can do, and which lane is pulled depends
-// on the bounds alone, never on goroutine scheduling.
+// pass-through with ID translation — and TopK and TopKRanked are its first k
+// results plus the ties on the k-th key (topK). Per device this is the
+// minimum I/O any exact merge can do, and which lane is pulled depends on the
+// bounds alone, never on goroutine scheduling.
 //
 // Correctness of the early stop: the stream is best first, so once its bound
 // is strictly worse than the k-th collected key, everything it still holds is
@@ -45,7 +45,7 @@ type stream[R any] interface {
 
 // topkQuery is what distinguishes one kind of sharded top-k from another.
 type topkQuery[R any] struct {
-	op          string // sink op: "topk", "area", "ranked", or "stream" when the caller pulls
+	op          string // sink op: "topk", "ranked", or "stream" when the caller pulls
 	k, keywords int    // k is 0 when the caller pulls
 	asc         bool   // true: smallest keys are best (distances); false: largest (scores)
 	open        func(*spatialkeyword.Engine) (stream[R], error)

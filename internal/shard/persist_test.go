@@ -72,8 +72,8 @@ func TestDurableRoundtrip(t *testing.T) {
 	if r.NumShards() != 3 {
 		t.Fatalf("reopened NumShards = %d", r.NumShards())
 	}
-	if _, ok := r.Partitioner().(*GridPartitioner); !ok {
-		t.Fatalf("reopened partitioner = %T", r.Partitioner())
+	if _, ok := r.part.(*GridPartitioner); !ok {
+		t.Fatalf("reopened partitioner = %T", r.part)
 	}
 	gotStats := r.Stats()
 	if gotStats.Objects != wantStats.Objects || gotStats.Vocabulary != wantStats.Vocabulary {

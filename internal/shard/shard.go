@@ -1,15 +1,15 @@
 // Package shard scales the spatial keyword engine out: a ShardedEngine
 // partitions objects over N independent engines (each a full IR²-Tree over
-// its own simulated disks) using a pluggable spatial partitioner, and answers
+// its own simulated disks) with a grid or hash partitioner, and answers
 // queries by merging the shards' result streams.
 //
 // Writes touch exactly one shard, guarded by that shard's own RWMutex, so
-// an insert no longer blocks searches on the rest of the data. Top-k
-// queries (distance-first, area, and general ranked) are the first k of a
-// best-first k-way merge over every shard's stream, which preserves exact
-// top-k semantics — a shard is not pulled once its best remaining candidate
-// cannot beat the merge's next result, and the merge stops once nothing left
-// can beat the k-th. Boolean range queries and the maintenance operations
+// an insert no longer blocks searches on the rest of the data. Ordered
+// queries (distance-first, area and general ranked) are a best-first k-way
+// merge over every shard's stream, and a top-k is its first k, which keeps
+// exact top-k semantics — a shard is not pulled once its best remaining
+// candidate cannot beat the merge's next result, and the merge stops once
+// nothing left can beat the k-th. Boolean range queries and the maintenance operations
 // route only to the shards whose region intersects the target, in parallel.
 //
 // Results are identical to a single engine over the same objects: the
@@ -41,12 +41,9 @@ import (
 type Options struct {
 	// Shards is the number of shards. Zero means 1.
 	Shards int
-	// Partitioner routes points to shards. Nil picks a default: a grid
-	// partitioner over Bounds when Bounds is set, else a hash partitioner
-	// (the fallback for unbounded data). A non-nil Partitioner must agree
-	// with Shards.
-	Partitioner Partitioner
-	// Bounds is the dataset MBR for the default grid partitioner.
+	// Bounds is the dataset MBR: set, points are routed by a grid
+	// partitioner over it; zero, by a hash partitioner (the one choice for
+	// unbounded data).
 	Bounds geo.Rect
 }
 
@@ -286,22 +283,10 @@ func (o Options) resolve() (Partitioner, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: %d shards", n)
 	}
-	p := o.Partitioner
-	if p == nil {
-		var err error
-		if !o.Bounds.IsZero() {
-			p, err = NewGridPartitioner(n, o.Bounds)
-		} else {
-			p, err = NewHashPartitioner(n)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if !o.Bounds.IsZero() {
+		return NewGridPartitioner(n, o.Bounds)
 	}
-	if p.Shards() != n {
-		return nil, fmt.Errorf("shard: partitioner has %d shards, options say %d", p.Shards(), n)
-	}
-	return p, nil
+	return NewHashPartitioner(n)
 }
 
 // New creates an empty in-memory sharded engine; every shard gets the same
@@ -324,9 +309,6 @@ func New(cfg spatialkeyword.Config, opts Options) (*ShardedEngine, error) {
 
 // NumShards returns the number of shards.
 func (s *ShardedEngine) NumShards() int { return len(s.shards) }
-
-// Partitioner returns the engine's partitioner.
-func (s *ShardedEngine) Partitioner() Partitioner { return s.part }
 
 // dim is the dimensionality every shard's engine indexes.
 func (s *ShardedEngine) dim() int {
@@ -498,11 +480,12 @@ func (s *ShardedEngine) fanOut(which []int, fn func(sh *shardHandle) error) (deg
 	return deg.Load(), firstErr
 }
 
-// The top-k entry points are one of three query kinds — nearest to a point,
-// nearest to an area, ranked — pulled by one of two consumers: topK, which
-// takes the first k of the merged stream, or the caller itself, pulling from
-// the stream openStream returns. The entries topK serves check the point or area first:
-// with k ≤ 0 topK opens no lane, so no shard's engine would.
+// The queries are one of three kinds — nearest to a point, nearest to an
+// area, ranked — pulled by one of two consumers: topK, which takes the first
+// k of the merged stream (TopK, TopKRanked), or the caller itself, pulling
+// from the stream openStream returns (Search, SearchArea, SearchRanked). The
+// entries topK serves check the point first: with k ≤ 0 topK opens no lane,
+// so no shard's engine would.
 
 func (s *ShardedEngine) nearQuery(op string, k int, point []float64, keywords []string) topkQuery[spatialkeyword.Result] {
 	return topkQuery[spatialkeyword.Result]{
@@ -513,9 +496,9 @@ func (s *ShardedEngine) nearQuery(op string, k int, point []float64, keywords []
 	}
 }
 
-func (s *ShardedEngine) areaQuery(op string, k int, lo, hi []float64, keywords []string) topkQuery[spatialkeyword.Result] {
+func (s *ShardedEngine) areaQuery(lo, hi []float64, keywords []string) topkQuery[spatialkeyword.Result] {
 	return topkQuery[spatialkeyword.Result]{
-		op: op, k: k, keywords: len(keywords), asc: true, at: distanceKey,
+		op: "stream", keywords: len(keywords), asc: true, at: distanceKey,
 		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.Result], error) {
 			return e.SearchArea(lo, hi, keywords...)
 		},
@@ -572,21 +555,11 @@ func (s *ShardedEngine) Search(point []float64, keywords ...string) (spatialkeyw
 	return openStream(s, s.nearQuery("stream", 0, point, keywords))
 }
 
-// TopKArea returns the k objects containing every keyword nearest to the
-// query rectangle (zero distance inside it). Like any distance-ranked
-// query it fans out to every shard: objects far outside a shard's region
-// can still be among the k nearest to the area.
-func (s *ShardedEngine) TopKArea(k int, lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	if err := spatialkeyword.CheckArea(lo, hi, s.dim()); err != nil {
-		return nil, err
-	}
-	res, _, err := topK(s, s.areaQuery("area", k, lo, hi, keywords))
-	return res, err
-}
-
-// SearchArea is Search ordered by distance to the rectangle.
+// SearchArea is Search ordered by distance to the rectangle (zero inside
+// it). Like any distance-ranked query it fans out to every shard: objects far
+// outside a shard's region can still be among the nearest to the area.
 func (s *ShardedEngine) SearchArea(lo, hi []float64, keywords ...string) (spatialkeyword.ResultStream, error) {
-	return openStream(s, s.areaQuery("stream", 0, lo, hi, keywords))
+	return openStream(s, s.areaQuery(lo, hi, keywords))
 }
 
 // Corpus returns the engine-wide corpus statistics as sums over the open

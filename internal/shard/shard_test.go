@@ -204,9 +204,8 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(spatialkeyword.Config{}, Options{Shards: -1}); err == nil {
 		t.Error("negative shards should fail")
 	}
-	p, _ := NewHashPartitioner(3)
-	if _, err := New(spatialkeyword.Config{}, Options{Shards: 2, Partitioner: p}); err == nil {
-		t.Error("mismatched partitioner should fail")
+	if _, err := New(spatialkeyword.Config{}, Options{Shards: 2, Bounds: geo.Rect{Lo: geo.Point{1, 1}, Hi: geo.Point{0, 0}}}); err == nil {
+		t.Error("inverted bounds should fail")
 	}
 	// Default shards (0) means one shard, hash partitioned.
 	s, err := New(spatialkeyword.Config{}, Options{})
@@ -216,8 +215,8 @@ func TestOptionsValidation(t *testing.T) {
 	if s.NumShards() != 1 {
 		t.Errorf("default NumShards = %d", s.NumShards())
 	}
-	if _, ok := s.Partitioner().(*HashPartitioner); !ok {
-		t.Errorf("default partitioner = %T, want hash", s.Partitioner())
+	if _, ok := s.part.(*HashPartitioner); !ok {
+		t.Errorf("default partitioner = %T, want hash", s.part)
 	}
 }
 
@@ -227,13 +226,9 @@ func TestOptionsValidation(t *testing.T) {
 // whatever k is — under both partitioners, and a refused Add reserves no
 // global ID.
 func TestBadPointRefusedAtEveryEntry(t *testing.T) {
-	hash, err := NewHashPartitioner(3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for pname, opts := range map[string]Options{
 		"grid": {Shards: 4, Bounds: geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(100, 100))},
-		"hash": {Shards: 3, Partitioner: hash},
+		"hash": {Shards: 3},
 	} {
 		s, err := New(spatialkeyword.Config{SignatureBytes: 16}, opts)
 		if err != nil {
@@ -245,6 +240,14 @@ func TestBadPointRefusedAtEveryEntry(t *testing.T) {
 			}
 		}
 		good := []float64{1, 1}
+		// closed releases a stream the engine should not have opened, so a
+		// regression fails the assertion instead of wedging the next Add.
+		closed := func(it spatialkeyword.ResultStream, err error) error {
+			if err == nil {
+				it.Close()
+			}
+			return err
+		}
 		for name, bad := range map[string][]float64{
 			"0-d":  {},
 			"3-d":  {1, 2, 3},
@@ -253,17 +256,15 @@ func TestBadPointRefusedAtEveryEntry(t *testing.T) {
 			"-Inf": {math.Inf(-1), 3},
 		} {
 			entries := map[string]func() error{
-				"Add":             func() error { _, err := s.Add(bad, "pool"); return err },
-				"TopK":            func() error { _, err := s.TopK(1, bad, "pool"); return err },
-				"TopK/k=0":        func() error { _, err := s.TopK(0, bad, "pool"); return err },
-				"TopKArea/lo":     func() error { _, err := s.TopKArea(1, bad, good, "pool"); return err },
-				"TopKArea/hi":     func() error { _, err := s.TopKArea(1, good, bad, "pool"); return err },
-				"TopKArea/lo/k=0": func() error { _, err := s.TopKArea(0, bad, good, "pool"); return err },
-				"TopKArea/hi/k=0": func() error { _, err := s.TopKArea(0, good, bad, "pool"); return err },
-				"TopKRanked":      func() error { _, err := s.TopKRanked(1, bad, "pool"); return err },
-				"TopKRanked/k=0":  func() error { _, err := s.TopKRanked(0, bad, "pool"); return err },
-				"WithinArea/lo":   func() error { _, err := s.WithinArea(bad, good, "pool"); return err },
-				"WithinArea/hi":   func() error { _, err := s.WithinArea(good, bad, "pool"); return err },
+				"Add":            func() error { _, err := s.Add(bad, "pool"); return err },
+				"TopK":           func() error { _, err := s.TopK(1, bad, "pool"); return err },
+				"TopK/k=0":       func() error { _, err := s.TopK(0, bad, "pool"); return err },
+				"SearchArea/lo":  func() error { return closed(s.SearchArea(bad, good, "pool")) },
+				"SearchArea/hi":  func() error { return closed(s.SearchArea(good, bad, "pool")) },
+				"TopKRanked":     func() error { _, err := s.TopKRanked(1, bad, "pool"); return err },
+				"TopKRanked/k=0": func() error { _, err := s.TopKRanked(0, bad, "pool"); return err },
+				"WithinArea/lo":  func() error { _, err := s.WithinArea(bad, good, "pool"); return err },
+				"WithinArea/hi":  func() error { _, err := s.WithinArea(good, bad, "pool"); return err },
 			}
 			for entry, call := range entries {
 				if err := call(); !errors.Is(err, spatialkeyword.ErrBadPoint) {
@@ -274,8 +275,8 @@ func TestBadPointRefusedAtEveryEntry(t *testing.T) {
 		if _, err := s.WithinArea([]float64{5, 5}, good, "pool"); !errors.Is(err, spatialkeyword.ErrBadPoint) {
 			t.Errorf("%s: WithinArea on an inverted area: err = %v, want ErrBadPoint", pname, err)
 		}
-		if _, err := s.TopKArea(1, []float64{5, 5}, good, "pool"); !errors.Is(err, spatialkeyword.ErrBadPoint) {
-			t.Errorf("%s: TopKArea on an inverted area: err = %v, want ErrBadPoint", pname, err)
+		if err := closed(s.SearchArea([]float64{5, 5}, good, "pool")); !errors.Is(err, spatialkeyword.ErrBadPoint) {
+			t.Errorf("%s: SearchArea on an inverted area: err = %v, want ErrBadPoint", pname, err)
 		}
 		if got := s.NumObjects(); got != 4 {
 			t.Errorf("%s: refused adds moved NumObjects to %d", pname, got)

@@ -73,8 +73,9 @@ func streamLayouts(t *testing.T, cfg spatialkeyword.Config, bounds geo.Rect, row
 	return out
 }
 
-// TestStreamIsTheMerge: on one and three shards, grid and hash, each of the
-// three streams consumed to k by a caller gives exactly what its TopK* gives —
+// TestStreamIsTheMerge: on one and three shards, grid and hash, the distance
+// and ranked streams consumed to k by a caller give exactly what TopK and
+// TopKRanked give —
 // IDs included, on a seed dataset with deletions, with k beyond the
 // corpus, and with k cutting through exact ties spread across the shards
 // (the rows of TestMergeBeyondCorpusAndOnTies).
@@ -104,15 +105,6 @@ func TestStreamIsTheMerge(t *testing.T) {
 		it, err := s.Search(p, kws...)
 		if got := firstK[spatialkeyword.Result](t, it, err, k, true, distanceKey); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d %v: Search / TopK differ:\n%+v\n%+v", k, kws, got, want)
-		}
-
-		lo, hi := []float64{p[0] - 40, p[1] - 40}, []float64{p[0] + 40, p[1] + 40}
-		if want, err = s.TopKArea(k, lo, hi, kws...); err != nil {
-			t.Fatal(err)
-		}
-		it, err = s.SearchArea(lo, hi, kws...)
-		if got := firstK[spatialkeyword.Result](t, it, err, k, true, distanceKey); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d %v: SearchArea / TopKArea differ:\n%+v\n%+v", k, kws, got, want)
 		}
 
 		wantR, err := s.TopKRanked(k, p, kws...)

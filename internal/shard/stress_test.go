@@ -116,8 +116,8 @@ func TestShardedConcurrentStress(t *testing.T) {
 				}
 				lo := []float64{p[0] - 100, p[1] - 100}
 				hi := []float64{p[0] + 100, p[1] + 100}
-				if _, err := s.TopKArea(5, lo, hi, kw); err != nil {
-					t.Errorf("querier %d TopKArea: %v", q, err)
+				if _, err := drain[spatialkeyword.Result](s.SearchArea(lo, hi, kw)); err != nil {
+					t.Errorf("querier %d SearchArea: %v", q, err)
 					return
 				}
 				if _, err := s.WithinArea(lo, hi, kw); err != nil {

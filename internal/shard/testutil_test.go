@@ -99,6 +99,14 @@ func keywordSets(stats *dataset.Stats, n, words int, seed int64) [][]string {
 // sets with matching payloads. The final (possibly truncated) run only has
 // to agree on distances; its membership may legally differ between a single
 // engine and a sharded merge.
+// areaTopK is an area top-k as SKQL's TOP … WITHIN takes one: the first k
+// of SearchArea, ties at the k-th distance to the smallest ID.
+func areaTopK(t *testing.T, r spatialkeyword.Reader, k int, lo, hi []float64, keywords ...string) []spatialkeyword.Result {
+	t.Helper()
+	it, err := r.SearchArea(lo, hi, keywords...)
+	return firstK[spatialkeyword.Result](t, it, err, k, true, distanceKey)
+}
+
 func sameResults(t *testing.T, label string, want, got []spatialkeyword.Result) {
 	t.Helper()
 	if len(want) != len(got) {

@@ -82,7 +82,6 @@ func (in CostInputs) conjunction(terms []string) (minDF int, sel float64, postin
 
 // PathEstimate is the cost model's verdict for one physical operator.
 type PathEstimate struct {
-	Path Path
 	// Blocks is the estimated block-access cost.
 	Blocks float64
 	// Rows is the estimated number of rows the operator emits.
@@ -112,7 +111,6 @@ func (in CostInputs) EstimateIIO(pos []string, residualSel float64) PathEstimate
 	expected := sel * float64(in.NumObjects)
 	candidates := math.Min(expected, float64(minDF))
 	return PathEstimate{
-		Path:        PathIIO,
 		Blocks:      postingBlocks + candidates*blocksPerObject,
 		Rows:        expected * clamp01(residualSel),
 		MinDF:       minDF,
@@ -138,7 +136,6 @@ func (in CostInputs) EstimateIR2(k int, pos []string, residualSel float64) PathE
 	loads := scanned * (fullSel + (1-fullSel)*sigFalsePositiveRate)
 	nodeReads := scanned/treeFanout + in.height()
 	return PathEstimate{
-		Path:        PathIR2,
 		Blocks:      loads*blocksPerObject + nodeReads,
 		Rows:        math.Min(float64(k), fullSel*n),
 		MinDF:       minDF,
@@ -162,7 +159,6 @@ func (in CostInputs) EstimateRTree(k int, fullSel float64) PathEstimate {
 	}
 	nodeReads := scanned/treeFanout + in.height()
 	return PathEstimate{
-		Path:        PathRTree,
 		Blocks:      scanned*blocksPerObject + nodeReads,
 		Rows:        math.Min(float64(k), fullSel*n),
 		Selectivity: fullSel,
@@ -183,7 +179,6 @@ func (in CostInputs) EstimateRankedScan(k int, pos []string, treeSel float64) Pa
 	scanned = math.Min(scanned, n)
 	nodeReads := scanned/treeFanout + in.height()
 	return PathEstimate{
-		Path:        PathRanked,
 		Blocks:      scanned*blocksPerObject + nodeReads,
 		Rows:        math.Min(float64(k), clamp01(treeSel)*n),
 		Selectivity: clamp01(treeSel),
@@ -201,7 +196,6 @@ func (in CostInputs) EstimateAreaNative(pos []string, residualSel float64) PathE
 	nodeReads := n/treeFanout + in.height()
 	fullSel := sel * clamp01(residualSel)
 	return PathEstimate{
-		Path:        PathIR2,
 		Blocks:      loads*blocksPerObject + nodeReads,
 		Rows:        fullSel * n,
 		MinDF:       minDF,

@@ -46,8 +46,6 @@ type ResultSet struct {
 	Ranked []spatialkeyword.RankedResult
 	// Count holds the COUNT answer (also set for ALL).
 	Count int
-	// Plan is the executed (or explained) physical plan.
-	Plan *Plan
 	// Actuals has one entry per plan operator once executed.
 	Actuals []OpActual
 	// Explain is the rendered EXPLAIN / EXPLAIN ANALYZE text, one
@@ -71,7 +69,7 @@ func (c *Catalog) Run(q *Query) (*ResultSet, error) {
 // instead of Run.
 func (c *Catalog) RunPlan(p *Plan) (*ResultSet, error) {
 	q := p.Query
-	rs := &ResultSet{Proj: q.Proj, Plan: p}
+	rs := &ResultSet{Proj: q.Proj}
 	if q.Explain && !q.Analyze {
 		rs.Explain = renderPlan(p, nil)
 		return rs, nil
@@ -418,8 +416,17 @@ func (c *Catalog) execRanked(p *Plan, rs *ResultSet) error {
 	}
 	// The stream holds the target's read locks until closed.
 	defer it.Close()
+	// Like TOP, and like the backends' TopKRanked: ties at the k-th score
+	// break by smallest object ID, so the rows tied with the k-th are drained
+	// before the sort and cut.
 	var out []spatialkeyword.RankedResult
-	for len(out) < op.K {
+	for {
+		if len(out) >= op.K {
+			bound, ok := it.PeekBound()
+			if !ok || bound < out[len(out)-1].Score {
+				break
+			}
+		}
 		r, ok, err := it.Next()
 		if err != nil {
 			return err
@@ -432,6 +439,15 @@ func (c *Catalog) execRanked(p *Plan, rs *ResultSet) error {
 			continue
 		}
 		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Object.ID < out[j].Object.ID
+	})
+	if len(out) > op.K {
+		out = out[:op.K]
 	}
 	act.Work = it.Stats().Work
 	act.Rows = len(out)

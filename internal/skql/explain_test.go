@@ -6,6 +6,7 @@ import (
 
 	"spatialkeyword"
 	"spatialkeyword/internal/obs"
+	"spatialkeyword/internal/shard"
 )
 
 func runExplain(t *testing.T, c *Catalog, src string) []string {
@@ -132,11 +133,11 @@ func TestExplainAnalyzeDNFBranches(t *testing.T) {
 
 // TestExplainAnalyzeTraceFold checks the engine trace folds under the
 // operator that produced it — expansions, and one emit per result of the
-// statement — and that the traced statement is one query to the engine's
+// statement — and that the traced statement is one query to the backend's
 // metrics sink, like any other stream.
 func TestExplainAnalyzeTraceFold(t *testing.T) {
 	// Few enough rows that the whole trace fits under maxTraceLines.
-	e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
+	e, err := shard.New(spatialkeyword.Config{}, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +146,12 @@ func TestExplainAnalyzeTraceFold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var recs []obs.QueryMetrics
-	e.SetMetricsSink(obs.SinkFunc(func(m obs.QueryMetrics) { recs = append(recs, m) }))
+	var recs []obs.QueryMetrics // the aggregate records
+	e.SetMetricsSink(obs.SinkFunc(func(m obs.QueryMetrics) {
+		if m.Shard < 0 {
+			recs = append(recs, m)
+		}
+	}))
 	q, err := Parse(`EXPLAIN ANALYZE SELECT TOP 2 NEAR (0, 0) MATCH cafe USING ir2`)
 	if err != nil {
 		t.Fatal(err)

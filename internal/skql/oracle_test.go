@@ -349,3 +349,47 @@ func TestOracleReplicatedFollower(t *testing.T) {
 	runOracleSuite(t, c, rng)
 	runRankedSuite(t, c, rng)
 }
+
+// TestRankedTiesBreakLikeTopKRanked: SELECT RANKED answers exactly what the
+// target's TopKRanked (/ranked) answers when rows tie on score — ties at the
+// k-th score go to the smallest ID, not to whichever the stream delivers
+// first. Four identical rows at distance 1 from the query point, on 1–4
+// shards.
+func TestRankedTiesBreakLikeTopKRanked(t *testing.T) {
+	for shards := 1; shards <= 4; shards++ {
+		s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range [][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}, {3, 4}} {
+			if _, err := s.Add(p, "cafe espresso"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := NewCatalog(s)
+		for k := 1; k <= 5; k++ {
+			want, err := s.TopKRanked(k, []float64{0, 0}, "cafe")
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := Parse(fmt.Sprintf("SELECT RANKED %d NEAR (0, 0) MATCH cafe", k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := c.Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, wantIDs []uint64
+			for i := range rs.Ranked {
+				got = append(got, rs.Ranked[i].Object.ID)
+			}
+			for i := range want {
+				wantIDs = append(wantIDs, want[i].Object.ID)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(wantIDs) {
+				t.Errorf("%d shards, k=%d: RANKED gave %v, TopKRanked %v", shards, k, got, wantIDs)
+			}
+		}
+	}
+}

@@ -25,7 +25,6 @@ var ErrNotWAL = errors.New("wal: device has no log header")
 // concurrent front end (and is the only writer in the engine).
 type Log struct {
 	dev     storage.Device
-	head    storage.BlockID   // header block
 	blocks  []storage.BlockID // data blocks, in logical order
 	size    int64             // logical end: bytes of framed records
 	tail    []byte            // bytes of the final partial block (len = size % blockSize)
@@ -46,7 +45,7 @@ func Create(dev storage.Device) (*Log, error) {
 	if err := dev.Write(head, hdr[:]); err != nil {
 		return nil, fmt.Errorf("wal: write log header: %w", err)
 	}
-	l := &Log{dev: dev, head: head}
+	l := &Log{dev: dev}
 	if err := l.Sync(); err != nil {
 		return nil, fmt.Errorf("wal: sync log header: %w", err)
 	}
@@ -62,7 +61,7 @@ func Open(dev storage.Device) (*Log, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{dev: dev, head: head}
+	l := &Log{dev: dev}
 	// The data region is the contiguous run after the header; a read of
 	// the first never-allocated block fails with ErrBadBlock, ending it.
 	var data []byte

@@ -39,10 +39,11 @@
 #   fuzz    every Fuzz target for FUZZTIME (default 30s) each
 #   all     everything above (the default)
 #
-# Not a check: scripts/loc.sh [base-ref] prints the root module's non-test Go
-# line count at base-ref and now, in total and per directory — the figure and
-# the breakdown a simplicity PR reports. ci.yml's loc job prints it against a
-# pull request's base commit.
+# Not checks: scripts/loc.sh [base-ref] prints the root module's non-test Go
+# line count at base-ref and now, in total and per directory, and
+# scripts/options.sh [base-ref] the field count of every Options/Config
+# struct and skserve's flag count at both — the figures a simplicity PR
+# reports. ci.yml's loc job prints both against a pull request's base commit.
 #
 # staticcheck is optional locally: if the binary is not on PATH the lint
 # step prints a warning and moves on, while CI always installs and runs it.

@@ -188,7 +188,8 @@ type Reader interface {
 	TopKRanked(k int, point []float64, keywords ...string) ([]RankedResult, error)
 	WithinArea(lo, hi []float64, keywords ...string) ([]Result, error)
 	// Search, SearchArea and SearchRanked open the incremental streams the
-	// top-k calls (and the backends' TopKArea) are the first k results of.
+	// top-k calls are the first k results of (SKQL's TOP … WITHIN pulls
+	// SearchArea).
 	// An open stream holds the backend's read locks: close it, and do not
 	// call the backend from the goroutine that holds it open.
 	Search(point []float64, keywords ...string) (ResultStream, error)
@@ -277,8 +278,6 @@ type Engine struct {
 	// post-apply with the full object, on the leader write path and on
 	// replicated applies. internal/fence evaluates standing queries here.
 	mutObserver func(MutationEvent)
-
-	sink MetricsSink // per-query observability sink; nil = disabled
 }
 
 // engineShell builds an Engine with defaults applied but no devices or
@@ -668,7 +667,7 @@ func (e *Engine) TopK(k int, point []float64, keywords ...string) ([]Result, err
 
 // TopKWithStats is TopK plus per-query work counters.
 func (e *Engine) TopKWithStats(k int, point []float64, keywords ...string) ([]Result, QueryStats, error) {
-	it, err := e.search("topk", k, point, keywords)
+	it, err := e.Search(point, keywords...)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -682,7 +681,7 @@ func (e *Engine) TopKWithStats(k int, point []float64, keywords ...string) ([]Re
 // query (objects may contain only some keywords; tf-idf relevance is
 // discounted by distance).
 func (e *Engine) TopKRanked(k int, point []float64, keywords ...string) ([]RankedResult, error) {
-	it, err := e.searchRanked("ranked", k, nil, point, keywords)
+	it, err := e.searchRanked(nil, point, keywords)
 	if err != nil {
 		return nil, err
 	}

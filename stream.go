@@ -1,8 +1,6 @@
 package spatialkeyword
 
 import (
-	"time"
-
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/irscore"
@@ -13,8 +11,8 @@ import (
 )
 
 // Streaming query API. Search, SearchArea, and SearchRanked return pull
-// iterators over the paper's incremental traversals; TopK, TopKArea and
-// TopKRanked are their first k results. Callers that merge
+// iterators over the paper's incremental traversals; TopK and TopKRanked are
+// the first k results of Search and SearchRanked. Callers that merge
 // several engines' result streams (see internal/shard) or filter past k
 // (see internal/skql) consume exactly as many results as they need and
 // inspect the next candidate's bound without loading it.
@@ -53,29 +51,22 @@ type RankedStream interface {
 	Close()
 }
 
-// query is what the two stream kinds share: the engine's shared lock, the
-// disk I/O bracket and the one metrics record, all settled by finish.
+// query is what the two stream kinds share: the engine's shared lock and the
+// disk I/O bracket, both settled by finish.
 type query struct {
-	e        *Engine
-	op       string
-	k        int
-	keywords int
-	start    time.Time
-	ioStart  storage.Stats // the devices' counters when the query opened
-	results  int
-	err      error      // the traversal's error, if it failed
-	closed   bool       // finish has run
-	final    QueryStats // the query's work, fixed by finish
+	e       *Engine
+	ioStart storage.Stats // the devices' counters when the query opened
+	closed  bool          // finish has run
+	final   QueryStats    // the query's work, fixed by finish
 }
 
 // begin takes the shared lock (flushing pending adds first) and opens the
 // query's I/O bracket.
-func (e *Engine) begin(op string, k, keywords int) (query, error) {
+func (e *Engine) begin() (query, error) {
 	if err := e.rlock(); err != nil {
 		return query{}, err
 	}
-	return query{e: e, op: op, k: k, keywords: keywords,
-		start: time.Now(), ioStart: e.ioCounters()}, nil
+	return query{e: e, ioStart: e.ioCounters()}, nil
 }
 
 // stats is the traversal's work record with the blocks read so far added.
@@ -88,20 +79,15 @@ func (q *query) stats(st core.SearchStats) QueryStats {
 	return QueryStats{Work: st}
 }
 
-// finish fixes the query's stats, releases the shared lock and delivers the
-// query's one sink record — whether or not the stream was drained.
+// finish fixes the query's stats and releases the shared lock — whether or
+// not the stream was drained.
 func (q *query) finish(st core.SearchStats) {
 	if q.closed {
 		return
 	}
 	q.final = q.stats(st)
 	q.closed = true
-	sink := q.e.sink
 	q.e.mu.RUnlock()
-	if sink != nil {
-		sink.RecordQuery(QueryMetrics{Op: q.op, Shard: -1, K: q.k, Keywords: q.keywords, Results: q.results,
-			Work: q.final.Work, Latency: time.Since(q.start), Err: q.err != nil})
-	}
 }
 
 // SearchIter streams distance-first results in non-decreasing distance
@@ -114,32 +100,26 @@ type SearchIter struct {
 // Search starts an incremental distance-first query: the stream behind
 // TopK. Pending adds are flushed first.
 func (e *Engine) Search(point []float64, keywords ...string) (ResultStream, error) {
-	return e.search("stream", 0, point, keywords)
-}
-
-func (e *Engine) search(op string, k int, point []float64, keywords []string) (ResultStream, error) {
 	if err := e.checkPoint(point); err != nil {
 		return nil, err
 	}
-	q, err := e.begin(op, k, len(keywords))
+	q, err := e.begin()
 	if err != nil {
 		return nil, err
 	}
 	return &SearchIter{query: q, it: e.tree.Search(geo.NewPoint(point...), keywords)}, nil
 }
 
-// SearchArea starts an incremental area-distance query: the stream behind
-// TopKArea. Objects inside the rectangle have distance zero.
+// SearchArea starts an incremental area-distance query — the query-area
+// variant the paper notes for the incremental NN algorithm ("an area could be
+// used instead" of the point). Objects inside the rectangle have distance
+// zero.
 func (e *Engine) SearchArea(lo, hi []float64, keywords ...string) (ResultStream, error) {
-	return e.searchArea("stream", 0, lo, hi, keywords)
-}
-
-func (e *Engine) searchArea(op string, k int, lo, hi []float64, keywords []string) (ResultStream, error) {
 	area, err := e.validateArea(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	q, err := e.begin(op, k, len(keywords))
+	q, err := e.begin()
 	if err != nil {
 		return nil, err
 	}
@@ -153,14 +133,12 @@ func (s *SearchIter) Next() (Result, bool, error) {
 	for !s.closed {
 		r, ok, err := s.it.Next()
 		if err != nil || !ok {
-			s.err = err
 			s.Close()
 			return Result{}, false, err
 		}
 		if s.e.deleted[uint64(r.Object.ID)] {
 			continue
 		}
-		s.results++
 		return Result{Object: publicObject(r.Object), Dist: r.Dist}, true, nil
 	}
 	return Result{}, false, nil
@@ -180,9 +158,9 @@ func (s *SearchIter) SetTrace(fn func(rtree.TraceEvent)) { s.it.SetTrace(fn) }
 // disk blocks since the stream opened. After Close it is the query's total.
 func (s *SearchIter) Stats() QueryStats { return s.stats(s.it.Stats()) }
 
-// Close ends the query: it releases the engine's shared lock, returns the
-// traversal's pooled scratch and delivers the query's one metrics record.
-// Closing a stream that has already ended, or closing twice, is harmless.
+// Close ends the query: it releases the engine's shared lock and returns the
+// traversal's pooled scratch. Closing a stream that has already ended, or
+// closing twice, is harmless.
 func (s *SearchIter) Close() {
 	s.finish(s.it.Stats())
 	s.it.Close()
@@ -237,20 +215,20 @@ type RankedSearchIter struct {
 // SearchRanked starts an incremental general ranked query: the stream
 // behind TopKRanked, scored against the engine's own corpus statistics.
 func (e *Engine) SearchRanked(point []float64, keywords ...string) (RankedStream, error) {
-	return e.searchRanked("stream", 0, nil, point, keywords)
+	return e.searchRanked(nil, point, keywords)
 }
 
 // SearchRankedWith is SearchRanked scoring against the given corpus
 // statistics instead of the engine's own vocabulary.
 func (e *Engine) SearchRankedWith(cs CorpusStats, point []float64, keywords ...string) (RankedStream, error) {
-	return e.searchRanked("stream", 0, &cs, point, keywords)
+	return e.searchRanked(&cs, point, keywords)
 }
 
-func (e *Engine) searchRanked(op string, k int, cs *CorpusStats, point []float64, keywords []string) (RankedStream, error) {
+func (e *Engine) searchRanked(cs *CorpusStats, point []float64, keywords []string) (RankedStream, error) {
 	if err := e.checkPoint(point); err != nil {
 		return nil, err
 	}
-	q, err := e.begin(op, k, len(keywords))
+	q, err := e.begin()
 	if err != nil {
 		return nil, err
 	}
@@ -275,14 +253,12 @@ func (s *RankedSearchIter) Next() (RankedResult, bool, error) {
 	for !s.closed {
 		r, ok, err := s.it.Next()
 		if err != nil || !ok {
-			s.err = err
 			s.Close()
 			return RankedResult{}, false, err
 		}
 		if s.e.deleted[uint64(r.Object.ID)] {
 			continue
 		}
-		s.results++
 		return RankedResult{
 			Object:  publicObject(r.Object),
 			Dist:    r.Dist,

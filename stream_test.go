@@ -2,14 +2,12 @@ package spatialkeyword
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/storage"
 )
@@ -139,109 +137,13 @@ func TestSearchIterStatsFalsePositives(t *testing.T) {
 	}
 }
 
-// TestEngineSinkRecords checks every query entry point delivers exactly one
-// whole-engine record whose counters match the query's reported stats.
-func TestEngineSinkRecords(t *testing.T) {
+// TestStreamEndReleasesEngine: a stream that ends by itself — exhausted, or
+// failed on a device error — has released the engine's shared lock and fixed
+// its stats before its caller closes it: a writer gets in, and the stats a
+// later Close leaves are the same.
+func TestStreamEndReleasesEngine(t *testing.T) {
 	e := newEngine(t, Config{SignatureBytes: 16})
 	seedGrid(t, e, 60)
-
-	var recs []QueryMetrics
-	e.SetMetricsSink(obs.SinkFunc(func(m QueryMetrics) { recs = append(recs, m) }))
-
-	q := []float64{500, 500}
-	res, qs, err := e.TopKWithStats(3, q, "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("topk records = %d", len(recs))
-	}
-	m := recs[0]
-	if m.Op != "topk" || m.Shard != -1 || m.K != 3 || m.Keywords != 1 || m.Results != len(res) {
-		t.Fatalf("topk record = %+v", m)
-	}
-	if m.Work != qs.Work {
-		t.Fatalf("topk record %+v does not match stats %+v", m, qs)
-	}
-	if m.Latency <= 0 {
-		t.Error("topk latency not recorded")
-	}
-
-	recs = nil
-	if _, err := e.TopKRanked(3, q, "alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.TopKArea(3, []float64{400, 400}, []float64{600, 600}, "alpha"); err != nil {
-		t.Fatal(err)
-	}
-	// A stream records once, when it is closed.
-	it, err := e.Search(q, "alpha", "beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamResults := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		streamResults++
-	}
-	it.Close()
-	ops := make([]string, len(recs))
-	for i, r := range recs {
-		ops[i] = r.Op
-	}
-	if fmt.Sprint(ops) != "[ranked area stream]" {
-		t.Fatalf("ops = %v", ops)
-	}
-	if recs[2].Results != streamResults {
-		t.Errorf("stream record results = %d, want %d", recs[2].Results, streamResults)
-	}
-}
-
-// BenchmarkTopKSinkOverhead measures TopK over a 10k-object fixture with
-// the metrics sink disabled vs recording into a registry. The sink fires
-// once per query, so the delta should stay well under 5%.
-func BenchmarkTopKSinkOverhead(b *testing.B) {
-	e, err := NewEngine(Config{SignatureBytes: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seedGrid(b, e, 10000)
-	recorder := obs.NewQueryRecorder(obs.NewRegistry())
-	for _, mode := range []struct {
-		name string
-		sink MetricsSink
-	}{{"off", nil}, {"on", recorder}} {
-		b.Run("sink="+mode.name, func(b *testing.B) {
-			e.SetMetricsSink(mode.sink)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.TopK(10, []float64{500, 500}, "alpha", "beta"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	e.SetMetricsSink(nil)
-	_ = time.Now // future: report p99 from the recorder's histogram
-}
-
-// TestStreamSinkRecordsOnClose: a stream's one record is delivered when the
-// query ends — at exhaustion, at an error or at Close, never twice — with
-// its results, traversal counters, block counts and error, whether the
-// stream was drained, abandoned after one result, or failed. A stream that
-// ended by itself has released the engine: a writer gets in before Close.
-func TestStreamSinkRecordsOnClose(t *testing.T) {
-	e := newEngine(t, Config{SignatureBytes: 16})
-	seedGrid(t, e, 60)
-	var recs []QueryMetrics
-	e.SetMetricsSink(obs.SinkFunc(func(m QueryMetrics) { recs = append(recs, m) }))
-	// Armed, every device read fails.
 	var failReads atomic.Bool
 	if !e.InjectFault(func(op storage.Op, id storage.BlockID) error {
 		if failReads.Load() && op == storage.OpRead {
@@ -251,33 +153,25 @@ func TestStreamSinkRecordsOnClose(t *testing.T) {
 	}) {
 		t.Fatal("InjectFault refused")
 	}
-	q := []float64{500, 500}
-
-	// closed checks the one record a just-ended stream delivered.
-	closed := func(name string, stats QueryStats, results int, wantErr bool) {
+	// writerGetsIn fails the test if an Add cannot take the engine's lock.
+	writerGetsIn := func(what string) {
 		t.Helper()
-		if len(recs) != 1 {
-			t.Fatalf("%s: %d records after the stream ended, want 1", name, len(recs))
-		}
-		m := recs[0]
-		recs = nil
-		if m.Op != "stream" || m.Shard != -1 || m.K != 0 || m.Results != results || m.Err != wantErr {
-			t.Errorf("%s: record %+v, want op stream, %d results, err=%v", name, m, results, wantErr)
-		}
-		if m.Work != stats.Work {
-			t.Errorf("%s: record %+v does not match stats %+v", name, m, stats)
-		}
-		if m.NodesLoaded == 0 || m.BlocksRandom == 0 || m.Latency <= 0 {
-			t.Errorf("%s: record %+v reports no work", name, m)
+		done := make(chan error, 1)
+		go func() { _, err := e.Add([]float64{1, 1}, "gamma"); done <- err }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the stream still holds the engine", what)
 		}
 	}
 
-	// Drained.
-	it, err := e.Search(q, "alpha")
+	it, err := e.Search([]float64{500, 500}, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
 	for {
 		_, ok, err := it.Next()
 		if err != nil {
@@ -286,46 +180,15 @@ func TestStreamSinkRecordsOnClose(t *testing.T) {
 		if !ok {
 			break
 		}
-		n++
 	}
-	closed("drained", it.Stats(), n, false)
-	if _, err := e.Add([]float64{1, 1}, "gamma"); err != nil { // would block on a held share
-		t.Fatal(err)
-	}
+	ended := it.Stats()
+	writerGetsIn("drained")
 	it.Close()
-	if len(recs) != 0 {
-		t.Fatal("Close after exhaustion recorded again")
+	if it.Stats() != ended || ended.NodesLoaded == 0 || ended.BlocksRandom == 0 {
+		t.Errorf("drained: stats %+v at the end, %+v after Close", ended, it.Stats())
 	}
 
-	// Abandoned after one result, distance-first and ranked.
-	it, err = e.Search(q, "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("first result: ok=%v err=%v", ok, err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("abandoned: %d records before Close", len(recs))
-	}
-	it.Close()
-	closed("abandoned", it.Stats(), 1, false)
-	if _, ok, _ := it.Next(); ok {
-		t.Error("closed stream produced a result")
-	}
-
-	rit, err := e.SearchRanked(q, "alpha", "beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := rit.Next(); err != nil || !ok {
-		t.Fatalf("first ranked result: ok=%v err=%v", ok, err)
-	}
-	rit.Close()
-	closed("ranked abandoned", rit.Stats(), 1, false)
-
-	// Errored: the device fails under the stream after its first result.
-	it, err = e.Search(q, "alpha")
+	it, err = e.Search([]float64{500, 500}, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,9 +200,9 @@ func TestStreamSinkRecordsOnClose(t *testing.T) {
 		t.Fatalf("Next over a failing device: %v", err)
 	}
 	failReads.Store(false)
-	closed("errored", it.Stats(), 1, true)
+	writerGetsIn("errored")
 	it.Close()
-	if len(recs) != 0 {
-		t.Fatal("Close after an error recorded again")
+	if _, ok, _ := it.Next(); ok {
+		t.Error("closed stream produced a result")
 	}
 }
