@@ -1,7 +1,7 @@
 # Convenience wrappers around scripts/ci.sh, which mirrors the GitHub
 # Actions workflows. `make ci` runs everything CI runs.
 
-.PHONY: build lint analyze vet test stress allocs perf-build compat cover bench fuzz loc options ci
+.PHONY: build lint analyze vet test stress allocs perf-build compat cover bench fuzz micro loc options ci
 
 build:
 	sh scripts/ci.sh build
@@ -40,6 +40,10 @@ bench:
 
 fuzz:
 	sh scripts/ci.sh fuzz
+
+# Informational microbenchmarks of a ranked candidate's load and term count.
+micro:
+	sh scripts/ci.sh micro
 
 # Net non-test Go lines against BASE (default HEAD~1), total and per directory.
 loc:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
@@ -89,6 +91,7 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 		normalized: normalized,
 		idfs:       idfs,
 		tf:         make([]int, len(normalized)),
+		fold:       foldPool.Get().(*[]byte),
 		opts:       opts,
 		comb:       comb,
 		exact:      make(map[uint64]rankedCandidate),
@@ -98,7 +101,7 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	// — Next scores survivors off it — and, under RequireMatch, reject
 	// candidates containing no keyword without paying their materialization.
 	r.accept = func(text []byte) bool {
-		r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized)
+		r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized, r.fold)
 		if !r.opts.RequireMatch {
 			return true
 		}
@@ -111,6 +114,10 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	}
 	return r
 }
+
+// foldPool recycles RankedIter.fold across queries, so a warm ranked query
+// does not grow a fresh buffer to the length of its longest candidate row.
+var foldPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // rankedCandidate remembers a loaded object re-enqueued with its exact
 // (negated) score, so it is not read or scored twice.
@@ -127,6 +134,7 @@ type RankedIter struct {
 	normalized []string
 	idfs       []float64 // idf per normalized term, from QueryIDFs
 	tf         []int     // per-candidate term-frequency scratch
+	fold       *[]byte   // TermFreqsBytesInto's working space, from foldPool
 	sc         objstore.RowScratch
 	accept     func(text []byte) bool
 	opts       GeneralOptions
@@ -194,9 +202,17 @@ func (r *RankedIter) Stats() SearchStats {
 	return r.stats
 }
 
-// Close releases the traversal's pooled scratch. Optional but cheap; the
-// top-k helpers call it for every query they run.
-func (r *RankedIter) Close() { r.it.Close() }
+// Close releases the traversal's pooled scratch and the term counter's
+// fold buffer. Optional but cheap; the top-k helpers call it for every query
+// they run. A closed traversal is exhausted, so Next loads no candidate after
+// it and the fold buffer is not touched again.
+func (r *RankedIter) Close() {
+	r.it.Close()
+	if r.fold != nil {
+		foldPool.Put(r.fold)
+		r.fold = nil
+	}
+}
 
 // PeekBound returns an upper bound on the score of every result the
 // iterator can still produce: the (un-negated) priority of the best queued

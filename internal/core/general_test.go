@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"spatialkeyword/internal/geo"
@@ -100,6 +101,95 @@ func TestGeneralMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGeneralMatchesBruteForceMixedText is the ranked oracle over text the
+// candidate filter's two paths both see: rows of lower-case ASCII,
+// capitalised ASCII, and non-ASCII words — among them U+212A KELVIN SIGN and
+// U+0130, which lower-case to ASCII letters. The reference scores through
+// Scorer.Score, the map path built on Tokenize, so it shares no code with
+// the byte kernel the iterator counts terms with.
+func TestGeneralMatchesBruteForceMixedText(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	words := [][]string{
+		{"pool", "Pool", "POOL", "pools"},
+		{"internet", "Internet", "INTERNET", "xinternet"},
+		{"kitten", "Kitten", "\u212Aitten", "\u212Aittens"},
+		{"istanbul", "Istanbul", "İstanbul"},
+		{"café", "Café", "CAFÉ"},
+		{"spa", "Spa", "spa-pool"},
+		{"zürich", "Zürich", "ZÜRICH"},
+		{"golf", "Golf", "golf1"},
+	}
+	rows := randomRows(rng, 300)
+	for i := range rows {
+		style := rng.Intn(3) // 0: lower-case ASCII, 1: ASCII, 2: any
+		var b strings.Builder
+		b.WriteString(rows[i].text)
+		for n := 1 + rng.Intn(30); n > 0; n-- {
+			w := words[rng.Intn(len(words))]
+			v := w[rng.Intn(len(w))]
+			if (style < 2 && !isASCII(v)) || (style == 0 && v != strings.ToLower(v)) {
+				continue
+			}
+			b.WriteString([]string{" ", ", ", "; "}[rng.Intn(3)])
+			b.WriteString(v)
+		}
+		rows[i].text = b.String()
+	}
+	f := buildFixture(t, rows, 4, 8)
+	scorer := generalScorer(f)
+	queries := [][]string{
+		{"pool"},
+		{"Internet", "kitten"},
+		{"istanbul", "café", "pool"},
+		{"zürich", "golf", "spa"},
+		{"KITTEN", "İstanbul"},
+	}
+	for _, tree := range []*IR2Tree{f.ir2, f.mir2} {
+		for _, kw := range queries {
+			p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
+			opts := GeneralOptions{Scorer: scorer, Combiner: irscore.DistanceDiscount{Scale: 200}, RequireMatch: true}
+			got, _, err := topKRanked(tree, 40, p, kw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameScores(t, got, bruteRanked(f, 40, p, kw, opts, true))
+			for _, r := range got {
+				if want := scorer.Score(r.Object.Text, kw); r.IRScore != want {
+					t.Fatalf("%v: object %d (%q) scored %g, Scorer.Score %g", kw, r.Object.ID, r.Object.Text, r.IRScore, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRankedNextAfterClose: Close hands the fold buffer back to its pool,
+// so a closed iterator must load no further candidate.
+func TestRankedNextAfterClose(t *testing.T) {
+	f := buildFixture(t, figure1, 3, 16)
+	it := f.ir2.SearchRanked(geo.NewPoint(30.5, 100), []string{"pool"}, GeneralOptions{Scorer: generalScorer(f), RequireMatch: true})
+	if _, ok, err := it.Next(); !ok || err != nil {
+		t.Fatalf("first Next: ok=%v err=%v", ok, err)
+	}
+	it.Close()
+	loaded := it.Stats().ObjectsLoaded
+	if _, ok, err := it.Next(); ok || err != nil {
+		t.Errorf("Next after Close: ok=%v err=%v, want exhausted", ok, err)
+	}
+	if got := it.Stats().ObjectsLoaded; got != loaded {
+		t.Errorf("Next after Close loaded %d more objects", got-loaded)
+	}
+	it.Close()
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // linearCombiner is f = alpha·IRscore − (1−alpha)·dist/scale, the weighted

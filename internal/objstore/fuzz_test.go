@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzDecodeRow throws arbitrary bytes at the row parser: it must never
-// panic, and any row it accepts must re-encode losslessly.
+// panic, any row it accepts must re-encode losslessly, and rowText must
+// locate that row's text.
 func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte("1\t2\t25.4\t-80.1\tHotel A tennis court"))
 	f.Add([]byte("0\t0\t\t"))
@@ -15,10 +16,17 @@ func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("\t\t\t\t\t\t"))
 	f.Add([]byte("18446744073709551615\t1\t0\tx"))
+	f.Add([]byte("5\t+2\t1\t2\tpool cafe"))
+	f.Add([]byte("5\t-0\tpool"))
 	f.Fuzz(func(t *testing.T, row []byte) {
 		obj, err := decodeRow(row)
 		if err != nil {
 			return
+		}
+		// GetFiltered runs its filter on rowText's view of the row, so a
+		// row that decodes must have its text located, and the same text.
+		if text, ok := rowText(row); !ok || string(text) != obj.Text {
+			t.Fatalf("decodeRow accepted %q with text %q, rowText gives %q, %v", row, obj.Text, text, ok)
 		}
 		// Accepted rows round-trip (modulo sanitization, which the fuzz
 		// input may violate but Append never produces).

@@ -19,6 +19,7 @@
 package objstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -257,7 +258,7 @@ func (s *Store) readRow(ptr Ptr, sc *RowScratch, shareBlocks bool) error {
 			sc.held = blockIdx
 		}
 		chunk := sc.block[offsetInBlock:]
-		if i := indexByte(chunk, '\n'); i >= 0 {
+		if i := bytes.IndexByte(chunk, '\n'); i >= 0 {
 			sc.row = append(sc.row, chunk[:i]...)
 			return nil
 		}
@@ -302,34 +303,28 @@ func (s *Store) GetFiltered(ptr Ptr, sc *RowScratch, accept func(text []byte) bo
 //
 //skvet:hotpath
 func rowText(row []byte) ([]byte, bool) {
-	i := indexByte(row, '\t') // id
+	i := bytes.IndexByte(row, '\t') // id
 	if i < 0 {
 		return nil, false
 	}
 	rest := row[i+1:]
-	j := indexByte(rest, '\t') // dimension
-	if j < 1 {
+	j := bytes.IndexByte(rest, '\t') // dimension
+	if j < 0 {
 		return nil, false
 	}
-	dim := 0
-	for _, c := range rest[:j] {
-		if c < '0' || c > '9' {
-			return nil, false
-		}
-		dim = dim*10 + int(c-'0')
-		if dim > 64 {
-			return nil, false
-		}
+	dim, ok := parseDim(rest[:j], len(row))
+	if !ok {
+		return nil, false
 	}
 	rest = rest[j+1:]
 	for d := 0; d < dim; d++ {
-		k := indexByte(rest, '\t')
+		k := bytes.IndexByte(rest, '\t')
 		if k < 0 {
 			return nil, false
 		}
 		rest = rest[k+1:]
 	}
-	if indexByte(rest, '\t') >= 0 {
+	if bytes.IndexByte(rest, '\t') >= 0 {
 		return nil, false
 	}
 	return rest, true
@@ -421,8 +416,8 @@ func decodeRow(row []byte) (Object, error) {
 	if err != nil {
 		return Object{}, fmt.Errorf("%w: bad id %q", ErrCorrupt, fields[0])
 	}
-	dim, err := strconv.Atoi(fields[1])
-	if err != nil || dim < 0 {
+	dim, ok := parseDim([]byte(fields[1]), len(row))
+	if !ok {
 		return Object{}, fmt.Errorf("%w: bad dimension %q", ErrCorrupt, fields[1])
 	}
 	if len(fields) != dim+3 {
@@ -438,6 +433,30 @@ func decodeRow(row []byte) (Object, error) {
 	return Object{ID: ID(id), Point: p, Text: fields[dim+2]}, nil
 }
 
+// parseDim parses a row's dimension field as encodeRow writes it: decimal
+// digits only, no sign. A row holds a tab per coordinate, so a dimension
+// above rowLen is refused before it can overflow. rowText and decodeRow both
+// parse the field here, so every row decodeRow accepts has its text located
+// — and filtered by GetFiltered's accept — first.
+//
+//skvet:hotpath
+func parseDim(field []byte, rowLen int) (int, bool) {
+	if len(field) == 0 {
+		return 0, false
+	}
+	dim := 0
+	for _, c := range field {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		dim = dim*10 + int(c-'0')
+		if dim > rowLen {
+			return 0, false
+		}
+	}
+	return dim, true
+}
+
 // sanitize replaces row delimiters — and NUL, which marks sealed-block
 // padding during directory rebuilds — in free text with spaces.
 func sanitize(text string) string {
@@ -447,14 +466,4 @@ func sanitize(text string) string {
 		}
 		return r
 	}, text)
-}
-
-// indexByte is bytes.IndexByte without importing bytes for one call site.
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }

@@ -291,6 +291,8 @@ func TestDecodeRowErrors(t *testing.T) {
 		{"dim mismatch", "1\t3\t1\t2\ttext"},
 		{"bad coord", "1\t2\t1\tzz\ttext"},
 		{"negative dim", "1\t-1\ttext"},
+		{"signed dim", "1\t+2\t1\t2\ttext"},
+		{"negative zero dim", "1\t-0\ttext"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -525,6 +527,40 @@ func TestGetFilteredReject(t *testing.T) {
 	}
 }
 
+// TestGetFilteredFiltersEveryDecodedRow: a row GetFiltered returns must
+// have passed accept. rowText and decodeRow once parsed the dimension
+// differently — decodeRow also took a sign, and rowText refused more than 64
+// coordinates — so such rows came back as survivors their filter never saw.
+func TestGetFilteredFiltersEveryDecodedRow(t *testing.T) {
+	reject := func([]byte) bool { return false }
+	var sc RowScratch
+
+	s, d := newStore(4096)
+	_, wide, err := s.Append(make(geo.Point, 65), "pool cafe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.GetFiltered(wide, &sc, reject); ok || err != nil {
+		t.Errorf("65-dimension row: ok=%v err=%v, want rejected", ok, err)
+	}
+
+	for _, row := range []string{"5\t+2\t1\t2\tpool cafe\n", "5\t-0\tpool cafe\n"} {
+		if err := d.Write(s.blocks[0], []byte(row)); err != nil {
+			t.Fatal(err)
+		}
+		obj, ok, err := s.GetFiltered(0, &sc, reject)
+		if ok {
+			t.Errorf("%q came back as %+v without passing the filter", row, obj)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%q: err = %v, want ErrCorrupt", row, err)
+		}
+	}
+}
+
 // TestGetFilteredErrors mirrors Get's error cases.
 func TestGetFilteredErrors(t *testing.T) {
 	s, _ := newStore(128)
@@ -560,5 +596,42 @@ func TestRowText(t *testing.T) {
 	// A row with tabs beyond the declared fields is left to decodeRow.
 	if _, ok := rowText([]byte("7\t1\t1.0\ttext\twith\ttabs")); ok {
 		t.Error("rowText accepted a row with stray tabs")
+	}
+}
+
+// BenchmarkGetFiltered times the ranked query's object load on a
+// Hotels-sized row that spans two 4 KB blocks: the two block reads, the
+// newline search, rowText, and — for a survivor — decodeRow.
+func BenchmarkGetFiltered(b *testing.B) {
+	s, _ := newStore(4096)
+	text := strings.Repeat("wireless internet heated pool golf course ", 70)
+	if _, _, err := s.Append(geo.NewPoint(1, 2), text); err != nil {
+		b.Fatal(err)
+	}
+	_, ptr, err := s.Append(geo.NewPoint(3, 4), text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	if span := s.rowBlockSpan(ptr, len(text)); span != 2 {
+		b.Fatalf("row spans %d blocks, want 2", span)
+	}
+	for _, c := range []struct {
+		name   string
+		accept bool
+	}{{"reject", false}, {"accept", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			var sc RowScratch
+			accept := func([]byte) bool { return c.accept }
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.GetFiltered(ptr, &sc, accept); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -116,7 +117,7 @@ func (s *Store) rebuildDirectory() error {
 			off = (off/bs + 1) * bs
 			continue
 		}
-		idx := indexByte(data[off:limit], '\n')
+		idx := bytes.IndexByte(data[off:limit], '\n')
 		if idx < 0 {
 			return fmt.Errorf("%w: unterminated row at %d during rebuild", ErrCorrupt, off)
 		}

@@ -55,11 +55,21 @@ func FuzzByteKernelsMatchRunePath(f *testing.F) {
 	f.Add([]byte("\x00\xff\xfe broken \xc3\x28 utf8 İstanbul ǅ"), "i̇stanbul", "ǆ")
 	f.Add([]byte("K k K"), "k", "\xff")
 	f.Add([]byte(""), "", "x")
+	f.Add([]byte("POOL,pool Pool"), "pool", "Pool")
+	f.Add([]byte("a-b a b"), "a-b", "b")
+	f.Add([]byte("po"), "pool", "")
+	f.Add([]byte("aaa aa aaaa"), "aa", "a")
+	f.Add([]byte("pool spa pool"), "pool", "spa")
+	f.Add([]byte("pool"), "pool", "poo")
+	f.Add([]byte("a1 1a 11 1\x00pool\xffpool"), "11", "pool")
+	f.Add([]byte(strings.Repeat("pool spa ", 300)+"spa\xff"), "spa", "pool")
+	f.Add([]byte("Kitten \u212Aitten KITTEN"), "kitten", "\u212Aitten")
+	f.Add([]byte("İstanbul Istanbul"), "istanbul", "i")
 	f.Fuzz(func(t *testing.T, text []byte, t1, t2 string) {
 		terms := []string{t1, t2}
 		want, got := make([]int, 2), make([]int, 2)
 		CountTermsInto(want, string(text), terms)
-		CountTermsBytesInto(got, text, terms)
+		CountTermsBytesInto(got, text, terms, new([]byte))
 		if want[0] != got[0] || want[1] != got[1] {
 			t.Fatalf("counts of %q in %q: rune path %v, byte kernels %v", terms, text, want, got)
 		}

@@ -2,7 +2,10 @@
 
 package textutil
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 //go:noinline
 func sinkBool(b bool) {}
@@ -26,5 +29,31 @@ func TestContainsTermsAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("plain TermFreqsInto allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestCountTermsBytesAllocFree gates the ranked query's per-candidate tf
+// kernel: once its fold buffer has grown to the longest row, counting
+// allocates nothing on either path — including for a term too long for the
+// compiler's stack buffer, which a []byte(term) conversion would allocate.
+func TestCountTermsBytesAllocFree(t *testing.T) {
+	terms := []string{"pool", "internet", strings.Repeat("x", 40)}
+	counts := make([]int, len(terms))
+	rows := [][]byte{
+		[]byte(strings.Repeat("wireless internet heated pool nearby ", 60)),
+		[]byte("Wireless Internet, heated Pool"),
+		[]byte("Wireless Internet, heated pool, café"),
+	}
+	var fold []byte
+	for _, row := range rows {
+		CountTermsBytesInto(counts, row, terms, &fold)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, row := range rows {
+			CountTermsBytesInto(counts, row, terms, &fold)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm CountTermsBytesInto allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -1,6 +1,8 @@
 package textutil
 
 import (
+	"bytes"
+	"encoding/binary"
 	"unicode"
 	"unicode/utf8"
 )
@@ -81,9 +83,112 @@ func countTokBytes(counts []int, tok []byte, terms []string) {
 }
 
 // CountTermsBytesInto is CountTermsInto for a document in a byte buffer.
+// fold is caller-owned working space, grown on first use and reused after.
+//
+// An all-ASCII document is lower-cased into fold in one pass, and each term
+// is then counted with a substring search (countTokenASCII) instead of
+// comparing it against every token. A document holding any byte ≥ 0x80
+// takes the rune scan (countTermsRunes), which stays exact there: a
+// non-ASCII rune can lower-case to an ASCII letter — U+212A KELVIN SIGN to
+// 'k', U+0130 to 'i' — so a byte search over such text would miss tokens.
 //
 //skvet:hotpath
-func CountTermsBytesInto(counts []int, text []byte, terms []string) {
+func CountTermsBytesInto(counts []int, text []byte, terms []string, fold *[]byte) {
+	n := len(text)
+	need := n
+	for _, term := range terms {
+		need = max(need, n+len(term))
+	}
+	if cap(*fold) < need {
+		//skvet:ignore hotalloc one-time scratch warm-up, reused by every later call through the same fold
+		*fold = make([]byte, need)
+	}
+	// The folded text, then room for the term being searched: bytes.Index
+	// takes the term as a []byte, and converting a string term would
+	// allocate for any term longer than the compiler's 32-byte stack buffer.
+	buf := (*fold)[:need]
+	if !lowerASCII(buf[:n], text) {
+		countTermsRunes(counts, text, terms)
+		return
+	}
+	for i, term := range terms {
+		counts[i] = countTokenASCII(buf[:n], buf[n:n+copy(buf[n:], term)])
+	}
+}
+
+// lowerASCII writes src lower-cased into dst, which is as long as src, and
+// reports whether src is all ASCII: it stops at the first word holding a
+// byte that is not.
+//
+// Eight bytes go at a time. In a word of ASCII bytes, adding 0x3f to each
+// byte sets its high bit iff the byte is ≥ 'A', adding 0x25 iff it is > 'Z',
+// and no sum carries into the next byte (0x7f + 0x3f < 0x100); the bytes
+// with the first bit and not the second are the capitals, and shifting that
+// bit down to 0x20 lower-cases them — what asciiTab does one byte at a time.
+//
+//skvet:hotpath
+func lowerASCII(dst, src []byte) bool {
+	const hi = 0x8080808080808080
+	dst = dst[:len(src)]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		w := binary.LittleEndian.Uint64(src[i:])
+		if w&hi != 0 {
+			return false
+		}
+		upper := (w + 0x3f3f3f3f3f3f3f3f) &^ (w + 0x2525252525252525) & hi
+		binary.LittleEndian.PutUint64(dst[i:], w|upper>>2)
+	}
+	for ; i < len(src); i++ {
+		c := src[i]
+		if c >= utf8.RuneSelf {
+			return false
+		}
+		dst[i] = asciiTab[c] &^ asciiTokenBit
+	}
+	return true
+}
+
+// countTokenASCII counts the tokens of low, lower-cased ASCII text, that
+// equal term: the occurrences of term with no letter or digit on either
+// side. Like tokenFoldEqBytes, a term that is empty or holds anything but
+// lower-case ASCII letters and digits equals no token.
+//
+//skvet:hotpath
+func countTokenASCII(low, term []byte) int {
+	if len(term) == 0 {
+		return 0
+	}
+	for _, c := range term {
+		if c >= utf8.RuneSelf || asciiTab[c] != c|asciiTokenBit {
+			return 0
+		}
+	}
+	// The search resumes after each occurrence, matched or not: every byte
+	// of an occurrence is a letter or digit, so no token starts inside one.
+	n := 0
+	for i := 0; ; {
+		j := bytes.Index(low[i:], term)
+		if j < 0 {
+			return n
+		}
+		start, end := i+j, i+j+len(term)
+		if (start == 0 || !isTokenASCII(low[start-1])) && (end == len(low) || !isTokenASCII(low[end])) {
+			n++
+		}
+		i = end
+	}
+}
+
+// isTokenASCII reports whether the ASCII byte c is a letter or digit.
+func isTokenASCII(c byte) bool { return asciiTab[c&0x7f]&asciiTokenBit != 0 }
+
+// countTermsRunes is CountTermsBytesInto's scan for any document: it walks
+// the tokens, decoding a rune wherever a byte is not ASCII, and compares
+// each token with every term.
+//
+//skvet:hotpath
+func countTermsRunes(counts []int, text []byte, terms []string) {
 	for i := range terms {
 		counts[i] = 0
 	}
@@ -169,11 +274,12 @@ func (a *Analyzer) ContainsTermsBytes(text []byte, terms []string) bool {
 }
 
 // TermFreqsBytesInto is TermFreqsInto for a document still in an I/O
-// scratch buffer; text must not be retained. Allocation-free on the plain
-// pipeline; other pipelines fall back to a string conversion.
-func (a *Analyzer) TermFreqsBytesInto(counts []int, text []byte, terms []string) {
+// scratch buffer; text must not be retained. fold is CountTermsBytesInto's
+// working space. Allocation-free on the plain pipeline once fold is grown;
+// other pipelines fall back to a string conversion.
+func (a *Analyzer) TermFreqsBytesInto(counts []int, text []byte, terms []string, fold *[]byte) {
 	if a.plain() {
-		CountTermsBytesInto(counts, text, terms)
+		CountTermsBytesInto(counts, text, terms, fold)
 		return
 	}
 	a.TermFreqsInto(counts, string(text), terms)

@@ -38,6 +38,11 @@
 #           bench.yml both invoke this step)
 #   fuzz    every Fuzz target for FUZZTIME (default 30s) each
 #   all     everything above (the default)
+#   micro   informational, not in all: the microbenchmarks of a ranked
+#           candidate's load and term count (objstore.GetFiltered on a
+#           two-block row, textutil.CountTermsBytesInto on lower-case,
+#           mixed-case and non-ASCII rows), printing ns/op and allocs/op —
+#           too noisy on shared runners to gate, so ci.yml never fails on it
 #
 # Not checks: scripts/loc.sh [base-ref] prints the root module's non-test Go
 # line count at base-ref and now, in total and per directory, and
@@ -132,6 +137,11 @@ run_bench() {
 		-json -out benchmarks -baseline benchmarks/baseline.json -regress 0
 }
 
+run_micro() {
+	step micro
+	go test -run '^$' -bench 'CountTermsBytes|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
+}
+
 run_fuzz() {
 	step fuzz
 	budget="${FUZZTIME:-30s}"
@@ -158,6 +168,7 @@ compat) run_compat ;;
 cover) run_cover ;;
 bench) run_bench ;;
 fuzz) run_fuzz ;;
+micro) run_micro ;;
 all)
 	run_build
 	run_lint
@@ -172,7 +183,7 @@ all)
 	run_fuzz
 	;;
 *)
-	echo "usage: scripts/ci.sh [build|lint|analyze|test|stress|allocs|perf-build|compat|cover|bench|fuzz|all]" >&2
+	echo "usage: scripts/ci.sh [build|lint|analyze|test|stress|allocs|perf-build|compat|cover|bench|fuzz|micro|all]" >&2
 	exit 2
 	;;
 esac
