@@ -41,7 +41,8 @@ bench:
 fuzz:
 	sh scripts/ci.sh fuzz
 
-# Informational microbenchmarks of a ranked candidate's load and term count.
+# Informational microbenchmarks of a ranked candidate's load and term count,
+# and of a warm durable top-k.
 micro:
 	sh scripts/ci.sh micro
 

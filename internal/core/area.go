@@ -16,12 +16,9 @@ func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	sigs := &levelSigs{scheme: x.scheme, kws: kws}
 	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
-		if !sigs.matches(level, aux) {
-			return 0, false
-		}
 		return rectDist(rect, area), true
 	}
-	return newResultIter(x, x.rt.Seek(scorer), kws)
+	return newResultIter(x, x.rt.Seek(scorer, sigs.at), kws)
 }
 
 // rectDist is geo.Rect.MinDistRect, aliased for readability at call sites.

@@ -39,13 +39,10 @@ func fillTraversal(s *SearchStats, t rtree.TraversalStats) {
 func (x *IR2Tree) Search(p geo.Point, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	// Per-level query signatures, built lazily: W = Signature(Q.t). The
-	// cache holds word-at-a-time views, so the per-entry check below reads
-	// raw aux bytes without allocating.
+	// cache holds word-at-a-time views, so the traversal's per-entry check
+	// reads raw aux bytes without allocating.
 	sigs := &levelSigs{scheme: x.scheme, kws: kws}
-	prune := func(isObject bool, level int, aux []byte) bool {
-		return sigs.matches(level, aux)
-	}
-	return newResultIter(x, x.rt.NearestNeighbors(p, prune), kws)
+	return newResultIter(x, x.rt.NearestNeighbors(p, sigs.at), kws)
 }
 
 // newResultIter wires a traversal to the store's filtered object loader:

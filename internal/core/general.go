@@ -76,7 +76,9 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	}
 
 	// The rtree iterator pops the smallest score, so queue priorities are
-	// negated f values.
+	// negated f values. The traversal gets no signature to prune by: the
+	// bound needs every keyword's match separately, and RequireMatch is the
+	// scorer's own keep test.
 	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
 		ub := upperIR(level, aux)
 		if opts.RequireMatch && ub == 0 {
@@ -86,7 +88,7 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	}
 	r := &RankedIter{
 		x:          x,
-		it:         x.rt.Seek(scorer),
+		it:         x.rt.Seek(scorer, nil),
 		p:          p,
 		normalized: normalized,
 		idfs:       idfs,

@@ -29,15 +29,18 @@ func (x *IR2Tree) WithinArea(area geo.Rect, keywords []string) ([]Result, Search
 	}
 	// Phase one walks the tree collecting candidate object pointers; phase
 	// two loads them in one batch, so rows sharing a block are read once
-	// instead of once per object. One pair of corner points serves every
-	// entry: a rectangle is tested before the walk moves on.
+	// instead of once per object. Each node looks its level's query
+	// signature up once and tests it first, so only entries that pass have
+	// their rectangle decoded — into one pair of corner points that serves
+	// every entry, since a rectangle is tested before the walk moves on.
 	var ptrs []objstore.Ptr
 	lo, hi := make(geo.Point, x.rt.Dim()), make(geo.Point, x.rt.Dim())
 	var walk func(n *rtree.PackedNode) error
 	walk = func(n *rtree.PackedNode) error {
 		stats.NodesLoaded++
+		sig := sigs.at(n.Level())
 		for i := 0; i < n.NumEntries(); i++ {
-			if !n.EntryRectInto(i, lo, hi).Intersects(area) || !sigs.matches(n.Level(), n.EntryAux(i)) {
+			if !sig.MatchesTolerant(n.EntryAux(i)) || !n.EntryRectInto(i, lo, hi).Intersects(area) {
 				continue
 			}
 			if n.Level() == 0 {

@@ -34,7 +34,7 @@ func decodedAreaWalk(t *testing.T, x *IR2Tree, area geo.Rect, keywords []string)
 		nodes++
 		for i := 0; i < n.NumEntries(); i++ {
 			ptr, rect, aux := n.Entry(i)
-			if !rect.Intersects(area) || !sigs.matches(n.Level(), aux) {
+			if !rect.Intersects(area) || !sigs.at(n.Level()).MatchesTolerant(aux) {
 				continue
 			}
 			if n.Level() == 0 {

@@ -3,10 +3,10 @@ package core
 import "spatialkeyword/internal/sigfile"
 
 // levelSigs lazily caches the conjunctive query signature per tree level in
-// word-at-a-time form. The distance-first and area searches consult it once
-// per scored entry, so it replaces the old map[int]Signature closure: a
-// slice indexed by level (tree heights are tiny) holding Sig64 views that
-// match raw aux payloads without allocating.
+// word-at-a-time form: a slice indexed by level (tree heights are tiny)
+// holding Sig64 views that match raw aux payloads without allocating. The
+// distance-first and area traversals and WithinArea look it up once per
+// expanded node.
 type levelSigs struct {
 	scheme *sigScheme
 	kws    []string
@@ -14,6 +14,8 @@ type levelSigs struct {
 	have   []bool
 }
 
+// at returns the query signature at the given level; its shape is the one
+// rtree.Seek takes.
 func (c *levelSigs) at(level int) *sigfile.Sig64 {
 	for level >= len(c.sigs) {
 		c.sigs = append(c.sigs, sigfile.Sig64{})
@@ -24,14 +26,6 @@ func (c *levelSigs) at(level int) *sigfile.Sig64 {
 		c.have[level] = true
 	}
 	return &c.sigs[level]
-}
-
-// matches reports whether an entry payload at the given level may cover the
-// whole query (tolerant of length mismatches, like sigfile.MatchesTolerant).
-//
-//skvet:hotpath
-func (c *levelSigs) matches(level int, aux []byte) bool {
-	return c.at(level).MatchesTolerant(aux)
 }
 
 // levelWordSigs is the per-keyword variant for the general ranked search:

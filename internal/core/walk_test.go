@@ -1,0 +1,176 @@
+package core
+
+import (
+	"container/heap"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/rtree"
+	"spatialkeyword/internal/storage"
+	"spatialkeyword/internal/textutil"
+)
+
+// walkItem and walkQueue are decodedSearch's priority queue, ordered as the
+// rtree iterator's: score, then objects before nodes, then insertion order.
+type walkItem struct {
+	isObject bool
+	ptr      uint64
+	score    float64
+	seq      int
+}
+
+type walkQueue []walkItem
+
+func (q walkQueue) Len() int { return len(q) }
+func (q walkQueue) Less(i, j int) bool {
+	if q[i].score != q[j].score {
+		return q[i].score < q[j].score
+	}
+	if q[i].isObject != q[j].isObject {
+		return q[i].isObject
+	}
+	return q[i].seq < q[j].seq
+}
+func (q walkQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *walkQueue) Push(x any)   { *q = append(*q, x.(walkItem)) }
+func (q *walkQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+// decodedSearch is the traversal under Search and SearchArea written over
+// decoded LoadNode images, in the per-entry order it had before the
+// signature test moved ahead of the rectangle decode: decode, score by dist,
+// then the signature test, its level's signature looked up per entry. It
+// returns the object refs the traversal emits, in order, and its counters.
+func decodedSearch(t *testing.T, x *IR2Tree, keywords []string, dist func(geo.Rect) float64) (refs []uint64, st rtree.TraversalStats) {
+	t.Helper()
+	sigs := &levelSigs{scheme: x.scheme, kws: x.an.Keywords(keywords)}
+	root, err := x.rt.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &walkQueue{}
+	seq := 0
+	if root != nil {
+		heap.Push(q, walkItem{ptr: uint64(root.ID()), score: math.Inf(-1)})
+		seq++
+	}
+	for q.Len() > 0 {
+		item := heap.Pop(q).(walkItem)
+		if item.isObject {
+			refs = append(refs, item.ptr)
+			continue
+		}
+		n, err := x.rt.LoadNode(storage.BlockID(item.ptr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.NodesLoaded++
+		for i := 0; i < n.NumEntries(); i++ {
+			ptr, rect, aux := n.Entry(i)
+			score := dist(rect)
+			if !sigs.at(n.Level()).MatchesTolerant(aux) {
+				st.EntriesPruned++
+				continue
+			}
+			if n.Level() == 0 {
+				st.ObjectsEnqueued++
+			} else {
+				st.NodesEnqueued++
+			}
+			heap.Push(q, walkItem{isObject: n.Level() == 0, ptr: ptr, score: score, seq: seq})
+			seq++
+		}
+	}
+	return refs, st
+}
+
+// TestSearchMatchesDecodedWalk holds Search and SearchArea on IR² and MIR²
+// trees to brute force — every object containing the keywords, each at its
+// exact distance, in non-decreasing order — and to decodedSearch: the same
+// results in the same order, and the same work record. MIR² sizes its
+// signatures by level, so testing one level's signature against another
+// level's entries shows here.
+func TestSearchMatchesDecodedWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	f := buildFixture(t, randomRows(rng, 400), 4, 8)
+	objOf := make(map[uint64]objstore.Object, len(f.ptrs))
+	for i, p := range f.ptrs {
+		objOf[uint64(p)] = f.objects[i]
+	}
+	pruned := 0
+	for trial := 0; trial < 12; trial++ {
+		kw := [][]string{{"pool"}, {"internet", "spa"}, {"gym", "bar", "wifi"}, {"notaword"}}[trial%4]
+		kws := textutil.NormalizeAll(kw)
+		p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
+		lo := geo.NewPoint(rng.Float64()*800, rng.Float64()*800)
+		area := geo.NewRect(lo, geo.NewPoint(lo[0]+rng.Float64()*300, lo[1]+rng.Float64()*300))
+		var brute []objstore.ID
+		for _, o := range f.objects {
+			if textutil.ContainsAll(o.Text, kws) {
+				brute = append(brute, o.ID)
+			}
+		}
+		slices.Sort(brute)
+		for name, tree := range map[string]*IR2Tree{"IR2": f.ir2, "MIR2": f.mir2} {
+			for _, q := range []struct {
+				kind string
+				open func() *ResultIter
+				dist func(geo.Rect) float64
+			}{
+				{"Search", func() *ResultIter { return tree.Search(p, kw) }, func(r geo.Rect) float64 { return r.MinDist(p) }},
+				{"SearchArea", func() *ResultIter { return tree.SearchArea(area, kw) }, func(r geo.Rect) float64 { return r.MinDistRect(area) }},
+			} {
+				where := fmt.Sprintf("trial %d %s %s %v", trial, name, q.kind, kw)
+				refs, ts := decodedSearch(t, tree, kw, q.dist)
+				var want []objstore.ID
+				for _, ref := range refs {
+					if o := objOf[ref]; textutil.ContainsAll(o.Text, kws) {
+						want = append(want, o.ID)
+					}
+				}
+				it := q.open()
+				got, err := TakeK(len(f.objects)+1, it.Next)
+				it.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids := resultIDs(got)
+				if !slices.Equal(ids, want) {
+					t.Fatalf("%s: got %v, decoded walk %v", where, ids, want)
+				}
+				for i, r := range got {
+					if d := q.dist(geo.PointRect(r.Object.Point)); r.Dist != d {
+						t.Fatalf("%s: result %d at %g, want %g", where, i, r.Dist, d)
+					}
+					if i > 0 && got[i-1].Dist > r.Dist {
+						t.Fatalf("%s: order violated at %d", where, i)
+					}
+				}
+				if slices.Sort(ids); !slices.Equal(ids, brute) {
+					t.Fatalf("%s: result set %v, brute force %v", where, ids, brute)
+				}
+				wantStats := SearchStats{
+					NodesLoaded: ts.NodesLoaded, EntriesPruned: ts.EntriesPruned,
+					NodesEnqueued: ts.NodesEnqueued, ObjectsEnqueued: ts.ObjectsEnqueued,
+					ObjectsLoaded: len(refs), FalsePositives: len(refs) - len(want),
+				}
+				if st := it.Stats(); st != wantStats {
+					t.Fatalf("%s: stats %+v, decoded walk %+v", where, st, wantStats)
+				}
+				pruned += ts.EntriesPruned
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no entry pruned in any trial: the signature test is inert")
+	}
+}

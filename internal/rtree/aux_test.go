@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 )
 
@@ -125,9 +126,8 @@ func TestAuxPruningDuringSearch(t *testing.T) {
 	}
 	// Search from the origin for mask B objects only: the whole near
 	// cluster must be pruned by payload, not by distance.
-	it := tree.NearestNeighbors(geo.NewPoint(0, 0), func(_ bool, _ int, aux []byte) bool {
-		return aux[0]&0x80 != 0
-	})
+	sig := sigfile.MakeSig64(sigfile.Signature(maskB))
+	it := tree.NearestNeighbors(geo.NewPoint(0, 0), func(int) *sigfile.Sig64 { return &sig })
 	count := 0
 	for {
 		ref, _, ok, err := it.Next()

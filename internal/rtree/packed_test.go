@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 )
 
@@ -204,8 +205,11 @@ func TestCacheInvalidatedOnMutation(t *testing.T) {
 // decodedWalk is the reference the packed Iter is checked against: the same
 // best-first search (Figure 3 with Figure 8's keep test) written over decoded
 // LoadNode images, as the traversal read nodes before the packed image became
-// the only read representation.
-func decodedWalk(t *testing.T, tree *Tree, scorer EntryScorer) (refs []uint64, scores []float64, st TraversalStats) {
+// the only read representation. It keeps that traversal's per-entry order —
+// decode the rectangle, score, then the keep test — so it also pins what
+// moving the signature test ahead of the decode must not change: the
+// emitted sequence, the counters and every trace event.
+func decodedWalk(t *testing.T, tree *Tree, scorer EntryScorer) (refs []uint64, scores []float64, st TraversalStats, events []TraceEvent) {
 	t.Helper()
 	var q itemHeap
 	var seq uint64
@@ -216,7 +220,7 @@ func decodedWalk(t *testing.T, tree *Tree, scorer EntryScorer) (refs []uint64, s
 	for len(q) > 0 {
 		item := q.pop()
 		if item.isObject {
-			st.ObjectsEmitted++
+			events = append(events, TraceEvent{Kind: TraceEmit, Child: item.ref, Score: item.score})
 			refs, scores = append(refs, item.ref), append(scores, item.score)
 			continue
 		}
@@ -225,42 +229,90 @@ func decodedWalk(t *testing.T, tree *Tree, scorer EntryScorer) (refs []uint64, s
 			t.Fatal(err)
 		}
 		st.NodesLoaded++
+		events = append(events, TraceEvent{Kind: TraceExpand, Node: n.ID(), Level: n.Level(), Score: item.score})
 		for i := 0; i < n.NumEntries(); i++ {
 			ptr, rect, aux := n.Entry(i)
 			score, keep := scorer(n.Level() == 0, n.Level(), rect, aux)
 			if !keep {
 				st.EntriesPruned++
+				events = append(events, TraceEvent{Kind: TracePrune, Node: n.ID(), Child: ptr, Level: n.Level()})
 				continue
 			}
 			qi := queueItem{isObject: n.Level() == 0, score: score, seq: seq}
 			seq++
+			ev := TraceEvent{Kind: TraceEnqueueNode, Node: n.ID(), Child: ptr, Level: n.Level(), Score: score}
 			if qi.isObject {
 				st.ObjectsEnqueued++
 				qi.ref = ptr
+				ev.Kind = TraceEnqueueObject
 			} else {
 				st.NodesEnqueued++
 				qi.node = storage.BlockID(ptr)
 			}
+			events = append(events, ev)
 			q.push(qi)
 		}
 	}
-	return refs, scores, st
+	return refs, scores, st, events
+}
+
+// levelSig builds a per-level query signature for Seek from one byte-form
+// signature per level; levels past the last reuse it.
+func levelSig(perLevel ...sigfile.Signature) func(level int) *sigfile.Sig64 {
+	sigs := make([]sigfile.Sig64, len(perLevel))
+	for i, s := range perLevel {
+		sigs[i] = sigfile.MakeSig64(s)
+	}
+	return func(level int) *sigfile.Sig64 { return &sigs[min(level, len(sigs)-1)] }
+}
+
+// firstDiff returns the first index at which got and want differ, or -1.
+func firstDiff(got, want []TraceEvent) int {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			return i
+		}
+	}
+	if len(got) != len(want) {
+		return min(len(got), len(want))
+	}
+	return -1
+}
+
+// bitsAt returns an n-byte signature with byte i set to b[i].
+func bitsAt(n int, b ...byte) sigfile.Signature {
+	s := make(sigfile.Signature, n)
+	copy(s, b)
+	return s
 }
 
 // TestPackedIterMatchesDecodedWalk holds the two promises the retired E-X10
-// experiment gated. For random trees with the default cache, a 2-node cache
-// and no cache at all, the packed Iter yields the (ref, score) sequence and
-// the TraversalStats of decodedWalk; and the device's random and sequential
-// counters are the decoded walk's whether the traversal runs cold, warm or
-// cache-less — disk accounting cannot tell cached from uncached.
+// experiment gated, and the one the signature-first expansion adds. For
+// random trees with the default cache, a 2-node cache and no cache at all,
+// the packed Iter — which tests an entry's signature before decoding its
+// rectangle — yields the (ref, score) sequence, the TraversalStats and the
+// full trace of decodedWalk, which decodes and scores first; and the
+// device's random and sequential counters are the decoded walk's whether the
+// traversal runs cold, warm or cache-less — disk accounting cannot tell
+// cached from uncached.
+//
+// The query signature differs by level, so testing the wrong level's
+// signature shows. In the lenmismatch row every interior entry's payload is
+// shorter than the interior query signature, whose bits no payload has: the
+// only sound answer is "may match" (Sig64.MatchesTolerant), so no subtree may
+// be pruned and every node is expanded.
 func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		scheme AuxScheme
 		maxE   int
+		sig    func(level int) *sigfile.Sig64
 	}{
-		{"aux4", orScheme{n: 4}, 3},
-		{"multiblock", bigScheme{orScheme{n: 2048}}, 4},
+		// Leaves need bit 0 of bytes 0 and 1, interior entries only the
+		// first: prunes most objects and some subtrees.
+		{"aux4", orScheme{n: 4}, 3, levelSig(bitsAt(4, 1, 1), bitsAt(4, 1))},
+		{"multiblock", bigScheme{orScheme{n: 2048}}, 4, levelSig(bitsAt(2048, 1, 1), bitsAt(2048, 1))},
+		{"lenmismatch", orScheme{n: 4}, 3, levelSig(bitsAt(4, 1), bitsAt(5, 0xff, 0xff, 0xff, 0xff, 0xff))},
 	} {
 		for _, cacheNodes := range []int{0, 2, -1} {
 			t.Run(fmt.Sprintf("%s/cache=%d", tc.name, cacheNodes), func(t *testing.T) {
@@ -278,20 +330,32 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				// Keep entries whose mask has bit 0 of byte 0: prunes most
-				// objects and some subtrees, like a signature test.
-				scorer := DistanceScorer(geo.NewPoint(40, 60), func(_ bool, _ int, aux []byte) bool {
-					return aux[0]&1 != 0
-				})
+				p := geo.NewPoint(40, 60)
+				ref := func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
+					score := rect.MinDist(p)
+					return score, tc.sig(level).MatchesTolerant(aux)
+				}
 				disk.ResetStats()
-				wantRefs, wantScores, wantStats := decodedWalk(t, tree, scorer)
+				wantRefs, wantScores, wantStats, wantEvents := decodedWalk(t, tree, ref)
 				wantIO := disk.Stats()
 				if len(wantRefs) == 0 || wantStats.EntriesPruned == 0 {
 					t.Fatalf("degenerate workload: %d results, %+v", len(wantRefs), wantStats)
 				}
+				if tc.name == "lenmismatch" {
+					for _, ev := range wantEvents {
+						if ev.Kind == TracePrune && ev.Level > 0 {
+							t.Fatalf("reference pruned subtree %d despite a length mismatch", ev.Child)
+						}
+					}
+					if wantStats.NodesLoaded != tree.NumNodes() {
+						t.Fatalf("reference expanded %d of %d nodes", wantStats.NodesLoaded, tree.NumNodes())
+					}
+				}
 				for _, pass := range []string{"cold", "warm"} {
 					disk.ResetStats()
-					it := tree.Seek(scorer)
+					it := tree.NearestNeighbors(p, tc.sig)
+					var events []TraceEvent
+					it.SetTrace(func(ev TraceEvent) { events = append(events, ev) })
 					var refs []uint64
 					var scores []float64
 					for {
@@ -311,6 +375,11 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 					}
 					if got := it.TraversalStats(); got != wantStats {
 						t.Fatalf("%s: traversal stats %+v, decoded walk %+v", pass, got, wantStats)
+					}
+					if i := firstDiff(events, wantEvents); i >= 0 {
+						t.Fatalf("%s: %d trace events, decoded walk %d; first difference at %d:\n got %v\nwant %v",
+							pass, len(events), len(wantEvents), i,
+							events[i:min(i+1, len(events))], wantEvents[i:min(i+1, len(wantEvents))])
 					}
 					if got := disk.Stats(); got.Random() != wantIO.Random() || got.Sequential() != wantIO.Sequential() {
 						t.Fatalf("%s: device saw %d random + %d sequential, decoded walk %d + %d",

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 )
 
@@ -12,9 +13,10 @@ import (
 // and decides whether to keep it at all. isObject reports whether the entry
 // references an object (it was read from a leaf); level is the level of the
 // node the entry was read from; rect is the entry's MBR and aux its payload.
-// Returning keep = false drops the entry — for the IR² algorithms this is
-// the signature check "if s matches w" of Figure 8; for a plain tree it is
-// always true.
+// Returning keep = false drops the entry. The signature check "if s matches
+// w" of Figure 8 is not the scorer's: the iterator applies it before the
+// scorer runs (see Seek). keep is for scorers with a test of their own, such
+// as the general ranked query's "Score > 0".
 //
 // Lower scores are dequeued first, so a scorer implementing the paper's
 // general ranking (higher f is better) should return a negated score.
@@ -26,14 +28,9 @@ type EntryScorer func(isObject bool, level int, rect geo.Rect, aux []byte) (scor
 
 // DistanceScorer returns the scorer of the incremental nearest-neighbor
 // algorithm (Figure 3): the priority of every entry is the minimum distance
-// from the query point to its MBR, and nothing is pruned. The optional prune
-// hook turns it into the distance-first IR² scorer (Figure 8): entries whose
-// payload fails the hook are dropped.
-func DistanceScorer(p geo.Point, prune func(isObject bool, level int, aux []byte) bool) EntryScorer {
+// from the query point to its MBR, and nothing is pruned.
+func DistanceScorer(p geo.Point) EntryScorer {
 	return func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
-		if prune != nil && !prune(isObject, level, aux) {
-			return 0, false
-		}
 		return rect.MinDist(p), true
 	}
 }
@@ -122,9 +119,9 @@ const (
 	// TraceEnqueueObject: an object entry passed the scorer and entered
 	// the queue.
 	TraceEnqueueObject
-	// TracePrune: an entry failed the scorer's keep test (for the IR²
-	// algorithms, its signature did not cover the query's) and was dropped
-	// — the subtree or object is never visited.
+	// TracePrune: an entry's signature did not cover the query's, or it
+	// failed the scorer's keep test, and was dropped — the subtree or
+	// object is never visited.
 	TracePrune
 	// TraceEmit: an object was dequeued and returned as the next result
 	// candidate.
@@ -204,6 +201,7 @@ func (ev TraceEvent) String() string {
 type Iter struct {
 	t      *Tree
 	scorer EntryScorer
+	sig    func(level int) *sigfile.Sig64
 	queue  itemHeap
 	seq    uint64
 	stats  TraversalStats
@@ -227,15 +225,13 @@ type TraversalStats struct {
 	// NodesLoaded is the number of nodes expanded (the "node accesses"
 	// metric of the paper's evaluation).
 	NodesLoaded int
-	// EntriesPruned is the number of entries the scorer dropped (for the
-	// IR² algorithms: signature mismatches, subtrees never visited).
+	// EntriesPruned is the number of entries dropped: signature
+	// mismatches plus the scorer's keep failures — subtrees never visited.
 	EntriesPruned int
 	// NodesEnqueued and ObjectsEnqueued count entries that passed the
 	// scorer and entered the queue (Push re-enqueues count as objects).
 	NodesEnqueued   int
 	ObjectsEnqueued int
-	// ObjectsEmitted is the number of objects dequeued and returned.
-	ObjectsEmitted int
 }
 
 // SetTrace installs a hook receiving every traversal step — the library's
@@ -243,17 +239,23 @@ type TraversalStats struct {
 // first Next call; a nil hook disables tracing.
 func (it *Iter) SetTrace(fn func(TraceEvent)) { it.trace = fn }
 
-// Seek starts a best-first traversal with the given scorer. The root enters
-// the queue with score -Inf: it is never pruned (the query must consider the
-// whole tree before any of it is expanded), and -Inf is the one priority
-// that is a sound bound for every scorer — PeekScore must never claim a
-// tighter bound than the scorer itself would assign, and the root has not
-// been scored yet. (Seeding with 0 would be wrong for scorers with negative
-// priorities, such as the general ranked query's negated f scores: a peek
-// before the first Next would report bound 0 and let a top-k merge discard
-// the whole traversal.)
-func (t *Tree) Seek(scorer EntryScorer) *Iter {
-	it := &Iter{t: t, scorer: scorer}
+// Seek starts a best-first traversal with the given scorer. sig, when not
+// nil, is the query's signature per tree level — the signature test "if s
+// matches w" of Figure 8: an expanded node looks its level's signature up
+// once, and an entry whose payload does not match it (Sig64.MatchesTolerant,
+// so a length mismatch keeps the entry) is pruned before its rectangle is
+// decoded or the scorer sees it. A nil sig prunes nothing.
+//
+// The root enters the queue with score -Inf: it is never pruned (the query
+// must consider the whole tree before any of it is expanded), and -Inf is
+// the one priority that is a sound bound for every scorer — PeekScore must
+// never claim a tighter bound than the scorer itself would assign, and the
+// root has not been scored yet. (Seeding with 0 would be wrong for scorers
+// with negative priorities, such as the general ranked query's negated f
+// scores: a peek before the first Next would report bound 0 and let a top-k
+// merge discard the whole traversal.)
+func (t *Tree) Seek(scorer EntryScorer, sig func(level int) *sigfile.Sig64) *Iter {
+	it := &Iter{t: t, scorer: scorer, sig: sig}
 	t.mu.RLock()
 	root := t.root
 	t.mu.RUnlock()
@@ -284,10 +286,11 @@ func (it *Iter) Close() {
 }
 
 // NearestNeighbors starts the incremental nearest-neighbor traversal from
-// point p, optionally pruning entries through the hook (nil means no
-// pruning: the classic [HS99] algorithm).
-func (t *Tree) NearestNeighbors(p geo.Point, prune func(isObject bool, level int, aux []byte) bool) *Iter {
-	return t.Seek(DistanceScorer(p, prune))
+// point p, pruning entries whose payload misses the query signature sig
+// (see Seek). A nil sig is the classic [HS99] algorithm; a non-nil one is
+// the distance-first IR² traversal of Figure 8.
+func (t *Tree) NearestNeighbors(p geo.Point, sig func(level int) *sigfile.Sig64) *Iter {
+	return t.Seek(DistanceScorer(p), sig)
 }
 
 // Next returns the next object in score order. ok is false when the
@@ -298,7 +301,6 @@ func (it *Iter) Next() (ref uint64, score float64, ok bool, err error) {
 	for len(it.queue) > 0 {
 		item := it.queue.pop()
 		if item.isObject {
-			it.stats.ObjectsEmitted++
 			if it.trace != nil {
 				it.trace(TraceEvent{Kind: TraceEmit, Child: item.ref, Score: item.score})
 			}
@@ -312,9 +314,11 @@ func (it *Iter) Next() (ref uint64, score float64, ok bool, err error) {
 }
 
 // expandPacked is Next's node-expansion step: the node comes from the
-// decoded-node cache (or, without one, is pinned for this visit) and its
-// entries are scored straight off the image, reusing the iterator's
-// corner-point scratch.
+// decoded-node cache (or, without one, is pinned for this visit). The
+// level's query signature is looked up once per node and each entry's
+// payload is tested against it straight off the image; only entries that
+// pass have their rectangle decoded (into the iterator's corner-point
+// scratch) and scored.
 //
 //skvet:hotpath
 func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
@@ -326,39 +330,57 @@ func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
 	if it.trace != nil {
 		it.trace(TraceEvent{Kind: TraceExpand, Node: pn.id, Level: pn.level, Score: score})
 	}
-	isObject := pn.level == 0
+	var sig *sigfile.Sig64
+	if it.sig != nil {
+		sig = it.sig(pn.level)
+	}
 	for i := 0; i < pn.count; i++ {
-		rect := pn.EntryRectInto(i, it.scr.lo, it.scr.hi)
-		it.enqueueEntry(isObject, pn.level, pn.id, pn.EntryPtr(i), rect, pn.EntryAux(i))
+		aux := pn.EntryAux(i)
+		if sig != nil && !sig.MatchesTolerant(aux) {
+			it.prune(pn, i)
+			continue
+		}
+		it.enqueueEntry(pn, i, aux)
 	}
 	return nil
 }
 
-// enqueueEntry scores one entry and pushes it on the queue (or prunes it).
+// prune counts and traces node pn's dropped entry i.
 //
 //skvet:hotpath
-func (it *Iter) enqueueEntry(isObject bool, level int, nodeID storage.BlockID, ptr uint64, rect geo.Rect, aux []byte) {
-	score, keep := it.scorer(isObject, level, rect, aux)
+func (it *Iter) prune(pn *PackedNode, i int) {
+	it.stats.EntriesPruned++
+	if it.trace != nil {
+		it.trace(TraceEvent{Kind: TracePrune, Node: pn.id, Child: pn.EntryPtr(i), Level: pn.level})
+	}
+}
+
+// enqueueEntry decodes and scores node pn's entry i, whose payload is aux,
+// and pushes it on the queue (or prunes it).
+//
+//skvet:hotpath
+func (it *Iter) enqueueEntry(pn *PackedNode, i int, aux []byte) {
+	isObject := pn.level == 0
+	rect := pn.EntryRectInto(i, it.scr.lo, it.scr.hi)
+	score, keep := it.scorer(isObject, pn.level, rect, aux)
 	if !keep {
-		it.stats.EntriesPruned++
-		if it.trace != nil {
-			it.trace(TraceEvent{Kind: TracePrune, Node: nodeID, Child: ptr, Level: level})
-		}
+		it.prune(pn, i)
 		return
 	}
+	ptr := pn.EntryPtr(i)
 	qi := queueItem{isObject: isObject, score: score, seq: it.seq}
 	it.seq++
 	if isObject {
 		it.stats.ObjectsEnqueued++
 		qi.ref = ptr
 		if it.trace != nil {
-			it.trace(TraceEvent{Kind: TraceEnqueueObject, Node: nodeID, Child: ptr, Level: level, Score: score})
+			it.trace(TraceEvent{Kind: TraceEnqueueObject, Node: pn.id, Child: ptr, Level: pn.level, Score: score})
 		}
 	} else {
 		it.stats.NodesEnqueued++
 		qi.node = storage.BlockID(ptr)
 		if it.trace != nil {
-			it.trace(TraceEvent{Kind: TraceEnqueueNode, Node: nodeID, Child: ptr, Level: level, Score: score})
+			it.trace(TraceEvent{Kind: TraceEnqueueNode, Node: pn.id, Child: ptr, Level: pn.level, Score: score})
 		}
 	}
 	it.queue.push(qi)

@@ -41,8 +41,10 @@
 #   micro   informational, not in all: the microbenchmarks of a ranked
 #           candidate's load and term count (objstore.GetFiltered on a
 #           two-block row, textutil.CountTermsBytesInto on lower-case,
-#           mixed-case and non-ASCII rows), printing ns/op and allocs/op —
-#           too noisy on shared runners to gate, so ci.yml never fails on it
+#           mixed-case and non-ASCII rows) and of a warm distance-first top-k
+#           on a reopened durable engine (BenchmarkDurableTopK, root
+#           package), printing ns/op and allocs/op — too noisy on shared
+#           runners to gate, so ci.yml never fails on it
 #
 # Not checks: scripts/loc.sh [base-ref] prints the root module's non-test Go
 # line count at base-ref and now, in total and per directory, and
@@ -140,6 +142,7 @@ run_bench() {
 run_micro() {
 	step micro
 	go test -run '^$' -bench 'CountTermsBytes|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
+	go test -run '^$' -bench 'DurableTopK' -benchmem .
 }
 
 run_fuzz() {
