@@ -35,7 +35,7 @@ func (lockIO) Doc() string {
 
 // deviceIOMethods are the Device methods that perform (modeled) disk I/O.
 var deviceIOMethods = map[string]bool{
-	"Read": true, "ReadRun": true, "ReadRunInto": true, "Write": true, "WriteRun": true,
+	"Read": true, "ReadRun": true, "ReadRunInto": true, "ChargeRun": true, "Write": true, "WriteRun": true,
 }
 
 func (lockIO) Run(prog *Program) []Diagnostic {

@@ -213,41 +213,66 @@ func wantTyped(t *testing.T, err error, wantKind storage.FaultKind, wantChecksum
 	}
 }
 
-// TestFaultMatrix drives every fault kind against every substrate.
+// readArmed builds sub on dev, reads it clean once first when warm — so the
+// reads after arming hit the nodes a tree has pinned, which a device may
+// charge instead of reading — then arms fd with plan and returns the next
+// read's error.
+func readArmed(t *testing.T, sub substrate, fd *storage.FaultDevice, dev storage.Device, warm bool, plan func() storage.FaultPlan) error {
+	t.Helper()
+	read, err := sub.build(dev)
+	if err != nil {
+		t.Fatalf("clean build failed: %v", err)
+	}
+	if warm {
+		if err := read(); err != nil {
+			t.Fatalf("clean read failed: %v", err)
+		}
+	}
+	fd.SetPlan(plan())
+	return read()
+}
+
+// TestFaultMatrix drives every fault kind against every substrate. Read
+// errors and bit flips each have a cold row (armed before the first read)
+// and a warm one (armed after a clean read), and both must surface the same
+// typed error: no cache or charge path may hide a planned read fault.
 func TestFaultMatrix(t *testing.T) {
 	checkNoGoroutineLeak(t)
 	for _, sub := range substrates() {
 		sub := sub
 		t.Run(sub.name, func(t *testing.T) {
-			t.Run("read-error", func(t *testing.T) {
-				fd := storage.NewFaultDevice(storage.NewDisk(blockSize), storage.FaultPlan{})
-				read, err := sub.build(fd)
-				if err != nil {
-					t.Fatalf("clean build failed: %v", err)
-				}
-				if err := read(); err != nil {
-					t.Fatalf("clean read failed: %v", err)
-				}
-				fd.SetPlan(storage.FaultPlan{FailReadBlocks: allBlocks(fd)})
-				wantTyped(t, read(), storage.KindReadError, false)
-			})
+			for _, row := range []struct {
+				name string
+				warm bool
+			}{{"read-error", true}, {"read-error-cold", false}} {
+				t.Run(row.name, func(t *testing.T) {
+					fd := storage.NewFaultDevice(storage.NewDisk(blockSize), storage.FaultPlan{})
+					err := readArmed(t, sub, fd, fd, row.warm, func() storage.FaultPlan {
+						return storage.FaultPlan{FailReadBlocks: allBlocks(fd)}
+					})
+					wantTyped(t, err, storage.KindReadError, false)
+				})
+			}
 			t.Run("write-error", func(t *testing.T) {
 				fd := storage.NewFaultDevice(storage.NewDisk(blockSize), storage.FaultPlan{FailWritesFrom: 5})
 				_, err := sub.build(fd)
 				wantTyped(t, err, storage.KindWriteError, false)
 			})
-			t.Run("bit-flip", func(t *testing.T) {
-				// Checksum framing sits between the substrate and the flip,
-				// so silent corruption surfaces as *CorruptBlockError.
-				fd := storage.NewFaultDevice(storage.NewDisk(blockSize), storage.FaultPlan{Seed: 7})
-				dev := storage.NewChecksumDisk(fd)
-				read, err := sub.build(dev)
-				if err != nil {
-					t.Fatalf("clean build failed: %v", err)
-				}
-				fd.SetPlan(storage.FaultPlan{Seed: 7, FlipBlocks: allBlocks(fd)})
-				wantTyped(t, read(), 0, true)
-			})
+			for _, row := range []struct {
+				name string
+				warm bool
+			}{{"bit-flip", false}, {"bit-flip-warm", true}} {
+				t.Run(row.name, func(t *testing.T) {
+					// Checksum framing sits between the substrate and the
+					// flip, so silent corruption surfaces as
+					// *CorruptBlockError.
+					fd := storage.NewFaultDevice(storage.NewDisk(blockSize), storage.FaultPlan{Seed: 7})
+					err := readArmed(t, sub, fd, storage.NewChecksumDisk(fd), row.warm, func() storage.FaultPlan {
+						return storage.FaultPlan{Seed: 7, FlipBlocks: allBlocks(fd)}
+					})
+					wantTyped(t, err, 0, true)
+				})
+			}
 			t.Run("torn-run", func(t *testing.T) {
 				fd := storage.NewFaultDevice(storage.NewDisk(blockSize), storage.FaultPlan{TornWriteAt: nextAccesses(256)})
 				_, err := sub.build(fd)

@@ -15,10 +15,13 @@
 //     on a device (the lockio invariant now covers this package);
 //   - explicitly invalidated: the mutation path calls Invalidate for every
 //     node it rewrites or frees. The cache is an optimization layered over
-//     the verify-on-hit protocol in internal/rtree, which re-reads the
-//     node's blocks (paying the same modeled I/O as an uncached read) and
-//     compares before trusting a cached image — so even a missed
-//     invalidation cannot serve stale data, it only wastes a decode.
+//     the charge-on-hit protocol in internal/rtree: a hit pays the same
+//     modeled I/O as an uncached read through the device's ChargeRun, which
+//     moves no bytes and succeeds only if none of the node's blocks has been
+//     written since its image was read; otherwise the hit re-reads the
+//     blocks and compares before trusting the cached image — so even a
+//     missed invalidation cannot serve stale data, it only costs a re-read
+//     and a decode.
 package nodecache
 
 import (

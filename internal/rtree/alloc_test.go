@@ -8,7 +8,6 @@ package rtree
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"spatialkeyword/internal/geo"
@@ -16,25 +15,18 @@ import (
 )
 
 // TestLoadPackedHitAllocFree pins the core cache property: once a node is
-// decoded and pinned, re-loading it — including the verify re-read of its
-// device blocks — allocates nothing, on the in-memory simulator and on the
-// file device (bare and checksummed) that a served engine actually reads.
+// decoded and pinned, re-loading it — a charge of its device blocks, or the
+// verify re-read a checksummed device insists on — allocates nothing, on the
+// in-memory simulator and on the file device (bare and checksummed) that a
+// served engine actually reads.
 func TestLoadPackedHitAllocFree(t *testing.T) {
-	fileDisk := func(t *testing.T) *storage.FileDisk {
-		d, err := storage.CreateFileDisk(filepath.Join(t.TempDir(), "tree.db"), 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		return d
-	}
 	devices := []struct {
 		name string
 		mk   func(t *testing.T) storage.Device
 	}{
 		{"Disk", func(*testing.T) storage.Device { return storage.NewDisk(4096) }},
-		{"FileDisk", func(t *testing.T) storage.Device { return fileDisk(t) }},
-		{"Checksum(FileDisk)", func(t *testing.T) storage.Device { return storage.NewChecksumDisk(fileDisk(t)) }},
+		{"FileDisk", func(t *testing.T) storage.Device { return newFileDisk(t) }},
+		{"Checksum(FileDisk)", func(t *testing.T) storage.Device { return storage.NewChecksumDisk(newFileDisk(t)) }},
 	}
 	for _, dev := range devices {
 		t.Run(dev.name, func(t *testing.T) {

@@ -12,20 +12,27 @@
 // built with a negative Config.CacheNodes has no cache and pins each image
 // for one visit.
 //
-// Cache correctness does not rest on invalidation alone. A hit still pays
-// the node's full modeled device I/O — the device's ReadRunInto over the
-// same block sequence loadNode would read, into a pooled scratch buffer, so
-// the random/sequential counters that feed the benchmark cost model are
-// bit-identical with and without the cache — and then verifies the fresh
-// image against the pinned one, reparsing on any difference. ReadRunInto is
-// every storage.Device's one read body, so the replay costs one buffer copy
-// (one pread on a FileDisk) and no allocation whichever device, wrapped or
-// not, the tree was opened on. The mutation path additionally invalidates
-// rewritten and freed nodes (storeNode/freeNode), which keeps the verify
-// step from ever wasting a reparse in normal operation; but even a
-// hypothetical missed invalidation can only cost a decode, never serve stale
-// entries. The header (level + count) occupies the image's first bytes, so
-// any structural change to a node changes the prefix the comparison sees.
+// A hit is charged, not re-read. Every image carries the device's write
+// sequence (storage.Device.WriteSeq) taken before its blocks were read, and
+// a hit hands it to the device's ChargeRun over the node's block run: if no
+// block of the run has been written since, the device charges exactly the
+// random/sequential accesses a cold load of the run would — so the counters
+// that feed the benchmark cost model are bit-identical with and without the
+// cache — runs the fault hook, and moves no bytes. If a block was written
+// since, or the device declines (a ChecksumDisk, whose promise is a CRC on
+// every read; a FaultDevice whose plan arms a read fault), the hit falls
+// back to verifying: ReadRunInto over the same run into pooled scratch,
+// compared with the pinned image and reparsed on any difference.
+//
+// Cache correctness therefore does not rest on invalidation alone. The
+// mutation path invalidates rewritten and freed nodes (storeNode/freeNode),
+// so a hit normally finds its blocks unstamped; but bytes written behind the
+// cache's back through the device stamp the blocks they change, and the next
+// hit re-reads and reparses instead of serving stale entries. The header
+// (level + count) occupies the image's first bytes, so any structural change
+// to a node changes the prefix the comparison sees. What a charged hit cannot
+// see is a change that bypassed the device, such as another process writing
+// the index file; see DESIGN.md.
 package rtree
 
 import (
@@ -53,6 +60,7 @@ type PackedNode struct {
 	es     int // serialized entry size at this level
 	auxLen int
 	buf    []byte // trimmed image: nodeHeaderSize + count*es bytes
+	seq    uint64 // device write sequence taken before buf was read
 }
 
 // ID returns the node's first block ID.
@@ -128,9 +136,10 @@ func (t *Tree) putScratch(sb *scratchBuf) { t.scratchPool.Put(sb) }
 
 // LoadPacked reads the node starting at block id as a packed image, serving
 // it from the decoded-node cache when possible. The modeled device I/O is
-// identical to LoadNode's: a cache hit re-reads the node's blocks to verify
-// the pinned image (see the package comment), so the benchmark cost model
-// cannot tell a hit from a miss or from a tree without a cache.
+// identical to LoadNode's: a cache hit charges the node's blocks, or re-reads
+// them to verify the pinned image (see the package comment), so the
+// benchmark cost model cannot tell a hit from a miss or from a tree without
+// a cache.
 func (t *Tree) LoadPacked(id storage.BlockID) (*PackedNode, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -151,6 +160,13 @@ func (t *Tree) RootPacked() (*PackedNode, error) {
 func (t *Tree) loadPacked(id storage.BlockID) (*PackedNode, error) {
 	if t.cache != nil {
 		if pn, ok := t.cache.Get(id); ok {
+			charged, err := t.dev.ChargeRun(id, t.blocksForLevel(pn.level), pn.seq)
+			if err != nil {
+				return nil, fmt.Errorf("rtree: load node %d: %w", id, err)
+			}
+			if charged {
+				return pn, nil
+			}
 			return t.verifyPacked(id, pn)
 		}
 	}
@@ -170,6 +186,7 @@ func (t *Tree) loadPacked(id storage.BlockID) (*PackedNode, error) {
 func (t *Tree) verifyPacked(id storage.BlockID, pn *PackedNode) (*PackedNode, error) {
 	nblocks := t.blocksForLevel(pn.level)
 	sb := t.getScratch(nblocks * t.dev.BlockSize())
+	at := t.dev.WriteSeq()
 	if err := t.dev.ReadRunInto(id, nblocks, sb.b); err != nil {
 		t.putScratch(sb)
 		return nil, fmt.Errorf("rtree: load node %d: %w", id, err)
@@ -178,7 +195,7 @@ func (t *Tree) verifyPacked(id storage.BlockID, pn *PackedNode) (*PackedNode, er
 		t.putScratch(sb)
 		return pn, nil
 	}
-	fresh, err := t.parsePacked(id, sb.b)
+	fresh, err := t.parsePacked(id, sb.b, at)
 	t.putScratch(sb)
 	if err != nil {
 		return nil, err
@@ -187,13 +204,15 @@ func (t *Tree) verifyPacked(id storage.BlockID, pn *PackedNode) (*PackedNode, er
 	return fresh, nil
 }
 
-// readPacked cold-loads a node image and pins it.
+// readPacked cold-loads a node image and pins it, stamped with the write
+// sequence from before the read.
 func (t *Tree) readPacked(id storage.BlockID) (*PackedNode, error) {
+	at := t.dev.WriteSeq()
 	sb, err := t.readImage(id)
 	if err != nil {
 		return nil, err
 	}
-	pn, err := t.parsePacked(id, sb.b)
+	pn, err := t.parsePacked(id, sb.b, at)
 	t.putScratch(sb)
 	return pn, err
 }
@@ -234,9 +253,10 @@ func (t *Tree) readImage(id storage.BlockID) (*scratchBuf, error) {
 }
 
 // parsePacked validates a raw node image (with loadNode's exact checks) and
-// pins its trimmed prefix into a PackedNode. The returned node owns its
-// buffer; img may be reused by the caller.
-func (t *Tree) parsePacked(id storage.BlockID, img []byte) (*PackedNode, error) {
+// pins its trimmed prefix into a PackedNode, with at as the write sequence
+// taken before img was read. The returned node owns its buffer; img may be
+// reused by the caller.
+func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNode, error) {
 	level := int(binary.LittleEndian.Uint32(img[0:4]))
 	count := int(binary.LittleEndian.Uint32(img[4:8]))
 	if level < 0 || level > 64 || count < 0 || count > t.maxE {
@@ -257,6 +277,7 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte) (*PackedNode, error) 
 		es:     es,
 		auxLen: t.scheme.EntryAuxLen(level),
 		buf:    buf,
+		seq:    at,
 	}, nil
 }
 

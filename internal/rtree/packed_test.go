@@ -2,9 +2,11 @@ package rtree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -125,44 +127,164 @@ func TestPackedMatchesLoadNode(t *testing.T) {
 	}
 }
 
+func newFileDisk(t *testing.T) *storage.FileDisk {
+	t.Helper()
+	d, err := storage.CreateFileDisk(filepath.Join(t.TempDir(), "tree.db"), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
 // TestPackedVerifyReparsesAfterMissedInvalidation forces the stale-cache
-// case the verify-on-hit design defends against: mutate the device image
-// behind the cache's back and check the next hit reparses instead of serving
-// the pinned entries.
+// case: mutate the device image behind the cache's back and check the next
+// hit reparses instead of serving the pinned entries. The write stamps the
+// block, so the hit cannot be charged and re-reads. Under checksum framing
+// the hit always re-reads, so a raw frame corrupted beneath the framing
+// surfaces as a typed checksum error instead.
 func TestPackedVerifyReparsesAfterMissedInvalidation(t *testing.T) {
-	disk := storage.NewDisk(4096)
-	tree, err := New(disk, Config{Dim: 2, MaxEntries: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		mk   func(t *testing.T) storage.Device
+	}{
+		{"Disk", func(*testing.T) storage.Device { return storage.NewDisk(4096) }},
+		{"FileDisk", func(t *testing.T) storage.Device { return newFileDisk(t) }},
+		{"Checksum(FileDisk)", func(t *testing.T) storage.Device { return storage.NewChecksumDisk(newFileDisk(t)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := tc.mk(t)
+			tree, err := New(dev, Config{Dim: 2, MaxEntries: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := tree.Insert(uint64(i+1), geo.PointRect(geo.NewPoint(float64(i), float64(i))), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			root, err := tree.Root()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tree.LoadPacked(root.ID()); err != nil {
+				t.Fatal(err)
+			}
+			if cd, ok := dev.(*storage.ChecksumDisk); ok {
+				frame, err := cd.Under().Read(root.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				frame[nodeHeaderSize] ^= 0x7f
+				if err := cd.Under().Write(root.ID(), frame); err != nil {
+					t.Fatal(err)
+				}
+				_, err = tree.LoadPacked(root.ID())
+				var ce *storage.CorruptBlockError
+				if !errors.As(err, &ce) || ce.Block != root.ID() {
+					t.Fatalf("hit after raw frame corruption: err = %v, want *CorruptBlockError on block %d", err, root.ID())
+				}
+				return
+			}
+			// Rewrite entry 0's pointer directly on the device, bypassing
+			// storeNode (and therefore the invalidation hook).
+			raw, err := dev.Read(root.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[nodeHeaderSize] = 0x7f
+			if err := dev.Write(root.ID(), raw); err != nil {
+				t.Fatal(err)
+			}
+			pn, err := tree.LoadPacked(root.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pn.EntryPtr(0); got != 0x7f {
+				t.Fatalf("hit served stale pointer %d after device mutation, want reparse to 0x7f", got)
+			}
+		})
 	}
-	for i := 0; i < 3; i++ {
-		if err := tree.Insert(uint64(i+1), geo.PointRect(geo.NewPoint(float64(i), float64(i))), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	root, err := tree.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tree.LoadPacked(root.ID()); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite entry 0's pointer directly on the device, bypassing storeNode
-	// (and therefore the invalidation hook).
-	raw, err := disk.Read(root.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[nodeHeaderSize] = 0x7f
-	if err := disk.Write(root.ID(), raw); err != nil {
-		t.Fatal(err)
-	}
-	pn, err := tree.LoadPacked(root.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pn.EntryPtr(0); got != 0x7f {
-		t.Fatalf("hit served stale pointer %d after device mutation, want reparse to 0x7f", got)
+}
+
+// readCounter is a Disk that counts ReadRunInto calls, so a test can tell a
+// charged cache hit from a re-read.
+type readCounter struct {
+	*storage.Disk
+	reads int
+}
+
+func (d *readCounter) ReadRunInto(id storage.BlockID, n int, dst []byte) error {
+	d.reads++
+	return d.Disk.ReadRunInto(id, n, dst)
+}
+
+// TestWarmSeekChargesWithoutReading: once a Seek has pinned every node it
+// expands, an identical Seek moves no bytes (zero ReadRunInto calls) and
+// still charges the device exactly what the same Seek costs on a tree with
+// no cache, single- and multi-block nodes alike.
+func TestWarmSeekChargesWithoutReading(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scheme AuxScheme
+		maxE   int
+		sig    func(level int) *sigfile.Sig64
+	}{
+		{"aux4", orScheme{n: 4}, 3, levelSig(bitsAt(4, 1, 1), bitsAt(4, 1))},
+		{"multiblock", bigScheme{orScheme{n: 2048}}, 4, levelSig(bitsAt(2048, 1, 1), bitsAt(2048, 1))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(dev storage.Device, cacheNodes int) *Tree {
+				tree, err := New(dev, Config{Dim: 2, MaxEntries: tc.maxE, Scheme: tc.scheme, CacheNodes: cacheNodes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(23))
+				for i := 0; i < 200; i++ {
+					aux := make([]byte, tc.scheme.EntryAuxLen(0))
+					copy(aux, refMask(uint64(i)))
+					if err := tree.Insert(uint64(i), geo.PointRect(geo.NewPoint(rng.Float64()*100, rng.Float64()*100)), aux); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return tree
+			}
+			p := geo.NewPoint(40, 60)
+			seek := func(tree *Tree) int {
+				it := tree.NearestNeighbors(p, tc.sig)
+				defer it.Close()
+				n := 0
+				for {
+					_, _, ok, err := it.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						return n
+					}
+					n++
+				}
+			}
+			counted := &readCounter{Disk: storage.NewDisk(4096)}
+			cached := build(counted, 0)
+			bare := storage.NewDisk(4096)
+			uncached := build(bare, -1)
+
+			want := seek(cached) // warm-up: pins every node the query expands
+			counted.ResetStats()
+			counted.reads = 0
+			if got := seek(cached); got != want || got == 0 {
+				t.Fatalf("warm seek returned %d objects, warm-up %d", got, want)
+			}
+			if counted.reads != 0 {
+				t.Fatalf("warm seek made %d ReadRunInto calls, want 0", counted.reads)
+			}
+			bare.ResetStats()
+			seek(uncached)
+			if got, want := counted.Stats(), bare.Stats(); got != want || got.Reads() == 0 {
+				t.Fatalf("warm seek charged %+v, uncached tree %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -134,6 +134,14 @@ func (c *ChecksumDisk) ReadRunInto(id BlockID, n int, dst []byte) error {
 	return nil
 }
 
+// ChargeRun implements Device by always declining: checksum framing is the
+// promise that every read verifies its CRC, so a caller holding an image
+// must read the run again.
+func (c *ChecksumDisk) ChargeRun(BlockID, int, uint64) (bool, error) { return false, nil }
+
+// WriteSeq implements Device.
+func (c *ChecksumDisk) WriteSeq() uint64 { return c.under.WriteSeq() }
+
 // Write implements Device, framing the payload with its checksum.
 func (c *ChecksumDisk) Write(id BlockID, data []byte) error {
 	if len(data) > c.BlockSize() {

@@ -10,7 +10,10 @@ import "fmt"
 // its allocating forms (readAlloc). Validation, the fault hook, the
 // random/sequential accounting and the data movement therefore happen in one
 // place per device, and a reader that owns a scratch buffer pays no
-// allocation on any of them — wrapped or not.
+// allocation on any of them — wrapped or not. ChargeRun shares that body's
+// admission (validation, hook, accounting) and moves no bytes: it is how a
+// reader that already holds a run's image, and can show from the device's
+// write stamps that the image is current, pays the run's modeled I/O.
 type Device interface {
 	// BlockSize returns the block size in bytes.
 	BlockSize() int
@@ -35,6 +38,20 @@ type Device interface {
 	Write(id BlockID, data []byte) error
 	// WriteRun stores data across n consecutive blocks.
 	WriteRun(id BlockID, n int, data []byte) error
+	// WriteSeq returns the device's write sequence: a counter that every
+	// Write, WriteRun, recycling Alloc and Free advances, stamping each
+	// block whose bytes it changes with the new value. A reader takes it
+	// before reading a run and hands it to ChargeRun later.
+	WriteSeq() uint64
+	// ChargeRun charges a read of n consecutive blocks starting at id
+	// without moving any bytes, provided no block of the run was stamped
+	// after at. It then reports true, having run ReadRunInto's validation,
+	// fault hook and accounting block by block (a fault on the i-th block
+	// leaves i blocks charged; n <= 0 and a missing block fail as they do
+	// there). If a block was stamped after at, or the device cannot vouch
+	// for its blocks, it does nothing and reports false: the caller must
+	// read the run.
+	ChargeRun(id BlockID, n int, at uint64) (bool, error)
 	// Stats returns a snapshot of the access counters.
 	Stats() Stats
 	// ResetStats zeroes the access counters.

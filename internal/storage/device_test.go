@@ -7,14 +7,16 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // Every Device reads the same way: one body (ReadRunInto) per device, with
-// Read and ReadRun as its allocating forms. The tests below hold all six
-// shipped compositions to that, against the in-memory Disk as the reference.
+// Read and ReadRun as its allocating forms, and ChargeRun as its admission
+// without the bytes. The tests below hold all six shipped compositions to
+// that, against the in-memory Disk as the reference.
 
 const devTestBlockSize = 64
 
@@ -197,14 +199,30 @@ func TestEveryDeviceReadsTheSameWay(t *testing.T) {
 }
 
 // TestEveryDeviceChargesFaultedRunsByBlock: a fault on the i-th block of a
-// run leaves exactly i blocks charged, whichever method issued the run.
+// run leaves exactly i blocks charged, whichever method issued the run —
+// ChargeRun included, except on a device that declines it, which charges
+// nothing.
 func TestEveryDeviceChargesFaultedRunsByBlock(t *testing.T) {
 	boom := errors.New("boom")
+	declined := errors.New("charge declined")
+	charge := readMethods[0]
+	charge.name = "ChargeRun"
+	charge.read = func(dev Device, id BlockID, n int) ([]byte, error) {
+		ok, err := dev.ChargeRun(id, n, dev.WriteSeq())
+		if !ok && err == nil {
+			return nil, declined
+		}
+		return nil, err
+	}
 	for _, c := range devCases() {
-		for _, m := range readMethods {
+		for _, m := range append(slices.Clip(readMethods), charge) {
 			t.Run(c.name+"/"+m.name, func(t *testing.T) {
 				dev, base := c.mk(t)
 				first := devFixture(t, dev)
+				want := boom
+				if m.name == charge.name && chargeDeclines(dev) {
+					want = declined
+				}
 				for i := 0; i < 4; i++ {
 					dev.ResetStats()
 					base.SetFault(func(op Op, id BlockID) error {
@@ -213,10 +231,14 @@ func TestEveryDeviceChargesFaultedRunsByBlock(t *testing.T) {
 						}
 						return nil
 					})
-					if _, err := m.read(dev, first, 4); !errors.Is(err, boom) {
+					if _, err := m.read(dev, first, 4); !errors.Is(err, want) {
 						t.Fatalf("fault on block %d: err = %v", i, err)
 					}
-					if got := dev.Stats().Reads(); got != uint64(i) {
+					wantReads := uint64(i)
+					if want == declined {
+						wantReads = 0
+					}
+					if got := dev.Stats().Reads(); got != wantReads {
 						t.Errorf("fault on block %d charged %d blocks", i, got)
 					}
 				}
@@ -259,12 +281,251 @@ func TestEveryDeviceRejectsBadRuns(t *testing.T) {
 	}
 }
 
+// chargeDeclines reports whether dev declines every ChargeRun: checksum
+// framing promises a CRC check on every read, so its caller must read.
+func chargeDeclines(dev Device) bool {
+	_, ok := dev.(*ChecksumDisk)
+	return ok
+}
+
+// TestEveryDeviceChargesLikeItReads: single-threaded, charging
+// runDevScript's four runs (a cold run, one that continues the previous
+// access, a single block, never-written blocks) leaves the Stats and the
+// fault hook's (op, id) sequence that reading them does. A ChecksumDisk
+// declines every charge and touches neither.
+func TestEveryDeviceChargesLikeItReads(t *testing.T) {
+	script := func(t *testing.T, c devCase, charge bool) (Stats, []hookCall, bool) {
+		dev, base := c.mk(t)
+		first := devFixture(t, dev)
+		at := dev.WriteSeq()
+		var hooks []hookCall
+		dev.ResetStats()
+		base.SetFault(func(op Op, id BlockID) error {
+			hooks = append(hooks, hookCall{op, id - first})
+			return nil
+		})
+		defer base.SetFault(nil)
+		dst := make([]byte, 3*dev.BlockSize())
+		for _, run := range []struct{ off, n int }{{0, 3}, {3, 2}, {1, 1}, {4, 2}} {
+			id := first + BlockID(run.off)
+			if !charge {
+				if err := dev.ReadRunInto(id, run.n, dst); err != nil {
+					t.Fatalf("read %+v: %v", run, err)
+				}
+				continue
+			}
+			if ok, err := dev.ChargeRun(id, run.n, at); err != nil || ok == chargeDeclines(dev) {
+				t.Fatalf("charge %+v = %v, %v", run, ok, err)
+			}
+		}
+		return dev.Stats(), hooks, chargeDeclines(dev)
+	}
+	for _, c := range devCases() {
+		t.Run(c.name, func(t *testing.T) {
+			readStats, readHooks, _ := script(t, c, false)
+			chargeStats, chargeHooks, declines := script(t, c, true)
+			if declines {
+				if chargeStats != (Stats{}) || len(chargeHooks) != 0 {
+					t.Fatalf("declined charges charged %+v, hook saw %v", chargeStats, chargeHooks)
+				}
+				return
+			}
+			if chargeStats != readStats || !reflect.DeepEqual(chargeHooks, readHooks) {
+				t.Fatalf("charging: %+v, hooks %v\nreading: %+v, hooks %v", chargeStats, chargeHooks, readStats, readHooks)
+			}
+		})
+	}
+}
+
+// TestChargeRunFailsLikeReadRunInto: a non-positive length, a run over a
+// freed block and a run past the allocation frontier give ChargeRun the
+// outcome ReadRunInto has — the same error, or none — and the same charge.
+func TestChargeRunFailsLikeReadRunInto(t *testing.T) {
+	for _, c := range devCases() {
+		t.Run(c.name, func(t *testing.T) {
+			dev, _ := c.mk(t)
+			first := devFixture(t, dev)
+			dev.Free(first + 1)
+			dst := make([]byte, 2*dev.BlockSize())
+			for _, run := range []struct {
+				id BlockID
+				n  int
+			}{{first, 0}, {first, -1}, {first, 2}, {first + 5, 2}} {
+				dev.ResetStats()
+				readErr := dev.ReadRunInto(run.id, run.n, dst)
+				readStats := dev.Stats()
+				dev.ResetStats()
+				ok, err := dev.ChargeRun(run.id, run.n, dev.WriteSeq())
+				if chargeDeclines(dev) {
+					if ok || err != nil || dev.Stats() != (Stats{}) {
+						t.Fatalf("run %+v: declining device: %v, %v, charged %+v", run, ok, err, dev.Stats())
+					}
+					continue
+				}
+				if fmt.Sprint(err) != fmt.Sprint(readErr) || ok != (readErr == nil) || dev.Stats() != readStats {
+					t.Errorf("run %+v: charge %v, %v, %+v; read %v, %+v", run, ok, err, dev.Stats(), readErr, readStats)
+				}
+				if run.n <= 0 && err == nil {
+					t.Errorf("run %+v accepted", run)
+				}
+			}
+		})
+	}
+}
+
+// TestChargeRunHonoursWriteStamps: a charge at a write sequence succeeds
+// while no block of its run has changed since, and never once a Write,
+// WriteRun, recycling Alloc or Free has touched one of them; untouched
+// neighbours still charge.
+func TestChargeRunHonoursWriteStamps(t *testing.T) {
+	ops := []struct {
+		name   string
+		before func(dev Device, b BlockID) // runs before the sequence is taken
+		touch  func(dev Device, b BlockID) error
+	}{
+		{"Write", nil, func(dev Device, b BlockID) error { return dev.Write(b, []byte("new")) }},
+		{"WriteRun", nil, func(dev Device, b BlockID) error { return dev.WriteRun(b, 2, []byte("new")) }},
+		{"Alloc", func(dev Device, b BlockID) { dev.Free(b) }, func(dev Device, b BlockID) error {
+			if got := dev.Alloc(); got != b {
+				return fmt.Errorf("Alloc recycled %d, want %d", got, b)
+			}
+			return nil
+		}},
+		{"Free", nil, func(dev Device, b BlockID) error { dev.Free(b); return nil }},
+	}
+	for _, c := range devCases() {
+		for _, op := range ops {
+			t.Run(c.name+"/"+op.name, func(t *testing.T) {
+				dev, _ := c.mk(t)
+				first := devFixture(t, dev)
+				touched := first + 2
+				if op.before != nil {
+					op.before(dev, touched)
+				}
+				at := dev.WriteSeq()
+				if err := op.touch(dev, touched); err != nil {
+					t.Fatal(err)
+				}
+				if dev.WriteSeq() <= at {
+					t.Fatalf("%s did not advance the write sequence past %d", op.name, at)
+				}
+				ok, err := dev.ChargeRun(first+1, 3, at)
+				if ok {
+					t.Fatalf("charged a run over block %d after %s", touched, op.name)
+				}
+				if err != nil && op.name != "Free" {
+					t.Fatalf("charge after %s: %v", op.name, err)
+				}
+				for _, off := range []BlockID{0, 4} {
+					ok, err := dev.ChargeRun(first+off, 2, at)
+					if err != nil || ok == chargeDeclines(dev) {
+						t.Errorf("untouched run at %d after %s: %v, %v", off, op.name, ok, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFileDiskStampsStartClean: stamps are not persisted, so a reopened
+// device charges every block at sequence zero until it writes one.
+func TestFileDiskStampsStartClean(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "disk.db")
+	d, err := CreateFileDisk(path, devTestBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := devFixture(t, d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenFileDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if seq := r.WriteSeq(); seq != 0 {
+		t.Fatalf("reopened device at write sequence %d", seq)
+	}
+	if ok, err := r.ChargeRun(first, 6, 0); !ok || err != nil {
+		t.Fatalf("charge on a reopened device: %v, %v", ok, err)
+	}
+	if err := r.Write(first+5, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := r.ChargeRun(first, 6, 0); ok || err != nil {
+		t.Fatalf("charge after a write: %v, %v", ok, err)
+	}
+}
+
+// TestFileDiskStampsStayBounded: a header that claims far more blocks than
+// the file holds cannot make the stamps cost 8 bytes per claimed block, and
+// a write out there still declines a charge taken before it.
+func TestFileDiskStampsStayBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "disk.db")
+	if err := writeFile(path, fileDiskHeader(devTestBlockSize, 1<<22, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenFileDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	far := d.Alloc()
+	at := d.WriteSeq()
+	if err := d.Write(far, []byte("far")); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.stamps) > stampSlack {
+		t.Fatalf("one write to block %d grew the stamps to %d entries", far, len(d.stamps))
+	}
+	if ok, err := d.ChargeRun(far, 1, at); ok || err != nil {
+		t.Fatalf("charge from before the write: %v, %v", ok, err)
+	}
+	if ok, err := d.ChargeRun(far, 1, d.WriteSeq()); !ok || err != nil {
+		t.Fatalf("charge from after the write: %v, %v", ok, err)
+	}
+}
+
+// TestFaultDeviceChargeKeepsPlannedOrdinals: while a plan arms any read-side
+// fault, ChargeRun declines without counting, so a planned fault fires on
+// the read it names; with a clean plan a charge counts its blocks as reads.
+func TestFaultDeviceChargeKeepsPlannedOrdinals(t *testing.T) {
+	fd := NewFaultDevice(NewDisk(devTestBlockSize), FaultPlan{})
+	first := devFixture(t, fd)
+	for _, plan := range []FaultPlan{
+		{FailReadAt: []uint64{1}},
+		{FailReadBlocks: []BlockID{first + 5}},
+		{FlipReadAt: []uint64{1}},
+		{FlipBlocks: []BlockID{first + 5}},
+		{MaxBlocks: 100},
+	} {
+		fd.SetPlan(plan)
+		if ok, err := fd.ChargeRun(first, 2, fd.WriteSeq()); ok || err != nil {
+			t.Fatalf("plan %+v: charge %v, %v", plan, ok, err)
+		}
+		if fd.reads != 0 || fd.Stats().Reads() != 0 {
+			t.Fatalf("plan %+v: declined charge counted %d reads, charged %d", plan, fd.reads, fd.Stats().Reads())
+		}
+	}
+	fd.SetPlan(FaultPlan{})
+	if ok, err := fd.ChargeRun(first, 2, fd.WriteSeq()); !ok || err != nil {
+		t.Fatalf("clean plan: charge %v, %v", ok, err)
+	}
+	fd.SetPlan(FaultPlan{FailReadAt: []uint64{3}})
+	var fe *FaultError
+	if err := fd.ReadRunInto(first, 1, make([]byte, devTestBlockSize)); !errors.As(err, &fe) || fe.Kind != KindReadError {
+		t.Fatalf("third read after a two-block charge: %v, want the planned read error", err)
+	}
+}
+
 // TestFileDiskConcurrentReads runs 8 readers × 2,000 random runs beside a
 // writer. Readers check a stable region byte for byte, and the writer's
 // region for torn blocks (the writer fills a block with one value, so a
-// block holding two values is half of a write); the total charged equals
-// the number of blocks requested exactly — only the random/sequential split
-// may depend on the schedule. Run with -race.
+// block holding two values is half of a write), then charge each run at the
+// write sequence taken before reading it; the total charged equals the
+// blocks read plus the blocks charged exactly — only the random/sequential
+// split may depend on the schedule. Run with -race.
 func TestFileDiskConcurrentReads(t *testing.T) {
 	const (
 		bs      = 256
@@ -317,9 +578,20 @@ func TestFileDiskConcurrentReads(t *testing.T) {
 				n := 1 + rng.Intn(3)
 				off := rng.Intn(stable + churn - n + 1)
 				requested.Add(uint64(n))
+				at := d.WriteSeq()
 				if err := d.ReadRunInto(first+BlockID(off), n, dst); err != nil {
 					t.Errorf("read %d+%d: %v", off, n, err)
 					return
+				}
+				// Charge the run just read, as a warm node visit would: the
+				// stable region is never written, so it always charges.
+				ok, err := d.ChargeRun(first+BlockID(off), n, at)
+				if err != nil || (!ok && off+n <= stable) {
+					t.Errorf("charge %d+%d: %v, %v", off, n, ok, err)
+					return
+				}
+				if ok {
+					requested.Add(uint64(n))
 				}
 				for j := 0; j < n; j++ {
 					blk := dst[j*bs : (j+1)*bs]
@@ -343,21 +615,13 @@ func TestFileDiskConcurrentReads(t *testing.T) {
 	}
 }
 
-// BenchmarkFileDiskReadRunInto times the device read every warm node visit
-// and every object load of a served engine pays: a 1-block run (an object
+// BenchmarkFileDiskReadRunInto times the device read every cold node load,
+// every checksummed node visit and every object load of a served engine
+// pays: a 1-block run (an object
 // row, a one-block node) and a 3-block run (an IR²-Tree node with 64-byte
 // signatures), page-cache warm, into one reused buffer.
 func BenchmarkFileDiskReadRunInto(b *testing.B) {
-	d, err := CreateFileDisk(filepath.Join(b.TempDir(), "disk.db"), DefaultBlockSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	const blocks = 300
-	first := d.AllocRun(blocks)
-	if err := d.WriteRun(first, blocks, bytes.Repeat([]byte{7}, blocks*DefaultBlockSize)); err != nil {
-		b.Fatal(err)
-	}
+	d, first := benchFileDisk(b)
 	for _, n := range []int{1, 3} {
 		b.Run(fmt.Sprintf("blocks=%d", n), func(b *testing.B) {
 			dst := make([]byte, n*DefaultBlockSize)
@@ -365,10 +629,46 @@ func BenchmarkFileDiskReadRunInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := d.ReadRunInto(first+BlockID(i*7%(blocks-n)), n, dst); err != nil {
+				if err := d.ReadRunInto(first+BlockID(i*7%(benchBlocks-n)), n, dst); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkFileDiskChargeRun times what a warm node visit pays instead when
+// its pinned image is current: the same runs as BenchmarkFileDiskReadRunInto
+// charged at the device's write sequence — stamp check, admission and
+// accounting, no pread.
+func BenchmarkFileDiskChargeRun(b *testing.B) {
+	d, first := benchFileDisk(b)
+	at := d.WriteSeq()
+	for _, n := range []int{1, 3} {
+		b.Run(fmt.Sprintf("blocks=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ok, err := d.ChargeRun(first+BlockID(i*7%(benchBlocks-n)), n, at); !ok || err != nil {
+					b.Fatal(ok, err)
+				}
+			}
+		})
+	}
+}
+
+const benchBlocks = 300
+
+// benchFileDisk returns a page-cache-warm file device holding benchBlocks
+// written blocks from first.
+func benchFileDisk(b *testing.B) (*FileDisk, BlockID) {
+	d, err := CreateFileDisk(filepath.Join(b.TempDir(), "disk.db"), DefaultBlockSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { d.Close() })
+	first := d.AllocRun(benchBlocks)
+	if err := d.WriteRun(first, benchBlocks, bytes.Repeat([]byte{7}, benchBlocks*DefaultBlockSize)); err != nil {
+		b.Fatal(err)
+	}
+	return d, first
 }

@@ -316,6 +316,42 @@ func (d *FaultDevice) ReadRunInto(id BlockID, n int, dst []byte) error {
 	return nil
 }
 
+// readArmed reports whether the plan can fail a read or flip its bytes.
+func (p *FaultPlan) readArmed() bool {
+	return len(p.FailReadAt) > 0 || len(p.FailReadBlocks) > 0 ||
+		len(p.FlipReadAt) > 0 || len(p.FlipBlocks) > 0 || p.MaxBlocks > 0
+}
+
+// ChargeRun implements Device. While the plan arms any read-side fault it
+// declines without touching the counters, so the caller reads the run
+// through ReadRunInto and every planned error and flip fires on the ordinal
+// it would have without a charge path. With a clean plan it forwards, and a
+// run the wrapped device charged or failed counts n reads and pays Latency,
+// as ReadRunInto would have.
+func (d *FaultDevice) ChargeRun(id BlockID, n int, at uint64) (bool, error) {
+	if n <= 0 {
+		return false, errRunLength(n)
+	}
+	d.mu.Lock()
+	armed := d.plan.readArmed()
+	d.mu.Unlock()
+	if armed {
+		return false, nil
+	}
+	ok, err := d.under.ChargeRun(id, n, at)
+	if !ok && err == nil {
+		return false, nil
+	}
+	d.sleep()
+	d.mu.Lock()
+	d.reads += uint64(n)
+	d.mu.Unlock()
+	return ok, err
+}
+
+// WriteSeq implements Device.
+func (d *FaultDevice) WriteSeq() uint64 { return d.under.WriteSeq() }
+
 // Write implements Device.
 func (d *FaultDevice) Write(id BlockID, data []byte) error {
 	d.sleep()

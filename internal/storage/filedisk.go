@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // FileDisk is a Device backed by a real file, giving the library durable,
@@ -32,14 +34,29 @@ import (
 // position the next one sees, so the split of a run's blocks between
 // RandomReads and SequentialReads depends on the schedule; their sum does
 // not, and a single-threaded caller sees exactly Disk's accounting.
+//
+// Write stamps (Device.WriteSeq) live in memory only: stamps[id] is the
+// write sequence that last changed block id in this process, zero for a
+// block it has not changed, and both are advanced and written under mu held
+// exclusively. A fresh OpenFileDisk therefore starts every stamp clean. The
+// slice grows with the blocks written, but never far past the file's size
+// at open or twice its own length: a block beyond that, which only a
+// corrupt header can hand out, shares one stamp (farSeq) with every block
+// past the slice. Sharing is conservative — a shared stamp is never older
+// than the block's own — and keeps a bad header from costing 8 bytes for
+// every block it claims.
 type FileDisk struct {
 	f         *os.File
 	blockSize int
 
-	mu       sync.RWMutex
-	next     BlockID
-	freeHead BlockID
-	nAlloc   int
+	mu         sync.RWMutex
+	next       BlockID
+	freeHead   BlockID
+	nAlloc     int
+	seq        atomic.Uint64 // advanced under mu held exclusively; read anywhere
+	stamps     []uint64      // indexed by BlockID
+	farSeq     uint64        // the stamp of every block past stamps
+	openBlocks int           // blocks the file held at open
 
 	acct  sync.Mutex
 	last  BlockID
@@ -113,6 +130,9 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 		return nil, fmt.Errorf("storage: corrupt file disk header in %s: %s", path, bad)
 	}
 	d.nAlloc = int(nAlloc)
+	if fi, err := f.Stat(); err == nil {
+		d.openBlocks = int(fi.Size() / int64(d.blockSize))
+	}
 	return d, nil
 }
 
@@ -196,6 +216,7 @@ func (d *FileDisk) allocLocked() BlockID {
 				d.freeHead = link
 			}
 		}
+		d.stampLocked(id)
 		// Zero the recycled block so it reads like a fresh one.
 		d.f.WriteAt(make([]byte, d.blockSize), d.offset(id)) //nolint:errcheck
 		return id
@@ -233,6 +254,7 @@ func (d *FileDisk) Free(id BlockID) {
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(d.freeHead))
+	d.stampLocked(id)
 	if _, err := d.f.WriteAt(buf[:], d.offset(id)); err != nil {
 		return // leak the block rather than corrupt the chain
 	}
@@ -273,6 +295,58 @@ func (d *FileDisk) ReadRunInto(id BlockID, n int, dst []byte) error {
 	return nil
 }
 
+// ChargeRun implements Device: ReadRunInto's admission without the pread,
+// unless a block of the run was stamped after at.
+func (d *FileDisk) ChargeRun(id BlockID, n int, at uint64) (bool, error) {
+	if n <= 0 {
+		return false, errRunLength(n)
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for i := 0; i < n; i++ {
+		if d.stampOf(id+BlockID(i)) > at {
+			return false, nil
+		}
+	}
+	if err := d.admit(OpRead, id, n); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// WriteSeq implements Device.
+func (d *FileDisk) WriteSeq() uint64 { return d.seq.Load() }
+
+// stampSlack is how far past the file's size at open, or twice the stamp
+// slice's length, a write may grow the slice (see the type comment).
+const stampSlack = 1024
+
+// stampLocked advances the write sequence and stamps block id with it,
+// before the bytes change. Callers hold mu exclusively and have checked id
+// is a data block.
+func (d *FileDisk) stampLocked(id BlockID) {
+	seq := d.seq.Add(1)
+	if old := len(d.stamps); id >= BlockID(old) {
+		if id >= BlockID(max(2*old, d.openBlocks)+stampSlack) {
+			d.farSeq = seq
+			return
+		}
+		d.stamps = slices.Grow(d.stamps, int(id)+1-old)[:id+1]
+		for i := old; i < len(d.stamps); i++ {
+			d.stamps[i] = d.farSeq
+		}
+	}
+	d.stamps[id] = seq
+}
+
+// stampOf returns block id's stamp. Callers hold mu.
+func (d *FileDisk) stampOf(id BlockID) uint64 {
+	if id < BlockID(len(d.stamps)) {
+		return d.stamps[id]
+	}
+	return d.farSeq
+}
+
 // Write implements Device.
 func (d *FileDisk) Write(id BlockID, data []byte) error {
 	if len(data) > d.blockSize {
@@ -289,6 +363,7 @@ func (d *FileDisk) writeLocked(id BlockID, data []byte) error {
 	}
 	buf := make([]byte, d.blockSize)
 	copy(buf, data)
+	d.stampLocked(id)
 	if _, err := d.f.WriteAt(buf, d.offset(id)); err != nil {
 		return fmt.Errorf("%w: write %d: %v", ErrBadBlock, id, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -144,6 +145,136 @@ func FuzzChecksumRunRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzChargeRunStamps runs a random program of allocations, writes, run
+// writes, frees, snapshot reads and charges against each device
+// composition, beside a model that records which op last changed each
+// block. A snapshot is a run read at the sequence WriteSeq returned just
+// before; a later charge of it must
+//
+//   - never succeed if any block of the run was written, freed or recycled
+//     since the snapshot, and, when it succeeds, the run still reads as the
+//     snapshot's bytes;
+//   - succeed, on a device that does not decline charges, if none was.
+func FuzzChargeRunStamps(f *testing.F) {
+	f.Add([]byte{0, 0, 35, 41, 14, 41, 0, 28, 42, 4, 5})
+	f.Add([]byte{7, 7, 5, 12, 3, 6, 1, 19, 6, 26, 34, 48, 13, 20})
+	f.Add([]byte{21, 21, 32, 46, 4, 39, 53, 8, 15, 22, 29})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 256 {
+			prog = prog[:256]
+		}
+		for _, c := range devCases() {
+			runChargeProgram(t, c, prog)
+		}
+	})
+}
+
+type chargeSnapshot struct {
+	id   BlockID
+	n    int
+	at   uint64
+	op   int // index of the op that took it
+	data []byte
+}
+
+func runChargeProgram(t *testing.T, c devCase, prog []byte) {
+	dev, _ := c.mk(t)
+	bs := dev.BlockSize()
+	var (
+		live    []BlockID // allocated, not freed: candidates for every op
+		isLive  = map[BlockID]bool{}
+		changed = map[BlockID]int{} // block → index of the last op that changed it
+		snaps   []chargeSnapshot
+	)
+	// liveRun returns the longest run of at most n live blocks from id.
+	liveRun := func(id BlockID, n int) int {
+		k := 0
+		for k < n && isLive[id+BlockID(k)] {
+			k++
+		}
+		return k
+	}
+	for i, b := range prog {
+		arg := int(b / 7)
+		pick := func() (BlockID, bool) {
+			if len(live) == 0 {
+				return 0, false
+			}
+			return live[arg%len(live)], true
+		}
+		switch b % 7 {
+		case 0: // fresh run
+			n := 1 + arg%3
+			id := dev.AllocRun(n)
+			for k := 0; k < n; k++ {
+				live, isLive[id+BlockID(k)] = append(live, id+BlockID(k)), true
+			}
+		case 1: // one block, recycled when the free list has one
+			id := dev.Alloc()
+			live, isLive[id] = append(live, id), true
+			changed[id] = i
+		case 2:
+			if id, ok := pick(); ok {
+				if err := dev.Write(id, bytes.Repeat([]byte{b}, 1+arg%bs)); err != nil {
+					t.Fatalf("%s: write %d: %v", c.name, id, err)
+				}
+				changed[id] = i
+			}
+		case 3:
+			if id, ok := pick(); ok {
+				n := liveRun(id, 1+arg%3)
+				if err := dev.WriteRun(id, n, bytes.Repeat([]byte{b}, n*bs-arg%bs)); err != nil {
+					t.Fatalf("%s: write run %d+%d: %v", c.name, id, n, err)
+				}
+				for k := 0; k < n; k++ {
+					changed[id+BlockID(k)] = i
+				}
+			}
+		case 4:
+			if id, ok := pick(); ok {
+				dev.Free(id)
+				live = slices.DeleteFunc(live, func(x BlockID) bool { return x == id })
+				delete(isLive, id)
+				changed[id] = i
+			}
+		case 5: // snapshot
+			if id, ok := pick(); ok {
+				n := liveRun(id, 1+arg%3)
+				at := dev.WriteSeq()
+				data, err := dev.ReadRun(id, n)
+				if err != nil {
+					t.Fatalf("%s: read %d+%d: %v", c.name, id, n, err)
+				}
+				snaps = append(snaps, chargeSnapshot{id: id, n: n, at: at, op: i, data: data})
+			}
+		case 6: // charge
+			if len(snaps) == 0 {
+				continue
+			}
+			s := snaps[arg%len(snaps)]
+			stale := false
+			for k := 0; k < s.n; k++ {
+				if changed[s.id+BlockID(k)] > s.op {
+					stale = true
+				}
+			}
+			ok, err := dev.ChargeRun(s.id, s.n, s.at)
+			if ok && stale {
+				t.Fatalf("%s: op %d charged %d+%d at %d although a block changed after op %d", c.name, i, s.id, s.n, s.at, s.op)
+			}
+			if ok {
+				now, rerr := dev.ReadRun(s.id, s.n)
+				if rerr != nil || !bytes.Equal(now, s.data) {
+					t.Fatalf("%s: op %d charged %d+%d but the run no longer reads as the snapshot (%v)", c.name, i, s.id, s.n, rerr)
+				}
+			}
+			if !stale && !chargeDeclines(dev) && (!ok || err != nil) {
+				t.Fatalf("%s: op %d: unchanged run %d+%d at %d: %v, %v", c.name, i, s.id, s.n, s.at, ok, err)
+			}
+		}
+	}
 }
 
 // FuzzOpenFileDisk feeds arbitrary bytes to OpenFileDisk as a device file.

@@ -153,12 +153,20 @@ type Disk struct {
 	blockSize int
 
 	mu     sync.Mutex
-	blocks map[BlockID][]byte
+	blocks map[BlockID]diskBlock
 	next   BlockID
 	last   BlockID // block touched by the most recent access; 0 = none
 	stats  Stats
 	fault  FaultFunc
 	freed  []BlockID
+	seq    uint64 // write sequence (Device.WriteSeq)
+}
+
+// diskBlock is one allocated block: its bytes (nil until written) and the
+// write sequence that last changed them.
+type diskBlock struct {
+	data  []byte
+	stamp uint64
 }
 
 // NewDisk returns an empty disk with the given block size.
@@ -170,7 +178,7 @@ func NewDisk(blockSize int) *Disk {
 	}
 	return &Disk{
 		blockSize: blockSize,
-		blocks:    make(map[BlockID][]byte),
+		blocks:    make(map[BlockID]diskBlock),
 		next:      1,
 	}
 }
@@ -208,30 +216,36 @@ func (d *Disk) AllocRun(n int) BlockID {
 	for i := 0; i < n; i++ {
 		id := d.next
 		d.next++
-		d.blocks[id] = nil // lazily materialized zero block
+		d.blocks[id] = diskBlock{} // lazily materialized zero block
 	}
 	return first
 }
 
+// allocLocked hands out a free-listed block if there is one — stamped, since
+// a reader may still hold an image of its old contents — and otherwise a
+// never-used block.
 func (d *Disk) allocLocked() BlockID {
 	if n := len(d.freed); n > 0 {
 		id := d.freed[n-1]
 		d.freed = d.freed[:n-1]
-		d.blocks[id] = nil
+		d.seq++
+		d.blocks[id] = diskBlock{stamp: d.seq}
 		return id
 	}
 	id := d.next
 	d.next++
-	d.blocks[id] = nil
+	d.blocks[id] = diskBlock{}
 	return id
 }
 
 // Free releases a block. Freed blocks may be recycled by later Alloc calls
-// (but never split a run allocated with AllocRun).
+// (but never split a run allocated with AllocRun). Until then it reads, and
+// charges, as a block that was never allocated.
 func (d *Disk) Free(id BlockID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.blocks[id]; ok {
+		d.seq++
 		delete(d.blocks, id)
 		d.freed = append(d.freed, id)
 	}
@@ -254,20 +268,58 @@ func (d *Disk) ReadRunInto(id BlockID, n int, dst []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err := d.admitLocked(OpRead, id, n); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		region := dst[i*d.blockSize : (i+1)*d.blockSize]
+		clear(region[copy(region, d.blocks[id+BlockID(i)].data):])
+	}
+	return nil
+}
+
+// ChargeRun implements Device: ReadRunInto's admission without the copy,
+// unless a block of the run was stamped after at.
+func (d *Disk) ChargeRun(id BlockID, n int, at uint64) (bool, error) {
+	if n <= 0 {
+		return false, errRunLength(n)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i := 0; i < n; i++ {
+		if d.blocks[id+BlockID(i)].stamp > at {
+			return false, nil
+		}
+	}
+	if err := d.admitLocked(OpRead, id, n); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// WriteSeq implements Device.
+func (d *Disk) WriteSeq() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.seq
+}
+
+// admitLocked runs blocks id..id+n-1 through the fault hook, checks each is
+// allocated and charges it, in order, stopping at the first that fails — so
+// a fault on the i-th block of a run leaves i blocks charged. Callers hold
+// mu.
+func (d *Disk) admitLocked(op Op, id BlockID, n int) error {
 	for i := 0; i < n; i++ {
 		b := id + BlockID(i)
 		if d.fault != nil {
-			if err := d.fault(OpRead, b); err != nil {
+			if err := d.fault(op, b); err != nil {
 				return err
 			}
 		}
-		data, ok := d.blocks[b]
-		if !ok {
-			return fmt.Errorf("%w: read %d", ErrBadBlock, b)
+		if _, ok := d.blocks[b]; !ok {
+			return fmt.Errorf("%w: %s %d", ErrBadBlock, op, b)
 		}
-		d.account(b, OpRead)
-		region := dst[i*d.blockSize : (i+1)*d.blockSize]
-		clear(region[copy(region, data):])
+		d.account(b, op)
 	}
 	return nil
 }
@@ -280,18 +332,13 @@ func (d *Disk) Write(id BlockID, data []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.fault != nil {
-		if err := d.fault(OpWrite, id); err != nil {
-			return err
-		}
+	if err := d.admitLocked(OpWrite, id, 1); err != nil {
+		return err
 	}
-	if _, ok := d.blocks[id]; !ok {
-		return fmt.Errorf("%w: write %d", ErrBadBlock, id)
-	}
-	d.account(id, OpWrite)
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	d.blocks[id] = buf
+	d.seq++
+	d.blocks[id] = diskBlock{data: buf, stamp: d.seq}
 	return nil
 }
 
@@ -303,21 +350,16 @@ func (d *Disk) WriteRun(id BlockID, n int, data []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.seq++
 	for i := 0; i < n; i++ {
 		b := id + BlockID(i)
-		if d.fault != nil {
-			if err := d.fault(OpWrite, b); err != nil {
-				return err
-			}
+		if err := d.admitLocked(OpWrite, b, 1); err != nil {
+			return err
 		}
-		if _, ok := d.blocks[b]; !ok {
-			return fmt.Errorf("%w: write %d", ErrBadBlock, b)
-		}
-		d.account(b, OpWrite)
 		lo := i * d.blockSize
 		hi := lo + d.blockSize
 		if lo >= len(data) {
-			d.blocks[b] = nil
+			d.blocks[b] = diskBlock{stamp: d.seq}
 			continue
 		}
 		if hi > len(data) {
@@ -325,7 +367,7 @@ func (d *Disk) WriteRun(id BlockID, n int, data []byte) error {
 		}
 		buf := make([]byte, hi-lo)
 		copy(buf, data[lo:hi])
-		d.blocks[b] = buf
+		d.blocks[b] = diskBlock{data: buf, stamp: d.seq}
 	}
 	return nil
 }

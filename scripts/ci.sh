@@ -41,10 +41,13 @@
 #   micro   informational, not in all: the microbenchmarks of a ranked
 #           candidate's load and term count (objstore.GetFiltered on a
 #           two-block row, textutil.CountTermsBytesInto on lower-case,
-#           mixed-case and non-ASCII rows) and of a warm distance-first top-k
-#           on a reopened durable engine (BenchmarkDurableTopK, root
-#           package), printing ns/op and allocs/op — too noisy on shared
-#           runners to gate, so ci.yml never fails on it
+#           mixed-case and non-ASCII rows), of a file device's run read and
+#           the charge a current cached node pays instead
+#           (storage.FileDisk ReadRunInto and ChargeRun, 1- and 3-block
+#           runs) and of a warm distance-first top-k on a reopened durable
+#           engine (BenchmarkDurableTopK, root package), printing ns/op and
+#           allocs/op — too noisy on shared runners to gate, so ci.yml never
+#           fails on it
 #
 # Not checks: scripts/loc.sh [base-ref] prints the root module's non-test Go
 # line count at base-ref and now, in total and per directory, and
@@ -142,6 +145,7 @@ run_bench() {
 run_micro() {
 	step micro
 	go test -run '^$' -bench 'CountTermsBytes|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
+	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'DurableTopK' -benchmem .
 }
 

@@ -65,7 +65,8 @@ type Config struct {
 	// NodeCacheSize bounds the engine's decoded-node cache: hot index nodes
 	// are kept decoded in a packed in-memory layout so warm queries skip
 	// per-entry parsing and allocation. Cache hits still pay the full
-	// modeled disk I/O (and re-verify the node image against the device), so
+	// modeled disk I/O (a charge when the device shows the node's blocks
+	// unwritten since they were read, a re-read and compare otherwise), so
 	// disk accounting is identical with and without the cache. Zero means
 	// 1024 nodes; negative disables the cache (every visit then decodes its
 	// node's packed image afresh; answers and disk accounting are the same).
