@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"spatialkeyword/internal/geo"
@@ -29,35 +30,43 @@ func (x *IR2Tree) WithinArea(area geo.Rect, keywords []string) ([]Result, Search
 	}
 	// Phase one walks the tree collecting candidate object pointers; phase
 	// two loads them in one batch, so rows sharing a block are read once
-	// instead of once per object. Each node looks its level's query
-	// signature up once and tests it first, so only entries that pass have
-	// their rectangle decoded — into one pair of corner points that serves
-	// every entry, since a rectangle is tested before the walk moves on.
+	// instead of once per object. Each node tests its level's query
+	// signature against all of its entries at once (MatchMask), so only the
+	// survivors have their rectangle decoded — into one pair of corner
+	// points that serves every entry, since a rectangle is tested before the
+	// walk moves on. A node's mask lives until its last child returns, so
+	// each depth has its own.
 	var ptrs []objstore.Ptr
 	lo, hi := make(geo.Point, x.rt.Dim()), make(geo.Point, x.rt.Dim())
-	var walk func(n *rtree.PackedNode) error
-	walk = func(n *rtree.PackedNode) error {
+	var masks [][]uint64
+	var walk func(n *rtree.PackedNode, depth int) error
+	walk = func(n *rtree.PackedNode, depth int) error {
 		stats.NodesLoaded++
-		sig := sigs.at(n.Level())
-		for i := 0; i < n.NumEntries(); i++ {
-			if !sig.MatchesTolerant(n.EntryAux(i)) || !n.EntryRectInto(i, lo, hi).Intersects(area) {
-				continue
-			}
-			if n.Level() == 0 {
-				ptrs = append(ptrs, objstore.Ptr(n.EntryPtr(i)))
-				continue
-			}
-			child, err := x.rt.LoadPacked(storage.BlockID(n.EntryPtr(i)))
-			if err != nil {
-				return err
-			}
-			if err := walk(child); err != nil {
-				return err
+		if depth == len(masks) {
+			masks = append(masks, make([]uint64, x.rt.MaskWords()))
+		}
+		for w, m := range n.MatchMask(sigs.at(n.Level()), masks[depth]) {
+			for ; m != 0; m &= m - 1 {
+				i := w*64 + bits.TrailingZeros64(m)
+				if !n.EntryRectInto(i, lo, hi).Intersects(area) {
+					continue
+				}
+				if n.Level() == 0 {
+					ptrs = append(ptrs, objstore.Ptr(n.EntryPtr(i)))
+					continue
+				}
+				child, err := x.rt.LoadPacked(storage.BlockID(n.EntryPtr(i)))
+				if err != nil {
+					return err
+				}
+				if err := walk(child, depth+1); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
-	if err := walk(root); err != nil {
+	if err := walk(root, 0); err != nil {
 		return nil, stats, err
 	}
 	objs, err := x.store.GetBatch(ptrs)

@@ -96,6 +96,63 @@ func TestWithinAreaMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestWithinAreaWideNodes runs the range query on a bulk-packed tree whose
+// root holds more than 64 entries, so its survivor mask spans two words and
+// is still being walked while its children compute theirs: each depth of
+// the walk needs its own mask. Answers and stats must match brute force and
+// the decoded walk.
+func TestWithinAreaWideNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(123))
+	store := objstore.New(newDisk())
+	rows := randomRows(rng, 8000)
+	for _, r := range rows {
+		if _, _, err := store.Append(geo.NewPoint(r.lat, r.lon), r.text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var objs []objstore.Object
+	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		objs = append(objs, o)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New(newDisk(), store, Options{LeafSignature: f8(), MaxEntries: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BuildBulk(); err != nil {
+		t.Fatal(err)
+	}
+	root, err := tree.RTree().Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.NumEntries() <= 64 || root.Level() == 0 {
+		t.Fatalf("root holds %d entries at level %d, want an interior node over 64", root.NumEntries(), root.Level())
+	}
+	for trial := 0; trial < 8; trial++ {
+		lo := geo.NewPoint(rng.Float64()*600-100, rng.Float64()*600-100)
+		area := geo.NewRect(lo, geo.NewPoint(lo[0]+200+rng.Float64()*400, lo[1]+200+rng.Float64()*400))
+		kw := [][]string{{"pool"}, {"internet", "spa"}}[trial%2]
+		want := bruteWithinArea(objs, area, kw)
+		nodes, ptrs := decodedAreaWalk(t, tree, area, kw)
+		got, stats, err := tree.WithinArea(area, kw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(resultIDs(got)) != fmt.Sprint(want) || len(want) == 0 {
+			t.Fatalf("trial %d: got %d results, brute force %d", trial, len(got), len(want))
+		}
+		if wantStats := (SearchStats{NodesLoaded: nodes, ObjectsLoaded: len(ptrs), FalsePositives: len(ptrs) - len(want)}); stats != wantStats {
+			t.Fatalf("trial %d: stats %+v, decoded walk %+v", trial, stats, wantStats)
+		}
+	}
+}
+
 func TestWithinAreaPrunesBySignature(t *testing.T) {
 	rng := rand.New(rand.NewSource(122))
 	rows := randomRows(rng, 300)

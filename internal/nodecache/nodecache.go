@@ -1,8 +1,8 @@
 // Package nodecache provides the pinned decoded-node block cache behind the
 // zero-allocation read hot path. An R-Tree/IR²-Tree node is decoded from its
-// disk blocks once, into a packed single-allocation layout, and the cache
-// keeps that decoded image keyed by the node's first BlockID so warm queries
-// reuse it instead of re-decoding per visit.
+// disk blocks once, into a packed layout (its image and signature columns),
+// and the cache keeps that decoded node keyed by its first BlockID so warm
+// queries reuse it instead of re-decoding per visit.
 //
 // The cache is deliberately dumb about what it stores (a type parameter) and
 // strict about how it behaves:
@@ -31,9 +31,12 @@ import (
 )
 
 // DefaultCapacity is the node capacity used when a caller passes a
-// non-positive capacity to New. At the paper's 4 KB blocks this pins on the
-// order of a few MB of decoded nodes — the whole index, for the evaluation
-// datasets at bench scale.
+// non-positive capacity to New. A pinned R-Tree node is its trimmed image
+// plus its signature columns, one bit per entry for every payload bit: at
+// the paper's 4 KB blocks and 102 entries, about 19 KB for a full node with
+// 64-byte signatures and 47 KB with Hotels' 189-byte ones. So a full cache
+// holds some 19–48 MB — the whole index, for the evaluation datasets at
+// bench scale, which is usually far fewer nodes than this.
 const DefaultCapacity = 1024
 
 // Stats counts cache outcomes since the cache was created. Snapshot-read

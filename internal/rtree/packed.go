@@ -5,12 +5,15 @@
 // two geo.Points and an aux copy per entry — for a 102-entry node that is
 // several hundred allocations. That is what the mutation path and the
 // invariant checker work on. A PackedNode instead pins the node's trimmed
-// on-disk image (exactly the bytes storeNode wrote) in a single allocation
-// and serves pointers, rectangles, and payloads by offset arithmetic
-// straight off that buffer. Decoded images live in a nodecache.Cache keyed
-// by the node's first BlockID, shared by every query on the tree; a tree
-// built with a negative Config.CacheNodes has no cache and pins each image
-// for one visit.
+// on-disk image (exactly the bytes storeNode wrote) and serves pointers,
+// rectangles, and payloads by offset arithmetic straight off that buffer.
+// Beside the image it keeps the payloads' bit-sliced signature columns, so a
+// node tests every entry against a query signature with one AND per query
+// bit (MatchMask). The image and the columns are one allocation each,
+// whatever the node's entry count.
+// Decoded images live in a nodecache.Cache keyed by the node's first
+// BlockID, shared by every query on the tree; a tree built with a negative
+// Config.CacheNodes has no cache and pins each image for one visit.
 //
 // A hit is charged, not re-read. Every image carries the device's write
 // sequence (storage.Device.WriteSeq) taken before its blocks were read, and
@@ -40,15 +43,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/nodecache"
+	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 )
 
 // PackedNode is a decoded node pinned in its serialized layout: one buffer
 // holding exactly the bytes storeNode encodes (header + count entries), plus
-// the header fields and per-level sizes needed to address entries in place.
+// the header fields and per-level sizes needed to address entries in place,
+// and the payloads' signature columns built from that buffer.
 // PackedNodes are immutable once published to the cache; accessors that
 // return slices alias the buffer and must not be written through or retained
 // past the next tree mutation.
@@ -60,8 +66,15 @@ type PackedNode struct {
 	es     int // serialized entry size at this level
 	auxLen int
 	buf    []byte // trimmed image: nodeHeaderSize + count*es bytes
-	seq    uint64 // device write sequence taken before buf was read
+	// cols holds the payloads bit-sliced: for payload bit b, the
+	// maskWords(count) words at cols[b*nw:] have bit i set when entry i's
+	// payload has bit b set. Memory only; nil when auxLen or count is 0.
+	cols []uint64
+	seq  uint64 // device write sequence taken before buf was read
 }
+
+// maskWords is the number of words a mask of n entries takes, one bit each.
+func maskWords(n int) int { return (n + 63) / 64 }
 
 // ID returns the node's first block ID.
 func (p *PackedNode) ID() storage.BlockID { return p.id }
@@ -116,6 +129,115 @@ func (p *PackedNode) EntryAux(i int) []byte {
 	}
 	off := p.entryOff(i) + 8 + p.dim*16
 	return p.buf[off : off+p.auxLen : off+p.auxLen]
+}
+
+// MatchMask is the signature test "if s matches w" of Figure 8 for all of
+// the node's entries at once: it returns mask[:maskWords(count)] with bit i
+// set when entry i's payload may contain everything sig describes —
+// sig.MatchesTolerant(EntryAux(i)) — and no bit at or above count set. A nil
+// or zero sig keeps every entry, and so does one whose length differs from
+// the node's payloads: a mismatched signature cannot be trusted, so the only
+// sound answer is "may match". mask must hold Tree.MaskWords words.
+//
+// The mask starts full and is ANDed with the column of every set bit of sig.
+// The columns' offsets are collected first, so their loads issue back to
+// back instead of each waiting behind the bit scan: the columns of a warm
+// cache do not fit in L2, and overlapping those misses is what the test
+// costs.
+//
+//skvet:hotpath
+func (p *PackedNode) MatchMask(sig *sigfile.Sig64, mask []uint64) []uint64 {
+	nw := maskWords(p.count)
+	mask = mask[:nw]
+	for w := range mask {
+		mask[w] = math.MaxUint64
+	}
+	if r := p.count % 64; r != 0 {
+		mask[nw-1] = 1<<r - 1
+	}
+	if sig == nil || sig.Len() != p.auxLen {
+		return mask
+	}
+	var offs [64]int
+	n := 0
+	for q := 0; q < sig.NumWords(); q++ {
+		for qw := sig.Word(q); qw != 0; qw &= qw - 1 {
+			if n == len(offs) {
+				p.andColumns(offs[:n], mask)
+				n = 0
+			}
+			offs[n] = (q*64 + bits.TrailingZeros64(qw)) * nw
+			n++
+		}
+	}
+	p.andColumns(offs[:n], mask)
+	return mask
+}
+
+// andColumns ANDs into mask the columns starting at offs. A node of 65 to
+// 128 entries — a full one at the paper's 4 KB blocks — keeps its two mask
+// words in registers.
+//
+//skvet:hotpath
+func (p *PackedNode) andColumns(offs []int, mask []uint64) {
+	if len(mask) == 2 {
+		m0, m1 := mask[0], mask[1]
+		for _, o := range offs {
+			m0 &= p.cols[o]
+			m1 &= p.cols[o+1]
+		}
+		mask[0], mask[1] = m0, m1
+		return
+	}
+	for _, o := range offs {
+		for w := range mask {
+			mask[w] &= p.cols[o+w]
+		}
+	}
+}
+
+// buildColumns transposes the pinned payloads into p.cols (see PackedNode),
+// one 64×64 bit block at a time: word q of 64 entries' payloads (payload bit
+// b is bit b%64 of word b/64, as in a Sig64) becomes 64 columns' words for
+// those entries. The cost does not depend on how many bits are set.
+func (p *PackedNode) buildColumns() {
+	if p.auxLen == 0 || p.count == 0 {
+		return
+	}
+	nw := maskWords(p.count)
+	nbits := p.auxLen * 8
+	p.cols = make([]uint64, nbits*nw)
+	var blk [64]uint64
+	for w := 0; w < nw; w++ {
+		n := min(64, p.count-w*64)
+		for q := 0; q*64 < nbits; q++ {
+			for i := 0; i < n; i++ {
+				blk[i] = sigfile.LoadWord(p.EntryAux(w*64+i), q)
+			}
+			clear(blk[n:])
+			transpose64(&blk)
+			for b := 0; b < min(64, nbits-q*64); b++ {
+				p.cols[(q*64+b)*nw+w] = blk[b]
+			}
+		}
+	}
+}
+
+// transpose64 transposes a 64×64 bit matrix in place: afterwards bit i of
+// a[b] is what bit b of a[i] was. Each round swaps the off-diagonal blocks of
+// every 2j×2j block along the diagonal, for j = 32, 16, …, 1 (Hacker's
+// Delight §7-3); the index masks only spare the compiler a bounds check.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000ffffffff) // low j bits of every 2j-bit group
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			lo, hi := &a[k&63], &a[(k+j)&63]
+			t := (*lo>>j ^ *hi) & m
+			*lo ^= t << j
+			*hi ^= t
+		}
+		m ^= m << (j / 2)
+	}
 }
 
 // scratchBuf wraps a reusable block-image buffer so pooling it does not
@@ -254,8 +376,8 @@ func (t *Tree) readImage(id storage.BlockID) (*scratchBuf, error) {
 
 // parsePacked validates a raw node image (with loadNode's exact checks) and
 // pins its trimmed prefix into a PackedNode, with at as the write sequence
-// taken before img was read. The returned node owns its buffer; img may be
-// reused by the caller.
+// taken before img was read, and builds its signature columns. The returned
+// node owns its buffers; img may be reused by the caller.
 func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNode, error) {
 	level := int(binary.LittleEndian.Uint32(img[0:4]))
 	count := int(binary.LittleEndian.Uint32(img[4:8]))
@@ -269,7 +391,7 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNo
 	}
 	buf := make([]byte, need)
 	copy(buf, img[:need])
-	return &PackedNode{
+	pn := &PackedNode{
 		id:     id,
 		level:  level,
 		count:  count,
@@ -278,8 +400,14 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNo
 		auxLen: t.scheme.EntryAuxLen(level),
 		buf:    buf,
 		seq:    at,
-	}, nil
+	}
+	pn.buildColumns()
+	return pn, nil
 }
+
+// MaskWords returns the length of the mask PackedNode.MatchMask needs for any
+// node of the tree: one bit per entry of a full node.
+func (t *Tree) MaskWords() int { return maskWords(t.maxE) }
 
 // CacheStats returns the decoded-node cache counters, or zeros when the
 // cache is disabled.

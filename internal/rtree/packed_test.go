@@ -409,32 +409,40 @@ func bitsAt(n int, b ...byte) sigfile.Signature {
 }
 
 // TestPackedIterMatchesDecodedWalk holds the two promises the retired E-X10
-// experiment gated, and the one the signature-first expansion adds. For
-// random trees with the default cache, a 2-node cache and no cache at all,
-// the packed Iter — which tests an entry's signature before decoding its
-// rectangle — yields the (ref, score) sequence, the TraversalStats and the
-// full trace of decodedWalk, which decodes and scores first; and the
-// device's random and sequential counters are the decoded walk's whether the
-// traversal runs cold, warm or cache-less — disk accounting cannot tell
-// cached from uncached.
+// experiment gated, and the ones the signature-first, whole-node expansion
+// adds. For random trees with the default cache, a 2-node cache and no cache
+// at all, the packed Iter — which tests all of a node's entries' signatures
+// at once, before decoding any rectangle — yields the (ref, score) sequence,
+// the TraversalStats and the full trace of decodedWalk, which decodes and
+// scores first; and the device's random and sequential counters are the
+// decoded walk's whether the traversal runs cold, warm or cache-less — disk
+// accounting cannot tell cached from uncached. A third pass runs without a
+// trace hook, where an expansion visits only its mask's survivors and counts
+// the rest as pruned in one step: same sequence, stats and I/O. The scorer's
+// own keep test drops some objects, so keep-test prunes mix with signature
+// prunes.
 //
 // The query signature differs by level, so testing the wrong level's
 // signature shows. In the lenmismatch row every interior entry's payload is
 // shorter than the interior query signature, whose bits no payload has: the
 // only sound answer is "may match" (Sig64.MatchesTolerant), so no subtree may
-// be pruned and every node is expanded.
+// be pruned and every node is expanded. The maxE300 tree is bulk loaded, so
+// its nodes hold up to 300 entries: a five-word mask, survivors in each word.
 func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		scheme AuxScheme
 		maxE   int
+		n      int
+		bulk   bool
 		sig    func(level int) *sigfile.Sig64
 	}{
 		// Leaves need bit 0 of bytes 0 and 1, interior entries only the
 		// first: prunes most objects and some subtrees.
-		{"aux4", orScheme{n: 4}, 3, levelSig(bitsAt(4, 1, 1), bitsAt(4, 1))},
-		{"multiblock", bigScheme{orScheme{n: 2048}}, 4, levelSig(bitsAt(2048, 1, 1), bitsAt(2048, 1))},
-		{"lenmismatch", orScheme{n: 4}, 3, levelSig(bitsAt(4, 1), bitsAt(5, 0xff, 0xff, 0xff, 0xff, 0xff))},
+		{"aux4", orScheme{n: 4}, 3, 200, false, levelSig(bitsAt(4, 1, 1), bitsAt(4, 1))},
+		{"multiblock", bigScheme{orScheme{n: 2048}}, 4, 200, false, levelSig(bitsAt(2048, 1, 1), bitsAt(2048, 1))},
+		{"lenmismatch", orScheme{n: 4}, 3, 200, false, levelSig(bitsAt(4, 1), bitsAt(5, 0xff, 0xff, 0xff, 0xff, 0xff))},
+		{"maxE300", orScheme{n: 9}, 300, 1000, true, levelSig(bitsAt(9, 1, 1), bitsAt(9, 1))},
 	} {
 		for _, cacheNodes := range []int{0, 2, -1} {
 			t.Run(fmt.Sprintf("%s/cache=%d", tc.name, cacheNodes), func(t *testing.T) {
@@ -444,18 +452,41 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(int64(17 + cacheNodes)))
-				for i := 0; i < 200; i++ {
+				var bulk []BulkEntry
+				for i := 0; i < tc.n; i++ {
 					aux := make([]byte, tc.scheme.EntryAuxLen(0))
 					copy(aux, refMask(uint64(i)))
-					p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
-					if err := tree.Insert(uint64(i), geo.PointRect(p), aux); err != nil {
+					rect := geo.PointRect(geo.NewPoint(rng.Float64()*100, rng.Float64()*100))
+					if tc.bulk {
+						bulk = append(bulk, BulkEntry{Ref: uint64(i), Rect: rect, Aux: aux})
+					} else if err := tree.Insert(uint64(i), rect, aux); err != nil {
 						t.Fatal(err)
 					}
 				}
+				if tc.bulk {
+					if err := tree.BulkLoad(bulk); err != nil {
+						t.Fatal(err)
+					}
+					widest := 0
+					forEachNodeID(t, tree, func(id storage.BlockID) {
+						n, err := tree.LoadNode(id)
+						if err != nil {
+							t.Fatal(err)
+						}
+						widest = max(widest, n.NumEntries())
+					})
+					if tree.MaskWords() != 5 || widest <= 4*64 {
+						t.Fatalf("%d mask words, widest node %d entries: the last mask word is not exercised",
+							tree.MaskWords(), widest)
+					}
+				}
 				p := geo.NewPoint(40, 60)
+				scorer := func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
+					return rect.MinDist(p), !isObject || rect.Lo[0] < 20 || rect.Lo[0] >= 30
+				}
 				ref := func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
-					score := rect.MinDist(p)
-					return score, tc.sig(level).MatchesTolerant(aux)
+					score, keep := scorer(isObject, level, rect, aux)
+					return score, keep && tc.sig(level).MatchesTolerant(aux)
 				}
 				disk.ResetStats()
 				wantRefs, wantScores, wantStats, wantEvents := decodedWalk(t, tree, ref)
@@ -473,11 +504,13 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 						t.Fatalf("reference expanded %d of %d nodes", wantStats.NodesLoaded, tree.NumNodes())
 					}
 				}
-				for _, pass := range []string{"cold", "warm"} {
+				for _, pass := range []string{"cold", "warm", "untraced"} {
 					disk.ResetStats()
-					it := tree.NearestNeighbors(p, tc.sig)
+					it := tree.Seek(scorer, tc.sig)
 					var events []TraceEvent
-					it.SetTrace(func(ev TraceEvent) { events = append(events, ev) })
+					if pass != "untraced" {
+						it.SetTrace(func(ev TraceEvent) { events = append(events, ev) })
+					}
 					var refs []uint64
 					var scores []float64
 					for {
@@ -498,7 +531,7 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 					if got := it.TraversalStats(); got != wantStats {
 						t.Fatalf("%s: traversal stats %+v, decoded walk %+v", pass, got, wantStats)
 					}
-					if i := firstDiff(events, wantEvents); i >= 0 {
+					if i := firstDiff(events, wantEvents); i >= 0 && pass != "untraced" {
 						t.Fatalf("%s: %d trace events, decoded walk %d; first difference at %d:\n got %v\nwant %v",
 							pass, len(events), len(wantEvents), i,
 							events[i:min(i+1, len(events))], wantEvents[i:min(i+1, len(wantEvents))])

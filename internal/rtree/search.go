@@ -3,6 +3,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/sigfile"
@@ -209,13 +210,16 @@ type Iter struct {
 	scr    *iterScratch
 }
 
-// iterScratch is the pooled per-traversal state: the queue's backing array
-// and the corner points entry MBRs are decoded into. One pair
-// of points serves every entry the traversal scores, because scorers do not
-// retain the rectangle (see EntryScorer).
+// iterScratch is the pooled per-traversal state: the queue's backing array,
+// the corner points entry MBRs are decoded into and the survivor mask of the
+// node being expanded (Tree.MaskWords words). One pair of points serves
+// every entry the traversal scores, because scorers do not retain the
+// rectangle (see EntryScorer), and one mask serves every node, because an
+// expansion is finished before the next begins.
 type iterScratch struct {
 	queue  []queueItem
 	lo, hi geo.Point
+	mask   []uint64
 }
 
 // TraversalStats are the work counters of one traversal — the per-event
@@ -242,9 +246,10 @@ func (it *Iter) SetTrace(fn func(TraceEvent)) { it.trace = fn }
 // Seek starts a best-first traversal with the given scorer. sig, when not
 // nil, is the query's signature per tree level — the signature test "if s
 // matches w" of Figure 8: an expanded node looks its level's signature up
-// once, and an entry whose payload does not match it (Sig64.MatchesTolerant,
-// so a length mismatch keeps the entry) is pruned before its rectangle is
-// decoded or the scorer sees it. A nil sig prunes nothing.
+// once and tests all of its entries with it (PackedNode.MatchMask, so a
+// length mismatch keeps every entry), and an entry whose payload does not
+// match is pruned before its rectangle is decoded or the scorer sees it. A
+// nil sig prunes nothing.
 //
 // The root enters the queue with score -Inf: it is never pruned (the query
 // must consider the whole tree before any of it is expanded), and -Inf is
@@ -263,6 +268,7 @@ func (t *Tree) Seek(scorer EntryScorer, sig func(level int) *sigfile.Sig64) *Ite
 	if len(scr.lo) != t.dim {
 		scr.lo = make(geo.Point, t.dim)
 		scr.hi = make(geo.Point, t.dim)
+		scr.mask = make([]uint64, t.MaskWords())
 	}
 	it.scr = scr
 	it.queue = scr.queue[:0]
@@ -315,10 +321,13 @@ func (it *Iter) Next() (ref uint64, score float64, ok bool, err error) {
 
 // expandPacked is Next's node-expansion step: the node comes from the
 // decoded-node cache (or, without one, is pinned for this visit). The
-// level's query signature is looked up once per node and each entry's
-// payload is tested against it straight off the image; only entries that
-// pass have their rectangle decoded (into the iterator's corner-point
-// scratch) and scored.
+// level's query signature is looked up once per node and tested against all
+// of its entries at once (PackedNode.MatchMask); only the survivors have
+// their rectangle decoded (into the iterator's corner-point scratch) and
+// scored, in entry order, so sequence numbers and ties are those of a
+// per-entry test. Without a trace hook the walk visits survivors only and
+// counts the rest as pruned in one step; with one it walks every entry, so
+// each prune event keeps its place.
 //
 //skvet:hotpath
 func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
@@ -327,21 +336,31 @@ func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
 		return fmt.Errorf("rtree: search: %w", err)
 	}
 	it.stats.NodesLoaded++
-	if it.trace != nil {
-		it.trace(TraceEvent{Kind: TraceExpand, Node: pn.id, Level: pn.level, Score: score})
-	}
 	var sig *sigfile.Sig64
 	if it.sig != nil {
 		sig = it.sig(pn.level)
 	}
-	for i := 0; i < pn.count; i++ {
-		aux := pn.EntryAux(i)
-		if sig != nil && !sig.MatchesTolerant(aux) {
-			it.prune(pn, i)
-			continue
+	mask := pn.MatchMask(sig, it.scr.mask)
+	if it.trace != nil {
+		it.trace(TraceEvent{Kind: TraceExpand, Node: pn.id, Level: pn.level, Score: score})
+		for i := 0; i < pn.count; i++ {
+			if mask[i/64]&(1<<(i%64)) == 0 {
+				it.prune(pn, i)
+				continue
+			}
+			it.enqueueEntry(pn, i, pn.EntryAux(i))
 		}
-		it.enqueueEntry(pn, i, aux)
+		return nil
 	}
+	survivors := 0
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			i := w*64 + bits.TrailingZeros64(m)
+			it.enqueueEntry(pn, i, pn.EntryAux(i))
+			survivors++
+		}
+	}
+	it.stats.EntriesPruned += pn.count - survivors
 	return nil
 }
 

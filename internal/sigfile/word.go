@@ -74,14 +74,28 @@ func MakeSig64(q Signature) Sig64 {
 			v.full[i] = binary.LittleEndian.Uint64(q[i*8:])
 		}
 	}
-	for i := nf * 8; i < n; i++ {
-		v.tail |= uint64(q[i]) << (8 * (i - nf*8))
-	}
+	v.tail = LoadWord(q, nf)
 	return v
 }
 
 // Len returns the length of the original signature in bytes.
 func (v Sig64) Len() int { return v.n }
+
+// NumWords returns how many 64-bit words hold the query: the full words,
+// plus the tail word when the length is not a multiple of 8.
+func (v Sig64) NumWords() int { return (v.n + 7) / 8 }
+
+// Word returns word i of the query, 0 <= i < NumWords(). Bit p of word i is
+// signature bit 64·i+p, the numbering of the byte form (bit b lives in byte
+// b/8, mask 1<<(b%8)); the tail word is zero above the signature's length.
+//
+//skvet:hotpath
+func (v Sig64) Word(i int) uint64 {
+	if i < len(v.full) {
+		return v.full[i]
+	}
+	return v.tail
+}
 
 // IsZero reports whether no bit is set in the query.
 func (v Sig64) IsZero() bool {
@@ -124,13 +138,25 @@ func (v Sig64) MatchesTolerant(s []byte) bool {
 		}
 	}
 	if v.tail != 0 {
-		var sw uint64
-		for i := len(v.full) * 8; i < v.n; i++ {
-			sw |= uint64(s[i]) << (8 * (i - len(v.full)*8))
-		}
-		if sw&v.tail != v.tail {
+		if sw := LoadWord(s, len(v.full)); sw&v.tail != v.tail {
 			return false
 		}
 	}
 	return true
+}
+
+// LoadWord returns word i of the raw signature s as its Sig64 form holds it:
+// bytes 8i to 8i+7, little-endian, zero-padded high past the end of s. Bit p
+// of the word is signature bit 64·i+p.
+//
+//skvet:hotpath
+func LoadWord(s []byte, i int) uint64 {
+	if i*8+8 <= len(s) {
+		return binary.LittleEndian.Uint64(s[i*8:])
+	}
+	var w uint64
+	for j := i * 8; j < len(s); j++ {
+		w |= uint64(s[j]) << (8 * (j - i*8))
+	}
+	return w
 }

@@ -44,8 +44,11 @@
 #           mixed-case and non-ASCII rows), of a file device's run read and
 #           the charge a current cached node pays instead
 #           (storage.FileDisk ReadRunInto and ChargeRun, 1- and 3-block
-#           runs) and of a warm distance-first top-k on a reopened durable
-#           engine (BenchmarkDurableTopK, root package), printing ns/op and
+#           runs), of a cold node load's parse and signature-column build
+#           and a warm node expansion (rtree.BenchmarkParsePacked, 64- and
+#           189-byte payloads, and BenchmarkWarmExpand) and of a warm
+#           distance-first top-k on a reopened durable engine
+#           (BenchmarkDurableTopK, root package), printing ns/op and
 #           allocs/op — too noisy on shared runners to gate, so ci.yml never
 #           fails on it
 #
@@ -146,6 +149,7 @@ run_micro() {
 	step micro
 	go test -run '^$' -bench 'CountTermsBytes|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
+	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
 	go test -run '^$' -bench 'DurableTopK' -benchmem .
 }
 
