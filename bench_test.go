@@ -315,6 +315,45 @@ func BenchmarkSelectivitySweep(b *testing.B) {
 	}
 }
 
+// BenchmarkDurableLoad times a durable engine's first load: every row of
+// Restaurants(0.03) Added to a fresh NewDurableEngine on storage.FileDisk,
+// then Save — the set-up benchmarks/perf's single-engine workloads pay. The
+// Save flushes the whole batch into the empty tree, which packs it. It
+// reports the load rate in objects/s beside ns/op.
+func BenchmarkDurableLoad(b *testing.B) {
+	store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
+	if _, err := dataset.Generate(dataset.Restaurants(0.03), store); err != nil {
+		b.Fatal(err)
+	}
+	var rows []objstore.Object
+	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		rows = append(rows, o)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: 64}, b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range rows {
+			if _, err := eng.Add(o.Point, o.Text); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := eng.Save(); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(rows)*b.N)/b.Elapsed().Seconds(), "objects/s")
+}
+
 // BenchmarkDurableTopK times the query skserve -dir answers: a warm
 // two-keyword conjunctive TopK on a saved-and-reopened engine, i.e. on
 // storage.FileDisk — the shape of benchmarks/perf's topk_restaurants

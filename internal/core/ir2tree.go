@@ -189,6 +189,16 @@ func (s *sigScheme) NodeAux(t rtree.NodeReader, n *rtree.Node) ([]byte, error) {
 	return sig, nil
 }
 
+// remember seeds the bulk-build word cache with an object's words, so the
+// deferred pass never re-reads the object file; a no-op when it is disabled.
+func (s *sigScheme) remember(ref uint64, words []string) {
+	s.mu.Lock()
+	if s.cache != nil {
+		s.cache[ref] = words
+	}
+	s.mu.Unlock()
+}
+
 // objectWords returns an object's distinct words, from the bulk-build cache
 // when enabled.
 func (s *sigScheme) objectWords(ref uint64) ([]string, error) {
@@ -298,41 +308,78 @@ func (x *IR2Tree) Delete(point geo.Point, ptr objstore.Ptr) (bool, error) {
 	return x.rt.Delete(uint64(ptr), geo.PointRect(point))
 }
 
-// Build bulk-loads every object of the store into the tree. For a MIR²-Tree
-// it defers interior signature computation during the inserts and fills all
-// signatures in one bottom-up pass at the end, caching object words in
-// memory — without this, construction would re-walk subtrees on every
-// insert and be quadratic.
+// Build loads every object of the store into the tree by repeated Insert,
+// the paper's construction (the experiments' trees are built this way).
 func (x *IR2Tree) Build() error {
-	if x.multilevel {
-		x.scheme.mu.Lock()
-		x.scheme.deferred = true
-		x.scheme.cache = make(map[uint64][]string)
-		x.scheme.mu.Unlock()
-		defer func() {
-			x.scheme.mu.Lock()
-			x.scheme.deferred = false
-			x.scheme.cache = nil
-			x.scheme.mu.Unlock()
-		}()
-	}
-	err := x.store.Scan(func(obj objstore.Object, ptr objstore.Ptr) error {
-		if x.multilevel {
-			// Seed the cache so RebuildAux never re-reads the object file.
-			x.scheme.mu.Lock()
-			x.scheme.cache[uint64(ptr)] = x.an.Unique(obj.Text)
-			x.scheme.mu.Unlock()
-		}
-		return x.Insert(obj, ptr)
+	return x.deferSignatures(func() error {
+		return x.store.Scan(func(obj objstore.Object, ptr objstore.Ptr) error {
+			x.scheme.remember(uint64(ptr), x.an.Unique(obj.Text))
+			return x.Insert(obj, ptr)
+		})
 	})
-	if err != nil {
+}
+
+// InsertBatch indexes objs[i] at ptrs[i] for every i. Into an empty tree it
+// packs the whole batch with Sort-Tile-Recursive bulk loading (rtree.BulkLoad,
+// an extension over the paper's insert-based construction): nodes come out
+// full and barely overlapping, in one pass per level, where one Guttman
+// insert per object leaves leaves about two thirds full. Leaf signatures are
+// the ones Insert computes and interior signatures go through the same
+// scheme, so answers do not depend on the path. Into a non-empty tree each
+// object is Inserted in order.
+func (x *IR2Tree) InsertBatch(objs []objstore.Object, ptrs []objstore.Ptr) error {
+	if x.rt.Height() > 0 {
+		for i, obj := range objs {
+			if err := x.Insert(obj, ptrs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if len(objs) == 0 {
+		return nil
+	}
+	return x.deferSignatures(func() error {
+		leaf := x.scheme.levelConfig(0)
+		entries := make([]rtree.BulkEntry, len(objs))
+		for i, obj := range objs {
+			words := x.an.Unique(obj.Text)
+			x.scheme.remember(uint64(ptrs[i]), words)
+			entries[i] = rtree.BulkEntry{Ref: uint64(ptrs[i]), Rect: geo.PointRect(obj.Point), Aux: leaf.DocSignature(words)}
+		}
+		return x.rt.BulkLoad(entries)
+	})
+}
+
+// deferSignatures runs a whole-tree construction. For a MIR²-Tree it leaves
+// interior signatures zero while build runs, caching the words build
+// remembers, and then fills every signature in one bottom-up pass — without
+// this a construction would re-walk a subtree per insert and be quadratic. A
+// root-only tree has no interior signature to fill. The uniform IR²-Tree
+// just runs build.
+func (x *IR2Tree) deferSignatures(build func() error) error {
+	if !x.multilevel {
+		return build()
+	}
+	s := x.scheme
+	s.mu.Lock()
+	s.deferred = true
+	s.cache = make(map[uint64][]string)
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.deferred = false
+		s.cache = nil
+		s.mu.Unlock()
+	}()
+	if err := build(); err != nil {
 		return err
 	}
-	if x.multilevel {
-		x.scheme.mu.Lock()
-		x.scheme.deferred = false
-		x.scheme.mu.Unlock()
-		return x.rt.RebuildAux()
+	s.mu.Lock()
+	s.deferred = false
+	s.mu.Unlock()
+	if x.rt.Height() <= 1 {
+		return nil
 	}
-	return nil
+	return x.rt.RebuildAux()
 }

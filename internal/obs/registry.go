@@ -314,28 +314,46 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // (Shard < 0, rendered as shard="all") feed them; per-shard families take
 // every record, keyed by the shard index, with the whole-engine record's
 // series ("all") doubling as the engine-wide total.
+//
+// Each series is looked up in the registry once, by the first record that
+// names its shard or op, and its handle is kept; a record then costs two map
+// reads under a shared lock, not a label-key build and registry lookup per
+// series.
 type QueryRecorder struct {
 	reg *Registry
+
+	mu     sync.RWMutex
+	shards map[int]*shardSeries // by QueryMetrics.Shard; negative is "all"
+	ops    map[string]*opSeries
+}
+
+// shardSeries are one shard label's series of the per-shard families.
+type shardSeries struct {
+	nodes, pruned, fetched, falsePos, random, sequential *Counter
+}
+
+// opSeries are one op label's series of the per-op families. The error and
+// degraded counters are not among them: those series appear only once a
+// query fails or degrades, so that rare path still asks the registry.
+type opSeries struct {
+	queries, results      *Counter
+	latency, randomBlocks *Histogram
 }
 
 // NewQueryRecorder returns a recorder aggregating into reg.
 func NewQueryRecorder(reg *Registry) *QueryRecorder {
-	return &QueryRecorder{reg: reg}
+	return &QueryRecorder{reg: reg, shards: make(map[int]*shardSeries), ops: make(map[string]*opSeries)}
 }
 
 // RecordQuery implements Sink.
 func (q *QueryRecorder) RecordQuery(m QueryMetrics) {
-	shard := "all"
-	if m.Shard >= 0 {
-		shard = strconv.Itoa(m.Shard)
-	}
-	sl := L("shard", shard)
-	q.reg.Counter("sk_query_nodes_expanded_total", "Index nodes dequeued and loaded.", sl).Add(uint64(m.NodesLoaded))
-	q.reg.Counter("sk_query_entries_pruned_total", "Entries dropped by the signature check.", sl).Add(uint64(m.EntriesPruned))
-	q.reg.Counter("sk_query_objects_fetched_total", "Objects read from the object file.", sl).Add(uint64(m.ObjectsLoaded))
-	q.reg.Counter("sk_query_sig_false_positives_total", "Fetched objects rejected by text verification.", sl).Add(uint64(m.FalsePositives))
-	q.reg.Counter("sk_io_blocks_total", "Disk block accesses by kind.", L("kind", "random"), sl).Add(m.BlocksRandom)
-	q.reg.Counter("sk_io_blocks_total", "Disk block accesses by kind.", L("kind", "sequential"), sl).Add(m.BlocksSequential)
+	s := q.shardHandles(m.Shard)
+	s.nodes.Add(uint64(m.NodesLoaded))
+	s.pruned.Add(uint64(m.EntriesPruned))
+	s.fetched.Add(uint64(m.ObjectsLoaded))
+	s.falsePos.Add(uint64(m.FalsePositives))
+	s.random.Add(m.BlocksRandom)
+	s.sequential.Add(m.BlocksSequential)
 
 	if m.Shard >= 0 {
 		return // per-shard slice of a query; op-level families take the aggregate record
@@ -344,15 +362,68 @@ func (q *QueryRecorder) RecordQuery(m QueryMetrics) {
 	if op == "" {
 		op = "unknown"
 	}
-	ol := L("op", op)
-	q.reg.Counter("sk_queries_total", "Queries finished, by kind.", ol).Inc()
+	o := q.opHandles(op)
+	o.queries.Inc()
 	if m.Err {
-		q.reg.Counter("sk_query_errors_total", "Queries that returned an error.", ol).Inc()
+		q.reg.Counter("sk_query_errors_total", "Queries that returned an error.", L("op", op)).Inc()
 	}
 	if m.Degraded {
-		q.reg.Counter("sk_query_degraded_total", "Queries answered partially with shards out of rotation.", ol).Inc()
+		q.reg.Counter("sk_query_degraded_total", "Queries answered partially with shards out of rotation.", L("op", op)).Inc()
 	}
-	q.reg.Counter("sk_query_results_total", "Results returned.", ol).Add(uint64(m.Results))
-	q.reg.Histogram("sk_query_latency_seconds", "Query wall latency.", LatencyBuckets(), ol).Observe(m.Latency.Seconds())
-	q.reg.Histogram("sk_query_random_blocks", "Random disk blocks per query.", BlockBuckets(), ol).Observe(float64(m.BlocksRandom))
+	o.results.Add(uint64(m.Results))
+	o.latency.Observe(m.Latency.Seconds())
+	o.randomBlocks.Observe(float64(m.BlocksRandom))
+}
+
+// shardHandles returns the per-shard families' series for a record's shard,
+// resolving them on first use.
+func (q *QueryRecorder) shardHandles(shard int) *shardSeries {
+	if shard < 0 {
+		shard = -1
+	}
+	q.mu.RLock()
+	s, ok := q.shards[shard]
+	q.mu.RUnlock()
+	if ok {
+		return s
+	}
+	label := "all"
+	if shard >= 0 {
+		label = strconv.Itoa(shard)
+	}
+	sl := L("shard", label)
+	s = &shardSeries{
+		nodes:      q.reg.Counter("sk_query_nodes_expanded_total", "Index nodes dequeued and loaded.", sl),
+		pruned:     q.reg.Counter("sk_query_entries_pruned_total", "Entries dropped by the signature check.", sl),
+		fetched:    q.reg.Counter("sk_query_objects_fetched_total", "Objects read from the object file.", sl),
+		falsePos:   q.reg.Counter("sk_query_sig_false_positives_total", "Fetched objects rejected by text verification.", sl),
+		random:     q.reg.Counter("sk_io_blocks_total", "Disk block accesses by kind.", L("kind", "random"), sl),
+		sequential: q.reg.Counter("sk_io_blocks_total", "Disk block accesses by kind.", L("kind", "sequential"), sl),
+	}
+	q.mu.Lock()
+	q.shards[shard] = s // a concurrent first record resolves the same handles
+	q.mu.Unlock()
+	return s
+}
+
+// opHandles returns the per-op families' series for op, resolving them on
+// first use.
+func (q *QueryRecorder) opHandles(op string) *opSeries {
+	q.mu.RLock()
+	o, ok := q.ops[op]
+	q.mu.RUnlock()
+	if ok {
+		return o
+	}
+	ol := L("op", op)
+	o = &opSeries{
+		queries:      q.reg.Counter("sk_queries_total", "Queries finished, by kind.", ol),
+		results:      q.reg.Counter("sk_query_results_total", "Results returned.", ol),
+		latency:      q.reg.Histogram("sk_query_latency_seconds", "Query wall latency.", LatencyBuckets(), ol),
+		randomBlocks: q.reg.Histogram("sk_query_random_blocks", "Random disk blocks per query.", BlockBuckets(), ol),
+	}
+	q.mu.Lock()
+	q.ops[op] = o
+	q.mu.Unlock()
+	return o
 }

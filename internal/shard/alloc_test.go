@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/obs"
 )
 
 // TestOneShardMergeAllocs gates what the merge adds to a warm query on a
@@ -15,7 +16,8 @@ import (
 // rows and query cycle, k = 10. The budgets are the figures the free-running
 // merge read before the stream's first k took its place; the plain engine
 // under the same queries is logged beside them, the difference being the
-// merge's own overhead.
+// merge's own overhead. With a registry sink recording every query the
+// figure must not move: the recorder holds its series' handles.
 func TestOneShardMergeAllocs(t *testing.T) {
 	rows, stats, _ := loadDataset(t, benchSpec)
 	cfg := spatialkeyword.Config{SignatureBytes: 16}
@@ -60,9 +62,15 @@ func TestOneShardMergeAllocs(t *testing.T) {
 			return testing.AllocsPerRun(100, run)
 		}
 		got, base := measure(s), measure(single)
-		t.Logf("%s: %.0f allocs/op on one shard, %.0f on the plain engine", q.name, got, base)
+		s.SetMetricsSink(obs.NewQueryRecorder(obs.NewRegistry()))
+		sunk := measure(s)
+		s.SetMetricsSink(nil)
+		t.Logf("%s: %.0f allocs/op on one shard (%.0f recording), %.0f on the plain engine", q.name, got, sunk, base)
 		if got > q.budget {
 			t.Errorf("%s allocates %.0f objects/op on one shard, budget %.0f", q.name, got, q.budget)
+		}
+		if sunk > got {
+			t.Errorf("%s allocates %.0f objects/op recording into a registry, %.0f without a sink", q.name, sunk, got)
 		}
 	}
 }

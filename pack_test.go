@@ -1,0 +1,195 @@
+package spatialkeyword
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"spatialkeyword/internal/core"
+	"spatialkeyword/internal/dataset"
+	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/storage"
+	"spatialkeyword/internal/textutil"
+)
+
+// packRow is one generated row, in insertion order.
+type packRow struct {
+	point []float64
+	text  string
+}
+
+// packRows generates a dataset slice in memory.
+func packRows(t testing.TB, spec dataset.Spec) ([]packRow, *dataset.Stats) {
+	t.Helper()
+	store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
+	stats, err := dataset.Generate(spec, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []packRow
+	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		rows = append(rows, packRow{o.Point, o.Text})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows, stats
+}
+
+// referenceNodes builds two trees over e's object file with e's options,
+// one packed by STR and one by repeated Insert, and returns their node
+// counts.
+func referenceNodes(t *testing.T, e *Engine) (packed, inserted int) {
+	t.Helper()
+	nodes := func(build func(*core.IR2Tree) error) int {
+		ref, err := core.New(storage.NewDisk(e.idxDisk.BlockSize()), e.store, e.coreOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := build(ref); err != nil {
+			t.Fatal(err)
+		}
+		return ref.RTree().NumNodes()
+	}
+	return nodes((*core.IR2Tree).BuildBulk), nodes((*core.IR2Tree).Build)
+}
+
+// checkPacked requires e's tree to hold every live object in no more nodes
+// than an STR build of the same rows, and fewer than an insert-built one, with
+// every structural invariant intact.
+func checkPacked(t *testing.T, e *Engine) {
+	t.Helper()
+	rt := e.tree.RTree()
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Len() != e.live {
+		t.Fatalf("tree holds %d objects, engine has %d live", rt.Len(), e.live)
+	}
+	packed, inserted := referenceNodes(t, e)
+	t.Logf("%d objects: %d nodes; STR reference %d, insert-built %d", rt.Len(), rt.NumNodes(), packed, inserted)
+	if rt.NumNodes() > packed || rt.NumNodes() >= inserted {
+		t.Fatalf("tree has %d nodes; STR packs the rows into %d, repeated Insert into %d", rt.NumNodes(), packed, inserted)
+	}
+}
+
+// TestSaveAfterLoadPacksTree: a durable engine's load followed by Save
+// flushes one batch into an empty tree, which packs it.
+func TestSaveAfterLoadPacksTree(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		multi bool
+	}{{"IR2", 0.03, false}, {"MIR2", 0.01, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows, stats := packRows(t, dataset.Restaurants(tc.scale))
+			cfg := Config{SignatureBytes: 64}
+			if tc.multi {
+				cfg.Multilevel = true
+				cfg.ExpectedWordsPerObject = stats.AvgUniqueWords
+				cfg.ExpectedVocabulary = stats.VocabUsed
+			}
+			e, err := NewDurableEngine(cfg, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for _, r := range rows {
+				if _, err := e.Add(r.point, r.text); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Save(); err != nil {
+				t.Fatal(err)
+			}
+			checkPacked(t, e)
+		})
+	}
+}
+
+// TestWALReplayOntoEmptySnapshotPacks: adds logged after a WAL engine's
+// initial empty checkpoint and never saved replay into the pending batch on
+// reopen, and the first query packs them into the empty snapshot's tree.
+func TestWALReplayOntoEmptySnapshotPacks(t *testing.T) {
+	rows, stats := packRows(t, dataset.Restaurants(0.004))
+	dir := t.TempDir()
+	eng, err := NewDurableEngine(walConfig(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if _, err := eng.Add(r.point, r.text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil { // a crash: no Save
+		t.Fatal(err)
+	}
+	e, err := OpenEngine(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got := e.WALInfo().ReplayedRecords; got != uint64(len(rows)) {
+		t.Fatalf("replayed %d records, want %d", got, len(rows))
+	}
+	if e.tree.RTree().Height() != 0 || len(e.pending) != len(rows) {
+		t.Fatalf("after replay: tree height %d, %d pending; want an empty tree and %d pending",
+			e.tree.RTree().Height(), len(e.pending), len(rows))
+	}
+	words := stats.WordsByFreq()
+	for i := 0; i < 20; i++ {
+		p := rows[i*len(rows)/20].point
+		kws := []string{words[i%10], words[10+i*7%100]}[:1+i%2]
+		got, err := e.TopK(10, p, kws...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteTopKRows(rows, 10, p, kws)
+		if fmt.Sprint(resultIDs(got)) != fmt.Sprint(want) {
+			t.Fatalf("TopK(%v, %v) = %v, brute force %v", p, kws, resultIDs(got), want)
+		}
+	}
+	checkPacked(t, e)
+}
+
+// bruteTopKRows answers a distance-first top-k over rows (ID = index) by
+// brute force; ties break by ID.
+func bruteTopKRows(rows []packRow, k int, p []float64, kws []string) []uint64 {
+	type cand struct {
+		id   uint64
+		dist float64
+	}
+	var an *textutil.Analyzer
+	var cands []cand
+	for i, r := range rows {
+		if !an.ContainsAll(r.text, kws) {
+			continue
+		}
+		var d float64
+		for j := range p {
+			d += (r.point[j] - p[j]) * (r.point[j] - p[j])
+		}
+		cands = append(cands, cand{uint64(i), math.Sqrt(d)})
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].dist != cands[b].dist {
+			return cands[a].dist < cands[b].dist
+		}
+		return cands[a].id < cands[b].id
+	})
+	ids := make([]uint64, 0, k)
+	for i := 0; i < len(cands) && i < k; i++ {
+		ids = append(ids, cands[i].id)
+	}
+	return ids
+}
+
+func resultIDs(rs []Result) []uint64 {
+	ids := make([]uint64, len(rs))
+	for i, r := range rs {
+		ids[i] = r.Object.ID
+	}
+	return ids
+}

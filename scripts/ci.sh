@@ -46,7 +46,9 @@
 #           (storage.FileDisk ReadRunInto and ChargeRun, 1- and 3-block
 #           runs), of a cold node load's parse and signature-column build
 #           and a warm node expansion (rtree.BenchmarkParsePacked, 64- and
-#           189-byte payloads, and BenchmarkWarmExpand) and of a warm
+#           189-byte payloads, and BenchmarkWarmExpand), of a durable
+#           engine's first load — Adds then Save, reported in objects/s
+#           (BenchmarkDurableLoad, root package) — and of a warm
 #           distance-first top-k on a reopened durable engine
 #           (BenchmarkDurableTopK, root package), printing ns/op and
 #           allocs/op — too noisy on shared runners to gate, so ci.yml never
@@ -150,7 +152,7 @@ run_micro() {
 	go test -run '^$' -bench 'CountTermsBytes|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
-	go test -run '^$' -bench 'DurableTopK' -benchmem .
+	go test -run '^$' -bench 'DurableLoad|DurableTopK' -benchmem .
 }
 
 run_fuzz() {

@@ -572,7 +572,10 @@ func (e *Engine) Flush() error {
 	return e.flushLocked()
 }
 
-// flushLocked is Flush under the exclusive lock.
+// flushLocked is Flush under the exclusive lock. The pending rows go to the
+// tree as one batch, so a flush into an empty tree — a load followed by Save
+// or a first query, a log replayed onto an empty snapshot — packs them
+// (core.IR2Tree.InsertBatch).
 func (e *Engine) flushLocked() error {
 	if len(e.pending) == 0 {
 		return nil
@@ -580,14 +583,17 @@ func (e *Engine) flushLocked() error {
 	if err := e.store.Sync(); err != nil {
 		return err
 	}
-	for _, id := range e.pending {
+	objs := make([]objstore.Object, len(e.pending))
+	ptrs := make([]objstore.Ptr, len(e.pending))
+	for i, id := range e.pending {
 		obj, err := e.store.GetByID(objstore.ID(id))
 		if err != nil {
 			return err
 		}
-		if err := e.tree.Insert(obj, e.store.Ptrs()[id]); err != nil {
-			return err
-		}
+		objs[i], ptrs[i] = obj, e.store.Ptrs()[id]
+	}
+	if err := e.tree.InsertBatch(objs, ptrs); err != nil {
+		return err
 	}
 	e.pending = e.pending[:0]
 	return nil
