@@ -12,6 +12,7 @@ import (
 	"spatialkeyword/internal/dataset"
 	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/shard"
 	"spatialkeyword/internal/skql"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
@@ -120,12 +121,22 @@ func sortedIDs(rs []spatialkeyword.Result) []uint64 {
 	return out
 }
 
-// TestBatchBuiltMatchesInsertBuilt loads the same rows into two engines: one
-// indexes them as one batch at its first query (a packed tree), the other
-// flushes after every add (the paper's insert-built tree). Every query kind,
-// native and through SKQL, must answer the same on both and match brute
+// backend is what the differential test drives: a single Engine or a
+// ShardedEngine.
+type backend interface {
+	spatialkeyword.Reader
+	Add(point []float64, text string) (uint64, error)
+	Delete(id uint64) error
+	TopK(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, error)
+}
+
+// TestBatchBuiltMatchesInsertBuilt loads the same rows into two backends: one
+// indexes them as one batch at its first query (a packed tree per shard), the
+// other flushes after every add (the paper's insert-built tree). Every query
+// kind, native and through SKQL, must answer the same on both and match brute
 // force — before and after further adds and deletes reach both trees through
-// Insert and Delete.
+// Insert and Delete. The engine arm runs single engines, the sharded arm
+// ShardedEngines over 4 hash shards.
 func TestBatchBuiltMatchesInsertBuilt(t *testing.T) {
 	for _, tc := range []struct {
 		spec     dataset.Spec
@@ -145,66 +156,119 @@ func TestBatchBuiltMatchesInsertBuilt(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := spatialkeyword.Config{SignatureBytes: tc.sigBytes}
-			batch, err := spatialkeyword.NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inserted, err := spatialkeyword.NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := &diffModel{deleted: make(map[uint64]bool)}
-			add := func(p []float64, text string) {
-				t.Helper()
-				for _, e := range []*spatialkeyword.Engine{batch, inserted} {
-					id, err := e.Add(p, text)
+			for _, arm := range []struct {
+				name string
+				open func() (backend, error)
+			}{
+				{"engine", func() (backend, error) { return spatialkeyword.NewEngine(cfg) }},
+				{"sharded", func() (backend, error) { return shard.New(cfg, shard.Options{Shards: 4}) }},
+			} {
+				t.Run(arm.name, func(t *testing.T) {
+					batch, err := arm.open()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if id != uint64(len(m.rows)) {
-						t.Fatalf("Add assigned ID %d, want %d", id, len(m.rows))
-					}
-				}
-				m.rows = append(m.rows, spatialkeyword.Object{ID: uint64(len(m.rows)), Point: p, Text: text})
-				if err := inserted.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, o := range rows {
-				add(o.Point, o.Text)
-			}
-			rng := rand.New(rand.NewSource(33))
-			words := stats.WordsByFreq()
-			compareEngines(t, rng, words, m, batch, inserted)
-
-			// Mutate both through the one-at-a-time paths and compare again.
-			for i := 0; i < 60; i++ {
-				src := rows[rng.Intn(len(rows))]
-				add([]float64{src.Point[0] + rng.NormFloat64(), src.Point[1] + rng.NormFloat64()}, src.Text)
-			}
-			for i := 0; i < 60; i++ {
-				id := uint64(rng.Intn(len(m.rows)))
-				if m.deleted[id] {
-					continue
-				}
-				for _, e := range []*spatialkeyword.Engine{batch, inserted} {
-					if err := e.Delete(id); err != nil {
+					inserted, err := arm.open()
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				m.deleted[id] = true
+					compareBuilds(t, rows, stats.WordsByFreq(), batch, inserted)
+				})
 			}
-			compareEngines(t, rng, words, m, batch, inserted)
 		})
 	}
 }
 
+// TestShardedSavePacksEveryShard: a sharded load followed by Save hands each
+// shard its adds as one batch, so every shard's tree is packed — no more
+// nodes than STR over the shard's rows, fewer than repeated Insert — and
+// structurally sound.
+func TestShardedSavePacksEveryShard(t *testing.T) {
+	store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
+	if _, err := dataset.Generate(dataset.Restaurants(0.02), store); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := shard.NewDurable(spatialkeyword.Config{SignatureBytes: 64}, dir, shard.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		_, err := s.Add(o.Point, o.Text)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < s.NumShards(); i++ {
+		e, err := spatialkeyword.OpenEngine(s.ShardDir(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprint("shard", i), func(t *testing.T) { spatialkeyword.CheckPacked(t, e) })
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// compareBuilds loads rows into both backends, inserted flushing after every
+// add, compares them, mutates both and compares again.
+func compareBuilds(t *testing.T, rows []spatialkeyword.Object, words []string, batch, inserted backend) {
+	m := &diffModel{deleted: make(map[uint64]bool)}
+	add := func(p []float64, text string) {
+		t.Helper()
+		for _, e := range []backend{batch, inserted} {
+			id, err := e.Add(p, text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != uint64(len(m.rows)) {
+				t.Fatalf("Add assigned ID %d, want %d", id, len(m.rows))
+			}
+		}
+		m.rows = append(m.rows, spatialkeyword.Object{ID: uint64(len(m.rows)), Point: p, Text: text})
+		if err := inserted.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range rows {
+		add(o.Point, o.Text)
+	}
+	rng := rand.New(rand.NewSource(33))
+	compareEngines(t, rng, words, m, batch, inserted)
+
+	// Mutate both through the one-at-a-time paths and compare again.
+	for i := 0; i < 60; i++ {
+		src := rows[rng.Intn(len(rows))]
+		add([]float64{src.Point[0] + rng.NormFloat64(), src.Point[1] + rng.NormFloat64()}, src.Text)
+	}
+	for i := 0; i < 60; i++ {
+		id := uint64(rng.Intn(len(m.rows)))
+		if m.deleted[id] {
+			continue
+		}
+		for _, e := range []backend{batch, inserted} {
+			if err := e.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.deleted[id] = true
+	}
+	compareEngines(t, rng, words, m, batch, inserted)
+}
+
 // compareEngines runs seeded queries of every kind on both engines and the
 // model.
-func compareEngines(t *testing.T, rng *rand.Rand, words []string, m *diffModel, batch, inserted *spatialkeyword.Engine) {
+func compareEngines(t *testing.T, rng *rand.Rand, words []string, m *diffModel, batch, inserted backend) {
 	t.Helper()
 	cats := []*skql.Catalog{skql.NewCatalog(batch), skql.NewCatalog(inserted)}
-	engines := []*spatialkeyword.Engine{batch, inserted}
+	engines := []backend{batch, inserted}
 	// One keyword from the most frequent 2 % and one from the next 18 %,
 	// the topk_restaurants mix, or a single frequent one.
 	frequent, mid := words[:len(words)/50+1], words[len(words)/50+1:len(words)/5]

@@ -479,8 +479,11 @@ func TestRequestBodiesBounded(t *testing.T) {
 }
 
 // TestAddStatusSeparatesClientFromServer: POST /objects answers 400 only for
-// the caller's mistake (a point of the wrong dimensionality); a failing
-// device is the server's problem and answers 500.
+// the caller's mistake (a point of the wrong dimensionality). An add
+// acknowledges the way Engine.Add does: applied, and logged if there is a
+// WAL. So a write the log refuses is a 500, while an object-file or index
+// fault surfaces at the shard's next read, which degrades the shard, and a
+// checkpoint is then refused.
 func TestAddStatusSeparatesClientFromServer(t *testing.T) {
 	failWrites := func(op storage.Op, id storage.BlockID) error {
 		if op == storage.OpWrite {
@@ -488,30 +491,77 @@ func TestAddStatusSeparatesClientFromServer(t *testing.T) {
 		}
 		return nil
 	}
-	for _, tc := range []struct {
-		name   string
-		shards int
-		fault  bool
-		point  []float64
-		want   int
-	}{
-		{"sharded/wrong-dimension", 3, false, []float64{1}, http.StatusBadRequest},
-		{"sharded/device-fault", 3, true, []float64{1, 2}, http.StatusInternalServerError},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, ts := newShardedTestServer(t, "", tc.shards)
-			if tc.fault {
-				for i := 0; i < tc.shards; i++ {
-					s.primary.InjectShardFault(i, failWrites)
-				}
+	const shards = 3
+	serve := func(t *testing.T, wal, fault bool) *httptest.Server {
+		t.Helper()
+		eng, err := shard.NewDurable(spatialkeyword.Config{SignatureBytes: 16, WAL: wal}, t.TempDir(), shard.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		if fault {
+			for i := 0; i < shards; i++ {
+				eng.InjectShardFault(i, failWrites)
 			}
-			resp := post(t, ts.URL+"/objects", addRequest{Point: tc.point, Text: "cafe"})
-			resp.Body.Close()
-			if resp.StatusCode != tc.want {
-				t.Fatalf("POST /objects = %d, want %d", resp.StatusCode, tc.want)
-			}
-		})
+		}
+		ts := httptest.NewServer(newServer(eng, true, serverOptions{}).routes())
+		t.Cleanup(ts.Close)
+		return ts
 	}
+	addStatus := func(t *testing.T, ts *httptest.Server, point []float64) int {
+		t.Helper()
+		resp := post(t, ts.URL+"/objects", addRequest{Point: point, Text: "cafe"})
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	t.Run("sharded/wrong-dimension", func(t *testing.T) {
+		if got := addStatus(t, serve(t, false, false), []float64{1}); got != http.StatusBadRequest {
+			t.Fatalf("POST /objects = %d, want 400", got)
+		}
+	})
+	t.Run("sharded/wal-fault", func(t *testing.T) {
+		if got := addStatus(t, serve(t, true, true), []float64{1, 2}); got != http.StatusInternalServerError {
+			t.Fatalf("POST /objects with a failing log = %d, want 500", got)
+		}
+	})
+	t.Run("sharded/device-fault", func(t *testing.T) {
+		ts := serve(t, false, true)
+		if got := addStatus(t, ts, []float64{1, 2}); got != http.StatusCreated {
+			t.Fatalf("POST /objects = %d, want 201: the add is applied, its indexing deferred", got)
+		}
+		resp, err := http.Get(ts.URL + "/search?lat=1&lon=2&k=1&q=cafe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/search after the add = %d, want 200", resp.StatusCode)
+		}
+		if sr := decode[searchResponse](t, resp); sr.Stats == nil || !sr.Stats.Degraded {
+			t.Fatalf("/search did not report the shard whose flush failed as degraded: %+v", sr.Stats)
+		}
+		resp, err = http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		health := decode[struct {
+			Status      string              `json:"status"`
+			ShardHealth []shard.ShardHealth `json:"shard_health"`
+		}](t, resp)
+		unhealthy := 0
+		for _, h := range health.ShardHealth {
+			if !h.Healthy {
+				unhealthy++
+			}
+		}
+		if health.Status != "degraded" || unhealthy != 1 {
+			t.Fatalf("/healthz status %q with %d unhealthy shards, want degraded with 1: %+v", health.Status, unhealthy, health.ShardHealth)
+		}
+		resp = post(t, ts.URL+"/save", struct{}{})
+		if msg := decode[map[string]string](t, resp)["error"]; resp.StatusCode != http.StatusInternalServerError || !strings.Contains(msg, "unhealthy shard") {
+			t.Fatalf("POST /save = %d %q, want a 500 refusing the unhealthy shard", resp.StatusCode, msg)
+		}
+	})
 }
 
 // TestQueryStatusSeparatesClientRetryAndServer: the three query endpoints

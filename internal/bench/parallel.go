@@ -241,7 +241,8 @@ func generateRows(spec dataset.Spec) ([]spatialkeyword.Object, geo.Rect, *datase
 }
 
 // buildSharded loads the rows into a fresh n-shard engine (grid-partitioned
-// over the dataset MBR).
+// over the dataset MBR) and indexes them before any query is metered: each
+// shard flushes its load as one batch, which packs its tree.
 func buildSharded(rows []spatialkeyword.Object, bounds geo.Rect, sigBytes, n int) (*shard.ShardedEngine, error) {
 	eng, err := shard.New(spatialkeyword.Config{SignatureBytes: sigBytes}, shard.Options{
 		Shards: n,
@@ -255,7 +256,7 @@ func buildSharded(rows []spatialkeyword.Object, bounds geo.Rect, sigBytes, n int
 			return nil, err
 		}
 	}
-	return eng, nil
+	return eng, eng.Flush()
 }
 
 // throughputQuery is one pre-generated query of the throughput workload.

@@ -160,6 +160,7 @@ func (s *ShardedEngine) Save() error {
 		gens[i] = sh.eng.Generation()
 		sh.mu.Unlock()
 		if err != nil {
+			s.degrade(sh, err) // the shard's queued adds are indexed here, if no read did it first
 			return fmt.Errorf("shard %d: %w", sh.idx, err)
 		}
 	}

@@ -318,16 +318,17 @@ func (s *ShardedEngine) dim() int {
 	return s.cfg.Dim
 }
 
-// Add routes the object to its shard by location, indexes it immediately
-// (sharded adds are always flushed, so queries never contend with pending
-// buffers), and returns its global ID. The flush syncs the shard's object
-// file, which rewrites its open block in place rather than sealing it, so
-// rows added one at a time still pack back to back; only a Save seals the
-// block. The global ID is reserved first and handed to the shard as the
-// record's tag: the engine-level mutation observer sees it while the add is
-// applied, and with a WAL it is logged, so crash recovery can rebuild the
-// global→shard assignment from the shards' logs alone. A storage fault takes
-// the shard out of rotation.
+// Add routes the object to its shard by location and returns its global ID.
+// The shard queues the add as a single Engine does: it is applied (and, with
+// a WAL, logged) when Add returns, and indexed at the shard's next read,
+// Flush, Delete or Save — so a load followed by Save packs each shard's tree
+// (core.IR2Tree.InsertBatch). A storage fault in that deferred indexing
+// surfaces there and takes the shard out of rotation. The global ID is
+// reserved first and handed to the shard as the record's tag: the
+// engine-level mutation observer sees it while the add is applied, and with a
+// WAL it is logged, so crash recovery can rebuild the global→shard assignment
+// from the shards' logs alone. A storage fault in the add itself takes the
+// shard out of rotation too.
 func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
 		return 0, err
@@ -357,18 +358,28 @@ func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 		return 0, fmt.Errorf("shard %d: %w", sh.idx, err)
 	}
 	sh.globals = append(sh.globals, gid)
-	if err := sh.eng.Flush(); err != nil {
-		// The add is applied (and, with a WAL, durable in the log; recovery
-		// will replay it); only the indexing failed. Keep the assignment.
-		s.degrade(sh, err)
-		return gid, fmt.Errorf("shard %d: %w", sh.idx, err)
-	}
 	return gid, nil
 }
 
-// Flush is a no-op: sharded adds index eagerly. It exists so the engine
-// satisfies the same surface as a single Engine.
-func (s *ShardedEngine) Flush() error { return nil }
+// Flush indexes every open, healthy shard's queued adds now. It holds each
+// shard's read lock only, as a lane does while its engine flushes, and with
+// nothing queued no engine takes its exclusive lock — SKQL calls Flush twice
+// per statement. A shard whose flush hits a storage fault is taken out of
+// rotation, and the fan-outs after it report degraded results.
+func (s *ShardedEngine) Flush() error {
+	for _, sh := range s.shards {
+		if sh.eng == nil || sh.unhealthy.Load() {
+			continue
+		}
+		sh.mu.RLock()
+		err := sh.eng.Flush()
+		sh.mu.RUnlock()
+		if err != nil && !s.degrade(sh, err) {
+			return fmt.Errorf("shard %d: %w", sh.idx, err)
+		}
+	}
+	return nil
+}
 
 // locate resolves a global ID, or fails with the engine's error values.
 // Tombstoned IDs (reservations that never became durable) are unknown.
@@ -410,13 +421,15 @@ func (s *ShardedEngine) Get(gid uint64) (spatialkeyword.Object, error) {
 	obj, err := sh.eng.Get(loc.local)
 	sh.mu.RUnlock()
 	if err != nil {
+		s.degrade(sh, err) // a Get may be what indexes the shard's queued adds
 		return spatialkeyword.Object{}, reglobal(err, gid)
 	}
 	obj.ID = gid
 	return obj, nil
 }
 
-// Delete removes an object from its shard's index.
+// Delete removes an object from its shard's index, indexing the shard's
+// queued adds first. A storage fault takes the shard out of rotation.
 func (s *ShardedEngine) Delete(gid uint64) error {
 	loc, err := s.locate(gid)
 	if err != nil {
@@ -430,6 +443,9 @@ func (s *ShardedEngine) Delete(gid uint64) error {
 	}
 	err = sh.eng.Delete(loc.local)
 	sh.mu.Unlock()
+	if err != nil {
+		s.degrade(sh, err)
+	}
 	return reglobal(err, gid)
 }
 

@@ -55,8 +55,9 @@ func firstK[R any](t *testing.T, it stream[R], err error, k int, asc bool, at fu
 }
 
 // streamLayouts builds the engines the stream tests run on: one and three
-// shards, grid and hash.
-func streamLayouts(t *testing.T, cfg spatialkeyword.Config, bounds geo.Rect, rows []spatialkeyword.Object) map[string]*ShardedEngine {
+// shards, grid and hash. Each shard packs its rows at its first read, unless
+// perAdd flushes after every add, which builds each tree by Insert.
+func streamLayouts(t *testing.T, cfg spatialkeyword.Config, bounds geo.Rect, rows []spatialkeyword.Object, perAdd bool) map[string]*ShardedEngine {
 	t.Helper()
 	out := map[string]*ShardedEngine{}
 	for name, opts := range map[string]Options{
@@ -67,7 +68,11 @@ func streamLayouts(t *testing.T, cfg spatialkeyword.Config, bounds geo.Rect, row
 		if err != nil {
 			t.Fatal(err)
 		}
-		fill(t, s, rows)
+		if perAdd {
+			fill(t, flushEach{s}, rows)
+		} else {
+			fill(t, s, rows)
+		}
 		out[name] = s
 	}
 	return out
@@ -117,7 +122,7 @@ func TestStreamIsTheMerge(t *testing.T) {
 		}
 	}
 
-	for name, s := range streamLayouts(t, cfg, bounds, rows) {
+	for name, s := range streamLayouts(t, cfg, bounds, rows, false) {
 		t.Run(name+"/dataset", func(t *testing.T) {
 			for id := uint64(0); id < uint64(len(rows)); id += 7 {
 				if err := s.Delete(id); err != nil {
@@ -132,7 +137,7 @@ func TestStreamIsTheMerge(t *testing.T) {
 			}
 		})
 	}
-	for name, s := range streamLayouts(t, cfg, tieBounds, ties) {
+	for name, s := range streamLayouts(t, cfg, tieBounds, ties, false) {
 		t.Run(name+"/ties", func(t *testing.T) {
 			for _, k := range []int{1, 5, 12, 13, len(ties) + 10} {
 				check(t, s, k, []float64{500, 500}, []string{"harbor", "fish"})
@@ -179,7 +184,9 @@ func counted[R any](q topkQuery[R], pulls []int) topkQuery[R] {
 // with a counting opener. The numbers were recorded at commit ae80bff, with
 // the same counting opener handed to that commit's merge(coordinated: true),
 // on Restaurants(0.001), k = 5, the first keyword of each set for the distance
-// query and both for the ranked one.
+// query and both for the ranked one. Shards then indexed every add as it came,
+// so the layouts here flush after every add: the pulls depend on the trees'
+// shape through the bounds each lane reports.
 func TestSerialPullsArePinned(t *testing.T) {
 	pinned := map[string][][2][]int{ // layout → query → {distance, ranked} pulls per lane
 		"grid1": {{{5}, {5}}, {{5}, {5}}, {{5}, {5}}, {{5}, {5}}, {{5}, {5}}, {{5}, {5}}},
@@ -195,7 +202,7 @@ func TestSerialPullsArePinned(t *testing.T) {
 	}
 	rows, stats, bounds := loadDataset(t, dataset.Restaurants(0.001))
 	points, kwSets := queryPoints(rows, 6, 42), keywordSets(stats, 6, 2, 99)
-	for name, s := range streamLayouts(t, spatialkeyword.Config{SignatureBytes: 16}, bounds, rows) {
+	for name, s := range streamLayouts(t, spatialkeyword.Config{SignatureBytes: 16}, bounds, rows, true) {
 		for qi, p := range points {
 			dist, ranked := make([]int, s.NumShards()), make([]int, s.NumShards())
 			if _, _, err := topK(s, counted(s.nearQuery("topk", 5, p, kwSets[qi][:1]), dist)); err != nil {
@@ -218,7 +225,7 @@ func TestSerialPullsArePinned(t *testing.T) {
 func TestAbandonedStreamReleasesShards(t *testing.T) {
 	rows, stats, bounds := loadDataset(t, dataset.Restaurants(0.0005))
 	word := stats.WordsByFreq()[0]
-	for name, s := range streamLayouts(t, spatialkeyword.Config{SignatureBytes: 16}, bounds, rows) {
+	for name, s := range streamLayouts(t, spatialkeyword.Config{SignatureBytes: 16}, bounds, rows, false) {
 		var mu sync.Mutex
 		var records []obs.QueryMetrics
 		s.SetMetricsSink(obs.SinkFunc(func(m obs.QueryMetrics) {
@@ -304,7 +311,7 @@ func TestScanWalksEveryRowInGlobalOrder(t *testing.T) {
 	if err := single.Scan(func(o spatialkeyword.Object) error { want = append(want, o); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range streamLayouts(t, cfg, bounds, rows) {
+	for name, s := range streamLayouts(t, cfg, bounds, rows, false) {
 		for id := uint64(0); id < uint64(len(rows)); id += 5 {
 			if err := s.Delete(id); err != nil {
 				t.Fatal(err)

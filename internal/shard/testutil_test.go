@@ -44,6 +44,18 @@ type adder interface {
 	Add(point []float64, text string) (uint64, error)
 }
 
+// flushEach is an adder that flushes after every add, so each shard's tree
+// is built by the paper's Insert, one row at a time, instead of packed.
+type flushEach struct{ *ShardedEngine }
+
+func (f flushEach) Add(point []float64, text string) (uint64, error) {
+	id, err := f.ShardedEngine.Add(point, text)
+	if err == nil {
+		err = f.Flush()
+	}
+	return id, err
+}
+
 func fill(t testing.TB, eng adder, rows []spatialkeyword.Object) {
 	t.Helper()
 	for i, o := range rows {

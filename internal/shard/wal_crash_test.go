@@ -496,11 +496,12 @@ func fromObjectStore() bool {
 // TestKillDuringTailRewriteRecovers kills the object file's write path: each
 // iteration makes the shards' object-file writes fail from a rotating
 // operation on — the Sync that allocates a shard's open block or the one
-// that rewrites it — then tears the working objects.db's last block, as a
-// crash in the middle of that rewrite would, and reopens. Every add that
-// returned nil must be back. An add that failed after its record reached the
-// log (the object write came after the append) may be back, and if it is, it
-// stays; nothing else may appear.
+// that rewrites it, run by a flush after every add — then tears the working
+// objects.db's last block, as a crash in the middle of that rewrite would,
+// and reopens. Every add that returned nil must be back, whether or not its
+// flush failed. An add that failed after its record reached the log (the
+// object write came after the append) may be back, and if it is, it stays;
+// nothing else may appear.
 func TestKillDuringTailRewriteRecovers(t *testing.T) {
 	for _, checksums := range []bool{false, true} {
 		t.Run(fmt.Sprintf("checksums=%v", checksums), func(t *testing.T) {
@@ -550,6 +551,17 @@ func TestKillDuringTailRewriteRecovers(t *testing.T) {
 					} else {
 						t.Fatalf("iter %d: add failed without fault provenance: %v", iter, err)
 					}
+					// An add is indexed, and its row written, at the shard's
+					// next flush. A fault there degrades the shard; the add
+					// stays acknowledged, because it is in the log.
+					if err := s.Flush(); err != nil {
+						t.Fatalf("iter %d: flush: %v", iter, err)
+					}
+				}
+				for _, h := range s.Health() {
+					if !h.Healthy {
+						failures++
+					}
 				}
 				for i := 0; i < s.NumShards(); i++ {
 					s.InjectShardFault(i, nil)
@@ -595,7 +607,7 @@ func TestKillDuringTailRewriteRecovers(t *testing.T) {
 				}
 			}
 			if failures == 0 {
-				t.Fatal("no add failed: the fault never reached the object file")
+				t.Fatal("no add or flush failed: the fault never reached the object file")
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)

@@ -74,6 +74,10 @@ func checkPacked(t *testing.T, e *Engine) {
 	}
 }
 
+// CheckPacked is checkPacked for the external tests, which see a sharded
+// engine's shards only as directories they reopen.
+var CheckPacked = checkPacked
+
 // TestSaveAfterLoadPacksTree: a durable engine's load followed by Save
 // flushes one batch into an empty tree, which packs it.
 func TestSaveAfterLoadPacksTree(t *testing.T) {

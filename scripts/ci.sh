@@ -10,8 +10,9 @@
 #           shard's corpus counts under those shards' locks) fails here:
 #           TestEngineConcurrentUse (root), TestConcurrentHTTPTraffic,
 #           TestConcurrentMetricsScrape and TestQueryIIOConcurrentWithAdds
-#           (cmd/skserve), TestShardedConcurrentStress and
-#           TestConcurrentWarmQueries (internal/shard),
+#           (cmd/skserve), TestShardedConcurrentStress,
+#           TestConcurrentWarmQueries and TestShardedConcurrentAddsFlushOnRead
+#           (internal/shard),
 #           TestIndexConcurrentAddsAndQueries (internal/skql),
 #           TestConcurrentReaders and TestConcurrentReadersAcrossTrees
 #           (internal/core) — plus the object-file crash loop,
@@ -48,7 +49,8 @@
 #           and a warm node expansion (rtree.BenchmarkParsePacked, 64- and
 #           189-byte payloads, and BenchmarkWarmExpand), of a durable
 #           engine's first load — Adds then Save, reported in objects/s
-#           (BenchmarkDurableLoad, root package) — and of a warm
+#           (BenchmarkDurableLoad, root package) — and of a 4-shard one's
+#           (BenchmarkShardedLoad, internal/shard), and of a warm
 #           distance-first top-k on a reopened durable engine
 #           (BenchmarkDurableTopK, root package), printing ns/op and
 #           allocs/op — too noisy on shared runners to gate, so ci.yml never
@@ -153,6 +155,7 @@ run_micro() {
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
 	go test -run '^$' -bench 'DurableLoad|DurableTopK' -benchmem .
+	go test -run '^$' -bench 'ShardedLoad' -benchmem ./internal/shard
 }
 
 run_fuzz() {

@@ -211,7 +211,11 @@ type Reader interface {
 	// MeterIO snapshots the disk counters; the returned function reports the
 	// blocks read since.
 	MeterIO() func() (random, sequential uint64)
-	// Flush indexes buffered adds now instead of on the next read.
+	// Flush indexes buffered adds now instead of on the next read, so that
+	// what comes after (a cost estimate, a metered operator) sees the built
+	// tree and is not charged for the indexing. With nothing buffered it takes
+	// no exclusive lock and is safe beside an open stream on another
+	// goroutine.
 	Flush() error
 }
 
@@ -566,7 +570,15 @@ func (e *Engine) applyAdd(point []float64, text string) error {
 
 // Flush durably writes buffered objects and indexes them. Queries call it
 // implicitly; explicit calls let callers control when indexing work happens.
+// With nothing buffered it returns under the shared lock, so a Flush beside
+// an open stream does not queue behind it as a writer.
 func (e *Engine) Flush() error {
+	e.mu.RLock()
+	idle := len(e.pending) == 0
+	e.mu.RUnlock()
+	if idle {
+		return nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.flushLocked()
