@@ -5,19 +5,17 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"spatialkeyword/internal/core"
 )
 
-// topKArea is an area top-k as SKQL's TOP … WITHIN asks for one: the first k
-// results of SearchArea.
+// topKArea is an area top-k as SKQL's TOP … WITHIN asks for one: FirstK of
+// SearchArea.
 func topKArea(e *Engine, k int, lo, hi []float64, keywords ...string) ([]Result, error) {
 	it, err := e.SearchArea(lo, hi, keywords...)
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	return core.TakeK(k, it.Next)
+	return FirstK(nil, it, k, nil)
 }
 
 func TestEngineTopKArea(t *testing.T) {

@@ -125,9 +125,11 @@ func (x *IR2Tree) TopK(k int, p geo.Point, keywords []string) ([]Result, SearchS
 	return results, it.Stats(), err
 }
 
-// TakeK is the one top-k loop: IR2TopK (Fig. 8) is an incremental iterator,
-// and every top-k entry point — here and in the engine above — is the first
-// k results of a stream's Next.
+// TakeK is the tree's top-k loop: IR2TopK (Fig. 8) is an incremental
+// iterator, and a top-k of the tree is the first k results of a stream's
+// Next, ties at the k-th key in traversal order. The engine and every layer
+// above it cut with spatialkeyword.FirstK instead, which drains those ties and
+// breaks them by smallest object ID.
 func TakeK[T any](k int, next func() (T, bool, error)) ([]T, error) {
 	var out []T
 	for len(out) < k {

@@ -17,8 +17,6 @@ type Result struct {
 
 // IIOStats reports the work performed by one TopK call.
 type IIOStats struct {
-	// CandidateCount is |V|: the size of the posting-list intersection.
-	CandidateCount int
 	// ObjectsLoaded is how many objects were read from the object file.
 	ObjectsLoaded int
 }
@@ -41,7 +39,6 @@ func TopK(ix *Index, store *objstore.Store, k int, p geo.Point, keywords []strin
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.CandidateCount = len(refs)
 
 	results := make([]Result, 0, len(refs))
 	for _, ref := range refs {

@@ -21,18 +21,17 @@ import (
 // merge that pulls one result at a time from the shard whose next candidate
 // has the best bound and delivers it once no shard's bound beats it. It is the
 // stream Search, SearchArea and SearchRanked return — one lane is a
-// pass-through with ID translation — and TopK and TopKRanked are its first k
-// results plus the ties on the k-th key (topK). Per device this is the
-// minimum I/O any exact merge can do, and which lane is pulled depends on the
-// bounds alone, never on goroutine scheduling.
+// pass-through with ID translation — and TopK and TopKRanked are its top-k
+// cut, spatialkeyword.FirstK, as on a single engine (topK). Per device this
+// is the minimum I/O any exact merge can do, and which lane is pulled depends
+// on the bounds alone, never on goroutine scheduling.
 //
 // Correctness of the early stop: the stream is best first, so once its bound
-// is strictly worse than the k-th collected key, everything it still holds is
+// is strictly worse than the k-th kept key, everything it still holds is
 // strictly worse than the final k-th result and can contribute neither a
 // result nor a tie. Candidates exactly at the k-th key are still taken (the
-// stop test is strict), which keeps the tie-handling deterministic: ties on
-// the boundary key are broken by smallest global ID, independent of the order
-// the shards deliver them in.
+// stop test is strict), and FirstK breaks ties on the boundary key by
+// smallest global ID, independent of the order the shards deliver them in.
 
 // stream is one shard's result stream as the merge sees it — the methods
 // the engine's distance and ranked streams share.
@@ -280,36 +279,34 @@ func (st *mergedStream[R]) end(results int) {
 	st.record(results, st.err)
 }
 
-// topK answers a sharded top-k: the stream is pulled for as long as its bound
-// could still enter a collector of k — k results and everything tied with the
-// k-th — and the collector keeps the k best, smallest global ID first within
-// a tie.
-func topK[R any](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QueryStats, error) {
+// topK answers a sharded top-k: spatialkeyword.FirstK of the merge, its
+// record carrying the cut's result count.
+func topK[R spatialkeyword.Result | spatialkeyword.RankedResult](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QueryStats, error) {
 	if q.k <= 0 {
 		return nil, spatialkeyword.QueryStats{}, nil
 	}
-	// Room for k and the one insert beyond it, but k is the caller's: never
+	// Room for k and the first tie beyond it, but k is the caller's: never
 	// more than the rows held. Sized before any lane holds a lock.
-	col := &collector[R]{k: q.k, asc: q.asc, items: make([]item[R], 0, min(q.k, s.NumObjects())+1)}
+	dst := make([]R, 0, min(q.k, s.NumObjects())+1)
 	st, err := openStream(s, q)
 	if err != nil {
 		return nil, st.agg, err
 	}
-	for {
-		bound, ok := st.PeekBound()
-		if !ok || !col.admissible(bound) {
-			break
-		}
-		if it, ok := st.next(); ok {
-			col.offer(it)
-		}
-	}
-	results := col.results()
+	results, err := spatialkeyword.FirstK(dst, held[R]{st}, q.k, nil)
 	st.end(len(results))
-	if st.err != nil {
-		return nil, st.agg, st.err
+	if err != nil {
+		return nil, st.agg, err
 	}
 	return results, st.agg, nil
+}
+
+// held is the merge as topK pulls it: Next does not close the stream when it
+// runs out, so the record end makes is topK's.
+type held[R any] struct{ *mergedStream[R] }
+
+func (h held[R]) Next() (R, bool, error) {
+	it, ok := h.next()
+	return it.val, ok, h.err
 }
 
 // item is one candidate of a merge: its ordering key (distance for
@@ -330,40 +327,4 @@ func insert[R any](asc bool, items []item[R], it item[R]) []item[R] {
 		return 1
 	})
 	return slices.Insert(items, at, it)
-}
-
-// collector is a bounded top-k buffer keeping the k best candidates offered,
-// best first.
-type collector[R any] struct {
-	k     int
-	asc   bool
-	items []item[R] // at most k
-}
-
-// admissible reports whether a candidate with the given bound could still
-// enter the collector as a result or a boundary tie. Once it turns false for
-// the stream's bound it stays false: the stream's bound only worsens.
-func (c *collector[R]) admissible(bound float64) bool {
-	return len(c.items) < c.k || !before(c.asc, c.items[c.k-1].key, bound)
-}
-
-// offer submits one candidate; one that cannot enter the current top k is
-// dropped.
-func (c *collector[R]) offer(it item[R]) {
-	if len(c.items) == c.k && !better(c.asc, &it, &c.items[c.k-1]) {
-		return
-	}
-	c.items = insert(c.asc, c.items, it)
-	if len(c.items) > c.k {
-		c.items = c.items[:c.k]
-	}
-}
-
-// results returns the collected top k, best first.
-func (c *collector[R]) results() []R {
-	out := make([]R, len(c.items))
-	for i := range c.items {
-		out[i] = c.items[i].val
-	}
-	return out
 }

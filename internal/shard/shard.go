@@ -17,8 +17,8 @@
 // global, and ranked queries score against engine-wide corpus statistics —
 // the sums of the shards' own counts, exact because document frequencies
 // over a partition of the documents add up (shard-local idf would re-rank
-// results). Distance ties are broken by smallest global ID, where a single
-// engine breaks them by traversal order.
+// results). Ties on the k-th key are broken by smallest global ID, as a
+// single engine breaks them: both cut with spatialkeyword.FirstK.
 package shard
 
 import (

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -14,44 +13,27 @@ import (
 	"spatialkeyword/internal/obs"
 )
 
-// firstK consumes a stream the way a caller that wants a deterministic top k
-// does (SKQL's TOP): k results, then every further one the bound still allows
-// to tie with the k-th, ordered by key and smallest ID, cut to k.
-func firstK[R any](t *testing.T, it stream[R], err error, k int, asc bool, at func(*R) (float64, *uint64)) []R {
+// firstK takes a stream's top k the way every backend and SKQL do, through
+// spatialkeyword.FirstK, and fails the test if the stream is not best first.
+func firstK[R spatialkeyword.Result | spatialkeyword.RankedResult](t *testing.T, it stream[R], err error, k int, asc bool, at func(*R) (float64, *uint64)) []R {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	var out []item[R]
-	for {
-		if len(out) >= k {
-			if bound, ok := it.PeekBound(); !ok || before(asc, out[k-1].key, bound) {
-				break
-			}
+	var last *float64
+	out, err := spatialkeyword.FirstK([]R{}, it, k, func(r R) bool {
+		key, _ := at(&r)
+		if last != nil && before(asc, key, *last) {
+			t.Fatalf("stream went backwards: key %v after %v", key, *last)
 		}
-		r, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		key, id := at(&r)
-		if n := len(out); n > 0 && before(asc, key, out[n-1].key) {
-			t.Fatalf("stream went backwards: key %v after %v", key, out[n-1].key)
-		}
-		out = append(out, item[R]{key: key, id: *id, val: r})
+		last = &key
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return better(asc, &out[i], &out[j]) })
-	if len(out) > k {
-		out = out[:k]
-	}
-	vals := make([]R, len(out))
-	for i := range out {
-		vals[i] = out[i].val
-	}
-	return vals
+	return out
 }
 
 // streamLayouts builds the engines the stream tests run on: one and three

@@ -105,12 +105,6 @@ func keywordSets(stats *dataset.Stats, n, words int, seed int64) [][]string {
 	return out
 }
 
-// sameResults asserts two distance-first result lists are identical modulo
-// distance ties: equal length, pairwise-equal distances, and — for every
-// run of equal distances that is not truncated by the k cutoff — equal ID
-// sets with matching payloads. The final (possibly truncated) run only has
-// to agree on distances; its membership may legally differ between a single
-// engine and a sharded merge.
 // areaTopK is an area top-k as SKQL's TOP … WITHIN takes one: the first k
 // of SearchArea, ties at the k-th distance to the smallest ID.
 func areaTopK(t *testing.T, r spatialkeyword.Reader, k int, lo, hi []float64, keywords ...string) []spatialkeyword.Result {
@@ -119,38 +113,18 @@ func areaTopK(t *testing.T, r spatialkeyword.Reader, k int, lo, hi []float64, ke
 	return firstK[spatialkeyword.Result](t, it, err, k, true, distanceKey)
 }
 
+// sameResults asserts two distance-first result lists are identical: every
+// backend breaks distance ties by smallest global ID, so a single engine and
+// a sharded merge agree on every result, the last tie run included.
 func sameResults(t *testing.T, label string, want, got []spatialkeyword.Result) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
-	for i := range want {
-		if want[i].Dist != got[i].Dist {
-			t.Fatalf("%s: result %d dist %v, want %v", label, i, got[i].Dist, want[i].Dist)
+	for i, w := range want {
+		if g := got[i]; g.Dist != w.Dist || g.Object.ID != w.Object.ID || g.Object.Text != w.Object.Text {
+			t.Fatalf("%s: result %d is id %d at dist %v, want id %d at dist %v", label, i, g.Object.ID, g.Dist, w.Object.ID, w.Dist)
 		}
-	}
-	i := 0
-	for i < len(want) {
-		j := i
-		for j < len(want) && want[j].Dist == want[i].Dist {
-			j++
-		}
-		if j < len(want) { // complete run: membership must match exactly
-			wantIDs := map[uint64]spatialkeyword.Result{}
-			for _, r := range want[i:j] {
-				wantIDs[r.Object.ID] = r
-			}
-			for _, r := range got[i:j] {
-				w, ok := wantIDs[r.Object.ID]
-				if !ok {
-					t.Fatalf("%s: result id %d not in single-engine run at dist %v", label, r.Object.ID, r.Dist)
-				}
-				if w.Object.Text != r.Object.Text {
-					t.Fatalf("%s: id %d text mismatch", label, r.Object.ID)
-				}
-			}
-		}
-		i = j
 	}
 }
 
@@ -160,28 +134,9 @@ func sameRanked(t *testing.T, label string, want, got []spatialkeyword.RankedRes
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
-	for i := range want {
-		if want[i].Score != got[i].Score {
-			t.Fatalf("%s: result %d score %v, want %v", label, i, got[i].Score, want[i].Score)
+	for i, w := range want {
+		if g := got[i]; g.Score != w.Score || g.Object.ID != w.Object.ID {
+			t.Fatalf("%s: result %d is id %d at score %v, want id %d at score %v", label, i, g.Object.ID, g.Score, w.Object.ID, w.Score)
 		}
-	}
-	i := 0
-	for i < len(want) {
-		j := i
-		for j < len(want) && want[j].Score == want[i].Score {
-			j++
-		}
-		if j < len(want) {
-			wantIDs := map[uint64]bool{}
-			for _, r := range want[i:j] {
-				wantIDs[r.Object.ID] = true
-			}
-			for _, r := range got[i:j] {
-				if !wantIDs[r.Object.ID] {
-					t.Fatalf("%s: result id %d not in single-engine run at score %v", label, r.Object.ID, r.Score)
-				}
-			}
-		}
-		i = j
 	}
 }

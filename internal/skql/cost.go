@@ -86,8 +86,6 @@ type PathEstimate struct {
 	Blocks float64
 	// Rows is the estimated number of rows the operator emits.
 	Rows float64
-	// MinDF is the smallest document frequency among pushed terms.
-	MinDF int
 	// Selectivity is the estimated fraction of the corpus matching
 	// the operator's full predicate (pushed terms and residual).
 	Selectivity float64
@@ -113,7 +111,6 @@ func (in CostInputs) EstimateIIO(pos []string, residualSel float64) PathEstimate
 	return PathEstimate{
 		Blocks:      postingBlocks + candidates*blocksPerObject,
 		Rows:        expected * clamp01(residualSel),
-		MinDF:       minDF,
 		Selectivity: sel * clamp01(residualSel),
 	}
 }
@@ -124,7 +121,7 @@ func (in CostInputs) EstimateIIO(pos []string, residualSel float64) PathEstimate
 // object load, so only matches and signature false positives are
 // loaded; residualSel < 1 inflates how deep the walk must go.
 func (in CostInputs) EstimateIR2(k int, pos []string, residualSel float64) PathEstimate {
-	minDF, sel, _ := in.conjunction(pos)
+	_, sel, _ := in.conjunction(pos)
 	n := float64(in.NumObjects)
 	fullSel := sel * clamp01(residualSel)
 	var scanned float64
@@ -138,7 +135,6 @@ func (in CostInputs) EstimateIR2(k int, pos []string, residualSel float64) PathE
 	return PathEstimate{
 		Blocks:      loads*blocksPerObject + nodeReads,
 		Rows:        math.Min(float64(k), fullSel*n),
-		MinDF:       minDF,
 		Selectivity: fullSel,
 	}
 }
@@ -190,7 +186,7 @@ func (in CostInputs) EstimateRankedScan(k int, pos []string, treeSel float64) Pa
 // the rectangle is assumed to cover the data, making this an upper
 // bound that still orders paths correctly by keyword selectivity.
 func (in CostInputs) EstimateAreaNative(pos []string, residualSel float64) PathEstimate {
-	minDF, sel, _ := in.conjunction(pos)
+	_, sel, _ := in.conjunction(pos)
 	n := float64(in.NumObjects)
 	loads := (sel + (1-sel)*sigFalsePositiveRate) * n
 	nodeReads := n/treeFanout + in.height()
@@ -198,7 +194,6 @@ func (in CostInputs) EstimateAreaNative(pos []string, residualSel float64) PathE
 	return PathEstimate{
 		Blocks:      loads*blocksPerObject + nodeReads,
 		Rows:        fullSel * n,
-		MinDF:       minDF,
 		Selectivity: fullSel,
 	}
 }

@@ -49,8 +49,10 @@ func TestCostExtremes(t *testing.T) {
 func TestCostEstimateFields(t *testing.T) {
 	in := fakeInputs(1000, map[string]int{"a": 10, "b": 100})
 	est := in.EstimateIIO([]string{"a", "b"}, 1)
-	if est.MinDF != 10 {
-		t.Fatalf("MinDF = %d, want 10", est.MinDF)
+	// One posting block per term, plus the one candidate the intersection
+	// is expected to hold.
+	if est.Blocks != 3 {
+		t.Fatalf("Blocks = %v, want 3", est.Blocks)
 	}
 	wantSel := (10.0 / 1000) * (100.0 / 1000)
 	if est.Selectivity != wantSel {
@@ -130,8 +132,8 @@ func TestPlannerRoutesByFrequency(t *testing.T) {
 	// keyword beside the rare one still routes to the inverted index, whose
 	// cost is driven by the smallest document frequency.
 	conj := mustPlan(t, c, `SELECT TOP 5 NEAR (1, 1) MATCH "common" AND "rare"`)
-	if len(conj.Ops) != 1 || conj.Ops[0].Path != PathIIO || conj.Ops[0].Est.MinDF != 2 {
-		t.Fatalf("conjunction plan chose %+v, want one IIO op with MinDF 2", conj.Ops)
+	if len(conj.Ops) != 1 || conj.Ops[0].Path != PathIIO {
+		t.Fatalf("conjunction plan chose %+v, want one IIO op", conj.Ops)
 	}
 }
 

@@ -202,14 +202,12 @@ func (c *Catalog) execTop(p *Plan, rs *ResultSet) error {
 }
 
 // runEngineTop executes a distance-first operator against the engine,
-// incrementally: it pulls from the target's stream and filters residually
-// until k results are accepted.
-//
-// SKQL's TOP is deterministic: ties at the k-th distance break by
-// smallest object ID regardless of engine traversal order, so every
-// physical path answers byte-identically. It therefore keeps fetching
-// past k accepted results until the next candidate is strictly farther
-// than the k-th, then sorts by (distance, ID).
+// incrementally: spatialkeyword.FirstK pulls the target's stream, filtering
+// residually, until k results are accepted and the ties on the k-th distance
+// are drained. SKQL's TOP is deterministic: ties at the k-th distance break by
+// smallest object ID regardless of engine traversal order, so every physical
+// path answers byte-identically. The stream holds the target's read locks
+// until it is closed, so nothing in between calls back into the target.
 func (c *Catalog) runEngineTop(p *Plan, op *Operator) ([]spatialkeyword.Result, OpActual, error) {
 	q := p.Query
 	var push []string
@@ -218,24 +216,6 @@ func (c *Catalog) runEngineTop(p *Plan, op *Operator) ([]spatialkeyword.Result, 
 	}
 	stop := c.opMeter()
 	var act OpActual
-	accept := c.acceptFn(p, op)
-	out, err := c.streamTop(q, op, push, accept, &act)
-	if err != nil {
-		return nil, act, err
-	}
-	sortByDistance(out)
-	if len(out) > op.K {
-		out = out[:op.K]
-	}
-	act.Rows = len(out)
-	act.BlocksRandom, act.BlocksSequential = stop()
-	return out, act, nil
-}
-
-// streamTop is runEngineTop's pull loop. The stream holds the target's
-// read locks until it is closed, so nothing in here calls back into the
-// target.
-func (c *Catalog) streamTop(q *Query, op *Operator, push []string, accept func(spatialkeyword.Object) bool, act *OpActual) ([]spatialkeyword.Result, error) {
 	var it spatialkeyword.ResultStream
 	var err error
 	if q.Near != nil {
@@ -244,83 +224,45 @@ func (c *Catalog) streamTop(q *Query, op *Operator, push []string, accept func(s
 		it, err = c.t.SearchArea(q.Within.Lo[:], q.Within.Hi[:], push...)
 	}
 	if err != nil {
-		return nil, err
+		return nil, act, err
 	}
 	defer it.Close()
 	if q.Analyze {
 		it.SetTrace(traceCollector(&act.Trace))
 	}
-	var out []spatialkeyword.Result
-	for {
-		if len(out) >= op.K {
-			// out is in non-decreasing distance order, so the
-			// last element is the current k-th distance; drain
-			// any remaining ties before stopping.
-			bound, ok := it.PeekBound()
-			if !ok || bound > out[len(out)-1].Dist {
-				break
-			}
-		}
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	accept := c.acceptFn(p, op)
+	out, err := spatialkeyword.FirstK(nil, it, op.K, func(r spatialkeyword.Result) bool {
 		act.Candidates++
-		if !accept(r.Object) {
-			continue
-		}
-		out = append(out, r)
+		return accept(r.Object)
+	})
+	if err != nil {
+		return nil, act, err
 	}
 	act.Work = it.Stats().Work
-	return out, nil
+	act.Rows = len(out)
+	act.BlocksRandom, act.BlocksSequential = stop()
+	return out, act, nil
 }
 
 // runIIOTop executes a distance-first operator on the Inverted Index
-// Only path: intersect the sidecar posting lists, load the surviving
-// objects, filter residually, sort by distance.
+// Only path: load the accepted candidates, sort by distance.
 func (c *Catalog) runIIOTop(p *Plan, op *Operator) ([]spatialkeyword.Result, OpActual, error) {
 	q := p.Query
-	var act OpActual
-	ix, err := c.index()
+	objs, act, err := c.loadIIO(p, op)
 	if err != nil {
 		return nil, act, err
 	}
-	stop := c.opMeter()
-	ids, err := ix.Intersect(op.Conj)
-	if err != nil {
-		return nil, act, err
-	}
-	act.Candidates = len(ids)
-	accept := c.acceptFn(p, op)
-
 	var near geo.Point
 	if q.Near != nil {
 		near = geo.NewPoint(q.Near...)
 	}
 	var areaRect geo.Rect
 	if q.Near == nil && q.Within != nil {
-		// TOP ... WITHIN alone orders by distance-to-rect (TopKArea).
+		// TOP ... WITHIN alone orders by distance-to-rect, like SearchArea.
 		areaRect = geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
 	}
-
-	var out []spatialkeyword.Result
-	for _, id := range ids {
-		if c.t.IsDeleted(id) {
-			continue
-		}
-		o, err := c.t.Get(id)
-		if err != nil {
-			if errors.Is(err, spatialkeyword.ErrDeleted) || errors.Is(err, spatialkeyword.ErrUnknownID) {
-				continue
-			}
-			return nil, act, err
-		}
-		if !accept(o) {
-			continue
-		}
+	out := make([]spatialkeyword.Result, 0, len(objs))
+	for _, o := range objs {
 		var dist float64
 		pt := geo.NewPoint(o.Point...)
 		if near != nil {
@@ -341,6 +283,43 @@ func (c *Catalog) runIIOTop(p *Plan, op *Operator) ([]spatialkeyword.Result, OpA
 		out = out[:op.K]
 	}
 	act.Rows = len(out)
+	return out, act, nil
+}
+
+// loadIIO is the IIO operators' candidate loader: it intersects the sidecar
+// posting lists of the operator's conjunction and loads every candidate that
+// is live and passes the residual filter, in ID order (the intersection is
+// ID-sorted). The actual's Candidates and block counts are set; Rows is the
+// caller's.
+func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Object, OpActual, error) {
+	var act OpActual
+	ix, err := c.index()
+	if err != nil {
+		return nil, act, err
+	}
+	stop := c.opMeter()
+	ids, err := ix.Intersect(op.Conj)
+	if err != nil {
+		return nil, act, err
+	}
+	act.Candidates = len(ids)
+	accept := c.acceptFn(p, op)
+	var out []spatialkeyword.Object
+	for _, id := range ids {
+		if c.t.IsDeleted(id) {
+			continue
+		}
+		o, err := c.t.Get(id)
+		if err != nil {
+			if errors.Is(err, spatialkeyword.ErrDeleted) || errors.Is(err, spatialkeyword.ErrUnknownID) {
+				continue
+			}
+			return nil, act, err
+		}
+		if accept(o) {
+			out = append(out, o)
+		}
+	}
 	act.BlocksRandom, act.BlocksSequential = stop()
 	return out, act, nil
 }
@@ -389,21 +368,22 @@ func (c *Catalog) execRanked(p *Plan, rs *ResultSet) error {
 	if useRect {
 		rect = geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
 	}
-	accept := func(o spatialkeyword.Object, score float64) bool {
-		if useRect && !rect.ContainsPoint(geo.NewPoint(o.Point...)) {
+	keep := func(r spatialkeyword.RankedResult) bool {
+		act.Candidates++
+		if useRect && !rect.ContainsPoint(geo.NewPoint(r.Object.Point...)) {
 			return false
 		}
 		if op.Residual != nil {
-			set := termSet(p.an.Unique(o.Text))
+			set := termSet(p.an.Unique(r.Object.Text))
 			if !evalExpr(op.Residual, func(t string) bool { return set[t] }) {
 				return false
 			}
 		}
 		if q.Where != nil {
-			if q.Where.Op == CmpGT && !(score > q.Where.Value) {
+			if q.Where.Op == CmpGT && !(r.Score > q.Where.Value) {
 				return false
 			}
-			if q.Where.Op == CmpGE && !(score >= q.Where.Value) {
+			if q.Where.Op == CmpGE && !(r.Score >= q.Where.Value) {
 				return false
 			}
 		}
@@ -417,37 +397,10 @@ func (c *Catalog) execRanked(p *Plan, rs *ResultSet) error {
 	// The stream holds the target's read locks until closed.
 	defer it.Close()
 	// Like TOP, and like the backends' TopKRanked: ties at the k-th score
-	// break by smallest object ID, so the rows tied with the k-th are drained
-	// before the sort and cut.
-	var out []spatialkeyword.RankedResult
-	for {
-		if len(out) >= op.K {
-			bound, ok := it.PeekBound()
-			if !ok || bound < out[len(out)-1].Score {
-				break
-			}
-		}
-		r, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		act.Candidates++
-		if !accept(r.Object, r.Score) {
-			continue
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Object.ID < out[j].Object.ID
-	})
-	if len(out) > op.K {
-		out = out[:op.K]
+	// break by smallest object ID.
+	out, err := spatialkeyword.FirstK(nil, it, op.K, keep)
+	if err != nil {
+		return err
 	}
 	act.Work = it.Stats().Work
 	act.Rows = len(out)
@@ -512,38 +465,15 @@ func (c *Catalog) runEngineArea(p *Plan, op *Operator) ([]spatialkeyword.Result,
 }
 
 func (c *Catalog) runIIOArea(p *Plan, op *Operator) ([]spatialkeyword.Result, OpActual, error) {
-	var act OpActual
-	ix, err := c.index()
+	objs, act, err := c.loadIIO(p, op)
 	if err != nil {
 		return nil, act, err
 	}
-	stop := c.opMeter()
-	ids, err := ix.Intersect(op.Conj)
-	if err != nil {
-		return nil, act, err
-	}
-	act.Candidates = len(ids)
-	accept := c.acceptFn(p, op)
-	var out []spatialkeyword.Result
-	for _, id := range ids {
-		if c.t.IsDeleted(id) {
-			continue
-		}
-		o, err := c.t.Get(id)
-		if err != nil {
-			if errors.Is(err, spatialkeyword.ErrDeleted) || errors.Is(err, spatialkeyword.ErrUnknownID) {
-				continue
-			}
-			return nil, act, err
-		}
-		if !accept(o) {
-			continue
-		}
-		// WithinArea contract: results carry Dist 0 in ID order (the
-		// intersection is already ID-sorted).
-		out = append(out, spatialkeyword.Result{Object: o})
+	// WithinArea contract: results carry Dist 0 in ID order.
+	out := make([]spatialkeyword.Result, len(objs))
+	for i, o := range objs {
+		out[i] = spatialkeyword.Result{Object: o}
 	}
 	act.Rows = len(out)
-	act.BlocksRandom, act.BlocksSequential = stop()
 	return out, act, nil
 }

@@ -50,9 +50,12 @@
 #           189-byte payloads, and BenchmarkWarmExpand), of a durable
 #           engine's first load — Adds then Save, reported in objects/s
 #           (BenchmarkDurableLoad, root package) — and of a 4-shard one's
-#           (BenchmarkShardedLoad, internal/shard), and of a warm
+#           (BenchmarkShardedLoad, internal/shard), of a warm
 #           distance-first top-k on a reopened durable engine
-#           (BenchmarkDurableTopK, root package), printing ns/op and
+#           (BenchmarkDurableTopK, root package), and of a warm sharded
+#           distance-first and ranked top-k, the merge cut by FirstK on 1
+#           and 4 shards (BenchmarkTopK, BenchmarkTopKRanked,
+#           internal/shard), printing ns/op and
 #           allocs/op — too noisy on shared runners to gate, so ci.yml never
 #           fails on it
 #
@@ -155,7 +158,7 @@ run_micro() {
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
 	go test -run '^$' -bench 'DurableLoad|DurableTopK' -benchmem .
-	go test -run '^$' -bench 'ShardedLoad' -benchmem ./internal/shard
+	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$' -benchmem ./internal/shard
 }
 
 run_fuzz() {

@@ -678,7 +678,8 @@ func (e *Engine) applyDelete(id uint64) (objstore.Object, error) {
 }
 
 // TopK returns the k objects containing every keyword, nearest to point
-// first — the paper's distance-first top-k spatial keyword query.
+// first — the paper's distance-first top-k spatial keyword query. Ties on
+// the k-th distance go to the smallest object IDs (FirstK).
 func (e *Engine) TopK(k int, point []float64, keywords ...string) ([]Result, error) {
 	res, _, err := e.TopKWithStats(k, point, keywords...)
 	return res, err
@@ -690,7 +691,7 @@ func (e *Engine) TopKWithStats(k int, point []float64, keywords ...string) ([]Re
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	out, err := core.TakeK(k, it.Next)
+	out, err := FirstK(nil, it, k, nil)
 	it.Close()
 	return out, it.Stats(), err
 }
@@ -698,14 +699,15 @@ func (e *Engine) TopKWithStats(k int, point []float64, keywords ...string) ([]Re
 // TopKRanked returns the k objects with the best combined
 // relevance-and-proximity score — the paper's general top-k spatial keyword
 // query (objects may contain only some keywords; tf-idf relevance is
-// discounted by distance).
+// discounted by distance). Ties on the k-th score go to the smallest object
+// IDs (FirstK).
 func (e *Engine) TopKRanked(k int, point []float64, keywords ...string) ([]RankedResult, error) {
 	it, err := e.searchRanked(nil, point, keywords)
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	return core.TakeK(k, it.Next)
+	return FirstK(nil, it, k, nil)
 }
 
 // WALInfo describes an engine's write-ahead log state.

@@ -1,6 +1,9 @@
 package spatialkeyword
 
 import (
+	"cmp"
+	"slices"
+
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/irscore"
@@ -12,7 +15,7 @@ import (
 
 // Streaming query API. Search, SearchArea, and SearchRanked return pull
 // iterators over the paper's incremental traversals; TopK and TopKRanked are
-// the first k results of Search and SearchRanked. Callers that merge
+// FirstK of Search and SearchRanked. Callers that merge
 // several engines' result streams (see internal/shard) or filter past k
 // (see internal/skql) consume exactly as many results as they need and
 // inspect the next candidate's bound without loading it.
@@ -49,6 +52,72 @@ type RankedStream interface {
 	PeekBound() (float64, bool)
 	Stats() QueryStats
 	Close()
+}
+
+// FirstK is the top-k cut of a best-first stream, the one every backend and
+// SKQL take: it pulls s until nothing left can tie the k-th kept key, orders
+// what it kept by key and then smallest object ID — distance ascending for a
+// Result stream, score descending for a RankedResult stream — and cuts to k.
+// keep, when not nil, filters results as they are pulled: a rejected result
+// neither counts towards k nor sets the k-th key. The results reuse dst's
+// storage. s is left open.
+func FirstK[R Result | RankedResult](dst []R, s interface {
+	Next() (R, bool, error)
+	PeekBound() (float64, bool)
+}, k int, keep func(R) bool) ([]R, error) {
+	out := dst[:0]
+	if k <= 0 {
+		return out, nil
+	}
+	for {
+		if len(out) >= k {
+			// Pulled best first, so out[k-1] holds the k-th key.
+			kth, asc, _ := rank(&out[k-1])
+			if bound, ok := s.PeekBound(); !ok || before(asc, kth, bound) {
+				break
+			}
+		}
+		r, ok, err := s.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if keep == nil || keep(r) {
+			out = append(out, r)
+		}
+	}
+	slices.SortFunc(out, func(a, b R) int {
+		ka, asc, ia := rank(&a)
+		kb, _, ib := rank(&b)
+		if ka != kb {
+			if before(asc, ka, kb) {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(ia, ib)
+	})
+	return out[:min(k, len(out))], nil
+}
+
+// rank is a result's place in its stream's order: its key, whether smaller
+// keys come first, and the object ID that breaks a tie.
+func rank[R Result | RankedResult](r *R) (key float64, asc bool, id uint64) {
+	if d, ok := any(r).(*Result); ok {
+		return d.Dist, true, d.Object.ID
+	}
+	s := any(r).(*RankedResult)
+	return s.Score, false, s.Object.ID
+}
+
+// before reports whether key a strictly beats key b.
+func before(asc bool, a, b float64) bool {
+	if asc {
+		return a < b
+	}
+	return a > b
 }
 
 // query is what the two stream kinds share: the engine's shared lock and the
