@@ -363,39 +363,7 @@ func BenchmarkDurableLoad(b *testing.B) {
 // falls below serial's only if concurrent queries do not serialise at the
 // device.
 func BenchmarkDurableTopK(b *testing.B) {
-	store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
-	stats, err := dataset.Generate(dataset.Restaurants(0.03), store)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	built, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: 64}, dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var points [][]float64
-	err = store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-		points = append(points, o.Point)
-		_, err := built.Add(o.Point, o.Text)
-		return err
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := built.Save(); err != nil {
-		b.Fatal(err)
-	}
-	if err := built.Close(); err != nil {
-		b.Fatal(err)
-	}
-	eng, err := spatialkeyword.OpenEngine(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-
-	words := stats.WordsByFreq()
-	frequent, mid := words[:len(words)/50], words[len(words)/50:len(words)/5]
+	eng, points, frequent, mid := durableBenchEngine(b, dataset.Restaurants(0.03), 64)
 	type query struct {
 		point []float64
 		words []string
@@ -430,4 +398,89 @@ func BenchmarkDurableTopK(b *testing.B) {
 			}
 		})
 	})
+}
+
+// durableBenchEngine generates spec, Adds every row to a fresh durable
+// engine with sigBytes-byte signatures, saves it and reopens it, as skserve
+// -dir serves it. It returns the reopened engine (closed when b ends), every
+// row's point, and the keyword bands benchmarks/perf draws queries from: the
+// top 2 % of words by document frequency and the next 18 %.
+func durableBenchEngine(b *testing.B, spec dataset.Spec, sigBytes int) (eng *spatialkeyword.Engine, points [][]float64, frequent, mid []string) {
+	b.Helper()
+	store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
+	stats, err := dataset.Generate(spec, store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	built, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: sigBytes}, dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		points = append(points, o.Point)
+		_, err := built.Add(o.Point, o.Text)
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := built.Save(); err != nil {
+		b.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if eng, err = spatialkeyword.OpenEngine(dir); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Close() })
+	words := stats.WordsByFreq()
+	return eng, points, words[:len(words)/50], words[len(words)/50 : len(words)/5]
+}
+
+// BenchmarkDurableRanked times the query skserve -dir answers on /ranked: a
+// warm general ranked top-10 on a saved-and-reopened engine — the shape of
+// benchmarks/perf's ranked_hotels (Hotels(0.02), 189-byte signatures, one
+// keyword from the top 2 % of words by document frequency and two from the
+// next 18 %) without HTTP around it. Beside ns/op it reports the objects
+// loaded and the disk blocks read per query.
+func BenchmarkDurableRanked(b *testing.B) {
+	eng, points, frequent, mid := durableBenchEngine(b, dataset.Hotels(0.02), 189)
+	type query struct {
+		point []float64
+		words []string
+	}
+	queries := make([]query, 256)
+	for i := range queries {
+		queries[i] = query{
+			point: points[i*len(points)/len(queries)],
+			words: []string{frequent[i*7%len(frequent)], mid[i*13%len(mid)], mid[i*29%len(mid)]},
+		}
+	}
+	var res []spatialkeyword.RankedResult
+	run := func(q query) spatialkeyword.QueryStats {
+		it, err := eng.SearchRanked(q.point, q.words...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = spatialkeyword.FirstK(res, it, 10, nil); err != nil {
+			b.Fatal(err)
+		}
+		it.Close()
+		return it.Stats()
+	}
+	for _, q := range queries { // warm the node cache
+		run(q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var objects, blocks uint64
+	for i := 0; i < b.N; i++ {
+		st := run(queries[i%len(queries)])
+		objects += uint64(st.ObjectsLoaded)
+		blocks += st.BlocksRandom + st.BlocksSequential
+	}
+	b.ReportMetric(float64(objects)/float64(b.N), "objects/op")
+	b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
 }

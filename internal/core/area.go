@@ -14,7 +14,7 @@ import (
 func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	sigs := &levelSigs{scheme: x.scheme, kws: kws}
-	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
+	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
 		return rectDist(rect, area), true
 	}
 	return newResultIter(x, x.rt.Seek(scorer, sigs.at), kws)

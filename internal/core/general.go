@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"spatialkeyword/internal/geo"
@@ -31,6 +32,13 @@ type GeneralOptions struct {
 	// score. When false the traversal can fall back to pure spatial
 	// ranking for keyword-less regions.
 	RequireMatch bool
+	// TFCaps holds one term-frequency cap per object ID (irscore.TFCap of
+	// the row's largest pipeline term frequency), or nil. An object entry's
+	// bound weighs each matched keyword by irscore.CapWeight of its row's
+	// cap instead of 1; an ID past the end, or a cap of 0, keeps the paper's
+	// bound. Every cap must be at least the row's real largest term
+	// frequency, or answers are no longer exact.
+	TFCaps []uint8
 }
 
 // SearchRanked starts a *general* top-k spatial keyword query: objects
@@ -62,15 +70,40 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	// Word-at-a-time views keep the per-entry bound allocation-free.
 	perLevel := &levelWordSigs{scheme: x.scheme, words: normalized}
 
+	// capWeight bounds the term weights of the row at ptr by its cap, found
+	// by the row pointer's position in the store's directory (rows are
+	// appended in offset order).
+	ptrs := x.store.Ptrs()
+	capWeight := func(ptr uint64) float64 {
+		id, ok := slices.BinarySearch(ptrs, objstore.Ptr(ptr))
+		if !ok || id >= len(opts.TFCaps) {
+			return 1
+		}
+		return irscore.CapWeight(opts.TFCaps[id])
+	}
+
 	// upperIR returns the signature-derived IR upper bound of an entry:
-	// Σ idf(w_i) over the keywords whose signature the entry's covers.
-	upperIR := func(level int, aux []byte) float64 {
+	// Σ w·idf(w_i) over the keywords whose signature the entry's covers,
+	// where w bounds the term weight of everything under the entry — 1 for
+	// a node, whose subtree's rows may hold any term frequency, and the
+	// row's cap for an object, looked up once a keyword matches. It sums in
+	// ScoreFromCounts' order, term by term, so a row's bound is never below
+	// its exact score by a rounding.
+	upperIR := func(isObject bool, level int, aux []byte, ptr uint64) float64 {
 		sigs := perLevel.at(level)
 		var matched float64
+		w := 0.0
 		for i := range sigs {
-			if sigs[i].MatchesTolerant(aux) {
-				matched += idfs[i]
+			if !sigs[i].MatchesTolerant(aux) {
+				continue
 			}
+			if w == 0 {
+				w = 1
+				if isObject && opts.TFCaps != nil {
+					w = capWeight(ptr)
+				}
+			}
+			matched += w * idfs[i]
 		}
 		return matched
 	}
@@ -79,8 +112,8 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	// negated f values. The traversal gets no signature to prune by: the
 	// bound needs every keyword's match separately, and RequireMatch is the
 	// scorer's own keep test.
-	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
-		ub := upperIR(level, aux)
+	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
+		ub := upperIR(isObject, level, aux, ptr)
 		if opts.RequireMatch && ub == 0 {
 			return 0, false
 		}

@@ -14,6 +14,16 @@
 // is 1; the node bound Σ idf(w) over signature-matched keywords is then a
 // provable upper bound for every object in the subtree, so the general
 // algorithm's output order is exact. (DESIGN.md discusses this choice.)
+//
+// An object entry's bound is tighter. Each row records a term-frequency cap
+// (TFCap): its largest pipeline term frequency, one byte, saturating at
+// MaxTFCap. No query term occurs in the row more often than that, and
+// TFWeight grows with tf, so Σ CapWeight(cap)·idf(w) over the matched
+// keywords still bounds the row's exact score. On rows that repeat few
+// words the cap is small (a row whose words each occur once is bounded by
+// Σ idf/2); on long real documents a per-row maximum tends to saturate,
+// and the bound falls back towards the paper's. A cap of 0 is unknown and
+// keeps the paper's bound.
 package irscore
 
 import (
@@ -103,6 +113,27 @@ func ScoreFromCounts(counts []int, idfs []float64) float64 {
 		}
 	}
 	return score
+}
+
+// MaxTFCap is the largest term-frequency cap a row records. It stands for
+// "this many or more", so it bounds nothing below the paper's weight of 1.
+const MaxTFCap = math.MaxUint8
+
+// TFCap returns the term-frequency cap recorded for a row whose largest
+// pipeline term frequency is maxTF: maxTF itself, saturating at MaxTFCap.
+func TFCap(maxTF int) uint8 {
+	return uint8(min(maxTF, MaxTFCap))
+}
+
+// CapWeight returns the largest TFWeight any term of a row with the given
+// cap can have: TFWeight(cap), since TFWeight grows with tf and no term of
+// the row occurs more than cap times. A cap of 0 (unknown) or MaxTFCap
+// (saturated) gives 1, the supremum the paper's bound assumes.
+func CapWeight(cap uint8) float64 {
+	if cap == 0 || cap == MaxTFCap {
+		return 1
+	}
+	return TFWeight(int(cap))
 }
 
 // UpperBound returns the maximum possible IRscore of any document whose

@@ -183,3 +183,27 @@ func TestDistanceDiscountMonotone(t *testing.T) {
 		t.Error("epsilon floor missing: zero-relevance ties not broken by distance")
 	}
 }
+
+// TestCapWeightBoundsEveryTFBelowTheCap: a row whose largest term frequency
+// is maxTF records TFCap(maxTF), and CapWeight of that cap is at least the
+// weight of every term frequency the row can hold — exactly TFWeight(maxTF)
+// below saturation, the paper's 1 at and past it and for an unknown cap.
+func TestCapWeightBoundsEveryTFBelowTheCap(t *testing.T) {
+	if CapWeight(0) != 1 || CapWeight(MaxTFCap) != 1 {
+		t.Fatalf("CapWeight(0) = %v, CapWeight(MaxTFCap) = %v, want 1 for both", CapWeight(0), CapWeight(MaxTFCap))
+	}
+	for maxTF := 1; maxTF <= 1000; maxTF++ {
+		c := TFCap(maxTF)
+		if want := uint8(min(maxTF, MaxTFCap)); c != want {
+			t.Fatalf("TFCap(%d) = %d, want %d", maxTF, c, want)
+		}
+		if maxTF < MaxTFCap && CapWeight(c) != TFWeight(maxTF) {
+			t.Fatalf("CapWeight(TFCap(%d)) = %v, want TFWeight = %v", maxTF, CapWeight(c), TFWeight(maxTF))
+		}
+		for tf := 1; tf <= maxTF; tf++ {
+			if TFWeight(tf) > CapWeight(c) {
+				t.Fatalf("tf %d weighs %v, above the cap %d's %v", tf, TFWeight(tf), c, CapWeight(c))
+			}
+		}
+	}
+}

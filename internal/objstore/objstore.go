@@ -406,31 +406,36 @@ func encodeRow(id ID, p geo.Point, text string) []byte {
 	return []byte(b.String())
 }
 
-// decodeRow parses a row (without its trailing newline).
+// decodeRow parses a row (without its trailing newline). It locates the
+// fields in place, as rowText does, so a decoded object costs its point and
+// one string for its text, and nothing it keeps aliases row.
 func decodeRow(row []byte) (Object, error) {
-	fields := strings.Split(string(row), "\t")
-	if len(fields) < 3 {
-		return Object{}, fmt.Errorf("%w: %d fields", ErrCorrupt, len(fields))
+	fields := bytes.Count(row, []byte{'\t'}) + 1
+	if fields < 3 {
+		return Object{}, fmt.Errorf("%w: %d fields", ErrCorrupt, fields)
 	}
-	id, err := strconv.ParseUint(fields[0], 10, 64)
+	idField, rest, _ := bytes.Cut(row, []byte{'\t'})
+	id, err := strconv.ParseUint(string(idField), 10, 64)
 	if err != nil {
-		return Object{}, fmt.Errorf("%w: bad id %q", ErrCorrupt, fields[0])
+		return Object{}, fmt.Errorf("%w: bad id %q", ErrCorrupt, idField)
 	}
-	dim, ok := parseDim([]byte(fields[1]), len(row))
+	dimField, rest, _ := bytes.Cut(rest, []byte{'\t'})
+	dim, ok := parseDim(dimField, len(row))
 	if !ok {
-		return Object{}, fmt.Errorf("%w: bad dimension %q", ErrCorrupt, fields[1])
+		return Object{}, fmt.Errorf("%w: bad dimension %q", ErrCorrupt, dimField)
 	}
-	if len(fields) != dim+3 {
-		return Object{}, fmt.Errorf("%w: want %d fields, have %d", ErrCorrupt, dim+3, len(fields))
+	if fields != dim+3 {
+		return Object{}, fmt.Errorf("%w: want %d fields, have %d", ErrCorrupt, dim+3, fields)
 	}
 	p := make(geo.Point, dim)
-	for i := 0; i < dim; i++ {
-		p[i], err = strconv.ParseFloat(fields[2+i], 64)
-		if err != nil {
-			return Object{}, fmt.Errorf("%w: bad coordinate %q", ErrCorrupt, fields[2+i])
+	for i := range p {
+		var c []byte
+		c, rest, _ = bytes.Cut(rest, []byte{'\t'})
+		if p[i], err = strconv.ParseFloat(string(c), 64); err != nil {
+			return Object{}, fmt.Errorf("%w: bad coordinate %q", ErrCorrupt, c)
 		}
 	}
-	return Object{ID: ID(id), Point: p, Text: fields[dim+2]}, nil
+	return Object{ID: ID(id), Point: p, Text: string(rest)}, nil
 }
 
 // parseDim parses a row's dimension field as encodeRow writes it: decimal

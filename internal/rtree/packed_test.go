@@ -354,7 +354,7 @@ func decodedWalk(t *testing.T, tree *Tree, scorer EntryScorer) (refs []uint64, s
 		events = append(events, TraceEvent{Kind: TraceExpand, Node: n.ID(), Level: n.Level(), Score: item.score})
 		for i := 0; i < n.NumEntries(); i++ {
 			ptr, rect, aux := n.Entry(i)
-			score, keep := scorer(n.Level() == 0, n.Level(), rect, aux)
+			score, keep := scorer(n.Level() == 0, n.Level(), rect, aux, ptr)
 			if !keep {
 				st.EntriesPruned++
 				events = append(events, TraceEvent{Kind: TracePrune, Node: n.ID(), Child: ptr, Level: n.Level()})
@@ -481,11 +481,11 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 					}
 				}
 				p := geo.NewPoint(40, 60)
-				scorer := func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
+				scorer := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
 					return rect.MinDist(p), !isObject || rect.Lo[0] < 20 || rect.Lo[0] >= 30
 				}
-				ref := func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
-					score, keep := scorer(isObject, level, rect, aux)
+				ref := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
+					score, keep := scorer(isObject, level, rect, aux, ptr)
 					return score, keep && tc.sig(level).MatchesTolerant(aux)
 				}
 				disk.ResetStats()

@@ -13,8 +13,9 @@ import (
 // EntryScorer assigns a priority to a tree entry during best-first search
 // and decides whether to keep it at all. isObject reports whether the entry
 // references an object (it was read from a leaf); level is the level of the
-// node the entry was read from; rect is the entry's MBR and aux its payload.
-// Returning keep = false drops the entry. The signature check "if s matches
+// node the entry was read from; rect is the entry's MBR, aux its payload and
+// ptr its pointer (the object reference or child node block). Returning
+// keep = false drops the entry. The signature check "if s matches
 // w" of Figure 8 is not the scorer's: the iterator applies it before the
 // scorer runs (see Seek). keep is for scorers with a test of their own, such
 // as the general ranked query's "Score > 0".
@@ -25,13 +26,13 @@ import (
 // Scorers must not retain rect or aux past the call: the rectangle's corner
 // points are reused for the next entry and the payload aliases a pinned node
 // image.
-type EntryScorer func(isObject bool, level int, rect geo.Rect, aux []byte) (score float64, keep bool)
+type EntryScorer func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (score float64, keep bool)
 
 // DistanceScorer returns the scorer of the incremental nearest-neighbor
 // algorithm (Figure 3): the priority of every entry is the minimum distance
 // from the query point to its MBR, and nothing is pruned.
 func DistanceScorer(p geo.Point) EntryScorer {
-	return func(isObject bool, level int, rect geo.Rect, aux []byte) (float64, bool) {
+	return func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
 		return rect.MinDist(p), true
 	}
 }
@@ -381,12 +382,12 @@ func (it *Iter) prune(pn *PackedNode, i int) {
 func (it *Iter) enqueueEntry(pn *PackedNode, i int, aux []byte) {
 	isObject := pn.level == 0
 	rect := pn.EntryRectInto(i, it.scr.lo, it.scr.hi)
-	score, keep := it.scorer(isObject, pn.level, rect, aux)
+	ptr := pn.EntryPtr(i)
+	score, keep := it.scorer(isObject, pn.level, rect, aux, ptr)
 	if !keep {
 		it.prune(pn, i)
 		return
 	}
-	ptr := pn.EntryPtr(i)
 	qi := queueItem{isObject: isObject, score: score, seq: it.seq}
 	it.seq++
 	if isObject {

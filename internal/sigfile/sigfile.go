@@ -128,18 +128,6 @@ func SuperimposeChecked(dst, src Signature) error {
 	return nil
 }
 
-// MatchesTolerant is Matches for signatures of possibly-corrupt provenance:
-// on length mismatch it reports true (no pruning) instead of panicking.
-// Signatures admit false positives but never false negatives, so when a
-// decoded signature cannot be trusted the only sound answer is "may match" —
-// the search descends and the exact text check downstream decides.
-func MatchesTolerant(s, q Signature) bool {
-	if len(s) != len(q) {
-		return true
-	}
-	return matchesWords(s, q)
-}
-
 // Matches reports whether a document (or subtree) with signature s may
 // contain everything described by query signature q — i.e. every set bit of
 // q is set in s. This is the "s matches w" test of IR2NearestNeighbor

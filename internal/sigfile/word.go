@@ -121,9 +121,10 @@ func (v Sig64) Bytes() Signature {
 }
 
 // MatchesTolerant reports whether a document or subtree whose signature is
-// the raw byte slice s may contain everything the query describes. Like the
-// byte-form MatchesTolerant, a length mismatch means the decoded signature
-// cannot be trusted, and the only sound answer is "may match". s may alias
+// the raw byte slice s may contain everything the query describes. A length
+// mismatch means the decoded signature cannot be trusted: signatures admit
+// false positives but never false negatives, so the only sound answer is
+// "may match", and the exact text check downstream decides. s may alias
 // a disk-block image; it is never retained. Zero allocations.
 //
 //skvet:hotpath

@@ -38,6 +38,18 @@ func superimposeBytewise(dst, src []byte) {
 // the byte-wise reference implementations on randomized signatures of every
 // length class mod 8 (lengths 0..40 cover each residue five times, plus the
 // paper's 8 B and 189 B lengths).
+// MatchesTolerant is Matches for signatures of possibly-corrupt provenance:
+// on length mismatch it reports true (no pruning) instead of panicking —
+// the byte-form twin of Sig64.MatchesTolerant, which the traversals call.
+// TestWordKernelsAgreeWithBytewise, TestSig64TolerantOnMismatch and
+// TestMatchesAllocFree use it.
+func MatchesTolerant(s, q Signature) bool {
+	if len(s) != len(q) {
+		return true
+	}
+	return matchesWords(s, q)
+}
+
 func TestWordKernelsAgreeWithBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	lengths := make([]int, 0, 48)

@@ -136,15 +136,24 @@ func (v *Vocabulary) AddDoc(text string) {
 }
 
 // AddDocWith folds one document in through the given analyzer pipeline
-// (nil behaves like AddDoc). Every document of a corpus must go through
-// the same pipeline.
-func (v *Vocabulary) AddDocWith(a *Analyzer, text string) {
-	uniq := a.Unique(text)
-	for _, w := range uniq {
-		v.docFreq[w]++
+// (nil behaves like AddDoc) and returns the document's largest pipeline
+// term frequency: no term of the document occurs more often (0 for a
+// document with no terms). Every document of a corpus must go through the
+// same pipeline.
+func (v *Vocabulary) AddDocWith(a *Analyzer, text string) (maxTF int) {
+	tokens := a.Tokens(text)
+	tf := make(map[string]int, len(tokens))
+	for _, tok := range tokens {
+		n := tf[tok] + 1
+		tf[tok] = n
+		maxTF = max(maxTF, n)
+		if n == 1 {
+			v.docFreq[tok]++
+			v.uniqueSum++
+		}
 	}
 	v.numDocs++
-	v.uniqueSum += int64(len(uniq))
+	return maxTF
 }
 
 // NumDocs returns the number of documents added.

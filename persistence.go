@@ -414,11 +414,11 @@ func openFromManifest(dir string, m manifest, committed uint64) (*Engine, error)
 	for _, id := range m.Deleted {
 		e.deleted[id] = true
 	}
-	// Rebuild the vocabulary (idf statistics) from the object file; the
-	// engine never removes deleted documents from it, so a full scan
-	// reproduces the live state.
+	// Rebuild the vocabulary (idf statistics) and the rows' term-frequency
+	// caps from the object file; the engine never removes deleted documents
+	// from it, so a full scan reproduces the live state.
 	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-		e.vocab.AddDocWith(e.an, o.Text)
+		e.setTFCap(o.ID, e.vocab.AddDocWith(e.an, o.Text))
 		return nil
 	}); err != nil {
 		e.Close()

@@ -51,8 +51,10 @@
 #           engine's first load — Adds then Save, reported in objects/s
 #           (BenchmarkDurableLoad, root package) — and of a 4-shard one's
 #           (BenchmarkShardedLoad, internal/shard), of a warm
-#           distance-first top-k on a reopened durable engine
-#           (BenchmarkDurableTopK, root package), and of a warm sharded
+#           distance-first top-k and a warm general ranked top-k on a
+#           reopened durable engine (BenchmarkDurableTopK and
+#           BenchmarkDurableRanked, root package, the latter also in objects
+#           and blocks loaded per query), and of a warm sharded
 #           distance-first and ranked top-k, the merge cut by FirstK on 1
 #           and 4 shards (BenchmarkTopK, BenchmarkTopKRanked,
 #           internal/shard), printing ns/op and
@@ -157,7 +159,7 @@ run_micro() {
 	go test -run '^$' -bench 'CountTermsBytes|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
-	go test -run '^$' -bench 'DurableLoad|DurableTopK' -benchmem .
+	go test -run '^$' -bench 'DurableLoad|DurableTopK|DurableRanked' -benchmem .
 	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$' -benchmem ./internal/shard
 }
 

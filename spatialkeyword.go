@@ -26,6 +26,7 @@ import (
 
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/sigfile"
@@ -246,6 +247,11 @@ type Engine struct {
 	tree    *core.IR2Tree
 	vocab   *textutil.Vocabulary
 	an      *textutil.Analyzer // cfg.Analyzer(); nil = plain tokenization
+	// tfCaps is every row's term-frequency cap, indexed by object ID
+	// (irscore.TFCap of its largest pipeline term frequency; 0 = unknown):
+	// the ranked query's per-object bound (core.GeneralOptions.TFCaps). It
+	// is rebuilt from the object file at open, like vocab.
+	tfCaps []uint8
 
 	// Durable engines (NewDurableEngine / OpenEngine) also track their
 	// backing directory, file devices, and last committed snapshot
@@ -562,10 +568,19 @@ func (e *Engine) applyAdd(point []float64, text string) error {
 	if err != nil {
 		return err
 	}
-	e.vocab.AddDocWith(e.an, text)
+	e.setTFCap(id, e.vocab.AddDocWith(e.an, text))
 	e.pending = append(e.pending, uint64(id))
 	e.live++
 	return nil
+}
+
+// setTFCap records row id's term-frequency cap. A row whose add failed
+// after its append leaves a gap of unknown caps, so later IDs stay aligned.
+func (e *Engine) setTFCap(id objstore.ID, maxTF int) {
+	if n := int(id) + 1; n > len(e.tfCaps) {
+		e.tfCaps = append(e.tfCaps, make([]uint8, n-len(e.tfCaps))...)
+	}
+	e.tfCaps[id] = irscore.TFCap(maxTF)
 }
 
 // Flush durably writes buffered objects and indexes them. Queries call it
