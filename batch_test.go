@@ -35,10 +35,9 @@ func (m *diffModel) dist(o spatialkeyword.Object, p []float64) float64 {
 
 // matches returns the live rows holding every keyword, in ID order.
 func (m *diffModel) matches(kws []string) []spatialkeyword.Object {
-	var an *textutil.Analyzer
 	var out []spatialkeyword.Object
 	for _, o := range m.rows {
-		if !m.deleted[o.ID] && an.ContainsAll(o.Text, kws) {
+		if !m.deleted[o.ID] && textutil.ContainsAll(o.Text, kws) {
 			out = append(out, o)
 		}
 	}
@@ -60,7 +59,6 @@ func (m *diffModel) topK(k int, p []float64, kws []string) []uint64 {
 // score — holding every keyword when all is set, as SKQL's MATCH a AND b
 // requires — by descending combined score.
 func (m *diffModel) ranked(cs spatialkeyword.CorpusStats, k int, p []float64, kws []string, all bool) []uint64 {
-	var an *textutil.Analyzer
 	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq)
 	comb := irscore.DistanceDiscount{Scale: 100}
 	type cand struct {
@@ -69,7 +67,7 @@ func (m *diffModel) ranked(cs spatialkeyword.CorpusStats, k int, p []float64, kw
 	}
 	var cands []cand
 	for _, o := range m.rows {
-		if m.deleted[o.ID] || all && !an.ContainsAll(o.Text, kws) {
+		if m.deleted[o.ID] || all && !textutil.ContainsAll(o.Text, kws) {
 			continue
 		}
 		if ir := scorer.Score(o.Text, kws); ir > 0 {

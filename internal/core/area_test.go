@@ -14,7 +14,7 @@ import (
 // bruteTopKArea is the reference area query: filter by containment, sort by
 // rect distance (ties by ID), take k.
 func bruteTopKArea(objs []objstore.Object, k int, area geo.Rect, keywords []string) []objstore.Object {
-	kws := textutil.NormalizeAll(keywords)
+	kws := (*textutil.Analyzer)(nil).Keywords(keywords)
 	var matches []objstore.Object
 	for _, o := range objs {
 		if textutil.ContainsAll(o.Text, kws) {

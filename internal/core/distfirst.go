@@ -195,7 +195,8 @@ func (b *RTreeBaseline) SizeMB() float64 { return float64(b.SizeBytes()) / 1e6 }
 // keep it only if it contains every keyword, until k results are found or
 // the tree is exhausted.
 func (b *RTreeBaseline) TopK(k int, p geo.Point, keywords []string) ([]Result, SearchStats, error) {
-	kws := textutil.NormalizeAll(keywords)
+	var plain *textutil.Analyzer // nil: plain tokenization
+	kws := plain.Keywords(keywords)
 	it := b.rt.NearestNeighbors(p, nil)
 	var results []Result
 	var stats SearchStats

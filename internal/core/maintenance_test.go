@@ -9,7 +9,6 @@ import (
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
-	"spatialkeyword/internal/textutil"
 )
 
 // TestInsertMaintainsSignatures checks that after every insert, every parent
@@ -306,5 +305,4 @@ func TestNormalizeConsistencyAcrossLayers(t *testing.T) {
 	if fmt.Sprint(resultIDs(a)) != fmt.Sprint(resultIDs(b)) {
 		t.Errorf("case sensitivity leak: %v vs %v", resultIDs(a), resultIDs(b))
 	}
-	_ = textutil.Normalize // keep import if unused elsewhere
 }

@@ -190,7 +190,7 @@ func TestQuickMIR2InteriorCoverage(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				for _, w := range textutil.UniqueTokens(obj.Text) {
+				for _, w := range (*textutil.Analyzer)(nil).Unique(obj.Text) {
 					if !sigfile.Matches(sigfile.Signature(aux), cfg.WordSignature(w)) {
 						return fmt.Errorf("node %d entry %d: word %q of object %d not covered",
 							n.ID(), i, w, obj.ID)

@@ -66,7 +66,7 @@ func buildFixture(t *testing.T, rows []struct {
 	for _, r := range rows {
 		_, ptr, _ := f.store.Append(geo.NewPoint(r.lat, r.lon), r.text)
 		f.ptrs = append(f.ptrs, ptr)
-		f.vocab.AddDoc(r.text)
+		f.vocab.AddDocWith(nil, r.text)
 	}
 	if err := f.store.Sync(); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func f8() sigfile.Config {
 // bruteTopK is the reference distance-first query: filter by containment,
 // sort by distance (ties by ID), take k.
 func bruteTopK(objs []objstore.Object, k int, p geo.Point, keywords []string) []objstore.Object {
-	kws := textutil.NormalizeAll(keywords)
+	kws := (*textutil.Analyzer)(nil).Keywords(keywords)
 	var matches []objstore.Object
 	for _, o := range objs {
 		if textutil.ContainsAll(o.Text, kws) {

@@ -109,7 +109,7 @@ func TestSearchMatchesDecodedWalk(t *testing.T) {
 	pruned := 0
 	for trial := 0; trial < 12; trial++ {
 		kw := [][]string{{"pool"}, {"internet", "spa"}, {"gym", "bar", "wifi"}, {"notaword"}}[trial%4]
-		kws := textutil.NormalizeAll(kw)
+		kws := (*textutil.Analyzer)(nil).Keywords(kw)
 		p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		lo := geo.NewPoint(rng.Float64()*800, rng.Float64()*800)
 		area := geo.NewRect(lo, geo.NewPoint(lo[0]+rng.Float64()*300, lo[1]+rng.Float64()*300))

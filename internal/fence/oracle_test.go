@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func (o *oracle) resultSet(f oracleFence) []member {
 		if f.q.Threshold > 0 && d > f.q.Threshold {
 			continue
 		}
-		if !o.an.ContainsAll(obj.text, f.q.Keywords) {
+		if !o.containsAll(obj.text, f.q.Keywords) {
 			continue
 		}
 		all = append(all, member{id: obj.id, dist: d})
@@ -70,6 +71,21 @@ func (o *oracle) resultSet(f oracleFence) []member {
 		all = all[:f.q.K]
 	}
 	return all
+}
+
+// containsAll is the model's keyword test: every raw keyword, normalized
+// on its own, is one of the document's pipeline tokens.
+func (o *oracle) containsAll(text string, keywords []string) bool {
+	toks := make(map[string]bool)
+	for _, tok := range o.an.Tokens(text) {
+		toks[tok] = true
+	}
+	for _, w := range keywords {
+		if !toks[o.an.Keyword(w)] {
+			return false
+		}
+	}
+	return true
 }
 
 // apply mutates the object set and returns the expected events for every
@@ -158,21 +174,61 @@ var oracleVocab = []string{
 // TestOracleEquivalence is the acceptance oracle: a seeded mutation
 // stream against 120 registered fences, with the registry's emitted
 // events compared to the brute-force model after every single mutation.
+// It runs on the stemming and stopword pipeline, and on the plain one over
+// text in mixed case with non-ASCII letters.
 func TestOracleEquivalence(t *testing.T) {
 	checkNoGoroutineLeak(t)
-	an := &textutil.Analyzer{Stemming: true, Stopwords: textutil.DefaultStopwords()}
+	t.Run("stemming+stopwords", func(t *testing.T) {
+		an := &textutil.Analyzer{Stemming: true, Stopwords: textutil.DefaultStopwords()}
+		runOracleEquivalence(t, an, oracleVocab, randomText)
+	})
+	t.Run("plain/mixed-text", func(t *testing.T) {
+		vocab := append([]string{"café", "zürich"}, oracleVocab...)
+		runOracleEquivalence(t, nil, vocab, func(rng *rand.Rand) string {
+			words := strings.Fields(randomText(rng))
+			for i, w := range words {
+				if rng.Intn(4) == 0 {
+					w = vocab[rng.Intn(2)]
+				}
+				words[i] = mixCase(rng, w)
+			}
+			return strings.Join(words, " ")
+		})
+	})
+}
+
+// mixCase spells word as a document might: as is, capitalized, or in
+// capitals — the capitals sometimes written with U+212A KELVIN SIGN for K
+// and U+0130 for I, which lower-case to ASCII k and i — or run into a
+// non-ASCII word across a non-ASCII separator.
+func mixCase(rng *rand.Rand, word string) string {
+	switch rng.Intn(5) {
+	case 0:
+		return word
+	case 1:
+		return strings.ToUpper(word[:1]) + word[1:]
+	case 2:
+		return strings.ToUpper(word)
+	case 3:
+		return strings.NewReplacer("K", "\u212A", "I", "\u0130").Replace(strings.ToUpper(word))
+	default:
+		return word + "\u00b7Zürich"
+	}
+}
+
+func runOracleEquivalence(t *testing.T, an *textutil.Analyzer, vocab []string, text func(*rand.Rand) string) {
 	rng := rand.New(rand.NewSource(42))
 	reg := NewRegistry(Options{Analyzer: an})
 	model := newOracle(an)
 
 	const nFences = 120
 	for i := 0; i < nFences; i++ {
-		q := randomFence(rng, oracleVocab)
+		q := randomFence(rng, vocab)
 		id, err := reg.Add(q)
 		if err != nil {
 			t.Fatalf("fence %d: %v", i, err)
 		}
-		// The model evaluates the ORIGINAL query — ContainsAll in
+		// The model evaluates the ORIGINAL query — containsAll in
 		// resultSet normalizes the raw keywords itself, independently of
 		// the registry's normalization at Add.
 		model.fences = append(model.fences, oracleFence{id: id, q: q})
@@ -212,7 +268,7 @@ func TestOracleEquivalence(t *testing.T) {
 			m = Mutation{
 				ID:    nextID,
 				Point: geo.Point{rng.Float64() * 100, rng.Float64() * 100},
-				Text:  randomText(rng),
+				Text:  text(rng),
 			}
 			live = append(live, nextID)
 			nextID++

@@ -35,7 +35,8 @@ func TopK(ix *Index, store *objstore.Store, k int, p geo.Point, keywords []strin
 	if k <= 0 {
 		return nil, stats, nil
 	}
-	refs, err := ix.Intersect(textutil.NormalizeAll(keywords))
+	var plain *textutil.Analyzer // nil: plain tokenization
+	refs, err := ix.Intersect(plain.Keywords(keywords))
 	if err != nil {
 		return nil, stats, err
 	}

@@ -111,7 +111,8 @@ func (ix *Index) Add(ref uint64, words []string) {
 
 // AddDocument tokenizes text and posts ref under each distinct token.
 func (ix *Index) AddDocument(ref uint64, text string) {
-	ix.Add(ref, textutil.UniqueTokens(text))
+	var plain *textutil.Analyzer // nil: plain tokenization
+	ix.Add(ref, plain.Unique(text))
 }
 
 // Append posts a document into a built index. ref must exceed every

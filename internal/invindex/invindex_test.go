@@ -398,7 +398,7 @@ func TestNormalizationConsistency(t *testing.T) {
 	// Documents indexed via AddDocument must be findable with any casing.
 	ix, _, _, _ := buildFigure1(t)
 	for _, w := range []string{"internet", "Internet", "INTERNET"} {
-		norm := textutil.NormalizeAll([]string{w})
+		norm := (*textutil.Analyzer)(nil).Keywords([]string{w})
 		refs, err := ix.Intersect(norm)
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ func corpus() (*Scorer, []string) {
 	}
 	v := textutil.NewVocabulary()
 	for _, d := range docs {
-		v.AddDoc(d)
+		v.AddDocWith(nil, d)
 	}
 	return NewScorer(v.NumDocs(), v.DocFreq), docs
 }
@@ -127,7 +127,7 @@ func TestUpperBoundRandomized(t *testing.T) {
 				d += vocab[rng.Intn(len(vocab))] + " "
 			}
 			docs[i] = d
-			v.AddDoc(d)
+			v.AddDocWith(nil, d)
 		}
 		s := NewScorer(v.NumDocs(), v.DocFreq)
 		// Random query.

@@ -142,16 +142,6 @@ func (c *Cache[V]) Invalidate(id storage.BlockID) {
 	}
 }
 
-// Len returns the number of resident nodes.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.index)
-}
-
-// Cap returns the capacity.
-func (c *Cache[V]) Cap() int { return len(c.slots) }
-
 // Stats returns a snapshot of the outcome counters.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()

@@ -6,6 +6,16 @@ import (
 	"spatialkeyword/internal/storage"
 )
 
+// Len returns the number of resident nodes.
+func (c *Cache[V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.index)
+}
+
+// Cap returns the capacity.
+func (c *Cache[V]) Cap() int { return len(c.slots) }
+
 func TestGetPutInvalidate(t *testing.T) {
 	c := New[int](4)
 	if _, ok := c.Get(1); ok {

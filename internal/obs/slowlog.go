@@ -81,6 +81,3 @@ func (l *SlowLog) RecordQuery(m QueryMetrics) {
 		l.dropped.Inc()
 	}
 }
-
-// Dropped reports how many lines were lost to marshal or write errors.
-func (l *SlowLog) Dropped() uint64 { return l.dropped.Value() }

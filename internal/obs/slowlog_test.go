@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// Dropped reports how many lines were lost to marshal or write errors.
+func (l *SlowLog) Dropped() uint64 { return l.dropped.Value() }
+
 func TestSlowLogThreshold(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewSlowLog(&buf, 50*time.Millisecond)

@@ -28,10 +28,9 @@ func (m *bruteModel) dist(o spatialkeyword.Object, p []float64) float64 {
 
 // topK is the distance-first answer, ties by ID.
 func (m *bruteModel) topK(k int, p []float64, kw string) []uint64 {
-	var an *textutil.Analyzer
 	var cands []spatialkeyword.Object
 	for _, o := range m.rows {
-		if an.ContainsAll(o.Text, []string{kw}) {
+		if textutil.ContainsAll(o.Text, []string{kw}) {
 			cands = append(cands, o)
 		}
 	}
@@ -67,11 +66,10 @@ func (m *bruteModel) ranked(cs spatialkeyword.CorpusStats, k int, p []float64, k
 
 // within is the area answer, in ID order.
 func (m *bruteModel) within(lo, hi []float64, kw string) []uint64 {
-	var an *textutil.Analyzer
 	ids := []uint64{}
 	for _, o := range m.rows {
 		if o.Point[0] >= lo[0] && o.Point[0] <= hi[0] && o.Point[1] >= lo[1] && o.Point[1] <= hi[1] &&
-			an.ContainsAll(o.Text, []string{kw}) {
+			textutil.ContainsAll(o.Text, []string{kw}) {
 			ids = append(ids, o.ID)
 		}
 	}

@@ -73,7 +73,7 @@ func hashPair(word string) (h1, h2 uint64) {
 }
 
 // SetWord sets word's k bit positions in s. The word should already be
-// normalized (see textutil.Normalize); signatures are byte-exact on the
+// normalized (see textutil.Analyzer.Keyword); signatures are byte-exact on the
 // input string.
 func (c Config) SetWord(s Signature, word string) {
 	m := uint64(c.Bits())

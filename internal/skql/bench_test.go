@@ -63,3 +63,46 @@ func BenchmarkCatalogCatchUp(b *testing.B) {
 		benchRows += rs.Count
 	}
 }
+
+// residualAccept returns the residual filter a TOP statement runs on each
+// candidate — its MATCH needs Conj, Neg and a residual boolean tree — over
+// a plain-pipeline engine, and a 15-word row that passes it.
+func residualAccept(tb testing.TB) (func(spatialkeyword.Object) bool, spatialkeyword.Object) {
+	e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fillTarget(tb, e.Add, rand.New(rand.NewSource(3)), 50)
+	c := NewCatalog(e)
+	q, err := Parse(`SELECT TOP 5 NEAR (50, 50) MATCH "pool" AND ("com0" OR "mid1") AND NOT "rare0" USING rtree`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := c.BuildPlan(q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(p.Ops) != 1 || p.Ops[0].Residual == nil {
+		tb.Fatalf("plan has %d operators, want one with a residual tree", len(p.Ops))
+	}
+	row := spatialkeyword.Object{ID: 1, Point: []float64{50, 50},
+		Text: "Wireless Internet, heated Pool and golf course nearby; base com0 Mid1 rare3 quiet garden view"}
+	accept := c.acceptFn(p, &p.Ops[0])
+	if !accept(row) {
+		tb.Fatalf("the row %q fails the filter", row.Text)
+	}
+	return accept, row
+}
+
+// BenchmarkResidualFilter times SKQL's per-candidate term filter on one
+// 15-word row.
+func BenchmarkResidualFilter(b *testing.B) {
+	accept, row := residualAccept(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !accept(row) {
+			b.Fatal("row rejected")
+		}
+	}
+}

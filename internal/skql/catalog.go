@@ -72,18 +72,6 @@ func NewCatalog(t Target) *Catalog {
 // Target returns the catalog's execution target.
 func (c *Catalog) Target() Target { return c.t }
 
-// SidecarDevice returns the device backing the sidecar inverted
-// index, or nil if the index has not been built. Benchmarks meter it
-// alongside the engine's own devices.
-func (c *Catalog) SidecarDevice() storage.Device {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.inv == nil {
-		return nil
-	}
-	return c.invDev
-}
-
 // IndexStats returns the sidecar index's maintenance counters.
 func (c *Catalog) IndexStats() IndexStats {
 	c.mu.Lock()

@@ -3,6 +3,7 @@ package skql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"spatialkeyword"
@@ -10,6 +11,7 @@ import (
 	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/storage"
+	"spatialkeyword/internal/textutil"
 )
 
 // maxTraceLines caps how much of the engine traversal trace EXPLAIN
@@ -124,12 +126,17 @@ func (c *Catalog) opMeter() func() (random, sequential uint64) {
 	}
 }
 
-func termSet(words []string) map[string]bool {
-	m := make(map[string]bool, len(words))
-	for _, w := range words {
-		m[w] = true
+// termFilter returns pred as a test of a row's text: one TermFreqsInto
+// counts terms, every term pred asks about, in the row (allocation-free on
+// the plain pipeline), and pred sees a term as present when its count is
+// positive. The counts are reused, so only one goroutine may call it.
+func termFilter(an *textutil.Analyzer, terms []string, pred func(has func(string) bool) bool) func(text string) bool {
+	counts := make([]int, len(terms))
+	has := func(t string) bool { return counts[slices.Index(terms, t)] > 0 }
+	return func(text string) bool {
+		an.TermFreqsInto(counts, text, terms)
+		return pred(has)
 	}
-	return m
 }
 
 // acceptFn builds the residual predicate for a boolean operator: the
@@ -144,16 +151,15 @@ func (c *Catalog) acceptFn(p *Plan, op *Operator) func(o spatialkeyword.Object) 
 	if needRect {
 		rect = geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
 	}
-	trivialTerms := len(op.Conj) == 0 && len(op.Neg) == 0 && op.Residual == nil
+	var matches func(text string) bool
+	if len(op.Conj) > 0 || len(op.Neg) > 0 || op.Residual != nil {
+		matches = termFilter(p.an, appendTerms(slices.Concat(op.Conj, op.Neg), op.Residual, false), op.requires)
+	}
 	return func(o spatialkeyword.Object) bool {
 		if needRect && !rect.ContainsPoint(geo.NewPoint(o.Point...)) {
 			return false
 		}
-		if trivialTerms {
-			return true
-		}
-		set := termSet(p.an.Unique(o.Text))
-		return op.requires(func(t string) bool { return set[t] })
+		return matches == nil || matches(o.Text)
 	}
 }
 
@@ -368,16 +374,19 @@ func (c *Catalog) execRanked(p *Plan, rs *ResultSet) error {
 	if useRect {
 		rect = geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
 	}
+	var residual func(text string) bool
+	if op.Residual != nil {
+		residual = termFilter(p.an, appendTerms(nil, op.Residual, false), func(has func(string) bool) bool {
+			return evalExpr(op.Residual, has)
+		})
+	}
 	keep := func(r spatialkeyword.RankedResult) bool {
 		act.Candidates++
 		if useRect && !rect.ContainsPoint(geo.NewPoint(r.Object.Point...)) {
 			return false
 		}
-		if op.Residual != nil {
-			set := termSet(p.an.Unique(r.Object.Text))
-			if !evalExpr(op.Residual, func(t string) bool { return set[t] }) {
-				return false
-			}
+		if residual != nil && !residual(r.Object.Text) {
+			return false
 		}
 		if q.Where != nil {
 			if q.Where.Op == CmpGT && !(r.Score > q.Where.Value) {

@@ -2,6 +2,7 @@ package skql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -324,32 +325,27 @@ func selectivityExpr(e Expr, sel func(term string) float64) float64 {
 	return 0
 }
 
-// positiveTerms collects the distinct positive (non-negated) terms of
-// an NNF tree in first-appearance order. RANKED projections score
-// against these.
-func positiveTerms(e Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(Expr, bool)
-	walk = func(e Expr, neg bool) {
-		switch n := e.(type) {
-		case Term:
-			if !neg && !seen[n.Word] {
-				seen[n.Word] = true
-				out = append(out, n.Word)
-			}
-		case Not:
-			walk(n.X, !neg)
-		case And:
-			for _, k := range n.Kids {
-				walk(k, neg)
-			}
-		case Or:
-			for _, k := range n.Kids {
-				walk(k, neg)
-			}
+// appendTerms appends to out, in first-appearance order, the terms of e
+// that out does not hold yet; with positive set, only the terms of an NNF
+// tree that no Not negates (what RANKED projections score against).
+func appendTerms(out []string, e Expr, positive bool) []string {
+	var kids []Expr
+	switch n := e.(type) {
+	case Term:
+		if !slices.Contains(out, n.Word) {
+			out = append(out, n.Word)
 		}
+	case Not:
+		if !positive {
+			kids = []Expr{n.X}
+		}
+	case And:
+		kids = n.Kids
+	case Or:
+		kids = n.Kids
 	}
-	walk(e, false)
+	for _, k := range kids {
+		out = appendTerms(out, k, positive)
+	}
 	return out
 }

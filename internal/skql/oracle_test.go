@@ -42,6 +42,52 @@ func genPoint(rng *rand.Rand) []float64 {
 	return []float64{rng.Float64() * 100, rng.Float64() * 100}
 }
 
+// termSet is the oracle's term model: a set over the analyzer's Unique,
+// built from Tokenize, where the executor's filter counts with the scan
+// kernels on the plain pipeline.
+func termSet(words []string) map[string]bool {
+	m := make(map[string]bool, len(words))
+	for _, w := range words {
+		m[w] = true
+	}
+	return m
+}
+
+// mixCase spells word as a document might: as is, capitalized, or in
+// capitals — the capitals sometimes written with U+212A KELVIN SIGN for K
+// and U+0130 for I, which lower-case to ASCII k and i — or run into a
+// non-ASCII word across a non-ASCII separator.
+func mixCase(rng *rand.Rand, word string) string {
+	switch rng.Intn(5) {
+	case 0:
+		return word
+	case 1:
+		return strings.ToUpper(word[:1]) + word[1:]
+	case 2:
+		return strings.ToUpper(word)
+	case 3:
+		return strings.NewReplacer("K", "\u212A", "I", "\u0130").Replace(strings.ToUpper(word))
+	default:
+		return word + "\u00b7Zürich"
+	}
+}
+
+// inflect spells word as a row for the stemming and stopword pipeline
+// might hold it: as is, as a plural (in capitals or not), or after a
+// stopword. Every spelling analyzes to the word's own term.
+func inflect(rng *rand.Rand, word string) string {
+	switch rng.Intn(4) {
+	case 0:
+		return word
+	case 1:
+		return word + "s"
+	case 2:
+		return strings.ToUpper(word) + "S"
+	default:
+		return "the " + word
+	}
+}
+
 // oracleMatch answers a query by brute force over the target: scan
 // every live object, evaluate the boolean tree on its analyzed term
 // set, and apply the projection semantics directly.
@@ -275,7 +321,7 @@ func runRankedSuite(t *testing.T, c *Catalog, rng *rand.Rand) {
 	}
 }
 
-func fillTarget(t *testing.T, add func(point []float64, text string) (uint64, error), rng *rand.Rand, n int) {
+func fillTarget(t testing.TB, add func(point []float64, text string) (uint64, error), rng *rand.Rand, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if _, err := add(genPoint(rng), genText(rng, i, n)); err != nil {
@@ -284,22 +330,49 @@ func fillTarget(t *testing.T, add func(point []float64, text string) (uint64, er
 	}
 }
 
+// TestOracleEngine runs the suites on a single engine over three inputs:
+// the generator's rows on the plain pipeline, the same words inflected and
+// among stopwords on the stemming and stopword pipeline, and the same words
+// in mixed case with non-ASCII letters on the plain pipeline — rows the
+// residual filter must normalize as the analyzer does.
 func TestOracleEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+	for _, tc := range []struct {
+		name  string
+		cfg   spatialkeyword.Config
+		spell func(*rand.Rand, string) string
+	}{
+		{"plain", spatialkeyword.Config{}, nil},
+		{"stemming+stopwords", spatialkeyword.Config{Stemming: true, RemoveStopwords: true}, inflect},
+		{"plain/mixed-text", spatialkeyword.Config{}, mixCase},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			e, err := spatialkeyword.NewEngine(tc.cfg)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			add := e.Add
+			if tc.spell != nil {
+				add = func(point []float64, text string) (uint64, error) {
+					words := strings.Fields(text)
+					for i, w := range words {
+						words[i] = tc.spell(rng, w)
+					}
+					return e.Add(point, strings.Join(words, " "))
+				}
+			}
+			fillTarget(t, add, rng, 150)
+			if err := e.Delete(5); err != nil {
+				t.Fatalf("Delete: %v", err)
+			}
+			if err := e.Delete(60); err != nil {
+				t.Fatalf("Delete: %v", err)
+			}
+			c := NewCatalog(e)
+			runOracleSuite(t, c, rng)
+			runRankedSuite(t, c, rng)
+		})
 	}
-	fillTarget(t, e.Add, rng, 150)
-	if err := e.Delete(5); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if err := e.Delete(60); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	c := NewCatalog(e)
-	runOracleSuite(t, c, rng)
-	runRankedSuite(t, c, rng)
 }
 
 func TestOracleShardedEngine(t *testing.T) {

@@ -398,7 +398,7 @@ func scanOperator(in CostInputs, k int, common []string, tree Expr, fullSel floa
 func (c *Catalog) planRanked(p *Plan) error {
 	q := p.Query
 	nt := nnf(p.Tree, false)
-	pos := positiveTerms(nt)
+	pos := appendTerms(nil, nt, true)
 	if len(pos) == 0 {
 		return fmt.Errorf("skql: SELECT RANKED requires at least one positive keyword to score")
 	}

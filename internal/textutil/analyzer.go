@@ -116,31 +116,16 @@ func (a *Analyzer) Keywords(keywords []string) []string {
 	return out
 }
 
-// ContainsAll reports whether the document contains every query keyword
-// under the pipeline's term model. Keywords are raw user input (they pass
-// through the pipeline here); for already-normalized terms use
-// ContainsTerms — stemming is not idempotent, so normalizing twice is a
-// correctness bug.
-func (a *Analyzer) ContainsAll(text string, keywords []string) bool {
-	if len(keywords) == 0 {
-		return true
-	}
-	terms := make([]string, len(keywords))
-	for i, w := range keywords {
-		terms[i] = a.Keyword(w)
-	}
-	return a.ContainsTerms(text, terms)
-}
-
 // ContainsTerms reports whether the document contains every given
-// already-normalized pipeline term. Allocation-free on the plain pipeline
-// (the per-candidate false-positive filter of every top-k query runs here).
+// already-normalized pipeline term. On the plain pipeline it runs the byte
+// kernel over a view of text and allocates nothing (the false-positive
+// filters of range queries and fences run here).
 func (a *Analyzer) ContainsTerms(text string, terms []string) bool {
 	if len(terms) == 0 {
 		return true
 	}
 	if a.plain() && len(terms) < 64 {
-		return containsTermsScan(text, terms)
+		return containsTermsScanBytes(viewBytes(text), terms)
 	}
 	set := make(map[string]struct{})
 	for _, tok := range a.Tokens(text) {
@@ -156,11 +141,12 @@ func (a *Analyzer) ContainsTerms(text string, terms []string) bool {
 
 // TermFreqsInto fills counts[i] with the pipeline term frequency of terms[i]
 // in text. Terms must already be normalized through this pipeline; counts
-// must have at least len(terms) elements. Allocation-free on the plain
-// pipeline — the ranked query's per-candidate tf-idf scoring runs here.
+// must have at least len(terms) elements. On the plain pipeline it runs the
+// byte kernel's rune scan over a view of text and allocates nothing (SKQL's
+// per-candidate residual filter runs here).
 func (a *Analyzer) TermFreqsInto(counts []int, text string, terms []string) {
 	if a.plain() {
-		CountTermsInto(counts, text, terms)
+		countTermsRunes(counts, viewBytes(text), terms)
 		return
 	}
 	tf := a.TermFreqs(text)

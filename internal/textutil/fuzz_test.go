@@ -3,6 +3,7 @@ package textutil
 import (
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // FuzzTokenize: the tokenizer must never panic, always emit non-empty
@@ -24,7 +25,7 @@ func FuzzTokenize(f *testing.F) {
 				t.Fatalf("token %q not lowercase", tok)
 			}
 		}
-		uniq := UniqueTokens(text)
+		uniq := (*Analyzer)(nil).Unique(text)
 		if len(uniq) > len(tokens) {
 			t.Fatal("more unique tokens than tokens")
 		}
@@ -46,9 +47,11 @@ func FuzzTokenize(f *testing.F) {
 }
 
 // FuzzByteKernelsMatchRunePath: the byte kernels take a table-driven fast
-// path for ASCII and the rune path for everything else; the string kernels
-// only have the rune path. On arbitrary bytes — invalid UTF-8, mixed case,
-// terms that are not even normalized — the two must agree exactly.
+// path for ASCII and the rune path for everything else, and the string
+// entry points (ContainsTerms, TermFreqsInto) run them over a view of the
+// string. On arbitrary bytes — invalid UTF-8, mixed case, terms that are
+// not even normalized — every entry must agree exactly with counting
+// Tokenize's tokens, the definition of a plain-pipeline term.
 func FuzzByteKernelsMatchRunePath(f *testing.F) {
 	f.Add([]byte("Wireless INTERNET, pool; golf-course a1"), "internet", "a1")
 	f.Add([]byte("Café CAFÉ café \xc3 caf\xc3\xa9!"), "café", "caf")
@@ -66,18 +69,37 @@ func FuzzByteKernelsMatchRunePath(f *testing.F) {
 	f.Add([]byte("Kitten \u212Aitten KITTEN"), "kitten", "\u212Aitten")
 	f.Add([]byte("İstanbul Istanbul"), "istanbul", "i")
 	f.Fuzz(func(t *testing.T, text []byte, t1, t2 string) {
+		var plain *Analyzer
 		terms := []string{t1, t2}
-		want, got := make([]int, 2), make([]int, 2)
-		CountTermsInto(want, string(text), terms)
+		want := tokenCounts(string(text), terms)
+		got, str := make([]int, 2), make([]int, 2)
 		CountTermsBytesInto(got, text, terms, new([]byte))
-		if want[0] != got[0] || want[1] != got[1] {
-			t.Fatalf("counts of %q in %q: rune path %v, byte kernels %v", terms, text, want, got)
+		plain.TermFreqsInto(str, string(text), terms)
+		if want[0] != got[0] || want[1] != got[1] || want[0] != str[0] || want[1] != str[1] {
+			t.Fatalf("counts of %q in %q: Tokenize %v, byte kernels %v, string entry %v", terms, text, want, got, str)
 		}
-		if w, g := containsTermsScan(string(text), terms), containsTermsScanBytes(text, terms); w != g {
-			t.Fatalf("contains %q in %q: rune path %v, byte kernels %v", terms, text, w, g)
+		w := allPositive(want)
+		if g, s := containsTermsScanBytes(text, terms), plain.ContainsTerms(string(text), terms); g != w || s != w {
+			t.Fatalf("contains %q in %q: Tokenize %v, byte kernels %v, string entry %v", terms, text, w, g, s)
 		}
-		if w, g := tokenFoldEq(string(text), t1), tokenFoldEqBytes(text, t1); w != g {
-			t.Fatalf("fold-equal %q vs %q: rune path %v, byte kernels %v", text, t1, w, g)
+		if w, g := foldEqRunes(string(text), t1), tokenFoldEqBytes(text, t1); w != g {
+			t.Fatalf("fold-equal %q vs %q: rune-by-rune %v, byte kernels %v", text, t1, w, g)
 		}
 	})
+}
+
+// foldEqRunes is tokenFoldEqBytes spelled over []rune conversions: the
+// token's runes lower-cased equal the term's, an invalid byte decoding to
+// U+FFFD on both sides.
+func foldEqRunes(tok, term string) bool {
+	tr, mr := []rune(tok), []rune(term)
+	if len(tr) != len(mr) {
+		return false
+	}
+	for i, r := range tr {
+		if unicode.ToLower(r) != mr[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -156,15 +156,15 @@ func TestAnalyzerPipeline(t *testing.T) {
 		t.Errorf("Keywords = %v", got)
 	}
 
-	// ContainsAll under stemming: inflection-insensitive.
-	if !full.ContainsAll("boats fishing daily", []string{"boat", "fish"}) {
+	// Containment under stemming: inflection-insensitive.
+	if !full.ContainsTerms("boats fishing daily", full.Keywords([]string{"boat", "fish"})) {
 		t.Error("stemmed containment failed")
 	}
-	if full.ContainsAll("boats fishing daily", []string{"submarine"}) {
+	if full.ContainsTerms("boats fishing daily", full.Keywords([]string{"submarine"})) {
 		t.Error("false containment")
 	}
 	// Plain analyzer: no conflation.
-	if plain.ContainsAll("boats fishing daily", []string{"boat"}) {
+	if plain.ContainsTerms("boats fishing daily", plain.Keywords([]string{"boat"})) {
 		t.Error("plain analyzer conflated inflections")
 	}
 }
@@ -174,7 +174,7 @@ func TestNilAnalyzerBehavesPlain(t *testing.T) {
 	if got := a.Tokens("Hello World"); strings.Join(got, " ") != "hello world" {
 		t.Errorf("nil analyzer tokens = %v", got)
 	}
-	if !a.ContainsAll("hello world", []string{"hello"}) {
+	if !a.ContainsTerms("hello world", []string{"hello"}) {
 		t.Error("nil analyzer containment")
 	}
 	if got := a.TermFreqs("x x y"); got["x"] != 2 || got["y"] != 1 {

@@ -7,9 +7,6 @@ import (
 	"testing"
 )
 
-//go:noinline
-func sinkBool(b bool) {}
-
 // TestContainsTermsAllocFree gates the plain-pipeline membership scan: the
 // per-candidate false-positive filter of every top-k query must not
 // allocate. Skipped under -race (the detector breaks AllocsPerRun).

@@ -5,13 +5,22 @@ import (
 	"encoding/binary"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
-// Byte-slice twins of the scan kernels in scan.go. The candidate filter of
-// the read hot path runs over rows still sitting in I/O scratch buffers;
-// converting each to a string before scanning would reintroduce exactly the
-// per-candidate allocation the kernels exist to remove. Equivalence with
-// the string kernels is pinned by tests.
+// This file holds the allocation-free scanning kernels of the read path:
+// counting and membership-testing already-normalized query terms against a
+// document without materializing its tokens. Tokenize builds a string per
+// token — fine for indexing, but the candidate filters run per loaded row.
+// The kernels take bytes, because the hot filters run over rows still
+// sitting in I/O scratch buffers; a caller holding a string passes
+// viewBytes of it instead of a copy. FuzzByteKernelsMatchRunePath holds
+// every entry point, string and byte, to counting over Tokenize.
+
+// viewBytes returns the bytes of s without copying them. The kernels only
+// read their text, so the view never outlives the call that takes it and
+// nothing writes through it.
+func viewBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // Rows are almost entirely ASCII, so the kernels classify and fold a byte
 // below utf8.RuneSelf from asciiTab and only decode a rune — and consult the
@@ -41,7 +50,9 @@ func tokenRune(b []byte) (tok bool, size int) {
 	return unicode.IsLetter(r) || unicode.IsDigit(r), sz
 }
 
-// tokenFoldEqBytes is tokenFoldEq for a raw byte token.
+// tokenFoldEqBytes reports whether the raw token equals the (already
+// lower-case) term after per-rune lower-casing — the same normalization
+// Tokenize applies, without building the lowered string.
 //
 //skvet:hotpath
 func tokenFoldEqBytes(tok []byte, term string) bool {
@@ -82,8 +93,11 @@ func countTokBytes(counts []int, tok []byte, terms []string) {
 	}
 }
 
-// CountTermsBytesInto is CountTermsInto for a document in a byte buffer.
-// fold is caller-owned working space, grown on first use and reused after.
+// CountTermsBytesInto sets counts[i] to the number of occurrences of
+// terms[i] in text under plain tokenization, without allocating once fold
+// has grown. Terms must already be normalized (lower-case single tokens);
+// counts must have at least len(terms) elements. fold is caller-owned
+// working space, grown on first use and reused after.
 //
 // An all-ASCII document is lower-cased into fold in one pass, and each term
 // is then counted with a substring search (countTokenASCII) instead of
@@ -183,9 +197,9 @@ func countTokenASCII(low, term []byte) int {
 // isTokenASCII reports whether the ASCII byte c is a letter or digit.
 func isTokenASCII(c byte) bool { return asciiTab[c&0x7f]&asciiTokenBit != 0 }
 
-// countTermsRunes is CountTermsBytesInto's scan for any document: it walks
-// the tokens, decoding a rune wherever a byte is not ASCII, and compares
-// each token with every term.
+// countTermsRunes is CountTermsBytesInto's scan for any document, and the
+// plain TermFreqsInto: it walks the tokens, decoding a rune wherever a byte
+// is not ASCII, and compares each token with every term.
 //
 //skvet:hotpath
 func countTermsRunes(counts []int, text []byte, terms []string) {
@@ -216,8 +230,10 @@ func countTermsRunes(counts []int, text []byte, terms []string) {
 	}
 }
 
-// containsTermsScanBytes is containsTermsScan for a document in a byte
-// buffer. Requires 0 < len(terms) < 64.
+// containsTermsScanBytes reports whether every term occurs in text under
+// plain tokenization, scanning the document once and stopping as soon as
+// the last term is found. Requires 0 < len(terms) < 64 (the found-set is a
+// bitmask).
 //
 //skvet:hotpath
 func containsTermsScanBytes(text []byte, terms []string) bool {

@@ -17,7 +17,7 @@ import (
 // Tokenize splits a document into lower-case word tokens. Runs of letters
 // and digits form tokens; every other rune is a separator. The result
 // preserves document order and may contain duplicates (term frequency
-// information); use UniqueTokens for the distinct-word set.
+// information); (*Analyzer)(nil).Unique gives the distinct-word set.
 func Tokenize(text string) []string {
 	var tokens []string
 	var b strings.Builder
@@ -38,34 +38,20 @@ func Tokenize(text string) []string {
 	return tokens
 }
 
-// UniqueTokens returns the distinct words of a document in first-occurrence
-// order. This is the word set that is hashed into an object's signature and
-// posted into the inverted index.
-func UniqueTokens(text string) []string {
-	tokens := Tokenize(text)
-	seen := make(map[string]struct{}, len(tokens))
-	uniq := tokens[:0]
-	for _, tok := range tokens {
-		if _, ok := seen[tok]; ok {
-			continue
-		}
-		seen[tok] = struct{}{}
-		uniq = append(uniq, tok)
-	}
-	return uniq
-}
-
 // ContainsAll reports whether the document contains every query keyword.
 // This is the conjunctive ("Boolean keyword query") check of the paper's
 // distance-first queries, and the false-positive filter of IR2TopK line 21.
-// Keywords are normalized with the same rules as Tokenize.
+// Keywords are normalized with the same rules as Tokenize. It builds the
+// document's token set: the R-Tree baseline's filter, and the reference the
+// scan kernels are tested against.
 func ContainsAll(text string, keywords []string) bool {
 	if len(keywords) == 0 {
 		return true
 	}
+	var plain *Analyzer
 	set := TokenSet(text)
 	for _, w := range keywords {
-		if _, ok := set[Normalize(w)]; !ok {
+		if _, ok := set[plain.Keyword(w)]; !ok {
 			return false
 		}
 	}
@@ -80,37 +66,6 @@ func TokenSet(text string) map[string]struct{} {
 		set[tok] = struct{}{}
 	}
 	return set
-}
-
-// Normalize applies the token normalization rules to a single keyword,
-// returning the first token of the keyword text ("" if the keyword contains
-// no alphanumeric runes). Query keywords are single words in the paper's
-// model.
-func Normalize(keyword string) string {
-	toks := Tokenize(keyword)
-	if len(toks) == 0 {
-		return ""
-	}
-	return toks[0]
-}
-
-// NormalizeAll normalizes a keyword list, dropping empties and duplicates
-// while preserving order.
-func NormalizeAll(keywords []string) []string {
-	out := make([]string, 0, len(keywords))
-	seen := make(map[string]struct{}, len(keywords))
-	for _, w := range keywords {
-		n := Normalize(w)
-		if n == "" {
-			continue
-		}
-		if _, ok := seen[n]; ok {
-			continue
-		}
-		seen[n] = struct{}{}
-		out = append(out, n)
-	}
-	return out
 }
 
 // Vocabulary accumulates corpus-level term statistics: the set of distinct
@@ -130,13 +85,8 @@ func NewVocabulary() *Vocabulary {
 	return &Vocabulary{docFreq: make(map[string]int)}
 }
 
-// AddDoc folds one document into the statistics using plain tokenization.
-func (v *Vocabulary) AddDoc(text string) {
-	v.AddDocWith(nil, text)
-}
-
 // AddDocWith folds one document in through the given analyzer pipeline
-// (nil behaves like AddDoc) and returns the document's largest pipeline
+// (nil is plain tokenization) and returns the document's largest pipeline
 // term frequency: no term of the document occurs more often (0 for a
 // document with no terms). Every document of a corpus must go through the
 // same pipeline.
@@ -164,7 +114,8 @@ func (v *Vocabulary) NumWords() int { return len(v.docFreq) }
 
 // DocFreq returns the number of documents containing word (normalized).
 func (v *Vocabulary) DocFreq(word string) int {
-	return v.docFreq[Normalize(word)]
+	var plain *Analyzer
+	return v.docFreq[plain.Keyword(word)]
 }
 
 // AvgUniqueWordsPerDoc returns the mean number of distinct words per

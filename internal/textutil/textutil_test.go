@@ -31,14 +31,17 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// TestUniqueTokens: the plain pipeline's Unique is the distinct-word set in
+// first-occurrence order.
 func TestUniqueTokens(t *testing.T) {
-	got := UniqueTokens("pool spa Pool internet spa")
+	var plain *Analyzer
+	got := plain.Unique("pool spa Pool internet spa")
 	want := []string{"pool", "spa", "internet"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("UniqueTokens = %v, want %v", got, want)
+		t.Errorf("Unique = %v, want %v", got, want)
 	}
-	if got := UniqueTokens(""); len(got) != 0 {
-		t.Errorf("UniqueTokens(empty) = %v", got)
+	if got := plain.Unique(""); len(got) != 0 {
+		t.Errorf("Unique(empty) = %v", got)
 	}
 }
 
@@ -66,7 +69,9 @@ func TestContainsAll(t *testing.T) {
 	}
 }
 
+// TestNormalize: the plain pipeline's Keyword is a keyword's first token.
 func TestNormalize(t *testing.T) {
+	var plain *Analyzer
 	tests := []struct{ in, want string }{
 		{"Internet", "internet"},
 		{"  POOL  ", "pool"},
@@ -75,17 +80,19 @@ func TestNormalize(t *testing.T) {
 		{"!!!", ""},
 	}
 	for _, tt := range tests {
-		if got := Normalize(tt.in); got != tt.want {
-			t.Errorf("Normalize(%q) = %q, want %q", tt.in, got, tt.want)
+		if got := plain.Keyword(tt.in); got != tt.want {
+			t.Errorf("Keyword(%q) = %q, want %q", tt.in, got, tt.want)
 		}
 	}
 }
 
+// TestNormalizeAll: the plain pipeline's Keywords drops empties and
+// duplicates and keeps the order.
 func TestNormalizeAll(t *testing.T) {
-	got := NormalizeAll([]string{"Internet", "pool", "", "INTERNET", "!!", "spa"})
+	got := (*Analyzer)(nil).Keywords([]string{"Internet", "pool", "", "INTERNET", "!!", "spa"})
 	want := []string{"internet", "pool", "spa"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("NormalizeAll = %v, want %v", got, want)
+		t.Errorf("Keywords = %v, want %v", got, want)
 	}
 }
 
@@ -98,7 +105,7 @@ func TestVocabulary(t *testing.T) {
 		"spa, continental suites, pool",
 	}
 	for _, d := range docs {
-		v.AddDoc(d)
+		v.AddDocWith(nil, d)
 	}
 	if v.NumDocs() != 3 {
 		t.Errorf("NumDocs = %d", v.NumDocs())
@@ -145,7 +152,7 @@ func TestQuickTokenizeAlwaysLowercaseAndNonEmpty(t *testing.T) {
 func TestQuickContainsAllOfOwnTokens(t *testing.T) {
 	// Every document contains all of its own unique tokens.
 	f := func(s string) bool {
-		return ContainsAll(s, UniqueTokens(s))
+		return ContainsAll(s, (*Analyzer)(nil).Unique(s))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -154,7 +161,7 @@ func TestQuickContainsAllOfOwnTokens(t *testing.T) {
 
 func TestQuickUniqueTokensAreUnique(t *testing.T) {
 	f := func(s string) bool {
-		uniq := UniqueTokens(s)
+		uniq := (*Analyzer)(nil).Unique(s)
 		seen := make(map[string]struct{}, len(uniq))
 		for _, w := range uniq {
 			if _, dup := seen[w]; dup {

@@ -165,10 +165,9 @@ func bruteTopKRows(rows []packRow, k int, p []float64, kws []string) []uint64 {
 		id   uint64
 		dist float64
 	}
-	var an *textutil.Analyzer
 	var cands []cand
 	for i, r := range rows {
-		if !an.ContainsAll(r.text, kws) {
+		if !textutil.ContainsAll(r.text, kws) {
 			continue
 		}
 		var d float64

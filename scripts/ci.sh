@@ -42,7 +42,11 @@
 #   micro   informational, not in all: the microbenchmarks of a ranked
 #           candidate's load and term count (objstore.GetFiltered on a
 #           two-block row, textutil.CountTermsBytesInto on lower-case,
-#           mixed-case and non-ASCII rows), of a file device's run read and
+#           mixed-case and non-ASCII rows), of the term kernels' string
+#           entry (textutil BenchmarkContainsTerms, the range query's and
+#           the fences' filter, on the same rows) and SKQL's per-candidate
+#           residual filter (skql.BenchmarkResidualFilter, a 15-word row),
+#           of a file device's run read and
 #           the charge a current cached node pays instead
 #           (storage.FileDisk ReadRunInto and ChargeRun, 1- and 3-block
 #           runs), of a cold node load's parse and signature-column build
@@ -156,7 +160,8 @@ run_bench() {
 
 run_micro() {
 	step micro
-	go test -run '^$' -bench 'CountTermsBytes|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
+	go test -run '^$' -bench 'CountTermsBytes|ContainsTerms|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
+	go test -run '^$' -bench 'ResidualFilter' -benchmem ./internal/skql
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
 	go test -run '^$' -bench 'DurableLoad|DurableTopK|DurableRanked' -benchmem .
