@@ -32,13 +32,13 @@ type GeneralOptions struct {
 	// score. When false the traversal can fall back to pure spatial
 	// ranking for keyword-less regions.
 	RequireMatch bool
-	// TFCaps holds one term-frequency cap per object ID (irscore.TFCap of
-	// the row's largest pipeline term frequency), or nil. An object entry's
-	// bound weighs each matched keyword by irscore.CapWeight of its row's
-	// cap instead of 1; an ID past the end, or a cap of 0, keeps the paper's
-	// bound. Every cap must be at least the row's real largest term
-	// frequency, or answers are no longer exact.
-	TFCaps []uint8
+	// RowTFs holds one term-frequency summary per object ID (the row's
+	// term-frequency cap and repeated-term mask), or nil. An object entry's
+	// bound weighs each matched keyword by irscore.RowTF.Weight of its row
+	// instead of 1; an ID past the end, or a zero RowTF, keeps the paper's
+	// bound. Every RowTF must bound its row's real term frequencies, or
+	// answers are no longer exact.
+	RowTFs []irscore.RowTF
 }
 
 // SearchRanked starts a *general* top-k spatial keyword query: objects
@@ -70,38 +70,44 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	// Word-at-a-time views keep the per-entry bound allocation-free.
 	perLevel := &levelWordSigs{scheme: x.scheme, words: normalized}
 
-	// capWeight bounds the term weights of the row at ptr by its cap, found
-	// by the row pointer's position in the store's directory (rows are
-	// appended in offset order).
+	// rowTF finds the term-frequency summary of the row at ptr by the row
+	// pointer's position in the store's directory (rows are appended in
+	// offset order), or nil.
 	ptrs := x.store.Ptrs()
-	capWeight := func(ptr uint64) float64 {
+	rowTF := func(ptr uint64) *irscore.RowTF {
 		id, ok := slices.BinarySearch(ptrs, objstore.Ptr(ptr))
-		if !ok || id >= len(opts.TFCaps) {
-			return 1
+		if !ok || id >= len(opts.RowTFs) {
+			return nil
 		}
-		return irscore.CapWeight(opts.TFCaps[id])
+		return &opts.RowTFs[id]
+	}
+	probes := make([]irscore.TermProbe, len(normalized))
+	for i, w := range normalized {
+		probes[i] = irscore.ProbeTerm(w)
 	}
 
 	// upperIR returns the signature-derived IR upper bound of an entry:
-	// Σ w·idf(w_i) over the keywords whose signature the entry's covers,
-	// where w bounds the term weight of everything under the entry — 1 for
-	// a node, whose subtree's rows may hold any term frequency, and the
-	// row's cap for an object, looked up once a keyword matches. It sums in
-	// ScoreFromCounts' order, term by term, so a row's bound is never below
-	// its exact score by a rounding.
+	// Σ wᵢ·idf(wᵢ) over the keywords whose signature the entry's covers,
+	// where wᵢ bounds keyword i's term weight in everything under the entry
+	// — 1 for a node, whose subtree's rows may hold any term frequency, and
+	// the row's RowTF.Weight for an object, whose summary is looked up once
+	// a keyword matches. It sums in ScoreFromCounts' order, term by term, so
+	// a row's bound is never below its exact score by a rounding.
 	upperIR := func(isObject bool, level int, aux []byte, ptr uint64) float64 {
 		sigs := perLevel.at(level)
 		var matched float64
-		w := 0.0
+		var row *irscore.RowTF
+		lookup := isObject && opts.RowTFs != nil
 		for i := range sigs {
 			if !sigs[i].MatchesTolerant(aux) {
 				continue
 			}
-			if w == 0 {
-				w = 1
-				if isObject && opts.TFCaps != nil {
-					w = capWeight(ptr)
-				}
+			if lookup {
+				row, lookup = rowTF(ptr), false
+			}
+			w := 1.0
+			if row != nil {
+				w = row.Weight(probes[i])
 			}
 			matched += w * idfs[i]
 		}

@@ -66,7 +66,7 @@ func buildFixture(t *testing.T, rows []struct {
 	for _, r := range rows {
 		_, ptr, _ := f.store.Append(geo.NewPoint(r.lat, r.lon), r.text)
 		f.ptrs = append(f.ptrs, ptr)
-		f.vocab.AddDocWith(nil, r.text)
+		f.vocab.AddDocWith(nil, r.text, nil)
 	}
 	if err := f.store.Sync(); err != nil {
 		t.Fatal(err)

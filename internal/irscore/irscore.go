@@ -15,15 +15,17 @@
 // provable upper bound for every object in the subtree, so the general
 // algorithm's output order is exact. (DESIGN.md discusses this choice.)
 //
-// An object entry's bound is tighter. Each row records a term-frequency cap
-// (TFCap): its largest pipeline term frequency, one byte, saturating at
-// MaxTFCap. No query term occurs in the row more often than that, and
-// TFWeight grows with tf, so Σ CapWeight(cap)·idf(w) over the matched
-// keywords still bounds the row's exact score. On rows that repeat few
-// words the cap is small (a row whose words each occur once is bounded by
-// Σ idf/2); on long real documents a per-row maximum tends to saturate,
-// and the bound falls back towards the paper's. A cap of 0 is unknown and
-// keeps the paper's bound.
+// An object entry's bound is tighter. Each row records a RowTF: a
+// term-frequency cap (TFCap), its largest pipeline term frequency in one
+// byte, saturating at MaxTFCap, and a 256-bit Bloom mask of the terms the
+// row repeats. A query keyword the mask proves to occur at most once in the
+// row weighs at most TFWeight(1); any other weighs at most CapWeight(cap),
+// since no term occurs in the row more often than the cap and TFWeight
+// grows with tf. So Σ RowTF.Weight·idf(w) over the matched keywords still
+// bounds the row's exact score. The cap alone saturates on rows that repeat
+// any word often; the mask keeps a keyword the row holds once at half the
+// paper's weight whatever else the row repeats. A zero RowTF is unknown
+// and keeps the paper's bound.
 package irscore
 
 import (
@@ -134,6 +136,70 @@ func CapWeight(cap uint8) float64 {
 		return 1
 	}
 	return TFWeight(int(cap))
+}
+
+// RepeatedMaskBits is the size of a row's repeated-term mask: what one
+// byte of a TermProbe addresses. At Hotels' ≈ 35 repeated words per row,
+// two bits each, a keyword the row holds once falsely reads as repeated
+// about 6 % of the time (DESIGN.md S9 has the 64- and 128-bit numbers).
+const RepeatedMaskBits = 256
+
+// TermProbe is a term's two bit positions in a repeated-term mask, from one
+// fixed hash (FNV-1a, finished with a multiply-xorshift mix; its bytes 0 and
+// 4): the rows and the queries of every engine, and every process, agree on
+// it. A query computes its keywords' probes once.
+type TermProbe [2]uint8
+
+// ProbeTerm returns the mask positions of a normalized pipeline term.
+func ProbeTerm(term string) TermProbe {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(term); i++ {
+		h ^= uint64(term[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 31
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 29
+	return TermProbe{uint8(h), uint8(h >> 32)}
+}
+
+// RowTF is what the ranked query knows of one row's term frequencies
+// without reading the row: its term-frequency cap and a Bloom mask holding
+// every pipeline term the row repeats (tf ≥ 2). The zero value is unknown
+// and bounds every keyword by the paper's weight of 1.
+type RowTF struct {
+	repeated [RepeatedMaskBits / 8]byte
+	cap      uint8
+}
+
+// SetCap records the row's largest pipeline term frequency.
+func (r *RowTF) SetCap(maxTF int) { r.cap = TFCap(maxTF) }
+
+// Cap returns the row's term-frequency cap.
+func (r *RowTF) Cap() uint8 { return r.cap }
+
+// AddRepeated records a pipeline term that occurs in the row at least twice.
+func (r *RowTF) AddRepeated(term string) {
+	for _, b := range ProbeTerm(term) {
+		r.repeated[b>>3] |= 1 << (b & 7)
+	}
+}
+
+// MayRepeat reports whether the term with probe p may occur in the row more
+// than once. A Bloom mask has no false negatives: false means the row holds
+// the term at most once.
+func (r *RowTF) MayRepeat(p TermProbe) bool {
+	return r.repeated[p[0]>>3]&(1<<(p[0]&7)) != 0 && r.repeated[p[1]>>3]&(1<<(p[1]&7)) != 0
+}
+
+// Weight returns the largest TFWeight the term with probe p can have in the
+// row: TFWeight(1) when the mask proves the term occurs at most once,
+// otherwise CapWeight of the row's cap (1 when the cap is unknown).
+func (r *RowTF) Weight(p TermProbe) float64 {
+	if r.cap > 1 && !r.MayRepeat(p) {
+		return TFWeight(1)
+	}
+	return CapWeight(r.cap)
 }
 
 // UpperBound returns the maximum possible IRscore of any document whose

@@ -3,6 +3,7 @@ package irscore
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"spatialkeyword/internal/textutil"
@@ -19,7 +20,7 @@ func corpus() (*Scorer, []string) {
 	}
 	v := textutil.NewVocabulary()
 	for _, d := range docs {
-		v.AddDocWith(nil, d)
+		v.AddDocWith(nil, d, nil)
 	}
 	return NewScorer(v.NumDocs(), v.DocFreq), docs
 }
@@ -127,7 +128,7 @@ func TestUpperBoundRandomized(t *testing.T) {
 				d += vocab[rng.Intn(len(vocab))] + " "
 			}
 			docs[i] = d
-			v.AddDocWith(nil, d)
+			v.AddDocWith(nil, d, nil)
 		}
 		s := NewScorer(v.NumDocs(), v.DocFreq)
 		// Random query.
@@ -206,4 +207,84 @@ func TestCapWeightBoundsEveryTFBelowTheCap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pipelines are the four text pipelines an engine's Config selects.
+var pipelines = map[string]*textutil.Analyzer{
+	"plain":              nil,
+	"stopwords":          {Stopwords: textutil.DefaultStopwords()},
+	"stemming":           {Stemming: true},
+	"stopwords+stemming": {Stemming: true, Stopwords: textutil.DefaultStopwords()},
+}
+
+// rowTFOf records a row's term-frequency summary the way an engine's add
+// does.
+func rowTFOf(a *textutil.Analyzer, text string) RowTF {
+	var r RowTF
+	r.SetCap(textutil.NewVocabulary().AddDocWith(a, text, r.AddRepeated))
+	return r
+}
+
+// TestRowTFWeight: the zero summary keeps the paper's weight of 1; a row
+// bounds a term it repeats by its cap's weight, and a term it holds once —
+// whatever else it repeats — by TFWeight(1).
+func TestRowTFWeight(t *testing.T) {
+	var unknown RowTF
+	if w := unknown.Weight(ProbeTerm("pool")); w != 1 {
+		t.Fatalf("unknown row weighs %v, want 1", w)
+	}
+	r := rowTFOf(nil, "pool spa pool sauna pool gift gift")
+	if r.Cap() != 3 {
+		t.Fatalf("cap %d, want 3", r.Cap())
+	}
+	for _, term := range []string{"pool", "gift"} {
+		if !r.MayRepeat(ProbeTerm(term)) || r.Weight(ProbeTerm(term)) != CapWeight(3) {
+			t.Fatalf("repeated %q weighs %v, want %v", term, r.Weight(ProbeTerm(term)), CapWeight(3))
+		}
+	}
+	held := 0
+	for _, term := range []string{"spa", "sauna", "absent"} {
+		if p := ProbeTerm(term); !r.MayRepeat(p) {
+			held++
+			if r.Weight(p) != TFWeight(1) {
+				t.Fatalf("%q held at most once weighs %v, want %v", term, r.Weight(p), TFWeight(1))
+			}
+		}
+	}
+	if held == 0 {
+		t.Fatal("every term held at most once reads as repeated in a mask of 2 words")
+	}
+	if once := rowTFOf(nil, "spa pool"); once.Weight(ProbeTerm("pool")) != TFWeight(1) {
+		t.Fatalf("a row of single words weighs %v", once.Weight(ProbeTerm("pool")))
+	}
+}
+
+// FuzzRowTFWeightAdmissible: for any row text and query words, on every
+// pipeline, no term — of the row, or a query word normalized — occurs in the
+// row, as the ranked query counts it (TermFreqsBytesInto), more often than
+// the row's summary allows: its weight is at least TFWeight of that count.
+func FuzzRowTFWeightAdmissible(f *testing.F) {
+	f.Add("Pool pool POOL\tpool spa", "pool", "spa")
+	f.Add("fishing fished fisher the the the", "fishes", "the")
+	f.Add("\u212Aelvin kelvin KELVIN\x00kelvin", "Kelvin", "\u212A")
+	f.Add("\u0130stanbul istanbul\r\nISTANBUL \u0130", "istanbul", "\u0130")
+	f.Add("café CAFÉ x\xffy x\xfey café", "CAFÉ", "x\xfey")
+	f.Add(strings.Repeat("a ", 300)+"b", "a", "b")
+	f.Fuzz(func(t *testing.T, text, word1, word2 string) {
+		if len(text) > 4096 {
+			t.Skip("longer than a row needs to be")
+		}
+		var fold []byte
+		for name, a := range pipelines {
+			r := rowTFOf(a, text)
+			terms := append(a.Unique(text), a.Keywords([]string{word1, word2})...)
+			counts := make([]int, len(terms))
+			a.TermFreqsBytesInto(counts, []byte(text), terms, &fold)
+			for i, n := range counts {
+				if w := r.Weight(ProbeTerm(terms[i])); w < TFWeight(n) {
+					t.Fatalf("%s: %q occurs %d times in %q, weighs %v, bound %v", name, terms[i], n, text, TFWeight(n), w)
+				}
+			}
+		}
+	})
 }

@@ -172,6 +172,11 @@ func counted[R any](q topkQuery[R], pulls []int) topkQuery[R] {
 // was capped by its row's largest term frequency, the ranked pulls of hash3
 // queries 0, 4 and 5 were recorded again the same way, with that commit's
 // ranked scorer weighing an object entry's matched keywords by the same cap.
+// Once each matched keyword was weighed by what its row can hold of it — 1/2
+// when the row's repeated-term mask proves it occurs at most once, the cap's
+// weight otherwise — the ranked pulls of hash3 queries 1, 4 and 5 were
+// recorded again the same way, with that commit's ranked scorer weighing
+// object entries by the same per-row summaries.
 func TestSerialPullsArePinned(t *testing.T) {
 	pinned := map[string][][2][]int{ // layout → query → {distance, ranked} pulls per lane
 		"grid1": {{{5}, {5}}, {{5}, {5}}, {{5}, {5}}, {{5}, {5}}, {{5}, {5}}, {{5}, {5}}},
@@ -181,8 +186,8 @@ func TestSerialPullsArePinned(t *testing.T) {
 		},
 		"hash1": {{{5}, {5}}, {{5}, {5}}, {{5}, {5}}, {{5}, {5}}, {{5}, {5}}, {{5}, {5}}},
 		"hash3": {
-			{{4, 1, 2}, {3, 1, 2}}, {{1, 2, 2}, {2, 3, 2}}, {{2, 1, 2}, {2, 3, 1}},
-			{{1, 4, 1}, {2, 3, 1}}, {{2, 1, 2}, {4, 1, 2}}, {{1, 1, 3}, {3, 1, 2}},
+			{{4, 1, 2}, {3, 1, 2}}, {{1, 2, 2}, {2, 3, 1}}, {{2, 1, 2}, {2, 3, 1}},
+			{{1, 4, 1}, {2, 3, 1}}, {{2, 1, 2}, {4, 1, 1}}, {{1, 1, 3}, {2, 1, 2}},
 		},
 	}
 	rows, stats, bounds := loadDataset(t, dataset.Restaurants(0.001))

@@ -88,18 +88,22 @@ func NewVocabulary() *Vocabulary {
 // AddDocWith folds one document in through the given analyzer pipeline
 // (nil is plain tokenization) and returns the document's largest pipeline
 // term frequency: no term of the document occurs more often (0 for a
-// document with no terms). Every document of a corpus must go through the
-// same pipeline.
-func (v *Vocabulary) AddDocWith(a *Analyzer, text string) (maxTF int) {
+// document with no terms). It calls repeated, if not nil, once for every
+// term the document holds at least twice, as the term's second occurrence
+// is counted. Every document of a corpus must go through the same pipeline.
+func (v *Vocabulary) AddDocWith(a *Analyzer, text string, repeated func(term string)) (maxTF int) {
 	tokens := a.Tokens(text)
 	tf := make(map[string]int, len(tokens))
 	for _, tok := range tokens {
 		n := tf[tok] + 1
 		tf[tok] = n
 		maxTF = max(maxTF, n)
-		if n == 1 {
+		switch {
+		case n == 1:
 			v.docFreq[tok]++
 			v.uniqueSum++
+		case n == 2 && repeated != nil:
+			repeated(tok)
 		}
 	}
 	v.numDocs++

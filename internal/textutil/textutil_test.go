@@ -1,6 +1,7 @@
 package textutil
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,7 +106,7 @@ func TestVocabulary(t *testing.T) {
 		"spa, continental suites, pool",
 	}
 	for _, d := range docs {
-		v.AddDocWith(nil, d)
+		v.AddDocWith(nil, d, nil)
 	}
 	if v.NumDocs() != 3 {
 		t.Errorf("NumDocs = %d", v.NumDocs())
@@ -122,6 +123,74 @@ func TestVocabulary(t *testing.T) {
 	// Doc unique counts: 6, 5, 4 → avg 5.
 	if got, want := v.AvgUniqueWordsPerDoc(), 5.0; got != want {
 		t.Errorf("AvgUniqueWordsPerDoc = %g, want %g", got, want)
+	}
+}
+
+// TestAddDocWithReportsRepeatedTerms: AddDocWith reports every pipeline
+// term the document holds twice or more exactly once, and returns the
+// largest term frequency.
+func TestAddDocWithReportsRepeatedTerms(t *testing.T) {
+	stem := &Analyzer{Stemming: true, Stopwords: DefaultStopwords()}
+	for _, c := range []struct {
+		a     *Analyzer
+		text  string
+		maxTF int
+		rep   []string
+	}{
+		{nil, "", 0, nil},
+		{nil, "pool spa sauna", 1, nil},
+		{nil, "Pool spa POOL, spa pool gift", 3, []string{"pool", "spa"}},
+		{stem, "the fishing, the fished fish and pools pool", 3, []string{"fish", "pool"}},
+	} {
+		var rep []string
+		if got := NewVocabulary().AddDocWith(c.a, c.text, func(term string) { rep = append(rep, term) }); got != c.maxTF {
+			t.Errorf("AddDocWith(%q) = %d, want %d", c.text, got, c.maxTF)
+		}
+		if !reflect.DeepEqual(rep, c.rep) {
+			t.Errorf("AddDocWith(%q) reported %q, want %q", c.text, rep, c.rep)
+		}
+	}
+}
+
+// BenchmarkAddDocWith times an add's vocabulary fold with its repeated-term
+// report, on a Hotels-length row (349 distinct words) and a
+// Restaurants-length one (14), a quarter of the words of each occurring two
+// or three times. It also reports the repeated terms per row.
+func BenchmarkAddDocWith(b *testing.B) {
+	rng := rand.New(rand.NewSource(38))
+	row := func(distinct int) string {
+		var sb strings.Builder
+		for i := 0; i < distinct; i++ {
+			w := make([]byte, 3+rng.Intn(7))
+			for j := range w {
+				w[j] = byte('a' + rng.Intn(26))
+			}
+			tf := 1
+			if i%4 == 0 {
+				tf += 1 + rng.Intn(2)
+			}
+			for ; tf > 0; tf-- {
+				sb.Write(w)
+				sb.WriteByte(' ')
+			}
+		}
+		return sb.String()
+	}
+	for _, c := range []struct {
+		name     string
+		distinct int
+	}{{"hotels", 349}, {"restaurants", 14}} {
+		text := row(c.distinct)
+		b.Run(c.name, func(b *testing.B) {
+			v := NewVocabulary()
+			repeated := 0
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v.AddDocWith(nil, text, func(string) { repeated++ })
+			}
+			b.ReportMetric(float64(repeated)/float64(b.N), "repeated/op")
+		})
 	}
 }
 

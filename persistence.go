@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"spatialkeyword/internal/core"
+	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/wal"
@@ -415,10 +416,11 @@ func openFromManifest(dir string, m manifest, committed uint64) (*Engine, error)
 		e.deleted[id] = true
 	}
 	// Rebuild the vocabulary (idf statistics) and the rows' term-frequency
-	// caps from the object file; the engine never removes deleted documents
-	// from it, so a full scan reproduces the live state.
+	// summaries from the object file; the engine never removes deleted
+	// documents from it, so a full scan reproduces the live state.
+	e.rowTFs = make([]irscore.RowTF, store.NumObjects())
 	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-		e.setTFCap(o.ID, e.vocab.AddDocWith(e.an, o.Text))
+		e.addRowTF(o.ID, o.Text)
 		return nil
 	}); err != nil {
 		e.Close()

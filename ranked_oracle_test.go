@@ -35,7 +35,7 @@ func newRankedOracle(an *textutil.Analyzer, rows []spatialkeyword.Object, delete
 	vocab := textutil.NewVocabulary()
 	o := &rankedOracle{rows: rows, deleted: map[uint64]bool{}}
 	for _, r := range rows {
-		vocab.AddDocWith(an, r.Text)
+		vocab.AddDocWith(an, r.Text, nil)
 		o.tf = append(o.tf, an.TermFreqs(r.Text))
 	}
 	o.scorer = irscore.NewScorer(vocab.NumDocs(), vocab.DocFreq).WithAnalyzer(an)

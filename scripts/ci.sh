@@ -46,7 +46,9 @@
 #           entry (textutil BenchmarkContainsTerms, the range query's and
 #           the fences' filter, on the same rows) and SKQL's per-candidate
 #           residual filter (skql.BenchmarkResidualFilter, a 15-word row),
-#           of a file device's run read and
+#           of an add's vocabulary fold with its repeated-term report
+#           (textutil.BenchmarkAddDocWith, Hotels- and Restaurants-length
+#           rows), of a file device's run read and
 #           the charge a current cached node pays instead
 #           (storage.FileDisk ReadRunInto and ChargeRun, 1- and 3-block
 #           runs), of a cold node load's parse and signature-column build
@@ -160,7 +162,7 @@ run_bench() {
 
 run_micro() {
 	step micro
-	go test -run '^$' -bench 'CountTermsBytes|ContainsTerms|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
+	go test -run '^$' -bench 'CountTermsBytes|ContainsTerms|AddDocWith|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
 	go test -run '^$' -bench 'ResidualFilter' -benchmem ./internal/skql
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree

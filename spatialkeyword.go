@@ -247,11 +247,11 @@ type Engine struct {
 	tree    *core.IR2Tree
 	vocab   *textutil.Vocabulary
 	an      *textutil.Analyzer // cfg.Analyzer(); nil = plain tokenization
-	// tfCaps is every row's term-frequency cap, indexed by object ID
-	// (irscore.TFCap of its largest pipeline term frequency; 0 = unknown):
-	// the ranked query's per-object bound (core.GeneralOptions.TFCaps). It
-	// is rebuilt from the object file at open, like vocab.
-	tfCaps []uint8
+	// rowTFs is every row's term-frequency summary, indexed by object ID
+	// (its cap and repeated-term mask; the zero value is unknown): the
+	// ranked query's per-object bound (core.GeneralOptions.RowTFs). It is
+	// rebuilt from the object file at open, like vocab.
+	rowTFs []irscore.RowTF
 
 	// Durable engines (NewDurableEngine / OpenEngine) also track their
 	// backing directory, file devices, and last committed snapshot
@@ -568,19 +568,21 @@ func (e *Engine) applyAdd(point []float64, text string) error {
 	if err != nil {
 		return err
 	}
-	e.setTFCap(id, e.vocab.AddDocWith(e.an, text))
+	e.addRowTF(id, text)
 	e.pending = append(e.pending, uint64(id))
 	e.live++
 	return nil
 }
 
-// setTFCap records row id's term-frequency cap. A row whose add failed
-// after its append leaves a gap of unknown caps, so later IDs stay aligned.
-func (e *Engine) setTFCap(id objstore.ID, maxTF int) {
-	if n := int(id) + 1; n > len(e.tfCaps) {
-		e.tfCaps = append(e.tfCaps, make([]uint8, n-len(e.tfCaps))...)
+// addRowTF folds row id's text into the vocabulary and records the row's
+// term-frequency summary. A row whose add failed after its append leaves a
+// gap of unknown summaries, so later IDs stay aligned.
+func (e *Engine) addRowTF(id objstore.ID, text string) {
+	if n := int(id) + 1; n > len(e.rowTFs) {
+		e.rowTFs = append(e.rowTFs, make([]irscore.RowTF, n-len(e.rowTFs))...)
 	}
-	e.tfCaps[id] = irscore.TFCap(maxTF)
+	r := &e.rowTFs[id]
+	r.SetCap(e.vocab.AddDocWith(e.an, text, r.AddRepeated))
 }
 
 // Flush durably writes buffered objects and indexes them. Queries call it

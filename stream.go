@@ -311,7 +311,7 @@ func (e *Engine) searchRanked(cs *CorpusStats, point []float64, keywords []strin
 		Scorer:       scorer,
 		Combiner:     irscore.DistanceDiscount{Scale: 100},
 		RequireMatch: true,
-		TFCaps:       e.tfCaps,
+		RowTFs:       e.rowTFs,
 	})
 	return &RankedSearchIter{query: q, it: it}, nil
 }

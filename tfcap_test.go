@@ -2,12 +2,14 @@ package spatialkeyword
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/storage"
+	"spatialkeyword/internal/wal"
 )
 
 // capConfigs are the four text pipelines a Config selects.
@@ -48,23 +50,26 @@ func capText(rng *rand.Rand) string {
 	return b.String()
 }
 
-// checkTFCaps asserts that every row's cap is the largest term frequency the
-// ranked query can count in the row as stored — Analyzer.TermFreqsBytesInto
-// over the sanitised text, for every pipeline term of the row and every
-// extra query word — saturated as irscore.TFCap saturates it. A cap at least
-// that large keeps the ranked bound admissible; equal to it, the bound is as
-// tight as one byte per row allows. The rows in unknown must have cap 0,
-// which keeps the paper's bound.
+// checkTFCaps asserts that every row's term-frequency summary bounds the
+// term frequencies the ranked query can count in the row as stored —
+// Analyzer.TermFreqsBytesInto over the sanitised text, for every pipeline
+// term of the row and every extra query word. The cap must be the largest of
+// them, saturated as irscore.TFCap saturates it: at least that large keeps
+// the ranked bound admissible, and equal to it, the bound is as tight as one
+// byte per row allows. Every term counted twice or more must have both its
+// bits in the row's repeated-term mask, and weigh at most RowTF.Weight. The
+// rows in unknown must have the zero summary, which keeps the paper's bound.
 func checkTFCaps(t *testing.T, e *Engine, extra []string, unknown map[int]bool) {
 	t.Helper()
-	if got, want := len(e.tfCaps), e.store.NumObjects(); got != want {
-		t.Fatalf("%d caps for %d rows", got, want)
+	if got, want := len(e.rowTFs), e.store.NumObjects(); got != want {
+		t.Fatalf("%d term-frequency summaries for %d rows", got, want)
 	}
 	var fold []byte
 	for id := 0; id < e.store.NumObjects(); id++ {
+		row := &e.rowTFs[id]
 		if unknown[id] {
-			if e.tfCaps[id] != 0 {
-				t.Fatalf("row %d: cap %d, want 0 (unknown)", id, e.tfCaps[id])
+			if *row != (irscore.RowTF{}) {
+				t.Fatalf("row %d: summary %+v, want the zero (unknown) one", id, *row)
 			}
 			continue
 		}
@@ -77,31 +82,52 @@ func checkTFCaps(t *testing.T, e *Engine, extra []string, unknown map[int]bool) 
 		e.an.TermFreqsBytesInto(counts, []byte(o.Text), terms, &fold)
 		maxTF := 0
 		for i, n := range counts {
-			if c := e.tfCaps[id]; n > int(c) && c != irscore.MaxTFCap {
+			if c := row.Cap(); n > int(c) && c != irscore.MaxTFCap {
 				t.Fatalf("row %d %q: term %q occurs %d times, cap %d", id, o.Text, terms[i], n, c)
+			}
+			p := irscore.ProbeTerm(terms[i])
+			if n >= 2 && !row.MayRepeat(p) {
+				t.Fatalf("row %d %q: term %q occurs %d times, but its mask bits %v are not both set", id, o.Text, terms[i], n, p)
+			}
+			if w := row.Weight(p); w < irscore.TFWeight(n) {
+				t.Fatalf("row %d %q: term %q occurs %d times, weighs %v, bound %v", id, o.Text, terms[i], n, irscore.TFWeight(n), w)
 			}
 			maxTF = max(maxTF, n)
 		}
-		if want := irscore.TFCap(maxTF); e.tfCaps[id] != want {
-			t.Fatalf("row %d %q: cap %d, the row's largest term frequency gives %d", id, o.Text, e.tfCaps[id], want)
+		if want := irscore.TFCap(maxTF); row.Cap() != want {
+			t.Fatalf("row %d %q: cap %d, the row's largest term frequency gives %d", id, o.Text, row.Cap(), want)
 		}
 	}
 }
 
-// TestTFCapBoundsStoredRow: on every pipeline, the cap an add records bounds
-// every term frequency the ranked query counts in the stored row, and a
-// reopen, which rebuilds the caps from the object file, rebuilds the same
-// ones.
+// TestTFCapBoundsStoredRow: on every pipeline, the term-frequency summary
+// every route into the engine records bounds every term frequency the ranked
+// query counts in the stored row, and all routes record the same summaries:
+// a local add, a follower's ApplyReplicated of the shipped records, a reopen
+// that rebuilds the first half from the object file and replays the rest
+// from the write-ahead log, and a reopen that rebuilds every row from the
+// object file.
 func TestTFCapBoundsStoredRow(t *testing.T) {
 	for name, cfg := range capConfigs {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(36))
 			dir := t.TempDir()
+			cfg.WAL = true
 			e, err := NewDurableEngine(cfg, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 300; i++ {
+			var shipped []wal.Record
+			rotated := -1 // the follower saves where the leader's Save rotated its log
+			e.SetReplicationHooks(func(_ uint64, rec wal.Record) { shipped = append(shipped, rec) },
+				func(uint64) { rotated = len(shipped) })
+			const rows = 300
+			for i := 0; i < rows; i++ {
+				if i == rows/2 {
+					if err := e.Save(); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if _, err := e.Add([]float64{rng.Float64() * 100, rng.Float64() * 100}, capText(rng)); err != nil {
 					t.Fatal(err)
 				}
@@ -110,38 +136,80 @@ func TestTFCapBoundsStoredRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkTFCaps(t, e, []string{"\u212Aelvin", "ISTANBUL", "fishes", "the"}, nil)
-			atAdd := append([]uint8(nil), e.tfCaps...)
-			saturated := 0
-			for _, c := range atAdd {
-				if c == irscore.MaxTFCap {
+			atAdd := slices.Clone(e.rowTFs)
+			saturated, repeated := 0, 0
+			for _, r := range atAdd {
+				if r.Cap() == irscore.MaxTFCap {
 					saturated++
 				}
+				if r.Cap() > 1 {
+					repeated++
+				}
 			}
-			if saturated == 0 {
-				t.Fatal("no row saturated its cap: the generator misses the saturation case")
+			if saturated == 0 || repeated == len(atAdd) {
+				t.Fatalf("%d rows saturate their cap, %d of %d repeat a term: the generator misses a case", saturated, repeated, len(atAdd))
 			}
-			if err := e.Save(); err != nil {
+			same := func(route string, got *Engine) {
+				t.Helper()
+				if err := got.Flush(); err != nil { // rows are read back synced
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.rowTFs, atAdd) {
+					t.Fatalf("summaries after %s differ from the summaries set at add", route)
+				}
+				checkTFCaps(t, got, nil, nil)
+			}
+
+			follower, err := NewDurableEngine(cfg, t.TempDir())
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Close(); err != nil {
+			defer follower.Close()
+			for i, rec := range shipped {
+				if i == rotated {
+					if err := follower.Save(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := follower.ApplyReplicated(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := follower.SyncWAL(); err != nil {
+				t.Fatal(err)
+			}
+			same("ApplyReplicated", follower)
+
+			if err := e.Close(); err != nil { // no Save: the reopen replays the second half
 				t.Fatal(err)
 			}
 			re, err := OpenEngine(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer re.Close()
-			if string(re.tfCaps) != string(atAdd) {
-				t.Fatalf("caps rebuilt at reopen differ from the caps set at add:\n%v\n%v", re.tfCaps, atAdd)
+			if got := re.WALInfo().ReplayedRecords; got != rows/2 {
+				t.Fatalf("reopen replayed %d records, want %d", got, rows/2)
 			}
-			checkTFCaps(t, re, nil, nil)
+			same("a reopen with a log replay", re)
+			if err := re.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err = OpenEngine(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			same("a reopen", re)
 		})
 	}
 }
 
 // FuzzTFCapAdmissible: for any row text and query word, on every pipeline,
 // the ranked query counts no term of the stored row more often than the
-// row's cap allows.
+// row's cap allows, nor counts a term twice that the row's mask misses.
 func FuzzTFCapAdmissible(f *testing.F) {
 	f.Add("Pool pool POOL\tpool\npool", "pool")
 	f.Add("fishing fished fisher the the the", "fishes")
@@ -172,8 +240,8 @@ func FuzzTFCapAdmissible(f *testing.F) {
 
 // TestTFCapSkipsAFailedAdd: an add whose row reached the object file's
 // buffer but whose block write failed consumes its ID without recording a
-// cap. That row keeps the unknown cap 0, and every later row's cap still
-// lands at its own ID.
+// term-frequency summary. That row keeps the unknown zero summary, and every
+// later row's summary still lands at its own ID.
 func TestTFCapSkipsAFailedAdd(t *testing.T) {
 	e, err := NewEngine(Config{SignatureBytes: 16})
 	if err != nil {
