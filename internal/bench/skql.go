@@ -170,11 +170,7 @@ func (e *SKQLEnv) MeasureSKQL(method Method, force string, stmts []string, cm st
 		for _, a := range rs.Actuals {
 			qr += a.BlocksRandom
 			qs += a.BlocksSequential
-			if a.ObjectsLoaded > 0 {
-				objects += a.ObjectsLoaded
-			} else {
-				objects += a.Candidates
-			}
+			objects += a.ObjectsLoaded
 		}
 		random += qr
 		sequential += qs
@@ -206,11 +202,12 @@ var skqlArms = []struct {
 
 // SKQL runs E-X11: the same rare-keyword and common-keyword workloads
 // under the cost-based planner and under each forced physical path.
-// The paper's §6.B observation is the acceptance bar — rare keywords
-// favor the inverted index, ubiquitous keywords the tree scan — and
-// the planner must match the better forced arm (within tolerance)
-// on both extremes. Block counts are pure functions of (spec, sig,
-// queries, seed), so the cells feed the CI baseline gate.
+// Rare keywords favor the inverted index, as in the paper's §6.B; on
+// common keywords SKQL's IIO reads only the rows its answer needs, so it
+// no longer loses to the tree scan the way the paper's IIO (E-X2) does.
+// The acceptance bar is that the planner matches the better forced arm
+// (within tolerance) on both extremes. Block counts are pure functions of
+// (spec, sig, queries, seed), so the cells feed the CI baseline gate.
 func SKQL(spec dataset.Spec, sigBytes, k, nQueries int, seed int64, cm storage.CostModel) (*Table, error) {
 	env, err := BuildSKQLEnv(spec, sigBytes)
 	if err != nil {
@@ -222,12 +219,15 @@ func SKQL(spec dataset.Spec, sigBytes, k, nQueries int, seed int64, cm storage.C
 		Columns: measurementColumns,
 		Notes: []string{
 			"expect: rare keywords — forced IIO beats forced IR2 and the planner",
-			"routes to IIO; common keywords — the tree scan beats IIO and the",
-			"planner routes to it; on both extremes the planner's disk time",
-			"matches the better forced arm (the cost-based routing acceptance);",
-			"rare+add — every statement finds the object added just before it,",
-			"at the read-only rare arm's blocks plus that object's load (the",
-			"index tail is in memory; no rebuild is charged to any statement)",
+			"routes to IIO; common keywords — IIO orders its candidates by the",
+			"catalog's point column and reads only the rows up to the k-th match,",
+			"so it no longer loads every candidate and the planner may route to",
+			"either path; on both extremes the planner's disk time matches the",
+			"better forced arm (the cost-based routing acceptance); objAcc is",
+			"rows read; rare+add — every statement finds the object added just",
+			"before it, at the read-only rare arm's blocks plus that object's",
+			"load (the index tail is in memory; no rebuild is charged to any",
+			"statement)",
 		},
 	}
 	for _, regime := range []string{"rare", "common"} {

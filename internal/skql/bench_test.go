@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/shard"
 )
 
 var benchRows int
@@ -105,4 +106,40 @@ func BenchmarkResidualFilter(b *testing.B) {
 			b.Fatal("row rejected")
 		}
 	}
+}
+
+// BenchmarkIIOTop times a forced-IIO TOP 10 NEAR over a conjunction with
+// about a hundred candidates on a 4-shard target, and reports the rows it
+// reads per statement beside ns/op and allocs/op.
+func BenchmarkIIOTop(b *testing.B) {
+	s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // benchmark teardown
+	fillTarget(b, s.Add, rand.New(rand.NewSource(5)), 1000)
+	c := NewCatalog(s)
+	q, err := Parse(`SELECT TOP 10 NEAR (50, 50) MATCH "base" AND "mid0" USING iio`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := c.Run(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if cands := rs.Actuals[0].Candidates; cands < 50 {
+		b.Fatalf("the conjunction has %d candidates, want at least 50", cands)
+	}
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := c.Run(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += rs.Actuals[0].ObjectsLoaded
+		benchRows += rs.Count
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }

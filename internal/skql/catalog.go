@@ -3,6 +3,7 @@ package skql
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"spatialkeyword"
@@ -38,7 +39,59 @@ type Catalog struct {
 	inv     *invindex.Index
 	invDev  *storage.Disk
 	invMark int
-	stats   IndexStats
+	// pts is the point column beside the index: every indexed row's
+	// location, filled by the same Scan and Gets and reset with it.
+	pts   pointColumn
+	stats IndexStats
+}
+
+// pointColumn holds each indexed row's location, dim float64s per object
+// ID, so the IIO path can order and rect-filter candidates before it reads
+// any row. A row with no entry — never stored, deleted before it was
+// indexed, of another dimension, or past the column's end — reads as
+// absent. The column only grows: a reader holding an older copy of the
+// header reads entries no writer touches again.
+type pointColumn struct {
+	dim int
+	xs  []float64
+}
+
+// put records row id's point. Rows come in increasing ID order (Scan's and
+// catch-up's); the IDs skipped hold NaN, and a row out of order is left
+// without an entry. rows presizes the column on its first entry.
+func (pc *pointColumn) put(id uint64, p []float64, rows int) {
+	if pc.dim == 0 {
+		if len(p) == 0 {
+			return
+		}
+		pc.dim = len(p)
+		pc.xs = make([]float64, 0, rows*pc.dim)
+	}
+	if id < uint64(len(pc.xs)/pc.dim) {
+		return
+	}
+	for uint64(len(pc.xs)) < id*uint64(pc.dim) {
+		pc.xs = append(pc.xs, math.NaN())
+	}
+	if len(p) != pc.dim {
+		for range pc.dim {
+			pc.xs = append(pc.xs, math.NaN())
+		}
+		return
+	}
+	pc.xs = append(pc.xs, p...)
+}
+
+// at returns row id's point, or false when the column has no entry for it.
+func (pc pointColumn) at(id uint64) ([]float64, bool) {
+	if pc.dim == 0 || id >= uint64(len(pc.xs)/pc.dim) {
+		return nil, false
+	}
+	p := pc.xs[id*uint64(pc.dim) : (id+1)*uint64(pc.dim)]
+	if math.IsNaN(p[0]) {
+		return nil, false
+	}
+	return p, true
 }
 
 // foldDivisor sets when the index's in-memory tail is folded into its
@@ -84,25 +137,26 @@ func (c *Catalog) IndexStats() IndexStats {
 // catch up on new rows), so benchmarks can meter query I/O without the
 // maintenance cost.
 func (c *Catalog) EnsureIndex() error {
-	_, err := c.index()
+	_, _, err := c.index()
 	return err
 }
 
-// index returns the sidecar inverted index, current as of the target's
-// object count on entry. A query that raced an add catches up on its
-// next call.
-func (c *Catalog) index() (*invindex.Index, error) {
+// index returns the sidecar inverted index and its point column, current
+// as of the target's object count on entry. A query that raced an add
+// catches up on its next call.
+func (c *Catalog) index() (*invindex.Index, pointColumn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.t.NumObjects()
 	if c.inv != nil && n == c.invMark {
-		return c.inv, nil
+		return c.inv, c.pts, nil
 	}
 	c.stats.Refreshes++
 	if n < c.invMark {
 		// The ID space moved backwards: a different engine stands
-		// behind the target now, so no posted ID can be trusted.
-		c.inv, c.invDev, c.invMark = nil, nil, 0
+		// behind the target now, so no posted ID (or point) can be
+		// trusted.
+		c.inv, c.invDev, c.invMark, c.pts = nil, nil, 0, pointColumn{}
 	}
 	var err error
 	if c.inv == nil {
@@ -111,9 +165,9 @@ func (c *Catalog) index() (*invindex.Index, error) {
 		err = c.catchUp(n)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("skql: refresh sidecar index: %w", err)
+		return nil, pointColumn{}, fmt.Errorf("skql: refresh sidecar index: %w", err)
 	}
-	return c.inv, nil
+	return c.inv, c.pts, nil
 }
 
 // buildIndex builds the index over rows [0, n) from a full target Scan.
@@ -122,10 +176,12 @@ func (c *Catalog) buildIndex(n int) error {
 	ix := invindex.New(dev)
 	an := c.t.Corpus().Analyzer
 	rows := uint64(0)
+	var pts pointColumn
 	err := c.t.Scan(func(o spatialkeyword.Object) error {
 		// Rows added since n was read belong to the next catch-up.
 		if o.ID < uint64(n) {
 			ix.Add(o.ID, an.Unique(o.Text))
+			pts.put(o.ID, o.Point, n)
 			rows++
 		}
 		return nil
@@ -136,7 +192,7 @@ func (c *Catalog) buildIndex(n int) error {
 	if err := ix.Build(); err != nil {
 		return err
 	}
-	c.inv, c.invDev, c.invMark = ix, dev, n
+	c.inv, c.invDev, c.invMark, c.pts = ix, dev, n, pts
 	c.stats.FullBuilds++
 	c.stats.RowsIndexed += rows
 	return nil
@@ -156,6 +212,7 @@ func (c *Catalog) catchUp(n int) error {
 			if err := c.inv.Append(uint64(c.invMark), an.Unique(o.Text)); err != nil {
 				return err
 			}
+			c.pts.put(uint64(c.invMark), o.Point, n)
 			c.stats.RowsIndexed++
 		case errors.Is(err, spatialkeyword.ErrDeleted), errors.Is(err, spatialkeyword.ErrUnknownID):
 		default:

@@ -27,6 +27,9 @@ const (
 	// postingsPerBlock is how many postings fit in one block
 	// (varint-delta encoded ≈ 2 bytes each at 4 KB).
 	postingsPerBlock = 2048.0
+	// pointsPerBlock is how many entries of the catalog's point column
+	// fit in one block (two float64s, 16 bytes each, at 4 KB).
+	pointsPerBlock = 256.0
 	// blocksPerObject is the cost of loading one object.
 	blocksPerObject = 1.0
 	// treeFanout is the R-Tree's maximum entries per node.
@@ -99,17 +102,24 @@ func ModeledTime(blocks float64) time.Duration {
 	return time.Duration(math.Round(blocks)) * storage.DefaultCostModel().RandomAccess
 }
 
-// EstimateIIO costs the Inverted Index Only path for a conjunction:
-// read every keyword's posting list, then load every object of the
-// intersection (bounded above by the rarest list). The cost is
-// independent of k and of any residual filter, which is applied to
-// already-loaded objects for free.
-func (in CostInputs) EstimateIIO(pos []string, residualSel float64) PathEstimate {
+// EstimateIIO costs the Inverted Index Only path for a conjunction: read
+// every keyword's posting list and the point column's entries for the
+// intersection (bounded above by the rarest list), then load only the rows
+// that can make the answer. A TOP operator (k > 0) reads its candidates in
+// distance order until k pass the residual filter, so it loads
+// min(candidates, k/residualSel); an area operator (k = 0) loads every
+// candidate. The column is charged what it will cost once persisted beside
+// the index, though today it is in memory.
+func (in CostInputs) EstimateIIO(k int, pos []string, residualSel float64) PathEstimate {
 	minDF, sel, postingBlocks := in.conjunction(pos)
 	expected := sel * float64(in.NumObjects)
 	candidates := math.Min(expected, float64(minDF))
+	loads := candidates
+	if rs := clamp01(residualSel); k > 0 && rs > 0 {
+		loads = math.Min(candidates, float64(k)/rs)
+	}
 	return PathEstimate{
-		Blocks:      postingBlocks + candidates*blocksPerObject,
+		Blocks:      postingBlocks + candidates/pointsPerBlock + loads*blocksPerObject,
 		Rows:        expected * clamp01(residualSel),
 		Selectivity: sel * clamp01(residualSel),
 	}

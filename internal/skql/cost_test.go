@@ -28,13 +28,13 @@ func TestCostExtremes(t *testing.T) {
 	})
 	k := 10
 
-	rareIIO := in.EstimateIIO([]string{"rare", "rare2"}, 1)
+	rareIIO := in.EstimateIIO(k, []string{"rare", "rare2"}, 1)
 	rareIR2 := in.EstimateIR2(k, []string{"rare", "rare2"}, 1)
 	if rareIIO.Blocks >= rareIR2.Blocks {
 		t.Fatalf("rare keywords: IIO %.1f blocks should beat IR2 %.1f", rareIIO.Blocks, rareIR2.Blocks)
 	}
 
-	comIIO := in.EstimateIIO([]string{"common"}, 1)
+	comIIO := in.EstimateIIO(k, []string{"common"}, 1)
 	comIR2 := in.EstimateIR2(k, []string{"common"}, 1)
 	comRT := in.EstimateRTree(k, in.TermSelectivity("common"))
 	if comIIO.Blocks <= comIR2.Blocks {
@@ -48,11 +48,11 @@ func TestCostExtremes(t *testing.T) {
 // TestCostEstimateFields sanity-checks the per-estimate metadata.
 func TestCostEstimateFields(t *testing.T) {
 	in := fakeInputs(1000, map[string]int{"a": 10, "b": 100})
-	est := in.EstimateIIO([]string{"a", "b"}, 1)
-	// One posting block per term, plus the one candidate the intersection
-	// is expected to hold.
-	if est.Blocks != 3 {
-		t.Fatalf("Blocks = %v, want 3", est.Blocks)
+	est := in.EstimateIIO(5, []string{"a", "b"}, 1)
+	// One posting block per term, the point column's entry for the one
+	// candidate the intersection is expected to hold, and that row.
+	if want := 2 + 1/pointsPerBlock + 1; est.Blocks != want {
+		t.Fatalf("Blocks = %v, want %v", est.Blocks, want)
 	}
 	wantSel := (10.0 / 1000) * (100.0 / 1000)
 	if est.Selectivity != wantSel {
@@ -62,10 +62,22 @@ func TestCostEstimateFields(t *testing.T) {
 		t.Fatalf("Rows = %v, want %v", est.Rows, wantSel*1000)
 	}
 	// A residual filter shrinks rows but never grows cost.
-	withRes := in.EstimateIIO([]string{"a", "b"}, 0.5)
+	withRes := in.EstimateIIO(5, []string{"a", "b"}, 0.5)
 	if withRes.Rows >= est.Rows || withRes.Blocks != est.Blocks {
 		t.Fatalf("residual: rows %v (was %v), blocks %v (was %v)",
 			withRes.Rows, est.Rows, withRes.Blocks, est.Blocks)
+	}
+	// Past k candidates, TOP loads only the rows k accepts take (more under
+	// a residual filter); an area operator loads every candidate.
+	for _, tc := range []struct {
+		k    int
+		res  float64
+		rows float64
+	}{{5, 1, 5}, {5, 0.5, 10}, {0, 1, 100}, {0, 0.5, 100}} {
+		got := in.EstimateIIO(tc.k, []string{"b"}, tc.res).Blocks
+		if want := 1 + 100/pointsPerBlock + tc.rows; got != want {
+			t.Errorf("EstimateIIO(%d, [b], %v).Blocks = %v, want %v", tc.k, tc.res, got, want)
+		}
 	}
 }
 

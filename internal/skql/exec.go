@@ -1,6 +1,7 @@
 package skql
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -28,9 +29,10 @@ type OpActual struct {
 	// cardinality).
 	Candidates int
 	// Work is the operator's work record: the engine's traversal
-	// counters when the path exposes them (zero for IIO and stat-less
-	// engine calls), and the block accesses of every device the
-	// operator touched (the engine's plus the sidecar index).
+	// counters when the path exposes them (zero for stat-less engine
+	// calls; on IIO only ObjectsLoaded, the rows it read), and the block
+	// accesses of every device the operator touched (the engine's plus
+	// the sidecar index).
 	obs.Work
 	// Trace is the folded engine traversal trace (EXPLAIN ANALYZE
 	// only), capped at maxTraceLines.
@@ -187,7 +189,7 @@ func (c *Catalog) execTop(p *Plan, rs *ResultSet) error {
 		var act OpActual
 		var err error
 		if op.Path == PathIIO {
-			out, act, err = c.runIIOTop(p, op)
+			out, act, err = c.loadIIO(p, op)
 		} else {
 			out, act, err = c.runEngineTop(p, op)
 		}
@@ -250,58 +252,56 @@ func (c *Catalog) runEngineTop(p *Plan, op *Operator) ([]spatialkeyword.Result, 
 	return out, act, nil
 }
 
-// runIIOTop executes a distance-first operator on the Inverted Index
-// Only path: load the accepted candidates, sort by distance.
-func (c *Catalog) runIIOTop(p *Plan, op *Operator) ([]spatialkeyword.Result, OpActual, error) {
-	q := p.Query
-	objs, act, err := c.loadIIO(p, op)
-	if err != nil {
-		return nil, act, err
-	}
-	var near geo.Point
+// topDist returns a TOP operator's ordering key for a point: its distance
+// to the NEAR point, or to the WITHIN rect when there is no NEAR (what
+// SearchArea orders by).
+func topDist(q *Query) func(id uint64, pt geo.Point) (float64, error) {
 	if q.Near != nil {
-		near = geo.NewPoint(q.Near...)
-	}
-	var areaRect geo.Rect
-	if q.Near == nil && q.Within != nil {
-		// TOP ... WITHIN alone orders by distance-to-rect, like SearchArea.
-		areaRect = geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
-	}
-	out := make([]spatialkeyword.Result, 0, len(objs))
-	for _, o := range objs {
-		var dist float64
-		pt := geo.NewPoint(o.Point...)
-		if near != nil {
+		near := geo.NewPoint(q.Near...)
+		return func(id uint64, pt geo.Point) (float64, error) {
 			if len(near) != len(pt) {
-				return nil, act, fmt.Errorf("skql: %w: query point has %d dimensions, object %d has %d", spatialkeyword.ErrBadPoint, len(near), o.ID, len(pt))
+				return 0, fmt.Errorf("skql: %w: query point has %d dimensions, object %d has %d", spatialkeyword.ErrBadPoint, len(near), id, len(pt))
 			}
-			dist = near.Dist(pt)
-		} else {
-			if len(areaRect.Lo) != len(pt) {
-				return nil, act, fmt.Errorf("skql: %w: query rect has %d dimensions, object %d has %d", spatialkeyword.ErrBadPoint, len(areaRect.Lo), o.ID, len(pt))
-			}
-			dist = areaRect.MinDist(pt)
+			return near.Dist(pt), nil
 		}
-		out = append(out, spatialkeyword.Result{Object: o, Dist: dist})
 	}
-	sortByDistance(out)
-	if len(out) > op.K {
-		out = out[:op.K]
+	rect := geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
+	return func(id uint64, pt geo.Point) (float64, error) {
+		if len(rect.Lo) != len(pt) {
+			return 0, fmt.Errorf("skql: %w: query rect has %d dimensions, object %d has %d", spatialkeyword.ErrBadPoint, len(rect.Lo), id, len(pt))
+		}
+		return rect.MinDist(pt), nil
 	}
-	act.Rows = len(out)
-	return out, act, nil
 }
 
-// loadIIO is the IIO operators' candidate loader: it intersects the sidecar
-// posting lists of the operator's conjunction and loads every candidate that
-// is live and passes the residual filter, in ID order (the intersection is
-// ID-sorted). The actual's Candidates and block counts are set; Rows is the
-// caller's.
-func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Object, OpActual, error) {
+// iioCand is a TOP operator's IIO candidate: its ID, its ordering key and,
+// for one read ahead of the ordering, its index+1 into those rows.
+type iioCand struct {
+	id   uint64
+	dist float64
+	read int
+}
+
+// loadIIO executes an operator on the Inverted Index Only path, reading
+// only the rows that can make its answer. It intersects the sidecar posting
+// lists of the operator's conjunction, skips deleted IDs and, when the
+// projection is confined to the WITHIN rect, the candidates whose column
+// point lies outside it. A TOP operator then reads rows in (distance, ID)
+// order until op.K pass the residual filter, which are its answer; ALL and
+// COUNT read the survivors in ID order (WithinArea's contract: Dist 0). A
+// candidate the point column has no entry for is read up front, before the
+// ordering, as every candidate was before the column existed.
+func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpActual, error) {
+	q := p.Query
 	var act OpActual
-	ix, err := c.index()
+	ix, pts, err := c.index()
 	if err != nil {
 		return nil, act, err
+	}
+	// SKQL points and rects are 2-D: a column of another dimension has no
+	// entry a query could use, so every candidate is read.
+	if pts.dim != 2 {
+		pts = pointColumn{}
 	}
 	stop := c.opMeter()
 	ids, err := ix.Intersect(op.Conj)
@@ -310,22 +310,102 @@ func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Object, OpAct
 	}
 	act.Candidates = len(ids)
 	accept := c.acceptFn(p, op)
-	var out []spatialkeyword.Object
-	for _, id := range ids {
-		if c.t.IsDeleted(id) {
-			continue
-		}
+	read := func(id uint64) (spatialkeyword.Object, bool, error) {
 		o, err := c.t.Get(id)
 		if err != nil {
 			if errors.Is(err, spatialkeyword.ErrDeleted) || errors.Is(err, spatialkeyword.ErrUnknownID) {
+				err = nil
+			}
+			return o, false, err
+		}
+		act.ObjectsLoaded++
+		return o, accept(o), nil
+	}
+	var rect geo.Rect
+	confined := q.Within != nil && (q.Near != nil || q.Proj != ProjTop)
+	if confined {
+		rect = geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
+	}
+	// live reports a candidate's column point, after dropping the deleted
+	// and the out-of-rect ones; has is false when the column has no entry.
+	live := func(id uint64) (pt geo.Point, has, keep bool) {
+		if c.t.IsDeleted(id) {
+			return nil, false, false
+		}
+		pt, has = pts.at(id)
+		return pt, has, !has || !confined || rect.ContainsPoint(pt)
+	}
+
+	var out []spatialkeyword.Result
+	if q.Proj != ProjTop {
+		for _, id := range ids {
+			if _, _, keep := live(id); !keep {
 				continue
 			}
-			return nil, act, err
+			o, ok, err := read(id)
+			if err != nil {
+				return nil, act, err
+			}
+			if ok {
+				out = append(out, spatialkeyword.Result{Object: o})
+			}
 		}
-		if accept(o) {
-			out = append(out, o)
+	} else {
+		dist := topDist(q)
+		var ahead []spatialkeyword.Result
+		cands := make([]iioCand, 0, len(ids))
+		for _, id := range ids {
+			pt, has, keep := live(id)
+			if !keep {
+				continue
+			}
+			if has {
+				d, err := dist(id, pt)
+				if err != nil {
+					return nil, act, err
+				}
+				cands = append(cands, iioCand{id: id, dist: d})
+				continue
+			}
+			o, ok, err := read(id)
+			if err != nil {
+				return nil, act, err
+			}
+			if !ok {
+				continue
+			}
+			d, err := dist(o.ID, o.Point)
+			if err != nil {
+				return nil, act, err
+			}
+			ahead = append(ahead, spatialkeyword.Result{Object: o, Dist: d})
+			cands = append(cands, iioCand{id: id, dist: d, read: len(ahead)})
+		}
+		slices.SortFunc(cands, func(a, b iioCand) int {
+			if r := cmp.Compare(a.dist, b.dist); r != 0 {
+				return r
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		out = make([]spatialkeyword.Result, 0, min(op.K, len(cands)))
+		for _, cd := range cands {
+			if len(out) == op.K {
+				break
+			}
+			if cd.read > 0 {
+				out = append(out, ahead[cd.read-1])
+				continue
+			}
+			o, ok, err := read(cd.id)
+			if err != nil {
+				return nil, act, err
+			}
+			if ok {
+				out = append(out, spatialkeyword.Result{Object: o, Dist: cd.dist})
+			}
 		}
 	}
+	act.Rows = len(out)
 	act.BlocksRandom, act.BlocksSequential = stop()
 	return out, act, nil
 }
@@ -432,7 +512,7 @@ func (c *Catalog) execArea(p *Plan, rs *ResultSet) error {
 	var act OpActual
 	var err error
 	if op.Path == PathIIO {
-		out, act, err = c.runIIOArea(p, op)
+		out, act, err = c.loadIIO(p, op)
 	} else {
 		out, act, err = c.runEngineArea(p, op)
 	}
@@ -470,19 +550,5 @@ func (c *Catalog) runEngineArea(p *Plan, op *Operator) ([]spatialkeyword.Result,
 	}
 	act.Rows = len(out)
 	act.BlocksRandom, act.BlocksSequential = stop()
-	return out, act, nil
-}
-
-func (c *Catalog) runIIOArea(p *Plan, op *Operator) ([]spatialkeyword.Result, OpActual, error) {
-	objs, act, err := c.loadIIO(p, op)
-	if err != nil {
-		return nil, act, err
-	}
-	// WithinArea contract: results carry Dist 0 in ID order.
-	out := make([]spatialkeyword.Result, len(objs))
-	for i, o := range objs {
-		out[i] = spatialkeyword.Result{Object: o}
-	}
-	act.Rows = len(out)
 	return out, act, nil
 }

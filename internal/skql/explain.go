@@ -77,7 +77,7 @@ func renderPlan(p *Plan, actuals []OpActual) []string {
 		out = append(out, fmt.Sprintf("    actual: blocks=%d (%d rand + %d seq) rows=%d candidates=%d disk=%s",
 			a.BlocksRandom+a.BlocksSequential, a.BlocksRandom, a.BlocksSequential,
 			a.Rows, a.Candidates, actualTime(a.BlocksRandom, a.BlocksSequential)))
-		if a.NodesLoaded > 0 {
+		if a.NodesLoaded > 0 || a.ObjectsLoaded > 0 {
 			out = append(out, fmt.Sprintf("    work:   nodes=%d objects=%d pruned=%d falsepos=%d",
 				a.NodesLoaded, a.ObjectsLoaded, a.EntriesPruned, a.FalsePositives))
 		}

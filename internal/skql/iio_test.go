@@ -1,0 +1,208 @@
+package skql
+
+import (
+	"fmt"
+	"math/rand"
+	"net/http/httptest"
+	"slices"
+	"testing"
+	"time"
+
+	"spatialkeyword"
+	"spatialkeyword/internal/repl"
+	"spatialkeyword/internal/shard"
+)
+
+// getLog is a target that records the IDs read through Get.
+type getLog struct {
+	Target
+	ids []uint64
+}
+
+func (g *getLog) Get(id uint64) (spatialkeyword.Object, error) {
+	g.ids = append(g.ids, id)
+	return g.Target.Get(id)
+}
+
+// runIIOReads pins which rows the IIO path reads, not only what it answers:
+// a TOP reads its candidates in (distance, ID) order until k pass the
+// residual filter, and a COUNT WITHIN reads only the candidates whose point
+// lies in the rect. The conjunction has far more than k candidates; deletes
+// and adds land after the index is built, so the point column is checked
+// both as the build filled it and as catch-up extended it.
+func runIIOReads(t *testing.T, b indexBackend, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	const initial, later, k = 120, 40, 5
+	var ids []uint64
+	add := func(i int) {
+		id, err := b.add(genPoint(rng), genText(rng, i, initial+later))
+		if err != nil {
+			t.Fatalf("add %d: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	for i := 0; i < initial; i++ {
+		add(i)
+	}
+	if err := b.settle(); err != nil {
+		t.Fatalf("settle: %v", err)
+	}
+	log := &getLog{Target: b.target}
+	c := NewCatalog(log)
+	if err := c.EnsureIndex(); err != nil {
+		t.Fatal(err)
+	}
+	for i := initial; i < initial+later; i++ {
+		add(i)
+	}
+	for _, i := range []int{3, 17, 58, 99, initial + 2, initial + 21} {
+		if err := b.del(ids[i]); err != nil {
+			t.Fatalf("delete %d: %v", ids[i], err)
+		}
+	}
+	if err := b.settle(); err != nil {
+		t.Fatalf("settle: %v", err)
+	}
+	if err := c.EnsureIndex(); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(src string) (*ResultSet, *Query) {
+		t.Helper()
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		log.ids = nil
+		rs, err := c.Run(q)
+		if err != nil {
+			t.Fatalf("Run(%q): %v", src, err)
+		}
+		if len(rs.Actuals) != 1 || rs.Actuals[0].ObjectsLoaded != len(log.ids) {
+			t.Fatalf("%s: actuals %+v, want one operator reporting the %d rows read", src, rs.Actuals, len(log.ids))
+		}
+		return rs, q
+	}
+	rowIDs := func(rows []oracleRow) []uint64 {
+		out := make([]uint64, len(rows))
+		for i, r := range rows {
+			out[i] = r.obj.ID
+		}
+		return out
+	}
+
+	for qi := 0; qi < 4; qi++ {
+		p, lo := genPoint(rng), genPoint(rng)
+		hi := []float64{lo[0] + 40, lo[1] + 40}
+		near := fmt.Sprintf("NEAR (%v, %v)", p[0], p[1])
+		// Every live candidate of the conjunction, in (distance, ID) order.
+		all, err := Parse(fmt.Sprintf(`SELECT TOP 1000 %s MATCH "base" AND "com0"`, near))
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := oracleRows(t, c, all)
+		if len(order) < 10*k {
+			t.Fatalf("the conjunction has %d live candidates, want far more than k=%d", len(order), k)
+		}
+
+		rs, q := run(fmt.Sprintf(`SELECT TOP %d %s MATCH "base" AND "com0" USING iio`, k, near))
+		want := oracleRows(t, c, q)
+		checkResults(t, "top", q, rs.Results, want)
+		if !slices.Equal(log.ids, rowIDs(want)) {
+			t.Errorf("q%d TOP %d read %v, want exactly the answer %v", qi, k, log.ids, rowIDs(want))
+		}
+
+		rs, q = run(fmt.Sprintf(`SELECT TOP %d %s MATCH "base" AND "com0" AND NOT "com1" USING iio`, k, near))
+		checkResults(t, "top and not", q, rs.Results, oracleRows(t, c, q))
+		var reads []uint64
+		for accepted, i := 0, 0; accepted < k && i < len(order); i++ {
+			o := order[i].obj
+			reads = append(reads, o.ID)
+			if !slices.Contains(c.t.Corpus().Analyzer.Unique(o.Text), "com1") {
+				accepted++
+			}
+		}
+		if !slices.Equal(log.ids, reads) {
+			t.Errorf("q%d TOP %d AND NOT read %v, want the (distance, ID) prefix up to the %dth accept %v", qi, k, log.ids, k, reads)
+		}
+
+		rs, q = run(fmt.Sprintf(`SELECT COUNT WITHIN rect(%v, %v, %v, %v) MATCH "base" AND "com0" USING iio`, lo[0], lo[1], hi[0], hi[1]))
+		inRect := oracleRows(t, c, q)
+		if rs.Count != len(inRect) || !slices.Equal(log.ids, rowIDs(inRect)) {
+			t.Errorf("q%d COUNT: %d, read %v; want %d and only the in-rect candidates %v", qi, rs.Count, log.ids, len(inRect), rowIDs(inRect))
+		}
+		if rs.Actuals[0].Candidates <= len(log.ids) {
+			t.Errorf("q%d COUNT: %d candidates, %d read; the rect should have dropped some", qi, rs.Actuals[0].Candidates, len(log.ids))
+		}
+	}
+}
+
+func TestIIOReadsEngine(t *testing.T) {
+	e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runIIOReads(t, indexBackend{
+		add: e.Add, del: e.Delete, target: e,
+		settle: func() error { return nil },
+	}, 71)
+}
+
+func TestIIOReadsShardedEngine(t *testing.T) {
+	s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	runIIOReads(t, indexBackend{
+		add: s.Add, del: s.Delete, target: s,
+		settle: func() error { return nil },
+	}, 72)
+}
+
+func TestIIOReadsFollower(t *testing.T) {
+	ldir, fdir := t.TempDir(), t.TempDir()
+	e, err := shard.NewDurable(spatialkeyword.Config{WAL: true}, ldir, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close() //nolint:errcheck // test teardown
+	l := repl.NewLeader(e)
+	srv := httptest.NewServer(l.Handler())
+	defer srv.Close()
+	f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{
+		PollWait: 50 * time.Millisecond, RetryInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck // test teardown
+	runIIOReads(t, indexBackend{
+		add: e.Add, del: e.Delete, target: f,
+		settle: func() error { return f.WaitFor(l.PositionToken(), 10*time.Second) },
+	}, 73)
+}
+
+// TestPointColumn: skipped IDs, a row of another dimension and a row out of
+// ID order have no entry; every other row reads back as put.
+func TestPointColumn(t *testing.T) {
+	var pc pointColumn
+	if _, ok := pc.at(0); ok {
+		t.Fatal("an empty column has an entry")
+	}
+	pc.put(2, []float64{1, 2}, 8)
+	pc.put(3, []float64{1, 2, 3}, 8)
+	pc.put(5, []float64{5, 6}, 8)
+	pc.put(4, []float64{9, 9}, 8)
+	want := map[uint64][]float64{2: {1, 2}, 5: {5, 6}}
+	for id := uint64(0); id < 8; id++ {
+		got, ok := pc.at(id)
+		if w, has := want[id]; ok != has || !slices.Equal(got, w) {
+			t.Errorf("at(%d) = %v, %v; want %v, %v", id, got, ok, w, has)
+		}
+	}
+	if cap(pc.xs) < 16 {
+		t.Errorf("column capacity %d, want it presized for 8 rows", cap(pc.xs))
+	}
+}

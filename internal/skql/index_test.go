@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/repl"
 	"spatialkeyword/internal/shard"
 	"spatialkeyword/internal/storage"
@@ -170,8 +171,9 @@ func TestIndexProgramFollower(t *testing.T) {
 
 // TestIndexConcurrentAddsAndQueries runs writers and forced-IIO readers
 // against one catalog (run under -race). A reader may miss an add it
-// raced, but what it returns must be whole documents that match, and
-// once the writers are done the answer is exact.
+// raced, but what it returns must be whole documents that match (a TOP
+// reader's in distance order), and once the writers are done the answer
+// is exact.
 func TestIndexConcurrentAddsAndQueries(t *testing.T) {
 	s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
 	if err != nil {
@@ -198,12 +200,18 @@ func TestIndexConcurrentAddsAndQueries(t *testing.T) {
 			}
 		}()
 	}
+	// Readers alternate an area statement and a TOP NEAR one, which reads
+	// the point column while catch-up appends to it.
+	stmts := []string{
+		`SELECT ALL WITHIN rect(-1, -1, 101, 101) MATCH "both" AND "left" USING iio`,
+		`SELECT TOP 5 NEAR (50, 50) MATCH "both" AND "left" USING iio`,
+	}
 	var rwg sync.WaitGroup
-	for r := 0; r < readers; r++ {
+	for r := 0; r < readers+1; r++ {
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
-			q, err := Parse(`SELECT ALL WITHIN rect(-1, -1, 101, 101) MATCH "both" AND "left" USING iio`)
+			q, err := Parse(stmts[r%len(stmts)])
 			if err != nil {
 				t.Errorf("Parse: %v", err)
 				return
@@ -225,9 +233,17 @@ func TestIndexConcurrentAddsAndQueries(t *testing.T) {
 					return
 				}
 				last = rs.Count
-				for _, res := range rs.Results {
+				for i, res := range rs.Results {
 					if !strings.Contains(res.Object.Text, "both left") {
 						t.Errorf("object %d %q does not match", res.Object.ID, res.Object.Text)
+						return
+					}
+					if q.Near == nil {
+						continue
+					}
+					d := geo.NewPoint(q.Near...).Dist(res.Object.Point)
+					if res.Dist != d || (i > 0 && rs.Results[i-1].Dist > d) {
+						t.Errorf("TOP result %d: object %d at distance %v reported %v, out of order or wrong", i, res.Object.ID, d, res.Dist)
 						return
 					}
 				}

@@ -357,7 +357,7 @@ func branchOperator(in CostInputs, k int, b Conj, force Path) (Operator, bool) {
 		if len(b.Pos) == 0 {
 			return op, false
 		}
-		op.Path, op.Est = PathIIO, in.EstimateIIO(b.Pos, rn)
+		op.Path, op.Est = PathIIO, in.EstimateIIO(k, b.Pos, rn)
 		return op, true
 	case PathIR2:
 		if len(b.Pos) == 0 {
@@ -373,7 +373,7 @@ func branchOperator(in CostInputs, k int, b Conj, force Path) (Operator, bool) {
 		if e := in.EstimateIR2(k, b.Pos, rn); e.Blocks < best.Est.Blocks {
 			best.Path, best.Est = PathIR2, e
 		}
-		if e := in.EstimateIIO(b.Pos, rn); e.Blocks < best.Est.Blocks {
+		if e := in.EstimateIIO(k, b.Pos, rn); e.Blocks < best.Est.Blocks {
 			best.Path, best.Est = PathIIO, e
 		}
 	}
@@ -464,13 +464,13 @@ func (c *Catalog) planArea(p *Plan) error {
 			return fmt.Errorf("skql: USING iio requires at least one keyword common to every MATCH alternative")
 		}
 		p.Ops = []Operator{{Path: PathIIO, Conj: p.Common, Residual: p.Tree,
-			Est: in.EstimateIIO(p.Common, resid)}}
+			Est: in.EstimateIIO(0, p.Common, resid)}}
 		return nil
 	}
 
 	if len(p.Common) > 0 {
 		iio := Operator{Path: PathIIO, Conj: p.Common, Residual: p.Tree,
-			Est: in.EstimateIIO(p.Common, resid)}
+			Est: in.EstimateIIO(0, p.Common, resid)}
 		if iio.Est.Blocks < native.Est.Blocks {
 			p.Ops = []Operator{iio}
 			return nil

@@ -44,8 +44,11 @@
 #           two-block row, textutil.CountTermsBytesInto on lower-case,
 #           mixed-case and non-ASCII rows), of the term kernels' string
 #           entry (textutil BenchmarkContainsTerms, the range query's and
-#           the fences' filter, on the same rows) and SKQL's per-candidate
-#           residual filter (skql.BenchmarkResidualFilter, a 15-word row),
+#           the fences' filter, on the same rows), SKQL's per-candidate
+#           residual filter (skql.BenchmarkResidualFilter, a 15-word row)
+#           and a forced-IIO TOP 10 NEAR over a ~100-candidate conjunction
+#           on 4 shards, also in rows read per statement
+#           (skql.BenchmarkIIOTop),
 #           of an add's vocabulary fold with its repeated-term report
 #           (textutil.BenchmarkAddDocWith, Hotels- and Restaurants-length
 #           rows), of a file device's run read and
@@ -163,7 +166,7 @@ run_bench() {
 run_micro() {
 	step micro
 	go test -run '^$' -bench 'CountTermsBytes|ContainsTerms|AddDocWith|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
-	go test -run '^$' -bench 'ResidualFilter' -benchmem ./internal/skql
+	go test -run '^$' -bench 'ResidualFilter|IIOTop' -benchmem ./internal/skql
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
 	go test -run '^$' -bench 'DurableLoad|DurableTopK|DurableRanked' -benchmem .
