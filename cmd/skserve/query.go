@@ -58,12 +58,12 @@ func (s *server) attachSKQL() {
 		errs: s.reg.Counter("sk_skql_errors_total",
 			"SKQL statements rejected at parse, plan, or execution time."),
 		idxRefresh: s.reg.Histogram("sk_skql_index_refresh_seconds",
-			"Time an IIO statement spent bringing the sidecar inverted index current (first build, then catch-up on new rows).",
+			"Time an IIO statement spent bringing the sidecar inverted index current (catch-up on the rows not yet indexed, all of them on first use).",
 			obs.LatencyBuckets()),
 		idxRows: s.reg.Counter("sk_skql_index_rows_indexed_total",
-			"Rows tokenised into the sidecar inverted index, by builds and catch-ups."),
+			"Rows tokenised into the sidecar inverted index."),
 		idxFullBuild: s.reg.Counter("sk_skql_index_full_builds_total",
-			"Sidecar inverted index builds from a full scan; stays at 1 under write traffic."),
+			"Sidecar inverted index fills started from empty; stays at 1 under write traffic."),
 		idxFolds: s.reg.Counter("sk_skql_index_folds_total",
 			"Folds of the sidecar index's in-memory tail into its on-device lists."),
 	}

@@ -39,8 +39,9 @@ func TestGetFlushedDoesNoWriteIO(t *testing.T) {
 	if got.Text != "flushed poi" {
 		t.Fatalf("got %q", got.Text)
 	}
-	objW := eng.objDisk.Stats().Sub(objBefore).Writes()
-	idxW := eng.idxDisk.Stats().Sub(idxBefore).Writes()
+	obj := eng.objDisk.Stats().Sub(objBefore)
+	idx := eng.idxDisk.Stats().Sub(idxBefore)
+	objW, idxW := obj.RandomWrites+obj.SequentialWrites, idx.RandomWrites+idx.SequentialWrites
 	if objW != 0 || idxW != 0 {
 		t.Fatalf("Get on a flushed id performed write I/O: %d object writes, %d index writes", objW, idxW)
 	}

@@ -162,7 +162,7 @@ func newTreeLike(t *testing.T, f *fixture, multilevel bool) *IR2Tree {
 	}
 	if multilevel {
 		opts.Multilevel = true
-		opts.AvgWordsPerObject = f.vocab.AvgUniqueWordsPerDoc()
+		opts.AvgWordsPerObject = f.avgWords
 		opts.VocabSize = f.vocab.NumWords()
 	}
 	tree, err := New(newDisk(), f.store, opts)

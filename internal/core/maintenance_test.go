@@ -178,7 +178,8 @@ func TestMIR2MaintenanceCostsMore(t *testing.T) {
 		if err := tree.Insert(obj, ptr); err != nil {
 			t.Fatal(err)
 		}
-		return disk.Stats().Total() + f.objDisk.Stats().Total()
+		idx, obj := disk.Stats(), f.objDisk.Stats()
+		return idx.Random() + idx.Sequential() + obj.Random() + obj.Sequential()
 	}
 	ir2Cost := measure(f.ir2, f.ir2Disk)
 	mir2Cost := measure(f.mir2, f.mir2Disk)
@@ -186,7 +187,7 @@ func TestMIR2MaintenanceCostsMore(t *testing.T) {
 		t.Errorf("MIR² insert cost %d <= IR² cost %d; expected much more", mir2Cost, ir2Cost)
 	}
 	// The MIR² recomputation must actually touch the object file.
-	if f.objDisk.Stats().Reads() == 0 {
+	if obj := f.objDisk.Stats(); obj.RandomReads+obj.SequentialReads == 0 {
 		t.Error("MIR² insert did not read underlying objects")
 	}
 }

@@ -44,6 +44,7 @@ type fixture struct {
 	inv      *invindex.Index
 	invDisk  *storage.Disk
 	vocab    *textutil.Vocabulary
+	avgWords float64 // mean distinct words per row (MIR²'s AvgWordsPerObject)
 }
 
 // buildFixture loads the given rows into an object store and constructs all
@@ -63,10 +64,15 @@ func buildFixture(t *testing.T, rows []struct {
 		vocab:    textutil.NewVocabulary(),
 	}
 	f.store = objstore.New(f.objDisk)
+	var plain *textutil.Analyzer
 	for _, r := range rows {
 		_, ptr, _ := f.store.Append(geo.NewPoint(r.lat, r.lon), r.text)
 		f.ptrs = append(f.ptrs, ptr)
 		f.vocab.AddDocWith(nil, r.text, nil)
+		f.avgWords += float64(len(plain.Unique(r.text)))
+	}
+	if len(rows) > 0 {
+		f.avgWords /= float64(len(rows))
 	}
 	if err := f.store.Sync(); err != nil {
 		t.Fatal(err)
@@ -89,7 +95,7 @@ func buildFixture(t *testing.T, rows []struct {
 	}
 	f.mir2, err = New(f.mir2Disk, f.store, Options{
 		LeafSignature: leaf, MaxEntries: maxEntries, Multilevel: true,
-		AvgWordsPerObject: f.vocab.AvgUniqueWordsPerDoc(),
+		AvgWordsPerObject: f.avgWords,
 		VocabSize:         f.vocab.NumWords(),
 	})
 	if err != nil {

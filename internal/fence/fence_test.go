@@ -280,8 +280,8 @@ func TestMetricsWiring(t *testing.T) {
 	if got := m.byKind[Leave].Value(); got != 1 {
 		t.Fatalf("leave counter = %d", got)
 	}
-	if m.EvalSeconds.Count() != 3 {
-		t.Fatalf("eval histogram count = %d", m.EvalSeconds.Count())
+	if n := m.EvalSeconds.Snapshot().Count; n != 3 {
+		t.Fatalf("eval histogram count = %d", n)
 	}
 	_ = r.Remove(id)
 	if m.Registered.Value() != 0 {

@@ -227,8 +227,8 @@ func TestTailReadsChargeNoIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh) != 100 || disk.Stats().Total() != 0 {
-		t.Errorf("tail-only word: %d refs, %d blocks charged, want 100 and 0", len(fresh), disk.Stats().Total())
+	if st := disk.Stats(); len(fresh) != 100 || st != (storage.Stats{}) {
+		t.Errorf("tail-only word: %d refs, %+v charged, want 100 and nothing", len(fresh), st)
 	}
 	// The caller owns what Postings returns.
 	fresh[0] = 0

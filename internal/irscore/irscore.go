@@ -59,16 +59,11 @@ func (s *Scorer) WithAnalyzer(a *textutil.Analyzer) *Scorer {
 	return &out
 }
 
-// IDF returns the inverse document frequency weight of a word:
-// ln(1 + N/(1+df)). Rare words weigh more; a word in every document still
-// gets a small positive weight.
-func (s *Scorer) IDF(word string) float64 {
-	return s.idfOfTerm(s.an.Keyword(word))
-}
-
-// idfOfTerm is IDF for an already-normalized pipeline term. Stemming is not
-// idempotent ("agreed" → "agre" → "agr"), so normalized terms must not pass
-// through the pipeline a second time.
+// idfOfTerm returns the inverse document frequency weight of an
+// already-normalized pipeline term: ln(1 + N/(1+df)). Rare words weigh more;
+// a word in every document still gets a small positive weight. Stemming is
+// not idempotent ("agreed" → "agre" → "agr"), so normalized terms must not
+// pass through the pipeline a second time.
 func (s *Scorer) idfOfTerm(term string) float64 {
 	df := s.docFreq(term)
 	return math.Log(1 + float64(s.numDocs)/float64(1+df))

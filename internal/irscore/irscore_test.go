@@ -25,13 +25,16 @@ func corpus() (*Scorer, []string) {
 	return NewScorer(v.NumDocs(), v.DocFreq), docs
 }
 
+// idf is a word's idf as the scorer weighs it: normalized, then looked up.
+func idf(s *Scorer, word string) float64 { return s.idfOfTerm(s.an.Keyword(word)) }
+
 func TestIDFOrdering(t *testing.T) {
 	s, _ := corpus()
 	// df: pool=3, internet=2, spa=1, absent=0.
-	idfPool := s.IDF("pool")
-	idfInternet := s.IDF("internet")
-	idfSpa := s.IDF("spa")
-	idfAbsent := s.IDF("unicorn")
+	idfPool := idf(s, "pool")
+	idfInternet := idf(s, "internet")
+	idfSpa := idf(s, "spa")
+	idfAbsent := idf(s, "unicorn")
 	if !(idfPool < idfInternet && idfInternet < idfSpa && idfSpa < idfAbsent) {
 		t.Errorf("idf ordering wrong: pool=%g internet=%g spa=%g absent=%g",
 			idfPool, idfInternet, idfSpa, idfAbsent)
@@ -40,8 +43,8 @@ func TestIDFOrdering(t *testing.T) {
 		t.Error("ubiquitous word must keep positive idf")
 	}
 	// Case-insensitive.
-	if s.IDF("POOL") != idfPool {
-		t.Error("IDF not normalized")
+	if idf(s, "POOL") != idfPool {
+		t.Error("idf not normalized")
 	}
 }
 
@@ -149,7 +152,7 @@ func TestQueryIDFs(t *testing.T) {
 	if len(normalized) != 2 || normalized[0] != "internet" || normalized[1] != "pool" {
 		t.Errorf("normalized = %v", normalized)
 	}
-	if len(idfs) != 2 || idfs[0] != s.IDF("internet") || idfs[1] != s.IDF("pool") {
+	if len(idfs) != 2 || idfs[0] != idf(s, "internet") || idfs[1] != idf(s, "pool") {
 		t.Errorf("idfs = %v", idfs)
 	}
 }

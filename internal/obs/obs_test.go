@@ -69,7 +69,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*per {
+	if got := h.count.Load(); got != workers*per {
 		t.Fatalf("count = %d, want %d", got, workers*per)
 	}
 	s := h.Snapshot()

@@ -771,12 +771,6 @@ func (f *Follower) NumObjects() int {
 	return r.NumObjects()
 }
 
-func (f *Follower) Scan(fn func(spatialkeyword.Object) error) error {
-	r, done := f.reader()
-	defer done()
-	return r.Scan(fn)
-}
-
 func (f *Follower) IsDeleted(id uint64) bool {
 	r, done := f.reader()
 	defer done()
@@ -839,11 +833,10 @@ func (resyncing) SearchRanked([]float64, ...string) (spatialkeyword.RankedStream
 	return nil, ErrResyncing
 }
 
-func (resyncing) NumObjects() int                              { return 0 }
-func (resyncing) Scan(func(spatialkeyword.Object) error) error { return ErrResyncing }
-func (resyncing) IsDeleted(uint64) bool                        { return false }
-func (resyncing) Stats() spatialkeyword.Stats                  { return spatialkeyword.Stats{} }
-func (resyncing) Flush() error                                 { return ErrResyncing }
+func (resyncing) NumObjects() int             { return 0 }
+func (resyncing) IsDeleted(uint64) bool       { return false }
+func (resyncing) Stats() spatialkeyword.Stats { return spatialkeyword.Stats{} }
+func (resyncing) Flush() error                { return ErrResyncing }
 
 func (resyncing) Corpus() spatialkeyword.CorpusStats {
 	return spatialkeyword.CorpusStats{DocFreq: func(string) int { return 0 }}

@@ -13,9 +13,9 @@ import (
 //   - every parent entry's MBR equals the union of its child's entry MBRs;
 //   - every parent entry's payload equals the scheme's NodeAux of the child;
 //   - levels decrease by exactly one on each descent (height balance);
-//   - every non-root node holds between MinEntries and MaxEntries entries,
-//     and the root holds at least 2 when it is interior (at least 1 when it
-//     is a leaf);
+//   - every non-root node holds between the minimum fill m and MaxEntries
+//     entries, and the root holds at least 2 when it is interior (at least 1
+//     when it is a leaf);
 //   - the number of reachable objects equals Len().
 func (t *Tree) CheckInvariants() error {
 	t.mu.RLock()

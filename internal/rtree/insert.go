@@ -109,7 +109,7 @@ func (t *Tree) chooseNode(rect geo.Rect, level int) ([]pathStep, error) {
 
 // splitNode divides an overflowing node's entries between n and a freshly
 // allocated sibling with Guttman's Quadratic Split, returning the sibling.
-// Both nodes end up with at least MinEntries entries.
+// Both nodes end up with at least the minimum fill m entries.
 func (t *Tree) splitNode(n *Node) (*Node, error) {
 	groupA, groupB := t.quadraticSplit(n.entries)
 	sibling := t.allocNode(n.level)

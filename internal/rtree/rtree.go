@@ -212,9 +212,6 @@ func (t *Tree) Dim() int { return t.dim }
 // MaxEntries returns the node capacity M.
 func (t *Tree) MaxEntries() int { return t.maxE }
 
-// MinEntries returns the node minimum fill m.
-func (t *Tree) MinEntries() int { return t.minE }
-
 // Len returns the number of indexed objects.
 func (t *Tree) Len() int {
 	t.mu.RLock()

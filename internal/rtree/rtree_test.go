@@ -43,8 +43,8 @@ func TestCapacityDerivedFromBlockSize(t *testing.T) {
 	if got := tree.MaxEntries(); got != 102 {
 		t.Errorf("MaxEntries = %d, want 102", got)
 	}
-	if got := tree.MinEntries(); got != 40 {
-		t.Errorf("MinEntries = %d, want 40 (40%% fill)", got)
+	if got := tree.minE; got != 40 {
+		t.Errorf("minimum fill = %d, want 40 (40%% fill)", got)
 	}
 	if got := tree.blocksForLevel(0); got != 1 {
 		t.Errorf("payload-free node spans %d blocks, want 1", got)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"spatialkeyword"
@@ -72,15 +73,38 @@ var compatStatements = []string{
 	`SELECT TOP 4 NEAR (25.3, -79.7) MATCH "late" AND "night" USING iio`,
 }
 
+// rowsOf is every stored row in global-ID order, deleted rows' text
+// included: an engine's own Scan, or each shard's, in global IDs.
+func rowsOf(t *testing.T, r spatialkeyword.Reader) []spatialkeyword.Object {
+	t.Helper()
+	var rows []spatialkeyword.Object
+	scan := func(e *spatialkeyword.Engine, global func(uint64) (uint64, error)) {
+		err := e.Scan(func(o spatialkeyword.Object) (err error) {
+			o.ID, err = global(o.ID)
+			rows = append(rows, o)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	switch r := r.(type) {
+	case *spatialkeyword.Engine:
+		scan(r, func(id uint64) (uint64, error) { return id, nil })
+	case *ShardedEngine:
+		for _, sh := range r.shards {
+			scan(sh.eng, sh.globalID)
+		}
+		sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
+	default:
+		t.Fatalf("no row dump for %T", r)
+	}
+	return rows
+}
+
 func answersOf(t *testing.T, r spatialkeyword.Reader) answers {
 	t.Helper()
-	var a answers
-	if err := r.Scan(func(o spatialkeyword.Object) error {
-		a.Rows = append(a.Rows, o)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	a := answers{Rows: rowsOf(t, r)}
 	for _, o := range a.Rows {
 		if r.IsDeleted(o.ID) {
 			a.Deleted = append(a.Deleted, o.ID)

@@ -256,18 +256,30 @@ func TestDegradedQueryMetric(t *testing.T) {
 }
 
 // TestNonStorageErrorStillFails pins the classification boundary: an error
-// that is not a storage fault must fail the query, not degrade the shard.
+// that is not a storage fault must fail the query, not degrade the shard,
+// and of two such errors the query reports the first in shard order.
 func TestNonStorageErrorStillFails(t *testing.T) {
 	s, errs, _, _ := degradeFixture(t)
+	lo, hi := []float64{0, 0}, []float64{12, 12}
+	if _, err := s.WithinArea(lo, hi, "common"); err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("not a storage problem")
-	_, err := s.fanOut(nil, func(sh *shardHandle) error {
-		if sh.idx == 1 {
-			return boom
+	later := errors.New("a later shard's problem")
+	for i, err := range []error{1: boom, 2: later} {
+		if err == nil {
+			continue
 		}
-		return nil
-	})
+		s.InjectShardFault(i, func(op storage.Op, _ storage.BlockID) error {
+			if op == storage.OpRead {
+				return err
+			}
+			return nil
+		})
+	}
+	_, err := s.WithinArea(lo, hi, "common")
 	if !errors.Is(err, boom) {
-		t.Fatalf("query error swallowed: %v", err)
+		t.Fatalf("query error swallowed, or not the first in shard order: %v", err)
 	}
 	if s.Degraded() {
 		t.Error("non-storage error degraded a shard")

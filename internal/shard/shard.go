@@ -9,8 +9,10 @@
 // merge over every shard's stream, and a top-k is its first k, which keeps
 // exact top-k semantics — a shard is not pulled once its best remaining
 // candidate cannot beat the merge's next result, and the merge stops once
-// nothing left can beat the k-th. Boolean range queries and the maintenance operations
-// route only to the shards whose region intersects the target, in parallel.
+// nothing left can beat the k-th. Boolean range queries and the maintenance
+// operations route only to the shards whose region intersects the target.
+// Every query reaches its shards one at a time, in shard order, on the
+// caller's goroutine.
 //
 // Results are identical to a single engine over the same objects: the
 // merge is exact (see the correctness note in merge.go), object IDs are
@@ -124,8 +126,9 @@ var errCorruptShard = errors.New("shard: corrupt shard result")
 var errShardDown = errors.New("shard: shard unavailable")
 
 // ShardedEngine is a spatially partitioned spatial keyword engine. All
-// methods are safe for concurrent use; queries on different shards and
-// writes to different shards proceed in parallel.
+// methods are safe for concurrent use. A query reaches its shards in shard
+// order, each under that shard's read lock; writes to different shards
+// proceed in parallel.
 type ShardedEngine struct {
 	cfg    spatialkeyword.Config
 	part   Partitioner
@@ -449,53 +452,6 @@ func (s *ShardedEngine) Delete(gid uint64) error {
 	return reglobal(err, gid)
 }
 
-// fanOut runs fn once per listed shard (nil = all shards) in parallel; it
-// serves WithinArea, whose per-shard answers need no merge order.
-// Shards already marked unhealthy are skipped, and a shard whose fn fails
-// with a storage-level fault (see degradeable) is taken out of rotation
-// mid-query; both cases set the degraded flag and the query completes on
-// the remaining shards with partial results. Non-storage errors — bad
-// query dimensions, unknown IDs — fail the fan-out (first one wins).
-func (s *ShardedEngine) fanOut(which []int, fn func(sh *shardHandle) error) (degraded bool, err error) {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		deg      atomic.Bool
-	)
-	run := func(sh *shardHandle) {
-		defer wg.Done()
-		if sh.unhealthy.Load() {
-			deg.Store(true)
-			return
-		}
-		if err := fn(sh); err != nil {
-			if s.degrade(sh, err) {
-				deg.Store(true)
-				return
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-	}
-	if which == nil {
-		for _, sh := range s.shards {
-			wg.Add(1)
-			go run(sh)
-		}
-	} else {
-		for _, i := range which {
-			wg.Add(1)
-			go run(s.shards[i])
-		}
-	}
-	wg.Wait()
-	return deg.Load(), firstErr
-}
-
 // The queries are one of three kinds — nearest to a point, nearest to an
 // area, ranked — pulled by one of two consumers: topK, which takes the first
 // k of the merged stream (TopK, TopKRanked), or the caller itself, pulling
@@ -624,42 +580,53 @@ func (s *ShardedEngine) SearchRanked(point []float64, keywords ...string) (spati
 
 // WithinArea returns every object inside the rectangle containing all the
 // keywords, ordered by global ID. Only shards whose region intersects the
-// rectangle are consulted.
+// rectangle are consulted, one at a time in shard order. A shard already
+// marked unhealthy is skipped, and one that fails with a storage-level fault
+// (see degradeable) is taken out of rotation mid-query; either way the query
+// completes on the remaining shards with partial results. Any other error —
+// bad query dimensions, an unknown ID — fails the query, the first in shard
+// order.
 func (s *ShardedEngine) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
 	// Checked here as well as by each engine: the partitioner indexes the
 	// corners' coordinates and geo.NewRect panics on an inverted rectangle.
 	if err := spatialkeyword.CheckArea(lo, hi, s.dim()); err != nil {
 		return nil, err
 	}
-	which := s.part.Overlapping(geo.NewRect(geo.NewPoint(lo...), geo.NewPoint(hi...)))
-	var (
-		mu  sync.Mutex
-		all []spatialkeyword.Result
-	)
-	_, err := s.fanOut(which, func(sh *shardHandle) error {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		res, err := sh.eng.WithinArea(lo, hi, keywords...)
+	var all []spatialkeyword.Result
+	for _, i := range s.part.Overlapping(geo.NewRect(geo.NewPoint(lo...), geo.NewPoint(hi...))) {
+		sh := s.shards[i]
+		if sh.unhealthy.Load() {
+			continue
+		}
+		res, err := sh.withinArea(lo, hi, keywords)
 		if err != nil {
-			return err
-		}
-		for i := range res {
-			gid, err := sh.globalID(res[i].Object.ID)
-			if err != nil {
-				return err
+			if s.degrade(sh, err) {
+				continue
 			}
-			res[i].Object.ID = gid
+			return nil, err
 		}
-		mu.Lock()
 		all = append(all, res...)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	sortResultsByID(all)
 	return all, nil
+}
+
+// withinArea is one shard's share of WithinArea, in global IDs.
+func (sh *shardHandle) withinArea(lo, hi []float64, keywords []string) ([]spatialkeyword.Result, error) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	res, err := sh.eng.WithinArea(lo, hi, keywords...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range res {
+		gid, err := sh.globalID(res[i].Object.ID)
+		if err != nil {
+			return nil, err
+		}
+		res[i].Object.ID = gid
+	}
+	return res, nil
 }
 
 // sortResultsByID orders merged range results by global ID, matching the
@@ -705,77 +672,6 @@ func (s *ShardedEngine) IsDeleted(gid uint64) bool {
 	}
 	return sh.eng.IsDeleted(loc.local)
 }
-
-// Scan visits every stored row in global-ID order, deleted rows included (see
-// spatialkeyword.Reader): each shard's object file is walked once, front to
-// back, on its own goroutine, and the walks are merged by global ID — a
-// shard's local order is its global order. Tombstoned IDs have no row. Every
-// shard stays read-locked until the scan returns; an unavailable shard fails
-// it.
-func (s *ShardedEngine) Scan(fn func(spatialkeyword.Object) error) error {
-	type walk struct {
-		rows chan spatialkeyword.Object // closed when the shard's walk ends
-		err  error                      // set before rows is closed
-		head spatialkeyword.Object      // received and not yet visited, if has
-		has  bool
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(stop) // first: a walk blocked on its channel must see it
-	walks := make([]*walk, len(s.shards))
-	for i, sh := range s.shards {
-		// Buffered so that a walk runs ahead of the merge by a few blocks'
-		// worth of rows instead of handing them over one rendezvous each.
-		w := &walk{rows: make(chan spatialkeyword.Object, 256)}
-		walks[i] = w
-		wg.Add(1)
-		go func(sh *shardHandle) {
-			defer wg.Done()
-			defer close(w.rows)
-			sh.mu.RLock()
-			defer sh.mu.RUnlock()
-			if sh.eng == nil {
-				w.err = fmt.Errorf("shard %d: %w", sh.idx, errShardDown)
-				return
-			}
-			w.err = sh.eng.Scan(func(o spatialkeyword.Object) (err error) {
-				if o.ID, err = sh.globalID(o.ID); err != nil {
-					return err
-				}
-				select {
-				case w.rows <- o:
-					return nil
-				case <-stop:
-					return errScanStopped
-				}
-			})
-		}(sh)
-	}
-	for {
-		var next *walk
-		for _, w := range walks {
-			if !w.has {
-				if w.head, w.has = <-w.rows; !w.has && w.err != nil {
-					return w.err
-				}
-			}
-			if w.has && (next == nil || w.head.ID < next.head.ID) {
-				next = w
-			}
-		}
-		if next == nil {
-			return nil
-		}
-		if err := fn(next.head); err != nil {
-			return err
-		}
-		next.has = false
-	}
-}
-
-// errScanStopped ends a shard's walk whose scan has already returned.
-var errScanStopped = errors.New("shard: scan stopped")
 
 // MeterIO snapshots every shard's disk counters; the returned function
 // reports the random and sequential block accesses performed since the

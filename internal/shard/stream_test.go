@@ -283,66 +283,3 @@ func TestAbandonedStreamReleasesShards(t *testing.T) {
 		}
 	}
 }
-
-// TestScanWalksEveryRowInGlobalOrder: Scan visits what a single engine's Scan
-// visits — every stored row, deleted ones included, in ID order — by walking
-// each shard's file once, not by a random Get per row; a tombstoned ID has no
-// row; and a visitor's error stops the scan and releases every shard.
-func TestScanWalksEveryRowInGlobalOrder(t *testing.T) {
-	checkGoroutines(t)
-	rows, _, bounds := loadDataset(t, dataset.Restaurants(0.001))
-	cfg := spatialkeyword.Config{SignatureBytes: 16}
-	single, err := spatialkeyword.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(t, single, rows)
-	var want []spatialkeyword.Object
-	if err := single.Scan(func(o spatialkeyword.Object) error { want = append(want, o); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range streamLayouts(t, cfg, bounds, rows, false) {
-		for id := uint64(0); id < uint64(len(rows)); id += 5 {
-			if err := s.Delete(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stop := s.MeterIO()
-		var got []spatialkeyword.Object
-		if err := s.Scan(func(o spatialkeyword.Object) error { got = append(got, o); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Scan visited %d rows, a single engine's visits %d (deleted rows included), or they differ", name, len(got), len(want))
-		}
-		if random, sequential := stop(); random > uint64(2*s.NumShards()) || sequential == 0 {
-			t.Errorf("%s: Scan read %d random and %d sequential blocks, want a front-to-back walk per shard", name, random, sequential)
-		}
-
-		// A reservation that never stored a row is skipped, not reported.
-		gid := uint64(s.NumObjects())
-		s.mu.Lock()
-		_ = s.place(gid, tombstone)
-		s.mu.Unlock()
-		n := 0
-		if err := s.Scan(func(spatialkeyword.Object) error { n++; return nil }); err != nil || n != len(want) {
-			t.Fatalf("%s: Scan over a tombstone visited %d rows (%v), want %d", name, n, err, len(want))
-		}
-
-		// Stopping early returns the visitor's error and leaves no shard locked.
-		errStop := fmt.Errorf("enough")
-		n = 0
-		err := s.Scan(func(spatialkeyword.Object) error {
-			if n++; n == 3 {
-				return errStop
-			}
-			return nil
-		})
-		if err != errStop || n != 3 {
-			t.Fatalf("%s: stopped scan returned %v after %d rows", name, err, n)
-		}
-		if _, err := s.Add(rows[0].Point, "added after a stopped scan"); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

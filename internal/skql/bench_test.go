@@ -143,3 +143,29 @@ func BenchmarkIIOTop(b *testing.B) {
 	}
 	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
+
+// BenchmarkSidecarFill times the first fill of a fresh catalog's sidecar
+// index over 4 shards of 5,000 rows each, and reports the rows it indexed
+// per fill beside ns/op and allocs/op.
+func BenchmarkSidecarFill(b *testing.B) {
+	s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // benchmark teardown
+	fillTarget(b, s.Add, rand.New(rand.NewSource(7)), 20000)
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	rows := uint64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewCatalog(s)
+		if err := c.EnsureIndex(); err != nil {
+			b.Fatal(err)
+		}
+		rows += c.IndexStats().RowsIndexed
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+}

@@ -16,7 +16,7 @@ import (
 // always used for it.
 type Target = spatialkeyword.Reader
 
-// Catalog binds a Target to the planner and owns a lazily built,
+// Catalog binds a Target to the planner and owns a lazily filled,
 // incrementally maintained sidecar inverted index that serves the IIO
 // physical path. Query terms, residual filters and the index's tokens
 // all pass through the text pipeline the target's corpus was normalised
@@ -29,18 +29,19 @@ type Target = spatialkeyword.Reader
 type Catalog struct {
 	t Target
 
-	// The sidecar inverted index: built from one target Scan on first
-	// use, then kept current by reading only the rows added since —
-	// object IDs are append-only, so rows [invMark, NumObjects) are
-	// exactly the unindexed ones. Deleted objects are filtered at
-	// execution time via IsDeleted and dropped when the tail is folded.
-	// mu serializes refreshes; readers go through the index's own lock.
+	// The sidecar inverted index: filled and kept current the one way,
+	// by reading only the rows not yet indexed, one Get each — object IDs
+	// are append-only, so rows [invMark, NumObjects) are exactly the
+	// unindexed ones, and a first fill is a catch-up from mark 0. Deleted
+	// objects are passed over by the fill, filtered at execution time via
+	// IsDeleted, and dropped when the tail is folded. mu serializes
+	// refreshes; readers go through the index's own lock.
 	mu      sync.Mutex
 	inv     *invindex.Index
 	invDev  *storage.Disk
 	invMark int
 	// pts is the point column beside the index: every indexed row's
-	// location, filled by the same Scan and Gets and reset with it.
+	// location, filled by the same Gets and reset with it.
 	pts   pointColumn
 	stats IndexStats
 }
@@ -56,7 +57,7 @@ type pointColumn struct {
 	xs  []float64
 }
 
-// put records row id's point. Rows come in increasing ID order (Scan's and
+// put records row id's point. Rows come in increasing ID order (the
 // catch-up's); the IDs skipped hold NaN, and a row out of order is left
 // without an entry. rows presizes the column on its first entry.
 func (pc *pointColumn) put(id uint64, p []float64, rows int) {
@@ -103,14 +104,14 @@ const foldDivisor = 8
 // IndexStats counts the sidecar index's maintenance work since the
 // catalog was created.
 type IndexStats struct {
-	// FullBuilds is how many times the index was built from a full
-	// target Scan: once on first use, again only if the target's ID
-	// space shrank (a follower that re-bootstrapped).
+	// FullBuilds is how many fills started from empty: one on first
+	// use, another only if the target's ID space shrank (a follower that
+	// re-bootstrapped). A fill that fails resumes at the unread row and
+	// is not counted again.
 	FullBuilds uint64
 	// Folds is how many times the tail was folded on-device.
 	Folds uint64
-	// RowsIndexed is how many rows were tokenised into the index, by
-	// builds and catch-ups together.
+	// RowsIndexed is how many rows were tokenised into the index.
 	RowsIndexed uint64
 	// Refreshes is how many index uses found the target changed and
 	// did any of the above.
@@ -122,9 +123,6 @@ func NewCatalog(t Target) *Catalog {
 	return &Catalog{t: t}
 }
 
-// Target returns the catalog's execution target.
-func (c *Catalog) Target() Target { return c.t }
-
 // IndexStats returns the sidecar index's maintenance counters.
 func (c *Catalog) IndexStats() IndexStats {
 	c.mu.Lock()
@@ -133,9 +131,9 @@ func (c *Catalog) IndexStats() IndexStats {
 }
 
 // EnsureIndex brings the sidecar inverted index current now instead of
-// on the next IIO execution (the first call builds it, later calls
-// catch up on new rows), so benchmarks can meter query I/O without the
-// maintenance cost.
+// on the next IIO execution (the first call fills it from row 0, later
+// calls catch up on new rows), so benchmarks can meter query I/O without
+// the maintenance cost.
 func (c *Catalog) EnsureIndex() error {
 	_, _, err := c.index()
 	return err
@@ -152,50 +150,27 @@ func (c *Catalog) index() (*invindex.Index, pointColumn, error) {
 		return c.inv, c.pts, nil
 	}
 	c.stats.Refreshes++
-	if n < c.invMark {
-		// The ID space moved backwards: a different engine stands
-		// behind the target now, so no posted ID (or point) can be
-		// trusted.
-		c.inv, c.invDev, c.invMark, c.pts = nil, nil, 0, pointColumn{}
+	if c.inv == nil || n < c.invMark {
+		// First use, or the ID space moved backwards (a different engine
+		// stands behind the target now, so no posted ID or point can be
+		// trusted): the fill starts over from an empty index.
+		c.reset()
 	}
-	var err error
-	if c.inv == nil {
-		err = c.buildIndex(n)
-	} else {
-		err = c.catchUp(n)
-	}
-	if err != nil {
+	if err := c.catchUp(n); err != nil {
 		return nil, pointColumn{}, fmt.Errorf("skql: refresh sidecar index: %w", err)
 	}
 	return c.inv, c.pts, nil
 }
 
-// buildIndex builds the index over rows [0, n) from a full target Scan.
-func (c *Catalog) buildIndex(n int) error {
+// reset replaces the index with an empty, built one at mark 0, so the next
+// catch-up fills it from row 0. An empty Build allocates no blocks, and the
+// first fold onto the fresh device writes what a one-shot Build would.
+func (c *Catalog) reset() {
 	dev := storage.NewDisk(4096)
 	ix := invindex.New(dev)
-	an := c.t.Corpus().Analyzer
-	rows := uint64(0)
-	var pts pointColumn
-	err := c.t.Scan(func(o spatialkeyword.Object) error {
-		// Rows added since n was read belong to the next catch-up.
-		if o.ID < uint64(n) {
-			ix.Add(o.ID, an.Unique(o.Text))
-			pts.put(o.ID, o.Point, n)
-			rows++
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := ix.Build(); err != nil {
-		return err
-	}
-	c.inv, c.invDev, c.invMark, c.pts = ix, dev, n, pts
+	_ = ix.Build() // nothing to encode: it cannot fail
+	c.inv, c.invDev, c.invMark, c.pts = ix, dev, 0, pointColumn{}
 	c.stats.FullBuilds++
-	c.stats.RowsIndexed += rows
-	return nil
 }
 
 // catchUp appends rows [invMark, n) to the index, one Get each. Rows

@@ -8,18 +8,14 @@ import (
 	"spatialkeyword/internal/storage"
 )
 
-// String names the merge strategy for EXPLAIN output.
-func (m Merge) String() string {
-	switch m {
-	case MergeRanked:
-		return "ranked"
-	case MergeUnion:
-		return "union"
-	case MergeCount:
-		return "count"
-	default:
-		return "distance"
-	}
+// mergeNames names, for EXPLAIN, how each projection combines its
+// operators' outputs: the k nearest deduplicated by ID, the single ranked
+// operator's k best, the ID-ordered union, or its cardinality.
+var mergeNames = [...]string{
+	ProjTop:    "distance",
+	ProjRanked: "ranked",
+	ProjAll:    "union",
+	ProjCount:  "count",
 }
 
 // renderPlan formats a plan (and, when actuals is non-nil, its
@@ -40,7 +36,7 @@ func renderPlan(p *Plan, actuals []OpActual) []string {
 	if q.Proj == ProjTop || q.Proj == ProjRanked {
 		head += fmt.Sprintf(" %d", q.K)
 	}
-	head += fmt.Sprintf(", merge=%s, %s", p.Merge, shape)
+	head += fmt.Sprintf(", merge=%s, %s", mergeNames[q.Proj], shape)
 	if q.Force != PathAuto {
 		head += fmt.Sprintf(", forced path=%s", q.Force)
 	}

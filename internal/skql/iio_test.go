@@ -28,8 +28,8 @@ func (g *getLog) Get(id uint64) (spatialkeyword.Object, error) {
 // a TOP reads its candidates in (distance, ID) order until k pass the
 // residual filter, and a COUNT WITHIN reads only the candidates whose point
 // lies in the rect. The conjunction has far more than k candidates; deletes
-// and adds land after the index is built, so the point column is checked
-// both as the build filled it and as catch-up extended it.
+// and adds land after the index is first filled, so the point column is
+// checked both as the first fill left it and as a later catch-up extended it.
 func runIIOReads(t *testing.T, b indexBackend, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

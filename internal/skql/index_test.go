@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -30,8 +32,8 @@ type indexBackend struct {
 // runIndexProgram is the seeded interleaved program every backend runs:
 // adds, deletes and forced-IIO statements in TOP, COUNT WITHIN and area
 // forms, each answer checked against a brute-force scan of the target.
-// The index may be built from a full scan exactly once; everything after
-// has to arrive through catch-up and folds.
+// The index may be filled from empty exactly once; everything after has
+// to arrive through catch-up and folds.
 func runIndexProgram(t *testing.T, b indexBackend, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -116,7 +118,7 @@ func runIndexProgram(t *testing.T, b indexBackend, seed int64) {
 
 	st := c.IndexStats()
 	if st.FullBuilds != 1 {
-		t.Errorf("index was built from a full scan %d times over %d adds and %d queries, want 1", st.FullBuilds, next, queries)
+		t.Errorf("index was filled from empty %d times over %d adds and %d queries, want 1", st.FullBuilds, next, queries)
 	}
 	if st.Folds == 0 || st.RowsIndexed <= initial {
 		t.Errorf("stats %+v: want at least one fold and rows indexed beyond the initial %d", st, initial)
@@ -365,8 +367,8 @@ func TestIndexCatchUpStopsAtUnreadableRow(t *testing.T) {
 type swapTarget struct{ Target }
 
 // TestIndexRebuildsWhenTargetShrinks: an ID space that moved backwards
-// belongs to a different engine, so the index is rebuilt from a scan and
-// answers for the new contents only.
+// belongs to a different engine, so the index is filled again from empty
+// and answers for the new contents only.
 func TestIndexRebuildsWhenTargetShrinks(t *testing.T) {
 	build := func(seed int64, n int, extra string) *spatialkeyword.Engine {
 		e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
@@ -420,13 +422,15 @@ func TestIndexRebuildsWhenTargetShrinks(t *testing.T) {
 	}
 }
 
-// errTarget fails every Scan, as a follower does mid-resync.
+// errTarget fails every Get, as a follower does mid-resync.
 type errTarget struct{ Target }
 
-func (errTarget) Scan(func(spatialkeyword.Object) error) error { return errors.New("resyncing") }
+func (errTarget) Get(uint64) (spatialkeyword.Object, error) {
+	return spatialkeyword.Object{}, errors.New("resyncing")
+}
 
-// TestIndexBuildFailureIsRetried: a failed first build leaves no index
-// behind, and the next use builds it.
+// TestIndexBuildFailureIsRetried: a first fill that fails indexes nothing,
+// and the next use fills the index.
 func TestIndexBuildFailureIsRetried(t *testing.T) {
 	e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
 	if err != nil {
@@ -436,16 +440,87 @@ func TestIndexBuildFailureIsRetried(t *testing.T) {
 	tgt := &swapTarget{errTarget{e}}
 	c := NewCatalog(tgt)
 	if err := c.EnsureIndex(); err == nil {
-		t.Fatal("EnsureIndex succeeded with Scan failing")
+		t.Fatal("EnsureIndex succeeded with Get failing")
 	}
-	if st := c.IndexStats(); st.FullBuilds != 0 || st.RowsIndexed != 0 {
-		t.Errorf("a failed build was counted: stats %+v", st)
+	if st := c.IndexStats(); st.FullBuilds != 1 || st.RowsIndexed != 0 {
+		t.Errorf("a failed fill indexed rows: stats %+v", st)
 	}
 	tgt.Target = e
 	if err := c.EnsureIndex(); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.IndexStats(); st.FullBuilds != 1 || st.RowsIndexed != 20 {
-		t.Errorf("stats %+v, want 1 full build of 20 rows", st)
+		t.Errorf("stats %+v, want 1 fill of 20 rows", st)
 	}
+}
+
+// flakyTarget fails the first Get of row bad; gets logs every Get.
+type flakyTarget struct {
+	getLog
+	bad    uint64
+	failed bool
+}
+
+func (f *flakyTarget) Get(id uint64) (spatialkeyword.Object, error) {
+	if id == f.bad && !f.failed {
+		f.failed = true
+		f.ids = append(f.ids, id)
+		return spatialkeyword.Object{}, errors.New("transient")
+	}
+	return f.getLog.Get(id)
+}
+
+// TestSidecarFillResumes: a first fill that fails at row r keeps rows
+// [0, r); the next use reads only rows [r, n), and the index then answers a
+// forced-IIO TOP like a fresh catalog's.
+func TestSidecarFillResumes(t *testing.T) {
+	s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	const n, r = 80, 37
+	fillTarget(t, s.Add, rand.New(rand.NewSource(67)), n)
+	if err := s.Delete(61); err != nil {
+		t.Fatal(err)
+	}
+	tgt := &flakyTarget{getLog: getLog{Target: s}, bad: r}
+	c := NewCatalog(tgt)
+	if err := c.EnsureIndex(); err == nil {
+		t.Fatalf("EnsureIndex succeeded with Get(%d) failing", r)
+	}
+	if st := c.IndexStats(); st.FullBuilds != 1 || st.RowsIndexed != r {
+		t.Errorf("after the failed fill: stats %+v, want 1 fill of the %d rows before the fault", st, r)
+	}
+	tgt.ids = nil
+	if err := c.EnsureIndex(); err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	for id := uint64(r); id < n; id++ {
+		want = append(want, id)
+	}
+	if !slices.Equal(tgt.ids, want) {
+		t.Errorf("the resumed fill read rows %v, want only [%d, %d)", tgt.ids, r, n)
+	}
+	if st := c.IndexStats(); st.FullBuilds != 1 || st.RowsIndexed != n-1 {
+		t.Errorf("after the resumed fill: stats %+v, want 1 fill of %d live rows", st, n-1)
+	}
+
+	q, err := Parse(`SELECT TOP 12 NEAR (40, 60) MATCH "base" AND "com0" USING iio`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewCatalog(s).Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Results, fresh.Results) {
+		t.Errorf("resumed catalog answered %+v, a fresh one %+v", got.Results, fresh.Results)
+	}
+	checkResults(t, "resumed", q, got.Results, oracleRows(t, c, q))
 }

@@ -6,23 +6,6 @@ import (
 	"spatialkeyword/internal/textutil"
 )
 
-// Merge describes how an executed plan's operator outputs combine.
-type Merge int
-
-const (
-	// MergeDistance takes the k nearest across all operators,
-	// deduplicated by object ID (distance ties by smallest ID).
-	MergeDistance Merge = iota
-	// MergeRanked takes the k best-scoring results of the single
-	// ranked operator.
-	MergeRanked
-	// MergeUnion unions operator outputs by object ID, ordered by ID
-	// (ALL projections).
-	MergeUnion
-	// MergeCount is MergeUnion reduced to its cardinality.
-	MergeCount
-)
-
 // Operator is one physical operator: an engine-level query with a
 // pushed-down conjunction plus residual filtering applied by the
 // executor.
@@ -74,13 +57,11 @@ type Plan struct {
 	// Common are the conjuncts shared by every DNF branch (pushed
 	// into single-scan operators for signature pruning).
 	Common []string
-	// DNF reports that Ops are the branches of a DNF split, unioned
-	// by the Merge; false means a single scan (or ranked) operator.
+	// DNF reports that Ops are the branches of a DNF split, combined as
+	// the projection asks; false means a single scan (or ranked) operator.
 	DNF bool
 	// Ops are the physical operators, executed independently.
 	Ops []Operator
-	// Merge combines the operator outputs.
-	Merge Merge
 	// In are the cost inputs the estimates were computed from.
 	In CostInputs
 	// an is the text pipeline of the corpus In describes: it normalised
@@ -267,7 +248,6 @@ func topAndPos(e Expr) []string {
 func (c *Catalog) planTop(p *Plan) error {
 	q := p.Query
 	in := p.In
-	p.Merge = MergeDistance
 
 	if p.Tree == nil {
 		// Pure spatial query: the IR²-Tree without keywords is a
@@ -402,7 +382,6 @@ func (c *Catalog) planRanked(p *Plan) error {
 	if len(pos) == 0 {
 		return fmt.Errorf("skql: SELECT RANKED requires at least one positive keyword to score")
 	}
-	p.Merge = MergeRanked
 	residual := p.Tree
 	if t, ok := nt.(Term); ok && len(pos) == 1 && t.Word == pos[0] {
 		residual = nil // single positive term: the traversal's own match suffices
@@ -420,10 +399,6 @@ func (c *Catalog) planRanked(p *Plan) error {
 func (c *Catalog) planArea(p *Plan) error {
 	q := p.Query
 	in := p.In
-	p.Merge = MergeUnion
-	if q.Proj == ProjCount {
-		p.Merge = MergeCount
-	}
 
 	if p.Tree == nil {
 		if q.Force == PathIIO {

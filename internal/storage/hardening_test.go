@@ -224,7 +224,7 @@ func TestFaultDevicePassThrough(t *testing.T) {
 		t.Fatalf("NumBlocks/SizeBytes wrong: %d %d", d.NumBlocks(), d.SizeBytes())
 	}
 	d.ResetStats()
-	if d.Stats().Total() != 0 {
+	if d.Stats() != (Stats{}) {
 		t.Fatalf("ResetStats did not reset")
 	}
 	if d.Under() != Device(under) {
@@ -430,7 +430,7 @@ func TestChecksumPassThrough(t *testing.T) {
 		t.Fatalf("pass-through accessors diverge")
 	}
 	d.ResetStats()
-	if d.Stats().Total() != 0 {
+	if d.Stats() != (Stats{}) {
 		t.Fatalf("ResetStats not forwarded")
 	}
 	if d.Under() != Device(under) {

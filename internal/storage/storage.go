@@ -74,20 +74,11 @@ type Stats struct {
 	SequentialWrites uint64 // writes of the block following the previous access
 }
 
-// Reads returns the total number of block reads.
-func (s Stats) Reads() uint64 { return s.RandomReads + s.SequentialReads }
-
-// Writes returns the total number of block writes.
-func (s Stats) Writes() uint64 { return s.RandomWrites + s.SequentialWrites }
-
 // Random returns the total number of random (seeking) accesses.
 func (s Stats) Random() uint64 { return s.RandomReads + s.RandomWrites }
 
 // Sequential returns the total number of sequential accesses.
 func (s Stats) Sequential() uint64 { return s.SequentialReads + s.SequentialWrites }
-
-// Total returns the total number of block accesses.
-func (s Stats) Total() uint64 { return s.Random() + s.Sequential() }
 
 // Sub returns the counter deltas s - t. It is how callers meter a single
 // operation: snapshot before, snapshot after, subtract.

@@ -69,15 +69,11 @@ func TokenSet(text string) map[string]struct{} {
 }
 
 // Vocabulary accumulates corpus-level term statistics: the set of distinct
-// words, their document frequencies, and per-document unique word counts.
-// It backs Table 1's "average # unique words per object" and "total # unique
-// words" columns, the idf component of the IR score, and the optimal
-// signature length computation (which needs the expected number of distinct
-// words per document).
+// words and their document frequencies. It backs Table 1's "total # unique
+// words" column and the idf component of the IR score.
 type Vocabulary struct {
-	docFreq   map[string]int
-	numDocs   int
-	uniqueSum int64
+	docFreq map[string]int
+	numDocs int
 }
 
 // NewVocabulary returns an empty vocabulary.
@@ -101,7 +97,6 @@ func (v *Vocabulary) AddDocWith(a *Analyzer, text string, repeated func(term str
 		switch {
 		case n == 1:
 			v.docFreq[tok]++
-			v.uniqueSum++
 		case n == 2 && repeated != nil:
 			repeated(tok)
 		}
@@ -120,13 +115,4 @@ func (v *Vocabulary) NumWords() int { return len(v.docFreq) }
 func (v *Vocabulary) DocFreq(word string) int {
 	var plain *Analyzer
 	return v.docFreq[plain.Keyword(word)]
-}
-
-// AvgUniqueWordsPerDoc returns the mean number of distinct words per
-// document (Table 1's "average # unique words per object").
-func (v *Vocabulary) AvgUniqueWordsPerDoc() float64 {
-	if v.numDocs == 0 {
-		return 0
-	}
-	return float64(v.uniqueSum) / float64(v.numDocs)
 }

@@ -121,8 +121,8 @@ func TestVocabulary(t *testing.T) {
 		t.Errorf("DocFreq(sauna) = %d, want 0", got)
 	}
 	// Doc unique counts: 6, 5, 4 → avg 5.
-	if got, want := v.AvgUniqueWordsPerDoc(), 5.0; got != want {
-		t.Errorf("AvgUniqueWordsPerDoc = %g, want %g", got, want)
+	if got, want := avgUniqueWords(v), 5.0; got != want {
+		t.Errorf("average unique words per doc = %g, want %g", got, want)
 	}
 }
 
@@ -194,9 +194,22 @@ func BenchmarkAddDocWith(b *testing.B) {
 	}
 }
 
+// avgUniqueWords is the mean number of distinct words per document: each
+// document adds one to the frequency of each of its distinct words.
+func avgUniqueWords(v *Vocabulary) float64 {
+	if v.numDocs == 0 {
+		return 0
+	}
+	sum := 0
+	for _, df := range v.docFreq {
+		sum += df
+	}
+	return float64(sum) / float64(v.numDocs)
+}
+
 func TestEmptyVocabulary(t *testing.T) {
 	v := NewVocabulary()
-	if v.AvgUniqueWordsPerDoc() != 0 {
+	if avgUniqueWords(v) != 0 {
 		t.Error("empty vocabulary average should be 0")
 	}
 	if v.NumWords() != 0 || v.NumDocs() != 0 {

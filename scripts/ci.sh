@@ -48,7 +48,9 @@
 #           residual filter (skql.BenchmarkResidualFilter, a 15-word row)
 #           and a forced-IIO TOP 10 NEAR over a ~100-candidate conjunction
 #           on 4 shards, also in rows read per statement
-#           (skql.BenchmarkIIOTop),
+#           (skql.BenchmarkIIOTop), and the first fill of a fresh catalog's
+#           sidecar index over 4 shards of 5,000 rows, one Get per row, also
+#           in rows indexed per fill (skql.BenchmarkSidecarFill),
 #           of an add's vocabulary fold with its repeated-term report
 #           (textutil.BenchmarkAddDocWith, Hotels- and Restaurants-length
 #           rows), of a file device's run read and
@@ -166,7 +168,7 @@ run_bench() {
 run_micro() {
 	step micro
 	go test -run '^$' -bench 'CountTermsBytes|ContainsTerms|AddDocWith|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
-	go test -run '^$' -bench 'ResidualFilter|IIOTop' -benchmem ./internal/skql
+	go test -run '^$' -bench 'ResidualFilter|IIOTop|SidecarFill' -benchmem ./internal/skql
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
 	go test -run '^$' -bench 'DurableLoad|DurableTopK|DurableRanked' -benchmem .

@@ -199,11 +199,6 @@ type Reader interface {
 	SearchRanked(point []float64, keywords ...string) (RankedStream, error)
 	// NumObjects is the size of the object-ID space, deleted rows included.
 	NumObjects() int
-	// Scan visits every stored row in ID order, deleted rows included (their
-	// text still counts toward corpus statistics; filter with IsDeleted once
-	// Scan has returned); IDs that were reserved but never stored are not
-	// rows. fn runs under the backend's read locks and must not call it.
-	Scan(fn func(Object) error) error
 	IsDeleted(id uint64) bool
 	Stats() Stats
 	// Corpus is the document count and per-word document frequencies ranked
