@@ -2,6 +2,7 @@ package spatialkeyword
 
 import (
 	"fmt"
+	"math"
 
 	"spatialkeyword/internal/geo"
 )
@@ -34,26 +35,30 @@ func (e *Engine) validateArea(lo, hi []float64) (geo.Rect, error) {
 
 // WithinArea returns every object inside the rectangle whose text contains
 // all the keywords — the boolean range query ("all pizza places on this map
-// view"), ordered by object ID.
-func (e *Engine) WithinArea(lo, hi []float64, keywords ...string) ([]Result, error) {
+// view"), ordered by object ID: FirstK of SearchWithin, every result at
+// distance zero, so its (distance, ID) order is ID order.
+func (e *Engine) WithinArea(lo, hi []float64, keywords ...string) ([]Result, QueryStats, error) {
+	it, err := e.SearchWithin(lo, hi, keywords...)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	out, err := FirstK(nil, it, math.MaxInt, nil)
+	it.Close()
+	return out, it.Stats(), err
+}
+
+// SearchWithin starts the range query's stream: the objects inside the
+// rectangle containing every keyword, each at distance zero, with subtrees
+// pruned by MBR as well as by signature. WithinArea is its FirstK; the shard
+// merge pulls it per shard.
+func (e *Engine) SearchWithin(lo, hi []float64, keywords ...string) (ResultStream, error) {
 	area, err := e.validateArea(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.rlock(); err != nil {
-		return nil, err
-	}
-	defer e.mu.RUnlock()
-	results, _, err := e.tree.WithinArea(area, keywords)
+	q, err := e.begin()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, len(results))
-	for _, r := range results {
-		if e.deleted[uint64(r.Object.ID)] {
-			continue
-		}
-		out = append(out, Result{Object: publicObject(r.Object)})
-	}
-	return out, nil
+	return &SearchIter{query: q, it: e.tree.SearchWithin(area, keywords)}, nil
 }

@@ -49,7 +49,7 @@ func TestEngineTopKArea(t *testing.T) {
 func TestEngineWithinArea(t *testing.T) {
 	e := newEngine(t, Config{SignatureBytes: 16})
 	addFigure1(t, e)
-	results, err := e.WithinArea([]float64{30, 100}, []float64{45, 145}, "pool")
+	results, _, err := e.WithinArea([]float64{30, 100}, []float64{45, 145}, "pool")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestEngineWithinArea(t *testing.T) {
 	if err := e.Delete(results[0].Object.ID); err != nil {
 		t.Fatal(err)
 	}
-	results, err = e.WithinArea([]float64{30, 100}, []float64{45, 145}, "pool")
+	results, _, err = e.WithinArea([]float64{30, 100}, []float64{45, 145}, "pool")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestEngineWithinArea(t *testing.T) {
 		t.Errorf("after delete: %d results", len(results))
 	}
 	// Empty keyword list: everything in the area.
-	all, err := e.WithinArea([]float64{-90, -180}, []float64{90, 180})
+	all, _, err := e.WithinArea([]float64{-90, -180}, []float64{90, 180})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestEngineAreaValidation(t *testing.T) {
 	if _, err := e.SearchArea([]float64{0}, []float64{1, 1}, "x"); !errors.Is(err, ErrBadPoint) {
 		t.Errorf("bad lo dimension: err = %v, want ErrBadPoint", err)
 	}
-	if _, err := e.WithinArea([]float64{5, 5}, []float64{1, 1}, "x"); !errors.Is(err, ErrBadPoint) {
+	if _, _, err := e.WithinArea([]float64{5, 5}, []float64{1, 1}, "x"); !errors.Is(err, ErrBadPoint) {
 		t.Errorf("inverted area: err = %v, want ErrBadPoint", err)
 	}
 }
@@ -118,8 +118,8 @@ func TestBadPointRefusedAtEveryEntry(t *testing.T) {
 			"SearchArea/hi": func() error { return closed(e.SearchArea(good, bad, "pool")) },
 			"SearchRanked":  func() error { return closed(e.SearchRanked(bad, "pool")) },
 			"TopKRanked":    func() error { _, err := e.TopKRanked(1, bad, "pool"); return err },
-			"WithinArea/lo": func() error { _, err := e.WithinArea(bad, good, "pool"); return err },
-			"WithinArea/hi": func() error { _, err := e.WithinArea(good, bad, "pool"); return err },
+			"WithinArea/lo": func() error { _, _, err := e.WithinArea(bad, good, "pool"); return err },
+			"WithinArea/hi": func() error { _, _, err := e.WithinArea(good, bad, "pool"); return err },
 		}
 		for entry, call := range entries {
 			if err := call(); !errors.Is(err, ErrBadPoint) {

@@ -317,7 +317,7 @@ func compareEngines(t *testing.T, rng *rand.Rand, words []string, m *diffModel, 
 			if got := rankedIDs(ranked); !reflect.DeepEqual(got, wantRanked) {
 				t.Fatalf("engine %d TopKRanked(%d, %v, %v) = %v, brute force %v", i, k, p, kws, got, wantRanked)
 			}
-			within, err := e.WithinArea(lo, hi, kws[0])
+			within, _, err := e.WithinArea(lo, hi, kws[0])
 			if err != nil {
 				t.Fatal(err)
 			}

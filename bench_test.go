@@ -484,3 +484,56 @@ func BenchmarkDurableRanked(b *testing.B) {
 	b.ReportMetric(float64(objects)/float64(b.N), "objects/op")
 	b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
 }
+
+// BenchmarkWithinArea times the boolean range query no benchmarks/perf
+// workload runs: a warm WithinArea on a saved-and-reopened Restaurants(0.05)
+// engine (64-byte signatures), the rectangle ±400 around a row's point, with
+// one keyword from the top 2 % of words by document frequency (frequent) or
+// from the next 18 % (mid). Beside ns/op it reports the results, the nodes
+// expanded and the disk blocks read per query.
+func BenchmarkWithinArea(b *testing.B) {
+	eng, points, frequent, mid := durableBenchEngine(b, dataset.Restaurants(0.05), 64)
+	for _, band := range []struct {
+		name  string
+		words []string
+	}{{"mid", mid}, {"frequent", frequent}} {
+		b.Run(band.name, func(b *testing.B) {
+			type query struct {
+				lo, hi []float64
+				word   string
+			}
+			queries := make([]query, 256)
+			for i := range queries {
+				p := points[i*len(points)/len(queries)]
+				queries[i] = query{
+					lo:   []float64{p[0] - 400, p[1] - 400},
+					hi:   []float64{p[0] + 400, p[1] + 400},
+					word: band.words[i*13%len(band.words)],
+				}
+			}
+			run := func(q query) (int, spatialkeyword.QueryStats) {
+				res, st, err := eng.WithinArea(q.lo, q.hi, q.word)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return len(res), st
+			}
+			for _, q := range queries { // warm the node cache
+				run(q)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var results, nodes int
+			var blocks uint64
+			for i := 0; i < b.N; i++ {
+				n, st := run(queries[i%len(queries)])
+				results += n
+				nodes += st.NodesLoaded
+				blocks += st.BlocksRandom + st.BlocksSequential
+			}
+			b.ReportMetric(float64(results)/float64(b.N), "results/op")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
+		})
+	}
+}

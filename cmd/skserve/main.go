@@ -1,9 +1,10 @@
 // Command skserve exposes a spatial keyword search engine over HTTP — the
 // paper's motivating "online yellow pages" as a running service. It serves
 // a JSON API backed by a pool of IR²-Tree engines — one by default, -shards
-// of them partitioned by location — answering queries with a parallel
-// fan-out/merge, optionally durable on disk. SIGINT/SIGTERM drain in-flight
-// requests and checkpoint a durable engine before exiting.
+// of them, each object placed by a hash of its point — answering every query
+// by merging the shards' result streams, pulled one at a time, optionally
+// durable on disk. SIGINT/SIGTERM drain in-flight requests and checkpoint a
+// durable engine before exiting.
 //
 // Usage:
 //
@@ -15,7 +16,7 @@
 //	            served in place as one shard)
 //	-sig        leaf signature bytes (default 64) of a new engine; an
 //	            existing directory keeps its manifest's length
-//	-shards     number of spatial shards (default 1) of a new engine; an
+//	-shards     number of shards (default 1) of a new engine; an
 //	            existing directory keeps the count it was created with
 //	-wal        write-ahead log: every acknowledged mutation is durable
 //	            before the HTTP response (requires -dir; reopening an

@@ -198,7 +198,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 				}
 			case 2:
 				lo, hi := []float64{x - 20, y - 20}, []float64{x + 20, y + 20}
-				rs, err := e.WithinArea(lo, hi, "stress")
+				rs, _, err := e.WithinArea(lo, hi, "stress")
 				if err != nil {
 					return fmt.Errorf("WithinArea: %w", err)
 				}

@@ -72,7 +72,7 @@ func TestDurableEngineAllocsMatchInMemory(t *testing.T) {
 					return len(res), err
 				}},
 				{"WithinArea", func(e *Engine) (int, error) {
-					res, err := e.WithinArea([]float64{60, 45}, []float64{120, 105}, "cafe")
+					res, _, err := e.WithinArea([]float64{60, 45}, []float64{120, 105}, "cafe")
 					return len(res), err
 				}},
 			}

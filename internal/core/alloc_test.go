@@ -63,15 +63,15 @@ func TestWarmTopKAllocBounded(t *testing.T) {
 	}
 }
 
-// TestWarmWithinAreaAllocBounded gates the range query's packed walk: with
-// the node cache warm, its allocations are the candidate list, the batch
-// load and the results — nothing per node visited.
+// TestWarmWithinAreaAllocBounded gates the range query's pruned stream: with
+// the node cache warm, its allocations are the surviving objects and the
+// result list — nothing per node visited.
 func TestWarmWithinAreaAllocBounded(t *testing.T) {
 	x := newWarmTree(t)
 	area := geo.NewRect(geo.NewPoint(20, 20), geo.NewPoint(70, 70))
 	var results, nodes int
 	run := func() {
-		res, stats, err := x.WithinArea(area, []string{"pizza"})
+		res, stats, err := withinArea(x, area, []string{"pizza"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,27 @@ func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
 	return newResultIter(x, x.rt.Seek(scorer, sigs.at), kws)
 }
 
+// SearchWithin is the boolean range query ("all pizza places on this map
+// view") as a stream: SearchArea's traversal with a scorer that keeps only
+// the entries whose MBR intersects the area, so a subtree or object outside
+// it is pruned as a signature miss is — the double pruning of the top-k
+// algorithms. Every result has distance zero, in traversal order. Node
+// entries score below zero, deeper ones lower, so the traversal is depth
+// first in entry order — the block order, and so the sequential reads, of
+// the recursive walk it replaced — and objects are emitted once every node
+// is expanded.
+func (x *IR2Tree) SearchWithin(area geo.Rect, keywords []string) *ResultIter {
+	kws := x.an.Keywords(keywords)
+	sigs := &levelSigs{scheme: x.scheme, kws: kws}
+	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
+		if isObject {
+			return 0, rect.Intersects(area)
+		}
+		return -1 / float64(level), rect.Intersects(area)
+	}
+	return newResultIter(x, x.rt.Seek(scorer, sigs.at), kws)
+}
+
 // rectDist is geo.Rect.MinDistRect, aliased for readability at call sites.
 func rectDist(a, b geo.Rect) float64 { return a.MinDistRect(b) }
 

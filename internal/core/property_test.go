@@ -124,8 +124,9 @@ func TestQuickGeneralScoreMonotone(t *testing.T) {
 	}
 }
 
-// TestQuickAreaConsistentWithPointQueries: an object returned by WithinArea
-// must also be returned by a large-enough area top-k and vice versa.
+// TestQuickAreaConsistency: an object returned by the range query
+// (SearchWithin) must also be returned by a large-enough area top-k and vice
+// versa.
 func TestQuickAreaConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(162))
 	rows := randomRows(rng, 300)
@@ -134,7 +135,7 @@ func TestQuickAreaConsistency(t *testing.T) {
 		lo := geo.NewPoint(rng.Float64()*800, rng.Float64()*800)
 		area := geo.NewRect(lo, geo.NewPoint(lo[0]+200, lo[1]+200))
 		kw := []string{"pool"}
-		within, _, err := f.ir2.WithinArea(area, kw)
+		within, _, err := withinArea(f.ir2, area, kw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,8 +143,8 @@ func TestQuickAreaConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every zero-distance area top-k result must be in WithinArea and
-		// vice versa.
+		// Every zero-distance area top-k result must be in the range answer
+		// and vice versa.
 		zeroDist := make(map[objstore.ID]bool)
 		for _, r := range topArea {
 			if r.Dist == 0 {
@@ -155,7 +156,7 @@ func TestQuickAreaConsistency(t *testing.T) {
 		}
 		for _, r := range within {
 			if !zeroDist[r.Object.ID] {
-				t.Fatalf("trial %d: object %d in WithinArea missing from the area top-k", trial, r.Object.ID)
+				t.Fatalf("trial %d: object %d in the range answer missing from the area top-k", trial, r.Object.ID)
 			}
 		}
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,29 +27,36 @@ func bruteWithinArea(objs []objstore.Object, area geo.Rect, keywords []string) [
 	return out
 }
 
-// decodedAreaWalk is WithinArea's tree walk written over decoded LoadNode
-// images, as it read the tree before the packed image became the only read
-// representation: the nodes it visits and the candidate pointers it collects.
-func decodedAreaWalk(t *testing.T, x *IR2Tree, area geo.Rect, keywords []string) (nodes int, ptrs []objstore.Ptr) {
+// decodedAreaWalk is the range query's tree walk written over decoded
+// LoadNode images, as it read the tree before the packed image became the
+// only read representation and the query became a pruned stream: the nodes
+// it visits, what it prunes and enqueues as rtree.Iter counts them (an entry
+// whose MBR misses the area or whose signature misses the query's is pruned;
+// the rest are enqueued nodes or objects), and the candidate pointers it
+// collects.
+func decodedAreaWalk(t *testing.T, x *IR2Tree, area geo.Rect, keywords []string) (walk SearchStats, ptrs []objstore.Ptr) {
 	t.Helper()
 	sigs := &levelSigs{scheme: x.scheme, kws: x.an.Keywords(keywords)}
-	var walk func(n *rtree.Node)
-	walk = func(n *rtree.Node) {
-		nodes++
+	var visit func(n *rtree.Node)
+	visit = func(n *rtree.Node) {
+		walk.NodesLoaded++
 		for i := 0; i < n.NumEntries(); i++ {
 			ptr, rect, aux := n.Entry(i)
 			if !rect.Intersects(area) || !sigs.at(n.Level()).MatchesTolerant(aux) {
+				walk.EntriesPruned++
 				continue
 			}
 			if n.Level() == 0 {
+				walk.ObjectsEnqueued++
 				ptrs = append(ptrs, objstore.Ptr(ptr))
 				continue
 			}
+			walk.NodesEnqueued++
 			child, err := x.rt.LoadNode(storage.BlockID(ptr))
 			if err != nil {
 				t.Fatal(err)
 			}
-			walk(child)
+			visit(child)
 		}
 	}
 	root, err := x.rt.Root()
@@ -54,15 +64,28 @@ func decodedAreaWalk(t *testing.T, x *IR2Tree, area geo.Rect, keywords []string)
 		t.Fatal(err)
 	}
 	if root != nil {
-		walk(root)
+		visit(root)
 	}
-	return nodes, ptrs
+	return walk, ptrs
+}
+
+// withinArea answers the range query as the engine does: SearchWithin
+// drained, in object-ID order, with the stream's stats.
+func withinArea(x *IR2Tree, area geo.Rect, keywords []string) ([]Result, SearchStats, error) {
+	it := x.SearchWithin(area, keywords)
+	defer it.Close()
+	out, err := TakeK(math.MaxInt, it.Next)
+	if err != nil {
+		return nil, it.Stats(), err
+	}
+	slices.SortFunc(out, func(a, b Result) int { return cmp.Compare(a.Object.ID, b.Object.ID) })
+	return out, it.Stats(), nil
 }
 
 // TestWithinAreaMatchesBruteForce checks the range query's answers against a
 // scan, and its SearchStats and index-device accesses against the decoded
-// walk: moving it onto packed images changed neither. It runs on the
-// generator's lower-case rows and on the same rows in mixed case with
+// walk: neither packed images nor the pruned stream changed them. It runs on
+// the generator's lower-case rows and on the same rows in mixed case with
 // non-ASCII letters, which the false-positive filter must fold as Tokenize
 // does.
 func TestWithinAreaMatchesBruteForce(t *testing.T) {
@@ -115,10 +138,10 @@ func withinAreaMatchesBruteForce(t *testing.T, rng *rand.Rand, rows []struct {
 		for name, tree := range map[string]*IR2Tree{"IR2": f.ir2, "MIR2": f.mir2} {
 			dev := tree.RTree().Device()
 			dev.ResetStats()
-			nodes, ptrs := decodedAreaWalk(t, tree, area, kw)
+			wantStats, ptrs := decodedAreaWalk(t, tree, area, kw)
 			wantIO := dev.Stats()
 			dev.ResetStats()
-			got, stats, err := tree.WithinArea(area, kw)
+			got, stats, err := withinArea(tree, area, kw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +150,7 @@ func withinAreaMatchesBruteForce(t *testing.T, rng *rand.Rand, rows []struct {
 			}
 			// Points have degenerate MBRs, so every candidate lies in the
 			// area and the ones that are not answers are false positives.
-			wantStats := SearchStats{NodesLoaded: nodes, ObjectsLoaded: len(ptrs), FalsePositives: len(ptrs) - len(want)}
+			wantStats.ObjectsLoaded, wantStats.FalsePositives = len(ptrs), len(ptrs)-len(want)
 			if stats != wantStats {
 				t.Fatalf("trial %d (%s): stats %+v, decoded walk %+v", trial, name, stats, wantStats)
 			}
@@ -139,10 +162,8 @@ func withinAreaMatchesBruteForce(t *testing.T, rng *rand.Rand, rows []struct {
 }
 
 // TestWithinAreaWideNodes runs the range query on a bulk-packed tree whose
-// root holds more than 64 entries, so its survivor mask spans two words and
-// is still being walked while its children compute theirs: each depth of
-// the walk needs its own mask. Answers and stats must match brute force and
-// the decoded walk.
+// root holds more than 64 entries, so its survivor mask spans two words.
+// Answers and stats must match brute force and the decoded walk.
 func TestWithinAreaWideNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	store := objstore.New(newDisk())
@@ -181,15 +202,16 @@ func TestWithinAreaWideNodes(t *testing.T) {
 		area := geo.NewRect(lo, geo.NewPoint(lo[0]+200+rng.Float64()*400, lo[1]+200+rng.Float64()*400))
 		kw := [][]string{{"pool"}, {"internet", "spa"}}[trial%2]
 		want := bruteWithinArea(objs, area, kw)
-		nodes, ptrs := decodedAreaWalk(t, tree, area, kw)
-		got, stats, err := tree.WithinArea(area, kw)
+		wantStats, ptrs := decodedAreaWalk(t, tree, area, kw)
+		got, stats, err := withinArea(tree, area, kw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(resultIDs(got)) != fmt.Sprint(want) || len(want) == 0 {
 			t.Fatalf("trial %d: got %d results, brute force %d", trial, len(got), len(want))
 		}
-		if wantStats := (SearchStats{NodesLoaded: nodes, ObjectsLoaded: len(ptrs), FalsePositives: len(ptrs) - len(want)}); stats != wantStats {
+		wantStats.ObjectsLoaded, wantStats.FalsePositives = len(ptrs), len(ptrs)-len(want)
+		if stats != wantStats {
 			t.Fatalf("trial %d: stats %+v, decoded walk %+v", trial, stats, wantStats)
 		}
 	}
@@ -202,7 +224,7 @@ func TestWithinAreaPrunesBySignature(t *testing.T) {
 	// A huge area with an absent keyword: spatial pruning does nothing,
 	// signature pruning must keep work near zero.
 	area := geo.NewRect(geo.NewPoint(-1e6, -1e6), geo.NewPoint(1e6, 1e6))
-	got, stats, err := f.ir2.WithinArea(area, []string{"xyzzy"})
+	got, stats, err := withinArea(f.ir2, area, []string{"xyzzy"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +235,7 @@ func TestWithinAreaPrunesBySignature(t *testing.T) {
 		t.Errorf("loaded %d objects; signature pruning ineffective", stats.ObjectsLoaded)
 	}
 	// Same area, common keyword: everything matching comes back.
-	got, _, err = f.ir2.WithinArea(area, []string{"pool"})
+	got, _, err = withinArea(f.ir2, area, []string{"pool"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +251,7 @@ func TestWithinAreaEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := tree.WithinArea(geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1, 1)), []string{"x"})
+	got, _, err := withinArea(tree, geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1, 1)), []string{"x"})
 	if err != nil || got != nil {
 		t.Errorf("empty tree: %v %v", got, err)
 	}

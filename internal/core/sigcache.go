@@ -5,8 +5,8 @@ import "spatialkeyword/internal/sigfile"
 // levelSigs lazily caches the conjunctive query signature per tree level in
 // word-at-a-time form: a slice indexed by level (tree heights are tiny)
 // holding Sig64 views that match raw aux payloads without allocating. The
-// distance-first and area traversals and WithinArea look it up once per
-// expanded node.
+// distance-first, area and range traversals look it up once per expanded
+// node.
 type levelSigs struct {
 	scheme *sigScheme
 	kws    []string

@@ -217,12 +217,12 @@ func (s *Store) get(ptr Ptr, sc *RowScratch, shareBlocks bool) (Object, error) {
 type RowScratch struct {
 	block []byte
 	row   []byte
-	held  int // GetBatch and Scan only: file-block index sitting in block, -1 for none
+	held  int // Scan only: file-block index sitting in block, -1 for none
 }
 
 // rowScratchPool serves the readers that take no scratch of their own (Get,
-// GetBatch, Scan); decodeRow copies everything an Object keeps, so a scratch
-// goes back to the pool as soon as the row is decoded.
+// Scan); decodeRow copies everything an Object keeps, so a scratch goes back
+// to the pool as soon as the row is decoded.
 var rowScratchPool = sync.Pool{New: func() any { return new(RowScratch) }}
 
 // readRow reads the row at ptr into sc.row, without its newline: the one
@@ -230,7 +230,7 @@ var rowScratchPool = sync.Pool{New: func() any { return new(RowScratch) }}
 // into sc.block one at a time until the terminating newline appears — one
 // random access plus a sequential access per continuation block. With
 // shareBlocks a block still sitting in sc.block from the previous row is
-// not read again (GetBatch, Scan); otherwise every row pays its own accesses.
+// not read again (Scan); otherwise every row pays its own accesses.
 //
 //skvet:hotpath
 func (s *Store) readRow(ptr Ptr, sc *RowScratch, shareBlocks bool) error {
@@ -330,26 +330,6 @@ func rowText(row []byte) ([]byte, bool) {
 	return rest, true
 }
 
-// GetBatch loads the objects at ptrs, in order, sharing fetched blocks
-// between consecutive rows that live in the same block. A Restaurants-sized
-// block holds dozens of rows, so a range query that batches its leaf hits
-// through here pays one read per block instead of one per object. Error
-// semantics match Get; on error the partial results are discarded.
-func (s *Store) GetBatch(ptrs []Ptr) ([]Object, error) {
-	sc := rowScratchPool.Get().(*RowScratch)
-	defer rowScratchPool.Put(sc)
-	sc.held = -1 // whatever the pooled scratch last read is not this store's
-	out := make([]Object, 0, len(ptrs))
-	for _, ptr := range ptrs {
-		obj, err := s.get(ptr, sc, true)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, obj)
-	}
-	return out, nil
-}
-
 // GetByID loads object id via the in-memory pointer directory.
 func (s *Store) GetByID(id ID) (Object, error) {
 	if uint64(id) >= s.count {
@@ -361,7 +341,7 @@ func (s *Store) GetByID(id ID) (Object, error) {
 // Scan calls fn for every stored object in append order. It stops early and
 // returns fn's error if non-nil. Scan performs device reads (it is how index
 // builders pay for reading the file once): rows that share a block share its
-// read, as in GetBatch.
+// read.
 func (s *Store) Scan(fn func(Object, Ptr) error) error {
 	sc := rowScratchPool.Get().(*RowScratch)
 	defer rowScratchPool.Put(sc)

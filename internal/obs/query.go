@@ -47,14 +47,15 @@ func (w *Work) Add(o Work) {
 // identity and outcome around the Work it did, delivered to a Sink exactly
 // once, after the query finishes — never per traversal step.
 type QueryMetrics struct {
-	// Op names the query kind: "topk", "ranked", or "stream" for a stream
-	// its caller pulls.
+	// Op names the query kind: "topk", "ranked", "area" for a boolean
+	// range query, or "stream" for a stream its caller pulls.
 	Op string
 	// Shard is the shard index the record describes, or -1 for the
 	// query's aggregate record. The shard merge, the one producer, emits
 	// one record per shard plus one aggregate record per query.
 	Shard int
-	// K is the requested result count (0 for streaming queries).
+	// K is the requested result count (0 for streaming and range
+	// queries).
 	K int
 	// Keywords is the number of query keywords.
 	Keywords int

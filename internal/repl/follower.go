@@ -738,7 +738,7 @@ func (f *Follower) TopKRanked(k int, point []float64, keywords ...string) ([]spa
 	return r.TopKRanked(k, point, keywords...)
 }
 
-func (f *Follower) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
+func (f *Follower) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
 	r, done := f.reader()
 	defer done()
 	return r.WithinArea(lo, hi, keywords...)
@@ -817,8 +817,8 @@ func (resyncing) TopKRanked(int, []float64, ...string) ([]spatialkeyword.RankedR
 	return nil, ErrResyncing
 }
 
-func (resyncing) WithinArea([]float64, []float64, ...string) ([]spatialkeyword.Result, error) {
-	return nil, ErrResyncing
+func (resyncing) WithinArea([]float64, []float64, ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
+	return nil, spatialkeyword.QueryStats{}, ErrResyncing
 }
 
 func (resyncing) Search([]float64, ...string) (spatialkeyword.ResultStream, error) {

@@ -55,6 +55,15 @@ func BenchmarkTopKRanked(b *testing.B) {
 	})
 }
 
+// BenchmarkWithinArea is the range query through the merge: every row
+// within ±400 of the query point holding the pair's first keyword.
+func BenchmarkWithinArea(b *testing.B) {
+	benchMerge(b, func(s *ShardedEngine, p []float64, kws []string) error {
+		_, _, err := s.WithinArea([]float64{p[0] - 400, p[1] - 400}, []float64{p[0] + 400, p[1] + 400}, kws[0])
+		return err
+	})
+}
+
 // BenchmarkOpen reopens a saved WAL directory of the benchmark rows.
 func BenchmarkOpen(b *testing.B) {
 	rows, _, _ := loadDataset(b, benchSpec)

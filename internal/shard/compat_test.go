@@ -118,7 +118,7 @@ func answersOf(t *testing.T, r spatialkeyword.Reader) answers {
 	if a.Ranked, err = r.TopKRanked(7, p, "pool", "wifi"); err != nil {
 		t.Fatal(err)
 	}
-	if a.Within, err = r.WithinArea([]float64{25, -80.2}, []float64{25.6, -79.5}, "cafe"); err != nil {
+	if a.Within, _, err = r.WithinArea([]float64{25, -80.2}, []float64{25.6, -79.5}, "cafe"); err != nil {
 		t.Fatal(err)
 	}
 	a.SKQL = map[string]*skql.ResultSet{}

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -131,7 +132,7 @@ func TestShardFaultDegradesAllQueryKinds(t *testing.T) {
 	if _, err := drain[spatialkeyword.Result](s.SearchArea([]float64{0, 0}, []float64{12, 12}, "common")); err != nil {
 		t.Errorf("SearchArea on degraded engine: %v", err)
 	}
-	if _, err := s.WithinArea([]float64{0, 0}, []float64{12, 12}, "common"); err != nil {
+	if _, _, err := s.WithinArea([]float64{0, 0}, []float64{12, 12}, "common"); err != nil {
 		t.Errorf("WithinArea on degraded engine: %v", err)
 	}
 	if !s.Degraded() {
@@ -255,13 +256,64 @@ func TestDegradedQueryMetric(t *testing.T) {
 	}
 }
 
+// TestDegradedRangeQuery: a range query with one shard faulted answers from
+// the healthy shards, says it is partial, and is recorded like every other
+// merged query — one aggregate record with op "area", counted by the
+// degraded-query family.
+func TestDegradedRangeQuery(t *testing.T) {
+	s, _, _, reg := degradeFixture(t)
+	var aggs []obs.QueryMetrics
+	s.SetMetricsSink(obs.MultiSink(obs.NewQueryRecorder(reg), obs.SinkFunc(func(m obs.QueryMetrics) {
+		if m.Shard < 0 {
+			aggs = append(aggs, m)
+		}
+	})))
+	const faulted = 2
+	if !s.InjectShardFault(faulted, failAllReads) {
+		t.Fatal("InjectShardFault refused")
+	}
+	// The fixture's object i sits at (i%12, i/12) and carries kw(i%7).
+	lo, hi := []float64{2, 1}, []float64{9, 6}
+	var want []uint64
+	for i := uint64(0); i < 120; i++ {
+		x, y := float64(i%12), float64(i/12)
+		if x < lo[0] || x > hi[0] || y < lo[1] || y > hi[1] || i%7 != 3 {
+			continue
+		}
+		loc, err := s.locate(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loc.shard != faulted {
+			want = append(want, i)
+		}
+	}
+	res, st, err := s.WithinArea(lo, hi, "kw3")
+	if err != nil {
+		t.Fatalf("degraded range query failed instead of serving partial results: %v", err)
+	}
+	if got := resultIDs(res); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("degraded WithinArea = %v, healthy shards' brute force %v", got, want)
+	}
+	if !st.Degraded {
+		t.Error("QueryStats.Degraded = false with a shard faulted")
+	}
+	if len(aggs) != 1 || aggs[0].Op != "area" || !aggs[0].Degraded || aggs[0].Results != len(want) {
+		t.Errorf("aggregate records = %+v, want one degraded \"area\" record of %d results", aggs, len(want))
+	}
+	c := reg.Counter("sk_query_degraded_total", "Queries answered partially with shards out of rotation.", obs.L("op", "area"))
+	if c.Value() != 1 {
+		t.Errorf("sk_query_degraded_total{op=\"area\"} = %d, want 1", c.Value())
+	}
+}
+
 // TestNonStorageErrorStillFails pins the classification boundary: an error
 // that is not a storage fault must fail the query, not degrade the shard,
 // and of two such errors the query reports the first in shard order.
 func TestNonStorageErrorStillFails(t *testing.T) {
 	s, errs, _, _ := degradeFixture(t)
 	lo, hi := []float64{0, 0}, []float64{12, 12}
-	if _, err := s.WithinArea(lo, hi, "common"); err != nil {
+	if _, _, err := s.WithinArea(lo, hi, "common"); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("not a storage problem")
@@ -277,7 +329,7 @@ func TestNonStorageErrorStillFails(t *testing.T) {
 			return nil
 		})
 	}
-	_, err := s.WithinArea(lo, hi, "common")
+	_, _, err := s.WithinArea(lo, hi, "common")
 	if !errors.Is(err, boom) {
 		t.Fatalf("query error swallowed, or not the first in shard order: %v", err)
 	}

@@ -93,13 +93,13 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 				lo := []float64{p[0] - 200, p[1] - 200}
 				hi := []float64{p[0] + 200, p[1] + 200}
 				wantA := areaTopK(t, single, 8, lo, hi, kws...)
-				wantW, err := single.WithinArea(lo, hi, kws[:1]...)
+				wantW, _, err := single.WithinArea(lo, hi, kws[:1]...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, e := range engines {
 					sameResults(t, e.name+" SearchArea", wantA, areaTopK(t, e.s, 8, lo, hi, kws...))
-					gotW, err := e.s.WithinArea(lo, hi, kws[:1]...)
+					gotW, _, err := e.s.WithinArea(lo, hi, kws[:1]...)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -220,7 +220,7 @@ func concurrentRead(s *ShardedEngine, cat *skql.Catalog, reader int, p []float64
 			}
 		}
 		it.Close()
-		if _, err := s.WithinArea(lo, hi, kw); err != nil {
+		if _, _, err := s.WithinArea(lo, hi, kw); err != nil {
 			return err
 		}
 	default:
@@ -263,7 +263,7 @@ func checkQuiescent(t *testing.T, s *ShardedEngine, cat *skql.Catalog, m *bruteM
 		if want := m.ranked(s.Corpus(), 5, p, kw); !reflect.DeepEqual(gotRanked, want) {
 			t.Fatalf("TopKRanked(5, %v, %s) = %v, brute force %v", p, kw, gotRanked, want)
 		}
-		area, err := s.WithinArea(lo, hi, kw)
+		area, _, err := s.WithinArea(lo, hi, kw)
 		if err != nil {
 			t.Fatal(err)
 		}

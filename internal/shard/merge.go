@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -9,20 +10,21 @@ import (
 	"spatialkeyword/internal/rtree"
 )
 
-// The fan-out/merge machinery: one merge for every sharded top-k. A sharded
+// The fan-out/merge machinery: one merge for every sharded query. A sharded
 // top-k is the paper's best-first search one level up — each shard is an
-// incremental stream (Search, SearchArea, SearchRankedWith) with a bound on
-// everything it can still produce, and the merge delivers the global best
-// first. mergedStream owns what the query kinds share: the shard's read lock,
-// open, pull, local→global ID translation, Close, the per-shard and aggregate
-// sink records, degrade-on-storage-fault. What differs per kind is a topkQuery.
+// incremental stream (Search, SearchArea, SearchWithin, SearchRankedWith)
+// with a bound on everything it can still produce, and the merge delivers
+// the global best first. mergedStream owns what the query kinds share: the
+// shard's read lock, open, pull, local→global ID translation, Close, the
+// per-shard and aggregate sink records, degrade-on-storage-fault. What
+// differs per kind is a topkQuery.
 //
 // One scheduler drives the lanes: mergedStream, a sequential best-first k-way
 // merge that pulls one result at a time from the shard whose next candidate
 // has the best bound and delivers it once no shard's bound beats it. It is the
 // stream Search, SearchArea and SearchRanked return — one lane is a
-// pass-through with ID translation — and TopK and TopKRanked are its top-k
-// cut, spatialkeyword.FirstK, as on a single engine (topK). Per device this
+// pass-through with ID translation — and TopK, TopKRanked and WithinArea are
+// its top-k cut, spatialkeyword.FirstK, as on a single engine (topK). Per device this
 // is the minimum I/O any exact merge can do, and which lane is pulled depends
 // on the bounds alone, never on goroutine scheduling.
 //
@@ -44,8 +46,8 @@ type stream[R any] interface {
 
 // topkQuery is what distinguishes one kind of sharded top-k from another.
 type topkQuery[R any] struct {
-	op          string // sink op: "topk", "ranked", or "stream" when the caller pulls
-	k, keywords int    // k is 0 when the caller pulls
+	op          string // sink op: "topk", "ranked", "area", or "stream" when the caller pulls
+	k, keywords int    // k is the record's: 0 when the caller pulls or every result is wanted
 	asc         bool   // true: smallest keys are best (distances); false: largest (scores)
 	open        func(*spatialkeyword.Engine) (stream[R], error)
 	// at returns a result's ordering key and the address of its object ID
@@ -279,20 +281,23 @@ func (st *mergedStream[R]) end(results int) {
 	st.record(results, st.err)
 }
 
-// topK answers a sharded top-k: spatialkeyword.FirstK of the merge, its
-// record carrying the cut's result count.
-func topK[R spatialkeyword.Result | spatialkeyword.RankedResult](s *ShardedEngine, q topkQuery[R]) ([]R, spatialkeyword.QueryStats, error) {
-	if q.k <= 0 {
+// topK answers a sharded top-k: spatialkeyword.FirstK of the merge cut at k
+// (math.MaxInt: every result), its record carrying the cut's result count.
+func topK[R spatialkeyword.Result | spatialkeyword.RankedResult](s *ShardedEngine, q topkQuery[R], k int) ([]R, spatialkeyword.QueryStats, error) {
+	if k <= 0 {
 		return nil, spatialkeyword.QueryStats{}, nil
 	}
-	// Room for k and the first tie beyond it, but k is the caller's: never
-	// more than the rows held. Sized before any lane holds a lock.
-	dst := make([]R, 0, min(q.k, s.NumObjects())+1)
+	var dst []R
+	if k < math.MaxInt {
+		// Room for k and the first tie beyond it, but k is the caller's:
+		// never more than the rows held. Sized before any lane holds a lock.
+		dst = make([]R, 0, min(k, s.NumObjects())+1)
+	}
 	st, err := openStream(s, q)
 	if err != nil {
 		return nil, st.agg, err
 	}
-	results, err := spatialkeyword.FirstK(dst, held[R]{st}, q.k, nil)
+	results, err := spatialkeyword.FirstK(dst, held[R]{st}, k, nil)
 	st.end(len(results))
 	if err != nil {
 		return nil, st.agg, err

@@ -15,10 +15,6 @@ import (
 type Partitioner interface {
 	// Locate returns the shard index of a point, in [0, Shards()).
 	Locate(p geo.Point) int
-	// Overlapping returns the shards whose region could contain a point
-	// inside the rectangle, in ascending order. A partitioner with no
-	// spatial structure (hash) returns every shard.
-	Overlapping(r geo.Rect) []int
 	// Shards returns the number of shards.
 	Shards() int
 }
@@ -27,9 +23,8 @@ type Partitioner interface {
 // MBR: the bounds are cut into gx×gy cells (along the first two axes) and
 // cell (cx, cy) maps to shard (cy·gx+cx) mod n. Points outside the bounds
 // clamp to the nearest edge cell, so each edge cell's region conceptually
-// extends to infinity — Overlapping accounts for that by clamping the query
-// rectangle the same way. Range queries that touch few cells fan out to few
-// shards; the grid is the right default when the data's extent is known.
+// extends to infinity. It keeps nearby objects on one shard; the grid is the
+// default when the data's extent is known.
 type GridPartitioner struct {
 	bounds geo.Rect
 	n      int
@@ -88,39 +83,9 @@ func (g *GridPartitioner) Locate(p geo.Point) int {
 	return (cy*g.gx + cx) % g.n
 }
 
-// Overlapping implements Partitioner: the shards owning any cell the
-// rectangle's clamped image touches. Clamping is monotone per axis, so a
-// point inside r always clamps into a cell inside r's clamped cell range.
-func (g *GridPartitioner) Overlapping(r geo.Rect) []int {
-	cx0 := gridCell(r.Lo[0], g.bounds.Lo[0], g.bounds.Hi[0], g.gx)
-	cx1 := gridCell(r.Hi[0], g.bounds.Lo[0], g.bounds.Hi[0], g.gx)
-	cy0, cy1 := 0, 0
-	if g.gy > 1 && r.Dim() > 1 {
-		cy0 = gridCell(r.Lo[1], g.bounds.Lo[1], g.bounds.Hi[1], g.gy)
-		cy1 = gridCell(r.Hi[1], g.bounds.Lo[1], g.bounds.Hi[1], g.gy)
-	}
-	seen := make([]bool, g.n)
-	var out []int
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			sh := (cy*g.gx + cx) % g.n
-			if !seen[sh] {
-				seen[sh] = true
-			}
-		}
-	}
-	for sh, ok := range seen {
-		if ok {
-			out = append(out, sh)
-		}
-	}
-	return out
-}
-
 // HashPartitioner spreads points across shards by hashing their
 // coordinates (FNV-1a over the IEEE-754 bits). It needs no knowledge of
-// the data's extent — the fallback for unbounded or unknown distributions —
-// at the price that every range query fans out to every shard.
+// the data's extent — the fallback for unbounded or unknown distributions.
 type HashPartitioner struct {
 	n int
 }
@@ -145,15 +110,6 @@ func (h *HashPartitioner) Locate(p geo.Point) int {
 		f.Write(buf[:]) //nolint:errcheck // hash.Hash never errors
 	}
 	return int(f.Sum64() % uint64(h.n))
-}
-
-// Overlapping implements Partitioner: every shard.
-func (h *HashPartitioner) Overlapping(geo.Rect) []int {
-	out := make([]int, h.n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // partitionerState is the JSON form a partitioner takes in the sharded

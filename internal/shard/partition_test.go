@@ -48,55 +48,6 @@ func TestGridPartitionerClampsOutliers(t *testing.T) {
 	}
 }
 
-// A point inside a rectangle must always land in a shard the rectangle
-// overlaps — including outliers beyond the grid bounds, whose cells extend
-// to infinity.
-func TestGridOverlappingCoversLocate(t *testing.T) {
-	bounds := geo.NewRect(geo.NewPoint(-20, -20), geo.NewPoint(20, 20))
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{2, 5, 9} {
-		g, err := NewGridPartitioner(n, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 500; trial++ {
-			// Rectangles and points over a wider range than the bounds.
-			x0, y0 := rng.Float64()*120-60, rng.Float64()*120-60
-			w, h := rng.Float64()*40, rng.Float64()*40
-			r := geo.NewRect(geo.NewPoint(x0, y0), geo.NewPoint(x0+w, y0+h))
-			p := geo.NewPoint(x0+rng.Float64()*w, y0+rng.Float64()*h)
-			want := g.Locate(p)
-			found := false
-			for _, sh := range g.Overlapping(r) {
-				if sh == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("n=%d: point %v in rect %v locates to shard %d, Overlapping = %v",
-					n, p, r, want, g.Overlapping(r))
-			}
-		}
-	}
-}
-
-func TestGridOverlappingIsSelective(t *testing.T) {
-	g, err := NewGridPartitioner(16, geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(100, 100)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A rectangle inside one cell should touch far fewer than all shards.
-	got := g.Overlapping(geo.NewRect(geo.NewPoint(1, 1), geo.NewPoint(2, 2)))
-	if len(got) != 1 {
-		t.Errorf("tiny rect overlaps %v, want one shard", got)
-	}
-	all := g.Overlapping(geo.NewRect(geo.NewPoint(-10, -10), geo.NewPoint(110, 110)))
-	if len(all) != 16 {
-		t.Errorf("covering rect overlaps %d shards, want 16", len(all))
-	}
-}
-
 func TestHashPartitioner(t *testing.T) {
 	h, err := NewHashPartitioner(5)
 	if err != nil {
@@ -108,9 +59,6 @@ func TestHashPartitioner(t *testing.T) {
 	}
 	if got := h.Locate(p); got < 0 || got >= 5 {
 		t.Errorf("Locate = %d", got)
-	}
-	if got := h.Overlapping(geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1, 1))); len(got) != 5 {
-		t.Errorf("hash Overlapping = %v, want all 5", got)
 	}
 	rng := rand.New(rand.NewSource(3))
 	counts := make([]int, 5)

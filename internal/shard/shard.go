@@ -4,15 +4,14 @@
 // queries by merging the shards' result streams.
 //
 // Writes touch exactly one shard, guarded by that shard's own RWMutex, so
-// an insert no longer blocks searches on the rest of the data. Ordered
-// queries (distance-first, area and general ranked) are a best-first k-way
-// merge over every shard's stream, and a top-k is its first k, which keeps
-// exact top-k semantics — a shard is not pulled once its best remaining
-// candidate cannot beat the merge's next result, and the merge stops once
-// nothing left can beat the k-th. Boolean range queries and the maintenance
-// operations route only to the shards whose region intersects the target.
-// Every query reaches its shards one at a time, in shard order, on the
-// caller's goroutine.
+// an insert no longer blocks searches on the rest of the data. Every query
+// (distance-first, area, boolean range and general ranked) is a best-first
+// k-way merge over every shard's stream, and a top-k is its first k (a range
+// query's is every result), which keeps exact top-k semantics — a shard is
+// not pulled once its best remaining candidate cannot beat the merge's next
+// result, and the merge stops once nothing left can beat the k-th. Every
+// query reaches its shards one at a time, in shard order, on the caller's
+// goroutine.
 //
 // Results are identical to a single engine over the same objects: the
 // merge is exact (see the correctness note in merge.go), object IDs are
@@ -26,7 +25,7 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -452,12 +451,13 @@ func (s *ShardedEngine) Delete(gid uint64) error {
 	return reglobal(err, gid)
 }
 
-// The queries are one of three kinds — nearest to a point, nearest to an
-// area, ranked — pulled by one of two consumers: topK, which takes the first
-// k of the merged stream (TopK, TopKRanked), or the caller itself, pulling
-// from the stream openStream returns (Search, SearchArea, SearchRanked). The
-// entries topK serves check the point first: with k ≤ 0 topK opens no lane,
-// so no shard's engine would.
+// The queries are one of four kinds — nearest to a point, nearest to an
+// area, inside an area, ranked — pulled by one of two consumers: topK, which
+// takes the first k of the merged stream (TopK, TopKRanked, and WithinArea
+// with k unbounded), or the caller itself, pulling from the stream openStream
+// returns (Search, SearchArea, SearchRanked). The entries topK serves check
+// the point or area first: with k ≤ 0 topK opens no lane, so no shard's
+// engine would.
 
 func (s *ShardedEngine) nearQuery(op string, k int, point []float64, keywords []string) topkQuery[spatialkeyword.Result] {
 	return topkQuery[spatialkeyword.Result]{
@@ -468,11 +468,14 @@ func (s *ShardedEngine) nearQuery(op string, k int, point []float64, keywords []
 	}
 }
 
-func (s *ShardedEngine) areaQuery(lo, hi []float64, keywords []string) topkQuery[spatialkeyword.Result] {
+// areaQuery is a query on a rectangle: search is Engine.SearchArea (nearest
+// to the area) or Engine.SearchWithin (the range query).
+func (s *ShardedEngine) areaQuery(op string, lo, hi []float64, keywords []string,
+	search func(*spatialkeyword.Engine, []float64, []float64, ...string) (spatialkeyword.ResultStream, error)) topkQuery[spatialkeyword.Result] {
 	return topkQuery[spatialkeyword.Result]{
-		op: "stream", keywords: len(keywords), asc: true, at: distanceKey,
+		op: op, keywords: len(keywords), asc: true, at: distanceKey,
 		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.Result], error) {
-			return e.SearchArea(lo, hi, keywords...)
+			return search(e, lo, hi, keywords...)
 		},
 	}
 }
@@ -510,7 +513,7 @@ func (s *ShardedEngine) TopKWithStats(k int, point []float64, keywords ...string
 	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
 		return nil, spatialkeyword.QueryStats{}, err
 	}
-	return topK(s, s.nearQuery("topk", k, point, keywords))
+	return topK(s, s.nearQuery("topk", k, point, keywords), k)
 }
 
 // TopKSerial is TopK, kept under the name the wall-clock benchmark harness
@@ -531,7 +534,7 @@ func (s *ShardedEngine) Search(point []float64, keywords ...string) (spatialkeyw
 // it). Like any distance-ranked query it fans out to every shard: objects far
 // outside a shard's region can still be among the nearest to the area.
 func (s *ShardedEngine) SearchArea(lo, hi []float64, keywords ...string) (spatialkeyword.ResultStream, error) {
-	return openStream(s, s.areaQuery(lo, hi, keywords))
+	return openStream(s, s.areaQuery("stream", lo, hi, keywords, (*spatialkeyword.Engine).SearchArea))
 }
 
 // Corpus returns the engine-wide corpus statistics as sums over the open
@@ -568,7 +571,7 @@ func (s *ShardedEngine) TopKRanked(k int, point []float64, keywords ...string) (
 	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
 		return nil, err
 	}
-	res, _, err := topK(s, s.rankedQuery("ranked", k, point, keywords))
+	res, _, err := topK(s, s.rankedQuery("ranked", k, point, keywords), k)
 	return res, err
 }
 
@@ -579,60 +582,15 @@ func (s *ShardedEngine) SearchRanked(point []float64, keywords ...string) (spati
 }
 
 // WithinArea returns every object inside the rectangle containing all the
-// keywords, ordered by global ID. Only shards whose region intersects the
-// rectangle are consulted, one at a time in shard order. A shard already
-// marked unhealthy is skipped, and one that fails with a storage-level fault
-// (see degradeable) is taken out of rotation mid-query; either way the query
-// completes on the remaining shards with partial results. Any other error —
-// bad query dimensions, an unknown ID — fails the query, the first in shard
-// order.
-func (s *ShardedEngine) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, error) {
-	// Checked here as well as by each engine: the partitioner indexes the
-	// corners' coordinates and geo.NewRect panics on an inverted rectangle.
+// keywords, ordered by global ID: the merge's FirstK over every shard's
+// range stream (Engine.SearchWithin), with the top-k queries' rules — a
+// shard out of rotation or failing with a storage fault degrades the answer,
+// any other error fails it, the first in shard order.
+func (s *ShardedEngine) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
 	if err := spatialkeyword.CheckArea(lo, hi, s.dim()); err != nil {
-		return nil, err
+		return nil, spatialkeyword.QueryStats{}, err
 	}
-	var all []spatialkeyword.Result
-	for _, i := range s.part.Overlapping(geo.NewRect(geo.NewPoint(lo...), geo.NewPoint(hi...))) {
-		sh := s.shards[i]
-		if sh.unhealthy.Load() {
-			continue
-		}
-		res, err := sh.withinArea(lo, hi, keywords)
-		if err != nil {
-			if s.degrade(sh, err) {
-				continue
-			}
-			return nil, err
-		}
-		all = append(all, res...)
-	}
-	sortResultsByID(all)
-	return all, nil
-}
-
-// withinArea is one shard's share of WithinArea, in global IDs.
-func (sh *shardHandle) withinArea(lo, hi []float64, keywords []string) ([]spatialkeyword.Result, error) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	res, err := sh.eng.WithinArea(lo, hi, keywords...)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res {
-		gid, err := sh.globalID(res[i].Object.ID)
-		if err != nil {
-			return nil, err
-		}
-		res[i].Object.ID = gid
-	}
-	return res, nil
-}
-
-// sortResultsByID orders merged range results by global ID, matching the
-// single engine's output order.
-func sortResultsByID(rs []spatialkeyword.Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Object.ID < rs[j].Object.ID })
+	return topK(s, s.areaQuery("area", lo, hi, keywords, (*spatialkeyword.Engine).SearchWithin), math.MaxInt)
 }
 
 // The rest of the read contract (see spatialkeyword.Reader), beside the

@@ -186,7 +186,7 @@ func TestShardedWithinAreaRouting(t *testing.T) {
 			}
 		}
 	}
-	res, err := s.WithinArea([]float64{0, 0}, []float64{49, 49}, "pizza")
+	res, _, err := s.WithinArea([]float64{0, 0}, []float64{49, 49}, "pizza")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +263,8 @@ func TestBadPointRefusedAtEveryEntry(t *testing.T) {
 				"SearchArea/hi":  func() error { return closed(s.SearchArea(good, bad, "pool")) },
 				"TopKRanked":     func() error { _, err := s.TopKRanked(1, bad, "pool"); return err },
 				"TopKRanked/k=0": func() error { _, err := s.TopKRanked(0, bad, "pool"); return err },
-				"WithinArea/lo":  func() error { _, err := s.WithinArea(bad, good, "pool"); return err },
-				"WithinArea/hi":  func() error { _, err := s.WithinArea(good, bad, "pool"); return err },
+				"WithinArea/lo":  func() error { _, _, err := s.WithinArea(bad, good, "pool"); return err },
+				"WithinArea/hi":  func() error { _, _, err := s.WithinArea(good, bad, "pool"); return err },
 			}
 			for entry, call := range entries {
 				if err := call(); !errors.Is(err, spatialkeyword.ErrBadPoint) {
@@ -272,7 +272,7 @@ func TestBadPointRefusedAtEveryEntry(t *testing.T) {
 				}
 			}
 		}
-		if _, err := s.WithinArea([]float64{5, 5}, good, "pool"); !errors.Is(err, spatialkeyword.ErrBadPoint) {
+		if _, _, err := s.WithinArea([]float64{5, 5}, good, "pool"); !errors.Is(err, spatialkeyword.ErrBadPoint) {
 			t.Errorf("%s: WithinArea on an inverted area: err = %v, want ErrBadPoint", pname, err)
 		}
 		if err := closed(s.SearchArea([]float64{5, 5}, good, "pool")); !errors.Is(err, spatialkeyword.ErrBadPoint) {

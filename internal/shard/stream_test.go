@@ -195,10 +195,10 @@ func TestSerialPullsArePinned(t *testing.T) {
 	for name, s := range streamLayouts(t, spatialkeyword.Config{SignatureBytes: 16}, bounds, rows, true) {
 		for qi, p := range points {
 			dist, ranked := make([]int, s.NumShards()), make([]int, s.NumShards())
-			if _, _, err := topK(s, counted(s.nearQuery("topk", 5, p, kwSets[qi][:1]), dist)); err != nil {
+			if _, _, err := topK(s, counted(s.nearQuery("topk", 5, p, kwSets[qi][:1]), dist), 5); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := topK(s, counted(s.rankedQuery("ranked", 5, p, kwSets[qi]), ranked)); err != nil {
+			if _, _, err := topK(s, counted(s.rankedQuery("ranked", 5, p, kwSets[qi]), ranked), 5); err != nil {
 				t.Fatal(err)
 			}
 			if want := pinned[name][qi]; !reflect.DeepEqual(dist, want[0]) || !reflect.DeepEqual(ranked, want[1]) {

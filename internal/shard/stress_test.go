@@ -120,7 +120,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 					t.Errorf("querier %d SearchArea: %v", q, err)
 					return
 				}
-				if _, err := s.WithinArea(lo, hi, kw); err != nil {
+				if _, _, err := s.WithinArea(lo, hi, kw); err != nil {
 					t.Errorf("querier %d WithinArea: %v", q, err)
 					return
 				}
@@ -197,11 +197,11 @@ func TestShardedConcurrentStress(t *testing.T) {
 
 		lo := []float64{p[0] - 150, p[1] - 150}
 		hi := []float64{p[0] + 150, p[1] + 150}
-		wantW, err := single.WithinArea(lo, hi, kws[0])
+		wantW, _, err := single.WithinArea(lo, hi, kws[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotW, err := s.WithinArea(lo, hi, kws[0])
+		gotW, _, err := s.WithinArea(lo, hi, kws[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -191,10 +191,11 @@ func (in CostInputs) EstimateRankedScan(k int, pos []string, treeSel float64) Pa
 	}
 }
 
-// EstimateAreaNative costs the engine's native range scan (WithinArea
-// / TopKArea) with a pushed conjunction. Without spatial histograms
-// the rectangle is assumed to cover the data, making this an upper
-// bound that still orders paths correctly by keyword selectivity.
+// EstimateAreaNative costs the engine's native range query (WithinArea,
+// the ALL/COUNT plans' rtree and ir2 paths) with a pushed conjunction.
+// Without spatial histograms the rectangle is assumed to cover the data,
+// making this an upper bound that still orders paths correctly by keyword
+// selectivity.
 func (in CostInputs) EstimateAreaNative(pos []string, residualSel float64) PathEstimate {
 	_, sel, _ := in.conjunction(pos)
 	n := float64(in.NumObjects)

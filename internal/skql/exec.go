@@ -29,10 +29,9 @@ type OpActual struct {
 	// cardinality).
 	Candidates int
 	// Work is the operator's work record: the engine's traversal
-	// counters when the path exposes them (zero for stat-less engine
-	// calls; on IIO only ObjectsLoaded, the rows it read), and the block
-	// accesses of every device the operator touched (the engine's plus
-	// the sidecar index).
+	// counters on the rtree and ir2 paths (on IIO only ObjectsLoaded, the
+	// rows it read), and the block accesses of every device the operator
+	// touched (the engine's plus the sidecar index).
 	obs.Work
 	// Trace is the folded engine traversal trace (EXPLAIN ANALYZE
 	// only), capped at maxTraceLines.
@@ -145,7 +144,7 @@ func termFilter(an *textutil.Analyzer, terms []string, pred func(has func(string
 // term filters (Conj, Neg, Residual) plus the hard rectangle filter
 // when the projection confines results to the WITHIN rect (ALL/COUNT,
 // or TOP combining NEAR with WITHIN; TOP with WITHIN alone orders by
-// distance-to-rect and keeps outside objects, matching TopKArea).
+// distance-to-rect and keeps outside objects, as SearchArea does).
 func (c *Catalog) acceptFn(p *Plan, op *Operator) func(o spatialkeyword.Object) bool {
 	q := p.Query
 	needRect := q.Within != nil && (q.Near != nil || q.Proj == ProjAll || q.Proj == ProjCount)
@@ -536,10 +535,11 @@ func (c *Catalog) runEngineArea(p *Plan, op *Operator) ([]spatialkeyword.Result,
 	stop := c.opMeter()
 	var act OpActual
 	accept := c.acceptFn(p, op)
-	rres, err := c.t.WithinArea(q.Within.Lo[:], q.Within.Hi[:], push...)
+	rres, qs, err := c.t.WithinArea(q.Within.Lo[:], q.Within.Hi[:], push...)
 	if err != nil {
 		return nil, act, err
 	}
+	act.Work = qs.Work
 	act.Candidates = len(rres)
 	out := rres[:0]
 	for _, r := range rres {

@@ -183,3 +183,42 @@ func TestExplainAnalyzeTraceFold(t *testing.T) {
 		t.Errorf("sink records = %+v, want one stream record with %d results and %d nodes", recs, len(rs.Results), expands)
 	}
 }
+
+// TestEngineAreaOperatorWork: an ALL/COUNT operator on the engine's range
+// query reports the query's work record, the same one the backend's sink
+// gets as its "area" record.
+func TestEngineAreaOperatorWork(t *testing.T) {
+	e, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range []string{"cafe wifi", "bar pool", "cafe patio", "gym", "cafe vinyl", "pool hall"} {
+		if _, err := e.Add([]float64{float64(i), float64(i)}, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var recs []obs.QueryMetrics // the aggregate records
+	e.SetMetricsSink(obs.SinkFunc(func(m obs.QueryMetrics) {
+		if m.Shard < 0 {
+			recs = append(recs, m)
+		}
+	}))
+	q, err := Parse(`SELECT COUNT WITHIN rect(0, 0, 3, 3) MATCH cafe USING ir2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := NewCatalog(e).Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Count != 2 || len(rs.Actuals) != 1 {
+		t.Fatalf("count = %d with %d operators, want 2 from one", rs.Count, len(rs.Actuals))
+	}
+	w := rs.Actuals[0].Work
+	if w.NodesLoaded == 0 || w.ObjectsLoaded < rs.Count {
+		t.Errorf("operator work = %+v, want the traversal's nodes and objects", w)
+	}
+	if len(recs) != 1 || recs[0].Op != "area" || recs[0].NodesLoaded != w.NodesLoaded || recs[0].ObjectsLoaded != w.ObjectsLoaded {
+		t.Errorf("sink records = %+v, want one area record with the operator's work %+v", recs, w)
+	}
+}

@@ -65,10 +65,15 @@
 #           distance-first top-k and a warm general ranked top-k on a
 #           reopened durable engine (BenchmarkDurableTopK and
 #           BenchmarkDurableRanked, root package, the latter also in objects
-#           and blocks loaded per query), and of a warm sharded
-#           distance-first and ranked top-k, the merge cut by FirstK on 1
-#           and 4 shards (BenchmarkTopK, BenchmarkTopKRanked,
-#           internal/shard), printing ns/op and
+#           and blocks loaded per query), of a warm boolean range query,
+#           which no benchmarks/perf workload runs, on the same kind of
+#           engine over Restaurants(0.05) with a mid-band and a frequent
+#           word at ±400 (BenchmarkWithinArea, root package, also in
+#           results, nodes and blocks per query), and of a warm sharded
+#           distance-first top-k, ranked top-k and range query, the merge
+#           cut by FirstK on 1 and 4 shards (BenchmarkTopK,
+#           BenchmarkTopKRanked, BenchmarkWithinArea, internal/shard),
+#           printing ns/op and
 #           allocs/op — too noisy on shared runners to gate, so ci.yml never
 #           fails on it
 #
@@ -171,8 +176,8 @@ run_micro() {
 	go test -run '^$' -bench 'ResidualFilter|IIOTop|SidecarFill' -benchmem ./internal/skql
 	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
-	go test -run '^$' -bench 'DurableLoad|DurableTopK|DurableRanked' -benchmem .
-	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$' -benchmem ./internal/shard
+	go test -run '^$' -bench 'DurableLoad|DurableTopK|DurableRanked|^BenchmarkWithinArea$' -benchmem .
+	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$|^BenchmarkWithinArea$' -benchmem ./internal/shard
 }
 
 run_fuzz() {

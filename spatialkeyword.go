@@ -188,7 +188,7 @@ type Reader interface {
 	Get(id uint64) (Object, error)
 	TopKWithStats(k int, point []float64, keywords ...string) ([]Result, QueryStats, error)
 	TopKRanked(k int, point []float64, keywords ...string) ([]RankedResult, error)
-	WithinArea(lo, hi []float64, keywords ...string) ([]Result, error)
+	WithinArea(lo, hi []float64, keywords ...string) ([]Result, QueryStats, error)
 	// Search, SearchArea and SearchRanked open the incremental streams the
 	// top-k calls are the first k results of (SKQL's TOP … WITHIN pulls
 	// SearchArea).

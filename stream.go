@@ -13,9 +13,10 @@ import (
 	"spatialkeyword/internal/textutil"
 )
 
-// Streaming query API. Search, SearchArea, and SearchRanked return pull
-// iterators over the paper's incremental traversals; TopK and TopKRanked are
-// FirstK of Search and SearchRanked. Callers that merge
+// Streaming query API. Search, SearchArea, SearchWithin and SearchRanked
+// return pull iterators over the paper's incremental traversals; TopK,
+// TopKRanked and WithinArea are FirstK of Search, SearchRanked and
+// SearchWithin. Callers that merge
 // several engines' result streams (see internal/shard) or filter past k
 // (see internal/skql) consume exactly as many results as they need and
 // inspect the next candidate's bound without loading it.
