@@ -316,7 +316,7 @@ func BenchmarkSelectivitySweep(b *testing.B) {
 }
 
 // BenchmarkDurableLoad times a durable engine's first load: every row of
-// Restaurants(0.03) Added to a fresh NewDurableEngine on storage.FileDisk,
+// Restaurants(0.03) Added to a fresh NewDurableEngine on a file-backed storage.Disk,
 // then Save — the set-up benchmarks/perf's single-engine workloads pay. The
 // Save flushes the whole batch into the empty tree, which packs it. It
 // reports the load rate in objects/s beside ns/op.
@@ -356,7 +356,7 @@ func BenchmarkDurableLoad(b *testing.B) {
 
 // BenchmarkDurableTopK times the query skserve -dir answers: a warm
 // two-keyword conjunctive TopK on a saved-and-reopened engine, i.e. on
-// storage.FileDisk — the shape of benchmarks/perf's topk_restaurants
+// a file-backed storage.Disk — the shape of benchmarks/perf's topk_restaurants
 // (Restaurants(0.03), 64-byte signatures, one keyword from the top 2 % of
 // words by document frequency and one from the next 18 %) without HTTP
 // around it. serial is one goroutine; parallel is b.RunParallel, whose ns/op

@@ -51,7 +51,7 @@ func crashFS(n int) (restore func()) {
 		}
 		return origCopy(dst, src)
 	}
-	fsCreateWAL = func(path string, blockSize int) (*storage.FileDisk, *wal.Log, error) {
+	fsCreateWAL = func(path string, blockSize int) (*storage.Disk, *wal.Log, error) {
 		if err := count(); err != nil {
 			return nil, nil, err
 		}

@@ -2,7 +2,7 @@
 
 // Allocation gates on the device that is served. The AllocsPerRun battery
 // under internal/ builds on storage.NewDisk; skserve -dir reads a
-// storage.FileDisk (behind a ChecksumDisk with Config.Checksums). A warm
+// storage.Disk on a file (behind a ChecksumDisk with Config.Checksums). A warm
 // query on a saved-and-reopened engine must allocate no more than the same
 // query on the in-memory engine holding the same corpus: every device read
 // lands in caller-owned scratch, whatever the device. Skipped under -race

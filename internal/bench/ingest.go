@@ -115,7 +115,7 @@ func runIngestSave(work []ingestMut, cm storage.CostModel) (Measurement, error) 
 			// the checkpoint instant, so Save copies them in full — dead
 			// blocks included, exactly like copying the file.
 			n := dataDev.NumBlocks()
-			data, err := dataDev.ReadRun(1, n)
+			data, err := dataDev.ReadRun(storage.FirstBlock, n)
 			if err != nil {
 				return err
 			}

@@ -33,7 +33,7 @@ func runReplSnapshot(work []ingestMut, cm storage.CostModel) (Measurement, error
 	devs := []storage.Device{leaderDev, follDev, walDev, maniDev}
 	err := arm.step(devs, func() error {
 		n := leaderDev.NumBlocks()
-		data, err := leaderDev.ReadRun(1, n)
+		data, err := leaderDev.ReadRun(storage.FirstBlock, n)
 		if err != nil {
 			return err
 		}

@@ -10,8 +10,8 @@ import (
 
 // Checkpoint persists the tree's state into a state block on its device
 // (allocating one when stateBlock is NilBlock) and returns that block's ID.
-// Together with objstore.(*Store).Checkpoint and storage.FileDisk this
-// makes a full index — object file plus IR²-Tree — durable:
+// Together with objstore.(*Store).Checkpoint and a file-backed storage.Disk
+// this makes a full index — object file plus IR²-Tree — durable:
 //
 //	treeState, _ := tree.Checkpoint(storage.NilBlock)
 //	storeMeta, _ := store.Checkpoint()

@@ -11,8 +11,8 @@ import (
 // Store persistence: Checkpoint writes the store's file map (its block list
 // and synced length) into metadata blocks on the device; Open reads it back
 // and rebuilds the in-memory row directory with one sequential scan of the
-// data blocks. Together with storage.FileDisk this makes the object file
-// durable across process restarts.
+// data blocks. Together with a file-backed storage.Disk this makes the
+// object file durable across process restarts.
 
 const storeStateMagic = 0x4f424a53 // "OBJS"
 

@@ -127,7 +127,7 @@ func TestPackedMatchesLoadNode(t *testing.T) {
 	}
 }
 
-func newFileDisk(t *testing.T) *storage.FileDisk {
+func newFileDisk(t *testing.T) *storage.Disk {
 	t.Helper()
 	d, err := storage.CreateFileDisk(filepath.Join(t.TempDir(), "tree.db"), 4096)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // Tree persistence: a tree's volatile state (root pointer, height, object
 // and node counts) can be checkpointed into a dedicated state block on its
 // device and the tree reopened later from that block — which, combined with
-// storage.FileDisk, makes indexes durable across process restarts.
+// a file-backed storage.Disk, makes indexes durable across process restarts.
 //
 // The configuration (dimension, capacity, payload scheme) is not stored:
 // like most storage engines, the caller must reopen with the same schema it

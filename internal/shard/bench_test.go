@@ -128,7 +128,7 @@ func BenchmarkTopKSinkOverhead(b *testing.B) {
 
 // BenchmarkShardedLoad times a sharded engine's first load: every row of
 // Restaurants(0.05) Added to a fresh NewDurable engine over 4 hash shards on
-// storage.FileDisk, then Save — what skserve -shards 4 pays to be loaded and
+// file-backed storage.Disks, then Save — what skserve -shards 4 pays to be loaded and
 // checkpointed. The Save hands each shard its queued adds as one batch, which
 // packs the shard's tree. It sits beside the root package's
 // BenchmarkDurableLoad and reports the load rate in objects/s.

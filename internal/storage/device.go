@@ -3,8 +3,9 @@ package storage
 import "fmt"
 
 // Device is the block-device abstraction the index structures are built on.
-// *Disk is the in-memory simulator the evaluation meters, *FileDisk the
-// durable file, and *ChecksumDisk and *FaultDevice wrap either.
+// *Disk is the one device that stores blocks, on a file (the served,
+// durable engines) or in memory (the simulator the evaluation meters);
+// *ChecksumDisk and *FaultDevice wrap it.
 //
 // Every device has exactly one read body, ReadRunInto; Read and ReadRun are
 // its allocating forms (readAlloc). Validation, the fault hook, the
@@ -64,7 +65,6 @@ type Device interface {
 
 var (
 	_ Device = (*Disk)(nil)
-	_ Device = (*FileDisk)(nil)
 	_ Device = (*ChecksumDisk)(nil)
 	_ Device = (*FaultDevice)(nil)
 )

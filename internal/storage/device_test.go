@@ -15,8 +15,9 @@ import (
 
 // Every Device reads the same way: one body (ReadRunInto) per device, with
 // Read and ReadRun as its allocating forms, and ChargeRun as its admission
-// without the bytes. The tests below hold all six shipped compositions to
-// that, against the in-memory Disk as the reference.
+// without the bytes. The tests below hold all six shipped compositions — a
+// Disk in memory ("Disk") and on a file ("FileDisk"), bare and wrapped — to
+// that, against the memory-backed Disk as the reference.
 
 const devTestBlockSize = 64
 
@@ -29,7 +30,7 @@ type devCase struct {
 
 func devCases() []devCase {
 	mem := func(*testing.T) *Disk { return NewDisk(devTestBlockSize) }
-	file := func(t *testing.T) *FileDisk { return newFileDisk(t, devTestBlockSize) }
+	file := func(t *testing.T) *Disk { return newFileDisk(t, devTestBlockSize) }
 	return []devCase{
 		{"Disk", func(t *testing.T) (Device, interface{ SetFault(FaultFunc) }) {
 			d := mem(t)
@@ -63,8 +64,8 @@ func devCases() []devCase {
 }
 
 // devFixture allocates a six-block run and writes the first four blocks;
-// the last two are allocated but never written, so on a FileDisk they lie
-// past the file's end.
+// the last two are allocated but never written, so on a file they lie past
+// its end.
 func devFixture(t *testing.T, dev Device) BlockID {
 	t.Helper()
 	first := dev.AllocRun(6)
@@ -168,8 +169,8 @@ func runDevScript(t *testing.T, c devCase, read func(Device, BlockID, int) ([]by
 // return identical bytes, charge identical Stats (random vs sequential,
 // including the run that continues the previous access) and present the same
 // (op, id) sequence to the fault hook; never-written blocks — past the
-// file's end on a FileDisk — read as zeros into a dirty buffer; and every
-// device agrees with the in-memory Disk.
+// file's end on a file — read as zeros into a dirty buffer; and every
+// device agrees with the memory-backed Disk.
 func TestEveryDeviceReadsTheSameWay(t *testing.T) {
 	var reference devTrace
 	for ci, c := range devCases() {
@@ -278,6 +279,101 @@ func TestEveryDeviceRejectsBadRuns(t *testing.T) {
 				t.Errorf("rejected runs charged %+v", got)
 			}
 		})
+	}
+}
+
+// TestEveryDeviceTreatsFreedBlocksAsUnallocated: after Free(b), reading,
+// charging and writing b fail with ErrBadBlock (a device that declines
+// charges declines), charge nothing and never show b to the fault hook. A
+// second Free(b) changes nothing: NumBlocks stays, and the next two Allocs
+// hand out different blocks.
+func TestEveryDeviceTreatsFreedBlocksAsUnallocated(t *testing.T) {
+	for _, c := range devCases() {
+		t.Run(c.name, func(t *testing.T) {
+			dev, base := c.mk(t)
+			first := devFixture(t, dev)
+			b := first + 1
+			dev.Free(b)
+			dev.ResetStats()
+			base.SetFault(func(op Op, id BlockID) error {
+				if id == b {
+					t.Errorf("hook saw %s of freed block %d", op, id)
+				}
+				return nil
+			})
+			if _, err := dev.Read(b); !errors.Is(err, ErrBadBlock) {
+				t.Errorf("Read: %v", err)
+			}
+			if err := dev.ReadRunInto(b, 1, make([]byte, dev.BlockSize())); !errors.Is(err, ErrBadBlock) {
+				t.Errorf("ReadRunInto: %v", err)
+			}
+			ok, err := dev.ChargeRun(b, 1, dev.WriteSeq())
+			if chargeDeclines(dev) && (ok || err != nil) || !chargeDeclines(dev) && !errors.Is(err, ErrBadBlock) {
+				t.Errorf("ChargeRun: %v, %v", ok, err)
+			}
+			if err := dev.Write(b, []byte("x")); !errors.Is(err, ErrBadBlock) {
+				t.Errorf("Write: %v", err)
+			}
+			if got := dev.Stats(); got != (Stats{}) {
+				t.Errorf("accesses to a freed block charged %+v", got)
+			}
+			base.SetFault(nil)
+			n := dev.NumBlocks()
+			dev.Free(b)
+			if got := dev.NumBlocks(); got != n {
+				t.Errorf("second Free: NumBlocks %d, want %d", got, n)
+			}
+			if x, y := dev.Alloc(), dev.Alloc(); x == y {
+				t.Errorf("after a double free two Allocs returned block %d", x)
+			}
+		})
+	}
+}
+
+// TestMemoryDiskKeepsNoDeadBytes: a memory-backed Disk that churns — runs
+// allocated, written in full and freed, freed blocks recycled and written —
+// keeps bytes for its live blocks, the 8-byte link of each freed block and
+// the header, never a freed block's old contents; a zeroed block keeps none.
+func TestMemoryDiskKeepsNoDeadBytes(t *testing.T) {
+	const bs = DefaultBlockSize
+	d := NewDisk(bs)
+	mem := d.back.(*memBlocks)
+	rng := rand.New(rand.NewSource(1))
+	full := bytes.Repeat([]byte{0xab}, 3*bs)
+	var live []BlockID
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(3)
+		run := d.AllocRun(n)
+		if err := d.WriteRun(run, n, full[:n*bs]); err != nil {
+			t.Fatal(err)
+		}
+		one := d.Alloc()
+		if err := d.Write(one, full[:bs]); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, one)
+		for i := 0; i < n; i++ {
+			live = append(live, run+BlockID(i))
+		}
+		for len(live) > 20 {
+			k := rng.Intn(len(live))
+			d.Free(live[k])
+			live = slices.Delete(live, k, k+1)
+		}
+	}
+	if err := d.Write(live[0], make([]byte, bs)); err != nil {
+		t.Fatal(err)
+	}
+	if img, ok := mem.blocks[int64(live[0]-1)]; ok {
+		t.Errorf("a zeroed block keeps %d bytes", cap(img))
+	}
+	kept := 0
+	for _, img := range mem.blocks {
+		kept += cap(img)
+	}
+	freed := int(d.next-FirstBlock) - d.NumBlocks()
+	if bound := d.NumBlocks()*bs + freed*8 + 32; kept > bound || freed < 200 {
+		t.Fatalf("keeps %d bytes for %d live and %d freed blocks, bound %d", kept, d.NumBlocks(), freed, bound)
 	}
 }
 
@@ -615,55 +711,62 @@ func TestFileDiskConcurrentReads(t *testing.T) {
 	}
 }
 
-// BenchmarkFileDiskReadRunInto times the device read every cold node load,
-// every checksummed node visit and every object load of a served engine
-// pays: a 1-block run (an object
-// row, a one-block node) and a 3-block run (an IR²-Tree node with 64-byte
-// signatures), page-cache warm, into one reused buffer.
-func BenchmarkFileDiskReadRunInto(b *testing.B) {
-	d, first := benchFileDisk(b)
-	for _, n := range []int{1, 3} {
-		b.Run(fmt.Sprintf("blocks=%d", n), func(b *testing.B) {
-			dst := make([]byte, n*DefaultBlockSize)
-			b.SetBytes(int64(len(dst)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := d.ReadRunInto(first+BlockID(i*7%(benchBlocks-n)), n, dst); err != nil {
-					b.Fatal(err)
+// BenchmarkDiskReadRunInto times the device read every cold node load,
+// every checksummed node visit and every object load pays, on both
+// backings: a 1-block run (an object row, a one-block node) and a 3-block
+// run (an IR²-Tree node with 64-byte signatures), into one reused buffer.
+// The file is page-cache warm.
+func BenchmarkDiskReadRunInto(b *testing.B) {
+	for _, backing := range []string{"memory", "file"} {
+		d, first := benchDisk(b, backing)
+		for _, n := range []int{1, 3} {
+			b.Run(fmt.Sprintf("%s/blocks=%d", backing, n), func(b *testing.B) {
+				dst := make([]byte, n*DefaultBlockSize)
+				b.SetBytes(int64(len(dst)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := d.ReadRunInto(first+BlockID(i*7%(benchBlocks-n)), n, dst); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
-// BenchmarkFileDiskChargeRun times what a warm node visit pays instead when
-// its pinned image is current: the same runs as BenchmarkFileDiskReadRunInto
-// charged at the device's write sequence — stamp check, admission and
-// accounting, no pread.
-func BenchmarkFileDiskChargeRun(b *testing.B) {
-	d, first := benchFileDisk(b)
-	at := d.WriteSeq()
-	for _, n := range []int{1, 3} {
-		b.Run(fmt.Sprintf("blocks=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if ok, err := d.ChargeRun(first+BlockID(i*7%(benchBlocks-n)), n, at); !ok || err != nil {
-					b.Fatal(ok, err)
+// BenchmarkDiskChargeRun times what a warm node visit pays instead when its
+// pinned image is current: the same runs as BenchmarkDiskReadRunInto charged
+// at the device's write sequence — stamp check, admission and accounting,
+// no backing read.
+func BenchmarkDiskChargeRun(b *testing.B) {
+	for _, backing := range []string{"memory", "file"} {
+		d, first := benchDisk(b, backing)
+		at := d.WriteSeq()
+		for _, n := range []int{1, 3} {
+			b.Run(fmt.Sprintf("%s/blocks=%d", backing, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if ok, err := d.ChargeRun(first+BlockID(i*7%(benchBlocks-n)), n, at); !ok || err != nil {
+						b.Fatal(ok, err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
 const benchBlocks = 300
 
-// benchFileDisk returns a page-cache-warm file device holding benchBlocks
-// written blocks from first.
-func benchFileDisk(b *testing.B) (*FileDisk, BlockID) {
-	d, err := CreateFileDisk(filepath.Join(b.TempDir(), "disk.db"), DefaultBlockSize)
-	if err != nil {
-		b.Fatal(err)
+// benchDisk returns a Disk on the named backing ("memory" or "file")
+// holding benchBlocks written blocks from first.
+func benchDisk(b *testing.B, backing string) (*Disk, BlockID) {
+	d := NewDisk(DefaultBlockSize)
+	if backing == "file" {
+		var err error
+		if d, err = CreateFileDisk(filepath.Join(b.TempDir(), "disk.db"), DefaultBlockSize); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.Cleanup(func() { d.Close() })
 	first := d.AllocRun(benchBlocks)

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-func newFileDisk(t *testing.T, blockSize int) *FileDisk {
+func newFileDisk(t *testing.T, blockSize int) *Disk {
 	t.Helper()
 	d, err := CreateFileDisk(filepath.Join(t.TempDir(), "disk.db"), blockSize)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestFileDiskBadAccess(t *testing.T) {
 	if _, err := d.Read(999); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("read unallocated: %v", err)
 	}
-	if _, err := d.Read(fileMetaBlockID); !errors.Is(err, ErrBadBlock) {
+	if _, err := d.Read(metaBlock); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("read metadata block: %v", err)
 	}
 	id := d.Alloc()
@@ -160,7 +160,7 @@ func TestOpenFileDiskRejectsGarbage(t *testing.T) {
 // fileDiskHeader renders a metadata block the way writeMeta does.
 func fileDiskHeader(blockSize uint32, next, freeHead, nAlloc uint64) []byte {
 	hdr := make([]byte, 32)
-	binary.LittleEndian.PutUint32(hdr[0:4], fileDiskMagic)
+	binary.LittleEndian.PutUint32(hdr[0:4], diskMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], blockSize)
 	binary.LittleEndian.PutUint64(hdr[8:16], next)
 	binary.LittleEndian.PutUint64(hdr[16:24], freeHead)
@@ -177,7 +177,7 @@ func TestOpenFileDiskValidatesHeader(t *testing.T) {
 		hdr  []byte
 	}{
 		{"block size 2 GB", fileDiskHeader(0x7fffffff, 5, 0, 3)},
-		{"block size above the bound", fileDiskHeader(maxFileBlockSize+1, 5, 0, 3)},
+		{"block size above the bound", fileDiskHeader(MaxBlockSize+1, 5, 0, 3)},
 		{"block size below the header", fileDiskHeader(16, 5, 0, 3)},
 		{"next inside the metadata block", fileDiskHeader(64, 1, 0, 0)},
 		{"next overflows the file offset", fileDiskHeader(64, 1<<62, 0, 0)},
@@ -193,7 +193,7 @@ func TestOpenFileDiskValidatesHeader(t *testing.T) {
 		}
 		d, err := OpenFileDisk(path)
 		if err == nil {
-			d.f.Close()
+			d.back.Close()
 			t.Errorf("%s: opened cleanly", c.name)
 			continue
 		}
@@ -209,7 +209,7 @@ func TestOpenFileDiskValidatesHeader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid header refused: %v", err)
 	}
-	d.f.Close()
+	d.back.Close()
 }
 
 // TestFileDiskAllocStopsAtBadFreeLink: the free chain lives in block
@@ -220,8 +220,8 @@ func TestFileDiskAllocStopsAtBadFreeLink(t *testing.T) {
 	a, b := d.Alloc(), d.Alloc()
 	d.Free(a)
 	var link [8]byte
-	binary.LittleEndian.PutUint64(link[:], fileMetaBlockID)
-	if _, err := d.f.WriteAt(link[:], d.offset(a)); err != nil {
+	binary.LittleEndian.PutUint64(link[:], uint64(metaBlock))
+	if _, err := d.back.WriteAt(link[:], d.offset(a)); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Alloc(); got != a {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -299,15 +300,15 @@ func FuzzOpenFileDisk(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer d.f.Close()
+		defer d.back.Close()
 		bs := d.BlockSize()
-		if bs < minFileBlockSize || bs > maxFileBlockSize {
+		if bs < MinBlockSize || bs > MaxBlockSize {
 			t.Fatalf("opened with block size %d", bs)
 		}
 		fresh := d.Alloc()
 		scratch := bytes.Repeat([]byte{0xff}, 3*bs)
-		for _, id := range []BlockID{fileMetaBlockID + 1, fresh, d.next - 1} {
-			if !d.valid(id) {
+		for _, id := range []BlockID{FirstBlock, fresh, d.next - 1} {
+			if !d.inRange(id) {
 				t.Fatalf("Alloc or the header produced out-of-range block %d (next %d)", id, d.next)
 			}
 			blk, err := d.Read(id)
@@ -326,7 +327,7 @@ func FuzzOpenFileDisk(f *testing.F) {
 			}
 			// Whatever part of the run lies past the file's end reads as
 			// zeros, not as the scratch's previous contents.
-			fi, err := d.f.Stat()
+			fi, err := d.back.(*os.File).Stat()
 			if err != nil {
 				t.Fatal(err)
 			}

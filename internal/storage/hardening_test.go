@@ -98,10 +98,11 @@ func TestFaultDeviceBitFlipDeterministic(t *testing.T) {
 }
 
 func TestFaultDeviceTornWriteRun(t *testing.T) {
-	under := NewDisk(16)
+	const bs = MinBlockSize
+	under := NewDisk(bs)
 	d := NewFaultDevice(under, FaultPlan{TornWriteAt: []uint64{1}})
 	id := d.AllocRun(3)
-	data := bytes.Repeat([]byte{0x5A}, 48)
+	data := bytes.Repeat([]byte{0x5A}, 3*bs)
 	err := d.WriteRun(id, 3, data)
 	var fe *FaultError
 	if !errors.As(err, &fe) || fe.Kind != KindTornWrite {
@@ -112,7 +113,7 @@ func TestFaultDeviceTornWriteRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read first: %v", err)
 	}
-	if !bytes.Equal(first, data[:16]) {
+	if !bytes.Equal(first, data[:bs]) {
 		t.Fatalf("first block not persisted: %x", first)
 	}
 	second, err := under.Read(id + 1)
@@ -170,10 +171,11 @@ func TestFaultDeviceLatency(t *testing.T) {
 }
 
 func TestFaultDeviceRunFaults(t *testing.T) {
-	under := NewDisk(16)
+	const bs = MinBlockSize
+	under := NewDisk(bs)
 	d := NewFaultDevice(under, FaultPlan{})
 	id := d.AllocRun(3)
-	data := bytes.Repeat([]byte{1}, 48)
+	data := bytes.Repeat([]byte{1}, 3*bs)
 	if err := d.WriteRun(id, 3, data); err != nil {
 		t.Fatalf("WriteRun: %v", err)
 	}
@@ -188,10 +190,10 @@ func TestFaultDeviceRunFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadRun with flip: %v", err)
 	}
-	if !bytes.Equal(got[:32], data[:32]) {
+	if !bytes.Equal(got[:2*bs], data[:2*bs]) {
 		t.Fatalf("unflipped prefix changed")
 	}
-	if bytes.Equal(got[32:], data[32:]) {
+	if bytes.Equal(got[2*bs:], data[2*bs:]) {
 		t.Fatalf("flip on last run block did not land")
 	}
 	d.SetPlan(FaultPlan{FailWriteBlocks: []BlockID{id + 2}})
@@ -442,16 +444,22 @@ func TestChecksumPassThrough(t *testing.T) {
 	}
 }
 
+// tinyDevice is a Device whose blocks leave no room for a checksum: no Disk
+// is that small, so only a stub reaches NewChecksumDisk's own check.
+type tinyDevice struct{ Device }
+
+func (tinyDevice) BlockSize() int { return checksumTrailerLen }
+
 func TestChecksumTooSmallBlockPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("expected panic for tiny block size")
 		}
 	}()
-	NewChecksumDisk(NewDisk(4))
+	NewChecksumDisk(tinyDevice{})
 }
 
-// --- FileDisk.SyncMeta ---
+// --- Disk.SyncMeta ---
 
 func TestFileDiskSyncMeta(t *testing.T) {
 	path := t.TempDir() + "/disk.db"

@@ -1,5 +1,6 @@
-// Package storage simulates the disk that every index structure in this
-// library lives on.
+// Package storage is the block device that every index structure in this
+// library lives on: one Disk, whose blocks sit in a file (a served,
+// durable engine) or in memory (the simulator the evaluation meters).
 //
 // The paper evaluates all structures (R-Tree, IR²-Tree, MIR²-Tree, inverted
 // index, and the object file) as disk-resident: "each R-Tree node takes a
@@ -19,13 +20,18 @@
 //
 // Blocks hold real bytes: index nodes and objects are serialized into them,
 // so structure sizes (Table 2) fall out of the allocator rather than being
-// estimated.
+// estimated. The file and the memory backing run the same allocator, header
+// and accounting code, so both charge a workload identically.
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -136,42 +142,160 @@ func (c CostModel) Time(s Stats) time.Duration {
 // access, the access fails with that error and no data is transferred.
 type FaultFunc func(op Op, id BlockID) error
 
-// Disk is a simulated block device. It is safe for concurrent use; counter
-// updates and data accesses are serialized by an internal mutex (the
-// sequential-access detection inherently requires a global notion of "the
-// previous access").
+// Disk is the block device. Its bytes live on a backing: a file
+// (CreateFileDisk, OpenFileDisk), which makes indexes durable, or memory
+// (NewDisk), which the evaluation meters. The header, the allocator,
+// admission, the accounting, the fault hook and the write stamps are the
+// same code on both.
+//
+// Layout: block 1 is the header (magic, block size, next block ID,
+// free-list head, allocated count), and block id lies at offset
+// (id-1)*blockSize. The first 8 bytes of a free block link to the next, so
+// the free list survives reopening. A block this process freed reads,
+// writes and charges as unallocated until Alloc recycles it; a reopened
+// file starts that set empty, as it does its stamps.
+//
+// Locking. mu guards the backing's contents and the allocator state: a
+// read holds it shared for the whole run, so reads overlap, and every
+// writer (Write, WriteRun, Alloc, Free, SyncMeta, Close) holds it
+// exclusively, so a read never sees half a write. acct guards the head
+// position, the counters and the fault hook, and is held only while a
+// run's blocks are admitted, never across backing I/O. Under concurrent
+// readers the split of a run's blocks between RandomReads and
+// SequentialReads depends on the schedule; their sum does not.
+//
+// Write stamps (Device.WriteSeq) live in memory only: stamps[id] is the
+// write sequence that last changed block id in this process, zero for a
+// block it has not changed, written under mu held exclusively. The slice
+// never grows far past the file's size at open or twice its own length: a
+// block beyond that, which only a corrupt header can hand out, shares the
+// conservative stamp farSeq with every block past the slice.
 type Disk struct {
+	back      backing
 	blockSize int
 
-	mu     sync.Mutex
-	blocks map[BlockID]diskBlock
-	next   BlockID
-	last   BlockID // block touched by the most recent access; 0 = none
-	stats  Stats
-	fault  FaultFunc
-	freed  []BlockID
-	seq    uint64 // write sequence (Device.WriteSeq)
+	mu         sync.RWMutex
+	next       BlockID
+	freeHead   BlockID
+	nAlloc     int
+	freed      map[BlockID]struct{} // freed by this process, not recycled since
+	scratch    []byte               // one block image for writes, zero past dirty
+	dirty      int
+	meta       [32]byte      // the header, or a free-chain link being read
+	seq        atomic.Uint64 // advanced under mu held exclusively; read anywhere
+	stamps     []uint64      // indexed by BlockID
+	farSeq     uint64        // the stamp of every block past stamps
+	openBlocks int           // blocks the file held at open
+
+	acct  sync.Mutex
+	last  BlockID // block touched by the most recent access; 0 = none
+	stats Stats
+	fault FaultFunc
 }
 
-// diskBlock is one allocated block: its bytes (nil until written) and the
-// write sequence that last changed them.
-type diskBlock struct {
-	data  []byte
-	stamp uint64
+const (
+	diskMagic = 0x49523254 // "IR2T"
+	metaBlock = BlockID(1)
+
+	// FirstBlock is the first data block of every Disk: the first block a
+	// fresh Disk hands out.
+	FirstBlock = metaBlock + 1
+
+	// MinBlockSize is the smallest block that holds the 32-byte header.
+	// MaxBlockSize bounds the other side: no index structure here uses
+	// blocks anywhere near 1 MiB, so a larger size in a header is
+	// corruption, not a request for a 2 GB buffer on the first read.
+	MinBlockSize = 32
+	MaxBlockSize = 1 << 20
+)
+
+func newDisk(back backing, blockSize int, next BlockID) *Disk {
+	return &Disk{back: back, blockSize: blockSize, next: next,
+		freed: make(map[BlockID]struct{}), scratch: make([]byte, blockSize)}
 }
 
-// NewDisk returns an empty disk with the given block size.
-// It panics if blockSize is not positive.
+// checkBlockSize rejects a block size outside [MinBlockSize, MaxBlockSize].
+func checkBlockSize(blockSize int) error {
+	if blockSize < MinBlockSize || blockSize > MaxBlockSize {
+		return fmt.Errorf("storage: block size %d outside [%d, %d]", blockSize, MinBlockSize, MaxBlockSize)
+	}
+	return nil
+}
+
+// NewDisk returns an empty disk in memory with the given block size.
+// It panics if blockSize is outside [MinBlockSize, MaxBlockSize].
 func NewDisk(blockSize int) *Disk {
-	if blockSize <= 0 {
+	if err := checkBlockSize(blockSize); err != nil {
 		//skvet:ignore nopanic documented constructor invariant
-		panic(fmt.Sprintf("storage: invalid block size %d", blockSize))
+		panic(err.Error())
 	}
-	return &Disk{
-		blockSize: blockSize,
-		blocks:    make(map[BlockID]diskBlock),
-		next:      1,
+	return newDisk(&memBlocks{size: int64(blockSize), blocks: make(map[int64][]byte)}, blockSize, FirstBlock)
+}
+
+// inRange reports whether id names a data block: past the header and below
+// the allocation frontier. Callers hold mu (or are the constructor).
+func (d *Disk) inRange(id BlockID) bool {
+	return id >= FirstBlock && id < d.next
+}
+
+// holds reports whether id is a data block that this process has not
+// freed since it last handed it out. Callers hold mu.
+func (d *Disk) holds(id BlockID) bool {
+	if len(d.freed) == 0 {
+		return d.inRange(id)
 	}
+	_, gone := d.freed[id]
+	return !gone && d.inRange(id)
+}
+
+func (d *Disk) offset(id BlockID) int64 {
+	return int64(id-1) * int64(d.blockSize)
+}
+
+// writeMeta persists the allocator state. Callers must hold mu exclusively
+// (or be the constructor). Header writes are bookkeeping, not workload I/O,
+// so they are not counted in the stats.
+func (d *Disk) writeMeta() error {
+	hdr := d.meta[:]
+	binary.LittleEndian.PutUint32(hdr[0:4], diskMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(d.blockSize))
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(d.next))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(d.freeHead))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(d.nAlloc))
+	if _, err := d.back.WriteAt(hdr, 0); err != nil {
+		return fmt.Errorf("storage: write disk header: %w", err)
+	}
+	return nil
+}
+
+// persistMeta is the allocator's eager header write after every change.
+// It is best effort: Close and SyncMeta write the header authoritatively.
+func (d *Disk) persistMeta() {
+	//skvet:ignore erroprov best-effort eager persist; Close/SyncMeta write the meta block authoritatively
+	d.writeMeta() //nolint:errcheck
+}
+
+// Close does what SyncMeta does, then closes the backing.
+func (d *Disk) Close() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return errors.Join(d.syncMetaLocked(), d.back.Close())
+}
+
+// SyncMeta writes the header and syncs the backing without closing it.
+// Durable save paths call this before copying the file into a snapshot, so
+// the snapshot's header matches its data blocks.
+func (d *Disk) SyncMeta() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.syncMetaLocked()
+}
+
+func (d *Disk) syncMetaLocked() error {
+	if err := d.writeMeta(); err != nil {
+		return err
+	}
+	return d.back.Sync()
 }
 
 // BlockSize returns the size of each block in bytes.
@@ -179,23 +303,47 @@ func (d *Disk) BlockSize() int { return d.blockSize }
 
 // SetFault installs (or clears, with nil) a fault-injection hook.
 func (d *Disk) SetFault(f FaultFunc) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.acct.Lock()
+	defer d.acct.Unlock()
 	d.fault = f
 }
 
-// Alloc reserves one new block and returns its ID. Freshly allocated blocks
-// read as zero bytes. Allocation itself performs no I/O.
+// Alloc reserves one block and returns its ID: the head of the free list
+// if there is one — stamped, since a reader may still hold an image of its
+// old contents, and zeroed — and otherwise a never-used block. Allocated
+// blocks read as zero bytes; allocation itself is not charged.
 func (d *Disk) Alloc() BlockID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.allocLocked()
+	defer d.persistMeta()
+	d.nAlloc++
+	id := d.freeHead
+	if id == NilBlock {
+		d.next++
+		return d.next - 1
+	}
+	// A link that cannot be read, or that points outside the data blocks,
+	// ends the chain: leaking the rest of the free list beats handing out
+	// the header or an unallocated block.
+	d.freeHead = NilBlock
+	link := d.meta[:8]
+	if _, err := d.back.ReadAt(link, d.offset(id)); err == nil {
+		if next := BlockID(binary.LittleEndian.Uint64(link)); d.inRange(next) {
+			d.freeHead = next
+		}
+	}
+	delete(d.freed, id)
+	d.stampLocked(id)
+	// Zero it so it reads like a fresh block; Alloc has no error to return.
+	d.back.WriteAt(d.image(nil), d.offset(id)) //nolint:errcheck
+	return id
 }
 
 // AllocRun reserves n consecutive blocks and returns the ID of the first.
 // Multi-block index nodes use contiguous runs so reading a whole node costs
 // one random access plus n-1 sequential accesses, matching the paper's
 // treatment of IR²-Tree nodes that "typically require two disk blocks".
+// Runs always come from fresh space: the free list is not contiguous.
 func (d *Disk) AllocRun(n int) BlockID {
 	if n <= 0 {
 		//skvet:ignore nopanic documented allocator invariant: a non-positive run is a caller logic error
@@ -203,43 +351,35 @@ func (d *Disk) AllocRun(n int) BlockID {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	first := d.next
-	for i := 0; i < n; i++ {
-		id := d.next
-		d.next++
-		d.blocks[id] = diskBlock{} // lazily materialized zero block
-	}
-	return first
-}
-
-// allocLocked hands out a free-listed block if there is one — stamped, since
-// a reader may still hold an image of its old contents — and otherwise a
-// never-used block.
-func (d *Disk) allocLocked() BlockID {
-	if n := len(d.freed); n > 0 {
-		id := d.freed[n-1]
-		d.freed = d.freed[:n-1]
-		d.seq++
-		d.blocks[id] = diskBlock{stamp: d.seq}
-		return id
-	}
 	id := d.next
-	d.next++
-	d.blocks[id] = diskBlock{}
+	d.next += BlockID(n)
+	d.nAlloc += n
+	d.persistMeta()
 	return id
 }
 
-// Free releases a block. Freed blocks may be recycled by later Alloc calls
-// (but never split a run allocated with AllocRun). Until then it reads, and
-// charges, as a block that was never allocated.
+// Free releases a block onto the free chain; later Alloc calls recycle it
+// (a run from AllocRun is never split). Until then it reads, writes and
+// charges as a block that was never allocated. Freeing a block the device
+// does not hold, freed ones included, does nothing.
 func (d *Disk) Free(id BlockID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.blocks[id]; ok {
-		d.seq++
-		delete(d.blocks, id)
-		d.freed = append(d.freed, id)
+	if !d.holds(id) {
+		return
 	}
+	// The link is written as a whole block, so a memory backing keeps only
+	// the link of a freed block, not its old bytes.
+	var link [8]byte
+	binary.LittleEndian.PutUint64(link[:], uint64(d.freeHead))
+	d.stampLocked(id)
+	if _, err := d.back.WriteAt(d.image(link[:]), d.offset(id)); err != nil {
+		return // leak the block rather than corrupt the chain
+	}
+	d.freeHead = id
+	d.nAlloc--
+	d.freed[id] = struct{}{}
+	d.persistMeta()
 }
 
 // Read returns a copy of the block's contents, counting one read access.
@@ -250,69 +390,80 @@ func (d *Disk) Read(id BlockID) ([]byte, error) { return readAlloc(d, id, 1) }
 // previous access did not already position the head just before id).
 func (d *Disk) ReadRun(id BlockID, n int) ([]byte, error) { return readAlloc(d, id, n) }
 
-// ReadRunInto implements Device: the disk's one read body. The caller owns
-// the buffer, so a warm read path can reuse one scratch buffer across
-// queries instead of allocating per node.
+// ReadRunInto implements Device: the run's blocks are admitted (validated,
+// fault-checked, charged) one by one, then one backing read moves the whole
+// run into the caller's dst while mu is held shared.
 func (d *Disk) ReadRunInto(id BlockID, n int, dst []byte) error {
 	if err := checkRun(n, d.blockSize, dst); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.admitLocked(OpRead, id, n); err != nil {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if err := d.admit(OpRead, id, n); err != nil {
 		return err
 	}
-	for i := 0; i < n; i++ {
-		region := dst[i*d.blockSize : (i+1)*d.blockSize]
-		clear(region[copy(region, d.blocks[id+BlockID(i)].data):])
+	dst = dst[:n*d.blockSize]
+	got, err := d.back.ReadAt(dst, d.offset(id))
+	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: read %d: %v", ErrBadBlock, id, err)
 	}
+	// Allocated blocks past the file's end (never written) read as zeros,
+	// like a sparse file. ReadAt stops short there, and dst is the caller's
+	// scratch: whatever it did not deliver must be cleared here.
+	clear(dst[got:])
 	return nil
 }
 
-// ChargeRun implements Device: ReadRunInto's admission without the copy,
-// unless a block of the run was stamped after at.
+// ChargeRun implements Device: ReadRunInto's admission without the backing
+// read, unless a block of the run was stamped after at.
 func (d *Disk) ChargeRun(id BlockID, n int, at uint64) (bool, error) {
 	if n <= 0 {
 		return false, errRunLength(n)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	for i := 0; i < n; i++ {
-		if d.blocks[id+BlockID(i)].stamp > at {
+		if d.stampOf(id+BlockID(i)) > at {
 			return false, nil
 		}
 	}
-	if err := d.admitLocked(OpRead, id, n); err != nil {
+	if err := d.admit(OpRead, id, n); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
 // WriteSeq implements Device.
-func (d *Disk) WriteSeq() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.seq
+func (d *Disk) WriteSeq() uint64 { return d.seq.Load() }
+
+// stampSlack is how far past the file's size at open, or twice the stamp
+// slice's length, a write may grow the slice (see the type comment).
+const stampSlack = 1024
+
+// stampLocked advances the write sequence and stamps block id with it,
+// before the bytes change. Callers hold mu exclusively and have checked id
+// is a data block.
+func (d *Disk) stampLocked(id BlockID) {
+	seq := d.seq.Add(1)
+	if old := len(d.stamps); id >= BlockID(old) {
+		if id >= BlockID(max(2*old, d.openBlocks)+stampSlack) {
+			d.farSeq = seq
+			return
+		}
+		d.stamps = slices.Grow(d.stamps, int(id)+1-old)[:id+1]
+		for i := old; i < len(d.stamps); i++ {
+			d.stamps[i] = d.farSeq
+		}
+	}
+	d.stamps[id] = seq
 }
 
-// admitLocked runs blocks id..id+n-1 through the fault hook, checks each is
-// allocated and charges it, in order, stopping at the first that fails — so
-// a fault on the i-th block of a run leaves i blocks charged. Callers hold
-// mu.
-func (d *Disk) admitLocked(op Op, id BlockID, n int) error {
-	for i := 0; i < n; i++ {
-		b := id + BlockID(i)
-		if d.fault != nil {
-			if err := d.fault(op, b); err != nil {
-				return err
-			}
-		}
-		if _, ok := d.blocks[b]; !ok {
-			return fmt.Errorf("%w: %s %d", ErrBadBlock, op, b)
-		}
-		d.account(b, op)
+// stampOf returns block id's stamp. Callers hold mu.
+func (d *Disk) stampOf(id BlockID) uint64 {
+	if id < BlockID(len(d.stamps)) {
+		return d.stamps[id]
 	}
-	return nil
+	return d.farSeq
 }
 
 // Write stores data into the block, counting one write access. Writing fewer
@@ -323,48 +474,73 @@ func (d *Disk) Write(id BlockID, data []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.admitLocked(OpWrite, id, 1); err != nil {
+	return d.writeLocked(id, data)
+}
+
+func (d *Disk) writeLocked(id BlockID, data []byte) error {
+	if err := d.admit(OpWrite, id, 1); err != nil {
 		return err
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.seq++
-	d.blocks[id] = diskBlock{data: buf, stamp: d.seq}
+	d.stampLocked(id)
+	if _, err := d.back.WriteAt(d.image(data), d.offset(id)); err != nil {
+		return fmt.Errorf("%w: write %d: %v", ErrBadBlock, id, err)
+	}
 	return nil
 }
 
+// image returns the scratch block holding data and zeros after it. Only
+// what the previous image left past len(data) needs clearing. Callers hold
+// mu exclusively.
+func (d *Disk) image(data []byte) []byte {
+	n := copy(d.scratch, data)
+	clear(d.scratch[n:max(n, d.dirty)])
+	d.dirty = n
+	return d.scratch
+}
+
 // WriteRun writes data across n consecutive blocks starting at id, counting
-// one random access and n-1 sequential accesses.
+// one random access and n-1 sequential accesses. A failure on the i-th
+// block leaves the i blocks before it written.
 func (d *Disk) WriteRun(id BlockID, n int, data []byte) error {
 	if len(data) > n*d.blockSize {
 		return fmt.Errorf("%w: %d > %d", ErrBlockTooLarge, len(data), n*d.blockSize)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.seq++
 	for i := 0; i < n; i++ {
-		b := id + BlockID(i)
-		if err := d.admitLocked(OpWrite, b, 1); err != nil {
+		lo := min(i*d.blockSize, len(data))
+		hi := min(lo+d.blockSize, len(data))
+		if err := d.writeLocked(id+BlockID(i), data[lo:hi]); err != nil {
 			return err
 		}
-		lo := i * d.blockSize
-		hi := lo + d.blockSize
-		if lo >= len(data) {
-			d.blocks[b] = diskBlock{stamp: d.seq}
-			continue
+	}
+	return nil
+}
+
+// admit validates, fault-checks and charges blocks id..id+n-1 in order,
+// stopping at the first that fails — so a fault on the i-th block of a run
+// leaves i blocks charged, and the hook never sees a block the device does
+// not hold. Callers hold mu (shared suffices: it only reads the allocator).
+func (d *Disk) admit(op Op, id BlockID, n int) error {
+	d.acct.Lock()
+	defer d.acct.Unlock()
+	for i := 0; i < n; i++ {
+		b := id + BlockID(i)
+		if !d.holds(b) {
+			return fmt.Errorf("%w: %s %d", ErrBadBlock, op, b)
 		}
-		if hi > len(data) {
-			hi = len(data)
+		if d.fault != nil {
+			if err := d.fault(op, b); err != nil {
+				return err
+			}
 		}
-		buf := make([]byte, hi-lo)
-		copy(buf, data[lo:hi])
-		d.blocks[b] = diskBlock{data: buf, stamp: d.seq}
+		d.account(b, op)
 	}
 	return nil
 }
 
 // account records one access to block id, classifying it as sequential when
-// it immediately follows the previously accessed block. Callers must hold mu.
+// it immediately follows the previously accessed block. Callers hold acct.
 func (d *Disk) account(id BlockID, op Op) {
 	seq := d.last != 0 && id == d.last+1
 	d.last = id
@@ -382,29 +558,29 @@ func (d *Disk) account(id BlockID, op Op) {
 
 // Stats returns a snapshot of the access counters.
 func (d *Disk) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.acct.Lock()
+	defer d.acct.Unlock()
 	return d.stats
 }
 
 // ResetStats zeroes the access counters and forgets the head position, so
 // the next access is counted as random.
 func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.acct.Lock()
+	defer d.acct.Unlock()
 	d.stats = Stats{}
 	d.last = 0
 }
 
 // NumBlocks returns the number of currently allocated blocks.
 func (d *Disk) NumBlocks() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.blocks)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.nAlloc
 }
 
-// SizeBytes returns the total allocated size in bytes (blocks × block size).
-// This is the on-disk footprint used for Table 2.
+// SizeBytes returns the allocated size in bytes (blocks × block size, the
+// header excluded). This is the on-disk footprint used for Table 2.
 func (d *Disk) SizeBytes() int64 {
 	return int64(d.NumBlocks()) * int64(d.blockSize)
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -45,15 +46,15 @@ func TestReadUnallocatedBlockFails(t *testing.T) {
 }
 
 func TestWriteTooLargeFails(t *testing.T) {
-	d := NewDisk(8)
+	d := NewDisk(MinBlockSize)
 	id := d.Alloc()
-	if err := d.Write(id, make([]byte, 9)); !errors.Is(err, ErrBlockTooLarge) {
+	if err := d.Write(id, make([]byte, MinBlockSize+1)); !errors.Is(err, ErrBlockTooLarge) {
 		t.Errorf("oversized write: err = %v, want ErrBlockTooLarge", err)
 	}
 }
 
 func TestFreshBlockReadsZero(t *testing.T) {
-	d := NewDisk(16)
+	d := NewDisk(MinBlockSize)
 	id := d.Alloc()
 	got, err := d.Read(id)
 	if err != nil {
@@ -108,9 +109,12 @@ func TestSequentialAccounting(t *testing.T) {
 }
 
 func TestReadRunAccounting(t *testing.T) {
-	d := NewDisk(16)
+	const bs = MinBlockSize
+	d := NewDisk(bs)
 	first := d.AllocRun(3)
-	if err := d.WriteRun(first, 3, []byte("0123456789abcdefGHIJKLMNOPQRSTUVxyz")); err != nil {
+	blk0 := strings.Repeat("0123456789abcdef", bs/16)
+	blk1 := strings.Repeat("GHIJKLMNOPQRSTUV", bs/16)
+	if err := d.WriteRun(first, 3, []byte(blk0+blk1+"xyz")); err != nil {
 		t.Fatal(err)
 	}
 	d.ResetStats()
@@ -118,11 +122,11 @@ func TestReadRunAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 48 {
-		t.Fatalf("ReadRun length = %d, want 48", len(data))
+	if len(data) != 3*bs {
+		t.Fatalf("ReadRun length = %d, want %d", len(data), 3*bs)
 	}
-	if string(data[:16]) != "0123456789abcdef" || string(data[16:32]) != "GHIJKLMNOPQRSTUV" {
-		t.Errorf("ReadRun data mismatch: %q", data[:32])
+	if string(data[:bs]) != blk0 || string(data[bs:2*bs]) != blk1 || string(data[2*bs:2*bs+3]) != "xyz" {
+		t.Errorf("ReadRun data mismatch: %q", data)
 	}
 	s := d.Stats()
 	if s.RandomReads != 1 || s.SequentialReads != 2 {
@@ -131,7 +135,8 @@ func TestReadRunAccounting(t *testing.T) {
 }
 
 func TestWriteRunAccountingAndZeroFill(t *testing.T) {
-	d := NewDisk(16)
+	const bs = MinBlockSize
+	d := NewDisk(bs)
 	first := d.AllocRun(2)
 	d.ResetStats()
 	if err := d.WriteRun(first, 2, []byte("short")); err != nil {
@@ -153,13 +158,13 @@ func TestWriteRunAccountingAndZeroFill(t *testing.T) {
 			t.Fatal("remainder not zero-filled")
 		}
 	}
-	if err := d.WriteRun(first, 2, make([]byte, 33)); !errors.Is(err, ErrBlockTooLarge) {
+	if err := d.WriteRun(first, 2, make([]byte, 2*bs+1)); !errors.Is(err, ErrBlockTooLarge) {
 		t.Errorf("oversized WriteRun err = %v", err)
 	}
 }
 
 func TestFreeAndRecycle(t *testing.T) {
-	d := NewDisk(16)
+	d := NewDisk(MinBlockSize)
 	a := d.Alloc()
 	if err := d.Write(a, []byte("data")); err != nil {
 		t.Fatal(err)
@@ -231,7 +236,7 @@ func TestCostModel(t *testing.T) {
 }
 
 func TestFaultInjection(t *testing.T) {
-	d := NewDisk(16)
+	d := NewDisk(MinBlockSize)
 	id := d.Alloc()
 	boom := errors.New("boom")
 	d.SetFault(func(op Op, b BlockID) error {
@@ -257,7 +262,7 @@ func TestFaultInjection(t *testing.T) {
 }
 
 func TestMeter(t *testing.T) {
-	d := NewDisk(16)
+	d := NewDisk(MinBlockSize)
 	id := d.Alloc()
 	if _, err := d.Read(id); err != nil {
 		t.Fatal(err)

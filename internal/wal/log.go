@@ -98,21 +98,18 @@ func Open(dev storage.Device) (*Log, *Recovery, error) {
 	return l, &Recovery{Records: recs, Torn: torn}, nil
 }
 
-// findHeader probes the first possible allocations for the log header: the
-// in-memory Disk hands out block 1 first, a FileDisk block 2 (block 1 is
-// its own metadata).
+// findHeader reads the log header from the first data block, the block
+// Create allocated first on a fresh device.
 func findHeader(dev storage.Device) (storage.BlockID, error) {
-	for _, id := range []storage.BlockID{1, 2} {
-		blk, err := dev.Read(id)
-		if err != nil {
-			if errors.Is(err, storage.ErrBadBlock) {
-				continue // never allocated on this device: keep probing
-			}
-			return storage.NilBlock, fmt.Errorf("wal: probe header block %d: %w", id, err)
-		}
-		if len(blk) >= 8 && getUint32(blk[0:4]) == logMagic && getUint32(blk[4:8]) == logVersion {
-			return id, nil
-		}
+	blk, err := dev.Read(storage.FirstBlock)
+	if errors.Is(err, storage.ErrBadBlock) {
+		return storage.NilBlock, ErrNotWAL // never allocated on this device
+	}
+	if err != nil {
+		return storage.NilBlock, fmt.Errorf("wal: read header block %d: %w", storage.FirstBlock, err)
+	}
+	if len(blk) >= 8 && getUint32(blk[0:4]) == logMagic && getUint32(blk[4:8]) == logVersion {
+		return storage.FirstBlock, nil
 	}
 	return storage.NilBlock, ErrNotWAL
 }
@@ -217,8 +214,8 @@ func contiguous(ids []storage.BlockID) bool {
 	return true
 }
 
-// metaSyncer is the durability hook a backing device may offer (FileDisk
-// does: SyncMeta persists its allocator header and fsyncs the file).
+// metaSyncer is the durability hook a backing device may offer (Disk
+// does: SyncMeta persists its allocator header and syncs its backing).
 type metaSyncer interface{ SyncMeta() error }
 
 // Sync makes all appended bytes durable by syncing the innermost device

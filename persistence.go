@@ -81,7 +81,7 @@ var (
 )
 
 // createWALFile creates a fresh, empty write-ahead log file at path.
-func createWALFile(path string, blockSize int) (*storage.FileDisk, *wal.Log, error) {
+func createWALFile(path string, blockSize int) (*storage.Disk, *wal.Log, error) {
 	fd, err := storage.CreateFileDisk(path, blockSize)
 	if err != nil {
 		return nil, nil, err
@@ -150,6 +150,7 @@ func NewDurableEngine(cfg Config, dir string) (*Engine, error) {
 		return nil, errors.Join(err, objDisk.Close(), idxDisk.Close())
 	}
 	e.dir = dir
+	e.objFile, e.idxFile = objDisk, idxDisk
 	if cfg.WAL {
 		// A log is only replayable on top of a committed snapshot, so a WAL
 		// engine starts with an immediate empty checkpoint: Save commits
@@ -204,7 +205,7 @@ func (e *Engine) Save() error {
 	}
 	// Make the working files' bytes (data + allocator headers) visible to
 	// the snapshot copy.
-	for _, d := range []*storage.FileDisk{e.objFile, e.idxFile} {
+	for _, d := range []*storage.Disk{e.objFile, e.idxFile} {
 		if d == nil {
 			continue
 		}
@@ -242,7 +243,7 @@ func (e *Engine) Save() error {
 	// point, so the committed manifest always finds its log on open. A crash
 	// before the rename leaves an orphan wal.<G>.db that the next Save
 	// attempt recreates (CreateFileDisk truncates).
-	var newWAL *storage.FileDisk
+	var newWAL *storage.Disk
 	var newLog *wal.Log
 	if e.cfg.WAL {
 		bs := e.cfg.BlockSize
@@ -315,7 +316,7 @@ func (e *Engine) Close() error {
 			firstErr = err
 		}
 	}
-	for _, d := range []*storage.FileDisk{e.objFile, e.idxFile, e.walFile} {
+	for _, d := range []*storage.Disk{e.objFile, e.idxFile, e.walFile} {
 		if d == nil {
 			continue
 		}
@@ -481,7 +482,7 @@ func (e *Engine) openWAL(dir string, gen, committed uint64) error {
 // assembleEngine builds an Engine around an existing store and a
 // checkpointed tree. objDev/idxDev are the devices the structures read
 // through (the file disks themselves, or their checksum framing).
-func assembleEngine(cfg Config, objDisk, idxDisk *storage.FileDisk, objDev, idxDev storage.Device, store *objstore.Store, treeState storage.BlockID) (*Engine, error) {
+func assembleEngine(cfg Config, objDisk, idxDisk *storage.Disk, objDev, idxDev storage.Device, store *objstore.Store, treeState storage.BlockID) (*Engine, error) {
 	e, err := engineShell(cfg)
 	if err != nil {
 		return nil, err

@@ -132,8 +132,21 @@ func TestSaveOnMemoryEngineFails(t *testing.T) {
 	if err := eng.Save(); !errors.Is(err, ErrNotDurable) {
 		t.Errorf("Save on memory engine: %v", err)
 	}
+	if eng.objFile != nil || eng.idxFile != nil {
+		t.Errorf("memory engine owns files: %v, %v", eng.objFile, eng.idxFile)
+	}
 	if err := eng.Close(); err != nil {
 		t.Errorf("Close on memory engine: %v", err)
+	}
+}
+
+// TestNewEngineRejectsBadBlockSize: a block size the device cannot take is
+// an error from NewEngine, not a panic from the device below it.
+func TestNewEngineRejectsBadBlockSize(t *testing.T) {
+	for _, bs := range []int{-1, 1, 16, 31, 1<<20 + 1} {
+		if _, err := NewEngine(Config{BlockSize: bs}); err == nil {
+			t.Errorf("block size %d accepted", bs)
+		}
 	}
 }
 

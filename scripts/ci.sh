@@ -53,10 +53,10 @@
 #           in rows indexed per fill (skql.BenchmarkSidecarFill),
 #           of an add's vocabulary fold with its repeated-term report
 #           (textutil.BenchmarkAddDocWith, Hotels- and Restaurants-length
-#           rows), of a file device's run read and
+#           rows), of a device's run read and
 #           the charge a current cached node pays instead
-#           (storage.FileDisk ReadRunInto and ChargeRun, 1- and 3-block
-#           runs), of a cold node load's parse and signature-column build
+#           (storage.Disk ReadRunInto and ChargeRun, in memory and on a
+#           file, 1- and 3-block runs), of a cold node load's parse and signature-column build
 #           and a warm node expansion (rtree.BenchmarkParsePacked, 64- and
 #           189-byte payloads, and BenchmarkWarmExpand), of a durable
 #           engine's first load — Adds then Save, reported in objects/s
@@ -174,7 +174,7 @@ run_micro() {
 	step micro
 	go test -run '^$' -bench 'CountTermsBytes|ContainsTerms|AddDocWith|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
 	go test -run '^$' -bench 'ResidualFilter|IIOTop|SidecarFill' -benchmem ./internal/skql
-	go test -run '^$' -bench 'FileDisk(ReadRunInto|ChargeRun)' -benchmem ./internal/storage
+	go test -run '^$' -bench '^BenchmarkDisk(ReadRunInto|ChargeRun)$' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
 	go test -run '^$' -bench 'DurableLoad|DurableTopK|DurableRanked|^BenchmarkWithinArea$' -benchmem .
 	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$|^BenchmarkWithinArea$' -benchmem ./internal/shard

@@ -55,7 +55,7 @@ type Config struct {
 	ExpectedVocabulary int
 	// Dim is the spatial dimensionality. Zero means 2.
 	Dim int
-	// BlockSize is the simulated disk block size. Zero means 4096.
+	// BlockSize is the disk block size, from 32 B to 1 MiB. Zero means 4096.
 	BlockSize int
 	// RemoveStopwords drops common English stopwords from documents and
 	// queries before indexing.
@@ -252,8 +252,8 @@ type Engine struct {
 	// backing directory, file devices, and last committed snapshot
 	// generation; see persistence.go.
 	dir     string
-	objFile *storage.FileDisk
-	idxFile *storage.FileDisk
+	objFile *storage.Disk
+	idxFile *storage.Disk
 	gen     uint64
 
 	pending []uint64 // object IDs appended but not yet indexed
@@ -264,7 +264,7 @@ type Engine struct {
 	// are logged and group-committed before they are applied, and replayed
 	// on open. See persistence.go for the log's lifecycle.
 	walApp      *wal.Appender
-	walFile     *storage.FileDisk
+	walFile     *storage.Disk
 	walBroken   error               // sticky: set when the log and applied state may diverge
 	walAppends  uint64              // appends of the logs Save has rotated out (WALInfo adds the live log's)
 	walFsyncs   uint64              // fsyncs, likewise
@@ -416,12 +416,6 @@ func newEngineOn(cfg Config, objDev, idxDev storage.Device) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fd, ok := objDev.(*storage.FileDisk); ok {
-		e.objFile = fd
-	}
-	if fd, ok := idxDev.(*storage.FileDisk); ok {
-		e.idxFile = fd
-	}
 	objDev, idxDev = frameDevices(cfg, objDev, idxDev)
 	e.objDisk = objDev
 	e.idxDisk = idxDev
@@ -439,6 +433,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	bs := cfg.BlockSize
 	if bs == 0 {
 		bs = storage.DefaultBlockSize
+	}
+	if bs < storage.MinBlockSize || bs > storage.MaxBlockSize {
+		return nil, fmt.Errorf("spatialkeyword: block size %d outside [%d, %d]", bs, storage.MinBlockSize, storage.MaxBlockSize)
 	}
 	return newEngineOn(cfg, storage.NewDisk(bs), storage.NewDisk(bs))
 }
