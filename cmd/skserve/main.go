@@ -585,6 +585,11 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, searchResponse{Results: results, Stats: &stats})
 }
 
+// rankedResponse is the GET /ranked payload.
+type rankedResponse struct {
+	Results []spatialkeyword.RankedResult `json:"results"`
+}
+
 func (s *server) handleRanked(w http.ResponseWriter, r *http.Request) {
 	point, k, keywords, err := parseQuery(r)
 	if err != nil {
@@ -602,7 +607,7 @@ func (s *server) handleRanked(w http.ResponseWriter, r *http.Request) {
 	if results == nil {
 		results = []spatialkeyword.RankedResult{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	writeJSON(w, http.StatusOK, rankedResponse{Results: results})
 }
 
 // statsResponse is the GET /stats payload: engine-wide statistics, the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -166,6 +167,31 @@ func TestRankedEndpoint(t *testing.T) {
 		if results[i].Score > results[i-1].Score {
 			t.Error("ranked order violated")
 		}
+	}
+}
+
+// TestRankedBodyPinned pins /ranked's exact response bytes on a fixed
+// engine: field names, field order, number formatting and the trailing
+// newline, so a change to how the payload is encoded shows here.
+func TestRankedBodyPinned(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	seedHotels(t, ts)
+	resp, err := http.Get(ts.URL + "/ranked?lat=30.5&lon=100&k=2&q=internet,pool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"results":[` +
+		`{"Object":{"ID":2,"Point":[-33.2,-70.4],"Text":"Hotel G Internet airport transportation pool"},` +
+		`"Dist":181.9171514728614,"IRScore":0.626381484247684,"Score":0.22218636999387467},` +
+		`{"Object":{"ID":1,"Point":[47.3,-122.2],"Text":"Hotel B wireless Internet pool golf course"},` +
+		`"Dist":222.83419845257146,"IRScore":0.626381484247684,"Score":0.19402575323497134}]}` + "\n"
+	if resp.StatusCode != http.StatusOK || string(got) != want {
+		t.Fatalf("/ranked = %d\n got %q\nwant %q", resp.StatusCode, got, want)
 	}
 }
 

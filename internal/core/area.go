@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math/bits"
+
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/rtree"
 )
 
 // SearchArea is the query-area variant the paper mentions for the
@@ -14,10 +17,29 @@ import (
 func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	sigs := &levelSigs{scheme: x.scheme, kws: kws}
-	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
-		return rectDist(rect, area), true
+	r := newResultIter(x, kws)
+	r.it = x.rt.Seek(&areaScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
+	return r
+}
+
+// areaScorer is SearchArea's node scorer: an entry's priority is the
+// minimum distance from its MBR, decoded into lo and hi, to the area, and
+// nothing is dropped.
+type areaScorer struct {
+	area   geo.Rect
+	lo, hi geo.Point
+}
+
+// ScoreNode implements rtree.NodeScorer.
+//
+//skvet:hotpath
+func (s *areaScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []float64) {
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			i := w*64 + bits.TrailingZeros64(m)
+			scores[i] = pn.EntryRectInto(i, s.lo, s.hi).MinDistRect(s.area)
+		}
 	}
-	return newResultIter(x, x.rt.Seek(scorer, sigs.at), kws)
 }
 
 // SearchWithin is the boolean range query ("all pizza places on this map
@@ -32,17 +54,39 @@ func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
 func (x *IR2Tree) SearchWithin(area geo.Rect, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	sigs := &levelSigs{scheme: x.scheme, kws: kws}
-	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
-		if isObject {
-			return 0, rect.Intersects(area)
-		}
-		return -1 / float64(level), rect.Intersects(area)
-	}
-	return newResultIter(x, x.rt.Seek(scorer, sigs.at), kws)
+	r := newResultIter(x, kws)
+	r.it = x.rt.Seek(&withinScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
+	return r
 }
 
-// rectDist is geo.Rect.MinDistRect, aliased for readability at call sites.
-func rectDist(a, b geo.Rect) float64 { return a.MinDistRect(b) }
+// withinScorer is SearchWithin's node scorer: it drops every entry whose
+// MBR, decoded into lo and hi, misses the area, and scores the rest 0 in a
+// leaf and -1/level above it.
+type withinScorer struct {
+	area   geo.Rect
+	lo, hi geo.Point
+}
+
+// ScoreNode implements rtree.NodeScorer.
+//
+//skvet:hotpath
+func (s *withinScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []float64) {
+	score := 0.0
+	if pn.Level() > 0 {
+		score = -1 / float64(pn.Level())
+	}
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			i := w*64 + b
+			if !pn.EntryRectInto(i, s.lo, s.hi).Intersects(s.area) {
+				mask[w] &^= 1 << b
+				continue
+			}
+			scores[i] = score
+		}
+	}
+}
 
 // BuildBulk is InsertBatch over a scan of the whole store: into an empty
 // tree it loads every object with Sort-Tile-Recursive packing.

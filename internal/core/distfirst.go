@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/obs"
@@ -39,22 +41,57 @@ func fillTraversal(s *SearchStats, t rtree.TraversalStats) {
 func (x *IR2Tree) Search(p geo.Point, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	// Per-level query signatures, built lazily: W = Signature(Q.t). The
-	// cache holds word-at-a-time views, so the traversal's per-entry check
-	// reads raw aux bytes without allocating.
+	// traversal looks its level's up once per expanded node.
 	sigs := &levelSigs{scheme: x.scheme, kws: kws}
-	return newResultIter(x, x.rt.NearestNeighbors(p, sigs.at), kws)
+	r := newResultIter(x, kws)
+	r.it = x.rt.NearestNeighbors(p, sigs.at)
+	return r
 }
 
-// newResultIter wires a traversal to the store's filtered object loader:
-// the containment check of IR2TopK line 21 runs on the raw text field, so
-// false positives are rejected before the object is materialized (see
-// objstore.GetFiltered).
-func newResultIter(x *IR2Tree, it *rtree.Iter, kws []string) *ResultIter {
-	r := &ResultIter{x: x, it: it, keywords: kws}
+// newResultIter builds the result stream of a query for kws, with its
+// pooled scratch and the store's filtered object loader: the containment
+// check of IR2TopK line 21 runs on the raw text field, so false positives
+// are rejected before the object is materialized (see
+// objstore.GetFiltered). The caller starts the traversal, r.it.
+func newResultIter(x *IR2Tree, kws []string) *ResultIter {
+	r := &ResultIter{x: x, keywords: kws, sc: takeScratch(x.rt.Dim())}
 	r.accept = func(text []byte) bool {
 		return r.x.an.ContainsTermsBytes(text, r.keywords)
 	}
 	return r
+}
+
+// queryScratch is a query iterator's pooled working space: the buffers its
+// candidate rows are read into, the corner points its scorer decodes MBRs
+// into and, for the general ranked query, the term counter's fold buffer
+// and one survivor mask per keyword. An iterator takes one when it is built
+// and returns it in Close; one that is never closed only loses the reuse.
+type queryScratch struct {
+	row    objstore.RowScratch
+	lo, hi geo.Point
+	fold   []byte
+	masks  []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// takeScratch returns a pooled scratch whose corner points have dimension
+// dim.
+func takeScratch(dim int) *queryScratch {
+	sc := scratchPool.Get().(*queryScratch)
+	if len(sc.lo) != dim {
+		sc.lo, sc.hi = make(geo.Point, dim), make(geo.Point, dim)
+	}
+	return sc
+}
+
+// putScratch returns *sc to the pool and clears it, so a closed iterator
+// holds none.
+func putScratch(sc **queryScratch) {
+	if *sc != nil {
+		scratchPool.Put(*sc)
+		*sc = nil
+	}
 }
 
 // ResultIter streams the results of a distance-first query.
@@ -62,7 +99,7 @@ type ResultIter struct {
 	x        *IR2Tree
 	it       *rtree.Iter
 	keywords []string
-	sc       objstore.RowScratch
+	sc       *queryScratch
 	accept   func(text []byte) bool
 	stats    SearchStats
 }
@@ -83,7 +120,7 @@ func (r *ResultIter) Next() (Result, bool, error) {
 			fillTraversal(&r.stats, r.it.TraversalStats())
 			return Result{}, false, nil
 		}
-		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc, r.accept)
+		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
 		if err != nil {
 			return Result{}, false, err
 		}
@@ -103,9 +140,13 @@ func (r *ResultIter) Stats() SearchStats {
 	return r.stats
 }
 
-// Close releases the traversal's pooled scratch. Optional but cheap; the
-// top-k helpers call it for every query they run.
-func (r *ResultIter) Close() { r.it.Close() }
+// Close releases the traversal's and the row reads' pooled scratch.
+// Optional but cheap; the top-k helpers call it for every query they run. A
+// closed traversal is exhausted, so Next reads no row after it.
+func (r *ResultIter) Close() {
+	r.it.Close()
+	putScratch(&r.sc)
+}
 
 // PeekBound returns a lower bound on the distance of every result the
 // iterator can still produce: the priority of the best queued entry (an

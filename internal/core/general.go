@@ -1,8 +1,8 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
-	"sync"
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/irscore"
@@ -64,86 +64,46 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 		comb = irscore.DistanceDiscount{}
 	}
 	normalized, idfs := opts.Scorer.QueryIDFs(keywords)
-
-	// Per-level, per-keyword signatures (W_i = Signature(w_i)), lazily
-	// built: a MIR²-Tree uses different signature configurations per level.
-	// Word-at-a-time views keep the per-entry bound allocation-free.
-	perLevel := &levelWordSigs{scheme: x.scheme, words: normalized}
-
-	// rowTF finds the term-frequency summary of the row at ptr by the row
-	// pointer's position in the store's directory (rows are appended in
-	// offset order), or nil.
-	ptrs := x.store.Ptrs()
-	rowTF := func(ptr uint64) *irscore.RowTF {
-		id, ok := slices.BinarySearch(ptrs, objstore.Ptr(ptr))
-		if !ok || id >= len(opts.RowTFs) {
-			return nil
-		}
-		return &opts.RowTFs[id]
-	}
 	probes := make([]irscore.TermProbe, len(normalized))
 	for i, w := range normalized {
 		probes[i] = irscore.ProbeTerm(w)
 	}
-
-	// upperIR returns the signature-derived IR upper bound of an entry:
-	// Σ wᵢ·idf(wᵢ) over the keywords whose signature the entry's covers,
-	// where wᵢ bounds keyword i's term weight in everything under the entry
-	// — 1 for a node, whose subtree's rows may hold any term frequency, and
-	// the row's RowTF.Weight for an object, whose summary is looked up once
-	// a keyword matches. It sums in ScoreFromCounts' order, term by term, so
-	// a row's bound is never below its exact score by a rounding.
-	upperIR := func(isObject bool, level int, aux []byte, ptr uint64) float64 {
-		sigs := perLevel.at(level)
-		var matched float64
-		var row *irscore.RowTF
-		lookup := isObject && opts.RowTFs != nil
-		for i := range sigs {
-			if !sigs[i].MatchesTolerant(aux) {
-				continue
-			}
-			if lookup {
-				row, lookup = rowTF(ptr), false
-			}
-			w := 1.0
-			if row != nil {
-				w = row.Weight(probes[i])
-			}
-			matched += w * idfs[i]
-		}
-		return matched
-	}
-
-	// The rtree iterator pops the smallest score, so queue priorities are
-	// negated f values. The traversal gets no signature to prune by: the
-	// bound needs every keyword's match separately, and RequireMatch is the
-	// scorer's own keep test.
-	scorer := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
-		ub := upperIR(isObject, level, aux, ptr)
-		if opts.RequireMatch && ub == 0 {
-			return 0, false
-		}
-		return -comb.Combine(rect.MinDist(p), ub), true
+	sc := takeScratch(x.rt.Dim())
+	nw := x.rt.MaskWords()
+	if n := len(normalized) * nw; cap(sc.masks) < n {
+		sc.masks = make([]uint64, n)
 	}
 	r := &RankedIter{
 		x:          x,
-		it:         x.rt.Seek(scorer, nil),
-		p:          p,
 		normalized: normalized,
-		idfs:       idfs,
 		tf:         make([]int, len(normalized)),
-		fold:       foldPool.Get().(*[]byte),
-		opts:       opts,
-		comb:       comb,
+		sc:         sc,
 		exact:      make(map[uint64]rankedCandidate),
+		bound: rankedScorer{
+			p:       p,
+			comb:    comb,
+			sigs:    levelWordSigs{scheme: x.scheme, words: normalized},
+			idfs:    idfs,
+			probes:  probes,
+			rowTFs:  opts.RowTFs,
+			ptrs:    x.store.Ptrs(),
+			require: opts.RequireMatch,
+			lo:      sc.lo,
+			hi:      sc.hi,
+			masks:   sc.masks,
+			nw:      nw,
+		},
 	}
+	// The traversal gets no signature to prune by: the bound needs every
+	// keyword's match separately, and RequireMatch is the scorer's own test.
+	r.it = x.rt.Seek(&r.bound, nil)
 	// The candidate filter runs on the raw text field before the object is
 	// materialized (see objstore.GetFiltered): count terms into the scratch
 	// — Next scores survivors off it — and, under RequireMatch, reject
 	// candidates containing no keyword without paying their materialization.
 	r.accept = func(text []byte) bool {
-		r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized, r.fold)
-		if !r.opts.RequireMatch {
+		r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized, &r.sc.fold)
+		if !r.bound.require {
 			return true
 		}
 		for _, n := range r.tf {
@@ -156,9 +116,92 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	return r
 }
 
-// foldPool recycles RankedIter.fold across queries, so a warm ranked query
-// does not grow a fresh buffer to the length of its longest candidate row.
-var foldPool = sync.Pool{New: func() any { return new([]byte) }}
+// rankedScorer is the general query's node scorer: an entry's priority is
+// the negated Upper(v) = f(MinDist(p, MBR), upper IR bound), the rtree
+// iterator popping the smallest score first. The IR bound is Σ wᵢ·idfᵢ over
+// the keywords whose signature W_i the entry's payload matches (§5.3 (i)),
+// where wᵢ bounds keyword i's term weight in everything under the entry: 1
+// for a node, whose subtree's rows may hold any term frequency, and the
+// row's irscore.RowTF.Weight for an object, whose summary is looked up once
+// a keyword matches. It sums in ScoreFromCounts' order, keyword by keyword,
+// so a row's bound is never below its exact score by a rounding.
+type rankedScorer struct {
+	p       geo.Point
+	comb    irscore.Combiner
+	sigs    levelWordSigs
+	idfs    []float64 // idf per normalized keyword, from QueryIDFs
+	probes  []irscore.TermProbe
+	rowTFs  []irscore.RowTF // GeneralOptions.RowTFs
+	ptrs    []objstore.Ptr  // the store's row pointers, in ID order
+	require bool            // GeneralOptions.RequireMatch
+	lo, hi  geo.Point       // the MBR being scored
+	masks   []uint64        // keyword i's survivor mask at masks[i*nw:]
+	nw      int             // Tree.MaskWords
+}
+
+// ScoreNode implements rtree.NodeScorer: one MatchMask per keyword tests
+// every entry of the node against W_i (a length mismatch keeps every entry,
+// the only sound answer), RequireMatch drops the entries no keyword matched
+// and those whose bound is 0 (a zero-idf keyword), and each survivor's bound
+// is summed from the keyword masks.
+//
+//skvet:hotpath
+func (s *rankedScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []float64) {
+	sigs := s.sigs.at(pn.Level())
+	for i := range sigs {
+		pn.MatchMask(&sigs[i], s.masks[i*s.nw:])
+	}
+	if s.require {
+		for w := range mask {
+			var matched uint64
+			for i := range sigs {
+				matched |= s.masks[i*s.nw+w]
+			}
+			mask[w] &= matched
+		}
+	}
+	lookup := pn.Level() == 0 && s.rowTFs != nil
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			b := uint(bits.TrailingZeros64(m))
+			e := w*64 + int(b)
+			var ub float64
+			var row *irscore.RowTF
+			look := lookup
+			for i := range sigs {
+				if s.masks[i*s.nw+w]>>b&1 == 0 {
+					continue
+				}
+				if look {
+					row, look = s.rowTF(pn.EntryPtr(e)), false
+				}
+				wt := 1.0
+				if row != nil {
+					wt = row.Weight(s.probes[i])
+				}
+				ub += wt * s.idfs[i]
+			}
+			if s.require && ub == 0 {
+				mask[w] &^= 1 << b
+				continue
+			}
+			scores[e] = -s.comb.Combine(pn.EntryRectInto(e, s.lo, s.hi).MinDist(s.p), ub)
+		}
+	}
+}
+
+// rowTF finds the term-frequency summary of the row at ptr by the row
+// pointer's position in the store's directory (rows are appended in offset
+// order), or nil.
+//
+//skvet:hotpath
+func (s *rankedScorer) rowTF(ptr uint64) *irscore.RowTF {
+	id, ok := slices.BinarySearch(s.ptrs, objstore.Ptr(ptr))
+	if !ok || id >= len(s.rowTFs) {
+		return nil
+	}
+	return &s.rowTFs[id]
+}
 
 // rankedCandidate remembers a loaded object re-enqueued with its exact
 // (negated) score, so it is not read or scored twice.
@@ -171,15 +214,11 @@ type rankedCandidate struct {
 type RankedIter struct {
 	x          *IR2Tree
 	it         *rtree.Iter
-	p          geo.Point
+	bound      rankedScorer // the traversal's scorer; also holds p, f and the idfs
 	normalized []string
-	idfs       []float64 // idf per normalized term, from QueryIDFs
-	tf         []int     // per-candidate term-frequency scratch
-	fold       *[]byte   // TermFreqsBytesInto's working space, from foldPool
-	sc         objstore.RowScratch
+	tf         []int // per-candidate term-frequency scratch
+	sc         *queryScratch
 	accept     func(text []byte) bool
-	opts       GeneralOptions
-	comb       irscore.Combiner
 	exact      map[uint64]rankedCandidate
 	stats      SearchStats
 }
@@ -208,7 +247,7 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 		// RequireMatch skips materializing pure false positives — terms
 		// never re-pass the pipeline (stemming is not idempotent), and a
 		// rejected candidate costs no allocation at all.
-		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc, r.accept)
+		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
 		if err != nil {
 			return RankedResult{}, false, err
 		}
@@ -217,15 +256,15 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 			r.stats.FalsePositives++
 			continue
 		}
-		dist := r.p.Dist(obj.Point)
-		ir := irscore.ScoreFromCounts(r.tf, r.idfs)
-		if r.opts.RequireMatch && ir == 0 {
+		dist := r.bound.p.Dist(obj.Point)
+		ir := irscore.ScoreFromCounts(r.tf, r.bound.idfs)
+		if r.bound.require && ir == 0 {
 			// Degenerate scorers can weigh a present keyword at zero; keep
 			// the paper's "Score > 0" test exact.
 			r.stats.FalsePositives++
 			continue
 		}
-		f := r.comb.Combine(dist, ir)
+		f := r.bound.comb.Combine(dist, ir)
 		res := RankedResult{Object: obj, Dist: dist, IRScore: ir, Score: f}
 		if top, any := r.it.PeekScore(); !any || -f <= top {
 			// Exact score at least as good as every remaining upper bound.
@@ -243,16 +282,14 @@ func (r *RankedIter) Stats() SearchStats {
 	return r.stats
 }
 
-// Close releases the traversal's pooled scratch and the term counter's
-// fold buffer. Optional but cheap; the top-k helpers call it for every query
-// they run. A closed traversal is exhausted, so Next loads no candidate after
-// it and the fold buffer is not touched again.
+// Close releases the traversal's pooled scratch and the query's (row
+// buffers, fold buffer, keyword masks). Optional but cheap; the top-k
+// helpers call it for every query they run. A closed traversal is
+// exhausted, so Next loads no candidate after it and the scorer is not
+// called again.
 func (r *RankedIter) Close() {
 	r.it.Close()
-	if r.fold != nil {
-		foldPool.Put(r.fold)
-		r.fold = nil
-	}
+	putScratch(&r.sc)
 }
 
 // PeekBound returns an upper bound on the score of every result the

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -98,14 +99,58 @@ func BenchmarkParsePacked(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmExpand times warm node expansions: a 10-nearest conjunctive
-// query, Figure 8's traversal, over a bulk-packed tree of 20,000 objects with
-// 64-byte signatures of five words each (interior signatures superimpose
-// their children's), every node already pinned. ns/node is the cost of one
-// expansion: the node-cache hit and its charge, the signature test of all
-// its entries, and the decode, scoring and enqueue of the survivors.
+// BenchmarkWarmExpand times warm node expansions over a bulk-packed tree of
+// 20,000 objects (interior signatures superimpose their children's), every
+// node the queries expand already pinned. ns/node is the cost of one
+// expansion: the node-cache hit and its charge, the signature tests of all
+// its entries, and the scoring and enqueue of the survivors.
+//
+//   - distance: a 10-nearest conjunctive query, Figure 8's traversal, over
+//     64-byte signatures of five words each.
+//   - ranked: the first 10 pulls of a general ranked query over 189-byte
+//     signatures (the Hotels length) of twelve words each, scored by
+//     rankShape: three MatchMask calls per node, one per keyword.
 func BenchmarkWarmExpand(b *testing.B) {
-	cfg := sigfile.Config{LengthBytes: 64, BitsPerWord: sigfile.DefaultBitsPerWord}
+	b.Run("distance", func(b *testing.B) {
+		tree, cfg, vocab, rng := warmTree(b, 64, 5)
+		type query struct {
+			p   geo.Point
+			sig sigfile.Sig64
+		}
+		queries := make([]query, 64)
+		for i := range queries {
+			w := vocab[rng.Intn(100)] // frequent enough that most queries reach k
+			queries[i] = query{geo.NewPoint(rng.Float64()*10000, rng.Float64()*10000), sigfile.MakeSig64(cfg.WordSignature(w))}
+		}
+		benchWarm(b, len(queries), func(i int) *Iter {
+			q := &queries[i]
+			return tree.NearestNeighbors(q.p, func(int) *sigfile.Sig64 { return &q.sig })
+		})
+	})
+	b.Run("ranked", func(b *testing.B) {
+		tree, cfg, vocab, rng := warmTree(b, 189, 12)
+		scorers := make([]*rankShape, 64)
+		for i := range scorers {
+			s := &rankShape{nw: tree.MaskWords(), lo: make(geo.Point, 2), hi: make(geo.Point, 2)}
+			for j := 0; j < 3; j++ {
+				s.sigs = append(s.sigs, sigfile.MakeSig64(cfg.WordSignature(vocab[rng.Intn(300)])))
+				s.idfs = append(s.idfs, 1+float64(j)/4)
+			}
+			s.masks = make([]uint64, len(s.sigs)*s.nw)
+			s.p = geo.NewPoint(rng.Float64()*10000, rng.Float64()*10000)
+			scorers[i] = s
+		}
+		benchWarm(b, len(scorers), func(i int) *Iter { return tree.Seek(scorers[i], nil) })
+	})
+}
+
+// warmTree bulk-loads 20,000 objects with auxLen-byte signatures of words
+// words each, drawn from a 2,000-word vocabulary, and returns the tree, the
+// signature configuration, the vocabulary and the generator, for the
+// queries to be drawn from.
+func warmTree(b *testing.B, auxLen, words int) (*Tree, sigfile.Config, []string, *rand.Rand) {
+	b.Helper()
+	cfg := sigfile.Config{LengthBytes: auxLen, BitsPerWord: sigfile.DefaultBitsPerWord}
 	rng := rand.New(rand.NewSource(6))
 	vocab := make([]string, 2000)
 	for i := range vocab {
@@ -113,32 +158,30 @@ func BenchmarkWarmExpand(b *testing.B) {
 	}
 	entries := make([]BulkEntry, 20000)
 	for i := range entries {
-		words := make([]string, 5)
-		for j := range words {
-			words[j] = vocab[rng.Intn(len(vocab))]
+		doc := make([]string, words)
+		for j := range doc {
+			doc[j] = vocab[rng.Intn(len(vocab))]
 		}
 		p := geo.NewPoint(rng.Float64()*10000, rng.Float64()*10000)
-		entries[i] = BulkEntry{Ref: uint64(i), Rect: geo.PointRect(p), Aux: cfg.DocSignature(words)}
+		entries[i] = BulkEntry{Ref: uint64(i), Rect: geo.PointRect(p), Aux: cfg.DocSignature(doc)}
 	}
-	tree, err := New(storage.NewDisk(4096), Config{Dim: 2, Scheme: orScheme{n: cfg.LengthBytes}})
+	tree, err := New(storage.NewDisk(4096), Config{Dim: 2, Scheme: orScheme{n: auxLen}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := tree.BulkLoad(entries); err != nil {
 		b.Fatal(err)
 	}
-	type query struct {
-		p   geo.Point
-		sig sigfile.Sig64
-	}
-	queries := make([]query, 64)
-	for i := range queries {
-		w := vocab[rng.Intn(100)] // frequent enough that most queries reach k
-		queries[i] = query{geo.NewPoint(rng.Float64()*10000, rng.Float64()*10000), sigfile.MakeSig64(cfg.WordSignature(w))}
-	}
+	return tree, cfg, vocab, rng
+}
+
+// benchWarm pulls the first 10 results of each of the n queries seek
+// starts, once to pin every node they expand, then b.N times round robin,
+// and reports ns/node and nodes/op.
+func benchWarm(b *testing.B, n int, seek func(q int) *Iter) {
 	nodes := 0
-	run := func(q *query) {
-		it := tree.NearestNeighbors(q.p, func(int) *sigfile.Sig64 { return &q.sig })
+	run := func(q int) {
+		it := seek(q)
 		for j := 0; j < 10; j++ {
 			if _, _, ok, err := it.Next(); err != nil {
 				b.Fatal(err)
@@ -149,17 +192,56 @@ func BenchmarkWarmExpand(b *testing.B) {
 		nodes += it.NodesLoaded()
 		it.Close()
 	}
-	for i := range queries {
-		run(&queries[i]) // pin every node the queries expand
+	for q := 0; q < n; q++ {
+		run(q)
 	}
 	nodes = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run(&queries[i%len(queries)])
+		run(i % n)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(nodes, 1)), "ns/node")
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+}
+
+// rankShape is the general ranked query's node scorer without its row
+// summaries: one MatchMask per keyword signature, the entries no keyword
+// matched dropped, and each survivor scored -(Σ idfᵢ over the keywords
+// whose mask has it) / (1 + MinDist).
+type rankShape struct {
+	p      geo.Point
+	sigs   []sigfile.Sig64
+	idfs   []float64
+	masks  []uint64 // keyword i's at masks[i*nw:]
+	nw     int
+	lo, hi geo.Point
+}
+
+func (s *rankShape) ScoreNode(pn *PackedNode, mask []uint64, scores []float64) {
+	for i := range s.sigs {
+		pn.MatchMask(&s.sigs[i], s.masks[i*s.nw:])
+	}
+	for w := range mask {
+		var matched uint64
+		for i := range s.sigs {
+			matched |= s.masks[i*s.nw+w]
+		}
+		mask[w] &= matched
+	}
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			b := uint(bits.TrailingZeros64(m))
+			e := w*64 + int(b)
+			var ub float64
+			for i := range s.sigs {
+				if s.masks[i*s.nw+w]>>b&1 != 0 {
+					ub += s.idfs[i]
+				}
+			}
+			scores[e] = -ub / (1 + pn.EntryRectInto(e, s.lo, s.hi).MinDist(s.p))
+		}
+	}
 }
 
 func BenchmarkDelete(b *testing.B) {

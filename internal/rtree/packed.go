@@ -133,11 +133,14 @@ func (p *PackedNode) EntryAux(i int) []byte {
 
 // MatchMask is the signature test "if s matches w" of Figure 8 for all of
 // the node's entries at once: it returns mask[:maskWords(count)] with bit i
-// set when entry i's payload may contain everything sig describes —
-// sig.MatchesTolerant(EntryAux(i)) — and no bit at or above count set. A nil
-// or zero sig keeps every entry, and so does one whose length differs from
-// the node's payloads: a mismatched signature cannot be trusted, so the only
-// sound answer is "may match". mask must hold Tree.MaskWords words.
+// set when entry i's payload may contain everything sig describes (the
+// answer sig.MatchesTolerant(EntryAux(i)) gives, which the tests hold it
+// to) and no bit at or above count set. A nil or zero sig keeps every
+// entry, and so does one whose length differs from the node's payloads: a
+// mismatched signature cannot be trusted, so the only sound answer is "may
+// match". mask must hold Tree.MaskWords words. The iterator calls it once
+// per expanded node with the query's signature; the general ranked query's
+// scorer calls it once per keyword, with that keyword's signature W_i.
 //
 // The mask starts full and is ANDed with the column of every set bit of sig.
 // The columns' offsets are collected first, so their loads issue back to

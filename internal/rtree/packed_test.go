@@ -331,7 +331,7 @@ func TestCacheInvalidatedOnMutation(t *testing.T) {
 // decode the rectangle, score, then the keep test — so it also pins what
 // moving the signature test ahead of the decode must not change: the
 // emitted sequence, the counters and every trace event.
-func decodedWalk(t *testing.T, tree *Tree, scorer EntryScorer) (refs []uint64, scores []float64, st TraversalStats, events []TraceEvent) {
+func decodedWalk(t *testing.T, tree *Tree, scorer entryScorer) (refs []uint64, scores []float64, st TraversalStats, events []TraceEvent) {
 	t.Helper()
 	var q itemHeap
 	var seq uint64
@@ -378,6 +378,40 @@ func decodedWalk(t *testing.T, tree *Tree, scorer EntryScorer) (refs []uint64, s
 	return refs, scores, st, events
 }
 
+// entryScorer is the per-entry scorer the decoded walk calls: the priority
+// of one entry from its kind, its node's level, its MBR, payload and
+// pointer, and whether to keep it — the contract the iterator had before it
+// scored a node at a time.
+type entryScorer func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (score float64, keep bool)
+
+// perEntry adapts an entryScorer to NodeScorer: it scores a node's
+// survivors one at a time in entry order and clears the bit of every entry
+// the entry scorer drops, counting them in cleared.
+type perEntry struct {
+	fn      entryScorer
+	lo, hi  geo.Point
+	cleared int
+}
+
+func newPerEntry(dim int, fn entryScorer) *perEntry {
+	return &perEntry{fn: fn, lo: make(geo.Point, dim), hi: make(geo.Point, dim)}
+}
+
+func (s *perEntry) ScoreNode(pn *PackedNode, mask []uint64, scores []float64) {
+	for i := 0; i < pn.NumEntries(); i++ {
+		if mask[i/64]&(1<<(i%64)) == 0 {
+			continue
+		}
+		score, keep := s.fn(pn.Level() == 0, pn.Level(), pn.EntryRectInto(i, s.lo, s.hi), pn.EntryAux(i), pn.EntryPtr(i))
+		if !keep {
+			mask[i/64] &^= 1 << (i % 64)
+			s.cleared++
+			continue
+		}
+		scores[i] = score
+	}
+}
+
 // levelSig builds a per-level query signature for Seek from one byte-form
 // signature per level; levels past the last reuse it.
 func levelSig(perLevel ...sigfile.Signature) func(level int) *sigfile.Sig64 {
@@ -419,8 +453,9 @@ func bitsAt(n int, b ...byte) sigfile.Signature {
 // accounting cannot tell cached from uncached. A third pass runs without a
 // trace hook, where an expansion visits only its mask's survivors and counts
 // the rest as pruned in one step: same sequence, stats and I/O. The scorer's
-// own keep test drops some objects, so keep-test prunes mix with signature
-// prunes.
+// own keep test drops every other run of 64 object refs (the leaf
+// signatures pass one ref in 64, or in 8) and a band of the rest, so the
+// bits it clears mix with the signature's prunes, traced and untraced.
 //
 // The query signature differs by level, so testing the wrong level's
 // signature shows. In the lenmismatch row every interior entry's payload is
@@ -482,7 +517,7 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 				}
 				p := geo.NewPoint(40, 60)
 				scorer := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
-					return rect.MinDist(p), !isObject || rect.Lo[0] < 20 || rect.Lo[0] >= 30
+					return rect.MinDist(p), !isObject || ptr/64%2 == 0 && (rect.Lo[0] < 20 || rect.Lo[0] >= 30)
 				}
 				ref := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
 					score, keep := scorer(isObject, level, rect, aux, ptr)
@@ -506,7 +541,8 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 				}
 				for _, pass := range []string{"cold", "warm", "untraced"} {
 					disk.ResetStats()
-					it := tree.Seek(scorer, tc.sig)
+					ns := newPerEntry(2, scorer)
+					it := tree.Seek(ns, tc.sig)
 					var events []TraceEvent
 					if pass != "untraced" {
 						it.SetTrace(func(ev TraceEvent) { events = append(events, ev) })
@@ -530,6 +566,9 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 					}
 					if got := it.TraversalStats(); got != wantStats {
 						t.Fatalf("%s: traversal stats %+v, decoded walk %+v", pass, got, wantStats)
+					}
+					if ns.cleared == 0 {
+						t.Fatalf("%s: the scorer cleared no survivor's bit", pass)
 					}
 					if i := firstDiff(events, wantEvents); i >= 0 && pass != "untraced" {
 						t.Fatalf("%s: %d trace events, decoded walk %d; first difference at %d:\n got %v\nwant %v",

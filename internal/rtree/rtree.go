@@ -150,7 +150,7 @@ type Tree struct {
 
 	cache       *nodecache.Cache[*PackedNode]
 	scratchPool sync.Pool // *scratchBuf: raw block images for every node read
-	iterPool    sync.Pool // *iterScratch: priority queues + rect corners
+	iterPool    sync.Pool // *iterScratch: priority queues, masks, scores, rect corners
 }
 
 // New creates an empty tree on dev. It returns an error for invalid
@@ -184,7 +184,14 @@ func New(dev storage.Device, cfg Config) (*Tree, error) {
 		t.cache = nodecache.New[*PackedNode](cfg.CacheNodes)
 	}
 	t.scratchPool.New = func() interface{} { return new(scratchBuf) }
-	t.iterPool.New = func() interface{} { return new(iterScratch) }
+	t.iterPool.New = func() interface{} {
+		return &iterScratch{
+			mask:   make([]uint64, t.MaskWords()),
+			scores: make([]float64, maxE),
+			lo:     make(geo.Point, cfg.Dim),
+			hi:     make(geo.Point, cfg.Dim),
+		}
+	}
 	return t, nil
 }
 

@@ -324,7 +324,7 @@ func TestSeekPruneEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it := tree.Seek(func(bool, int, geo.Rect, []byte, uint64) (float64, bool) { return 0, false }, nil)
+	it := tree.Seek(newPerEntry(2, func(bool, int, geo.Rect, []byte, uint64) (float64, bool) { return 0, false }), nil)
 	if _, _, ok, _ := it.Next(); ok {
 		t.Error("pruned traversal returned an object")
 	}

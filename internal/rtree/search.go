@@ -10,30 +10,43 @@ import (
 	"spatialkeyword/internal/storage"
 )
 
-// EntryScorer assigns a priority to a tree entry during best-first search
-// and decides whether to keep it at all. isObject reports whether the entry
-// references an object (it was read from a leaf); level is the level of the
-// node the entry was read from; rect is the entry's MBR, aux its payload and
-// ptr its pointer (the object reference or child node block). Returning
-// keep = false drops the entry. The signature check "if s matches
-// w" of Figure 8 is not the scorer's: the iterator applies it before the
-// scorer runs (see Seek). keep is for scorers with a test of their own, such
-// as the general ranked query's "Score > 0".
+// NodeScorer assigns priorities to the entries of an expanded node during
+// best-first search and decides which of them to keep. The iterator calls
+// ScoreNode once per expanded node, after the signature test "if s matches
+// w" of Figure 8 (see Seek): bit i of mask (bit i%64 of mask[i/64]) is set
+// for every entry i of pn that passed it, and no bit at or above
+// pn.NumEntries() is. For every entry it keeps the scorer writes the
+// entry's priority to scores[i]; it clears the bit of every entry it drops
+// and never sets one. Dropping is for scorers with a test of their own, such
+// as the general ranked query's "Score > 0" or the range query's
+// rectangle. scores holds one slot per entry of a full node; a slot whose
+// bit ends up clear is ignored.
 //
 // Lower scores are dequeued first, so a scorer implementing the paper's
-// general ranking (higher f is better) should return a negated score.
+// general ranking (higher f is better) writes negated scores.
 //
-// Scorers must not retain rect or aux past the call: the rectangle's corner
-// points are reused for the next entry and the payload aliases a pinned node
-// image.
-type EntryScorer func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (score float64, keep bool)
+// Scorers must not retain pn, mask or scores past the call: the mask and
+// the scores are the iterator's scratch for the next node, and pn's
+// accessors alias a pinned node image.
+type NodeScorer interface {
+	ScoreNode(pn *PackedNode, mask []uint64, scores []float64)
+}
 
-// DistanceScorer returns the scorer of the incremental nearest-neighbor
+// distanceScorer is the scorer of the incremental nearest-neighbor
 // algorithm (Figure 3): the priority of every entry is the minimum distance
-// from the query point to its MBR, and nothing is pruned.
-func DistanceScorer(p geo.Point) EntryScorer {
-	return func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
-		return rect.MinDist(p), true
+// from p to its MBR, and nothing is dropped. Each MBR is decoded into the
+// corner points lo and hi.
+type distanceScorer struct{ p, lo, hi geo.Point }
+
+// ScoreNode implements NodeScorer.
+//
+//skvet:hotpath
+func (s *distanceScorer) ScoreNode(pn *PackedNode, mask []uint64, scores []float64) {
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			i := w*64 + bits.TrailingZeros64(m)
+			scores[i] = pn.EntryRectInto(i, s.lo, s.hi).MinDist(s.p)
+		}
 	}
 }
 
@@ -121,9 +134,8 @@ const (
 	// TraceEnqueueObject: an object entry passed the scorer and entered
 	// the queue.
 	TraceEnqueueObject
-	// TracePrune: an entry's signature did not cover the query's, or it
-	// failed the scorer's keep test, and was dropped — the subtree or
-	// object is never visited.
+	// TracePrune: an entry's signature did not cover the query's, or the
+	// scorer dropped it — the subtree or object is never visited.
 	TracePrune
 	// TraceEmit: an object was dequeued and returned as the next result
 	// candidate.
@@ -201,26 +213,28 @@ func (ev TraceEvent) String() string {
 // pool; call Close when done with an iterator to return them. Skipping
 // Close is safe (the scratch is garbage collected) but forfeits the reuse.
 type Iter struct {
-	t      *Tree
-	scorer EntryScorer
-	sig    func(level int) *sigfile.Sig64
-	queue  itemHeap
-	seq    uint64
-	stats  TraversalStats
-	trace  func(TraceEvent)
-	scr    *iterScratch
+	t     *Tree
+	ns    NodeScorer
+	dist  distanceScorer // NearestNeighbors' scorer, held here so it costs no allocation
+	sig   func(level int) *sigfile.Sig64
+	queue itemHeap
+	seq   uint64
+	stats TraversalStats
+	trace func(TraceEvent)
+	scr   *iterScratch
 }
 
 // iterScratch is the pooled per-traversal state: the queue's backing array,
-// the corner points entry MBRs are decoded into and the survivor mask of the
-// node being expanded (Tree.MaskWords words). One pair of points serves
-// every entry the traversal scores, because scorers do not retain the
-// rectangle (see EntryScorer), and one mask serves every node, because an
-// expansion is finished before the next begins.
+// the survivor mask (Tree.MaskWords words) and the scores (one per entry of
+// a full node) of the node being expanded, and the corner points the
+// distance scorer decodes MBRs into. One mask and one score slice serve
+// every node, because an expansion is finished before the next begins and
+// scorers do not retain them (see NodeScorer).
 type iterScratch struct {
 	queue  []queueItem
-	lo, hi geo.Point
 	mask   []uint64
+	scores []float64
+	lo, hi geo.Point
 }
 
 // TraversalStats are the work counters of one traversal — the per-event
@@ -231,7 +245,8 @@ type TraversalStats struct {
 	// metric of the paper's evaluation).
 	NodesLoaded int
 	// EntriesPruned is the number of entries dropped: signature
-	// mismatches plus the scorer's keep failures — subtrees never visited.
+	// mismatches plus the entries the scorer dropped — subtrees never
+	// visited.
 	EntriesPruned int
 	// NodesEnqueued and ObjectsEnqueued count entries that passed the
 	// scorer and entered the queue (Push re-enqueues count as objects).
@@ -244,13 +259,13 @@ type TraversalStats struct {
 // first Next call; a nil hook disables tracing.
 func (it *Iter) SetTrace(fn func(TraceEvent)) { it.trace = fn }
 
-// Seek starts a best-first traversal with the given scorer. sig, when not
-// nil, is the query's signature per tree level — the signature test "if s
-// matches w" of Figure 8: an expanded node looks its level's signature up
+// Seek starts a best-first traversal with the given node scorer. sig, when
+// not nil, is the query's signature per tree level — the signature test "if
+// s matches w" of Figure 8: an expanded node looks its level's signature up
 // once and tests all of its entries with it (PackedNode.MatchMask, so a
-// length mismatch keeps every entry), and an entry whose payload does not
-// match is pruned before its rectangle is decoded or the scorer sees it. A
-// nil sig prunes nothing.
+// length mismatch keeps every entry), and only the survivors reach the
+// scorer, which is called once for the node (see NodeScorer). A nil sig
+// prunes nothing.
 //
 // The root enters the queue with score -Inf: it is never pruned (the query
 // must consider the whole tree before any of it is expanded), and -Inf is
@@ -260,17 +275,12 @@ func (it *Iter) SetTrace(fn func(TraceEvent)) { it.trace = fn }
 // with negative priorities, such as the general ranked query's negated f
 // scores: a peek before the first Next would report bound 0 and let a top-k
 // merge discard the whole traversal.)
-func (t *Tree) Seek(scorer EntryScorer, sig func(level int) *sigfile.Sig64) *Iter {
-	it := &Iter{t: t, scorer: scorer, sig: sig}
+func (t *Tree) Seek(ns NodeScorer, sig func(level int) *sigfile.Sig64) *Iter {
+	it := &Iter{t: t, ns: ns, sig: sig}
 	t.mu.RLock()
 	root := t.root
 	t.mu.RUnlock()
 	scr := t.iterPool.Get().(*iterScratch)
-	if len(scr.lo) != t.dim {
-		scr.lo = make(geo.Point, t.dim)
-		scr.hi = make(geo.Point, t.dim)
-		scr.mask = make([]uint64, t.MaskWords())
-	}
 	it.scr = scr
 	it.queue = scr.queue[:0]
 	if root != storage.NilBlock {
@@ -297,7 +307,10 @@ func (it *Iter) Close() {
 // (see Seek). A nil sig is the classic [HS99] algorithm; a non-nil one is
 // the distance-first IR² traversal of Figure 8.
 func (t *Tree) NearestNeighbors(p geo.Point, sig func(level int) *sigfile.Sig64) *Iter {
-	return t.Seek(DistanceScorer(p), sig)
+	it := t.Seek(nil, sig)
+	it.dist = distanceScorer{p: p, lo: it.scr.lo, hi: it.scr.hi}
+	it.ns = &it.dist
+	return it
 }
 
 // Next returns the next object in score order. ok is false when the
@@ -323,12 +336,13 @@ func (it *Iter) Next() (ref uint64, score float64, ok bool, err error) {
 // expandPacked is Next's node-expansion step: the node comes from the
 // decoded-node cache (or, without one, is pinned for this visit). The
 // level's query signature is looked up once per node and tested against all
-// of its entries at once (PackedNode.MatchMask); only the survivors have
-// their rectangle decoded (into the iterator's corner-point scratch) and
-// scored, in entry order, so sequence numbers and ties are those of a
-// per-entry test. Without a trace hook the walk visits survivors only and
-// counts the rest as pruned in one step; with one it walks every entry, so
-// each prune event keeps its place.
+// of its entries at once (PackedNode.MatchMask); the scorer then scores the
+// survivors and drops what its own test rejects, in one call for the node.
+// What is left is pushed in entry order, so sequence numbers and ties are
+// those of a per-entry test. Without a trace hook the walk visits the
+// survivors only and counts the rest as pruned in one step; with one it
+// walks every entry, so each prune event — the signature's or the scorer's
+// — keeps its place.
 //
 //skvet:hotpath
 func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
@@ -342,14 +356,17 @@ func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
 		sig = it.sig(pn.level)
 	}
 	mask := pn.MatchMask(sig, it.scr.mask)
+	scores := it.scr.scores
+	it.ns.ScoreNode(pn, mask, scores)
 	if it.trace != nil {
 		it.trace(TraceEvent{Kind: TraceExpand, Node: pn.id, Level: pn.level, Score: score})
 		for i := 0; i < pn.count; i++ {
 			if mask[i/64]&(1<<(i%64)) == 0 {
-				it.prune(pn, i)
+				it.stats.EntriesPruned++
+				it.trace(TraceEvent{Kind: TracePrune, Node: pn.id, Child: pn.EntryPtr(i), Level: pn.level})
 				continue
 			}
-			it.enqueueEntry(pn, i, pn.EntryAux(i))
+			it.enqueueEntry(pn, i, scores[i])
 		}
 		return nil
 	}
@@ -357,7 +374,7 @@ func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
 	for w, m := range mask {
 		for ; m != 0; m &= m - 1 {
 			i := w*64 + bits.TrailingZeros64(m)
-			it.enqueueEntry(pn, i, pn.EntryAux(i))
+			it.enqueueEntry(pn, i, scores[i])
 			survivors++
 		}
 	}
@@ -365,29 +382,13 @@ func (it *Iter) expandPacked(id storage.BlockID, score float64) error {
 	return nil
 }
 
-// prune counts and traces node pn's dropped entry i.
+// enqueueEntry pushes node pn's entry i, which the scorer kept with the
+// given score, on the queue.
 //
 //skvet:hotpath
-func (it *Iter) prune(pn *PackedNode, i int) {
-	it.stats.EntriesPruned++
-	if it.trace != nil {
-		it.trace(TraceEvent{Kind: TracePrune, Node: pn.id, Child: pn.EntryPtr(i), Level: pn.level})
-	}
-}
-
-// enqueueEntry decodes and scores node pn's entry i, whose payload is aux,
-// and pushes it on the queue (or prunes it).
-//
-//skvet:hotpath
-func (it *Iter) enqueueEntry(pn *PackedNode, i int, aux []byte) {
+func (it *Iter) enqueueEntry(pn *PackedNode, i int, score float64) {
 	isObject := pn.level == 0
-	rect := pn.EntryRectInto(i, it.scr.lo, it.scr.hi)
 	ptr := pn.EntryPtr(i)
-	score, keep := it.scorer(isObject, pn.level, rect, aux, ptr)
-	if !keep {
-		it.prune(pn, i)
-		return
-	}
 	qi := queueItem{isObject: isObject, score: score, seq: it.seq}
 	it.seq++
 	if isObject {

@@ -127,6 +127,11 @@ func (v Sig64) Bytes() Signature {
 // "may match", and the exact text check downstream decides. s may alias
 // a disk-block image; it is never retained. Zero allocations.
 //
+// No traversal calls it: they test a whole node at once
+// (rtree.PackedNode.MatchMask over the node's signature columns). It is the
+// one-entry reference the rtree and core tests hold those masks, and the
+// scores built from them, to.
+//
 //skvet:hotpath
 func (v Sig64) MatchesTolerant(s []byte) bool {
 	if len(s) != v.n {

@@ -40,7 +40,8 @@ func superimposeBytewise(dst, src []byte) {
 // paper's 8 B and 189 B lengths).
 // MatchesTolerant is Matches for signatures of possibly-corrupt provenance:
 // on length mismatch it reports true (no pruning) instead of panicking —
-// the byte-form twin of Sig64.MatchesTolerant, which the traversals call.
+// the byte-form twin of Sig64.MatchesTolerant, the one-entry reference the
+// node masks are tested against.
 // TestWordKernelsAgreeWithBytewise, TestSig64TolerantOnMismatch and
 // TestMatchesAllocFree use it.
 func MatchesTolerant(s, q Signature) bool {

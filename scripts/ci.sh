@@ -58,7 +58,10 @@
 #           (storage.Disk ReadRunInto and ChargeRun, in memory and on a
 #           file, 1- and 3-block runs), of a cold node load's parse and signature-column build
 #           and a warm node expansion (rtree.BenchmarkParsePacked, 64- and
-#           189-byte payloads, and BenchmarkWarmExpand), of a durable
+#           189-byte payloads, and BenchmarkWarmExpand: distance, a
+#           10-nearest conjunctive query over 64-byte signatures, and
+#           ranked, three per-keyword masks per node over 189-byte ones,
+#           both in ns/node), of a durable
 #           engine's first load — Adds then Save, reported in objects/s
 #           (BenchmarkDurableLoad, root package) — and of a 4-shard one's
 #           (BenchmarkShardedLoad, internal/shard), of a warm
