@@ -16,7 +16,7 @@ import (
 // area-distance order.
 func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
-	sigs := &levelSigs{scheme: x.scheme, kws: kws}
+	sigs := &levelSigs{x: x, kws: kws}
 	r := newResultIter(x, kws)
 	r.it = x.rt.Seek(&areaScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
 	return r
@@ -53,7 +53,7 @@ func (s *areaScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []flo
 // is expanded.
 func (x *IR2Tree) SearchWithin(area geo.Rect, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
-	sigs := &levelSigs{scheme: x.scheme, kws: kws}
+	sigs := &levelSigs{x: x, kws: kws}
 	r := newResultIter(x, kws)
 	r.it = x.rt.Seek(&withinScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
 	return r

@@ -123,7 +123,7 @@ func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 							s.idfs[0] = 1 << 53
 						case "lenmismatch":
 							sigs := s.sigs.at(1)
-							long := make(sigfile.Signature, len(s.sigs.scheme.wordSignature(1, "pool"))+1)
+							long := make(sigfile.Signature, s.sigs.x.levelConfig(1).LengthBytes+1)
 							for i := range long {
 								long[i] = 0xff
 							}

@@ -42,7 +42,7 @@ func (x *IR2Tree) Search(p geo.Point, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	// Per-level query signatures, built lazily: W = Signature(Q.t). The
 	// traversal looks its level's up once per expanded node.
-	sigs := &levelSigs{scheme: x.scheme, kws: kws}
+	sigs := &levelSigs{x: x, kws: kws}
 	r := newResultIter(x, kws)
 	r.it = x.rt.NearestNeighbors(p, sigs.at)
 	return r
@@ -210,7 +210,7 @@ func NewRTreeBaseline(dev storage.Device, store *objstore.Store, dim, maxEntries
 
 // Insert indexes an object's location.
 func (b *RTreeBaseline) Insert(obj objstore.Object, ptr objstore.Ptr) error {
-	return b.rt.Insert(uint64(ptr), geo.PointRect(obj.Point), nil)
+	return b.rt.Insert(uint64(ptr), geo.PointRect(obj.Point), nil, nil)
 }
 
 // Delete removes an object.

@@ -82,7 +82,7 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 		bound: rankedScorer{
 			p:       p,
 			comb:    comb,
-			sigs:    levelWordSigs{scheme: x.scheme, words: normalized},
+			sigs:    levelWordSigs{x: x, words: normalized},
 			idfs:    idfs,
 			probes:  probes,
 			rowTFs:  opts.RowTFs,

@@ -19,6 +19,11 @@
 // subtree* rather than from its children's signatures. That keeps high-level
 // signatures sparse (fewer false positives) at the price of much more
 // expensive maintenance.
+//
+// An IR²-Tree packed from a batch (InsertBatch into an empty tree) sizes its
+// interior levels too, but from the words the batch actually puts under each
+// node rather than from a corpus estimate, and keeps them up on later
+// inserts by superimposition, reading no row (see packSizer).
 package core
 
 import (
@@ -81,9 +86,11 @@ type IR2Tree struct {
 
 // sigScheme adapts signature maintenance to rtree.AuxScheme. For the
 // uniform IR²-Tree every level shares one configuration and a node's
-// signature is the superimposition of its entries' signatures. For the
-// MIR²-Tree each level has its own configuration and a node's signature is
-// recomputed from the words of every object in its subtree.
+// signature is the superimposition of its entries' signatures; a packed
+// tree's interior levels are sized from the data instead (see packSizer),
+// and the tree records their lengths. For the MIR²-Tree each level has its
+// own configuration and a node's signature is recomputed from the words of
+// every object in its subtree.
 type sigScheme struct {
 	leaf       sigfile.Config
 	multilevel bool
@@ -101,8 +108,10 @@ type sigScheme struct {
 	cfgMemo  map[int]sigfile.Config
 }
 
-// levelConfig returns the signature configuration for entries stored at the
-// given node level.
+// levelConfig returns the scheme's own signature configuration for entries
+// stored at the given node level: the leaf's for the uniform IR²-Tree, the
+// optimal-length rule's for the MIR²-Tree. A sized tree's recorded lengths
+// override it (see IR2Tree.levelConfig).
 func (s *sigScheme) levelConfig(level int) sigfile.Config {
 	if !s.multilevel || level <= 0 {
 		return s.leaf
@@ -144,12 +153,11 @@ func (s *sigScheme) EntryAuxLen(level int) int {
 // NodeAux implements rtree.AuxScheme: the signature stored for node n in its
 // parent.
 func (s *sigScheme) NodeAux(t rtree.NodeReader, n *rtree.Node) ([]byte, error) {
-	parentLevel := n.Level() + 1
-	cfg := s.levelConfig(parentLevel)
+	length := t.AuxLen(n.Level() + 1)
 	if !s.multilevel {
-		// IR²-Tree: superimpose the node's entry signatures (same length
-		// at every level).
-		sig := cfg.New()
+		// IR²-Tree: superimpose the node's entry signatures (the tree
+		// calls NodeAux only where they have the parent's length).
+		sig := make(sigfile.Signature, length)
 		for i := 0; i < n.NumEntries(); i++ {
 			_, _, aux := n.Entry(i)
 			// The entry aux was decoded from disk; a length mismatch means
@@ -167,15 +175,22 @@ func (s *sigScheme) NodeAux(t rtree.NodeReader, n *rtree.Node) ([]byte, error) {
 	if deferred {
 		// Bulk build: leave interior signatures zero; RebuildAux fills them
 		// in one bottom-up pass.
-		return cfg.New(), nil
+		return make([]byte, length), nil
 	}
 	// MIR²-Tree: recompute from every object in the subtree. This walks
 	// (and pays the I/O for) the whole subtree plus the referenced objects
 	// — the maintenance cost the paper warns about.
+	return s.CoverAux(t, n, length)
+}
+
+// CoverAux implements rtree.Coverer: the signature, at the given length, of
+// every word of every object under n, read from the object store.
+func (s *sigScheme) CoverAux(t rtree.NodeReader, n *rtree.Node, length int) ([]byte, error) {
 	refs, err := t.SubtreeObjectRefs(n)
 	if err != nil {
 		return nil, err
 	}
+	cfg := sigfile.Config{LengthBytes: length, BitsPerWord: s.leaf.BitsPerWord}
 	sig := cfg.New()
 	for _, ref := range refs {
 		words, err := s.objectWords(ref)
@@ -222,22 +237,18 @@ func (s *sigScheme) objectWords(ref uint64) ([]string, error) {
 	return w, nil
 }
 
-// querySignature builds the signature of a keyword set at the given level's
-// configuration — the W of IR2TopK line 16, per level.
-func (s *sigScheme) querySignature(level int, keywords []string) sigfile.Signature {
-	return s.levelConfig(level).DocSignature(keywords)
-}
-
-// wordSignature builds a single keyword's signature at the given level —
-// the per-keyword W_i of the general algorithm.
-func (s *sigScheme) wordSignature(level int, word string) sigfile.Signature {
-	return s.levelConfig(level).WordSignature(word)
+// levelConfig returns the signature configuration of the entries at the
+// given level: the length the tree holds them at (recorded by a sized pack,
+// else the scheme's), with the leaf's bits per word. It reads no lock: the
+// recorded lengths change only while the tree is empty.
+func (x *IR2Tree) levelConfig(level int) sigfile.Config {
+	return sigfile.Config{LengthBytes: x.rt.AuxLen(level), BitsPerWord: x.scheme.leaf.BitsPerWord}
 }
 
 // New creates an empty IR²-Tree (or MIR²-Tree) whose nodes live on dev and
 // whose objects live in store.
 func New(dev storage.Device, store *objstore.Store, opts Options) (*IR2Tree, error) {
-	if err := opts.LeafSignature.Validate(); err != nil {
+	if err := opts.LeafSignature.Validate(0); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	dim := opts.Dim
@@ -295,11 +306,15 @@ func (x *IR2Tree) SizeMB() float64 { return float64(x.SizeBytes()) / 1e6 }
 // superimposition of its distinct words' signatures, and AdjustTree
 // propagates new signature bits to every ancestor. For a MIR²-Tree the
 // ancestor updates recompute signatures from all underlying objects, which
-// is expensive by design.
+// is expensive by design. A level a pack sized superimposes the object's
+// words at its own length instead, so the insert reads no other object.
 func (x *IR2Tree) Insert(obj objstore.Object, ptr objstore.Ptr) error {
 	words := x.an.Unique(obj.Text)
-	sig := x.scheme.levelConfig(0).DocSignature(words)
-	return x.rt.Insert(uint64(ptr), geo.PointRect(obj.Point), sig)
+	k := x.scheme.leaf.BitsPerWord
+	lift := func(length int) []byte {
+		return sigfile.Config{LengthBytes: length, BitsPerWord: k}.DocSignature(words)
+	}
+	return x.rt.Insert(uint64(ptr), geo.PointRect(obj.Point), x.scheme.leaf.DocSignature(words), lift)
 }
 
 // Delete removes an object (paper Figure 6). It returns false if the object
@@ -324,9 +339,10 @@ func (x *IR2Tree) Build() error {
 // an extension over the paper's insert-based construction): nodes come out
 // full and barely overlapping, in one pass per level, where one Guttman
 // insert per object leaves leaves about two thirds full. Leaf signatures are
-// the ones Insert computes and interior signatures go through the same
-// scheme, so answers do not depend on the path. Into a non-empty tree each
-// object is Inserted in order.
+// the ones Insert computes. The IR²-Tree's interior levels are sized from
+// the batch's words (see packSizer); the MIR²-Tree's keep the optimal-length
+// rule and its recomputed signatures. Answers do not depend on the path.
+// Into a non-empty tree each object is Inserted in order.
 func (x *IR2Tree) InsertBatch(objs []objstore.Object, ptrs []objstore.Ptr) error {
 	if x.rt.Height() > 0 {
 		for i, obj := range objs {
@@ -340,14 +356,22 @@ func (x *IR2Tree) InsertBatch(objs []objstore.Object, ptrs []objstore.Ptr) error
 		return nil
 	}
 	return x.deferSignatures(func() error {
-		leaf := x.scheme.levelConfig(0)
+		leaf := x.scheme.leaf
 		entries := make([]rtree.BulkEntry, len(objs))
+		var sizer rtree.LevelSizer
+		ps := newPackSizer(leaf, x.rt)
+		if !x.multilevel {
+			sizer = ps
+		}
 		for i, obj := range objs {
 			words := x.an.Unique(obj.Text)
 			x.scheme.remember(uint64(ptrs[i]), words)
+			if sizer != nil {
+				ps.addObject(uint64(ptrs[i]), words)
+			}
 			entries[i] = rtree.BulkEntry{Ref: uint64(ptrs[i]), Rect: geo.PointRect(obj.Point), Aux: leaf.DocSignature(words)}
 		}
-		return x.rt.BulkLoad(entries)
+		return x.rt.BulkLoad(entries, sizer)
 	})
 }
 

@@ -52,7 +52,7 @@ func (q *walkQueue) Pop() any {
 // returns the object refs the traversal emits, in order, and its counters.
 func decodedSearch(t *testing.T, x *IR2Tree, keywords []string, dist func(geo.Rect) float64) (refs []uint64, st rtree.TraversalStats) {
 	t.Helper()
-	sigs := &levelSigs{scheme: x.scheme, kws: x.an.Keywords(keywords)}
+	sigs := &levelSigs{x: x, kws: x.an.Keywords(keywords)}
 	root, err := x.rt.Root()
 	if err != nil {
 		t.Fatal(err)

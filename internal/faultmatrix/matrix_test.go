@@ -55,7 +55,7 @@ func buildRTree(dev storage.Device) (func() error, error) {
 	}
 	for i := 0; i < 80; i++ {
 		p := geo.NewPoint(float64(i%10), float64(i/10))
-		if err := t.Insert(uint64(i), geo.NewRect(p, p), nil); err != nil {
+		if err := t.Insert(uint64(i), geo.NewRect(p, p), nil, nil); err != nil {
 			return nil, err
 		}
 	}

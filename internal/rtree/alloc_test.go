@@ -39,7 +39,7 @@ func TestLoadPackedHitAllocFree(t *testing.T) {
 				p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
 				aux := make([]byte, 8)
 				copy(aux, refMask(uint64(i)))
-				if err := tree.Insert(uint64(i), geo.PointRect(p), aux); err != nil {
+				if err := tree.Insert(uint64(i), geo.PointRect(p), aux, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -76,7 +76,7 @@ func TestWarmIterAllocBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 300; i++ {
 		p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil); err != nil {
+		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -57,7 +57,7 @@ func TestAuxMaintainedThroughInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 200; i++ {
 		p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if err := tree.Insert(uint64(i), geo.PointRect(p), refMask(uint64(i))); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(p), refMask(uint64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestAuxMaintainedThroughDeletes(t *testing.T) {
 	pts := make([]geo.Point, 120)
 	for i := range pts {
 		pts[i] = geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), refMask(uint64(i))); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), refMask(uint64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,10 +99,10 @@ func TestAuxMaintainedThroughDeletes(t *testing.T) {
 
 func TestAuxLengthValidated(t *testing.T) {
 	tree, _ := newAuxTree(t, orScheme{n: 4}, 3)
-	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(0, 0)), []byte{1, 2}); err == nil {
+	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(0, 0)), []byte{1, 2}, nil); err == nil {
 		t.Error("short payload accepted")
 	}
-	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(0, 0)), nil); err == nil {
+	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(0, 0)), nil, nil); err == nil {
 		t.Error("nil payload accepted by payload-carrying tree")
 	}
 }
@@ -116,11 +116,11 @@ func TestAuxPruningDuringSearch(t *testing.T) {
 	maskB := []byte{0x80, 0, 0, 0}
 	for i := 0; i < 50; i++ {
 		p := geo.NewPoint(rng.Float64()*10, rng.Float64()*10)
-		if err := tree.Insert(uint64(i), geo.PointRect(p), maskA); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(p), maskA, nil); err != nil {
 			t.Fatal(err)
 		}
 		q := geo.NewPoint(1000+rng.Float64()*10, 1000+rng.Float64()*10)
-		if err := tree.Insert(uint64(100+i), geo.PointRect(q), maskB); err != nil {
+		if err := tree.Insert(uint64(100+i), geo.PointRect(q), maskB, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestMultiBlockNodes(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		aux[i%512] = byte(i)
 		p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if err := tree.Insert(uint64(i), geo.PointRect(p), aux); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(p), aux, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestRebuildAux(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 150; i++ {
 		p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if err := tree.Insert(uint64(i), geo.PointRect(p), refMask(uint64(i))); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(p), refMask(uint64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

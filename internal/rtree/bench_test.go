@@ -24,7 +24,7 @@ func benchTree(b *testing.B, n int) (*Tree, []geo.Point) {
 	pts := make([]geo.Point, n)
 	for i := range pts {
 		pts[i] = geo.NewPoint(rng.Float64()*10000, rng.Float64()*10000)
-		if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), nil); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func BenchmarkInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := geo.NewPoint(rng.Float64()*10000, rng.Float64()*10000)
-		if err := tree.Insert(uint64(i+10), geo.PointRect(p), nil); err != nil {
+		if err := tree.Insert(uint64(i+10), geo.PointRect(p), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func BenchmarkBulkLoad10k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tree.BulkLoad(entries); err != nil {
+		if err := tree.BulkLoad(entries, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func warmTree(b *testing.B, auxLen, words int) (*Tree, sigfile.Config, []string,
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := tree.BulkLoad(entries); err != nil {
+	if err := tree.BulkLoad(entries, nil); err != nil {
 		b.Fatal(err)
 	}
 	return tree, cfg, vocab, rng

@@ -19,23 +19,37 @@ type BulkEntry struct {
 // packing (Leutenegger et al.), an extension beyond the paper: the paper
 // constructs trees by repeated Insert, which costs O(n log n) node I/O and
 // produces overlapping nodes; STR packs near-full nodes with minimal
-// overlap in one pass per level. The aux maintenance contract is identical
-// to Insert's: parent payloads are computed through the AuxScheme
-// bottom-up.
+// overlap in one pass per level.
+//
+// With a nil sizer the aux maintenance contract is identical to Insert's:
+// parent payloads are computed through the AuxScheme bottom-up. A sizer
+// chooses each interior level's payload length from the nodes it will
+// summarize, once they are packed and before any node of the level is
+// stored, and the tree records the lengths (see AuxLen). A level whose
+// length equals the one below keeps the scheme's NodeAux; any other level is
+// sized, and its payloads are the sizer's CoverAux, built from the words of
+// each subtree. Later inserts, splits and deletes keep a sized level's
+// payloads supersets of those words without reading them (see Insert).
 //
 // BulkLoad requires an empty tree and at least one entry. Every node except
 // possibly within the root's chain satisfies the minimum fill (trailing
 // chunks are rebalanced).
-func (t *Tree) BulkLoad(entries []BulkEntry) error {
+func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	defer func() {
+		if err != nil && t.root == storage.NilBlock {
+			t.lens = nil
+		}
+	}()
 	if t.root != storage.NilBlock {
 		return fmt.Errorf("rtree: BulkLoad on non-empty tree")
 	}
 	if len(entries) == 0 {
 		return fmt.Errorf("rtree: BulkLoad with no entries")
 	}
-	auxLen := t.scheme.EntryAuxLen(0)
+	t.lens = nil
+	auxLen := t.AuxLen(0)
 	level := make([]entry, len(entries))
 	for i, be := range entries {
 		if be.Rect.Dim() != t.dim {
@@ -45,6 +59,9 @@ func (t *Tree) BulkLoad(entries []BulkEntry) error {
 			return fmt.Errorf("rtree: bulk entry %d payload %d bytes, want %d", i, len(be.Aux), auxLen)
 		}
 		level[i] = entry{ptr: be.Ref, rect: be.Rect.Clone(), aux: cloneBytes(be.Aux)}
+	}
+	if sizer != nil {
+		t.lens = []int{auxLen}
 	}
 
 	lvl := 0
@@ -61,18 +78,35 @@ func (t *Tree) BulkLoad(entries []BulkEntry) error {
 			return nil
 		}
 		groups := t.rebalance(t.strPack(level, 0))
-		next := make([]entry, 0, len(groups))
-		for _, g := range groups {
+		nodes := make([]*Node, len(groups))
+		for i, g := range groups {
 			n := t.allocNode(lvl)
 			n.entries = g
 			if err := t.storeNode(n); err != nil {
 				return err
 			}
-			aux, err := t.nodeAux(n)
+			nodes[i] = n
+		}
+		if sizer != nil {
+			length, err := sizer.SizeLevel(lvl+1, nodes)
 			if err != nil {
 				return err
 			}
-			next = append(next, entry{ptr: uint64(n.id), rect: n.mbr(), aux: aux})
+			t.lens = append(t.lens, length)
+		}
+		next := make([]entry, len(nodes))
+		for i, n := range nodes {
+			var aux []byte
+			var err error
+			if t.sized(lvl + 1) {
+				aux, err = t.coverAux(sizer, n)
+			} else {
+				aux, err = t.nodeAux(n)
+			}
+			if err != nil {
+				return err
+			}
+			next[i] = entry{ptr: uint64(n.id), rect: n.mbr(), aux: aux}
 		}
 		level = next
 		lvl++

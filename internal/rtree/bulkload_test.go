@@ -24,7 +24,7 @@ func TestBulkLoadInvariants(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 16, 17, 100, 1000, 2500} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			tree := newTestTree(t, 16)
-			if err := tree.BulkLoad(bulkEntries(rng, n)); err != nil {
+			if err := tree.BulkLoad(bulkEntries(rng, n), nil); err != nil {
 				t.Fatal(err)
 			}
 			if tree.Len() != n {
@@ -41,7 +41,7 @@ func TestBulkLoadSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	entries := bulkEntries(rng, 800)
 	tree := newTestTree(t, 8)
-	if err := tree.BulkLoad(entries); err != nil {
+	if err := tree.BulkLoad(entries, nil); err != nil {
 		t.Fatal(err)
 	}
 	q := geo.NewPoint(500, 500)
@@ -78,7 +78,7 @@ func TestBulkLoadWithAux(t *testing.T) {
 		p := geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		entries[i] = BulkEntry{Ref: uint64(i), Rect: geo.PointRect(p), Aux: refMask(uint64(i))}
 	}
-	if err := tree.BulkLoad(entries); err != nil {
+	if err := tree.BulkLoad(entries, nil); err != nil {
 		t.Fatal(err)
 	}
 	// CheckInvariants validates every parent payload against NodeAux.
@@ -86,7 +86,7 @@ func TestBulkLoadWithAux(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutations after a bulk load keep working.
-	if err := tree.Insert(999, geo.PointRect(geo.NewPoint(50, 50)), refMask(999)); err != nil {
+	if err := tree.Insert(999, geo.PointRect(geo.NewPoint(50, 50)), refMask(999), nil); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := tree.Delete(0, entries[0].Rect); err != nil || !ok {
@@ -99,19 +99,19 @@ func TestBulkLoadWithAux(t *testing.T) {
 
 func TestBulkLoadValidation(t *testing.T) {
 	tree := newTestTree(t, 8)
-	if err := tree.BulkLoad(nil); err == nil {
+	if err := tree.BulkLoad(nil, nil); err == nil {
 		t.Error("empty bulk load accepted")
 	}
-	if err := tree.BulkLoad([]BulkEntry{{Ref: 1, Rect: geo.PointRect(geo.NewPoint(1, 2, 3))}}); err == nil {
+	if err := tree.BulkLoad([]BulkEntry{{Ref: 1, Rect: geo.PointRect(geo.NewPoint(1, 2, 3))}}, nil); err == nil {
 		t.Error("wrong-dimension entry accepted")
 	}
-	if err := tree.BulkLoad([]BulkEntry{{Ref: 1, Rect: geo.PointRect(geo.NewPoint(1, 2)), Aux: []byte{1}}}); err == nil {
+	if err := tree.BulkLoad([]BulkEntry{{Ref: 1, Rect: geo.PointRect(geo.NewPoint(1, 2)), Aux: []byte{1}}}, nil); err == nil {
 		t.Error("wrong payload length accepted")
 	}
-	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(0, 0)), nil); err != nil {
+	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(0, 0)), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.BulkLoad(bulkEntries(rand.New(rand.NewSource(1)), 5)); err == nil {
+	if err := tree.BulkLoad(bulkEntries(rand.New(rand.NewSource(1)), 5), nil); err == nil {
 		t.Error("bulk load into non-empty tree accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestBulkLoadCheaperAndTighterThanInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if err := insTree.Insert(e.Ref, e.Rect, nil); err != nil {
+		if err := insTree.Insert(e.Ref, e.Rect, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestBulkLoadCheaperAndTighterThanInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bulkTree.BulkLoad(entries); err != nil {
+	if err := bulkTree.BulkLoad(entries, nil); err != nil {
 		t.Fatal(err)
 	}
 	bulkIO := blocks(bulkDisk.Stats())

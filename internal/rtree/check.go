@@ -11,7 +11,10 @@ import (
 // every node. It is intended for tests and returns the first violation:
 //
 //   - every parent entry's MBR equals the union of its child's entry MBRs;
-//   - every parent entry's payload equals the scheme's NodeAux of the child;
+//   - every parent entry's payload equals the scheme's NodeAux of the child
+//     or, at a sized level (see BulkLoad), holds every bit of the scheme's
+//     CoverAux of it: the signature of every word under the child (a
+//     0-length level holds nothing);
 //   - levels decrease by exactly one on each descent (height balance);
 //   - every non-root node holds between the minimum fill m and MaxEntries
 //     entries, and the root holds at least 2 when it is interior (at least 1
@@ -59,7 +62,7 @@ func (t *Tree) checkNode(n *Node, isRoot bool) (objects, nodes int, err error) {
 				n.id, len(n.entries), t.minE, t.maxE)
 		}
 	}
-	wantAuxLen := t.scheme.EntryAuxLen(n.level)
+	wantAuxLen := t.AuxLen(n.level)
 	for i := range n.entries {
 		if len(n.entries[i].aux) != wantAuxLen {
 			return 0, 0, fmt.Errorf("rtree: node %d entry %d payload %d bytes, want %d",
@@ -83,13 +86,8 @@ func (t *Tree) checkNode(n *Node, isRoot bool) (objects, nodes int, err error) {
 			return 0, 0, fmt.Errorf("rtree: node %d entry %d MBR %v != child %d union %v",
 				n.id, i, n.entries[i].rect, child.id, child.mbr())
 		}
-		wantAux, err := t.nodeAux(child)
-		if err != nil {
-			return 0, 0, err
-		}
-		if !bytes.Equal(n.entries[i].aux, wantAux) {
-			return 0, 0, fmt.Errorf("rtree: node %d entry %d payload stale for child %d",
-				n.id, i, child.id)
+		if err := t.checkParentAux(n.entries[i].aux, child); err != nil {
+			return 0, 0, fmt.Errorf("rtree: node %d entry %d: %w", n.id, i, err)
 		}
 		o, c, err := t.checkNode(child, false)
 		if err != nil {
@@ -101,11 +99,36 @@ func (t *Tree) checkNode(n *Node, isRoot bool) (objects, nodes int, err error) {
 	return objects, nodes, nil
 }
 
+// checkParentAux checks aux, the payload of child's entry in its parent.
+func (t *Tree) checkParentAux(aux []byte, child *Node) error {
+	if !t.sized(child.level + 1) {
+		want, err := t.nodeAux(child)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(aux, want) {
+			return fmt.Errorf("payload stale for child %d", child.id)
+		}
+		return nil
+	}
+	cover, err := t.schemeCoverAux(child)
+	if err != nil {
+		return err
+	}
+	for i, b := range cover {
+		if aux[i]&b != b {
+			return fmt.Errorf("sized payload misses a word under child %d", child.id)
+		}
+	}
+	return nil
+}
+
 // RebuildAux recomputes every entry payload bottom-up in one pass: leaf
 // payloads are left as stored (they were supplied at Insert), and each
-// parent entry's payload is recomputed through the scheme. Bulk index
-// construction uses it so that an O(subtree) scheme like the MIR²-Tree's
-// pays one tree pass instead of one subtree pass per insert.
+// parent entry's payload is recomputed through the scheme (its CoverAux at a
+// sized level). Bulk index construction uses it so that an O(subtree) scheme
+// like the MIR²-Tree's pays one tree pass instead of one subtree pass per
+// insert.
 func (t *Tree) RebuildAux() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -144,6 +167,9 @@ func (t *Tree) rebuildAuxNode(n *Node) ([]byte, error) {
 				return nil, err
 			}
 		}
+	}
+	if t.sized(n.level + 1) {
+		return t.schemeCoverAux(n)
 	}
 	return t.nodeAux(n)
 }

@@ -103,9 +103,14 @@ func (t *Tree) condenseTree(path []pathStep) error {
 		if err := t.storeNode(n); err != nil {
 			return err
 		}
-		aux, err := t.nodeAux(n)
-		if err != nil {
-			return err
+		// A sized level keeps its payload: a superset of n's words before
+		// the delete is one after it.
+		aux := parent.entries[idx].aux
+		if !t.sized(n.level + 1) {
+			var err error
+			if aux, err = t.nodeAux(n); err != nil {
+				return err
+			}
 		}
 		parent.entries[idx] = entry{ptr: uint64(n.id), rect: n.mbr(), aux: aux}
 	}
@@ -146,7 +151,8 @@ func (t *Tree) condenseTree(path []pathStep) error {
 // orphaned node at level L describe subtrees rooted at level L-1 (objects
 // when L = 0) and must re-enter a node at level L. If the tree has shrunk
 // below that height, the subtree is dissolved: its objects are reinserted
-// individually.
+// individually. An orphan has no words to lift, so the sized ancestors it
+// lands under become all ones (see parentAux).
 func (t *Tree) reinsert(e entry, level int) error {
 	if t.root == storage.NilBlock {
 		if level == 0 {
@@ -165,7 +171,7 @@ func (t *Tree) reinsert(e entry, level int) error {
 	if level > 0 && rootLevel < level {
 		return t.dissolve(e)
 	}
-	return t.insertAtLevel(e, level)
+	return t.insertAtLevel(e, level, nil)
 }
 
 // dissolve reinserts every object of the subtree referenced by e one by one
@@ -199,6 +205,7 @@ func (t *Tree) shrinkRoot(root *Node) error {
 				t.freeNode(root)
 				t.root = storage.NilBlock
 				t.height = 0
+				t.lens = nil // an empty tree has no sized levels
 			}
 			return nil
 		}
@@ -211,6 +218,7 @@ func (t *Tree) shrinkRoot(root *Node) error {
 			t.freeNode(root)
 			t.root = storage.NilBlock
 			t.height = 0
+			t.lens = nil
 			return nil
 		}
 		childID := storage.BlockID(root.entries[0].ptr)

@@ -21,14 +21,19 @@ type pathStep struct {
 // split with the Quadratic Split technique, and AdjustTree propagates MBRs
 // — and, through the AuxScheme, signatures — to the ancestors.
 //
-// aux must have the scheme's leaf-entry length (nil for a plain tree).
-func (t *Tree) Insert(ref uint64, rect geo.Rect, aux []byte) error {
+// aux must have the leaf-entry length (nil for a plain tree). An ancestor
+// entry at a level the pack sized (see BulkLoad) is not recomputed: it
+// superimposes lift(length), the object's payload at that level's length,
+// and a split gives both halves' entries the split node's old payload plus
+// lift's, a superset of each half. So an insert reads no object. A nil
+// lift sets those entries to all ones; a 0-length level holds nothing.
+func (t *Tree) Insert(ref uint64, rect geo.Rect, aux []byte, lift Lift) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if rect.Dim() != t.dim {
 		return fmt.Errorf("rtree: insert rect dimension %d, want %d", rect.Dim(), t.dim)
 	}
-	if want := t.scheme.EntryAuxLen(0); len(aux) != want {
+	if want := t.AuxLen(0); len(aux) != want {
 		return fmt.Errorf("rtree: insert payload %d bytes, want %d", len(aux), want)
 	}
 	e := entry{ptr: ref, rect: rect.Clone(), aux: cloneBytes(aux)}
@@ -45,7 +50,7 @@ func (t *Tree) Insert(ref uint64, rect geo.Rect, aux []byte) error {
 		return nil
 	}
 
-	if err := t.insertAtLevel(e, 0); err != nil {
+	if err := t.insertAtLevel(e, 0, lift); err != nil {
 		return err
 	}
 	t.size++
@@ -54,8 +59,9 @@ func (t *Tree) Insert(ref uint64, rect geo.Rect, aux []byte) error {
 
 // insertAtLevel places entry e into a node at the given level (0 inserts an
 // object into a leaf; higher levels reattach orphaned subtrees during
-// CondenseTree). The caller holds the write lock.
-func (t *Tree) insertAtLevel(e entry, level int) error {
+// CondenseTree), lifting it into sized ancestors through lift (see Insert).
+// The caller holds the write lock.
+func (t *Tree) insertAtLevel(e entry, level int, lift Lift) error {
 	path, err := t.chooseNode(e.rect, level)
 	if err != nil {
 		return err
@@ -70,7 +76,7 @@ func (t *Tree) insertAtLevel(e entry, level int) error {
 			return err
 		}
 	}
-	return t.adjustTree(path, split)
+	return t.adjustTree(path, split, lift)
 }
 
 // chooseNode descends from the root to a node at the target level, at each
@@ -212,8 +218,9 @@ func pickSeeds(entries []entry) (int, int) {
 //
 // This is the paper's AdjustTree modification: alongside each MBR update,
 // the parent entry's payload is recomputed through the AuxScheme, so
-// signature bits set in a node propagate to all ancestors.
-func (t *Tree) adjustTree(path []pathStep, split *Node) error {
+// signature bits set in a node propagate to all ancestors — or, at a sized
+// level, superimposed from lift (see parentAux).
+func (t *Tree) adjustTree(path []pathStep, split *Node, lift Lift) error {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i].node
 		if err := t.storeNode(n); err != nil {
@@ -235,7 +242,8 @@ func (t *Tree) adjustTree(path []pathStep, split *Node) error {
 
 		parent := path[i-1].node
 		idx := path[i-1].childIdx
-		aux, err := t.nodeAux(n)
+		old := parent.entries[idx].aux
+		aux, err := t.parentAux(n, old, lift)
 		if err != nil {
 			return err
 		}
@@ -243,7 +251,7 @@ func (t *Tree) adjustTree(path []pathStep, split *Node) error {
 
 		var nextSplit *Node
 		if split != nil {
-			splitAux, err := t.nodeAux(split)
+			splitAux, err := t.parentAux(split, old, lift)
 			if err != nil {
 				return err
 			}
@@ -262,15 +270,43 @@ func (t *Tree) adjustTree(path []pathStep, split *Node) error {
 	return nil
 }
 
+// parentAux returns the payload of node n's entry in its parent. Below a
+// sized level that is the scheme's NodeAux of n. At a sized level it is old,
+// the entry's payload before the change, with lift's superimposed: a
+// superset of the words under n as long as old was one for n's subtree
+// before the change. With no old payload (a new root) or no lift (an orphan
+// reinserted) it is all ones, the superset that needs no words.
+func (t *Tree) parentAux(n *Node, old []byte, lift Lift) ([]byte, error) {
+	if !t.sized(n.level + 1) {
+		return t.nodeAux(n)
+	}
+	length := t.AuxLen(n.level + 1)
+	if length == 0 {
+		return nil, nil
+	}
+	aux := make([]byte, length)
+	if old == nil || lift == nil {
+		for i := range aux {
+			aux[i] = 0xff
+		}
+		return aux, nil
+	}
+	copy(aux, old)
+	for i, b := range lift(length) {
+		aux[i] |= b
+	}
+	return aux, nil
+}
+
 // growRoot replaces the root with a new node one level higher whose two
 // entries are the old root and its split sibling (Figure 5 lines 5-12).
 func (t *Tree) growRoot(old, sibling *Node) error {
 	root := t.allocNode(old.level + 1)
-	oldAux, err := t.nodeAux(old)
+	oldAux, err := t.parentAux(old, nil, nil)
 	if err != nil {
 		return err
 	}
-	sibAux, err := t.nodeAux(sibling)
+	sibAux, err := t.parentAux(sibling, nil, nil)
 	if err != nil {
 		return err
 	}

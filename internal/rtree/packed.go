@@ -400,7 +400,7 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNo
 		count:  count,
 		dim:    t.dim,
 		es:     es,
-		auxLen: t.scheme.EntryAuxLen(level),
+		auxLen: t.AuxLen(level),
 		buf:    buf,
 		seq:    at,
 	}

@@ -71,7 +71,7 @@ func TestPackedMatchesLoadNode(t *testing.T) {
 					aux = make([]byte, tc.scheme.EntryAuxLen(0))
 					copy(aux, refMask(uint64(i)))
 				}
-				if err := tree.Insert(uint64(i), geo.PointRect(p), aux); err != nil {
+				if err := tree.Insert(uint64(i), geo.PointRect(p), aux, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -159,7 +159,7 @@ func TestPackedVerifyReparsesAfterMissedInvalidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
-				if err := tree.Insert(uint64(i+1), geo.PointRect(geo.NewPoint(float64(i), float64(i))), nil); err != nil {
+				if err := tree.Insert(uint64(i+1), geo.PointRect(geo.NewPoint(float64(i), float64(i))), nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -243,7 +243,7 @@ func TestWarmSeekChargesWithoutReading(t *testing.T) {
 				for i := 0; i < 200; i++ {
 					aux := make([]byte, tc.scheme.EntryAuxLen(0))
 					copy(aux, refMask(uint64(i)))
-					if err := tree.Insert(uint64(i), geo.PointRect(geo.NewPoint(rng.Float64()*100, rng.Float64()*100)), aux); err != nil {
+					if err := tree.Insert(uint64(i), geo.PointRect(geo.NewPoint(rng.Float64()*100, rng.Float64()*100)), aux, nil); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -293,7 +293,7 @@ func TestWarmSeekChargesWithoutReading(t *testing.T) {
 func TestCacheInvalidatedOnMutation(t *testing.T) {
 	tree := newTestTree(t, 8)
 	for i := 0; i < 5; i++ {
-		if err := tree.Insert(uint64(i+1), geo.PointRect(hotels[i]), nil); err != nil {
+		if err := tree.Insert(uint64(i+1), geo.PointRect(hotels[i]), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func TestCacheInvalidatedOnMutation(t *testing.T) {
 	if before.NumEntries() != 5 {
 		t.Fatalf("packed root has %d entries, want 5", before.NumEntries())
 	}
-	if err := tree.Insert(6, geo.PointRect(hotels[5]), nil); err != nil {
+	if err := tree.Insert(6, geo.PointRect(hotels[5]), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	after, err := tree.LoadPacked(root.ID())
@@ -494,12 +494,12 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 					rect := geo.PointRect(geo.NewPoint(rng.Float64()*100, rng.Float64()*100))
 					if tc.bulk {
 						bulk = append(bulk, BulkEntry{Ref: uint64(i), Rect: rect, Aux: aux})
-					} else if err := tree.Insert(uint64(i), rect, aux); err != nil {
+					} else if err := tree.Insert(uint64(i), rect, aux, nil); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if tc.bulk {
-					if err := tree.BulkLoad(bulk); err != nil {
+					if err := tree.BulkLoad(bulk, nil); err != nil {
 						t.Fatal(err)
 					}
 					widest := 0

@@ -8,7 +8,8 @@ import (
 )
 
 // Tree persistence: a tree's volatile state (root pointer, height, object
-// and node counts) can be checkpointed into a dedicated state block on its
+// and node counts, and the payload lengths a sized pack chose) can be
+// checkpointed into a dedicated state block on its
 // device and the tree reopened later from that block — which, combined with
 // a file-backed storage.Disk, makes indexes durable across process restarts.
 //
@@ -32,8 +33,23 @@ func (t *Tree) stateFingerprint() uint32 {
 	for lvl := 0; lvl < 8; lvl++ {
 		mix(uint32(t.scheme.EntryAuxLen(lvl)))
 	}
+	// A tree with no recorded lengths keeps the fingerprint it had before
+	// packs recorded any.
+	for _, l := range t.lens {
+		mix(uint32(l))
+	}
 	return h
 }
+
+// State block layout: magic, fingerprint, root, height, size, nodes (36
+// bytes), then the number of recorded payload lengths and each length as a
+// uint32. A state block written before sized packs ends with zeros there,
+// which reads as no lengths: the scheme's at every level.
+const (
+	stateLensOff = 36
+	maxStateLens = 64      // a node's level is below 64 (see parsePacked)
+	maxStateLen  = 1 << 20 // no sane payload is a megabyte
+)
 
 // Checkpoint writes the tree's state into the given block (allocating one
 // if stateBlock is NilBlock) and returns the block ID to pass to Open
@@ -45,14 +61,18 @@ func (t *Tree) Checkpoint(stateBlock storage.BlockID) (storage.BlockID, error) {
 	if stateBlock == storage.NilBlock {
 		stateBlock = t.dev.Alloc()
 	}
-	var buf [44]byte
+	buf := make([]byte, max(44, stateLensOff+4+4*len(t.lens)))
 	binary.LittleEndian.PutUint32(buf[0:4], treeStateMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], t.stateFingerprint())
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(t.root))
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(t.height))
 	binary.LittleEndian.PutUint64(buf[20:28], uint64(t.size))
 	binary.LittleEndian.PutUint64(buf[28:36], uint64(t.nodes))
-	if err := t.dev.Write(stateBlock, buf[:]); err != nil {
+	binary.LittleEndian.PutUint32(buf[stateLensOff:], uint32(len(t.lens)))
+	for i, l := range t.lens {
+		binary.LittleEndian.PutUint32(buf[stateLensOff+4+4*i:], uint32(l))
+	}
+	if err := t.dev.Write(stateBlock, buf); err != nil {
 		return storage.NilBlock, fmt.Errorf("rtree: checkpoint: %w", err)
 	}
 	return stateBlock, nil
@@ -70,8 +90,11 @@ func Open(dev storage.Device, cfg Config, stateBlock storage.BlockID) (*Tree, er
 	if err != nil {
 		return nil, fmt.Errorf("rtree: open: %w", err)
 	}
-	if len(buf) < 36 || binary.LittleEndian.Uint32(buf[0:4]) != treeStateMagic {
+	if len(buf) < stateLensOff+4 || binary.LittleEndian.Uint32(buf[0:4]) != treeStateMagic {
 		return nil, fmt.Errorf("rtree: block %d is not a tree state block", stateBlock)
+	}
+	if err := t.readLens(buf, stateBlock); err != nil {
+		return nil, err
 	}
 	if got := binary.LittleEndian.Uint32(buf[4:8]); got != t.stateFingerprint() {
 		return nil, fmt.Errorf("rtree: configuration fingerprint mismatch (stored %08x, given %08x)",
@@ -100,4 +123,26 @@ func Open(dev storage.Device, cfg Config, stateBlock storage.BlockID) (*Tree, er
 		}
 	}
 	return t, nil
+}
+
+// readLens restores the recorded payload lengths from a state block. The
+// leaf length must be the scheme's, since the leaves' payloads come from the
+// caller.
+func (t *Tree) readLens(buf []byte, stateBlock storage.BlockID) error {
+	n := int(binary.LittleEndian.Uint32(buf[stateLensOff:]))
+	if n == 0 {
+		return nil
+	}
+	if n > maxStateLens || len(buf) < stateLensOff+4+4*n {
+		return fmt.Errorf("rtree: corrupt state block %d: %d payload lengths", stateBlock, n)
+	}
+	lens := make([]int, n)
+	for i := range lens {
+		lens[i] = int(binary.LittleEndian.Uint32(buf[stateLensOff+4+4*i:]))
+		if lens[i] > maxStateLen || (i == 0 && lens[i] != t.scheme.EntryAuxLen(0)) {
+			return fmt.Errorf("rtree: corrupt state block %d: level %d payload length %d", stateBlock, i, lens[i])
+		}
+	}
+	t.lens = lens
+	return nil
 }

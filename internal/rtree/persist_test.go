@@ -21,7 +21,7 @@ func TestCheckpointAndOpenInMemory(t *testing.T) {
 	pts := make([]geo.Point, 300)
 	for i := range pts {
 		pts[i] = geo.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), nil); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestCheckpointAndOpenInMemory(t *testing.T) {
 		}
 	}
 	// Mutations keep working; re-checkpoint to the same block.
-	if err := reopened.Insert(999, geo.PointRect(geo.NewPoint(1, 1)), nil); err != nil {
+	if err := reopened.Insert(999, geo.PointRect(geo.NewPoint(1, 1)), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reopened.Checkpoint(state); err != nil {
@@ -73,7 +73,7 @@ func TestOpenRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(0, 0)), nil); err != nil {
+	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(0, 0)), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	state, err := tree.Checkpoint(storage.NilBlock)
@@ -117,7 +117,7 @@ func TestDurableTreeOnFileDisk(t *testing.T) {
 	pts := make([]geo.Point, 500)
 	for i := range pts {
 		pts[i] = geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-		if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), nil); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestDurableTreeOnFileDisk(t *testing.T) {
 	// Continue mutating the reopened tree.
 	for i := 500; i < 600; i++ {
 		p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-		if err := tree2.Insert(uint64(i), geo.PointRect(p), nil); err != nil {
+		if err := tree2.Insert(uint64(i), geo.PointRect(p), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,6 +42,8 @@ type NodeReader interface {
 	// SubtreeObjectRefs returns every object reference under n, reading the
 	// whole subtree.
 	SubtreeObjectRefs(n *Node) ([]uint64, error)
+	// AuxLen is Tree.AuxLen: the payload length of entries at level.
+	AuxLen(level int) int
 }
 
 // AuxScheme defines how auxiliary entry payloads are sized and maintained.
@@ -58,6 +60,31 @@ type AuxScheme interface {
 	NodeAux(r NodeReader, n *Node) ([]byte, error)
 }
 
+// A Coverer computes node n's payload at any length from the objects under
+// n: the signature of every word of its subtree. A level the pack sized
+// (see BulkLoad) cannot derive its payloads from the entries below, so
+// BulkLoad asks its LevelSizer for them, and RebuildAux and CheckInvariants
+// ask the scheme, which must then be a Coverer.
+type Coverer interface {
+	CoverAux(r NodeReader, n *Node, length int) ([]byte, error)
+}
+
+// A LevelSizer chooses the payload length of each interior level while
+// BulkLoad packs, from the data under it, and covers the nodes of the
+// levels whose length it changed (see BulkLoad).
+type LevelSizer interface {
+	Coverer
+	// SizeLevel returns the payload length of the entries at level (≥ 1),
+	// one per node of nodes, the level-1 nodes just packed. BulkLoad calls
+	// it once per level, bottom-up, before the level's payloads are built.
+	SizeLevel(level int, nodes []*Node) (int, error)
+}
+
+// Lift returns an inserted object's payload at the given length: the
+// payload a sized level superimposes on the entries above the object (see
+// Tree.Insert).
+type Lift func(length int) []byte
+
 // plainScheme is the zero-payload scheme of an ordinary R-Tree.
 type plainScheme struct{}
 
@@ -71,6 +98,8 @@ type nodeReader struct{ t *Tree }
 func (r nodeReader) SubtreeObjectRefs(n *Node) ([]uint64, error) {
 	return r.t.subtreeObjectRefs(n)
 }
+
+func (r nodeReader) AuxLen(level int) int { return r.t.AuxLen(level) }
 
 // minFill is the minimum node fill m/M, a standard choice for Guttman trees.
 const minFill = 0.4
@@ -147,6 +176,12 @@ type Tree struct {
 	height int // number of levels; 0 = empty tree
 	size   int // number of object entries
 	nodes  int // number of nodes
+	// lens are the payload lengths a sized pack chose, by level (see
+	// BulkLoad); a level past the end has the last one's. Nil means the
+	// scheme's EntryAuxLen at every level. Set only while the tree is
+	// empty — by BulkLoad, Open, or a delete that empties it — so the read
+	// path takes them without a lock.
+	lens []int
 
 	cache       *nodecache.Cache[*PackedNode]
 	scratchPool sync.Pool // *scratchBuf: raw block images for every node read
@@ -201,7 +236,36 @@ func baseEntrySize(dim int) int { return 8 + dim*16 }
 
 // entrySize is the serialized entry size at the given level.
 func (t *Tree) entrySize(level int) int {
-	return baseEntrySize(t.dim) + t.scheme.EntryAuxLen(level)
+	return baseEntrySize(t.dim) + t.AuxLen(level)
+}
+
+// AuxLen returns the payload length in bytes of the entries stored in a node
+// at the given level: the length a sized pack recorded for it, else the
+// scheme's EntryAuxLen.
+func (t *Tree) AuxLen(level int) int {
+	if t.lens == nil {
+		return t.scheme.EntryAuxLen(level)
+	}
+	return t.lens[min(level, len(t.lens)-1)]
+}
+
+// AuxLens returns AuxLen of every level of the tree, the leaves' first.
+func (t *Tree) AuxLens() []int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	lens := make([]int, t.height)
+	for lvl := range lens {
+		lens[lvl] = t.AuxLen(lvl)
+	}
+	return lens
+}
+
+// sized reports whether level's payloads are not derived from the nodes
+// below through the scheme's NodeAux but kept as supersets of the words
+// under them: a level the pack gave a length of its own. A 0-length sized
+// level holds no payload at all.
+func (t *Tree) sized(level int) bool {
+	return t.lens != nil && level >= 1 && t.AuxLen(level) != t.AuxLen(level-1)
 }
 
 // blocksForLevel returns how many consecutive blocks a node at the given
@@ -218,6 +282,9 @@ func (t *Tree) Dim() int { return t.dim }
 
 // MaxEntries returns the node capacity M.
 func (t *Tree) MaxEntries() int { return t.maxE }
+
+// MinEntries returns the minimum fill m every node but the root keeps.
+func (t *Tree) MinEntries() int { return t.minE }
 
 // Len returns the number of indexed objects.
 func (t *Tree) Len() int {
@@ -279,7 +346,7 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 		return nil, fmt.Errorf("rtree: corrupt node %d: %d entries exceed %d bytes", id, count, len(buf))
 	}
 	n := &Node{id: id, level: level, entries: make([]entry, count)}
-	auxLen := t.scheme.EntryAuxLen(level)
+	auxLen := t.AuxLen(level)
 	off := nodeHeaderSize
 	for i := 0; i < count; i++ {
 		e := &n.entries[i]
@@ -314,7 +381,7 @@ func (t *Tree) storeNode(n *Node) error {
 	}
 	nblocks := t.blocksForLevel(n.level)
 	es := t.entrySize(n.level)
-	auxLen := t.scheme.EntryAuxLen(n.level)
+	auxLen := t.AuxLen(n.level)
 	buf := make([]byte, nodeHeaderSize+len(n.entries)*es)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(n.level))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(n.entries)))
@@ -372,12 +439,41 @@ func (t *Tree) nodeAux(n *Node) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtree: payload for node %d: %w", n.id, err)
 	}
-	want := t.scheme.EntryAuxLen(n.level + 1)
+	return aux, t.checkAuxLen(n, aux)
+}
+
+// coverAux computes n's parent payload at a sized level from the words under
+// it, through the given Coverer (the pack's sizer, or the scheme).
+func (t *Tree) coverAux(c Coverer, n *Node) ([]byte, error) {
+	length := t.AuxLen(n.level + 1)
+	if length == 0 {
+		return nil, nil
+	}
+	aux, err := c.CoverAux(nodeReader{t}, n, length)
+	if err != nil {
+		return nil, fmt.Errorf("rtree: payload for node %d: %w", n.id, err)
+	}
+	return aux, t.checkAuxLen(n, aux)
+}
+
+// schemeCoverAux is coverAux through the scheme, which a sized level needs
+// to be a Coverer.
+func (t *Tree) schemeCoverAux(n *Node) ([]byte, error) {
+	c, ok := t.scheme.(Coverer)
+	if !ok {
+		return nil, fmt.Errorf("rtree: sized levels with a %T scheme, which cannot cover a node", t.scheme)
+	}
+	return t.coverAux(c, n)
+}
+
+// checkAuxLen rejects a payload for n's parent entry of the wrong length.
+func (t *Tree) checkAuxLen(n *Node, aux []byte) error {
+	want := t.AuxLen(n.level + 1)
 	if len(aux) != want {
-		return nil, fmt.Errorf("rtree: scheme returned %d payload bytes for level %d entry, want %d",
+		return fmt.Errorf("rtree: scheme returned %d payload bytes for level %d entry, want %d",
 			len(aux), n.level+1, want)
 	}
-	return aux, nil
+	return nil
 }
 
 // SubtreeObjectRefs returns the object references of every leaf entry in the

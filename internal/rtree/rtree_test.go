@@ -67,7 +67,7 @@ func TestConfigValidation(t *testing.T) {
 func TestInsertAndSearchSmall(t *testing.T) {
 	tree := newTestTree(t, 3)
 	for i, p := range hotels {
-		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil); err != nil {
+		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := tree.CheckInvariants(); err != nil {
@@ -87,7 +87,7 @@ func TestInsertAndSearchSmall(t *testing.T) {
 func TestPaperExample1(t *testing.T) {
 	tree := newTestTree(t, 3)
 	for i, p := range hotels {
-		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil); err != nil {
+		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func TestNNAgainstBruteForce(t *testing.T) {
 		pts := make([]geo.Point, n)
 		for i := range pts {
 			pts[i] = geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-			if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), nil); err != nil {
+			if err := tree.Insert(uint64(i), geo.PointRect(pts[i]), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,7 +168,7 @@ func TestInsertRectangles(t *testing.T) {
 	for i := range rects {
 		x, y := rng.Float64()*100, rng.Float64()*100
 		rects[i] = geo.NewRect(geo.NewPoint(x, y), geo.NewPoint(x+rng.Float64()*10, y+rng.Float64()*10))
-		if err := tree.Insert(uint64(i), rects[i], nil); err != nil {
+		if err := tree.Insert(uint64(i), rects[i], nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestInsertRectangles(t *testing.T) {
 func TestDeleteBasic(t *testing.T) {
 	tree := newTestTree(t, 3)
 	for i, p := range hotels {
-		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil); err != nil {
+		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +235,7 @@ func TestDeleteBasic(t *testing.T) {
 		t.Errorf("tree not empty: len=%d height=%d", tree.Len(), tree.Height())
 	}
 	// Tree is reusable after emptying.
-	if err := tree.Insert(1, geo.PointRect(hotels[0]), nil); err != nil {
+	if err := tree.Insert(1, geo.PointRect(hotels[0]), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tree.Len() != 1 {
@@ -251,7 +251,7 @@ func TestRandomInsertDeleteAgainstReference(t *testing.T) {
 	for step := 0; step < 1500; step++ {
 		if len(live) == 0 || rng.Float64() < 0.6 {
 			p := geo.NewPoint(rng.Float64()*500, rng.Float64()*500)
-			if err := tree.Insert(nextRef, geo.PointRect(p), nil); err != nil {
+			if err := tree.Insert(nextRef, geo.PointRect(p), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			live[nextRef] = p
@@ -309,10 +309,10 @@ func TestRandomInsertDeleteAgainstReference(t *testing.T) {
 
 func TestInsertValidation(t *testing.T) {
 	tree := newTestTree(t, 4)
-	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(1, 2, 3)), nil); err == nil {
+	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(1, 2, 3)), nil, nil); err == nil {
 		t.Error("3-d rect accepted by 2-d tree")
 	}
-	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(1, 2)), []byte{1}); err == nil {
+	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(1, 2)), []byte{1}, nil); err == nil {
 		t.Error("payload accepted by payload-free tree")
 	}
 }
@@ -320,7 +320,7 @@ func TestInsertValidation(t *testing.T) {
 func TestSeekPruneEverything(t *testing.T) {
 	tree := newTestTree(t, 4)
 	for i, p := range hotels {
-		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil); err != nil {
+		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +337,7 @@ func TestSeekPruneEverything(t *testing.T) {
 func TestIterPushAndPeek(t *testing.T) {
 	tree := newTestTree(t, 4)
 	for i, p := range hotels {
-		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil); err != nil {
+		if err := tree.Insert(uint64(i+1), geo.PointRect(p), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -402,7 +402,7 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 
 func TestCorruptNodeDetected(t *testing.T) {
 	tree := newTestTree(t, 4)
-	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(1, 1)), nil); err != nil {
+	if err := tree.Insert(1, geo.PointRect(geo.NewPoint(1, 1)), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Smash the root block's header.
@@ -425,7 +425,7 @@ func TestIOFaultPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := tree.Insert(uint64(i), geo.PointRect(geo.NewPoint(float64(i), 0)), nil); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(geo.NewPoint(float64(i), 0)), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,7 +435,7 @@ func TestIOFaultPropagates(t *testing.T) {
 	if _, _, _, err := it.Next(); !errors.Is(err, boom) {
 		t.Errorf("search error = %v, want fault", err)
 	}
-	if err := tree.Insert(99, geo.PointRect(geo.NewPoint(9, 9)), nil); !errors.Is(err, boom) {
+	if err := tree.Insert(99, geo.PointRect(geo.NewPoint(9, 9)), nil, nil); !errors.Is(err, boom) {
 		t.Errorf("insert error = %v, want fault", err)
 	}
 	if _, err := tree.Delete(0, geo.PointRect(geo.NewPoint(0, 0))); !errors.Is(err, boom) {
@@ -465,7 +465,7 @@ func TestQuadraticSplitFillBounds(t *testing.T) {
 func TestComputeStats(t *testing.T) {
 	tree := newTestTree(t, 4)
 	for i := 0; i < 50; i++ {
-		if err := tree.Insert(uint64(i), geo.PointRect(geo.NewPoint(float64(i%10), float64(i/10))), nil); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(geo.NewPoint(float64(i%10), float64(i/10))), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,7 +486,7 @@ func TestDuplicatePointsAndRefs(t *testing.T) {
 	tree := newTestTree(t, 3)
 	p := geo.NewPoint(5, 5)
 	for i := 0; i < 20; i++ {
-		if err := tree.Insert(uint64(i), geo.PointRect(p), nil); err != nil {
+		if err := tree.Insert(uint64(i), geo.PointRect(p), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -90,7 +90,7 @@ func TestTreesCorrectUnderEverySplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, p := range pts {
-			if err := tree.Insert(uint64(i), geo.PointRect(p), nil); err != nil {
+			if err := tree.Insert(uint64(i), geo.PointRect(p), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -651,7 +651,8 @@ func (s *ShardedEngine) MeterIO() func() (random, sequential uint64) {
 // footprints add up, and tree height reports the tallest shard. Vocabulary
 // is the sum of the shards' word counts too — exact for one shard, while a
 // word two shards index counts twice. SKQL plans call Stats per statement,
-// so it stays a sum: no per-word work.
+// so it stays a sum: no per-word work. Each shard packs its own first batch,
+// so signature lengths by level are per shard, in ShardStats.
 func (s *ShardedEngine) Stats() spatialkeyword.Stats {
 	var out spatialkeyword.Stats
 	for _, st := range s.ShardStats() {

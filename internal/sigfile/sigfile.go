@@ -17,6 +17,11 @@
 // Multi-level IR²-Tree: for a signature that will absorb D distinct words at
 // k bits each, the false-positive probability is minimized when about half
 // the bits are set, which happens at m = k·D / ln 2 bits.
+//
+// A non-leaf level may have no signature at all: a Config of length 0, whose
+// signatures are empty, set no bit, and match everything. A level whose
+// entries all hold nearly every word is given one, since a signature there
+// can never prune.
 package sigfile
 
 import (
@@ -45,10 +50,12 @@ type Config struct {
 // stated otherwise.
 const DefaultBitsPerWord = 4
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if c.LengthBytes <= 0 {
-		return fmt.Errorf("sigfile: non-positive signature length %d", c.LengthBytes)
+// Validate reports whether the configuration is usable for the entries at
+// the given tree level: a length of 0, no signature, only above the leaves.
+func (c Config) Validate(level int) error {
+	if c.LengthBytes < 0 || (c.LengthBytes == 0 && level == 0) {
+		return fmt.Errorf("sigfile: signature length %d at level %d (0 is allowed only above the leaves)",
+			c.LengthBytes, level)
 	}
 	if c.BitsPerWord <= 0 {
 		return fmt.Errorf("sigfile: non-positive bits per word %d", c.BitsPerWord)
@@ -72,11 +79,14 @@ func hashPair(word string) (h1, h2 uint64) {
 	return h1, h2
 }
 
-// SetWord sets word's k bit positions in s. The word should already be
-// normalized (see textutil.Analyzer.Keyword); signatures are byte-exact on the
-// input string.
+// SetWord sets word's k bit positions in s (none at length 0). The word
+// should already be normalized (see textutil.Analyzer.Keyword); signatures
+// are byte-exact on the input string.
 func (c Config) SetWord(s Signature, word string) {
 	m := uint64(c.Bits())
+	if m == 0 {
+		return
+	}
 	h1, h2 := hashPair(word)
 	for i := 0; i < c.BitsPerWord; i++ {
 		bit := (h1 + uint64(i)*h2) % m

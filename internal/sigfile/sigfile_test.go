@@ -12,21 +12,38 @@ var testCfg = Config{LengthBytes: 16, BitsPerWord: 4}
 
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
-		name string
-		cfg  Config
-		ok   bool
+		name  string
+		cfg   Config
+		level int
+		ok    bool
 	}{
-		{"valid", Config{LengthBytes: 8, BitsPerWord: 2}, true},
-		{"zero length", Config{LengthBytes: 0, BitsPerWord: 2}, false},
-		{"negative length", Config{LengthBytes: -1, BitsPerWord: 2}, false},
-		{"zero bits", Config{LengthBytes: 8, BitsPerWord: 0}, false},
+		{"valid", Config{LengthBytes: 8, BitsPerWord: 2}, 0, true},
+		{"zero length", Config{LengthBytes: 0, BitsPerWord: 2}, 0, false},
+		{"negative length", Config{LengthBytes: -1, BitsPerWord: 2}, 0, false},
+		{"zero bits", Config{LengthBytes: 8, BitsPerWord: 0}, 0, false},
+		{"zero length above the leaves", Config{LengthBytes: 0, BitsPerWord: 2}, 1, true},
+		{"negative length above the leaves", Config{LengthBytes: -1, BitsPerWord: 2}, 2, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := tt.cfg.Validate(); (err == nil) != tt.ok {
-				t.Errorf("Validate = %v, want ok=%v", err, tt.ok)
+			if err := tt.cfg.Validate(tt.level); (err == nil) != tt.ok {
+				t.Errorf("Validate(%d) = %v, want ok=%v", tt.level, err, tt.ok)
 			}
 		})
+	}
+}
+
+// TestZeroLengthMatchesEverything: a level with no signature sets no bit and
+// matches any query, in both the byte and the word form.
+func TestZeroLengthMatchesEverything(t *testing.T) {
+	none := Config{LengthBytes: 0, BitsPerWord: 4}
+	doc := none.DocSignature([]string{"pool", "spa"})
+	if len(doc) != 0 {
+		t.Fatalf("0-length document signature has %d bytes", len(doc))
+	}
+	q := none.WordSignature("golf")
+	if !Matches(doc, q) || !MakeSig64(q).MatchesTolerant(doc) {
+		t.Fatal("0-length signatures do not match")
 	}
 }
 

@@ -60,6 +60,20 @@ func referenceNodes(t *testing.T, e *Engine) (packed, inserted int) {
 // every structural invariant intact.
 func checkPacked(t *testing.T, e *Engine) {
 	t.Helper()
+	checkTree(t, e)
+	rt := e.tree.RTree()
+	packed, inserted := referenceNodes(t, e)
+	t.Logf("%d objects: %d nodes; STR reference %d, insert-built %d", rt.Len(), rt.NumNodes(), packed, inserted)
+	if rt.NumNodes() > packed || rt.NumNodes() >= inserted {
+		t.Fatalf("tree has %d nodes; STR packs the rows into %d, repeated Insert into %d", rt.NumNodes(), packed, inserted)
+	}
+}
+
+// checkTree holds e's tree to every structural invariant — each signature of
+// a sized level holds the bits of every word under it — and to e's live
+// objects.
+func checkTree(t *testing.T, e *Engine) {
+	t.Helper()
 	rt := e.tree.RTree()
 	if err := rt.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -67,11 +81,14 @@ func checkPacked(t *testing.T, e *Engine) {
 	if rt.Len() != e.live {
 		t.Fatalf("tree holds %d objects, engine has %d live", rt.Len(), e.live)
 	}
-	packed, inserted := referenceNodes(t, e)
-	t.Logf("%d objects: %d nodes; STR reference %d, insert-built %d", rt.Len(), rt.NumNodes(), packed, inserted)
-	if rt.NumNodes() > packed || rt.NumNodes() >= inserted {
-		t.Fatalf("tree has %d nodes; STR packs the rows into %d, repeated Insert into %d", rt.NumNodes(), packed, inserted)
-	}
+}
+
+// CheckTree is checkTree for the external tests.
+var CheckTree = checkTree
+
+// TreeShape returns the node count and height of e's tree.
+func TreeShape(e *Engine) (nodes, height int) {
+	return e.tree.RTree().NumNodes(), e.tree.RTree().Height()
 }
 
 // CheckPacked is checkPacked for the external tests, which see a sharded
@@ -82,19 +99,13 @@ var CheckPacked = checkPacked
 // flushes one batch into an empty tree, which packs it.
 func TestSaveAfterLoadPacksTree(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		scale float64
-		multi bool
-	}{{"IR2", 0.03, false}, {"MIR2", 0.01, true}} {
+		name string
+		spec dataset.Spec
+		sig  int
+	}{{"IR2", dataset.Restaurants(0.03), 64}, {"Hotels", dataset.Hotels(0.01), 189}} {
 		t.Run(tc.name, func(t *testing.T) {
-			rows, stats := packRows(t, dataset.Restaurants(tc.scale))
-			cfg := Config{SignatureBytes: 64}
-			if tc.multi {
-				cfg.Multilevel = true
-				cfg.ExpectedWordsPerObject = stats.AvgUniqueWords
-				cfg.ExpectedVocabulary = stats.VocabUsed
-			}
-			e, err := NewDurableEngine(cfg, t.TempDir())
+			rows, _ := packRows(t, tc.spec)
+			e, err := NewDurableEngine(Config{SignatureBytes: tc.sig}, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}

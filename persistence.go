@@ -48,6 +48,11 @@ import (
 // ErrNotDurable is returned by Save on a memory-only engine.
 var ErrNotDurable = errors.New("spatialkeyword: engine has no backing directory")
 
+// ErrLegacyMultilevel refuses a directory saved with the Multilevel option
+// that Config no longer has: its index holds the MIR²-Tree's signature
+// lengths, which a reopened engine cannot derive.
+var ErrLegacyMultilevel = errors.New("spatialkeyword: index built with the retired Multilevel option; rebuild it from its objects")
+
 const (
 	manifestName = "manifest.json"
 	objectsName  = "objects.db"
@@ -377,6 +382,12 @@ func readManifest(path string) (manifest, error) {
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("spatialkeyword: parse manifest: %w", err)
+	}
+	var legacy struct {
+		Config struct{ Multilevel bool } `json:"config"`
+	}
+	if err := json.Unmarshal(data, &legacy); err == nil && legacy.Config.Multilevel {
+		return m, fmt.Errorf("%w: %s", ErrLegacyMultilevel, path)
 	}
 	return m, nil
 }

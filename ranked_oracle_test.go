@@ -306,17 +306,26 @@ func TestRankedMatchesBruteForceEverywhere(t *testing.T) {
 	}
 	// Each arm asks every third query (an odd stride, so every k is asked);
 	// stemming every loaded row dominates the stemmed pipeline's run time,
-	// so it asks every seventh.
+	// so it asks every seventh. On 4 KB blocks the rows fill a few leaves,
+	// whose summaries hold every word and so get no signature; on 512-byte
+	// blocks the pack gives the leaf summaries a sized one (the arm named
+	// sized).
 	for _, pc := range []struct {
 		cfg    spatialkeyword.Config
 		stride int
+		name   string
 	}{
-		{spatialkeyword.Config{SignatureBytes: 189}, 3},
-		{spatialkeyword.Config{SignatureBytes: 189, RemoveStopwords: true, Stemming: true}, 7},
+		{spatialkeyword.Config{SignatureBytes: 189}, 3, ""},
+		{spatialkeyword.Config{SignatureBytes: 189, RemoveStopwords: true, Stemming: true}, 7, ""},
+		{spatialkeyword.Config{SignatureBytes: 189, BlockSize: 512}, 5, "sized"},
 	} {
 		oracle := newRankedOracle(pc.cfg.Analyzer(), rows, deletes)
+		name := pc.name
+		if name == "" {
+			name = fmt.Sprintf("stemming=%v", pc.cfg.Stemming)
+		}
 		for _, a := range arms {
-			t.Run(fmt.Sprintf("%s/stemming=%v", a.name, pc.cfg.Stemming), func(t *testing.T) {
+			t.Run(a.name+"/"+name, func(t *testing.T) {
 				r := a.open(t, pc.cfg)
 				cat := skql.NewCatalog(r)
 				for i := 0; i < len(queries); i += pc.stride {

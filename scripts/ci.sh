@@ -64,7 +64,10 @@
 #           both in ns/node), of a durable
 #           engine's first load — Adds then Save, reported in objects/s
 #           (BenchmarkDurableLoad, root package) — and of a 4-shard one's
-#           (BenchmarkShardedLoad, internal/shard), of a warm
+#           (BenchmarkShardedLoad, internal/shard), of an Add and its Flush
+#           into a packed engine, with the object-file blocks each reads
+#           (BenchmarkAddAfterPack, root package: the new row's read-back
+#           only, since sized signature levels read no other row), of a warm
 #           distance-first top-k and a warm general ranked top-k on a
 #           reopened durable engine (BenchmarkDurableTopK and
 #           BenchmarkDurableRanked, root package, the latter also in objects
@@ -179,7 +182,7 @@ run_micro() {
 	go test -run '^$' -bench 'ResidualFilter|IIOTop|SidecarFill' -benchmem ./internal/skql
 	go test -run '^$' -bench '^BenchmarkDisk(ReadRunInto|ChargeRun)$' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
-	go test -run '^$' -bench 'DurableLoad|DurableTopK|DurableRanked|^BenchmarkWithinArea$' -benchmem .
+	go test -run '^$' -bench 'DurableLoad|AddAfterPack|DurableTopK|DurableRanked|^BenchmarkWithinArea$' -benchmem .
 	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$|^BenchmarkWithinArea$' -benchmem ./internal/shard
 }
 

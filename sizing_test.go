@@ -1,0 +1,224 @@
+package spatialkeyword
+
+import (
+	"fmt"
+	"testing"
+
+	"spatialkeyword/internal/core"
+	"spatialkeyword/internal/dataset"
+	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/irscore"
+	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/rtree"
+	"spatialkeyword/internal/storage"
+)
+
+// sizingArm is one way of building the index over an engine's rows: the
+// first pack rows flushed as one batch into an empty tree, the rest added one
+// at a time, with the interior signatures sized from the data or, as every
+// level was before that, at the leaf's length.
+type sizingArm struct {
+	name  string
+	pack  int
+	sized bool
+}
+
+// buildArm builds arm's tree over every row of e's object file, on a fresh
+// device, and checks its invariants.
+func buildArm(t *testing.T, e *Engine, arm sizingArm) (*core.IR2Tree, *storage.Disk) {
+	t.Helper()
+	dev := storage.NewDisk(e.idxDisk.BlockSize())
+	x, err := core.New(dev, e.store, e.coreOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objs []objstore.Object
+	ptrs := e.store.Ptrs()
+	for _, ptr := range ptrs {
+		obj, err := e.store.Get(ptr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, obj)
+	}
+	pack := min(arm.pack, len(objs))
+	if arm.sized {
+		err = x.InsertBatch(objs[:pack], ptrs[:pack])
+	} else {
+		leaf := e.coreOptions().LeafSignature
+		entries := make([]rtree.BulkEntry, pack)
+		for i, obj := range objs[:pack] {
+			entries[i] = rtree.BulkEntry{Ref: uint64(ptrs[i]), Rect: geo.PointRect(obj.Point), Aux: leaf.DocSignature(e.an.Unique(obj.Text))}
+		}
+		err = x.RTree().BulkLoad(entries, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := pack; i < len(objs); i++ {
+		if err := x.Insert(objs[i], ptrs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := x.RTree().CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", arm.name, err)
+	}
+	return x, dev
+}
+
+// sizingQueries draws n queries like BenchmarkDurableTopK: a row's point,
+// one keyword from the top 2 % of words by document frequency and one from
+// the next 18 %, and up to three for a ranked query.
+func sizingQueries(rows []packRow, stats *dataset.Stats, n int) (points [][]float64, kws [][]string) {
+	words := stats.WordsByFreq()
+	frequent, mid := words[:len(words)/50], words[len(words)/50:len(words)/5]
+	for i := 0; i < n; i++ {
+		points = append(points, rows[i*len(rows)/n].point)
+		kws = append(kws, []string{frequent[i*7%len(frequent)], mid[i*13%len(mid)], mid[i*29%len(mid)]})
+	}
+	return points, kws
+}
+
+// armBlocks returns the index blocks per query of x on dev, and the answers:
+// a distance-first top-10 of the first two keywords, or with ranked a
+// general top-10 of all three.
+func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, points [][]float64, kws [][]string, ranked bool) (float64, string) {
+	t.Helper()
+	var blocks uint64
+	var answers string
+	for i, p := range points {
+		m := storage.StartMeter(dev)
+		if ranked {
+			it := x.SearchRanked(geo.NewPoint(p...), kws[i], core.GeneralOptions{
+				Scorer:       irscore.NewScorer(e.vocab.NumDocs(), e.vocab.DocFreq).WithAnalyzer(e.an),
+				Combiner:     irscore.DistanceDiscount{Scale: 100},
+				RequireMatch: true,
+				RowTFs:       e.rowTFs,
+			})
+			res, err := core.TakeK(10, it.Next)
+			it.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res {
+				answers += fmt.Sprintf("%d:%v ", r.Object.ID, r.Score)
+			}
+		} else {
+			it := x.Search(geo.NewPoint(p...), kws[i][:2])
+			res, err := core.TakeK(10, it.Next)
+			it.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res {
+				answers += fmt.Sprintf("%d ", r.Object.ID)
+			}
+		}
+		st := m.Stop()
+		blocks += st.RandomReads + st.SequentialReads
+		answers += "| "
+	}
+	return float64(blocks) / float64(len(points)), answers
+}
+
+// TestPackSizesSignaturesFromData pins the lengths a pack chooses for the
+// levels above the leaves, read through Stats, and what they buy: fewer
+// blocks per query than the same tree with every level at the leaf's length,
+// with identical answers — freshly packed, after a drift (pack 90 %, add the
+// rest) and grown from a tiny first flush.
+func TestPackSizesSignaturesFromData(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		spec   dataset.Spec
+		sig    int
+		want   string
+		ranked bool
+		// fresh is the most blocks per query the sized pack may read, as a
+		// fraction of the uniform one's.
+		fresh float64
+	}{
+		{"Restaurants", dataset.Restaurants(0.03), 64, "[64 231 0]", false, 0.75},
+		{"Hotels", dataset.Hotels(0.02), 189, "[189 0]", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			rows, stats := packRows(t, tc.spec)
+			e, err := NewEngine(Config{SignatureBytes: tc.sig})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				if _, err := e.Add(r.point, r.text); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(e.Stats().SignatureBytesByLevel); got != tc.want {
+				t.Fatalf("signature bytes by level %s, want %s", got, tc.want)
+			}
+			points, kws := sizingQueries(rows, stats, 128)
+			n := len(rows)
+			for _, arm := range []struct {
+				name  string
+				pack  int
+				bound float64
+			}{
+				{"fresh", n, tc.fresh},
+				{"drifted", n * 9 / 10, 1},
+				{"grown-1", 1, 1},
+				{"grown-150", 150, 1},
+			} {
+				sx, sdev := buildArm(t, e, sizingArm{arm.name, arm.pack, true})
+				ux, udev := buildArm(t, e, sizingArm{arm.name, arm.pack, false})
+				sb, sans := armBlocks(t, e, sx, sdev, points, kws, tc.ranked)
+				ub, uans := armBlocks(t, e, ux, udev, points, kws, tc.ranked)
+				t.Logf("%s: sized %v %.1f blocks/query, uniform %.1f (%.3f×)", arm.name, sx.RTree().AuxLens(), sb, ub, sb/ub)
+				if sans != uans {
+					t.Fatalf("%s: sized and uniform trees answer differently", arm.name)
+				}
+				if sb > arm.bound*ub {
+					t.Errorf("%s: sized tree reads %.1f blocks per query, more than %.2f× the uniform tree's %.1f", arm.name, sb, arm.bound, ub)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAddAfterPack times the write a served engine takes after its first
+// flush: one Add and its Flush into a packed Restaurants(0.03) engine, the
+// insert reaching the tree through core.IR2Tree.Insert. Beside µs/op it
+// reports the object-file blocks the add reads (objblocks-read/op): the
+// flush reads the new row back once (1 block, 2 for a row that straddles
+// one), and nothing else, since a sized level superimposes the new row's
+// words instead of re-reading the rows under it.
+func BenchmarkAddAfterPack(b *testing.B) {
+	rows, _ := packRows(b, dataset.Restaurants(0.03))
+	e, err := NewEngine(Config{SignatureBytes: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range rows {
+		if _, err := e.Add(r.point, r.text); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := e.objDisk.Stats()
+	for i := 0; i < b.N; i++ {
+		r := rows[i*7919%len(rows)]
+		if _, err := e.Add(r.point, r.text); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	read := e.objDisk.Stats().Sub(start)
+	b.ReportMetric(float64(read.RandomReads+read.SequentialReads)/float64(b.N), "objblocks-read/op")
+}

@@ -39,20 +39,15 @@ import (
 // 2-d IR²-Tree with 64-byte signatures on 4 KB blocks.
 type Config struct {
 	// SignatureBytes is the leaf signature length. Longer signatures mean
-	// fewer false positives but a larger index. Zero means 64.
+	// fewer false positives but a larger index. Zero means 64. The levels
+	// above the leaves are sized from the data when the first batch of
+	// objects is packed (see Stats.SignatureBytesByLevel): a level whose
+	// nodes each hold nearly every word gets no signature, the root of a
+	// small batch keeps this length, and any other level gets the length at
+	// which a word it lacks passes one time in four.
 	SignatureBytes int
 	// BitsPerWord is how many signature bits each word sets. Zero means 4.
 	BitsPerWord int
-	// Multilevel selects the MIR²-Tree variant: per-level optimal signature
-	// lengths, better query pruning, much costlier updates. When set,
-	// ExpectedWordsPerObject must be positive.
-	Multilevel bool
-	// ExpectedWordsPerObject is the anticipated mean number of distinct
-	// words per object (used to size multilevel signatures).
-	ExpectedWordsPerObject float64
-	// ExpectedVocabulary is the anticipated corpus vocabulary size (caps
-	// multilevel signature growth). Zero means 100,000.
-	ExpectedVocabulary int
 	// Dim is the spatial dimensionality. Zero means 2.
 	Dim int
 	// BlockSize is the disk block size, from 32 B to 1 MiB. Zero means 4096.
@@ -139,6 +134,12 @@ type Stats struct {
 	IndexMB, ObjectFileMB float64
 	// TreeHeight is the number of index levels.
 	TreeHeight int
+	// SignatureBytesByLevel is the signature length of the index entries at
+	// each level, the leaves' first: SignatureBytes, then the lengths the
+	// first packed batch chose for the levels above (0 for a level with no
+	// signature). A level added later, when the root splits, has the length
+	// of the level below it.
+	SignatureBytesByLevel []int
 	// Vocabulary is the number of distinct words ever indexed.
 	Vocabulary int
 }
@@ -349,18 +350,11 @@ func (e *Engine) coreOptions() core.Options {
 	if k == 0 {
 		k = sigfile.DefaultBitsPerWord
 	}
-	vocabCap := cfg.ExpectedVocabulary
-	if vocabCap == 0 {
-		vocabCap = 100000
-	}
 	return core.Options{
-		LeafSignature:     sigfile.Config{LengthBytes: sigBytes, BitsPerWord: k},
-		Multilevel:        cfg.Multilevel,
-		AvgWordsPerObject: cfg.ExpectedWordsPerObject,
-		VocabSize:         vocabCap,
-		Dim:               e.dim,
-		Analyzer:          e.an,
-		CacheNodes:        cfg.NodeCacheSize,
+		LeafSignature: sigfile.Config{LengthBytes: sigBytes, BitsPerWord: k},
+		Dim:           e.dim,
+		Analyzer:      e.an,
+		CacheNodes:    cfg.NodeCacheSize,
 	}
 }
 
@@ -791,10 +785,11 @@ func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return Stats{
-		Objects:      e.live,
-		IndexMB:      float64(e.idxDisk.SizeBytes()) / 1e6,
-		ObjectFileMB: float64(e.objDisk.SizeBytes()) / 1e6,
-		TreeHeight:   e.tree.RTree().Height(),
-		Vocabulary:   e.vocab.NumWords(),
+		Objects:               e.live,
+		IndexMB:               float64(e.idxDisk.SizeBytes()) / 1e6,
+		ObjectFileMB:          float64(e.objDisk.SizeBytes()) / 1e6,
+		TreeHeight:            e.tree.RTree().Height(),
+		SignatureBytesByLevel: e.tree.RTree().AuxLens(),
+		Vocabulary:            e.vocab.NumWords(),
 	}
 }

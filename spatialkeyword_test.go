@@ -193,29 +193,6 @@ func TestEngineStatsAndQueryStats(t *testing.T) {
 	}
 }
 
-func TestEngineMultilevel(t *testing.T) {
-	e := newEngine(t, Config{
-		Multilevel:             true,
-		ExpectedWordsPerObject: 5,
-		ExpectedVocabulary:     1000,
-		SignatureBytes:         8,
-	})
-	addFigure1(t, e)
-	results, err := e.TopK(2, []float64{30.5, 100.0}, "internet", "pool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || !strings.Contains(results[0].Object.Text, "Hotel G") {
-		t.Errorf("MIR² engine results: %+v", results)
-	}
-}
-
-func TestEngineMultilevelRequiresStats(t *testing.T) {
-	if _, err := NewEngine(Config{Multilevel: true}); err == nil {
-		t.Error("multilevel engine without ExpectedWordsPerObject accepted")
-	}
-}
-
 func TestEngineMatchesBruteForceRandomized(t *testing.T) {
 	e := newEngine(t, Config{SignatureBytes: 8})
 	rng := rand.New(rand.NewSource(61))
