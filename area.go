@@ -10,11 +10,11 @@ import (
 // CheckArea is the one validation of a caller-supplied query rectangle: both
 // corners pass CheckPoint and lo does not exceed hi on any axis. Errors wrap
 // ErrBadPoint.
-func CheckArea(lo, hi []float64, dim int) error {
-	if err := CheckPoint(lo, dim); err != nil {
+func CheckArea(lo, hi []float64) error {
+	if err := CheckPoint(lo); err != nil {
 		return fmt.Errorf("area low corner: %w", err)
 	}
-	if err := CheckPoint(hi, dim); err != nil {
+	if err := CheckPoint(hi); err != nil {
 		return fmt.Errorf("area high corner: %w", err)
 	}
 	for i := range lo {
@@ -27,7 +27,7 @@ func CheckArea(lo, hi []float64, dim int) error {
 
 // validateArea checks the corner points and returns the query rectangle.
 func (e *Engine) validateArea(lo, hi []float64) (geo.Rect, error) {
-	if err := CheckArea(lo, hi, e.dim); err != nil {
+	if err := CheckArea(lo, hi); err != nil {
 		return geo.Rect{}, err
 	}
 	return geo.NewRect(geo.NewPoint(lo...), geo.NewPoint(hi...)), nil

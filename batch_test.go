@@ -60,7 +60,6 @@ func (m *diffModel) topK(k int, p []float64, kws []string) []uint64 {
 // requires — by descending combined score.
 func (m *diffModel) ranked(cs spatialkeyword.CorpusStats, k int, p []float64, kws []string, all bool) []uint64 {
 	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq)
-	comb := irscore.DistanceDiscount{Scale: 100}
 	type cand struct {
 		id    uint64
 		score float64
@@ -71,7 +70,7 @@ func (m *diffModel) ranked(cs spatialkeyword.CorpusStats, k int, p []float64, kw
 			continue
 		}
 		if ir := scorer.Score(o.Text, kws); ir > 0 {
-			cands = append(cands, cand{o.ID, comb.Combine(m.dist(o, p), ir)})
+			cands = append(cands, cand{o.ID, irscore.Combine(m.dist(o, p), ir)})
 		}
 	}
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].score > cands[b].score })

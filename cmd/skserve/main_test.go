@@ -649,19 +649,6 @@ func TestQueryStatusSeparatesClientRetryAndServer(t *testing.T) {
 		})
 	}
 
-	t.Run("wrong dimension", func(t *testing.T) {
-		eng, err := shard.New(spatialkeyword.Config{Dim: 3}, shard.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Add([]float64{1, 2, 3}, "x marks the voxel"); err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(newServer(eng, false, serverOptions{}).routes())
-		defer ts.Close()
-		queries(t, ts.URL, http.StatusBadRequest)
-	})
-
 	t.Run("replica resyncing", func(t *testing.T) {
 		_, leaderTS := newLeaderTestServer(t, t.TempDir())
 		seedHotels(t, leaderTS)

@@ -39,11 +39,7 @@ func newReplicaTestServer(t *testing.T, dir, leaderURL string, opts serverOption
 	if opts.rywTimeout == 0 {
 		opts.rywTimeout = 5 * time.Second
 	}
-	f, err := repl.OpenFollower(dir, leaderURL, repl.Options{
-		Registry:      opts.registry,
-		PollWait:      50 * time.Millisecond,
-		RetryInterval: 10 * time.Millisecond,
-	})
+	f, err := repl.OpenFollower(dir, leaderURL, repl.Options{Registry: opts.registry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func BuildEnv(cfg BuildConfig) (*Env, error) {
 		switch m {
 		case MethodRTree:
 			e.RTreeDisk = newDev()
-			e.RTree, err = core.NewRTreeBaseline(e.RTreeDisk, e.Store, 2, cfg.MaxEntries)
+			e.RTree, err = core.NewRTreeBaseline(e.RTreeDisk, e.Store, cfg.MaxEntries)
 			if err == nil {
 				err = e.RTree.Build()
 			}

@@ -90,17 +90,28 @@ func TestWarmWithinAreaAllocBounded(t *testing.T) {
 }
 
 // TestWarmRankedAllocBounded gates the general ranked query the same way.
+// It passes the row summaries every served ranked query carries: without
+// them an object's bound is twice its exact score here, and on this grid
+// the query loads every one of the 200 matching rows.
 func TestWarmRankedAllocBounded(t *testing.T) {
 	x := newWarmTree(t)
 	sc := irscore.NewScorer(400, func(string) int { return 50 })
+	rows := make([]irscore.RowTF, 400)
+	for i := range rows {
+		rows[i].SetCap(1) // every row holds each of its two words once
+	}
 	p := geo.NewPoint(50, 50)
+	var loaded int
 	run := func() {
-		if _, _, err := topKRanked(x, 5, p, []string{"pizza", "cafe"}, GeneralOptions{Scorer: sc}); err != nil {
+		_, stats, err := topKRanked(x, 5, p, []string{"pizza", "cafe"}, GeneralOptions{Scorer: sc, RowTFs: rows})
+		if err != nil {
 			t.Fatal(err)
 		}
+		loaded = stats.ObjectsLoaded
 	}
 	run()
 	allocs := testing.AllocsPerRun(100, run)
+	t.Logf("warm ranked top-k: %.1f allocs/op, %d objects loaded", allocs, loaded)
 	const budget = 160
 	if allocs > budget {
 		t.Fatalf("warm ranked top-k allocates %.1f objects/op, want <= %d", allocs, budget)

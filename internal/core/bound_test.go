@@ -78,14 +78,12 @@ func forEachPacked(t *testing.T, x *IR2Tree, fn func(pn *rtree.PackedNode)) {
 
 // TestRankedScorerMatchesPerEntryBound holds the ranked node scorer to
 // upperIR bit for bit on every node of an IR² and a MIR² tree: with and
-// without row summaries (some rows past the end of RowTFs), with and without
-// RequireMatch, with a zero-idf keyword, with idfs whose sum depends on its
-// order, and with one interior level's signatures a byte longer than that
-// level's payloads. The scorer must keep
-// exactly the entries the per-entry test keeps — every entry the mask
-// offers, or under RequireMatch those whose bound is not 0 — never one the
-// mask withheld, and score each -f(MinDist, upperIR) with the same
-// math.Float64bits.
+// without row summaries (some rows past the end of RowTFs), with a zero-idf
+// keyword, with idfs whose sum depends on its order, and with one interior
+// level's signatures a byte longer than that level's payloads. The scorer
+// must keep exactly the entries the per-entry test keeps — every entry the
+// mask offers whose bound is not 0 — never one the mask withheld, and score
+// each -f(MinDist, upperIR) with the same math.Float64bits.
 func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	f := buildFixture(t, randomRows(rng, 400), 4, 8)
@@ -107,76 +105,74 @@ func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 		for _, kw := range [][]string{{"pool", "gym", "wifi"}, {"internet", "notaword"}, {"notaword"}} {
 			for _, variant := range []string{"plain", "zero-idf", "rounding", "lenmismatch"} {
 				for _, rows := range [][]irscore.RowTF{nil, rowTFs} {
-					for _, require := range []bool{false, true} {
-						where := fmt.Sprintf("%s %v %s rowTFs=%t require=%t", tree.name, kw, variant, rows != nil, require)
-						p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-						r := tree.x.SearchRanked(p, kw, GeneralOptions{Scorer: generalScorer(f), RequireMatch: require, RowTFs: rows})
-						s := &r.bound
-						switch variant {
-						case "zero-idf":
-							s.idfs[0] = 0
-						case "rounding":
-							// 2⁵³+1+1 is 2⁵³ summed in keyword order, 2⁵³+2 in reverse.
-							for i := range s.idfs {
-								s.idfs[i] = 1
+					where := fmt.Sprintf("%s %v %s rowTFs=%t", tree.name, kw, variant, rows != nil)
+					p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
+					r := tree.x.SearchRanked(p, kw, GeneralOptions{Scorer: generalScorer(f), RowTFs: rows})
+					s := &r.bound
+					switch variant {
+					case "zero-idf":
+						s.idfs[0] = 0
+					case "rounding":
+						// 2⁵³+1+1 is 2⁵³ summed in keyword order, 2⁵³+2 in reverse.
+						for i := range s.idfs {
+							s.idfs[i] = 1
+						}
+						s.idfs[0] = 1 << 53
+					case "lenmismatch":
+						sigs := s.sigs.at(1)
+						long := make(sigfile.Signature, s.sigs.x.levelConfig(1).LengthBytes+1)
+						for i := range long {
+							long[i] = 0xff
+						}
+						for i := range sigs {
+							sigs[i] = sigfile.MakeSig64(long)
+						}
+					}
+					forEachPacked(t, tree.x, func(pn *rtree.PackedNode) {
+						offered := pn.MatchMask(nil, make([]uint64, tree.x.rt.MaskWords()))
+						for e := 2; e < pn.NumEntries(); e += 3 {
+							offered[e/64] &^= 1 << (e % 64) // withheld, as a signature miss
+						}
+						mask := slices.Clone(offered)
+						scores := make([]float64, tree.x.rt.MaxEntries())
+						s.ScoreNode(pn, mask, scores)
+						lo, hi := make(geo.Point, 2), make(geo.Point, 2)
+						for e := 0; e < pn.NumEntries(); e++ {
+							bit := func(m []uint64) bool { return m[e/64]>>(e%64)&1 == 1 }
+							ub := upperIR(s, pn.Level() == 0, pn.Level(), pn.EntryAux(e), pn.EntryPtr(e))
+							keep := bit(offered) && ub != 0
+							if bit(mask) != keep {
+								t.Fatalf("%s: node %d entry %d kept=%t, per-entry bound %g offered=%t",
+									where, pn.ID(), e, bit(mask), ub, bit(offered))
 							}
-							s.idfs[0] = 1 << 53
-						case "lenmismatch":
-							sigs := s.sigs.at(1)
-							long := make(sigfile.Signature, s.sigs.x.levelConfig(1).LengthBytes+1)
-							for i := range long {
-								long[i] = 0xff
+							if bit(offered) && !keep {
+								dropped++
 							}
-							for i := range sigs {
-								sigs[i] = sigfile.MakeSig64(long)
+							if variant == "lenmismatch" && pn.Level() == 1 {
+								// Every keyword "may match" a payload of the wrong length.
+								if all := irscore.UpperBound(s.idfs); ub != all {
+									t.Fatalf("%s: level-1 entry bound %g with mismatched signatures, want %g", where, ub, all)
+								}
+								mismatched++
+							}
+							if rows != nil && pn.Level() == 0 {
+								unweighted := *s
+								unweighted.rowTFs = nil
+								if ub < upperIR(&unweighted, true, 0, pn.EntryAux(e), pn.EntryPtr(e)) {
+									weighted++
+								}
+							}
+							if !keep {
+								continue
+							}
+							want := -irscore.Combine(pn.EntryRectInto(e, lo, hi).MinDist(p), ub)
+							if math.Float64bits(scores[e]) != math.Float64bits(want) {
+								t.Fatalf("%s: node %d entry %d scored %v (%#x), per-entry bound gives %v (%#x)",
+									where, pn.ID(), e, scores[e], math.Float64bits(scores[e]), want, math.Float64bits(want))
 							}
 						}
-						forEachPacked(t, tree.x, func(pn *rtree.PackedNode) {
-							offered := pn.MatchMask(nil, make([]uint64, tree.x.rt.MaskWords()))
-							for e := 2; e < pn.NumEntries(); e += 3 {
-								offered[e/64] &^= 1 << (e % 64) // withheld, as a signature miss
-							}
-							mask := slices.Clone(offered)
-							scores := make([]float64, tree.x.rt.MaxEntries())
-							s.ScoreNode(pn, mask, scores)
-							lo, hi := make(geo.Point, 2), make(geo.Point, 2)
-							for e := 0; e < pn.NumEntries(); e++ {
-								bit := func(m []uint64) bool { return m[e/64]>>(e%64)&1 == 1 }
-								ub := upperIR(s, pn.Level() == 0, pn.Level(), pn.EntryAux(e), pn.EntryPtr(e))
-								keep := bit(offered) && !(require && ub == 0)
-								if bit(mask) != keep {
-									t.Fatalf("%s: node %d entry %d kept=%t, per-entry bound %g offered=%t",
-										where, pn.ID(), e, bit(mask), ub, bit(offered))
-								}
-								if bit(offered) && !keep {
-									dropped++
-								}
-								if variant == "lenmismatch" && pn.Level() == 1 {
-									// Every keyword "may match" a payload of the wrong length.
-									if all := irscore.UpperBound(s.idfs); ub != all {
-										t.Fatalf("%s: level-1 entry bound %g with mismatched signatures, want %g", where, ub, all)
-									}
-									mismatched++
-								}
-								if rows != nil && pn.Level() == 0 {
-									unweighted := *s
-									unweighted.rowTFs = nil
-									if ub < upperIR(&unweighted, true, 0, pn.EntryAux(e), pn.EntryPtr(e)) {
-										weighted++
-									}
-								}
-								if !keep {
-									continue
-								}
-								want := -s.comb.Combine(pn.EntryRectInto(e, lo, hi).MinDist(p), ub)
-								if math.Float64bits(scores[e]) != math.Float64bits(want) {
-									t.Fatalf("%s: node %d entry %d scored %v (%#x), per-entry bound gives %v (%#x)",
-										where, pn.ID(), e, scores[e], math.Float64bits(scores[e]), want, math.Float64bits(want))
-								}
-							}
-						})
-						r.Close()
-					}
+					})
+					r.Close()
 				}
 			}
 		}

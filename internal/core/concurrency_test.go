@@ -55,7 +55,7 @@ func TestConcurrentReaders(t *testing.T) {
 					}
 				case 2:
 					if _, _, err := topKRanked(f.ir2, 5, p, kw, GeneralOptions{
-						Scorer: scorer, RequireMatch: true,
+						Scorer: scorer,
 					}); err != nil {
 						errs <- err
 						return

@@ -54,7 +54,7 @@ func (x *IR2Tree) Search(p geo.Point, keywords []string) *ResultIter {
 // are rejected before the object is materialized (see
 // objstore.GetFiltered). The caller starts the traversal, r.it.
 func newResultIter(x *IR2Tree, kws []string) *ResultIter {
-	r := &ResultIter{x: x, keywords: kws, sc: takeScratch(x.rt.Dim())}
+	r := &ResultIter{x: x, keywords: kws, sc: takeScratch()}
 	r.accept = func(text []byte) bool {
 		return r.x.an.ContainsTermsBytes(text, r.keywords)
 	}
@@ -73,17 +73,12 @@ type queryScratch struct {
 	masks  []uint64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+var scratchPool = sync.Pool{New: func() any {
+	return &queryScratch{lo: make(geo.Point, geo.Dims), hi: make(geo.Point, geo.Dims)}
+}}
 
-// takeScratch returns a pooled scratch whose corner points have dimension
-// dim.
-func takeScratch(dim int) *queryScratch {
-	sc := scratchPool.Get().(*queryScratch)
-	if len(sc.lo) != dim {
-		sc.lo, sc.hi = make(geo.Point, dim), make(geo.Point, dim)
-	}
-	return sc
-}
+// takeScratch returns a pooled scratch.
+func takeScratch() *queryScratch { return scratchPool.Get().(*queryScratch) }
 
 // putScratch returns *sc to the pool and clears it, so a closed iterator
 // holds none.
@@ -195,13 +190,10 @@ type RTreeBaseline struct {
 	store *objstore.Store
 }
 
-// NewRTreeBaseline creates an empty baseline index on dev over store. dim 0
-// means 2; maxEntries 0 derives the capacity from the block size.
-func NewRTreeBaseline(dev storage.Device, store *objstore.Store, dim, maxEntries int) (*RTreeBaseline, error) {
-	if dim == 0 {
-		dim = 2
-	}
-	rt, err := rtree.New(dev, rtree.Config{Dim: dim, MaxEntries: maxEntries})
+// NewRTreeBaseline creates an empty baseline index on dev over store.
+// maxEntries 0 derives the capacity from the block size.
+func NewRTreeBaseline(dev storage.Device, store *objstore.Store, maxEntries int) (*RTreeBaseline, error) {
+	rt, err := rtree.New(dev, rtree.Config{MaxEntries: maxEntries})
 	if err != nil {
 		return nil, err
 	}

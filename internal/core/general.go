@@ -23,15 +23,6 @@ type RankedResult struct {
 type GeneralOptions struct {
 	// Scorer provides idf statistics and IRscore computation. Required.
 	Scorer *irscore.Scorer
-	// Combiner is the ranking function f(distance, IRscore); it must be
-	// non-increasing in distance and non-decreasing in IR score. Nil means
-	// irscore.DistanceDiscount{}.
-	Combiner irscore.Combiner
-	// RequireMatch drops entries none of whose keyword signatures match —
-	// the paper's "if Score > 0" test, which excludes results with zero IR
-	// score. When false the traversal can fall back to pure spatial
-	// ranking for keyword-less regions.
-	RequireMatch bool
 	// RowTFs holds one term-frequency summary per object ID (the row's
 	// term-frequency cap and repeated-term mask), or nil. An object entry's
 	// bound weighs each matched keyword by irscore.RowTF.Weight of its row
@@ -43,8 +34,10 @@ type GeneralOptions struct {
 
 // SearchRanked starts a *general* top-k spatial keyword query: objects
 // stream out in non-increasing f(distance(T.p, Q.p), IRscore(T.t, Q.t))
-// order rather than being filtered conjunctively (Section 5.3). The
-// differences from the distance-first algorithm, following the paper:
+// order (f is irscore.Combine) rather than being filtered conjunctively
+// (Section 5.3); an object with no keyword, IRscore 0, is never an answer
+// (the paper's "if Score > 0"). The differences from the distance-first
+// algorithm, following the paper:
 //
 //	(i)  each query keyword gets its own signature W_i; a node's upper
 //	     bound considers exactly the keywords whose signature matches the
@@ -56,19 +49,15 @@ type GeneralOptions struct {
 //	     upper bound ("if Score >= Upper(U.top())"); otherwise it is
 //	     re-enqueued with its exact score to be considered later.
 //
-// The output order is exact for any monotone Combiner, because the IR upper
-// bound is admissible (see package irscore).
+// The output order is exact because f is monotone and the IR upper bound is
+// admissible (see package irscore).
 func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptions) *RankedIter {
-	comb := opts.Combiner
-	if comb == nil {
-		comb = irscore.DistanceDiscount{}
-	}
 	normalized, idfs := opts.Scorer.QueryIDFs(keywords)
 	probes := make([]irscore.TermProbe, len(normalized))
 	for i, w := range normalized {
 		probes[i] = irscore.ProbeTerm(w)
 	}
-	sc := takeScratch(x.rt.Dim())
+	sc := takeScratch()
 	nw := x.rt.MaskWords()
 	if n := len(normalized) * nw; cap(sc.masks) < n {
 		sc.masks = make([]uint64, n)
@@ -80,32 +69,28 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 		sc:         sc,
 		exact:      make(map[uint64]rankedCandidate),
 		bound: rankedScorer{
-			p:       p,
-			comb:    comb,
-			sigs:    levelWordSigs{x: x, words: normalized},
-			idfs:    idfs,
-			probes:  probes,
-			rowTFs:  opts.RowTFs,
-			ptrs:    x.store.Ptrs(),
-			require: opts.RequireMatch,
-			lo:      sc.lo,
-			hi:      sc.hi,
-			masks:   sc.masks,
-			nw:      nw,
+			p:      p,
+			sigs:   levelWordSigs{x: x, words: normalized},
+			idfs:   idfs,
+			probes: probes,
+			rowTFs: opts.RowTFs,
+			ptrs:   x.store.Ptrs(),
+			lo:     sc.lo,
+			hi:     sc.hi,
+			masks:  sc.masks,
+			nw:     nw,
 		},
 	}
 	// The traversal gets no signature to prune by: the bound needs every
-	// keyword's match separately, and RequireMatch is the scorer's own test.
+	// keyword's match separately, and the scorer drops the entries no
+	// keyword matches itself.
 	r.it = x.rt.Seek(&r.bound, nil)
 	// The candidate filter runs on the raw text field before the object is
 	// materialized (see objstore.GetFiltered): count terms into the scratch
-	// — Next scores survivors off it — and, under RequireMatch, reject
-	// candidates containing no keyword without paying their materialization.
+	// — Next scores survivors off it — and reject candidates containing no
+	// keyword without paying their materialization.
 	r.accept = func(text []byte) bool {
 		r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized, &r.sc.fold)
-		if !r.bound.require {
-			return true
-		}
 		for _, n := range r.tf {
 			if n > 0 {
 				return true
@@ -126,23 +111,21 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 // a keyword matches. It sums in ScoreFromCounts' order, keyword by keyword,
 // so a row's bound is never below its exact score by a rounding.
 type rankedScorer struct {
-	p       geo.Point
-	comb    irscore.Combiner
-	sigs    levelWordSigs
-	idfs    []float64 // idf per normalized keyword, from QueryIDFs
-	probes  []irscore.TermProbe
-	rowTFs  []irscore.RowTF // GeneralOptions.RowTFs
-	ptrs    []objstore.Ptr  // the store's row pointers, in ID order
-	require bool            // GeneralOptions.RequireMatch
-	lo, hi  geo.Point       // the MBR being scored
-	masks   []uint64        // keyword i's survivor mask at masks[i*nw:]
-	nw      int             // Tree.MaskWords
+	p      geo.Point
+	sigs   levelWordSigs
+	idfs   []float64 // idf per normalized keyword, from QueryIDFs
+	probes []irscore.TermProbe
+	rowTFs []irscore.RowTF // GeneralOptions.RowTFs
+	ptrs   []objstore.Ptr  // the store's row pointers, in ID order
+	lo, hi geo.Point       // the MBR being scored
+	masks  []uint64        // keyword i's survivor mask at masks[i*nw:]
+	nw     int             // Tree.MaskWords
 }
 
 // ScoreNode implements rtree.NodeScorer: one MatchMask per keyword tests
 // every entry of the node against W_i (a length mismatch keeps every entry,
-// the only sound answer), RequireMatch drops the entries no keyword matched
-// and those whose bound is 0 (a zero-idf keyword), and each survivor's bound
+// the only sound answer); the entries no keyword matched are dropped, and
+// so are those whose bound is 0 (a zero-idf keyword); each survivor's bound
 // is summed from the keyword masks.
 //
 //skvet:hotpath
@@ -151,14 +134,12 @@ func (s *rankedScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []f
 	for i := range sigs {
 		pn.MatchMask(&sigs[i], s.masks[i*s.nw:])
 	}
-	if s.require {
-		for w := range mask {
-			var matched uint64
-			for i := range sigs {
-				matched |= s.masks[i*s.nw+w]
-			}
-			mask[w] &= matched
+	for w := range mask {
+		var matched uint64
+		for i := range sigs {
+			matched |= s.masks[i*s.nw+w]
 		}
+		mask[w] &= matched
 	}
 	lookup := pn.Level() == 0 && s.rowTFs != nil
 	for w, m := range mask {
@@ -181,11 +162,11 @@ func (s *rankedScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []f
 				}
 				ub += wt * s.idfs[i]
 			}
-			if s.require && ub == 0 {
+			if ub == 0 {
 				mask[w] &^= 1 << b
 				continue
 			}
-			scores[e] = -s.comb.Combine(pn.EntryRectInto(e, s.lo, s.hi).MinDist(s.p), ub)
+			scores[e] = -irscore.Combine(pn.EntryRectInto(e, s.lo, s.hi).MinDist(s.p), ub)
 		}
 	}
 }
@@ -214,7 +195,7 @@ type rankedCandidate struct {
 type RankedIter struct {
 	x          *IR2Tree
 	it         *rtree.Iter
-	bound      rankedScorer // the traversal's scorer; also holds p, f and the idfs
+	bound      rankedScorer // the traversal's scorer; also holds p and the idfs
 	normalized []string
 	tf         []int // per-candidate term-frequency scratch
 	sc         *queryScratch
@@ -223,9 +204,8 @@ type RankedIter struct {
 	stats      SearchStats
 }
 
-// Next returns the next best-scoring object. ok is false when the index is
-// exhausted (or, with RequireMatch, when no further object matches any
-// keyword).
+// Next returns the next best-scoring object. ok is false when no further
+// object matches any keyword.
 func (r *RankedIter) Next() (RankedResult, bool, error) {
 	for {
 		ref, score, ok, err := r.it.Next()
@@ -243,10 +223,10 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 			return c.res, true, nil
 		}
 		// GetFiltered counts the candidate's term frequencies into r.tf
-		// (via r.accept) straight off the row's scratch bytes, and under
-		// RequireMatch skips materializing pure false positives — terms
-		// never re-pass the pipeline (stemming is not idempotent), and a
-		// rejected candidate costs no allocation at all.
+		// (via r.accept) straight off the row's scratch bytes, and skips
+		// materializing pure false positives — terms never re-pass the
+		// pipeline (stemming is not idempotent), and a rejected candidate
+		// costs no allocation at all.
 		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
 		if err != nil {
 			return RankedResult{}, false, err
@@ -258,13 +238,13 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 		}
 		dist := r.bound.p.Dist(obj.Point)
 		ir := irscore.ScoreFromCounts(r.tf, r.bound.idfs)
-		if r.bound.require && ir == 0 {
+		if ir == 0 {
 			// Degenerate scorers can weigh a present keyword at zero; keep
 			// the paper's "Score > 0" test exact.
 			r.stats.FalsePositives++
 			continue
 		}
-		f := r.bound.comb.Combine(dist, ir)
+		f := irscore.Combine(dist, ir)
 		res := RankedResult{Object: obj, Dist: dist, IRScore: ir, Score: f}
 		if top, any := r.it.PeekScore(); !any || -f <= top {
 			// Exact score at least as good as every remaining upper bound.

@@ -12,21 +12,17 @@ import (
 	"spatialkeyword/internal/objstore"
 )
 
-// bruteRanked scores every object exhaustively and returns the top k, the
-// reference the general algorithm must match.
-func bruteRanked(f *fixture, k int, p geo.Point, keywords []string, opts GeneralOptions, requireMatch bool) []RankedResult {
-	comb := opts.Combiner
-	if comb == nil {
-		comb = irscore.DistanceDiscount{}
-	}
+// bruteRanked scores every object exhaustively and returns the top k of
+// those with a keyword, the reference the general algorithm must match.
+func bruteRanked(f *fixture, k int, p geo.Point, keywords []string, scorer *irscore.Scorer) []RankedResult {
 	var all []RankedResult
 	for _, o := range f.objects {
-		ir := opts.Scorer.Score(o.Text, keywords)
-		if requireMatch && ir == 0 {
+		ir := scorer.Score(o.Text, keywords)
+		if ir == 0 {
 			continue
 		}
 		d := p.Dist(o.Point)
-		all = append(all, RankedResult{Object: o, Dist: d, IRScore: ir, Score: comb.Combine(d, ir)})
+		all = append(all, RankedResult{Object: o, Dist: d, IRScore: ir, Score: irscore.Combine(d, ir)})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Score != all[j].Score {
@@ -82,16 +78,11 @@ func TestGeneralMatchesBruteForce(t *testing.T) {
 		}
 		for qi, q := range queries {
 			p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-			opts := GeneralOptions{
-				Scorer:       scorer,
-				Combiner:     irscore.DistanceDiscount{Scale: 200},
-				RequireMatch: true,
-			}
-			got, _, err := topKRanked(tree, q.k, p, q.keywords, opts)
+			got, _, err := topKRanked(tree, q.k, p, q.keywords, GeneralOptions{Scorer: scorer})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bruteRanked(f, q.k, p, q.keywords, opts, true)
+			want := bruteRanked(f, q.k, p, q.keywords, scorer)
 			sameScores(t, got, want)
 			// Scores must be non-increasing.
 			for i := 1; i < len(got); i++ {
@@ -149,12 +140,11 @@ func TestGeneralMatchesBruteForceMixedText(t *testing.T) {
 	for _, tree := range []*IR2Tree{f.ir2, f.mir2} {
 		for _, kw := range queries {
 			p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-			opts := GeneralOptions{Scorer: scorer, Combiner: irscore.DistanceDiscount{Scale: 200}, RequireMatch: true}
-			got, _, err := topKRanked(tree, 40, p, kw, opts)
+			got, _, err := topKRanked(tree, 40, p, kw, GeneralOptions{Scorer: scorer})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameScores(t, got, bruteRanked(f, 40, p, kw, opts, true))
+			sameScores(t, got, bruteRanked(f, 40, p, kw, scorer))
 			for _, r := range got {
 				if want := scorer.Score(r.Object.Text, kw); r.IRScore != want {
 					t.Fatalf("%v: object %d (%q) scored %g, Scorer.Score %g", kw, r.Object.ID, r.Object.Text, r.IRScore, want)
@@ -168,7 +158,7 @@ func TestGeneralMatchesBruteForceMixedText(t *testing.T) {
 // so a closed iterator must load no further candidate.
 func TestRankedNextAfterClose(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
-	it := f.ir2.SearchRanked(geo.NewPoint(30.5, 100), []string{"pool"}, GeneralOptions{Scorer: generalScorer(f), RequireMatch: true})
+	it := f.ir2.SearchRanked(geo.NewPoint(30.5, 100), []string{"pool"}, GeneralOptions{Scorer: generalScorer(f)})
 	if _, ok, err := it.Next(); !ok || err != nil {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
@@ -192,41 +182,12 @@ func isASCII(s string) bool {
 	return true
 }
 
-// linearCombiner is f = alpha·IRscore − (1−alpha)·dist/scale, the weighted
-// trade-off of the later spatial-keyword literature: a second monotone
-// Combiner, so the general algorithm is not only tested with its default.
-type linearCombiner struct{ alpha, scale float64 }
-
-func (c linearCombiner) Combine(dist, ir float64) float64 {
-	return c.alpha*ir - (1-c.alpha)*dist/c.scale
-}
-
-func TestGeneralWithLinearCombiner(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	rows := randomRows(rng, 200)
-	f := buildFixture(t, rows, 4, 8)
-	scorer := generalScorer(f)
-	opts := GeneralOptions{
-		Scorer:       scorer,
-		Combiner:     linearCombiner{alpha: 0.6, scale: 500},
-		RequireMatch: true,
-	}
-	p := geo.NewPoint(300, 700)
-	got, _, err := topKRanked(f.ir2, 8, p, []string{"pool", "sauna"}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bruteRanked(f, 8, p, []string{"pool", "sauna"}, opts, true)
-	sameScores(t, got, want)
-}
-
 func TestGeneralDisjunctiveSemantics(t *testing.T) {
 	// An object containing only one of the keywords can be a result —
 	// unlike distance-first conjunctive queries.
 	f := buildFixture(t, figure1, 3, 16)
 	scorer := generalScorer(f)
-	opts := GeneralOptions{Scorer: scorer, RequireMatch: true}
-	got, _, err := topKRanked(f.ir2, 8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, opts)
+	got, _, err := topKRanked(f.ir2, 8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, GeneralOptions{Scorer: scorer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,30 +202,15 @@ func TestGeneralDisjunctiveSemantics(t *testing.T) {
 	}
 }
 
-func TestGeneralRequireMatchFalse(t *testing.T) {
-	f := buildFixture(t, figure1, 3, 16)
-	scorer := generalScorer(f)
-	opts := GeneralOptions{Scorer: scorer, RequireMatch: false, Combiner: irscore.DistanceDiscount{Scale: 100}}
-	got, _, err := topKRanked(f.ir2, 8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 8 {
-		t.Fatalf("got %d results, want all 8 (keyword-less objects admitted)", len(got))
-	}
-	want := bruteRanked(f, 8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, opts, false)
-	sameScores(t, got, want)
-}
-
 func TestGeneralPrunesAgainstBaselineWork(t *testing.T) {
-	// With RequireMatch, querying a rare word must not load many objects.
+	// Querying a rare word must not load many objects.
 	rng := rand.New(rand.NewSource(53))
 	rows := randomRows(rng, 400)
 	rows[17].text = "only here unobtainium"
 	f := buildFixture(t, rows, 4, 16)
 	scorer := generalScorer(f)
 	got, stats, err := topKRanked(f.ir2, 3, geo.NewPoint(0, 0), []string{"unobtainium"},
-		GeneralOptions{Scorer: scorer, RequireMatch: true})
+		GeneralOptions{Scorer: scorer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,20 +231,17 @@ func TestGeneralEdgeCases(t *testing.T) {
 	if err != nil || got != nil {
 		t.Errorf("k=0: %v %v", got, err)
 	}
-	// Unknown keyword with RequireMatch: empty.
+	// Unknown keyword: empty.
 	got, _, err = topKRanked(f.ir2, 3, geo.NewPoint(0, 0), []string{"krypton"},
-		GeneralOptions{Scorer: scorer, RequireMatch: true})
+		GeneralOptions{Scorer: scorer})
 	if err != nil || len(got) != 0 {
 		t.Errorf("unknown keyword: %v %v", got, err)
 	}
-	// Empty keywords with RequireMatch=false: pure spatial ranking.
+	// No keywords: no object has an IR score above 0, so none answers.
 	got, _, err = topKRanked(f.ir2, 3, geo.NewPoint(30.5, 100), nil,
-		GeneralOptions{Scorer: scorer, Combiner: irscore.DistanceDiscount{Scale: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Object.ID != 3 {
-		t.Errorf("pure spatial general query top = %v", got)
+		GeneralOptions{Scorer: scorer})
+	if err != nil || len(got) != 0 {
+		t.Errorf("keyword-less query: %v %v", got, err)
 	}
 }
 
@@ -316,7 +259,7 @@ func TestGeneralTieOnIdenticalObjects(t *testing.T) {
 	f := buildFixture(t, rows, 3, 8)
 	scorer := generalScorer(f)
 	got, _, err := topKRanked(f.ir2, 4, geo.NewPoint(10, 10), []string{"pool"},
-		GeneralOptions{Scorer: scorer, RequireMatch: true})
+		GeneralOptions{Scorer: scorer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +281,7 @@ func TestGeneralTieOnIdenticalObjects(t *testing.T) {
 // iioRankedScores is the paper's Section 5.1 extension of the IIO baseline to
 // the general query, as an oracle: union the keywords' posting lists, load
 // and score every candidate, and return the k best scores.
-func iioRankedScores(t *testing.T, f *fixture, k int, p geo.Point, keywords []string, scorer *irscore.Scorer, comb irscore.Combiner) []float64 {
+func iioRankedScores(t *testing.T, f *fixture, k int, p geo.Point, keywords []string, scorer *irscore.Scorer) []float64 {
 	t.Helper()
 	normalized, _ := scorer.QueryIDFs(keywords)
 	seen := make(map[uint64]bool)
@@ -357,7 +300,7 @@ func iioRankedScores(t *testing.T, f *fixture, k int, p geo.Point, keywords []st
 			if err != nil {
 				t.Fatal(err)
 			}
-			scores = append(scores, comb.Combine(p.Dist(obj.Point), scorer.Score(obj.Text, normalized)))
+			scores = append(scores, irscore.Combine(p.Dist(obj.Point), scorer.Score(obj.Text, normalized)))
 		}
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
@@ -372,17 +315,14 @@ func TestGeneralMatchesIIOOracle(t *testing.T) {
 	rows := randomRows(rng, 250)
 	f := buildFixture(t, rows, 4, 8)
 	scorer := generalScorer(f)
-	comb := irscore.DistanceDiscount{Scale: 300}
 	for trial := 0; trial < 10; trial++ {
 		p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		kw := []string{"pool", "internet", "gym", "bar"}[:1+rng.Intn(4)]
-		treeRes, _, err := topKRanked(f.ir2, 12, p, kw, GeneralOptions{
-			Scorer: scorer, Combiner: comb, RequireMatch: true,
-		})
+		treeRes, _, err := topKRanked(f.ir2, 12, p, kw, GeneralOptions{Scorer: scorer})
 		if err != nil {
 			t.Fatal(err)
 		}
-		iioScores := iioRankedScores(t, f, 12, p, kw, scorer, comb)
+		iioScores := iioRankedScores(t, f, 12, p, kw, scorer)
 		if len(treeRes) != len(iioScores) {
 			t.Fatalf("trial %d: %d vs %d results", trial, len(treeRes), len(iioScores))
 		}

@@ -56,9 +56,6 @@ type Options struct {
 	AvgWordsPerObject float64
 	VocabSize         int
 
-	// Dim is the spatial dimensionality. Zero means 2.
-	Dim int
-
 	// MaxEntries overrides the node capacity (0 derives it from the block
 	// size, as in the paper).
 	MaxEntries int
@@ -94,7 +91,7 @@ type IR2Tree struct {
 type sigScheme struct {
 	leaf       sigfile.Config
 	multilevel bool
-	fanout     int
+	fanout     int // the tree's node capacity, set once it is built
 	avgWords   float64
 	vocabSize  int
 
@@ -251,22 +248,12 @@ func New(dev storage.Device, store *objstore.Store, opts Options) (*IR2Tree, err
 	if err := opts.LeafSignature.Validate(0); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	dim := opts.Dim
-	if dim == 0 {
-		dim = 2
-	}
-	fanout := opts.MaxEntries
-	if fanout == 0 {
-		// Must match rtree.New's derivation (payload-free entry size).
-		fanout = (dev.BlockSize() - 8) / (8 + dim*16)
-	}
 	if opts.Multilevel && opts.AvgWordsPerObject <= 0 {
 		return nil, fmt.Errorf("core: MIR²-Tree requires AvgWordsPerObject > 0")
 	}
 	scheme := &sigScheme{
 		leaf:       opts.LeafSignature,
 		multilevel: opts.Multilevel,
-		fanout:     fanout,
 		avgWords:   opts.AvgWordsPerObject,
 		vocabSize:  opts.VocabSize,
 		words: func(ref uint64) ([]string, error) {
@@ -278,7 +265,6 @@ func New(dev storage.Device, store *objstore.Store, opts Options) (*IR2Tree, err
 		},
 	}
 	rt, err := rtree.New(dev, rtree.Config{
-		Dim:        dim,
 		MaxEntries: opts.MaxEntries,
 		Scheme:     scheme,
 		CacheNodes: opts.CacheNodes,
@@ -286,6 +272,7 @@ func New(dev storage.Device, store *objstore.Store, opts Options) (*IR2Tree, err
 	if err != nil {
 		return nil, err
 	}
+	scheme.fanout = rt.MaxEntries()
 	return &IR2Tree{rt: rt, store: store, scheme: scheme, multilevel: opts.Multilevel, an: opts.Analyzer}, nil
 }
 

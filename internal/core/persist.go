@@ -35,7 +35,6 @@ func Open(dev storage.Device, store *objstore.Store, opts Options, stateBlock st
 		return nil, err
 	}
 	rt, err := rtree.Open(dev, rtree.Config{
-		Dim:        dims(opts),
 		MaxEntries: opts.MaxEntries,
 		Scheme:     x.scheme,
 		CacheNodes: opts.CacheNodes,
@@ -45,11 +44,4 @@ func Open(dev storage.Device, store *objstore.Store, opts Options, stateBlock st
 	}
 	x.rt = rt
 	return x, nil
-}
-
-func dims(opts Options) int {
-	if opts.Dim == 0 {
-		return 2
-	}
-	return opts.Dim
 }

@@ -105,7 +105,7 @@ func TestQuickGeneralScoreMonotone(t *testing.T) {
 		scorer := generalScorer(f)
 		kw := []string{"pool", "internet", "spa"}[:1+rng.Intn(3)]
 		it := f.ir2.SearchRanked(geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000), kw,
-			GeneralOptions{Scorer: scorer, RequireMatch: true})
+			GeneralOptions{Scorer: scorer})
 		prev := -1.0
 		first := true
 		for {

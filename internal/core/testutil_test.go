@@ -101,7 +101,7 @@ func buildFixture(t *testing.T, rows []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.base, err = NewRTreeBaseline(f.baseDisk, f.store, 2, maxEntries)
+	f.base, err = NewRTreeBaseline(f.baseDisk, f.store, maxEntries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func substrates() []substrate {
 // buildRTree inserts enough rectangles that nodes span several blocks
 // (MaxEntries × entry size > blockSize).
 func buildRTree(dev storage.Device) (func() error, error) {
-	t, err := rtree.New(dev, rtree.Config{Dim: 2, MaxEntries: 16})
+	t, err := rtree.New(dev, rtree.Config{MaxEntries: 16})
 	if err != nil {
 		return nil, err
 	}

@@ -142,10 +142,6 @@ func replAddN(t *testing.T, e *shard.ShardedEngine, start, n int) {
 	}
 }
 
-func replFastOpts() repl.Options {
-	return repl.Options{PollWait: 30 * time.Millisecond, RetryInterval: 5 * time.Millisecond}
-}
-
 // replConverged asserts the follower serves exactly the leader's live set.
 func replConverged(t *testing.T, e *shard.ShardedEngine, l *repl.Leader, f *repl.Follower) {
 	t.Helper()
@@ -183,7 +179,7 @@ func TestReplStreamCutMidFrame(t *testing.T) {
 	replAddN(t, e, 0, 30)
 	proxy.arm("truncate", 3, 0)
 
-	f, err := repl.OpenFollower(t.TempDir(), srv.URL, replFastOpts())
+	f, err := repl.OpenFollower(t.TempDir(), srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +202,7 @@ func TestReplCorruptFrameOnWire(t *testing.T) {
 	replAddN(t, e, 0, 30)
 	proxy.arm("corrupt", 3, 0)
 
-	f, err := repl.OpenFollower(t.TempDir(), srv.URL, replFastOpts())
+	f, err := repl.OpenFollower(t.TempDir(), srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +225,7 @@ func TestReplLeaderRotationDuringTail(t *testing.T) {
 	e, l, _, srv := newReplLeader(t)
 	replAddN(t, e, 0, 40)
 
-	f, err := repl.OpenFollower(t.TempDir(), srv.URL, replFastOpts())
+	f, err := repl.OpenFollower(t.TempDir(), srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +262,7 @@ func TestReplSlowFollower(t *testing.T) {
 	replAddN(t, e, 0, 20)
 	proxy.arm("delay", 50, 20*time.Millisecond)
 
-	f, err := repl.OpenFollower(t.TempDir(), srv.URL, replFastOpts())
+	f, err := repl.OpenFollower(t.TempDir(), srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +312,7 @@ func TestReplFollowerCrashMidReplay(t *testing.T) {
 	replAddN(t, e, 0, 50)
 
 	fdir := filepath.Join(t.TempDir(), "replica")
-	f, err := repl.OpenFollower(fdir, srv.URL, replFastOpts())
+	f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +333,7 @@ func TestReplFollowerCrashMidReplay(t *testing.T) {
 	}
 
 	replAddN(t, e, 50, 20)
-	f, err = repl.OpenFollower(fdir, srv.URL, replFastOpts())
+	f, err = repl.OpenFollower(fdir, srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatalf("reopen from crash image: %v", err)
 	}
@@ -361,7 +357,7 @@ func TestReplKillFollowerLoop(t *testing.T) {
 	var err error
 	for iter := 0; iter < 100; iter++ {
 		replAddN(t, e, 10+3*iter, 3)
-		f, err = repl.OpenFollower(fdir, srv.URL, replFastOpts())
+		f, err = repl.OpenFollower(fdir, srv.URL, repl.Options{})
 		if err != nil {
 			t.Fatalf("iter %d: open: %v", iter, err)
 		}
@@ -383,7 +379,7 @@ func TestReplKillFollowerLoop(t *testing.T) {
 		}
 	}
 
-	f, err = repl.OpenFollower(fdir, srv.URL, replFastOpts())
+	f, err = repl.OpenFollower(fdir, srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatalf("final open: %v", err)
 	}
@@ -492,12 +488,12 @@ func TestReplFlatLeaderFromParentDirectory(t *testing.T) {
 	if err := copyTree(olddir, fixture); err != nil {
 		t.Fatal(err)
 	}
-	old, err := repl.OpenFollower(olddir, srv.URL, replFastOpts())
+	old, err := repl.OpenFollower(olddir, srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fdir := filepath.Join(t.TempDir(), "replica")
-	f, err := repl.OpenFollower(fdir, srv.URL, replFastOpts())
+	f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +555,7 @@ func TestReplFlatLeaderFromParentDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	replAddN(t, e, 300, 5)
-	if f, err = repl.OpenFollower(fdir, srv.URL, replFastOpts()); err != nil {
+	if f, err = repl.OpenFollower(fdir, srv.URL, repl.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	replConverged(t, e, l, f)
@@ -578,7 +574,7 @@ func TestReplFlatLeaderFromParentDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f, err = repl.OpenFollower(fdir, srv.URL, replFastOpts()); err != nil {
+	if f, err = repl.OpenFollower(fdir, srv.URL, repl.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	replConverged(t, e, l, f)

@@ -139,8 +139,6 @@ type Options struct {
 }
 
 const (
-	// dims is the dimensionality of fence and object points.
-	dims = 2
 	// historyLen is the per-fence ring of recent events kept for long-poll and
 	// SSE resume.
 	historyLen       = 256
@@ -209,15 +207,15 @@ func (r *Registry) validate(q *Query) (geo.Rect, error) {
 	case q.radial() && !q.Region.IsZero():
 		return geo.Rect{}, errors.New("fence: query sets both region and center")
 	case q.radial():
-		if len(q.Center) != dims {
-			return geo.Rect{}, fmt.Errorf("fence: center has %d dims, registry wants %d", len(q.Center), dims)
+		if len(q.Center) != geo.Dims {
+			return geo.Rect{}, fmt.Errorf("fence: center has %d dims, registry wants %d", len(q.Center), geo.Dims)
 		}
 		if q.Radius <= 0 {
 			return geo.Rect{}, errors.New("fence: radius must be positive")
 		}
 	case !q.Region.IsZero():
-		if q.Region.Dim() != dims {
-			return geo.Rect{}, fmt.Errorf("fence: region has %d dims, registry wants %d", q.Region.Dim(), dims)
+		if q.Region.Dim() != geo.Dims {
+			return geo.Rect{}, fmt.Errorf("fence: region has %d dims, registry wants %d", q.Region.Dim(), geo.Dims)
 		}
 		for i := range q.Region.Lo {
 			if q.Region.Lo[i] > q.Region.Hi[i] {
@@ -349,7 +347,7 @@ func (r *Registry) Stats() EvalStats {
 // produces. Mutations whose dimensionality does not match the registry
 // are ignored.
 func (r *Registry) Apply(m Mutation) []Event {
-	if len(m.Point) != dims {
+	if len(m.Point) != geo.Dims {
 		return nil
 	}
 	var start time.Time

@@ -14,6 +14,12 @@ import (
 	"strings"
 )
 
+// Dims is the dimensionality of every indexed point and every query: the
+// paper's map locations (latitude, longitude). The types below work in any
+// dimension; the R-Tree, the engine's point checks and the query surfaces
+// fix it to Dims.
+const Dims = 2
+
 // Point is a location in d-dimensional space. The zero value is an empty
 // (dimensionless) point, which is only valid as a placeholder.
 type Point []float64

@@ -1,7 +1,7 @@
 // Package irscore implements the IR relevance scoring of the paper's
 // *general* top-k spatial keyword queries (Section 5.3): a tf-idf ranking
-// function IRscore(T.t, Q.t) [Sin01], a monotone combining function
-// f(distance, IRscore), and the signature-derived upper bound
+// function IRscore(T.t, Q.t) [Sin01], the monotone combining function
+// f(distance, IRscore) (Combine), and the signature-derived upper bound
 // UpperBound_{T-has-signature-s}(IRscore(T.t, Q.t)) that orders the search
 // queue.
 //
@@ -222,35 +222,12 @@ func (s *Scorer) QueryIDFs(keywords []string) (normalized []string, idfs []float
 	return normalized, idfs
 }
 
-// Combiner is the ranking function f(distance(T.p, Q.p), IRscore(T.t, Q.t))
-// of the problem definition. Implementations must be monotone —
-// non-increasing in distance and non-decreasing in IR score — which is what
-// makes Upper(v) = f(MinDist(v), UpperBoundIR(v)) a valid queue priority.
-type Combiner interface {
-	// Combine returns the overall score; higher is better.
-	Combine(dist, ir float64) float64
-}
-
-// DistanceDiscount is the default combiner: f = (ε + IRscore) / (1 + dist/Scale).
-// Scale sets how quickly relevance is discounted with distance; ε keeps a
-// tiny positive score for keyword-less matches so pure-spatial ties still
-// order by distance.
-type DistanceDiscount struct {
-	// Scale is the distance at which relevance is halved. Zero means 1.
-	Scale float64
-	// Epsilon is the relevance floor. Zero means 1e-9.
-	Epsilon float64
-}
-
-// Combine implements Combiner.
-func (c DistanceDiscount) Combine(dist, ir float64) float64 {
-	scale := c.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	eps := c.Epsilon
-	if eps == 0 {
-		eps = 1e-9
-	}
-	return (eps + ir) / (1 + dist/scale)
+// Combine is the ranking function f(distance(T.p, Q.p), IRscore(T.t, Q.t))
+// of the problem definition: f = (ε + IRscore) / (1 + dist/100), higher is
+// better. Relevance halves at distance 100; ε = 1e-9 is a relevance floor,
+// and part of every published score's bits. It is monotone — non-increasing
+// in distance, non-decreasing in IR score — which is what makes
+// Upper(v) = f(MinDist(v), UpperBoundIR(v)) a valid queue priority.
+func Combine(dist, ir float64) float64 {
+	return (1e-9 + ir) / (1 + dist/100)
 }

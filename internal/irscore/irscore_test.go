@@ -157,12 +157,11 @@ func TestQueryIDFs(t *testing.T) {
 	}
 }
 
-func TestDistanceDiscountMonotone(t *testing.T) {
-	c := DistanceDiscount{Scale: 100}
+func TestCombineMonotone(t *testing.T) {
 	// Non-increasing in distance.
 	prev := math.Inf(1)
 	for d := 0.0; d <= 1000; d += 50 {
-		v := c.Combine(d, 1.0)
+		v := Combine(d, 1.0)
 		if v > prev {
 			t.Fatalf("f increased with distance at %g", d)
 		}
@@ -171,20 +170,51 @@ func TestDistanceDiscountMonotone(t *testing.T) {
 	// Non-decreasing in IR score.
 	prev = -1
 	for ir := 0.0; ir <= 10; ir += 0.5 {
-		v := c.Combine(50, ir)
+		v := Combine(50, ir)
 		if v < prev {
 			t.Fatalf("f decreased with ir at %g", ir)
 		}
 		prev = v
 	}
-	// Zero-value defaults work.
-	zero := DistanceDiscount{}
-	if zero.Combine(0, 1) <= zero.Combine(1, 1) {
-		t.Error("zero-value combiner not discounting")
-	}
 	// At zero relevance, closer still beats farther (epsilon floor).
-	if zero.Combine(1, 0) <= zero.Combine(2, 0) {
+	if Combine(1, 0) <= Combine(2, 0) {
 		t.Error("epsilon floor missing: zero-relevance ties not broken by distance")
+	}
+}
+
+// TestCombinePinned holds Combine bit for bit to the served ranking function
+// it replaced, DistanceDiscount{Scale: 100}.Combine (ε 1e-9): every want is
+// the math.Float64bits that function returned, so a ranked score can only
+// change if this table does.
+func TestCombinePinned(t *testing.T) {
+	for _, tc := range []struct {
+		dist, ir float64
+		want     uint64
+	}{
+		{0, 0, 0x3e112e0be826d695},
+		{0, 1, 0x3ff000000044b830},
+		{0, 1e-300, 0x3e112e0be826d695},
+		{0, 5e-324, 0x3e112e0be826d695},
+		{1, 0.5, 0x3fdfaee41f7a9c9e},
+		{100, 1, 0x3fe000000044b830},
+		{50, 2.5, 0x3ffaaaaaaad87acb},
+		{1e-09, 1e-09, 0x3e212e0be82619b0},
+		{12.345, 3.7, 0x400a58effe1d3d5d},
+		{0.1, 0.2, 0x3fc9930d901559b9},
+		{250.75, 17.125, 0x4013879285382bc9},
+		{1e-12, 7.5, 0x401e000000112db8},
+		{1e+06, 1, 0x3f1a3637237b8f5f},
+		{1e+300, 10, 0x0244ed8b04701ab0},
+		{math.MaxFloat64, 1, 0x00590000006b5fcc},
+		{math.Inf(1), 1, 0x0000000000000000},
+		{3.5, 5e-324, 0x3e109951ff381359},
+		{707.1067811865476, 42, 0x4014d0a9b6f82a20},
+		{0.001, 1e-15, 0x3e112e01c61ab13b},
+	} {
+		if got := math.Float64bits(Combine(tc.dist, tc.ir)); got != tc.want {
+			t.Errorf("Combine(%v, %v) = %v (%#016x), want %v (%#016x)",
+				tc.dist, tc.ir, math.Float64frombits(got), got, math.Float64frombits(tc.want), tc.want)
+		}
 	}
 }
 

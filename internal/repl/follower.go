@@ -37,15 +37,17 @@ var ErrResyncing = errors.New("repl: replica resyncing")
 // the tail re-requests before escalating to a full resync.
 const badFrameLimit = 5
 
+const (
+	// pollWait is the /repl/log long-poll duration.
+	pollWait = 500 * time.Millisecond
+	// retryInterval is the backoff after a failed leader request.
+	retryInterval = 100 * time.Millisecond
+)
+
 // Options tunes a Follower.
 type Options struct {
 	// Registry, when set, registers the follower's sk_repl_* metrics.
 	Registry *obs.Registry
-	// PollWait is the /repl/log long-poll duration (default 500ms).
-	PollWait time.Duration
-	// RetryInterval is the backoff after a failed leader request
-	// (default 100ms).
-	RetryInterval time.Duration
 }
 
 // followerMetrics are the follower-side replication instruments. All five
@@ -88,11 +90,9 @@ func newFollowerMetrics(reg *obs.Registry) followerMetrics {
 // from the local replica and are safe concurrently with the tail. Mutations
 // return ErrReadOnlyReplica.
 type Follower struct {
-	dir      string
-	base     string
-	pollWait time.Duration
-	retry    time.Duration
-	m        followerMetrics
+	dir  string
+	base string
+	m    followerMetrics
 
 	// mu guards installed, the local replica: everything that uses it —
 	// reads, and the tail's applies and rotations — holds RLock for as long
@@ -132,16 +132,8 @@ func OpenFollower(dir, leaderURL string, opts Options) (*Follower, error) {
 	f := &Follower{
 		dir:        dir,
 		base:       strings.TrimRight(leaderURL, "/"),
-		pollWait:   opts.PollWait,
-		retry:      opts.RetryInterval,
 		m:          newFollowerMetrics(opts.Registry),
 		posChanged: make(chan struct{}),
-	}
-	if f.pollWait <= 0 {
-		f.pollWait = 500 * time.Millisecond
-	}
-	if f.retry <= 0 {
-		f.retry = 100 * time.Millisecond
 	}
 	// Every leader request, the bootstraps' included, runs under ctx, so
 	// Close's cancel ends one a resync is blocked in.
@@ -395,7 +387,7 @@ func (f *Follower) run() {
 		if err != nil {
 			// Leader unreachable mid-resync: back off and try again.
 			select {
-			case <-time.After(f.retry):
+			case <-time.After(retryInterval):
 			case <-f.ctx.Done():
 				return
 			}
@@ -421,7 +413,7 @@ func (f *Follower) tail(ctx context.Context, stream int) error {
 				return nil
 			}
 			f.setConnected(stream, false)
-			if !sleepCtx(ctx, f.retry) {
+			if !sleepCtx(ctx, retryInterval) {
 				return nil
 			}
 			continue
@@ -431,7 +423,7 @@ func (f *Follower) tail(ctx context.Context, stream int) error {
 		}
 		if status != http.StatusOK {
 			f.setConnected(stream, false)
-			if !sleepCtx(ctx, f.retry) {
+			if !sleepCtx(ctx, retryInterval) {
 				return nil
 			}
 			continue
@@ -487,7 +479,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // fetchLog performs one /repl/log request.
 func (f *Follower) fetchLog(ctx context.Context, stream int, pos Position) ([]byte, http.Header, int, error) {
 	url := fmt.Sprintf("%s%s?shard=%d&gen=%d&after=%d&wait=%d",
-		f.base, LogPath, stream, pos.Gen, pos.Seq, f.pollWait.Milliseconds())
+		f.base, LogPath, stream, pos.Gen, pos.Seq, pollWait.Milliseconds())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, nil, 0, err

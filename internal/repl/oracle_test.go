@@ -102,7 +102,7 @@ func TestOracleSingleEngine(t *testing.T) {
 	e, l, srv := newLeaderEngine(t, t.TempDir())
 
 	churn(t, rng, 120, e.Add, e.Delete)
-	f, err := OpenFollower(t.TempDir(), srv.URL, fastOpts())
+	f, err := OpenFollower(t.TempDir(), srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}
@@ -133,7 +133,7 @@ func testOracleSharded(t *testing.T, opts shard.Options) {
 	}
 	churn(t, rng, 50, s.Add, s.Delete)
 
-	f, err := OpenFollower(t.TempDir(), srv.URL, fastOpts())
+	f, err := OpenFollower(t.TempDir(), srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestOracleShardedHash(t *testing.T) {
 // there.
 func TestOracleWaitForIsReadYourWrites(t *testing.T) {
 	e, l, srv := newLeaderEngine(t, t.TempDir())
-	f, err := OpenFollower(t.TempDir(), srv.URL, fastOpts())
+	f, err := OpenFollower(t.TempDir(), srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}

@@ -14,11 +14,6 @@ import (
 	"spatialkeyword/internal/wal"
 )
 
-// fastOpts keeps test followers snappy.
-func fastOpts() Options {
-	return Options{PollWait: 50 * time.Millisecond, RetryInterval: 10 * time.Millisecond}
-}
-
 // newLeaderEngine starts a durable WAL engine in dir — a single engine's
 // directory, adopted in place as one flat shard — with a replication leader
 // mounted on an httptest server.
@@ -90,7 +85,7 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	e, l, srv := newLeaderEngine(t, ldir)
 	addN(t, e, 0, 25)
 
-	f, err := OpenFollower(fdir, srv.URL, fastOpts())
+	f, err := OpenFollower(fdir, srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}
@@ -125,7 +120,7 @@ func TestFollowerIsReadOnly(t *testing.T) {
 	ldir, fdir := t.TempDir(), t.TempDir()
 	e, l, srv := newLeaderEngine(t, ldir)
 	addN(t, e, 0, 3)
-	f, err := OpenFollower(fdir, srv.URL, fastOpts())
+	f, err := OpenFollower(fdir, srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}
@@ -148,7 +143,7 @@ func TestFollowerRotationHandoff(t *testing.T) {
 	e, l, srv := newLeaderEngine(t, ldir)
 	addN(t, e, 0, 10)
 
-	f, err := OpenFollower(fdir, srv.URL, fastOpts())
+	f, err := OpenFollower(fdir, srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}
@@ -179,7 +174,7 @@ func TestFollowerRestartResumesFromWatermark(t *testing.T) {
 	e, l, srv := newLeaderEngine(t, ldir)
 	addN(t, e, 0, 15)
 
-	f, err := OpenFollower(fdir, srv.URL, fastOpts())
+	f, err := OpenFollower(fdir, srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}
@@ -191,7 +186,7 @@ func TestFollowerRestartResumesFromWatermark(t *testing.T) {
 	// More traffic while the follower is down; the restart must resume the
 	// tail from its durable watermark — no second bootstrap.
 	addN(t, e, 15, 15)
-	f, err = OpenFollower(fdir, srv.URL, fastOpts())
+	f, err = OpenFollower(fdir, srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("reopen follower: %v", err)
 	}
@@ -208,7 +203,7 @@ func TestFollowerRebootstrapsWhenLeftBehind(t *testing.T) {
 	e, l, srv := newLeaderEngine(t, ldir)
 	addN(t, e, 0, 10)
 
-	f, err := OpenFollower(fdir, srv.URL, fastOpts())
+	f, err := OpenFollower(fdir, srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}
@@ -228,7 +223,7 @@ func TestFollowerRebootstrapsWhenLeftBehind(t *testing.T) {
 	}
 	addN(t, e, 20, 5)
 
-	f, err = OpenFollower(fdir, srv.URL, fastOpts())
+	f, err = OpenFollower(fdir, srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("reopen follower: %v", err)
 	}
@@ -251,7 +246,7 @@ func TestCloseDuringResyncReturns(t *testing.T) {
 	ldir, fdir := t.TempDir(), t.TempDir()
 	e, l, srv := newLeaderEngine(t, ldir)
 	addN(t, e, 0, 5)
-	f, err := OpenFollower(fdir, srv.URL, fastOpts())
+	f, err := OpenFollower(fdir, srv.URL, Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}
@@ -277,7 +272,7 @@ func TestCloseDuringResyncReturns(t *testing.T) {
 			}
 		}
 	}))
-	f, err = OpenFollower(fdir, stub.URL, fastOpts())
+	f, err = OpenFollower(fdir, stub.URL, Options{})
 	if err != nil {
 		t.Fatalf("reopen follower: %v", err)
 	}

@@ -30,7 +30,7 @@ func TestLoadPackedHitAllocFree(t *testing.T) {
 	}
 	for _, dev := range devices {
 		t.Run(dev.name, func(t *testing.T) {
-			tree, err := New(dev.mk(t), Config{Dim: 2, MaxEntries: 3, Scheme: orScheme{n: 8}})
+			tree, err := New(dev.mk(t), Config{MaxEntries: 3, Scheme: orScheme{n: 8}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestLoadPackedHitAllocFree(t *testing.T) {
 // independent of how many nodes it expands.
 func TestWarmIterAllocBounded(t *testing.T) {
 	disk := storage.NewDisk(4096)
-	tree, err := New(disk, Config{Dim: 2, MaxEntries: 8})
+	tree, err := New(disk, Config{MaxEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ type bigScheme struct{ orScheme }
 func newAuxTree(t *testing.T, scheme AuxScheme, maxEntries int) (*Tree, *storage.Disk) {
 	t.Helper()
 	disk := storage.NewDisk(4096)
-	tree, err := New(disk, Config{Dim: 2, MaxEntries: maxEntries, Scheme: scheme})
+	tree, err := New(disk, Config{MaxEntries: maxEntries, Scheme: scheme})
 	if err != nil {
 		t.Fatal(err)
 	}

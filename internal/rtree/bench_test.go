@@ -16,7 +16,7 @@ import (
 
 func benchTree(b *testing.B, n int) (*Tree, []geo.Point) {
 	b.Helper()
-	tree, err := New(storage.NewDisk(4096), Config{Dim: 2})
+	tree, err := New(storage.NewDisk(4096), Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func BenchmarkBulkLoad10k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree, err := New(storage.NewDisk(4096), Config{Dim: 2})
+		tree, err := New(storage.NewDisk(4096), Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,11 +83,11 @@ func BenchmarkNearestNeighbor10(b *testing.B) {
 func BenchmarkParsePacked(b *testing.B) {
 	for _, auxLen := range []int{64, 189} {
 		b.Run(fmt.Sprintf("aux=%d", auxLen), func(b *testing.B) {
-			tree, err := New(storage.NewDisk(4096), Config{Dim: 2, Scheme: orScheme{n: auxLen}, CacheNodes: -1})
+			tree, err := New(storage.NewDisk(4096), Config{Scheme: orScheme{n: auxLen}, CacheNodes: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			img := rawImage(rand.New(rand.NewSource(5)), 0, tree.MaxEntries(), 2, auxLen, 2)
+			img := rawImage(rand.New(rand.NewSource(5)), 0, tree.MaxEntries(), auxLen, 2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -165,7 +165,7 @@ func warmTree(b *testing.B, auxLen, words int) (*Tree, sigfile.Config, []string,
 		p := geo.NewPoint(rng.Float64()*10000, rng.Float64()*10000)
 		entries[i] = BulkEntry{Ref: uint64(i), Rect: geo.PointRect(p), Aux: cfg.DocSignature(doc)}
 	}
-	tree, err := New(storage.NewDisk(4096), Config{Dim: 2, Scheme: orScheme{n: auxLen}})
+	tree, err := New(storage.NewDisk(4096), Config{Scheme: orScheme{n: auxLen}})
 	if err != nil {
 		b.Fatal(err)
 	}

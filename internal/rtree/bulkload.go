@@ -52,8 +52,8 @@ func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 	auxLen := t.AuxLen(0)
 	level := make([]entry, len(entries))
 	for i, be := range entries {
-		if be.Rect.Dim() != t.dim {
-			return fmt.Errorf("rtree: bulk entry %d dimension %d, want %d", i, be.Rect.Dim(), t.dim)
+		if be.Rect.Dim() != geo.Dims {
+			return fmt.Errorf("rtree: bulk entry %d dimension %d, want %d", i, be.Rect.Dim(), geo.Dims)
 		}
 		if len(be.Aux) != auxLen {
 			return fmt.Errorf("rtree: bulk entry %d payload %d bytes, want %d", i, len(be.Aux), auxLen)
@@ -127,12 +127,12 @@ func (t *Tree) strPack(entries []entry, dim int) [][]entry {
 		cj := entries[j].rect.Lo[dim] + entries[j].rect.Hi[dim]
 		return ci < cj
 	})
-	if dim == t.dim-1 {
+	if dim == geo.Dims-1 {
 		return t.chunk(entries)
 	}
 	// Number of leaves still needed and slabs across remaining dims.
 	leaves := (n + t.maxE - 1) / t.maxE
-	remaining := t.dim - dim
+	remaining := geo.Dims - dim
 	slabs := ceilRoot(leaves, remaining)
 	slabSize := (n + slabs - 1) / slabs
 	if slabSize < t.maxE {

@@ -124,7 +124,7 @@ func TestBulkLoadCheaperAndTighterThanInserts(t *testing.T) {
 	entries := bulkEntries(rng, 2000)
 
 	insDisk := storage.NewDisk(4096)
-	insTree, err := New(insDisk, Config{Dim: 2, MaxEntries: 16})
+	insTree, err := New(insDisk, Config{MaxEntries: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBulkLoadCheaperAndTighterThanInserts(t *testing.T) {
 	insertIO := blocks(insDisk.Stats())
 
 	bulkDisk := storage.NewDisk(4096)
-	bulkTree, err := New(bulkDisk, Config{Dim: 2, MaxEntries: 16})
+	bulkTree, err := New(bulkDisk, Config{MaxEntries: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ func (t *Tree) Delete(ref uint64, rect geo.Rect) (bool, error) {
 	if t.root == storage.NilBlock {
 		return false, nil
 	}
-	if rect.Dim() != t.dim {
-		return false, fmt.Errorf("rtree: delete rect dimension %d, want %d", rect.Dim(), t.dim)
+	if rect.Dim() != geo.Dims {
+		return false, fmt.Errorf("rtree: delete rect dimension %d, want %d", rect.Dim(), geo.Dims)
 	}
 	path, entryIdx, err := t.findLeaf(t.root, ref, rect, nil)
 	if err != nil {

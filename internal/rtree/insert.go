@@ -30,8 +30,8 @@ type pathStep struct {
 func (t *Tree) Insert(ref uint64, rect geo.Rect, aux []byte, lift Lift) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if rect.Dim() != t.dim {
-		return fmt.Errorf("rtree: insert rect dimension %d, want %d", rect.Dim(), t.dim)
+	if rect.Dim() != geo.Dims {
+		return fmt.Errorf("rtree: insert rect dimension %d, want %d", rect.Dim(), geo.Dims)
 	}
 	if want := t.AuxLen(0); len(aux) != want {
 		return fmt.Errorf("rtree: insert payload %d bytes, want %d", len(aux), want)

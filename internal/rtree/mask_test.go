@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 )
@@ -43,18 +44,18 @@ func randomBytes(rng *rand.Rand, b []byte, density int) {
 
 // rawImage encodes a node image as storeNode lays it out: the header, then
 // count entries of pointer, rectangle and an auxLen-byte random payload.
-func rawImage(rng *rand.Rand, level, count, dim, auxLen, density int) []byte {
-	es := baseEntrySize(dim) + auxLen
+func rawImage(rng *rand.Rand, level, count, auxLen, density int) []byte {
+	es := baseEntrySize + auxLen
 	img := make([]byte, nodeHeaderSize+count*es)
 	binary.LittleEndian.PutUint32(img[0:4], uint32(level))
 	binary.LittleEndian.PutUint32(img[4:8], uint32(count))
 	for i := 0; i < count; i++ {
 		off := nodeHeaderSize + i*es
 		binary.LittleEndian.PutUint64(img[off:], uint64(i+1))
-		for d := 0; d < 2*dim; d++ {
+		for d := 0; d < 2*geo.Dims; d++ {
 			binary.LittleEndian.PutUint64(img[off+8+8*d:], math.Float64bits(rng.Float64()*100))
 		}
-		randomBytes(rng, img[off+baseEntrySize(dim):off+es], density)
+		randomBytes(rng, img[off+baseEntrySize:off+es], density)
 	}
 	return img
 }
@@ -77,7 +78,7 @@ func FuzzNodeMaskMatchesRowTest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, countSel, lenSel, level, mode, density uint8) {
 		leaf := []int{8, 64, 189}[lenSel%3]
 		lens := []int{leaf, 2*leaf + 3, 4*leaf + 1}
-		tree, err := New(storage.NewDisk(4096), Config{Dim: 2, Scheme: levelLenScheme{lens}, CacheNodes: -1})
+		tree, err := New(storage.NewDisk(4096), Config{Scheme: levelLenScheme{lens}, CacheNodes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func FuzzNodeMaskMatchesRowTest(f *testing.F) {
 		lvl := int(level % 3)
 		auxLen := lens[lvl]
 		rng := rand.New(rand.NewSource(seed))
-		pn, err := tree.parsePacked(1, rawImage(rng, lvl, count, 2, auxLen, int(density%5)), 0)
+		pn, err := tree.parsePacked(1, rawImage(rng, lvl, count, auxLen, int(density%5)), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

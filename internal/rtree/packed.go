@@ -62,7 +62,6 @@ type PackedNode struct {
 	id     storage.BlockID
 	level  int
 	count  int
-	dim    int
 	es     int // serialized entry size at this level
 	auxLen int
 	buf    []byte // trimmed image: nodeHeaderSize + count*es bytes
@@ -101,18 +100,18 @@ func (p *PackedNode) EntryPtr(i int) uint64 {
 }
 
 // EntryRectInto decodes entry i's MBR into the caller-provided corner
-// points (each of length dim) and returns a Rect built from them. The
+// points (each of length geo.Dims) and returns a Rect built from them. The
 // caller owns the backing arrays, so a traversal can reuse one pair of
 // points for every entry it scores.
 //
 //skvet:hotpath
 func (p *PackedNode) EntryRectInto(i int, lo, hi geo.Point) geo.Rect {
 	off := p.entryOff(i) + 8
-	for d := 0; d < p.dim; d++ {
+	for d := 0; d < geo.Dims; d++ {
 		lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(p.buf[off:]))
 		off += 8
 	}
-	for d := 0; d < p.dim; d++ {
+	for d := 0; d < geo.Dims; d++ {
 		hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(p.buf[off:]))
 		off += 8
 	}
@@ -127,7 +126,7 @@ func (p *PackedNode) EntryAux(i int) []byte {
 	if p.auxLen == 0 {
 		return nil
 	}
-	off := p.entryOff(i) + 8 + p.dim*16
+	off := p.entryOff(i) + baseEntrySize
 	return p.buf[off : off+p.auxLen : off+p.auxLen]
 }
 
@@ -398,7 +397,6 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNo
 		id:     id,
 		level:  level,
 		count:  count,
-		dim:    t.dim,
 		es:     es,
 		auxLen: t.AuxLen(level),
 		buf:    buf,

@@ -59,7 +59,7 @@ func TestPackedMatchesLoadNode(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			disk := storage.NewDisk(4096)
-			tree, err := New(disk, Config{Dim: 2, MaxEntries: tc.maxE, Scheme: tc.scheme})
+			tree, err := New(disk, Config{MaxEntries: tc.maxE, Scheme: tc.scheme})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestPackedVerifyReparsesAfterMissedInvalidation(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := tc.mk(t)
-			tree, err := New(dev, Config{Dim: 2, MaxEntries: 4})
+			tree, err := New(dev, Config{MaxEntries: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func TestWarmSeekChargesWithoutReading(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func(dev storage.Device, cacheNodes int) *Tree {
-				tree, err := New(dev, Config{Dim: 2, MaxEntries: tc.maxE, Scheme: tc.scheme, CacheNodes: cacheNodes})
+				tree, err := New(dev, Config{MaxEntries: tc.maxE, Scheme: tc.scheme, CacheNodes: cacheNodes})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -482,7 +482,7 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 		for _, cacheNodes := range []int{0, 2, -1} {
 			t.Run(fmt.Sprintf("%s/cache=%d", tc.name, cacheNodes), func(t *testing.T) {
 				disk := storage.NewDisk(4096)
-				tree, err := New(disk, Config{Dim: 2, MaxEntries: tc.maxE, Scheme: tc.scheme, CacheNodes: cacheNodes})
+				tree, err := New(disk, Config{MaxEntries: tc.maxE, Scheme: tc.scheme, CacheNodes: cacheNodes})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/storage"
 )
 
@@ -13,7 +14,7 @@ import (
 // device and the tree reopened later from that block — which, combined with
 // a file-backed storage.Disk, makes indexes durable across process restarts.
 //
-// The configuration (dimension, capacity, payload scheme) is not stored:
+// The configuration (capacity, payload scheme) is not stored:
 // like most storage engines, the caller must reopen with the same schema it
 // created with; a fingerprint in the state block catches mismatches.
 
@@ -27,7 +28,7 @@ func (t *Tree) stateFingerprint() uint32 {
 		h ^= v
 		h *= 16777619
 	}
-	mix(uint32(t.dim))
+	mix(geo.Dims) // part of every stored fingerprint, so existing states still open
 	mix(uint32(t.maxE))
 	mix(uint32(t.minE))
 	for lvl := 0; lvl < 8; lvl++ {

@@ -12,7 +12,7 @@ import (
 
 func TestCheckpointAndOpenInMemory(t *testing.T) {
 	disk := storage.NewDisk(4096)
-	cfg := Config{Dim: 2, MaxEntries: 8}
+	cfg := Config{MaxEntries: 8}
 	tree, err := New(disk, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestCheckpointAndOpenInMemory(t *testing.T) {
 
 func TestOpenRejectsMismatchedConfig(t *testing.T) {
 	disk := storage.NewDisk(4096)
-	tree, err := New(disk, Config{Dim: 2, MaxEntries: 8})
+	tree, err := New(disk, Config{MaxEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,10 @@ func TestOpenRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(disk, Config{Dim: 3, MaxEntries: 8}, state); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	if _, err := Open(disk, Config{Dim: 2, MaxEntries: 16}, state); err == nil {
+	if _, err := Open(disk, Config{MaxEntries: 16}, state); err == nil {
 		t.Error("capacity mismatch accepted")
 	}
-	if _, err := Open(disk, Config{Dim: 2, MaxEntries: 8, Scheme: orScheme{n: 4}}, state); err == nil {
+	if _, err := Open(disk, Config{MaxEntries: 8, Scheme: orScheme{n: 4}}, state); err == nil {
 		t.Error("scheme mismatch accepted")
 	}
 	// A non-state block is rejected.
@@ -94,7 +91,7 @@ func TestOpenRejectsMismatchedConfig(t *testing.T) {
 	if err := disk.Write(dataBlock, []byte("not a state block")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(disk, Config{Dim: 2, MaxEntries: 8}, dataBlock); err == nil {
+	if _, err := Open(disk, Config{MaxEntries: 8}, dataBlock); err == nil {
 		t.Error("garbage state block accepted")
 	}
 }
@@ -103,7 +100,7 @@ func TestOpenRejectsMismatchedConfig(t *testing.T) {
 // file, close the process's handles, reopen from disk, and query.
 func TestDurableTreeOnFileDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tree.db")
-	cfg := Config{Dim: 2, MaxEntries: 8}
+	cfg := Config{MaxEntries: 8}
 
 	disk, err := storage.CreateFileDisk(path, 4096)
 	if err != nil {

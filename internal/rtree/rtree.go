@@ -106,8 +106,6 @@ const minFill = 0.4
 
 // Config parameterizes a Tree.
 type Config struct {
-	// Dim is the dimensionality of indexed rectangles. Required, >= 1.
-	Dim int
 	// MaxEntries is the node capacity M. Zero derives it from the device
 	// block size with zero-length payloads, per the paper.
 	MaxEntries int
@@ -166,7 +164,6 @@ func (n *Node) mbr() geo.Rect {
 // Seek must not be advanced concurrently with writers.
 type Tree struct {
 	dev    storage.Device
-	dim    int
 	maxE   int
 	minE   int
 	scheme AuxScheme
@@ -189,28 +186,23 @@ type Tree struct {
 }
 
 // New creates an empty tree on dev. It returns an error for invalid
-// configurations (non-positive dimension, capacity below 2, or a block size
-// too small to hold even two payload-free entries).
+// configurations (capacity below 2, or a block size too small to hold even
+// two payload-free entries).
 func New(dev storage.Device, cfg Config) (*Tree, error) {
-	if cfg.Dim < 1 {
-		return nil, fmt.Errorf("rtree: invalid dimension %d", cfg.Dim)
-	}
 	scheme := cfg.Scheme
 	if scheme == nil {
 		scheme = plainScheme{}
 	}
 	maxE := cfg.MaxEntries
 	if maxE == 0 {
-		maxE = (dev.BlockSize() - nodeHeaderSize) / baseEntrySize(cfg.Dim)
+		maxE = (dev.BlockSize() - nodeHeaderSize) / baseEntrySize
 	}
 	if maxE < 2 {
-		return nil, fmt.Errorf("rtree: capacity %d too small (block size %d, dim %d)",
-			maxE, dev.BlockSize(), cfg.Dim)
+		return nil, fmt.Errorf("rtree: capacity %d too small (block size %d)", maxE, dev.BlockSize())
 	}
 	minE := max(int(minFill*float64(maxE)), 1)
 	t := &Tree{
 		dev:    dev,
-		dim:    cfg.Dim,
 		maxE:   maxE,
 		minE:   minE,
 		scheme: scheme,
@@ -223,20 +215,20 @@ func New(dev storage.Device, cfg Config) (*Tree, error) {
 		return &iterScratch{
 			mask:   make([]uint64, t.MaskWords()),
 			scores: make([]float64, maxE),
-			lo:     make(geo.Point, cfg.Dim),
-			hi:     make(geo.Point, cfg.Dim),
+			lo:     make(geo.Point, geo.Dims),
+			hi:     make(geo.Point, geo.Dims),
 		}
 	}
 	return t, nil
 }
 
 // baseEntrySize is the serialized entry size excluding the payload:
-// an 8-byte pointer plus two corner points of dim float64s each.
-func baseEntrySize(dim int) int { return 8 + dim*16 }
+// an 8-byte pointer plus two corner points of geo.Dims float64s each.
+const baseEntrySize = 8 + geo.Dims*16
 
 // entrySize is the serialized entry size at the given level.
 func (t *Tree) entrySize(level int) int {
-	return baseEntrySize(t.dim) + t.AuxLen(level)
+	return baseEntrySize + t.AuxLen(level)
 }
 
 // AuxLen returns the payload length in bytes of the entries stored in a node
@@ -276,9 +268,6 @@ func (t *Tree) blocksForLevel(level int) int {
 	bs := t.dev.BlockSize()
 	return (bytes + bs - 1) / bs
 }
-
-// Dim returns the tree's dimensionality.
-func (t *Tree) Dim() int { return t.dim }
 
 // MaxEntries returns the node capacity M.
 func (t *Tree) MaxEntries() int { return t.maxE }
@@ -352,13 +341,13 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 		e := &n.entries[i]
 		e.ptr = binary.LittleEndian.Uint64(buf[off:])
 		off += 8
-		lo := make(geo.Point, t.dim)
-		hi := make(geo.Point, t.dim)
-		for d := 0; d < t.dim; d++ {
+		lo := make(geo.Point, geo.Dims)
+		hi := make(geo.Point, geo.Dims)
+		for d := 0; d < geo.Dims; d++ {
 			lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
-		for d := 0; d < t.dim; d++ {
+		for d := 0; d < geo.Dims; d++ {
 			hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
@@ -390,11 +379,11 @@ func (t *Tree) storeNode(n *Node) error {
 		e := &n.entries[i]
 		binary.LittleEndian.PutUint64(buf[off:], e.ptr)
 		off += 8
-		for d := 0; d < t.dim; d++ {
+		for d := 0; d < geo.Dims; d++ {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.rect.Lo[d]))
 			off += 8
 		}
-		for d := 0; d < t.dim; d++ {
+		for d := 0; d < geo.Dims; d++ {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.rect.Hi[d]))
 			off += 8
 		}

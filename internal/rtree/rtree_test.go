@@ -14,7 +14,7 @@ import (
 // newTestTree builds a tree with small capacity so tests exercise splits.
 func newTestTree(t *testing.T, maxEntries int) *Tree {
 	t.Helper()
-	tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: maxEntries})
+	tree, err := New(storage.NewDisk(4096), Config{MaxEntries: maxEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ var hotels = []geo.Point{
 }
 
 func TestCapacityDerivedFromBlockSize(t *testing.T) {
-	tree, err := New(storage.NewDisk(4096), Config{Dim: 2})
+	tree, err := New(storage.NewDisk(4096), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,10 @@ func TestCapacityDerivedFromBlockSize(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	d := storage.NewDisk(4096)
-	if _, err := New(d, Config{Dim: 0}); err == nil {
-		t.Error("dim 0 accepted")
-	}
-	if _, err := New(d, Config{Dim: 2, MaxEntries: 1}); err == nil {
+	if _, err := New(d, Config{MaxEntries: 1}); err == nil {
 		t.Error("capacity 1 accepted")
 	}
-	if _, err := New(storage.NewDisk(32), Config{Dim: 2}); err == nil {
+	if _, err := New(storage.NewDisk(32), Config{}); err == nil {
 		t.Error("block too small for two entries accepted")
 	}
 }
@@ -420,7 +417,7 @@ func TestCorruptNodeDetected(t *testing.T) {
 
 func TestIOFaultPropagates(t *testing.T) {
 	disk := storage.NewDisk(4096)
-	tree, err := New(disk, Config{Dim: 2, MaxEntries: 4})
+	tree, err := New(disk, Config{MaxEntries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

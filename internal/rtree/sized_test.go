@@ -75,7 +75,7 @@ func liftOf(ref uint64) Lift {
 func sizedTree(t *testing.T, rng *rand.Rand, n int) (*Tree, *storage.Disk) {
 	t.Helper()
 	disk := storage.NewDisk(4096)
-	tree, err := New(disk, Config{Dim: 2, MaxEntries: 4, Scheme: wordScheme{}})
+	tree, err := New(disk, Config{MaxEntries: 4, Scheme: wordScheme{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSizedLevelsKeepCovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(disk, Config{Dim: 2, MaxEntries: 4, Scheme: wordScheme{}}, state)
+	re, err := Open(disk, Config{MaxEntries: 4, Scheme: wordScheme{}}, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestStateBlockLengths(t *testing.T) {
 	if err := sdisk.Write(state, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(sdisk, Config{Dim: 2, MaxEntries: 4, Scheme: wordScheme{}}, state); err == nil {
+	if _, err := Open(sdisk, Config{MaxEntries: 4, Scheme: wordScheme{}}, state); err == nil {
 		t.Fatal("a state block with too many lengths opened")
 	}
 }

@@ -12,7 +12,7 @@ import (
 func TestAllSplitsPreserveEntriesAndFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	t.Run("quadratic", func(t *testing.T) {
-		tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 10})
+		tree, err := New(storage.NewDisk(4096), Config{MaxEntries: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestAllSplitsPreserveEntriesAndFill(t *testing.T) {
 
 func TestAllSplitsIdenticalRects(t *testing.T) {
 	// Degenerate input: every entry identical. The split must still be legal.
-	tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 6})
+	tree, err := New(storage.NewDisk(4096), Config{MaxEntries: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTreesCorrectUnderEverySplit(t *testing.T) {
 		return order[a] < order[b]
 	})
 	t.Run("quadratic", func(t *testing.T) {
-		tree, err := New(storage.NewDisk(4096), Config{Dim: 2, MaxEntries: 8})
+		tree, err := New(storage.NewDisk(4096), Config{MaxEntries: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,6 @@ func (m *bruteModel) topK(k int, p []float64, kw string) []uint64 {
 // ranked is the general ranked answer against cs, ties by ID.
 func (m *bruteModel) ranked(cs spatialkeyword.CorpusStats, k int, p []float64, kw string) []uint64 {
 	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq)
-	comb := irscore.DistanceDiscount{Scale: 100}
 	type cand struct {
 		id    uint64
 		score float64
@@ -53,7 +52,7 @@ func (m *bruteModel) ranked(cs spatialkeyword.CorpusStats, k int, p []float64, k
 	var cands []cand
 	for _, o := range m.rows {
 		if ir := scorer.Score(o.Text, []string{kw}); ir > 0 {
-			cands = append(cands, cand{o.ID, comb.Combine(m.dist(o, p), ir)})
+			cands = append(cands, cand{o.ID, irscore.Combine(m.dist(o, p), ir)})
 		}
 	}
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].score > cands[b].score })

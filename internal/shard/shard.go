@@ -312,14 +312,6 @@ func New(cfg spatialkeyword.Config, opts Options) (*ShardedEngine, error) {
 // NumShards returns the number of shards.
 func (s *ShardedEngine) NumShards() int { return len(s.shards) }
 
-// dim is the dimensionality every shard's engine indexes.
-func (s *ShardedEngine) dim() int {
-	if s.cfg.Dim == 0 {
-		return 2
-	}
-	return s.cfg.Dim
-}
-
 // Add routes the object to its shard by location and returns its global ID.
 // The shard queues the add as a single Engine does: it is applied (and, with
 // a WAL, logged) when Add returns, and indexed at the shard's next read,
@@ -332,7 +324,7 @@ func (s *ShardedEngine) dim() int {
 // from the shards' logs alone. A storage fault in the add itself takes the
 // shard out of rotation too.
 func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
-	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
+	if err := spatialkeyword.CheckPoint(point); err != nil {
 		return 0, err
 	}
 	sh := s.shards[s.part.Locate(geo.NewPoint(point...))]
@@ -510,7 +502,7 @@ func (s *ShardedEngine) TopK(k int, point []float64, keywords ...string) ([]spat
 
 // TopKWithStats is TopK plus aggregated per-shard work counters.
 func (s *ShardedEngine) TopKWithStats(k int, point []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
-	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
+	if err := spatialkeyword.CheckPoint(point); err != nil {
 		return nil, spatialkeyword.QueryStats{}, err
 	}
 	return topK(s, s.nearQuery("topk", k, point, keywords), k)
@@ -568,7 +560,7 @@ func (s *ShardedEngine) Corpus() spatialkeyword.CorpusStats {
 // relevance-and-proximity score, fanned out across all shards and merged by
 // descending score (score ties broken by smallest global ID).
 func (s *ShardedEngine) TopKRanked(k int, point []float64, keywords ...string) ([]spatialkeyword.RankedResult, error) {
-	if err := spatialkeyword.CheckPoint(point, s.dim()); err != nil {
+	if err := spatialkeyword.CheckPoint(point); err != nil {
 		return nil, err
 	}
 	res, _, err := topK(s, s.rankedQuery("ranked", k, point, keywords), k)
@@ -587,7 +579,7 @@ func (s *ShardedEngine) SearchRanked(point []float64, keywords ...string) (spati
 // shard out of rotation or failing with a storage fault degrades the answer,
 // any other error fails it, the first in shard order.
 func (s *ShardedEngine) WithinArea(lo, hi []float64, keywords ...string) ([]spatialkeyword.Result, spatialkeyword.QueryStats, error) {
-	if err := spatialkeyword.CheckArea(lo, hi, s.dim()); err != nil {
+	if err := spatialkeyword.CheckArea(lo, hi); err != nil {
 		return nil, spatialkeyword.QueryStats{}, err
 	}
 	return topK(s, s.areaQuery("area", lo, hi, keywords, (*spatialkeyword.Engine).SearchWithin), math.MaxInt)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/invindex"
 	"spatialkeyword/internal/storage"
 )
@@ -46,49 +47,38 @@ type Catalog struct {
 	stats IndexStats
 }
 
-// pointColumn holds each indexed row's location, dim float64s per object
-// ID, so the IIO path can order and rect-filter candidates before it reads
-// any row. A row with no entry — never stored, deleted before it was
-// indexed, of another dimension, or past the column's end — reads as
-// absent. The column only grows: a reader holding an older copy of the
-// header reads entries no writer touches again.
+// pointColumn holds each indexed row's location, geo.Dims float64s per
+// object ID, so the IIO path can order and rect-filter candidates before it
+// reads any row. A row with no entry — never stored, deleted before it was
+// indexed, or past the column's end — reads as absent. The column only
+// grows: a reader holding an older copy of the header reads entries no
+// writer touches again.
 type pointColumn struct {
-	dim int
-	xs  []float64
+	xs []float64
 }
 
 // put records row id's point. Rows come in increasing ID order (the
 // catch-up's); the IDs skipped hold NaN, and a row out of order is left
 // without an entry. rows presizes the column on its first entry.
 func (pc *pointColumn) put(id uint64, p []float64, rows int) {
-	if pc.dim == 0 {
-		if len(p) == 0 {
-			return
-		}
-		pc.dim = len(p)
-		pc.xs = make([]float64, 0, rows*pc.dim)
+	if pc.xs == nil {
+		pc.xs = make([]float64, 0, rows*geo.Dims)
 	}
-	if id < uint64(len(pc.xs)/pc.dim) {
+	if id < uint64(len(pc.xs)/geo.Dims) {
 		return
 	}
-	for uint64(len(pc.xs)) < id*uint64(pc.dim) {
+	for uint64(len(pc.xs)) < id*geo.Dims {
 		pc.xs = append(pc.xs, math.NaN())
-	}
-	if len(p) != pc.dim {
-		for range pc.dim {
-			pc.xs = append(pc.xs, math.NaN())
-		}
-		return
 	}
 	pc.xs = append(pc.xs, p...)
 }
 
 // at returns row id's point, or false when the column has no entry for it.
 func (pc pointColumn) at(id uint64) ([]float64, bool) {
-	if pc.dim == 0 || id >= uint64(len(pc.xs)/pc.dim) {
+	if id >= uint64(len(pc.xs)/geo.Dims) {
 		return nil, false
 	}
-	p := pc.xs[id*uint64(pc.dim) : (id+1)*uint64(pc.dim)]
+	p := pc.xs[id*geo.Dims : (id+1)*geo.Dims]
 	if math.IsNaN(p[0]) {
 		return nil, false
 	}

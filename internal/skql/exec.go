@@ -3,7 +3,6 @@ package skql
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -254,23 +253,11 @@ func (c *Catalog) runEngineTop(p *Plan, op *Operator) ([]spatialkeyword.Result, 
 // topDist returns a TOP operator's ordering key for a point: its distance
 // to the NEAR point, or to the WITHIN rect when there is no NEAR (what
 // SearchArea orders by).
-func topDist(q *Query) func(id uint64, pt geo.Point) (float64, error) {
+func topDist(q *Query) func(pt geo.Point) float64 {
 	if q.Near != nil {
-		near := geo.NewPoint(q.Near...)
-		return func(id uint64, pt geo.Point) (float64, error) {
-			if len(near) != len(pt) {
-				return 0, fmt.Errorf("skql: %w: query point has %d dimensions, object %d has %d", spatialkeyword.ErrBadPoint, len(near), id, len(pt))
-			}
-			return near.Dist(pt), nil
-		}
+		return geo.NewPoint(q.Near...).Dist
 	}
-	rect := geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
-	return func(id uint64, pt geo.Point) (float64, error) {
-		if len(rect.Lo) != len(pt) {
-			return 0, fmt.Errorf("skql: %w: query rect has %d dimensions, object %d has %d", spatialkeyword.ErrBadPoint, len(rect.Lo), id, len(pt))
-		}
-		return rect.MinDist(pt), nil
-	}
+	return geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...)).MinDist
 }
 
 // iioCand is a TOP operator's IIO candidate: its ID, its ordering key and,
@@ -296,11 +283,6 @@ func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpAct
 	ix, pts, err := c.index()
 	if err != nil {
 		return nil, act, err
-	}
-	// SKQL points and rects are 2-D: a column of another dimension has no
-	// entry a query could use, so every candidate is read.
-	if pts.dim != 2 {
-		pts = pointColumn{}
 	}
 	stop := c.opMeter()
 	ids, err := ix.Intersect(op.Conj)
@@ -359,11 +341,7 @@ func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpAct
 				continue
 			}
 			if has {
-				d, err := dist(id, pt)
-				if err != nil {
-					return nil, act, err
-				}
-				cands = append(cands, iioCand{id: id, dist: d})
+				cands = append(cands, iioCand{id: id, dist: dist(pt)})
 				continue
 			}
 			o, ok, err := read(id)
@@ -373,10 +351,7 @@ func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpAct
 			if !ok {
 				continue
 			}
-			d, err := dist(o.ID, o.Point)
-			if err != nil {
-				return nil, act, err
-			}
+			d := dist(o.Point)
 			ahead = append(ahead, spatialkeyword.Result{Object: o, Dist: d})
 			cands = append(cands, iioCand{id: id, dist: d, read: len(ahead)})
 		}

@@ -158,9 +158,7 @@ func TestIndexProgramFollower(t *testing.T) {
 	l := repl.NewLeader(e)
 	srv := httptest.NewServer(l.Handler())
 	defer srv.Close()
-	f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{
-		PollWait: 50 * time.Millisecond, RetryInterval: 10 * time.Millisecond,
-	})
+	f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -416,9 +416,7 @@ func TestOracleReplicatedFollower(t *testing.T) {
 		t.Fatalf("Delete: %v", err)
 	}
 
-	f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{
-		PollWait: 50 * time.Millisecond, RetryInterval: 10 * time.Millisecond,
-	})
+	f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}

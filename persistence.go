@@ -9,8 +9,10 @@ import (
 	"path/filepath"
 
 	"spatialkeyword/internal/core"
+	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/wal"
 )
@@ -48,10 +50,17 @@ import (
 // ErrNotDurable is returned by Save on a memory-only engine.
 var ErrNotDurable = errors.New("spatialkeyword: engine has no backing directory")
 
-// ErrLegacyMultilevel refuses a directory saved with the Multilevel option
-// that Config no longer has: its index holds the MIR²-Tree's signature
-// lengths, which a reopened engine cannot derive.
-var ErrLegacyMultilevel = errors.New("spatialkeyword: index built with the retired Multilevel option; rebuild it from its objects")
+// ErrRetiredOption refuses a directory whose manifest sets an option Config
+// no longer has to a value the engine cannot reproduce: Multilevel (its
+// index holds the MIR²-Tree's signature lengths, which a reopened engine
+// cannot derive), a Dim other than 2 or a BitsPerWord other than 4 (its
+// nodes or signatures were laid out for another). Zero, the value every
+// manifest written before they were retired carries, opens.
+var ErrRetiredOption = errors.New("spatialkeyword: index built with a retired option value; rebuild it from its objects")
+
+// ErrLegacyMultilevel is ErrRetiredOption's earlier name; errors.Is matches
+// either.
+var ErrLegacyMultilevel = ErrRetiredOption
 
 const (
 	manifestName = "manifest.json"
@@ -383,11 +392,17 @@ func readManifest(path string) (manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("spatialkeyword: parse manifest: %w", err)
 	}
-	var legacy struct {
-		Config struct{ Multilevel bool } `json:"config"`
+	var retired struct {
+		Config struct {
+			Multilevel       bool
+			Dim, BitsPerWord int
+		} `json:"config"`
 	}
-	if err := json.Unmarshal(data, &legacy); err == nil && legacy.Config.Multilevel {
-		return m, fmt.Errorf("%w: %s", ErrLegacyMultilevel, path)
+	if err := json.Unmarshal(data, &retired); err == nil {
+		c := retired.Config
+		if c.Multilevel || (c.Dim != 0 && c.Dim != geo.Dims) || (c.BitsPerWord != 0 && c.BitsPerWord != sigfile.DefaultBitsPerWord) {
+			return m, fmt.Errorf("%w (%+v): %s", ErrRetiredOption, c, path)
+		}
 	}
 	return m, nil
 }
@@ -494,10 +509,7 @@ func (e *Engine) openWAL(dir string, gen, committed uint64) error {
 // checkpointed tree. objDev/idxDev are the devices the structures read
 // through (the file disks themselves, or their checksum framing).
 func assembleEngine(cfg Config, objDisk, idxDisk *storage.Disk, objDev, idxDev storage.Device, store *objstore.Store, treeState storage.BlockID) (*Engine, error) {
-	e, err := engineShell(cfg)
-	if err != nil {
-		return nil, err
-	}
+	e := engineShell(cfg)
 	e.objDisk = objDev
 	e.idxDisk = idxDev
 	e.objFile = objDisk

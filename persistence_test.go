@@ -1,7 +1,6 @@
 package spatialkeyword
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -173,65 +172,6 @@ func TestOpenEngineErrors(t *testing.T) {
 	}
 	if _, err := OpenEngine(dir); err == nil {
 		t.Error("garbage manifest accepted")
-	}
-}
-
-// TestOpenRefusesLegacyMultilevel: a manifest saved with the retired
-// Multilevel option set is refused with ErrLegacyMultilevel, never opened as
-// an engine whose signature lengths it cannot know; one carrying the key
-// unset, as every manifest written before it was retired does, opens.
-func TestOpenRefusesLegacyMultilevel(t *testing.T) {
-	for _, multilevel := range []bool{false, true} {
-		dir := t.TempDir()
-		eng, err := NewDurableEngine(Config{SignatureBytes: 16}, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addFigure1(t, eng)
-		want, err := eng.TopK(3, []float64{30.5, 100.0}, "pool")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Save(); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, manifestName)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m map[string]any
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		m["config"].(map[string]any)["Multilevel"] = multilevel
-		if data, err = json.Marshal(m); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		re, err := OpenEngine(dir)
-		if multilevel {
-			if !errors.Is(err, ErrLegacyMultilevel) {
-				t.Fatalf("open of a Multilevel manifest: %v, want ErrLegacyMultilevel", err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := re.TopK(3, []float64{30.5, 100.0}, "pool")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(resultIDs(got)) != fmt.Sprint(resultIDs(want)) {
-			t.Fatalf("reopened answer %v, want %v", resultIDs(got), resultIDs(want))
-		}
-		re.Close()
 	}
 }
 

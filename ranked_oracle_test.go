@@ -48,7 +48,6 @@ func newRankedOracle(an *textutil.Analyzer, rows []spatialkeyword.Object, delete
 // topK is the oracle's answer; all keeps only rows holding every keyword,
 // as SKQL's MATCH a AND b does.
 func (o *rankedOracle) topK(k int, p []float64, kws []string, all bool) []spatialkeyword.RankedResult {
-	comb := irscore.DistanceDiscount{Scale: 100}
 	terms, idfs := o.scorer.QueryIDFs(kws)
 	counts := make([]int, len(terms))
 	q := geo.NewPoint(p...)
@@ -67,7 +66,7 @@ func (o *rankedOracle) topK(k int, p []float64, kws []string, all bool) []spatia
 			continue
 		}
 		d := q.Dist(geo.NewPoint(r.Point...))
-		out = append(out, spatialkeyword.RankedResult{Object: r, Dist: d, IRScore: ir, Score: comb.Combine(d, ir)})
+		out = append(out, spatialkeyword.RankedResult{Object: r, Dist: d, IRScore: ir, Score: irscore.Combine(d, ir)})
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
 	return out[:min(k, len(out))]
@@ -263,7 +262,7 @@ func TestRankedMatchesBruteForceEverywhere(t *testing.T) {
 			if err := lead.Save(); err != nil {
 				t.Fatal(err)
 			}
-			f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{PollWait: 50 * time.Millisecond, RetryInterval: 10 * time.Millisecond})
+			f, err := repl.OpenFollower(fdir, srv.URL, repl.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

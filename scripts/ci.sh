@@ -82,12 +82,16 @@
 #           printing ns/op and
 #           allocs/op — too noisy on shared runners to gate, so ci.yml never
 #           fails on it
+#   size [base]  informational, not in all: scripts/loc.sh and
+#           scripts/options.sh against base (default HEAD~1), the two
+#           headline figures of a simplicity PR in one command
 #
 # Not checks: scripts/loc.sh [base-ref] prints the root module's non-test Go
 # line count at base-ref and now, in total and per directory, and
 # scripts/options.sh [base-ref] the field count of every Options/Config
 # struct and skserve's flag count at both — the figures a simplicity PR
-# reports. ci.yml's loc job prints both against a pull request's base commit.
+# reports (ci.sh size runs both). ci.yml's loc job prints both against a
+# pull request's base commit.
 #
 # staticcheck is optional locally: if the binary is not on PATH the lint
 # step prints a warning and moves on, while CI always installs and runs it.
@@ -186,6 +190,12 @@ run_micro() {
 	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$|^BenchmarkWithinArea$' -benchmem ./internal/shard
 }
 
+run_size() {
+	step size
+	sh scripts/loc.sh "$1"
+	sh scripts/options.sh "$1"
+}
+
 run_fuzz() {
 	step fuzz
 	budget="${FUZZTIME:-30s}"
@@ -213,6 +223,7 @@ cover) run_cover ;;
 bench) run_bench ;;
 fuzz) run_fuzz ;;
 micro) run_micro ;;
+size) run_size "${2:-HEAD~1}" ;;
 all)
 	run_build
 	run_lint
@@ -227,7 +238,7 @@ all)
 	run_fuzz
 	;;
 *)
-	echo "usage: scripts/ci.sh [build|lint|analyze|test|stress|allocs|perf-build|compat|cover|bench|fuzz|micro|all]" >&2
+	echo "usage: scripts/ci.sh [build|lint|analyze|test|stress|allocs|perf-build|compat|cover|bench|fuzz|micro|size [base]|all]" >&2
 	exit 2
 	;;
 esac

@@ -90,10 +90,8 @@ func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, poin
 		m := storage.StartMeter(dev)
 		if ranked {
 			it := x.SearchRanked(geo.NewPoint(p...), kws[i], core.GeneralOptions{
-				Scorer:       irscore.NewScorer(e.vocab.NumDocs(), e.vocab.DocFreq).WithAnalyzer(e.an),
-				Combiner:     irscore.DistanceDiscount{Scale: 100},
-				RequireMatch: true,
-				RowTFs:       e.rowTFs,
+				Scorer: irscore.NewScorer(e.vocab.NumDocs(), e.vocab.DocFreq).WithAnalyzer(e.an),
+				RowTFs: e.rowTFs,
 			})
 			res, err := core.TakeK(10, it.Next)
 			it.Close()

@@ -36,7 +36,9 @@ import (
 )
 
 // Config parameterizes an Engine. The zero value is a production-reasonable
-// 2-d IR²-Tree with 64-byte signatures on 4 KB blocks.
+// IR²-Tree with 64-byte signatures on 4 KB blocks. Every engine indexes 2-d
+// points (latitude, longitude), and each word sets
+// sigfile.DefaultBitsPerWord = 4 signature bits.
 type Config struct {
 	// SignatureBytes is the leaf signature length. Longer signatures mean
 	// fewer false positives but a larger index. Zero means 64. The levels
@@ -46,10 +48,6 @@ type Config struct {
 	// small batch keeps this length, and any other level gets the length at
 	// which a word it lacks passes one time in four.
 	SignatureBytes int
-	// BitsPerWord is how many signature bits each word sets. Zero means 4.
-	BitsPerWord int
-	// Dim is the spatial dimensionality. Zero means 2.
-	Dim int
 	// BlockSize is the disk block size, from 32 B to 1 MiB. Zero means 4096.
 	BlockSize int
 	// RemoveStopwords drops common English stopwords from documents and
@@ -164,13 +162,13 @@ var ErrUnknownID = errors.New("spatialkeyword: unknown object id")
 var ErrBadPoint = errors.New("spatialkeyword: bad point")
 
 // CheckPoint is the one validation of a caller-supplied point: it must have
-// dim coordinates, all of them finite. A NaN or infinite coordinate would
-// otherwise poison every MBR above the leaf it lands in, and makes every
-// distance meaningless. The check sits at the public entry points, not in the
+// geo.Dims (2) coordinates, all of them finite. A NaN or infinite coordinate
+// would otherwise poison every MBR above the leaf it lands in, and makes
+// every distance meaningless. The check sits at the public entry points, not in the
 // apply path, so a record already in a write-ahead log still replays.
-func CheckPoint(point []float64, dim int) error {
-	if len(point) != dim {
-		return fmt.Errorf("%w: has %d dimensions, engine uses %d", ErrBadPoint, len(point), dim)
+func CheckPoint(point []float64) error {
+	if len(point) != geo.Dims {
+		return fmt.Errorf("%w: has %d dimensions, engine uses %d", ErrBadPoint, len(point), geo.Dims)
 	}
 	for i, c := range point {
 		if math.IsNaN(c) || math.IsInf(c, 0) {
@@ -232,11 +230,10 @@ var _ Reader = (*Engine)(nil)
 type Engine struct {
 	// mu is the engine's reader/writer exclusion. Nothing below it is
 	// touched without it, except the fields fixed at construction (cfg,
-	// dim, an, the devices, store and tree pointers, dir, the replayed log).
+	// an, the devices, store and tree pointers, dir, the replayed log).
 	mu sync.RWMutex
 
 	cfg     Config
-	dim     int
 	objDisk storage.Device
 	idxDisk storage.Device
 	store   *objstore.Store
@@ -289,18 +286,13 @@ type Engine struct {
 
 // engineShell builds an Engine with defaults applied but no devices or
 // structures attached.
-func engineShell(cfg Config) (*Engine, error) {
-	dim := cfg.Dim
-	if dim == 0 {
-		dim = 2
-	}
+func engineShell(cfg Config) *Engine {
 	return &Engine{
 		cfg:     cfg,
-		dim:     dim,
 		vocab:   textutil.NewVocabulary(),
 		an:      cfg.Analyzer(),
 		deleted: make(map[uint64]bool),
-	}, nil
+	}
 }
 
 // Analyzer returns the text pipeline the configuration selects — stopword
@@ -318,9 +310,6 @@ func (c Config) Analyzer() *textutil.Analyzer {
 	}
 	return a
 }
-
-// checkPoint rejects a point this engine cannot index or query from.
-func (e *Engine) checkPoint(point []float64) error { return CheckPoint(point, e.dim) }
 
 // rlock takes the shared lock with every buffered add indexed. A read that
 // finds adds pending gives its share up, flushes under the exclusive lock
@@ -346,13 +335,8 @@ func (e *Engine) coreOptions() core.Options {
 	if sigBytes == 0 {
 		sigBytes = 64
 	}
-	k := cfg.BitsPerWord
-	if k == 0 {
-		k = sigfile.DefaultBitsPerWord
-	}
 	return core.Options{
-		LeafSignature: sigfile.Config{LengthBytes: sigBytes, BitsPerWord: k},
-		Dim:           e.dim,
+		LeafSignature: sigfile.Config{LengthBytes: sigBytes, BitsPerWord: sigfile.DefaultBitsPerWord},
 		Analyzer:      e.an,
 		CacheNodes:    cfg.NodeCacheSize,
 	}
@@ -406,10 +390,7 @@ func setDeviceFault(dev storage.Device, f storage.FaultFunc) bool {
 
 // newEngineOn assembles a fresh engine on the given devices.
 func newEngineOn(cfg Config, objDev, idxDev storage.Device) (*Engine, error) {
-	e, err := engineShell(cfg)
-	if err != nil {
-		return nil, err
-	}
+	e := engineShell(cfg)
 	objDev, idxDev = frameDevices(cfg, objDev, idxDev)
 	e.objDisk = objDev
 	e.idxDisk = idxDev
@@ -446,7 +427,7 @@ func (e *Engine) Add(point []float64, text string) (uint64, error) {
 // engine stores its global object ID there so crash recovery can rebuild
 // the global→shard assignment. Without a WAL the tag is simply dropped.
 func (e *Engine) AddTagged(point []float64, text string, tag uint64) (uint64, error) {
-	if err := e.checkPoint(point); err != nil {
+	if err := CheckPoint(point); err != nil {
 		return 0, err
 	}
 	e.mu.Lock()

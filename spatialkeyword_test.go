@@ -128,18 +128,6 @@ func TestEngineDimValidation(t *testing.T) {
 	if _, err := e.TopKRanked(1, []float64{1}, "x"); err == nil {
 		t.Error("1-d ranked query accepted")
 	}
-	// A 3-d engine works end to end.
-	e3 := newEngine(t, Config{Dim: 3})
-	if _, err := e3.Add([]float64{1, 2, 3}, "volumetric pixel"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e3.TopK(1, []float64{1, 2, 2}, "volumetric")
-	if err != nil || len(res) != 1 {
-		t.Fatalf("3-d query: %v %v", res, err)
-	}
-	if math.Abs(res[0].Dist-1) > 1e-12 {
-		t.Errorf("3-d dist = %g", res[0].Dist)
-	}
 }
 
 func TestEngineRanked(t *testing.T) {

@@ -170,7 +170,7 @@ type SearchIter struct {
 // Search starts an incremental distance-first query: the stream behind
 // TopK. Pending adds are flushed first.
 func (e *Engine) Search(point []float64, keywords ...string) (ResultStream, error) {
-	if err := e.checkPoint(point); err != nil {
+	if err := CheckPoint(point); err != nil {
 		return nil, err
 	}
 	q, err := e.begin()
@@ -295,7 +295,7 @@ func (e *Engine) SearchRankedWith(cs CorpusStats, point []float64, keywords ...s
 }
 
 func (e *Engine) searchRanked(cs *CorpusStats, point []float64, keywords []string) (RankedStream, error) {
-	if err := e.checkPoint(point); err != nil {
+	if err := CheckPoint(point); err != nil {
 		return nil, err
 	}
 	q, err := e.begin()
@@ -309,10 +309,8 @@ func (e *Engine) searchRanked(cs *CorpusStats, point []float64, keywords []strin
 	}
 	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq).WithAnalyzer(e.an)
 	it := e.tree.SearchRanked(geo.NewPoint(point...), keywords, core.GeneralOptions{
-		Scorer:       scorer,
-		Combiner:     irscore.DistanceDiscount{Scale: 100},
-		RequireMatch: true,
-		RowTFs:       e.rowTFs,
+		Scorer: scorer,
+		RowTFs: e.rowTFs,
 	})
 	return &RankedSearchIter{query: q, it: it}, nil
 }

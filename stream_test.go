@@ -108,7 +108,7 @@ func TestExplainTraceMatchesStats(t *testing.T) {
 // 1-byte signature and checks the stream's stats expose them: objects were
 // fetched, failed text verification, and were counted as false positives.
 func TestSearchIterStatsFalsePositives(t *testing.T) {
-	e := newEngine(t, Config{SignatureBytes: 1, BitsPerWord: 4})
+	e := newEngine(t, Config{SignatureBytes: 1})
 	seedGrid(t, e, 150)
 
 	it, err := e.Search([]float64{500, 500}, "alpha", "beta")
