@@ -354,6 +354,28 @@ func BenchmarkDurableLoad(b *testing.B) {
 	b.ReportMetric(float64(len(rows)*b.N)/b.Elapsed().Seconds(), "objects/s")
 }
 
+// BenchmarkOpenEngine times a restart: OpenEngine of a saved Hotels(0.02)
+// engine with 189-byte signatures (what benchmarks/perf's ranked_hotels
+// serves), then Close. The open rebuilds the vocabulary and every row's
+// term-frequency summary with one scan of the object file, analyzing each
+// row once; that scan is most of the time. Beside ns/op it reports rows
+// opened per second.
+func BenchmarkOpenEngine(b *testing.B) {
+	dir, points, _, _ := savedBenchEngine(b, dataset.Hotels(0.02), 189)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := spatialkeyword.OpenEngine(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(points)*b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
 // BenchmarkDurableTopK times the query skserve -dir answers: a warm
 // two-keyword conjunctive TopK on a saved-and-reopened engine, i.e. on
 // a file-backed storage.Disk — the shape of benchmarks/perf's topk_restaurants
@@ -407,12 +429,25 @@ func BenchmarkDurableTopK(b *testing.B) {
 // top 2 % of words by document frequency and the next 18 %.
 func durableBenchEngine(b *testing.B, spec dataset.Spec, sigBytes int) (eng *spatialkeyword.Engine, points [][]float64, frequent, mid []string) {
 	b.Helper()
+	dir, points, frequent, mid := savedBenchEngine(b, spec, sigBytes)
+	eng, err := spatialkeyword.OpenEngine(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Close() })
+	return eng, points, frequent, mid
+}
+
+// savedBenchEngine is durableBenchEngine's build: it saves the engine and
+// returns its directory, unopened.
+func savedBenchEngine(b *testing.B, spec dataset.Spec, sigBytes int) (dir string, points [][]float64, frequent, mid []string) {
+	b.Helper()
 	store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
 	stats, err := dataset.Generate(spec, store)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
+	dir = b.TempDir()
 	built, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: sigBytes}, dir)
 	if err != nil {
 		b.Fatal(err)
@@ -431,12 +466,8 @@ func durableBenchEngine(b *testing.B, spec dataset.Spec, sigBytes int) (eng *spa
 	if err := built.Close(); err != nil {
 		b.Fatal(err)
 	}
-	if eng, err = spatialkeyword.OpenEngine(dir); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { eng.Close() })
 	words := stats.WordsByFreq()
-	return eng, points, words[:len(words)/50], words[len(words)/50 : len(words)/5]
+	return dir, points, words[:len(words)/50], words[len(words)/50 : len(words)/5]
 }
 
 // BenchmarkDurableRanked times the query skserve -dir answers on /ranked: a

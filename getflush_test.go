@@ -2,6 +2,9 @@ package spatialkeyword
 
 import (
 	"testing"
+
+	"spatialkeyword/internal/dataset"
+	"spatialkeyword/internal/textutil"
 )
 
 // TestGetFlushedDoesNoWriteIO is the regression test for Get's flush
@@ -59,5 +62,60 @@ func TestGetFlushedDoesNoWriteIO(t *testing.T) {
 	}
 	if len(eng.pending) != 0 {
 		t.Fatalf("Get on a pending id left %d pending", len(eng.pending))
+	}
+}
+
+// TestFlushReadsNoRow: a flush indexes the words the add already found, so
+// an Add and its Flush read no object-file block — neither the flush that
+// packs the first batch into an empty tree nor one that inserts into the
+// packed tree. Each row added after the pack is then found by a query for
+// all of its words at its point.
+func TestFlushReadsNoRow(t *testing.T) {
+	rows, _ := packRows(t, dataset.Restaurants(0.01))
+	e, err := NewEngine(Config{SignatureBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(r packRow) uint64 {
+		t.Helper()
+		id, err := e.Add(r.point, r.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	flushReads := func(what string) {
+		t.Helper()
+		before := e.objDisk.Stats()
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if d := e.objDisk.Stats().Sub(before); d.RandomReads+d.SequentialReads != 0 {
+			t.Fatalf("%s read %d object-file blocks, want 0", what, d.RandomReads+d.SequentialReads)
+		}
+	}
+	packed := len(rows) / 2
+	before := e.objDisk.Stats()
+	for _, r := range rows[:packed] {
+		add(r)
+	}
+	flushReads("the flush into an empty tree")
+	if d := e.objDisk.Stats().Sub(before); d.RandomReads+d.SequentialReads != 0 {
+		t.Fatalf("the adds read %d object-file blocks, want 0", d.RandomReads+d.SequentialReads)
+	}
+	if e.tree.RTree().Height() == 0 {
+		t.Fatal("the first flush left the tree empty")
+	}
+	var plain *textutil.Analyzer
+	for i, r := range rows[packed : packed+20] {
+		id := add(r)
+		flushReads("a flush into the packed tree")
+		res, err := e.TopK(1, r.point, plain.Unique(r.text)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Object.ID != id {
+			t.Fatalf("row %d added after the pack: query for its words answers %+v, want ID %d", i, res, id)
+		}
 	}
 }

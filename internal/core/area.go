@@ -88,18 +88,17 @@ func (s *withinScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []f
 	}
 }
 
-// BuildBulk is InsertBatch over a scan of the whole store: into an empty
-// tree it loads every object with Sort-Tile-Recursive packing.
+// BuildBulk is InsertBatch over a scan of the whole store, each row's words
+// read from its text: into an empty tree it loads every object with
+// Sort-Tile-Recursive packing.
 func (x *IR2Tree) BuildBulk() error {
-	var objs []objstore.Object
-	var ptrs []objstore.Ptr
+	var batch []Entry
 	err := x.store.Scan(func(obj objstore.Object, ptr objstore.Ptr) error {
-		objs = append(objs, obj)
-		ptrs = append(ptrs, ptr)
+		batch = append(batch, Entry{Ptr: ptr, Point: obj.Point, Words: x.an.Unique(obj.Text)})
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return x.InsertBatch(objs, ptrs)
+	return x.InsertBatch(batch)
 }

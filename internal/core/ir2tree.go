@@ -296,12 +296,16 @@ func (x *IR2Tree) SizeMB() float64 { return float64(x.SizeBytes()) / 1e6 }
 // is expensive by design. A level a pack sized superimposes the object's
 // words at its own length instead, so the insert reads no other object.
 func (x *IR2Tree) Insert(obj objstore.Object, ptr objstore.Ptr) error {
-	words := x.an.Unique(obj.Text)
+	return x.insert(Entry{Ptr: ptr, Point: obj.Point, Words: x.an.Unique(obj.Text)})
+}
+
+// insert is Insert of an object whose words are already known.
+func (x *IR2Tree) insert(e Entry) error {
 	k := x.scheme.leaf.BitsPerWord
 	lift := func(length int) []byte {
-		return sigfile.Config{LengthBytes: length, BitsPerWord: k}.DocSignature(words)
+		return sigfile.Config{LengthBytes: length, BitsPerWord: k}.DocSignature(e.Words)
 	}
-	return x.rt.Insert(uint64(ptr), geo.PointRect(obj.Point), x.scheme.leaf.DocSignature(words), lift)
+	return x.rt.Insert(uint64(e.Ptr), geo.PointRect(e.Point), x.scheme.leaf.DocSignature(e.Words), lift)
 }
 
 // Delete removes an object (paper Figure 6). It returns false if the object
@@ -315,48 +319,57 @@ func (x *IR2Tree) Delete(point geo.Point, ptr objstore.Ptr) (bool, error) {
 func (x *IR2Tree) Build() error {
 	return x.deferSignatures(func() error {
 		return x.store.Scan(func(obj objstore.Object, ptr objstore.Ptr) error {
-			x.scheme.remember(uint64(ptr), x.an.Unique(obj.Text))
-			return x.Insert(obj, ptr)
+			e := Entry{Ptr: ptr, Point: obj.Point, Words: x.an.Unique(obj.Text)}
+			x.scheme.remember(uint64(ptr), e.Words)
+			return x.insert(e)
 		})
 	})
 }
 
-// InsertBatch indexes objs[i] at ptrs[i] for every i. Into an empty tree it
-// packs the whole batch with Sort-Tile-Recursive bulk loading (rtree.BulkLoad,
-// an extension over the paper's insert-based construction): nodes come out
+// Entry is one object of an InsertBatch: where its row is, its point, and
+// its distinct pipeline words, which the caller has at hand from analyzing
+// the row on its way in, so indexing reads no row back.
+type Entry struct {
+	Ptr   objstore.Ptr
+	Point geo.Point
+	Words []string
+}
+
+// InsertBatch indexes every entry of batch. Into an empty tree it packs the
+// whole batch with Sort-Tile-Recursive bulk loading (rtree.BulkLoad, an
+// extension over the paper's insert-based construction): nodes come out
 // full and barely overlapping, in one pass per level, where one Guttman
 // insert per object leaves leaves about two thirds full. Leaf signatures are
 // the ones Insert computes. The IR²-Tree's interior levels are sized from
 // the batch's words (see packSizer); the MIR²-Tree's keep the optimal-length
 // rule and its recomputed signatures. Answers do not depend on the path.
-// Into a non-empty tree each object is Inserted in order.
-func (x *IR2Tree) InsertBatch(objs []objstore.Object, ptrs []objstore.Ptr) error {
+// Into a non-empty tree each entry is inserted in order.
+func (x *IR2Tree) InsertBatch(batch []Entry) error {
 	if x.rt.Height() > 0 {
-		for i, obj := range objs {
-			if err := x.Insert(obj, ptrs[i]); err != nil {
+		for _, e := range batch {
+			if err := x.insert(e); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if len(objs) == 0 {
+	if len(batch) == 0 {
 		return nil
 	}
 	return x.deferSignatures(func() error {
 		leaf := x.scheme.leaf
-		entries := make([]rtree.BulkEntry, len(objs))
+		entries := make([]rtree.BulkEntry, len(batch))
 		var sizer rtree.LevelSizer
 		ps := newPackSizer(leaf, x.rt)
 		if !x.multilevel {
 			sizer = ps
 		}
-		for i, obj := range objs {
-			words := x.an.Unique(obj.Text)
-			x.scheme.remember(uint64(ptrs[i]), words)
+		for i, e := range batch {
+			x.scheme.remember(uint64(e.Ptr), e.Words)
 			if sizer != nil {
-				ps.addObject(uint64(ptrs[i]), words)
+				ps.addObject(uint64(e.Ptr), e.Words)
 			}
-			entries[i] = rtree.BulkEntry{Ref: uint64(ptrs[i]), Rect: geo.PointRect(obj.Point), Aux: leaf.DocSignature(words)}
+			entries[i] = rtree.BulkEntry{Ref: uint64(e.Ptr), Rect: geo.PointRect(e.Point), Aux: leaf.DocSignature(e.Words)}
 		}
 		return x.rt.BulkLoad(entries, sizer)
 	})

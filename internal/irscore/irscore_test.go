@@ -254,7 +254,8 @@ var pipelines = map[string]*textutil.Analyzer{
 // does.
 func rowTFOf(a *textutil.Analyzer, text string) RowTF {
 	var r RowTF
-	r.SetCap(textutil.NewVocabulary().AddDocWith(a, text, r.AddRepeated))
+	_, maxTF := textutil.NewVocabulary().AddDocWith(a, text, r.AddRepeated)
+	r.SetCap(maxTF)
 	return r
 }
 

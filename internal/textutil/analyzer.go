@@ -1,5 +1,7 @@
 package textutil
 
+import "unicode/utf8"
+
 // Analyzer is a configurable text-analysis pipeline: tokenization (always),
 // optional stopword removal, optional Porter stemming. Index and query text
 // must pass through the *same* analyzer — a stemmed index probed with
@@ -34,40 +36,41 @@ func DefaultStopwords() map[string]struct{} {
 // Tokens runs the full pipeline over a document, preserving order and
 // duplicates (term frequencies).
 func (a *Analyzer) Tokens(text string) []string {
-	tokens := Tokenize(text)
-	if a == nil || (a.Stopwords == nil && !a.Stemming) {
-		return tokens
-	}
-	out := tokens[:0]
-	for _, tok := range tokens {
-		if a.Stopwords != nil {
-			if _, stop := a.Stopwords[tok]; stop {
-				continue
-			}
+	sc := walk(a, text)
+	defer sc.release()
+	var tokens []string
+	for {
+		term, ok := sc.next()
+		if !ok {
+			return tokens
 		}
-		if a.Stemming {
-			tok = Stem(tok)
-		}
-		out = append(out, tok)
+		tokens = append(tokens, string(term))
 	}
-	return out
 }
 
 // Unique returns the distinct pipeline terms of a document in
 // first-occurrence order — what gets hashed into signatures and posted
-// into inverted indexes.
+// into inverted indexes. It allocates the result and one string per term,
+// and nothing else once its pooled working space has grown.
 func (a *Analyzer) Unique(text string) []string {
-	tokens := a.Tokens(text)
-	seen := make(map[string]struct{}, len(tokens))
-	uniq := tokens[:0]
-	for _, tok := range tokens {
-		if _, dup := seen[tok]; dup {
+	sc := walk(a, text)
+	defer sc.release()
+	for {
+		term, ok := sc.next()
+		if !ok {
+			break
+		}
+		if _, dup := sc.seen[string(term)]; dup {
 			continue
 		}
-		seen[tok] = struct{}{}
-		uniq = append(uniq, tok)
+		w := string(term)
+		sc.seen[w] = struct{}{}
+		sc.terms = append(sc.terms, w)
 	}
-	return uniq
+	if len(sc.terms) == 0 {
+		return nil
+	}
+	return append(make([]string, 0, len(sc.terms)), sc.terms...)
 }
 
 // plain reports whether the pipeline is plain tokenization (no stopwords,
@@ -79,22 +82,42 @@ func (a *Analyzer) plain() bool {
 
 // TermFreqs returns the pipeline term-frequency map of a document.
 func (a *Analyzer) TermFreqs(text string) map[string]int {
-	tokens := a.Tokens(text)
-	tf := make(map[string]int, len(tokens))
-	for _, tok := range tokens {
-		tf[tok]++
+	sc := walk(a, text)
+	defer sc.release()
+	tf := make(map[string]int)
+	for {
+		term, ok := sc.next()
+		if !ok {
+			return tf
+		}
+		tf[string(term)]++
 	}
-	return tf
 }
 
-// Keyword normalizes one query keyword through the pipeline ("" if it
-// dissolves — punctuation-only or a stopword).
+// Keyword normalizes one query keyword through the pipeline: its first
+// pipeline term, or "" if it has none (punctuation only, or stopwords). On
+// the plain pipeline a keyword that is already one lower-case ASCII token
+// of letters and digits comes back as it is, allocation-free: the planner's
+// and the idf's per-word lookups (Vocabulary.DocFreq) run here.
 func (a *Analyzer) Keyword(keyword string) string {
-	toks := a.Tokens(keyword)
-	if len(toks) == 0 {
-		return ""
+	if a.plain() && lowerASCIIToken(keyword) {
+		return keyword
 	}
-	return toks[0]
+	sc := walk(a, keyword)
+	defer sc.release()
+	term, _ := sc.next()
+	return string(term)
+}
+
+// lowerASCIIToken reports whether s is one token that tokenization leaves
+// as it is: non-empty, and only lower-case ASCII letters and digits.
+func lowerASCIIToken(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || asciiTab[c] != c|asciiTokenBit {
+			return false
+		}
+	}
+	return len(s) > 0
 }
 
 // Keywords normalizes a keyword list, dropping empties and duplicates while

@@ -14,7 +14,13 @@ func Stem(word string) string {
 	if len(word) <= 2 {
 		return word
 	}
-	w := []byte(word)
+	return string(stem([]byte(word)))
+}
+
+// stem runs the Porter steps over w, a lowercase word longer than two
+// bytes, and returns the stem: a prefix of w's array unless a step's longer
+// replacement outgrew it.
+func stem(w []byte) []byte {
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -22,8 +28,7 @@ func Stem(word string) string {
 	w = step3(w)
 	w = step4(w)
 	w = step5a(w)
-	w = step5b(w)
-	return string(w)
+	return step5b(w)
 }
 
 // isConsonant reports whether w[i] is a consonant in Porter's sense:

@@ -54,3 +54,57 @@ func TestCountTermsBytesAllocFree(t *testing.T) {
 		t.Errorf("warm CountTermsBytesInto allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestDocFreqAllocFree gates the idf lookup the SKQL planner makes per
+// word, per shard, per statement: DocFreq of an already-normalized term
+// takes Keyword's fast path and allocates nothing.
+func TestDocFreqAllocFree(t *testing.T) {
+	v := NewVocabulary()
+	v.AddDocWith(nil, "wireless Internet, pool; ocean view suite 24h", nil)
+	for _, word := range []string{"internet", "24h", "sauna"} {
+		allocs := testing.AllocsPerRun(100, func() {
+			sinkInt(v.DocFreq(word))
+		})
+		if allocs != 0 {
+			t.Errorf("DocFreq(%q) allocates %.1f objects/op, want 0", word, allocs)
+		}
+	}
+}
+
+// TestUniqueAllocatesOnlyItsResult gates the per-row analysis of the SKQL
+// sidecar's catch-up, the inverted index and the fences: Unique of a
+// 15-word Restaurants row allocates its result slice and one string per
+// distinct term, and nothing else once its pooled working space has grown.
+func TestUniqueAllocatesOnlyItsResult(t *testing.T) {
+	var plain *Analyzer
+	row := "Golden Dragon: Chinese restaurant, dim sum, noodles, take-out; free wireless Internet, parking, Golden week specials"
+	want := len(plain.Unique(row))
+	if want != 15 {
+		t.Fatalf("the row has %d distinct words, want 15", want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sinkInt(len(plain.Unique(row)))
+	})
+	if allocs != float64(1+want) {
+		t.Errorf("Unique allocates %.1f objects/op, want %d (the slice and %d strings)", allocs, 1+want, want)
+	}
+}
+
+// TestAddDocWithAllocFree gates the fold every add, replayed add and
+// reopened row goes through: once the vocabulary holds a document's words,
+// folding it again allocates nothing, on the plain and the stemming
+// pipelines.
+func TestAddDocWithAllocFree(t *testing.T) {
+	row := "Golden Dragon: Chinese restaurant, dim sum, take-out; free wireless Internet, parking, Golden week specials, Café"
+	for _, a := range []*Analyzer{nil, {Stopwords: DefaultStopwords(), Stemming: true}} {
+		v := NewVocabulary()
+		v.AddDocWith(a, row, nil)
+		repeated := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			v.AddDocWith(a, row, func(string) { repeated++ })
+		})
+		if allocs != 0 {
+			t.Errorf("AddDocWith (stemming %v) allocates %.1f objects/op, want 0", a != nil, allocs)
+		}
+	}
+}

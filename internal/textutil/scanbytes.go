@@ -15,7 +15,8 @@ import (
 // The kernels take bytes, because the hot filters run over rows still
 // sitting in I/O scratch buffers; a caller holding a string passes
 // viewBytes of it instead of a copy. FuzzByteKernelsMatchRunePath holds
-// every entry point, string and byte, to counting over Tokenize.
+// every entry point, string and byte, to counting the tokens of the rune
+// reference (tokenizeRunes, in the tests).
 
 // viewBytes returns the bytes of s without copying them. The kernels only
 // read their text, so the view never outlives the call that takes it and
@@ -52,7 +53,7 @@ func tokenRune(b []byte) (tok bool, size int) {
 
 // tokenFoldEqBytes reports whether the raw token equals the (already
 // lower-case) term after per-rune lower-casing — the same normalization
-// Tokenize applies, without building the lowered string.
+// the tokenizer applies, without building the lowered string.
 //
 //skvet:hotpath
 func tokenFoldEqBytes(tok []byte, term string) bool {

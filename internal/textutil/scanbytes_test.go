@@ -22,10 +22,11 @@ var scanDocs = []string{
 }
 
 // tokenCounts is the definition every kernel entry point is held to:
-// counts[i] is how many of Tokenize's tokens of text equal terms[i].
+// counts[i] is how many of the rune reference's tokens of text equal
+// terms[i].
 func tokenCounts(text string, terms []string) []int {
 	counts := make([]int, len(terms))
-	for _, tok := range Tokenize(text) {
+	for _, tok := range tokenizeRunes(text) {
 		for i, term := range terms {
 			if tok == term {
 				counts[i]++
@@ -37,6 +38,9 @@ func tokenCounts(text string, terms []string) []int {
 
 //go:noinline
 func sinkBool(b bool) {}
+
+//go:noinline
+func sinkInt(n int) {}
 
 // allPositive reports whether every count is above zero.
 func allPositive(counts []int) bool {
@@ -121,7 +125,7 @@ func TestTokenFoldEq(t *testing.T) {
 
 // TestByteKernelsMatchStringKernels pins the byte entry points and the
 // string ones (ContainsTerms and TermFreqsInto, which run the same kernels
-// over a view of the string) to Tokenize over the shared scan corpus.
+// over a view of the string) to the rune reference over the shared scan corpus.
 func TestByteKernelsMatchStringKernels(t *testing.T) {
 	var plain *Analyzer
 	terms := []string{"pizza", "internet", "café", "a1", "word", "kitten", "missing"}

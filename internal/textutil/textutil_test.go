@@ -143,7 +143,7 @@ func TestAddDocWithReportsRepeatedTerms(t *testing.T) {
 		{stem, "the fishing, the fished fish and pools pool", 3, []string{"fish", "pool"}},
 	} {
 		var rep []string
-		if got := NewVocabulary().AddDocWith(c.a, c.text, func(term string) { rep = append(rep, term) }); got != c.maxTF {
+		if _, got := NewVocabulary().AddDocWith(c.a, c.text, func(term string) { rep = append(rep, term) }); got != c.maxTF {
 			t.Errorf("AddDocWith(%q) = %d, want %d", c.text, got, c.maxTF)
 		}
 		if !reflect.DeepEqual(rep, c.rep) {
@@ -152,35 +152,44 @@ func TestAddDocWithReportsRepeatedTerms(t *testing.T) {
 	}
 }
 
+// synthRow is a synthetic row of the given number of distinct random
+// lower-case words of 3 to 9 letters, a quarter of them occurring two or
+// three times. With accents, every eighth word is capitalised and ends in
+// "é", so the row takes the tokenizer's rune path.
+func synthRow(rng *rand.Rand, distinct int, accents bool) string {
+	var sb strings.Builder
+	for i := 0; i < distinct; i++ {
+		w := make([]byte, 3+rng.Intn(7))
+		for j := range w {
+			w[j] = byte('a' + rng.Intn(26))
+		}
+		if accents && i%8 == 0 {
+			w[0] -= 'a' - 'A'
+			w = append(w, "é"...)
+		}
+		tf := 1
+		if i%4 == 0 {
+			tf += 1 + rng.Intn(2)
+		}
+		for ; tf > 0; tf-- {
+			sb.Write(w)
+			sb.WriteByte(' ')
+		}
+	}
+	return sb.String()
+}
+
 // BenchmarkAddDocWith times an add's vocabulary fold with its repeated-term
 // report, on a Hotels-length row (349 distinct words) and a
 // Restaurants-length one (14), a quarter of the words of each occurring two
 // or three times. It also reports the repeated terms per row.
 func BenchmarkAddDocWith(b *testing.B) {
 	rng := rand.New(rand.NewSource(38))
-	row := func(distinct int) string {
-		var sb strings.Builder
-		for i := 0; i < distinct; i++ {
-			w := make([]byte, 3+rng.Intn(7))
-			for j := range w {
-				w[j] = byte('a' + rng.Intn(26))
-			}
-			tf := 1
-			if i%4 == 0 {
-				tf += 1 + rng.Intn(2)
-			}
-			for ; tf > 0; tf-- {
-				sb.Write(w)
-				sb.WriteByte(' ')
-			}
-		}
-		return sb.String()
-	}
 	for _, c := range []struct {
 		name     string
 		distinct int
 	}{{"hotels", 349}, {"restaurants", 14}} {
-		text := row(c.distinct)
+		text := synthRow(rng, c.distinct, false)
 		b.Run(c.name, func(b *testing.B) {
 			v := NewVocabulary()
 			repeated := 0
@@ -194,6 +203,28 @@ func BenchmarkAddDocWith(b *testing.B) {
 	}
 }
 
+// BenchmarkTokenize times Tokenize, which builds a string per token, on a
+// Restaurants-length row (14 distinct words), a Hotels-length one (349) and
+// a Hotels-length row with an accented word in every eight, which takes the
+// walker's rune path.
+func BenchmarkTokenize(b *testing.B) {
+	rng := rand.New(rand.NewSource(48))
+	for _, c := range []struct {
+		name     string
+		distinct int
+		accents  bool
+	}{{"restaurants", 14, false}, {"hotels", 349, false}, {"nonascii", 349, true}} {
+		text := synthRow(rng, c.distinct, c.accents)
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkInt(len(Tokenize(text)))
+			}
+		})
+	}
+}
+
 // avgUniqueWords is the mean number of distinct words per document: each
 // document adds one to the frequency of each of its distinct words.
 func avgUniqueWords(v *Vocabulary) float64 {
@@ -202,7 +233,7 @@ func avgUniqueWords(v *Vocabulary) float64 {
 	}
 	sum := 0
 	for _, df := range v.docFreq {
-		sum += df
+		sum += int(df)
 	}
 	return float64(sum) / float64(v.numDocs)
 }

@@ -53,7 +53,9 @@
 #           in rows indexed per fill (skql.BenchmarkSidecarFill),
 #           of an add's vocabulary fold with its repeated-term report
 #           (textutil.BenchmarkAddDocWith, Hotels- and Restaurants-length
-#           rows), of a device's run read and
+#           rows), of the tokenizer (textutil.BenchmarkTokenize,
+#           Restaurants-length, Hotels-length and non-ASCII rows), of a
+#           device's run read and
 #           the charge a current cached node pays instead
 #           (storage.Disk ReadRunInto and ChargeRun, in memory and on a
 #           file, 1- and 3-block runs), of a cold node load's parse and signature-column build
@@ -64,10 +66,13 @@
 #           both in ns/node), of a durable
 #           engine's first load — Adds then Save, reported in objects/s
 #           (BenchmarkDurableLoad, root package) — and of a 4-shard one's
-#           (BenchmarkShardedLoad, internal/shard), of an Add and its Flush
+#           (BenchmarkShardedLoad, internal/shard), of a restart: reopening
+#           a saved Hotels(0.02) engine with 189-byte signatures, in rows/s
+#           (BenchmarkOpenEngine, root package), of an Add and its Flush
 #           into a packed engine, with the object-file blocks each reads
-#           (BenchmarkAddAfterPack, root package: the new row's read-back
-#           only, since sized signature levels read no other row), of a warm
+#           (BenchmarkAddAfterPack, root package: none, since the flush
+#           indexes the add's words and sized signature levels read no
+#           other row), of a warm
 #           distance-first top-k and a warm general ranked top-k on a
 #           reopened durable engine (BenchmarkDurableTopK and
 #           BenchmarkDurableRanked, root package, the latter also in objects
@@ -182,11 +187,11 @@ run_bench() {
 
 run_micro() {
 	step micro
-	go test -run '^$' -bench 'CountTermsBytes|ContainsTerms|AddDocWith|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
+	go test -run '^$' -bench 'CountTermsBytes|ContainsTerms|AddDocWith|Tokenize|GetFiltered' -benchmem ./internal/textutil ./internal/objstore
 	go test -run '^$' -bench 'ResidualFilter|IIOTop|SidecarFill' -benchmem ./internal/skql
 	go test -run '^$' -bench '^BenchmarkDisk(ReadRunInto|ChargeRun)$' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
-	go test -run '^$' -bench 'DurableLoad|AddAfterPack|DurableTopK|DurableRanked|^BenchmarkWithinArea$' -benchmem .
+	go test -run '^$' -bench 'DurableLoad|OpenEngine|AddAfterPack|DurableTopK|DurableRanked|^BenchmarkWithinArea$' -benchmem .
 	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$|^BenchmarkWithinArea$' -benchmem ./internal/shard
 }
 

@@ -43,7 +43,11 @@ func buildArm(t *testing.T, e *Engine, arm sizingArm) (*core.IR2Tree, *storage.D
 	}
 	pack := min(arm.pack, len(objs))
 	if arm.sized {
-		err = x.InsertBatch(objs[:pack], ptrs[:pack])
+		batch := make([]core.Entry, pack)
+		for i, obj := range objs[:pack] {
+			batch[i] = core.Entry{Ptr: ptrs[i], Point: obj.Point, Words: e.an.Unique(obj.Text)}
+		}
+		err = x.InsertBatch(batch)
 	} else {
 		leaf := e.coreOptions().LeafSignature
 		entries := make([]rtree.BulkEntry, pack)
@@ -186,11 +190,11 @@ func TestPackSizesSignaturesFromData(t *testing.T) {
 
 // BenchmarkAddAfterPack times the write a served engine takes after its first
 // flush: one Add and its Flush into a packed Restaurants(0.03) engine, the
-// insert reaching the tree through core.IR2Tree.Insert. Beside µs/op it
-// reports the object-file blocks the add reads (objblocks-read/op): the
-// flush reads the new row back once (1 block, 2 for a row that straddles
-// one), and nothing else, since a sized level superimposes the new row's
-// words instead of re-reading the rows under it.
+// insert reaching the tree through core.IR2Tree.InsertBatch. Beside µs/op it
+// reports the object-file blocks the add reads (objblocks-read/op): none.
+// The flush indexes the words the add found, so it reads no row back, and a
+// sized level superimposes the new row's words instead of re-reading the
+// rows under it.
 func BenchmarkAddAfterPack(b *testing.B) {
 	rows, _ := packRows(b, dataset.Restaurants(0.03))
 	e, err := NewEngine(Config{SignatureBytes: 64})

@@ -254,7 +254,12 @@ type Engine struct {
 	idxFile *storage.Disk
 	gen     uint64
 
-	pending []uint64 // object IDs appended but not yet indexed
+	// pending is the rows appended but not yet indexed, in ID order, and
+	// pendingTerms their distinct words as vocabulary term IDs, row after
+	// row: everything a flush indexes, so it reads no row back.
+	pending      []pendingAdd
+	pendingTerms []uint32
+
 	deleted map[uint64]bool
 	live    int
 
@@ -282,6 +287,15 @@ type Engine struct {
 	// post-apply with the full object, on the leader write path and on
 	// replicated applies. internal/fence evaluates standing queries here.
 	mutObserver func(MutationEvent)
+}
+
+// pendingAdd is a row appended but not yet indexed: its ID, its point, and
+// the end of its term IDs in Engine.pendingTerms (they start where the
+// previous row's end).
+type pendingAdd struct {
+	id    uint64
+	point geo.Point
+	end   int
 }
 
 // engineShell builds an Engine with defaults applied but no devices or
@@ -530,26 +544,33 @@ func (e *Engine) apply(rec wal.Record, via route) error {
 }
 
 // applyAdd performs the insertion against the store and index structures.
+// The row is analyzed once, here: the pass that folds it into the
+// vocabulary also yields the words the flush indexes.
 func (e *Engine) applyAdd(point []float64, text string) error {
-	id, _, err := e.store.Append(geo.NewPoint(point...), text)
+	p := geo.NewPoint(point...)
+	id, _, err := e.store.Append(p, text)
 	if err != nil {
 		return err
 	}
-	e.addRowTF(id, text)
-	e.pending = append(e.pending, uint64(id))
+	e.pendingTerms = append(e.pendingTerms, e.addRowTF(id, text)...)
+	e.pending = append(e.pending, pendingAdd{id: uint64(id), point: p, end: len(e.pendingTerms)})
 	e.live++
 	return nil
 }
 
-// addRowTF folds row id's text into the vocabulary and records the row's
-// term-frequency summary. A row whose add failed after its append leaves a
-// gap of unknown summaries, so later IDs stay aligned.
-func (e *Engine) addRowTF(id objstore.ID, text string) {
+// addRowTF folds row id's text into the vocabulary, records the row's
+// term-frequency summary and returns the row's distinct term IDs (the
+// vocabulary's working space, valid until its next fold). A row whose add
+// failed after its append leaves a gap of unknown summaries, so later IDs
+// stay aligned.
+func (e *Engine) addRowTF(id objstore.ID, text string) []uint32 {
 	if n := int(id) + 1; n > len(e.rowTFs) {
 		e.rowTFs = append(e.rowTFs, make([]irscore.RowTF, n-len(e.rowTFs))...)
 	}
 	r := &e.rowTFs[id]
-	r.SetCap(e.vocab.AddDocWith(e.an, text, r.AddRepeated))
+	terms, maxTF := e.vocab.AddDocWith(e.an, text, r.AddRepeated)
+	r.SetCap(maxTF)
+	return terms
 }
 
 // Flush durably writes buffered objects and indexes them. Queries call it
@@ -579,19 +600,21 @@ func (e *Engine) flushLocked() error {
 	if err := e.store.Sync(); err != nil {
 		return err
 	}
-	objs := make([]objstore.Object, len(e.pending))
-	ptrs := make([]objstore.Ptr, len(e.pending))
-	for i, id := range e.pending {
-		obj, err := e.store.GetByID(objstore.ID(id))
-		if err != nil {
-			return err
-		}
-		objs[i], ptrs[i] = obj, e.store.Ptrs()[id]
+	words := make([]string, len(e.pendingTerms))
+	for i, t := range e.pendingTerms {
+		words[i] = e.vocab.Word(t)
 	}
-	if err := e.tree.InsertBatch(objs, ptrs); err != nil {
+	batch := make([]core.Entry, len(e.pending))
+	start := 0
+	for i, p := range e.pending {
+		batch[i] = core.Entry{Ptr: e.store.Ptrs()[p.id], Point: p.point, Words: words[start:p.end:p.end]}
+		start = p.end
+	}
+	if err := e.tree.InsertBatch(batch); err != nil {
 		return err
 	}
-	e.pending = e.pending[:0]
+	// Let the buffers go: a load's first flush can hold megabytes of terms.
+	e.pending, e.pendingTerms = nil, nil
 	return nil
 }
 
@@ -601,7 +624,7 @@ func (e *Engine) Get(id uint64) (Object, error) {
 	// Only flush when the requested row could still be in the unflushed
 	// buffer. Pending IDs are ascending, so anything below the first pending
 	// ID is already synced and readable — a Get on it must not pay write I/O.
-	for len(e.pending) > 0 && id >= e.pending[0] && id < uint64(e.store.NumObjects()) {
+	for len(e.pending) > 0 && id >= e.pending[0].id && id < uint64(e.store.NumObjects()) {
 		e.mu.RUnlock()
 		if err := e.Flush(); err != nil {
 			return Object{}, err
