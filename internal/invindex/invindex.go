@@ -22,8 +22,10 @@
 package invindex
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -375,36 +377,109 @@ func (ix *Index) SizeMB() float64 { return float64(ix.SizeBytes()) / 1e6 }
 func (ix *Index) Postings(word string) ([]uint64, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.postings(word)
-}
-
-// postings is Postings with ix.mu held.
-func (ix *Index) postings(word string) ([]uint64, error) {
 	if !ix.built {
 		return nil, fmt.Errorf("invindex: Postings before Build")
 	}
-	tail := ix.tail[word]
+	var s scratch
+	l, err := ix.readList(&s, word)
+	if err != nil || l.size() == 0 {
+		return nil, err
+	}
+	// A fresh slice: the caller owns its result, the tail keeps growing.
+	return s.decode(make([]uint64, 0, l.size()), l)
+}
+
+// list is one word's posting list as Intersect holds it: its encoded
+// on-device postings at raw[start:end] of a scratch, then its tail.
+type list struct {
+	word       string
+	start, end int
+	count      uint32
+	tail       []uint64
+}
+
+// size is the list's number of postings.
+func (l list) size() int { return int(l.count) + len(l.tail) }
+
+// scratch is the memory one read of posting lists works in: the blocks of
+// every list read back to back, and the running intersection. Intersect
+// takes one from scratchPool, so a warm intersection allocates nothing but
+// its result.
+type scratch struct {
+	raw   []byte
+	lists []list
+	refs  []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// readList reads the blocks of word's on-device list onto s.raw, with one
+// ReadRunInto (the device charges exactly what a ReadRun would), and
+// returns where the list sits there, with its tail. A word with no
+// on-device list reads nothing. ix.mu must be held.
+func (ix *Index) readList(s *scratch, word string) (list, error) {
+	l := list{word: word, tail: ix.tail[word]}
 	r, ok := ix.base.dict[word]
 	if !ok || r.count == 0 {
-		if len(tail) == 0 {
-			return nil, nil
-		}
-		// A copy: the caller owns its result, the tail keeps growing.
-		return append([]uint64(nil), tail...), nil
+		return l, nil
 	}
 	bs := uint64(ix.dev.BlockSize())
 	firstIdx := r.offset / bs
 	lastIdx := (r.offset + uint64(r.length) - 1) / bs
 	nblocks := int(lastIdx-firstIdx) + 1
-	buf, err := ix.dev.ReadRun(ix.base.firstBlock+storage.BlockID(firstIdx), nblocks)
-	if err != nil {
-		return nil, fmt.Errorf("invindex: read postings for %q: %w", word, err)
+	at := len(s.raw)
+	s.raw = slices.Grow(s.raw, nblocks*int(bs))[:at+nblocks*int(bs)]
+	if err := ix.dev.ReadRunInto(ix.base.firstBlock+storage.BlockID(firstIdx), nblocks, s.raw[at:]); err != nil {
+		return l, fmt.Errorf("invindex: read postings for %q: %w", word, err)
 	}
-	refs, good := decodeList(make([]uint64, 0, int(r.count)+len(tail)), buf[r.offset-firstIdx*bs:], r.count)
+	l.start = at + int(r.offset-firstIdx*bs)
+	l.end = l.start + int(r.length)
+	l.count = r.count
+	return l, nil
+}
+
+// decode appends l's postings, on-device then tail, to dst.
+func (s *scratch) decode(dst []uint64, l list) ([]uint64, error) {
+	dst, good := decodeList(dst, s.raw[l.start:l.end], l.count)
 	if !good {
-		return nil, fmt.Errorf("invindex: corrupt posting list for %q", word)
+		return dst, fmt.Errorf("invindex: corrupt posting list for %q", l.word)
 	}
-	return append(refs, tail...), nil
+	return append(dst, l.tail...), nil
+}
+
+// keep intersects s.refs with l in place: it decodes l's on-device
+// postings one at a time, only as far as the last of s.refs, keeps the refs
+// it meets, and merges the ones past the list's end with its tail.
+func (s *scratch) keep(l list) error {
+	refs, data := s.refs, s.raw[l.start:l.end]
+	out, i, pos := refs[:0], 0, 0
+	var prev uint64
+	for left := l.count; left > 0 && i < len(refs); left-- {
+		// The list's deltas are mostly one byte: decode those inline.
+		if pos < len(data) && data[pos] < 0x80 {
+			prev += uint64(data[pos])
+			pos++
+		} else {
+			delta, n := binary.Uvarint(data[pos:])
+			if n <= 0 {
+				return fmt.Errorf("invindex: corrupt posting list for %q", l.word)
+			}
+			prev += delta
+			pos += n
+		}
+		if prev < refs[i] {
+			continue
+		}
+		for i < len(refs) && refs[i] < prev {
+			i++
+		}
+		if i < len(refs) && refs[i] == prev {
+			out = append(out, prev)
+			i++
+		}
+	}
+	s.refs = intersectSorted(out, refs[i:], l.tail)
+	return nil
 }
 
 // Intersect reads the posting lists of every word and returns their
@@ -413,37 +488,56 @@ func (ix *Index) postings(word string) ([]uint64, error) {
 // short-circuits to an empty result after reading the lists of the words
 // before it, matching the algorithm's left-to-right evaluation. All lists
 // are read under one lock, so the result reflects whole documents only.
+// The result is the caller's: it shares no memory with the index.
 func (ix *Index) Intersect(words []string) ([]uint64, error) {
+	return ix.AppendIntersect(nil, words)
+}
+
+// AppendIntersect is Intersect appending its result to dst. The lists are
+// read into pooled scratch, the shortest is decoded there and every other
+// one intersected into it in place as it is decoded, so a caller that
+// reuses dst makes a warm intersection allocate nothing.
+func (ix *Index) AppendIntersect(dst []uint64, words []string) ([]uint64, error) {
 	if len(words) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	lists := make([][]uint64, 0, len(words))
+	if !ix.built {
+		return dst, fmt.Errorf("invindex: Intersect before Build")
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.raw, s.lists = s.raw[:0], s.lists[:0]
 	for _, w := range words {
-		l, err := ix.postings(w)
+		l, err := ix.readList(s, w)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		if len(l) == 0 {
-			return nil, nil
+		if l.size() == 0 {
+			return dst, nil
 		}
-		lists = append(lists, l)
+		s.lists = append(s.lists, l)
 	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	out := lists[0]
-	for _, l := range lists[1:] {
-		out = intersectSorted(out, l)
-		if len(out) == 0 {
-			return nil, nil
+	slices.SortFunc(s.lists, func(a, b list) int { return cmp.Compare(a.size(), b.size()) })
+	var err error
+	if s.refs, err = s.decode(s.refs[:0], s.lists[0]); err != nil {
+		return dst, err
+	}
+	for _, l := range s.lists[1:] {
+		if err := s.keep(l); err != nil {
+			return dst, err
+		}
+		if len(s.refs) == 0 {
+			return dst, nil
 		}
 	}
-	return out, nil
+	return append(dst, s.refs...), nil
 }
 
-// intersectSorted merges two sorted lists, keeping common elements.
-func intersectSorted(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, min(len(a), len(b)))
+// intersectSorted appends the elements common to the sorted lists a and b
+// to dst. dst may be a[:0]: it never overtakes the element of a being read.
+func intersectSorted(dst, a, b []uint64) []uint64 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -452,17 +546,10 @@ func intersectSorted(a, b []uint64) []uint64 {
 		case a[i] > b[j]:
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -297,10 +298,139 @@ func TestIntersectSortedRandomized(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := randSortedSet(rng, 50)
 		b := randSortedSet(rng, 50)
-		got := intersectSorted(a, b)
 		want := bruteIntersect(a, b)
-		if !reflect.DeepEqual(got, want) {
+		if got := intersectSorted(nil, a, b); !slices.Equal(got, want) {
 			t.Fatalf("intersectSorted(%v, %v) = %v, want %v", a, b, got, want)
+		}
+		// In place, as Intersect runs it: the result overwrites a's prefix.
+		if inPlace := intersectSorted(a[:0], a, b); !slices.Equal(inPlace, want) {
+			t.Fatalf("intersectSorted in place on (%v, %v) = %v, want %v", a, b, inPlace, want)
+		}
+	}
+}
+
+// TestIntersectResultsDoNotAlias: Intersect works in pooled scratch, but
+// what it returns is the caller's. A later Intersect — on other words, on a
+// list with a tail, or after the caller wrote to an earlier result — never
+// changes a result already returned, and AppendIntersect keeps dst's prefix.
+func TestIntersectResultsDoNotAlias(t *testing.T) {
+	ix := New(storage.NewDisk(256))
+	for i := 0; i < 3000; i++ {
+		ix.Add(uint64(i), []string{"all", fmt.Sprintf("m%d", i%7), fmt.Sprintf("n%d", i%11)})
+	}
+	if err := ix.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 3000; i < 3100; i++ {
+		if err := ix.Append(uint64(i), []string{"all", fmt.Sprintf("m%d", i%7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(pred func(i int) bool) []uint64 {
+		var out []uint64
+		for i := 0; i < 3100; i++ {
+			if pred(i) {
+				out = append(out, uint64(i))
+			}
+		}
+		return out
+	}
+	first, err := ix.Intersect([]string{"all", "m3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstWant := want(func(i int) bool { return i%7 == 3 })
+	if !slices.Equal(first, firstWant) {
+		t.Fatalf("Intersect(all, m3) has %d refs, want %d", len(first), len(firstWant))
+	}
+	second, err := ix.Intersect([]string{"n5", "all", "m1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := want(func(i int) bool { return i < 3000 && i%11 == 5 && i%7 == 1 }); !slices.Equal(second, w) {
+		t.Fatalf("Intersect(n5, all, m1) = %v, want %v", second, w)
+	}
+	if !slices.Equal(first, firstWant) {
+		t.Fatal("a second Intersect changed the first one's result")
+	}
+	for i := range second {
+		second[i] = 1 << 60
+	}
+	again, err := ix.Intersect([]string{"all", "m3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(again, firstWant) || !slices.Equal(first, firstWant) {
+		t.Fatal("writing to a returned result changed what Intersect returns")
+	}
+	dst := []uint64{7, 8}
+	got, err := ix.AppendIntersect(dst, []string{"m3", "all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got[:2], []uint64{7, 8}) || !slices.Equal(got[2:], firstWant) {
+		t.Fatalf("AppendIntersect onto [7 8] = %v..., want [7 8] then Intersect's refs", got[:min(len(got), 4)])
+	}
+}
+
+// TestIntersectMatchesBruteForce: lists with one-byte and multi-byte
+// deltas, of very different lengths, with and without a tail, intersect to
+// exactly the documents that hold every word.
+func TestIntersectMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	vocab := []string{"a", "b", "c", "d"}
+	// Word i lands in a document with probability odds[i].
+	odds := []float64{0.9, 0.3, 0.05, 0.5}
+	for trial := 0; trial < 20; trial++ {
+		ix := New(storage.NewDisk(128))
+		docs := map[uint64]map[string]bool{}
+		ref := uint64(0)
+		post := func(built bool) {
+			ref += 1 + uint64(rng.Intn(3))
+			if rng.Intn(4) == 0 {
+				ref += uint64(rng.Intn(1 << 20)) // a multi-byte delta
+			}
+			var words []string
+			set := map[string]bool{}
+			for i, w := range vocab {
+				if rng.Float64() < odds[i] {
+					words = append(words, w)
+					set[w] = true
+				}
+			}
+			docs[ref] = set
+			if built {
+				if err := ix.Append(ref, words); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ix.Add(ref, words)
+			}
+		}
+		for i := 0; i < 500; i++ {
+			post(false)
+		}
+		if err := ix.Build(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < trial*5; i++ {
+			post(true)
+		}
+		for _, q := range [][]string{{"a", "b"}, {"c", "a"}, {"a", "d", "b"}, {"b", "c", "d", "a"}} {
+			got, err := ix.Intersect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []uint64
+			for r, set := range docs {
+				if !slices.ContainsFunc(q, func(w string) bool { return !set[w] }) {
+					want = append(want, r)
+				}
+			}
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: Intersect(%v) has %d refs, want %d", trial, q, len(got), len(want))
+			}
 		}
 	}
 }

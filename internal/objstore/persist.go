@@ -95,36 +95,46 @@ func Open(dev storage.Device, meta storage.BlockID) (*Store, error) {
 // rebuildDirectory reads the synced data blocks once, sequentially, and
 // re-derives the row pointers, object count, and block-span statistics by
 // scanning for row terminators (a zero byte marks sealed-block padding;
-// row text never contains NUL — see sanitize).
+// row text never contains NUL — see sanitize). The blocks stream through
+// one block of scratch; a row that spans blocks is carried over by its
+// start offset.
 func (s *Store) rebuildDirectory() error {
 	bs := s.dev.BlockSize()
-	data := make([]byte, 0, len(s.blocks)*bs)
-	for _, id := range s.blocks {
-		blk, err := s.dev.Read(id)
-		if err != nil {
+	limit := int(s.synced)
+	if stored := len(s.blocks) * bs; limit > stored {
+		return fmt.Errorf("%w: synced length %d exceeds %d stored bytes", ErrCorrupt, limit, stored)
+	}
+	blk := make([]byte, bs)
+	off, row := 0, -1 // row: the start of the row being scanned, or -1
+	for i, id := range s.blocks {
+		if err := s.dev.ReadRunInto(id, 1, blk); err != nil {
 			return fmt.Errorf("objstore: rebuild: %w", err)
 		}
-		data = append(data, blk...)
-	}
-	limit := int(s.synced)
-	if limit > len(data) {
-		return fmt.Errorf("%w: synced length %d exceeds %d stored bytes", ErrCorrupt, limit, len(data))
-	}
-	off := 0
-	for off < limit {
-		if data[off] == 0 {
-			// Sealed-block padding: the next row starts at a block boundary.
-			off = (off/bs + 1) * bs
-			continue
+		base := i * bs
+		end := min(base+bs, limit)
+		for off < end {
+			if row < 0 {
+				if blk[off-base] == 0 {
+					// Sealed-block padding: the next row starts at the next block.
+					off = base + bs
+					break
+				}
+				row = off
+			}
+			idx := bytes.IndexByte(blk[off-base:end-base], '\n')
+			if idx < 0 {
+				off = end
+				break
+			}
+			off += idx + 1
+			s.ptrs = append(s.ptrs, Ptr(row))
+			s.count++
+			s.blockSum += uint64(s.rowBlockSpan(Ptr(row), off-row))
+			row = -1
 		}
-		idx := bytes.IndexByte(data[off:limit], '\n')
-		if idx < 0 {
-			return fmt.Errorf("%w: unterminated row at %d during rebuild", ErrCorrupt, off)
-		}
-		s.ptrs = append(s.ptrs, Ptr(off))
-		s.count++
-		s.blockSum += uint64(s.rowBlockSpan(Ptr(off), idx+1))
-		off += idx + 1
+	}
+	if row >= 0 {
+		return fmt.Errorf("%w: unterminated row at %d during rebuild", ErrCorrupt, row)
 	}
 	return nil
 }

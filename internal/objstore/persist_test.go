@@ -2,7 +2,9 @@ package objstore
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,5 +169,39 @@ func TestNulInTextSanitizedForRebuild(t *testing.T) {
 	}
 	if obj.Text != "has nul" {
 		t.Errorf("text = %q", obj.Text)
+	}
+}
+
+// TestReopenRebuildsEveryRow: the rebuild streams the object file a block at
+// a time, so rows that span blocks, end on a block boundary or follow a
+// checkpoint's padding must all come back with the pointers, count and
+// block spans the writer had.
+func TestReopenRebuildsEveryRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	dev := storage.NewDisk(64)
+	s := New(dev)
+	var meta storage.BlockID
+	for i := 0; i < 400; i++ {
+		s.Append(geo.NewPoint(float64(i), 1), strings.Repeat("w", rng.Intn(150)))
+		if rng.Intn(25) == 0 {
+			var err error
+			if meta, err = s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	meta, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dev, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumObjects() != s.NumObjects() || !slices.Equal(r.Ptrs(), s.Ptrs()) {
+		t.Fatalf("reopened %d rows, want %d with the same pointers", r.NumObjects(), s.NumObjects())
+	}
+	if r.AvgBlocksPerObject() != s.AvgBlocksPerObject() {
+		t.Errorf("block spans: %g after reopen, %g written", r.AvgBlocksPerObject(), s.AvgBlocksPerObject())
 	}
 }

@@ -1,8 +1,9 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/storage"
@@ -113,6 +114,13 @@ func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 	}
 }
 
+// packKey is an entry's sort key in strPack: its center on one dimension
+// (doubled) and its position in the input.
+type packKey struct {
+	center float64
+	at     int
+}
+
 // strPack tiles entries into groups of at most MaxEntries each, recursing
 // across dimensions: sort by the center of the current dimension, cut into
 // slabs sized for the remaining dimensions, recurse; the last dimension
@@ -122,11 +130,25 @@ func (t *Tree) strPack(entries []entry, dim int) [][]entry {
 	if n <= t.maxE {
 		return [][]entry{entries}
 	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		ci := entries[i].rect.Lo[dim] + entries[i].rect.Hi[dim]
-		cj := entries[j].rect.Lo[dim] + entries[j].rect.Hi[dim]
-		return ci < cj
+	// A stable sort on the center, so packed trees do not depend on the
+	// sort's algorithm. It orders a 16-byte key per entry, ties in input
+	// order, and moves each entry once: a stable sort of the entries
+	// themselves moves them O(log n) times each.
+	keys := make([]packKey, n)
+	for i, e := range entries {
+		keys[i] = packKey{center: e.rect.Lo[dim] + e.rect.Hi[dim], at: i}
+	}
+	slices.SortFunc(keys, func(a, b packKey) int {
+		if r := cmp.Compare(a.center, b.center); r != 0 {
+			return r
+		}
+		return cmp.Compare(a.at, b.at)
 	})
+	sorted := make([]entry, n)
+	for i, k := range keys {
+		sorted[i] = entries[k.at]
+	}
+	copy(entries, sorted)
 	if dim == geo.Dims-1 {
 		return t.chunk(entries)
 	}

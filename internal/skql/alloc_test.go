@@ -18,3 +18,23 @@ func TestResidualFilterAllocFree(t *testing.T) {
 		t.Errorf("residual filter allocates %.1f objects per candidate, want 0", allocs)
 	}
 }
+
+// iioTopAllocs is what a warm forced-IIO TOP 10 on 4 shards allocates
+// (iioTopCatalog's statement): the plan, the meters, the result and its
+// ten rows. The sidecar's posting lists, the candidates and their heap
+// live in pooled scratch and add nothing.
+const iioTopAllocs = 75
+
+// TestIIOTopAllocs gates a warm forced-IIO TOP: it may allocate no more
+// than iioTopAllocs objects per statement. Skipped under -race.
+func TestIIOTopAllocs(t *testing.T) {
+	c, q := iioTopCatalog(t)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := c.Run(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > iioTopAllocs {
+		t.Errorf("a warm IIO TOP 10 allocates %.1f objects, want at most %d", allocs, iioTopAllocs)
+	}
+}

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/dataset"
+	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/shard"
+	"spatialkeyword/internal/storage"
 )
 
 var benchRows int
@@ -108,29 +111,76 @@ func BenchmarkResidualFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkIIOTop times a forced-IIO TOP 10 NEAR over a conjunction with
-// about a hundred candidates on a 4-shard target, and reports the rows it
-// reads per statement beside ns/op and allocs/op.
-func BenchmarkIIOTop(b *testing.B) {
+// iioTopCatalog returns a catalog over a 4-shard target of 1,000 generated
+// rows and a forced-IIO TOP 10 NEAR whose conjunction ("base" AND "mid0")
+// has about a hundred candidates, run once so the sidecar index is filled.
+func iioTopCatalog(tb testing.TB) (*Catalog, *Query) {
 	s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer s.Close() //nolint:errcheck // benchmark teardown
-	fillTarget(b, s.Add, rand.New(rand.NewSource(5)), 1000)
-	c := NewCatalog(s)
-	q, err := Parse(`SELECT TOP 10 NEAR (50, 50) MATCH "base" AND "mid0" USING iio`)
+	tb.Cleanup(func() { s.Close() }) //nolint:errcheck // teardown
+	fillTarget(tb, s.Add, rand.New(rand.NewSource(5)), 1000)
+	return warmIIOTop(tb, NewCatalog(s), `SELECT TOP 10 NEAR (50, 50) MATCH "base" AND "mid0" USING iio`, 50)
+}
+
+// warmIIOTop parses src, runs it once on c and checks that its one
+// operator has at least minCands candidates.
+func warmIIOTop(tb testing.TB, c *Catalog, src string, minCands int) (*Catalog, *Query) {
+	q, err := Parse(src)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rs, err := c.Run(q)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if cands := rs.Actuals[0].Candidates; cands < 50 {
-		b.Fatalf("the conjunction has %d candidates, want at least 50", cands)
+	if cands := rs.Actuals[0].Candidates; cands < minCands {
+		tb.Fatalf("%s has %d candidates, want at least %d", src, cands, minCands)
 	}
-	rows := 0
+	return c, q
+}
+
+// BenchmarkIIOTop times a forced-IIO TOP 10 NEAR on a 4-shard target, and
+// reports the candidates and the rows read per statement beside ns/op and
+// allocs/op. The generated arm's conjunction has about a hundred
+// candidates among 1,000 rows. The frequent arm is skql_sharded's
+// conjunctive TOP: on Restaurants(0.02) (9,125 rows), a word from the top
+// 2 % of document frequencies AND one from the next band.
+func BenchmarkIIOTop(b *testing.B) {
+	b.Run("generated", func(b *testing.B) {
+		c, q := iioTopCatalog(b)
+		benchIIOTop(b, c, q)
+	})
+	b.Run("frequent", func(b *testing.B) {
+		store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
+		stats, err := dataset.Generate(dataset.Restaurants(0.02), store)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := shard.New(spatialkeyword.Config{}, shard.Options{Shards: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close() //nolint:errcheck // benchmark teardown
+		if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+			_, err := s.Add(o.Point, o.Text)
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
+		words := stats.WordsByFreq()
+		frequent, mid := words[len(words)/100], words[len(words)/10]
+		// The middle of the dataset's [0, 10000]² world.
+		c, q := warmIIOTop(b, NewCatalog(s), fmt.Sprintf(`SELECT TOP 10 NEAR (5000, 5000) MATCH %q AND %q USING iio`,
+			frequent, mid), 10)
+		benchIIOTop(b, c, q)
+	})
+}
+
+// benchIIOTop runs q on c b.N times.
+func benchIIOTop(b *testing.B, c *Catalog, q *Query) {
+	rows, cands := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -139,9 +189,11 @@ func BenchmarkIIOTop(b *testing.B) {
 			b.Fatal(err)
 		}
 		rows += rs.Actuals[0].ObjectsLoaded
+		cands += rs.Actuals[0].Candidates
 		benchRows += rs.Count
 	}
 	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	b.ReportMetric(float64(cands)/float64(b.N), "cands/op")
 }
 
 // BenchmarkSidecarFill times the first fill of a fresh catalog's sidecar

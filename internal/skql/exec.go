@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"slices"
-	"sort"
+	"sync"
 
 	"spatialkeyword"
 	"spatialkeyword/internal/geo"
@@ -127,33 +127,53 @@ func (c *Catalog) opMeter() func() (random, sequential uint64) {
 }
 
 // termFilter returns pred as a test of a row's text: one TermFreqsInto
-// counts terms, every term pred asks about, in the row (allocation-free on
-// the plain pipeline), and pred sees a term as present when its count is
-// positive. The counts are reused, so only one goroutine may call it.
+// counts terms in the row (allocation-free on the plain pipeline), and
+// pred sees a term as present when its count is positive. A term pred
+// asks about that terms does not hold reads as present: it is one the
+// caller has proven. The counts are reused, so only one goroutine may
+// call it.
 func termFilter(an *textutil.Analyzer, terms []string, pred func(has func(string) bool) bool) func(text string) bool {
 	counts := make([]int, len(terms))
-	has := func(t string) bool { return counts[slices.Index(terms, t)] > 0 }
+	has := func(t string) bool {
+		i := slices.Index(terms, t)
+		return i < 0 || counts[i] > 0
+	}
 	return func(text string) bool {
 		an.TermFreqsInto(counts, text, terms)
 		return pred(has)
 	}
 }
 
+// acceptAll is the residual predicate of an operator with nothing left to
+// test.
+func acceptAll(spatialkeyword.Object) bool { return true }
+
 // acceptFn builds the residual predicate for a boolean operator: the
 // term filters (Conj, Neg, Residual) plus the hard rectangle filter
 // when the projection confines results to the WITHIN rect (ALL/COUNT,
 // or TOP combining NEAR with WITHIN; TOP with WITHIN alone orders by
-// distance-to-rect and keeps outside objects, as SearchArea does).
+// distance-to-rect and keeps outside objects, as SearchArea does). An
+// IIO operator's Conj is proven by the posting-list intersection (the
+// sidecar indexes each row's terms through the analyzer the filter counts
+// with), so its filter counts only the other Neg and Residual terms, and
+// an operator with no such term and no rect accepts every row.
 func (c *Catalog) acceptFn(p *Plan, op *Operator) func(o spatialkeyword.Object) bool {
 	q := p.Query
 	needRect := q.Within != nil && (q.Near != nil || q.Proj == ProjAll || q.Proj == ProjCount)
+	terms := appendTerms(slices.Concat(op.Conj, op.Neg), op.Residual, false)
+	if op.Path == PathIIO {
+		terms = slices.DeleteFunc(terms, func(t string) bool { return slices.Contains(op.Conj, t) })
+	}
+	if len(terms) == 0 && !needRect {
+		return acceptAll
+	}
 	var rect geo.Rect
 	if needRect {
 		rect = geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
 	}
 	var matches func(text string) bool
-	if len(op.Conj) > 0 || len(op.Neg) > 0 || op.Residual != nil {
-		matches = termFilter(p.an, appendTerms(slices.Concat(op.Conj, op.Neg), op.Residual, false), op.requires)
+	if len(terms) > 0 {
+		matches = termFilter(p.an, terms, op.requires)
 	}
 	return func(o spatialkeyword.Object) bool {
 		if needRect && !rect.ContainsPoint(geo.NewPoint(o.Point...)) {
@@ -268,15 +288,74 @@ type iioCand struct {
 	read int
 }
 
+// before reports whether a comes first in a TOP's (distance, ID) order.
+func (a iioCand) before(b iioCand) bool {
+	if r := cmp.Compare(a.dist, b.dist); r != 0 {
+		return r < 0
+	}
+	return a.id < b.id
+}
+
+// candHeap is a binary min-heap of candidates in (distance, ID) order: a
+// TOP pays O(n) to build it and O(log n) per candidate it takes, instead
+// of sorting every candidate to read a prefix.
+type candHeap []iioCand
+
+// init orders h into a heap.
+func (h candHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts h[i] down to its place.
+func (h candHeap) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// pop removes and returns the first candidate; h must not be empty.
+func (h *candHeap) pop() iioCand {
+	old := *h
+	top, n := old[0], len(old)-1
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
+	return top
+}
+
+// iioScratch is the memory one IIO operator works in: its candidates' IDs
+// and their heap. iioPool keeps it across statements.
+type iioScratch struct {
+	ids   []uint64
+	cands []iioCand
+}
+
+var iioPool = sync.Pool{New: func() any { return new(iioScratch) }}
+
 // loadIIO executes an operator on the Inverted Index Only path, reading
 // only the rows that can make its answer. It intersects the sidecar posting
-// lists of the operator's conjunction, skips deleted IDs and, when the
-// projection is confined to the WITHIN rect, the candidates whose column
-// point lies outside it. A TOP operator then reads rows in (distance, ID)
-// order until op.K pass the residual filter, which are its answer; ALL and
-// COUNT read the survivors in ID order (WithinArea's contract: Dist 0). A
-// candidate the point column has no entry for is read up front, before the
-// ordering, as every candidate was before the column existed.
+// lists of the operator's conjunction and, when the projection is confined
+// to the WITHIN rect, drops the candidates whose column point lies outside
+// it. A TOP operator then takes candidates from a heap in (distance, ID)
+// order, skipping the deleted ones as they come up, and reads rows until
+// op.K pass the residual filter, which are its answer. ALL and COUNT skip
+// the deleted IDs among the rest and read the survivors in ID order
+// (WithinArea's contract: Dist 0). A live candidate the point column has no
+// entry for is read up front, before the ordering, as every candidate was
+// before the column existed.
 func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpActual, error) {
 	q := p.Query
 	var act OpActual
@@ -285,11 +364,12 @@ func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpAct
 		return nil, act, err
 	}
 	stop := c.opMeter()
-	ids, err := ix.Intersect(op.Conj)
-	if err != nil {
+	s := iioPool.Get().(*iioScratch)
+	defer iioPool.Put(s)
+	if s.ids, err = ix.AppendIntersect(s.ids[:0], op.Conj); err != nil {
 		return nil, act, err
 	}
-	act.Candidates = len(ids)
+	act.Candidates = len(s.ids)
 	accept := c.acceptFn(p, op)
 	read := func(id uint64) (spatialkeyword.Object, bool, error) {
 		o, err := c.t.Get(id)
@@ -307,20 +387,17 @@ func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpAct
 	if confined {
 		rect = geo.NewRect(geo.NewPoint(q.Within.Lo[:]...), geo.NewPoint(q.Within.Hi[:]...))
 	}
-	// live reports a candidate's column point, after dropping the deleted
-	// and the out-of-rect ones; has is false when the column has no entry.
-	live := func(id uint64) (pt geo.Point, has, keep bool) {
-		if c.t.IsDeleted(id) {
-			return nil, false, false
-		}
-		pt, has = pts.at(id)
-		return pt, has, !has || !confined || rect.ContainsPoint(pt)
-	}
+	// outside reports a column point outside the rect the projection is
+	// confined to.
+	outside := func(pt geo.Point) bool { return confined && !rect.ContainsPoint(pt) }
 
 	var out []spatialkeyword.Result
 	if q.Proj != ProjTop {
-		for _, id := range ids {
-			if _, _, keep := live(id); !keep {
+		for _, id := range s.ids {
+			if pt, has := pts.at(id); has && outside(pt) {
+				continue
+			}
+			if c.t.IsDeleted(id) {
 				continue
 			}
 			o, ok, err := read(id)
@@ -334,14 +411,15 @@ func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpAct
 	} else {
 		dist := topDist(q)
 		var ahead []spatialkeyword.Result
-		cands := make([]iioCand, 0, len(ids))
-		for _, id := range ids {
-			pt, has, keep := live(id)
-			if !keep {
+		cands := s.cands[:0]
+		for _, id := range s.ids {
+			if pt, has := pts.at(id); has {
+				if !outside(pt) {
+					cands = append(cands, iioCand{id: id, dist: dist(pt)})
+				}
 				continue
 			}
-			if has {
-				cands = append(cands, iioCand{id: id, dist: dist(pt)})
+			if c.t.IsDeleted(id) {
 				continue
 			}
 			o, ok, err := read(id)
@@ -355,19 +433,17 @@ func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpAct
 			ahead = append(ahead, spatialkeyword.Result{Object: o, Dist: d})
 			cands = append(cands, iioCand{id: id, dist: d, read: len(ahead)})
 		}
-		slices.SortFunc(cands, func(a, b iioCand) int {
-			if r := cmp.Compare(a.dist, b.dist); r != 0 {
-				return r
-			}
-			return cmp.Compare(a.id, b.id)
-		})
-		out = make([]spatialkeyword.Result, 0, min(op.K, len(cands)))
-		for _, cd := range cands {
-			if len(out) == op.K {
-				break
-			}
+		s.cands = cands[:0]
+		h := candHeap(cands)
+		h.init()
+		out = make([]spatialkeyword.Result, 0, min(op.K, len(h)))
+		for len(out) < op.K && len(h) > 0 {
+			cd := h.pop()
 			if cd.read > 0 {
 				out = append(out, ahead[cd.read-1])
+				continue
+			}
+			if c.t.IsDeleted(cd.id) {
 				continue
 			}
 			o, ok, err := read(cd.id)
@@ -384,15 +460,6 @@ func (c *Catalog) loadIIO(p *Plan, op *Operator) ([]spatialkeyword.Result, OpAct
 	return out, act, nil
 }
 
-func sortByDistance(rs []spatialkeyword.Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Dist != rs[j].Dist {
-			return rs[i].Dist < rs[j].Dist
-		}
-		return rs[i].Object.ID < rs[j].Object.ID
-	})
-}
-
 // mergeByDistance unions branch outputs: dedupe by object ID, order by
 // (distance, ID), keep k.
 func mergeByDistance(rs []spatialkeyword.Result, k int) []spatialkeyword.Result {
@@ -405,7 +472,12 @@ func mergeByDistance(rs []spatialkeyword.Result, k int) []spatialkeyword.Result 
 		seen[r.Object.ID] = true
 		out = append(out, r)
 	}
-	sortByDistance(out)
+	slices.SortFunc(out, func(a, b spatialkeyword.Result) int {
+		if r := cmp.Compare(a.Dist, b.Dist); r != 0 {
+			return r
+		}
+		return cmp.Compare(a.Object.ID, b.Object.ID)
+	})
 	if len(out) > k {
 		out = out[:k]
 	}

@@ -1,14 +1,18 @@
 package skql
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"spatialkeyword"
+	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/repl"
 	"spatialkeyword/internal/shard"
 )
@@ -45,6 +49,18 @@ func runIIOReads(t *testing.T, b indexBackend, seed int64) {
 	for i := 0; i < initial; i++ {
 		add(i)
 	}
+	// The order's edges at (20, 20): a row on the point itself, deleted
+	// after the index last changed, so the nearest candidate is a dead one;
+	// a row at 0.5; four at exactly 1, so a TOP 3 there cuts through a tie.
+	var edge []uint64
+	for _, pt := range [][]float64{{20, 20}, {20, 20.5}, {20, 21}, {20, 19}, {21, 20}, {19, 20}} {
+		id, err := b.add(pt, "base com0 tie")
+		if err != nil {
+			t.Fatalf("add %v: %v", pt, err)
+		}
+		edge = append(edge, id)
+	}
+	dead := edge[0]
 	if err := b.settle(); err != nil {
 		t.Fatalf("settle: %v", err)
 	}
@@ -67,8 +83,24 @@ func runIIOReads(t *testing.T, b indexBackend, seed int64) {
 	if err := c.EnsureIndex(); err != nil {
 		t.Fatal(err)
 	}
+	// A delete after the last catch-up: no fold has dropped the row from
+	// the posting lists, so it stays a candidate the executor must skip.
+	if err := b.del(dead); err != nil {
+		t.Fatalf("delete %d: %v", dead, err)
+	}
+	if err := b.settle(); err != nil {
+		t.Fatalf("settle: %v", err)
+	}
+	if err := c.EnsureIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if c.IndexStats().Refreshes != 2 {
+		t.Fatalf("the index refreshed %d times, want 2: the delete must not reach it", c.IndexStats().Refreshes)
+	}
 
-	run := func(src string) (*ResultSet, *Query) {
+	// runOps runs src, which must plan ops operators that together report
+	// the rows read.
+	runOps := func(src string, ops int) (*ResultSet, *Query) {
 		t.Helper()
 		q, err := Parse(src)
 		if err != nil {
@@ -79,10 +111,18 @@ func runIIOReads(t *testing.T, b indexBackend, seed int64) {
 		if err != nil {
 			t.Fatalf("Run(%q): %v", src, err)
 		}
-		if len(rs.Actuals) != 1 || rs.Actuals[0].ObjectsLoaded != len(log.ids) {
-			t.Fatalf("%s: actuals %+v, want one operator reporting the %d rows read", src, rs.Actuals, len(log.ids))
+		loaded := 0
+		for _, a := range rs.Actuals {
+			loaded += a.ObjectsLoaded
+		}
+		if len(rs.Actuals) != ops || loaded != len(log.ids) {
+			t.Fatalf("%s: actuals %+v, want %d operators reporting the %d rows read", src, rs.Actuals, ops, len(log.ids))
 		}
 		return rs, q
+	}
+	run := func(src string) (*ResultSet, *Query) {
+		t.Helper()
+		return runOps(src, 1)
 	}
 	rowIDs := func(rows []oracleRow) []uint64 {
 		out := make([]uint64, len(rows))
@@ -136,6 +176,108 @@ func runIIOReads(t *testing.T, b indexBackend, seed int64) {
 			t.Errorf("q%d COUNT: %d candidates, %d read; the rect should have dropped some", qi, rs.Actuals[0].Candidates, len(log.ids))
 		}
 	}
+
+	// The edges: the deleted nearest row is never read, the tie at the 3rd
+	// row goes to the smallest IDs, a DNF branch tests its NOT on the rows
+	// it reads, and a candidate without a column entry is read ahead of the
+	// ordering, unless it is deleted.
+	all, err := Parse(`SELECT TOP 1000 NEAR (20, 20) MATCH "base" AND "com0"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := oracleRows(t, c, all)
+	if len(order) < 4 || order[2].dist != order[3].dist {
+		t.Fatalf("no tie straddles the 3rd of %d candidates at (20, 20)", len(order))
+	}
+	noEntry := map[uint64]bool{}
+	edges := []struct {
+		src string
+		ops int
+	}{
+		{`SELECT TOP 3 NEAR (20, 20) MATCH "base" AND "com0" USING iio`, 1},
+		{`SELECT TOP 5 NEAR (20, 20) MATCH "mid0" OR ("base" AND "com0" AND NOT "com1") USING iio`, 2},
+	}
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			// Take the column entries of the dead row, of a tied row and of
+			// the farthest candidate away.
+			c.mu.Lock()
+			for _, id := range []uint64{dead, edge[4], order[len(order)-1].obj.ID} {
+				c.pts.xs[id*geo.Dims] = math.NaN()
+				noEntry[id] = true
+			}
+			c.mu.Unlock()
+		}
+		for _, e := range edges {
+			rs, q := runOps(e.src, e.ops)
+			checkResults(t, e.src, q, rs.Results, oracleRows(t, c, q))
+			if slices.Contains(log.ids, dead) {
+				t.Errorf("pass %d: %s read the deleted row %d", pass, e.src, dead)
+			}
+			if want := iioTopReads(t, c, q, noEntry); !slices.Equal(log.ids, want) {
+				t.Errorf("pass %d: %s read %v, want %v", pass, e.src, log.ids, want)
+			}
+		}
+		// A COUNT reads, in ID order, the live candidates in its rect and
+		// those whose point it cannot know.
+		rs, q := run(`SELECT COUNT WITHIN rect(15, 15, 25, 25) MATCH "base" AND "com0" USING iio`)
+		var reads []uint64
+		for _, r := range order {
+			if pt := r.obj.Point; noEntry[r.obj.ID] || pt[0] >= 15 && pt[0] <= 25 && pt[1] >= 15 && pt[1] <= 25 {
+				reads = append(reads, r.obj.ID)
+			}
+		}
+		slices.Sort(reads)
+		if want := oracleRows(t, c, q); rs.Count != len(want) || !slices.Equal(log.ids, reads) {
+			t.Errorf("pass %d: COUNT at (20, 20) = %d, read %v; want %d and %v", pass, rs.Count, log.ids, len(want), reads)
+		}
+	}
+}
+
+// iioTopReads models the rows a forced-IIO TOP reads, operator by operator:
+// first the live candidates of the operator's conjunction that have no
+// column entry, in ID order, then the others in (distance, ID) order until
+// op.K of them and of the rows read ahead pass its NOT terms.
+func iioTopReads(t *testing.T, c *Catalog, q *Query, noEntry map[uint64]bool) []uint64 {
+	t.Helper()
+	p, err := c.BuildPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := c.t.Corpus().Analyzer
+	var reads []uint64
+	for _, op := range p.Ops {
+		if op.Path != PathIIO || op.Residual != nil {
+			t.Fatalf("operator %+v: want an IIO branch with its predicate in Conj and Neg", op)
+		}
+		match := `"` + strings.Join(op.Conj, `" AND "`) + `"`
+		all, err := Parse(fmt.Sprintf(`SELECT TOP 100000 NEAR (%v, %v) MATCH %s`, q.Near[0], q.Near[1], match))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := oracleRows(t, c, all)
+		byID := slices.Clone(cands)
+		slices.SortFunc(byID, func(a, b oracleRow) int { return cmp.Compare(a.obj.ID, b.obj.ID) })
+		for _, r := range byID {
+			if noEntry[r.obj.ID] {
+				reads = append(reads, r.obj.ID)
+			}
+		}
+		accepted := 0
+		for _, r := range cands {
+			if accepted == op.K {
+				break
+			}
+			if !noEntry[r.obj.ID] {
+				reads = append(reads, r.obj.ID)
+			}
+			set := termSet(an.Unique(r.obj.Text))
+			if !slices.ContainsFunc(op.Neg, func(w string) bool { return set[w] }) {
+				accepted++
+			}
+		}
+	}
+	return reads
 }
 
 func TestIIOReadsEngine(t *testing.T) {

@@ -46,9 +46,11 @@
 #           entry (textutil BenchmarkContainsTerms, the range query's and
 #           the fences' filter, on the same rows), SKQL's per-candidate
 #           residual filter (skql.BenchmarkResidualFilter, a 15-word row)
-#           and a forced-IIO TOP 10 NEAR over a ~100-candidate conjunction
-#           on 4 shards, also in rows read per statement
-#           (skql.BenchmarkIIOTop), and the first fill of a fresh catalog's
+#           and a forced-IIO TOP 10 NEAR on 4 shards, also in candidates
+#           and rows read per statement (skql.BenchmarkIIOTop: generated,
+#           a ~100-candidate conjunction over 1,000 rows; frequent,
+#           skql_sharded's conjunctive TOP, a top-2 % word AND a mid word on
+#           Restaurants(0.02)), and the first fill of a fresh catalog's
 #           sidecar index over 4 shards of 5,000 rows, one Get per row, also
 #           in rows indexed per fill (skql.BenchmarkSidecarFill),
 #           of an add's vocabulary fold with its repeated-term report
