@@ -23,6 +23,22 @@ import (
 type diffModel struct {
 	rows    []spatialkeyword.Object
 	deleted map[uint64]bool
+	sets    []map[string]struct{} // each row's token set, filled by holds
+}
+
+// holds reports whether row o holds every keyword (textutil.ContainsAll on
+// its text, with the row's token set built once).
+func (m *diffModel) holds(o spatialkeyword.Object, kws []string) bool {
+	for len(m.sets) < len(m.rows) {
+		m.sets = append(m.sets, textutil.TokenSet(m.rows[len(m.sets)].Text))
+	}
+	var plain *textutil.Analyzer
+	for _, w := range kws {
+		if _, ok := m.sets[o.ID][plain.Keyword(w)]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *diffModel) dist(o spatialkeyword.Object, p []float64) float64 {
@@ -37,7 +53,7 @@ func (m *diffModel) dist(o spatialkeyword.Object, p []float64) float64 {
 func (m *diffModel) matches(kws []string) []spatialkeyword.Object {
 	var out []spatialkeyword.Object
 	for _, o := range m.rows {
-		if !m.deleted[o.ID] && textutil.ContainsAll(o.Text, kws) {
+		if !m.deleted[o.ID] && m.holds(o, kws) {
 			out = append(out, o)
 		}
 	}

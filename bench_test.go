@@ -12,6 +12,7 @@ package spatialkeyword_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -468,6 +469,59 @@ func savedBenchEngine(b *testing.B, spec dataset.Spec, sigBytes int) (dir string
 	}
 	words := stats.WordsByFreq()
 	return dir, points, words[:len(words)/50], words[len(words)/50 : len(words)/5]
+}
+
+// BenchmarkWritesBesideReads runs benchmarks/perf's mixed_rw_wal shape in
+// process on a saved-and-reopened Restaurants(0.03) engine with 64-byte
+// signatures: an op is one Add (a frequent word and 13 mid-band ones at a
+// row's point), eight warm two-keyword TopK searches, then the Delete of the
+// add from ten ops before, so the queued run never holds more than two rows.
+// Beside ns/op it reports, per search, the blocks read (blocks/search) and
+// the index device's writes (idxwrites/search: 0, since the adds wait in
+// the run the searches scan in memory and the deletes take them out of it).
+func BenchmarkWritesBesideReads(b *testing.B) {
+	eng, points, frequent, mid := durableBenchEngine(b, dataset.Restaurants(0.03), 64)
+	const searches = 8
+	search := func(i int) uint64 {
+		_, st, err := eng.TopKWithStats(10, points[i*7919%len(points)], frequent[i*7%len(frequent)], mid[i*13%len(mid)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st.BlocksRandom + st.BlocksSequential
+	}
+	for i := 0; i < 256; i++ { // warm the node cache
+		search(i)
+	}
+	var blocks uint64
+	var last uint64
+	have := false
+	idx := spatialkeyword.IndexIO(eng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		words := []string{frequent[i%len(frequent)]}
+		for j := 1; j < 14; j++ {
+			words = append(words, mid[(i*13+j*31)%len(mid)])
+		}
+		id, err := eng.Add(points[i*4099%len(points)], strings.Join(words, " "))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < searches; j++ {
+			blocks += search(i*searches + j)
+		}
+		if have {
+			if err := eng.Delete(last); err != nil {
+				b.Fatal(err)
+			}
+		}
+		last, have = id, true
+	}
+	b.StopTimer()
+	w := spatialkeyword.IndexIO(eng).Sub(idx)
+	n := float64(b.N * searches)
+	b.ReportMetric(float64(blocks)/n, "blocks/search")
+	b.ReportMetric(float64(w.RandomWrites+w.SequentialWrites)/n, "idxwrites/search")
 }
 
 // BenchmarkDurableRanked times the query skserve -dir answers on /ranked: a

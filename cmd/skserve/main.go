@@ -463,8 +463,9 @@ func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	// The engine indexes an add before acknowledging it, so the next query
-	// finds nothing pending and stays read-only.
+	// The add is acknowledged once applied: it waits in its shard's queued
+	// run, which queries search beside the tree, so a query after it
+	// indexes nothing.
 	id, err := s.eng.Add(req.Point, req.Text)
 	if err != nil {
 		httpError(w, statusFor(err), err)

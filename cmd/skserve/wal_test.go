@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"spatialkeyword"
 )
@@ -182,5 +183,94 @@ func TestNonWALServerHasNoWALSurface(t *testing.T) {
 	types, _ := scrapeProm(t, ts.URL)
 	if _, ok := types["sk_wal_appends_total"]; ok {
 		t.Fatal("non-WAL server registered WAL metrics")
+	}
+}
+
+// TestShutdownCheckpointIndexesQueuedRun: the graceful-shutdown checkpoint
+// of a -wal server whose shards hold queued adds — rows the tree has not
+// taken, which reads search in memory — indexes them and commits, so the
+// reopened server replays nothing and still answers every acknowledged row.
+// Before it, a POST /save packs a base the adds then queue beside, and a few
+// of the adds are deleted again, from the run. The checkpoint (Save, then
+// Close) must finish well inside the benchmark harness's 10 s wait for a
+// stopping server; the time it took is logged.
+func TestShutdownCheckpointIndexesQueuedRun(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			s, ts := newWALTestServer(t, dir, shards)
+			add := func(i int) uint64 {
+				t.Helper()
+				resp := post(t, ts.URL+"/objects", addRequest{
+					Point: []float64{float64(i % 90), float64(i % 180)},
+					Text:  fmt.Sprintf("hotel row%d internet pool", i),
+				})
+				if resp.StatusCode != http.StatusCreated {
+					t.Fatalf("add %d: status %d", i, resp.StatusCode)
+				}
+				return decode[map[string]uint64](t, resp)["id"]
+			}
+			var ids []uint64
+			for i := 0; i < 300; i++ {
+				ids = append(ids, add(i))
+			}
+			if resp := post(t, ts.URL+"/save", nil); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("save status %d", resp.StatusCode)
+			}
+			for i := 300; i < 340; i++ { // fewer than a leaf's worth per shard
+				ids = append(ids, add(i))
+			}
+			deleted := map[uint64]bool{}
+			for i := 310; i < 340; i += 5 {
+				id := ids[i]
+				req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/objects/%d", ts.URL, id), nil)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
+					t.Fatalf("delete %d: status %d", id, resp.StatusCode)
+				}
+				deleted[id] = true
+			}
+			ts.Close()
+			start := time.Now()
+			if err := s.checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			took := time.Since(start)
+			t.Logf("checkpoint (Save and Close) with queued rows took %v", took)
+			if took > 2*time.Second {
+				t.Errorf("checkpoint took %v, want well under 10 s", took)
+			}
+
+			s2, ts2 := newWALTestServer(t, dir, shards)
+			defer s2.eng.Close() //nolint:errcheck
+			if _, walState := healthzWAL(t, ts2); walState["replayed_records"].(float64) != 0 {
+				t.Fatalf("reopen after the checkpoint replayed %v records, want 0", walState["replayed_records"])
+			}
+			for i, id := range ids {
+				resp, err := http.Get(fmt.Sprintf("%s/objects/%d", ts2.URL, id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				want := http.StatusOK
+				if deleted[id] {
+					want = http.StatusGone
+				}
+				if resp.StatusCode != want {
+					t.Fatalf("row %d (id %d) after reopen: status %d, want %d", i, id, resp.StatusCode, want)
+				}
+			}
+			resp, err := http.Get(ts2.URL + "/search?lat=0&lon=0&k=400&q=internet,pool")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(decode[searchResponse](t, resp).Results); got != len(ids)-len(deleted) {
+				t.Fatalf("search after reopen found %d rows, want %d", got, len(ids)-len(deleted))
+			}
+		})
 	}
 }

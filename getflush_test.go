@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"spatialkeyword/internal/dataset"
+	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
 )
 
-// TestGetFlushedDoesNoWriteIO is the regression test for Get's flush
-// behavior: reading an object that is already flushed must not trigger a
-// flush — zero write I/O on either device — even while other objects are
-// pending. Only a Get that could hit the unflushed range may flush.
+// TestGetFlushedDoesNoWriteIO is the regression test for Get's write
+// behavior: reading an object the tree holds must not sync or index
+// anything — zero write I/O on either device — even while other objects are
+// queued. A Get on a queued row syncs the object store's open block and
+// indexes nothing: the index device takes no write and the row stays queued.
 func TestGetFlushedDoesNoWriteIO(t *testing.T) {
 	eng, err := NewEngine(Config{SignatureBytes: 16})
 	if err != nil {
@@ -24,7 +26,7 @@ func TestGetFlushedDoesNoWriteIO(t *testing.T) {
 	if err := eng.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Two pending objects that Get on a flushed ID must not disturb.
+	// Two queued objects that Get on a flushed ID must not disturb.
 	var pendingID uint64
 	for i := 0; i < 2; i++ {
 		id, err := eng.Add([]float64{10, float64(i)}, "pending poi")
@@ -34,6 +36,10 @@ func TestGetFlushedDoesNoWriteIO(t *testing.T) {
 		pendingID = id
 	}
 
+	writes := func(before storage.Stats, d storage.Device) uint64 {
+		st := d.Stats().Sub(before)
+		return st.RandomWrites + st.SequentialWrites
+	}
 	objBefore, idxBefore := eng.objDisk.Stats(), eng.idxDisk.Stats()
 	got, err := eng.Get(0)
 	if err != nil {
@@ -42,26 +48,26 @@ func TestGetFlushedDoesNoWriteIO(t *testing.T) {
 	if got.Text != "flushed poi" {
 		t.Fatalf("got %q", got.Text)
 	}
-	obj := eng.objDisk.Stats().Sub(objBefore)
-	idx := eng.idxDisk.Stats().Sub(idxBefore)
-	objW, idxW := obj.RandomWrites+obj.SequentialWrites, idx.RandomWrites+idx.SequentialWrites
-	if objW != 0 || idxW != 0 {
+	if objW, idxW := writes(objBefore, eng.objDisk), writes(idxBefore, eng.idxDisk); objW != 0 || idxW != 0 {
 		t.Fatalf("Get on a flushed id performed write I/O: %d object writes, %d index writes", objW, idxW)
 	}
-	if len(eng.pending) != 2 {
-		t.Fatalf("Get on a flushed id flushed the buffer: %d pending, want 2", len(eng.pending))
+	if len(eng.run.rows) != 2 {
+		t.Fatalf("Get on a flushed id indexed the run: %d queued, want 2", len(eng.run.rows))
 	}
 
-	// Get inside the pending range still flushes and succeeds.
+	// Get on a queued row syncs the store only.
 	got, err = eng.Get(pendingID)
 	if err != nil {
-		t.Fatalf("get pending id: %v", err)
+		t.Fatalf("get queued id: %v", err)
 	}
 	if got.Text != "pending poi" {
 		t.Fatalf("got %q", got.Text)
 	}
-	if len(eng.pending) != 0 {
-		t.Fatalf("Get on a pending id left %d pending", len(eng.pending))
+	if idxW := writes(idxBefore, eng.idxDisk); idxW != 0 {
+		t.Fatalf("Get on a queued id wrote %d index blocks, want 0", idxW)
+	}
+	if len(eng.run.rows) != 2 {
+		t.Fatalf("Get on a queued id left %d queued, want 2", len(eng.run.rows))
 	}
 }
 

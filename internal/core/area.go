@@ -18,6 +18,7 @@ func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	sigs := &levelSigs{x: x, kws: kws}
 	r := newResultIter(x, kws)
+	r.area = area
 	r.it = x.rt.Seek(&areaScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
 	return r
 }
@@ -55,6 +56,7 @@ func (x *IR2Tree) SearchWithin(area geo.Rect, keywords []string) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	sigs := &levelSigs{x: x, kws: kws}
 	r := newResultIter(x, kws)
+	r.area, r.within = area, true
 	r.it = x.rt.Seek(&withinScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
 	return r
 }

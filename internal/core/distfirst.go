@@ -44,6 +44,7 @@ func (x *IR2Tree) Search(p geo.Point, keywords []string) *ResultIter {
 	// traversal looks its level's up once per expanded node.
 	sigs := &levelSigs{x: x, kws: kws}
 	r := newResultIter(x, kws)
+	r.at = p
 	r.it = x.rt.NearestNeighbors(p, sigs.at)
 	return r
 }
@@ -97,6 +98,12 @@ type ResultIter struct {
 	sc       *queryScratch
 	accept   func(text []byte) bool
 	stats    SearchStats
+	// The query's geometry, which PushRun keys a queued row by: the point of
+	// a distance-first query, else the area, which a range query (within)
+	// also filters by.
+	at     geo.Point
+	area   geo.Rect
+	within bool
 }
 
 // Next returns the next object containing all query keywords, ordered by

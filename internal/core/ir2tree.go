@@ -27,6 +27,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -199,6 +200,25 @@ func (s *sigScheme) CoverAux(t rtree.NodeReader, n *rtree.Node, length int) ([]b
 		}
 	}
 	return sig, nil
+}
+
+// LiftObject implements rtree.ObjectLifter: an orphaned object entry is
+// lifted from its row's words, read by pointer the first time a sized level
+// asks. A row that cannot be read lifts to all ones.
+func (s *sigScheme) LiftObject(ref uint64) rtree.Lift {
+	var words []string
+	var err error
+	read := false
+	return func(length int) []byte {
+		if !read {
+			words, err = s.objectWords(ref)
+			read = true
+		}
+		if err != nil {
+			return bytes.Repeat([]byte{0xff}, length)
+		}
+		return sigfile.Config{LengthBytes: length, BitsPerWord: s.leaf.BitsPerWord}.DocSignature(words)
+	}
 }
 
 // remember seeds the bulk-build word cache with an object's words, so the

@@ -177,6 +177,10 @@ func (s *Store) Sync() error {
 	return nil
 }
 
+// Unsynced reports whether an appended row is not readable yet: the open
+// block holds bytes Sync has not written.
+func (s *Store) Unsynced() bool { return s.open+uint64(len(s.tail)) != s.synced }
+
 // seal closes a synced open block: the logical file is padded with zeros to
 // the next block boundary, where the next row starts. (Rows end in '\n' and
 // padding is zero bytes, so readers never confuse padding for data.)

@@ -793,6 +793,12 @@ func (f *Follower) Flush() error {
 	return r.Flush()
 }
 
+func (f *Follower) PrepareRead() error {
+	r, done := f.reader()
+	defer done()
+	return r.PrepareRead()
+}
+
 // resyncing is the reader of a follower whose replica is torn down: reads
 // that can fail do, with ErrResyncing; the rest answer for an empty engine.
 type resyncing struct{}
@@ -829,6 +835,7 @@ func (resyncing) NumObjects() int             { return 0 }
 func (resyncing) IsDeleted(uint64) bool       { return false }
 func (resyncing) Stats() spatialkeyword.Stats { return spatialkeyword.Stats{} }
 func (resyncing) Flush() error                { return ErrResyncing }
+func (resyncing) PrepareRead() error          { return ErrResyncing }
 
 func (resyncing) Corpus() spatialkeyword.CorpusStats {
 	return spatialkeyword.CorpusStats{DocFreq: func(string) int { return 0 }}

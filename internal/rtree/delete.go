@@ -151,8 +151,10 @@ func (t *Tree) condenseTree(path []pathStep) error {
 // orphaned node at level L describe subtrees rooted at level L-1 (objects
 // when L = 0) and must re-enter a node at level L. If the tree has shrunk
 // below that height, the subtree is dissolved: its objects are reinserted
-// individually. An orphan has no words to lift, so the sized ancestors it
-// lands under become all ones (see parentAux).
+// individually. An object entry is lifted into the sized ancestors it lands
+// under by the scheme, when it is an ObjectLifter; a subtree entry, or an
+// object of any other scheme, has no words to lift, so those ancestors
+// become all ones (see parentAux).
 func (t *Tree) reinsert(e entry, level int) error {
 	if t.root == storage.NilBlock {
 		if level == 0 {
@@ -171,7 +173,11 @@ func (t *Tree) reinsert(e entry, level int) error {
 	if level > 0 && rootLevel < level {
 		return t.dissolve(e)
 	}
-	return t.insertAtLevel(e, level, nil)
+	var lift Lift
+	if l, ok := t.scheme.(ObjectLifter); ok && level == 0 {
+		lift = l.LiftObject(e.ptr)
+	}
+	return t.insertAtLevel(e, level, lift)
 }
 
 // dissolve reinserts every object of the subtree referenced by e one by one

@@ -274,8 +274,9 @@ func (t *Tree) adjustTree(path []pathStep, split *Node, lift Lift) error {
 // sized level that is the scheme's NodeAux of n. At a sized level it is old,
 // the entry's payload before the change, with lift's superimposed: a
 // superset of the words under n as long as old was one for n's subtree
-// before the change. With no old payload (a new root) or no lift (an orphan
-// reinserted) it is all ones, the superset that needs no words.
+// before the change. With no old payload (a new root) or no lift (a
+// subtree orphan reinserted) it is all ones, the superset that needs no
+// words.
 func (t *Tree) parentAux(n *Node, old []byte, lift Lift) ([]byte, error) {
 	if !t.sized(n.level + 1) {
 		return t.nodeAux(n)

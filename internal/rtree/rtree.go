@@ -85,6 +85,14 @@ type LevelSizer interface {
 // Tree.Insert).
 type Lift func(length int) []byte
 
+// An ObjectLifter is an AuxScheme that can lift an object entry the tree
+// already holds: an orphan CondenseTree reinserts into a leaf (see
+// reinsert). The lift must return a payload at every length it is asked
+// for, all ones when it cannot find the object's words.
+type ObjectLifter interface {
+	LiftObject(ref uint64) Lift
+}
+
 // plainScheme is the zero-payload scheme of an ordinary R-Tree.
 type plainScheme struct{}
 

@@ -249,7 +249,7 @@ type TraversalStats struct {
 	// visited.
 	EntriesPruned int
 	// NodesEnqueued and ObjectsEnqueued count entries that passed the
-	// scorer and entered the queue (Push re-enqueues count as objects).
+	// scorer and entered the queue (pushed objects count as objects).
 	NodesEnqueued   int
 	ObjectsEnqueued int
 }
@@ -407,10 +407,11 @@ func (it *Iter) enqueueEntry(pn *PackedNode, i int, score float64) {
 	it.queue.push(qi)
 }
 
-// Push re-enqueues an object with a caller-computed score. The general IR²
+// Push enqueues an object with a caller-computed score. The general IR²
 // algorithm uses it to push a loaded candidate back with its exact f score
 // when the queue may still contain something better ("U.Enqueue(T, Score)
-// — to be considered later").
+// — to be considered later"), and a query pushes the rows its tree does not
+// hold yet at the scores their leaf entries would get (core's PushRun).
 func (it *Iter) Push(ref uint64, score float64) {
 	it.queue.push(queueItem{isObject: true, ref: ref, score: score, seq: it.seq})
 	it.seq++

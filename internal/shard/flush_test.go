@@ -287,9 +287,9 @@ func checkQuiescent(t *testing.T, s *ShardedEngine, cat *skql.Catalog, m *bruteM
 	}
 }
 
-// TestSKQLBesideOpenStreams: with nothing queued, Flush takes no exclusive
-// lock, so an SKQL statement — which flushes twice — completes while another
-// goroutine holds a stream open on every shard.
+// TestSKQLBesideOpenStreams: with nothing to do, PrepareRead takes no
+// exclusive lock, so an SKQL statement — which calls it twice — completes
+// while another goroutine holds a stream open on every shard.
 func TestSKQLBesideOpenStreams(t *testing.T) {
 	s, err := New(spatialkeyword.Config{SignatureBytes: 16}, Options{Shards: 3})
 	if err != nil {

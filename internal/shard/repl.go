@@ -86,9 +86,10 @@ func (s *ShardedEngine) ShardReplayRecords(i int) []wal.Record {
 }
 
 // ApplyReplicatedBatch applies one batch of records shipped from the
-// leader's shard-i stream, in order, then flushes and group-commits. The
-// shard's write lock is held across the whole batch so concurrent queries
-// never observe a half-applied batch (or race the flush).
+// leader's shard-i stream, in order, then group-commits. The adds join the
+// shard engine's queued run, which reads search, so a batch indexes nothing
+// unless it fills the run. The shard's write lock is held across the whole
+// batch so concurrent queries never observe a half-applied batch.
 //
 // Global-assignment bookkeeping mirrors crash recovery: an add's tag is the
 // leader's reserved global ID, assigned through place — gaps (other shards'
@@ -125,9 +126,6 @@ func (s *ShardedEngine) ApplyReplicatedBatch(shard int, recs []wal.Record) error
 		if add {
 			sh.globals = append(sh.globals, rec.Tag)
 		}
-	}
-	if err := sh.eng.Flush(); err != nil {
-		return fmt.Errorf("shard %d: %w", shard, err)
 	}
 	if err := sh.eng.SyncWAL(); err != nil {
 		return fmt.Errorf("shard %d: %w", shard, err)

@@ -314,11 +314,12 @@ func (s *ShardedEngine) NumShards() int { return len(s.shards) }
 
 // Add routes the object to its shard by location and returns its global ID.
 // The shard queues the add as a single Engine does: it is applied (and, with
-// a WAL, logged) when Add returns, and indexed at the shard's next read,
-// Flush, Delete or Save — so a load followed by Save packs each shard's tree
-// (core.IR2Tree.InsertBatch). A storage fault in that deferred indexing
-// surfaces there and takes the shard out of rotation. The global ID is
-// reserved first and handed to the shard as the record's tag: the
+// a WAL, logged) when Add returns, searched by every read from then on, and
+// indexed by the engine's run rule — into an empty tree at the next read,
+// when the run fills, at Save or on Flush — so a load followed by Save packs
+// each shard's tree (core.IR2Tree.InsertBatch). A storage fault in that
+// deferred work surfaces there and takes the shard out of rotation. The
+// global ID is reserved first and handed to the shard as the record's tag: the
 // engine-level mutation observer sees it while the add is applied, and with a
 // WAL it is logged, so crash recovery can rebuild the global→shard assignment
 // from the shards' logs alone. A storage fault in the add itself takes the
@@ -355,18 +356,30 @@ func (s *ShardedEngine) Add(point []float64, text string) (uint64, error) {
 	return gid, nil
 }
 
-// Flush indexes every open, healthy shard's queued adds now. It holds each
-// shard's read lock only, as a lane does while its engine flushes, and with
-// nothing queued no engine takes its exclusive lock — SKQL calls Flush twice
-// per statement. A shard whose flush hits a storage fault is taken out of
-// rotation, and the fan-outs after it report degraded results.
+// Flush indexes every open, healthy shard's queued adds now (see
+// eachHealthy).
 func (s *ShardedEngine) Flush() error {
+	return s.eachHealthy((*spatialkeyword.Engine).Flush)
+}
+
+// PrepareRead runs every open, healthy shard engine's PrepareRead (see
+// eachHealthy): SKQL calls it twice per statement, and with nothing to do
+// no engine takes its exclusive lock.
+func (s *ShardedEngine) PrepareRead() error {
+	return s.eachHealthy((*spatialkeyword.Engine).PrepareRead)
+}
+
+// eachHealthy runs f on every open, healthy shard's engine. It holds each
+// shard's read lock only, as a lane does while its engine reads. A shard
+// whose f hits a storage fault is taken out of rotation, and the fan-outs
+// after it report degraded results.
+func (s *ShardedEngine) eachHealthy(f func(*spatialkeyword.Engine) error) error {
 	for _, sh := range s.shards {
 		if sh.eng == nil || sh.unhealthy.Load() {
 			continue
 		}
 		sh.mu.RLock()
-		err := sh.eng.Flush()
+		err := f(sh.eng)
 		sh.mu.RUnlock()
 		if err != nil && !s.degrade(sh, err) {
 			return fmt.Errorf("shard %d: %w", sh.idx, err)
@@ -629,14 +642,22 @@ func (s *ShardedEngine) IsDeleted(gid uint64) bool {
 // counters, so per-query attribution is exact only when the engine
 // runs one query at a time.
 func (s *ShardedEngine) MeterIO() func() (random, sequential uint64) {
-	stop := s.MeterShardIO()
+	start := s.totalIO()
 	return func() (uint64, uint64) {
-		var total storage.Stats
-		for _, st := range stop() {
-			total = total.Add(st)
-		}
-		return total.Random(), total.Sequential()
+		io := s.totalIO().Sub(start)
+		return io.Random(), io.Sequential()
 	}
+}
+
+// totalIO sums every available shard's device counters.
+func (s *ShardedEngine) totalIO() storage.Stats {
+	var total storage.Stats
+	for _, sh := range s.shards {
+		if sh.eng != nil {
+			total = total.Add(sh.eng.IOStats())
+		}
+	}
+	return total
 }
 
 // Stats sums the per-shard engine statistics: object counts and disk
@@ -683,21 +704,26 @@ func (s *ShardedEngine) NodeCacheStats() spatialkeyword.NodeCacheStats {
 // harness uses this hook for that accounting. Attribution is exact only
 // while the engine runs one query at a time.
 func (s *ShardedEngine) MeterShardIO() func() []storage.Stats {
-	stops := make([]func() storage.Stats, len(s.shards))
-	for i, sh := range s.shards {
-		if sh.eng == nil {
-			stops[i] = func() storage.Stats { return storage.Stats{} }
-			continue
-		}
-		stops[i] = sh.eng.MeterIOStats()
-	}
+	start := s.shardIO()
 	return func() []storage.Stats {
-		out := make([]storage.Stats, len(stops))
-		for i, stop := range stops {
-			out[i] = stop()
+		out := s.shardIO()
+		for i := range out {
+			out[i] = out[i].Sub(start[i])
 		}
 		return out
 	}
+}
+
+// shardIO reads every shard's device counters, in shard order; an
+// unavailable shard reads zero.
+func (s *ShardedEngine) shardIO() []storage.Stats {
+	out := make([]storage.Stats, len(s.shards))
+	for i, sh := range s.shards {
+		if sh.eng != nil {
+			out[i] = sh.eng.IOStats()
+		}
+	}
+	return out
 }
 
 // ShardStats returns each shard's own engine statistics, in shard order.

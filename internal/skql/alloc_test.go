@@ -21,9 +21,10 @@ func TestResidualFilterAllocFree(t *testing.T) {
 
 // iioTopAllocs is what a warm forced-IIO TOP 10 on 4 shards allocates
 // (iioTopCatalog's statement): the plan, the meters, the result and its
-// ten rows. The sidecar's posting lists, the candidates and their heap
-// live in pooled scratch and add nothing.
-const iioTopAllocs = 75
+// ten rows — 64 measured. The sidecar's posting lists, the candidates and
+// their heap live in pooled scratch and add nothing, and a meter reads the
+// shards' device counters into one sum, with no closure per shard.
+const iioTopAllocs = 64
 
 // TestIIOTopAllocs gates a warm forced-IIO TOP: it may allocate no more
 // than iioTopAllocs objects per statement. Skipped under -race.

@@ -86,10 +86,10 @@ func (c *Catalog) RunPlan(p *Plan) (*ResultSet, error) {
 }
 
 func (c *Catalog) execute(p *Plan, rs *ResultSet) error {
-	// RunPlan may execute a plan built before new adds were buffered;
-	// flush outside the operator meters so deferred indexing I/O never
-	// inflates an operator's actual block counts.
-	if err := c.t.Flush(); err != nil {
+	// RunPlan may execute a plan built before new adds were queued; do a
+	// read's storage work outside the operator meters so it never inflates
+	// an operator's actual block counts.
+	if err := c.t.PrepareRead(); err != nil {
 		return err
 	}
 	switch p.Query.Proj {
@@ -106,21 +106,19 @@ func (c *Catalog) execute(p *Plan, rs *ResultSet) error {
 // engines and the sidecar index); the returned function reports the
 // blocks accessed since.
 func (c *Catalog) opMeter() func() (random, sequential uint64) {
-	stops := []func() (uint64, uint64){c.t.MeterIO()}
+	stop := c.t.MeterIO()
 	c.mu.Lock()
-	if c.invDev != nil {
-		m := storage.StartMeter(c.invDev)
-		stops = append(stops, func() (uint64, uint64) {
-			st := m.Stop()
-			return st.Random(), st.Sequential()
-		})
+	var inv storage.Stats
+	dev := c.invDev
+	if dev != nil {
+		inv = dev.Stats()
 	}
 	c.mu.Unlock()
 	return func() (r, s uint64) {
-		for _, f := range stops {
-			a, b := f()
-			r += a
-			s += b
+		r, s = stop()
+		if dev != nil {
+			st := dev.Stats().Sub(inv)
+			r, s = r+st.Random(), s+st.Sequential()
 		}
 		return r, s
 	}

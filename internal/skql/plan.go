@@ -137,10 +137,11 @@ func (c *Catalog) BuildPlan(q *Query) (*Plan, error) {
 	if err := validate(q); err != nil {
 		return nil, err
 	}
-	// Flush buffered adds now: the cost model needs the built tree's
-	// height, and the one-time indexing I/O must not be charged to the
-	// first executed operator's EXPLAIN ANALYZE actuals.
-	if err := c.t.Flush(); err != nil {
+	// Do a read's storage work now (Reader.PrepareRead): a first read packs
+	// the rows queued for an empty tree, whose height the cost model needs,
+	// and neither that nor writing out the object file's open block may be
+	// charged to the first executed operator's EXPLAIN ANALYZE actuals.
+	if err := c.t.PrepareRead(); err != nil {
 		return nil, err
 	}
 	// Document frequencies are the target's own, and so is the pipeline

@@ -288,6 +288,16 @@ func (v *Vocabulary) AddDocWith(a *Analyzer, text string, repeated func(term str
 // Word returns the word with the given term ID.
 func (v *Vocabulary) Word(id uint32) string { return v.words[id] }
 
+// TermID returns the term ID of word (normalized), ok false when no
+// document added holds it.
+func (v *Vocabulary) TermID(word string) (id uint32, ok bool) {
+	if len(v.slots) == 0 {
+		return 0, false
+	}
+	_, id, ok = v.find(viewBytes(word))
+	return id, ok
+}
+
 // NumDocs returns the number of documents added.
 func (v *Vocabulary) NumDocs() int { return v.numDocs }
 

@@ -70,21 +70,34 @@ func checkPacked(t *testing.T, e *Engine) {
 }
 
 // checkTree holds e's tree to every structural invariant — each signature of
-// a sized level holds the bits of every word under it — and to e's live
-// objects.
+// a sized level holds the bits of every word under it — and the tree and
+// the queued run together to e's live objects, the run under a leaf's worth.
 func checkTree(t *testing.T, e *Engine) {
 	t.Helper()
 	rt := e.tree.RTree()
 	if err := rt.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Len() != e.live {
-		t.Fatalf("tree holds %d objects, engine has %d live", rt.Len(), e.live)
+	if q := len(e.run.rows); rt.Len()+q != e.live || (rt.Height() > 0 && q >= rt.MaxEntries()) {
+		t.Fatalf("tree holds %d objects and the run %d, engine has %d live", rt.Len(), q, e.live)
 	}
 }
 
 // CheckTree is checkTree for the external tests.
 var CheckTree = checkTree
+
+// LeafCapacity is the node capacity of the tree an engine with cfg builds:
+// the rows its queued run holds at most.
+func LeafCapacity(cfg Config) int {
+	e, err := NewEngine(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return e.tree.RTree().MaxEntries()
+}
+
+// IndexIO returns the block accesses of e's index device so far.
+func IndexIO(e *Engine) storage.Stats { return e.idxDisk.Stats() }
 
 // TreeShape returns the node count and height of e's tree.
 func TreeShape(e *Engine) (nodes, height int) {
@@ -149,9 +162,9 @@ func TestWALReplayOntoEmptySnapshotPacks(t *testing.T) {
 	if got := e.WALInfo().ReplayedRecords; got != uint64(len(rows)) {
 		t.Fatalf("replayed %d records, want %d", got, len(rows))
 	}
-	if e.tree.RTree().Height() != 0 || len(e.pending) != len(rows) {
-		t.Fatalf("after replay: tree height %d, %d pending; want an empty tree and %d pending",
-			e.tree.RTree().Height(), len(e.pending), len(rows))
+	if e.tree.RTree().Height() != 0 || len(e.run.rows) != len(rows) {
+		t.Fatalf("after replay: tree height %d, %d queued; want an empty tree and %d queued",
+			e.tree.RTree().Height(), len(e.run.rows), len(rows))
 	}
 	words := stats.WordsByFreq()
 	for i := 0; i < 20; i++ {

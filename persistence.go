@@ -515,6 +515,7 @@ func assembleEngine(cfg Config, objDisk, idxDisk *storage.Disk, objDev, idxDev s
 	e.objFile = objDisk
 	e.idxFile = idxDisk
 	e.store = store
+	e.run.store = e.store
 	tree, err := core.Open(idxDev, store, e.coreOptions(), treeState)
 	if err != nil {
 		return nil, err

@@ -74,8 +74,12 @@
 #           into a packed engine, with the object-file blocks each reads
 #           (BenchmarkAddAfterPack, root package: none, since the flush
 #           indexes the add's words and sized signature levels read no
-#           other row), of a warm
-#           distance-first top-k and a warm general ranked top-k on a
+#           other row), of mixed_rw_wal's shape in process — an add, eight
+#           searches, the delete of the add from ten ops before — on a
+#           saved Restaurants(0.03) engine, also in blocks and index-device
+#           writes per search (BenchmarkWritesBesideReads, root package:
+#           no write, since reads search the queued adds in memory), of a
+#           warm distance-first top-k and a warm general ranked top-k on a
 #           reopened durable engine (BenchmarkDurableTopK and
 #           BenchmarkDurableRanked, root package, the latter also in objects
 #           and blocks loaded per query), of a warm boolean range query,
@@ -193,7 +197,7 @@ run_micro() {
 	go test -run '^$' -bench 'ResidualFilter|IIOTop|SidecarFill' -benchmem ./internal/skql
 	go test -run '^$' -bench '^BenchmarkDisk(ReadRunInto|ChargeRun)$' -benchmem ./internal/storage
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
-	go test -run '^$' -bench 'DurableLoad|OpenEngine|AddAfterPack|DurableTopK|DurableRanked|^BenchmarkWithinArea$' -benchmem .
+	go test -run '^$' -bench 'DurableLoad|OpenEngine|AddAfterPack|WritesBesideReads|DurableTopK|DurableRanked|^BenchmarkWithinArea$' -benchmem .
 	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$|^BenchmarkWithinArea$' -benchmem ./internal/shard
 }
 

@@ -188,6 +188,57 @@ func TestPackSizesSignaturesFromData(t *testing.T) {
 	}
 }
 
+// TestOrphansKeepTheirWords deletes the 100 rows a Restaurants(0.03) tree
+// took by insert after its pack. The deletes condense leaves, and
+// CondenseTree reinserts their orphaned object entries: each is lifted into
+// the sized levels it lands under from its row's words, read by pointer
+// (rtree.ObjectLifter), so the queries read what they did before the
+// deletes, within 2 %. An orphan lifted by nothing set those levels to all
+// ones, and the same queries read 15 % more. The uniform arm, the paper's
+// tree, derives its levels from the entries below and reads no row while
+// it deletes.
+func TestOrphansKeepTheirWords(t *testing.T) {
+	rows, stats := packRows(t, dataset.Restaurants(0.03))
+	e, err := NewEngine(Config{SignatureBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if _, err := e.Add(r.point, r.text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	points, kws := sizingQueries(rows, stats, 128)
+	n := len(rows)
+	for _, sized := range []bool{true, false} {
+		x, dev := buildArm(t, e, sizingArm{"post-pack adds", n - 100, sized})
+		before, _ := armBlocks(t, e, x, dev, points, kws, false)
+		objBefore := e.objDisk.Stats()
+		for i := n - 100; i < n; i++ {
+			ok, err := x.Delete(geo.NewPoint(rows[i].point...), e.store.Ptrs()[i])
+			if err != nil || !ok {
+				t.Fatalf("delete row %d: %v, %v", i, ok, err)
+			}
+		}
+		read := e.objDisk.Stats().Sub(objBefore)
+		if err := x.RTree().CheckInvariants(); err != nil {
+			t.Fatalf("sized %v: %v", sized, err)
+		}
+		after, _ := armBlocks(t, e, x, dev, points, kws, false)
+		t.Logf("sized %v: %.1f blocks/query with the adds, %.1f after deleting them (%.3f×); the deletes read %d row blocks",
+			sized, before, after, after/before, read.RandomReads+read.SequentialReads)
+		if sized && after > 1.02*before {
+			t.Errorf("deleting the adds took the sized tree from %.1f to %.1f blocks per query, more than 2 %%", before, after)
+		}
+		if !sized && read.RandomReads+read.SequentialReads != 0 {
+			t.Errorf("the uniform tree's deletes read %d row blocks, want 0", read.RandomReads+read.SequentialReads)
+		}
+	}
+}
+
 // BenchmarkAddAfterPack times the write a served engine takes after its first
 // flush: one Add and its Flush into a packed Restaurants(0.03) engine, the
 // insert reaching the tree through core.IR2Tree.InsertBatch. Beside µs/op it

@@ -18,9 +18,11 @@
 package spatialkeyword
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -206,19 +208,24 @@ type Reader interface {
 	// MeterIO snapshots the disk counters; the returned function reports the
 	// blocks read since.
 	MeterIO() func() (random, sequential uint64)
-	// Flush indexes buffered adds now instead of on the next read, so that
-	// what comes after (a cost estimate, a metered operator) sees the built
-	// tree and is not charged for the indexing. With nothing buffered it takes
-	// no exclusive lock and is safe beside an open stream on another
-	// goroutine.
+	// Flush indexes the queued adds now. Reads do not need it: they search
+	// the queued rows beside the tree.
 	Flush() error
+	// PrepareRead does now the storage work a read would otherwise do first
+	// — it writes out the object file's open block, and packs rows queued
+	// for an empty tree — so that what comes after (a cost estimate, a
+	// metered operator) is not charged for it. It indexes nothing else.
+	// With nothing to do it takes no exclusive lock and is safe beside an
+	// open stream on another goroutine.
+	PrepareRead() error
 }
 
 var _ Reader = (*Engine)(nil)
 
 // Engine is an in-process spatial keyword search engine backed by an
-// IR²-Tree (or MIR²-Tree) over a simulated disk. Adds are buffered and
-// flushed automatically before queries; see Flush.
+// IR²-Tree (or MIR²-Tree) over a simulated disk. Adds wait in an in-memory run that every
+// query searches beside the tree; the tree takes the run when it is empty,
+// when the run is full, at Save and on Flush.
 //
 // An Engine is safe for concurrent use: it locks itself. Reads share one
 // lock, mutations and the Set* hooks take it exclusively, and a stream
@@ -254,11 +261,10 @@ type Engine struct {
 	idxFile *storage.Disk
 	gen     uint64
 
-	// pending is the rows appended but not yet indexed, in ID order, and
-	// pendingTerms their distinct words as vocabulary term IDs, row after
-	// row: everything a flush indexes, so it reads no row back.
-	pending      []pendingAdd
-	pendingTerms []uint32
+	// run is the rows appended but not yet indexed, which every read
+	// searches beside the tree (see flushLocked for when the tree takes
+	// them).
+	run pendingRun
 
 	deleted map[uint64]bool
 	live    int
@@ -289,24 +295,70 @@ type Engine struct {
 	mutObserver func(MutationEvent)
 }
 
-// pendingAdd is a row appended but not yet indexed: its ID, its point, and
-// the end of its term IDs in Engine.pendingTerms (they start where the
-// previous row's end).
+// pendingRun is the rows appended but not yet indexed: the live ones, in ID
+// order, and their distinct words as vocabulary term IDs, row after row —
+// everything a flush indexes, so it reads no row back, and everything a
+// query's term test needs (it is a core.Run). A deleted row leaves it.
+type pendingRun struct {
+	rows  []pendingAdd
+	terms []uint32
+	vocab *textutil.Vocabulary
+	store *objstore.Store
+}
+
+// pendingAdd is a queued row: its ID, its point, and the end of its term
+// IDs in pendingRun.terms (they start where the previous row's end).
 type pendingAdd struct {
 	id    uint64
 	point geo.Point
 	end   int
 }
 
+// Len implements core.Run.
+func (r *pendingRun) Len() int { return len(r.rows) }
+
+// Row implements core.Run.
+func (r *pendingRun) Row(i int) (objstore.Ptr, geo.Point, []uint32) {
+	return r.store.Ptrs()[r.rows[i].id], r.rows[i].point, r.terms[r.start(i):r.rows[i].end]
+}
+
+// TermID implements core.Run.
+func (r *pendingRun) TermID(word string) (uint32, bool) { return r.vocab.TermID(word) }
+
+// start is where row i's term IDs start.
+func (r *pendingRun) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return r.rows[i-1].end
+}
+
+// find returns the index of the queued row with the given ID.
+func (r *pendingRun) find(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(r.rows, id, func(p pendingAdd, id uint64) int { return cmp.Compare(p.id, id) })
+}
+
+// remove takes row i and its term IDs out of the run.
+func (r *pendingRun) remove(i int) {
+	start, end := r.start(i), r.rows[i].end
+	r.terms = slices.Delete(r.terms, start, end)
+	r.rows = slices.Delete(r.rows, i, i+1)
+	for j := i; j < len(r.rows); j++ {
+		r.rows[j].end -= end - start
+	}
+}
+
 // engineShell builds an Engine with defaults applied but no devices or
 // structures attached.
 func engineShell(cfg Config) *Engine {
-	return &Engine{
+	e := &Engine{
 		cfg:     cfg,
 		vocab:   textutil.NewVocabulary(),
 		an:      cfg.Analyzer(),
 		deleted: make(map[uint64]bool),
 	}
+	e.run.vocab = e.vocab
+	return e
 }
 
 // Analyzer returns the text pipeline the configuration selects — stopword
@@ -325,20 +377,36 @@ func (c Config) Analyzer() *textutil.Analyzer {
 	return a
 }
 
-// rlock takes the shared lock with every buffered add indexed. A read that
-// finds adds pending gives its share up, flushes under the exclusive lock
-// and looks again, so readers never see a row the tree does not hold yet.
+// rlock takes the shared lock for a read. A read may load a queued row, so
+// every appended row must be readable from the store first, and rows queued
+// for an empty tree are packed first. A read that finds either left to do
+// gives its share up, syncs the store's open block (or packs) under the
+// exclusive lock and looks again; it indexes nothing else.
 func (e *Engine) rlock() error {
 	for {
 		e.mu.RLock()
-		if len(e.pending) == 0 {
+		if !e.store.Unsynced() && !e.packs() {
 			return nil
 		}
 		e.mu.RUnlock()
-		if err := e.Flush(); err != nil {
+		e.mu.Lock()
+		var err error
+		if e.packs() {
+			err = e.flushLocked()
+		} else {
+			err = e.store.Sync()
+		}
+		e.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}
+}
+
+// packs reports whether rows wait for an empty tree: the next read, Save or
+// Flush packs them (core.IR2Tree.InsertBatch).
+func (e *Engine) packs() bool {
+	return len(e.run.rows) > 0 && e.tree.RTree().Height() == 0
 }
 
 // coreOptions derives the IR²-Tree options from the engine configuration,
@@ -409,6 +477,7 @@ func newEngineOn(cfg Config, objDev, idxDev storage.Device) (*Engine, error) {
 	e.objDisk = objDev
 	e.idxDisk = idxDev
 	e.store = objstore.New(objDev)
+	e.run.store = e.store
 	tree, err := core.New(idxDev, e.store, e.coreOptions())
 	if err != nil {
 		return nil, err
@@ -429,8 +498,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return newEngineOn(cfg, storage.NewDisk(bs), storage.NewDisk(bs))
 }
 
-// Add appends an object and schedules it for indexing; it returns the
-// object's ID. The object becomes queryable at the next query (or Flush).
+// Add appends an object and queues it for indexing; it returns the
+// object's ID. The object is queryable at once: reads search the queued
+// rows beside the tree.
 // On a WAL-enabled engine the mutation is durable before Add returns.
 func (e *Engine) Add(point []float64, text string) (uint64, error) {
 	return e.AddTagged(point, text, 0)
@@ -543,18 +613,24 @@ func (e *Engine) apply(rec wal.Record, via route) error {
 	return nil
 }
 
-// applyAdd performs the insertion against the store and index structures.
-// The row is analyzed once, here: the pass that folds it into the
-// vocabulary also yields the words the flush indexes.
+// applyAdd appends the row to the store and queues it in the run. The row
+// is analyzed once, here: the pass that folds it into the vocabulary also
+// yields the words the run's term test and the flush use. The add that
+// fills the run to a leaf's worth of rows hands it to a non-empty tree, so
+// a query's scan of the run never costs more than one leaf.
 func (e *Engine) applyAdd(point []float64, text string) error {
 	p := geo.NewPoint(point...)
 	id, _, err := e.store.Append(p, text)
 	if err != nil {
 		return err
 	}
-	e.pendingTerms = append(e.pendingTerms, e.addRowTF(id, text)...)
-	e.pending = append(e.pending, pendingAdd{id: uint64(id), point: p, end: len(e.pendingTerms)})
+	r := &e.run
+	r.terms = append(r.terms, e.addRowTF(id, text)...)
+	r.rows = append(r.rows, pendingAdd{id: uint64(id), point: p, end: len(r.terms)})
 	e.live++
+	if t := e.tree.RTree(); t.Height() > 0 && len(r.rows) >= t.MaxEntries() {
+		return e.flushLocked()
+	}
 	return nil
 }
 
@@ -573,13 +649,14 @@ func (e *Engine) addRowTF(id objstore.ID, text string) []uint32 {
 	return terms
 }
 
-// Flush durably writes buffered objects and indexes them. Queries call it
-// implicitly; explicit calls let callers control when indexing work happens.
-// With nothing buffered it returns under the shared lock, so a Flush beside
-// an open stream does not queue behind it as a writer.
+// Flush durably writes the queued rows and indexes them now. Reads do not
+// need it (they search the queued rows); it lets a caller choose when the
+// indexing work happens. With nothing queued it returns under the shared
+// lock, so a Flush beside an open stream does not queue behind it as a
+// writer.
 func (e *Engine) Flush() error {
 	e.mu.RLock()
-	idle := len(e.pending) == 0
+	idle := len(e.run.rows) == 0
 	e.mu.RUnlock()
 	if idle {
 		return nil
@@ -589,24 +666,27 @@ func (e *Engine) Flush() error {
 	return e.flushLocked()
 }
 
-// flushLocked is Flush under the exclusive lock. The pending rows go to the
-// tree as one batch, so a flush into an empty tree — a load followed by Save
-// or a first query, a log replayed onto an empty snapshot — packs them
-// (core.IR2Tree.InsertBatch).
+// flushLocked is Flush under the exclusive lock: the queued rows go to the
+// tree as one batch. It runs in four cases only (DESIGN.md "When a flush
+// packs"): into an empty tree — a load followed by Save or a first read, a
+// log replayed onto an empty snapshot — where the batch is packed
+// (core.IR2Tree.InsertBatch); in the add that fills the run; in Save; and
+// on an explicit Flush.
 func (e *Engine) flushLocked() error {
-	if len(e.pending) == 0 {
+	r := &e.run
+	if len(r.rows) == 0 {
 		return nil
 	}
 	if err := e.store.Sync(); err != nil {
 		return err
 	}
-	words := make([]string, len(e.pendingTerms))
-	for i, t := range e.pendingTerms {
+	words := make([]string, len(r.terms))
+	for i, t := range r.terms {
 		words[i] = e.vocab.Word(t)
 	}
-	batch := make([]core.Entry, len(e.pending))
+	batch := make([]core.Entry, len(r.rows))
 	start := 0
-	for i, p := range e.pending {
+	for i, p := range r.rows {
 		batch[i] = core.Entry{Ptr: e.store.Ptrs()[p.id], Point: p.point, Words: words[start:p.end:p.end]}
 		start = p.end
 	}
@@ -614,19 +694,22 @@ func (e *Engine) flushLocked() error {
 		return err
 	}
 	// Let the buffers go: a load's first flush can hold megabytes of terms.
-	e.pending, e.pendingTerms = nil, nil
+	r.rows, r.terms = nil, nil
 	return nil
 }
 
 // Get returns a stored object by ID.
 func (e *Engine) Get(id uint64) (Object, error) {
 	e.mu.RLock()
-	// Only flush when the requested row could still be in the unflushed
-	// buffer. Pending IDs are ascending, so anything below the first pending
-	// ID is already synced and readable — a Get on it must not pay write I/O.
-	for len(e.pending) > 0 && id >= e.pending[0].id && id < uint64(e.store.NumObjects()) {
+	// Only a queued row can still be in the store's open block, so only a
+	// Get on one syncs it: a Get on a tree row must not pay write I/O, and
+	// no Get indexes anything.
+	for e.queuedUnsynced(id) {
 		e.mu.RUnlock()
-		if err := e.Flush(); err != nil {
+		e.mu.Lock()
+		err := e.store.Sync()
+		e.mu.Unlock()
+		if err != nil {
 			return Object{}, err
 		}
 		e.mu.RLock()
@@ -645,6 +728,23 @@ func (e *Engine) Get(id uint64) (Object, error) {
 	return Object{ID: uint64(obj.ID), Point: obj.Point, Text: obj.Text}, nil
 }
 
+// PrepareRead implements Reader: rlock's work, without holding the lock
+// after it.
+func (e *Engine) PrepareRead() error {
+	if err := e.rlock(); err != nil {
+		return err
+	}
+	e.mu.RUnlock()
+	return nil
+}
+
+// queuedUnsynced reports whether id is a queued row while the store holds
+// rows it has not synced.
+func (e *Engine) queuedUnsynced(id uint64) bool {
+	_, queued := e.run.find(id)
+	return queued && e.store.Unsynced()
+}
+
 // Delete removes an object from the index. The object's row remains in the
 // append-only object file but will never be returned again. On a
 // WAL-enabled engine the deletion is durable before Delete returns.
@@ -660,17 +760,24 @@ func (e *Engine) Delete(id uint64) error {
 	return e.apply(wal.Record{Op: wal.OpDelete, ID: id}, commit)
 }
 
-// applyDelete performs the deletion against the index and returns the
-// deleted object — it has to load the row to unindex it anyway, and the
-// mutation observer wants the object's point and text without paying a
-// second store read.
+// applyDelete performs the deletion and returns the deleted object — it
+// has to load the row to unindex it anyway, and the mutation observer wants
+// the object's point and text without paying a second store read. A queued
+// row leaves the run and the tree is not touched; a tree row is the tree's
+// delete (core.IR2Tree.Delete).
 func (e *Engine) applyDelete(id uint64) (objstore.Object, error) {
-	if err := e.flushLocked(); err != nil {
+	if err := e.store.Sync(); err != nil {
 		return objstore.Object{}, err
 	}
 	obj, err := e.store.GetByID(objstore.ID(id))
 	if err != nil {
 		return objstore.Object{}, err
+	}
+	if i, queued := e.run.find(id); queued {
+		e.run.remove(i)
+		e.deleted[id] = true
+		e.live--
+		return obj, nil
 	}
 	ok, err := e.tree.Delete(obj.Point, e.store.Ptrs()[id])
 	if err != nil {

@@ -130,13 +130,13 @@ type query struct {
 	final   QueryStats    // the query's work, fixed by finish
 }
 
-// begin takes the shared lock (flushing pending adds first) and opens the
-// query's I/O bracket.
+// begin takes the shared lock (with every queued row readable, see rlock)
+// and opens the query's I/O bracket.
 func (e *Engine) begin() (query, error) {
 	if err := e.rlock(); err != nil {
 		return query{}, err
 	}
-	return query{e: e, ioStart: e.ioCounters()}, nil
+	return query{e: e, ioStart: e.IOStats()}, nil
 }
 
 // stats is the traversal's work record with the blocks read so far added.
@@ -144,7 +144,7 @@ func (q *query) stats(st core.SearchStats) QueryStats {
 	if q.closed {
 		return q.final
 	}
-	io := q.e.ioCounters().Sub(q.ioStart)
+	io := q.e.IOStats().Sub(q.ioStart)
 	st.BlocksRandom, st.BlocksSequential = io.Random(), io.Sequential()
 	return QueryStats{Work: st}
 }
@@ -168,7 +168,8 @@ type SearchIter struct {
 }
 
 // Search starts an incremental distance-first query: the stream behind
-// TopK. Pending adds are flushed first.
+// TopK. The queued rows that hold every keyword enter its frontier beside
+// the tree's root (core.ResultIter.PushRun).
 func (e *Engine) Search(point []float64, keywords ...string) (ResultStream, error) {
 	if err := CheckPoint(point); err != nil {
 		return nil, err
@@ -177,7 +178,14 @@ func (e *Engine) Search(point []float64, keywords ...string) (ResultStream, erro
 	if err != nil {
 		return nil, err
 	}
-	return &SearchIter{query: q, it: e.tree.Search(geo.NewPoint(point...), keywords)}, nil
+	return e.searchIter(q, e.tree.Search(geo.NewPoint(point...), keywords)), nil
+}
+
+// searchIter wraps a distance-first traversal, with the queued rows pushed
+// on its frontier, as the engine's stream.
+func (e *Engine) searchIter(q query, it *core.ResultIter) *SearchIter {
+	it.PushRun(&e.run)
+	return &SearchIter{query: q, it: it}
 }
 
 // SearchArea starts an incremental area-distance query — the query-area
@@ -193,7 +201,7 @@ func (e *Engine) SearchArea(lo, hi []float64, keywords ...string) (ResultStream,
 	if err != nil {
 		return nil, err
 	}
-	return &SearchIter{query: q, it: e.tree.SearchArea(area, keywords)}, nil
+	return e.searchIter(q, e.tree.SearchArea(area, keywords)), nil
 }
 
 // Next returns the next live object containing every keyword. ok is false
@@ -312,6 +320,7 @@ func (e *Engine) searchRanked(cs *CorpusStats, point []float64, keywords []strin
 		Scorer: scorer,
 		RowTFs: e.rowTFs,
 	})
+	it.PushRun(&e.run)
 	return &RankedSearchIter{query: q, it: it}, nil
 }
 
@@ -362,8 +371,7 @@ func (e *Engine) NumObjects() int {
 // Scan visits every row of the object file in ID order — including deleted
 // rows, which still carry the Text that feeds corpus statistics (idf). The
 // caller can filter with IsDeleted once Scan has returned: fn runs under the
-// engine's shared lock and must not call back into the engine. Pending adds
-// are flushed first.
+// engine's shared lock and must not call back into the engine.
 func (e *Engine) Scan(fn func(Object) error) error {
 	if err := e.rlock(); err != nil {
 		return err
@@ -389,22 +397,17 @@ func (e *Engine) IsDeleted(id uint64) bool {
 // time. The devices count their own accesses; neither call takes the
 // engine's lock.
 func (e *Engine) MeterIO() func() (random, sequential uint64) {
-	stop := e.MeterIOStats()
+	start := e.IOStats()
 	return func() (uint64, uint64) {
-		io := stop()
+		io := e.IOStats().Sub(start)
 		return io.Random(), io.Sequential()
 	}
 }
 
-// MeterIOStats is MeterIO returning the full device statistics, for
-// in-module instrumentation that feeds a storage.CostModel (external
-// importers cannot name the internal type; use MeterIO instead).
-func (e *Engine) MeterIOStats() func() storage.Stats {
-	start := e.ioCounters()
-	return func() storage.Stats { return e.ioCounters().Sub(start) }
-}
-
-// ioCounters sums the index and object devices' access counters.
-func (e *Engine) ioCounters() storage.Stats {
+// IOStats returns the index and object devices' access counters summed,
+// for in-module instrumentation that meters or feeds a storage.CostModel
+// (external importers cannot name the internal type; use MeterIO instead).
+// It takes no lock.
+func (e *Engine) IOStats() storage.Stats {
 	return e.idxDisk.Stats().Add(e.objDisk.Stats())
 }
