@@ -583,7 +583,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if results == nil {
 		results = []spatialkeyword.Result{}
 	}
-	writeJSON(w, http.StatusOK, searchResponse{Results: results, Stats: &stats})
+	writeAppended(w, &searchResponse{Results: results, Stats: &stats})
 }
 
 // rankedResponse is the GET /ranked payload.
@@ -608,7 +608,7 @@ func (s *server) handleRanked(w http.ResponseWriter, r *http.Request) {
 	if results == nil {
 		results = []spatialkeyword.RankedResult{}
 	}
-	writeJSON(w, http.StatusOK, rankedResponse{Results: results})
+	writeAppended(w, &rankedResponse{Results: results})
 }
 
 // statsResponse is the GET /stats payload: engine-wide statistics, the
@@ -746,9 +746,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		status = http.StatusInternalServerError
 		json.NewEncoder(buf).Encode(map[string]string{"error": "encode response: " + err.Error()}) //nolint:errcheck // strings always encode
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(buf.Bytes()) //nolint:errcheck // best effort to a client
+	writeBody(w, status, buf.Bytes())
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

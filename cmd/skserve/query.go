@@ -180,7 +180,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
+	writeAppended(w, &queryResponse{
 		Query:   q.String(),
 		Results: rs.Results,
 		Ranked:  rs.Ranked,

@@ -1,6 +1,7 @@
 package spatialkeyword
 
 import (
+	"math"
 	"testing"
 
 	"spatialkeyword/internal/dataset"
@@ -124,4 +125,130 @@ func TestFlushReadsNoRow(t *testing.T) {
 			t.Fatalf("row %d added after the pack: query for its words answers %+v, want ID %d", i, res, id)
 		}
 	}
+}
+
+// TestFailedFlushIndexesEachRowOnce fails an index-device write in the add
+// that fills a leaf's worth of queued rows over a packed tree — the leaf
+// write of a row's insert, found by a fault-free run of the same adds — so
+// the tree takes the rows before it and no part of it. The add returns the
+// error; a range query over the added rows then returns each once (the rows
+// the tree took are no longer in the run); and once the device recovers,
+// Flush indexes the rest and the tree holds every row exactly once.
+func TestFailedFlushIndexesEachRowOnce(t *testing.T) {
+	rows, _ := packRows(t, dataset.Restaurants(0.005))
+	const marker = "zzqueued"
+	build := func() (*Engine, []packRow) {
+		e, err := NewEngine(Config{SignatureBytes: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows[:1000] {
+			if _, err := e.Add(r.point, r.text); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		added := rows[1000 : 1000+e.tree.RTree().MaxEntries()]
+		for _, r := range added[:len(added)-1] {
+			if _, err := e.Add(r.point, r.text+" "+marker); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e, added
+	}
+	last := func(added []packRow) packRow { return added[len(added)-1] }
+
+	// The fault-free run: every index write of the flush, and the root's.
+	dry, added := build()
+	var writes []storage.BlockID
+	setDeviceFault(dry.idxDisk, func(op storage.Op, id storage.BlockID) error {
+		if op == storage.OpWrite {
+			writes = append(writes, id)
+		}
+		return nil
+	})
+	if _, err := dry.Add(last(added).point, last(added).text+" "+marker); err != nil {
+		t.Fatal(err)
+	}
+	root, err := dry.tree.RTree().Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every insert ends by writing the root, one hook call per block of
+	// it: a root write is the run of consecutive blocks from the root's
+	// first, the shortest such run its true length (a node the next insert
+	// writes can sit right after the root).
+	var roots []int // where each root write starts in writes
+	nb := len(writes)
+	for i := 0; i < len(writes); i++ {
+		if writes[i] != root.ID() {
+			continue
+		}
+		j := i + 1
+		for j < len(writes) && writes[j] == writes[j-1]+1 {
+			j++
+		}
+		roots, nb = append(roots, i), min(nb, j-i)
+		i = j - 1
+	}
+	// The first insert after the first that writes its leaf and the root
+	// and nothing else: failing its leaf write leaves the tree exactly as
+	// the inserts before it left it (a failed split would leak the
+	// sibling's blocks).
+	fail, took := 0, 0
+	for m := 1; m < len(roots); m++ {
+		if start := roots[m-1] + nb; roots[m]-start == nb {
+			fail, took = start+1, m
+			break
+		}
+	}
+	if fail == 0 {
+		t.Fatalf("no insert into a leaf with room in %d index writes", len(writes))
+	}
+
+	e, _ := build()
+	n := 0
+	setDeviceFault(e.idxDisk, func(op storage.Op, id storage.BlockID) error {
+		if op == storage.OpWrite {
+			if n++; n == fail {
+				return &storage.FaultError{Kind: storage.KindWriteError, Op: op, Block: id}
+			}
+		}
+		return nil
+	})
+	if _, err := e.Add(last(added).point, last(added).text+" "+marker); err == nil {
+		t.Fatal("the add that fills the run flushed through a failing index write")
+	}
+	if got := e.tree.RTree().Len(); got != 1000+took || len(e.run.rows) != len(added)-took {
+		t.Fatalf("tree holds %d rows and the run %d, want %d and %d", got, len(e.run.rows), 1000+took, len(added)-took)
+	}
+	lo, hi := []float64{-math.MaxFloat64, -math.MaxFloat64}, []float64{math.MaxFloat64, math.MaxFloat64}
+	each := func(stage string) {
+		t.Helper()
+		res, _, err := e.WithinArea(lo, hi, marker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[uint64]int)
+		for _, r := range res {
+			seen[r.Object.ID]++
+		}
+		for id := uint64(1000); id < uint64(1000+len(added)); id++ {
+			if seen[id] != 1 {
+				t.Fatalf("%s: row %d answered %d times (%d answers for %d added rows)", stage, id, seen[id], len(res), len(added))
+			}
+		}
+	}
+	each("after the failed flush")
+	setDeviceFault(e.idxDisk, nil)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkTree(t, e)
+	if got := e.tree.RTree().Len(); got != 1000+len(added) || len(e.run.rows) != 0 {
+		t.Fatalf("tree holds %d rows and the run %d, want %d and 0", got, len(e.run.rows), 1000+len(added))
+	}
+	each("after the retried flush")
 }

@@ -102,5 +102,6 @@ func (x *IR2Tree) BuildBulk() error {
 	if err != nil {
 		return err
 	}
-	return x.InsertBatch(batch)
+	_, err = x.InsertBatch(batch)
+	return err
 }

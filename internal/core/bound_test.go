@@ -24,7 +24,7 @@ import (
 // idfs, probes and summaries from s and nothing else of its code.
 func upperIR(s *rankedScorer, isObject bool, level int, aux []byte, ptr uint64) float64 {
 	rowTF := func(ptr uint64) *irscore.RowTF {
-		id, ok := slices.BinarySearch(s.ptrs, objstore.Ptr(ptr))
+		id, ok := slices.BinarySearch(s.store.Ptrs(), objstore.Ptr(ptr))
 		if !ok || id >= len(s.rowTFs) {
 			return nil
 		}

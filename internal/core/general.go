@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/irscore"
@@ -74,7 +73,7 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 			idfs:   idfs,
 			probes: probes,
 			rowTFs: opts.RowTFs,
-			ptrs:   x.store.Ptrs(),
+			store:  x.store,
 			lo:     sc.lo,
 			hi:     sc.hi,
 			masks:  sc.masks,
@@ -116,7 +115,7 @@ type rankedScorer struct {
 	idfs   []float64 // idf per normalized keyword, from QueryIDFs
 	probes []irscore.TermProbe
 	rowTFs []irscore.RowTF // GeneralOptions.RowTFs
-	ptrs   []objstore.Ptr  // the store's row pointers, in ID order
+	store  *objstore.Store // maps a row pointer to its ID
 	lo, hi geo.Point       // the MBR being scored
 	masks  []uint64        // keyword i's survivor mask at masks[i*nw:]
 	nw     int             // Tree.MaskWords
@@ -171,14 +170,13 @@ func (s *rankedScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []f
 	}
 }
 
-// rowTF finds the term-frequency summary of the row at ptr by the row
-// pointer's position in the store's directory (rows are appended in offset
-// order), or nil.
+// rowTF finds the term-frequency summary of the row at ptr by the row's ID,
+// which the store's row index resolves in constant time, or nil.
 //
 //skvet:hotpath
 func (s *rankedScorer) rowTF(ptr uint64) *irscore.RowTF {
-	id, ok := slices.BinarySearch(s.ptrs, objstore.Ptr(ptr))
-	if !ok || id >= len(s.rowTFs) {
+	id, ok := s.store.IDAt(objstore.Ptr(ptr))
+	if !ok || int(id) >= len(s.rowTFs) {
 		return nil
 	}
 	return &s.rowTFs[id]

@@ -363,20 +363,22 @@ type Entry struct {
 // the ones Insert computes. The IR²-Tree's interior levels are sized from
 // the batch's words (see packSizer); the MIR²-Tree's keep the optimal-length
 // rule and its recomputed signatures. Answers do not depend on the path.
-// Into a non-empty tree each entry is inserted in order.
-func (x *IR2Tree) InsertBatch(batch []Entry) error {
+// Into a non-empty tree each entry is inserted in order. It returns how
+// many entries the tree took: all of them, or on an error the ones before
+// the entry that failed (none, when a pack fails).
+func (x *IR2Tree) InsertBatch(batch []Entry) (int, error) {
 	if x.rt.Height() > 0 {
-		for _, e := range batch {
+		for i, e := range batch {
 			if err := x.insert(e); err != nil {
-				return err
+				return i, err
 			}
 		}
-		return nil
+		return len(batch), nil
 	}
 	if len(batch) == 0 {
-		return nil
+		return 0, nil
 	}
-	return x.deferSignatures(func() error {
+	err := x.deferSignatures(func() error {
 		leaf := x.scheme.leaf
 		entries := make([]rtree.BulkEntry, len(batch))
 		var sizer rtree.LevelSizer
@@ -393,6 +395,10 @@ func (x *IR2Tree) InsertBatch(batch []Entry) error {
 		}
 		return x.rt.BulkLoad(entries, sizer)
 	})
+	if err != nil {
+		return 0, err
+	}
+	return len(batch), nil
 }
 
 // deferSignatures runs a whole-tree construction. For a MIR²-Tree it leaves

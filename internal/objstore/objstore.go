@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,11 +67,25 @@ type Store struct {
 	count    uint64            // number of objects appended
 	ptrs     []Ptr             // object ID -> row offset (in-memory directory)
 	blockSum uint64            // total blocks spanned by all rows (for stats)
+
+	// firsts is the row index beside ptrs: bucket j, the file's bytes from
+	// j<<shift, holds the ID of the first row starting at or after the
+	// bucket's start, for every bucket up to the one the last row starts
+	// in. A bucket is at most 256 bytes and never more than a block, so
+	// IDAt scans the few rows that start in one bucket (the store
+	// addresses fewer than 2³² rows).
+	firsts []uint32
+	shift  uint
 }
+
+// maxBucketShift sets the row index's bucket at 256 bytes: 4 bytes of index
+// per 256 bytes of file, and a handful of short rows to scan per lookup.
+const maxBucketShift = 8
 
 // New returns an empty object store on dev.
 func New(dev storage.Device) *Store {
-	return &Store{dev: dev}
+	// The largest power of two at most the block size, capped.
+	return &Store{dev: dev, shift: min(maxBucketShift, uint(bits.Len(uint(dev.BlockSize())))-1)}
 }
 
 // NumObjects returns the number of appended objects.
@@ -93,13 +108,52 @@ func (s *Store) Append(point geo.Point, text string) (ID, Ptr, error) {
 	ptr := Ptr(s.open + uint64(len(s.tail)))
 	row := encodeRow(id, point, text)
 	s.tail = append(s.tail, row...)
-	s.count++
-	s.ptrs = append(s.ptrs, ptr)
+	s.addRow(ptr)
 	s.blockSum += uint64(s.rowBlockSpan(ptr, len(row)))
 	if err := s.flushFullBlocks(); err != nil {
 		return id, ptr, fmt.Errorf("objstore: append: %w", err)
 	}
 	return id, ptr, nil
+}
+
+// addRow enters the next row, starting at ptr, in the directory and the row
+// index: every bucket from the previous row's to ptr's gets it as its first
+// row at or after.
+func (s *Store) addRow(ptr Ptr) {
+	id := uint32(s.count)
+	s.count++
+	s.ptrs = append(s.ptrs, ptr)
+	for j := uint64(len(s.firsts)); j<<s.shift <= uint64(ptr); j++ {
+		s.firsts = append(s.firsts, id)
+	}
+}
+
+// IDAt returns the ID of the row that starts at ptr, and false when no row
+// starts there (an offset inside a row, in padding or past the last row):
+// the row index names the first row at or after ptr's bucket, and the rows
+// starting inside one bucket are few.
+//
+//skvet:hotpath
+func (s *Store) IDAt(ptr Ptr) (ID, bool) {
+	j := uint64(ptr) >> s.shift
+	if j >= uint64(len(s.firsts)) {
+		return 0, false
+	}
+	for id := int(s.firsts[j]); id < len(s.ptrs) && s.ptrs[id] <= ptr; id++ {
+		if s.ptrs[id] == ptr {
+			return ID(id), true
+		}
+	}
+	return 0, false
+}
+
+// rowEnd bounds where row id ends: the next row's start, or the synced
+// length for the last row (a sealed block's padding lies before either).
+func (s *Store) rowEnd(id ID) uint64 {
+	if next := uint64(id) + 1; next < s.count && uint64(s.ptrs[next]) < s.synced {
+		return uint64(s.ptrs[next])
+	}
+	return s.synced
 }
 
 // rowBlockSpan returns how many blocks a row starting at ptr with the given
@@ -200,12 +254,12 @@ func (s *Store) seal() {
 func (s *Store) Get(ptr Ptr) (Object, error) {
 	sc := rowScratchPool.Get().(*RowScratch)
 	defer rowScratchPool.Put(sc)
-	return s.get(ptr, sc, false)
+	return s.get(ptr, s.endAt(ptr), sc, false)
 }
 
 // get is Get through a caller-held scratch: readRow, then decode.
-func (s *Store) get(ptr Ptr, sc *RowScratch, shareBlocks bool) (Object, error) {
-	if err := s.readRow(ptr, sc, shareBlocks); err != nil {
+func (s *Store) get(ptr Ptr, end uint64, sc *RowScratch, shareBlocks bool) (Object, error) {
+	if err := s.readRow(ptr, end, sc, shareBlocks); err != nil {
 		return Object{}, err
 	}
 	obj, err := decodeRow(sc.row)
@@ -215,13 +269,25 @@ func (s *Store) get(ptr Ptr, sc *RowScratch, shareBlocks bool) (Object, error) {
 	return obj, nil
 }
 
+// endAt is rowEnd for the row starting at ptr, or 0 when no row starts
+// there: readRow then reads a block at a time.
+//
+//skvet:hotpath
+func (s *Store) endAt(ptr Ptr) uint64 {
+	if id, ok := s.IDAt(ptr); ok {
+		return s.rowEnd(id)
+	}
+	return 0
+}
+
 // RowScratch holds the reusable buffers of a row read. Once the buffers
 // reach steady-state size, row fetches through the same scratch stop
 // allocating — the point of the read hot path's candidate filter.
 type RowScratch struct {
 	block []byte
-	row   []byte
-	held  int // Scan only: file-block index sitting in block, -1 for none
+	buf   []byte // a row read in pieces, joined
+	row   []byte // the row last read: a view of block, or of buf
+	held  int    // Scan only: file-block index sitting in block, -1 for none
 }
 
 // rowScratchPool serves the readers that take no scratch of their own (Get,
@@ -229,45 +295,63 @@ type RowScratch struct {
 // to the pool as soon as the row is decoded.
 var rowScratchPool = sync.Pool{New: func() any { return new(RowScratch) }}
 
-// readRow reads the row at ptr into sc.row, without its newline: the one
-// row-read body of the store. Blocks go through the device's ReadRunInto
-// into sc.block one at a time until the terminating newline appears — one
-// random access plus a sequential access per continuation block. With
-// shareBlocks a block still sitting in sc.block from the previous row is
-// not read again (Scan); otherwise every row pays its own accesses.
+// readRow points sc.row at the row at ptr, without its newline: the one
+// row-read body of the store. end bounds the row (rowEnd), so the blocks
+// from ptr's to end's that sit back to back on the device are read with
+// one ReadRunInto — the device admits, charges and fault-checks them block
+// by block, one random access plus a sequential access per continuation
+// block, as reading them one at a time would. Past end (no bound, or a
+// row whose newline is not where the directory says) blocks are read one
+// at a time until the terminating newline appears. With shareBlocks a
+// block still sitting in sc.block from the previous row is not read again
+// (Scan, which passes no bound); otherwise every row pays its own accesses.
 //
 //skvet:hotpath
-func (s *Store) readRow(ptr Ptr, sc *RowScratch, shareBlocks bool) error {
+func (s *Store) readRow(ptr Ptr, end uint64, sc *RowScratch, shareBlocks bool) error {
 	if uint64(ptr) >= s.synced {
 		return fmt.Errorf("%w: offset %d >= synced %d", ErrNotSynced, ptr, s.synced)
 	}
 	bs := s.dev.BlockSize()
-	if len(sc.block) != bs {
-		//skvet:ignore hotalloc one-time scratch warm-up, amortized across a query's loads
-		sc.block = make([]byte, bs)
-	}
 	blockIdx := int(uint64(ptr) / uint64(bs))
 	offsetInBlock := int(uint64(ptr) % uint64(bs))
-	sc.row = sc.row[:0]
+	last := blockIdx // the last block the row can reach, by end
+	if end > uint64(ptr) {
+		last = int((end - 1) / uint64(bs))
+	}
+	sc.buf = sc.buf[:0]
 	for {
 		if blockIdx >= len(s.blocks) {
 			// The row starts in a synced block but its continuation is
 			// still sitting in the tail buffer.
 			return fmt.Errorf("%w: row at %d continues past synced data", ErrNotSynced, ptr)
 		}
+		n := 1
+		for blockIdx+n <= last && blockIdx+n < len(s.blocks) && s.blocks[blockIdx+n] == s.blocks[blockIdx]+storage.BlockID(n) {
+			n++
+		}
+		if len(sc.block) < n*bs {
+			//skvet:ignore hotalloc scratch warm-up to the longest run read, amortized across a query's loads
+			sc.block = make([]byte, n*bs)
+		}
+		run := sc.block[:n*bs]
 		if !shareBlocks || sc.held != blockIdx {
-			if err := s.dev.ReadRunInto(s.blocks[blockIdx], 1, sc.block); err != nil {
+			if err := s.dev.ReadRunInto(s.blocks[blockIdx], n, run); err != nil {
 				return fmt.Errorf("objstore: get %d: %w", ptr, err)
 			}
 			sc.held = blockIdx
 		}
-		chunk := sc.block[offsetInBlock:]
+		chunk := run[offsetInBlock:]
 		if i := bytes.IndexByte(chunk, '\n'); i >= 0 {
-			sc.row = append(sc.row, chunk[:i]...)
+			if len(sc.buf) == 0 {
+				sc.row = chunk[:i] // the whole row is in this run: no copy
+			} else {
+				sc.buf = append(sc.buf, chunk[:i]...)
+				sc.row = sc.buf
+			}
 			return nil
 		}
-		sc.row = append(sc.row, chunk...)
-		blockIdx++
+		sc.buf = append(sc.buf, chunk...)
+		blockIdx += n
 		offsetInBlock = 0
 	}
 }
@@ -283,7 +367,7 @@ func (s *Store) readRow(ptr Ptr, sc *RowScratch, shareBlocks bool) error {
 //
 //skvet:hotpath
 func (s *Store) GetFiltered(ptr Ptr, sc *RowScratch, accept func(text []byte) bool) (Object, bool, error) {
-	if err := s.readRow(ptr, sc, false); err != nil {
+	if err := s.readRow(ptr, s.endAt(ptr), sc, false); err != nil {
 		return Object{}, false, err
 	}
 	if text, ok := rowText(sc.row); ok {
@@ -334,12 +418,15 @@ func rowText(row []byte) ([]byte, bool) {
 	return rest, true
 }
 
-// GetByID loads object id via the in-memory pointer directory.
+// GetByID loads object id via the in-memory pointer directory, bounding the
+// row by the next one's start (no index lookup).
 func (s *Store) GetByID(id ID) (Object, error) {
 	if uint64(id) >= s.count {
 		return Object{}, fmt.Errorf("objstore: no object %d", id)
 	}
-	return s.Get(s.ptrs[id])
+	sc := rowScratchPool.Get().(*RowScratch)
+	defer rowScratchPool.Put(sc)
+	return s.get(s.ptrs[id], s.rowEnd(id), sc, false)
 }
 
 // Scan calls fn for every stored object in append order. It stops early and
@@ -354,7 +441,7 @@ func (s *Store) Scan(fn func(Object, Ptr) error) error {
 		if uint64(s.ptrs[id]) >= s.synced {
 			return fmt.Errorf("%w: object %d", ErrNotSynced, id)
 		}
-		obj, err := s.get(s.ptrs[id], sc, true)
+		obj, err := s.get(s.ptrs[id], 0, sc, true)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -341,6 +342,75 @@ func TestReadFaultPropagates(t *testing.T) {
 	}
 }
 
+// TestRunReadFaultOnSecondBlock fails the second block of a two-block row —
+// a device read fault, a fault plan's, and a flipped bit under checksum
+// framing — and requires the run read's error to be the block-at-a-time
+// read's, naming that block.
+func TestRunReadFaultOnSecondBlock(t *testing.T) {
+	const bs = 64
+	setup := func(t *testing.T, dev storage.Device) (*Store, Ptr, storage.BlockID) {
+		s := New(dev)
+		if _, _, err := s.Append(geo.NewPoint(1, 2), "x"); err != nil {
+			t.Fatal(err)
+		}
+		_, ptr, err := s.Append(geo.NewPoint(3, 4), strings.Repeat("two block row ", 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		bsz := uint64(s.dev.BlockSize())
+		first := uint64(ptr) / bsz
+		if end := s.rowEnd(1); (end-1)/bsz != first+1 || s.blocks[first+1] != s.blocks[first]+1 {
+			t.Fatalf("row at %d..%d is not on two consecutive blocks of %d", ptr, end, bsz)
+		}
+		return s, ptr, s.blocks[first+1]
+	}
+	check := func(t *testing.T, s *Store, ptr Ptr, bad storage.BlockID, arm func()) {
+		t.Helper()
+		arm()
+		_, want := readBlockwise(s, ptr)
+		arm()
+		_, got := s.Get(ptr)
+		arm()
+		_, gotByID := s.GetByID(1)
+		if want == nil || got == nil || got.Error() != want.Error() || gotByID.Error() != want.Error() {
+			t.Fatalf("Get: %v, GetByID: %v; block at a time: %v", got, gotByID, want)
+		}
+		var fe *storage.FaultError
+		var ce *storage.CorruptBlockError
+		switch {
+		case errors.As(got, &fe) && fe.Block == bad:
+		case errors.As(got, &ce) && ce.Block == bad:
+		default:
+			t.Fatalf("error %v does not name block %d", got, bad)
+		}
+	}
+	t.Run("device", func(t *testing.T) {
+		d := storage.NewDisk(bs)
+		s, ptr, bad := setup(t, d)
+		check(t, s, ptr, bad, func() {
+			d.SetFault(func(op storage.Op, id storage.BlockID) error {
+				if op == storage.OpRead && id == bad {
+					return &storage.FaultError{Kind: storage.KindReadError, Op: op, Block: id}
+				}
+				return nil
+			})
+		})
+	})
+	t.Run("plan", func(t *testing.T) {
+		fd := storage.NewFaultDevice(storage.NewDisk(bs), storage.FaultPlan{})
+		s, ptr, bad := setup(t, fd)
+		check(t, s, ptr, bad, func() { fd.SetPlan(storage.FaultPlan{FailReadBlocks: []storage.BlockID{bad}}) })
+	})
+	t.Run("checksum", func(t *testing.T) {
+		fd := storage.NewFaultDevice(storage.NewDisk(bs), storage.FaultPlan{})
+		s, ptr, bad := setup(t, storage.NewChecksumDisk(fd))
+		check(t, s, ptr, bad, func() { fd.SetPlan(storage.FaultPlan{Seed: 7, FlipBlocks: []storage.BlockID{bad}}) })
+	})
+}
+
 // TestSyncFaultPropagates fails the Sync that allocates the open block and
 // the one that rewrites it, on a plain disk and under checksum framing: each
 // failure surfaces, leaves earlier rows readable, and a retry succeeds.
@@ -632,6 +702,151 @@ func BenchmarkGetFiltered(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// readBlockwise is the row read as it was before rows were read as runs: one
+// ReadRunInto per block from ptr's until the newline appears. It is the
+// reference the run read's bytes, charges and errors are held to.
+func readBlockwise(s *Store, ptr Ptr) ([]byte, error) {
+	bs := s.dev.BlockSize()
+	blk := make([]byte, bs)
+	var row []byte
+	for i, off := int(uint64(ptr)/uint64(bs)), int(uint64(ptr)%uint64(bs)); ; i, off = i+1, 0 {
+		if i >= len(s.blocks) {
+			return nil, fmt.Errorf("%w: row at %d continues past synced data", ErrNotSynced, ptr)
+		}
+		if err := s.dev.ReadRunInto(s.blocks[i], 1, blk); err != nil {
+			return nil, fmt.Errorf("objstore: get %d: %w", ptr, err)
+		}
+		if j := strings.IndexByte(string(blk[off:]), '\n'); j >= 0 {
+			return append(row, blk[off:off+j]...), nil
+		}
+		row = append(row, blk[off:]...)
+	}
+}
+
+// runCounter counts the ReadRunInto calls that reach the device.
+type runCounter struct {
+	storage.Device
+	calls int
+}
+
+func (c *runCounter) ReadRunInto(id storage.BlockID, n int, dst []byte) error {
+	c.calls++
+	return c.Device.ReadRunInto(id, n, dst)
+}
+
+// TestRowIndexAndRunRead pins the row index and the run read through
+// Append, Sync, Checkpoint's seal and a reopen, on blocks smaller and larger
+// than the index's 256-byte bucket, with rows of one to four blocks: IDAt
+// gives every row start the ID slices.BinarySearch gives it and no other
+// offset a row; Get and GetByID return the bytes, and charge the device the
+// accesses, of a block-at-a-time read, in one ReadRunInto per row whose
+// blocks are consecutive on the device.
+func TestRowIndexAndRunRead(t *testing.T) {
+	for _, bs := range []int{64, 512} {
+		t.Run(fmt.Sprintf("block=%d", bs), func(t *testing.T) {
+			d := storage.NewDisk(bs)
+			dev := &runCounter{Device: d}
+			s := New(dev)
+			rng := rand.New(rand.NewSource(int64(bs)))
+			check := func(stage string) {
+				t.Helper()
+				ptrs := s.Ptrs()
+				for off := Ptr(0); uint64(off) < s.synced+uint64(2*bs); off++ {
+					want, ok := slices.BinarySearch(ptrs, off)
+					got, gotOK := s.IDAt(off)
+					if gotOK != ok || (ok && int(got) != want) {
+						t.Fatalf("%s: IDAt(%d) = %d, %v; binary search %d, %v", stage, off, got, gotOK, want, ok)
+					}
+				}
+				for id, ptr := range ptrs {
+					if uint64(ptr) >= s.synced {
+						continue
+					}
+					d.ResetStats()
+					want, err := readBlockwise(s, ptr)
+					if err != nil {
+						t.Fatalf("%s: reference read of row %d: %v", stage, id, err)
+					}
+					wantStats := d.Stats()
+					for _, byID := range []bool{false, true} {
+						d.ResetStats()
+						dev.calls = 0
+						var obj Object
+						if byID {
+							obj, err = s.GetByID(ID(id))
+						} else {
+							obj, err = s.Get(ptr)
+						}
+						if err != nil {
+							t.Fatalf("%s: row %d: %v", stage, id, err)
+						}
+						if got := encodeRow(obj.ID, obj.Point, obj.Text); string(got[:len(got)-1]) != string(want) {
+							t.Fatalf("%s: row %d reads %q, want %q", stage, id, got, want)
+						}
+						if got := d.Stats(); got != wantStats {
+							t.Fatalf("%s: row %d (by ID %v) charged %+v, block at a time %+v", stage, id, byID, got, wantStats)
+						}
+						first, last := uint64(ptr)/uint64(bs), (uint64(ptr)+uint64(len(want)))/uint64(bs)
+						runs := 1
+						for i := first + 1; i <= last; i++ {
+							if s.blocks[i] != s.blocks[i-1]+1 {
+								runs++
+							}
+						}
+						if dev.calls != runs {
+							t.Fatalf("%s: row %d over blocks %d..%d took %d device calls, want %d", stage, id, first, last, dev.calls, runs)
+						}
+					}
+				}
+			}
+			add := func(n int) {
+				for i := 0; i < n; i++ {
+					words := 1 + rng.Intn(4*bs/6)
+					if i%3 == 0 {
+						words = 1 + rng.Intn(4)
+					}
+					text := strings.Repeat("ab ", words)
+					if _, _, err := s.Append(geo.NewPoint(float64(i), -float64(i)), text); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			add(20)
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			check("sync")
+			add(7)
+			meta, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("checkpoint")
+			add(9) // the first row after the seal starts a block; padding precedes it
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			check("sync after seal")
+			if meta, err = s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			before := slices.Clone(s.Ptrs())
+			if s, err = Open(dev, meta); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(s.Ptrs(), before) {
+				t.Fatalf("reopen rebuilt %v, want %v", s.Ptrs(), before)
+			}
+			check("reopen")
+			add(5)
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			check("append after reopen")
 		})
 	}
 }

@@ -77,7 +77,8 @@ func Open(dev storage.Device, meta storage.BlockID) (*Store, error) {
 	if need > len(buf) {
 		return nil, fmt.Errorf("objstore: corrupt store state block %d", meta)
 	}
-	s := &Store{dev: dev, synced: synced}
+	s := New(dev)
+	s.synced = synced
 	s.blocks = make([]storage.BlockID, count)
 	for i := range s.blocks {
 		s.blocks[i] = storage.BlockID(binary.LittleEndian.Uint64(buf[20+8*i:]))
@@ -93,11 +94,11 @@ func Open(dev storage.Device, meta storage.BlockID) (*Store, error) {
 }
 
 // rebuildDirectory reads the synced data blocks once, sequentially, and
-// re-derives the row pointers, object count, and block-span statistics by
-// scanning for row terminators (a zero byte marks sealed-block padding;
-// row text never contains NUL — see sanitize). The blocks stream through
-// one block of scratch; a row that spans blocks is carried over by its
-// start offset.
+// re-derives the row pointers and row index, object count, and block-span
+// statistics by scanning for row terminators (a zero byte marks
+// sealed-block padding; row text never contains NUL — see sanitize). The
+// blocks stream through one block of scratch; a row that spans blocks is
+// carried over by its start offset.
 func (s *Store) rebuildDirectory() error {
 	bs := s.dev.BlockSize()
 	limit := int(s.synced)
@@ -127,8 +128,7 @@ func (s *Store) rebuildDirectory() error {
 				break
 			}
 			off += idx + 1
-			s.ptrs = append(s.ptrs, Ptr(row))
-			s.count++
+			s.addRow(Ptr(row))
 			s.blockSum += uint64(s.rowBlockSpan(Ptr(row), off-row))
 			row = -1
 		}

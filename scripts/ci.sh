@@ -90,7 +90,10 @@
 #           distance-first top-k, ranked top-k and range query, the merge
 #           cut by FirstK on 1 and 4 shards (BenchmarkTopK,
 #           BenchmarkTopKRanked, BenchmarkWithinArea, internal/shard),
-#           printing ns/op and
+#           and of skserve's /ranked handler, request to appended body
+#           through httptest's recorder, on a saved Hotels(0.02) engine
+#           with BenchmarkDurableRanked's queries (BenchmarkRankedHandler,
+#           cmd/skserve), printing ns/op, B/op and
 #           allocs/op — too noisy on shared runners to gate, so ci.yml never
 #           fails on it
 #   size [base]  informational, not in all: scripts/loc.sh and
@@ -199,6 +202,7 @@ run_micro() {
 	go test -run '^$' -bench 'ParsePacked|WarmExpand' -benchmem ./internal/rtree
 	go test -run '^$' -bench 'DurableLoad|OpenEngine|AddAfterPack|WritesBesideReads|DurableTopK|DurableRanked|^BenchmarkWithinArea$' -benchmem .
 	go test -run '^$' -bench 'ShardedLoad|^BenchmarkTopK(Ranked)?$|^BenchmarkWithinArea$' -benchmem ./internal/shard
+	go test -run '^$' -bench 'RankedHandler' -benchmem ./cmd/skserve
 }
 
 run_size() {

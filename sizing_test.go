@@ -47,7 +47,7 @@ func buildArm(t *testing.T, e *Engine, arm sizingArm) (*core.IR2Tree, *storage.D
 		for i, obj := range objs[:pack] {
 			batch[i] = core.Entry{Ptr: ptrs[i], Point: obj.Point, Words: e.an.Unique(obj.Text)}
 		}
-		err = x.InsertBatch(batch)
+		_, err = x.InsertBatch(batch)
 	} else {
 		leaf := e.coreOptions().LeafSignature
 		entries := make([]rtree.BulkEntry, pack)

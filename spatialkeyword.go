@@ -338,13 +338,13 @@ func (r *pendingRun) find(id uint64) (int, bool) {
 	return slices.BinarySearchFunc(r.rows, id, func(p pendingAdd, id uint64) int { return cmp.Compare(p.id, id) })
 }
 
-// remove takes row i and its term IDs out of the run.
-func (r *pendingRun) remove(i int) {
-	start, end := r.start(i), r.rows[i].end
+// remove takes rows i..j-1 and their term IDs out of the run.
+func (r *pendingRun) remove(i, j int) {
+	start, end := r.start(i), r.rows[j-1].end
 	r.terms = slices.Delete(r.terms, start, end)
-	r.rows = slices.Delete(r.rows, i, i+1)
-	for j := i; j < len(r.rows); j++ {
-		r.rows[j].end -= end - start
+	r.rows = slices.Delete(r.rows, i, j)
+	for k := i; k < len(r.rows); k++ {
+		r.rows[k].end -= end - start
 	}
 }
 
@@ -690,7 +690,12 @@ func (e *Engine) flushLocked() error {
 		batch[i] = core.Entry{Ptr: e.store.Ptrs()[p.id], Point: p.point, Words: words[start:p.end:p.end]}
 		start = p.end
 	}
-	if err := e.tree.InsertBatch(batch); err != nil {
+	if n, err := e.tree.InsertBatch(batch); err != nil {
+		// The rows the tree took leave the run, so none is answered twice
+		// or indexed again by the retried flush.
+		if n > 0 {
+			r.remove(0, n)
+		}
 		return err
 	}
 	// Let the buffers go: a load's first flush can hold megabytes of terms.
@@ -774,7 +779,7 @@ func (e *Engine) applyDelete(id uint64) (objstore.Object, error) {
 		return objstore.Object{}, err
 	}
 	if i, queued := e.run.find(id); queued {
-		e.run.remove(i)
+		e.run.remove(i, i+1)
 		e.deleted[id] = true
 		e.live--
 		return obj, nil
