@@ -137,27 +137,7 @@ func TestFlushReadsNoRow(t *testing.T) {
 func TestFailedFlushIndexesEachRowOnce(t *testing.T) {
 	rows, _ := packRows(t, dataset.Restaurants(0.005))
 	const marker = "zzqueued"
-	build := func() (*Engine, []packRow) {
-		e, err := NewEngine(Config{SignatureBytes: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rows[:1000] {
-			if _, err := e.Add(r.point, r.text); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		added := rows[1000 : 1000+e.tree.RTree().MaxEntries()]
-		for _, r := range added[:len(added)-1] {
-			if _, err := e.Add(r.point, r.text+" "+marker); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e, added
-	}
+	build := func() (*Engine, []packRow) { return queuedRunEngine(t, rows, marker) }
 	last := func(added []packRow) packRow { return added[len(added)-1] }
 
 	// The fault-free run: every index write of the flush, and the root's.
@@ -251,4 +231,139 @@ func TestFailedFlushIndexesEachRowOnce(t *testing.T) {
 		t.Fatalf("tree holds %d rows and the run %d, want %d and 0", got, len(e.run.rows), 1000+len(added))
 	}
 	each("after the retried flush")
+}
+
+// queuedRunEngine packs rows[:1000] into a fresh engine with 16-byte
+// signatures and queues all but the last of the next leaf's worth of rows,
+// each tagged with marker; the add of the last one (the returned slice's
+// last row) fills the run, so the engine flushes it into the tree.
+func queuedRunEngine(t *testing.T, rows []packRow, marker string) (*Engine, []packRow) {
+	t.Helper()
+	e, err := NewEngine(Config{SignatureBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows[:1000] {
+		if _, err := e.Add(r.point, r.text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	added := rows[1000 : 1000+e.tree.RTree().MaxEntries()]
+	for _, r := range added[:len(added)-1] {
+		if _, err := e.Add(r.point, r.text+" "+marker); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e, added
+}
+
+// TestFailedSplitFreesItsSibling fails the leaf write of a splitting insert
+// in the add that fills a leaf's worth of queued rows — the first insert of
+// the flush that writes a block no node held before it (the sibling's),
+// found by a fault-free run of the same adds. The insert must free the
+// sibling it allocated: right after the failure and after Flush indexes the
+// rest, every node the tree counts is reachable from its root, and the
+// range query returns each added row once.
+func TestFailedSplitFreesItsSibling(t *testing.T) {
+	rows, _ := packRows(t, dataset.Restaurants(0.005))
+	const marker = "zzqueued"
+	dry, added := queuedRunEngine(t, rows, marker)
+	last := added[len(added)-1]
+	// Node runs come from never-used blocks and nothing was freed, so a
+	// block at or past fresh was allocated by the flush.
+	fresh := storage.FirstBlock + storage.BlockID(allocatedBlocks(t, dry.idxDisk))
+	var writes []storage.BlockID
+	setDeviceFault(dry.idxDisk, func(op storage.Op, id storage.BlockID) error {
+		if op == storage.OpWrite {
+			writes = append(writes, id)
+		}
+		return nil
+	})
+	if _, err := dry.Add(last.point, last.text+" "+marker); err != nil {
+		t.Fatal(err)
+	}
+	root, err := dry.tree.RTree().Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The inserts end at the root's writes; the splitting one is the first
+	// to write a fresh block, its leaf write the first write of an old one.
+	fail, from := 0, 0
+	for i := 0; i < len(writes) && fail == 0; i++ {
+		if writes[i] == root.ID() {
+			for i+1 < len(writes) && writes[i+1] == writes[i]+1 {
+				i++
+			}
+			from = i + 1
+			continue
+		}
+		if writes[i] < fresh {
+			continue
+		}
+		for j := from; j < len(writes) && writes[j] != root.ID(); j++ {
+			if writes[j] < fresh {
+				fail = j + 1
+				break
+			}
+		}
+	}
+	if fail == 0 {
+		t.Fatalf("no splitting insert in %d index writes", len(writes))
+	}
+
+	e, _ := queuedRunEngine(t, rows, marker)
+	n := 0
+	setDeviceFault(e.idxDisk, func(op storage.Op, id storage.BlockID) error {
+		if op == storage.OpWrite {
+			if n++; n == fail {
+				return &storage.FaultError{Kind: storage.KindWriteError, Op: op, Block: id}
+			}
+		}
+		return nil
+	})
+	if _, err := e.Add(last.point, last.text+" "+marker); err == nil {
+		t.Fatal("the add that fills the run flushed through a failing leaf write")
+	}
+	if err := e.tree.RTree().CheckInvariants(); err != nil {
+		t.Fatalf("after the failed split: %v", err)
+	}
+	setDeviceFault(e.idxDisk, nil)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkTree(t, e)
+	lo, hi := []float64{-math.MaxFloat64, -math.MaxFloat64}, []float64{math.MaxFloat64, math.MaxFloat64}
+	res, _, err := e.WithinArea(lo, hi, marker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]int)
+	for _, r := range res {
+		seen[r.Object.ID]++
+	}
+	for id := uint64(1000); id < uint64(1000+len(added)); id++ {
+		if seen[id] != 1 {
+			t.Fatalf("row %d answered %d times (%d answers for %d added rows)", id, seen[id], len(res), len(added))
+		}
+	}
+}
+
+// allocatedBlocks returns how many blocks the device under dev holds.
+func allocatedBlocks(t *testing.T, dev storage.Device) int {
+	t.Helper()
+	for dev != nil {
+		if d, ok := dev.(interface{ NumBlocks() int }); ok {
+			return d.NumBlocks()
+		}
+		u, ok := dev.(interface{ Under() storage.Device })
+		if !ok {
+			break
+		}
+		dev = u.Under()
+	}
+	t.Fatal("no block count under the index device")
+	return 0
 }

@@ -64,13 +64,12 @@ func newResultIter(x *IR2Tree, kws []string) *ResultIter {
 
 // queryScratch is a query iterator's pooled working space: the buffers its
 // candidate rows are read into, the corner points its scorer decodes MBRs
-// into and, for the general ranked query, the term counter's fold buffer
-// and one survivor mask per keyword. An iterator takes one when it is built
-// and returns it in Close; one that is never closed only loses the reuse.
+// into and, for the general ranked query, one survivor mask per keyword. An
+// iterator takes one when it is built and returns it in Close; one that is
+// never closed only loses the reuse.
 type queryScratch struct {
 	row    objstore.RowScratch
 	lo, hi geo.Point
-	fold   []byte
 	masks  []uint64
 }
 

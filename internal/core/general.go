@@ -89,7 +89,7 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	// — Next scores survivors off it — and reject candidates containing no
 	// keyword without paying their materialization.
 	r.accept = func(text []byte) bool {
-		r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized, &r.sc.fold)
+		r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized)
 		for _, n := range r.tf {
 			if n > 0 {
 				return true
@@ -261,7 +261,7 @@ func (r *RankedIter) Stats() SearchStats {
 }
 
 // Close releases the traversal's pooled scratch and the query's (row
-// buffers, fold buffer, keyword masks). Optional but cheap; the top-k
+// buffers, keyword masks). Optional but cheap; the top-k
 // helpers call it for every query they run. A closed traversal is
 // exhausted, so Next loads no candidate after it and the scorer is not
 // called again.

@@ -154,8 +154,8 @@ func TestGeneralMatchesBruteForceMixedText(t *testing.T) {
 	}
 }
 
-// TestRankedNextAfterClose: Close hands the fold buffer back to its pool,
-// so a closed iterator must load no further candidate.
+// TestRankedNextAfterClose: Close hands the row buffers and keyword masks
+// back to their pool, so a closed iterator must load no further candidate.
 func TestRankedNextAfterClose(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
 	it := f.ir2.SearchRanked(geo.NewPoint(30.5, 100), []string{"pool"}, GeneralOptions{Scorer: generalScorer(f)})

@@ -308,12 +308,11 @@ func FuzzRowTFWeightAdmissible(f *testing.F) {
 		if len(text) > 4096 {
 			t.Skip("longer than a row needs to be")
 		}
-		var fold []byte
 		for name, a := range pipelines {
 			r := rowTFOf(a, text)
 			terms := append(a.Unique(text), a.Keywords([]string{word1, word2})...)
 			counts := make([]int, len(terms))
-			a.TermFreqsBytesInto(counts, []byte(text), terms, &fold)
+			a.TermFreqsBytesInto(counts, []byte(text), terms)
 			for i, n := range counts {
 				if w := r.Weight(ProbeTerm(terms[i])); w < TFWeight(n) {
 					t.Fatalf("%s: %q occurs %d times in %q, weighs %v, bound %v", name, terms[i], n, text, TFWeight(n), w)

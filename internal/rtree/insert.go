@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/storage"
@@ -27,6 +28,13 @@ type pathStep struct {
 // and a split gives both halves' entries the split node's old payload plus
 // lift's, a superset of each half. So an insert reads no object. A nil
 // lift sets those entries to all ones; a 0-length level holds nothing.
+//
+// A failed insert frees every node it allocated and did not link. A failed
+// first write leaves the tree as it was; a later one leaves the writes made
+// before it on the device: the leaf may hold the entry while its
+// ancestors' MBRs and payloads do not cover it (and Len does not count
+// it), or a node may keep one half of its split while the other half is
+// lost with the freed sibling.
 func (t *Tree) Insert(ref uint64, rect geo.Rect, aux []byte, lift Lift) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -42,6 +50,7 @@ func (t *Tree) Insert(ref uint64, rect geo.Rect, aux []byte, lift Lift) error {
 		root := t.allocNode(0)
 		root.entries = []entry{e}
 		if err := t.storeNode(root); err != nil {
+			t.freeNode(root)
 			return err
 		}
 		t.root = root.id
@@ -220,17 +229,39 @@ func pickSeeds(entries []entry) (int, int) {
 // the parent entry's payload is recomputed through the AuxScheme, so
 // signature bits set in a node propagate to all ancestors — or, at a sized
 // level, superimposed from lift (see parentAux).
-func (t *Tree) adjustTree(path []pathStep, split *Node, lift Lift) error {
+//
+// A split's sibling is written before the node it split from, so a failed
+// first write leaves that node whole on the device. A sibling is linked
+// once a node the root reaches holds its entry on the device; a failed
+// write or payload frees every sibling this insert allocated that is not,
+// so the tree's node count stays its reachable nodes. The writes that
+// succeeded before the failure stay (see Insert).
+func (t *Tree) adjustTree(path []pathStep, split *Node, lift Lift) (err error) {
+	// fresh holds the unlinked siblings; fresh[:linked] link once the
+	// next node up the path is written.
+	var fresh []*Node
+	linked := 0
+	if split != nil {
+		fresh = append(fresh, split)
+	}
+	defer func() {
+		if err != nil {
+			for _, n := range fresh {
+				t.freeNode(n)
+			}
+		}
+	}()
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i].node
-		if err := t.storeNode(n); err != nil {
-			return err
-		}
 		if split != nil {
 			if err := t.storeNode(split); err != nil {
 				return err
 			}
 		}
+		if err := t.storeNode(n); err != nil {
+			return err
+		}
+		fresh, linked = fresh[linked:], 0
 
 		if i == 0 {
 			// n is the root.
@@ -258,11 +289,16 @@ func (t *Tree) adjustTree(path []pathStep, split *Node, lift Lift) error {
 			parent.entries = append(parent.entries, entry{
 				ptr: uint64(split.id), rect: split.mbr(), aux: splitAux,
 			})
+			linked = len(fresh)
 			if len(parent.entries) > t.maxE {
 				nextSplit, err = t.splitNode(parent)
 				if err != nil {
 					return err
 				}
+				if !slices.ContainsFunc(parent.entries, func(e entry) bool { return e.ptr == uint64(split.id) }) {
+					linked = 0 // split's entry went to the new sibling: it links with it
+				}
+				fresh = append(fresh, nextSplit)
 			}
 		}
 		split = nextSplit
@@ -300,15 +336,18 @@ func (t *Tree) parentAux(n *Node, old []byte, lift Lift) ([]byte, error) {
 }
 
 // growRoot replaces the root with a new node one level higher whose two
-// entries are the old root and its split sibling (Figure 5 lines 5-12).
+// entries are the old root and its split sibling (Figure 5 lines 5-12). A
+// root it cannot write is freed.
 func (t *Tree) growRoot(old, sibling *Node) error {
 	root := t.allocNode(old.level + 1)
 	oldAux, err := t.parentAux(old, nil, nil)
 	if err != nil {
+		t.freeNode(root)
 		return err
 	}
 	sibAux, err := t.parentAux(sibling, nil, nil)
 	if err != nil {
+		t.freeNode(root)
 		return err
 	}
 	root.entries = []entry{
@@ -316,6 +355,7 @@ func (t *Tree) growRoot(old, sibling *Node) error {
 		{ptr: uint64(sibling.id), rect: sibling.mbr(), aux: sibAux},
 	}
 	if err := t.storeNode(root); err != nil {
+		t.freeNode(root)
 		return err
 	}
 	t.root = root.id

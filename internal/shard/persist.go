@@ -67,6 +67,7 @@ type shardManifest struct {
 var (
 	fsWriteFile  = os.WriteFile
 	fsRename     = os.Rename
+	fsSync       = storage.SyncPath // a file, or a directory after a rename
 	saveStepHook func(step int) error
 )
 
@@ -191,8 +192,9 @@ func (s *ShardedEngine) marshalManifest(gens []uint64) ([]byte, error) {
 	return json.Marshal(&m)
 }
 
-// writeShardManifest atomically commits the sharded manifest. Save,
-// RotateShard and Open's re-pin share it.
+// writeShardManifest atomically and durably commits the sharded manifest:
+// the temporary file is synced before its rename and the directory after
+// it. Save, RotateShard and Open's re-pin share it.
 func (s *ShardedEngine) writeShardManifest(gens []uint64) error {
 	data, err := s.marshalManifest(gens)
 	if err != nil {
@@ -202,7 +204,13 @@ func (s *ShardedEngine) writeShardManifest(gens []uint64) error {
 	if err := fsWriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	return fsRename(tmp, filepath.Join(s.dir, shardManifestName))
+	if err := fsSync(tmp); err != nil {
+		return err
+	}
+	if err := fsRename(tmp, filepath.Join(s.dir, shardManifestName)); err != nil {
+		return err
+	}
+	return fsSync(s.dir)
 }
 
 // Manifest returns the sharded manifest a replica bootstraps from: the

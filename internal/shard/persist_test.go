@@ -218,3 +218,52 @@ func TestOneAtATimeAddsPackObjectFile(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedSaveSyncsManifestAndDirectory records the sharded manifest's
+// commit through the shard package's hooks: shards.json.tmp is written,
+// fsynced, renamed over shards.json, and the directory fsynced after the
+// rename. (Each shard's own manifest is held to the same order by the root
+// package's TestSaveSyncsManifestAndDirectory.)
+func TestShardedSaveSyncsManifestAndDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDurable(spatialkeyword.Config{SignatureBytes: 16}, dir, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Add([]float64{1, 2}, "pool spa"); err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	origWrite, origRename, origSync := fsWriteFile, fsRename, fsSync
+	defer func() { fsWriteFile, fsRename, fsSync = origWrite, origRename, origSync }()
+	fsWriteFile = func(path string, data []byte, perm os.FileMode) error {
+		ops = append(ops, "write "+filepath.Base(path))
+		return origWrite(path, data, perm)
+	}
+	fsRename = func(from, to string) error {
+		ops = append(ops, "rename "+filepath.Base(from)+" "+filepath.Base(to))
+		return origRename(from, to)
+	}
+	fsSync = func(path string) error {
+		name := filepath.Base(path)
+		if path == dir {
+			name = "dir"
+		}
+		ops = append(ops, "sync "+name)
+		return origSync(path)
+	}
+	if err := s.Save(); err != nil {
+		t.Fatal(err)
+	}
+	tmp := shardManifestName + ".tmp"
+	at := 0
+	for _, want := range []string{"write " + tmp, "sync " + tmp, "rename " + tmp + " " + shardManifestName, "sync dir"} {
+		for at < len(ops) && ops[at] != want {
+			at++
+		}
+		if at == len(ops) {
+			t.Fatalf("no %q in order among the commit's operations %q", want, ops)
+		}
+	}
+}

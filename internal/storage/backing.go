@@ -139,3 +139,14 @@ func (m *memBlocks) Sync() error { return nil }
 
 // Close implements backing: memory has nothing to release.
 func (m *memBlocks) Close() error { return nil }
+
+// SyncPath fsyncs the file or directory at path. Syncing a directory makes
+// the names a rename or create put in it durable, which syncing the files
+// does not.
+func SyncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(f.Sync(), f.Close())
+}

@@ -147,8 +147,8 @@ func (a *Analyzer) ContainsTerms(text string, terms []string) bool {
 	if len(terms) == 0 {
 		return true
 	}
-	if a.plain() && len(terms) < 64 {
-		return containsTermsScanBytes(viewBytes(text), terms)
+	if a.plain() {
+		return containsTermsBytes(viewBytes(text), terms)
 	}
 	set := make(map[string]struct{})
 	for _, tok := range a.Tokens(text) {
@@ -165,11 +165,11 @@ func (a *Analyzer) ContainsTerms(text string, terms []string) bool {
 // TermFreqsInto fills counts[i] with the pipeline term frequency of terms[i]
 // in text. Terms must already be normalized through this pipeline; counts
 // must have at least len(terms) elements. On the plain pipeline it runs the
-// byte kernel's rune scan over a view of text and allocates nothing (SKQL's
+// byte kernel over a view of text and allocates nothing (SKQL's
 // per-candidate residual filter runs here).
 func (a *Analyzer) TermFreqsInto(counts []int, text string, terms []string) {
 	if a.plain() {
-		countTermsRunes(counts, viewBytes(text), terms)
+		CountTermsBytesInto(counts, viewBytes(text), terms)
 		return
 	}
 	tf := a.TermFreqs(text)

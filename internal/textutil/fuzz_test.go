@@ -149,8 +149,8 @@ func FuzzTokenizeMatchesRunePath(f *testing.F) {
 	})
 }
 
-// FuzzByteKernelsMatchRunePath: the byte kernels take a table-driven fast
-// path for ASCII and the rune path for everything else, and the string
+// FuzzByteKernelsMatchRunePath: the byte kernels take the token kernel for
+// ASCII and the rune path for everything else, and the string
 // entry points (ContainsTerms, TermFreqsInto) run them over a view of the
 // string. On arbitrary bytes — invalid UTF-8, mixed case, terms that are
 // not even normalized — every entry must agree exactly with counting the
@@ -171,18 +171,28 @@ func FuzzByteKernelsMatchRunePath(f *testing.F) {
 	f.Add([]byte(strings.Repeat("pool spa ", 300)+"spa\xff"), "spa", "pool")
 	f.Add([]byte("Kitten \u212Aitten KITTEN"), "kitten", "\u212Aitten")
 	f.Add([]byte("İstanbul Istanbul"), "istanbul", "i")
+	f.Add([]byte("spa a pool; spa"), "pool", "spa")
+	f.Add([]byte(strings.Repeat(" ", 62)+"pool spa"), "pool", "spa")
+	f.Add([]byte(strings.Repeat(" ", 59)+"whirlpool spa"), "pool", "whirlpool")
+	f.Add([]byte(strings.Repeat(" ", 62)+"poolé"), "pool", "pool")
+	f.Add([]byte("internetwork INTERNETWORX InterNetWork internetworks"), "internetwork", "internetworx")
+	f.Add([]byte("pool"+strings.Repeat(" ", 57)+"spa"), "pool", "spa")
+	f.Add([]byte("POOL Pool pOoL p00l P00L 24H 24h 24"), "p00l", "24h")
+	f.Add([]byte("pool pool\x00spa"), "pool ", "pool\x00")
+	f.Add([]byte("spa pool POOL"), "pool", "pool")
+	f.Add([]byte(strings.Repeat("pool ", 20)+"\u212Aitten"), "kitten", "pool")
 	f.Fuzz(func(t *testing.T, text []byte, t1, t2 string) {
 		var plain *Analyzer
 		terms := []string{t1, t2}
 		want := tokenCounts(string(text), terms)
 		got, str := make([]int, 2), make([]int, 2)
-		CountTermsBytesInto(got, text, terms, new([]byte))
+		CountTermsBytesInto(got, text, terms)
 		plain.TermFreqsInto(str, string(text), terms)
 		if want[0] != got[0] || want[1] != got[1] || want[0] != str[0] || want[1] != str[1] {
 			t.Fatalf("counts of %q in %q: rune path %v, byte kernels %v, string entry %v", terms, text, want, got, str)
 		}
 		w := allPositive(want)
-		if g, s := containsTermsScanBytes(text, terms), plain.ContainsTerms(string(text), terms); g != w || s != w {
+		if g, s := plain.ContainsTermsBytes(text, terms), plain.ContainsTerms(string(text), terms); g != w || s != w {
 			t.Fatalf("contains %q in %q: rune path %v, byte kernels %v, string entry %v", terms, text, w, g, s)
 		}
 		if w, g := foldEqRunes(string(text), t1), tokenFoldEqBytes(text, t1); w != g {

@@ -27,27 +27,31 @@ func TestContainsTermsAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("plain TermFreqsInto allocates %.1f objects/op, want 0", allocs)
 	}
+	many := strings.Fields("a b c d e f g h i j k l")
+	allocs = testing.AllocsPerRun(100, func() {
+		sinkBool(a.ContainsTermsBytes([]byte("Wireless Internet, café"), many))
+	})
+	if allocs != 0 {
+		t.Errorf("plain ContainsTermsBytes of %d terms on a non-ASCII row allocates %.1f objects/op, want 0", len(many), allocs)
+	}
 }
 
 // TestCountTermsBytesAllocFree gates the ranked query's per-candidate tf
-// kernel: once its fold buffer has grown to the longest row, counting
-// allocates nothing on either path — including for a term too long for the
-// compiler's stack buffer, which a []byte(term) conversion would allocate.
+// kernel: counting allocates nothing on either path, with no scratch of the
+// caller's — including for a term too long for the compiler's stack
+// buffer, which a []byte(term) conversion would allocate, and for more
+// terms than one pass of the token kernel takes.
 func TestCountTermsBytesAllocFree(t *testing.T) {
-	terms := []string{"pool", "internet", strings.Repeat("x", 40)}
+	terms := []string{"pool", "internet", strings.Repeat("x", 40), "a", "b", "c", "d", "e", "f", "g"}
 	counts := make([]int, len(terms))
 	rows := [][]byte{
 		[]byte(strings.Repeat("wireless internet heated pool nearby ", 60)),
 		[]byte("Wireless Internet, heated Pool"),
 		[]byte("Wireless Internet, heated pool, café"),
 	}
-	var fold []byte
-	for _, row := range rows {
-		CountTermsBytesInto(counts, row, terms, &fold)
-	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, row := range rows {
-			CountTermsBytesInto(counts, row, terms, &fold)
+			CountTermsBytesInto(counts, row, terms)
 		}
 	})
 	if allocs != 0 {

@@ -10,6 +10,7 @@
 package textutil
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"sync"
 	"unicode"
@@ -40,8 +41,8 @@ var foldedTab = func() (t [256]bool) {
 // space — and then hands out the row's pipeline terms one at a time, as
 // views into that buffer, allocating nothing once its buffers have grown.
 //
-// An all-ASCII row is folded eight bytes at a time (lowerASCII) and split on
-// asciiTab. Any other row is folded a rune at a time, which stays exact
+// ASCII is folded eight bytes at a time and split on asciiTab. From its
+// first byte ≥ 0x80 a row is folded a rune at a time, which stays exact
 // where a non-ASCII letter lower-cases to an ASCII one (U+212A KELVIN SIGN
 // to 'k', U+0130 to 'i') or changes its encoded length; its tokens are the
 // byte runs foldedTab marks. FuzzTokenizeMatchesRunePath holds every entry
@@ -54,18 +55,28 @@ type walker struct {
 }
 
 // reset folds text and starts a walk over its terms through pipeline a. The
-// walker only reads text, so a view of a string will do.
+// walker only reads text, so a view of a string will do. OR-ing each
+// letter's high lane bit (letterHi), shifted down to 0x20, into an ASCII
+// word lower-cases it.
 func (w *walker) reset(a *Analyzer, text []byte) {
 	w.a, w.at = a, 0
 	if cap(w.fold) < len(text) {
 		w.fold = make([]byte, len(text), len(text)+len(text)/8)
 	}
-	w.fold = w.fold[:len(text)]
-	if lowerASCII(w.fold, text) {
-		return
+	fold := w.fold[:len(text)]
+	i := 0
+	for ; i+8 <= len(text); i += 8 {
+		c := binary.LittleEndian.Uint64(text[i:])
+		if c&hiBits != 0 {
+			break
+		}
+		binary.LittleEndian.PutUint64(fold[i:], c|letterHi(c)>>2)
 	}
-	fold := w.fold[:0]
-	for i := 0; i < len(text); {
+	for ; i < len(text) && text[i] < utf8.RuneSelf; i++ {
+		fold[i] = asciiTab[text[i]] &^ asciiTokenBit
+	}
+	fold = fold[:i]
+	for i < len(text) {
 		if c := text[i]; c < utf8.RuneSelf {
 			fold = append(fold, asciiTab[c]&^asciiTokenBit)
 			i++

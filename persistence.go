@@ -89,6 +89,7 @@ func walName(gen uint64) string { return fmt.Sprintf("wal.%d.db", gen) }
 var (
 	fsWriteFile = os.WriteFile
 	fsRename    = os.Rename
+	fsSync      = storage.SyncPath // a file, or a directory after a rename
 	fsRemove    = os.Remove
 	fsCopyFile  = copyFile
 	fsCreateWAL = createWALFile
@@ -187,8 +188,12 @@ func (e *Engine) Generation() uint64 {
 
 // Save flushes pending objects, checkpoints the engine's state into the
 // working files, snapshots them as a new generation, and commits it with an
-// atomic manifest rename. A failed Save leaves the previous generation
-// intact and recoverable. Only durable engines can Save.
+// atomic manifest rename: the new manifest is fsynced before the rename and
+// the directory after it. A Save that fails before the rename leaves the
+// previous generation intact and recoverable; one whose directory sync
+// fails has committed in memory and on the visible directory, but reports
+// that the rename may not survive a power loss. Only durable engines can
+// Save.
 func (e *Engine) Save() error {
 	if e.dir == "" {
 		return ErrNotDurable
@@ -271,7 +276,12 @@ func (e *Engine) Save() error {
 	}
 	// Commit.
 	tmp := filepath.Join(e.dir, manifestName+".tmp")
-	if err := fsWriteFile(tmp, data, 0o644); err != nil {
+	err = fsWriteFile(tmp, data, 0o644)
+	if err == nil {
+		// The manifest's bytes are durable before its name is.
+		err = fsSync(tmp)
+	}
+	if err != nil {
 		if newWAL != nil {
 			return errors.Join(err, newWAL.Close())
 		}
@@ -306,6 +316,12 @@ func (e *Engine) Save() error {
 		if e.replOnRotate != nil {
 			e.replOnRotate(gen)
 		}
+	}
+	// The rename is durable once the directory is synced. The engine has
+	// moved to the new generation either way, so a failure is reported
+	// after the rotation, not before it.
+	if err := fsSync(e.dir); err != nil {
+		return fmt.Errorf("spatialkeyword: sync directory after commit: %w", err)
 	}
 	// Prune generation G-2; G-1 is kept for pinned readers. Best effort: a
 	// failure here cannot un-commit the save.

@@ -225,3 +225,52 @@ func TestReopenedEngineHonoursNodeCacheSize(t *testing.T) {
 		t.Errorf("disabled cache after reopen: %+v, want all zero", st)
 	}
 }
+
+// TestSaveSyncsManifestAndDirectory records the file operations of a Save
+// through the persistence hooks: the new manifest.json.tmp must be written,
+// then fsynced, then renamed over manifest.json, and the directory fsynced
+// after the rename — otherwise a power loss can leave a committed manifest
+// with torn bytes, or lose the rename and with it the log rotation.
+func TestSaveSyncsManifestAndDirectory(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := NewDurableEngine(Config{SignatureBytes: 16}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Add([]float64{1, 2}, "pool spa"); err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	origWrite, origRename, origSync := fsWriteFile, fsRename, fsSync
+	defer func() { fsWriteFile, fsRename, fsSync = origWrite, origRename, origSync }()
+	fsWriteFile = func(path string, data []byte, perm os.FileMode) error {
+		ops = append(ops, "write "+filepath.Base(path))
+		return origWrite(path, data, perm)
+	}
+	fsRename = func(from, to string) error {
+		ops = append(ops, "rename "+filepath.Base(from)+" "+filepath.Base(to))
+		return origRename(from, to)
+	}
+	fsSync = func(path string) error {
+		name := filepath.Base(path)
+		if path == dir {
+			name = "dir"
+		}
+		ops = append(ops, "sync "+name)
+		return origSync(path)
+	}
+	if err := eng.Save(); err != nil {
+		t.Fatal(err)
+	}
+	tmp := manifestName + ".tmp"
+	at := 0
+	for _, want := range []string{"write " + tmp, "sync " + tmp, "rename " + tmp + " " + manifestName, "sync dir"} {
+		for at < len(ops) && ops[at] != want {
+			at++
+		}
+		if at == len(ops) {
+			t.Fatalf("no %q in order among the commit's operations %q", want, ops)
+		}
+	}
+}

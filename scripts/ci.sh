@@ -41,10 +41,13 @@
 #   all     everything above (the default)
 #   micro   informational, not in all: the microbenchmarks of a ranked
 #           candidate's load and term count (objstore.GetFiltered on a
-#           two-block row, textutil.CountTermsBytesInto on lower-case,
-#           mixed-case and non-ASCII rows), of the term kernels' string
-#           entry (textutil BenchmarkContainsTerms, the range query's and
-#           the fences' filter, on the same rows), SKQL's per-candidate
+#           two-block row, textutil.CountTermsBytesInto on generated/hotels
+#           and generated/restaurants — rows dataset.Generate writes, with
+#           ranked_hotels' 3 and topk_restaurants' 2 keywords — and on
+#           lower-case, mixed-case and non-ASCII sentences), of the
+#           membership test (textutil BenchmarkContainsTerms: the byte entry
+#           on the same generated rows, the string entry on the sentences,
+#           the range query's and the fences' filter), SKQL's per-candidate
 #           residual filter (skql.BenchmarkResidualFilter, a 15-word row)
 #           and a forced-IIO TOP 10 NEAR on 4 shards, also in candidates
 #           and rows read per statement (skql.BenchmarkIIOTop: generated,

@@ -64,7 +64,6 @@ func checkTFCaps(t *testing.T, e *Engine, extra []string, unknown map[int]bool) 
 	if got, want := len(e.rowTFs), e.store.NumObjects(); got != want {
 		t.Fatalf("%d term-frequency summaries for %d rows", got, want)
 	}
-	var fold []byte
 	for id := 0; id < e.store.NumObjects(); id++ {
 		row := &e.rowTFs[id]
 		if unknown[id] {
@@ -79,7 +78,7 @@ func checkTFCaps(t *testing.T, e *Engine, extra []string, unknown map[int]bool) 
 		}
 		terms := append(e.an.Unique(o.Text), e.an.Keywords(extra)...)
 		counts := make([]int, len(terms))
-		e.an.TermFreqsBytesInto(counts, []byte(o.Text), terms, &fold)
+		e.an.TermFreqsBytesInto(counts, []byte(o.Text), terms)
 		maxTF := 0
 		for i, n := range counts {
 			if c := row.Cap(); n > int(c) && c != irscore.MaxTFCap {
