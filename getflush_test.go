@@ -52,8 +52,8 @@ func TestGetFlushedDoesNoWriteIO(t *testing.T) {
 	if objW, idxW := writes(objBefore, eng.objDisk), writes(idxBefore, eng.idxDisk); objW != 0 || idxW != 0 {
 		t.Fatalf("Get on a flushed id performed write I/O: %d object writes, %d index writes", objW, idxW)
 	}
-	if len(eng.run.rows) != 2 {
-		t.Fatalf("Get on a flushed id indexed the run: %d queued, want 2", len(eng.run.rows))
+	if len(eng.run) != 2 {
+		t.Fatalf("Get on a flushed id indexed the run: %d queued, want 2", len(eng.run))
 	}
 
 	// Get on a queued row syncs the store only.
@@ -67,8 +67,8 @@ func TestGetFlushedDoesNoWriteIO(t *testing.T) {
 	if idxW := writes(idxBefore, eng.idxDisk); idxW != 0 {
 		t.Fatalf("Get on a queued id wrote %d index blocks, want 0", idxW)
 	}
-	if len(eng.run.rows) != 2 {
-		t.Fatalf("Get on a queued id left %d queued, want 2", len(eng.run.rows))
+	if len(eng.run) != 2 {
+		t.Fatalf("Get on a queued id left %d queued, want 2", len(eng.run))
 	}
 }
 
@@ -201,8 +201,8 @@ func TestFailedFlushIndexesEachRowOnce(t *testing.T) {
 	if _, err := e.Add(last(added).point, last(added).text+" "+marker); err == nil {
 		t.Fatal("the add that fills the run flushed through a failing index write")
 	}
-	if got := e.tree.RTree().Len(); got != 1000+took || len(e.run.rows) != len(added)-took {
-		t.Fatalf("tree holds %d rows and the run %d, want %d and %d", got, len(e.run.rows), 1000+took, len(added)-took)
+	if got := e.tree.RTree().Len(); got != 1000+took || len(e.run) != len(added)-took {
+		t.Fatalf("tree holds %d rows and the run %d, want %d and %d", got, len(e.run), 1000+took, len(added)-took)
 	}
 	lo, hi := []float64{-math.MaxFloat64, -math.MaxFloat64}, []float64{math.MaxFloat64, math.MaxFloat64}
 	each := func(stage string) {
@@ -227,8 +227,8 @@ func TestFailedFlushIndexesEachRowOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTree(t, e)
-	if got := e.tree.RTree().Len(); got != 1000+len(added) || len(e.run.rows) != 0 {
-		t.Fatalf("tree holds %d rows and the run %d, want %d and 0", got, len(e.run.rows), 1000+len(added))
+	if got := e.tree.RTree().Len(); got != 1000+len(added) || len(e.run) != 0 {
+		t.Fatalf("tree holds %d rows and the run %d, want %d and 0", got, len(e.run), 1000+len(added))
 	}
 	each("after the retried flush")
 }

@@ -103,11 +103,14 @@ func TestWarmRankedAllocBounded(t *testing.T) {
 	p := geo.NewPoint(50, 50)
 	var loaded int
 	run := func() {
-		_, stats, err := topKRanked(x, 5, p, []string{"pizza", "cafe"}, GeneralOptions{Scorer: sc, RowTFs: rows})
+		it := x.SearchRanked(p, []string{"pizza", "cafe"}, GeneralOptions{Scorer: sc})
+		it.UseRows(tfRows(rows))
+		_, err := TakeK(5, it.Next)
+		it.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded = stats.ObjectsLoaded
+		loaded = it.Stats().ObjectsLoaded
 	}
 	run()
 	allocs := testing.AllocsPerRun(100, run)

@@ -78,7 +78,7 @@ func forEachPacked(t *testing.T, x *IR2Tree, fn func(pn *rtree.PackedNode)) {
 
 // TestRankedScorerMatchesPerEntryBound holds the ranked node scorer to
 // upperIR bit for bit on every node of an IR² and a MIR² tree: with and
-// without row summaries (some rows past the end of RowTFs), with a zero-idf
+// without row summaries (some rows past the end of Rows.TFs), with a zero-idf
 // keyword, with idfs whose sum depends on its order, and with one interior
 // level's signatures a byte longer than that level's payloads. The scorer
 // must keep exactly the entries the per-entry test keeps — every entry the
@@ -107,7 +107,10 @@ func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 				for _, rows := range [][]irscore.RowTF{nil, rowTFs} {
 					where := fmt.Sprintf("%s %v %s rowTFs=%t", tree.name, kw, variant, rows != nil)
 					p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-					r := tree.x.SearchRanked(p, kw, GeneralOptions{Scorer: generalScorer(f), RowTFs: rows})
+					r := tree.x.SearchRanked(p, kw, GeneralOptions{Scorer: generalScorer(f)})
+					if rows != nil {
+						r.UseRows(tfRows(rows))
+					}
 					s := &r.bound
 					switch variant {
 					case "zero-idf":

@@ -50,10 +50,10 @@ func (x *IR2Tree) Search(p geo.Point, keywords []string) *ResultIter {
 }
 
 // newResultIter builds the result stream of a query for kws, with its
-// pooled scratch and the store's filtered object loader: the containment
-// check of IR2TopK line 21 runs on the raw text field, so false positives
-// are rejected before the object is materialized (see
-// objstore.GetFiltered). The caller starts the traversal, r.it.
+// pooled scratch and the store's filtered object loader: without a row
+// table, the containment check of IR2TopK line 21 runs on the raw text
+// field, so false positives are rejected before the object is materialized
+// (see objstore.GetFiltered). The caller starts the traversal, r.it.
 func newResultIter(x *IR2Tree, kws []string) *ResultIter {
 	r := &ResultIter{x: x, keywords: kws, sc: takeScratch()}
 	r.accept = func(text []byte) bool {
@@ -64,12 +64,14 @@ func newResultIter(x *IR2Tree, kws []string) *ResultIter {
 
 // queryScratch is a query iterator's pooled working space: the buffers its
 // candidate rows are read into, the corner points its scorer decodes MBRs
-// into and, for the general ranked query, one survivor mask per keyword. An
+// into, the keywords' term IDs in a row table (UseRows) and, for the general
+// ranked query, one survivor mask per keyword. An
 // iterator takes one when it is built and returns it in Close; one that is
 // never closed only loses the reuse.
 type queryScratch struct {
 	row    objstore.RowScratch
 	lo, hi geo.Point
+	ids    []uint32
 	masks  []uint64
 }
 
@@ -97,6 +99,11 @@ type ResultIter struct {
 	sc       *queryScratch
 	accept   func(text []byte) bool
 	stats    SearchStats
+	// rows, when not nil, is the engine's row table (UseRows), and ids the
+	// keywords' term IDs in it, ascending.
+	rows   *Rows
+	ids    []uint32
+	passed uint64 // the last row test found to hold every keyword, plus one
 	// The query's geometry, which PushRun keys a queued row by: the point of
 	// a distance-first query, else the area, which a range query (within)
 	// also filters by.
@@ -107,8 +114,11 @@ type ResultIter struct {
 
 // Next returns the next object containing all query keywords, ordered by
 // distance. ok is false when the index is exhausted. Candidates whose
-// signatures matched spuriously are loaded, detected (the containment check
-// of IR2TopK line 21), counted in Stats().FalsePositives, and skipped.
+// signatures matched spuriously are detected (the containment check of
+// IR2TopK line 21) — in the row table when the query has one, else on the
+// loaded row — counted in Stats().FalsePositives, and skipped. A row is
+// read, and counted in Stats().ObjectsLoaded, when it is returned or, with
+// no row table, tested.
 //
 //skvet:hotpath
 func (r *ResultIter) Next() (Result, bool, error) {
@@ -121,7 +131,17 @@ func (r *ResultIter) Next() (Result, bool, error) {
 			fillTraversal(&r.stats, r.it.TraversalStats())
 			return Result{}, false, nil
 		}
-		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
+		var obj objstore.Object
+		if in, holds := r.test(ref); in {
+			if !holds {
+				r.stats.FalsePositives++
+				continue
+			}
+			obj, err = r.x.store.Get(objstore.Ptr(ref))
+			ok = true
+		} else {
+			obj, ok, err = r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
+		}
 		if err != nil {
 			return Result{}, false, err
 		}
@@ -133,6 +153,28 @@ func (r *ResultIter) Next() (Result, bool, error) {
 		fillTraversal(&r.stats, r.it.TraversalStats())
 		return Result{Object: obj, Dist: dist}, true, nil
 	}
+}
+
+// test reports whether the row table holds the row at ref and, if so,
+// whether the row holds every keyword. It remembers the last row that
+// passed: PeekBound and Next test the queue's head more than once (a merge
+// peeks at every lane per step), and a distance-first traversal queues a
+// row once.
+//
+//skvet:hotpath
+func (r *ResultIter) test(ref uint64) (in, holds bool) {
+	if r.passed == ref+1 {
+		return true, true
+	}
+	id, in := rowID(r.rows, r.x.store, ref)
+	if !in {
+		return false, false
+	}
+	if !r.rows.Terms.HoldsAll(id, r.ids) {
+		return true, false
+	}
+	r.passed = ref + 1
+	return true, true
 }
 
 // Stats returns the work counters accumulated so far.
@@ -151,11 +193,49 @@ func (r *ResultIter) Close() {
 
 // PeekBound returns a lower bound on the distance of every result the
 // iterator can still produce: the priority of the best queued entry (an
-// object's exact distance or a subtree MBR's minimum distance). ok is false
-// when the traversal is exhausted. The shard merge uses it to pull only from
-// the shard whose best remaining candidate is the global best.
+// object's exact distance or a subtree MBR's minimum distance). With a row
+// table, a false positive at the head is dropped first, so the bound is a
+// result's distance whenever an object heads the queue. ok is false when
+// the traversal is exhausted. The shard merge uses it to pull only from the
+// shard whose best remaining candidate is the global best, and FirstK to
+// stop at the k-th distance.
 func (r *ResultIter) PeekBound() (float64, bool) {
+	for {
+		ref, _, ok := r.it.PeekObject()
+		if !ok {
+			break
+		}
+		if in, holds := r.test(ref); !in || holds {
+			break
+		}
+		r.it.DropObject()
+		r.stats.FalsePositives++
+	}
 	return r.it.PeekScore()
+}
+
+// Settle expands the traversal until an object heads its queue — the nodes
+// Next would expand on its way to the next result — so that PeekBound is
+// then that result's distance exactly. It reads no row with a row table;
+// without one it is PeekBound's bound still, as a false positive at the
+// head is found only by reading it.
+func (r *ResultIter) Settle() error { return settle(r.it, r.PeekBound) }
+
+// settle expands the nodes at the head of it until an object heads the
+// queue; peek, the iterator's PeekBound, drops or rescores an object at the
+// head first.
+func settle(it *rtree.Iter, peek func() (float64, bool)) error {
+	for {
+		if _, ok := peek(); !ok {
+			return nil
+		}
+		if _, _, obj := it.PeekObject(); obj {
+			return nil
+		}
+		if err := it.ExpandHead(); err != nil {
+			return err
+		}
+	}
 }
 
 // TopK answers a distance-first top-k spatial keyword query: the k objects

@@ -22,13 +22,6 @@ type RankedResult struct {
 type GeneralOptions struct {
 	// Scorer provides idf statistics and IRscore computation. Required.
 	Scorer *irscore.Scorer
-	// RowTFs holds one term-frequency summary per object ID (the row's
-	// term-frequency cap and repeated-term mask), or nil. An object entry's
-	// bound weighs each matched keyword by irscore.RowTF.Weight of its row
-	// instead of 1; an ID past the end, or a zero RowTF, keeps the paper's
-	// bound. Every RowTF must bound its row's real term frequencies, or
-	// answers are no longer exact.
-	RowTFs []irscore.RowTF
 }
 
 // SearchRanked starts a *general* top-k spatial keyword query: objects
@@ -72,7 +65,6 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 			sigs:   levelWordSigs{x: x, words: normalized},
 			idfs:   idfs,
 			probes: probes,
-			rowTFs: opts.RowTFs,
 			store:  x.store,
 			lo:     sc.lo,
 			hi:     sc.hi,
@@ -84,10 +76,11 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	// keyword's match separately, and the scorer drops the entries no
 	// keyword matches itself.
 	r.it = x.rt.Seek(&r.bound, nil)
-	// The candidate filter runs on the raw text field before the object is
-	// materialized (see objstore.GetFiltered): count terms into the scratch
-	// — Next scores survivors off it — and reject candidates containing no
-	// keyword without paying their materialization.
+	// Without a row table the candidate filter runs on the raw text field
+	// before the object is materialized (see objstore.GetFiltered): count
+	// terms into the scratch — Next scores survivors off it — and reject
+	// candidates containing no keyword without paying their
+	// materialization.
 	r.accept = func(text []byte) bool {
 		r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized)
 		for _, n := range r.tf {
@@ -114,7 +107,7 @@ type rankedScorer struct {
 	sigs   levelWordSigs
 	idfs   []float64 // idf per normalized keyword, from QueryIDFs
 	probes []irscore.TermProbe
-	rowTFs []irscore.RowTF // GeneralOptions.RowTFs
+	rowTFs []irscore.RowTF // Rows.TFs, from UseRows
 	store  *objstore.Store // maps a row pointer to its ID
 	lo, hi geo.Point       // the MBR being scored
 	masks  []uint64        // keyword i's survivor mask at masks[i*nw:]
@@ -182,11 +175,16 @@ func (s *rankedScorer) rowTF(ptr uint64) *irscore.RowTF {
 	return &s.rowTFs[id]
 }
 
-// rankedCandidate remembers a loaded object re-enqueued with its exact
-// (negated) score, so it is not read or scored twice.
+// rankedCandidate is a candidate's exact score: its distance, its IR score
+// and the negated f it is queued with. A candidate whose score did not beat
+// the queue head is re-enqueued with it and remembered, so it is not scored
+// twice; without a row table its row, read to score it, is kept too, so it
+// is not read twice.
 type rankedCandidate struct {
-	res   RankedResult
-	score float64
+	obj      objstore.Object
+	read     bool // obj holds the row
+	dist, ir float64
+	score    float64
 }
 
 // RankedIter streams general top-k results in non-increasing score order.
@@ -200,10 +198,18 @@ type RankedIter struct {
 	accept     func(text []byte) bool
 	exact      map[uint64]rankedCandidate
 	stats      SearchStats
+	// rows, when not nil, is the engine's row table (UseRows), and ids the
+	// normalized keywords' term IDs in it, in keyword order.
+	rows *Rows
+	ids  []uint32
 }
 
 // Next returns the next best-scoring object. ok is false when no further
-// object matches any keyword.
+// object matches any keyword. A popped candidate's exact score comes from
+// the row table when the query has one, else from its row, read; it is
+// returned once that score is at least the queue head's bound, and
+// re-enqueued with it otherwise ("U.Enqueue(T, Score)"). With a row table a
+// row is read only when it is returned.
 func (r *RankedIter) Next() (RankedResult, bool, error) {
 	for {
 		ref, score, ok, err := r.it.Next()
@@ -214,44 +220,77 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 			fillTraversal(&r.stats, r.it.TraversalStats())
 			return RankedResult{}, false, nil
 		}
-		if c, seen := r.exact[ref]; seen && c.score == score {
+		c, seen := r.exact[ref]
+		if seen && c.score == score {
 			// Re-dequeued with its exact score: nothing remaining can beat it.
 			delete(r.exact, ref)
-			fillTraversal(&r.stats, r.it.TraversalStats())
-			return c.res, true, nil
+			return r.emit(ref, c)
 		}
-		// GetFiltered counts the candidate's term frequencies into r.tf
-		// (via r.accept) straight off the row's scratch bytes, and skips
-		// materializing pure false positives — terms never re-pass the
-		// pipeline (stemming is not idempotent), and a rejected candidate
-		// costs no allocation at all.
-		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
+		c, ok, err = r.candidate(ref)
 		if err != nil {
 			return RankedResult{}, false, err
+		}
+		if !ok {
+			continue
+		}
+		if top, any := r.it.PeekScore(); !any || c.score <= top {
+			// Exact score at least as good as every remaining upper bound.
+			return r.emit(ref, c)
+		}
+		r.it.Push(ref, c.score)
+		r.exact[ref] = c
+	}
+}
+
+// candidate computes the exact score of the object at ref; ok is false for
+// a false positive, an object that holds no keyword (counted in
+// FalsePositives). From the row table it reads nothing. Without one, the
+// store's GetFiltered counts the candidate's term frequencies into r.tf
+// (via r.accept) straight off the row's scratch bytes, and skips
+// materializing pure false positives — terms never re-pass the pipeline
+// (stemming is not idempotent), and a rejected candidate costs no
+// allocation at all.
+func (r *RankedIter) candidate(ref uint64) (rankedCandidate, bool, error) {
+	var c rankedCandidate
+	if id, in := rowID(r.rows, r.x.store, ref); in {
+		r.rows.Terms.CountsInto(r.tf, id, r.ids)
+		c.dist = r.bound.p.Dist(r.rows.Point(id))
+	} else {
+		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
+		if err != nil {
+			return c, false, err
 		}
 		r.stats.ObjectsLoaded++
 		if !ok {
 			r.stats.FalsePositives++
-			continue
+			return c, false, nil
 		}
-		dist := r.bound.p.Dist(obj.Point)
-		ir := irscore.ScoreFromCounts(r.tf, r.bound.idfs)
-		if ir == 0 {
-			// Degenerate scorers can weigh a present keyword at zero; keep
-			// the paper's "Score > 0" test exact.
-			r.stats.FalsePositives++
-			continue
-		}
-		f := irscore.Combine(dist, ir)
-		res := RankedResult{Object: obj, Dist: dist, IRScore: ir, Score: f}
-		if top, any := r.it.PeekScore(); !any || -f <= top {
-			// Exact score at least as good as every remaining upper bound.
-			fillTraversal(&r.stats, r.it.TraversalStats())
-			return res, true, nil
-		}
-		r.it.Push(ref, -f)
-		r.exact[ref] = rankedCandidate{res: res, score: -f}
+		c.obj, c.read = obj, true
+		c.dist = r.bound.p.Dist(obj.Point)
 	}
+	c.ir = irscore.ScoreFromCounts(r.tf, r.bound.idfs)
+	if c.ir == 0 {
+		// No keyword — or a degenerate scorer weighs a present keyword at
+		// zero; keep the paper's "Score > 0" test exact.
+		r.stats.FalsePositives++
+		return c, false, nil
+	}
+	c.score = -irscore.Combine(c.dist, c.ir)
+	return c, true, nil
+}
+
+// emit returns candidate c, reading its row if scoring it did not.
+func (r *RankedIter) emit(ref uint64, c rankedCandidate) (RankedResult, bool, error) {
+	if !c.read {
+		obj, err := r.x.store.Get(objstore.Ptr(ref))
+		if err != nil {
+			return RankedResult{}, false, err
+		}
+		r.stats.ObjectsLoaded++
+		c.obj = obj
+	}
+	fillTraversal(&r.stats, r.it.TraversalStats())
+	return RankedResult{Object: c.obj, Dist: c.dist, IRScore: c.ir, Score: -c.score}, true, nil
 }
 
 // Stats returns the work counters accumulated so far.
@@ -272,10 +311,35 @@ func (r *RankedIter) Close() {
 
 // PeekBound returns an upper bound on the score of every result the
 // iterator can still produce: the (un-negated) priority of the best queued
-// entry. ok is false when the traversal is exhausted. The shard merge uses
-// it to pull only from the shard whose best remaining candidate is the
-// global best.
+// entry. With a row table, an object at the head whose queued score is
+// only its bound is scored first and re-enqueued (or dropped, a false
+// positive), so whenever an object heads the queue the bound is a result's
+// exact score and FirstK's tie check reads no row. ok is false when the
+// traversal is exhausted. The shard merge uses it to pull only from the
+// shard whose best remaining candidate is the global best.
 func (r *RankedIter) PeekBound() (float64, bool) {
+	for {
+		ref, score, ok := r.it.PeekObject()
+		if !ok {
+			break
+		}
+		if c, seen := r.exact[ref]; seen && c.score == score {
+			break
+		}
+		if _, in := rowID(r.rows, r.x.store, ref); !in {
+			break
+		}
+		r.it.DropObject()
+		// From the row table, candidate reads nothing and cannot fail.
+		if c, ok, _ := r.candidate(ref); ok {
+			r.it.Push(ref, c.score)
+			r.exact[ref] = c
+		}
+	}
 	s, ok := r.it.PeekScore()
 	return -s, ok
 }
+
+// Settle is ResultIter.Settle for the general ranked query: with a row
+// table, PeekBound is then the next result's exact score.
+func (r *RankedIter) Settle() error { return settle(r.it, r.PeekBound) }

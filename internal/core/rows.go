@@ -1,0 +1,159 @@
+package core
+
+import (
+	"slices"
+
+	"spatialkeyword/internal/geo"
+	"spatialkeyword/internal/irscore"
+	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/textutil"
+)
+
+// Rows is an engine's in-memory row table, indexed by object ID: what a
+// query needs of a row to test and score it without reading it. A stream
+// given one (UseRows) tests a candidate's keywords and, ranked, computes its
+// exact score from the table, and reads a row from the object file only to
+// return it. Every row the table holds must be exactly what the object file
+// holds, analyzed by the pipeline the tree's queries use: a term-ID test on
+// it is proof, and its counts are the row's pipeline term frequencies.
+type Rows struct {
+	// Vocab interns every row's terms; its document frequencies are the
+	// engine's corpus statistics.
+	Vocab *textutil.Vocabulary
+	// Terms is each row's distinct term IDs and their counts.
+	Terms textutil.TermArena
+	// TFs is each row's term-frequency summary, its cap and repeated-term
+	// mask: the general ranked query's per-object bound (see rankedScorer).
+	TFs []irscore.RowTF
+	// Points is each row's point, geo.Dims coordinates per row.
+	Points []float64
+}
+
+// Add analyzes row id's text once, through the vocabulary's fold with
+// pipeline an, and records the row's terms, summary and point. Rows are
+// added in ascending ID order; a row skipped (an add that failed after its
+// append) holds no term, a zero summary and a zero point, and is never a
+// candidate.
+func (r *Rows) Add(id objstore.ID, p geo.Point, an *textutil.Analyzer, text string) {
+	terms, counts := r.Vocab.AddDocWith(an, text)
+	n := int(id) + 1
+	r.TFs = append(r.TFs, make([]irscore.RowTF, n-len(r.TFs))...)
+	r.TFs[id] = irscore.RowTFOf(counts, func(i int) string { return r.Vocab.Word(terms[i]) })
+	r.Points = append(r.Points, make([]float64, n*geo.Dims-len(r.Points))...)
+	copy(r.Points[int(id)*geo.Dims:], p)
+	r.Terms.Set(int(id), terms, counts)
+}
+
+// Grow makes room for n more rows, so that adding them moves nothing (an
+// open, which knows how many rows its scan adds).
+func (r *Rows) Grow(n int) {
+	r.TFs = slices.Grow(r.TFs, n)
+	r.Points = slices.Grow(r.Points, n*geo.Dims)
+	r.Terms.Grow(n)
+}
+
+// Point returns row id's point, a view of the table.
+//
+//skvet:hotpath
+func (r *Rows) Point(id int) geo.Point {
+	return r.Points[id*geo.Dims : (id+1)*geo.Dims : (id+1)*geo.Dims]
+}
+
+// termIDs appends the term ID of each normalized keyword to dst, NoTerm for
+// one no row holds.
+func (r *Rows) termIDs(dst []uint32, keywords []string) []uint32 {
+	for _, w := range keywords {
+		id, ok := r.Vocab.TermID(w)
+		if !ok {
+			id = textutil.NoTerm
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// rowID returns the ID of the row at ptr when rows holds it. A row the
+// table does not hold is read and tested as the paper's algorithms do.
+//
+//skvet:hotpath
+func rowID(rows *Rows, store *objstore.Store, ptr uint64) (int, bool) {
+	if rows == nil {
+		return 0, false
+	}
+	id, ok := store.IDAt(objstore.Ptr(ptr))
+	if !ok || int(id) >= rows.Terms.Len() {
+		return 0, false
+	}
+	return int(id), true
+}
+
+// UseRows has the query test its candidates against rows, which must hold
+// every row the tree does, so that a signature false positive is dropped
+// without reading its row. Call it before the first Next or PushRun.
+func (r *ResultIter) UseRows(rows *Rows) {
+	r.rows = rows
+	r.ids = rows.termIDs(r.sc.ids[:0], r.keywords)
+	slices.Sort(r.ids)
+	r.sc.ids = r.ids
+}
+
+// PushRun puts every row of queued (object IDs in the table UseRows gave)
+// that holds all the query's keywords on the traversal's frontier as an
+// object entry, at the key a leaf entry for it would get (its distance, or
+// area distance, from the query; a range query skips a row outside its
+// rectangle). From there a queued row is returned like a tree row. Call it
+// before the first Next; the rows must be readable from the store by then.
+func (r *ResultIter) PushRun(queued []uint64) {
+	for _, id := range queued {
+		if !r.rows.Terms.HoldsAll(int(id), r.ids) {
+			continue
+		}
+		p := r.rows.Point(int(id))
+		rect := geo.Rect{Lo: p, Hi: p}
+		var key float64
+		switch {
+		case r.at != nil:
+			key = rect.MinDist(r.at)
+		case r.within:
+			if !rect.Intersects(r.area) {
+				continue
+			}
+		default:
+			key = rect.MinDistRect(r.area)
+		}
+		r.it.Push(uint64(r.x.store.Ptrs()[id]), key)
+	}
+}
+
+// UseRows is ResultIter.UseRows for the general ranked query: a candidate's
+// exact score comes from the table's counts and point, and each object
+// entry's bound from its summary in rows.TFs.
+func (r *RankedIter) UseRows(rows *Rows) {
+	r.rows = rows
+	r.bound.rowTFs = rows.TFs
+	r.ids = rows.termIDs(r.sc.ids[:0], r.normalized)
+	r.sc.ids = r.ids
+}
+
+// PushRun is ResultIter.PushRun for the general ranked query: a row that
+// holds at least one keyword is pushed at the negated f of its distance and
+// its IR bound, Σ idfᵢ·RowTF.Weight over the keywords it holds — the bound
+// rankedScorer gives a leaf entry whose signature matches exactly those
+// keywords. A row whose bound is 0 is skipped, as the scorer drops it.
+func (r *RankedIter) PushRun(queued []uint64) {
+	s := &r.bound
+	for _, id := range queued {
+		r.rows.Terms.CountsInto(r.tf, int(id), r.ids)
+		var ub float64
+		for k, n := range r.tf {
+			if n > 0 {
+				ub += s.rowTFs[id].Weight(s.probes[k]) * s.idfs[k]
+			}
+		}
+		if ub == 0 {
+			continue
+		}
+		p := r.rows.Point(int(id))
+		r.it.Push(uint64(r.x.store.Ptrs()[id]), -irscore.Combine(geo.Rect{Lo: p, Hi: p}.MinDist(s.p), ub))
+	}
+}

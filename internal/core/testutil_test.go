@@ -8,6 +8,7 @@ import (
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/invindex"
+	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
@@ -68,7 +69,7 @@ func buildFixture(t *testing.T, rows []struct {
 	for _, r := range rows {
 		_, ptr, _ := f.store.Append(geo.NewPoint(r.lat, r.lon), r.text)
 		f.ptrs = append(f.ptrs, ptr)
-		f.vocab.AddDocWith(nil, r.text, nil)
+		f.vocab.AddDocWith(nil, r.text)
 		f.avgWords += float64(len(plain.Unique(r.text)))
 	}
 	if len(rows) > 0 {
@@ -195,6 +196,13 @@ func topKRanked(x *IR2Tree, k int, p geo.Point, keywords []string, opts GeneralO
 	results, err := TakeK(k, it.Next)
 	it.Close()
 	return results, it.Stats(), err
+}
+
+// tfRows is a row table that holds only term-frequency summaries: the
+// ranked bound weighs each object entry by them, and every candidate is
+// read and tested as the paper's algorithms do.
+func tfRows(tfs []irscore.RowTF) *Rows {
+	return &Rows{Vocab: textutil.NewVocabulary(), TFs: tfs}
 }
 
 // resultIDs extracts object IDs from distance-first results.

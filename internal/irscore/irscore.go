@@ -167,6 +167,21 @@ type RowTF struct {
 	cap      uint8
 }
 
+// RowTFOf returns the summary of a row whose distinct pipeline terms are
+// word(0) .. word(len(counts)-1), term i occurring counts[i] times.
+func RowTFOf(counts []int32, word func(i int) string) RowTF {
+	var r RowTF
+	maxTF := 0
+	for i, n := range counts {
+		maxTF = max(maxTF, int(n))
+		if n > 1 {
+			r.AddRepeated(word(i))
+		}
+	}
+	r.SetCap(maxTF)
+	return r
+}
+
 // SetCap records the row's largest pipeline term frequency.
 func (r *RowTF) SetCap(maxTF int) { r.cap = TFCap(maxTF) }
 

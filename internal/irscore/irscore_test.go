@@ -20,7 +20,7 @@ func corpus() (*Scorer, []string) {
 	}
 	v := textutil.NewVocabulary()
 	for _, d := range docs {
-		v.AddDocWith(nil, d, nil)
+		v.AddDocWith(nil, d)
 	}
 	return NewScorer(v.NumDocs(), v.DocFreq), docs
 }
@@ -131,7 +131,7 @@ func TestUpperBoundRandomized(t *testing.T) {
 				d += vocab[rng.Intn(len(vocab))] + " "
 			}
 			docs[i] = d
-			v.AddDocWith(nil, d, nil)
+			v.AddDocWith(nil, d)
 		}
 		s := NewScorer(v.NumDocs(), v.DocFreq)
 		// Random query.
@@ -253,10 +253,9 @@ var pipelines = map[string]*textutil.Analyzer{
 // rowTFOf records a row's term-frequency summary the way an engine's add
 // does.
 func rowTFOf(a *textutil.Analyzer, text string) RowTF {
-	var r RowTF
-	_, maxTF := textutil.NewVocabulary().AddDocWith(a, text, r.AddRepeated)
-	r.SetCap(maxTF)
-	return r
+	v := textutil.NewVocabulary()
+	terms, counts := v.AddDocWith(a, text)
+	return RowTFOf(counts, func(i int) string { return v.Word(terms[i]) })
 }
 
 // TestRowTFWeight: the zero summary keeps the paper's weight of 1; a row

@@ -12,12 +12,16 @@ import "time"
 type Work struct {
 	// NodesLoaded is the number of index nodes dequeued and read.
 	NodesLoaded int
-	// ObjectsLoaded is the number of objects read from the object file.
+	// ObjectsLoaded is the number of rows read from the object file. An
+	// engine's streams test and score candidates in its in-memory row table
+	// and read a row only to return it; the paper's algorithms, which have
+	// no such table, read every candidate.
 	ObjectsLoaded int
-	// FalsePositives counts loaded objects whose signature matched the
-	// query but whose text failed verification (IR2TopK line 21 failing);
-	// pruned entries are never verified, so EntriesPruned is their
-	// upper-bound complement.
+	// FalsePositives counts candidates whose signature matched the query
+	// but that lack a keyword (IR2TopK line 21 failing; for the ranked
+	// query, an object that holds none), whether the row table caught them
+	// in memory or the loaded row did; pruned entries are never verified,
+	// so EntriesPruned is their upper-bound complement.
 	FalsePositives int
 	// EntriesPruned is the number of index entries the signature check
 	// dropped — subtrees and objects never visited.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"spatialkeyword"
 	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/shard"
+	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/wal"
 )
 
@@ -253,7 +255,7 @@ func (f *Follower) bootstrap() error {
 			return err
 		}
 	}
-	if err := writeFileSync(filepath.Join(f.dir, shard.ManifestFileName), manifestBytes); err != nil {
+	if err := f.commitBootstrap(dirs, manifestBytes); err != nil {
 		return err
 	}
 	s, err := shard.Open(f.dir)
@@ -262,6 +264,45 @@ func (f *Follower) bootstrap() error {
 	}
 	f.install(s)
 	f.m.snapshots.Inc()
+	return nil
+}
+
+// The bootstrap's commit reaches the file system through these, so a test
+// can record the order of its operations.
+var (
+	fsSync   = storage.SyncPath // a file, or a directory after a create or rename
+	fsRename = os.Rename
+)
+
+// commitBootstrap makes the staged shards durable and then commits them with
+// the sharded manifest: each staged shard directory is fsynced (its files
+// were, as they were written), then the manifest is written to a tmp file
+// and fsynced, the replica directory fsynced (the shard directories' names
+// and the tmp's), the tmp renamed over the manifest and the directory
+// fsynced again, so a power loss leaves either no manifest — the next open
+// re-bootstraps — or one whose every file survives.
+func (f *Follower) commitBootstrap(dirs []string, manifestBytes []byte) error {
+	for i, d := range dirs {
+		if d == f.dir || slices.Contains(dirs[:i], d) {
+			continue // the replica directory is synced below
+		}
+		if err := fsSync(d); err != nil {
+			return fmt.Errorf("repl: sync staged shard: %w", err)
+		}
+	}
+	path := filepath.Join(f.dir, shard.ManifestFileName)
+	if err := writeFileSync(path+".tmp", manifestBytes); err != nil {
+		return err
+	}
+	if err := fsSync(f.dir); err != nil {
+		return fmt.Errorf("repl: sync replica dir: %w", err)
+	}
+	if err := fsRename(path+".tmp", path); err != nil {
+		return err
+	}
+	if err := fsSync(f.dir); err != nil {
+		return fmt.Errorf("repl: sync replica dir after commit: %w", err)
+	}
 	return nil
 }
 

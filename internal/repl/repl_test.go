@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -114,6 +116,56 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	if f.Stats().Objects != e.Stats().Objects {
 		t.Fatalf("follower stats %+v, leader %+v", f.Stats(), e.Stats())
 	}
+}
+
+// TestFollowerBootstrapCommitsDurably records the file operations that
+// commit a follower's bootstrap from a 3-shard leader, in order: each
+// staged shard directory is fsynced, then the replica directory (after the
+// manifest's tmp was written and fsynced), then the tmp is renamed over
+// shards.json and the directory fsynced again — so a power loss cannot leave
+// a manifest that names a shard file whose directory entry was lost.
+func TestFollowerBootstrapCommitsDurably(t *testing.T) {
+	ldir, fdir := t.TempDir(), t.TempDir()
+	e, err := shard.NewDurable(spatialkeyword.Config{WAL: true}, ldir, shard.Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() }) //nolint:errcheck // test teardown
+	addN(t, e, 0, 30)
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewLeader(e).Handler())
+	t.Cleanup(srv.Close)
+
+	var ops []string
+	origSync, origRename := fsSync, fsRename
+	defer func() { fsSync, fsRename = origSync, origRename }()
+	name := func(path string) string {
+		if path == fdir {
+			return "dir"
+		}
+		return filepath.Base(path)
+	}
+	fsSync = func(path string) error {
+		ops = append(ops, "sync "+name(path))
+		return origSync(path)
+	}
+	fsRename = func(from, to string) error {
+		ops = append(ops, "rename "+name(from)+" "+name(to))
+		return origRename(from, to)
+	}
+	f, err := OpenFollower(fdir, srv.URL, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck // test teardown
+	want := []string{"sync shard-0000", "sync shard-0001", "sync shard-0002", "sync dir",
+		"rename shards.json.tmp shards.json", "sync dir"}
+	if !slices.Equal(ops, want) {
+		t.Fatalf("bootstrap commit\n got %q\nwant %q", ops, want)
+	}
+	sameTopK(t, e, f, 5, []float64{3, 1}, "coffee")
 }
 
 func TestFollowerIsReadOnly(t *testing.T) {

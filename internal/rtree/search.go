@@ -321,9 +321,7 @@ func (it *Iter) Next() (ref uint64, score float64, ok bool, err error) {
 	for len(it.queue) > 0 {
 		item := it.queue.pop()
 		if item.isObject {
-			if it.trace != nil {
-				it.trace(TraceEvent{Kind: TraceEmit, Child: item.ref, Score: item.score})
-			}
+			it.emit(item)
 			return item.ref, item.score, true, nil
 		}
 		if err := it.expandPacked(item.node, item.score); err != nil {
@@ -428,6 +426,44 @@ func (it *Iter) PeekScore() (float64, bool) {
 		return 0, false
 	}
 	return it.queue[0].score, true
+}
+
+// PeekObject returns the reference and score of the best queued element
+// when it is an object; ok is false when it is a node or the queue is
+// empty. A query that can judge the object without reading it (core's row
+// table) looks at the head this way, and drops it with DropObject.
+//
+//skvet:hotpath
+func (it *Iter) PeekObject() (ref uint64, score float64, ok bool) {
+	if len(it.queue) == 0 || !it.queue[0].isObject {
+		return 0, 0, false
+	}
+	return it.queue[0].ref, it.queue[0].score, true
+}
+
+// ExpandHead expands the node that heads the queue, as Next would on its
+// way to the next object; it does nothing when an object heads the queue or
+// it is empty. A query that must know its next result's key exactly, but
+// not read the result yet, expands its way there with it.
+func (it *Iter) ExpandHead() error {
+	if len(it.queue) == 0 || it.queue[0].isObject {
+		return nil
+	}
+	item := it.queue.pop()
+	return it.expandPacked(item.node, item.score)
+}
+
+// DropObject removes the best queued element, an object PeekObject
+// returned, as Next would have returned it.
+func (it *Iter) DropObject() { it.emit(it.queue.pop()) }
+
+// emit traces an object leaving the queue.
+//
+//skvet:hotpath
+func (it *Iter) emit(item queueItem) {
+	if it.trace != nil {
+		it.trace(TraceEvent{Kind: TraceEmit, Child: item.ref, Score: item.score})
+	}
 }
 
 // NodesLoaded reports how many tree nodes the traversal has expanded — the

@@ -74,3 +74,36 @@ func TestOneShardMergeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCorpusAllocFree gates what every SKQL plan and every sharded ranked
+// query pays for the corpus statistics: Corpus and a DocFreq lookup
+// through it allocate nothing, on 4 shards and on one engine.
+func TestCorpusAllocFree(t *testing.T) {
+	s, err := New(spatialkeyword.Config{}, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := s.Add([]float64{float64(i), float64(i % 7)}, "pool spa cafe"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := spatialkeyword.NewEngine(spatialkeyword.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]interface {
+		Corpus() spatialkeyword.CorpusStats
+	}{"4 shards": s, "engine": e} {
+		df := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			df += r.Corpus().DocFreq("pool")
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Corpus().DocFreq allocates %.1f objects/op, want 0", name, allocs)
+		}
+	}
+	if got := s.Corpus(); got.NumDocs != 40 || got.DocFreq("pool") != 40 {
+		t.Errorf("4 shards: %d docs, df(pool) %d, want 40 and 40", got.NumDocs, got.DocFreq("pool"))
+	}
+}

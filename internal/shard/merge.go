@@ -40,6 +40,7 @@ import (
 type stream[R any] interface {
 	Next() (R, bool, error)
 	PeekBound() (float64, bool)
+	Settle() error
 	Stats() spatialkeyword.QueryStats
 	Close()
 }
@@ -105,7 +106,7 @@ func openStream[R any](s *ShardedEngine, q topkQuery[R]) (*mergedStream[R], erro
 		}
 		ln := st.open(sh)
 		st.lanes = append(st.lanes, ln)
-		st.settle(ln)
+		st.classify(ln)
 	}
 	if st.err != nil {
 		st.Close()
@@ -120,6 +121,7 @@ type lane[R any] struct {
 	it    stream[R]
 	start time.Time
 	r     R     // the result last pulled; a field so at's pointer costs no allocation per result
+	exact bool  // settled since the last pull: PeekBound is the next result's key
 	done  bool  // exhausted, failed or finished: not to be pulled again
 	err   error // why the lane failed, if it did
 }
@@ -172,9 +174,10 @@ func (st *mergedStream[R]) record(results int, err error) {
 		Work: st.agg.Work, Latency: time.Since(st.start), Err: err != nil, Degraded: st.agg.Degraded})
 }
 
-// settle classifies a lane's failure, once: a storage fault takes the shard
-// out of rotation and the stream goes on degraded, anything else fails it.
-func (st *mergedStream[R]) settle(ln *lane[R]) {
+// classify classifies a lane's failure, once: a storage fault takes the
+// shard out of rotation and the stream goes on degraded, anything else fails
+// it.
+func (st *mergedStream[R]) classify(ln *lane[R]) {
 	switch {
 	case ln.err == nil:
 	case st.s.degrade(ln.sh, ln.err):
@@ -184,32 +187,54 @@ func (st *mergedStream[R]) settle(ln *lane[R]) {
 	}
 }
 
-// step advances the merge — pulling, if pull is set — until a pulled result
-// can be delivered: no lane's bound beats it. It returns the bound on what is
-// left, whether pending's first is deliverable, and whether anything is left.
-func (st *mergedStream[R]) step(pull bool) (bound float64, ready, ok bool) {
+// What step does once no pulled result can be delivered yet.
+const (
+	peek   = iota // nothing: report the bound
+	settle        // settle the lanes, best bound first, until the best is exact
+	pull          // that, then pull the best lane
+)
+
+// step advances the merge until a pulled result can be delivered — no
+// lane's bound beats it — or, short of that, as far as mode says. A lane is
+// settled (Settle) before it is pulled, unless it is the only one left and
+// nothing is pending, and pulled only while its exact key is the best bound
+// left, so every row a lane reads is a row the merge delivers. It returns the bound on what is left, whether pending's first is
+// deliverable, and whether anything is left.
+func (st *mergedStream[R]) step(mode int) (bound float64, ready, ok bool) {
 	for !st.closed && st.err == nil {
 		var best *lane[R]
+		live := 0
 		for _, ln := range st.lanes {
 			if ln.done {
 				continue
 			}
 			if b, more := ln.it.PeekBound(); !more {
 				ln.done = true
-			} else if best == nil || before(st.q.asc, b, bound) {
+			} else if live++; best == nil || before(st.q.asc, b, bound) {
 				best, bound = ln, b
 			}
 		}
 		if len(st.pending) > 0 && (best == nil || !before(st.q.asc, bound, st.pending[0].key)) {
 			return st.pending[0].key, true, true
 		}
-		if best == nil || !pull {
+		if best == nil || mode == peek || best.exact && mode == settle {
 			return bound, false, best != nil
 		}
+		// A lane alone, with nothing pending, is pulled as it stands: what
+		// it returns next is what the merge delivers next.
+		if !best.exact && (mode == settle || live > 1 || len(st.pending) > 0) {
+			if best.err = best.it.Settle(); best.err != nil {
+				best.done = true
+				st.classify(best)
+			}
+			best.exact = true
+			continue
+		}
+		best.exact = false
 		if it, pulled := st.pull(best); pulled {
 			st.pending = insert(st.q.asc, st.pending, it)
 		} else {
-			st.settle(best)
+			st.classify(best)
 		}
 	}
 	return 0, false, false
@@ -218,7 +243,7 @@ func (st *mergedStream[R]) step(pull bool) (bound float64, ready, ok bool) {
 // next is Next on the stream's own terms: the candidate with its key and
 // global ID, and no closing.
 func (st *mergedStream[R]) next() (it item[R], ok bool) {
-	if _, ok, _ = st.step(true); ok {
+	if _, ok, _ = st.step(pull); ok {
 		it = st.pending[0]
 		st.pending = slices.Delete(st.pending, 0, 1)
 		st.delivered++
@@ -240,8 +265,15 @@ func (st *mergedStream[R]) Next() (R, bool, error) {
 // PeekBound bounds the key of everything Next can still return; ok is false
 // when nothing is left.
 func (st *mergedStream[R]) PeekBound() (float64, bool) {
-	bound, _, ok := st.step(false)
+	bound, _, ok := st.step(peek)
 	return bound, ok
+}
+
+// Settle settles the lanes until the best bound is a result's exact key, so
+// that PeekBound is then the next result's key; it reads no row.
+func (st *mergedStream[R]) Settle() error {
+	st.step(settle)
+	return st.err
 }
 
 // SetTrace installs fn on every lane that traces (distance streams do).

@@ -103,6 +103,7 @@ func NewDurable(cfg spatialkeyword.Config, dir string, opts Options) (*ShardedEn
 		return nil, fmt.Errorf("shard: create engine dir: %w", err)
 	}
 	s := &ShardedEngine{cfg: cfg, part: part, an: cfg.Analyzer(), dir: dir}
+	s.docFreqs = s.docFreq
 	for i := 0; i < part.Shards(); i++ {
 		eng, err := spatialkeyword.NewDurableEngine(cfg, shardDir(dir, false, i))
 		if err != nil {
@@ -294,6 +295,7 @@ func Open(dir string) (*ShardedEngine, error) {
 		return nil, fmt.Errorf("shard: flat manifest has %d shards", part.Shards())
 	}
 	s := &ShardedEngine{cfg: m.Config, part: part, an: m.Config.Analyzer(), dir: dir, flat: m.Flat}
+	s.docFreqs = s.docFreq
 	for i := 0; i < part.Shards(); i++ {
 		// Open from the pinned generation, not whatever the shard's own
 		// manifest points at: a crash between per-shard saves may have

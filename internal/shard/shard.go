@@ -133,6 +133,9 @@ type ShardedEngine struct {
 	part   Partitioner
 	shards []*shardHandle
 	an     *textutil.Analyzer // the shards' text pipeline: query terms are looked up as they index them
+	// docFreqs is the method value docFreq, which Corpus hands out, bound
+	// once.
+	docFreqs func(string) int
 
 	// mu guards the global ID map.
 	mu     sync.RWMutex
@@ -299,6 +302,7 @@ func New(cfg spatialkeyword.Config, opts Options) (*ShardedEngine, error) {
 		return nil, err
 	}
 	s := &ShardedEngine{cfg: cfg, part: part, an: cfg.Analyzer()}
+	s.docFreqs = s.docFreq
 	for i := 0; i < part.Shards(); i++ {
 		eng, err := spatialkeyword.NewEngine(cfg)
 		if err != nil {
@@ -544,29 +548,31 @@ func (s *ShardedEngine) SearchArea(lo, hi []float64, keywords ...string) (spatia
 
 // Corpus returns the engine-wide corpus statistics as sums over the open
 // shards, each shard's engine the only owner of its own counts: NumDocs is
-// read now, and DocFreq adds every engine's Engine.Corpus().DocFreq, which
-// takes that engine's shared lock — so, as for a single engine, it must not
-// be called while the caller holds a stream open on this engine. Both
-// include deleted documents, matching single-engine idf semantics.
+// read now, and DocFreq (docFreq, bound once per engine, so a call
+// allocates nothing) adds every engine's Engine.DocFreq, which takes that
+// engine's shared lock — so, as for a single engine, it must not be called
+// while the caller holds a stream open on this engine. Both include deleted
+// documents, matching single-engine idf semantics.
 func (s *ShardedEngine) Corpus() spatialkeyword.CorpusStats {
-	cs := spatialkeyword.CorpusStats{Analyzer: s.an}
-	docFreqs := make([]func(string) int, 0, len(s.shards))
+	cs := spatialkeyword.CorpusStats{Analyzer: s.an, DocFreq: s.docFreqs}
 	for _, sh := range s.shards {
-		if sh.eng == nil {
-			continue
+		if sh.eng != nil {
+			cs.NumDocs += sh.eng.Corpus().NumDocs
 		}
-		c := sh.eng.Corpus()
-		cs.NumDocs += c.NumDocs
-		docFreqs = append(docFreqs, c.DocFreq)
-	}
-	cs.DocFreq = func(word string) int {
-		n := 0
-		for _, df := range docFreqs {
-			n += df(word)
-		}
-		return n
 	}
 	return cs
+}
+
+// docFreq is the corpus-wide document frequency of word: every open
+// shard's, summed.
+func (s *ShardedEngine) docFreq(word string) int {
+	n := 0
+	for _, sh := range s.shards {
+		if sh.eng != nil {
+			n += sh.eng.DocFreq(word)
+		}
+	}
+	return n
 }
 
 // TopKRanked returns the k objects with the best combined

@@ -64,7 +64,7 @@ func TestCountTermsBytesAllocFree(t *testing.T) {
 // takes Keyword's fast path and allocates nothing.
 func TestDocFreqAllocFree(t *testing.T) {
 	v := NewVocabulary()
-	v.AddDocWith(nil, "wireless Internet, pool; ocean view suite 24h", nil)
+	v.AddDocWith(nil, "wireless Internet, pool; ocean view suite 24h")
 	for _, word := range []string{"internet", "24h", "sauna"} {
 		allocs := testing.AllocsPerRun(100, func() {
 			sinkInt(v.DocFreq(word))
@@ -102,10 +102,9 @@ func TestAddDocWithAllocFree(t *testing.T) {
 	row := "Golden Dragon: Chinese restaurant, dim sum, take-out; free wireless Internet, parking, Golden week specials, Café"
 	for _, a := range []*Analyzer{nil, {Stopwords: DefaultStopwords(), Stemming: true}} {
 		v := NewVocabulary()
-		v.AddDocWith(a, row, nil)
-		repeated := 0
+		v.AddDocWith(a, row)
 		allocs := testing.AllocsPerRun(100, func() {
-			v.AddDocWith(a, row, func(string) { repeated++ })
+			v.AddDocWith(a, row)
 		})
 		if allocs != 0 {
 			t.Errorf("AddDocWith (stemming %v) allocates %.1f objects/op, want 0", a != nil, allocs)

@@ -211,11 +211,12 @@ type Vocabulary struct {
 	numDocs int
 
 	// AddDocWith's working space: the walker, each word's frequency in the
-	// document being folded (by term ID; zero between documents) and the
-	// document's distinct term IDs.
-	walk walker
-	tf   []int32
-	doc  []uint32
+	// document being folded (by term ID; zero between documents), and the
+	// document's distinct term IDs and their frequencies.
+	walk   walker
+	tf     []int32
+	doc    []uint32
+	counts []int32
 }
 
 // NewVocabulary returns an empty vocabulary.
@@ -261,14 +262,12 @@ func (v *Vocabulary) intern(term []byte) uint32 {
 
 // AddDocWith folds one document in through the given analyzer pipeline
 // (nil is plain tokenization). It returns the document's distinct term IDs
-// in first-occurrence order — the vocabulary's working space, valid until
-// the next AddDocWith — and its largest pipeline term frequency: no term of
-// the document occurs more often (0 for a document with no terms). It calls
-// repeated, if not nil, once for every term the document holds at least
-// twice, as the term's second occurrence is counted. Every document of a
-// corpus must go through the same pipeline. Once the vocabulary holds the
-// document's words, it allocates nothing.
-func (v *Vocabulary) AddDocWith(a *Analyzer, text string, repeated func(term string)) (terms []uint32, maxTF int) {
+// in first-occurrence order and, at the same index, each one's pipeline
+// term frequency in the document — both the vocabulary's working space,
+// valid until the next AddDocWith. Every document of a corpus must go
+// through the same pipeline. Once the vocabulary holds the document's
+// words, it allocates nothing.
+func (v *Vocabulary) AddDocWith(a *Analyzer, text string) (terms []uint32, counts []int32) {
 	v.walk.reset(a, viewBytes(text))
 	doc := v.doc[:0]
 	for {
@@ -277,23 +276,19 @@ func (v *Vocabulary) AddDocWith(a *Analyzer, text string, repeated func(term str
 			break
 		}
 		id := v.intern(term)
-		n := v.tf[id] + 1
-		v.tf[id] = n
-		maxTF = max(maxTF, int(n))
-		switch {
-		case n == 1:
+		if v.tf[id]++; v.tf[id] == 1 {
 			v.docFreq[id]++
 			doc = append(doc, id)
-		case n == 2 && repeated != nil:
-			repeated(v.words[id])
 		}
 	}
+	counts = v.counts[:0]
 	for _, id := range doc {
+		counts = append(counts, v.tf[id])
 		v.tf[id] = 0
 	}
-	v.doc = doc
+	v.doc, v.counts = doc, counts
 	v.numDocs++
-	return doc, maxTF
+	return doc, counts
 }
 
 // Word returns the word with the given term ID.

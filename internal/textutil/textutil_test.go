@@ -3,6 +3,7 @@ package textutil
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,7 +107,7 @@ func TestVocabulary(t *testing.T) {
 		"spa, continental suites, pool",
 	}
 	for _, d := range docs {
-		v.AddDocWith(nil, d, nil)
+		v.AddDocWith(nil, d)
 	}
 	if v.NumDocs() != 3 {
 		t.Errorf("NumDocs = %d", v.NumDocs())
@@ -126,28 +127,30 @@ func TestVocabulary(t *testing.T) {
 	}
 }
 
-// TestAddDocWithReportsRepeatedTerms: AddDocWith reports every pipeline
-// term the document holds twice or more exactly once, and returns the
-// largest term frequency.
+// TestAddDocWithReportsRepeatedTerms: AddDocWith returns every pipeline
+// term of the document once, in first-occurrence order, with its term
+// frequency, so the terms it counts twice or more are the repeated ones.
 func TestAddDocWithReportsRepeatedTerms(t *testing.T) {
 	stem := &Analyzer{Stemming: true, Stopwords: DefaultStopwords()}
 	for _, c := range []struct {
-		a     *Analyzer
-		text  string
-		maxTF int
-		rep   []string
+		a      *Analyzer
+		text   string
+		terms  []string
+		counts []int32
 	}{
-		{nil, "", 0, nil},
-		{nil, "pool spa sauna", 1, nil},
-		{nil, "Pool spa POOL, spa pool gift", 3, []string{"pool", "spa"}},
-		{stem, "the fishing, the fished fish and pools pool", 3, []string{"fish", "pool"}},
+		{nil, "", nil, nil},
+		{nil, "pool spa sauna", []string{"pool", "spa", "sauna"}, []int32{1, 1, 1}},
+		{nil, "Pool spa POOL, spa pool gift", []string{"pool", "spa", "gift"}, []int32{3, 2, 1}},
+		{stem, "the fishing, the fished fish and pools pool", []string{"fish", "pool"}, []int32{3, 2}},
 	} {
-		var rep []string
-		if _, got := NewVocabulary().AddDocWith(c.a, c.text, func(term string) { rep = append(rep, term) }); got != c.maxTF {
-			t.Errorf("AddDocWith(%q) = %d, want %d", c.text, got, c.maxTF)
+		v := NewVocabulary()
+		ids, counts := v.AddDocWith(c.a, c.text)
+		var terms []string
+		for _, id := range ids {
+			terms = append(terms, v.Word(id))
 		}
-		if !reflect.DeepEqual(rep, c.rep) {
-			t.Errorf("AddDocWith(%q) reported %q, want %q", c.text, rep, c.rep)
+		if !reflect.DeepEqual(terms, c.terms) || !reflect.DeepEqual(slices.Clone(counts), c.counts) {
+			t.Errorf("AddDocWith(%q) = %q %v, want %q %v", c.text, terms, counts, c.terms, c.counts)
 		}
 	}
 }
@@ -179,8 +182,8 @@ func synthRow(rng *rand.Rand, distinct int, accents bool) string {
 	return sb.String()
 }
 
-// BenchmarkAddDocWith times an add's vocabulary fold with its repeated-term
-// report, on a Hotels-length row (349 distinct words) and a
+// BenchmarkAddDocWith times an add's vocabulary fold with its term
+// counts, on a Hotels-length row (349 distinct words) and a
 // Restaurants-length one (14), a quarter of the words of each occurring two
 // or three times. It also reports the repeated terms per row.
 func BenchmarkAddDocWith(b *testing.B) {
@@ -196,7 +199,12 @@ func BenchmarkAddDocWith(b *testing.B) {
 			b.SetBytes(int64(len(text)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				v.AddDocWith(nil, text, func(string) { repeated++ })
+				_, counts := v.AddDocWith(nil, text)
+				for _, n := range counts {
+					if n > 1 {
+						repeated++
+					}
+				}
 			}
 			b.ReportMetric(float64(repeated)/float64(b.N), "repeated/op")
 		})

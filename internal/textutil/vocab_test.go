@@ -20,9 +20,9 @@ type refVocab struct {
 	numDocs int
 }
 
-// add folds one document in and returns its term-frequency summary and
-// distinct terms.
-func (r *refVocab) add(a *textutil.Analyzer, text string) (irscore.RowTF, []string) {
+// add folds one document in and returns its term-frequency summary,
+// distinct terms and term frequencies.
+func (r *refVocab) add(a *textutil.Analyzer, text string) (irscore.RowTF, []string, map[string]int) {
 	tf := make(map[string]int)
 	maxTF := 0
 	var row irscore.RowTF
@@ -38,7 +38,7 @@ func (r *refVocab) add(a *textutil.Analyzer, text string) (irscore.RowTF, []stri
 	}
 	row.SetCap(maxTF)
 	r.numDocs++
-	return row, textutil.UniqueRunes(a, text)
+	return row, textutil.UniqueRunes(a, text), tf
 }
 
 // sampleRows returns the texts of a generated dataset.
@@ -84,7 +84,7 @@ func nonASCIIRows(rows []string) []string {
 // reference on Restaurants, Hotels and non-ASCII samples, on the plain and
 // the stemming pipelines: every word's document frequency, the word and
 // document counts, every row's term-frequency summary bit for bit, and the
-// distinct terms AddDocWith returns.
+// distinct terms and term frequencies AddDocWith returns.
 func TestVocabularyMatchesMapReference(t *testing.T) {
 	restaurants := sampleRows(t, dataset.Restaurants(0.002))
 	corpora := []struct {
@@ -108,16 +108,18 @@ func TestVocabularyMatchesMapReference(t *testing.T) {
 				v := textutil.NewVocabulary()
 				ref := &refVocab{df: make(map[string]int)}
 				for i, text := range c.rows {
-					var got irscore.RowTF
-					ids, maxTF := v.AddDocWith(p.a, text, got.AddRepeated)
-					got.SetCap(maxTF)
-					want, wantTerms := ref.add(p.a, text)
+					ids, counts := v.AddDocWith(p.a, text)
+					got := irscore.RowTFOf(counts, func(j int) string { return v.Word(ids[j]) })
+					want, wantTerms, wantTF := ref.add(p.a, text)
 					if got != want {
 						t.Fatalf("row %d: RowTF %+v, want %+v", i, got, want)
 					}
 					terms := make([]string, len(ids))
 					for j, id := range ids {
 						terms[j] = v.Word(id)
+						if int(counts[j]) != wantTF[terms[j]] {
+							t.Fatalf("row %d: %q counted %d, want %d", i, terms[j], counts[j], wantTF[terms[j]])
+						}
 					}
 					if !slices.Equal(terms, wantTerms) {
 						t.Fatalf("row %d: terms %q, want %q", i, terms, wantTerms)

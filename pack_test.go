@@ -78,7 +78,7 @@ func checkTree(t *testing.T, e *Engine) {
 	if err := rt.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if q := len(e.run.rows); rt.Len()+q != e.live || (rt.Height() > 0 && q >= rt.MaxEntries()) {
+	if q := len(e.run); rt.Len()+q != e.live || (rt.Height() > 0 && q >= rt.MaxEntries()) {
 		t.Fatalf("tree holds %d objects and the run %d, engine has %d live", rt.Len(), q, e.live)
 	}
 }
@@ -162,9 +162,9 @@ func TestWALReplayOntoEmptySnapshotPacks(t *testing.T) {
 	if got := e.WALInfo().ReplayedRecords; got != uint64(len(rows)) {
 		t.Fatalf("replayed %d records, want %d", got, len(rows))
 	}
-	if e.tree.RTree().Height() != 0 || len(e.run.rows) != len(rows) {
+	if e.tree.RTree().Height() != 0 || len(e.run) != len(rows) {
 		t.Fatalf("after replay: tree height %d, %d queued; want an empty tree and %d queued",
-			e.tree.RTree().Height(), len(e.run.rows), len(rows))
+			e.tree.RTree().Height(), len(e.run), len(rows))
 	}
 	words := stats.WordsByFreq()
 	for i := 0; i < 20; i++ {

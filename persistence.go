@@ -10,7 +10,6 @@ import (
 
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
-	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
@@ -188,8 +187,10 @@ func (e *Engine) Generation() uint64 {
 
 // Save flushes pending objects, checkpoints the engine's state into the
 // working files, snapshots them as a new generation, and commits it with an
-// atomic manifest rename: the new manifest is fsynced before the rename and
-// the directory after it. A Save that fails before the rename leaves the
+// atomic manifest rename: every file of the generation, both manifests
+// included, is fsynced, and the directory once before the rename (so the
+// names the commit points at are durable) and once after it. A Save that
+// fails before the rename leaves the
 // previous generation intact and recoverable; one whose directory sync
 // fails has committed in memory and on the visible directory, but reports
 // that the rename may not survive a power loss. Only durable engines can
@@ -255,7 +256,11 @@ func (e *Engine) Save() error {
 	if err := fsCopyFile(filepath.Join(e.dir, genIndexName(gen)), filepath.Join(e.dir, indexName)); err != nil {
 		return fmt.Errorf("spatialkeyword: snapshot index: %w", err)
 	}
-	if err := fsWriteFile(filepath.Join(e.dir, genManifestName(gen)), data, 0o644); err != nil {
+	genManifest := filepath.Join(e.dir, genManifestName(gen))
+	if err := fsWriteFile(genManifest, data, 0o644); err != nil {
+		return err
+	}
+	if err := fsSync(genManifest); err != nil {
 		return err
 	}
 	// Stage the new generation's (empty) write-ahead log before the commit
@@ -280,6 +285,11 @@ func (e *Engine) Save() error {
 	if err == nil {
 		// The manifest's bytes are durable before its name is.
 		err = fsSync(tmp)
+	}
+	if err == nil {
+		// So are the names of the generation's files, which the commit
+		// makes the manifest point at.
+		err = fsSync(e.dir)
 	}
 	if err != nil {
 		if newWAL != nil {
@@ -458,12 +468,13 @@ func openFromManifest(dir string, m manifest, committed uint64) (*Engine, error)
 	for _, id := range m.Deleted {
 		e.deleted[id] = true
 	}
-	// Rebuild the vocabulary (idf statistics) and the rows' term-frequency
-	// summaries from the object file; the engine never removes deleted
-	// documents from it, so a full scan reproduces the live state.
-	e.rowTFs = make([]irscore.RowTF, store.NumObjects())
+	// Rebuild the row table — the vocabulary (idf statistics), every row's
+	// terms, summary and point — from the object file; the engine never
+	// removes deleted documents from it, so a full scan reproduces the live
+	// state.
+	e.rows.Grow(store.NumObjects())
 	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-		e.addRowTF(o.ID, o.Text)
+		e.rows.Add(o.ID, o.Point, e.an, o.Text)
 		return nil
 	}); err != nil {
 		e.Close()
@@ -531,7 +542,6 @@ func assembleEngine(cfg Config, objDisk, idxDisk *storage.Disk, objDev, idxDev s
 	e.objFile = objDisk
 	e.idxFile = idxDisk
 	e.store = store
-	e.run.store = e.store
 	tree, err := core.Open(idxDev, store, e.coreOptions(), treeState)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -227,10 +228,13 @@ func TestReopenedEngineHonoursNodeCacheSize(t *testing.T) {
 }
 
 // TestSaveSyncsManifestAndDirectory records the file operations of a Save
-// through the persistence hooks: the new manifest.json.tmp must be written,
-// then fsynced, then renamed over manifest.json, and the directory fsynced
-// after the rename — otherwise a power loss can leave a committed manifest
-// with torn bytes, or lose the rename and with it the log rotation.
+// through the persistence hooks, in order: the generation's manifest is
+// written and fsynced, then manifest.json.tmp, then the directory — so the
+// names of the generation's files are durable before anything points at
+// them — then the tmp is renamed over manifest.json and the directory
+// fsynced again. Otherwise a power loss can leave a committed manifest with
+// torn bytes, one that names a generation file whose entry was lost, or
+// lose the rename and with it the log rotation.
 func TestSaveSyncsManifestAndDirectory(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := NewDurableEngine(Config{SignatureBytes: 16}, dir)
@@ -263,14 +267,14 @@ func TestSaveSyncsManifestAndDirectory(t *testing.T) {
 	if err := eng.Save(); err != nil {
 		t.Fatal(err)
 	}
-	tmp := manifestName + ".tmp"
-	at := 0
-	for _, want := range []string{"write " + tmp, "sync " + tmp, "rename " + tmp + " " + manifestName, "sync dir"} {
-		for at < len(ops) && ops[at] != want {
-			at++
-		}
-		if at == len(ops) {
-			t.Fatalf("no %q in order among the commit's operations %q", want, ops)
-		}
+	tmp, gen := manifestName+".tmp", genManifestName(1)
+	want := []string{
+		"write " + gen, "sync " + gen, // the generation's manifest is durable,
+		"write " + tmp, "sync " + tmp, // then the commit's,
+		"sync dir",                                       // then every name the commit points at,
+		"rename " + tmp + " " + manifestName, "sync dir", // then the commit.
+	}
+	if !slices.Equal(ops, want) {
+		t.Fatalf("Save's manifest operations\n got %q\nwant %q", ops, want)
 	}
 }

@@ -35,7 +35,7 @@ func newRankedOracle(an *textutil.Analyzer, rows []spatialkeyword.Object, delete
 	vocab := textutil.NewVocabulary()
 	o := &rankedOracle{rows: rows, deleted: map[uint64]bool{}}
 	for _, r := range rows {
-		vocab.AddDocWith(an, r.Text, nil)
+		vocab.AddDocWith(an, r.Text)
 		o.tf = append(o.tf, an.TermFreqs(r.Text))
 	}
 	o.scorer = irscore.NewScorer(vocab.NumDocs(), vocab.DocFreq).WithAnalyzer(an)
@@ -123,25 +123,33 @@ func oracleRows(t *testing.T) (rows []spatialkeyword.Object, frequent, mid []str
 	return rows, frequent, mid
 }
 
-// TestRankedMatchesBruteForceEverywhere: the general ranked query gives the
-// brute-force answer — the same IDs and the same scores, ties by smallest ID
-// — on a single engine, on 1 and 4 hash shards, through SKQL RANKED on each
-// of those, after Save and reopen, after a write-ahead log replayed onto a
-// snapshot, and on a follower, on the plain and the stopwords+stemming
-// pipelines. Each backend holds the rows with some deleted. The ranked
-// bound of an object counts its row's term-frequency cap, so this is the
-// check that every way a row reaches an engine records an admissible cap.
-func TestRankedMatchesBruteForceEverywhere(t *testing.T) {
-	rows, frequent, mid := oracleRows(t)
-	half := len(rows) / 2
+// oracleDeletes is the rows every lifecycle arm deletes: every eleventh.
+func oracleDeletes(rows []spatialkeyword.Object) []uint64 {
 	var deletes []uint64
 	for id := uint64(3); id < uint64(len(rows)); id += 11 {
 		deletes = append(deletes, id)
 	}
-	type arm struct {
-		name string
-		open func(t *testing.T, cfg spatialkeyword.Config) spatialkeyword.Reader
-	}
+	return deletes
+}
+
+// lifecycleArm is one way rows reach a backend: open builds it under cfg.
+type lifecycleArm struct {
+	name string
+	open func(t *testing.T, cfg spatialkeyword.Config) spatialkeyword.Reader
+}
+
+// queuedTail is how many of the last rows every arm adds after its tree is
+// packed, so they wait in the engine's queued run (the repeated-word rows
+// of oracleRows, tf up to 400).
+const queuedTail = 9
+
+// lifecycleArms returns every way rows reach a backend, each holding all of
+// rows with deletes deleted: a single engine, 1 and 4 hash shards (each
+// packed, then the last queuedTail rows queued), Save and reopen, a
+// write-ahead log replayed onto a snapshot of the first half, and a
+// follower that bootstrapped from such a snapshot and tailed the rest.
+func lifecycleArms(rows []spatialkeyword.Object, deletes []uint64) []lifecycleArm {
+	half := len(rows) / 2
 	addRange := func(t *testing.T, e interface {
 		Add([]float64, string) (uint64, error)
 	}, from, to int) {
@@ -163,11 +171,16 @@ func TestRankedMatchesBruteForceEverywhere(t *testing.T) {
 	loaded := func(t *testing.T, e interface {
 		Add([]float64, string) (uint64, error)
 		Delete(uint64) error
+		Flush() error
 	}) {
-		addRange(t, e, 0, len(rows))
+		addRange(t, e, 0, len(rows)-queuedTail)
+		if err := e.Flush(); err != nil { // packs the tree
+			t.Fatal(err)
+		}
+		addRange(t, e, len(rows)-queuedTail, len(rows))
 		deleteAll(t, e)
 	}
-	arms := []arm{
+	return []lifecycleArm{
 		{"engine", func(t *testing.T, cfg spatialkeyword.Config) spatialkeyword.Reader {
 			e, err := spatialkeyword.NewEngine(cfg)
 			if err != nil {
@@ -275,6 +288,21 @@ func TestRankedMatchesBruteForceEverywhere(t *testing.T) {
 			return f
 		}},
 	}
+}
+
+// TestRankedMatchesBruteForceEverywhere: the general ranked query gives the
+// brute-force answer — the same IDs and the same scores, ties by smallest ID
+// — on a single engine, on 1 and 4 hash shards, through SKQL RANKED on each
+// of those, after Save and reopen, after a write-ahead log replayed onto a
+// snapshot, and on a follower, on the plain and the stopwords+stemming
+// pipelines. Each backend holds the rows with some deleted, and most hold
+// rows in their queued run beside the packed tree. The ranked
+// bound of an object counts its row's term-frequency cap, so this is the
+// check that every way a row reaches an engine records an admissible cap.
+func TestRankedMatchesBruteForceEverywhere(t *testing.T) {
+	rows, frequent, mid := oracleRows(t)
+	deletes := oracleDeletes(rows)
+	arms := lifecycleArms(rows, deletes)
 
 	queryPoints := [][]float64{}
 	for i := 0; i < 6; i++ {
@@ -289,6 +317,8 @@ func TestRankedMatchesBruteForceEverywhere(t *testing.T) {
 			[]string{frequent[(i+1)%len(frequent)], mid[i*7+3], mid[i+2]},
 		)
 	}
+	// The words repeated 254, 255 and 400 times, past the cap's saturation.
+	kwSets = append(kwSets, []string{mid[8]}, []string{mid[7], frequent[0], mid[6]})
 
 	type query struct {
 		k   int

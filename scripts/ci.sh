@@ -38,6 +38,10 @@
 #           of the gated workload: ci.yml bench-smoke and the nightly
 #           bench.yml both invoke this step)
 #   fuzz    every Fuzz target for FUZZTIME (default 30s) each
+#   ledger-check  the schema of every BENCH_<pr>.json at the repository
+#           root, the alternating-pairs entries scripts/pairs.sh writes
+#           (cmd/skledger check: every metric's values, quartiles and
+#           better/worse pair counts agree)
 #   all     everything above (the default)
 #   micro   informational, not in all: the microbenchmarks of a ranked
 #           candidate's load and term count (objstore.GetFiltered on a
@@ -208,6 +212,17 @@ run_micro() {
 	go test -run '^$' -bench 'RankedHandler' -benchmem ./cmd/skserve
 }
 
+run_ledger_check() {
+	step ledger-check
+	set -- BENCH_*.json
+	if [ ! -e "$1" ]; then
+		echo "no BENCH_*.json at the root"
+		return
+	fi
+	go run ./cmd/skledger check "$@"
+	echo "$# ledger entries valid"
+}
+
 run_size() {
 	step size
 	sh scripts/loc.sh "$1"
@@ -240,6 +255,7 @@ compat) run_compat ;;
 cover) run_cover ;;
 bench) run_bench ;;
 fuzz) run_fuzz ;;
+ledger-check) run_ledger_check ;;
 micro) run_micro ;;
 size) run_size "${2:-HEAD~1}" ;;
 all)
@@ -253,10 +269,11 @@ all)
 	run_compat
 	run_cover
 	run_bench
+	run_ledger_check
 	run_fuzz
 	;;
 *)
-	echo "usage: scripts/ci.sh [build|lint|analyze|test|stress|allocs|perf-build|compat|cover|bench|fuzz|micro|size [base]|all]" >&2
+	echo "usage: scripts/ci.sh [build|lint|analyze|test|stress|allocs|perf-build|compat|cover|bench|fuzz|ledger-check|micro|size [base]|all]" >&2
 	exit 2
 	;;
 esac

@@ -1,0 +1,58 @@
+#!/bin/sh
+# pairs.sh <parent-ref> <bench-regex> [runs] [package] — compare a change with
+# its parent in alternating pairs of microbenchmark runs, and print the
+# ledger entry (BENCH_<pr>.json at the repository root) as JSON.
+#
+# It builds each side's test binary of package (default ".") once: the
+# parent's from an extracted copy of parent-ref under .bench_build/pairs,
+# the head's from the working tree as it is. It then runs them runs times
+# each (default 10), alternately, the side that runs first alternating too,
+# each run `-test.bench bench-regex -test.benchmem -test.cpu 1` (with a
+# 30-minute timeout) from its package directory (BENCHTIME, if set, is
+# passed as -test.benchtime). The
+# raw outputs stay in .bench_build/pairs; cmd/skledger summarizes them: per
+# benchmark and metric (ns/op, B/op, allocs/op and every custom metric), the
+# medians, quartiles and values of both sides and the number of pairs in
+# which the head was better and worse. `sh scripts/ci.sh ledger-check`
+# validates the committed entries.
+#
+#   sh scripts/pairs.sh HEAD~1 'DurableRanked|DurableTopK' 10 > BENCH_54.json
+set -eu
+
+cd "$(dirname "$0")/.."
+if [ $# -lt 2 ]; then
+	echo "usage: scripts/pairs.sh <parent-ref> <bench-regex> [runs] [package]" >&2
+	exit 2
+fi
+ref="$1" regex="$2" runs="${3:-10}" pkg="${4:-.}"
+root="$(pwd)"
+work="$root/.bench_build/pairs"
+parent="$(git rev-parse --verify "$ref^{commit}")"
+head="$(git rev-parse HEAD)"
+git diff --quiet HEAD -- || head="$head+dirty"
+
+rm -rf "$work"
+mkdir -p "$work/parent"
+git archive "$parent" | tar -x -C "$work/parent"
+(cd "$work/parent" && go test -c -o "$work/parent.test" "$pkg") >&2
+go test -c -o "$work/head.test" "$pkg" >&2
+
+run() { # run <side> <i>
+	dir="$root/$pkg"
+	[ "$1" = parent ] && dir="$work/parent/$pkg"
+	echo "run $2 $1" >&2
+	(cd "$dir" && "$work/$1.test" -test.run '^$' -test.bench "$regex" -test.benchmem -test.cpu 1 -test.timeout 30m \
+		${BENCHTIME:+-test.benchtime "$BENCHTIME"}) >"$work/$1.$2.txt"
+}
+i=1
+while [ "$i" -le "$runs" ]; do
+	if [ $((i % 2)) -eq 1 ]; then
+		run parent "$i"
+		run head "$i"
+	else
+		run head "$i"
+		run parent "$i"
+	fi
+	i=$((i + 1))
+done
+go run ./cmd/skledger pairs -parent "$parent" -head "$head" -command "scripts/pairs.sh $*" "$work"

@@ -94,9 +94,9 @@ func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, poin
 		m := storage.StartMeter(dev)
 		if ranked {
 			it := x.SearchRanked(geo.NewPoint(p...), kws[i], core.GeneralOptions{
-				Scorer: irscore.NewScorer(e.vocab.NumDocs(), e.vocab.DocFreq).WithAnalyzer(e.an),
-				RowTFs: e.rowTFs,
+				Scorer: irscore.NewScorer(e.rows.Vocab.NumDocs(), e.rows.Vocab.DocFreq).WithAnalyzer(e.an),
 			})
+			it.UseRows(&e.rows)
 			res, err := core.TakeK(10, it.Next)
 			it.Close()
 			if err != nil {

@@ -18,7 +18,6 @@
 package spatialkeyword
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -28,7 +27,6 @@ import (
 
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
-	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/obs"
 	"spatialkeyword/internal/sigfile"
@@ -245,13 +243,14 @@ type Engine struct {
 	idxDisk storage.Device
 	store   *objstore.Store
 	tree    *core.IR2Tree
-	vocab   *textutil.Vocabulary
 	an      *textutil.Analyzer // cfg.Analyzer(); nil = plain tokenization
-	// rowTFs is every row's term-frequency summary, indexed by object ID
-	// (its cap and repeated-term mask; the zero value is unknown): the
-	// ranked query's per-object bound (core.GeneralOptions.RowTFs). It is
-	// rebuilt from the object file at open, like vocab.
-	rowTFs []irscore.RowTF
+	// rows is the in-memory row table, indexed by object ID: the vocabulary
+	// and every row's term IDs and counts, term-frequency summary and point.
+	// A query tests and scores its candidates from it and reads a row only
+	// to return it (core.Rows); a flush indexes the queued rows from it. It
+	// is filled where a row is analyzed — an add, a replayed or replicated
+	// one, and the scan of the object file at open.
+	rows core.Rows
 
 	// Durable engines (NewDurableEngine / OpenEngine) also track their
 	// backing directory, file devices, and last committed snapshot
@@ -261,10 +260,14 @@ type Engine struct {
 	idxFile *storage.Disk
 	gen     uint64
 
-	// run is the rows appended but not yet indexed, which every read
-	// searches beside the tree (see flushLocked for when the tree takes
-	// them).
-	run pendingRun
+	// docFreq is the method value DocFreq, which Corpus hands out, bound
+	// once.
+	docFreq func(string) int
+
+	// run is the IDs of the rows appended but not yet indexed, live and
+	// ascending: every read searches them beside the tree (see flushLocked
+	// for when the tree takes them). A deleted row leaves it.
+	run []uint64
 
 	deleted map[uint64]bool
 	live    int
@@ -295,69 +298,16 @@ type Engine struct {
 	mutObserver func(MutationEvent)
 }
 
-// pendingRun is the rows appended but not yet indexed: the live ones, in ID
-// order, and their distinct words as vocabulary term IDs, row after row —
-// everything a flush indexes, so it reads no row back, and everything a
-// query's term test needs (it is a core.Run). A deleted row leaves it.
-type pendingRun struct {
-	rows  []pendingAdd
-	terms []uint32
-	vocab *textutil.Vocabulary
-	store *objstore.Store
-}
-
-// pendingAdd is a queued row: its ID, its point, and the end of its term
-// IDs in pendingRun.terms (they start where the previous row's end).
-type pendingAdd struct {
-	id    uint64
-	point geo.Point
-	end   int
-}
-
-// Len implements core.Run.
-func (r *pendingRun) Len() int { return len(r.rows) }
-
-// Row implements core.Run.
-func (r *pendingRun) Row(i int) (objstore.Ptr, geo.Point, []uint32) {
-	return r.store.Ptrs()[r.rows[i].id], r.rows[i].point, r.terms[r.start(i):r.rows[i].end]
-}
-
-// TermID implements core.Run.
-func (r *pendingRun) TermID(word string) (uint32, bool) { return r.vocab.TermID(word) }
-
-// start is where row i's term IDs start.
-func (r *pendingRun) start(i int) int {
-	if i == 0 {
-		return 0
-	}
-	return r.rows[i-1].end
-}
-
-// find returns the index of the queued row with the given ID.
-func (r *pendingRun) find(id uint64) (int, bool) {
-	return slices.BinarySearchFunc(r.rows, id, func(p pendingAdd, id uint64) int { return cmp.Compare(p.id, id) })
-}
-
-// remove takes rows i..j-1 and their term IDs out of the run.
-func (r *pendingRun) remove(i, j int) {
-	start, end := r.start(i), r.rows[j-1].end
-	r.terms = slices.Delete(r.terms, start, end)
-	r.rows = slices.Delete(r.rows, i, j)
-	for k := i; k < len(r.rows); k++ {
-		r.rows[k].end -= end - start
-	}
-}
-
 // engineShell builds an Engine with defaults applied but no devices or
 // structures attached.
 func engineShell(cfg Config) *Engine {
 	e := &Engine{
 		cfg:     cfg,
-		vocab:   textutil.NewVocabulary(),
 		an:      cfg.Analyzer(),
 		deleted: make(map[uint64]bool),
 	}
-	e.run.vocab = e.vocab
+	e.rows.Vocab = textutil.NewVocabulary()
+	e.docFreq = e.DocFreq
 	return e
 }
 
@@ -406,7 +356,7 @@ func (e *Engine) rlock() error {
 // packs reports whether rows wait for an empty tree: the next read, Save or
 // Flush packs them (core.IR2Tree.InsertBatch).
 func (e *Engine) packs() bool {
-	return len(e.run.rows) > 0 && e.tree.RTree().Height() == 0
+	return len(e.run) > 0 && e.tree.RTree().Height() == 0
 }
 
 // coreOptions derives the IR²-Tree options from the engine configuration,
@@ -477,7 +427,6 @@ func newEngineOn(cfg Config, objDev, idxDev storage.Device) (*Engine, error) {
 	e.objDisk = objDev
 	e.idxDisk = idxDev
 	e.store = objstore.New(objDev)
-	e.run.store = e.store
 	tree, err := core.New(idxDev, e.store, e.coreOptions())
 	if err != nil {
 		return nil, err
@@ -614,39 +563,23 @@ func (e *Engine) apply(rec wal.Record, via route) error {
 }
 
 // applyAdd appends the row to the store and queues it in the run. The row
-// is analyzed once, here: the pass that folds it into the vocabulary also
-// yields the words the run's term test and the flush use. The add that
-// fills the run to a leaf's worth of rows hands it to a non-empty tree, so
-// a query's scan of the run never costs more than one leaf.
+// is analyzed once, here, into the row table (core.Rows.Add): the run's
+// term test and the flush read its words there. The add that fills the run
+// to a leaf's worth of rows hands it to a non-empty tree, so a query's scan
+// of the run never costs more than one leaf.
 func (e *Engine) applyAdd(point []float64, text string) error {
 	p := geo.NewPoint(point...)
 	id, _, err := e.store.Append(p, text)
 	if err != nil {
 		return err
 	}
-	r := &e.run
-	r.terms = append(r.terms, e.addRowTF(id, text)...)
-	r.rows = append(r.rows, pendingAdd{id: uint64(id), point: p, end: len(r.terms)})
+	e.rows.Add(id, p, e.an, text)
+	e.run = append(e.run, uint64(id))
 	e.live++
-	if t := e.tree.RTree(); t.Height() > 0 && len(r.rows) >= t.MaxEntries() {
+	if t := e.tree.RTree(); t.Height() > 0 && len(e.run) >= t.MaxEntries() {
 		return e.flushLocked()
 	}
 	return nil
-}
-
-// addRowTF folds row id's text into the vocabulary, records the row's
-// term-frequency summary and returns the row's distinct term IDs (the
-// vocabulary's working space, valid until its next fold). A row whose add
-// failed after its append leaves a gap of unknown summaries, so later IDs
-// stay aligned.
-func (e *Engine) addRowTF(id objstore.ID, text string) []uint32 {
-	if n := int(id) + 1; n > len(e.rowTFs) {
-		e.rowTFs = append(e.rowTFs, make([]irscore.RowTF, n-len(e.rowTFs))...)
-	}
-	r := &e.rowTFs[id]
-	terms, maxTF := e.vocab.AddDocWith(e.an, text, r.AddRepeated)
-	r.SetCap(maxTF)
-	return terms
 }
 
 // Flush durably writes the queued rows and indexes them now. Reads do not
@@ -656,7 +589,7 @@ func (e *Engine) addRowTF(id objstore.ID, text string) []uint32 {
 // writer.
 func (e *Engine) Flush() error {
 	e.mu.RLock()
-	idle := len(e.run.rows) == 0
+	idle := len(e.run) == 0
 	e.mu.RUnlock()
 	if idle {
 		return nil
@@ -673,34 +606,38 @@ func (e *Engine) Flush() error {
 // (core.IR2Tree.InsertBatch); in the add that fills the run; in Save; and
 // on an explicit Flush.
 func (e *Engine) flushLocked() error {
-	r := &e.run
-	if len(r.rows) == 0 {
+	if len(e.run) == 0 {
 		return nil
 	}
 	if err := e.store.Sync(); err != nil {
 		return err
 	}
-	words := make([]string, len(r.terms))
-	for i, t := range r.terms {
-		words[i] = e.vocab.Word(t)
+	// Every queued row's term IDs, row after row, and then their words.
+	var ids []uint32
+	var counts []int32
+	ends := make([]int, len(e.run))
+	for i, id := range e.run {
+		ids, counts = e.rows.Terms.Terms(int(id), ids, counts[:0])
+		ends[i] = len(ids)
 	}
-	batch := make([]core.Entry, len(r.rows))
+	words := make([]string, len(ids))
+	for i, t := range ids {
+		words[i] = e.rows.Vocab.Word(t)
+	}
+	batch := make([]core.Entry, len(e.run))
 	start := 0
-	for i, p := range r.rows {
-		batch[i] = core.Entry{Ptr: e.store.Ptrs()[p.id], Point: p.point, Words: words[start:p.end:p.end]}
-		start = p.end
+	for i, id := range e.run {
+		batch[i] = core.Entry{Ptr: e.store.Ptrs()[id], Point: e.rows.Point(int(id)), Words: words[start:ends[i]:ends[i]]}
+		start = ends[i]
 	}
-	if n, err := e.tree.InsertBatch(batch); err != nil {
-		// The rows the tree took leave the run, so none is answered twice
-		// or indexed again by the retried flush.
-		if n > 0 {
-			r.remove(0, n)
-		}
-		return err
+	n, err := e.tree.InsertBatch(batch)
+	// The rows the tree took leave the run, so none is answered twice or
+	// indexed again by a retried flush.
+	e.run = slices.Delete(e.run, 0, n)
+	if len(e.run) == 0 {
+		e.run = nil // a load's first flush can queue a large run
 	}
-	// Let the buffers go: a load's first flush can hold megabytes of terms.
-	r.rows, r.terms = nil, nil
-	return nil
+	return err
 }
 
 // Get returns a stored object by ID.
@@ -746,7 +683,7 @@ func (e *Engine) PrepareRead() error {
 // queuedUnsynced reports whether id is a queued row while the store holds
 // rows it has not synced.
 func (e *Engine) queuedUnsynced(id uint64) bool {
-	_, queued := e.run.find(id)
+	_, queued := slices.BinarySearch(e.run, id)
 	return queued && e.store.Unsynced()
 }
 
@@ -778,8 +715,8 @@ func (e *Engine) applyDelete(id uint64) (objstore.Object, error) {
 	if err != nil {
 		return objstore.Object{}, err
 	}
-	if i, queued := e.run.find(id); queued {
-		e.run.remove(i, i+1)
+	if i, queued := slices.BinarySearch(e.run, id); queued {
+		e.run = slices.Delete(e.run, i, i+1)
 		e.deleted[id] = true
 		e.live--
 		return obj, nil
@@ -906,6 +843,6 @@ func (e *Engine) Stats() Stats {
 		ObjectFileMB:          float64(e.objDisk.SizeBytes()) / 1e6,
 		TreeHeight:            e.tree.RTree().Height(),
 		SignatureBytesByLevel: e.tree.RTree().AuxLens(),
-		Vocabulary:            e.vocab.NumWords(),
+		Vocabulary:            e.rows.Vocab.NumWords(),
 	}
 }

@@ -35,8 +35,13 @@ type ResultStream interface {
 	// Next returns the next result; ok is false once the stream has ended.
 	Next() (Result, bool, error)
 	// PeekBound is a lower bound on the distance of everything Next can still
-	// return; ok is false when nothing is left.
+	// return; ok is false when nothing is left. It reads nothing.
 	PeekBound() (float64, bool)
+	// Settle does the traversal work Next would do on its way to the next
+	// result, short of reading it, so that PeekBound is then the next
+	// result's key exactly: FirstK settles a bound that ties the k-th key,
+	// so that it reads only a result that ties too.
+	Settle() error
 	// SetTrace installs a traversal trace callback; call before the first Next.
 	SetTrace(fn func(rtree.TraceEvent))
 	// Stats is the work done so far, and after Close the query's total.
@@ -51,6 +56,7 @@ type ResultStream interface {
 type RankedStream interface {
 	Next() (RankedResult, bool, error)
 	PeekBound() (float64, bool)
+	Settle() error
 	Stats() QueryStats
 	Close()
 }
@@ -59,12 +65,14 @@ type RankedStream interface {
 // SKQL take: it pulls s until nothing left can tie the k-th kept key, orders
 // what it kept by key and then smallest object ID — distance ascending for a
 // Result stream, score descending for a RankedResult stream — and cuts to k.
-// keep, when not nil, filters results as they are pulled: a rejected result
-// neither counts towards k nor sets the k-th key. The results reuse dst's
-// storage. s is left open.
+// A bound that ties the k-th key is settled first (Settle), so the results
+// pulled past the k-th are exact ties. keep, when not nil, filters results
+// as they are pulled: a rejected result neither counts towards k nor sets
+// the k-th key. The results reuse dst's storage. s is left open.
 func FirstK[R Result | RankedResult](dst []R, s interface {
 	Next() (R, bool, error)
 	PeekBound() (float64, bool)
+	Settle() error
 }, k int, keep func(R) bool) ([]R, error) {
 	out := dst[:0]
 	if k <= 0 {
@@ -74,7 +82,14 @@ func FirstK[R Result | RankedResult](dst []R, s interface {
 		if len(out) >= k {
 			// Pulled best first, so out[k-1] holds the k-th key.
 			kth, asc, _ := rank(&out[k-1])
-			if bound, ok := s.PeekBound(); !ok || before(asc, kth, bound) {
+			bound, ok := s.PeekBound()
+			if ok && !before(asc, kth, bound) {
+				if err := s.Settle(); err != nil {
+					return nil, err
+				}
+				bound, ok = s.PeekBound()
+			}
+			if !ok || before(asc, kth, bound) {
 				break
 			}
 		}
@@ -181,10 +196,12 @@ func (e *Engine) Search(point []float64, keywords ...string) (ResultStream, erro
 	return e.searchIter(q, e.tree.Search(geo.NewPoint(point...), keywords)), nil
 }
 
-// searchIter wraps a distance-first traversal, with the queued rows pushed
-// on its frontier, as the engine's stream.
+// searchIter wraps a distance-first traversal as the engine's stream: it
+// tests candidates in the row table, and the queued rows are pushed on its
+// frontier.
 func (e *Engine) searchIter(q query, it *core.ResultIter) *SearchIter {
-	it.PushRun(&e.run)
+	it.UseRows(&e.rows)
+	it.PushRun(e.run)
 	return &SearchIter{query: q, it: it}
 }
 
@@ -225,6 +242,10 @@ func (s *SearchIter) Next() (Result, bool, error) {
 // PeekBound returns a lower bound on the distance of every result the
 // iterator can still produce; ok is false when it is exhausted.
 func (s *SearchIter) PeekBound() (float64, bool) { return s.it.PeekBound() }
+
+// Settle expands the traversal up to the next result without reading it,
+// so that PeekBound is then its distance exactly (core.ResultIter.Settle).
+func (s *SearchIter) Settle() error { return s.it.Settle() }
 
 // SetTrace installs a traversal trace callback (rtree.TraceEvent.String
 // renders the events as SKQL's EXPLAIN ANALYZE prints them). Call before
@@ -270,17 +291,21 @@ type CorpusStats struct {
 // Corpus returns the engine's own corpus statistics: document count
 // and per-word document frequencies from its vocabulary (both include
 // deleted documents, matching idf semantics — deletions do not rewrite
-// idf). The returned DocFreq reads the live vocabulary under the engine's
-// shared lock, so it must not be called while the caller holds a stream
-// open on this engine.
+// idf). The returned DocFreq is DocFreq, bound once per engine, so a call
+// allocates nothing; it takes the engine's shared lock, so it must not be
+// called while the caller holds a stream open on this engine.
 func (e *Engine) Corpus() CorpusStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return CorpusStats{NumDocs: e.vocab.NumDocs(), Analyzer: e.an, DocFreq: func(word string) int {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		return e.vocab.DocFreq(word)
-	}}
+	return CorpusStats{NumDocs: e.rows.Vocab.NumDocs(), Analyzer: e.an, DocFreq: e.docFreq}
+}
+
+// DocFreq returns the number of documents ever added that hold word (see
+// Corpus). It takes the engine's shared lock.
+func (e *Engine) DocFreq(word string) int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.rows.Vocab.DocFreq(word)
 }
 
 // RankedSearchIter streams general ranked results in non-increasing score
@@ -313,14 +338,12 @@ func (e *Engine) searchRanked(cs *CorpusStats, point []float64, keywords []strin
 	if cs == nil {
 		// The stream already holds the shared lock, so the scorer reads the
 		// vocabulary directly; Corpus().DocFreq would take the lock again.
-		cs = &CorpusStats{NumDocs: e.vocab.NumDocs(), DocFreq: e.vocab.DocFreq}
+		cs = &CorpusStats{NumDocs: e.rows.Vocab.NumDocs(), DocFreq: e.rows.Vocab.DocFreq}
 	}
 	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq).WithAnalyzer(e.an)
-	it := e.tree.SearchRanked(geo.NewPoint(point...), keywords, core.GeneralOptions{
-		Scorer: scorer,
-		RowTFs: e.rowTFs,
-	})
-	it.PushRun(&e.run)
+	it := e.tree.SearchRanked(geo.NewPoint(point...), keywords, core.GeneralOptions{Scorer: scorer})
+	it.UseRows(&e.rows)
+	it.PushRun(e.run)
 	return &RankedSearchIter{query: q, it: it}, nil
 }
 
@@ -350,6 +373,10 @@ func (s *RankedSearchIter) Next() (RankedResult, bool, error) {
 // PeekBound returns an upper bound on the score of every result the
 // iterator can still produce; ok is false when it is exhausted.
 func (s *RankedSearchIter) PeekBound() (float64, bool) { return s.it.PeekBound() }
+
+// Settle is SearchIter.Settle for a ranked stream: PeekBound is then the
+// next result's exact score.
+func (s *RankedSearchIter) Settle() error { return s.it.Settle() }
 
 // Stats is SearchIter.Stats for a ranked stream.
 func (s *RankedSearchIter) Stats() QueryStats { return s.stats(s.it.Stats()) }

@@ -61,11 +61,11 @@ func capText(rng *rand.Rand) string {
 // rows in unknown must have the zero summary, which keeps the paper's bound.
 func checkTFCaps(t *testing.T, e *Engine, extra []string, unknown map[int]bool) {
 	t.Helper()
-	if got, want := len(e.rowTFs), e.store.NumObjects(); got != want {
+	if got, want := len(e.rows.TFs), e.store.NumObjects(); got != want {
 		t.Fatalf("%d term-frequency summaries for %d rows", got, want)
 	}
 	for id := 0; id < e.store.NumObjects(); id++ {
-		row := &e.rowTFs[id]
+		row := &e.rows.TFs[id]
 		if unknown[id] {
 			if *row != (irscore.RowTF{}) {
 				t.Fatalf("row %d: summary %+v, want the zero (unknown) one", id, *row)
@@ -135,7 +135,7 @@ func TestTFCapBoundsStoredRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkTFCaps(t, e, []string{"\u212Aelvin", "ISTANBUL", "fishes", "the"}, nil)
-			atAdd := slices.Clone(e.rowTFs)
+			atAdd := slices.Clone(e.rows.TFs)
 			saturated, repeated := 0, 0
 			for _, r := range atAdd {
 				if r.Cap() == irscore.MaxTFCap {
@@ -153,7 +153,7 @@ func TestTFCapBoundsStoredRow(t *testing.T) {
 				if err := got.Flush(); err != nil { // rows are read back synced
 					t.Fatal(err)
 				}
-				if !slices.Equal(got.rowTFs, atAdd) {
+				if !slices.Equal(got.rows.TFs, atAdd) {
 					t.Fatalf("summaries after %s differ from the summaries set at add", route)
 				}
 				checkTFCaps(t, got, nil, nil)
