@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"spatialkeyword/internal/geo"
@@ -13,15 +14,18 @@ import (
 	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
+	"spatialkeyword/internal/textutil"
 )
 
 // upperIR is the ranked bound as the traversal computed it one entry at a
 // time, before the scorer took a whole node: the entry's payload tested
 // against each keyword's signature W_i with Sig64.MatchesTolerant (a length
 // mismatch matches), and Σ wᵢ·idfᵢ over the matches in keyword order, where
-// wᵢ is 1 for a node entry and the row's RowTF.Weight for an object, its
-// summary looked up at the first match. It reads the query's signatures,
-// idfs, probes and summaries from s and nothing else of its code.
+// wᵢ is, for a node entry, CapWeight of the largest cap among the summaries
+// (1 without summaries), and for an object the row's RowTF.Weight (1 for a
+// row past the summaries), its summary looked up at the first match. It
+// reads the query's signatures, idfs, probes and summaries from s and
+// nothing else of its code.
 func upperIR(s *rankedScorer, isObject bool, level int, aux []byte, ptr uint64) float64 {
 	rowTF := func(ptr uint64) *irscore.RowTF {
 		id, ok := slices.BinarySearch(s.store.Ptrs(), objstore.Ptr(ptr))
@@ -29,6 +33,14 @@ func upperIR(s *rankedScorer, isObject bool, level int, aux []byte, ptr uint64) 
 			return nil
 		}
 		return &s.rowTFs[id]
+	}
+	nodeWeight := 1.0
+	if s.rowTFs != nil {
+		var ceiling uint8
+		for i := range s.rowTFs {
+			ceiling = max(ceiling, s.rowTFs[i].Cap())
+		}
+		nodeWeight = irscore.CapWeight(ceiling)
 	}
 	sigs := s.sigs.at(level)
 	var matched float64
@@ -41,7 +53,10 @@ func upperIR(s *rankedScorer, isObject bool, level int, aux []byte, ptr uint64) 
 		if lookup {
 			row, lookup = rowTF(ptr), false
 		}
-		w := 1.0
+		w := nodeWeight
+		if isObject {
+			w = 1
+		}
 		if row != nil {
 			w = row.Weight(s.probes[i])
 		}
@@ -78,7 +93,8 @@ func forEachPacked(t *testing.T, x *IR2Tree, fn func(pn *rtree.PackedNode)) {
 
 // TestRankedScorerMatchesPerEntryBound holds the ranked node scorer to
 // upperIR bit for bit on every node of an IR² and a MIR² tree: with and
-// without row summaries (some rows past the end of Rows.TFs), with a zero-idf
+// without row summaries (some rows past the end of Rows.TFs; with them,
+// node entries weigh a keyword by the summaries' ceiling), with a zero-idf
 // keyword, with idfs whose sum depends on its order, and with one interior
 // level's signatures a byte longer than that level's payloads. The scorer
 // must keep exactly the entries the per-entry test keeps — every entry the
@@ -97,7 +113,7 @@ func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 			rowTFs[i].AddRepeated("wifi")
 		}
 	}
-	var dropped, weighted, mismatched int
+	var dropped, weighted, nodesWeighted, mismatched int
 	for _, tree := range []struct {
 		name string
 		x    *IR2Tree
@@ -153,16 +169,26 @@ func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 							}
 							if variant == "lenmismatch" && pn.Level() == 1 {
 								// Every keyword "may match" a payload of the wrong length.
-								if all := irscore.UpperBound(s.idfs); ub != all {
+								all := irscore.UpperBound(s.idfs)
+								if rows != nil {
+									all = 0
+									for _, idf := range s.idfs {
+										all += irscore.CapWeight(4) * idf // rowTFs' largest cap
+									}
+								}
+								if ub != all {
 									t.Fatalf("%s: level-1 entry bound %g with mismatched signatures, want %g", where, ub, all)
 								}
 								mismatched++
 							}
-							if rows != nil && pn.Level() == 0 {
+							if rows != nil {
 								unweighted := *s
 								unweighted.rowTFs = nil
-								if ub < upperIR(&unweighted, true, 0, pn.EntryAux(e), pn.EntryPtr(e)) {
+								if ub < upperIR(&unweighted, pn.Level() == 0, pn.Level(), pn.EntryAux(e), pn.EntryPtr(e)) {
 									weighted++
+									if pn.Level() > 0 {
+										nodesWeighted++
+									}
 								}
 							}
 							if !keep {
@@ -180,8 +206,227 @@ func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 			}
 		}
 	}
-	if dropped == 0 || weighted == 0 || mismatched == 0 {
-		t.Fatalf("inert workload: %d entries dropped, %d weighted object bounds, %d mismatched-level bounds",
-			dropped, weighted, mismatched)
+	if dropped == 0 || weighted == nodesWeighted || nodesWeighted == 0 || mismatched == 0 {
+		t.Fatalf("inert workload: %d entries dropped, %d weighted bounds (%d of nodes), %d mismatched-level bounds",
+			dropped, weighted, nodesWeighted, mismatched)
 	}
+}
+
+// TestNodeBoundCoversEveryRowBeneath: with a row table, a node entry's
+// ranked bound weighs each matched keyword by CapWeight of the table's
+// TFCeiling instead of the paper's 1. Over a tree packed from a batch, grown
+// by inserts, with queued rows only the table holds, deletes, and a reopen
+// that rebuilds the table from the object file, every node entry ScoreNode
+// keeps must bound -f of every live row beneath it, each row scored exactly
+// from the table, and every entry it drops must have no row with a keyword
+// beneath it. One table has a row repeating a word 300 times, which
+// saturates the ceiling and gives back the paper's bound. The queries stand
+// on the rows whose term frequency sets the ceiling and ask for that term,
+// so a ceiling understated by one fails.
+func TestNodeBoundCoversEveryRowBeneath(t *testing.T) {
+	vocab := []string{"pool", "spa", "gym", "wifi", "bar", "golf", "beach", "sauna"}
+	for _, saturated := range []bool{false, true} {
+		t.Run(fmt.Sprintf("saturated=%t", saturated), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(55))
+			objDisk, idxDisk := newDisk(), newDisk()
+			store := objstore.New(objDisk)
+			opts := Options{LeafSignature: f8(), MaxEntries: 5}
+			x, err := New(idxDisk, store, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := &Rows{Vocab: textutil.NewVocabulary()}
+			var plain *textutil.Analyzer
+			live := map[objstore.ID]bool{}
+			var entries []Entry
+			maxTF := 0
+			add := func(i int) Entry {
+				text := fmt.Sprintf("place %d:", i)
+				for j := 0; j < 1+rng.Intn(4); j++ {
+					w := vocab[rng.Intn(len(vocab))]
+					for n := 1 + rng.Intn(3); n > 0; n-- {
+						text += " " + w
+					}
+				}
+				if saturated && i == 37 {
+					text += strings.Repeat(" pool", 300)
+				}
+				counts := map[string]int{}
+				for _, w := range strings.FieldsFunc(text, func(r rune) bool { return r == ' ' || r == ':' }) {
+					counts[w]++
+					maxTF = max(maxTF, counts[w])
+				}
+				p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
+				id, ptr, err := store.Append(p, text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows.Add(id, p, plain, text)
+				return Entry{Ptr: ptr, Point: p, Words: plain.Unique(text)}
+			}
+			for i := 0; i < 120; i++ { // packed
+				entries = append(entries, add(i))
+			}
+			if _, err := x.InsertBatch(entries); err != nil {
+				t.Fatal(err)
+			}
+			for i := 120; i < 160; i++ { // inserted
+				e := add(i)
+				entries = append(entries, e)
+				if err := x.insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 160; i < 170; i++ { // queued: in the table, not in the tree
+				add(i)
+			}
+			for i, e := range entries {
+				live[objstore.ID(i)] = true
+				if i%7 == 3 {
+					if ok, err := x.Delete(e.Point, e.Ptr); err != nil || !ok {
+						t.Fatalf("delete row %d: %t %v", i, ok, err)
+					}
+					live[objstore.ID(i)] = false
+				}
+			}
+			if err := store.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			want := irscore.TFCap(maxTF)
+			if saturated != (want == irscore.MaxTFCap) || want < 3 {
+				t.Fatalf("largest term frequency %d: the generator misses its case", maxTF)
+			}
+			if rows.TFCeiling != want {
+				t.Fatalf("ceiling %d, want %d", rows.TFCeiling, want)
+			}
+			checkNodeBounds(t, "built", x, rows, live)
+
+			treeState, err := x.Checkpoint(storage.NilBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			storeMeta, err := store.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err = objstore.Open(objDisk, storeMeta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if x, err = Open(idxDisk, store, opts, treeState); err != nil {
+				t.Fatal(err)
+			}
+			rows = &Rows{Vocab: textutil.NewVocabulary()}
+			if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+				rows.Add(o.ID, o.Point, plain, o.Text)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if rows.TFCeiling != want {
+				t.Fatalf("reopened: ceiling %d, want %d", rows.TFCeiling, want)
+			}
+			checkNodeBounds(t, "reopened", x, rows, live)
+		})
+	}
+}
+
+// checkNodeBounds runs TestNodeBoundCoversEveryRowBeneath's check on one
+// tree and table: queries on the rows whose largest term frequency is the
+// table's ceiling, for that term, alone and with another word, and on
+// random rows for random words.
+func checkNodeBounds(t *testing.T, where string, x *IR2Tree, rows *Rows, live map[objstore.ID]bool) {
+	t.Helper()
+	type query struct {
+		at  geo.Point
+		kws []string
+	}
+	var queries []query
+	tf := make([]int, 1)
+	for id := 0; id < rows.Terms.Len() && len(queries) < 12; id++ {
+		if !live[objstore.ID(id)] || rows.TFs[id].Cap() != rows.TFCeiling {
+			continue
+		}
+		for _, w := range []string{"pool", "spa", "gym", "wifi", "bar", "golf", "beach", "sauna"} {
+			rows.Terms.CountsInto(tf, id, rows.termIDs(nil, []string{w}))
+			if irscore.TFCap(tf[0]) == rows.TFCeiling {
+				queries = append(queries, query{rows.Point(id), []string{w}}, query{rows.Point(id), []string{w, "spa"}})
+				break
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(56))
+	for i := 0; i < 8; i++ {
+		queries = append(queries, query{rows.Point(rng.Intn(rows.Terms.Len())), []string{"gym", "beach", "wifi"}[:1+i%3]})
+	}
+	if len(queries) < 10 {
+		t.Fatalf("%s: only %d queries stand on a row at the ceiling", where, len(queries))
+	}
+	// A bound the ceiling one lower would give is about this share of it;
+	// a row scoring above that share of its entry's bound is one such a
+	// bound would miss.
+	under := irscore.CapWeight(rows.TFCeiling-1) / irscore.CapWeight(rows.TFCeiling)
+	var tight int
+	for _, q := range queries {
+		r := x.SearchRanked(q.at, q.kws, GeneralOptions{Scorer: irscore.NewScorer(rows.Vocab.NumDocs(), rows.Vocab.DocFreq)})
+		r.UseRows(rows)
+		s := &r.bound
+		forEachPacked(t, x, func(pn *rtree.PackedNode) {
+			if pn.Level() == 0 {
+				return
+			}
+			mask := pn.MatchMask(nil, make([]uint64, x.rt.MaskWords()))
+			scores := make([]float64, x.rt.MaxEntries())
+			s.ScoreNode(pn, mask, scores)
+			for e := 0; e < pn.NumEntries(); e++ {
+				kept := mask[e/64]>>(e%64)&1 == 1
+				for _, id := range rowsBeneath(t, x, pn.EntryPtr(e)) {
+					if !live[id] {
+						t.Fatalf("%s: deleted row %d is still in the tree", where, id)
+					}
+					rows.Terms.CountsInto(r.tf, int(id), r.ids)
+					ir := irscore.ScoreFromCounts(r.tf, s.idfs)
+					if ir == 0 {
+						continue
+					}
+					exact := irscore.Combine(q.at.Dist(rows.Point(int(id))), ir)
+					switch {
+					case !kept:
+						t.Fatalf("%s %v: node %d dropped entry %d, which holds row %d scoring %v", where, q.kws, pn.ID(), e, id, exact)
+					case -scores[e] < exact:
+						t.Fatalf("%s %v: node %d entry %d bound %v < row %d's exact %v (ceiling %d)",
+							where, q.kws, pn.ID(), e, -scores[e], id, exact, rows.TFCeiling)
+					case exact > -scores[e]*under:
+						tight++
+					}
+				}
+			}
+		})
+		r.Close()
+	}
+	if tight == 0 {
+		t.Fatalf("%s: no row scores within the ceiling's margin of its node bound: the queries miss the rows at the ceiling", where)
+	}
+}
+
+// rowsBeneath returns the IDs of the rows under the node at ptr.
+func rowsBeneath(t *testing.T, x *IR2Tree, ptr uint64) []objstore.ID {
+	t.Helper()
+	pn, err := x.rt.LoadPacked(storage.BlockID(ptr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []objstore.ID
+	for e := 0; e < pn.NumEntries(); e++ {
+		if pn.Level() > 0 {
+			ids = append(ids, rowsBeneath(t, x, pn.EntryPtr(e))...)
+			continue
+		}
+		id, ok := x.store.IDAt(objstore.Ptr(pn.EntryPtr(e)))
+		if !ok {
+			t.Fatalf("no row at %d", pn.EntryPtr(e))
+		}
+		ids = append(ids, id)
+	}
+	return ids
 }

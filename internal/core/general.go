@@ -61,15 +61,16 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 		sc:         sc,
 		exact:      make(map[uint64]rankedCandidate),
 		bound: rankedScorer{
-			p:      p,
-			sigs:   levelWordSigs{x: x, words: normalized},
-			idfs:   idfs,
-			probes: probes,
-			store:  x.store,
-			lo:     sc.lo,
-			hi:     sc.hi,
-			masks:  sc.masks,
-			nw:     nw,
+			p:          p,
+			sigs:       levelWordSigs{x: x, words: normalized},
+			idfs:       idfs,
+			probes:     probes,
+			nodeWeight: 1,
+			store:      x.store,
+			lo:         sc.lo,
+			hi:         sc.hi,
+			masks:      sc.masks,
+			nw:         nw,
 		},
 	}
 	// The traversal gets no signature to prune by: the bound needs every
@@ -97,21 +98,23 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 // the negated Upper(v) = f(MinDist(p, MBR), upper IR bound), the rtree
 // iterator popping the smallest score first. The IR bound is Σ wᵢ·idfᵢ over
 // the keywords whose signature W_i the entry's payload matches (§5.3 (i)),
-// where wᵢ bounds keyword i's term weight in everything under the entry: 1
-// for a node, whose subtree's rows may hold any term frequency, and the
-// row's irscore.RowTF.Weight for an object, whose summary is looked up once
-// a keyword matches. It sums in ScoreFromCounts' order, keyword by keyword,
-// so a row's bound is never below its exact score by a rounding.
+// where wᵢ bounds keyword i's term weight in everything under the entry:
+// for a node, nodeWeight — CapWeight of the row table's TFCeiling, since no
+// row under it repeats a term more often, or the paper's 1 without a table
+// — and for an object, the row's irscore.RowTF.Weight, its summary looked
+// up once a keyword matches. It sums in ScoreFromCounts' order, keyword by
+// keyword, so a row's bound is never below its exact score by a rounding.
 type rankedScorer struct {
-	p      geo.Point
-	sigs   levelWordSigs
-	idfs   []float64 // idf per normalized keyword, from QueryIDFs
-	probes []irscore.TermProbe
-	rowTFs []irscore.RowTF // Rows.TFs, from UseRows
-	store  *objstore.Store // maps a row pointer to its ID
-	lo, hi geo.Point       // the MBR being scored
-	masks  []uint64        // keyword i's survivor mask at masks[i*nw:]
-	nw     int             // Tree.MaskWords
+	p          geo.Point
+	sigs       levelWordSigs
+	idfs       []float64 // idf per normalized keyword, from QueryIDFs
+	probes     []irscore.TermProbe
+	rowTFs     []irscore.RowTF // Rows.TFs, from UseRows
+	nodeWeight float64         // a node entry's wᵢ
+	store      *objstore.Store // maps a row pointer to its ID
+	lo, hi     geo.Point       // the MBR being scored
+	masks      []uint64        // keyword i's survivor mask at masks[i*nw:]
+	nw         int             // Tree.MaskWords
 }
 
 // ScoreNode implements rtree.NodeScorer: one MatchMask per keyword tests
@@ -148,9 +151,12 @@ func (s *rankedScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []f
 				if look {
 					row, look = s.rowTF(pn.EntryPtr(e)), false
 				}
-				wt := 1.0
-				if row != nil {
+				wt := s.nodeWeight
+				switch {
+				case row != nil:
 					wt = row.Weight(s.probes[i])
+				case lookup:
+					wt = 1 // a row the table does not hold
 				}
 				ub += wt * s.idfs[i]
 			}

@@ -27,6 +27,10 @@ type Rows struct {
 	TFs []irscore.RowTF
 	// Points is each row's point, geo.Dims coordinates per row.
 	Points []float64
+	// TFCeiling is the largest RowTF cap of every row ever added: no row
+	// the table holds, or held, has a term more often (MaxTFCap: this many
+	// or more). A delete does not lower it, so it stays an upper bound.
+	TFCeiling uint8
 }
 
 // Add analyzes row id's text once, through the vocabulary's fold with
@@ -39,6 +43,7 @@ func (r *Rows) Add(id objstore.ID, p geo.Point, an *textutil.Analyzer, text stri
 	n := int(id) + 1
 	r.TFs = append(r.TFs, make([]irscore.RowTF, n-len(r.TFs))...)
 	r.TFs[id] = irscore.RowTFOf(counts, func(i int) string { return r.Vocab.Word(terms[i]) })
+	r.TFCeiling = max(r.TFCeiling, r.TFs[id].Cap())
 	r.Points = append(r.Points, make([]float64, n*geo.Dims-len(r.Points))...)
 	copy(r.Points[int(id)*geo.Dims:], p)
 	r.Terms.Set(int(id), terms, counts)
@@ -126,11 +131,13 @@ func (r *ResultIter) PushRun(queued []uint64) {
 }
 
 // UseRows is ResultIter.UseRows for the general ranked query: a candidate's
-// exact score comes from the table's counts and point, and each object
-// entry's bound from its summary in rows.TFs.
+// exact score comes from the table's counts and point, each object entry's
+// bound from its summary in rows.TFs, and each node entry's from the
+// table's TFCeiling.
 func (r *RankedIter) UseRows(rows *Rows) {
 	r.rows = rows
 	r.bound.rowTFs = rows.TFs
+	r.bound.nodeWeight = irscore.CapWeight(rows.TFCeiling)
 	r.ids = rows.termIDs(r.sc.ids[:0], r.normalized)
 	r.sc.ids = r.ids
 }

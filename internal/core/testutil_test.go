@@ -202,7 +202,11 @@ func topKRanked(x *IR2Tree, k int, p geo.Point, keywords []string, opts GeneralO
 // ranked bound weighs each object entry by them, and every candidate is
 // read and tested as the paper's algorithms do.
 func tfRows(tfs []irscore.RowTF) *Rows {
-	return &Rows{Vocab: textutil.NewVocabulary(), TFs: tfs}
+	r := &Rows{Vocab: textutil.NewVocabulary(), TFs: tfs}
+	for i := range tfs {
+		r.TFCeiling = max(r.TFCeiling, tfs[i].Cap())
+	}
+	return r
 }
 
 // resultIDs extracts object IDs from distance-first results.

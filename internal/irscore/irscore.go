@@ -13,7 +13,13 @@
 // *saturating* term-frequency weight, tf/(tf+1) in [1/2, 1), whose supremum
 // is 1; the node bound Σ idf(w) over signature-matched keywords is then a
 // provable upper bound for every object in the subtree, so the general
-// algorithm's output order is exact. (DESIGN.md discusses this choice.)
+// algorithm's output order is exact. (DESIGN.md discusses this choice.) An
+// engine with a row table bounds a node tighter: it knows the largest cap
+// (below) of every row it has ever held, its ceiling, so no row under any
+// node has a term more often, and CapWeight(ceiling) ≥ TFWeight(tf) for each
+// keyword of each of them. Σ CapWeight(ceiling)·idf(w) over the matched
+// keywords, summed in ScoreFromCounts' order, is then still at least every
+// row's exact score; a saturated ceiling gives back the paper's 1.
 //
 // An object entry's bound is tighter. Each row records a RowTF: a
 // term-frequency cap (TFCap), its largest pipeline term frequency in one

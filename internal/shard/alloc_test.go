@@ -107,3 +107,28 @@ func TestCorpusAllocFree(t *testing.T) {
 		t.Errorf("4 shards: %d docs, df(pool) %d, want 40 and 40", got.NumDocs, got.DocFreq("pool"))
 	}
 }
+
+// TestRankedQuerySetupAllocFree gates what a sharded ranked query — every
+// /ranked, and every SKQL RANKED statement — pays before its first lane
+// opens: resolving its keywords' corpus-wide document frequencies and
+// building the lane opener allocate nothing once warm, on 4 shards with 3
+// keywords. The query is ended as a stream with no lane ends it.
+func TestRankedQuerySetupAllocFree(t *testing.T) {
+	s, err := New(spatialkeyword.Config{}, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := s.Add([]float64{float64(i), float64(i % 7)}, "pool spa cafe"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, kws := []float64{3, 4}, []string{"pool", "spa", "wifi"}
+	allocs := testing.AllocsPerRun(100, func() {
+		st := mergedStream[spatialkeyword.RankedResult]{s: s, q: s.rankedQuery("ranked", 10, p, kws)}
+		st.end(0)
+	})
+	if allocs != 0 {
+		t.Errorf("a 4-shard ranked query's setup allocates %.1f objects/op, want 0", allocs)
+	}
+}

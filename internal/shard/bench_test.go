@@ -48,10 +48,51 @@ func BenchmarkTopK(b *testing.B) {
 	})
 }
 
+// BenchmarkTopKRanked is the ranked top-k through the merge: k = 10 on
+// benchMerge's rows and keyword pairs, and the skql_sharded arm, the shape of
+// benchmarks/perf's skql_sharded RANKED statements — Restaurants(0.05) with
+// 64-byte signatures on 4 hash shards, one word from the top 2 % by document
+// frequency and one from the next 18 %, at a row's point — reporting the
+// blocks and nodes each query reads (TopKRanked's topK, with its stats).
 func BenchmarkTopKRanked(b *testing.B) {
 	benchMerge(b, func(s *ShardedEngine, p []float64, kws []string) error {
 		_, err := s.TopKRanked(10, p, kws...)
 		return err
+	})
+	rows, stats, _ := loadDataset(b, dataset.Restaurants(0.05))
+	s, err := New(spatialkeyword.Config{SignatureBytes: 64}, Options{Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill(b, s, rows)
+	if err := s.Flush(); err != nil { // pack every shard, as a save does
+		b.Fatal(err)
+	}
+	words := stats.WordsByFreq()
+	frequent, mid := words[:len(words)/50], words[len(words)/50:len(words)/5]
+	query := func(i int) spatialkeyword.QueryStats {
+		kws := []string{frequent[i*7%len(frequent)], mid[i*13%len(mid)]}
+		_, st, err := topK(s, s.rankedQuery("ranked", 10, rows[i*7919%len(rows)].Point, kws), 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	b.Run("skql_sharded", func(b *testing.B) {
+		for i := 0; i < 256; i++ { // warm the node caches
+			query(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var nodes int
+		var blocks uint64
+		for i := 0; i < b.N; i++ {
+			st := query(i)
+			nodes += st.NodesLoaded
+			blocks += st.BlocksRandom + st.BlocksSequential
+		}
+		b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+		b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
 	})
 }
 

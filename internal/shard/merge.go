@@ -54,6 +54,9 @@ type topkQuery[R any] struct {
 	// at returns a result's ordering key and the address of its object ID
 	// (shard-local as the stream delivers it, global once merged).
 	at func(*R) (key float64, id *uint64)
+	// ranked, for a ranked query, holds its pooled arguments until the
+	// stream ends.
+	ranked *rankedArgs
 }
 
 func distanceKey(r *spatialkeyword.Result) (float64, *uint64) { return r.Dist, &r.Object.ID }
@@ -311,6 +314,10 @@ func (st *mergedStream[R]) end(results int) {
 		st.finish(ln)
 	}
 	st.record(results, st.err)
+	if st.q.ranked != nil {
+		st.q.ranked.release()
+		st.q.ranked = nil
+	}
 }
 
 // topK answers a sharded top-k: spatialkeyword.FirstK of the merge cut at k

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -492,22 +493,64 @@ func (s *ShardedEngine) areaQuery(op string, lo, hi []float64, keywords []string
 // rankedQuery scores every shard against the corpus-wide statistics, so all
 // of them rank with the idf weights a single engine would use. The document
 // count and the frequency of each normalised query term are resolved here,
-// before any lane opens: a lane holds its engine's shared lock, and Corpus's
-// DocFreq taken inside it would be the reentrant read lock DESIGN.md §7.2
-// (Locks, rule 2) forbids.
+// before any lane opens, into the query's pooled rankedArgs: a lane holds
+// its engine's shared lock, and Corpus's DocFreq taken inside it would be the
+// reentrant read lock DESIGN.md §7.2 (Locks, rule 2) forbids. A warm query
+// allocates nothing here; the stream's end returns the arguments.
 func (s *ShardedEngine) rankedQuery(op string, k int, point []float64, keywords []string) topkQuery[spatialkeyword.RankedResult] {
+	a := rankedArgsPool.Get().(*rankedArgs)
 	cs := s.Corpus()
-	dfs := make(map[string]int) // the scorer looks up nothing but these terms
-	for _, t := range s.an.Keywords(keywords) {
-		dfs[t] = cs.DocFreq(t)
+	a.cs.NumDocs = cs.NumDocs
+	a.terms, a.dfs = a.terms[:0], a.dfs[:0]
+	for _, w := range keywords {
+		// A duplicate is looked up twice, and docFreq finds the first.
+		if t := s.an.Keyword(w); t != "" {
+			a.terms = append(a.terms, t)
+			a.dfs = append(a.dfs, cs.DocFreq(t))
+		}
 	}
-	cs.DocFreq = func(term string) int { return dfs[term] }
+	a.point, a.keywords = point, keywords
 	return topkQuery[spatialkeyword.RankedResult]{
-		op: op, k: k, keywords: len(keywords), at: scoreKey,
-		open: func(e *spatialkeyword.Engine) (stream[spatialkeyword.RankedResult], error) {
-			return e.SearchRankedWith(cs, point, keywords...)
-		},
+		op: op, k: k, keywords: len(keywords), at: scoreKey, open: a.open, ranked: a,
 	}
+}
+
+// rankedArgs is a sharded ranked query's arguments and corpus statistics.
+// Its DocFreq and lane opener are bound once, when the pool makes it, so a
+// query that takes one from the pool builds no closure.
+type rankedArgs struct {
+	cs       spatialkeyword.CorpusStats // NumDocs, and DocFreq bound to docFreq
+	terms    []string                   // the normalized keywords, in query order
+	dfs      []int                      // each term's document frequency over the open shards
+	point    []float64
+	keywords []string
+	open     func(*spatialkeyword.Engine) (stream[spatialkeyword.RankedResult], error) // bound to openLane
+}
+
+var rankedArgsPool = sync.Pool{New: func() any {
+	a := new(rankedArgs)
+	a.cs.DocFreq, a.open = a.docFreq, a.openLane
+	return a
+}}
+
+// docFreq answers the scorer's lookups, which are the query's own terms.
+func (a *rankedArgs) docFreq(term string) int {
+	if i := slices.Index(a.terms, term); i >= 0 {
+		return a.dfs[i]
+	}
+	return 0
+}
+
+// openLane opens one shard's ranked stream.
+func (a *rankedArgs) openLane(e *spatialkeyword.Engine) (stream[spatialkeyword.RankedResult], error) {
+	return e.SearchRankedWith(a.cs, a.point, a.keywords...)
+}
+
+// release returns the arguments to the pool, dropping what they reference.
+func (a *rankedArgs) release() {
+	clear(a.terms)
+	a.point, a.keywords = nil, nil
+	rankedArgsPool.Put(a)
 }
 
 // TopK returns the k objects containing every keyword, nearest to point

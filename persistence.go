@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
@@ -333,15 +335,43 @@ func (e *Engine) Save() error {
 	if err := fsSync(e.dir); err != nil {
 		return fmt.Errorf("spatialkeyword: sync directory after commit: %w", err)
 	}
-	// Prune generation G-2; G-1 is kept for pinned readers. Best effort: a
-	// failure here cannot un-commit the save.
-	if gen >= 2 {
-		old := gen - 2
-		for _, name := range []string{genObjectsName(old), genIndexName(old), genManifestName(old), walName(old)} {
-			fsRemove(filepath.Join(e.dir, name)) //nolint:errcheck
+	e.prune(gen)
+	return nil
+}
+
+// prune removes every generation older than gen-1 that the directory holds
+// — not only gen-2, so a file an earlier prune failed to remove, or a crash
+// lost the removal of, goes with the next Save — and then syncs the
+// directory, so the removals outlive a power loss. Generation gen-1 is kept
+// for pinned readers. Best effort: a failure here cannot un-commit the
+// save, and the next Save retries what is left.
+func (e *Engine) prune(gen uint64) {
+	entries, err := os.ReadDir(e.dir)
+	if err != nil {
+		return
+	}
+	for _, ent := range entries {
+		if g, ok := generationOf(ent.Name()); ok && g+1 < gen {
+			fsRemove(filepath.Join(e.dir, ent.Name())) //nolint:errcheck
 		}
 	}
-	return nil
+	fsSync(e.dir) //nolint:errcheck
+}
+
+// generationOf returns the generation a per-generation file's name carries:
+// genObjectsName, genIndexName, genManifestName or walName.
+func generationOf(name string) (uint64, bool) {
+	for _, f := range [...]struct{ prefix, suffix string }{
+		{"objects.", ".db"}, {"index.", ".db"}, {"manifest.", ".json"}, {"wal.", ".db"},
+	} {
+		if n, ok := strings.CutPrefix(name, f.prefix); ok {
+			if n, ok := strings.CutSuffix(n, f.suffix); ok {
+				g, err := strconv.ParseUint(n, 10, 64)
+				return g, err == nil
+			}
+		}
+	}
+	return 0, false
 }
 
 // Close releases a durable engine's files (after persisting their device

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -227,14 +229,71 @@ func TestReopenedEngineHonoursNodeCacheSize(t *testing.T) {
 	}
 }
 
+// TestSavePrunesEveryOldGeneration: a Save removes every generation older
+// than the one before it, not only the one two back. The first removal of a
+// file that exists fails, which leaves one of generation 1's files behind;
+// the Saves after it must leave only the files of the last two generations.
+func TestSavePrunesEveryOldGeneration(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := NewDurableEngine(Config{SignatureBytes: 16, WAL: true}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	orig := fsRemove
+	defer func() { fsRemove = orig }()
+	failed := false
+	fsRemove = func(path string) error {
+		if _, err := os.Stat(path); err == nil && !failed {
+			failed = true
+			return errors.New("injected remove failure")
+		}
+		return orig(path)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := eng.Add([]float64{float64(i), 2}, "pool spa"); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Save(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !failed {
+		t.Fatal("no prune ran")
+	}
+	last := eng.DurabilityStats().Generation
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perGen := regexp.MustCompile(`^(objects|index|manifest|wal)\.([0-9]+)\.(db|json)$`)
+	for _, ent := range entries {
+		m := perGen.FindStringSubmatch(ent.Name())
+		if m == nil {
+			continue
+		}
+		if g, _ := strconv.ParseUint(m[2], 10, 64); g+1 < last {
+			t.Errorf("%s is still on disk after the Save of generation %d", ent.Name(), last)
+		}
+	}
+	for _, g := range []uint64{last - 1, last} {
+		for _, name := range []string{genObjectsName(g), genIndexName(g), genManifestName(g), walName(g)} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Errorf("generation %d: %v", g, err)
+			}
+		}
+	}
+}
+
 // TestSaveSyncsManifestAndDirectory records the file operations of a Save
 // through the persistence hooks, in order: the generation's manifest is
 // written and fsynced, then manifest.json.tmp, then the directory — so the
 // names of the generation's files are durable before anything points at
 // them — then the tmp is renamed over manifest.json and the directory
-// fsynced again. Otherwise a power loss can leave a committed manifest with
-// torn bytes, one that names a generation file whose entry was lost, or
-// lose the rename and with it the log rotation.
+// fsynced again, and once more after the prune. Otherwise a power loss can
+// leave a committed manifest with torn bytes, one that names a generation
+// file whose entry was lost, lose the rename and with it the log rotation,
+// or bring back a pruned generation that no later Save removes.
 func TestSaveSyncsManifestAndDirectory(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := NewDurableEngine(Config{SignatureBytes: 16}, dir)
@@ -272,7 +331,8 @@ func TestSaveSyncsManifestAndDirectory(t *testing.T) {
 		"write " + gen, "sync " + gen, // the generation's manifest is durable,
 		"write " + tmp, "sync " + tmp, // then the commit's,
 		"sync dir",                                       // then every name the commit points at,
-		"rename " + tmp + " " + manifestName, "sync dir", // then the commit.
+		"rename " + tmp + " " + manifestName, "sync dir", // then the commit,
+		"sync dir", // then the prune.
 	}
 	if !slices.Equal(ops, want) {
 		t.Fatalf("Save's manifest operations\n got %q\nwant %q", ops, want)

@@ -9,7 +9,10 @@
 # each (default 10), alternately, the side that runs first alternating too,
 # each run `-test.bench bench-regex -test.benchmem -test.cpu 1` (with a
 # 30-minute timeout) from its package directory (BENCHTIME, if set, is
-# passed as -test.benchtime). The
+# passed as -test.benchtime). PAIRS_OVERLAY, if set, lists files (paths
+# from the repository root, space-separated) copied from the working tree
+# into the parent's copy before its build, so that a benchmark the change
+# adds or extends runs on both sides; the entry's command records it. The
 # raw outputs stay in .bench_build/pairs; cmd/skledger summarizes them: per
 # benchmark and metric (ns/op, B/op, allocs/op and every custom metric), the
 # medians, quartiles and values of both sides and the number of pairs in
@@ -34,6 +37,9 @@ git diff --quiet HEAD -- || head="$head+dirty"
 rm -rf "$work"
 mkdir -p "$work/parent"
 git archive "$parent" | tar -x -C "$work/parent"
+for f in ${PAIRS_OVERLAY:-}; do
+	cp "$f" "$work/parent/$f"
+done
 (cd "$work/parent" && go test -c -o "$work/parent.test" "$pkg") >&2
 go test -c -o "$work/head.test" "$pkg" >&2
 
@@ -55,4 +61,5 @@ while [ "$i" -le "$runs" ]; do
 	fi
 	i=$((i + 1))
 done
-go run ./cmd/skledger pairs -parent "$parent" -head "$head" -command "scripts/pairs.sh $*" "$work"
+go run ./cmd/skledger pairs -parent "$parent" -head "$head" \
+	-command "${PAIRS_OVERLAY:+PAIRS_OVERLAY='$PAIRS_OVERLAY' }scripts/pairs.sh $*" "$work"

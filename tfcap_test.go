@@ -59,6 +59,8 @@ func capText(rng *rand.Rand) string {
 // byte per row allows. Every term counted twice or more must have both its
 // bits in the row's repeated-term mask, and weigh at most RowTF.Weight. The
 // rows in unknown must have the zero summary, which keeps the paper's bound.
+// The table's TFCeiling, which bounds the ranked query's node entries, must
+// be the largest cap of all its rows.
 func checkTFCaps(t *testing.T, e *Engine, extra []string, unknown map[int]bool) {
 	t.Helper()
 	if got, want := len(e.rows.TFs), e.store.NumObjects(); got != want {
@@ -96,6 +98,13 @@ func checkTFCaps(t *testing.T, e *Engine, extra []string, unknown map[int]bool) 
 		if want := irscore.TFCap(maxTF); row.Cap() != want {
 			t.Fatalf("row %d %q: cap %d, the row's largest term frequency gives %d", id, o.Text, row.Cap(), want)
 		}
+	}
+	var ceiling uint8
+	for i := range e.rows.TFs {
+		ceiling = max(ceiling, e.rows.TFs[i].Cap())
+	}
+	if e.rows.TFCeiling != ceiling {
+		t.Fatalf("row table's term-frequency ceiling %d, its rows' largest cap %d", e.rows.TFCeiling, ceiling)
 	}
 }
 
