@@ -382,9 +382,9 @@ func BenchmarkOpenEngine(b *testing.B) {
 // a file-backed storage.Disk — the shape of benchmarks/perf's topk_restaurants
 // (Restaurants(0.03), 64-byte signatures, one keyword from the top 2 % of
 // words by document frequency and one from the next 18 %) without HTTP
-// around it. serial is one goroutine; parallel is b.RunParallel, whose ns/op
-// falls below serial's only if concurrent queries do not serialise at the
-// device.
+// around it. serial is one goroutine, and reports the blocks a query reads;
+// parallel is b.RunParallel, whose ns/op falls below serial's only if
+// concurrent queries do not serialise at the device.
 func BenchmarkDurableTopK(b *testing.B) {
 	eng, points, frequent, mid := durableBenchEngine(b, dataset.Restaurants(0.03), 64)
 	type query struct {
@@ -398,19 +398,23 @@ func BenchmarkDurableTopK(b *testing.B) {
 			words: []string{frequent[i*7%len(frequent)], mid[i*13%len(mid)]},
 		}
 	}
-	run := func(b *testing.B, q query) {
-		if _, err := eng.TopK(10, q.point, q.words...); err != nil {
+	run := func(b *testing.B, q query) uint64 {
+		_, st, err := eng.TopKWithStats(10, q.point, q.words...)
+		if err != nil {
 			b.Error(err)
 		}
+		return st.BlocksRandom + st.BlocksSequential
 	}
 	for _, q := range queries { // warm the node cache
 		run(b, q)
 	}
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
+		var blocks uint64
 		for i := 0; i < b.N; i++ {
-			run(b, queries[i%len(queries)])
+			blocks += run(b, queries[i%len(queries)])
 		}
+		b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
 	})
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()

@@ -200,8 +200,8 @@ var (
 // with shards 1 and 2 removed.
 func TestWorkRecordGolden(t *testing.T) {
 	const (
-		wantStats = `{"NodesLoaded":1,"ObjectsLoaded":2,"FalsePositives":0,"EntriesPruned":1,"NodesEnqueued":0,"ObjectsEnqueued":2,"BlocksRandom":3,"BlocksSequential":1,"Degraded":false}`
-		wantSlow  = `{"t":T,"op":"topk","latency_ms":L,"k":2,"keywords":2,"results":2,"nodes_expanded":1,"entries_pruned":1,"objects_fetched":2,"sig_false_positives":0,"random_blocks":3,"sequential_blocks":1}`
+		wantStats = `{"NodesLoaded":1,"ObjectsLoaded":2,"FalsePositives":0,"EntriesPruned":1,"NodesEnqueued":0,"ObjectsEnqueued":2,"BlocksRandom":3,"BlocksSequential":0,"Degraded":false}`
+		wantSlow  = `{"t":T,"op":"topk","latency_ms":L,"k":2,"keywords":2,"results":2,"nodes_expanded":1,"entries_pruned":1,"objects_fetched":2,"sig_false_positives":0,"random_blocks":3,"sequential_blocks":0}`
 	)
 	for _, tc := range []struct {
 		shards      int

@@ -73,6 +73,7 @@ type queryScratch struct {
 	lo, hi geo.Point
 	ids    []uint32
 	masks  []uint64
+	ranked rankedState // SearchRanked's, kept between ranked queries
 }
 
 var scratchPool = sync.Pool{New: func() any {

@@ -7,6 +7,7 @@ import (
 	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/rtree"
+	"spatialkeyword/internal/sigfile"
 )
 
 // RankedResult is one answer of a general top-k spatial keyword query.
@@ -42,14 +43,22 @@ type GeneralOptions struct {
 //	     re-enqueued with its exact score to be considered later.
 //
 // The output order is exact because f is monotone and the IR upper bound is
-// admissible (see package irscore).
+// admissible (see package irscore). p is copied; the query's state comes
+// from pooled scratch that Close returns.
 func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptions) *RankedIter {
-	normalized, idfs := opts.Scorer.QueryIDFs(keywords)
-	probes := make([]irscore.TermProbe, len(normalized))
-	for i, w := range normalized {
-		probes[i] = irscore.ProbeTerm(w)
-	}
 	sc := takeScratch()
+	st := &sc.ranked
+	normalized, idfs := opts.Scorer.QueryIDFsInto(st.words, st.idfs, keywords)
+	probes := st.probes[:0]
+	for _, w := range normalized {
+		probes = append(probes, irscore.ProbeTerm(w))
+	}
+	if cap(st.tf) < len(normalized) {
+		st.tf = make([]int, len(normalized))
+	}
+	if st.exact == nil {
+		st.exact = make(map[uint64]rankedCandidate)
+	}
 	nw := x.rt.MaskWords()
 	if n := len(normalized) * nw; cap(sc.masks) < n {
 		sc.masks = make([]uint64, n)
@@ -57,12 +66,12 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	r := &RankedIter{
 		x:          x,
 		normalized: normalized,
-		tf:         make([]int, len(normalized)),
+		tf:         st.tf[:len(normalized)],
 		sc:         sc,
-		exact:      make(map[uint64]rankedCandidate),
+		exact:      st.exact,
 		bound: rankedScorer{
-			p:          p,
-			sigs:       levelWordSigs{x: x, words: normalized},
+			p:          append(st.at[:0], p...),
+			sigs:       levelWordSigs{x: x, words: normalized, sigs: st.sigs[:0]},
 			idfs:       idfs,
 			probes:     probes,
 			nodeWeight: 1,
@@ -76,22 +85,43 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 	// The traversal gets no signature to prune by: the bound needs every
 	// keyword's match separately, and the scorer drops the entries no
 	// keyword matches itself.
-	r.it = x.rt.Seek(&r.bound, nil)
-	// Without a row table the candidate filter runs on the raw text field
-	// before the object is materialized (see objstore.GetFiltered): count
-	// terms into the scratch — Next scores survivors off it — and reject
-	// candidates containing no keyword without paying their
-	// materialization.
-	r.accept = func(text []byte) bool {
-		r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized)
-		for _, n := range r.tf {
-			if n > 0 {
-				return true
-			}
-		}
-		return false
-	}
+	x.rt.SeekInto(&r.it, &r.bound, nil)
 	return r
+}
+
+// rankedState is the storage of a ranked query's per-query state, which
+// SearchRanked takes from the query scratch and Close hands back: the
+// normalized keywords, their idfs and probes, the term-count scratch, the
+// re-enqueued candidates' scores, the query point and the keywords'
+// signatures per level. A sharded ranked query opens one query per shard,
+// so none of it is allocated again once the pool is warm.
+type rankedState struct {
+	words  []string
+	idfs   []float64
+	probes []irscore.TermProbe
+	tf     []int
+	exact  map[uint64]rankedCandidate
+	at     geo.Point
+	sigs   [][]sigfile.Sig64
+}
+
+// maxPooledExact is the most re-enqueued candidates whose map Close keeps
+// for the next query; a larger one is left to the collector.
+const maxPooledExact = 1 << 12
+
+// accepts is the candidate filter without a row table, which runs on the
+// raw text field before the object is materialized (see
+// objstore.GetFiltered): it counts the keywords' terms into r.tf — candidate
+// scores a survivor off them — and rejects a row holding no keyword without
+// paying its materialization.
+func (r *RankedIter) accepts(text []byte) bool {
+	r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized)
+	for _, n := range r.tf {
+		if n > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // rankedScorer is the general query's node scorer: an entry's priority is
@@ -196,12 +226,12 @@ type rankedCandidate struct {
 // RankedIter streams general top-k results in non-increasing score order.
 type RankedIter struct {
 	x          *IR2Tree
-	it         *rtree.Iter
+	it         rtree.Iter
 	bound      rankedScorer // the traversal's scorer; also holds p and the idfs
 	normalized []string
 	tf         []int // per-candidate term-frequency scratch
 	sc         *queryScratch
-	accept     func(text []byte) bool
+	accept     func(text []byte) bool // r.accepts, bound when a candidate is first read without a row table
 	exact      map[uint64]rankedCandidate
 	stats      SearchStats
 	// rows, when not nil, is the engine's row table (UseRows), and ids the
@@ -262,6 +292,9 @@ func (r *RankedIter) candidate(ref uint64) (rankedCandidate, bool, error) {
 		r.rows.Terms.CountsInto(r.tf, id, r.ids)
 		c.dist = r.bound.p.Dist(r.rows.Point(id))
 	} else {
+		if r.accept == nil {
+			r.accept = r.accepts
+		}
 		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
 		if err != nil {
 			return c, false, err
@@ -306,12 +339,25 @@ func (r *RankedIter) Stats() SearchStats {
 }
 
 // Close releases the traversal's pooled scratch and the query's (row
-// buffers, keyword masks). Optional but cheap; the top-k
-// helpers call it for every query they run. A closed traversal is
-// exhausted, so Next loads no candidate after it and the scorer is not
-// called again.
+// buffers, keyword masks, and the ranked state of rankedState). Optional
+// but cheap; the top-k helpers call it for every query they run. A closed
+// traversal is exhausted, so Next loads no candidate after it and the
+// scorer is not called again; Stats still reports the query's work.
 func (r *RankedIter) Close() {
 	r.it.Close()
+	if r.sc == nil {
+		return
+	}
+	clear(r.normalized)
+	if len(r.exact) > maxPooledExact {
+		r.exact = nil
+	}
+	clear(r.exact)
+	r.sc.ranked = rankedState{
+		words: r.normalized[:0], idfs: r.bound.idfs[:0], probes: r.bound.probes[:0],
+		tf: r.tf[:0], exact: r.exact, at: r.bound.p[:0], sigs: r.bound.sigs.sigs[:0],
+	}
+	r.normalized, r.tf, r.exact, r.bound = nil, nil, nil, rankedScorer{}
 	putScratch(&r.sc)
 }
 
@@ -348,4 +394,4 @@ func (r *RankedIter) PeekBound() (float64, bool) {
 
 // Settle is ResultIter.Settle for the general ranked query: with a row
 // table, PeekBound is then the next result's exact score.
-func (r *RankedIter) Settle() error { return settle(r.it, r.PeekBound) }
+func (r *RankedIter) Settle() error { return settle(&r.it, r.PeekBound) }

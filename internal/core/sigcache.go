@@ -34,22 +34,33 @@ func (c *levelSigs) at(level int) *sigfile.Sig64 {
 // levelWordSigs is the per-keyword variant for the general ranked search:
 // each level caches one Sig64 per query keyword (W_i = Signature(w_i)). At a
 // level with no signature they are empty, which MatchMask matches with
-// every entry.
+// every entry. sigs may start as reused storage cut to length 0: a level's
+// slice and each signature's words are rebuilt in place, so a warm query
+// allocates none of them.
 type levelWordSigs struct {
 	x     *IR2Tree
 	words []string
-	sigs  [][]sigfile.Sig64
+	sigs  [][]sigfile.Sig64 // by level; a level not yet built holds fewer than len(words)
 }
 
 func (c *levelWordSigs) at(level int) []sigfile.Sig64 {
 	for level >= len(c.sigs) {
-		c.sigs = append(c.sigs, nil)
+		if n := len(c.sigs); n < cap(c.sigs) {
+			c.sigs = c.sigs[:n+1]
+			c.sigs[n] = c.sigs[n][:0]
+		} else {
+			c.sigs = append(c.sigs, nil)
+		}
 	}
-	if c.sigs[level] == nil {
+	if sigs := c.sigs[level]; len(sigs) < len(c.words) {
 		cfg := c.x.levelConfig(level)
-		sigs := make([]sigfile.Sig64, len(c.words))
-		for i, w := range c.words {
-			sigs[i] = sigfile.MakeSig64(cfg.WordSignature(w))
+		sigs = sigs[:0]
+		for _, w := range c.words {
+			var prev sigfile.Sig64
+			if n := len(sigs); n < cap(sigs) {
+				prev = sigs[:n+1][n]
+			}
+			sigs = append(sigs, cfg.WordSig64(prev, w))
 		}
 		c.sigs[level] = sigs
 	}

@@ -235,10 +235,16 @@ func UpperBound(matchedIDFs []float64) float64 {
 // normalized keyword order (paired with the per-keyword signatures the
 // general algorithm builds).
 func (s *Scorer) QueryIDFs(keywords []string) (normalized []string, idfs []float64) {
-	normalized = s.an.Keywords(keywords)
-	idfs = make([]float64, len(normalized))
-	for i, w := range normalized {
-		idfs[i] = s.idfOfTerm(w)
+	return s.QueryIDFsInto(nil, nil, keywords)
+}
+
+// QueryIDFsInto is QueryIDFs appending to normalized[:0] and idfs[:0], so a
+// query that keeps both slices allocates neither.
+func (s *Scorer) QueryIDFsInto(normalized []string, idfs []float64, keywords []string) ([]string, []float64) {
+	normalized = s.an.KeywordsInto(normalized, keywords)
+	idfs = idfs[:0]
+	for _, w := range normalized {
+		idfs = append(idfs, s.idfOfTerm(w))
 	}
 	return normalized, idfs
 }

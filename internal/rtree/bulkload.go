@@ -32,6 +32,13 @@ type BulkEntry struct {
 // each subtree. Later inserts, splits and deletes keep a sized level's
 // payloads supersets of those words without reading them (see Insert).
 //
+// Each node gets a run of exactly the blocks its header and entries fill
+// (RunFor), recorded in its header, not the capacity run an insert
+// allocates: the root, each level's last node and a slab's rebalanced
+// trailing nodes are part-full, and nothing grows a packed node before an
+// insert reaches it, which moves a node that outgrows its run (see
+// adjustTree).
+//
 // BulkLoad requires an empty tree and at least one entry. Every node except
 // possibly within the root's chain satisfies the minimum fill (trailing
 // chunks are rebalanced).
@@ -68,7 +75,7 @@ func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 	lvl := 0
 	for {
 		if len(level) <= t.maxE {
-			root := t.allocNode(lvl)
+			root := t.allocRun(lvl, t.RunFor(lvl, len(level)))
 			root.entries = level
 			if err := t.storeNode(root); err != nil {
 				return err
@@ -81,7 +88,7 @@ func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 		groups := t.rebalance(t.strPack(level, 0))
 		nodes := make([]*Node, len(groups))
 		for i, g := range groups {
-			n := t.allocNode(lvl)
+			n := t.allocRun(lvl, t.RunFor(lvl, len(g)))
 			n.entries = g
 			if err := t.storeNode(n); err != nil {
 				return err

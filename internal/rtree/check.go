@@ -19,6 +19,8 @@ import (
 //   - every non-root node holds between the minimum fill m and MaxEntries
 //     entries, and the root holds at least 2 when it is interior (at least 1
 //     when it is a leaf);
+//   - every node's entries fit its run, and no run is longer than capacity
+//     (see RunFor);
 //   - the number of reachable objects equals Len().
 func (t *Tree) CheckInvariants() error {
 	t.mu.RLock()
@@ -56,6 +58,10 @@ func (t *Tree) CheckInvariants() error {
 }
 
 func (t *Tree) checkNode(n *Node, isRoot bool) (objects, nodes int, err error) {
+	if !t.fits(n) || n.run > t.blocksForLevel(n.level) {
+		return 0, 0, fmt.Errorf("rtree: node %d has %d entries at level %d in a run of %d blocks, want %d..%d",
+			n.id, len(n.entries), n.level, n.run, t.RunFor(n.level, len(n.entries)), t.blocksForLevel(n.level))
+	}
 	if !isRoot {
 		if len(n.entries) < t.minE || len(n.entries) > t.maxE {
 			return 0, 0, fmt.Errorf("rtree: node %d has %d entries, want %d..%d",

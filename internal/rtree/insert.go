@@ -230,20 +230,31 @@ func pickSeeds(entries []entry) (int, int) {
 // signature bits set in a node propagate to all ancestors — or, at a sized
 // level, superimposed from lift (see parentAux).
 //
+// A node that gained an entry its run cannot hold (one BulkLoad packed to
+// its entries) moves to a capacity run and is rewritten there, and its
+// parent entry names the new run. A node that splits was full, so it holds
+// a capacity run already; only a node that gains an entry without splitting
+// can outgrow its run, and the nodes above it gain none. So at most one node
+// moves per insert, with no split beside it.
+//
 // A split's sibling is written before the node it split from, so a failed
-// first write leaves that node whole on the device. A sibling is linked
-// once a node the root reaches holds its entry on the device; a failed
-// write or payload frees every sibling this insert allocated that is not,
-// so the tree's node count stays its reachable nodes. The writes that
+// first write leaves that node whole on the device. A sibling, or a moved
+// node's new run, is linked once a node the root reaches holds its entry on
+// the device (or it is the root); a failed write or payload frees every
+// node this insert allocated that is not, so the tree's node count stays its
+// reachable nodes. A moved node's old run is freed only once its new run is
+// linked: until then the old run is what its parent names. The writes that
 // succeeded before the failure stay (see Insert).
 func (t *Tree) adjustTree(path []pathStep, split *Node, lift Lift) (err error) {
-	// fresh holds the unlinked siblings; fresh[:linked] link once the
-	// next node up the path is written.
+	// fresh holds the unlinked nodes; fresh[:linked] link once the next
+	// node up the path is written.
 	var fresh []*Node
 	linked := 0
 	if split != nil {
 		fresh = append(fresh, split)
 	}
+	// left is the run a moved node left, freed once the new one links.
+	var left *Node
 	defer func() {
 		if err != nil {
 			for _, n := range fresh {
@@ -258,17 +269,34 @@ func (t *Tree) adjustTree(path []pathStep, split *Node, lift Lift) (err error) {
 				return err
 			}
 		}
+		moving := !t.fits(n)
+		if moving {
+			left = &Node{id: n.id, run: n.run}
+			to := t.allocNode(n.level)
+			n.id, n.run = to.id, to.run
+			fresh = append(fresh, n)
+		}
 		if err := t.storeNode(n); err != nil {
 			return err
 		}
-		fresh, linked = fresh[linked:], 0
+		if !moving {
+			fresh, linked = fresh[linked:], 0
+			if left != nil {
+				t.freeNode(left) // n names the moved node's new run
+				left = nil
+			}
+		}
 
 		if i == 0 {
 			// n is the root.
-			if split == nil {
-				return nil
+			if split != nil {
+				return t.growRoot(n, split)
 			}
-			return t.growRoot(n, split)
+			if moving {
+				t.root = n.id
+				t.freeNode(left)
+			}
+			return nil
 		}
 
 		parent := path[i-1].node
@@ -279,6 +307,9 @@ func (t *Tree) adjustTree(path []pathStep, split *Node, lift Lift) (err error) {
 			return err
 		}
 		parent.entries[idx] = entry{ptr: uint64(n.id), rect: n.mbr(), aux: aux}
+		if moving {
+			linked = len(fresh)
+		}
 
 		var nextSplit *Node
 		if split != nil {

@@ -15,17 +15,21 @@
 // BlockID, shared by every query on the tree; a tree built with a negative
 // Config.CacheNodes has no cache and pins each image for one visit.
 //
-// A hit is charged, not re-read. Every image carries the device's write
-// sequence (storage.Device.WriteSeq) taken before its blocks were read, and
-// a hit hands it to the device's ChargeRun over the node's block run: if no
-// block of the run has been written since, the device charges exactly the
-// random/sequential accesses a cold load of the run would — so the counters
-// that feed the benchmark cost model are bit-identical with and without the
-// cache — runs the fault hook, and moves no bytes. If a block was written
-// since, or the device declines (a ChecksumDisk, whose promise is a CRC on
-// every read; a FaultDevice whose plan arms a read fault), the hit falls
-// back to verifying: ReadRunInto over the same run into pooled scratch,
-// compared with the pinned image and reparsed on any difference.
+// Every read of a node, cold or cached, covers the node's own run: the
+// blocks its header records (see nodeHeaderSize), which for a node BulkLoad
+// packed are the blocks its header and entries fill and for any other node
+// its capacity run. A hit is charged, not re-read. Every image carries the
+// device's write sequence (storage.Device.WriteSeq) taken before its blocks
+// were read, and its run, and a hit hands both to the device's ChargeRun:
+// if no block of the run has been written since, the device charges exactly
+// the random/sequential accesses a cold load of the run would — so the
+// counters that feed the benchmark cost model are bit-identical with and
+// without the cache — runs the fault hook, and moves no bytes. If a block
+// was written since, or the device declines (a ChecksumDisk, whose promise
+// is a CRC on every read; a FaultDevice whose plan arms a read fault), the
+// hit falls back to verifying: ReadRunInto over the same run into pooled
+// scratch, compared with the pinned image and reparsed on any difference
+// (re-read from its first block when the header names another run).
 //
 // Cache correctness therefore does not rest on invalidation alone. The
 // mutation path invalidates rewritten and freed nodes (storeNode/freeNode),
@@ -62,6 +66,7 @@ type PackedNode struct {
 	id     storage.BlockID
 	level  int
 	count  int
+	run    int // blocks of the node's run, from id on
 	es     int // serialized entry size at this level
 	auxLen int
 	buf    []byte // trimmed image: nodeHeaderSize + count*es bytes
@@ -284,7 +289,7 @@ func (t *Tree) RootPacked() (*PackedNode, error) {
 func (t *Tree) loadPacked(id storage.BlockID) (*PackedNode, error) {
 	if t.cache != nil {
 		if pn, ok := t.cache.Get(id); ok {
-			charged, err := t.dev.ChargeRun(id, t.blocksForLevel(pn.level), pn.seq)
+			charged, err := t.dev.ChargeRun(id, pn.run, pn.seq)
 			if err != nil {
 				return nil, fmt.Errorf("rtree: load node %d: %w", id, err)
 			}
@@ -304,14 +309,14 @@ func (t *Tree) loadPacked(id storage.BlockID) (*PackedNode, error) {
 	return pn, nil
 }
 
-// verifyPacked re-reads a cached node's blocks (the same accesses a cold
-// load would make) and returns the pinned decode if the on-disk image is
-// unchanged, reparsing and replacing it otherwise.
+// verifyPacked re-reads a cached node's run (the same accesses a cold load
+// would make) and returns the pinned decode if the on-disk image is
+// unchanged, reparsing and replacing it otherwise. An image whose header
+// now names a different run is read again from its first block.
 func (t *Tree) verifyPacked(id storage.BlockID, pn *PackedNode) (*PackedNode, error) {
-	nblocks := t.blocksForLevel(pn.level)
-	sb := t.getScratch(nblocks * t.dev.BlockSize())
+	sb := t.getScratch(pn.run * t.dev.BlockSize())
 	at := t.dev.WriteSeq()
-	if err := t.dev.ReadRunInto(id, nblocks, sb.b); err != nil {
+	if err := t.dev.ReadRunInto(id, pn.run, sb.b); err != nil {
 		t.putScratch(sb)
 		return nil, fmt.Errorf("rtree: load node %d: %w", id, err)
 	}
@@ -319,7 +324,13 @@ func (t *Tree) verifyPacked(id storage.BlockID, pn *PackedNode) (*PackedNode, er
 		t.putScratch(sb)
 		return pn, nil
 	}
-	fresh, err := t.parsePacked(id, sb.b, at)
+	var fresh *PackedNode
+	var err error
+	if _, _, run, herr := t.parseHeader(id, sb.b); herr == nil && run != pn.run {
+		fresh, err = t.readPacked(id)
+	} else {
+		fresh, err = t.parsePacked(id, sb.b, at)
+	}
 	t.putScratch(sb)
 	if err != nil {
 		return nil, err
@@ -341,12 +352,11 @@ func (t *Tree) readPacked(id storage.BlockID) (*PackedNode, error) {
 	return pn, err
 }
 
-// readImage reads a node's whole block run into pooled scratch, which the
-// caller returns with putScratch. It is the access pattern of every cold
-// node load, decoded or packed: the first block (one, typically random,
-// access) to learn the level, then the continuation run (sequential
-// accesses). A header that cannot be a node fails before the continuation
-// is read.
+// readImage reads a node's whole run into pooled scratch, which the caller
+// returns with putScratch. It is the access pattern of every cold node
+// load, decoded or packed: the first block (one, typically random, access)
+// to learn the level and the run, then the rest of the run (sequential
+// accesses). A header that cannot be a node fails before the rest is read.
 func (t *Tree) readImage(id storage.BlockID) (*scratchBuf, error) {
 	bs := t.dev.BlockSize()
 	sb := t.getScratch(bs)
@@ -354,21 +364,20 @@ func (t *Tree) readImage(id storage.BlockID) (*scratchBuf, error) {
 		t.putScratch(sb)
 		return nil, fmt.Errorf("rtree: load node %d: %w", id, err)
 	}
-	level := int(binary.LittleEndian.Uint32(sb.b[0:4]))
-	count := int(binary.LittleEndian.Uint32(sb.b[4:8]))
-	if level < 0 || level > 64 || count < 0 || count > t.maxE {
+	_, _, run, err := t.parseHeader(id, sb.b)
+	if err != nil {
 		t.putScratch(sb)
-		return nil, fmt.Errorf("rtree: corrupt node %d: level=%d count=%d", id, level, count)
+		return nil, err
 	}
-	if nblocks := t.blocksForLevel(level); nblocks > 1 {
-		need := nblocks * bs
+	if run > 1 {
+		need := run * bs
 		if cap(sb.b) < need {
 			grown := make([]byte, need)
 			copy(grown, sb.b)
 			sb.b = grown
 		}
 		sb.b = sb.b[:need]
-		if err := t.dev.ReadRunInto(id+1, nblocks-1, sb.b[bs:]); err != nil {
+		if err := t.dev.ReadRunInto(id+1, run-1, sb.b[bs:]); err != nil {
 			t.putScratch(sb)
 			return nil, fmt.Errorf("rtree: load node %d continuation: %w", id, err)
 		}
@@ -381,10 +390,9 @@ func (t *Tree) readImage(id storage.BlockID) (*scratchBuf, error) {
 // taken before img was read, and builds its signature columns. The returned
 // node owns its buffers; img may be reused by the caller.
 func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNode, error) {
-	level := int(binary.LittleEndian.Uint32(img[0:4]))
-	count := int(binary.LittleEndian.Uint32(img[4:8]))
-	if level < 0 || level > 64 || count < 0 || count > t.maxE {
-		return nil, fmt.Errorf("rtree: corrupt node %d: level=%d count=%d", id, level, count)
+	level, count, run, err := t.parseHeader(id, img)
+	if err != nil {
+		return nil, err
 	}
 	es := t.entrySize(level)
 	need := nodeHeaderSize + count*es
@@ -397,6 +405,7 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNo
 		id:     id,
 		level:  level,
 		count:  count,
+		run:    run,
 		es:     es,
 		auxLen: t.AuxLen(level),
 		buf:    buf,

@@ -30,9 +30,15 @@ import (
 	"spatialkeyword/internal/storage"
 )
 
-// nodeHeaderSize is the serialized size of a node header: level (uint32) and
-// entry count (uint32).
+// nodeHeaderSize is the serialized size of a node header: a uint32 word
+// holding the level in its low 16 bits and the node's run length in blocks
+// in its high 16 bits, then the entry count (uint32). A run length of 0,
+// what every header written before runs were recorded holds, reads as
+// capacity (blocksForLevel).
 const nodeHeaderSize = 8
+
+// runShift places a node's run length in its header's first word.
+const runShift = 16
 
 // NodeReader is the restricted tree view handed to AuxScheme.NodeAux. Its
 // methods take no locks: NodeAux runs while the tree already holds its own
@@ -138,6 +144,7 @@ type entry struct {
 type Node struct {
 	id      storage.BlockID
 	level   int
+	run     int // blocks of the node's run, from id on
 	entries []entry
 }
 
@@ -146,6 +153,9 @@ func (n *Node) ID() storage.BlockID { return n.id }
 
 // Level returns the node's level; 0 is the leaf level.
 func (n *Node) Level() int { return n.level }
+
+// Run returns the number of blocks of the node's run, from ID on.
+func (n *Node) Run() int { return n.run }
 
 // NumEntries returns the number of entries in the node.
 func (n *Node) NumEntries() int { return len(n.entries) }
@@ -268,13 +278,45 @@ func (t *Tree) sized(level int) bool {
 	return t.lens != nil && level >= 1 && t.AuxLen(level) != t.AuxLen(level-1)
 }
 
-// blocksForLevel returns how many consecutive blocks a node at the given
-// level occupies: capacity M entries plus the header, at this level's entry
-// size.
-func (t *Tree) blocksForLevel(level int) int {
-	bytes := nodeHeaderSize + t.maxE*t.entrySize(level)
+// blocksForLevel returns the capacity run of a node at the given level: the
+// blocks M entries plus the header fill, at this level's entry size. Every
+// node an insert allocates has it; no node's run is longer.
+func (t *Tree) blocksForLevel(level int) int { return t.RunFor(level, t.maxE) }
+
+// RunFor returns the blocks a node at the given level holding count entries
+// fills: its header and entries. BulkLoad gives each node this run, and a
+// node's run is never shorter; RunFor(level, MaxEntries()) is the capacity
+// run every insert-allocated node has, and no run is longer.
+func (t *Tree) RunFor(level, count int) int {
 	bs := t.dev.BlockSize()
-	return (bytes + bs - 1) / bs
+	return (nodeHeaderSize + count*t.entrySize(level) + bs - 1) / bs
+}
+
+// fits reports whether n's entries fit its run.
+func (t *Tree) fits(n *Node) bool {
+	return t.RunFor(n.level, len(n.entries)) <= n.run
+}
+
+// parseHeader validates the node header at the front of b, read from block
+// id: the level, the entry count and the run length (capacity for 0), and
+// that the entries fit the run and the run no longer than capacity.
+func (t *Tree) parseHeader(id storage.BlockID, b []byte) (level, count, run int, err error) {
+	word := binary.LittleEndian.Uint32(b[0:4])
+	level = int(word & (1<<runShift - 1))
+	run = int(word >> runShift)
+	count = int(binary.LittleEndian.Uint32(b[4:8]))
+	if level > 64 || count > t.maxE {
+		return 0, 0, 0, fmt.Errorf("rtree: corrupt node %d: level=%d count=%d", id, level, count)
+	}
+	capRun := t.blocksForLevel(level)
+	if run == 0 {
+		run = capRun
+	}
+	if run > capRun || t.RunFor(level, count) > run {
+		return 0, 0, 0, fmt.Errorf("rtree: corrupt node %d: %d entries at level %d in a run of %d blocks (capacity %d)",
+			id, count, level, run, capRun)
+	}
+	return level, count, run, nil
 }
 
 // MaxEntries returns the node capacity M.
@@ -335,14 +377,11 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 	}
 	defer t.putScratch(sb)
 	buf := sb.b
-	level := int(binary.LittleEndian.Uint32(buf[0:4]))
-	count := int(binary.LittleEndian.Uint32(buf[4:8]))
-	es := t.entrySize(level)
-	need := nodeHeaderSize + count*es
-	if need > len(buf) {
-		return nil, fmt.Errorf("rtree: corrupt node %d: %d entries exceed %d bytes", id, count, len(buf))
+	level, count, run, err := t.parseHeader(id, buf)
+	if err != nil {
+		return nil, err
 	}
-	n := &Node{id: id, level: level, entries: make([]entry, count)}
+	n := &Node{id: id, level: level, run: run, entries: make([]entry, count)}
 	auxLen := t.AuxLen(level)
 	off := nodeHeaderSize
 	for i := 0; i < count; i++ {
@@ -371,16 +410,21 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 
 // storeNode encodes and writes a node to its block run. Every node writer
 // funnels through here, so it is also where the decoded-node cache learns
-// that a pinned image is out of date.
+// that a pinned image is out of date. A capacity run's header records run
+// length 0, so an insert-built node's bytes do not depend on whether runs
+// are recorded.
 func (t *Tree) storeNode(n *Node) error {
 	if t.cache != nil {
 		t.cache.Invalidate(n.id)
 	}
-	nblocks := t.blocksForLevel(n.level)
 	es := t.entrySize(n.level)
 	auxLen := t.AuxLen(n.level)
 	buf := make([]byte, nodeHeaderSize+len(n.entries)*es)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(n.level))
+	word := uint32(n.level)
+	if n.run != t.blocksForLevel(n.level) {
+		word |= uint32(n.run) << runShift
+	}
+	binary.LittleEndian.PutUint32(buf[0:4], word)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(n.entries)))
 	off := nodeHeaderSize
 	for i := range n.entries {
@@ -404,26 +448,31 @@ func (t *Tree) storeNode(n *Node) error {
 			off += auxLen
 		}
 	}
-	if err := t.dev.WriteRun(n.id, nblocks, buf); err != nil {
+	if err := t.dev.WriteRun(n.id, n.run, buf); err != nil {
 		return fmt.Errorf("rtree: store node %d: %w", n.id, err)
 	}
 	return nil
 }
 
-// allocNode creates a new empty node at the given level.
+// allocNode creates a new empty node at the given level on a capacity run.
 func (t *Tree) allocNode(level int) *Node {
-	id := t.dev.AllocRun(t.blocksForLevel(level))
-	t.nodes++
-	return &Node{id: id, level: level}
+	return t.allocRun(level, t.blocksForLevel(level))
 }
 
-// freeNode releases a node's blocks.
+// allocRun creates a new empty node at the given level on a run of the
+// given length.
+func (t *Tree) allocRun(level, run int) *Node {
+	id := t.dev.AllocRun(run)
+	t.nodes++
+	return &Node{id: id, level: level, run: run}
+}
+
+// freeNode releases a node's run.
 func (t *Tree) freeNode(n *Node) {
 	if t.cache != nil {
 		t.cache.Invalidate(n.id)
 	}
-	nblocks := t.blocksForLevel(n.level)
-	for i := 0; i < nblocks; i++ {
+	for i := 0; i < n.run; i++ {
 		t.dev.Free(n.id + storage.BlockID(i))
 	}
 	t.nodes--

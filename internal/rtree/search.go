@@ -276,7 +276,16 @@ func (it *Iter) SetTrace(fn func(TraceEvent)) { it.trace = fn }
 // scores: a peek before the first Next would report bound 0 and let a top-k
 // merge discard the whole traversal.)
 func (t *Tree) Seek(ns NodeScorer, sig func(level int) *sigfile.Sig64) *Iter {
-	it := &Iter{t: t, ns: ns, sig: sig}
+	it := new(Iter)
+	t.SeekInto(it, ns, sig)
+	return it
+}
+
+// SeekInto is Seek into an iterator the caller holds — a new one, or one it
+// has closed — so a traversal embedded in a query's own state costs no
+// allocation of its own.
+func (t *Tree) SeekInto(it *Iter, ns NodeScorer, sig func(level int) *sigfile.Sig64) {
+	*it = Iter{t: t, ns: ns, sig: sig}
 	t.mu.RLock()
 	root := t.root
 	t.mu.RUnlock()
@@ -287,7 +296,6 @@ func (t *Tree) Seek(ns NodeScorer, sig func(level int) *sigfile.Sig64) *Iter {
 		it.queue = append(it.queue, queueItem{node: root, score: math.Inf(-1)})
 		it.seq = 1
 	}
-	return it
 }
 
 // Close returns the iterator's pooled scratch to the tree. Safe to call

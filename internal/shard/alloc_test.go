@@ -132,3 +132,41 @@ func TestRankedQuerySetupAllocFree(t *testing.T) {
 		t.Errorf("a 4-shard ranked query's setup allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestRankedLaneAllocs gates what each shard past the first adds to a warm
+// ranked top-k: the lane's stream, the engine's ranked state (its scorer,
+// keywords, idfs and probes, per-level keyword signatures, the traversal
+// and its candidate map) and the merge's hold on it. On benchMerge's rows
+// and keyword pairs, the 3 lanes 4 shards open beyond one shard's must
+// allocate at most 4 objects each, averaged over the query cycle.
+func TestRankedLaneAllocs(t *testing.T) {
+	rows, stats, _ := loadDataset(t, benchSpec)
+	points, kwSets := queryPoints(rows, 32, 42), keywordSets(stats, 32, 2, 99)
+	measure := func(shards int) float64 {
+		s, err := New(spatialkeyword.Config{SignatureBytes: 16}, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(t, s, rows)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		run := func() {
+			if _, err := s.TopKRanked(10, points[i%len(points)], kwSets[i%len(kwSets)]...); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		for range points {
+			run() // warm the node caches and the scratch pools
+		}
+		return testing.AllocsPerRun(len(points)*4, run)
+	}
+	one, four := measure(1), measure(4)
+	perLane := (four - one) / 3
+	t.Logf("ranked top-10: %.1f allocs/op on 1 shard, %.1f on 4: %.1f per extra lane", one, four, perLane)
+	if perLane > 4 {
+		t.Errorf("each lane past the first allocates %.1f objects per ranked query, want at most 4", perLane)
+	}
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"slices"
+	"sort"
 	"time"
 
 	"spatialkeyword"
@@ -90,8 +91,8 @@ type mergedStream[R any] struct {
 	q         topkQuery[R]
 	start     time.Time
 	agg       spatialkeyword.QueryStats // the finished lanes' work, and whether a shard was skipped
-	lanes     []*lane[R]
-	pending   []item[R] // pulled and not yet delivered, best first
+	lanes     []lane[R]                 // one per opened shard, never grown past the shard count: a lane's address is stable
+	pending   []item[R]                 // pulled and not yet delivered, best first
 	delivered int
 	err       error // the first error that was not a shard's storage fault
 	closed    bool
@@ -101,14 +102,15 @@ type mergedStream[R any] struct {
 // cannot open for a reason other than its shard's storage, the stream comes
 // back closed with that error.
 func openStream[R any](s *ShardedEngine, q topkQuery[R]) (*mergedStream[R], error) {
-	st := &mergedStream[R]{s: s, q: q, start: time.Now(), lanes: make([]*lane[R], 0, len(s.shards))}
+	st := &mergedStream[R]{s: s, q: q, start: time.Now(), lanes: make([]lane[R], 0, len(s.shards))}
 	for _, sh := range s.shards {
 		if sh.unhealthy.Load() {
 			st.agg.Degraded = true
 			continue
 		}
-		ln := st.open(sh)
-		st.lanes = append(st.lanes, ln)
+		st.lanes = append(st.lanes, lane[R]{})
+		ln := &st.lanes[len(st.lanes)-1]
+		st.open(ln, sh)
 		st.classify(ln)
 	}
 	if st.err != nil {
@@ -132,15 +134,14 @@ type lane[R any] struct {
 // open read-locks the shard and opens its stream. Every opened lane must be
 // finished. The shard's lock is taken before the engine's (the stream holds
 // Engine.mu shared until it ends), and s.mu is never held across either.
-func (st *mergedStream[R]) open(sh *shardHandle) *lane[R] {
+func (st *mergedStream[R]) open(ln *lane[R], sh *shardHandle) {
 	sh.mu.RLock()
-	ln := &lane[R]{sh: sh, start: time.Now()}
+	*ln = lane[R]{sh: sh, start: time.Now()}
 	if it, err := st.q.open(sh.eng); err != nil {
 		ln.done, ln.err = true, err
 	} else {
 		ln.it = it
 	}
-	return ln
 }
 
 // pull takes the lane's next result, translated to its global ID — the step
@@ -207,7 +208,8 @@ func (st *mergedStream[R]) step(mode int) (bound float64, ready, ok bool) {
 	for !st.closed && st.err == nil {
 		var best *lane[R]
 		live := 0
-		for _, ln := range st.lanes {
+		for i := range st.lanes {
+			ln := &st.lanes[i]
 			if ln.done {
 				continue
 			}
@@ -310,8 +312,8 @@ func (st *mergedStream[R]) end(results int) {
 		return
 	}
 	st.closed = true
-	for _, ln := range st.lanes {
-		st.finish(ln)
+	for i := range st.lanes {
+		st.finish(&st.lanes[i])
 	}
 	st.record(results, st.err)
 	if st.q.ranked != nil {
@@ -362,13 +364,10 @@ type item[R any] struct {
 	val R
 }
 
-// insert puts it into items, which are ordered best first, at its place.
+// insert puts it into items, which are ordered best first, at its place,
+// after every item better than it. The search's closure stays on the stack,
+// so an insert into items with room allocates nothing.
 func insert[R any](asc bool, items []item[R], it item[R]) []item[R] {
-	at, _ := slices.BinarySearchFunc(items, &it, func(p item[R], it *item[R]) int {
-		if better(asc, &p, it) {
-			return -1
-		}
-		return 1
-	})
+	at := sort.Search(len(items), func(i int) bool { return !better(asc, &items[i], &it) })
 	return slices.Insert(items, at, it)
 }

@@ -101,6 +101,35 @@ func (c Config) WordSignature(word string) Signature {
 	return s
 }
 
+// WordSig64 is MakeSig64(c.WordSignature(word)) built straight into word
+// form, in the words of prev when they have room for the signature's full
+// words: a query that keeps its keyword signatures builds them again
+// without allocating. The result aliases prev's words, so prev must not be
+// used afterwards.
+func (c Config) WordSig64(prev Sig64, word string) Sig64 {
+	full := prev.full
+	nf := c.LengthBytes / 8
+	if cap(full) < nf {
+		full = make([]uint64, nf)
+	}
+	v := Sig64{n: c.LengthBytes, full: full[:nf]}
+	clear(v.full)
+	m := uint64(c.Bits())
+	if m == 0 {
+		return v
+	}
+	h1, h2 := hashPair(word)
+	for i := 0; i < c.BitsPerWord; i++ {
+		bit := (h1 + uint64(i)*h2) % m
+		if w := bit / 64; w < uint64(nf) {
+			v.full[w] |= 1 << (bit % 64)
+		} else {
+			v.tail |= 1 << (bit % 64)
+		}
+	}
+	return v
+}
+
 // DocSignature returns the superimposition of the given words' signatures —
 // the signature stored with an object in an IR²-Tree leaf.
 func (c Config) DocSignature(words []string) Signature {

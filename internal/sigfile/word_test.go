@@ -128,6 +128,34 @@ func TestSig64TolerantOnMismatch(t *testing.T) {
 	}
 }
 
+// TestWordSig64MatchesMakeSig64: the word form built straight from a word
+// equals the decoded byte form at every length class mod 8 and bits per
+// word, into fresh storage and into reused storage holding another word.
+func TestWordSig64MatchesMakeSig64(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	dirty := Sig64{full: make([]uint64, 0, 32)}
+	for n := 0; n <= 200; n++ {
+		for _, k := range []int{0, 1, 4, 9} {
+			c := Config{LengthBytes: n, BitsPerWord: k}
+			for trial := 0; trial < 3; trial++ {
+				w := string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
+				want := MakeSig64(c.WordSignature(w))
+				for _, prev := range []Sig64{{}, c.WordSig64(dirty, "other")} {
+					got := c.WordSig64(prev, w)
+					if got.Len() != want.Len() || got.NumWords() != want.NumWords() {
+						t.Fatalf("len %d, k %d, %q: length %d/%d words, want %d/%d", n, k, w, got.Len(), got.NumWords(), want.Len(), want.NumWords())
+					}
+					for i := 0; i < want.NumWords(); i++ {
+						if got.Word(i) != want.Word(i) {
+							t.Fatalf("len %d, k %d, %q: word %d %x, want %x", n, k, w, i, got.Word(i), want.Word(i))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzSig64Equivalence fuzzes the word-at-a-time kernels against the
 // byte-wise oracles on arbitrary signature pairs, truncating both inputs to
 // a shared length so every length class mod 8 is exercised.

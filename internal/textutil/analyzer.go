@@ -1,6 +1,9 @@
 package textutil
 
-import "unicode/utf8"
+import (
+	"slices"
+	"unicode/utf8"
+)
 
 // Analyzer is a configurable text-analysis pipeline: tokenization (always),
 // optional stopword removal, optional Porter stemming. Index and query text
@@ -118,6 +121,22 @@ func lowerASCIIToken(s string) bool {
 		}
 	}
 	return len(s) > 0
+}
+
+// KeywordsInto is Keywords appending to dst[:0]: a query that keeps dst
+// normalizes its keywords without allocating when they are already terms. A
+// list of more than 16 keywords goes through Keywords.
+func (a *Analyzer) KeywordsInto(dst, keywords []string) []string {
+	if len(keywords) > 16 {
+		return append(dst[:0], a.Keywords(keywords)...)
+	}
+	dst = dst[:0]
+	for _, w := range keywords {
+		if n := a.Keyword(w); n != "" && !slices.Contains(dst, n) {
+			dst = append(dst, n)
+		}
+	}
+	return dst
 }
 
 // Keywords normalizes a keyword list, dropping empties and duplicates while

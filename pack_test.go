@@ -8,7 +8,9 @@ import (
 
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/dataset"
+	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
 )
@@ -70,14 +72,16 @@ func checkPacked(t *testing.T, e *Engine) {
 }
 
 // checkTree holds e's tree to every structural invariant — each signature of
-// a sized level holds the bits of every word under it — and the tree and
-// the queued run together to e's live objects, the run under a leaf's worth.
+// a sized level holds the bits of every word under it, each node's entries
+// fit its run and no run is longer than capacity — and the tree and the
+// queued run together to e's live objects, the run under a leaf's worth.
 func checkTree(t *testing.T, e *Engine) {
 	t.Helper()
 	rt := e.tree.RTree()
 	if err := rt.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	checkRuns(t, e, RunsFit)
 	if q := len(e.run); rt.Len()+q != e.live || (rt.Height() > 0 && q >= rt.MaxEntries()) {
 		t.Fatalf("tree holds %d objects and the run %d, engine has %d live", rt.Len(), q, e.live)
 	}
@@ -85,6 +89,106 @@ func checkTree(t *testing.T, e *Engine) {
 
 // CheckTree is checkTree for the external tests.
 var CheckTree = checkTree
+
+// The runs checkRuns requires beyond the bounds every run keeps.
+const (
+	RunsFit      = iota // the bounds alone
+	RunsTight           // what BulkLoad allocates
+	RunsCapacity        // what every insert allocates
+)
+
+// checkRuns holds every node of e's tree to its run: the blocks its header
+// and entries fill at least and its capacity run at most, and exactly the
+// one want names.
+func checkRuns(t *testing.T, e *Engine, want int) {
+	t.Helper()
+	rt := e.tree.RTree()
+	if err := rt.VisitNodes(func(n *rtree.Node) error {
+		filled, capacity := rt.RunFor(n.Level(), n.NumEntries()), rt.RunFor(n.Level(), rt.MaxEntries())
+		if n.Run() < filled || n.Run() > capacity ||
+			want == RunsTight && n.Run() != filled || want == RunsCapacity && n.Run() != capacity {
+			return fmt.Errorf("node %d: %d entries at level %d on a run of %d blocks; they fill %d, capacity %d",
+				n.ID(), n.NumEntries(), n.Level(), n.Run(), filled, capacity)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// CheckRuns is checkRuns for the external tests.
+var CheckRuns = checkRuns
+
+// RootRun returns the run of e's root and the capacity run of its level.
+func RootRun(e *Engine) (run, capacity int) {
+	rt := e.tree.RTree()
+	root, err := rt.Root()
+	if err != nil || root == nil {
+		panic(fmt.Sprint("no root: ", err))
+	}
+	return root.Run(), rt.RunFor(root.Level(), rt.MaxEntries())
+}
+
+// PartFullLeaf returns the point of an object entry of one of e's leaves on a
+// run shorter than capacity that no other leaf's MBR holds, so an insert at
+// the point descends to that leaf when the root is its parent, or ok false.
+func PartFullLeaf(e *Engine) (point []float64, ok bool) {
+	rt := e.tree.RTree()
+	leaves := leafNodes(e)
+	for _, l := range leaves {
+		if l.Run() == rt.RunFor(0, rt.MaxEntries()) {
+			continue
+		}
+		for i := 0; i < l.NumEntries(); i++ {
+			_, r, _ := l.Entry(i)
+			if len(leavesHolding(leaves, r.Lo)) == 1 {
+				return r.Lo, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// LeafRunAt returns the run of the one leaf of e whose MBR holds point, the
+// leaf's capacity run and its entry count.
+func LeafRunAt(e *Engine, point []float64) (run, capacity, entries int) {
+	held := leavesHolding(leafNodes(e), point)
+	if len(held) != 1 {
+		panic(fmt.Sprintf("%d leaves hold %v", len(held), point))
+	}
+	rt := e.tree.RTree()
+	return held[0].Run(), rt.RunFor(0, rt.MaxEntries()), held[0].NumEntries()
+}
+
+// leafNodes returns every leaf of e's tree.
+func leafNodes(e *Engine) []*rtree.Node {
+	var leaves []*rtree.Node
+	if err := e.tree.RTree().VisitNodes(func(n *rtree.Node) error {
+		if n.Level() == 0 {
+			leaves = append(leaves, n)
+		}
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	return leaves
+}
+
+// leavesHolding returns the leaves whose MBR holds p.
+func leavesHolding(leaves []*rtree.Node, p geo.Point) []*rtree.Node {
+	var out []*rtree.Node
+	for _, l := range leaves {
+		var mbr geo.Rect
+		for i := 0; i < l.NumEntries(); i++ {
+			_, r, _ := l.Entry(i)
+			mbr = mbr.Union(r)
+		}
+		if mbr.ContainsPoint(p) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
 
 // LeafCapacity is the node capacity of the tree an engine with cfg builds:
 // the rows its queued run holds at most.

@@ -179,7 +179,7 @@ run_perf_build() {
 
 run_compat() {
 	step compat
-	go test -count=1 -run 'Parent' ./internal/shard ./internal/faultmatrix ./cmd/skserve
+	go test -count=1 -run 'Parent' . ./internal/shard ./internal/faultmatrix ./cmd/skserve
 	changed="$(git status --porcelain testdata/compat)"
 	if [ -n "$changed" ]; then
 		echo "a test changed the compat fixture (or it is not committed):" >&2

@@ -341,7 +341,7 @@ func (e *Engine) searchRanked(cs *CorpusStats, point []float64, keywords []strin
 		cs = &CorpusStats{NumDocs: e.rows.Vocab.NumDocs(), DocFreq: e.rows.Vocab.DocFreq}
 	}
 	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq).WithAnalyzer(e.an)
-	it := e.tree.SearchRanked(geo.NewPoint(point...), keywords, core.GeneralOptions{Scorer: scorer})
+	it := e.tree.SearchRanked(point, keywords, core.GeneralOptions{Scorer: scorer}) // copies point
 	it.UseRows(&e.rows)
 	it.PushRun(e.run)
 	return &RankedSearchIter{query: q, it: it}, nil
