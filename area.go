@@ -60,5 +60,5 @@ func (e *Engine) SearchWithin(lo, hi []float64, keywords ...string) (ResultStrea
 	if err != nil {
 		return nil, err
 	}
-	return e.searchIter(q, e.tree.SearchWithin(area, keywords)), nil
+	return e.searchIter(q, e.tree.SearchWithin(area, keywords, &e.rows)), nil
 }

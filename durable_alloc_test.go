@@ -101,3 +101,31 @@ func TestDurableEngineAllocsMatchInMemory(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmTopKRankedAllocs gates a warm ranked top-k on the engine's own
+// corpus statistics at the 27 allocations it measures: two per returned
+// row (its point and text), and seven for the query — its streams, scorer
+// and result slice. A closure built per query, such as the vocabulary's
+// DocFreq method value for the scorer, shows as one more.
+func TestWarmTopKRankedAllocs(t *testing.T) {
+	e, err := NewEngine(Config{SignatureBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocCorpus(t, e)
+	var results int
+	run := func() {
+		res, err := e.TopKRanked(10, []float64{90, 75}, "pizza", "noodle", "place13")
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = len(res)
+	}
+	run() // warm the node cache and the scratch pools
+	allocs := testing.AllocsPerRun(100, run)
+	t.Logf("warm TopKRanked: %.0f allocs/op for %d results", allocs, results)
+	const budget = 27
+	if results != 10 || allocs > budget {
+		t.Fatalf("warm TopKRanked: %.0f allocs/op for %d results, want <= %d for 10", allocs, results, budget)
+	}
+}

@@ -18,11 +18,11 @@ import (
 //	//skvet:hotpath
 //
 // in its doc comment declares itself part of the zero-allocation read hot
-// path (packed R-Tree traversal, Sig64 kernels, objstore.GetFiltered, the
-// textutil byte kernels, the core iterators). For every annotated
-// function the pass shells out to `go build -gcflags=-m=2` — os/exec is
-// stdlib, so the module's no-x/tools rule holds — parses the compiler's
-// escape-analysis and inlining diagnostics, and reports:
+// path (packed R-Tree traversal, Sig64 kernels, the core iterators, the
+// textutil byte kernels, the paper loop's objstore.GetFiltered). For every
+// annotated function the pass shells out to `go build -gcflags=-m=2` —
+// os/exec is stdlib, so the module's no-x/tools rule holds — parses the
+// compiler's escape-analysis and inlining diagnostics, and reports:
 //
 //   - any heap escape inside the function, naming the escaping value and
 //     the compiler's flow reason. Escapes on statements that return a

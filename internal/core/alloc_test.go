@@ -69,9 +69,10 @@ func TestWarmTopKAllocBounded(t *testing.T) {
 func TestWarmWithinAreaAllocBounded(t *testing.T) {
 	x := newWarmTree(t)
 	area := geo.NewRect(geo.NewPoint(20, 20), geo.NewPoint(70, 70))
+	table := rowTable(t, x)
 	var results, nodes int
 	run := func() {
-		res, stats, err := withinArea(x, area, []string{"pizza"})
+		res, stats, err := withinArea(x, table, area, []string{"pizza"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,22 +90,17 @@ func TestWarmWithinAreaAllocBounded(t *testing.T) {
 	}
 }
 
-// TestWarmRankedAllocBounded gates the general ranked query the same way.
-// It passes the row summaries every served ranked query carries: without
-// them an object's bound is twice its exact score here, and on this grid
-// the query loads every one of the 200 matching rows.
+// TestWarmRankedAllocBounded gates the general ranked query the same way,
+// on the row table every served ranked query carries: it scores each
+// candidate from the table and reads only the rows it returns.
 func TestWarmRankedAllocBounded(t *testing.T) {
 	x := newWarmTree(t)
 	sc := irscore.NewScorer(400, func(string) int { return 50 })
-	rows := make([]irscore.RowTF, 400)
-	for i := range rows {
-		rows[i].SetCap(1) // every row holds each of its two words once
-	}
+	table := rowTable(t, x)
 	p := geo.NewPoint(50, 50)
 	var loaded int
 	run := func() {
-		it := x.SearchRanked(p, []string{"pizza", "cafe"}, GeneralOptions{Scorer: sc})
-		it.UseRows(tfRows(rows))
+		it := x.SearchRanked(p, []string{"pizza", "cafe"}, GeneralOptions{Scorer: sc}, table)
 		_, err := TakeK(5, it.Next)
 		it.Close()
 		if err != nil {

@@ -12,12 +12,12 @@ import (
 // incremental NN algorithm ("an area could be used instead [of a point]",
 // Section 3): objects are ranked by their minimum distance to the query
 // rectangle — zero for objects inside it — with the same conjunctive
-// keyword filtering as Search. Results stream in non-decreasing
+// keyword filtering as Search, in rows. Results stream in non-decreasing
 // area-distance order.
-func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string) *ResultIter {
+func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string, rows *Rows) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	sigs := &levelSigs{x: x, kws: kws}
-	r := newResultIter(x, kws)
+	r := newResultIter(x, kws, rows)
 	r.area = area
 	r.it = x.rt.Seek(&areaScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
 	return r
@@ -51,11 +51,11 @@ func (s *areaScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []flo
 // entries score below zero, deeper ones lower, so the traversal is depth
 // first in entry order — the block order, and so the sequential reads, of
 // the recursive walk it replaced — and objects are emitted once every node
-// is expanded.
-func (x *IR2Tree) SearchWithin(area geo.Rect, keywords []string) *ResultIter {
+// is expanded. Its candidates are tested in rows, as Search's are.
+func (x *IR2Tree) SearchWithin(area geo.Rect, keywords []string, rows *Rows) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	sigs := &levelSigs{x: x, kws: kws}
-	r := newResultIter(x, kws)
+	r := newResultIter(x, kws, rows)
 	r.area, r.within = area, true
 	r.it = x.rt.Seek(&withinScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
 	return r

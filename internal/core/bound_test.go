@@ -22,8 +22,9 @@ import (
 // against each keyword's signature W_i with Sig64.MatchesTolerant (a length
 // mismatch matches), and Σ wᵢ·idfᵢ over the matches in keyword order, where
 // wᵢ is, for a node entry, CapWeight of the largest cap among the summaries
-// (1 without summaries), and for an object the row's RowTF.Weight (1 for a
-// row past the summaries), its summary looked up at the first match. It
+// (1 without summaries: the paper's bound, which the test compares with),
+// and for an object the row's RowTF.Weight (1 for a row past the
+// summaries), its summary looked up at the first match. It
 // reads the query's signatures, idfs, probes and summaries from s and
 // nothing else of its code.
 func upperIR(s *rankedScorer, isObject bool, level int, aux []byte, ptr uint64) float64 {
@@ -92,27 +93,17 @@ func forEachPacked(t *testing.T, x *IR2Tree, fn func(pn *rtree.PackedNode)) {
 }
 
 // TestRankedScorerMatchesPerEntryBound holds the ranked node scorer to
-// upperIR bit for bit on every node of an IR² and a MIR² tree: with and
-// without row summaries (some rows past the end of Rows.TFs; with them,
-// node entries weigh a keyword by the summaries' ceiling), with a zero-idf
-// keyword, with idfs whose sum depends on its order, and with one interior
-// level's signatures a byte longer than that level's payloads. The scorer
-// must keep exactly the entries the per-entry test keeps — every entry the
-// mask offers whose bound is not 0 — never one the mask withheld, and score
-// each -f(MinDist, upperIR) with the same math.Float64bits.
+// upperIR bit for bit on every node of an IR² and a MIR² tree, on the
+// fixture's row table (node entries weigh a keyword by its ceiling, objects
+// by their rows' summaries, both below the paper's 1): plain, with a
+// zero-idf keyword, with idfs whose sum depends on its order, and with one
+// interior level's signatures a byte longer than that level's payloads.
+// The scorer must keep exactly the entries the per-entry test keeps — every
+// entry the mask offers whose bound is not 0 — never one the mask withheld,
+// and score each -f(MinDist, upperIR) with the same math.Float64bits.
 func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	f := buildFixture(t, randomRows(rng, 400), 4, 8)
-	rowTFs := make([]irscore.RowTF, len(f.objects)-9)
-	for i := range rowTFs {
-		rowTFs[i].SetCap(1 + i%4)
-		if i%3 == 0 {
-			rowTFs[i].AddRepeated("pool")
-		}
-		if i%5 == 0 {
-			rowTFs[i].AddRepeated("wifi")
-		}
-	}
 	var dropped, weighted, nodesWeighted, mismatched int
 	for _, tree := range []struct {
 		name string
@@ -120,89 +111,79 @@ func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 	}{{"IR2", f.ir2}, {"MIR2", f.mir2}} {
 		for _, kw := range [][]string{{"pool", "gym", "wifi"}, {"internet", "notaword"}, {"notaword"}} {
 			for _, variant := range []string{"plain", "zero-idf", "rounding", "lenmismatch"} {
-				for _, rows := range [][]irscore.RowTF{nil, rowTFs} {
-					where := fmt.Sprintf("%s %v %s rowTFs=%t", tree.name, kw, variant, rows != nil)
-					p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-					r := tree.x.SearchRanked(p, kw, GeneralOptions{Scorer: generalScorer(f)})
-					if rows != nil {
-						r.UseRows(tfRows(rows))
+				where := fmt.Sprintf("%s %v %s", tree.name, kw, variant)
+				p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
+				r := tree.x.SearchRanked(p, kw, GeneralOptions{Scorer: generalScorer(f)}, f.rows)
+				s := &r.bound
+				switch variant {
+				case "zero-idf":
+					s.idfs[0] = 0
+				case "rounding":
+					// 2⁵³+1+1 is 2⁵³ summed in keyword order, 2⁵³+2 in reverse.
+					for i := range s.idfs {
+						s.idfs[i] = 1
 					}
-					s := &r.bound
-					switch variant {
-					case "zero-idf":
-						s.idfs[0] = 0
-					case "rounding":
-						// 2⁵³+1+1 is 2⁵³ summed in keyword order, 2⁵³+2 in reverse.
-						for i := range s.idfs {
-							s.idfs[i] = 1
-						}
-						s.idfs[0] = 1 << 53
-					case "lenmismatch":
-						sigs := s.sigs.at(1)
-						long := make(sigfile.Signature, s.sigs.x.levelConfig(1).LengthBytes+1)
-						for i := range long {
-							long[i] = 0xff
-						}
-						for i := range sigs {
-							sigs[i] = sigfile.MakeSig64(long)
-						}
+					s.idfs[0] = 1 << 53
+				case "lenmismatch":
+					sigs := s.sigs.at(1)
+					long := make(sigfile.Signature, s.sigs.x.levelConfig(1).LengthBytes+1)
+					for i := range long {
+						long[i] = 0xff
 					}
-					forEachPacked(t, tree.x, func(pn *rtree.PackedNode) {
-						offered := pn.MatchMask(nil, make([]uint64, tree.x.rt.MaskWords()))
-						for e := 2; e < pn.NumEntries(); e += 3 {
-							offered[e/64] &^= 1 << (e % 64) // withheld, as a signature miss
-						}
-						mask := slices.Clone(offered)
-						scores := make([]float64, tree.x.rt.MaxEntries())
-						s.ScoreNode(pn, mask, scores)
-						lo, hi := make(geo.Point, 2), make(geo.Point, 2)
-						for e := 0; e < pn.NumEntries(); e++ {
-							bit := func(m []uint64) bool { return m[e/64]>>(e%64)&1 == 1 }
-							ub := upperIR(s, pn.Level() == 0, pn.Level(), pn.EntryAux(e), pn.EntryPtr(e))
-							keep := bit(offered) && ub != 0
-							if bit(mask) != keep {
-								t.Fatalf("%s: node %d entry %d kept=%t, per-entry bound %g offered=%t",
-									where, pn.ID(), e, bit(mask), ub, bit(offered))
-							}
-							if bit(offered) && !keep {
-								dropped++
-							}
-							if variant == "lenmismatch" && pn.Level() == 1 {
-								// Every keyword "may match" a payload of the wrong length.
-								all := irscore.UpperBound(s.idfs)
-								if rows != nil {
-									all = 0
-									for _, idf := range s.idfs {
-										all += irscore.CapWeight(4) * idf // rowTFs' largest cap
-									}
-								}
-								if ub != all {
-									t.Fatalf("%s: level-1 entry bound %g with mismatched signatures, want %g", where, ub, all)
-								}
-								mismatched++
-							}
-							if rows != nil {
-								unweighted := *s
-								unweighted.rowTFs = nil
-								if ub < upperIR(&unweighted, pn.Level() == 0, pn.Level(), pn.EntryAux(e), pn.EntryPtr(e)) {
-									weighted++
-									if pn.Level() > 0 {
-										nodesWeighted++
-									}
-								}
-							}
-							if !keep {
-								continue
-							}
-							want := -irscore.Combine(pn.EntryRectInto(e, lo, hi).MinDist(p), ub)
-							if math.Float64bits(scores[e]) != math.Float64bits(want) {
-								t.Fatalf("%s: node %d entry %d scored %v (%#x), per-entry bound gives %v (%#x)",
-									where, pn.ID(), e, scores[e], math.Float64bits(scores[e]), want, math.Float64bits(want))
-							}
-						}
-					})
-					r.Close()
+					for i := range sigs {
+						sigs[i] = sigfile.MakeSig64(long)
+					}
 				}
+				forEachPacked(t, tree.x, func(pn *rtree.PackedNode) {
+					offered := pn.MatchMask(nil, make([]uint64, tree.x.rt.MaskWords()))
+					for e := 2; e < pn.NumEntries(); e += 3 {
+						offered[e/64] &^= 1 << (e % 64) // withheld, as a signature miss
+					}
+					mask := slices.Clone(offered)
+					scores := make([]float64, tree.x.rt.MaxEntries())
+					s.ScoreNode(pn, mask, scores)
+					lo, hi := make(geo.Point, 2), make(geo.Point, 2)
+					for e := 0; e < pn.NumEntries(); e++ {
+						bit := func(m []uint64) bool { return m[e/64]>>(e%64)&1 == 1 }
+						ub := upperIR(s, pn.Level() == 0, pn.Level(), pn.EntryAux(e), pn.EntryPtr(e))
+						keep := bit(offered) && ub != 0
+						if bit(mask) != keep {
+							t.Fatalf("%s: node %d entry %d kept=%t, per-entry bound %g offered=%t",
+								where, pn.ID(), e, bit(mask), ub, bit(offered))
+						}
+						if bit(offered) && !keep {
+							dropped++
+						}
+						if variant == "lenmismatch" && pn.Level() == 1 {
+							// Every keyword "may match" a payload of the wrong length.
+							var all float64
+							for _, idf := range s.idfs {
+								all += irscore.CapWeight(f.rows.TFCeiling) * idf
+							}
+							if ub != all {
+								t.Fatalf("%s: level-1 entry bound %g with mismatched signatures, want %g", where, ub, all)
+							}
+							mismatched++
+						}
+						unweighted := *s
+						unweighted.rowTFs = nil
+						if ub < upperIR(&unweighted, pn.Level() == 0, pn.Level(), pn.EntryAux(e), pn.EntryPtr(e)) {
+							weighted++
+							if pn.Level() > 0 {
+								nodesWeighted++
+							}
+						}
+						if !keep {
+							continue
+						}
+						want := -irscore.Combine(pn.EntryRectInto(e, lo, hi).MinDist(p), ub)
+						if math.Float64bits(scores[e]) != math.Float64bits(want) {
+							t.Fatalf("%s: node %d entry %d scored %v (%#x), per-entry bound gives %v (%#x)",
+								where, pn.ID(), e, scores[e], math.Float64bits(scores[e]), want, math.Float64bits(want))
+						}
+					}
+				})
+				r.Close()
 			}
 		}
 	}
@@ -316,13 +297,7 @@ func TestNodeBoundCoversEveryRowBeneath(t *testing.T) {
 			if x, err = Open(idxDisk, store, opts, treeState); err != nil {
 				t.Fatal(err)
 			}
-			rows = &Rows{Vocab: textutil.NewVocabulary()}
-			if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-				rows.Add(o.ID, o.Point, plain, o.Text)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
+			rows = rowTable(t, x)
 			if rows.TFCeiling != want {
 				t.Fatalf("reopened: ceiling %d, want %d", rows.TFCeiling, want)
 			}
@@ -368,8 +343,7 @@ func checkNodeBounds(t *testing.T, where string, x *IR2Tree, rows *Rows, live ma
 	under := irscore.CapWeight(rows.TFCeiling-1) / irscore.CapWeight(rows.TFCeiling)
 	var tight int
 	for _, q := range queries {
-		r := x.SearchRanked(q.at, q.kws, GeneralOptions{Scorer: irscore.NewScorer(rows.Vocab.NumDocs(), rows.Vocab.DocFreq)})
-		r.UseRows(rows)
+		r := x.SearchRanked(q.at, q.kws, GeneralOptions{Scorer: irscore.NewScorer(rows.Vocab.NumDocs(), rows.Vocab.DocFreq)}, rows)
 		s := &r.bound
 		forEachPacked(t, x, func(pn *rtree.PackedNode) {
 			if pn.Level() == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"spatialkeyword/internal/geo"
@@ -32,44 +33,43 @@ func fillTraversal(s *SearchStats, t rtree.TraversalStats) {
 }
 
 // Search starts an incremental distance-first top-k spatial keyword query
-// (the Distance-First IR²-Tree algorithm, Figure 8). Results stream out in
-// non-decreasing distance order; pull as many as needed. The traversal is
-// the incremental NN algorithm with one addition: an entry is enqueued only
-// if its signature covers the query signature (built per level, since a
-// MIR²-Tree sizes signatures by level), which prunes whole subtrees that
-// cannot contain all the query keywords.
-func (x *IR2Tree) Search(p geo.Point, keywords []string) *ResultIter {
+// (the Distance-First IR²-Tree algorithm, Figure 8) that tests its
+// candidates in rows. Results stream out in non-decreasing distance order;
+// pull as many as needed. The traversal is the incremental NN algorithm
+// with one addition: an entry is enqueued only if its signature covers the
+// query signature (built per level, since a MIR²-Tree sizes signatures by
+// level), which prunes whole subtrees that cannot contain all the query
+// keywords. rows must hold every row the tree does.
+func (x *IR2Tree) Search(p geo.Point, keywords []string, rows *Rows) *ResultIter {
 	kws := x.an.Keywords(keywords)
 	// Per-level query signatures, built lazily: W = Signature(Q.t). The
 	// traversal looks its level's up once per expanded node.
 	sigs := &levelSigs{x: x, kws: kws}
-	r := newResultIter(x, kws)
+	r := newResultIter(x, kws, rows)
 	r.at = p
 	r.it = x.rt.NearestNeighbors(p, sigs.at)
 	return r
 }
 
 // newResultIter builds the result stream of a query for kws, with its
-// pooled scratch and the store's filtered object loader: without a row
-// table, the containment check of IR2TopK line 21 runs on the raw text
-// field, so false positives are rejected before the object is materialized
-// (see objstore.GetFiltered). The caller starts the traversal, r.it.
-func newResultIter(x *IR2Tree, kws []string) *ResultIter {
-	r := &ResultIter{x: x, keywords: kws, sc: takeScratch()}
-	r.accept = func(text []byte) bool {
-		return r.x.an.ContainsTermsBytes(text, r.keywords)
-	}
+// pooled scratch and the keywords' term IDs in rows, ascending: the
+// containment check of IR2TopK line 21 is a term-ID test in the table, so a
+// false positive is dropped without reading its row. The caller starts the
+// traversal, r.it.
+func newResultIter(x *IR2Tree, kws []string, rows *Rows) *ResultIter {
+	r := &ResultIter{x: x, sc: takeScratch(), rows: rows}
+	r.ids = rows.termIDs(r.sc.ids[:0], kws)
+	slices.Sort(r.ids)
+	r.sc.ids = r.ids
 	return r
 }
 
-// queryScratch is a query iterator's pooled working space: the buffers its
-// candidate rows are read into, the corner points its scorer decodes MBRs
-// into, the keywords' term IDs in a row table (UseRows) and, for the general
-// ranked query, one survivor mask per keyword. An
-// iterator takes one when it is built and returns it in Close; one that is
-// never closed only loses the reuse.
+// queryScratch is a query iterator's pooled working space: the corner
+// points its scorer decodes MBRs into, the keywords' term IDs in the row
+// table and, for the general ranked query, one survivor mask per keyword.
+// An iterator takes one when it is built and returns it in Close; one that
+// is never closed only loses the reuse.
 type queryScratch struct {
-	row    objstore.RowScratch
 	lo, hi geo.Point
 	ids    []uint32
 	masks  []uint64
@@ -94,14 +94,12 @@ func putScratch(sc **queryScratch) {
 
 // ResultIter streams the results of a distance-first query.
 type ResultIter struct {
-	x        *IR2Tree
-	it       *rtree.Iter
-	keywords []string
-	sc       *queryScratch
-	accept   func(text []byte) bool
-	stats    SearchStats
-	// rows, when not nil, is the engine's row table (UseRows), and ids the
-	// keywords' term IDs in it, ascending.
+	x     *IR2Tree
+	it    *rtree.Iter
+	sc    *queryScratch
+	stats SearchStats
+	// rows is the engine's row table, and ids the keywords' term IDs in it,
+	// ascending.
 	rows   *Rows
 	ids    []uint32
 	passed uint64 // the last row test found to hold every keyword, plus one
@@ -115,11 +113,10 @@ type ResultIter struct {
 
 // Next returns the next object containing all query keywords, ordered by
 // distance. ok is false when the index is exhausted. Candidates whose
-// signatures matched spuriously are detected (the containment check of
-// IR2TopK line 21) — in the row table when the query has one, else on the
-// loaded row — counted in Stats().FalsePositives, and skipped. A row is
-// read, and counted in Stats().ObjectsLoaded, when it is returned or, with
-// no row table, tested.
+// signatures matched spuriously are detected in the row table (the
+// containment check of IR2TopK line 21), counted in Stats().FalsePositives,
+// and skipped. A row is read, and counted in Stats().ObjectsLoaded, only
+// when it is returned; a candidate the table does not hold is an error.
 //
 //skvet:hotpath
 func (r *ResultIter) Next() (Result, bool, error) {
@@ -132,50 +129,43 @@ func (r *ResultIter) Next() (Result, bool, error) {
 			fillTraversal(&r.stats, r.it.TraversalStats())
 			return Result{}, false, nil
 		}
-		var obj objstore.Object
-		if in, holds := r.test(ref); in {
-			if !holds {
-				r.stats.FalsePositives++
-				continue
-			}
-			obj, err = r.x.store.Get(objstore.Ptr(ref))
-			ok = true
-		} else {
-			obj, ok, err = r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
+		holds, err := r.test(ref)
+		if err != nil {
+			return Result{}, false, err
 		}
+		if !holds {
+			r.stats.FalsePositives++
+			continue
+		}
+		obj, err := r.x.store.Get(objstore.Ptr(ref))
 		if err != nil {
 			return Result{}, false, err
 		}
 		r.stats.ObjectsLoaded++
-		if !ok {
-			r.stats.FalsePositives++
-			continue
-		}
 		fillTraversal(&r.stats, r.it.TraversalStats())
 		return Result{Object: obj, Dist: dist}, true, nil
 	}
 }
 
-// test reports whether the row table holds the row at ref and, if so,
-// whether the row holds every keyword. It remembers the last row that
-// passed: PeekBound and Next test the queue's head more than once (a merge
-// peeks at every lane per step), and a distance-first traversal queues a
-// row once.
+// test reports whether the row at ref holds every keyword. It remembers the
+// last row that passed: PeekBound and Next test the queue's head more than
+// once (a merge peeks at every lane per step), and a distance-first
+// traversal queues a row once.
 //
 //skvet:hotpath
-func (r *ResultIter) test(ref uint64) (in, holds bool) {
+func (r *ResultIter) test(ref uint64) (bool, error) {
 	if r.passed == ref+1 {
-		return true, true
+		return true, nil
 	}
-	id, in := rowID(r.rows, r.x.store, ref)
-	if !in {
-		return false, false
+	id, err := rowID(r.rows, r.x.store, ref)
+	if err != nil {
+		return false, err
 	}
 	if !r.rows.Terms.HoldsAll(id, r.ids) {
-		return true, false
+		return false, nil
 	}
 	r.passed = ref + 1
-	return true, true
+	return true, nil
 }
 
 // Stats returns the work counters accumulated so far.
@@ -194,10 +184,11 @@ func (r *ResultIter) Close() {
 
 // PeekBound returns a lower bound on the distance of every result the
 // iterator can still produce: the priority of the best queued entry (an
-// object's exact distance or a subtree MBR's minimum distance). With a row
-// table, a false positive at the head is dropped first, so the bound is a
-// result's distance whenever an object heads the queue. ok is false when
-// the traversal is exhausted. The shard merge uses it to pull only from the
+// object's exact distance or a subtree MBR's minimum distance). A false
+// positive at the head is dropped first, so the bound is a result's
+// distance whenever an object heads the queue (a row the table does not
+// hold stays for Next to report). ok is false when the traversal is
+// exhausted. The shard merge uses it to pull only from the
 // shard whose best remaining candidate is the global best, and FirstK to
 // stop at the k-th distance.
 func (r *ResultIter) PeekBound() (float64, bool) {
@@ -206,7 +197,7 @@ func (r *ResultIter) PeekBound() (float64, bool) {
 		if !ok {
 			break
 		}
-		if in, holds := r.test(ref); !in || holds {
+		if holds, err := r.test(ref); err != nil || holds {
 			break
 		}
 		r.it.DropObject()
@@ -217,9 +208,7 @@ func (r *ResultIter) PeekBound() (float64, bool) {
 
 // Settle expands the traversal until an object heads its queue — the nodes
 // Next would expand on its way to the next result — so that PeekBound is
-// then that result's distance exactly. It reads no row with a row table;
-// without one it is PeekBound's bound still, as a false positive at the
-// head is found only by reading it.
+// then that result's distance exactly. It reads no row.
 func (r *ResultIter) Settle() error { return settle(r.it, r.PeekBound) }
 
 // settle expands the nodes at the head of it until an object heads the
@@ -240,17 +229,57 @@ func settle(it *rtree.Iter, peek func() (float64, bool)) error {
 }
 
 // TopK answers a distance-first top-k spatial keyword query: the k objects
-// containing all keywords, closest to p first (IR2TopK, Figure 8).
+// containing all keywords, closest to p first (IR2TopK, Figure 8). It is
+// the paper's algorithm as the experiments run it: every candidate the
+// signature-pruned traversal pops is read and tested (see paperTopK).
 func (x *IR2Tree) TopK(k int, p geo.Point, keywords []string) ([]Result, SearchStats, error) {
-	it := x.Search(p, keywords)
-	results, err := TakeK(k, it.Next)
-	it.Close()
-	return results, it.Stats(), err
+	kws := x.an.Keywords(keywords)
+	sigs := &levelSigs{x: x, kws: kws}
+	return paperTopK(x.rt.NearestNeighbors(p, sigs.at), x.store, x.an, k, kws)
 }
 
-// TakeK is the tree's top-k loop: IR2TopK (Fig. 8) is an incremental
-// iterator, and a top-k of the tree is the first k results of a stream's
-// Next, ties at the k-th key in traversal order. The engine and every layer
+// paperTopK is the top-k loop of the paper's distance-first algorithms,
+// IR2TopK (Figure 8) and the R-Tree baseline (Section 5.1), which differ
+// only in whether the incremental NN traversal it pops prunes by signature:
+// it reads every candidate from the object file and keeps it if it holds
+// every keyword of kws (normalized by an), until k are kept or the
+// traversal is exhausted. A rejected row is counted in FalsePositives, and
+// is never materialized (see objstore.GetFiltered).
+func paperTopK(it *rtree.Iter, store *objstore.Store, an *textutil.Analyzer, k int, kws []string) ([]Result, SearchStats, error) {
+	defer it.Close()
+	row := rowPool.Get().(*objstore.RowScratch)
+	defer rowPool.Put(row)
+	accept := func(text []byte) bool { return an.ContainsTermsBytes(text, kws) }
+	var out []Result
+	var stats SearchStats
+	for len(out) < k {
+		ref, dist, ok, err := it.Next()
+		if err != nil {
+			return nil, stats, err
+		}
+		if !ok {
+			break
+		}
+		obj, ok, err := store.GetFiltered(objstore.Ptr(ref), row, accept)
+		if err != nil {
+			return nil, stats, err
+		}
+		stats.ObjectsLoaded++
+		if !ok {
+			stats.FalsePositives++
+			continue
+		}
+		out = append(out, Result{Object: obj, Dist: dist})
+	}
+	fillTraversal(&stats, it.TraversalStats())
+	return out, stats, nil
+}
+
+// rowPool holds the buffers paperTopK reads its candidates into.
+var rowPool = sync.Pool{New: func() any { return new(objstore.RowScratch) }}
+
+// TakeK is a stream's top-k loop: the first k results of its Next, ties at
+// the k-th key in traversal order. The engine and every layer
 // above it cut with spatialkeyword.FirstK instead, which drains those ties and
 // breaks them by smallest object ID.
 func TakeK[T any](k int, next func() (T, bool, error)) ([]T, error) {
@@ -313,33 +342,10 @@ func (b *RTreeBaseline) SizeMB() float64 { return float64(b.SizeBytes()) / 1e6 }
 // TopK answers a distance-first top-k spatial keyword query by filtering
 // the incremental NN stream: fetch the next nearest object, load it,
 // keep it only if it contains every keyword, until k results are found or
-// the tree is exhausted.
+// the tree is exhausted (paperTopK with no signature to prune by).
 func (b *RTreeBaseline) TopK(k int, p geo.Point, keywords []string) ([]Result, SearchStats, error) {
 	var plain *textutil.Analyzer // nil: plain tokenization
-	kws := plain.Keywords(keywords)
-	it := b.rt.NearestNeighbors(p, nil)
-	var results []Result
-	var stats SearchStats
-	for len(results) < k {
-		ref, dist, ok, err := it.Next()
-		if err != nil {
-			return nil, stats, err
-		}
-		if !ok {
-			break
-		}
-		obj, err := b.store.Get(objstore.Ptr(ref))
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.ObjectsLoaded++
-		if !textutil.ContainsAll(obj.Text, kws) {
-			continue
-		}
-		results = append(results, Result{Object: obj, Dist: dist})
-	}
-	stats.NodesLoaded = it.NodesLoaded()
-	return results, stats, nil
+	return paperTopK(b.rt.NearestNeighbors(p, nil), b.store, plain, k, plain.Keywords(keywords))
 }
 
 // SetTrace installs a traversal trace hook on the underlying search (see

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/invindex"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/textutil"
 )
 
 // TestPaperExample3 replays the paper's Example 3: the distance-first IR²
@@ -130,7 +132,7 @@ func TestSearchIteratorStreams(t *testing.T) {
 	rows := randomRows(rng, 200)
 	f := buildFixture(t, rows, 4, 8)
 	p := geo.NewPoint(500, 500)
-	it := f.ir2.Search(p, []string{"pool"})
+	it := f.ir2.Search(p, []string{"pool"}, f.rows)
 	want := bruteTopK(f.objects, len(f.objects), p, []string{"pool"})
 	prev := -1.0
 	for i := 0; ; i++ {
@@ -247,5 +249,43 @@ func TestStatsNodesLoaded(t *testing.T) {
 	total := f.ir2.RTree().NumNodes()
 	if stats.NodesLoaded > total {
 		t.Errorf("NodesLoaded %d exceeds node count %d", stats.NodesLoaded, total)
+	}
+}
+
+// TestStreamsReportRowsMissingFromTable: a candidate the row table does not
+// hold is an error from every stream's Next, and its row is never read to
+// test it instead. The table holds Figure 1's first four hotels; "pool" is
+// also in hotels G and H.
+func TestStreamsReportRowsMissingFromTable(t *testing.T) {
+	f := buildFixture(t, figure1, 3, 16)
+	short := &Rows{Vocab: textutil.NewVocabulary()}
+	for _, o := range f.objects[:4] {
+		short.Add(o.ID, o.Point, nil, o.Text)
+	}
+	p, kw := geo.NewPoint(30.5, 100), []string{"pool"}
+	world := geo.NewRect(geo.NewPoint(-90, -180), geo.NewPoint(90, 180))
+	drain := func(it *ResultIter) (SearchStats, error) {
+		defer it.Close()
+		_, err := TakeK(len(f.objects), it.Next)
+		return it.Stats(), err
+	}
+	for name, run := range map[string]func() (SearchStats, error){
+		"Search":       func() (SearchStats, error) { return drain(f.ir2.Search(p, kw, short)) },
+		"SearchArea":   func() (SearchStats, error) { return drain(f.ir2.SearchArea(world, kw, short)) },
+		"SearchWithin": func() (SearchStats, error) { return drain(f.ir2.SearchWithin(world, kw, short)) },
+		"SearchRanked": func() (SearchStats, error) {
+			it := f.ir2.SearchRanked(p, kw, GeneralOptions{Scorer: generalScorer(f)}, short)
+			defer it.Close()
+			_, err := TakeK(len(f.objects), it.Next)
+			return it.Stats(), err
+		},
+	} {
+		st, err := run()
+		if err == nil || !strings.Contains(err.Error(), "row table") {
+			t.Errorf("%s: err %v, want the missing row reported", name, err)
+		}
+		if st.ObjectsLoaded > 3 {
+			t.Errorf("%s: %d rows read, more than the table's three pool hotels", name, st.ObjectsLoaded)
+		}
 	}
 }

@@ -42,10 +42,13 @@ type GeneralOptions struct {
 //	     upper bound ("if Score >= Upper(U.top())"); otherwise it is
 //	     re-enqueued with its exact score to be considered later.
 //
+// A candidate's exact score, and an object entry's bound, come from rows,
+// which must hold every row the tree does; a node entry's bound weighs each
+// matched keyword by CapWeight of its TFCeiling rather than the paper's 1.
 // The output order is exact because f is monotone and the IR upper bound is
 // admissible (see package irscore). p is copied; the query's state comes
 // from pooled scratch that Close returns.
-func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptions) *RankedIter {
+func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptions, rows *Rows) *RankedIter {
 	sc := takeScratch()
 	st := &sc.ranked
 	normalized, idfs := opts.Scorer.QueryIDFsInto(st.words, st.idfs, keywords)
@@ -69,12 +72,15 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 		tf:         st.tf[:len(normalized)],
 		sc:         sc,
 		exact:      st.exact,
+		rows:       rows,
+		ids:        rows.termIDs(sc.ids[:0], normalized),
 		bound: rankedScorer{
 			p:          append(st.at[:0], p...),
 			sigs:       levelWordSigs{x: x, words: normalized, sigs: st.sigs[:0]},
 			idfs:       idfs,
 			probes:     probes,
-			nodeWeight: 1,
+			rowTFs:     rows.TFs,
+			nodeWeight: irscore.CapWeight(rows.TFCeiling),
 			store:      x.store,
 			lo:         sc.lo,
 			hi:         sc.hi,
@@ -82,6 +88,7 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 			nw:         nw,
 		},
 	}
+	sc.ids = r.ids
 	// The traversal gets no signature to prune by: the bound needs every
 	// keyword's match separately, and the scorer drops the entries no
 	// keyword matches itself.
@@ -109,37 +116,21 @@ type rankedState struct {
 // for the next query; a larger one is left to the collector.
 const maxPooledExact = 1 << 12
 
-// accepts is the candidate filter without a row table, which runs on the
-// raw text field before the object is materialized (see
-// objstore.GetFiltered): it counts the keywords' terms into r.tf — candidate
-// scores a survivor off them — and rejects a row holding no keyword without
-// paying its materialization.
-func (r *RankedIter) accepts(text []byte) bool {
-	r.x.an.TermFreqsBytesInto(r.tf, text, r.normalized)
-	for _, n := range r.tf {
-		if n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // rankedScorer is the general query's node scorer: an entry's priority is
 // the negated Upper(v) = f(MinDist(p, MBR), upper IR bound), the rtree
 // iterator popping the smallest score first. The IR bound is Σ wᵢ·idfᵢ over
 // the keywords whose signature W_i the entry's payload matches (§5.3 (i)),
 // where wᵢ bounds keyword i's term weight in everything under the entry:
 // for a node, nodeWeight — CapWeight of the row table's TFCeiling, since no
-// row under it repeats a term more often, or the paper's 1 without a table
-// — and for an object, the row's irscore.RowTF.Weight, its summary looked
-// up once a keyword matches. It sums in ScoreFromCounts' order, keyword by
+// row under it repeats a term more often — and for an object, the row's
+// irscore.RowTF.Weight. It sums in ScoreFromCounts' order, keyword by
 // keyword, so a row's bound is never below its exact score by a rounding.
 type rankedScorer struct {
 	p          geo.Point
 	sigs       levelWordSigs
 	idfs       []float64 // idf per normalized keyword, from QueryIDFs
 	probes     []irscore.TermProbe
-	rowTFs     []irscore.RowTF // Rows.TFs, from UseRows
+	rowTFs     []irscore.RowTF // Rows.TFs
 	nodeWeight float64         // a node entry's wᵢ
 	store      *objstore.Store // maps a row pointer to its ID
 	lo, hi     geo.Point       // the MBR being scored
@@ -166,27 +157,23 @@ func (s *rankedScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []f
 		}
 		mask[w] &= matched
 	}
-	lookup := pn.Level() == 0 && s.rowTFs != nil
+	leaf := pn.Level() == 0
 	for w, m := range mask {
 		for ; m != 0; m &= m - 1 {
 			b := uint(bits.TrailingZeros64(m))
 			e := w*64 + int(b)
 			var ub float64
 			var row *irscore.RowTF
-			look := lookup
+			if leaf {
+				row = s.rowTF(pn.EntryPtr(e))
+			}
 			for i := range sigs {
 				if s.masks[i*s.nw+w]>>b&1 == 0 {
 					continue
 				}
-				if look {
-					row, look = s.rowTF(pn.EntryPtr(e)), false
-				}
 				wt := s.nodeWeight
-				switch {
-				case row != nil:
+				if row != nil {
 					wt = row.Weight(s.probes[i])
-				case lookup:
-					wt = 1 // a row the table does not hold
 				}
 				ub += wt * s.idfs[i]
 			}
@@ -200,25 +187,27 @@ func (s *rankedScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []f
 }
 
 // rowTF finds the term-frequency summary of the row at ptr by the row's ID,
-// which the store's row index resolves in constant time, or nil.
+// which the store's row index resolves in constant time. A row the table
+// does not hold gets the empty summary, whose weight of 1 bounds any row:
+// the entry stays queued, and Next reports the row missing when it pops it.
 //
 //skvet:hotpath
 func (s *rankedScorer) rowTF(ptr uint64) *irscore.RowTF {
 	id, ok := s.store.IDAt(objstore.Ptr(ptr))
 	if !ok || int(id) >= len(s.rowTFs) {
-		return nil
+		return &noRowTF
 	}
 	return &s.rowTFs[id]
 }
 
+// noRowTF is the summary rowTF gives a row the table does not hold.
+var noRowTF irscore.RowTF
+
 // rankedCandidate is a candidate's exact score: its distance, its IR score
 // and the negated f it is queued with. A candidate whose score did not beat
 // the queue head is re-enqueued with it and remembered, so it is not scored
-// twice; without a row table its row, read to score it, is kept too, so it
-// is not read twice.
+// twice.
 type rankedCandidate struct {
-	obj      objstore.Object
-	read     bool // obj holds the row
 	dist, ir float64
 	score    float64
 }
@@ -231,21 +220,20 @@ type RankedIter struct {
 	normalized []string
 	tf         []int // per-candidate term-frequency scratch
 	sc         *queryScratch
-	accept     func(text []byte) bool // r.accepts, bound when a candidate is first read without a row table
 	exact      map[uint64]rankedCandidate
 	stats      SearchStats
-	// rows, when not nil, is the engine's row table (UseRows), and ids the
-	// normalized keywords' term IDs in it, in keyword order.
+	// rows is the engine's row table, and ids the normalized keywords' term
+	// IDs in it, in keyword order.
 	rows *Rows
 	ids  []uint32
 }
 
 // Next returns the next best-scoring object. ok is false when no further
 // object matches any keyword. A popped candidate's exact score comes from
-// the row table when the query has one, else from its row, read; it is
-// returned once that score is at least the queue head's bound, and
-// re-enqueued with it otherwise ("U.Enqueue(T, Score)"). With a row table a
-// row is read only when it is returned.
+// the row table; it is returned once that score is at least the queue
+// head's bound, and re-enqueued with it otherwise ("U.Enqueue(T, Score)").
+// A row is read only when it is returned; a candidate the table does not
+// hold is an error.
 func (r *RankedIter) Next() (RankedResult, bool, error) {
 	for {
 		ref, score, ok, err := r.it.Next()
@@ -262,11 +250,11 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 			delete(r.exact, ref)
 			return r.emit(ref, c)
 		}
-		c, ok, err = r.candidate(ref)
+		id, err := rowID(r.rows, r.x.store, ref)
 		if err != nil {
 			return RankedResult{}, false, err
 		}
-		if !ok {
+		if c, ok = r.candidate(id); !ok {
 			continue
 		}
 		if top, any := r.it.PeekScore(); !any || c.score <= top {
@@ -278,58 +266,33 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 	}
 }
 
-// candidate computes the exact score of the object at ref; ok is false for
-// a false positive, an object that holds no keyword (counted in
-// FalsePositives). From the row table it reads nothing. Without one, the
-// store's GetFiltered counts the candidate's term frequencies into r.tf
-// (via r.accept) straight off the row's scratch bytes, and skips
-// materializing pure false positives — terms never re-pass the pipeline
-// (stemming is not idempotent), and a rejected candidate costs no
-// allocation at all.
-func (r *RankedIter) candidate(ref uint64) (rankedCandidate, bool, error) {
+// candidate computes the exact score of row id from the row table, reading
+// nothing; ok is false for a false positive, a row that holds no keyword
+// (counted in FalsePositives).
+func (r *RankedIter) candidate(id int) (rankedCandidate, bool) {
 	var c rankedCandidate
-	if id, in := rowID(r.rows, r.x.store, ref); in {
-		r.rows.Terms.CountsInto(r.tf, id, r.ids)
-		c.dist = r.bound.p.Dist(r.rows.Point(id))
-	} else {
-		if r.accept == nil {
-			r.accept = r.accepts
-		}
-		obj, ok, err := r.x.store.GetFiltered(objstore.Ptr(ref), &r.sc.row, r.accept)
-		if err != nil {
-			return c, false, err
-		}
-		r.stats.ObjectsLoaded++
-		if !ok {
-			r.stats.FalsePositives++
-			return c, false, nil
-		}
-		c.obj, c.read = obj, true
-		c.dist = r.bound.p.Dist(obj.Point)
-	}
+	r.rows.Terms.CountsInto(r.tf, id, r.ids)
+	c.dist = r.bound.p.Dist(r.rows.Point(id))
 	c.ir = irscore.ScoreFromCounts(r.tf, r.bound.idfs)
 	if c.ir == 0 {
 		// No keyword — or a degenerate scorer weighs a present keyword at
 		// zero; keep the paper's "Score > 0" test exact.
 		r.stats.FalsePositives++
-		return c, false, nil
+		return c, false
 	}
 	c.score = -irscore.Combine(c.dist, c.ir)
-	return c, true, nil
+	return c, true
 }
 
-// emit returns candidate c, reading its row if scoring it did not.
+// emit returns candidate c, reading its row.
 func (r *RankedIter) emit(ref uint64, c rankedCandidate) (RankedResult, bool, error) {
-	if !c.read {
-		obj, err := r.x.store.Get(objstore.Ptr(ref))
-		if err != nil {
-			return RankedResult{}, false, err
-		}
-		r.stats.ObjectsLoaded++
-		c.obj = obj
+	obj, err := r.x.store.Get(objstore.Ptr(ref))
+	if err != nil {
+		return RankedResult{}, false, err
 	}
+	r.stats.ObjectsLoaded++
 	fillTraversal(&r.stats, r.it.TraversalStats())
-	return RankedResult{Object: c.obj, Dist: c.dist, IRScore: c.ir, Score: -c.score}, true, nil
+	return RankedResult{Object: obj, Dist: c.dist, IRScore: c.ir, Score: -c.score}, true, nil
 }
 
 // Stats returns the work counters accumulated so far.
@@ -338,8 +301,8 @@ func (r *RankedIter) Stats() SearchStats {
 	return r.stats
 }
 
-// Close releases the traversal's pooled scratch and the query's (row
-// buffers, keyword masks, and the ranked state of rankedState). Optional
+// Close releases the traversal's pooled scratch and the query's (term IDs,
+// keyword masks, and the ranked state of rankedState). Optional
 // but cheap; the top-k helpers call it for every query they run. A closed
 // traversal is exhausted, so Next loads no candidate after it and the
 // scorer is not called again; Stats still reports the query's work.
@@ -363,10 +326,11 @@ func (r *RankedIter) Close() {
 
 // PeekBound returns an upper bound on the score of every result the
 // iterator can still produce: the (un-negated) priority of the best queued
-// entry. With a row table, an object at the head whose queued score is
-// only its bound is scored first and re-enqueued (or dropped, a false
-// positive), so whenever an object heads the queue the bound is a result's
-// exact score and FirstK's tie check reads no row. ok is false when the
+// entry. An object at the head whose queued score is only its bound is
+// scored first and re-enqueued (or dropped, a false positive), so whenever
+// an object heads the queue the bound is a result's exact score and
+// FirstK's tie check reads no row (a row the table does not hold stays for
+// Next to report). ok is false when the
 // traversal is exhausted. The shard merge uses it to pull only from the
 // shard whose best remaining candidate is the global best.
 func (r *RankedIter) PeekBound() (float64, bool) {
@@ -378,12 +342,12 @@ func (r *RankedIter) PeekBound() (float64, bool) {
 		if c, seen := r.exact[ref]; seen && c.score == score {
 			break
 		}
-		if _, in := rowID(r.rows, r.x.store, ref); !in {
+		id, err := rowID(r.rows, r.x.store, ref)
+		if err != nil {
 			break
 		}
 		r.it.DropObject()
-		// From the row table, candidate reads nothing and cannot fail.
-		if c, ok, _ := r.candidate(ref); ok {
+		if c, ok := r.candidate(id); ok {
 			r.it.Push(ref, c.score)
 			r.exact[ref] = c
 		}
@@ -392,6 +356,6 @@ func (r *RankedIter) PeekBound() (float64, bool) {
 	return -s, ok
 }
 
-// Settle is ResultIter.Settle for the general ranked query: with a row
-// table, PeekBound is then the next result's exact score.
+// Settle is ResultIter.Settle for the general ranked query: PeekBound is
+// then the next result's exact score.
 func (r *RankedIter) Settle() error { return settle(&r.it, r.PeekBound) }

@@ -69,10 +69,10 @@ func decodedAreaWalk(t *testing.T, x *IR2Tree, area geo.Rect, keywords []string)
 	return walk, ptrs
 }
 
-// withinArea answers the range query as the engine does: SearchWithin
-// drained, in object-ID order, with the stream's stats.
-func withinArea(x *IR2Tree, area geo.Rect, keywords []string) ([]Result, SearchStats, error) {
-	it := x.SearchWithin(area, keywords)
+// withinArea answers the range query as the engine does: SearchWithin on
+// rows drained, in object-ID order, with the stream's stats.
+func withinArea(x *IR2Tree, rows *Rows, area geo.Rect, keywords []string) ([]Result, SearchStats, error) {
+	it := x.SearchWithin(area, keywords, rows)
 	defer it.Close()
 	out, err := TakeK(math.MaxInt, it.Next)
 	if err != nil {
@@ -141,7 +141,7 @@ func withinAreaMatchesBruteForce(t *testing.T, rng *rand.Rand, rows []struct {
 			wantStats, ptrs := decodedAreaWalk(t, tree, area, kw)
 			wantIO := dev.Stats()
 			dev.ResetStats()
-			got, stats, err := withinArea(tree, area, kw)
+			got, stats, err := withinArea(tree, f.rows, area, kw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,8 +149,9 @@ func withinAreaMatchesBruteForce(t *testing.T, rng *rand.Rand, rows []struct {
 				t.Fatalf("trial %d (%s): got %v, want %v", trial, name, resultIDs(got), want)
 			}
 			// Points have degenerate MBRs, so every candidate lies in the
-			// area and the ones that are not answers are false positives.
-			wantStats.ObjectsLoaded, wantStats.FalsePositives = len(ptrs), len(ptrs)-len(want)
+			// area and the ones that are not answers are false positives,
+			// tested in the row table; only the answers are read.
+			wantStats.ObjectsLoaded, wantStats.FalsePositives = len(want), len(ptrs)-len(want)
 			if stats != wantStats {
 				t.Fatalf("trial %d (%s): stats %+v, decoded walk %+v", trial, name, stats, wantStats)
 			}
@@ -197,20 +198,21 @@ func TestWithinAreaWideNodes(t *testing.T) {
 	if root.NumEntries() <= 64 || root.Level() == 0 {
 		t.Fatalf("root holds %d entries at level %d, want an interior node over 64", root.NumEntries(), root.Level())
 	}
+	table := rowTable(t, tree)
 	for trial := 0; trial < 8; trial++ {
 		lo := geo.NewPoint(rng.Float64()*600-100, rng.Float64()*600-100)
 		area := geo.NewRect(lo, geo.NewPoint(lo[0]+200+rng.Float64()*400, lo[1]+200+rng.Float64()*400))
 		kw := [][]string{{"pool"}, {"internet", "spa"}}[trial%2]
 		want := bruteWithinArea(objs, area, kw)
 		wantStats, ptrs := decodedAreaWalk(t, tree, area, kw)
-		got, stats, err := withinArea(tree, area, kw)
+		got, stats, err := withinArea(tree, table, area, kw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(resultIDs(got)) != fmt.Sprint(want) || len(want) == 0 {
 			t.Fatalf("trial %d: got %d results, brute force %d", trial, len(got), len(want))
 		}
-		wantStats.ObjectsLoaded, wantStats.FalsePositives = len(ptrs), len(ptrs)-len(want)
+		wantStats.ObjectsLoaded, wantStats.FalsePositives = len(want), len(ptrs)-len(want)
 		if stats != wantStats {
 			t.Fatalf("trial %d: stats %+v, decoded walk %+v", trial, stats, wantStats)
 		}
@@ -224,7 +226,7 @@ func TestWithinAreaPrunesBySignature(t *testing.T) {
 	// A huge area with an absent keyword: spatial pruning does nothing,
 	// signature pruning must keep work near zero.
 	area := geo.NewRect(geo.NewPoint(-1e6, -1e6), geo.NewPoint(1e6, 1e6))
-	got, stats, err := withinArea(f.ir2, area, []string{"xyzzy"})
+	got, stats, err := withinArea(f.ir2, f.rows, area, []string{"xyzzy"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +237,7 @@ func TestWithinAreaPrunesBySignature(t *testing.T) {
 		t.Errorf("loaded %d objects; signature pruning ineffective", stats.ObjectsLoaded)
 	}
 	// Same area, common keyword: everything matching comes back.
-	got, _, err = withinArea(f.ir2, area, []string{"pool"})
+	got, _, err = withinArea(f.ir2, f.rows, area, []string{"pool"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +253,7 @@ func TestWithinAreaEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := withinArea(tree, geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1, 1)), []string{"x"})
+	got, _, err := withinArea(tree, rowTable(t, tree), geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1, 1)), []string{"x"})
 	if err != nil || got != nil {
 		t.Errorf("empty tree: %v %v", got, err)
 	}

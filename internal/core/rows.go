@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"spatialkeyword/internal/geo"
@@ -10,12 +11,13 @@ import (
 )
 
 // Rows is an engine's in-memory row table, indexed by object ID: what a
-// query needs of a row to test and score it without reading it. A stream
-// given one (UseRows) tests a candidate's keywords and, ranked, computes its
-// exact score from the table, and reads a row from the object file only to
-// return it. Every row the table holds must be exactly what the object file
-// holds, analyzed by the pipeline the tree's queries use: a term-ID test on
-// it is proof, and its counts are the row's pipeline term frequencies.
+// query needs of a row to test and score it without reading it. Every
+// stream (Search, SearchArea, SearchWithin, SearchRanked) is given one: it
+// tests a candidate's keywords and, ranked, computes its exact score from
+// the table, and reads a row from the object file only to return it. Every
+// row the table holds must be exactly what the object file holds, analyzed
+// by the pipeline the tree's queries use: a term-ID test on it is proof,
+// and its counts are the row's pipeline term frequencies.
 type Rows struct {
 	// Vocab interns every row's terms; its document frequencies are the
 	// engine's corpus statistics.
@@ -77,32 +79,20 @@ func (r *Rows) termIDs(dst []uint32, keywords []string) []uint32 {
 	return dst
 }
 
-// rowID returns the ID of the row at ptr when rows holds it. A row the
-// table does not hold is read and tested as the paper's algorithms do.
+// rowID returns the ID of the row at ptr, or an error when the store
+// resolves no row there or rows does not hold it: a stream's table holds
+// every row its tree does.
 //
 //skvet:hotpath
-func rowID(rows *Rows, store *objstore.Store, ptr uint64) (int, bool) {
-	if rows == nil {
-		return 0, false
-	}
+func rowID(rows *Rows, store *objstore.Store, ptr uint64) (int, error) {
 	id, ok := store.IDAt(objstore.Ptr(ptr))
 	if !ok || int(id) >= rows.Terms.Len() {
-		return 0, false
+		return 0, fmt.Errorf("core: the row table holds no row at %d", ptr)
 	}
-	return int(id), true
+	return int(id), nil
 }
 
-// UseRows has the query test its candidates against rows, which must hold
-// every row the tree does, so that a signature false positive is dropped
-// without reading its row. Call it before the first Next or PushRun.
-func (r *ResultIter) UseRows(rows *Rows) {
-	r.rows = rows
-	r.ids = rows.termIDs(r.sc.ids[:0], r.keywords)
-	slices.Sort(r.ids)
-	r.sc.ids = r.ids
-}
-
-// PushRun puts every row of queued (object IDs in the table UseRows gave)
+// PushRun puts every row of queued (object IDs in the query's row table)
 // that holds all the query's keywords on the traversal's frontier as an
 // object entry, at the key a leaf entry for it would get (its distance, or
 // area distance, from the query; a range query skips a row outside its
@@ -128,18 +118,6 @@ func (r *ResultIter) PushRun(queued []uint64) {
 		}
 		r.it.Push(uint64(r.x.store.Ptrs()[id]), key)
 	}
-}
-
-// UseRows is ResultIter.UseRows for the general ranked query: a candidate's
-// exact score comes from the table's counts and point, each object entry's
-// bound from its summary in rows.TFs, and each node entry's from the
-// table's TFCeiling.
-func (r *RankedIter) UseRows(rows *Rows) {
-	r.rows = rows
-	r.bound.rowTFs = rows.TFs
-	r.bound.nodeWeight = irscore.CapWeight(rows.TFCeiling)
-	r.ids = rows.termIDs(r.sc.ids[:0], r.normalized)
-	r.sc.ids = r.ids
 }
 
 // PushRun is ResultIter.PushRun for the general ranked query: a row that

@@ -8,7 +8,6 @@ import (
 
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/invindex"
-	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
@@ -44,6 +43,7 @@ type fixture struct {
 	baseDisk *storage.Disk
 	inv      *invindex.Index
 	invDisk  *storage.Disk
+	rows     *Rows // the row table the streams of ir2 and mir2 test in
 	vocab    *textutil.Vocabulary
 	avgWords float64 // mean distinct words per row (MIR²'s AvgWordsPerObject)
 }
@@ -121,7 +121,24 @@ func buildFixture(t *testing.T, rows []struct {
 	if err := f.inv.Build(); err != nil {
 		t.Fatal(err)
 	}
+	f.rows = rowTable(t, f.ir2)
 	return f
+}
+
+// rowTable builds the row table of every row in x's object store as an
+// engine's open does: one Rows.Add per row, in ID order, through x's
+// pipeline.
+func rowTable(t testing.TB, x *IR2Tree) *Rows {
+	t.Helper()
+	rows := &Rows{Vocab: textutil.NewVocabulary()}
+	rows.Grow(x.store.NumObjects())
+	if err := x.store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		rows.Add(o.ID, o.Point, x.an, o.Text)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // newDisk returns a fresh 4 KB-block disk.
@@ -183,30 +200,20 @@ func randomRows(rng *rand.Rand, n int) []struct {
 }
 
 // topKArea and topKRanked are the first k results of SearchArea and
-// SearchRanked with the traversal's work, as a top-k caller takes them.
-func topKArea(x *IR2Tree, k int, area geo.Rect, keywords []string) ([]Result, SearchStats, error) {
-	it := x.SearchArea(area, keywords)
+// SearchRanked on rows with the traversal's work, as a top-k caller takes
+// them.
+func topKArea(x *IR2Tree, rows *Rows, k int, area geo.Rect, keywords []string) ([]Result, SearchStats, error) {
+	it := x.SearchArea(area, keywords, rows)
 	results, err := TakeK(k, it.Next)
 	it.Close()
 	return results, it.Stats(), err
 }
 
-func topKRanked(x *IR2Tree, k int, p geo.Point, keywords []string, opts GeneralOptions) ([]RankedResult, SearchStats, error) {
-	it := x.SearchRanked(p, keywords, opts)
+func topKRanked(x *IR2Tree, rows *Rows, k int, p geo.Point, keywords []string, opts GeneralOptions) ([]RankedResult, SearchStats, error) {
+	it := x.SearchRanked(p, keywords, opts, rows)
 	results, err := TakeK(k, it.Next)
 	it.Close()
 	return results, it.Stats(), err
-}
-
-// tfRows is a row table that holds only term-frequency summaries: the
-// ranked bound weighs each object entry by them, and every candidate is
-// read and tested as the paper's algorithms do.
-func tfRows(tfs []irscore.RowTF) *Rows {
-	r := &Rows{Vocab: textutil.NewVocabulary(), TFs: tfs}
-	for i := range tfs {
-		r.TFCeiling = max(r.TFCeiling, tfs[i].Cap())
-	}
-	return r
 }
 
 // resultIDs extracts object IDs from distance-first results.

@@ -16,7 +16,7 @@ import (
 // prune is sound (no pruned subtree contains a qualifying hotel).
 func TestTraceReproducesExample3Pruning(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
-	it := f.ir2.Search(geo.NewPoint(30.5, 100.0), []string{"internet", "pool"})
+	it := f.ir2.Search(geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, f.rows)
 
 	var events []rtree.TraceEvent
 	it.SetTrace(func(ev rtree.TraceEvent) { events = append(events, ev) })
@@ -97,7 +97,7 @@ func TestTraceReproducesExample3Pruning(t *testing.T) {
 // their enqueue.
 func TestTraceEventOrdering(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
-	it := f.ir2.Search(geo.NewPoint(0, 0), []string{"pool"})
+	it := f.ir2.Search(geo.NewPoint(0, 0), []string{"pool"}, f.rows)
 	var events []rtree.TraceEvent
 	it.SetTrace(func(ev rtree.TraceEvent) { events = append(events, ev) })
 	for {

@@ -11,6 +11,7 @@ import (
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/rtree"
+	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
 )
@@ -45,15 +46,16 @@ func (q *walkQueue) Pop() any {
 	return it
 }
 
-// decodedSearch is the traversal under Search and SearchArea written over
-// decoded LoadNode images, in the per-entry order it had before the
-// signature test moved ahead of the rectangle decode: decode, score by dist,
-// then the signature test, its level's signature looked up per entry. It
-// returns the object refs the traversal emits, in order, and its counters.
-func decodedSearch(t *testing.T, x *IR2Tree, keywords []string, dist func(geo.Rect) float64) (refs []uint64, st rtree.TraversalStats) {
+// decodedSearch is the traversal under Search, SearchArea and the paper's
+// top-k loop written over rt's decoded LoadNode images, in the per-entry
+// order it had before the signature test moved ahead of the rectangle
+// decode: decode, score by dist, then the signature test, its level's
+// signature looked up per entry (sig nil, as for the R-Tree baseline, keeps
+// every entry). It returns the object refs the traversal emits, in order,
+// and its counters.
+func decodedSearch(t *testing.T, rt *rtree.Tree, sig func(level int) *sigfile.Sig64, dist func(geo.Rect) float64) (refs []uint64, st rtree.TraversalStats) {
 	t.Helper()
-	sigs := &levelSigs{x: x, kws: x.an.Keywords(keywords)}
-	root, err := x.rt.Root()
+	root, err := rt.Root()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func decodedSearch(t *testing.T, x *IR2Tree, keywords []string, dist func(geo.Re
 			refs = append(refs, item.ptr)
 			continue
 		}
-		n, err := x.rt.LoadNode(storage.BlockID(item.ptr))
+		n, err := rt.LoadNode(storage.BlockID(item.ptr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +79,7 @@ func decodedSearch(t *testing.T, x *IR2Tree, keywords []string, dist func(geo.Re
 		for i := 0; i < n.NumEntries(); i++ {
 			ptr, rect, aux := n.Entry(i)
 			score := dist(rect)
-			if !sigs.at(n.Level()).MatchesTolerant(aux) {
+			if sig != nil && !sig(n.Level()).MatchesTolerant(aux) {
 				st.EntriesPruned++
 				continue
 			}
@@ -93,12 +95,15 @@ func decodedSearch(t *testing.T, x *IR2Tree, keywords []string, dist func(geo.Re
 	return refs, st
 }
 
-// TestSearchMatchesDecodedWalk holds Search and SearchArea on IR² and MIR²
-// trees to brute force — every object containing the keywords, each at its
-// exact distance, in non-decreasing order — and to decodedSearch: the same
-// results in the same order, and the same work record. MIR² sizes its
-// signatures by level, so testing one level's signature against another
-// level's entries shows here.
+// TestSearchMatchesDecodedWalk holds the table-backed streams, Search and
+// SearchArea on IR² and MIR² trees, and the paper's top-k loop, TopK on
+// IR², MIR² and the R-Tree baseline, to brute force — every object
+// containing the keywords, each at its exact distance, in non-decreasing
+// order — and to decodedSearch: the same results in the same order, and
+// the same work record. A stream tests every candidate the walk pops in
+// the row table and reads only its results; the paper's loop reads every
+// candidate. MIR² sizes its signatures by level, so testing one level's
+// signature against another level's entries shows here.
 func TestSearchMatchesDecodedWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	f := buildFixture(t, randomRows(rng, 400), 4, 8)
@@ -120,54 +125,77 @@ func TestSearchMatchesDecodedWalk(t *testing.T) {
 			}
 		}
 		slices.Sort(brute)
+		near := func(r geo.Rect) float64 { return r.MinDist(p) }
+		type run struct {
+			kind    string
+			rt      *rtree.Tree
+			sig     func(level int) *sigfile.Sig64
+			dist    func(geo.Rect) float64
+			results func() ([]Result, SearchStats, error)
+			paper   bool // reads every candidate
+		}
+		var runs []run
 		for name, tree := range map[string]*IR2Tree{"IR2": f.ir2, "MIR2": f.mir2} {
-			for _, q := range []struct {
-				kind string
-				open func() *ResultIter
-				dist func(geo.Rect) float64
-			}{
-				{"Search", func() *ResultIter { return tree.Search(p, kw) }, func(r geo.Rect) float64 { return r.MinDist(p) }},
-				{"SearchArea", func() *ResultIter { return tree.SearchArea(area, kw) }, func(r geo.Rect) float64 { return r.MinDistRect(area) }},
-			} {
-				where := fmt.Sprintf("trial %d %s %s %v", trial, name, q.kind, kw)
-				refs, ts := decodedSearch(t, tree, kw, q.dist)
-				var want []objstore.ID
-				for _, ref := range refs {
-					if o := objOf[ref]; textutil.ContainsAll(o.Text, kws) {
-						want = append(want, o.ID)
-					}
-				}
-				it := q.open()
+			sig := (&levelSigs{x: tree, kws: kws}).at
+			stream := func(it *ResultIter) ([]Result, SearchStats, error) {
 				got, err := TakeK(len(f.objects)+1, it.Next)
 				it.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids := resultIDs(got)
-				if !slices.Equal(ids, want) {
-					t.Fatalf("%s: got %v, decoded walk %v", where, ids, want)
-				}
-				for i, r := range got {
-					if d := q.dist(geo.PointRect(r.Object.Point)); r.Dist != d {
-						t.Fatalf("%s: result %d at %g, want %g", where, i, r.Dist, d)
-					}
-					if i > 0 && got[i-1].Dist > r.Dist {
-						t.Fatalf("%s: order violated at %d", where, i)
-					}
-				}
-				if slices.Sort(ids); !slices.Equal(ids, brute) {
-					t.Fatalf("%s: result set %v, brute force %v", where, ids, brute)
-				}
-				wantStats := SearchStats{
-					NodesLoaded: ts.NodesLoaded, EntriesPruned: ts.EntriesPruned,
-					NodesEnqueued: ts.NodesEnqueued, ObjectsEnqueued: ts.ObjectsEnqueued,
-					ObjectsLoaded: len(refs), FalsePositives: len(refs) - len(want),
-				}
-				if st := it.Stats(); st != wantStats {
-					t.Fatalf("%s: stats %+v, decoded walk %+v", where, st, wantStats)
-				}
-				pruned += ts.EntriesPruned
+				return got, it.Stats(), err
 			}
+			runs = append(runs,
+				run{name + " Search", tree.rt, sig, near, func() ([]Result, SearchStats, error) {
+					return stream(tree.Search(p, kw, f.rows))
+				}, false},
+				run{name + " SearchArea", tree.rt, sig, func(r geo.Rect) float64 { return r.MinDistRect(area) }, func() ([]Result, SearchStats, error) {
+					return stream(tree.SearchArea(area, kw, f.rows))
+				}, false},
+				run{name + " TopK", tree.rt, sig, near, func() ([]Result, SearchStats, error) {
+					return tree.TopK(len(f.objects)+1, p, kw)
+				}, true})
+		}
+		runs = append(runs, run{"RTree TopK", f.base.rt, nil, near, func() ([]Result, SearchStats, error) {
+			return f.base.TopK(len(f.objects)+1, p, kw)
+		}, true})
+		for _, q := range runs {
+			where := fmt.Sprintf("trial %d %s %v", trial, q.kind, kw)
+			refs, ts := decodedSearch(t, q.rt, q.sig, q.dist)
+			var want []objstore.ID
+			for _, ref := range refs {
+				if o := objOf[ref]; textutil.ContainsAll(o.Text, kws) {
+					want = append(want, o.ID)
+				}
+			}
+			got, st, err := q.results()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := resultIDs(got)
+			if !slices.Equal(ids, want) {
+				t.Fatalf("%s: got %v, decoded walk %v", where, ids, want)
+			}
+			for i, r := range got {
+				if d := q.dist(geo.PointRect(r.Object.Point)); r.Dist != d {
+					t.Fatalf("%s: result %d at %g, want %g", where, i, r.Dist, d)
+				}
+				if i > 0 && got[i-1].Dist > r.Dist {
+					t.Fatalf("%s: order violated at %d", where, i)
+				}
+			}
+			if slices.Sort(ids); !slices.Equal(ids, brute) {
+				t.Fatalf("%s: result set %v, brute force %v", where, ids, brute)
+			}
+			wantStats := SearchStats{
+				NodesLoaded: ts.NodesLoaded, EntriesPruned: ts.EntriesPruned,
+				NodesEnqueued: ts.NodesEnqueued, ObjectsEnqueued: ts.ObjectsEnqueued,
+				ObjectsLoaded: len(want), FalsePositives: len(refs) - len(want),
+			}
+			if q.paper {
+				wantStats.ObjectsLoaded = len(refs)
+			}
+			if st != wantStats {
+				t.Fatalf("%s: stats %+v, decoded walk %+v", where, st, wantStats)
+			}
+			pruned += ts.EntriesPruned
 		}
 	}
 	if pruned == 0 {

@@ -14,6 +14,7 @@ import (
 	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
+	"spatialkeyword/internal/textutil"
 	"spatialkeyword/internal/wal"
 )
 
@@ -113,8 +114,18 @@ func buildSigTree(dev storage.Device) (func() error, error) {
 	if err := tree.Build(); err != nil {
 		return nil, err
 	}
+	// The served stream's row table, built as an engine's open builds it.
+	rows := &core.Rows{Vocab: textutil.NewVocabulary()}
+	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		rows.Add(o.ID, o.Point, nil, o.Text)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	read := func() error {
-		_, _, err := tree.TopK(5, geo.NewPoint(2, 2), []string{"common"})
+		it := tree.Search(geo.NewPoint(2, 2), []string{"common"}, rows)
+		defer it.Close()
+		_, err := core.TakeK(5, it.Next)
 		return err
 	}
 	return read, nil

@@ -294,7 +294,7 @@ func TestRowTFWeight(t *testing.T) {
 
 // FuzzRowTFWeightAdmissible: for any row text and query words, on every
 // pipeline, no term — of the row, or a query word normalized — occurs in the
-// row, as the ranked query counts it (TermFreqsBytesInto), more often than
+// row, as the pipeline counts it (TermFreqsInto), more often than
 // the row's summary allows: its weight is at least TFWeight of that count.
 func FuzzRowTFWeightAdmissible(f *testing.F) {
 	f.Add("Pool pool POOL\tpool spa", "pool", "spa")
@@ -311,7 +311,7 @@ func FuzzRowTFWeightAdmissible(f *testing.F) {
 			r := rowTFOf(a, text)
 			terms := append(a.Unique(text), a.Keywords([]string{word1, word2})...)
 			counts := make([]int, len(terms))
-			a.TermFreqsBytesInto(counts, []byte(text), terms)
+			a.TermFreqsInto(counts, text, terms)
 			for i, n := range counts {
 				if w := r.Weight(ProbeTerm(terms[i])); w < TFWeight(n) {
 					t.Fatalf("%s: %q occurs %d times in %q, weighs %v, bound %v", name, terms[i], n, text, TFWeight(n), w)

@@ -189,7 +189,7 @@ func benchWarm(b *testing.B, n int, seek func(q int) *Iter) {
 				break
 			}
 		}
-		nodes += it.NodesLoaded()
+		nodes += it.TraversalStats().NodesLoaded
 		it.Close()
 	}
 	for q := 0; q < n; q++ {

@@ -168,8 +168,8 @@ func TestBulkLoadCheaperAndTighterThanInserts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		bulkNodes += itB.NodesLoaded()
-		insNodes += itI.NodesLoaded()
+		bulkNodes += itB.TraversalStats().NodesLoaded
+		insNodes += itI.TraversalStats().NodesLoaded
 	}
 	if bulkNodes > insNodes*3/2 {
 		t.Errorf("bulk-loaded tree queries load %d nodes vs %d", bulkNodes, insNodes)

@@ -326,8 +326,8 @@ func TestSeekPruneEverything(t *testing.T) {
 		t.Error("pruned traversal returned an object")
 	}
 	// Root is expanded (never pruned), nothing else.
-	if it.NodesLoaded() != 1 {
-		t.Errorf("NodesLoaded = %d, want 1 (just the root)", it.NodesLoaded())
+	if it.TraversalStats().NodesLoaded != 1 {
+		t.Errorf("NodesLoaded = %d, want 1 (just the root)", it.TraversalStats().NodesLoaded)
 	}
 }
 

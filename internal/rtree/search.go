@@ -474,9 +474,5 @@ func (it *Iter) emit(item queueItem) {
 	}
 }
 
-// NodesLoaded reports how many tree nodes the traversal has expanded — the
-// "node accesses" metric of the evaluation.
-func (it *Iter) NodesLoaded() int { return it.stats.NodesLoaded }
-
 // TraversalStats returns all of the traversal's work counters so far.
 func (it *Iter) TraversalStats() TraversalStats { return it.stats }

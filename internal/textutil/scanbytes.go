@@ -363,14 +363,3 @@ func (a *Analyzer) ContainsTermsBytes(text []byte, terms []string) bool {
 	}
 	return a.ContainsTerms(string(text), terms)
 }
-
-// TermFreqsBytesInto is TermFreqsInto for a document still in an I/O
-// scratch buffer; text must not be retained. Allocation-free on the plain
-// pipeline; other pipelines fall back to a string conversion.
-func (a *Analyzer) TermFreqsBytesInto(counts []int, text []byte, terms []string) {
-	if a.plain() {
-		CountTermsBytesInto(counts, text, terms)
-		return
-	}
-	a.TermFreqsInto(counts, string(text), terms)
-}

@@ -15,8 +15,8 @@ import (
 // checkRowTable asserts that every row's entry in the engine's row table is
 // what a query would find reading the row as stored: its terms are the
 // pipeline's distinct terms of the stored (sanitised) text, each counted as
-// Analyzer.TermFreqsBytesInto counts it there; every extra query word counts
-// and holds (CountsInto, HoldsAll) exactly as TermFreqsBytesInto and
+// Analyzer.TermFreqsInto counts it there; every extra query word counts
+// and holds (CountsInto, HoldsAll) exactly as TermFreqsInto and
 // ContainsTermsBytes find it; and the point is the stored point.
 func checkRowTable(t *testing.T, e *Engine, extra []string) {
 	t.Helper()
@@ -42,7 +42,7 @@ func checkRowTable(t *testing.T, e *Engine, extra []string) {
 			t.Fatalf("row %d %q: terms %q, the stored row holds %q", id, o.Text, words, want)
 		}
 		stored := make([]int, len(words))
-		e.an.TermFreqsBytesInto(stored, text, words)
+		e.an.TermFreqsInto(stored, o.Text, words)
 		for i := range words {
 			if int(counts[i]) != stored[i] {
 				t.Fatalf("row %d %q: term %q counted %d, the stored row holds it %d times", id, o.Text, words[i], counts[i], stored[i])
@@ -59,7 +59,7 @@ func checkRowTable(t *testing.T, e *Engine, extra []string) {
 		got := make([]int, len(kws))
 		e.rows.Terms.CountsInto(got, id, qids)
 		wantCounts := make([]int, len(kws))
-		e.an.TermFreqsBytesInto(wantCounts, text, kws)
+		e.an.TermFreqsInto(wantCounts, o.Text, kws)
 		for i, w := range kws {
 			if got[i] != wantCounts[i] {
 				t.Fatalf("row %d %q: query word %q counted %d, the stored row holds it %d times", id, o.Text, w, got[i], wantCounts[i])

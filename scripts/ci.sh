@@ -43,9 +43,12 @@
 #           (cmd/skledger check: every metric's values, quartiles and
 #           better/worse pair counts agree)
 #   all     everything above (the default)
-#   micro   informational, not in all: the microbenchmarks of a ranked
-#           candidate's load and term count (objstore.GetFiltered on a
-#           two-block row, textutil.CountTermsBytesInto on generated/hotels
+#   micro   informational, not in all: the microbenchmarks of a paper
+#           top-k candidate's load (objstore.GetFiltered on a two-block
+#           row, the read IR2TopK and the R-Tree baseline make of every
+#           candidate; served streams test in the row table and read only
+#           what they return), the term count (SKQL's residual filter's
+#           kernel: textutil.CountTermsBytesInto on generated/hotels
 #           and generated/restaurants — rows dataset.Generate writes, with
 #           ranked_hotels' 3 and topk_restaurants' 2 keywords — and on
 #           lower-case, mixed-case and non-ASCII sentences), of the

@@ -95,8 +95,7 @@ func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, poin
 		if ranked {
 			it := x.SearchRanked(geo.NewPoint(p...), kws[i], core.GeneralOptions{
 				Scorer: irscore.NewScorer(e.rows.Vocab.NumDocs(), e.rows.Vocab.DocFreq).WithAnalyzer(e.an),
-			})
-			it.UseRows(&e.rows)
+			}, &e.rows)
 			res, err := core.TakeK(10, it.Next)
 			it.Close()
 			if err != nil {
@@ -106,7 +105,7 @@ func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, poin
 				answers += fmt.Sprintf("%d:%v ", r.Object.ID, r.Score)
 			}
 		} else {
-			it := x.Search(geo.NewPoint(p...), kws[i][:2])
+			it := x.Search(geo.NewPoint(p...), kws[i][:2], &e.rows)
 			res, err := core.TakeK(10, it.Next)
 			it.Close()
 			if err != nil {

@@ -260,9 +260,11 @@ type Engine struct {
 	idxFile *storage.Disk
 	gen     uint64
 
-	// docFreq is the method value DocFreq, which Corpus hands out, bound
-	// once.
-	docFreq func(string) int
+	// docFreq is the method value DocFreq, which Corpus hands out, and
+	// vocabDocFreq the vocabulary's, which a ranked query on the engine's
+	// own statistics scores with under the lock it already holds: each
+	// bound once, so a query builds neither.
+	docFreq, vocabDocFreq func(string) int
 
 	// run is the IDs of the rows appended but not yet indexed, live and
 	// ascending: every read searches them beside the tree (see flushLocked
@@ -307,7 +309,7 @@ func engineShell(cfg Config) *Engine {
 		deleted: make(map[uint64]bool),
 	}
 	e.rows.Vocab = textutil.NewVocabulary()
-	e.docFreq = e.DocFreq
+	e.docFreq, e.vocabDocFreq = e.DocFreq, e.rows.Vocab.DocFreq
 	return e
 }
 

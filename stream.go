@@ -193,14 +193,12 @@ func (e *Engine) Search(point []float64, keywords ...string) (ResultStream, erro
 	if err != nil {
 		return nil, err
 	}
-	return e.searchIter(q, e.tree.Search(geo.NewPoint(point...), keywords)), nil
+	return e.searchIter(q, e.tree.Search(geo.NewPoint(point...), keywords, &e.rows)), nil
 }
 
-// searchIter wraps a distance-first traversal as the engine's stream: it
-// tests candidates in the row table, and the queued rows are pushed on its
-// frontier.
+// searchIter wraps a distance-first traversal, built on the engine's row
+// table, as the engine's stream: the queued rows are pushed on its frontier.
 func (e *Engine) searchIter(q query, it *core.ResultIter) *SearchIter {
-	it.UseRows(&e.rows)
 	it.PushRun(e.run)
 	return &SearchIter{query: q, it: it}
 }
@@ -218,7 +216,7 @@ func (e *Engine) SearchArea(lo, hi []float64, keywords ...string) (ResultStream,
 	if err != nil {
 		return nil, err
 	}
-	return e.searchIter(q, e.tree.SearchArea(area, keywords)), nil
+	return e.searchIter(q, e.tree.SearchArea(area, keywords, &e.rows)), nil
 }
 
 // Next returns the next live object containing every keyword. ok is false
@@ -338,11 +336,10 @@ func (e *Engine) searchRanked(cs *CorpusStats, point []float64, keywords []strin
 	if cs == nil {
 		// The stream already holds the shared lock, so the scorer reads the
 		// vocabulary directly; Corpus().DocFreq would take the lock again.
-		cs = &CorpusStats{NumDocs: e.rows.Vocab.NumDocs(), DocFreq: e.rows.Vocab.DocFreq}
+		cs = &CorpusStats{NumDocs: e.rows.Vocab.NumDocs(), DocFreq: e.vocabDocFreq}
 	}
 	scorer := irscore.NewScorer(cs.NumDocs, cs.DocFreq).WithAnalyzer(e.an)
-	it := e.tree.SearchRanked(point, keywords, core.GeneralOptions{Scorer: scorer}) // copies point
-	it.UseRows(&e.rows)
+	it := e.tree.SearchRanked(point, keywords, core.GeneralOptions{Scorer: scorer}, &e.rows) // copies point
 	it.PushRun(e.run)
 	return &RankedSearchIter{query: q, it: it}, nil
 }

@@ -52,7 +52,7 @@ func capText(rng *rand.Rand) string {
 
 // checkTFCaps asserts that every row's term-frequency summary bounds the
 // term frequencies the ranked query can count in the row as stored —
-// Analyzer.TermFreqsBytesInto over the sanitised text, for every pipeline
+// Analyzer.TermFreqsInto over the sanitised text, for every pipeline
 // term of the row and every extra query word. The cap must be the largest of
 // them, saturated as irscore.TFCap saturates it: at least that large keeps
 // the ranked bound admissible, and equal to it, the bound is as tight as one
@@ -80,7 +80,7 @@ func checkTFCaps(t *testing.T, e *Engine, extra []string, unknown map[int]bool) 
 		}
 		terms := append(e.an.Unique(o.Text), e.an.Keywords(extra)...)
 		counts := make([]int, len(terms))
-		e.an.TermFreqsBytesInto(counts, []byte(o.Text), terms)
+		e.an.TermFreqsInto(counts, o.Text, terms)
 		maxTF := 0
 		for i, n := range counts {
 			if c := row.Cap(); n > int(c) && c != irscore.MaxTFCap {
