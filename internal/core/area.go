@@ -15,11 +15,9 @@ import (
 // keyword filtering as Search, in rows. Results stream in non-decreasing
 // area-distance order.
 func (x *IR2Tree) SearchArea(area geo.Rect, keywords []string, rows *Rows) *ResultIter {
-	kws := x.an.Keywords(keywords)
-	sigs := &levelSigs{x: x, kws: kws}
-	r := newResultIter(x, kws, rows)
+	r := newResultIter(x, x.an.Keywords(keywords), rows)
 	r.area = area
-	r.it = x.rt.Seek(&areaScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
+	r.it = x.rt.Seek(&areaScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, r.sigs.at)
 	return r
 }
 
@@ -53,11 +51,9 @@ func (s *areaScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []flo
 // the recursive walk it replaced — and objects are emitted once every node
 // is expanded. Its candidates are tested in rows, as Search's are.
 func (x *IR2Tree) SearchWithin(area geo.Rect, keywords []string, rows *Rows) *ResultIter {
-	kws := x.an.Keywords(keywords)
-	sigs := &levelSigs{x: x, kws: kws}
-	r := newResultIter(x, kws, rows)
+	r := newResultIter(x, x.an.Keywords(keywords), rows)
 	r.area, r.within = area, true
-	r.it = x.rt.Seek(&withinScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, sigs.at)
+	r.it = x.rt.Seek(&withinScorer{area: area, lo: r.sc.lo, hi: r.sc.hi}, r.sigs.at)
 	return r
 }
 

@@ -294,7 +294,7 @@ func TestNodeBoundCoversEveryRowBeneath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if x, err = Open(idxDisk, store, opts, treeState); err != nil {
+			if x, err = Open(idxDisk, store, opts, nil, treeState); err != nil {
 				t.Fatal(err)
 			}
 			rows = rowTable(t, x)

@@ -41,24 +41,24 @@ func fillTraversal(s *SearchStats, t rtree.TraversalStats) {
 // level), which prunes whole subtrees that cannot contain all the query
 // keywords. rows must hold every row the tree does.
 func (x *IR2Tree) Search(p geo.Point, keywords []string, rows *Rows) *ResultIter {
-	kws := x.an.Keywords(keywords)
-	// Per-level query signatures, built lazily: W = Signature(Q.t). The
-	// traversal looks its level's up once per expanded node.
-	sigs := &levelSigs{x: x, kws: kws}
-	r := newResultIter(x, kws, rows)
+	r := newResultIter(x, x.an.Keywords(keywords), rows)
 	r.at = p
-	r.it = x.rt.NearestNeighbors(p, sigs.at)
+	r.it = x.rt.NearestNeighbors(p, r.sigs.at)
 	return r
 }
 
 // newResultIter builds the result stream of a query for kws, with its
-// pooled scratch and the keywords' term IDs in rows, ascending: the
-// containment check of IR2TopK line 21 is a term-ID test in the table, so a
-// false positive is dropped without reading its row. The caller starts the
-// traversal, r.it.
+// pooled scratch, the keywords' term IDs in rows, ascending, and its
+// per-level query signatures, W = Signature(Q.t), built lazily from the
+// keywords' hashes in rows: the traversal looks its level's up once per
+// expanded node. The containment check of IR2TopK line 21 is a term-ID test
+// in the table, so a false positive is dropped without reading its row. The
+// caller starts the traversal, r.it, with r.sigs.at.
 func newResultIter(x *IR2Tree, kws []string, rows *Rows) *ResultIter {
 	r := &ResultIter{x: x, sc: takeScratch(), rows: rows}
 	r.ids = rows.termIDs(r.sc.ids[:0], kws)
+	r.sc.hashes = rows.hashes(r.sc.hashes[:0], kws, r.ids)
+	r.sigs = levelSigs{x: x, hashes: r.sc.hashes}
 	slices.Sort(r.ids)
 	r.sc.ids = r.ids
 	return r
@@ -66,12 +66,14 @@ func newResultIter(x *IR2Tree, kws []string, rows *Rows) *ResultIter {
 
 // queryScratch is a query iterator's pooled working space: the corner
 // points its scorer decodes MBRs into, the keywords' term IDs in the row
-// table and, for the general ranked query, one survivor mask per keyword.
+// table and their signature hashes, and, for the general ranked query, one
+// survivor mask per keyword.
 // An iterator takes one when it is built and returns it in Close; one that
 // is never closed only loses the reuse.
 type queryScratch struct {
 	lo, hi geo.Point
 	ids    []uint32
+	hashes []uint64 // the keywords' signature hashes
 	masks  []uint64
 	ranked rankedState // SearchRanked's, kept between ranked queries
 }
@@ -102,7 +104,8 @@ type ResultIter struct {
 	// ascending.
 	rows   *Rows
 	ids    []uint32
-	passed uint64 // the last row test found to hold every keyword, plus one
+	sigs   levelSigs // the traversal's query signatures
+	passed uint64    // the last row test found to hold every keyword, plus one
 	// The query's geometry, which PushRun keys a queued row by: the point of
 	// a distance-first query, else the area, which a range query (within)
 	// also filters by.
@@ -234,7 +237,7 @@ func settle(it *rtree.Iter, peek func() (float64, bool)) error {
 // signature-pruned traversal pops is read and tested (see paperTopK).
 func (x *IR2Tree) TopK(k int, p geo.Point, keywords []string) ([]Result, SearchStats, error) {
 	kws := x.an.Keywords(keywords)
-	sigs := &levelSigs{x: x, kws: kws}
+	sigs := &levelSigs{x: x, hashes: wordHashes(kws)}
 	return paperTopK(x.rt.NearestNeighbors(p, sigs.at), x.store, x.an, k, kws)
 }
 
@@ -277,25 +280,6 @@ func paperTopK(it *rtree.Iter, store *objstore.Store, an *textutil.Analyzer, k i
 
 // rowPool holds the buffers paperTopK reads its candidates into.
 var rowPool = sync.Pool{New: func() any { return new(objstore.RowScratch) }}
-
-// TakeK is a stream's top-k loop: the first k results of its Next, ties at
-// the k-th key in traversal order. The engine and every layer
-// above it cut with spatialkeyword.FirstK instead, which drains those ties and
-// breaks them by smallest object ID.
-func TakeK[T any](k int, next func() (T, bool, error)) ([]T, error) {
-	var out []T
-	for len(out) < k {
-		r, ok, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
 
 // RTreeBaseline is the first baseline algorithm of Section 5.1: a plain
 // R-Tree provides incremental nearest neighbors, and *every* returned

@@ -76,7 +76,7 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 		ids:        rows.termIDs(sc.ids[:0], normalized),
 		bound: rankedScorer{
 			p:          append(st.at[:0], p...),
-			sigs:       levelWordSigs{x: x, words: normalized, sigs: st.sigs[:0]},
+			sigs:       levelWordSigs{x: x, sigs: st.sigs[:0]},
 			idfs:       idfs,
 			probes:     probes,
 			rowTFs:     rows.TFs,
@@ -89,6 +89,8 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 		},
 	}
 	sc.ids = r.ids
+	st.hashes = rows.hashes(st.hashes[:0], normalized, r.ids)
+	r.bound.sigs.hashes = st.hashes
 	// The traversal gets no signature to prune by: the bound needs every
 	// keyword's match separately, and the scorer drops the entries no
 	// keyword matches itself.
@@ -100,7 +102,7 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 // SearchRanked takes from the query scratch and Close hands back: the
 // normalized keywords, their idfs and probes, the term-count scratch, the
 // re-enqueued candidates' scores, the query point and the keywords'
-// signatures per level. A sharded ranked query opens one query per shard,
+// signature hashes and signatures per level. A sharded ranked query opens one query per shard,
 // so none of it is allocated again once the pool is warm.
 type rankedState struct {
 	words  []string
@@ -109,6 +111,7 @@ type rankedState struct {
 	tf     []int
 	exact  map[uint64]rankedCandidate
 	at     geo.Point
+	hashes []uint64
 	sigs   [][]sigfile.Sig64
 }
 
@@ -318,7 +321,8 @@ func (r *RankedIter) Close() {
 	clear(r.exact)
 	r.sc.ranked = rankedState{
 		words: r.normalized[:0], idfs: r.bound.idfs[:0], probes: r.bound.probes[:0],
-		tf: r.tf[:0], exact: r.exact, at: r.bound.p[:0], sigs: r.bound.sigs.sigs[:0],
+		tf: r.tf[:0], exact: r.exact, at: r.bound.p[:0],
+		hashes: r.bound.sigs.hashes[:0], sigs: r.bound.sigs.sigs[:0],
 	}
 	r.normalized, r.tf, r.exact, r.bound = nil, nil, nil, rankedScorer{}
 	putScratch(&r.sc)

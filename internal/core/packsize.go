@@ -56,7 +56,7 @@ type packSizer struct {
 	minFill int // the tree's minimum entries per node
 	prev    int // the length of the level below the next one sized
 	ids     map[string]int32
-	words   []string // the batch's distinct words, by ID
+	hashes  []uint64 // sigfile.Hash of the batch's distinct words, by ID
 	df      []int    // objects holding each word
 	total   float64  // sum of df
 	// below holds the word IDs under each object (by reference) and, once
@@ -87,9 +87,9 @@ func (p *packSizer) addObject(ref uint64, words []string) {
 	for i, w := range words {
 		id, ok := p.ids[w]
 		if !ok {
-			id = int32(len(p.words))
+			id = int32(len(p.hashes))
 			p.ids[w] = id
-			p.words = append(p.words, w)
+			p.hashes = append(p.hashes, sigfile.Hash(w))
 			p.df = append(p.df, 0)
 		}
 		p.df[id]++
@@ -101,8 +101,8 @@ func (p *packSizer) addObject(ref uint64, words []string) {
 
 // SizeLevel implements rtree.LevelSizer.
 func (p *packSizer) SizeLevel(level int, nodes []*rtree.Node) (int, error) {
-	if len(p.seen) < len(p.words) {
-		p.seen = make([]uint32, len(p.words))
+	if len(p.seen) < len(p.hashes) {
+		p.seen = make([]uint32, len(p.hashes))
 	}
 	var present float64
 	dmax := 0
@@ -149,12 +149,13 @@ func (p *packSizer) fold(n *rtree.Node) []int32 {
 }
 
 // CoverAux implements rtree.Coverer for the level being packed: the
-// signature of the words SizeLevel folded under n.
+// signature of the words SizeLevel folded under n, from the hashes addObject
+// took once per word.
 func (p *packSizer) CoverAux(_ rtree.NodeReader, n *rtree.Node, length int) ([]byte, error) {
 	cfg := sigfile.Config{LengthBytes: length, BitsPerWord: p.k}
 	sig := cfg.New()
 	for _, id := range p.nodes[n.ID()] {
-		cfg.SetWord(sig, p.words[id])
+		cfg.SetHash(sig, p.hashes[id])
 	}
 	return sig, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"spatialkeyword/internal/objstore"
-	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/storage"
 )
 
@@ -18,7 +17,7 @@ import (
 //	... persist (treeState, storeMeta) wherever the application keeps roots,
 //	    close the devices, restart ...
 //	store, _ := objstore.Open(objDev, storeMeta)
-//	tree, _ := core.Open(idxDev, store, opts, treeState)
+//	tree, _ := core.Open(idxDev, store, opts, nil, treeState)
 func (x *IR2Tree) Checkpoint(stateBlock storage.BlockID) (storage.BlockID, error) {
 	return x.rt.Checkpoint(stateBlock)
 }
@@ -28,20 +27,15 @@ func (x *IR2Tree) Checkpoint(stateBlock storage.BlockID) (storage.BlockID, error
 // configuration, variant, and (for a MIR²-Tree) the same corpus statistics,
 // since those determine the per-level signature lengths baked into the
 // stored nodes. A mismatch is detected by the tree's configuration
-// fingerprint.
-func Open(dev storage.Device, store *objstore.Store, opts Options, stateBlock storage.BlockID) (*IR2Tree, error) {
-	x, err := New(dev, store, opts)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := rtree.Open(dev, rtree.Config{
-		MaxEntries: opts.MaxEntries,
-		Scheme:     x.scheme,
-		CacheNodes: opts.CacheNodes,
-	}, stateBlock)
+// fingerprint. rows is the row table of a served tree (NewServed), which
+// keeps its leaf signatures and must hold every row before Open; a tree
+// whose leaves store their signatures opens with it too, and stores the
+// table's in the leaves it writes. A served tree's state refuses to open
+// without one.
+func Open(dev storage.Device, store *objstore.Store, opts Options, rows *Rows, stateBlock storage.BlockID) (*IR2Tree, error) {
+	x, err := build(dev, store, opts, rows, stateBlock)
 	if err != nil {
 		return nil, fmt.Errorf("core: open: %w", err)
 	}
-	x.rt = rt
 	return x, nil
 }

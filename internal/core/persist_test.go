@@ -95,7 +95,7 @@ func TestDurableIndexEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree2, err := Open(idxDev2, store2, opts, treeState)
+			tree2, err := Open(idxDev2, store2, opts, nil, treeState)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,11 +155,11 @@ func TestOpenWrongOptionsRejected(t *testing.T) {
 	// A different signature length changes the payload fingerprint.
 	bad := opts
 	bad.LeafSignature.LengthBytes = 32
-	if _, err := Open(dev, store, bad, state); err == nil {
+	if _, err := Open(dev, store, bad, nil, state); err == nil {
 		t.Error("signature length mismatch accepted")
 	}
 	// Correct options succeed.
-	if _, err := Open(dev, store, opts, state); err != nil {
+	if _, err := Open(dev, store, opts, nil, state); err != nil {
 		t.Errorf("valid reopen failed: %v", err)
 	}
 }

@@ -267,7 +267,7 @@ func TestQuickCheckpointFaultIsolation(t *testing.T) {
 		// The pipeline survived (failAt beyond its write count, or 0):
 		// disarm the plan and verify the checkpoint against the oracle.
 		dev.SetPlan(storage.FaultPlan{})
-		reopened, err := Open(dev, store, opts, state)
+		reopened, err := Open(dev, store, opts, nil, state)
 		if err != nil {
 			t.Logf("seed %d: reopen of successful checkpoint: %v", seed, err)
 			return false

@@ -36,7 +36,7 @@ func bruteWithinArea(objs []objstore.Object, area geo.Rect, keywords []string) [
 // collects.
 func decodedAreaWalk(t *testing.T, x *IR2Tree, area geo.Rect, keywords []string) (walk SearchStats, ptrs []objstore.Ptr) {
 	t.Helper()
-	sigs := &levelSigs{x: x, kws: x.an.Keywords(keywords)}
+	sigs := &levelSigs{x: x, hashes: wordHashes(x.an.Keywords(keywords))}
 	var visit func(n *rtree.Node)
 	visit = func(n *rtree.Node) {
 		walk.NodesLoaded++

@@ -7,6 +7,7 @@ import (
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/irscore"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/textutil"
 )
 
@@ -33,21 +34,44 @@ type Rows struct {
 	// the table holds, or held, has a term more often (MaxTFCap: this many
 	// or more). A delete does not lower it, so it stays an upper bound.
 	TFCeiling uint8
+	// Leaf is the tree's leaf signature scheme, and Sigs each row's
+	// signature at it, Leaf.LengthBytes bytes per row: the DocSignature of
+	// the row's distinct terms, the leaf filter a served tree's node tests
+	// every entry with. None is kept at length 0.
+	Leaf sigfile.Config
+	Sigs []byte
+	// bits is the Leaf bit positions of every term the vocabulary held at
+	// the last Add, BitsPerWord per term ID, taken from the term's hash
+	// once: a row's signature sets them and hashes nothing.
+	bits []uint32
 }
 
 // Add analyzes row id's text once, through the vocabulary's fold with
-// pipeline an, and records the row's terms, summary and point. Rows are
-// added in ascending ID order; a row skipped (an add that failed after its
-// append) holds no term, a zero summary and a zero point, and is never a
-// candidate.
+// pipeline an, and records the row's terms, summary, point and leaf
+// signature, all from the vocabulary's term IDs and hashes. Rows are added
+// in ascending ID order; a row skipped (an add that failed after its
+// append) holds no term, a zero summary, a zero point and a zero
+// signature, and is never a candidate.
 func (r *Rows) Add(id objstore.ID, p geo.Point, an *textutil.Analyzer, text string) {
 	terms, counts := r.Vocab.AddDocWith(an, text)
 	n := int(id) + 1
 	r.TFs = append(r.TFs, make([]irscore.RowTF, n-len(r.TFs))...)
-	r.TFs[id] = irscore.RowTFOf(counts, func(i int) string { return r.Vocab.Word(terms[i]) })
+	r.TFs[id] = irscore.RowTFOf(counts, func(i int) uint64 { return r.Vocab.Hash(terms[i]) })
 	r.TFCeiling = max(r.TFCeiling, r.TFs[id].Cap())
 	r.Points = append(r.Points, make([]float64, n*geo.Dims-len(r.Points))...)
 	copy(r.Points[int(id)*geo.Dims:], p)
+	if l, k := r.Leaf.LengthBytes, r.Leaf.BitsPerWord; l > 0 {
+		for t := len(r.bits) / k; t < r.Vocab.NumWords(); t++ {
+			r.bits = r.Leaf.AppendBits(r.bits, r.Vocab.Hash(uint32(t)))
+		}
+		r.Sigs = append(r.Sigs, make([]byte, n*l-len(r.Sigs))...)
+		sig := r.Sigs[int(id)*l : n*l]
+		for _, t := range terms {
+			for _, b := range r.bits[int(t)*k : int(t+1)*k] {
+				sig[b/8] |= 1 << (b % 8)
+			}
+		}
+	}
 	r.Terms.Set(int(id), terms, counts)
 }
 
@@ -56,7 +80,18 @@ func (r *Rows) Add(id objstore.ID, p geo.Point, an *textutil.Analyzer, text stri
 func (r *Rows) Grow(n int) {
 	r.TFs = slices.Grow(r.TFs, n)
 	r.Points = slices.Grow(r.Points, n*geo.Dims)
+	r.Sigs = slices.Grow(r.Sigs, n*r.Leaf.LengthBytes)
 	r.Terms.Grow(n)
+}
+
+// Sig returns row id's leaf signature, a view of the table; false when the
+// table keeps none for it.
+func (r *Rows) Sig(id int) ([]byte, bool) {
+	l := r.Leaf.LengthBytes
+	if l == 0 || id < 0 || (id+1)*l > len(r.Sigs) {
+		return nil, false
+	}
+	return r.Sigs[id*l : (id+1)*l : (id+1)*l], true
 }
 
 // Point returns row id's point, a view of the table.
@@ -75,6 +110,20 @@ func (r *Rows) termIDs(dst []uint32, keywords []string) []uint32 {
 			id = textutil.NoTerm
 		}
 		dst = append(dst, id)
+	}
+	return dst
+}
+
+// hashes appends the signature hash (sigfile.Hash) of each normalized
+// keyword to dst, where ids holds their term IDs (termIDs): the
+// vocabulary's for a term it holds, else the word's own.
+func (r *Rows) hashes(dst []uint64, keywords []string, ids []uint32) []uint64 {
+	for i, w := range keywords {
+		if ids[i] == textutil.NoTerm {
+			dst = append(dst, sigfile.Hash(w))
+		} else {
+			dst = append(dst, r.Vocab.Hash(ids[i]))
+		}
 	}
 	return dst
 }

@@ -233,3 +233,22 @@ func objIDs(os []objstore.Object) []objstore.ID {
 	}
 	return ids
 }
+
+// TakeK is a stream's top-k loop: the first k results of its Next, ties at
+// the k-th key in traversal order. The engine and every layer above it cut
+// with spatialkeyword.FirstK instead, which drains those ties and breaks
+// them by smallest object ID; these tests hold the traversal order itself.
+func TakeK[T any](k int, next func() (T, bool, error)) ([]T, error) {
+	var out []T
+	for len(out) < k {
+		r, ok, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}

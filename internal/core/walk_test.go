@@ -136,7 +136,7 @@ func TestSearchMatchesDecodedWalk(t *testing.T) {
 		}
 		var runs []run
 		for name, tree := range map[string]*IR2Tree{"IR2": f.ir2, "MIR2": f.mir2} {
-			sig := (&levelSigs{x: tree, kws: kws}).at
+			sig := (&levelSigs{x: tree, hashes: wordHashes(kws)}).at
 			stream := func(it *ResultIter) ([]Result, SearchStats, error) {
 				got, err := TakeK(len(f.objects)+1, it.Next)
 				it.Close()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialkeyword"
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/invindex"
@@ -125,10 +126,19 @@ func buildSigTree(dev storage.Device) (func() error, error) {
 	read := func() error {
 		it := tree.Search(geo.NewPoint(2, 2), []string{"common"}, rows)
 		defer it.Close()
-		_, err := core.TakeK(5, it.Next)
+		_, err := spatialkeyword.FirstK(nil, coreStream{it}, 5, nil)
 		return err
 	}
 	return read, nil
+}
+
+// coreStream is a tree's distance-first stream in the engine's result
+// shape, for spatialkeyword.FirstK.
+type coreStream struct{ *core.ResultIter }
+
+func (s coreStream) Next() (spatialkeyword.Result, bool, error) {
+	r, ok, err := s.ResultIter.Next()
+	return spatialkeyword.Result{Object: spatialkeyword.Object{ID: uint64(r.Object.ID)}, Dist: r.Dist}, ok, err
 }
 
 // buildObjStore appends enough rows that the checkpoint's meta run spans

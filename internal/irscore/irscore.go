@@ -37,6 +37,7 @@ package irscore
 import (
 	"math"
 
+	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/textutil"
 )
 
@@ -152,12 +153,11 @@ const RepeatedMaskBits = 256
 type TermProbe [2]uint8
 
 // ProbeTerm returns the mask positions of a normalized pipeline term.
-func ProbeTerm(term string) TermProbe {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(term); i++ {
-		h ^= uint64(term[i])
-		h *= 1099511628211
-	}
+func ProbeTerm(term string) TermProbe { return ProbeHash(sigfile.Hash(term)) }
+
+// ProbeHash is ProbeTerm of the term whose FNV-1a hash (sigfile.Hash, which
+// textutil.Vocabulary keeps per term) is h.
+func ProbeHash(h uint64) TermProbe {
 	h ^= h >> 31
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 29
@@ -173,15 +173,16 @@ type RowTF struct {
 	cap      uint8
 }
 
-// RowTFOf returns the summary of a row whose distinct pipeline terms are
-// word(0) .. word(len(counts)-1), term i occurring counts[i] times.
-func RowTFOf(counts []int32, word func(i int) string) RowTF {
+// RowTFOf returns the summary of a row whose distinct pipeline terms hash
+// (sigfile.Hash) to hash(0) .. hash(len(counts)-1), term i occurring
+// counts[i] times.
+func RowTFOf(counts []int32, hash func(i int) uint64) RowTF {
 	var r RowTF
 	maxTF := 0
 	for i, n := range counts {
 		maxTF = max(maxTF, int(n))
 		if n > 1 {
-			r.AddRepeated(word(i))
+			r.addProbe(ProbeHash(hash(i)))
 		}
 	}
 	r.SetCap(maxTF)
@@ -195,8 +196,11 @@ func (r *RowTF) SetCap(maxTF int) { r.cap = TFCap(maxTF) }
 func (r *RowTF) Cap() uint8 { return r.cap }
 
 // AddRepeated records a pipeline term that occurs in the row at least twice.
-func (r *RowTF) AddRepeated(term string) {
-	for _, b := range ProbeTerm(term) {
+func (r *RowTF) AddRepeated(term string) { r.addProbe(ProbeTerm(term)) }
+
+// addProbe sets a repeated term's probe in the mask.
+func (r *RowTF) addProbe(p TermProbe) {
+	for _, b := range p {
 		r.repeated[b>>3] |= 1 << (b & 7)
 	}
 }

@@ -255,7 +255,7 @@ var pipelines = map[string]*textutil.Analyzer{
 func rowTFOf(a *textutil.Analyzer, text string) RowTF {
 	v := textutil.NewVocabulary()
 	terms, counts := v.AddDocWith(a, text)
-	return RowTFOf(counts, func(i int) string { return v.Word(terms[i]) })
+	return RowTFOf(counts, func(i int) uint64 { return v.Hash(terms[i]) })
 }
 
 // TestRowTFWeight: the zero summary keeps the paper's weight of 1; a row

@@ -9,7 +9,8 @@ import (
 	"spatialkeyword/internal/storage"
 )
 
-// BulkEntry is one object entry for BulkLoad.
+// BulkEntry is one object entry for BulkLoad. A nil Aux on a tree with a
+// LeafKeeper is the keeper's payload for Ref.
 type BulkEntry struct {
 	Ref  uint64
 	Rect geo.Rect
@@ -63,10 +64,17 @@ func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 		if be.Rect.Dim() != geo.Dims {
 			return fmt.Errorf("rtree: bulk entry %d dimension %d, want %d", i, be.Rect.Dim(), geo.Dims)
 		}
-		if len(be.Aux) != auxLen {
-			return fmt.Errorf("rtree: bulk entry %d payload %d bytes, want %d", i, len(be.Aux), auxLen)
+		aux, err := t.keptAux(be.Ref, be.Aux)
+		if err != nil {
+			return fmt.Errorf("rtree: bulk entry %d: %w", i, err)
 		}
-		level[i] = entry{ptr: be.Ref, rect: be.Rect.Clone(), aux: cloneBytes(be.Aux)}
+		if len(aux) != auxLen {
+			return fmt.Errorf("rtree: bulk entry %d payload %d bytes, want %d", i, len(aux), auxLen)
+		}
+		if be.Aux != nil {
+			aux = cloneBytes(aux)
+		}
+		level[i] = entry{ptr: be.Ref, rect: be.Rect.Clone(), aux: aux}
 	}
 	if sizer != nil {
 		t.lens = []int{auxLen}

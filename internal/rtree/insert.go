@@ -22,7 +22,8 @@ type pathStep struct {
 // split with the Quadratic Split technique, and AdjustTree propagates MBRs
 // — and, through the AuxScheme, signatures — to the ancestors.
 //
-// aux must have the leaf-entry length (nil for a plain tree). An ancestor
+// aux must have the leaf-entry length (nil for a plain tree); a tree on a
+// LeafKeeper takes a nil aux from the keeper, which must hold ref. An ancestor
 // entry at a level the pack sized (see BulkLoad) is not recomputed: it
 // superimposes lift(length), the object's payload at that level's length,
 // and a split gives both halves' entries the split node's old payload plus
@@ -41,10 +42,17 @@ func (t *Tree) Insert(ref uint64, rect geo.Rect, aux []byte, lift Lift) error {
 	if rect.Dim() != geo.Dims {
 		return fmt.Errorf("rtree: insert rect dimension %d, want %d", rect.Dim(), geo.Dims)
 	}
-	if want := t.AuxLen(0); len(aux) != want {
-		return fmt.Errorf("rtree: insert payload %d bytes, want %d", len(aux), want)
+	kept, err := t.keptAux(ref, aux)
+	if err != nil {
+		return err
 	}
-	e := entry{ptr: ref, rect: rect.Clone(), aux: cloneBytes(aux)}
+	if want := t.AuxLen(0); len(kept) != want {
+		return fmt.Errorf("rtree: insert payload %d bytes, want %d", len(kept), want)
+	}
+	if aux != nil {
+		kept = cloneBytes(aux)
+	}
+	e := entry{ptr: ref, rect: rect.Clone(), aux: kept}
 
 	if t.root == storage.NilBlock {
 		root := t.allocNode(0)

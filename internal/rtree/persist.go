@@ -35,21 +35,28 @@ func (t *Tree) stateFingerprint() uint32 {
 		mix(uint32(t.scheme.EntryAuxLen(lvl)))
 	}
 	// A tree with no recorded lengths keeps the fingerprint it had before
-	// packs recorded any.
+	// packs recorded any, and one whose leaves hold their payloads the one it
+	// had before leaves could be bare.
 	for _, l := range t.lens {
 		mix(uint32(l))
+	}
+	if t.bare {
+		mix(stateBareLeaves)
 	}
 	return h
 }
 
 // State block layout: magic, fingerprint, root, height, size, nodes (36
-// bytes), then the number of recorded payload lengths and each length as a
+// bytes), then the number of recorded payload lengths, with stateBareLeaves
+// set when the leaves are bare (see LeafKeeper), and each length as a
 // uint32. A state block written before sized packs ends with zeros there,
-// which reads as no lengths: the scheme's at every level.
+// which reads as no lengths, the scheme's at every level, and leaves that
+// hold their payloads.
 const (
-	stateLensOff = 36
-	maxStateLens = 64      // a node's level is below 64 (see parsePacked)
-	maxStateLen  = 1 << 20 // no sane payload is a megabyte
+	stateBareLeaves = 1 << 31
+	stateLensOff    = 36
+	maxStateLens    = 64      // a node's level is below 64 (see parsePacked)
+	maxStateLen     = 1 << 20 // no sane payload is a megabyte
 )
 
 // Checkpoint writes the tree's state into the given block (allocating one
@@ -69,7 +76,11 @@ func (t *Tree) Checkpoint(stateBlock storage.BlockID) (storage.BlockID, error) {
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(t.height))
 	binary.LittleEndian.PutUint64(buf[20:28], uint64(t.size))
 	binary.LittleEndian.PutUint64(buf[28:36], uint64(t.nodes))
-	binary.LittleEndian.PutUint32(buf[stateLensOff:], uint32(len(t.lens)))
+	word := uint32(len(t.lens))
+	if t.bare {
+		word |= stateBareLeaves
+	}
+	binary.LittleEndian.PutUint32(buf[stateLensOff:], word)
 	for i, l := range t.lens {
 		binary.LittleEndian.PutUint32(buf[stateLensOff+4+4*i:], uint32(l))
 	}
@@ -126,11 +137,17 @@ func Open(dev storage.Device, cfg Config, stateBlock storage.BlockID) (*Tree, er
 	return t, nil
 }
 
-// readLens restores the recorded payload lengths from a state block. The
-// leaf length must be the scheme's, since the leaves' payloads come from the
-// caller.
+// readLens restores the recorded payload lengths from a state block, and
+// whether the leaves are bare, which needs a scheme that keeps their
+// payloads. The leaf length must be the scheme's, since the leaves'
+// payloads come from the caller.
 func (t *Tree) readLens(buf []byte, stateBlock storage.BlockID) error {
-	n := int(binary.LittleEndian.Uint32(buf[stateLensOff:]))
+	word := binary.LittleEndian.Uint32(buf[stateLensOff:])
+	t.bare = word&stateBareLeaves != 0
+	if t.bare && t.keeper == nil {
+		return fmt.Errorf("rtree: state block %d: the leaves keep no payload, and the scheme holds none", stateBlock)
+	}
+	n := int(word &^ stateBareLeaves)
 	if n == 0 {
 		return nil
 	}

@@ -2,6 +2,7 @@ package sigfile
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -35,6 +36,47 @@ func TestConfigValidate(t *testing.T) {
 
 // TestZeroLengthMatchesEverything: a level with no signature sets no bit and
 // matches any query, in both the byte and the word form.
+// TestHashIsFNV1a holds Hash to the standard library's 64-bit FNV-1a, the
+// hash every stored signature was set from, so signatures stay byte-exact.
+func TestHashIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	words := []string{"", "a", "restaurant", "caf\u00e9", "\u212avin"}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(24))
+		rng.Read(b)
+		words = append(words, string(b))
+	}
+	for _, w := range words {
+		f := fnv.New64a()
+		f.Write([]byte(w))
+		if got, want := Hash(w), f.Sum64(); got != want {
+			t.Fatalf("Hash(%q) = %x, want %x", w, got, want)
+		}
+	}
+}
+
+// TestAppendBitsAreSetHashBits holds the positions AppendBits lists to the
+// bits SetHash sets, at every length class mod 8 and bits per word.
+func TestAppendBitsAreSetHashBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	for n := 0; n <= 200; n++ {
+		for _, k := range []int{1, 4, 9} {
+			c := Config{LengthBytes: n, BitsPerWord: k}
+			h := rng.Uint64()
+			want := c.New()
+			c.SetHash(want, h)
+			got := c.New()
+			bits := c.AppendBits(nil, h)
+			for _, b := range bits {
+				got[b/8] |= 1 << (b % 8)
+			}
+			if !got.Equal(want) || (n > 0) != (len(bits) == k) {
+				t.Fatalf("len %d, k %d: AppendBits %v sets %x, SetHash %x", n, k, bits, got, want)
+			}
+		}
+	}
+}
+
 func TestZeroLengthMatchesEverything(t *testing.T) {
 	none := Config{LengthBytes: 0, BitsPerWord: 4}
 	doc := none.DocSignature([]string{"pool", "spa"})

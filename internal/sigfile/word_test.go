@@ -128,8 +128,8 @@ func TestSig64TolerantOnMismatch(t *testing.T) {
 	}
 }
 
-// TestWordSig64MatchesMakeSig64: the word form built straight from a word
-// equals the decoded byte form at every length class mod 8 and bits per
+// TestWordSig64MatchesMakeSig64: the word form built straight from a word's
+// hash (HashSig64) equals the decoded byte form at every length class mod 8 and bits per
 // word, into fresh storage and into reused storage holding another word.
 func TestWordSig64MatchesMakeSig64(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
@@ -140,8 +140,8 @@ func TestWordSig64MatchesMakeSig64(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				w := string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
 				want := MakeSig64(c.WordSignature(w))
-				for _, prev := range []Sig64{{}, c.WordSig64(dirty, "other")} {
-					got := c.WordSig64(prev, w)
+				for _, prev := range []Sig64{{}, c.HashSig64(dirty, Hash("other"))} {
+					got := c.HashSig64(prev, Hash(w))
 					if got.Len() != want.Len() || got.NumWords() != want.NumWords() {
 						t.Fatalf("len %d, k %d, %q: length %d/%d words, want %d/%d", n, k, w, got.Len(), got.NumWords(), want.Len(), want.NumWords())
 					}

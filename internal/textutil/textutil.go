@@ -15,6 +15,8 @@ import (
 	"sync"
 	"unicode"
 	"unicode/utf8"
+
+	"spatialkeyword/internal/sigfile"
 )
 
 // Tokenize splits a document into lower-case word tokens. Runs of letters
@@ -192,11 +194,12 @@ func TokenSet(text string) map[string]struct{} {
 // Vocabulary accumulates corpus-level term statistics: the set of distinct
 // words and their document frequencies. It backs Table 1's "total # unique
 // words" column and the idf component of the IR score. It interns every
-// word once, to a dense term ID (the order words first appeared in).
+// word once, to a dense term ID (the order words first appeared in), and
+// hashes it once there for the signatures that hold it (Hash).
 //
 // AddDocWith changes the vocabulary and uses its working space, so it needs
-// exclusion from every other call; DocFreq, NumDocs, NumWords and Word only
-// read it and may run concurrently with each other.
+// exclusion from every other call; DocFreq, NumDocs, NumWords, Word and
+// Hash only read it and may run concurrently with each other.
 type Vocabulary struct {
 	// slots is an open-addressing hash table over words, probed linearly:
 	// a slot holds a term ID plus one, or 0 when empty. Its length is a
@@ -207,6 +210,7 @@ type Vocabulary struct {
 	slots   []uint32
 	seed    maphash.Seed
 	words   []string // by term ID
+	hashes  []uint64 // by term ID: the word's sigfile.Hash, its signature bits' one input
 	docFreq []int32  // by term ID: the documents holding the word
 	numDocs int
 
@@ -255,6 +259,7 @@ func (v *Vocabulary) intern(term []byte) uint32 {
 	id = uint32(len(v.words))
 	v.slots[slot] = id + 1
 	v.words = append(v.words, string(term))
+	v.hashes = append(v.hashes, sigfile.Hash(v.words[id]))
 	v.docFreq = append(v.docFreq, 0)
 	v.tf = append(v.tf, 0)
 	return id
@@ -293,6 +298,10 @@ func (v *Vocabulary) AddDocWith(a *Analyzer, text string) (terms []uint32, count
 
 // Word returns the word with the given term ID.
 func (v *Vocabulary) Word(id uint32) string { return v.words[id] }
+
+// Hash returns sigfile.Hash of the word with the given term ID, computed
+// once, when the word was interned.
+func (v *Vocabulary) Hash(id uint32) uint64 { return v.hashes[id] }
 
 // TermID returns the term ID of word (normalized), ok false when no
 // document added holds it.

@@ -109,7 +109,7 @@ func TestVocabularyMatchesMapReference(t *testing.T) {
 				ref := &refVocab{df: make(map[string]int)}
 				for i, text := range c.rows {
 					ids, counts := v.AddDocWith(p.a, text)
-					got := irscore.RowTFOf(counts, func(j int) string { return v.Word(ids[j]) })
+					got := irscore.RowTFOf(counts, func(j int) uint64 { return v.Hash(ids[j]) })
 					want, wantTerms, wantTF := ref.add(p.a, text)
 					if got != want {
 						t.Fatalf("row %d: RowTF %+v, want %+v", i, got, want)

@@ -129,53 +129,71 @@ func RootRun(e *Engine) (run, capacity int) {
 	return root.Run(), rt.RunFor(root.Level(), rt.MaxEntries())
 }
 
-// PartFullLeaf returns the point of an object entry of one of e's leaves on a
-// run shorter than capacity that no other leaf's MBR holds, so an insert at
-// the point descends to that leaf when the root is its parent, or ok false.
-func PartFullLeaf(e *Engine) (point []float64, ok bool) {
+// ShortParentPoint returns the point of an object entry that no other node
+// of its level holds, at every level below the root, in a leaf whose parent
+// is on a run shorter than its capacity: an insert at the point descends to
+// that leaf, and the entry a split of it adds goes to that parent. ok is
+// false when there is none.
+func ShortParentPoint(e *Engine) (point []float64, ok bool) {
 	rt := e.tree.RTree()
-	leaves := leafNodes(e)
-	for _, l := range leaves {
-		if l.Run() == rt.RunFor(0, rt.MaxEntries()) {
-			continue
+	var levels [][]*rtree.Node
+	var parents []*rtree.Node // level-1 nodes on short runs
+	if err := rt.VisitNodes(func(n *rtree.Node) error {
+		for len(levels) <= n.Level() {
+			levels = append(levels, nil)
 		}
-		for i := 0; i < l.NumEntries(); i++ {
-			_, r, _ := l.Entry(i)
-			if len(leavesHolding(leaves, r.Lo)) == 1 {
-				return r.Lo, true
+		levels[n.Level()] = append(levels[n.Level()], n)
+		if n.Level() == 1 && n.Run() < rt.RunFor(1, rt.MaxEntries()) {
+			parents = append(parents, n)
+		}
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	for _, parent := range parents {
+		for c := 0; c < parent.NumEntries(); c++ {
+			child, _, _ := parent.Entry(c)
+			leaf, err := rt.LoadNode(storage.BlockID(child))
+			if err != nil {
+				panic(err)
+			}
+			for i := 0; i < leaf.NumEntries(); i++ {
+				_, r, _ := leaf.Entry(i)
+				own := true
+				for _, nodes := range levels[:len(levels)-1] {
+					own = own && len(nodesHolding(nodes, r.Lo)) == 1
+				}
+				if own {
+					return r.Lo, true
+				}
 			}
 		}
 	}
 	return nil, false
 }
 
-// LeafRunAt returns the run of the one leaf of e whose MBR holds point, the
-// leaf's capacity run and its entry count.
-func LeafRunAt(e *Engine, point []float64) (run, capacity, entries int) {
-	held := leavesHolding(leafNodes(e), point)
-	if len(held) != 1 {
-		panic(fmt.Sprintf("%d leaves hold %v", len(held), point))
-	}
+// InteriorRuns returns how many of e's nodes above the leaves are on runs
+// shorter than their capacity run, which an insert can outgrow, and how many
+// are on their capacity run.
+func InteriorRuns(e *Engine) (short, full int) {
 	rt := e.tree.RTree()
-	return held[0].Run(), rt.RunFor(0, rt.MaxEntries()), held[0].NumEntries()
-}
-
-// leafNodes returns every leaf of e's tree.
-func leafNodes(e *Engine) []*rtree.Node {
-	var leaves []*rtree.Node
-	if err := e.tree.RTree().VisitNodes(func(n *rtree.Node) error {
-		if n.Level() == 0 {
-			leaves = append(leaves, n)
+	if err := rt.VisitNodes(func(n *rtree.Node) error {
+		switch {
+		case n.Level() == 0:
+		case n.Run() < rt.RunFor(n.Level(), rt.MaxEntries()):
+			short++
+		default:
+			full++
 		}
 		return nil
 	}); err != nil {
 		panic(err)
 	}
-	return leaves
+	return short, full
 }
 
-// leavesHolding returns the leaves whose MBR holds p.
-func leavesHolding(leaves []*rtree.Node, p geo.Point) []*rtree.Node {
+// nodesHolding returns the nodes whose MBR holds p.
+func nodesHolding(leaves []*rtree.Node, p geo.Point) []*rtree.Node {
 	var out []*rtree.Node
 	for _, l := range leaves {
 		var mbr geo.Rect

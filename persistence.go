@@ -498,18 +498,6 @@ func openFromManifest(dir string, m manifest, committed uint64) (*Engine, error)
 	for _, id := range m.Deleted {
 		e.deleted[id] = true
 	}
-	// Rebuild the row table — the vocabulary (idf statistics), every row's
-	// terms, summary and point — from the object file; the engine never
-	// removes deleted documents from it, so a full scan reproduces the live
-	// state.
-	e.rows.Grow(store.NumObjects())
-	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-		e.rows.Add(o.ID, o.Point, e.an, o.Text)
-		return nil
-	}); err != nil {
-		e.Close()
-		return nil, err
-	}
 	e.live = store.NumObjects() - len(m.Deleted)
 	if m.Config.WAL && m.Generation > 0 {
 		if err := e.openWAL(dir, m.Generation, committed); err != nil {
@@ -572,7 +560,18 @@ func assembleEngine(cfg Config, objDisk, idxDisk *storage.Disk, objDev, idxDev s
 	e.objFile = objDisk
 	e.idxFile = idxDisk
 	e.store = store
-	tree, err := core.Open(idxDev, store, e.coreOptions(), treeState)
+	// Rebuild the row table — the vocabulary (idf statistics), every row's
+	// terms, summary, point and leaf signature — from the object file, before
+	// the tree, whose leaves' signatures it keeps; the engine never removes
+	// deleted documents from it, so a full scan reproduces the live state.
+	e.rows.Grow(store.NumObjects())
+	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		e.rows.Add(o.ID, o.Point, e.an, o.Text)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	tree, err := core.Open(idxDev, store, e.coreOptions(), &e.rows, treeState)
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, poin
 			it := x.SearchRanked(geo.NewPoint(p...), kws[i], core.GeneralOptions{
 				Scorer: irscore.NewScorer(e.rows.Vocab.NumDocs(), e.rows.Vocab.DocFreq).WithAnalyzer(e.an),
 			}, &e.rows)
-			res, err := core.TakeK(10, it.Next)
+			res, err := FirstK(nil, rankedCoreStream{it}, 10, nil)
 			it.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +106,7 @@ func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, poin
 			}
 		} else {
 			it := x.Search(geo.NewPoint(p...), kws[i][:2], &e.rows)
-			res, err := core.TakeK(10, it.Next)
+			res, err := FirstK(nil, coreStream{it}, 10, nil)
 			it.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -120,6 +120,23 @@ func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, poin
 		answers += "| "
 	}
 	return float64(blocks) / float64(len(points)), answers
+}
+
+// coreStream is a tree's distance-first stream in the engine's result
+// shape, for FirstK.
+type coreStream struct{ *core.ResultIter }
+
+func (s coreStream) Next() (Result, bool, error) {
+	r, ok, err := s.ResultIter.Next()
+	return Result{Object: publicObject(r.Object), Dist: r.Dist}, ok, err
+}
+
+// rankedCoreStream is coreStream for a ranked stream.
+type rankedCoreStream struct{ *core.RankedIter }
+
+func (s rankedCoreStream) Next() (RankedResult, bool, error) {
+	r, ok, err := s.RankedIter.Next()
+	return RankedResult{Object: publicObject(r.Object), Dist: r.Dist, IRScore: r.IRScore, Score: r.Score}, ok, err
 }
 
 // TestPackSizesSignaturesFromData pins the lengths a pack chooses for the

@@ -40,13 +40,17 @@ import (
 // points (latitude, longitude), and each word sets
 // sigfile.DefaultBitsPerWord = 4 signature bits.
 type Config struct {
-	// SignatureBytes is the leaf signature length. Longer signatures mean
-	// fewer false positives but a larger index. Zero means 64. The levels
-	// above the leaves are sized from the data when the first batch of
-	// objects is packed (see Stats.SignatureBytesByLevel): a level whose
-	// nodes each hold nearly every word gets no signature, the root of a
-	// small batch keeps this length, and any other level gets the length at
-	// which a word it lacks passes one time in four.
+	// SignatureBytes is the length of the leaf filter, the signature of each
+	// object's words that a query tests every entry of a leaf with. Longer
+	// signatures mean fewer false positives, each a test in memory, for
+	// SignatureBytes bytes of memory per object: the engine's row table
+	// holds them, and the leaves store none, so the length does not change
+	// the index's size or a leaf's blocks (a full leaf is one block). Zero
+	// means 64. The levels above the leaves are sized from the data when
+	// the first batch of objects is packed (see Stats.SignatureBytesByLevel):
+	// a level whose nodes each hold nearly every word gets no signature, the
+	// root of a small batch keeps this length, and any other level gets the
+	// length at which a word it lacks passes one time in four.
 	SignatureBytes int
 	// BlockSize is the disk block size, from 32 B to 1 MiB. Zero means 4096.
 	BlockSize int
@@ -133,10 +137,12 @@ type Stats struct {
 	// TreeHeight is the number of index levels.
 	TreeHeight int
 	// SignatureBytesByLevel is the signature length of the index entries at
-	// each level, the leaves' first: SignatureBytes, then the lengths the
-	// first packed batch chose for the levels above (0 for a level with no
-	// signature). A level added later, when the root splits, has the length
-	// of the level below it.
+	// each level, the leaves' first: SignatureBytes, the leaf filter's
+	// length, which the row table holds and the leaves do not (a directory
+	// written before leaves stopped storing signatures stores them there),
+	// then the lengths the first packed batch chose for the levels above (0
+	// for a level with no signature). A level added later, when the root
+	// splits, has the length of the level below it.
 	SignatureBytesByLevel []int
 	// Vocabulary is the number of distinct words ever indexed.
 	Vocabulary int
@@ -309,6 +315,7 @@ func engineShell(cfg Config) *Engine {
 		deleted: make(map[uint64]bool),
 	}
 	e.rows.Vocab = textutil.NewVocabulary()
+	e.rows.Leaf = e.coreOptions().LeafSignature
 	e.docFreq, e.vocabDocFreq = e.DocFreq, e.rows.Vocab.DocFreq
 	return e
 }
@@ -429,7 +436,7 @@ func newEngineOn(cfg Config, objDev, idxDev storage.Device) (*Engine, error) {
 	e.objDisk = objDev
 	e.idxDisk = idxDev
 	e.store = objstore.New(objDev)
-	tree, err := core.New(idxDev, e.store, e.coreOptions())
+	tree, err := core.NewServed(idxDev, e.store, e.coreOptions(), &e.rows)
 	if err != nil {
 		return nil, err
 	}
