@@ -147,6 +147,32 @@ func (s *Store) IDAt(ptr Ptr) (ID, bool) {
 	return 0, false
 }
 
+// IDsAt is IDAt of every pointer of ptrs, into ids (as long): false when
+// one is not a row's start. It looks them up a phase at a time — every
+// bucket's first row, then every row — so that the row index's cache
+// misses of different pointers overlap instead of following one another:
+// a served leaf's entries are resolved this way each time it is read.
+func (s *Store) IDsAt(ids []ID, ptrs []uint64) bool {
+	for i, p := range ptrs {
+		j := p >> s.shift
+		if j >= uint64(len(s.firsts)) {
+			return false
+		}
+		ids[i] = ID(s.firsts[j])
+	}
+	for i, p := range ptrs {
+		id := int(ids[i])
+		for id < len(s.ptrs) && uint64(s.ptrs[id]) < p {
+			id++
+		}
+		if id == len(s.ptrs) || uint64(s.ptrs[id]) != p {
+			return false
+		}
+		ids[i] = ID(id)
+	}
+	return true
+}
+
 // rowEnd bounds where row id ends: the next row's start, or the synced
 // length for the last row (a sealed block's padding lies before either).
 func (s *Store) rowEnd(id ID) uint64 {

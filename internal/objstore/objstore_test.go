@@ -761,6 +761,21 @@ func TestRowIndexAndRunRead(t *testing.T) {
 					if gotOK != ok || (ok && int(got) != want) {
 						t.Fatalf("%s: IDAt(%d) = %d, %v; binary search %d, %v", stage, off, got, gotOK, want, ok)
 					}
+					// IDsAt of a batch of row starts that ends at off: true
+					// exactly when off is a row's start too.
+					batch := []uint64{uint64(off)}
+					for _, p := range ptrs[max(0, want-5):want] {
+						batch = append([]uint64{uint64(p)}, batch...)
+					}
+					ids := make([]ID, len(batch))
+					if s.IDsAt(ids, batch) != ok {
+						t.Fatalf("%s: IDsAt(%v) = %v, want %v", stage, batch, !ok, ok)
+					}
+					for i, p := range batch {
+						if id, isRow := s.IDAt(Ptr(p)); ok && (!isRow || ids[i] != id) {
+							t.Fatalf("%s: IDsAt(%v)[%d] = %d, IDAt %d", stage, batch, i, ids[i], id)
+						}
+					}
 				}
 				for id, ptr := range ptrs {
 					if uint64(ptr) >= s.synced {
