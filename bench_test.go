@@ -355,26 +355,120 @@ func BenchmarkDurableLoad(b *testing.B) {
 	b.ReportMetric(float64(len(rows)*b.N)/b.Elapsed().Seconds(), "objects/s")
 }
 
-// BenchmarkOpenEngine times a restart: OpenEngine of a saved Hotels(0.02)
-// engine with 189-byte signatures (what benchmarks/perf's ranked_hotels
-// serves), then Close. The open rebuilds the vocabulary and every row's
-// term-frequency summary with one scan of the object file, analyzing each
-// row once; that scan is most of the time. Beside ns/op it reports rows
-// opened per second.
+// BenchmarkOpenEngine times a restart: OpenEngine of a saved engine, then
+// Close — hotels is Hotels(0.02) with 189-byte signatures (what
+// benchmarks/perf's ranked_hotels serves), scale the scale engine (see
+// scaleEngine). The open rebuilds the vocabulary and every row's
+// term-frequency summary and leaf signature with one scan of the object
+// file, analyzing each row once; that scan is most of the time. Beside
+// ns/op it reports rows opened per second.
 func BenchmarkOpenEngine(b *testing.B) {
-	dir, points, _, _ := savedBenchEngine(b, dataset.Hotels(0.02), 189)
+	open := func(b *testing.B, dir string, rows int) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e, err := spatialkeyword.OpenEngine(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+	}
+	b.Run("hotels", func(b *testing.B) {
+		dir, points, _, _ := savedBenchEngine(b, dataset.Hotels(0.02), 189)
+		open(b, dir, len(points))
+	})
+	scale := newScaleEngine(b)
+	b.Run("scale", func(b *testing.B) {
+		scale.save(b)
+		open(b, scale.dir, len(scale.points))
+	})
+}
+
+// benchQuery is one query of the warm benchmarks: a row's point and words
+// drawn from the bands benchmarks/perf draws from.
+type benchQuery struct {
+	point []float64
+	words []string
+}
+
+// benchQueries returns the 256 queries of a warm benchmark over points:
+// one word of frequent and mids of mid each.
+func benchQueries(points [][]float64, frequent, mid []string, mids int) []benchQuery {
+	queries := make([]benchQuery, 256)
+	for i := range queries {
+		words := []string{frequent[i*7%len(frequent)], mid[i*13%len(mid)], mid[i*29%len(mid)]}
+		queries[i] = benchQuery{point: points[i*len(points)/len(queries)], words: words[:1+mids]}
+	}
+	return queries
+}
+
+// timeQueries warms the node cache with every query and then times run over
+// them, b.N in turn. Beside ns/op it reports the rows a query reads
+// (objects/op), the disk blocks (blocks/op) and the share of its node loads
+// the node cache served (cachehit).
+func timeQueries(b *testing.B, eng *spatialkeyword.Engine, queries []benchQuery, run func(q benchQuery) spatialkeyword.QueryStats) {
+	for _, q := range queries {
+		run(q)
+	}
+	before := eng.NodeCacheStats()
 	b.ReportAllocs()
 	b.ResetTimer()
+	var objects, blocks uint64
 	for i := 0; i < b.N; i++ {
-		e, err := spatialkeyword.OpenEngine(dir)
+		st := run(queries[i%len(queries)])
+		objects += uint64(st.ObjectsLoaded)
+		blocks += st.BlocksRandom + st.BlocksSequential
+	}
+	b.StopTimer()
+	after := eng.NodeCacheStats()
+	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	b.ReportMetric(float64(objects)/float64(b.N), "objects/op")
+	b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
+	b.ReportMetric(float64(hits)/float64(max(hits+misses, 1)), "cachehit")
+}
+
+// scaleEngine is the data of the scale sub-benchmarks: a saved
+// Restaurants(0.25) engine with 64-byte signatures, about 114,000 rows,
+// whose index at 102-entry leaves outgrows the default node cache (ROADMAP
+// measurement 12). It is built on first use into a directory of the parent
+// benchmark, so that the reruns of a sub-benchmark share it and a run that
+// selects no scale arm never builds it.
+type scaleEngine struct {
+	parent        *testing.B
+	dir           string
+	points        [][]float64
+	frequent, mid []string
+	eng           *spatialkeyword.Engine
+}
+
+func newScaleEngine(b *testing.B) *scaleEngine { return &scaleEngine{parent: b} }
+
+// save builds and saves the engine unless it has been.
+func (s *scaleEngine) save(b *testing.B) {
+	if s.dir == "" {
+		dir := s.parent.TempDir()
+		s.points, s.frequent, s.mid = saveBenchEngine(b, dir, dataset.Restaurants(0.25), 64)
+		s.dir = dir
+	}
+}
+
+// open returns the saved engine reopened, open until the parent benchmark
+// ends.
+func (s *scaleEngine) open(b *testing.B) *spatialkeyword.Engine {
+	if s.eng == nil {
+		s.save(b)
+		eng, err := spatialkeyword.OpenEngine(s.dir)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := e.Close(); err != nil {
-			b.Fatal(err)
-		}
+		s.parent.Cleanup(func() { eng.Close() })
+		s.eng = eng
 	}
-	b.ReportMetric(float64(len(points)*b.N)/b.Elapsed().Seconds(), "rows/s")
+	return s.eng
 }
 
 // BenchmarkDurableTopK times the query skserve -dir answers: a warm
@@ -384,46 +478,40 @@ func BenchmarkOpenEngine(b *testing.B) {
 // words by document frequency and one from the next 18 %) without HTTP
 // around it. serial is one goroutine, and reports the blocks a query reads;
 // parallel is b.RunParallel, whose ns/op falls below serial's only if
-// concurrent queries do not serialise at the device.
+// concurrent queries do not serialise at the device. scale is serial on
+// the scale engine (see scaleEngine). serial and scale report the blocks a
+// query reads and the node cache's hit rate.
 func BenchmarkDurableTopK(b *testing.B) {
 	eng, points, frequent, mid := durableBenchEngine(b, dataset.Restaurants(0.03), 64)
-	type query struct {
-		point []float64
-		words []string
-	}
-	queries := make([]query, 256)
-	for i := range queries {
-		queries[i] = query{
-			point: points[i*len(points)/len(queries)],
-			words: []string{frequent[i*7%len(frequent)], mid[i*13%len(mid)]},
+	queries := benchQueries(points, frequent, mid, 1)
+	topK := func(b *testing.B, eng *spatialkeyword.Engine) func(q benchQuery) spatialkeyword.QueryStats {
+		return func(q benchQuery) spatialkeyword.QueryStats {
+			_, st, err := eng.TopKWithStats(10, q.point, q.words...)
+			if err != nil {
+				b.Error(err)
+			}
+			return st
 		}
 	}
-	run := func(b *testing.B, q query) uint64 {
-		_, st, err := eng.TopKWithStats(10, q.point, q.words...)
-		if err != nil {
-			b.Error(err)
-		}
-		return st.BlocksRandom + st.BlocksSequential
-	}
-	for _, q := range queries { // warm the node cache
-		run(b, q)
-	}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		var blocks uint64
-		for i := 0; i < b.N; i++ {
-			blocks += run(b, queries[i%len(queries)])
-		}
-		b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
-	})
+	b.Run("serial", func(b *testing.B) { timeQueries(b, eng, queries, topK(b, eng)) })
 	b.Run("parallel", func(b *testing.B) {
+		run := topK(b, eng)
+		for _, q := range queries {
+			run(q)
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		var next atomic.Uint64
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				run(b, queries[next.Add(1)%uint64(len(queries))])
+				run(queries[next.Add(1)%uint64(len(queries))])
 			}
 		})
+	})
+	scale := newScaleEngine(b)
+	b.Run("scale", func(b *testing.B) {
+		eng := scale.open(b)
+		timeQueries(b, eng, benchQueries(scale.points, scale.frequent, scale.mid, 1), topK(b, eng))
 	})
 }
 
@@ -447,12 +535,19 @@ func durableBenchEngine(b *testing.B, spec dataset.Spec, sigBytes int) (eng *spa
 // returns its directory, unopened.
 func savedBenchEngine(b *testing.B, spec dataset.Spec, sigBytes int) (dir string, points [][]float64, frequent, mid []string) {
 	b.Helper()
+	dir = b.TempDir()
+	points, frequent, mid = saveBenchEngine(b, dir, spec, sigBytes)
+	return dir, points, frequent, mid
+}
+
+// saveBenchEngine is savedBenchEngine into dir.
+func saveBenchEngine(b *testing.B, dir string, spec dataset.Spec, sigBytes int) (points [][]float64, frequent, mid []string) {
+	b.Helper()
 	store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
 	stats, err := dataset.Generate(spec, store)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir = b.TempDir()
 	built, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: sigBytes}, dir)
 	if err != nil {
 		b.Fatal(err)
@@ -472,7 +567,7 @@ func savedBenchEngine(b *testing.B, spec dataset.Spec, sigBytes int) (dir string
 		b.Fatal(err)
 	}
 	words := stats.WordsByFreq()
-	return dir, points, words[:len(words)/50], words[len(words)/50 : len(words)/5]
+	return points, words[:len(words)/50], words[len(words)/50 : len(words)/5]
 }
 
 // BenchmarkWritesBesideReads runs benchmarks/perf's mixed_rw_wal shape in
@@ -532,46 +627,34 @@ func BenchmarkWritesBesideReads(b *testing.B) {
 // warm general ranked top-10 on a saved-and-reopened engine — the shape of
 // benchmarks/perf's ranked_hotels (Hotels(0.02), 189-byte signatures, one
 // keyword from the top 2 % of words by document frequency and two from the
-// next 18 %) without HTTP around it. Beside ns/op it reports the objects
-// loaded and the disk blocks read per query.
+// next 18 %) without HTTP around it (hotels), and the same query on the
+// scale engine (scale, see scaleEngine). Beside ns/op it reports the
+// objects loaded, the disk blocks read per query and the node cache's hit
+// rate.
 func BenchmarkDurableRanked(b *testing.B) {
-	eng, points, frequent, mid := durableBenchEngine(b, dataset.Hotels(0.02), 189)
-	type query struct {
-		point []float64
-		words []string
+	ranked := func(b *testing.B, eng *spatialkeyword.Engine, queries []benchQuery) {
+		var res []spatialkeyword.RankedResult
+		timeQueries(b, eng, queries, func(q benchQuery) spatialkeyword.QueryStats {
+			it, err := eng.SearchRanked(q.point, q.words...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res, err = spatialkeyword.FirstK(res, it, 10, nil); err != nil {
+				b.Fatal(err)
+			}
+			it.Close()
+			return it.Stats()
+		})
 	}
-	queries := make([]query, 256)
-	for i := range queries {
-		queries[i] = query{
-			point: points[i*len(points)/len(queries)],
-			words: []string{frequent[i*7%len(frequent)], mid[i*13%len(mid)], mid[i*29%len(mid)]},
-		}
-	}
-	var res []spatialkeyword.RankedResult
-	run := func(q query) spatialkeyword.QueryStats {
-		it, err := eng.SearchRanked(q.point, q.words...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res, err = spatialkeyword.FirstK(res, it, 10, nil); err != nil {
-			b.Fatal(err)
-		}
-		it.Close()
-		return it.Stats()
-	}
-	for _, q := range queries { // warm the node cache
-		run(q)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var objects, blocks uint64
-	for i := 0; i < b.N; i++ {
-		st := run(queries[i%len(queries)])
-		objects += uint64(st.ObjectsLoaded)
-		blocks += st.BlocksRandom + st.BlocksSequential
-	}
-	b.ReportMetric(float64(objects)/float64(b.N), "objects/op")
-	b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
+	b.Run("hotels", func(b *testing.B) {
+		eng, points, frequent, mid := durableBenchEngine(b, dataset.Hotels(0.02), 189)
+		ranked(b, eng, benchQueries(points, frequent, mid, 2))
+	})
+	scale := newScaleEngine(b)
+	b.Run("scale", func(b *testing.B) {
+		eng := scale.open(b)
+		ranked(b, eng, benchQueries(scale.points, scale.frequent, scale.mid, 2))
+	})
 }
 
 // BenchmarkWithinArea times the boolean range query no benchmarks/perf

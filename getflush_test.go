@@ -251,7 +251,7 @@ func queuedRunEngine(t *testing.T, rows []packRow, marker string) (*Engine, []pa
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	added := rows[1000 : 1000+e.tree.RTree().MaxEntries()]
+	added := rows[1000 : 1000+e.tree.RTree().Capacity(0)]
 	for _, r := range added[:len(added)-1] {
 		if _, err := e.Add(r.point, r.text+" "+marker); err != nil {
 			t.Fatal(err)

@@ -140,7 +140,7 @@ func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 						offered[e/64] &^= 1 << (e % 64) // withheld, as a signature miss
 					}
 					mask := slices.Clone(offered)
-					scores := make([]float64, tree.x.rt.MaxEntries())
+					scores := make([]float64, tree.x.rt.Capacity(pn.Level()))
 					s.ScoreNode(pn, mask, scores)
 					lo, hi := make(geo.Point, 2), make(geo.Point, 2)
 					for e := 0; e < pn.NumEntries(); e++ {
@@ -350,7 +350,7 @@ func checkNodeBounds(t *testing.T, where string, x *IR2Tree, rows *Rows, live ma
 				return
 			}
 			mask := pn.MatchMask(nil, make([]uint64, x.rt.MaskWords()))
-			scores := make([]float64, x.rt.MaxEntries())
+			scores := make([]float64, x.rt.Capacity(pn.Level()))
 			s.ScoreNode(pn, mask, scores)
 			for e := 0; e < pn.NumEntries(); e++ {
 				kept := mask[e/64]>>(e%64)&1 == 1

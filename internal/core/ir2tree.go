@@ -273,10 +273,11 @@ func New(dev storage.Device, store *objstore.Store, opts Options) (*IR2Tree, err
 }
 
 // NewServed creates an empty IR²-Tree like New whose leaves store no
-// signature: rows, the engine's row table, keeps each row's (Rows.Sigs), so
-// a full leaf of 4 KB blocks is one block instead of one per 4 KB of its
-// signatures, and the leaves' signature columns are built from the table
-// when a leaf is read. Every mask, traversal and answer is the one the
+// signature: rows, the engine's row table, keeps each row's (Rows.Sigs), and
+// a leaf entry is a pointer and a point, so a full leaf of 4 KB blocks holds
+// 170 entries in one block where the paper's holds 102 in one block per
+// 4 KB of their signatures (rtree.Tree.Capacity), and the leaves' signature
+// columns are built from the table when a leaf is read. Every mask, traversal and answer is the one the
 // signatures on disk would give. rows.Leaf must be opts.LeafSignature, and
 // rows must hold every row before the tree takes it.
 func NewServed(dev storage.Device, store *objstore.Store, opts Options, rows *Rows) (*IR2Tree, error) {

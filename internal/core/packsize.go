@@ -23,7 +23,8 @@ const (
 	// maxLevelSignatureBytes bounds a sized level's signature, so that a
 	// pathological batch cannot build megabyte nodes: at the bound an
 	// entry of up to 2,515 words (k = 4) still meets levelFalsePositive,
-	// and a full 4 KB-block node of 102 entries spans 26 blocks.
+	// and a full 4 KB-block interior node of 102 entries spans 26 blocks
+	// (a sized level is never a leaf level).
 	maxLevelSignatureBytes = 1024
 )
 
@@ -44,8 +45,8 @@ func levelSignatureBytes(d, k int) int {
 // A level gets no signature (0 bytes, so it always matches) when its
 // entries already hold almost every word the batch's objects hold: when a
 // word drawn by document frequency is missing from an entry drawn uniformly
-// with probability below saturatedAbsence. A level of fewer entries than a
-// node's minimum fill — a stub root, which only a small batch packs — keeps
+// with probability below saturatedAbsence. A level packed from a batch too
+// small to fill its minimum fill of nodes (see stub) — a stub root — keeps
 // the length of the level below: the inserts that outgrow it split its
 // children, and a sized entry can only be widened by them (its words are
 // not at hand to tighten it), so it would cost bytes and soon prune nothing.
@@ -53,8 +54,9 @@ func levelSignatureBytes(d, k int) int {
 // count.
 type packSizer struct {
 	k       int
-	minFill int // the tree's minimum entries per node
-	prev    int // the length of the level below the next one sized
+	rt      *rtree.Tree // the tree packed
+	objects int         // the objects of the batch
+	prev    int         // the length of the level below the next one sized
 	ids     map[string]int32
 	hashes  []uint64 // sigfile.Hash of the batch's distinct words, by ID
 	df      []int    // objects holding each word
@@ -72,12 +74,12 @@ type packSizer struct {
 // signatures leaf.
 func newPackSizer(leaf sigfile.Config, rt *rtree.Tree) *packSizer {
 	return &packSizer{
-		k:       leaf.BitsPerWord,
-		minFill: rt.MinEntries(),
-		prev:    leaf.LengthBytes,
-		ids:     make(map[string]int32),
-		objs:    make(map[uint64][]int32),
-		nodes:   make(map[storage.BlockID][]int32),
+		k:     leaf.BitsPerWord,
+		rt:    rt,
+		prev:  leaf.LengthBytes,
+		ids:   make(map[string]int32),
+		objs:  make(map[uint64][]int32),
+		nodes: make(map[storage.BlockID][]int32),
 	}
 }
 
@@ -97,6 +99,22 @@ func (p *packSizer) addObject(ref uint64, words []string) {
 	}
 	p.total += float64(len(words))
 	p.objs[ref] = set
+	p.objects++
+}
+
+// stub reports whether a level is a stub root: the batch holds fewer
+// objects than its minimum fill of nodes would cover, were every level
+// below packed full at the interior capacity M (MinFill(level)·M^level:
+// 4,080 objects for level 1 at 4 KB blocks). In objects rather than the
+// level's entries, so that a leaf holding more than M entries (a point
+// leaf's 170) does not raise it: below the level a batch packs fewer
+// nodes, but it holds the same words.
+func (p *packSizer) stub(level int) bool {
+	need := p.rt.MinFill(level)
+	for i := 0; i < level && need <= p.objects; i++ {
+		need *= p.rt.MaxEntries()
+	}
+	return p.objects < need
 }
 
 // SizeLevel implements rtree.LevelSizer.
@@ -117,7 +135,7 @@ func (p *packSizer) SizeLevel(level int, nodes []*rtree.Node) (int, error) {
 	switch {
 	case p.total == 0 || 1-present/(float64(len(nodes))*p.total) < saturatedAbsence:
 		p.prev = 0
-	case len(nodes) >= p.minFill:
+	case !p.stub(level):
 		p.prev = levelSignatureBytes(dmax, p.k)
 	}
 	return p.prev, nil

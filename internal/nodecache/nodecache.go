@@ -34,9 +34,11 @@ import (
 // non-positive capacity to New. A pinned R-Tree node is its trimmed image
 // plus its signature columns, one bit per entry for every payload bit: at
 // the paper's 4 KB blocks and 102 entries, about 19 KB for a full node with
-// 64-byte signatures and 47 KB with Hotels' 189-byte ones. So a full cache
-// holds some 19–48 MB — the whole index, for the evaluation datasets at
-// bench scale, which is usually far fewer nodes than this.
+// 64-byte signatures and 47 KB with Hotels' 189-byte ones (a served point
+// leaf of 170 entries stores no signature but has its columns: about 16
+// and 40 KB). So a full cache holds some 16–48 MB — the whole index, for
+// the evaluation datasets at bench scale, which is usually far fewer nodes
+// than this.
 const DefaultCapacity = 1024
 
 // Stats counts cache outcomes since the cache was created. Snapshot-read

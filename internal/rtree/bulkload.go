@@ -61,8 +61,8 @@ func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 	auxLen := t.AuxLen(0)
 	level := make([]entry, len(entries))
 	for i, be := range entries {
-		if be.Rect.Dim() != geo.Dims {
-			return fmt.Errorf("rtree: bulk entry %d dimension %d, want %d", i, be.Rect.Dim(), geo.Dims)
+		if err := t.checkObject(be.Rect); err != nil {
+			return fmt.Errorf("rtree: bulk entry %d: %w", i, err)
 		}
 		aux, err := t.keptAux(be.Ref, be.Aux)
 		if err != nil {
@@ -82,7 +82,8 @@ func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 
 	lvl := 0
 	for {
-		if len(level) <= t.maxE {
+		capacity := t.Capacity(lvl)
+		if len(level) <= capacity {
 			root := t.allocRun(lvl, t.RunFor(lvl, len(level)))
 			root.entries = level
 			if err := t.storeNode(root); err != nil {
@@ -93,7 +94,7 @@ func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 			t.size = len(entries)
 			return nil
 		}
-		groups := t.rebalance(t.strPack(level, 0))
+		groups := rebalance(strPack(level, 0, capacity), capacity, t.MinFill(lvl))
 		nodes := make([]*Node, len(groups))
 		for i, g := range groups {
 			n := t.allocRun(lvl, t.RunFor(lvl, len(g)))
@@ -136,13 +137,13 @@ type packKey struct {
 	at     int
 }
 
-// strPack tiles entries into groups of at most MaxEntries each, recursing
+// strPack tiles entries into groups of at most capacity each, recursing
 // across dimensions: sort by the center of the current dimension, cut into
 // slabs sized for the remaining dimensions, recurse; the last dimension
 // chunks directly.
-func (t *Tree) strPack(entries []entry, dim int) [][]entry {
+func strPack(entries []entry, dim, capacity int) [][]entry {
 	n := len(entries)
-	if n <= t.maxE {
+	if n <= capacity {
 		return [][]entry{entries}
 	}
 	// A stable sort on the center, so packed trees do not depend on the
@@ -165,34 +166,31 @@ func (t *Tree) strPack(entries []entry, dim int) [][]entry {
 	}
 	copy(entries, sorted)
 	if dim == geo.Dims-1 {
-		return t.chunk(entries)
+		return chunk(entries, capacity)
 	}
-	// Number of leaves still needed and slabs across remaining dims.
-	leaves := (n + t.maxE - 1) / t.maxE
+	// Number of nodes still needed and slabs across remaining dims.
+	nodes := (n + capacity - 1) / capacity
 	remaining := geo.Dims - dim
-	slabs := ceilRoot(leaves, remaining)
-	slabSize := (n + slabs - 1) / slabs
-	if slabSize < t.maxE {
-		slabSize = t.maxE
-	}
+	slabs := ceilRoot(nodes, remaining)
+	slabSize := max((n+slabs-1)/slabs, capacity)
 	var groups [][]entry
 	for start := 0; start < n; start += slabSize {
 		end := start + slabSize
 		if end > n {
 			end = n
 		}
-		groups = append(groups, t.strPack(entries[start:end], dim+1)...)
+		groups = append(groups, strPack(entries[start:end], dim+1, capacity)...)
 	}
 	return groups
 }
 
-// chunk splits a sorted run into consecutive groups of MaxEntries; the
-// caller rebalances undersized trailing groups.
-func (t *Tree) chunk(entries []entry) [][]entry {
+// chunk splits a sorted run into consecutive groups of capacity; the caller
+// rebalances undersized trailing groups.
+func chunk(entries []entry, capacity int) [][]entry {
 	n := len(entries)
 	var groups [][]entry
-	for start := 0; start < n; start += t.maxE {
-		end := start + t.maxE
+	for start := 0; start < n; start += capacity {
+		end := start + capacity
 		if end > n {
 			end = n
 		}
@@ -201,13 +199,14 @@ func (t *Tree) chunk(entries []entry) [][]entry {
 	return groups
 }
 
-// rebalance repairs groups that fall below the minimum fill (the trailing
-// chunk of a slab) by merging them with their predecessor and, if the merge
-// overflows, re-splitting it into two halves that both satisfy the minimum.
-func (t *Tree) rebalance(groups [][]entry) [][]entry {
+// rebalance repairs groups that fall below the minimum fill minE (the
+// trailing chunk of a slab) by merging them with their predecessor and, if
+// the merge overflows capacity, re-splitting it into two halves that both
+// satisfy the minimum.
+func rebalance(groups [][]entry, capacity, minE int) [][]entry {
 	out := make([][]entry, 0, len(groups))
 	for _, g := range groups {
-		if len(g) >= t.minE || len(out) == 0 {
+		if len(g) >= minE || len(out) == 0 {
 			out = append(out, g)
 			continue
 		}
@@ -215,7 +214,7 @@ func (t *Tree) rebalance(groups [][]entry) [][]entry {
 		merged := make([]entry, 0, len(prev)+len(g))
 		merged = append(merged, prev...)
 		merged = append(merged, g...)
-		if len(merged) <= t.maxE {
+		if len(merged) <= capacity {
 			out[len(out)-1] = merged
 			continue
 		}

@@ -16,7 +16,7 @@ import (
 //     CoverAux of it: the signature of every word under the child (a
 //     0-length level holds nothing);
 //   - levels decrease by exactly one on each descent (height balance);
-//   - every non-root node holds between the minimum fill m and MaxEntries
+//   - every non-root node holds between its level's MinFill and Capacity
 //     entries, and the root holds at least 2 when it is interior (at least 1
 //     when it is a leaf);
 //   - every node's entries fit its run, and no run is longer than capacity
@@ -63,9 +63,9 @@ func (t *Tree) checkNode(n *Node, isRoot bool) (objects, nodes int, err error) {
 			n.id, len(n.entries), n.level, n.run, t.RunFor(n.level, len(n.entries)), t.blocksForLevel(n.level))
 	}
 	if !isRoot {
-		if len(n.entries) < t.minE || len(n.entries) > t.maxE {
+		if len(n.entries) < t.MinFill(n.level) || len(n.entries) > t.Capacity(n.level) {
 			return 0, 0, fmt.Errorf("rtree: node %d has %d entries, want %d..%d",
-				n.id, len(n.entries), t.minE, t.maxE)
+				n.id, len(n.entries), t.MinFill(n.level), t.Capacity(n.level))
 		}
 	}
 	wantAuxLen := t.AuxLen(n.level)

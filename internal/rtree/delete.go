@@ -94,7 +94,7 @@ func (t *Tree) condenseTree(path []pathStep) error {
 		n := path[i].node
 		parent := path[i-1].node
 		idx := path[i-1].childIdx
-		if len(n.entries) < t.minE {
+		if len(n.entries) < t.MinFill(n.level) {
 			parent.entries = append(parent.entries[:idx], parent.entries[idx+1:]...)
 			orphans = append(orphans, orphan{level: n.level, entries: n.entries})
 			t.freeNode(n)

@@ -71,6 +71,7 @@ type PackedNode struct {
 	run    int    // blocks of the node's run, from id on
 	es     int    // serialized entry size at this level
 	auxLen int    // payload bytes per entry, a bare leaf's too (the columns' bits / 8)
+	points bool   // each entry a pointer and a point (a point leaf's)
 	buf    []byte // trimmed image: nodeHeaderSize + count*es bytes
 	// keeper holds a bare leaf's payloads, which buf does not; nil for
 	// every other node.
@@ -110,9 +111,10 @@ func (p *PackedNode) EntryPtr(i int) uint64 {
 }
 
 // EntryRectInto decodes entry i's MBR into the caller-provided corner
-// points (each of length geo.Dims) and returns a Rect built from them. The
-// caller owns the backing arrays, so a traversal can reuse one pair of
-// points for every entry it scores.
+// points (each of length geo.Dims) and returns a Rect built from them; a
+// point leaf's entry gets its point as both corners. The caller owns the
+// backing arrays, so a traversal can reuse one pair of points for every
+// entry it scores.
 //
 //skvet:hotpath
 func (p *PackedNode) EntryRectInto(i int, lo, hi geo.Point) geo.Rect {
@@ -120,6 +122,10 @@ func (p *PackedNode) EntryRectInto(i int, lo, hi geo.Point) geo.Rect {
 	for d := 0; d < geo.Dims; d++ {
 		lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(p.buf[off:]))
 		off += 8
+	}
+	if p.points {
+		copy(hi, lo)
+		return geo.Rect{Lo: lo, Hi: hi}
 	}
 	for d := 0; d < geo.Dims; d++ {
 		hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(p.buf[off:]))
@@ -192,8 +198,8 @@ func (p *PackedNode) MatchMask(sig *sigfile.Sig64, mask []uint64) []uint64 {
 }
 
 // andColumns ANDs into mask the columns starting at offs. A node of 65 to
-// 128 entries — a full one at the paper's 4 KB blocks — keeps its two mask
-// words in registers.
+// 128 entries — a full interior one at the paper's 4 KB blocks — keeps its
+// two mask words in registers.
 //
 //skvet:hotpath
 func (p *PackedNode) andColumns(offs []int, mask []uint64) {
@@ -440,6 +446,7 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNo
 		run:    run,
 		es:     es,
 		auxLen: t.AuxLen(level),
+		points: level == 0 && t.points,
 		buf:    buf,
 		seq:    at,
 	}
@@ -453,8 +460,8 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNo
 }
 
 // MaskWords returns the length of the mask PackedNode.MatchMask needs for any
-// node of the tree: one bit per entry of a full node.
-func (t *Tree) MaskWords() int { return maskWords(t.maxE) }
+// node of the tree: one bit per entry of a full node of the widest level.
+func (t *Tree) MaskWords() int { return maskWords(max(t.maxE, t.leafMaxE)) }
 
 // CacheStats returns the decoded-node cache counters, or zeros when the
 // cache is disabled.

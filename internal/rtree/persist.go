@@ -35,28 +35,37 @@ func (t *Tree) stateFingerprint() uint32 {
 		mix(uint32(t.scheme.EntryAuxLen(lvl)))
 	}
 	// A tree with no recorded lengths keeps the fingerprint it had before
-	// packs recorded any, and one whose leaves hold their payloads the one it
-	// had before leaves could be bare.
+	// packs recorded any, one whose leaves hold their payloads the one it
+	// had before leaves could be bare, and one whose bare leaves hold
+	// rectangles the one it had before they could hold points. maxE and
+	// minE are the interior levels', the capacity of every level before
+	// point leaves.
 	for _, l := range t.lens {
 		mix(uint32(l))
 	}
 	if t.bare {
 		mix(stateBareLeaves)
 	}
+	if t.points {
+		mix(statePointLeaves)
+	}
 	return h
 }
 
 // State block layout: magic, fingerprint, root, height, size, nodes (36
 // bytes), then the number of recorded payload lengths, with stateBareLeaves
-// set when the leaves are bare (see LeafKeeper), and each length as a
-// uint32. A state block written before sized packs ends with zeros there,
-// which reads as no lengths, the scheme's at every level, and leaves that
-// hold their payloads.
+// set when the leaves are bare (see LeafKeeper) and statePointLeaves when
+// their entries are a pointer and a point, and each length as a uint32. A
+// state block written before sized packs ends with zeros there, which reads
+// as no lengths, the scheme's at every level, and leaves that hold their
+// payloads; one written before point leaves has bare leaves of rectangles,
+// whose capacity is the interior levels'.
 const (
-	stateBareLeaves = 1 << 31
-	stateLensOff    = 36
-	maxStateLens    = 64      // a node's level is below 64 (see parsePacked)
-	maxStateLen     = 1 << 20 // no sane payload is a megabyte
+	stateBareLeaves  = 1 << 31
+	statePointLeaves = 1 << 30
+	stateLensOff     = 36
+	maxStateLens     = 64      // a node's level is below 64 (see parsePacked)
+	maxStateLen      = 1 << 20 // no sane payload is a megabyte
 )
 
 // Checkpoint writes the tree's state into the given block (allocating one
@@ -79,6 +88,9 @@ func (t *Tree) Checkpoint(stateBlock storage.BlockID) (storage.BlockID, error) {
 	word := uint32(len(t.lens))
 	if t.bare {
 		word |= stateBareLeaves
+	}
+	if t.points {
+		word |= statePointLeaves
 	}
 	binary.LittleEndian.PutUint32(buf[stateLensOff:], word)
 	for i, l := range t.lens {
@@ -138,16 +150,20 @@ func Open(dev storage.Device, cfg Config, stateBlock storage.BlockID) (*Tree, er
 }
 
 // readLens restores the recorded payload lengths from a state block, and
-// whether the leaves are bare, which needs a scheme that keeps their
-// payloads. The leaf length must be the scheme's, since the leaves'
-// payloads come from the caller.
+// how the leaves are stored: bare, which needs a scheme that keeps their
+// payloads, and if so of points or rectangles. The leaf length must be the
+// scheme's, since the leaves' payloads come from the caller.
 func (t *Tree) readLens(buf []byte, stateBlock storage.BlockID) error {
 	word := binary.LittleEndian.Uint32(buf[stateLensOff:])
-	t.bare = word&stateBareLeaves != 0
-	if t.bare && t.keeper == nil {
+	bare, points := word&stateBareLeaves != 0, word&statePointLeaves != 0
+	if bare && t.keeper == nil {
 		return fmt.Errorf("rtree: state block %d: the leaves keep no payload, and the scheme holds none", stateBlock)
 	}
-	n := int(word &^ stateBareLeaves)
+	if points && !bare {
+		return fmt.Errorf("rtree: state block %d: point leaves that keep their payloads", stateBlock)
+	}
+	t.layLeaves(bare, points)
+	n := int(word &^ (stateBareLeaves | statePointLeaves))
 	if n == 0 {
 		return nil
 	}

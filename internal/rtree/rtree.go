@@ -17,6 +17,9 @@
 // additional disk block(s) to an IR²-Tree node when needed". A node with
 // payloads therefore spans one or more consecutive blocks; loading it costs
 // one random access plus sequential accesses for the continuation blocks.
+// The one exception is a tree whose leaves keep no payload (LeafKeeper): a
+// leaf entry is then a pointer and a point, so a leaf holds more entries
+// than an interior node (Capacity).
 package rtree
 
 import (
@@ -101,12 +104,14 @@ type ObjectLifter interface {
 
 // A LeafKeeper is an AuxScheme that holds every object entry's payload
 // itself, so a tree built on it stores none in its leaves: a bare leaf's
-// entries are a pointer and a rectangle, and whoever reads the leaf looks
-// each payload up by pointer (the decoded Node's entries and a
-// PackedNode's signature columns alike). The leaf level's AuxLen is still
-// the payload length; only the leaves' images drop it. A tree opened from a
-// state that records payloads in its leaves keeps storing them there,
-// taking the keeper's for the objects it inserts.
+// entries are a pointer and a point (pointEntrySize), every object entry's
+// rectangle must be a point, and whoever reads the leaf looks each payload
+// up by pointer (the decoded Node's entries and a PackedNode's signature
+// columns alike). The leaf level's AuxLen is still the payload length; only
+// the leaves' images drop it. A tree opened from a state that records
+// payloads in its leaves keeps storing them there, taking the keeper's for
+// the objects it inserts, and one whose bare leaves hold rectangles keeps
+// writing rectangles (see Checkpoint).
 type LeafKeeper interface {
 	// LeafAux returns the payload of the object entry ref, EntryAuxLen(0)
 	// bytes aliasing the keeper's memory, which the tree never writes
@@ -134,13 +139,15 @@ func (r nodeReader) SubtreeObjectRefs(n *Node) ([]uint64, error) {
 
 func (r nodeReader) AuxLen(level int) int { return r.t.AuxLen(level) }
 
-// minFill is the minimum node fill m/M, a standard choice for Guttman trees.
-const minFill = 0.4
+// fillRatio is the minimum node fill m/M, a standard choice for Guttman
+// trees.
+const fillRatio = 0.4
 
 // Config parameterizes a Tree.
 type Config struct {
-	// MaxEntries is the node capacity M. Zero derives it from the device
-	// block size with zero-length payloads, per the paper.
+	// MaxEntries is the node capacity M of every level. Zero derives each
+	// level's from the device block size with zero-length payloads, per the
+	// paper (see Capacity).
 	MaxEntries int
 	// Scheme maintains entry payloads. Nil means a plain R-Tree.
 	Scheme AuxScheme
@@ -200,10 +207,14 @@ func (n *Node) mbr() geo.Rect {
 // (Insert, Delete, RebuildAux) take exclusive locks. Iterators obtained from
 // Seek must not be advanced concurrently with writers.
 type Tree struct {
-	dev    storage.Device
-	maxE   int
-	minE   int
-	scheme AuxScheme
+	dev storage.Device
+	// maxE and minE are the interior levels' capacity and minimum fill,
+	// leafMaxE and leafMinE the leaves' (see Capacity); fixedE is
+	// Config.MaxEntries, which sets all four when it is not zero.
+	maxE, minE         int
+	leafMaxE, leafMinE int
+	fixedE             int
+	scheme             AuxScheme
 
 	mu     sync.RWMutex
 	root   storage.BlockID
@@ -217,11 +228,13 @@ type Tree struct {
 	// path takes them without a lock.
 	lens []int
 	// keeper is the scheme when it is a LeafKeeper, and bare reports that
-	// the leaves store no payload, the keeper holding them: true for every
-	// tree created on a keeper, and for one opened from a state that says
-	// so (see Checkpoint).
+	// the leaves store no payload, the keeper holding them, and points that
+	// each leaf entry is a pointer and a point: both true for every tree
+	// created on a keeper, and as the state says for an opened one (see
+	// Checkpoint). Only layLeaves sets them.
 	keeper LeafKeeper
 	bare   bool
+	points bool
 
 	cache       *nodecache.Cache[*PackedNode]
 	scratchPool sync.Pool // *scratchBuf: raw block images for every node read
@@ -236,21 +249,14 @@ func New(dev storage.Device, cfg Config) (*Tree, error) {
 	if scheme == nil {
 		scheme = plainScheme{}
 	}
-	maxE := cfg.MaxEntries
-	if maxE == 0 {
-		maxE = (dev.BlockSize() - nodeHeaderSize) / baseEntrySize
+	t := &Tree{dev: dev, fixedE: cfg.MaxEntries, scheme: scheme}
+	t.maxE, t.minE = t.fill(baseEntrySize)
+	if t.maxE < 2 {
+		return nil, fmt.Errorf("rtree: capacity %d too small (block size %d)", t.maxE, dev.BlockSize())
 	}
-	if maxE < 2 {
-		return nil, fmt.Errorf("rtree: capacity %d too small (block size %d)", maxE, dev.BlockSize())
-	}
-	minE := max(int(minFill*float64(maxE)), 1)
-	t := &Tree{
-		dev:    dev,
-		maxE:   maxE,
-		minE:   minE,
-		scheme: scheme,
-	}
-	t.keeper, t.bare = scheme.(LeafKeeper)
+	keeper, kept := scheme.(LeafKeeper)
+	t.keeper = keeper
+	t.layLeaves(kept, kept)
 	if cfg.CacheNodes >= 0 {
 		t.cache = nodecache.New[*PackedNode](cfg.CacheNodes)
 	}
@@ -258,7 +264,7 @@ func New(dev storage.Device, cfg Config) (*Tree, error) {
 	t.iterPool.New = func() interface{} {
 		return &iterScratch{
 			mask:   make([]uint64, t.MaskWords()),
-			scores: make([]float64, maxE),
+			scores: make([]float64, max(t.maxE, t.leafMaxE)),
 			lo:     make(geo.Point, geo.Dims),
 			hi:     make(geo.Point, geo.Dims),
 		}
@@ -268,11 +274,61 @@ func New(dev storage.Device, cfg Config) (*Tree, error) {
 
 // baseEntrySize is the serialized entry size excluding the payload:
 // an 8-byte pointer plus two corner points of geo.Dims float64s each.
-const baseEntrySize = 8 + geo.Dims*16
+// pointEntrySize is a point leaf's entry: the pointer and one point.
+const (
+	baseEntrySize  = 8 + geo.Dims*16
+	pointEntrySize = 8 + geo.Dims*8
+)
+
+// fill returns the capacity and the minimum fill of a level whose entries
+// take size bytes but for their payloads: Config.MaxEntries when it is set,
+// else as many as one block holds beside the header.
+func (t *Tree) fill(size int) (capacity, minFill int) {
+	capacity = t.fixedE
+	if capacity == 0 {
+		capacity = (t.dev.BlockSize() - nodeHeaderSize) / size
+	}
+	return capacity, max(int(fillRatio*float64(capacity)), 1)
+}
+
+// layLeaves sets how the leaves are stored: bare (no payload) and, if
+// points, each entry a pointer and a point; and the leaves' capacity and
+// minimum fill, which a point leaf's smaller entries raise.
+func (t *Tree) layLeaves(bare, points bool) {
+	t.bare, t.points = bare, points
+	size := baseEntrySize
+	if points {
+		size = pointEntrySize
+	}
+	t.leafMaxE, t.leafMinE = t.fill(size)
+}
 
 // entrySize is the serialized entry size at the given level.
 func (t *Tree) entrySize(level int) int {
+	if level == 0 && t.points {
+		return pointEntrySize
+	}
 	return baseEntrySize + t.storedAuxLen(level)
+}
+
+// Capacity returns the most entries a node at the given level holds: M at
+// every level but a point leaf's, whose smaller entries fill (4096 − 8) / 24
+// = 170 to a 4 KB block where the 40-byte entries of every other node fill
+// 102 (Config.MaxEntries, when set, at every level).
+func (t *Tree) Capacity(level int) int {
+	if level == 0 {
+		return t.leafMaxE
+	}
+	return t.maxE
+}
+
+// MinFill returns the fewest entries a node at the given level other than
+// the root holds: fillRatio of its Capacity.
+func (t *Tree) MinFill(level int) int {
+	if level == 0 {
+		return t.leafMinE
+	}
+	return t.minE
 }
 
 // storedAuxLen is the payload length the images of the nodes at the given
@@ -282,6 +338,18 @@ func (t *Tree) storedAuxLen(level int) int {
 		return 0
 	}
 	return t.AuxLen(level)
+}
+
+// checkObject rejects an object entry's rectangle the leaves cannot hold:
+// one of another dimension, or in point leaves one that is not a point.
+func (t *Tree) checkObject(rect geo.Rect) error {
+	if rect.Dim() != geo.Dims {
+		return fmt.Errorf("rect dimension %d, want %d", rect.Dim(), geo.Dims)
+	}
+	if t.points && !rect.Lo.Equal(rect.Hi) {
+		return fmt.Errorf("rect %v is not a point, and the leaves hold points", rect)
+	}
+	return nil
 }
 
 // keptAux returns the payload of object entry ref: aux when it is given or
@@ -327,14 +395,14 @@ func (t *Tree) sized(level int) bool {
 }
 
 // blocksForLevel returns the capacity run of a node at the given level: the
-// blocks M entries plus the header fill, at this level's entry size. Every
-// node an insert allocates has it; no node's run is longer.
-func (t *Tree) blocksForLevel(level int) int { return t.RunFor(level, t.maxE) }
+// blocks Capacity(level) entries plus the header fill, at this level's entry
+// size. Every node an insert allocates has it; no node's run is longer.
+func (t *Tree) blocksForLevel(level int) int { return t.RunFor(level, t.Capacity(level)) }
 
 // RunFor returns the blocks a node at the given level holding count entries
 // fills: its header and entries. BulkLoad gives each node this run, and a
-// node's run is never shorter; RunFor(level, MaxEntries()) is the capacity
-// run every insert-allocated node has, and no run is longer.
+// node's run is never shorter; RunFor(level, Capacity(level)) is the
+// capacity run every insert-allocated node has, and no run is longer.
 func (t *Tree) RunFor(level, count int) int {
 	bs := t.dev.BlockSize()
 	return (nodeHeaderSize + count*t.entrySize(level) + bs - 1) / bs
@@ -346,14 +414,15 @@ func (t *Tree) fits(n *Node) bool {
 }
 
 // parseHeader validates the node header at the front of b, read from block
-// id: the level, the entry count and the run length (capacity for 0), and
-// that the entries fit the run and the run no longer than capacity.
+// id: the level, the entry count (no more than its level's capacity) and the
+// run length (capacity for 0), and that the entries fit the run and the run
+// no longer than capacity.
 func (t *Tree) parseHeader(id storage.BlockID, b []byte) (level, count, run int, err error) {
 	word := binary.LittleEndian.Uint32(b[0:4])
 	level = int(word & (1<<runShift - 1))
 	run = int(word >> runShift)
 	count = int(binary.LittleEndian.Uint32(b[4:8]))
-	if level > 64 || count > t.maxE {
+	if level > 64 || count > t.Capacity(level) {
 		return 0, 0, 0, fmt.Errorf("rtree: corrupt node %d: level=%d count=%d", id, level, count)
 	}
 	capRun := t.blocksForLevel(level)
@@ -367,11 +436,9 @@ func (t *Tree) parseHeader(id storage.BlockID, b []byte) (level, count, run int,
 	return level, count, run, nil
 }
 
-// MaxEntries returns the node capacity M.
+// MaxEntries returns the node capacity M of the interior levels, and of the
+// leaves but for point leaves' (see Capacity).
 func (t *Tree) MaxEntries() int { return t.maxE }
-
-// MinEntries returns the minimum fill m every node but the root keeps.
-func (t *Tree) MinEntries() int { return t.minE }
 
 // Len returns the number of indexed objects.
 func (t *Tree) Len() int {
@@ -433,6 +500,7 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 	n := &Node{id: id, level: level, run: run, entries: make([]entry, count)}
 	auxLen := t.storedAuxLen(level)
 	kept := level == 0 && t.bare
+	points := level == 0 && t.points
 	off := nodeHeaderSize
 	for i := 0; i < count; i++ {
 		e := &n.entries[i]
@@ -444,9 +512,13 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 			lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
-		for d := 0; d < geo.Dims; d++ {
-			hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
+		if points {
+			copy(hi, lo)
+		} else {
+			for d := 0; d < geo.Dims; d++ {
+				hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+				off += 8
+			}
 		}
 		e.rect = geo.Rect{Lo: lo, Hi: hi}
 		if auxLen > 0 {
@@ -467,13 +539,16 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 // funnels through here, so it is also where the decoded-node cache learns
 // that a pinned image is out of date. A capacity run's header records run
 // length 0, so an insert-built node's bytes do not depend on whether runs
-// are recorded. A bare leaf's payloads are not written.
+// are recorded. A bare leaf's payloads are not written, and a point leaf's
+// entries are written with one corner (Insert and BulkLoad admit only
+// points to them).
 func (t *Tree) storeNode(n *Node) error {
 	if t.cache != nil {
 		t.cache.Invalidate(n.id)
 	}
 	es := t.entrySize(n.level)
 	auxLen := t.storedAuxLen(n.level)
+	points := n.level == 0 && t.points
 	buf := make([]byte, nodeHeaderSize+len(n.entries)*es)
 	word := uint32(n.level)
 	if n.run != t.blocksForLevel(n.level) {
@@ -490,7 +565,7 @@ func (t *Tree) storeNode(n *Node) error {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.rect.Lo[d]))
 			off += 8
 		}
-		for d := 0; d < geo.Dims; d++ {
+		for d := 0; d < geo.Dims && !points; d++ {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.rect.Hi[d]))
 			off += 8
 		}

@@ -31,7 +31,7 @@ func TestAllSplitsPreserveEntriesAndFill(t *testing.T) {
 				}
 				seen[entries[i].ptr] = true
 			}
-			a, b := tree.quadraticSplit(entries)
+			a, b := tree.quadraticSplit(entries, tree.minE)
 			if len(a)+len(b) != len(entries) {
 				t.Fatalf("trial %d: lost entries %d+%d", trial, len(a), len(b))
 			}
@@ -61,7 +61,7 @@ func TestAllSplitsIdenticalRects(t *testing.T) {
 	for i := range entries {
 		entries[i] = entry{ptr: uint64(i), rect: geo.PointRect(geo.NewPoint(5, 5))}
 	}
-	a, b := tree.quadraticSplit(entries)
+	a, b := tree.quadraticSplit(entries, tree.minE)
 	if len(a)+len(b) != 7 || len(a) < tree.minE || len(b) < tree.minE {
 		t.Errorf("degenerate split %d/%d", len(a), len(b))
 	}

@@ -82,7 +82,7 @@ func checkTree(t *testing.T, e *Engine) {
 		t.Fatal(err)
 	}
 	checkRuns(t, e, RunsFit)
-	if q := len(e.run); rt.Len()+q != e.live || (rt.Height() > 0 && q >= rt.MaxEntries()) {
+	if q := len(e.run); rt.Len()+q != e.live || (rt.Height() > 0 && q >= rt.Capacity(0)) {
 		t.Fatalf("tree holds %d objects and the run %d, engine has %d live", rt.Len(), q, e.live)
 	}
 }
@@ -104,7 +104,7 @@ func checkRuns(t *testing.T, e *Engine, want int) {
 	t.Helper()
 	rt := e.tree.RTree()
 	if err := rt.VisitNodes(func(n *rtree.Node) error {
-		filled, capacity := rt.RunFor(n.Level(), n.NumEntries()), rt.RunFor(n.Level(), rt.MaxEntries())
+		filled, capacity := rt.RunFor(n.Level(), n.NumEntries()), rt.RunFor(n.Level(), rt.Capacity(n.Level()))
 		if n.Run() < filled || n.Run() > capacity ||
 			want == RunsTight && n.Run() != filled || want == RunsCapacity && n.Run() != capacity {
 			return fmt.Errorf("node %d: %d entries at level %d on a run of %d blocks; they fill %d, capacity %d",
@@ -126,7 +126,7 @@ func RootRun(e *Engine) (run, capacity int) {
 	if err != nil || root == nil {
 		panic(fmt.Sprint("no root: ", err))
 	}
-	return root.Run(), rt.RunFor(root.Level(), rt.MaxEntries())
+	return root.Run(), rt.RunFor(root.Level(), rt.Capacity(root.Level()))
 }
 
 // ShortParentPoint returns the point of an object entry that no other node
@@ -143,7 +143,7 @@ func ShortParentPoint(e *Engine) (point []float64, ok bool) {
 			levels = append(levels, nil)
 		}
 		levels[n.Level()] = append(levels[n.Level()], n)
-		if n.Level() == 1 && n.Run() < rt.RunFor(1, rt.MaxEntries()) {
+		if n.Level() == 1 && n.Run() < rt.RunFor(1, rt.Capacity(1)) {
 			parents = append(parents, n)
 		}
 		return nil
@@ -180,7 +180,7 @@ func InteriorRuns(e *Engine) (short, full int) {
 	if err := rt.VisitNodes(func(n *rtree.Node) error {
 		switch {
 		case n.Level() == 0:
-		case n.Run() < rt.RunFor(n.Level(), rt.MaxEntries()):
+		case n.Run() < rt.RunFor(n.Level(), rt.Capacity(n.Level())):
 			short++
 		default:
 			full++
@@ -208,14 +208,14 @@ func nodesHolding(leaves []*rtree.Node, p geo.Point) []*rtree.Node {
 	return out
 }
 
-// LeafCapacity is the node capacity of the tree an engine with cfg builds:
+// LeafCapacity is the leaf capacity of the tree an engine with cfg builds:
 // the rows its queued run holds at most.
 func LeafCapacity(cfg Config) int {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		panic(err)
 	}
-	return e.tree.RTree().MaxEntries()
+	return e.tree.RTree().Capacity(0)
 }
 
 // IndexIO returns the block accesses of e's index device so far.
@@ -224,6 +224,13 @@ func IndexIO(e *Engine) storage.Stats { return e.idxDisk.Stats() }
 // TreeShape returns the node count and height of e's tree.
 func TreeShape(e *Engine) (nodes, height int) {
 	return e.tree.RTree().NumNodes(), e.tree.RTree().Height()
+}
+
+// LeafLayout returns the capacity of e's leaves and the blocks a full one
+// takes.
+func LeafLayout(e *Engine) (capacity, blocks int) {
+	rt := e.tree.RTree()
+	return rt.Capacity(0), rt.RunFor(0, rt.Capacity(0))
 }
 
 // CheckPacked is checkPacked for the external tests, which see a sharded

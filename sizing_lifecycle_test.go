@@ -42,7 +42,7 @@ func TestSizedLevelsUnderMutation(t *testing.T) {
 	}{
 		{"restaurants", dataset.Restaurants(0.004), 32, 512, [2]int{8, 3}, true,
 			func(lens []int) bool { return len(lens) > 1 && lens[1] != 0 && lens[1] != 32 }},
-		{"hotels", dataset.Hotels(0.008), 64, 4096, [2]int{2, 2}, false,
+		{"hotels", dataset.Hotels(0.0134), 64, 4096, [2]int{2, 2}, false,
 			func(lens []int) bool { return len(lens) > 1 && lens[1] == 0 }},
 	} {
 		store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))

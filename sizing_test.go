@@ -155,7 +155,7 @@ func TestPackSizesSignaturesFromData(t *testing.T) {
 		// fraction of the uniform one's.
 		fresh float64
 	}{
-		{"Restaurants", dataset.Restaurants(0.03), 64, "[64 231 0]", false, 0.75},
+		{"Restaurants", dataset.Restaurants(0.03), 64, "[64 311]", false, 0.75},
 		{"Hotels", dataset.Hotels(0.02), 189, "[189 0]", true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

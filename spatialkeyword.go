@@ -585,7 +585,7 @@ func (e *Engine) applyAdd(point []float64, text string) error {
 	e.rows.Add(id, p, e.an, text)
 	e.run = append(e.run, uint64(id))
 	e.live++
-	if t := e.tree.RTree(); t.Height() > 0 && len(e.run) >= t.MaxEntries() {
+	if t := e.tree.RTree(); t.Height() > 0 && len(e.run) >= t.Capacity(0) {
 		return e.flushLocked()
 	}
 	return nil
