@@ -1,7 +1,9 @@
 package spatialkeyword_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -11,37 +13,19 @@ import (
 // TestCompatParentBareLeafDirectory opens (from a copy) testdata/compat's
 // single-f6fd472: 600 rows packed into bare leaves whose entries are a
 // pointer and a rectangle, 40 bytes each and 102 to a leaf, under a level
-// the pack gave no signature. The tree opens with that layout, a top-k
-// answers and costs what it did at the commit that wrote it, and adds (a
-// flush's Guttman inserts into those leaves) keep the layout through a save
-// and a reopen.
+// the pack gave no signature. The open packs its live rows into a new tree
+// of point leaves that name rows by ID, 170 to a one-block leaf; a top-k
+// answers what it did at the commit that wrote the directory, and adds
+// keep the layout through a save and a reopen.
 func TestCompatParentBareLeafDirectory(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, dir, filepath.Join("testdata/compat", "single-f6fd472"))
-	check := func(e *spatialkeyword.Engine, want []uint64, random, sequential uint64) {
-		t.Helper()
-		spatialkeyword.CheckTree(t, e)
-		if got := fmt.Sprint(e.Stats().SignatureBytesByLevel); got != "[64 0]" {
-			t.Fatalf("signature bytes by level %s, want [64 0]", got)
-		}
-		if capacity, blocks := spatialkeyword.LeafLayout(e); capacity != 102 || blocks != 1 {
-			t.Fatalf("a leaf holds %d entries in %d blocks, want the 102 40-byte entries of one block", capacity, blocks)
-		}
-		res, st, err := e.TopKWithStats(7, []float64{25.9, -80.6}, "sushi", "pool")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(ids(res)) != fmt.Sprint(want) || st.BlocksRandom != random || st.BlocksSequential != sequential {
-			t.Fatalf("top 7 \"sushi pool\": %v in %d random and %d sequential blocks, want %v in %d and %d",
-				ids(res), st.BlocksRandom, st.BlocksSequential, want, random, sequential)
-		}
-	}
-
+	want := []uint64{360, 388, 220, 416, 192, 248, 164}
 	e, err := spatialkeyword.OpenEngine(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(e, []uint64{360, 388, 220, 416, 192, 248, 164}, 7, 5)
+	checkCompatTopK(t, e, 7, []float64{25.9, -80.6}, []string{"sushi", "pool"}, want, 7, 5)
 	for i := 600; i < 900; i++ {
 		p, text := compatRow(i)
 		if _, err := e.Add(p, text); err != nil {
@@ -51,7 +35,7 @@ func TestCompatParentBareLeafDirectory(t *testing.T) {
 	if err := e.Save(); err != nil {
 		t.Fatal(err)
 	}
-	check(e, []uint64{360, 388, 220, 416, 192, 248, 164}, 8, 4)
+	checkCompatTopK(t, e, 7, []float64{25.9, -80.6}, []string{"sushi", "pool"}, want, 9, 3)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +45,149 @@ func TestCompatParentBareLeafDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	check(e, []uint64{360, 388, 220, 416, 192, 248, 164}, 8, 4)
-	res, st, err := e.TopKWithStats(5, []float64{27.4, -81.5}, "pool")
+	checkCompatTopK(t, e, 7, []float64{25.9, -80.6}, []string{"sushi", "pool"}, want, 9, 3)
+	checkCompatTopK(t, e, 5, []float64{27.4, -81.5}, []string{"pool"}, []uint64{792, 784, 756, 828, 820}, 7, 2)
+}
+
+// TestCompatParentOffsetLeafDirectory opens (from a copy) testdata/compat's
+// single-d522542: 600 rows packed into point leaves whose entries name each
+// row by its object-file offset, then 120 adds and 4 deletes that only its
+// log holds. The open packs every row into a new tree of point leaves of
+// row IDs before the log replays onto it; the answers are the ones measured
+// at the commit that wrote the directory, and adds keep the layout through
+// a save and a reopen.
+func TestCompatParentOffsetLeafDirectory(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, dir, filepath.Join("testdata/compat", "single-d522542"))
+	// blocks are the random and sequential blocks of the two top-ks.
+	check := func(e *spatialkeyword.Engine, pool []uint64, blocks [4]uint64) {
+		t.Helper()
+		checkCompatTopK(t, e, 7, []float64{25.9, -80.6}, []string{"sushi", "pool"}, []uint64{360, 388, 220, 416, 192, 248, 164}, blocks[0], blocks[1])
+		checkCompatTopK(t, e, 5, []float64{27.4, -81.5}, []string{"pool"}, pool, blocks[2], blocks[3])
+		res, err := e.TopKRanked(5, []float64{26.5, -80.9}, "thai", "wifi")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rankedIDs(res)); got != "[540 470 400 330 260]" {
+			t.Fatalf("ranked top 5 \"thai wifi\": %s, want [540 470 400 330 260]", got)
+		}
+	}
+	e, err := spatialkeyword.OpenEngine(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "[792 784 756 828 820] in 6 random and 2 sequential blocks"
-	if got := fmt.Sprintf("%v in %d random and %d sequential blocks", ids(res), st.BlocksRandom, st.BlocksSequential); got != want {
-		t.Fatalf("top 5 \"pool\" among the added rows: %s, want %s", got, want)
+	if got := e.WALInfo().ReplayedRecords; got != 124 {
+		t.Fatalf("replayed %d records, want the log's 124", got)
 	}
+	check(e, []uint64{644, 616, 672, 652, 680}, [4]uint64{7, 5, 5, 3})
+	for i := 720; i < 1000; i++ {
+		p, text := compatRow(i)
+		if _, err := e.Add(p, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	check(e, []uint64{792, 784, 756, 828, 820}, [4]uint64{8, 4, 7, 2})
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err = spatialkeyword.OpenEngine(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	check(e, []uint64{792, 784, 756, 828, 820}, [4]uint64{8, 4, 7, 2})
+}
+
+// checkCompatTopK runs CheckTree on e, requires its leaves to be point
+// leaves of 170 to a block, and a top-k to answer want in the given index
+// blocks.
+func checkCompatTopK(t *testing.T, e *spatialkeyword.Engine, k int, p []float64, kws []string, want []uint64, random, sequential uint64) {
+	t.Helper()
+	spatialkeyword.CheckTree(t, e)
+	if capacity, blocks := spatialkeyword.LeafLayout(e); capacity != 170 || blocks != 1 {
+		t.Fatalf("a leaf holds %d entries in %d blocks, want the 170 point entries of one block", capacity, blocks)
+	}
+	res, st, err := e.TopKWithStats(k, p, kws...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ids(res)) != fmt.Sprint(want) || st.BlocksRandom != random || st.BlocksSequential != sequential {
+		t.Fatalf("top %d %q: %v in %d random and %d sequential blocks, want %v in %d and %d",
+			k, kws, ids(res), st.BlocksRandom, st.BlocksSequential, want, random, sequential)
+	}
+}
+
+// TestCompatParentRepackSurvivesCrash opens (from a copy) every engine
+// directory of testdata/compat, which packs its rows into a new tree, and
+// closes it without a Save, as a crash after the open would leave it. The
+// next open packs again and answers the same; no generation's files, no
+// manifest and no log differ from the copy's: only the working files
+// objects.db and index.db are rewritten.
+func TestCompatParentRepackSurvivesCrash(t *testing.T) {
+	for _, fixture := range []string{"single-ae80bff", "single-nowal-ae80bff", "nested-ae80bff/shard-0000", "single-f6fd472", "single-d522542"} {
+		t.Run(fixture, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, dir, filepath.Join("testdata/compat", fixture))
+			committed := committedFiles(t, dir)
+			var answers [2]string
+			for i := range answers {
+				e, err := spatialkeyword.OpenEngine(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spatialkeyword.CheckTree(t, e)
+				top, err := e.TopK(7, []float64{25.3, -79.7}, "cafe")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ranked, err := e.TopKRanked(7, []float64{25.3, -79.7}, "pool", "wifi")
+				if err != nil {
+					t.Fatal(err)
+				}
+				within, _, err := e.WithinArea([]float64{25, -80.2}, []float64{25.6, -79.5}, "cafe")
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers[i] = fmt.Sprint(ids(top), rankedIDs(ranked), ids(within))
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for name, data := range committed {
+					got, err := os.ReadFile(filepath.Join(dir, name))
+					if err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("open %d changed %s (%v)", i+1, name, err)
+					}
+				}
+			}
+			if answers[0] != answers[1] || answers[0] == "[] [] []" {
+				t.Fatalf("answers after the first open %s, after the second %s", answers[0], answers[1])
+			}
+		})
+	}
+}
+
+// committedFiles returns the bytes of every file of an engine directory but
+// its working files, objects.db and index.db, keyed by name.
+func committedFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, de := range entries {
+		if de.IsDir() || de.Name() == "objects.db" || de.Name() == "index.db" {
+			continue
+		}
+		if files[de.Name()], err = os.ReadFile(filepath.Join(dir, de.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }
 
 // compatRow is row i of testdata/compat's generator (see its README).

@@ -356,7 +356,7 @@ func Maintenance(e *Env, batch int, seed int64, cm storage.CostModel) (*Table, e
 		method Method
 		disk   storage.Device
 		insert func(objstore.Object, objstore.Ptr) error
-		delete func(geo.Point, objstore.Ptr) (bool, error)
+		delete func(geo.Point, uint64) (bool, error)
 	}
 	var targets []target
 	if e.has(MethodRTree) {
@@ -385,7 +385,7 @@ func Maintenance(e *Env, batch int, seed int64, cm storage.CostModel) (*Table, e
 					err = tg.insert(f.obj, f.ptr)
 				} else {
 					var ok bool
-					ok, err = tg.delete(f.obj.Point, f.ptr)
+					ok, err = tg.delete(f.obj.Point, uint64(f.ptr))
 					if err == nil && !ok {
 						err = fmt.Errorf("bench: maintenance delete missed object %d", f.obj.ID)
 					}

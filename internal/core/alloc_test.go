@@ -16,6 +16,9 @@ import (
 	"spatialkeyword/internal/storage"
 )
 
+// warmOptions are the options of newWarmTree's trees.
+var warmOptions = Options{LeafSignature: sigfile.Config{LengthBytes: 16, BitsPerWord: 4}}
+
 // newWarmTree builds a small in-memory IR²-Tree over a few hundred objects.
 func newWarmTree(t *testing.T) *IR2Tree {
 	t.Helper()
@@ -30,9 +33,7 @@ func newWarmTree(t *testing.T) *IR2Tree {
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	x, err := New(storage.NewDisk(4096), store, Options{
-		LeafSignature: sigfile.Config{LengthBytes: 16, BitsPerWord: 4},
-	})
+	x, err := New(storage.NewDisk(4096), store, warmOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +41,14 @@ func newWarmTree(t *testing.T) *IR2Tree {
 		t.Fatal(err)
 	}
 	return x
+}
+
+// newWarmServed is newWarmTree served, with its row table.
+func newWarmServed(t *testing.T) (*IR2Tree, *Rows) {
+	t.Helper()
+	store := newWarmTree(t).store
+	rows := rowTable(t, store, warmOptions)
+	return servedTree(t, store, warmOptions, rows), rows
 }
 
 // TestWarmTopKAllocBounded gates the distance-first query: once the node
@@ -67,9 +76,8 @@ func TestWarmTopKAllocBounded(t *testing.T) {
 // the node cache warm, its allocations are the surviving objects and the
 // result list — nothing per node visited.
 func TestWarmWithinAreaAllocBounded(t *testing.T) {
-	x := newWarmTree(t)
+	x, table := newWarmServed(t)
 	area := geo.NewRect(geo.NewPoint(20, 20), geo.NewPoint(70, 70))
-	table := rowTable(t, x)
 	var results, nodes int
 	run := func() {
 		res, stats, err := withinArea(x, table, area, []string{"pizza"})
@@ -94,9 +102,8 @@ func TestWarmWithinAreaAllocBounded(t *testing.T) {
 // on the row table every served ranked query carries: it scores each
 // candidate from the table and reads only the rows it returns.
 func TestWarmRankedAllocBounded(t *testing.T) {
-	x := newWarmTree(t)
+	x, table := newWarmServed(t)
 	sc := irscore.NewScorer(400, func(string) int { return 50 })
-	table := rowTable(t, x)
 	p := geo.NewPoint(50, 50)
 	var loaded int
 	run := func() {

@@ -92,7 +92,7 @@ func (s *withinScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []f
 func (x *IR2Tree) BuildBulk() error {
 	var batch []Entry
 	err := x.store.Scan(func(obj objstore.Object, ptr objstore.Ptr) error {
-		batch = append(batch, Entry{Ptr: ptr, Point: obj.Point, Words: x.an.Unique(obj.Text)})
+		batch = append(batch, Entry{Ref: x.ref(obj.ID, ptr), Point: obj.Point, Words: x.an.Unique(obj.Text)})
 		return nil
 	})
 	if err != nil {

@@ -47,7 +47,7 @@ func TestAreaQueryMatchesBruteForce(t *testing.T) {
 			kw = []string{"internet", "spa"}
 		}
 		want := objIDs(bruteTopKArea(f.objects, 10, area, kw))
-		for name, tree := range map[string]*IR2Tree{"IR2": f.ir2, "MIR2": f.mir2} {
+		for name, tree := range map[string]*IR2Tree{"IR2": f.sir2, "MIR2": f.smir2} {
 			got, _, err := topKArea(tree, f.rows, 10, area, kw)
 			if err != nil {
 				t.Fatal(err)
@@ -95,7 +95,7 @@ func TestAreaQueryInsideObjectsFirst(t *testing.T) {
 	}
 	f := buildFixture(t, rows, 3, 8)
 	area := geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(10, 10))
-	got, _, err := topKArea(f.ir2, f.rows, 3, area, []string{"pool"})
+	got, _, err := topKArea(f.sir2, f.rows, 3, area, []string{"pool"})
 	if err != nil {
 		t.Fatal(err)
 	}

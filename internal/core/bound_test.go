@@ -19,18 +19,17 @@ import (
 
 // upperIR is the ranked bound as the traversal computed it one entry at a
 // time, before the scorer took a whole node: the entry's payload tested
-// against each keyword's signature W_i with Sig64.MatchesTolerant (a length
+// against each keyword's signature W_i with matchesTolerant (a length
 // mismatch matches), and Σ wᵢ·idfᵢ over the matches in keyword order, where
 // wᵢ is, for a node entry, CapWeight of the largest cap among the summaries
 // (1 without summaries: the paper's bound, which the test compares with),
 // and for an object the row's RowTF.Weight (1 for a row past the
-// summaries), its summary looked up at the first match. It
-// reads the query's signatures, idfs, probes and summaries from s and
-// nothing else of its code.
-func upperIR(s *rankedScorer, isObject bool, level int, aux []byte, ptr uint64) float64 {
-	rowTF := func(ptr uint64) *irscore.RowTF {
-		id, ok := slices.BinarySearch(s.store.Ptrs(), objstore.Ptr(ptr))
-		if !ok || id >= len(s.rowTFs) {
+// summaries), its summary looked up at the first match by the row ID its
+// leaf entry holds, ref. It reads the query's signatures, idfs, probes and
+// summaries from s and nothing else of its code.
+func upperIR(s *rankedScorer, isObject bool, level int, aux []byte, ref uint64) float64 {
+	rowTF := func(id uint64) *irscore.RowTF {
+		if id >= uint64(len(s.rowTFs)) {
 			return nil
 		}
 		return &s.rowTFs[id]
@@ -48,11 +47,11 @@ func upperIR(s *rankedScorer, isObject bool, level int, aux []byte, ptr uint64) 
 	var row *irscore.RowTF
 	lookup := isObject && s.rowTFs != nil
 	for i := range sigs {
-		if !sigs[i].MatchesTolerant(aux) {
+		if !matchesTolerant(&sigs[i], aux) {
 			continue
 		}
 		if lookup {
-			row, lookup = rowTF(ptr), false
+			row, lookup = rowTF(ref), false
 		}
 		w := nodeWeight
 		if isObject {
@@ -108,7 +107,7 @@ func TestRankedScorerMatchesPerEntryBound(t *testing.T) {
 	for _, tree := range []struct {
 		name string
 		x    *IR2Tree
-	}{{"IR2", f.ir2}, {"MIR2", f.mir2}} {
+	}{{"IR2", f.sir2}, {"MIR2", f.smir2}} {
 		for _, kw := range [][]string{{"pool", "gym", "wifi"}, {"internet", "notaword"}, {"notaword"}} {
 			for _, variant := range []string{"plain", "zero-idf", "rounding", "lenmismatch"} {
 				where := fmt.Sprintf("%s %v %s", tree.name, kw, variant)
@@ -212,11 +211,11 @@ func TestNodeBoundCoversEveryRowBeneath(t *testing.T) {
 			objDisk, idxDisk := newDisk(), newDisk()
 			store := objstore.New(objDisk)
 			opts := Options{LeafSignature: f8(), MaxEntries: 5}
-			x, err := New(idxDisk, store, opts)
+			rows := &Rows{Vocab: textutil.NewVocabulary(), Leaf: opts.LeafSignature}
+			x, err := NewServed(idxDisk, store, opts, rows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := &Rows{Vocab: textutil.NewVocabulary()}
 			var plain *textutil.Analyzer
 			live := map[objstore.ID]bool{}
 			var entries []Entry
@@ -238,12 +237,12 @@ func TestNodeBoundCoversEveryRowBeneath(t *testing.T) {
 					maxTF = max(maxTF, counts[w])
 				}
 				p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-				id, ptr, err := store.Append(p, text)
+				id, _, err := store.Append(p, text)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rows.Add(id, p, plain, text)
-				return Entry{Ptr: ptr, Point: p, Words: plain.Unique(text)}
+				return Entry{Ref: uint64(id), Point: p, Words: plain.Unique(text)}
 			}
 			for i := 0; i < 120; i++ { // packed
 				entries = append(entries, add(i))
@@ -264,7 +263,7 @@ func TestNodeBoundCoversEveryRowBeneath(t *testing.T) {
 			for i, e := range entries {
 				live[objstore.ID(i)] = true
 				if i%7 == 3 {
-					if ok, err := x.Delete(e.Point, e.Ptr); err != nil || !ok {
+					if ok, err := x.Delete(e.Point, e.Ref); err != nil || !ok {
 						t.Fatalf("delete row %d: %t %v", i, ok, err)
 					}
 					live[objstore.ID(i)] = false
@@ -294,10 +293,10 @@ func TestNodeBoundCoversEveryRowBeneath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if x, err = Open(idxDisk, store, opts, nil, treeState); err != nil {
+			rows = rowTable(t, store, opts)
+			if x, err = Open(idxDisk, store, opts, rows, treeState); err != nil {
 				t.Fatal(err)
 			}
-			rows = rowTable(t, x)
 			if rows.TFCeiling != want {
 				t.Fatalf("reopened: ceiling %d, want %d", rows.TFCeiling, want)
 			}
@@ -396,11 +395,7 @@ func rowsBeneath(t *testing.T, x *IR2Tree, ptr uint64) []objstore.ID {
 			ids = append(ids, rowsBeneath(t, x, pn.EntryPtr(e))...)
 			continue
 		}
-		id, ok := x.store.IDAt(objstore.Ptr(pn.EntryPtr(e)))
-		if !ok {
-			t.Fatalf("no row at %d", pn.EntryPtr(e))
-		}
-		ids = append(ids, id)
+		ids = append(ids, objstore.ID(pn.EntryPtr(e)))
 	}
 	return ids
 }

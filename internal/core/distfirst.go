@@ -140,7 +140,7 @@ func (r *ResultIter) Next() (Result, bool, error) {
 			r.stats.FalsePositives++
 			continue
 		}
-		obj, err := r.x.store.Get(objstore.Ptr(ref))
+		obj, err := r.x.store.GetByID(objstore.ID(ref))
 		if err != nil {
 			return Result{}, false, err
 		}
@@ -160,7 +160,7 @@ func (r *ResultIter) test(ref uint64) (bool, error) {
 	if r.passed == ref+1 {
 		return true, nil
 	}
-	id, err := rowID(r.rows, r.x.store, ref)
+	id, err := rowID(r.rows, ref)
 	if err != nil {
 		return false, err
 	}
@@ -234,7 +234,8 @@ func settle(it *rtree.Iter, peek func() (float64, bool)) error {
 // TopK answers a distance-first top-k spatial keyword query: the k objects
 // containing all keywords, closest to p first (IR2TopK, Figure 8). It is
 // the paper's algorithm as the experiments run it: every candidate the
-// signature-pruned traversal pops is read and tested (see paperTopK).
+// signature-pruned traversal pops is read by its row pointer and tested
+// (see paperTopK), so x is a tree New built.
 func (x *IR2Tree) TopK(k int, p geo.Point, keywords []string) ([]Result, SearchStats, error) {
 	kws := x.an.Keywords(keywords)
 	sigs := &levelSigs{x: x, hashes: wordHashes(kws)}
@@ -305,9 +306,9 @@ func (b *RTreeBaseline) Insert(obj objstore.Object, ptr objstore.Ptr) error {
 	return b.rt.Insert(uint64(ptr), geo.PointRect(obj.Point), nil, nil)
 }
 
-// Delete removes an object.
-func (b *RTreeBaseline) Delete(point geo.Point, ptr objstore.Ptr) (bool, error) {
-	return b.rt.Delete(uint64(ptr), geo.PointRect(point))
+// Delete removes the object at point whose row pointer is ref.
+func (b *RTreeBaseline) Delete(point geo.Point, ref uint64) (bool, error) {
+	return b.rt.Delete(ref, geo.PointRect(point))
 }
 
 // Build bulk-loads every object of the store.

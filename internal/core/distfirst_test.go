@@ -132,7 +132,7 @@ func TestSearchIteratorStreams(t *testing.T) {
 	rows := randomRows(rng, 200)
 	f := buildFixture(t, rows, 4, 8)
 	p := geo.NewPoint(500, 500)
-	it := f.ir2.Search(p, []string{"pool"}, f.rows)
+	it := f.sir2.Search(p, []string{"pool"}, f.rows)
 	want := bruteTopK(f.objects, len(f.objects), p, []string{"pool"})
 	prev := -1.0
 	for i := 0; ; i++ {
@@ -270,11 +270,11 @@ func TestStreamsReportRowsMissingFromTable(t *testing.T) {
 		return it.Stats(), err
 	}
 	for name, run := range map[string]func() (SearchStats, error){
-		"Search":       func() (SearchStats, error) { return drain(f.ir2.Search(p, kw, short)) },
-		"SearchArea":   func() (SearchStats, error) { return drain(f.ir2.SearchArea(world, kw, short)) },
-		"SearchWithin": func() (SearchStats, error) { return drain(f.ir2.SearchWithin(world, kw, short)) },
+		"Search":       func() (SearchStats, error) { return drain(f.sir2.Search(p, kw, short)) },
+		"SearchArea":   func() (SearchStats, error) { return drain(f.sir2.SearchArea(world, kw, short)) },
+		"SearchWithin": func() (SearchStats, error) { return drain(f.sir2.SearchWithin(world, kw, short)) },
 		"SearchRanked": func() (SearchStats, error) {
-			it := f.ir2.SearchRanked(p, kw, GeneralOptions{Scorer: generalScorer(f)}, short)
+			it := f.sir2.SearchRanked(p, kw, GeneralOptions{Scorer: generalScorer(f)}, short)
 			defer it.Close()
 			_, err := TakeK(len(f.objects), it.Next)
 			return it.Stats(), err

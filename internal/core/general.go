@@ -81,7 +81,6 @@ func (x *IR2Tree) SearchRanked(p geo.Point, keywords []string, opts GeneralOptio
 			probes:     probes,
 			rowTFs:     rows.TFs,
 			nodeWeight: irscore.CapWeight(rows.TFCeiling),
-			store:      x.store,
 			lo:         sc.lo,
 			hi:         sc.hi,
 			masks:      sc.masks,
@@ -135,7 +134,6 @@ type rankedScorer struct {
 	probes     []irscore.TermProbe
 	rowTFs     []irscore.RowTF // Rows.TFs
 	nodeWeight float64         // a node entry's wᵢ
-	store      *objstore.Store // maps a row pointer to its ID
 	lo, hi     geo.Point       // the MBR being scored
 	masks      []uint64        // keyword i's survivor mask at masks[i*nw:]
 	nw         int             // Tree.MaskWords
@@ -189,15 +187,14 @@ func (s *rankedScorer) ScoreNode(pn *rtree.PackedNode, mask []uint64, scores []f
 	}
 }
 
-// rowTF finds the term-frequency summary of the row at ptr by the row's ID,
-// which the store's row index resolves in constant time. A row the table
-// does not hold gets the empty summary, whose weight of 1 bounds any row:
-// the entry stays queued, and Next reports the row missing when it pops it.
+// rowTF finds the term-frequency summary of row id, the row a leaf entry
+// names. A row the table does not hold gets the empty summary, whose weight
+// of 1 bounds any row: the entry stays queued, and Next reports the row
+// missing when it pops it.
 //
 //skvet:hotpath
-func (s *rankedScorer) rowTF(ptr uint64) *irscore.RowTF {
-	id, ok := s.store.IDAt(objstore.Ptr(ptr))
-	if !ok || int(id) >= len(s.rowTFs) {
+func (s *rankedScorer) rowTF(id uint64) *irscore.RowTF {
+	if id >= uint64(len(s.rowTFs)) {
 		return &noRowTF
 	}
 	return &s.rowTFs[id]
@@ -253,7 +250,7 @@ func (r *RankedIter) Next() (RankedResult, bool, error) {
 			delete(r.exact, ref)
 			return r.emit(ref, c)
 		}
-		id, err := rowID(r.rows, r.x.store, ref)
+		id, err := rowID(r.rows, ref)
 		if err != nil {
 			return RankedResult{}, false, err
 		}
@@ -289,7 +286,7 @@ func (r *RankedIter) candidate(id int) (rankedCandidate, bool) {
 
 // emit returns candidate c, reading its row.
 func (r *RankedIter) emit(ref uint64, c rankedCandidate) (RankedResult, bool, error) {
-	obj, err := r.x.store.Get(objstore.Ptr(ref))
+	obj, err := r.x.store.GetByID(objstore.ID(ref))
 	if err != nil {
 		return RankedResult{}, false, err
 	}
@@ -346,7 +343,7 @@ func (r *RankedIter) PeekBound() (float64, bool) {
 		if c, seen := r.exact[ref]; seen && c.score == score {
 			break
 		}
-		id, err := rowID(r.rows, r.x.store, ref)
+		id, err := rowID(r.rows, ref)
 		if err != nil {
 			break
 		}

@@ -72,9 +72,9 @@ func TestGeneralMatchesBruteForce(t *testing.T) {
 		{5, []string{"beach", "airport", "shuttle", "bar"}},
 	}
 	for _, multilevel := range []bool{false, true} {
-		tree := f.ir2
+		tree := f.sir2
 		if multilevel {
-			tree = f.mir2
+			tree = f.smir2
 		}
 		for qi, q := range queries {
 			p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
@@ -137,7 +137,7 @@ func TestGeneralMatchesBruteForceMixedText(t *testing.T) {
 		{"zürich", "golf", "spa"},
 		{"KITTEN", "İstanbul"},
 	}
-	for _, tree := range []*IR2Tree{f.ir2, f.mir2} {
+	for _, tree := range []*IR2Tree{f.sir2, f.smir2} {
 		for _, kw := range queries {
 			p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 			got, _, err := topKRanked(tree, f.rows, 40, p, kw, GeneralOptions{Scorer: scorer})
@@ -158,7 +158,7 @@ func TestGeneralMatchesBruteForceMixedText(t *testing.T) {
 // to their pool, so a closed iterator must load no further candidate.
 func TestRankedNextAfterClose(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
-	it := f.ir2.SearchRanked(geo.NewPoint(30.5, 100), []string{"pool"}, GeneralOptions{Scorer: generalScorer(f)}, f.rows)
+	it := f.sir2.SearchRanked(geo.NewPoint(30.5, 100), []string{"pool"}, GeneralOptions{Scorer: generalScorer(f)}, f.rows)
 	if _, ok, err := it.Next(); !ok || err != nil {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
@@ -187,7 +187,7 @@ func TestGeneralDisjunctiveSemantics(t *testing.T) {
 	// unlike distance-first conjunctive queries.
 	f := buildFixture(t, figure1, 3, 16)
 	scorer := generalScorer(f)
-	got, _, err := topKRanked(f.ir2, f.rows, 8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, GeneralOptions{Scorer: scorer})
+	got, _, err := topKRanked(f.sir2, f.rows, 8, geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, GeneralOptions{Scorer: scorer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestGeneralPrunesAgainstBaselineWork(t *testing.T) {
 	rows[17].text = "only here unobtainium"
 	f := buildFixture(t, rows, 4, 16)
 	scorer := generalScorer(f)
-	got, stats, err := topKRanked(f.ir2, f.rows, 3, geo.NewPoint(0, 0), []string{"unobtainium"},
+	got, stats, err := topKRanked(f.sir2, f.rows, 3, geo.NewPoint(0, 0), []string{"unobtainium"},
 		GeneralOptions{Scorer: scorer})
 	if err != nil {
 		t.Fatal(err)
@@ -226,19 +226,19 @@ func TestGeneralEdgeCases(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
 	scorer := generalScorer(f)
 	// k = 0.
-	got, _, err := topKRanked(f.ir2, f.rows, 0, geo.NewPoint(0, 0), []string{"pool"},
+	got, _, err := topKRanked(f.sir2, f.rows, 0, geo.NewPoint(0, 0), []string{"pool"},
 		GeneralOptions{Scorer: scorer})
 	if err != nil || got != nil {
 		t.Errorf("k=0: %v %v", got, err)
 	}
 	// Unknown keyword: empty.
-	got, _, err = topKRanked(f.ir2, f.rows, 3, geo.NewPoint(0, 0), []string{"krypton"},
+	got, _, err = topKRanked(f.sir2, f.rows, 3, geo.NewPoint(0, 0), []string{"krypton"},
 		GeneralOptions{Scorer: scorer})
 	if err != nil || len(got) != 0 {
 		t.Errorf("unknown keyword: %v %v", got, err)
 	}
 	// No keywords: no object has an IR score above 0, so none answers.
-	got, _, err = topKRanked(f.ir2, f.rows, 3, geo.NewPoint(30.5, 100), nil,
+	got, _, err = topKRanked(f.sir2, f.rows, 3, geo.NewPoint(30.5, 100), nil,
 		GeneralOptions{Scorer: scorer})
 	if err != nil || len(got) != 0 {
 		t.Errorf("keyword-less query: %v %v", got, err)
@@ -258,7 +258,7 @@ func TestGeneralTieOnIdenticalObjects(t *testing.T) {
 	}
 	f := buildFixture(t, rows, 3, 8)
 	scorer := generalScorer(f)
-	got, _, err := topKRanked(f.ir2, f.rows, 4, geo.NewPoint(10, 10), []string{"pool"},
+	got, _, err := topKRanked(f.sir2, f.rows, 4, geo.NewPoint(10, 10), []string{"pool"},
 		GeneralOptions{Scorer: scorer})
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestGeneralMatchesIIOOracle(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		p := geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		kw := []string{"pool", "internet", "gym", "bar"}[:1+rng.Intn(4)]
-		treeRes, _, err := topKRanked(f.ir2, f.rows, 12, p, kw, GeneralOptions{Scorer: scorer})
+		treeRes, _, err := topKRanked(f.sir2, f.rows, 12, p, kw, GeneralOptions{Scorer: scorer})
 		if err != nil {
 			t.Fatal(err)
 		}

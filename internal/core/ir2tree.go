@@ -81,7 +81,8 @@ type IR2Tree struct {
 	multilevel bool
 	an         *textutil.Analyzer // nil = plain tokenization
 	// rows is a served tree's row table (NewServed), which keeps the leaf
-	// signatures: nil for a tree whose leaves store them.
+	// signatures and is keyed by the row IDs the leaves hold: nil for a
+	// tree whose leaves store signatures and row pointers.
 	rows *Rows
 }
 
@@ -99,8 +100,9 @@ type sigScheme struct {
 	avgWords   float64
 	vocabSize  int
 
-	// words resolves an object reference to its distinct words, reading the
-	// object store (and paying its I/O).
+	// words resolves a leaf entry's reference to the object's distinct
+	// words, reading the object store (and paying its I/O): by row ID in a
+	// served tree, by row pointer in the paper's.
 	words func(ref uint64) ([]string, error)
 
 	mu       sync.Mutex
@@ -273,13 +275,16 @@ func New(dev storage.Device, store *objstore.Store, opts Options) (*IR2Tree, err
 }
 
 // NewServed creates an empty IR²-Tree like New whose leaves store no
-// signature: rows, the engine's row table, keeps each row's (Rows.Sigs), and
-// a leaf entry is a pointer and a point, so a full leaf of 4 KB blocks holds
-// 170 entries in one block where the paper's holds 102 in one block per
-// 4 KB of their signatures (rtree.Tree.Capacity), and the leaves' signature
-// columns are built from the table when a leaf is read. Every mask, traversal and answer is the one the
-// signatures on disk would give. rows.Leaf must be opts.LeafSignature, and
-// rows must hold every row before the tree takes it.
+// signature and name each row by its ID: rows, the engine's row table,
+// keeps each row's signature (Rows.Sigs), and a leaf entry is a row ID and
+// a point, so a full leaf of 4 KB blocks holds 170 entries in one block
+// where the paper's holds 102 in one block per 4 KB of their signatures
+// (rtree.Tree.Capacity), and the leaves' signature columns are built from
+// the table when a leaf is read. Every mask, traversal and answer is the
+// one the signatures on disk would give. rows.Leaf must be
+// opts.LeafSignature, and rows must hold every row before the tree takes
+// it. Every stream (Search, SearchArea, SearchWithin, SearchRanked) runs
+// on a served tree only, and the paper's TopK on New's trees only.
 func NewServed(dev storage.Device, store *objstore.Store, opts Options, rows *Rows) (*IR2Tree, error) {
 	return build(dev, store, opts, rows, storage.NilBlock)
 }
@@ -296,13 +301,17 @@ func build(dev storage.Device, store *objstore.Store, opts Options, rows *Rows, 
 	if rows != nil && rows.Leaf != opts.LeafSignature {
 		return nil, fmt.Errorf("core: the row table keeps %+v leaf signatures, the tree's are %+v", rows.Leaf, opts.LeafSignature)
 	}
+	get := func(ref uint64) (objstore.Object, error) { return store.Get(objstore.Ptr(ref)) }
+	if rows != nil {
+		get = func(ref uint64) (objstore.Object, error) { return store.GetByID(objstore.ID(ref)) }
+	}
 	scheme := &sigScheme{
 		leaf:       opts.LeafSignature,
 		multilevel: opts.Multilevel,
 		avgWords:   opts.AvgWordsPerObject,
 		vocabSize:  opts.VocabSize,
 		words: func(ref uint64) ([]string, error) {
-			obj, err := store.Get(objstore.Ptr(ref))
+			obj, err := get(ref)
 			if err != nil {
 				return nil, err
 			}
@@ -315,7 +324,7 @@ func build(dev storage.Device, store *objstore.Store, opts Options, rows *Rows, 
 		CacheNodes: opts.CacheNodes,
 	}
 	if rows != nil {
-		cfg.Scheme = rowScheme{sigScheme: scheme, rows: rows, store: store}
+		cfg.Scheme = rowScheme{sigScheme: scheme, rows: rows}
 	}
 	rt, err := rtree.New(dev, cfg)
 	if err != nil {
@@ -336,40 +345,12 @@ func build(dev storage.Device, store *objstore.Store, opts Options, rows *Rows, 
 // leaf signatures, which the row table keeps (rtree.LeafKeeper).
 type rowScheme struct {
 	*sigScheme
-	rows  *Rows
-	store *objstore.Store
+	rows *Rows
 }
 
 // LeafAux implements rtree.LeafKeeper: the signature the row table keeps
-// for the row at ref.
-func (s rowScheme) LeafAux(ref uint64) ([]byte, bool) {
-	id, ok := s.store.IDAt(objstore.Ptr(ref))
-	if !ok {
-		return nil, false
-	}
-	return s.rows.Sig(int(id))
-}
-
-// LeafAuxes implements rtree.LeafKeeper: a leaf's rows are found with one
-// batched lookup (objstore.Store.IDsAt), then their signatures.
-func (s rowScheme) LeafAuxes(aux [][]byte, refs []uint64) bool {
-	var buf [64]objstore.ID // a leaf asks for at most 64 at a time
-	ids := buf[:]
-	if len(refs) > len(buf) {
-		ids = make([]objstore.ID, len(refs))
-	}
-	ids = ids[:len(refs)]
-	if !s.store.IDsAt(ids, refs) {
-		return false
-	}
-	for i, id := range ids {
-		var ok bool
-		if aux[i], ok = s.rows.Sig(int(id)); !ok {
-			return false
-		}
-	}
-	return true
-}
+// for row ref.
+func (s rowScheme) LeafAux(ref uint64) ([]byte, bool) { return s.rows.Sig(ref) }
 
 // RTree exposes the underlying tree (for statistics and invariant checks).
 func (x *IR2Tree) RTree() *rtree.Tree { return x.rt }
@@ -392,7 +373,18 @@ func (x *IR2Tree) SizeMB() float64 { return float64(x.SizeBytes()) / 1e6 }
 // is expensive by design. A level a pack sized superimposes the object's
 // words at its own length instead, so the insert reads no other object.
 func (x *IR2Tree) Insert(obj objstore.Object, ptr objstore.Ptr) error {
-	return x.insert(Entry{Ptr: ptr, Point: obj.Point, Words: x.an.Unique(obj.Text)})
+	return x.insert(Entry{Ref: x.ref(obj.ID, ptr), Point: obj.Point, Words: x.an.Unique(obj.Text)})
+}
+
+// ref returns the reference a leaf entry holds for the object with the
+// given ID and row pointer: its ID in a served tree, whose row table is
+// keyed by it, and its pointer in the paper's, whose leaves point into the
+// object file.
+func (x *IR2Tree) ref(id objstore.ID, ptr objstore.Ptr) uint64 {
+	if x.rows != nil {
+		return uint64(id)
+	}
+	return uint64(ptr)
 }
 
 // insert is Insert of an object whose words are already known.
@@ -401,7 +393,7 @@ func (x *IR2Tree) insert(e Entry) error {
 	lift := func(length int) []byte {
 		return sigfile.Config{LengthBytes: length, BitsPerWord: k}.DocSignature(e.Words)
 	}
-	return x.rt.Insert(uint64(e.Ptr), geo.PointRect(e.Point), x.leafSignature(e), lift)
+	return x.rt.Insert(e.Ref, geo.PointRect(e.Point), x.leafSignature(e), lift)
 }
 
 // leafSignature returns e's leaf signature, or nil in a served tree, whose
@@ -413,10 +405,11 @@ func (x *IR2Tree) leafSignature(e Entry) []byte {
 	return x.scheme.leaf.DocSignature(e.Words)
 }
 
-// Delete removes an object (paper Figure 6). It returns false if the object
-// was not indexed.
-func (x *IR2Tree) Delete(point geo.Point, ptr objstore.Ptr) (bool, error) {
-	return x.rt.Delete(uint64(ptr), geo.PointRect(point))
+// Delete removes the object at point whose leaf entry holds ref (paper
+// Figure 6): its ID in a served tree, its row pointer in the paper's. It
+// returns false if the object was not indexed.
+func (x *IR2Tree) Delete(point geo.Point, ref uint64) (bool, error) {
+	return x.rt.Delete(ref, geo.PointRect(point))
 }
 
 // Build loads every object of the store into the tree by repeated Insert,
@@ -424,18 +417,19 @@ func (x *IR2Tree) Delete(point geo.Point, ptr objstore.Ptr) (bool, error) {
 func (x *IR2Tree) Build() error {
 	return x.deferSignatures(func() error {
 		return x.store.Scan(func(obj objstore.Object, ptr objstore.Ptr) error {
-			e := Entry{Ptr: ptr, Point: obj.Point, Words: x.an.Unique(obj.Text)}
-			x.scheme.remember(uint64(ptr), e.Words)
+			e := Entry{Ref: x.ref(obj.ID, ptr), Point: obj.Point, Words: x.an.Unique(obj.Text)}
+			x.scheme.remember(e.Ref, e.Words)
 			return x.insert(e)
 		})
 	})
 }
 
-// Entry is one object of an InsertBatch: where its row is, its point, and
-// its distinct pipeline words, which the caller has at hand from analyzing
-// the row on its way in, so indexing reads no row back.
+// Entry is one object of an InsertBatch: the reference its leaf entry
+// holds (its row ID in a served tree, its row pointer in the paper's), its
+// point, and its distinct pipeline words, which the caller has at hand from
+// analyzing the row on its way in, so indexing reads no row back.
 type Entry struct {
-	Ptr   objstore.Ptr
+	Ref   uint64
 	Point geo.Point
 	Words []string
 }
@@ -473,11 +467,11 @@ func (x *IR2Tree) InsertBatch(batch []Entry) (int, error) {
 			sizer = ps
 		}
 		for i, e := range batch {
-			x.scheme.remember(uint64(e.Ptr), e.Words)
+			x.scheme.remember(e.Ref, e.Words)
 			if sizer != nil {
-				ps.addObject(uint64(e.Ptr), e.Words)
+				ps.addObject(e.Ref, e.Words)
 			}
-			entries[i] = rtree.BulkEntry{Ref: uint64(e.Ptr), Rect: geo.PointRect(e.Point), Aux: x.leafSignature(e)}
+			entries[i] = rtree.BulkEntry{Ref: e.Ref, Rect: geo.PointRect(e.Point), Aux: x.leafSignature(e)}
 		}
 		return x.rt.BulkLoad(entries, sizer)
 	})

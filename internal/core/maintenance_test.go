@@ -87,7 +87,7 @@ func TestDeleteMaintainsSignatures(t *testing.T) {
 			perm := rng.Perm(len(rows))
 			deleted := make(map[objstore.ID]bool)
 			for _, i := range perm[:len(rows)/2] {
-				ok, err := tree.Delete(f.objects[i].Point, f.ptrs[i])
+				ok, err := tree.Delete(f.objects[i].Point, uint64(f.ptrs[i]))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,7 +116,7 @@ func TestDeleteMaintainsSignatures(t *testing.T) {
 				t.Errorf("got %v, want %v", resultIDs(got), want)
 			}
 			// Deleting again returns false.
-			ok, err := tree.Delete(f.objects[perm[0]].Point, f.ptrs[perm[0]])
+			ok, err := tree.Delete(f.objects[perm[0]].Point, uint64(f.ptrs[perm[0]]))
 			if err != nil || ok {
 				t.Errorf("double delete: ok=%v err=%v", ok, err)
 			}

@@ -28,10 +28,11 @@ func (x *IR2Tree) Checkpoint(stateBlock storage.BlockID) (storage.BlockID, error
 // since those determine the per-level signature lengths baked into the
 // stored nodes. A mismatch is detected by the tree's configuration
 // fingerprint. rows is the row table of a served tree (NewServed), which
-// keeps its leaf signatures and must hold every row before Open; a tree
-// whose leaves store their signatures opens with it too, and stores the
-// table's in the leaves it writes. A served tree's state refuses to open
-// without one.
+// keeps its leaf signatures and must hold every row before Open. A served
+// tree's state refuses to open without one, and with one only a served
+// tree's state opens: any other leaf layout, a tree whose leaves store
+// their signatures or name rows by object-file offset, is
+// rtree.ErrLeafLayout, and its caller packs the rows into a new tree.
 func Open(dev storage.Device, store *objstore.Store, opts Options, rows *Rows, stateBlock storage.BlockID) (*IR2Tree, error) {
 	x, err := build(dev, store, opts, rows, stateBlock)
 	if err != nil {

@@ -104,7 +104,7 @@ func TestQuickGeneralScoreMonotone(t *testing.T) {
 		f := buildFixture(t, rows, 4, 1+rng.Intn(8))
 		scorer := generalScorer(f)
 		kw := []string{"pool", "internet", "spa"}[:1+rng.Intn(3)]
-		it := f.ir2.SearchRanked(geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000), kw,
+		it := f.sir2.SearchRanked(geo.NewPoint(rng.Float64()*1000, rng.Float64()*1000), kw,
 			GeneralOptions{Scorer: scorer}, f.rows)
 		prev := -1.0
 		first := true
@@ -135,11 +135,11 @@ func TestQuickAreaConsistency(t *testing.T) {
 		lo := geo.NewPoint(rng.Float64()*800, rng.Float64()*800)
 		area := geo.NewRect(lo, geo.NewPoint(lo[0]+200, lo[1]+200))
 		kw := []string{"pool"}
-		within, _, err := withinArea(f.ir2, f.rows, area, kw)
+		within, _, err := withinArea(f.sir2, f.rows, area, kw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		topArea, _, err := topKArea(f.ir2, f.rows, len(f.objects), area, kw)
+		topArea, _, err := topKArea(f.sir2, f.rows, len(f.objects), area, kw)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func decodedAreaWalk(t *testing.T, x *IR2Tree, area geo.Rect, keywords []string)
 		walk.NodesLoaded++
 		for i := 0; i < n.NumEntries(); i++ {
 			ptr, rect, aux := n.Entry(i)
-			if !rect.Intersects(area) || !sigs.at(n.Level()).MatchesTolerant(aux) {
+			if !rect.Intersects(area) || !matchesTolerant(sigs.at(n.Level()), aux) {
 				walk.EntriesPruned++
 				continue
 			}
@@ -135,7 +135,7 @@ func withinAreaMatchesBruteForce(t *testing.T, rng *rand.Rand, rows []struct {
 		area := geo.NewRect(lo, geo.NewPoint(lo[0]+rng.Float64()*400, lo[1]+rng.Float64()*400))
 		kw := keywords[trial%len(keywords)]
 		want := bruteWithinArea(f.objects, area, kw)
-		for name, tree := range map[string]*IR2Tree{"IR2": f.ir2, "MIR2": f.mir2} {
+		for name, tree := range map[string]*IR2Tree{"IR2": f.sir2, "MIR2": f.smir2} {
 			dev := tree.RTree().Device()
 			dev.ResetStats()
 			wantStats, ptrs := decodedAreaWalk(t, tree, area, kw)
@@ -184,7 +184,9 @@ func TestWithinAreaWideNodes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tree, err := New(newDisk(), store, Options{LeafSignature: f8(), MaxEntries: 100})
+	opts := Options{LeafSignature: f8(), MaxEntries: 100}
+	table := rowTable(t, store, opts)
+	tree, err := NewServed(newDisk(), store, opts, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,6 @@ func TestWithinAreaWideNodes(t *testing.T) {
 	if root.NumEntries() <= 64 || root.Level() == 0 {
 		t.Fatalf("root holds %d entries at level %d, want an interior node over 64", root.NumEntries(), root.Level())
 	}
-	table := rowTable(t, tree)
 	for trial := 0; trial < 8; trial++ {
 		lo := geo.NewPoint(rng.Float64()*600-100, rng.Float64()*600-100)
 		area := geo.NewRect(lo, geo.NewPoint(lo[0]+200+rng.Float64()*400, lo[1]+200+rng.Float64()*400))
@@ -226,7 +227,7 @@ func TestWithinAreaPrunesBySignature(t *testing.T) {
 	// A huge area with an absent keyword: spatial pruning does nothing,
 	// signature pruning must keep work near zero.
 	area := geo.NewRect(geo.NewPoint(-1e6, -1e6), geo.NewPoint(1e6, 1e6))
-	got, stats, err := withinArea(f.ir2, f.rows, area, []string{"xyzzy"})
+	got, stats, err := withinArea(f.sir2, f.rows, area, []string{"xyzzy"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestWithinAreaPrunesBySignature(t *testing.T) {
 		t.Errorf("loaded %d objects; signature pruning ineffective", stats.ObjectsLoaded)
 	}
 	// Same area, common keyword: everything matching comes back.
-	got, _, err = withinArea(f.ir2, f.rows, area, []string{"pool"})
+	got, _, err = withinArea(f.sir2, f.rows, area, []string{"pool"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +250,13 @@ func TestWithinAreaPrunesBySignature(t *testing.T) {
 
 func TestWithinAreaEmptyTree(t *testing.T) {
 	store := objstore.New(newDisk())
-	tree, err := New(newDisk(), store, Options{LeafSignature: f8()})
+	opts := Options{LeafSignature: f8()}
+	table := rowTable(t, store, opts)
+	tree, err := NewServed(newDisk(), store, opts, table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := withinArea(tree, rowTable(t, tree), geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1, 1)), []string{"x"})
+	got, _, err := withinArea(tree, table, geo.NewRect(geo.NewPoint(0, 0), geo.NewPoint(1, 1)), []string{"x"})
 	if err != nil || got != nil {
 		t.Errorf("empty tree: %v %v", got, err)
 	}

@@ -86,12 +86,12 @@ func (r *Rows) Grow(n int) {
 
 // Sig returns row id's leaf signature, a view of the table; false when the
 // table keeps none for it.
-func (r *Rows) Sig(id int) ([]byte, bool) {
+func (r *Rows) Sig(id uint64) ([]byte, bool) {
 	l := r.Leaf.LengthBytes
-	if l == 0 || id < 0 || (id+1)*l > len(r.Sigs) {
+	if l == 0 || id >= uint64(len(r.Sigs)/l) {
 		return nil, false
 	}
-	return r.Sigs[id*l : (id+1)*l : (id+1)*l], true
+	return r.Sigs[int(id)*l : int(id+1)*l : int(id+1)*l], true
 }
 
 // Point returns row id's point, a view of the table.
@@ -128,17 +128,16 @@ func (r *Rows) hashes(dst []uint64, keywords []string, ids []uint32) []uint64 {
 	return dst
 }
 
-// rowID returns the ID of the row at ptr, or an error when the store
-// resolves no row there or rows does not hold it: a stream's table holds
+// rowID returns the row a served leaf entry names, ref, as an index into
+// rows, or an error when rows does not hold it: a stream's table holds
 // every row its tree does.
 //
 //skvet:hotpath
-func rowID(rows *Rows, store *objstore.Store, ptr uint64) (int, error) {
-	id, ok := store.IDAt(objstore.Ptr(ptr))
-	if !ok || int(id) >= rows.Terms.Len() {
-		return 0, fmt.Errorf("core: the row table holds no row at %d", ptr)
+func rowID(rows *Rows, ref uint64) (int, error) {
+	if ref >= uint64(rows.Terms.Len()) {
+		return 0, fmt.Errorf("core: the row table holds no row %d", ref)
 	}
-	return int(id), nil
+	return int(ref), nil
 }
 
 // PushRun puts every row of queued (object IDs in the query's row table)
@@ -165,7 +164,7 @@ func (r *ResultIter) PushRun(queued []uint64) {
 		default:
 			key = rect.MinDistRect(r.area)
 		}
-		r.it.Push(uint64(r.x.store.Ptrs()[id]), key)
+		r.it.Push(id, key)
 	}
 }
 
@@ -188,6 +187,6 @@ func (r *RankedIter) PushRun(queued []uint64) {
 			continue
 		}
 		p := r.rows.Point(int(id))
-		r.it.Push(uint64(r.x.store.Ptrs()[id]), -irscore.Combine(geo.Rect{Lo: p, Hi: p}.MinDist(s.p), ub))
+		r.it.Push(id, -irscore.Combine(geo.Rect{Lo: p, Hi: p}.MinDist(s.p), ub))
 	}
 }

@@ -43,9 +43,13 @@ type fixture struct {
 	baseDisk *storage.Disk
 	inv      *invindex.Index
 	invDisk  *storage.Disk
-	rows     *Rows // the row table the streams of ir2 and mir2 test in
-	vocab    *textutil.Vocabulary
-	avgWords float64 // mean distinct words per row (MIR²'s AvgWordsPerObject)
+	// sir2 and smir2 are ir2 and mir2 served (NewServed): the same inserts,
+	// leaves that name rows by ID and keep no signature. Every stream runs
+	// on them, testing in rows, their row table.
+	sir2, smir2 *IR2Tree
+	rows        *Rows
+	vocab       *textutil.Vocabulary
+	avgWords    float64 // mean distinct words per row (MIR²'s AvgWordsPerObject)
 }
 
 // buildFixture loads the given rows into an object store and constructs all
@@ -87,18 +91,18 @@ func buildFixture(t *testing.T, rows []struct {
 	}
 
 	leaf := sigfile.Config{LengthBytes: sigBytes, BitsPerWord: sigfile.DefaultBitsPerWord}
-	var err error
-	f.ir2, err = New(f.ir2Disk, f.store, Options{
-		LeafSignature: leaf, MaxEntries: maxEntries,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.mir2, err = New(f.mir2Disk, f.store, Options{
+	ir2 := Options{LeafSignature: leaf, MaxEntries: maxEntries}
+	mir2 := Options{
 		LeafSignature: leaf, MaxEntries: maxEntries, Multilevel: true,
 		AvgWordsPerObject: f.avgWords,
 		VocabSize:         f.vocab.NumWords(),
-	})
+	}
+	var err error
+	f.ir2, err = New(f.ir2Disk, f.store, ir2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.mir2, err = New(f.mir2Disk, f.store, mir2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,24 +125,49 @@ func buildFixture(t *testing.T, rows []struct {
 	if err := f.inv.Build(); err != nil {
 		t.Fatal(err)
 	}
-	f.rows = rowTable(t, f.ir2)
+	f.rows = rowTable(t, f.store, ir2)
+	f.sir2 = servedTree(t, f.store, ir2, f.rows)
+	f.smir2 = servedTree(t, f.store, mir2, f.rows)
 	return f
 }
 
-// rowTable builds the row table of every row in x's object store as an
-// engine's open does: one Rows.Add per row, in ID order, through x's
-// pipeline.
-func rowTable(t testing.TB, x *IR2Tree) *Rows {
+// rowTable builds the row table of every row in store as an engine's open
+// does: one Rows.Add per row, in ID order, through opts' pipeline, with
+// leaf signatures of opts' configuration.
+func rowTable(t testing.TB, store *objstore.Store, opts Options) *Rows {
 	t.Helper()
-	rows := &Rows{Vocab: textutil.NewVocabulary()}
-	rows.Grow(x.store.NumObjects())
-	if err := x.store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-		rows.Add(o.ID, o.Point, x.an, o.Text)
+	rows := &Rows{Vocab: textutil.NewVocabulary(), Leaf: opts.LeafSignature}
+	rows.Grow(store.NumObjects())
+	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
+		rows.Add(o.ID, o.Point, opts.Analyzer, o.Text)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return rows
+}
+
+// servedTree builds a served tree (NewServed) with opts over every row of
+// store, by Build's inserts, keeping its leaf signatures in rows, which
+// must be store's row table at opts' leaf configuration (rowTable).
+func servedTree(t testing.TB, store *objstore.Store, opts Options, rows *Rows) *IR2Tree {
+	t.Helper()
+	x, err := NewServed(newDisk(), store, opts, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Build(); err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// matchesTolerant is the one-entry signature test a node's mask, and the
+// scores built from it, are held to: every bit of sig is set in the payload
+// s, or their lengths differ, where a mismatched signature cannot be
+// trusted and the only sound answer is "may match".
+func matchesTolerant(sig *sigfile.Sig64, s []byte) bool {
+	return len(s) != sig.Len() || sigfile.Matches(s, sig.Bytes())
 }
 
 // newDisk returns a fresh 4 KB-block disk.

@@ -16,7 +16,7 @@ import (
 // prune is sound (no pruned subtree contains a qualifying hotel).
 func TestTraceReproducesExample3Pruning(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
-	it := f.ir2.Search(geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, f.rows)
+	it := f.sir2.Search(geo.NewPoint(30.5, 100.0), []string{"internet", "pool"}, f.rows)
 
 	var events []rtree.TraceEvent
 	it.SetTrace(func(ev rtree.TraceEvent) { events = append(events, ev) })
@@ -71,16 +71,16 @@ func TestTraceReproducesExample3Pruning(t *testing.T) {
 		if expanded[storage.BlockID(child)] {
 			t.Errorf("pruned subtree %d was expanded anyway", child)
 		}
-		node, err := f.ir2.RTree().LoadNode(storage.BlockID(child))
+		node, err := f.sir2.RTree().LoadNode(storage.BlockID(child))
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs, err := f.ir2.RTree().SubtreeObjectRefs(node)
+		refs, err := f.sir2.RTree().SubtreeObjectRefs(node)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, ref := range refs {
-			obj, err := f.store.Get(objstore.Ptr(ref))
+			obj, err := f.store.GetByID(objstore.ID(ref))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestTraceReproducesExample3Pruning(t *testing.T) {
 // their enqueue.
 func TestTraceEventOrdering(t *testing.T) {
 	f := buildFixture(t, figure1, 3, 16)
-	it := f.ir2.Search(geo.NewPoint(0, 0), []string{"pool"}, f.rows)
+	it := f.sir2.Search(geo.NewPoint(0, 0), []string{"pool"}, f.rows)
 	var events []rtree.TraceEvent
 	it.SetTrace(func(ev rtree.TraceEvent) { events = append(events, ev) })
 	for {
@@ -115,7 +115,7 @@ func TestTraceEventOrdering(t *testing.T) {
 	if events[0].Kind != rtree.TraceExpand {
 		t.Errorf("first event = %v, want expand of root", events[0].Kind)
 	}
-	root, err := f.ir2.RTree().Root()
+	root, err := f.sir2.RTree().Root()
 	if err != nil {
 		t.Fatal(err)
 	}

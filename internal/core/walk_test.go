@@ -79,7 +79,7 @@ func decodedSearch(t *testing.T, rt *rtree.Tree, sig func(level int) *sigfile.Si
 		for i := 0; i < n.NumEntries(); i++ {
 			ptr, rect, aux := n.Entry(i)
 			score := dist(rect)
-			if sig != nil && !sig(n.Level()).MatchesTolerant(aux) {
+			if sig != nil && !matchesTolerant(sig(n.Level()), aux) {
 				st.EntriesPruned++
 				continue
 			}
@@ -96,8 +96,8 @@ func decodedSearch(t *testing.T, rt *rtree.Tree, sig func(level int) *sigfile.Si
 }
 
 // TestSearchMatchesDecodedWalk holds the table-backed streams, Search and
-// SearchArea on IR² and MIR² trees, and the paper's top-k loop, TopK on
-// IR², MIR² and the R-Tree baseline, to brute force — every object
+// SearchArea on served IR² and MIR² trees, and the paper's top-k loop, TopK
+// on IR², MIR² and the R-Tree baseline, to brute force — every object
 // containing the keywords, each at its exact distance, in non-decreasing
 // order — and to decodedSearch: the same results in the same order, and
 // the same work record. A stream tests every candidate the walk pops in
@@ -111,6 +111,8 @@ func TestSearchMatchesDecodedWalk(t *testing.T) {
 	for i, p := range f.ptrs {
 		objOf[uint64(p)] = f.objects[i]
 	}
+	byPtr := func(ref uint64) objstore.Object { return objOf[ref] }
+	byID := func(ref uint64) objstore.Object { return f.objects[ref] }
 	pruned := 0
 	for trial := 0; trial < 12; trial++ {
 		kw := [][]string{{"pool"}, {"internet", "spa"}, {"gym", "bar", "wifi"}, {"notaword"}}[trial%4]
@@ -132,11 +134,17 @@ func TestSearchMatchesDecodedWalk(t *testing.T) {
 			sig     func(level int) *sigfile.Sig64
 			dist    func(geo.Rect) float64
 			results func() ([]Result, SearchStats, error)
-			paper   bool // reads every candidate
+			paper   bool                             // reads every candidate
+			obj     func(ref uint64) objstore.Object // the object a leaf entry names
 		}
 		var runs []run
-		for name, tree := range map[string]*IR2Tree{"IR2": f.ir2, "MIR2": f.mir2} {
+		for _, tc := range []struct {
+			name          string
+			paper, served *IR2Tree
+		}{{"IR2", f.ir2, f.sir2}, {"MIR2", f.mir2, f.smir2}} {
+			tree, name := tc.served, tc.name
 			sig := (&levelSigs{x: tree, hashes: wordHashes(kws)}).at
+			paperSig := (&levelSigs{x: tc.paper, hashes: wordHashes(kws)}).at
 			stream := func(it *ResultIter) ([]Result, SearchStats, error) {
 				got, err := TakeK(len(f.objects)+1, it.Next)
 				it.Close()
@@ -145,23 +153,23 @@ func TestSearchMatchesDecodedWalk(t *testing.T) {
 			runs = append(runs,
 				run{name + " Search", tree.rt, sig, near, func() ([]Result, SearchStats, error) {
 					return stream(tree.Search(p, kw, f.rows))
-				}, false},
+				}, false, byID},
 				run{name + " SearchArea", tree.rt, sig, func(r geo.Rect) float64 { return r.MinDistRect(area) }, func() ([]Result, SearchStats, error) {
 					return stream(tree.SearchArea(area, kw, f.rows))
-				}, false},
-				run{name + " TopK", tree.rt, sig, near, func() ([]Result, SearchStats, error) {
-					return tree.TopK(len(f.objects)+1, p, kw)
-				}, true})
+				}, false, byID},
+				run{name + " TopK", tc.paper.rt, paperSig, near, func() ([]Result, SearchStats, error) {
+					return tc.paper.TopK(len(f.objects)+1, p, kw)
+				}, true, byPtr})
 		}
 		runs = append(runs, run{"RTree TopK", f.base.rt, nil, near, func() ([]Result, SearchStats, error) {
 			return f.base.TopK(len(f.objects)+1, p, kw)
-		}, true})
+		}, true, byPtr})
 		for _, q := range runs {
 			where := fmt.Sprintf("trial %d %s %v", trial, q.kind, kw)
 			refs, ts := decodedSearch(t, q.rt, q.sig, q.dist)
 			var want []objstore.ID
 			for _, ref := range refs {
-				if o := objOf[ref]; textutil.ContainsAll(o.Text, kws) {
+				if o := q.obj(ref); textutil.ContainsAll(o.Text, kws) {
 					want = append(want, o.ID)
 				}
 			}

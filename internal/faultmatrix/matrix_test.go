@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"spatialkeyword"
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/invindex"
@@ -15,7 +14,6 @@ import (
 	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
-	"spatialkeyword/internal/textutil"
 	"spatialkeyword/internal/wal"
 )
 
@@ -115,30 +113,12 @@ func buildSigTree(dev storage.Device) (func() error, error) {
 	if err := tree.Build(); err != nil {
 		return nil, err
 	}
-	// The served stream's row table, built as an engine's open builds it.
-	rows := &core.Rows{Vocab: textutil.NewVocabulary()}
-	if err := store.Scan(func(o objstore.Object, _ objstore.Ptr) error {
-		rows.Add(o.ID, o.Point, nil, o.Text)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	// The paper's top-k loop, whose tree keeps the signatures in its leaves.
 	read := func() error {
-		it := tree.Search(geo.NewPoint(2, 2), []string{"common"}, rows)
-		defer it.Close()
-		_, err := spatialkeyword.FirstK(nil, coreStream{it}, 5, nil)
+		_, _, err := tree.TopK(5, geo.NewPoint(2, 2), []string{"common"})
 		return err
 	}
 	return read, nil
-}
-
-// coreStream is a tree's distance-first stream in the engine's result
-// shape, for spatialkeyword.FirstK.
-type coreStream struct{ *core.ResultIter }
-
-func (s coreStream) Next() (spatialkeyword.Result, bool, error) {
-	r, ok, err := s.ResultIter.Next()
-	return spatialkeyword.Result{Object: spatialkeyword.Object{ID: uint64(r.Object.ID)}, Dist: r.Dist}, ok, err
 }
 
 // buildObjStore appends enough rows that the checkpoint's meta run spans

@@ -35,7 +35,8 @@ import (
 type ID uint64
 
 // Ptr locates an object row: the byte offset of the row start in the file.
-// This is the ObjPtr stored in R-Tree and IR²-Tree leaves.
+// This is the ObjPtr the paper's R-Tree and IR²-Tree leaves store; a served
+// tree's leaves name the row's ID instead.
 type Ptr uint64
 
 // Object is a spatial object T = (T.p, T.t): a location plus a text
@@ -72,7 +73,7 @@ type Store struct {
 	// j<<shift, holds the ID of the first row starting at or after the
 	// bucket's start, for every bucket up to the one the last row starts
 	// in. A bucket is at most 256 bytes and never more than a block, so
-	// IDAt scans the few rows that start in one bucket (the store
+	// idAt scans the few rows that start in one bucket (the store
 	// addresses fewer than 2³² rows).
 	firsts []uint32
 	shift  uint
@@ -128,13 +129,14 @@ func (s *Store) addRow(ptr Ptr) {
 	}
 }
 
-// IDAt returns the ID of the row that starts at ptr, and false when no row
+// idAt returns the ID of the row that starts at ptr, and false when no row
 // starts there (an offset inside a row, in padding or past the last row):
 // the row index names the first row at or after ptr's bucket, and the rows
-// starting inside one bucket are few.
+// starting inside one bucket are few. It bounds a row read by pointer
+// (endAt), the paper's trees' reads, whose leaves point into the file.
 //
 //skvet:hotpath
-func (s *Store) IDAt(ptr Ptr) (ID, bool) {
+func (s *Store) idAt(ptr Ptr) (ID, bool) {
 	j := uint64(ptr) >> s.shift
 	if j >= uint64(len(s.firsts)) {
 		return 0, false
@@ -145,32 +147,6 @@ func (s *Store) IDAt(ptr Ptr) (ID, bool) {
 		}
 	}
 	return 0, false
-}
-
-// IDsAt is IDAt of every pointer of ptrs, into ids (as long): false when
-// one is not a row's start. It looks them up a phase at a time — every
-// bucket's first row, then every row — so that the row index's cache
-// misses of different pointers overlap instead of following one another:
-// a served leaf's entries are resolved this way each time it is read.
-func (s *Store) IDsAt(ids []ID, ptrs []uint64) bool {
-	for i, p := range ptrs {
-		j := p >> s.shift
-		if j >= uint64(len(s.firsts)) {
-			return false
-		}
-		ids[i] = ID(s.firsts[j])
-	}
-	for i, p := range ptrs {
-		id := int(ids[i])
-		for id < len(s.ptrs) && uint64(s.ptrs[id]) < p {
-			id++
-		}
-		if id == len(s.ptrs) || uint64(s.ptrs[id]) != p {
-			return false
-		}
-		ids[i] = ID(id)
-	}
-	return true
 }
 
 // rowEnd bounds where row id ends: the next row's start, or the synced
@@ -300,7 +276,7 @@ func (s *Store) get(ptr Ptr, end uint64, sc *RowScratch, shareBlocks bool) (Obje
 //
 //skvet:hotpath
 func (s *Store) endAt(ptr Ptr) uint64 {
-	if id, ok := s.IDAt(ptr); ok {
+	if id, ok := s.idAt(ptr); ok {
 		return s.rowEnd(id)
 	}
 	return 0

@@ -740,7 +740,7 @@ func (c *runCounter) ReadRunInto(id storage.BlockID, n int, dst []byte) error {
 
 // TestRowIndexAndRunRead pins the row index and the run read through
 // Append, Sync, Checkpoint's seal and a reopen, on blocks smaller and larger
-// than the index's 256-byte bucket, with rows of one to four blocks: IDAt
+// than the index's 256-byte bucket, with rows of one to four blocks: idAt
 // gives every row start the ID slices.BinarySearch gives it and no other
 // offset a row; Get and GetByID return the bytes, and charge the device the
 // accesses, of a block-at-a-time read, in one ReadRunInto per row whose
@@ -757,24 +757,9 @@ func TestRowIndexAndRunRead(t *testing.T) {
 				ptrs := s.Ptrs()
 				for off := Ptr(0); uint64(off) < s.synced+uint64(2*bs); off++ {
 					want, ok := slices.BinarySearch(ptrs, off)
-					got, gotOK := s.IDAt(off)
+					got, gotOK := s.idAt(off)
 					if gotOK != ok || (ok && int(got) != want) {
-						t.Fatalf("%s: IDAt(%d) = %d, %v; binary search %d, %v", stage, off, got, gotOK, want, ok)
-					}
-					// IDsAt of a batch of row starts that ends at off: true
-					// exactly when off is a row's start too.
-					batch := []uint64{uint64(off)}
-					for _, p := range ptrs[max(0, want-5):want] {
-						batch = append([]uint64{uint64(p)}, batch...)
-					}
-					ids := make([]ID, len(batch))
-					if s.IDsAt(ids, batch) != ok {
-						t.Fatalf("%s: IDsAt(%v) = %v, want %v", stage, batch, !ok, ok)
-					}
-					for i, p := range batch {
-						if id, isRow := s.IDAt(Ptr(p)); ok && (!isRow || ids[i] != id) {
-							t.Fatalf("%s: IDsAt(%v)[%d] = %d, IDAt %d", stage, batch, i, ids[i], id)
-						}
+						t.Fatalf("%s: idAt(%d) = %d, %v; binary search %d, %v", stage, off, got, gotOK, want, ok)
 					}
 				}
 				for id, ptr := range ptrs {

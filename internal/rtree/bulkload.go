@@ -9,8 +9,8 @@ import (
 	"spatialkeyword/internal/storage"
 )
 
-// BulkEntry is one object entry for BulkLoad. A nil Aux on a tree with a
-// LeafKeeper is the keeper's payload for Ref.
+// BulkEntry is one object entry for BulkLoad. A tree on a LeafKeeper
+// ignores Aux and takes the keeper's payload for Ref.
 type BulkEntry struct {
 	Ref  uint64
 	Rect geo.Rect
@@ -70,9 +70,6 @@ func (t *Tree) BulkLoad(entries []BulkEntry, sizer LevelSizer) (err error) {
 		}
 		if len(aux) != auxLen {
 			return fmt.Errorf("rtree: bulk entry %d payload %d bytes, want %d", i, len(aux), auxLen)
-		}
-		if be.Aux != nil {
-			aux = cloneBytes(aux)
 		}
 		level[i] = entry{ptr: be.Ref, rect: be.Rect.Clone(), aux: aux}
 	}

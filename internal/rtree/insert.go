@@ -23,8 +23,8 @@ type pathStep struct {
 // — and, through the AuxScheme, signatures — to the ancestors.
 //
 // aux must have the leaf-entry length (nil for a plain tree); a tree on a
-// LeafKeeper takes a nil aux from the keeper, which must hold ref, and in
-// point leaves rect must be a point. An ancestor
+// LeafKeeper ignores it and takes the keeper's, which must hold ref, and
+// rect must be a point. An ancestor
 // entry at a level the pack sized (see BulkLoad) is not recomputed: it
 // superimposes lift(length), the object's payload at that level's length,
 // and a split gives both halves' entries the split node's old payload plus
@@ -49,9 +49,6 @@ func (t *Tree) Insert(ref uint64, rect geo.Rect, aux []byte, lift Lift) error {
 	}
 	if want := t.AuxLen(0); len(kept) != want {
 		return fmt.Errorf("rtree: insert payload %d bytes, want %d", len(kept), want)
-	}
-	if aux != nil {
-		kept = cloneBytes(aux)
 	}
 	e := entry{ptr: ref, rect: rect.Clone(), aux: kept}
 

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -29,23 +30,10 @@ func (s keepScheme) LeafAux(ref uint64) ([]byte, bool) {
 	return aux, true
 }
 
-func (s keepScheme) LeafAuxes(aux [][]byte, refs []uint64) bool {
-	for i, ref := range refs {
-		var ok bool
-		if aux[i], ok = s.LeafAux(ref); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // The leaf layouts a tree stores: payloads in the leaves (no LeafKeeper),
-// bare leaves of 40-byte entries (a state written before point leaves),
-// and bare leaves of 24-byte point entries (every tree created on a
-// LeafKeeper).
+// and 24-byte point entries of row IDs (a tree on a LeafKeeper).
 const (
 	layoutStored = iota
-	layoutBare
 	layoutPoints
 	layouts
 )
@@ -62,9 +50,6 @@ func layoutTree(t testing.TB, layout, bs, n int) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if layout == layoutBare {
-		tree.layLeaves(true, false)
-	}
 	return tree
 }
 
@@ -72,7 +57,7 @@ func layoutTree(t testing.TB, layout, bs, n int) *Tree {
 // one, deletes most of each (condensing leaves below their minimum fill),
 // and checkpoints and reopens them: every invariant holds throughout, every
 // leaf entry reads back as its point, and a rectangle that is not a point
-// is refused. A bare 40-byte tree's state reopens with its own layout.
+// is refused.
 func TestPointLeavesUnderMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	points := make([]geo.Rect, 2000)
@@ -156,8 +141,8 @@ func TestPointLeavesUnderMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !re.points || re.Capacity(0) != 170 {
-			t.Fatalf("reopened point-leaf tree: points %v, leaf capacity %d", re.points, re.Capacity(0))
+		if re.Capacity(0) != 170 {
+			t.Fatalf("reopened point-leaf tree: leaf capacity %d", re.Capacity(0))
 		}
 		check(re, live)
 	}
@@ -165,26 +150,57 @@ func TestPointLeavesUnderMutation(t *testing.T) {
 	if err := layoutTree(t, layoutPoints, 4096, 8).BulkLoad([]BulkEntry{{Ref: 1, Rect: geo.NewRect(geo.NewPoint(1, 1), geo.NewPoint(2, 2))}}, nil); err == nil {
 		t.Fatal("a bulk load of a rectangle into point leaves succeeded")
 	}
+}
 
-	bare := layoutTree(t, layoutBare, 4096, 8)
-	for i, r := range points[:500] {
-		if err := bare.Insert(uint64(i), r, nil, nil); err != nil {
+// TestOlderLeafLayoutsDoNotOpenOnKeeper: a keeper opens no state but its
+// own, point leaves of row IDs. A state whose leaves store their payloads,
+// and one an older keeper tree wrote (leaves without payloads whose entries
+// named a row by its offset: bit 31, and bit 30 when they were points), is
+// ErrLeafLayout, found before the fingerprint or the root is read; so the
+// state's root may point anywhere. A tree whose leaves store their payloads
+// does not open a keeper's state.
+func TestOlderLeafLayoutsDoNotOpenOnKeeper(t *testing.T) {
+	scheme := keepScheme{orScheme{n: 8}}
+	stored := layoutTree(t, layoutStored, 4096, 8)
+	for i := 0; i < 300; i++ {
+		p := geo.NewPoint(float64(i%17), float64(i%23))
+		if err := stored.Insert(uint64(i), geo.PointRect(p), append(refMask(uint64(i)), 0, 0, 0, 0), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	state, err := bare.Checkpoint(storage.NilBlock)
+	state, err := stored.Checkpoint(storage.NilBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(bare.dev, Config{Scheme: scheme}, state)
+	if _, err := Open(stored.dev, Config{Scheme: scheme}, state); !errors.Is(err, ErrLeafLayout) {
+		t.Fatalf("a keeper opening a stored-payload state: %v, want ErrLeafLayout", err)
+	}
+	for _, bits := range []uint32{1 << 31, 1<<31 | 1<<30} {
+		buf, err := stored.dev.Read(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(buf[stateLensOff:], bits)
+		binary.LittleEndian.PutUint64(buf[8:16], 1<<40) // a root no read survives
+		old := stored.dev.Alloc()
+		if err := stored.dev.Write(old, buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(stored.dev, Config{Scheme: scheme}, old); !errors.Is(err, ErrLeafLayout) {
+			t.Fatalf("a keeper opening a state with bits %#x: %v, want ErrLeafLayout", bits, err)
+		}
+	}
+
+	kept := layoutTree(t, layoutPoints, 4096, 8)
+	if err := kept.Insert(1, geo.PointRect(geo.NewPoint(1, 1)), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	state, err = kept.Checkpoint(storage.NilBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !re.bare || re.points || re.Capacity(0) != 102 || re.stateFingerprint() == layoutTree(t, layoutPoints, 4096, 8).stateFingerprint() {
-		t.Fatalf("reopened bare 40-byte tree: bare %v, points %v, leaf capacity %d", re.bare, re.points, re.Capacity(0))
-	}
-	if err := re.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if _, err := Open(kept.dev, Config{Scheme: orScheme{n: 8}}, state); err == nil || errors.Is(err, ErrLeafLayout) {
+		t.Fatalf("a stored-payload tree opening a keeper's state: %v, want a refusal", err)
 	}
 }
 
@@ -204,8 +220,8 @@ func nodeImage(tree *Tree, level, count int) []byte {
 
 // TestHeaderCountIsLevelCapacity: a node claiming one entry more than its
 // level holds is corrupt, whatever run it names — a point leaf of 171, a
-// bare 40-byte leaf of 103, and an interior node of 103 whose payloads make
-// its capacity run long enough to hold them.
+// stored-payload leaf of 103, and an interior node of 103 whose payloads
+// make its capacity run long enough to hold them.
 func TestHeaderCountIsLevelCapacity(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -213,7 +229,7 @@ func TestHeaderCountIsLevelCapacity(t *testing.T) {
 		count         int
 	}{
 		{"point leaf", layoutPoints, 0, 171},
-		{"bare 40-byte leaf", layoutBare, 0, 103},
+		{"stored-payload leaf", layoutStored, 0, 103},
 		{"interior", layoutPoints, 1, 103},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -242,9 +258,38 @@ func TestHeaderCountIsLevelCapacity(t *testing.T) {
 	}
 }
 
-// FuzzNodeImage: no bytes, read as a node of any of the three leaf layouts
-// at any level, make parsePacked or loadNode panic, and an image either
-// parses into entries whose accessors read inside it or is an error.
+// pastKeeper returns a point leaf of three entries whose second names row
+// keepRefs, which keepScheme does not hold.
+func pastKeeper(tree *Tree) []byte {
+	img := nodeImage(tree, 0, 3)
+	binary.LittleEndian.PutUint64(img[nodeHeaderSize+tree.entrySize(0):], keepRefs)
+	return img
+}
+
+// TestLeafEntryPastKeeperIsCorrupt: a point leaf entry naming a row the
+// keeper does not hold is a corrupt node to both readers, decoded and
+// packed.
+func TestLeafEntryPastKeeperIsCorrupt(t *testing.T) {
+	tree := layoutTree(t, layoutPoints, 512, 8)
+	img := pastKeeper(tree)
+	id := tree.dev.AllocRun(1)
+	if err := tree.dev.WriteRun(id, 1, img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tree.parsePacked(id, img, 0); err == nil || !strings.Contains(err.Error(), "corrupt node") {
+		t.Errorf("parse: %v, want a corrupt node", err)
+	}
+	if _, err := tree.loadNode(id); err == nil || !strings.Contains(err.Error(), "corrupt node") {
+		t.Errorf("load: %v, want a corrupt node", err)
+	}
+}
+
+// FuzzNodeImage: no bytes, read as a node of either leaf layout at any
+// level, make parsePacked or loadNode panic, and an image either parses
+// into entries whose accessors read inside it or is an error; a point leaf
+// that parses names only rows its keeper holds. The seeds are full and
+// overfull nodes, empty leaves, and point leaves naming the last row the
+// keeper holds and the first past it.
 func FuzzNodeImage(f *testing.F) {
 	for layout := uint8(0); layout < layouts; layout++ {
 		for level := 0; level < 2; level++ {
@@ -253,6 +298,14 @@ func FuzzNodeImage(f *testing.F) {
 			f.Add(layout, nodeImage(tree, level, tree.Capacity(level)+1))
 		}
 	}
+	for layout := uint8(0); layout < layouts; layout++ {
+		f.Add(layout, nodeImage(layoutTree(f, int(layout), 512, 8), 0, 0))
+	}
+	points := layoutTree(f, layoutPoints, 512, 8)
+	f.Add(uint8(layoutPoints), pastKeeper(points))
+	lastKept := nodeImage(points, 0, 3)
+	binary.LittleEndian.PutUint64(lastKept[nodeHeaderSize+points.entrySize(0):], keepRefs-1)
+	f.Add(uint8(layoutPoints), lastKept)
 	f.Fuzz(func(t *testing.T, layout uint8, img []byte) {
 		const bs = 512
 		tree := layoutTree(t, int(layout%layouts), bs, 8)
@@ -273,7 +326,9 @@ func FuzzNodeImage(f *testing.F) {
 		lo, hi := make(geo.Point, geo.Dims), make(geo.Point, geo.Dims)
 		mask := pn.MatchMask(nil, make([]uint64, tree.MaskWords()))
 		for i := 0; i < pn.NumEntries(); i++ {
-			pn.EntryPtr(i)
+			if ref := pn.EntryPtr(i); tree.pointLeaf(pn.Level()) && ref >= keepRefs {
+				t.Fatalf("parsed a leaf entry naming row %d, which the keeper does not hold", ref)
+			}
 			pn.EntryRectInto(i, lo, hi)
 			pn.EntryAux(i)
 		}

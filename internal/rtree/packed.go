@@ -10,9 +10,9 @@
 // Beside the image it keeps the payloads' bit-sliced signature columns, so a
 // node tests every entry against a query signature with one AND per query
 // bit (MatchMask). The image and the columns are one allocation each,
-// whatever the node's entry count. A bare leaf's image holds no payload
+// whatever the node's entry count. A point leaf's image holds no payload
 // (see LeafKeeper): its columns are built from the keeper's, looked up by
-// entry pointer, and are the columns its payloads on disk would give.
+// row ID, and are the columns its payloads on disk would give.
 // Decoded images live in a nodecache.Cache keyed by the node's first
 // BlockID, shared by every query on the tree; a tree built with a negative
 // Config.CacheNodes has no cache and pins each image for one visit.
@@ -70,11 +70,10 @@ type PackedNode struct {
 	count  int
 	run    int    // blocks of the node's run, from id on
 	es     int    // serialized entry size at this level
-	auxLen int    // payload bytes per entry, a bare leaf's too (the columns' bits / 8)
-	points bool   // each entry a pointer and a point (a point leaf's)
+	auxLen int    // payload bytes per entry, a point leaf's too (the columns' bits / 8)
 	buf    []byte // trimmed image: nodeHeaderSize + count*es bytes
-	// keeper holds a bare leaf's payloads, which buf does not; nil for
-	// every other node.
+	// keeper holds a point leaf's payloads, which buf does not, each entry
+	// being a row ID and a point; nil for every other node.
 	keeper LeafKeeper
 	// cols holds the payloads bit-sliced: for payload bit b, the
 	// maskWords(count) words at cols[b*nw:] have bit i set when entry i's
@@ -123,7 +122,7 @@ func (p *PackedNode) EntryRectInto(i int, lo, hi geo.Point) geo.Rect {
 		lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(p.buf[off:]))
 		off += 8
 	}
-	if p.points {
+	if p.keeper != nil {
 		copy(hi, lo)
 		return geo.Rect{Lo: lo, Hi: hi}
 	}
@@ -134,7 +133,7 @@ func (p *PackedNode) EntryRectInto(i int, lo, hi geo.Point) geo.Rect {
 	return geo.Rect{Lo: lo, Hi: hi}
 }
 
-// EntryAux returns entry i's payload, aliasing the pinned image (a bare
+// EntryAux returns entry i's payload, aliasing the pinned image (a point
 // leaf's: the keeper's memory). Callers must treat it as read-only and not
 // retain it.
 //
@@ -154,7 +153,7 @@ func (p *PackedNode) EntryAux(i int) []byte {
 // MatchMask is the signature test "if s matches w" of Figure 8 for all of
 // the node's entries at once: it returns mask[:maskWords(count)] with bit i
 // set when entry i's payload may contain everything sig describes (the
-// answer sig.MatchesTolerant(EntryAux(i)) gives, which the tests hold it
+// answer of testing EntryAux(i) against sig alone, which the tests hold it
 // to) and no bit at or above count set. A nil or zero sig keeps every
 // entry, and so does one whose length differs from the node's payloads: a
 // mismatched signature cannot be trusted, so the only sound answer is "may
@@ -222,7 +221,7 @@ func (p *PackedNode) andColumns(offs []int, mask []uint64) {
 // buildColumns transposes the payloads into p.cols (see PackedNode), one
 // 64×64 bit block at a time: word q of 64 entries' payloads (payload bit b
 // is bit b%64 of word b/64, as in a Sig64) becomes 64 columns' words for
-// those entries. The cost does not depend on how many bits are set. A bare
+// those entries. The cost does not depend on how many bits are set. A point
 // leaf whose keeper lacks an entry's payload is corrupt.
 func (p *PackedNode) buildColumns() error {
 	if p.auxLen == 0 || p.count == 0 {
@@ -232,21 +231,17 @@ func (p *PackedNode) buildColumns() error {
 	nbits := p.auxLen * 8
 	p.cols = make([]uint64, nbits*nw)
 	var aux [64][]byte
-	var refs [64]uint64
 	var blk [64]uint64
 	for w := 0; w < nw; w++ {
 		n := min(64, p.count-w*64)
-		if p.keeper != nil {
-			for i := 0; i < n; i++ {
-				refs[i] = p.EntryPtr(w*64 + i)
-			}
-			if !p.keeper.LeafAuxes(aux[:n], refs[:n]) {
-				return fmt.Errorf("rtree: corrupt node %d: no payload kept for an entry among %d..%d", p.id, w*64, w*64+n-1)
-			}
-		}
 		for i := 0; i < n; i++ {
+			e := w*64 + i
 			if p.keeper == nil {
-				aux[i] = p.EntryAux(w*64 + i)
+				aux[i] = p.EntryAux(e)
+			} else if kept, ok := p.keeper.LeafAux(p.EntryPtr(e)); ok {
+				aux[i] = kept
+			} else {
+				return fmt.Errorf("rtree: corrupt node %d: entry %d names row %d, which the keeper does not hold", p.id, e, p.EntryPtr(e))
 			}
 			if len(aux[i]) != p.auxLen {
 				return fmt.Errorf("rtree: corrupt node %d: entry %d payload %d bytes, want %d",
@@ -424,7 +419,7 @@ func (t *Tree) readImage(id storage.BlockID) (*scratchBuf, error) {
 
 // parsePacked validates a raw node image (with loadNode's exact checks) and
 // pins its trimmed prefix into a PackedNode, with at as the write sequence
-// taken before img was read, and builds its signature columns (a bare
+// taken before img was read, and builds its signature columns (a point
 // leaf's from the keeper). The returned node owns its buffers; img may be
 // reused by the caller.
 func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNode, error) {
@@ -446,11 +441,10 @@ func (t *Tree) parsePacked(id storage.BlockID, img []byte, at uint64) (*PackedNo
 		run:    run,
 		es:     es,
 		auxLen: t.AuxLen(level),
-		points: level == 0 && t.points,
 		buf:    buf,
 		seq:    at,
 	}
-	if level == 0 && t.bare {
+	if t.pointLeaf(level) {
 		pn.keeper = t.keeper
 	}
 	if err := pn.buildColumns(); err != nil {

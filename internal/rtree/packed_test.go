@@ -460,7 +460,7 @@ func bitsAt(n int, b ...byte) sigfile.Signature {
 // The query signature differs by level, so testing the wrong level's
 // signature shows. In the lenmismatch row every interior entry's payload is
 // shorter than the interior query signature, whose bits no payload has: the
-// only sound answer is "may match" (Sig64.MatchesTolerant), so no subtree may
+// only sound answer is "may match" (matchesTolerant), so no subtree may
 // be pruned and every node is expanded. The maxE300 tree is bulk loaded, so
 // its nodes hold up to 300 entries: a five-word mask, survivors in each word.
 func TestPackedIterMatchesDecodedWalk(t *testing.T) {
@@ -521,7 +521,7 @@ func TestPackedIterMatchesDecodedWalk(t *testing.T) {
 				}
 				ref := func(isObject bool, level int, rect geo.Rect, aux []byte, ptr uint64) (float64, bool) {
 					score, keep := scorer(isObject, level, rect, aux, ptr)
-					return score, keep && tc.sig(level).MatchesTolerant(aux)
+					return score, keep && matchesTolerant(tc.sig(level), aux)
 				}
 				disk.ResetStats()
 				wantRefs, wantScores, wantStats, wantEvents := decodedWalk(t, tree, ref)

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"spatialkeyword/internal/geo"
@@ -35,38 +36,40 @@ func (t *Tree) stateFingerprint() uint32 {
 		mix(uint32(t.scheme.EntryAuxLen(lvl)))
 	}
 	// A tree with no recorded lengths keeps the fingerprint it had before
-	// packs recorded any, one whose leaves hold their payloads the one it
-	// had before leaves could be bare, and one whose bare leaves hold
-	// rectangles the one it had before they could hold points. maxE and
-	// minE are the interior levels', the capacity of every level before
-	// point leaves.
+	// packs recorded any, and one whose leaves hold their payloads the one
+	// it had before a keeper could hold them. maxE and minE are the
+	// interior levels', the capacity of every level before point leaves.
 	for _, l := range t.lens {
 		mix(uint32(l))
 	}
-	if t.bare {
-		mix(stateBareLeaves)
-	}
-	if t.points {
-		mix(statePointLeaves)
+	if t.keeper != nil {
+		mix(stateRowLeaves)
 	}
 	return h
 }
 
 // State block layout: magic, fingerprint, root, height, size, nodes (36
-// bytes), then the number of recorded payload lengths, with stateBareLeaves
-// set when the leaves are bare (see LeafKeeper) and statePointLeaves when
-// their entries are a pointer and a point, and each length as a uint32. A
-// state block written before sized packs ends with zeros there, which reads
-// as no lengths, the scheme's at every level, and leaves that hold their
-// payloads; one written before point leaves has bare leaves of rectangles,
-// whose capacity is the interior levels'.
+// bytes), then the number of recorded payload lengths, with stateRowLeaves
+// set when the leaves are a keeper's point leaves of row IDs (see
+// LeafKeeper), and each length as a uint32. A state block written before
+// sized packs ends with zeros there, which reads as no lengths, the
+// scheme's at every level, and leaves that hold their payloads. Older
+// keeper trees set bit 31 (leaves without payloads, whose entries named a
+// row by its object-file offset) and bit 30 (those entries a point), never
+// stateRowLeaves: such a state, and one whose leaves hold their payloads,
+// does not open on a keeper (ErrLeafLayout).
 const (
-	stateBareLeaves  = 1 << 31
-	statePointLeaves = 1 << 30
-	stateLensOff     = 36
-	maxStateLens     = 64      // a node's level is below 64 (see parsePacked)
-	maxStateLen      = 1 << 20 // no sane payload is a megabyte
+	stateRowLeaves = 1 << 29
+	stateLensOff   = 36
+	maxStateLens   = 64      // a node's level is below 64 (see parsePacked)
+	maxStateLen    = 1 << 20 // no sane payload is a megabyte
 )
+
+// ErrLeafLayout is Open's error for a tree on a LeafKeeper whose state was
+// written with leaves in another layout: the payloads stored in the leaves,
+// or leaves that name their objects by something other than the keeper's
+// row IDs. No node of it is read; the caller rebuilds the tree.
+var ErrLeafLayout = errors.New("rtree: the leaves are not point leaves of row IDs")
 
 // Checkpoint writes the tree's state into the given block (allocating one
 // if stateBlock is NilBlock) and returns the block ID to pass to Open
@@ -86,11 +89,8 @@ func (t *Tree) Checkpoint(stateBlock storage.BlockID) (storage.BlockID, error) {
 	binary.LittleEndian.PutUint64(buf[20:28], uint64(t.size))
 	binary.LittleEndian.PutUint64(buf[28:36], uint64(t.nodes))
 	word := uint32(len(t.lens))
-	if t.bare {
-		word |= stateBareLeaves
-	}
-	if t.points {
-		word |= statePointLeaves
+	if t.keeper != nil {
+		word |= stateRowLeaves
 	}
 	binary.LittleEndian.PutUint32(buf[stateLensOff:], word)
 	for i, l := range t.lens {
@@ -104,7 +104,9 @@ func (t *Tree) Checkpoint(stateBlock storage.BlockID) (storage.BlockID, error) {
 
 // Open attaches to a previously checkpointed tree on dev. cfg must match
 // the configuration the tree was created with (same dimension, capacity,
-// and payload scheme); a fingerprint mismatch is an error.
+// and payload scheme); a fingerprint mismatch is an error. On a LeafKeeper,
+// a state whose leaves are in another layout is ErrLeafLayout, returned
+// before the fingerprint is compared or the root read.
 func Open(dev storage.Device, cfg Config, stateBlock storage.BlockID) (*Tree, error) {
 	t, err := New(dev, cfg)
 	if err != nil {
@@ -149,21 +151,21 @@ func Open(dev storage.Device, cfg Config, stateBlock storage.BlockID) (*Tree, er
 	return t, nil
 }
 
-// readLens restores the recorded payload lengths from a state block, and
-// how the leaves are stored: bare, which needs a scheme that keeps their
-// payloads, and if so of points or rectangles. The leaf length must be the
-// scheme's, since the leaves' payloads come from the caller.
+// readLens restores the recorded payload lengths from a state block, after
+// checking that its leaves are the scheme's layout: point leaves of row IDs
+// exactly when the scheme is a LeafKeeper (else ErrLeafLayout). The leaf
+// length must be the scheme's, since the leaves' payloads come from the
+// caller.
 func (t *Tree) readLens(buf []byte, stateBlock storage.BlockID) error {
 	word := binary.LittleEndian.Uint32(buf[stateLensOff:])
-	bare, points := word&stateBareLeaves != 0, word&statePointLeaves != 0
-	if bare && t.keeper == nil {
+	rowLeaves := word&stateRowLeaves != 0
+	if t.keeper != nil && !rowLeaves {
+		return fmt.Errorf("%w (state block %d)", ErrLeafLayout, stateBlock)
+	}
+	if rowLeaves && t.keeper == nil {
 		return fmt.Errorf("rtree: state block %d: the leaves keep no payload, and the scheme holds none", stateBlock)
 	}
-	if points && !bare {
-		return fmt.Errorf("rtree: state block %d: point leaves that keep their payloads", stateBlock)
-	}
-	t.layLeaves(bare, points)
-	n := int(word &^ (stateBareLeaves | statePointLeaves))
+	n := int(word &^ stateRowLeaves)
 	if n == 0 {
 		return nil
 	}

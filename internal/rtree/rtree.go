@@ -18,7 +18,7 @@
 // payloads therefore spans one or more consecutive blocks; loading it costs
 // one random access plus sequential accesses for the continuation blocks.
 // The one exception is a tree whose leaves keep no payload (LeafKeeper): a
-// leaf entry is then a pointer and a point, so a leaf holds more entries
+// leaf entry is then a row ID and a point, so a leaf holds more entries
 // than an interior node (Capacity).
 package rtree
 
@@ -103,24 +103,19 @@ type ObjectLifter interface {
 }
 
 // A LeafKeeper is an AuxScheme that holds every object entry's payload
-// itself, so a tree built on it stores none in its leaves: a bare leaf's
-// entries are a pointer and a point (pointEntrySize), every object entry's
-// rectangle must be a point, and whoever reads the leaf looks each payload
-// up by pointer (the decoded Node's entries and a PackedNode's signature
-// columns alike). The leaf level's AuxLen is still the payload length; only
-// the leaves' images drop it. A tree opened from a state that records
-// payloads in its leaves keeps storing them there, taking the keeper's for
-// the objects it inserts, and one whose bare leaves hold rectangles keeps
-// writing rectangles (see Checkpoint).
+// itself, keyed by the entry's reference, a row ID: a tree built on it
+// stores none in its leaves. A leaf entry is a row ID and a point
+// (pointEntrySize), every object entry's rectangle must be a point, and
+// whoever reads the leaf looks each payload up by row ID (the decoded
+// Node's entries and a PackedNode's signature columns alike). The leaf
+// level's AuxLen is still the payload length; only the leaves' images drop
+// it. A state written in any other leaf layout does not open on a keeper
+// (ErrLeafLayout).
 type LeafKeeper interface {
 	// LeafAux returns the payload of the object entry ref, EntryAuxLen(0)
 	// bytes aliasing the keeper's memory, which the tree never writes
 	// through; false when the keeper holds no object at ref.
 	LeafAux(ref uint64) ([]byte, bool)
-	// LeafAuxes is LeafAux of every ref of refs, into aux (as long): false
-	// when the keeper holds no object at one of them. A leaf's read asks
-	// for all its entries at once.
-	LeafAuxes(aux [][]byte, refs []uint64) bool
 }
 
 // plainScheme is the zero-payload scheme of an ordinary R-Tree.
@@ -227,14 +222,9 @@ type Tree struct {
 	// empty — by BulkLoad, Open, or a delete that empties it — so the read
 	// path takes them without a lock.
 	lens []int
-	// keeper is the scheme when it is a LeafKeeper, and bare reports that
-	// the leaves store no payload, the keeper holding them, and points that
-	// each leaf entry is a pointer and a point: both true for every tree
-	// created on a keeper, and as the state says for an opened one (see
-	// Checkpoint). Only layLeaves sets them.
+	// keeper is the scheme when it is a LeafKeeper: the leaves then store
+	// no payload, and each leaf entry is a row ID and a point.
 	keeper LeafKeeper
-	bare   bool
-	points bool
 
 	cache       *nodecache.Cache[*PackedNode]
 	scratchPool sync.Pool // *scratchBuf: raw block images for every node read
@@ -254,9 +244,12 @@ func New(dev storage.Device, cfg Config) (*Tree, error) {
 	if t.maxE < 2 {
 		return nil, fmt.Errorf("rtree: capacity %d too small (block size %d)", t.maxE, dev.BlockSize())
 	}
-	keeper, kept := scheme.(LeafKeeper)
-	t.keeper = keeper
-	t.layLeaves(kept, kept)
+	t.keeper, _ = scheme.(LeafKeeper)
+	leafSize := baseEntrySize
+	if t.keeper != nil {
+		leafSize = pointEntrySize
+	}
+	t.leafMaxE, t.leafMinE = t.fill(leafSize)
 	if cfg.CacheNodes >= 0 {
 		t.cache = nodecache.New[*PackedNode](cfg.CacheNodes)
 	}
@@ -291,24 +284,12 @@ func (t *Tree) fill(size int) (capacity, minFill int) {
 	return capacity, max(int(fillRatio*float64(capacity)), 1)
 }
 
-// layLeaves sets how the leaves are stored: bare (no payload) and, if
-// points, each entry a pointer and a point; and the leaves' capacity and
-// minimum fill, which a point leaf's smaller entries raise.
-func (t *Tree) layLeaves(bare, points bool) {
-	t.bare, t.points = bare, points
-	size := baseEntrySize
-	if points {
-		size = pointEntrySize
-	}
-	t.leafMaxE, t.leafMinE = t.fill(size)
-}
-
 // entrySize is the serialized entry size at the given level.
 func (t *Tree) entrySize(level int) int {
-	if level == 0 && t.points {
+	if t.pointLeaf(level) {
 		return pointEntrySize
 	}
-	return baseEntrySize + t.storedAuxLen(level)
+	return baseEntrySize + t.AuxLen(level)
 }
 
 // Capacity returns the most entries a node at the given level holds: M at
@@ -331,10 +312,15 @@ func (t *Tree) MinFill(level int) int {
 	return t.minE
 }
 
+// pointLeaf reports whether the nodes at the given level are a keeper
+// tree's leaves, whose entries are a row ID and a point and whose images
+// hold no payload.
+func (t *Tree) pointLeaf(level int) bool { return level == 0 && t.keeper != nil }
+
 // storedAuxLen is the payload length the images of the nodes at the given
-// level hold: AuxLen, except in bare leaves, which hold none.
+// level hold: AuxLen, except in point leaves, which hold none.
 func (t *Tree) storedAuxLen(level int) int {
-	if level == 0 && t.bare {
+	if t.pointLeaf(level) {
 		return 0
 	}
 	return t.AuxLen(level)
@@ -346,17 +332,17 @@ func (t *Tree) checkObject(rect geo.Rect) error {
 	if rect.Dim() != geo.Dims {
 		return fmt.Errorf("rect dimension %d, want %d", rect.Dim(), geo.Dims)
 	}
-	if t.points && !rect.Lo.Equal(rect.Hi) {
+	if t.keeper != nil && !rect.Lo.Equal(rect.Hi) {
 		return fmt.Errorf("rect %v is not a point, and the leaves hold points", rect)
 	}
 	return nil
 }
 
-// keptAux returns the payload of object entry ref: aux when it is given or
-// the tree has no keeper, else the keeper's, which must hold ref.
+// keptAux returns the payload of object entry ref: a copy of aux when the
+// tree has no keeper, else the keeper's, which must hold ref.
 func (t *Tree) keptAux(ref uint64, aux []byte) ([]byte, error) {
-	if aux != nil || t.keeper == nil {
-		return aux, nil
+	if t.keeper == nil {
+		return cloneBytes(aux), nil
 	}
 	kept, ok := t.keeper.LeafAux(ref)
 	if !ok {
@@ -484,8 +470,9 @@ func (t *Tree) LoadNode(id storage.BlockID) (*Node, error) {
 }
 
 // loadNode reads a node (readImage's access pattern, into the tree's scratch
-// pool) and decodes it into structs that own their memory, but for a bare
-// leaf's payloads, which are views of the keeper's.
+// pool) and decodes it into structs that own their memory, but for a point
+// leaf's payloads, which are views of the keeper's. A point leaf entry
+// naming a row the keeper does not hold is a corrupt node.
 func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 	sb, err := t.readImage(id)
 	if err != nil {
@@ -499,8 +486,7 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 	}
 	n := &Node{id: id, level: level, run: run, entries: make([]entry, count)}
 	auxLen := t.storedAuxLen(level)
-	kept := level == 0 && t.bare
-	points := level == 0 && t.points
+	points := t.pointLeaf(level)
 	off := nodeHeaderSize
 	for i := 0; i < count; i++ {
 		e := &n.entries[i]
@@ -526,9 +512,10 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 			copy(e.aux, buf[off:off+auxLen])
 			off += auxLen
 		}
-		if kept {
-			if e.aux, err = t.keptAux(e.ptr, nil); err != nil {
-				return nil, fmt.Errorf("rtree: load node %d entry %d: %w", id, i, err)
+		if points {
+			var ok bool
+			if e.aux, ok = t.keeper.LeafAux(e.ptr); !ok {
+				return nil, fmt.Errorf("rtree: corrupt node %d: entry %d names row %d, which the keeper does not hold", id, i, e.ptr)
 			}
 		}
 	}
@@ -539,16 +526,15 @@ func (t *Tree) loadNode(id storage.BlockID) (*Node, error) {
 // funnels through here, so it is also where the decoded-node cache learns
 // that a pinned image is out of date. A capacity run's header records run
 // length 0, so an insert-built node's bytes do not depend on whether runs
-// are recorded. A bare leaf's payloads are not written, and a point leaf's
-// entries are written with one corner (Insert and BulkLoad admit only
-// points to them).
+// are recorded. A point leaf's entries are written with one corner and no
+// payload (Insert and BulkLoad admit only points to them).
 func (t *Tree) storeNode(n *Node) error {
 	if t.cache != nil {
 		t.cache.Invalidate(n.id)
 	}
 	es := t.entrySize(n.level)
 	auxLen := t.storedAuxLen(n.level)
-	points := n.level == 0 && t.points
+	points := t.pointLeaf(n.level)
 	buf := make([]byte, nodeHeaderSize+len(n.entries)*es)
 	word := uint32(n.level)
 	if n.run != t.blocksForLevel(n.level) {

@@ -51,7 +51,7 @@ func TestCapacityDerivedFromBlockSize(t *testing.T) {
 	}
 	// Only a point leaf's capacity differs from the interior levels':
 	// (4096 - 8) / 24 = 170 entries to one block, a minimum fill of 68.
-	for layout, want := range [layouts][2]int{{102, 40}, {102, 40}, {170, 68}} {
+	for layout, want := range [layouts][2]int{{102, 40}, {170, 68}} {
 		tree := layoutTree(t, layout, 4096, 8)
 		if got := [2]int{tree.Capacity(0), tree.MinFill(0)}; got != want {
 			t.Errorf("layout %d: leaf capacity and minimum fill %v, want %v", layout, got, want)
@@ -59,8 +59,8 @@ func TestCapacityDerivedFromBlockSize(t *testing.T) {
 		if got := [2]int{tree.Capacity(1), tree.MinFill(1)}; got != [2]int{102, 40} {
 			t.Errorf("layout %d: interior capacity and minimum fill %v, want [102 40]", layout, got)
 		}
-		if layout != layoutStored && tree.blocksForLevel(0) != 1 {
-			t.Errorf("layout %d: a full bare leaf spans %d blocks", layout, tree.blocksForLevel(0))
+		if layout == layoutPoints && tree.blocksForLevel(0) != 1 {
+			t.Errorf("a full point leaf spans %d blocks", tree.blocksForLevel(0))
 		}
 	}
 	// A fixed MaxEntries is every level's capacity.

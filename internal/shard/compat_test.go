@@ -13,9 +13,10 @@ import (
 	"spatialkeyword/internal/skql"
 )
 
-// The compat fixtures are engine directories written by the build at commit
-// ae80bff — the last one in which skserve held a plain Engine — and never by
-// this one (testdata/compat/README.md has the program). Every test works on a
+// The compat fixtures are engine directories written by older builds — at
+// commit ae80bff, the last one in which skserve held a plain Engine, and at
+// the commits whose tree layouts they keep — and never by this one
+// (testdata/compat/README.md has the programs). Every test works on a
 // copy: opening an engine directory restores its working files in place, and
 // scripts/ci.sh compat fails if a run leaves the fixture changed.
 const compatDir = "../../testdata/compat"
@@ -139,11 +140,13 @@ func answersOf(t *testing.T, r spatialkeyword.Reader) answers {
 	return a
 }
 
-// TestCompatParentDirectories: a directory the parent build wrote — a single
+// TestCompatParentDirectories: a directory an older build wrote — a single
 // engine's, with and without a write-ahead log, and a nested one-shard
-// engine's — opens through shard.Open to exactly what the parent's own
-// reader, spatialkeyword.OpenEngine, gives on a copy; opening moves and
-// rewrites no engine file; and after Save and Close both readers reopen it.
+// engine's, and one whose leaves name rows by object-file offset — opens
+// through shard.Open to exactly what the parent's own reader,
+// spatialkeyword.OpenEngine, gives on a copy; opening moves no engine file
+// and rewrites none but the working files, though it packs a new tree; and
+// after Save and Close both readers reopen it.
 func TestCompatParentDirectories(t *testing.T) {
 	for _, tc := range []struct {
 		fixture, engine string // engine: where the plain engine's files are
@@ -153,6 +156,7 @@ func TestCompatParentDirectories(t *testing.T) {
 		{"single-ae80bff", ".", 11, 42},
 		{"single-nowal-ae80bff", ".", 0, 37},
 		{"nested-ae80bff", "shard-0000", 6, 12},
+		{"single-d522542", ".", 124, 716},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
 			oracleDir := copyFixture(t, filepath.Join(tc.fixture, tc.engine))

@@ -120,37 +120,6 @@ func (v Sig64) Bytes() Signature {
 	return s
 }
 
-// MatchesTolerant reports whether a document or subtree whose signature is
-// the raw byte slice s may contain everything the query describes. A length
-// mismatch means the decoded signature cannot be trusted: signatures admit
-// false positives but never false negatives, so the only sound answer is
-// "may match", and the exact text check downstream decides. s may alias
-// a disk-block image; it is never retained. Zero allocations.
-//
-// No traversal calls it: they test a whole node at once
-// (rtree.PackedNode.MatchMask over the node's signature columns). It is the
-// one-entry reference the rtree and core tests hold those masks, and the
-// scores built from them, to.
-//
-//skvet:hotpath
-func (v Sig64) MatchesTolerant(s []byte) bool {
-	if len(s) != v.n {
-		return true
-	}
-	for i, qw := range v.full {
-		sw := binary.LittleEndian.Uint64(s[i*8:])
-		if sw&qw != qw {
-			return false
-		}
-	}
-	if v.tail != 0 {
-		if sw := LoadWord(s, len(v.full)); sw&v.tail != v.tail {
-			return false
-		}
-	}
-	return true
-}
-
 // LoadWord returns word i of the raw signature s as its Sig64 form holds it:
 // bytes 8i to 8i+7, little-endian, zero-padded high past the end of s. Bit p
 // of the word is signature bit 64·i+p.

@@ -2,6 +2,7 @@ package sigfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -34,14 +35,9 @@ func superimposeBytewise(dst, src []byte) {
 	}
 }
 
-// TestWordKernelsAgreeWithBytewise holds the word-at-a-time kernels equal to
-// the byte-wise reference implementations on randomized signatures of every
-// length class mod 8 (lengths 0..40 cover each residue five times, plus the
-// paper's 8 B and 189 B lengths).
 // MatchesTolerant is Matches for signatures of possibly-corrupt provenance:
 // on length mismatch it reports true (no pruning) instead of panicking —
-// the byte-form twin of Sig64.MatchesTolerant, the one-entry reference the
-// node masks are tested against.
+// the byte-form twin of Sig64.MatchesTolerant.
 // TestWordKernelsAgreeWithBytewise, TestSig64TolerantOnMismatch and
 // TestMatchesAllocFree use it.
 func MatchesTolerant(s, q Signature) bool {
@@ -51,6 +47,39 @@ func MatchesTolerant(s, q Signature) bool {
 	return matchesWords(s, q)
 }
 
+// MatchesTolerant reports whether a document or subtree whose signature is
+// the raw byte slice s may contain everything the query describes. A length
+// mismatch means the decoded signature cannot be trusted: signatures admit
+// false positives but never false negatives, so the only sound answer is
+// "may match", and the exact text check downstream decides. s may alias
+// a disk-block image; it is never retained. Zero allocations.
+//
+// No traversal calls it: they test a whole node at once
+// (rtree.PackedNode.MatchMask over the node's signature columns); the rtree
+// and core tests hold those masks to Matches on the bytes instead. These
+// tests hold it to MatchesTolerant, its byte-form twin.
+func (v Sig64) MatchesTolerant(s []byte) bool {
+	if len(s) != v.n {
+		return true
+	}
+	for i, qw := range v.full {
+		sw := binary.LittleEndian.Uint64(s[i*8:])
+		if sw&qw != qw {
+			return false
+		}
+	}
+	if v.tail != 0 {
+		if sw := LoadWord(s, len(v.full)); sw&v.tail != v.tail {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWordKernelsAgreeWithBytewise holds the word-at-a-time kernels equal to
+// the byte-wise reference implementations on randomized signatures of every
+// length class mod 8 (lengths 0..40 cover each residue five times, plus the
+// paper's 8 B and 189 B lengths).
 func TestWordKernelsAgreeWithBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	lengths := make([]int, 0, 48)

@@ -1,8 +1,10 @@
 package spatialkeyword
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/objstore"
 	"spatialkeyword/internal/rtree"
+	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/textutil"
 )
@@ -92,9 +95,8 @@ var CheckTree = checkTree
 
 // The runs checkRuns requires beyond the bounds every run keeps.
 const (
-	RunsFit      = iota // the bounds alone
-	RunsTight           // what BulkLoad allocates
-	RunsCapacity        // what every insert allocates
+	RunsFit   = iota // the bounds alone
+	RunsTight        // what BulkLoad allocates
 )
 
 // checkRuns holds every node of e's tree to its run: the blocks its header
@@ -106,7 +108,7 @@ func checkRuns(t *testing.T, e *Engine, want int) {
 	if err := rt.VisitNodes(func(n *rtree.Node) error {
 		filled, capacity := rt.RunFor(n.Level(), n.NumEntries()), rt.RunFor(n.Level(), rt.Capacity(n.Level()))
 		if n.Run() < filled || n.Run() > capacity ||
-			want == RunsTight && n.Run() != filled || want == RunsCapacity && n.Run() != capacity {
+			want == RunsTight && n.Run() != filled {
 			return fmt.Errorf("node %d: %d entries at level %d on a run of %d blocks; they fill %d, capacity %d",
 				n.ID(), n.NumEntries(), n.Level(), n.Run(), filled, capacity)
 		}
@@ -349,3 +351,79 @@ func resultIDs(rs []Result) []uint64 {
 	}
 	return ids
 }
+
+// checkServedTree walks the served engine's tree and requires what
+// TestServedLeavesMatchStoredPayloads says of it: every invariant; leaves
+// of 170 entries, each leaf one block, a full one too; each entry its row's
+// point; each leaf's signature columns those of its rows' DocSignatures.
+func checkServedTree(t *testing.T, step string, served *Engine) {
+	t.Helper()
+	a := served.tree.RTree()
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if got := a.Capacity(0); got != 170 {
+		t.Fatalf("%s: a served leaf holds %d entries, want 170", step, got)
+	}
+	if got := a.RunFor(0, a.Capacity(0)); got != 1 {
+		t.Fatalf("%s: a full served leaf takes %d blocks", step, got)
+	}
+	leaf := served.coreOptions().LeafSignature
+	err := a.VisitNodes(func(n *rtree.Node) error {
+		if n.Level() > 0 {
+			return nil
+		}
+		if n.Run() != 1 {
+			return fmt.Errorf("served leaf %d of %d entries on a run of %d blocks", n.ID(), n.NumEntries(), n.Run())
+		}
+		sigs := make([]sigfile.Signature, n.NumEntries())
+		for i := range sigs {
+			id, rect, aux := n.Entry(i)
+			obj, err := served.store.GetByID(objstore.ID(id))
+			if err != nil {
+				return err
+			}
+			sigs[i] = leaf.DocSignature(served.an.Unique(obj.Text))
+			if !rect.Lo.Equal(obj.Point) || !rect.Hi.Equal(obj.Point) || !bytes.Equal(aux, sigs[i]) {
+				return fmt.Errorf("leaf %d entry %d: %v %x; its row's point %v, its words' signature %x",
+					n.ID(), i, rect, aux, obj.Point, sigs[i])
+			}
+		}
+		return checkColumns(a, n.ID(), sigs, leaf.LengthBytes)
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+// checkColumns requires leaf id of tree a to build the signature columns of
+// sigs, its entries' signatures: the MatchMask of a query of each single
+// bit is the entries whose signature has it.
+func checkColumns(a *rtree.Tree, id storage.BlockID, sigs []sigfile.Signature, length int) error {
+	pn, err := a.LoadPacked(id)
+	if err != nil {
+		return err
+	}
+	mask := make([]uint64, a.MaskWords())
+	for bit := 0; bit < length*8; bit++ {
+		sig := make(sigfile.Signature, length)
+		sig[bit/8] = 1 << (bit % 8)
+		q := sigfile.MakeSig64(sig)
+		want := make([]uint64, (len(sigs)+63)/64)
+		for i, s := range sigs {
+			if s[bit/8]&(1<<(bit%8)) != 0 {
+				want[i/64] |= 1 << (i % 64)
+			}
+		}
+		if got := pn.MatchMask(&q, mask); !slices.Equal(got, want) {
+			return fmt.Errorf("leaf %d column %d is %x, its rows' %x", id, bit, got, want)
+		}
+	}
+	return nil
+}
+
+// CheckServedTree is checkServedTree for the external tests.
+var CheckServedTree = checkServedTree
+
+// QueuedRows returns how many rows wait in e's run.
+func QueuedRows(e *Engine) int { return len(e.run) }

@@ -13,6 +13,7 @@ import (
 	"spatialkeyword/internal/core"
 	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/objstore"
+	"spatialkeyword/internal/rtree"
 	"spatialkeyword/internal/sigfile"
 	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/wal"
@@ -402,7 +403,8 @@ func (e *Engine) Close() error {
 // OpenEngine restores a durable engine from the generation committed in
 // dir's manifest.json, recovering the working files from that generation's
 // snapshot (so a crash that tore the working files — or Save itself — is
-// harmless).
+// harmless). A tree an older build laid out is packed anew from the rows
+// (see repack).
 func OpenEngine(dir string) (*Engine, error) {
 	m, err := readManifest(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -484,7 +486,7 @@ func openFromManifest(dir string, m manifest, committed uint64) (*Engine, error)
 	if err != nil {
 		return nil, errors.Join(err, objDisk.Close())
 	}
-	objDev, idxDev := frameDevices(m.Config, objDisk, idxDisk)
+	objDev, idxDev := frameDevice(m.Config, objDisk), frameDevice(m.Config, idxDisk)
 	store, err := objstore.Open(objDev, storage.BlockID(m.StoreMeta))
 	if err != nil {
 		return nil, errors.Join(err, objDisk.Close(), idxDisk.Close())
@@ -499,6 +501,12 @@ func openFromManifest(dir string, m manifest, committed uint64) (*Engine, error)
 		e.deleted[id] = true
 	}
 	e.live = store.NumObjects() - len(m.Deleted)
+	if e.tree == nil {
+		if err := e.repack(); err != nil {
+			e.Close()
+			return nil, err
+		}
+	}
 	if m.Config.WAL && m.Generation > 0 {
 		if err := e.openWAL(dir, m.Generation, committed); err != nil {
 			e.Close()
@@ -551,8 +559,10 @@ func (e *Engine) openWAL(dir string, gen, committed uint64) error {
 }
 
 // assembleEngine builds an Engine around an existing store and a
-// checkpointed tree. objDev/idxDev are the devices the structures read
-// through (the file disks themselves, or their checksum framing).
+// checkpointed tree, or with no tree when the tree's leaves are in an older
+// build's layout (repack gives it one). objDev/idxDev are the devices the
+// structures read through (the file disks themselves, or their checksum
+// framing).
 func assembleEngine(cfg Config, objDisk, idxDisk *storage.Disk, objDev, idxDev storage.Device, store *objstore.Store, treeState storage.BlockID) (*Engine, error) {
 	e := engineShell(cfg)
 	e.objDisk = objDev
@@ -572,9 +582,41 @@ func assembleEngine(cfg Config, objDisk, idxDisk *storage.Disk, objDev, idxDev s
 		return nil, err
 	}
 	tree, err := core.Open(idxDev, store, e.coreOptions(), &e.rows, treeState)
+	if errors.Is(err, rtree.ErrLeafLayout) {
+		return e, nil
+	}
 	if err != nil {
 		return nil, err
 	}
 	e.tree = tree
 	return e, nil
+}
+
+// repack gives an engine whose tree an older build laid out — leaves that
+// store their signatures, or name each row by its object-file offset — a
+// served tree: the working index file is created anew, and every live row
+// is queued and packed into it, as a load's first flush packs, before the
+// log replays. The committed generation's index.<G>.db is not touched and
+// nothing is committed: the next Save commits the new layout, and until
+// then every open packs again.
+func (e *Engine) repack() error {
+	bs := e.idxFile.BlockSize()
+	if err := e.idxFile.Close(); err != nil {
+		return err
+	}
+	idxFile, err := storage.CreateFileDisk(filepath.Join(e.dir, indexName), bs)
+	e.idxFile = idxFile
+	if err != nil {
+		return err
+	}
+	e.idxDisk = frameDevice(e.cfg, idxFile)
+	if e.tree, err = core.NewServed(e.idxDisk, e.store, e.coreOptions(), &e.rows); err != nil {
+		return err
+	}
+	for id := range uint64(e.store.NumObjects()) {
+		if !e.deleted[id] {
+			e.run = append(e.run, id)
+		}
+	}
+	return e.flushLocked()
 }

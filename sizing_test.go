@@ -24,16 +24,27 @@ type sizingArm struct {
 }
 
 // buildArm builds arm's tree over every row of e's object file, on a fresh
-// device, and checks its invariants.
-func buildArm(t *testing.T, e *Engine, arm sizingArm) (*core.IR2Tree, *storage.Disk) {
+// device, and checks its invariants: the paper's tree, whose leaves store
+// their signatures, or with served a served one, which the ranked stream
+// runs on.
+func buildArm(t *testing.T, e *Engine, arm sizingArm, served bool) (*core.IR2Tree, *storage.Disk) {
 	t.Helper()
 	dev := storage.NewDisk(e.idxDisk.BlockSize())
+	ptrs := e.store.Ptrs()
 	x, err := core.New(dev, e.store, e.coreOptions())
+	if served {
+		x, err = core.NewServed(dev, e.store, e.coreOptions(), &e.rows)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := func(i int) uint64 {
+		if served {
+			return uint64(i)
+		}
+		return uint64(ptrs[i])
+	}
 	var objs []objstore.Object
-	ptrs := e.store.Ptrs()
 	for _, ptr := range ptrs {
 		obj, err := e.store.Get(ptr)
 		if err != nil {
@@ -45,14 +56,14 @@ func buildArm(t *testing.T, e *Engine, arm sizingArm) (*core.IR2Tree, *storage.D
 	if arm.sized {
 		batch := make([]core.Entry, pack)
 		for i, obj := range objs[:pack] {
-			batch[i] = core.Entry{Ptr: ptrs[i], Point: obj.Point, Words: e.an.Unique(obj.Text)}
+			batch[i] = core.Entry{Ref: ref(i), Point: obj.Point, Words: e.an.Unique(obj.Text)}
 		}
 		_, err = x.InsertBatch(batch)
 	} else {
 		leaf := e.coreOptions().LeafSignature
 		entries := make([]rtree.BulkEntry, pack)
 		for i, obj := range objs[:pack] {
-			entries[i] = rtree.BulkEntry{Ref: uint64(ptrs[i]), Rect: geo.PointRect(obj.Point), Aux: leaf.DocSignature(e.an.Unique(obj.Text))}
+			entries[i] = rtree.BulkEntry{Ref: ref(i), Rect: geo.PointRect(obj.Point), Aux: leaf.DocSignature(e.an.Unique(obj.Text))}
 		}
 		err = x.RTree().BulkLoad(entries, nil)
 	}
@@ -84,8 +95,8 @@ func sizingQueries(rows []packRow, stats *dataset.Stats, n int) (points [][]floa
 }
 
 // armBlocks returns the index blocks per query of x on dev, and the answers:
-// a distance-first top-10 of the first two keywords, or with ranked a
-// general top-10 of all three.
+// the paper's distance-first top-10 of the first two keywords, or with
+// ranked a general top-10 of all three, which needs a served tree.
 func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, points [][]float64, kws [][]string, ranked bool) (float64, string) {
 	t.Helper()
 	var blocks uint64
@@ -105,9 +116,7 @@ func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, poin
 				answers += fmt.Sprintf("%d:%v ", r.Object.ID, r.Score)
 			}
 		} else {
-			it := x.Search(geo.NewPoint(p...), kws[i][:2], &e.rows)
-			res, err := FirstK(nil, coreStream{it}, 10, nil)
-			it.Close()
+			res, _, err := x.TopK(10, geo.NewPoint(p...), kws[i][:2])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,16 +131,8 @@ func armBlocks(t *testing.T, e *Engine, x *core.IR2Tree, dev *storage.Disk, poin
 	return float64(blocks) / float64(len(points)), answers
 }
 
-// coreStream is a tree's distance-first stream in the engine's result
-// shape, for FirstK.
-type coreStream struct{ *core.ResultIter }
-
-func (s coreStream) Next() (Result, bool, error) {
-	r, ok, err := s.ResultIter.Next()
-	return Result{Object: publicObject(r.Object), Dist: r.Dist}, ok, err
-}
-
-// rankedCoreStream is coreStream for a ranked stream.
+// rankedCoreStream is a tree's ranked stream in the engine's result shape,
+// for FirstK.
 type rankedCoreStream struct{ *core.RankedIter }
 
 func (s rankedCoreStream) Next() (RankedResult, bool, error) {
@@ -188,8 +189,8 @@ func TestPackSizesSignaturesFromData(t *testing.T) {
 				{"grown-1", 1, 1},
 				{"grown-150", 150, 1},
 			} {
-				sx, sdev := buildArm(t, e, sizingArm{arm.name, arm.pack, true})
-				ux, udev := buildArm(t, e, sizingArm{arm.name, arm.pack, false})
+				sx, sdev := buildArm(t, e, sizingArm{arm.name, arm.pack, true}, tc.ranked)
+				ux, udev := buildArm(t, e, sizingArm{arm.name, arm.pack, false}, tc.ranked)
 				sb, sans := armBlocks(t, e, sx, sdev, points, kws, tc.ranked)
 				ub, uans := armBlocks(t, e, ux, udev, points, kws, tc.ranked)
 				t.Logf("%s: sized %v %.1f blocks/query, uniform %.1f (%.3f×)", arm.name, sx.RTree().AuxLens(), sb, ub, sb/ub)
@@ -230,11 +231,11 @@ func TestOrphansKeepTheirWords(t *testing.T) {
 	points, kws := sizingQueries(rows, stats, 128)
 	n := len(rows)
 	for _, sized := range []bool{true, false} {
-		x, dev := buildArm(t, e, sizingArm{"post-pack adds", n - 100, sized})
+		x, dev := buildArm(t, e, sizingArm{"post-pack adds", n - 100, sized}, false)
 		before, _ := armBlocks(t, e, x, dev, points, kws, false)
 		objBefore := e.objDisk.Stats()
 		for i := n - 100; i < n; i++ {
-			ok, err := x.Delete(geo.NewPoint(rows[i].point...), e.store.Ptrs()[i])
+			ok, err := x.Delete(geo.NewPoint(rows[i].point...), uint64(e.store.Ptrs()[i]))
 			if err != nil || !ok {
 				t.Fatalf("delete row %d: %v, %v", i, ok, err)
 			}

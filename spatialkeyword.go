@@ -383,13 +383,13 @@ func (e *Engine) coreOptions() core.Options {
 	}
 }
 
-// frameDevices applies the configuration's opt-in block framing (checksum
-// trailers) on top of the raw devices.
-func frameDevices(cfg Config, objDev, idxDev storage.Device) (storage.Device, storage.Device) {
+// frameDevice applies the configuration's opt-in block framing (checksum
+// trailers) on top of a raw device.
+func frameDevice(cfg Config, dev storage.Device) storage.Device {
 	if cfg.Checksums {
-		return storage.NewChecksumDisk(objDev), storage.NewChecksumDisk(idxDev)
+		return storage.NewChecksumDisk(dev)
 	}
-	return objDev, idxDev
+	return dev
 }
 
 // InjectFault installs (or clears, with nil) a fault-injection hook on all
@@ -432,7 +432,7 @@ func setDeviceFault(dev storage.Device, f storage.FaultFunc) bool {
 // newEngineOn assembles a fresh engine on the given devices.
 func newEngineOn(cfg Config, objDev, idxDev storage.Device) (*Engine, error) {
 	e := engineShell(cfg)
-	objDev, idxDev = frameDevices(cfg, objDev, idxDev)
+	objDev, idxDev = frameDevice(cfg, objDev), frameDevice(cfg, idxDev)
 	e.objDisk = objDev
 	e.idxDisk = idxDev
 	e.store = objstore.New(objDev)
@@ -636,7 +636,7 @@ func (e *Engine) flushLocked() error {
 	batch := make([]core.Entry, len(e.run))
 	start := 0
 	for i, id := range e.run {
-		batch[i] = core.Entry{Ptr: e.store.Ptrs()[id], Point: e.rows.Point(int(id)), Words: words[start:ends[i]:ends[i]]}
+		batch[i] = core.Entry{Ref: id, Point: e.rows.Point(int(id)), Words: words[start:ends[i]:ends[i]]}
 		start = ends[i]
 	}
 	n, err := e.tree.InsertBatch(batch)
@@ -730,7 +730,7 @@ func (e *Engine) applyDelete(id uint64) (objstore.Object, error) {
 		e.live--
 		return obj, nil
 	}
-	ok, err := e.tree.Delete(obj.Point, e.store.Ptrs()[id])
+	ok, err := e.tree.Delete(obj.Point, id)
 	if err != nil {
 		return obj, err
 	}
