@@ -541,7 +541,7 @@ func savedBenchEngine(b *testing.B, spec dataset.Spec, sigBytes int) (dir string
 }
 
 // saveBenchEngine is savedBenchEngine into dir.
-func saveBenchEngine(b *testing.B, dir string, spec dataset.Spec, sigBytes int) (points [][]float64, frequent, mid []string) {
+func saveBenchEngine(b testing.TB, dir string, spec dataset.Spec, sigBytes int) (points [][]float64, frequent, mid []string) {
 	b.Helper()
 	store := objstore.New(storage.NewDisk(storage.DefaultBlockSize))
 	stats, err := dataset.Generate(spec, store)
