@@ -2,6 +2,8 @@ package spatialkeyword_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -167,6 +169,64 @@ func TestCompatParentRepackSurvivesCrash(t *testing.T) {
 				t.Fatalf("answers after the first open %s, after the second %s", answers[0], answers[1])
 			}
 		})
+	}
+}
+
+// TestCompatGenerationZeroRepackRefused opens a generation-0 copy of
+// testdata/compat's single-d522542 — its generation-2 snapshot as the
+// working files, under a manifest of generation 0, as a directory written
+// before snapshots is laid out — whose tree is in an older leaf layout. No
+// committed copy of its index exists to re-pack from, so the open refuses
+// it, twice, and leaves every file as it was: a re-pack would rewrite
+// index.db, and a reopen after no Save would find the manifest's tree
+// state pointing into the new file.
+func TestCompatGenerationZeroRepackRefused(t *testing.T) {
+	src := filepath.Join("testdata/compat", "single-d522542")
+	dir := t.TempDir()
+	for from, to := range map[string]string{"objects.2.db": "objects.db", "index.2.db": "index.db"} {
+		data, err := os.ReadFile(filepath.Join(src, from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, to), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(src, "manifest.2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["generation"] = 0
+	m["config"].(map[string]any)["WAL"] = false
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, name := range []string{"objects.db", "index.db", "manifest.json"} {
+		if before[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 2; i++ {
+		e, err := spatialkeyword.OpenEngine(dir)
+		if err == nil {
+			e.Close() // dropped without a Save
+		}
+		if !errors.Is(err, spatialkeyword.ErrRepackUncommitted) {
+			t.Errorf("open %d: %v, want ErrRepackUncommitted", i, err)
+		}
+		for name, data := range before {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("open %d changed %s (%v)", i, name, err)
+			}
+		}
 	}
 }
 
