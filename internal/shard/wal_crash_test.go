@@ -31,7 +31,7 @@ func shardedLiveTexts(t *testing.T, s *ShardedEngine) []string {
 			continue
 		}
 		if err := sh.eng.Scan(func(o spatialkeyword.Object) error {
-			if !sh.eng.IsDeleted(o.ID) {
+			if !isDeleted(sh.eng, o.ID) {
 				texts = append(texts, o.Text)
 			}
 			return nil

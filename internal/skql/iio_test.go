@@ -1,9 +1,7 @@
 package skql
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http/httptest"
 	"slices"
@@ -12,7 +10,6 @@ import (
 	"time"
 
 	"spatialkeyword"
-	"spatialkeyword/internal/geo"
 	"spatialkeyword/internal/repl"
 	"spatialkeyword/internal/shard"
 )
@@ -32,8 +29,8 @@ func (g *getLog) Get(id uint64) (spatialkeyword.Object, error) {
 // a TOP reads its candidates in (distance, ID) order until k pass the
 // residual filter, and a COUNT WITHIN reads only the candidates whose point
 // lies in the rect. The conjunction has far more than k candidates; deletes
-// and adds land after the index is first filled, so the point column is
-// checked both as the first fill left it and as a later catch-up extended it.
+// and adds land after the index is first filled, and deletes after its last
+// catch-up, which only the row table knows of.
 func runIIOReads(t *testing.T, b indexBackend, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -178,9 +175,8 @@ func runIIOReads(t *testing.T, b indexBackend, seed int64) {
 	}
 
 	// The edges: the deleted nearest row is never read, the tie at the 3rd
-	// row goes to the smallest IDs, a DNF branch tests its NOT on the rows
-	// it reads, and a candidate without a column entry is read ahead of the
-	// ordering, unless it is deleted.
+	// row goes to the smallest IDs, and a DNF branch tests its NOT on the
+	// rows it reads.
 	all, err := Parse(`SELECT TOP 1000 NEAR (20, 20) MATCH "base" AND "com0"`)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +185,6 @@ func runIIOReads(t *testing.T, b indexBackend, seed int64) {
 	if len(order) < 4 || order[2].dist != order[3].dist {
 		t.Fatalf("no tie straddles the 3rd of %d candidates at (20, 20)", len(order))
 	}
-	noEntry := map[uint64]bool{}
 	edges := []struct {
 		src string
 		ops int
@@ -197,48 +192,56 @@ func runIIOReads(t *testing.T, b indexBackend, seed int64) {
 		{`SELECT TOP 3 NEAR (20, 20) MATCH "base" AND "com0" USING iio`, 1},
 		{`SELECT TOP 5 NEAR (20, 20) MATCH "mid0" OR ("base" AND "com0" AND NOT "com1") USING iio`, 2},
 	}
-	for pass := 0; pass < 2; pass++ {
-		if pass == 1 {
-			// Take the column entries of the dead row, of a tied row and of
-			// the farthest candidate away.
-			c.mu.Lock()
-			for _, id := range []uint64{dead, edge[4], order[len(order)-1].obj.ID} {
-				c.pts.xs[id*geo.Dims] = math.NaN()
-				noEntry[id] = true
-			}
-			c.mu.Unlock()
-		}
+	// checkEdges runs the edges and a COUNT, which reads the live candidates
+	// in its rect in ID order, and fails if any reads a row of gone.
+	checkEdges := func(when string, gone ...uint64) {
+		t.Helper()
 		for _, e := range edges {
 			rs, q := runOps(e.src, e.ops)
 			checkResults(t, e.src, q, rs.Results, oracleRows(t, c, q))
-			if slices.Contains(log.ids, dead) {
-				t.Errorf("pass %d: %s read the deleted row %d", pass, e.src, dead)
+			if want := iioTopReads(t, c, q); !slices.Equal(log.ids, want) {
+				t.Errorf("%s: %s read %v, want %v", when, e.src, log.ids, want)
 			}
-			if want := iioTopReads(t, c, q, noEntry); !slices.Equal(log.ids, want) {
-				t.Errorf("pass %d: %s read %v, want %v", pass, e.src, log.ids, want)
+			for _, id := range gone {
+				if slices.Contains(log.ids, id) {
+					t.Errorf("%s: %s read the deleted row %d", when, e.src, id)
+				}
 			}
 		}
-		// A COUNT reads, in ID order, the live candidates in its rect and
-		// those whose point it cannot know.
 		rs, q := run(`SELECT COUNT WITHIN rect(15, 15, 25, 25) MATCH "base" AND "com0" USING iio`)
 		var reads []uint64
-		for _, r := range order {
-			if pt := r.obj.Point; noEntry[r.obj.ID] || pt[0] >= 15 && pt[0] <= 25 && pt[1] >= 15 && pt[1] <= 25 {
+		for _, r := range oracleRows(t, c, all) {
+			if pt := r.obj.Point; pt[0] >= 15 && pt[0] <= 25 && pt[1] >= 15 && pt[1] <= 25 {
 				reads = append(reads, r.obj.ID)
 			}
 		}
 		slices.Sort(reads)
 		if want := oracleRows(t, c, q); rs.Count != len(want) || !slices.Equal(log.ids, reads) {
-			t.Errorf("pass %d: COUNT at (20, 20) = %d, read %v; want %d and %v", pass, rs.Count, log.ids, len(want), reads)
+			t.Errorf("%s: COUNT at (20, 20) = %d, read %v; want %d and %v", when, rs.Count, log.ids, len(want), reads)
 		}
+	}
+	checkEdges("after the catch-up", dead)
+
+	// A row the TOP 3 answered, deleted after the catch-up: the row table
+	// says so before any statement reads it, and no statement refreshes
+	// the index for it.
+	answered := order[1].obj.ID
+	if err := b.del(answered); err != nil {
+		t.Fatalf("delete %d: %v", answered, err)
+	}
+	if err := b.settle(); err != nil {
+		t.Fatalf("settle: %v", err)
+	}
+	checkEdges("after a later delete", dead, answered)
+	if c.IndexStats().Refreshes != 2 {
+		t.Errorf("the index refreshed %d times, want 2: deletes must not reach it", c.IndexStats().Refreshes)
 	}
 }
 
 // iioTopReads models the rows a forced-IIO TOP reads, operator by operator:
-// first the live candidates of the operator's conjunction that have no
-// column entry, in ID order, then the others in (distance, ID) order until
-// op.K of them and of the rows read ahead pass its NOT terms.
-func iioTopReads(t *testing.T, c *Catalog, q *Query, noEntry map[uint64]bool) []uint64 {
+// the live candidates of the operator's conjunction in (distance, ID) order
+// until op.K of them pass its NOT terms.
+func iioTopReads(t *testing.T, c *Catalog, q *Query) []uint64 {
 	t.Helper()
 	p, err := c.BuildPlan(q)
 	if err != nil {
@@ -255,22 +258,12 @@ func iioTopReads(t *testing.T, c *Catalog, q *Query, noEntry map[uint64]bool) []
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands := oracleRows(t, c, all)
-		byID := slices.Clone(cands)
-		slices.SortFunc(byID, func(a, b oracleRow) int { return cmp.Compare(a.obj.ID, b.obj.ID) })
-		for _, r := range byID {
-			if noEntry[r.obj.ID] {
-				reads = append(reads, r.obj.ID)
-			}
-		}
 		accepted := 0
-		for _, r := range cands {
+		for _, r := range oracleRows(t, c, all) {
 			if accepted == op.K {
 				break
 			}
-			if !noEntry[r.obj.ID] {
-				reads = append(reads, r.obj.ID)
-			}
+			reads = append(reads, r.obj.ID)
 			set := termSet(an.Unique(r.obj.Text))
 			if !slices.ContainsFunc(op.Neg, func(w string) bool { return set[w] }) {
 				accepted++
@@ -322,26 +315,4 @@ func TestIIOReadsFollower(t *testing.T) {
 		add: e.Add, del: e.Delete, target: f,
 		settle: func() error { return f.WaitFor(l.PositionToken(), 10*time.Second) },
 	}, 73)
-}
-
-// TestPointColumn: skipped IDs and a row out of ID order have no entry;
-// every other row reads back as put.
-func TestPointColumn(t *testing.T) {
-	var pc pointColumn
-	if _, ok := pc.at(0); ok {
-		t.Fatal("an empty column has an entry")
-	}
-	pc.put(2, []float64{1, 2}, 8)
-	pc.put(5, []float64{5, 6}, 8)
-	pc.put(4, []float64{9, 9}, 8)
-	want := map[uint64][]float64{2: {1, 2}, 5: {5, 6}}
-	for id := uint64(0); id < 8; id++ {
-		got, ok := pc.at(id)
-		if w, has := want[id]; ok != has || !slices.Equal(got, w) {
-			t.Errorf("at(%d) = %v, %v; want %v, %v", id, got, ok, w, has)
-		}
-	}
-	if cap(pc.xs) < 16 {
-		t.Errorf("column capacity %d, want it presized for 8 rows", cap(pc.xs))
-	}
 }

@@ -241,6 +241,17 @@ func (a *TermArena) CountsInto(counts []int, id int, want []uint32) {
 	}
 }
 
+// Words appends the word of each of row id's terms, ascending by term ID,
+// to dst: v's strings, not copies.
+func (a *TermArena) Words(dst []string, id int, v *Vocabulary) []string {
+	r := a.reader(id)
+	for r.more() {
+		t, _ := r.term()
+		dst = append(dst, v.Word(uint32(t)))
+	}
+	return dst
+}
+
 // Terms appends row id's term IDs, ascending, to ids and their counts to
 // counts, and returns both.
 func (a *TermArena) Terms(id int, ids []uint32, counts []int32) ([]uint32, []int32) {

@@ -25,7 +25,7 @@ func liveTexts(t *testing.T, e *Engine) []string {
 	t.Helper()
 	var texts []string
 	if err := e.Scan(func(o Object) error {
-		if !e.IsDeleted(o.ID) {
+		if !isDeleted(e, o.ID) {
 			texts = append(texts, o.Text)
 		}
 		return nil
