@@ -27,8 +27,8 @@ const (
 	// postingsPerBlock is how many postings fit in one block
 	// (varint-delta encoded ≈ 2 bytes each at 4 KB).
 	postingsPerBlock = 2048.0
-	// pointsPerBlock is how many entries of the catalog's point column
-	// fit in one block (two float64s, 16 bytes each, at 4 KB).
+	// pointsPerBlock is how many of the row table's points fit in one
+	// block (two float64s, 16 bytes each, at 4 KB).
 	pointsPerBlock = 256.0
 	// blocksPerObject is the cost of loading one object.
 	blocksPerObject = 1.0
@@ -103,13 +103,13 @@ func ModeledTime(blocks float64) time.Duration {
 }
 
 // EstimateIIO costs the Inverted Index Only path for a conjunction: read
-// every keyword's posting list and the point column's entries for the
+// every keyword's posting list and the row table's points for the
 // intersection (bounded above by the rarest list), then load only the rows
 // that can make the answer. A TOP operator (k > 0) reads its candidates in
 // distance order until k pass the residual filter, so it loads
 // min(candidates, k/residualSel); an area operator (k = 0) loads every
-// candidate. The column is charged what it will cost once persisted beside
-// the index, though today it is in memory.
+// candidate. The points are charged what they will cost once the row table
+// is persisted, though today it is in memory.
 func (in CostInputs) EstimateIIO(k int, pos []string, residualSel float64) PathEstimate {
 	minDF, sel, postingBlocks := in.conjunction(pos)
 	expected := sel * float64(in.NumObjects)
