@@ -61,7 +61,7 @@ func (s *server) attachSKQL() {
 			"Time an IIO statement spent bringing the sidecar inverted index current (catch-up on the rows not yet indexed, all of them on first use).",
 			obs.LatencyBuckets()),
 		idxRows: s.reg.Counter("sk_skql_index_rows_indexed_total",
-			"Rows tokenised into the sidecar inverted index."),
+			"Rows added to the sidecar inverted index."),
 		idxFullBuild: s.reg.Counter("sk_skql_index_full_builds_total",
 			"Sidecar inverted index fills started from empty; stays at 1 under write traffic."),
 		idxFolds: s.reg.Counter("sk_skql_index_folds_total",

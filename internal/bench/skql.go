@@ -220,7 +220,7 @@ func SKQL(spec dataset.Spec, sigBytes, k, nQueries int, seed int64, cm storage.C
 		Notes: []string{
 			"expect: rare keywords — forced IIO beats forced IR2 and the planner",
 			"routes to IIO; common keywords — IIO orders its candidates by the",
-			"catalog's point column and reads only the rows up to the k-th match,",
+			"row table's points and reads only the rows up to the k-th match,",
 			"so it no longer loads every candidate and the planner may route to",
 			"either path; on both extremes the planner's disk time matches the",
 			"better forced arm (the cost-based routing acceptance); objAcc is",

@@ -61,8 +61,9 @@
 #           a ~100-candidate conjunction over 1,000 rows; frequent,
 #           skql_sharded's conjunctive TOP, a top-2 % word AND a mid word on
 #           Restaurants(0.02)), and the first fill of a fresh catalog's
-#           sidecar index over 4 shards of 5,000 rows, one Get per row, also
-#           in rows indexed per fill (skql.BenchmarkSidecarFill),
+#           sidecar index over 4 shards of 5,000 rows, each row's terms
+#           taken from the row table and no row read, also in rows indexed
+#           per fill (skql.BenchmarkSidecarFill),
 #           of an add's vocabulary fold with its repeated-term report
 #           (textutil.BenchmarkAddDocWith, Hotels- and Restaurants-length
 #           rows), of the tokenizer (textutil.BenchmarkTokenize,
