@@ -12,6 +12,7 @@ package spatialkeyword_test
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -388,6 +389,89 @@ func BenchmarkOpenEngine(b *testing.B) {
 	})
 }
 
+// BenchmarkSave times a checkpoint after a leaf's worth of adds: each
+// iteration Adds 170 rows (Capacity(0), one served leaf) to a reopened
+// saved engine, outside the timer, and Saves it — hotels is
+// savedBenchEngine's Hotels(0.02) 189-byte engine, scale the scale engine
+// (see scaleEngine); both keep growing across iterations and reruns. Beside
+// ns/op it reports new-B/op: the bytes of the files the Save created plus
+// the growth of objects.db, what a checkpoint adds to the directory before
+// its prune.
+func BenchmarkSave(b *testing.B) {
+	save := func(b *testing.B, s *scaleEngine) {
+		eng := s.open(b)
+		var newBytes int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j := 0; j < 170; j++ {
+				n := i*170 + j
+				text := strings.Join([]string{s.frequent[n%len(s.frequent)], s.mid[n*13%len(s.mid)], s.mid[n*29%len(s.mid)]}, " ")
+				if _, err := eng.Add(s.points[n*4099%len(s.points)], text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			before := dirSizes(b, s.dir)
+			b.StartTimer()
+			if err := eng.Save(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			for name, size := range dirSizes(b, s.dir) {
+				if old, ok := before[name]; !ok {
+					newBytes += size
+				} else if name == "objects.db" {
+					newBytes += size - old
+				}
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(newBytes)/float64(b.N), "new-B/op")
+	}
+	hotels := newSavedEngine(b, dataset.Hotels(0.02), 189)
+	b.Run("hotels", func(b *testing.B) { save(b, hotels) })
+	scale := newScaleEngine(b)
+	b.Run("scale", func(b *testing.B) { save(b, scale) })
+}
+
+// dirSizes returns the size of every file in dir by name.
+func dirSizes(b *testing.B, dir string) map[string]int64 {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sizes := make(map[string]int64, len(entries))
+	for _, ent := range entries {
+		info, err := ent.Info()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sizes[ent.Name()] = info.Size()
+	}
+	return sizes
+}
+
+// BenchmarkWALAdd times a durable add, mixed_rw_wal's write without HTTP
+// around it: one Add per iteration to an engine with a write-ahead log and
+// no group-commit window, so each Add appends its record to the log and
+// syncs it before it returns.
+func BenchmarkWALAdd(b *testing.B) {
+	eng, err := spatialkeyword.NewDurableEngine(spatialkeyword.Config{SignatureBytes: 64, WAL: true}, b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Close() })
+	words := strings.Fields("pizza pasta espresso garden terrace family friendly late night delivery vegan options parking wifi")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Add([]float64{float64(i % 1000), float64(i % 997)}, strings.Join(words[:4+i%10], " ")); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchQuery is one query of the warm benchmarks: a row's point and words
 // drawn from the bands benchmarks/perf draws from.
 type benchQuery struct {
@@ -436,22 +520,32 @@ func timeQueries(b *testing.B, eng *spatialkeyword.Engine, queries []benchQuery,
 // whose index at 102-entry leaves outgrows the default node cache (ROADMAP
 // measurement 12). It is built on first use into a directory of the parent
 // benchmark, so that the reruns of a sub-benchmark share it and a run that
-// selects no scale arm never builds it.
+// selects no scale arm never builds it. newSavedEngine builds another
+// dataset the same way.
 type scaleEngine struct {
 	parent        *testing.B
+	spec          dataset.Spec
+	sigBytes      int
 	dir           string
 	points        [][]float64
 	frequent, mid []string
 	eng           *spatialkeyword.Engine
 }
 
-func newScaleEngine(b *testing.B) *scaleEngine { return &scaleEngine{parent: b} }
+func newScaleEngine(b *testing.B) *scaleEngine {
+	return newSavedEngine(b, dataset.Restaurants(0.25), 64)
+}
+
+// newSavedEngine is newScaleEngine for spec with sigBytes-byte signatures.
+func newSavedEngine(b *testing.B, spec dataset.Spec, sigBytes int) *scaleEngine {
+	return &scaleEngine{parent: b, spec: spec, sigBytes: sigBytes}
+}
 
 // save builds and saves the engine unless it has been.
 func (s *scaleEngine) save(b *testing.B) {
 	if s.dir == "" {
 		dir := s.parent.TempDir()
-		s.points, s.frequent, s.mid = saveBenchEngine(b, dir, dataset.Restaurants(0.25), 64)
+		s.points, s.frequent, s.mid = saveBenchEngine(b, dir, s.spec, s.sigBytes)
 		s.dir = dir
 	}
 }
