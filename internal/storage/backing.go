@@ -69,8 +69,47 @@ func OpenFileDisk(path string) (*Disk, error) {
 	d := newDisk(f, blockSize, next)
 	d.freeHead = freeHead
 	d.nAlloc = int(nAlloc)
+	d.metaDirty = false
 	if fi, err := f.Stat(); err == nil {
 		d.openBlocks = int(fi.Size() / int64(blockSize))
+	}
+	return d, nil
+}
+
+// OpenFileDiskAt opens the file at path as a Disk of blockSize-byte blocks
+// whose allocation frontier is frontier (what Seal returned at a commit),
+// taking no allocator state from the file's own header: the file is cut
+// back to the frontier, dropping every block allocated after it, and the
+// header is rewritten with every block below the frontier allocated and no
+// free list. A file that ends before the frontier has lost blocks the
+// commit wrote, and is refused.
+func OpenFileDiskAt(path string, blockSize int, frontier BlockID) (*Disk, error) {
+	if err := checkBlockSize(blockSize); err != nil {
+		return nil, err
+	}
+	if frontier < FirstBlock || uint64(frontier-1) > math.MaxInt64/uint64(blockSize) {
+		return nil, fmt.Errorf("storage: frontier %d for %s", frontier, path)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("storage: open file disk: %w", err)
+	}
+	size := int64(frontier-1) * int64(blockSize)
+	fi, err := f.Stat()
+	switch {
+	case err != nil:
+		return nil, errors.Join(fmt.Errorf("storage: open file disk: %w", err), f.Close())
+	case fi.Size() < size:
+		return nil, errors.Join(fmt.Errorf("storage: %s holds %d bytes, its frontier %d needs %d", path, fi.Size(), frontier, size), f.Close())
+	}
+	if err := f.Truncate(size); err != nil {
+		return nil, errors.Join(fmt.Errorf("storage: cut file disk at its frontier: %w", err), f.Close())
+	}
+	d := newDisk(f, blockSize, frontier)
+	d.nAlloc = int(frontier - FirstBlock)
+	d.openBlocks = int(frontier - 1)
+	if err := d.writeMeta(); err != nil {
+		return nil, errors.Join(err, f.Close())
 	}
 	return d, nil
 }

@@ -235,3 +235,131 @@ func TestFileDiskAllocStopsAtBadFreeLink(t *testing.T) {
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
+
+// TestOpenFileDiskAtFrontier: a disk opened at a frontier takes no allocator
+// state from its header — here zeroed, with a free list on the disk that
+// wrote it — and cuts the file back to the frontier; blocks below it keep
+// their bytes, the next allocation takes the frontier, and Seal on the
+// writer had already given the same allocator. A file shorter than its
+// frontier, or a frontier inside the header, is refused.
+func TestOpenFileDiskAtFrontier(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "disk.db")
+	d, err := CreateFileDisk(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := d.Alloc(), d.Alloc(), d.Alloc()
+	for _, id := range []BlockID{a, b, c} {
+		if err := d.Write(id, []byte{byte(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Free(b)
+	frontier := d.Seal()
+	if frontier != c+1 || d.NumBlocks() != int(frontier-FirstBlock) {
+		t.Fatalf("Seal = %d with %d blocks, want %d with %d", frontier, d.NumBlocks(), c+1, frontier-FirstBlock)
+	}
+	if got := d.Alloc(); got != frontier {
+		t.Fatalf("alloc after Seal = %d, want the frontier %d", got, frontier)
+	}
+	if err := d.Write(frontier, []byte("past the frontier")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 32), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err = OpenFileDiskAt(path, 64, frontier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.Read(a)
+	if err != nil || got[0] != byte(a) {
+		t.Fatalf("block %d below the frontier: %v %v", a, got[:1], err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != int64(frontier-1)*64 {
+		t.Fatalf("file after the open: %v %v, want %d bytes", info.Size(), err, int64(frontier-1)*64)
+	}
+	if _, err := d.Read(frontier); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("block at the frontier reads %v, want ErrBadBlock", err)
+	}
+	if got := d.Alloc(); got != frontier || d.NumBlocks() != int(frontier-FirstBlock)+1 {
+		t.Fatalf("alloc = %d with %d blocks, want %d", got, d.NumBlocks(), frontier)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenFileDisk(path)
+	if err != nil {
+		t.Fatalf("the rewritten header does not open: %v", err)
+	}
+	d.Close()
+
+	if _, err := OpenFileDiskAt(path, 64, frontier+10); err == nil {
+		t.Error("a file shorter than its frontier opened")
+	}
+	if _, err := OpenFileDiskAt(path, 64, metaBlock); err == nil {
+		t.Error("a frontier on the header opened")
+	}
+}
+
+// failingHeader is a file backing whose header writes fail while fail is set.
+type failingHeader struct {
+	*os.File
+	fail   bool
+	writes int
+}
+
+func (f *failingHeader) WriteAt(p []byte, off int64) (int, error) {
+	if off == 0 {
+		if f.fail {
+			return 0, errors.New("header write failed")
+		}
+		f.writes++
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestSyncMetaWritesOnlyADirtyHeader: SyncMeta rewrites the header only
+// when the allocator changed since it was last written — after an Alloc
+// whose eager write failed, not after one whose write went through, nor
+// after data writes alone.
+func TestSyncMetaWritesOnlyADirtyHeader(t *testing.T) {
+	d := newFileDisk(t, 64)
+	back := &failingHeader{File: d.back.(*os.File)}
+	d.back = back
+	id := d.Alloc()
+	if back.writes != 1 {
+		t.Fatalf("alloc wrote the header %d times, want 1", back.writes)
+	}
+	for i := 0; i < 3; i++ {
+		if err := d.Write(id, []byte("data")); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.SyncMeta(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if back.writes != 1 {
+		t.Fatalf("SyncMeta after data writes wrote the header %d more times", back.writes-1)
+	}
+	back.fail = true
+	d.Alloc()
+	back.fail = false
+	if err := d.SyncMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if back.writes != 2 {
+		t.Fatalf("SyncMeta after a failed eager write wrote the header %d times, want once", back.writes-1)
+	}
+}

@@ -182,6 +182,7 @@ type Disk struct {
 	scratch    []byte               // one block image for writes, zero past dirty
 	dirty      int
 	meta       [32]byte      // the header, or a free-chain link being read
+	metaDirty  bool          // the allocator changed since the header was last written
 	seq        atomic.Uint64 // advanced under mu held exclusively; read anywhere
 	stamps     []uint64      // indexed by BlockID
 	farSeq     uint64        // the stamp of every block past stamps
@@ -210,7 +211,7 @@ const (
 )
 
 func newDisk(back backing, blockSize int, next BlockID) *Disk {
-	return &Disk{back: back, blockSize: blockSize, next: next,
+	return &Disk{back: back, blockSize: blockSize, next: next, metaDirty: true,
 		freed: make(map[BlockID]struct{}), scratch: make([]byte, blockSize)}
 }
 
@@ -252,9 +253,10 @@ func (d *Disk) offset(id BlockID) int64 {
 	return int64(id-1) * int64(d.blockSize)
 }
 
-// writeMeta persists the allocator state. Callers must hold mu exclusively
-// (or be the constructor). Header writes are bookkeeping, not workload I/O,
-// so they are not counted in the stats.
+// writeMeta persists the allocator state, and the header is clean once it
+// has. Callers must hold mu exclusively (or be the constructor). Header
+// writes are bookkeeping, not workload I/O, so they are not counted in the
+// stats.
 func (d *Disk) writeMeta() error {
 	hdr := d.meta[:]
 	binary.LittleEndian.PutUint32(hdr[0:4], diskMagic)
@@ -265,12 +267,15 @@ func (d *Disk) writeMeta() error {
 	if _, err := d.back.WriteAt(hdr, 0); err != nil {
 		return fmt.Errorf("storage: write disk header: %w", err)
 	}
+	d.metaDirty = false
 	return nil
 }
 
 // persistMeta is the allocator's eager header write after every change.
-// It is best effort: Close and SyncMeta write the header authoritatively.
+// It is best effort: a failed write leaves the header dirty, and Close and
+// SyncMeta write it authoritatively.
 func (d *Disk) persistMeta() {
+	d.metaDirty = true
 	//skvet:ignore erroprov best-effort eager persist; Close/SyncMeta write the meta block authoritatively
 	d.writeMeta() //nolint:errcheck
 }
@@ -282,9 +287,11 @@ func (d *Disk) Close() error {
 	return errors.Join(d.syncMetaLocked(), d.back.Close())
 }
 
-// SyncMeta writes the header and syncs the backing without closing it.
-// Durable save paths call this before copying the file into a snapshot, so
-// the snapshot's header matches its data blocks.
+// SyncMeta writes the header, when the allocator changed since it was last
+// written, and syncs the backing without closing it. Durable save paths
+// call this before a commit, so the committed blocks are on the disk; a
+// write-ahead log calls it per commit, and since the allocator persists
+// every change eagerly that writes only the log's blocks in the common case.
 func (d *Disk) SyncMeta() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -292,10 +299,28 @@ func (d *Disk) SyncMeta() error {
 }
 
 func (d *Disk) syncMetaLocked() error {
-	if err := d.writeMeta(); err != nil {
-		return err
+	if d.metaDirty {
+		if err := d.writeMeta(); err != nil {
+			return err
+		}
 	}
 	return d.back.Sync()
+}
+
+// Seal returns the allocation frontier, the block the next fresh allocation
+// takes, and drops the free list, so no block below the frontier is handed
+// out again: a durable commit records the frontier, and every block under it
+// keeps the bytes the commit saw. A dropped free block counts as allocated,
+// as it does on a disk reopened at the frontier (OpenFileDiskAt).
+func (d *Disk) Seal() BlockID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.freeHead != NilBlock || d.nAlloc != int(d.next-FirstBlock) {
+		d.freeHead = NilBlock
+		d.nAlloc = int(d.next - FirstBlock)
+		d.persistMeta()
+	}
+	return d.next
 }
 
 // BlockSize returns the size of each block in bytes.
