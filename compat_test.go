@@ -130,7 +130,7 @@ func checkCompatTopK(t *testing.T, e *spatialkeyword.Engine, k int, p []float64,
 // manifest and no log differ from the copy's: only the working files
 // objects.db and index.db are rewritten.
 func TestCompatParentRepackSurvivesCrash(t *testing.T) {
-	for _, fixture := range []string{"single-ae80bff", "single-nowal-ae80bff", "nested-ae80bff/shard-0000", "single-f6fd472", "single-d522542"} {
+	for _, fixture := range compatFixtures {
 		t.Run(fixture, func(t *testing.T) {
 			dir := t.TempDir()
 			copyDir(t, dir, filepath.Join("testdata/compat", fixture))
@@ -141,20 +141,7 @@ func TestCompatParentRepackSurvivesCrash(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				spatialkeyword.CheckTree(t, e)
-				top, err := e.TopK(7, []float64{25.3, -79.7}, "cafe")
-				if err != nil {
-					t.Fatal(err)
-				}
-				ranked, err := e.TopKRanked(7, []float64{25.3, -79.7}, "pool", "wifi")
-				if err != nil {
-					t.Fatal(err)
-				}
-				within, _, err := e.WithinArea([]float64{25, -80.2}, []float64{25.6, -79.5}, "cafe")
-				if err != nil {
-					t.Fatal(err)
-				}
-				answers[i] = fmt.Sprint(ids(top), rankedIDs(ranked), ids(within))
+				answers[i] = compatAnswers(t, e)
 				if err := e.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -167,6 +154,78 @@ func TestCompatParentRepackSurvivesCrash(t *testing.T) {
 			}
 			if answers[0] != answers[1] || answers[0] == "[] [] []" {
 				t.Fatalf("answers after the first open %s, after the second %s", answers[0], answers[1])
+			}
+		})
+	}
+}
+
+// compatFixtures is every engine directory of testdata/compat.
+var compatFixtures = []string{"single-ae80bff", "single-nowal-ae80bff", "nested-ae80bff/shard-0000", "single-f6fd472", "single-d522542"}
+
+// compatAnswers runs CheckTree on e and returns its answers to a top-k, a
+// ranked top-k and a range query over a compat fixture's rows.
+func compatAnswers(t *testing.T, e *spatialkeyword.Engine) string {
+	t.Helper()
+	spatialkeyword.CheckTree(t, e)
+	top, err := e.TopK(7, []float64{25.3, -79.7}, "cafe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := e.TopKRanked(7, []float64{25.3, -79.7}, "pool", "wifi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	within, _, err := e.WithinArea([]float64{25, -80.2}, []float64{25.6, -79.5}, "cafe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(ids(top), rankedIDs(ranked), ids(within))
+}
+
+// TestCompatParentSavesPrefixForm opens (from a copy) every engine directory
+// of testdata/compat, whose generations an older build committed with an
+// objects.<G>.db copy each, saves it twice and reopens it. The first Save
+// commits objects.db's prefix and the second prunes the copies, so no
+// objects.<G>.db is left; every answer is the one the first open gave, and
+// on the two 600-row fixtures the top 7 for "sushi pool" is the one
+// TestCompatParentBareLeafDirectory and TestCompatParentOffsetLeafDirectory
+// pin.
+func TestCompatParentSavesPrefixForm(t *testing.T) {
+	for _, fixture := range compatFixtures {
+		t.Run(fixture, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, dir, filepath.Join("testdata/compat", fixture))
+			e, err := spatialkeyword.OpenEngine(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := compatAnswers(t, e)
+			for i := 0; i < 2; i++ {
+				if err := e.Save(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if copies, err := filepath.Glob(filepath.Join(dir, "objects.*.db")); err != nil || copies != nil {
+				t.Fatalf("after two Saves: %v (%v)", copies, err)
+			}
+			if e, err = spatialkeyword.OpenEngine(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if got := compatAnswers(t, e); got != want {
+				t.Fatalf("answers after two Saves and a reopen %s, after the first open %s", got, want)
+			}
+			if fixture == "single-f6fd472" || fixture == "single-d522542" {
+				res, err := e.TopK(7, []float64{25.9, -80.6}, "sushi", "pool")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprint(ids(res)); got != "[360 388 220 416 192 248 164]" {
+					t.Fatalf("top 7 \"sushi pool\": %s, want [360 388 220 416 192 248 164]", got)
+				}
 			}
 		})
 	}

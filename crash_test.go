@@ -101,11 +101,12 @@ func TestKillDuringSaveAlwaysRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A full save touches at most 5 commit-critical hooked ops (2 snapshot
-	// copies, 2 manifest writes, 1 rename) plus up to 3 best-effort prunes.
-	// Rotating the kill point over 1..8 exercises every window, including
-	// "crashed after the commit point".
-	const maxOps = 8
+	// A full save touches at most 4 commit-critical hooked ops (the index
+	// snapshot copy, 2 manifest writes, 1 rename) plus up to 2 best-effort
+	// prunes (generation G-2's index copy and manifest). Rotating the kill
+	// point over 1..6 exercises every window, including "crashed after the
+	// commit point".
+	const maxOps = 6
 	for iter := 0; iter < 100; iter++ {
 		text := fmt.Sprintf("iter %d poi", iter)
 		if _, err := eng.Add([]float64{float64(iter % 13), float64(iter % 7)}, text); err != nil {

@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// FuzzPersistOpen mutates a committed engine directory — snapshots,
-// per-generation manifest, and the commit manifest itself — and reopens it.
+// FuzzPersistOpen mutates a committed engine directory — the object file
+// the generation is a prefix of, the index snapshot, the per-generation
+// manifest, and the commit manifest itself — and reopens it.
 // The recovery contract under fuzz: OpenEngine either restores a readable,
 // queryable engine or returns an error. It never panics, and (with
 // checksums on) never serves a silently corrupted tree: any query against a
@@ -17,7 +18,7 @@ func FuzzPersistOpen(f *testing.F) {
 	f.Add(uint32(0), uint32(0), []byte{0x00})                // no-op patch: clean reopen
 	f.Add(uint32(0), uint32(12), []byte{0xff})               // torn commit manifest
 	f.Add(uint32(1), uint32(40), []byte("garbage"))          // generation manifest
-	f.Add(uint32(2), uint32(700), []byte{0x80})              // object snapshot bit flip
+	f.Add(uint32(2), uint32(700), []byte{0x80})              // object file bit flip
 	f.Add(uint32(3), uint32(5000), []byte{0x01, 0x02, 0x04}) // index snapshot
 	f.Fuzz(func(t *testing.T, sel, off uint32, patch []byte) {
 		if len(patch) > 256 {
@@ -44,7 +45,7 @@ func FuzzPersistOpen(f *testing.F) {
 		targets := []string{
 			manifestName,
 			genManifestName(gen),
-			genObjectsName(gen),
+			objectsName,
 			genIndexName(gen),
 		}
 		path := filepath.Join(dir, targets[int(sel)%len(targets)])

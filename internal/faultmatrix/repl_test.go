@@ -528,7 +528,11 @@ func TestReplFlatLeaderFromParentDirectory(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(fdir, "shard-0000")); !os.IsNotExist(err) {
 		t.Fatalf("replica of a flat leader has a shard subdirectory: %v", err)
 	}
-	objects, index, manifest := spatialkeyword.SnapshotFileNames(2)
+	index, manifest := spatialkeyword.SnapshotFileNames(2)
+	objects, err := spatialkeyword.SnapshotObjectsName(filepath.Join(ldir, manifest))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{objects, index, manifest} {
 		want, err := os.ReadFile(filepath.Join(ldir, name))
 		if err != nil {

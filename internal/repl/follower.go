@@ -306,17 +306,23 @@ func (f *Follower) commitBootstrap(dirs []string, manifestBytes []byte) error {
 	return nil
 }
 
-// stageStream downloads one stream's generation-gen snapshot into dir and
-// creates the generation's empty local WAL. The engine's own manifest.json
+// stageStream downloads one stream's generation-gen snapshot into dir — the
+// object file under the name its manifest gives it (see
+// spatialkeyword.SnapshotObjectsName) — and creates the generation's empty
+// local WAL. The engine's own manifest.json
 // stays absent until the replica's first rotation writes it: the sharded
 // manifest pins the generation and shard.Open never reads it.
 func (f *Follower) stageStream(dir string, stream int, gen uint64) error {
-	objects, index, manifest := spatialkeyword.SnapshotFileNames(gen)
+	index, manifest := spatialkeyword.SnapshotFileNames(gen)
 	manifestBytes, err := f.fetchSnapshot(stream, gen, "manifest")
 	if err != nil {
 		return err
 	}
 	if err := writeFileSync(filepath.Join(dir, manifest), manifestBytes); err != nil {
+		return err
+	}
+	objects, err := spatialkeyword.SnapshotObjectsName(filepath.Join(dir, manifest))
+	if err != nil {
 		return err
 	}
 	for file, name := range map[string]string{"objects": objects, "index": index} {

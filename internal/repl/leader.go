@@ -2,7 +2,9 @@ package repl
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -162,11 +164,13 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	// Only generation-derived names are servable — the client never picks a
 	// filename.
-	objects, index, manifest := spatialkeyword.SnapshotFileNames(gen)
+	index, manifest := spatialkeyword.SnapshotFileNames(gen)
 	var name string
 	switch file {
 	case "objects":
-		name = objects
+		data, err := spatialkeyword.SnapshotObjects(l.eng.ShardDir(stream), gen)
+		serveFile(w, data, err)
+		return
 	case "index":
 		name = index
 	case "manifest":
@@ -184,7 +188,7 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // from the manifest).
 func serveFile(w http.ResponseWriter, data []byte, err error) {
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			http.Error(w, "repl: snapshot file gone", http.StatusNotFound)
 			return
 		}

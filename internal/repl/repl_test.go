@@ -1,18 +1,23 @@
 package repl
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"spatialkeyword"
 	"spatialkeyword/internal/shard"
+	"spatialkeyword/internal/storage"
 	"spatialkeyword/internal/wal"
 )
 
@@ -410,4 +415,114 @@ func TestDecodeFramesContinuity(t *testing.T) {
 	if recs, err := decodeFrames(nil, 9); err != nil || len(recs) != 0 {
 		t.Fatalf("empty body: %v %v", recs, err)
 	}
+}
+
+// countingWriter counts the body bytes a handler writes.
+type countingWriter struct {
+	http.ResponseWriter
+	n int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.n += n
+	return n, err
+}
+
+// TestBootstrapServesObjectsUpToFrontier bootstraps a follower from a
+// 2-shard leader that keeps acknowledging adds meanwhile, so each shard's
+// objects.db grows past its committed generation while the leader serves
+// it. Each served object file is exactly the generation's prefix — the
+// blocks below the frontier its manifest records — and the follower, once
+// caught up, answers like the leader.
+func TestBootstrapServesObjectsUpToFrontier(t *testing.T) {
+	ldir, fdir := t.TempDir(), t.TempDir()
+	e, err := shard.NewDurable(spatialkeyword.Config{WAL: true}, ldir, shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() }) //nolint:errcheck // test teardown
+	l := NewLeader(e)
+	addN(t, e, 0, 600)
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	addN(t, e, 600, 300) // logged, and written past the frontier
+	type served struct {
+		shard, gen string
+		n          int
+	}
+	var mu sync.Mutex
+	var objects []served
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		if r.URL.Path != SnapshotPath || q.Get("file") != "objects" {
+			l.Handler().ServeHTTP(w, r)
+			return
+		}
+		cw := &countingWriter{ResponseWriter: w}
+		l.Handler().ServeHTTP(cw, r)
+		mu.Lock()
+		objects = append(objects, served{q.Get("shard"), q.Get("gen"), cw.n})
+		mu.Unlock()
+	}))
+	t.Cleanup(srv.Close)
+
+	stop, done := make(chan struct{}), make(chan int)
+	go func() {
+		i := 900
+		for {
+			select {
+			case <-stop:
+				done <- i
+				return
+			default:
+			}
+			if _, err := e.Add([]float64{float64(i % 10), float64(i / 10)}, fmt.Sprintf("object %d coffee pizza%d", i, i%3)); err != nil {
+				t.Error(err)
+			}
+			i++
+		}
+	}()
+	f, err := OpenFollower(fdir, srv.URL, Options{})
+	close(stop)
+	added := <-done
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	defer f.Close() //nolint:errcheck // test teardown
+	drain(t, f, l)
+
+	if len(objects) != 2 {
+		t.Fatalf("served %d object files, want one per shard: %+v", len(objects), objects)
+	}
+	for _, o := range objects {
+		i, _ := strconv.Atoi(o.shard)
+		data, err := os.ReadFile(filepath.Join(e.ShardDir(i), "manifest."+o.gen+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Frontier int `json:"objects_frontier"`
+		}
+		if err := json.Unmarshal(data, &m); err != nil || m.Frontier == 0 {
+			t.Fatalf("shard %d generation %s's manifest has no frontier (%v)", i, o.gen, err)
+		}
+		prefix := (m.Frontier - 1) * storage.DefaultBlockSize
+		if o.n != prefix {
+			t.Errorf("shard %d generation %s: served %d bytes of objects.db, its frontier %d ends at %d", i, o.gen, o.n, m.Frontier, prefix)
+		}
+		info, err := os.Stat(filepath.Join(e.ShardDir(i), "objects.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() <= int64(prefix) {
+			t.Errorf("shard %d: the leader's objects.db (%d bytes) never grew past the served prefix", i, info.Size())
+		}
+	}
+	if got, want := f.Stats().Objects, e.Stats().Objects; got != want || want != added {
+		t.Fatalf("follower holds %d objects, leader %d, adds %d", got, want, added)
+	}
+	sameTopK(t, e, f, 10, []float64{5, 20}, "coffee")
+	sameTopK(t, e, f, 10, []float64{2, 70}, "pizza1")
 }

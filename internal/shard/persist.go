@@ -50,8 +50,12 @@ type shardManifest struct {
 	// Flat says the one shard's files sit in the engine directory itself: an
 	// adopted single-engine directory (see shardDir).
 	Flat bool `json:"flat,omitempty"`
-	// Assign holds the shard index of each global object ID.
-	Assign []int `json:"assign"`
+	// Assign holds the shard index of each global object ID, -1 for a
+	// global ID no shard holds. AssignRuns, when it is shorter, holds the
+	// same as (shard index, count) pairs instead: a flat engine's whole
+	// assignment is one run. readShardManifest expands it into Assign.
+	Assign     []int `json:"assign,omitempty"`
+	AssignRuns []int `json:"assign_runs,omitempty"`
 	// Gens pins each shard to the snapshot generation it had when this
 	// manifest was written. A crash after some shards saved a newer
 	// generation but before the manifest commit reopens every shard at
@@ -183,11 +187,12 @@ func (s *ShardedEngine) marshalManifest(gens []uint64) ([]byte, error) {
 	}
 	m := shardManifest{Config: s.cfg, Partitioner: ps, Flat: s.flat, Gens: gens}
 	s.mu.RLock()
-	m.Assign = make([]int, len(s.assign))
+	assign := make([]int, len(s.assign))
 	for gid, loc := range s.assign {
-		m.Assign[gid] = loc.shard
+		assign[gid] = loc.shard
 	}
 	s.mu.RUnlock()
+	m.Assign, m.AssignRuns = encodeAssign(assign)
 	// Not indented: one line per assigned ID would make the manifest a
 	// visible share of a small engine's directory.
 	return json.Marshal(&m)
@@ -273,7 +278,52 @@ func readShardManifest(dir string) (m shardManifest, adopted bool, err error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, false, fmt.Errorf("shard: parse manifest: %w", err)
 	}
+	if m.AssignRuns != nil {
+		if m.Assign, err = decodeAssign(m.AssignRuns, m.Assign); err != nil {
+			return m, false, err
+		}
+		m.AssignRuns = nil
+	}
 	return m, false, nil
+}
+
+// maxAssigned bounds the global IDs an assignment's runs may describe: a
+// count past it is corruption, not a request for a gigabyte-sized table.
+const maxAssigned = 1 << 28
+
+// encodeAssign returns an assignment as the manifest stores it: as is, or
+// as (shard index, count) runs when they are shorter.
+func encodeAssign(assign []int) (plain, runs []int) {
+	for i := 0; i < len(assign); {
+		j := i + 1
+		for j < len(assign) && assign[j] == assign[i] {
+			j++
+		}
+		if runs = append(runs, assign[i], j-i); len(runs) >= len(assign) {
+			return assign, nil
+		}
+		i = j
+	}
+	return nil, runs
+}
+
+// decodeAssign expands encodeAssign's runs. A manifest holding both forms
+// is corrupt.
+func decodeAssign(runs, plain []int) ([]int, error) {
+	if plain != nil || len(runs)%2 != 0 {
+		return nil, fmt.Errorf("shard: manifest has %d assignment run values beside %d assigned IDs", len(runs), len(plain))
+	}
+	var assign []int
+	for i := 0; i < len(runs); i += 2 {
+		n := runs[i+1]
+		if n < 1 || n > maxAssigned-len(assign) {
+			return nil, fmt.Errorf("shard: manifest assigns a run of %d objects after %d", n, len(assign))
+		}
+		for ; n > 0; n-- {
+			assign = append(assign, runs[i])
+		}
+	}
+	return assign, nil
 }
 
 // Open restores a durable sharded engine saved in dir — or adopts, in place,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,6 +265,41 @@ func TestShardedSaveSyncsManifestAndDirectory(t *testing.T) {
 		}
 		if at == len(ops) {
 			t.Fatalf("no %q in order among the commit's operations %q", want, ops)
+		}
+	}
+}
+
+// TestAssignmentRunsRoundTrip: the manifest stores an assignment as
+// (shard, count) runs only when they are shorter — a flat engine's is one
+// run, a hash layout's stays plain — and reads either form back as it was.
+// Runs beside a plain assignment, an odd run list and a non-positive count
+// are refused.
+func TestAssignmentRunsRoundTrip(t *testing.T) {
+	for _, assign := range [][]int{nil, {0}, {0, 0, 0, 0}, {0, 0, -1, 0, 0, 0, 0}, {0, 1, 0, 1, 1, 0}, {2, 2, 2, 1, 1, 1, 1, 0}} {
+		plain, runs := encodeAssign(assign)
+		if plain != nil && runs != nil {
+			t.Fatalf("%v: encoded both ways", assign)
+		}
+		if runs != nil && len(runs) >= len(assign) {
+			t.Fatalf("%v: runs %v are not shorter", assign, runs)
+		}
+		got := plain
+		if runs != nil {
+			var err error
+			if got, err = decodeAssign(runs, nil); err != nil {
+				t.Fatalf("%v: %v", assign, err)
+			}
+		}
+		if !slices.Equal(got, assign) {
+			t.Fatalf("%v: read back %v", assign, got)
+		}
+	}
+	if _, runs := encodeAssign(make([]int, 3000)); !slices.Equal(runs, []int{0, 3000}) {
+		t.Fatalf("flat assignment of 3000 rows stored as runs %v", runs)
+	}
+	for _, bad := range []struct{ runs, plain []int }{{[]int{0, 2}, []int{0}}, {[]int{0, 2, 1}, nil}, {[]int{0, 0}, nil}, {[]int{0, -3}, nil}, {[]int{0, maxAssigned + 1}, nil}} {
+		if _, err := decodeAssign(bad.runs, bad.plain); err == nil {
+			t.Errorf("runs %v beside %v decoded", bad.runs, bad.plain)
 		}
 	}
 }

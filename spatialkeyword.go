@@ -452,10 +452,7 @@ func newEngineOn(cfg Config, objDev, idxDev storage.Device) (*Engine, error) {
 
 // NewEngine creates an empty in-memory engine.
 func NewEngine(cfg Config) (*Engine, error) {
-	bs := cfg.BlockSize
-	if bs == 0 {
-		bs = storage.DefaultBlockSize
-	}
+	bs := cfg.blockSize()
 	if bs < storage.MinBlockSize || bs > storage.MaxBlockSize {
 		return nil, fmt.Errorf("spatialkeyword: block size %d outside [%d, %d]", bs, storage.MinBlockSize, storage.MaxBlockSize)
 	}

@@ -241,11 +241,12 @@ func TestKillDuringSaveWithWALLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var oracle []string
-	// A WAL save touches up to 6 commit-critical hooked ops (2 snapshot
-	// copies, generation manifest, staged WAL create, tmp manifest write,
-	// rename) plus up to 4 best-effort prunes; rotating 1..10 covers every
-	// window including "crashed after the commit point".
-	const maxOps = 10
+	// A WAL save touches up to 5 commit-critical hooked ops (the index
+	// snapshot copy, generation manifest, staged WAL create, tmp manifest
+	// write, rename) plus up to 3 best-effort prunes (generation G-2's index
+	// copy, manifest and log); rotating 1..8 covers every window including
+	// "crashed after the commit point".
+	const maxOps = 8
 	for iter := 0; iter < 100; iter++ {
 		text := fmt.Sprintf("iter %d poi", iter)
 		if _, err := eng.Add([]float64{float64(iter % 13), float64(iter % 7)}, text); err != nil {
