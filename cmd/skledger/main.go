@@ -11,9 +11,13 @@
 // head.<i>.txt for runs i = 1..n, and prints the ledger entry as JSON: per
 // benchmark and metric (ns/op, B/op, allocs/op and every custom metric),
 // each side's median, quartiles and values, and in how many pairs the head
-// was better and worse. A metric whose unit ends in "/s" is better higher,
-// every other lower. check validates the schema of each file and exits 1 on
-// the first it rejects.
+// was better and worse. A run that repeats a benchmark (-test.count) counts
+// the median of its repetitions. For ns/op it also gives the median
+// head/parent ratio over the pairs with a bootstrap 95 % interval, labelled
+// better or worse only when the interval excludes 1 and unresolved
+// otherwise. A metric whose unit ends in "/s" is better higher, every other
+// lower. check validates the schema of each file — entries written before
+// the ratio was added have none — and exits 1 on the first it rejects.
 package main
 
 import (
@@ -23,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -47,7 +52,22 @@ type Metric struct {
 	Head       Side   `json:"head"`
 	HeadBetter int    `json:"head_better"` // pairs in which the head was strictly better
 	HeadWorse  int    `json:"head_worse"`  // and strictly worse
+	Ratio      *Ratio `json:"ratio,omitempty"`
 }
+
+// Ratio is a metric's head/parent ratio over the pairs: the median of the
+// per-pair ratios, a bootstrap 95 % interval of that median, and what the
+// interval supports — "better" or "worse" when it excludes 1, else
+// "unresolved".
+type Ratio struct {
+	Median float64 `json:"median"`
+	Lo     float64 `json:"lo"`
+	Hi     float64 `json:"hi"`
+	Label  string  `json:"label"`
+}
+
+// ratioUnit is the metric a ledger entry gives a Ratio.
+const ratioUnit = "ns/op"
 
 // Side is one side's values, in run order, and their quartiles.
 type Side struct {
@@ -131,6 +151,9 @@ func pairs(args []string) error {
 			}
 			m.Parent, m.Head = summarize(pv), summarize(hv)
 			m.HeadBetter, m.HeadWorse = count(m.Better, pv, hv)
+			if unit == ratioUnit {
+				m.Ratio = ratio(m.Better, pv, hv)
+			}
 			e.Benchmarks[name][unit] = m
 		}
 	}
@@ -158,32 +181,79 @@ func count(better string, parent, head []float64) (b, w int) {
 	return b, w
 }
 
-// parseRun reads one `go test -bench` output: benchmark → unit → value.
+// ratio returns the median head/parent ratio of the pairs, its bootstrap
+// 95 % interval and its label, or nil when a parent value is not positive.
+// The resampling is seeded, so the same values give the same interval.
+func ratio(better string, parent, head []float64) *Ratio {
+	r := make([]float64, len(parent))
+	for i, p := range parent {
+		if p <= 0 {
+			return nil
+		}
+		r[i] = head[i] / p
+	}
+	const resamples = 10000
+	rng := rand.New(rand.NewPCG(1, 2))
+	medians := make([]float64, resamples)
+	sample := make([]float64, len(r))
+	for b := range medians {
+		for i := range sample {
+			sample[i] = r[rng.IntN(len(r))]
+		}
+		medians[b] = summarize(sample).Median
+	}
+	slices.Sort(medians)
+	out := &Ratio{Median: summarize(r).Median, Lo: quantile(medians, 0.025), Hi: quantile(medians, 0.975), Label: "unresolved"}
+	below, above := out.Hi < 1, out.Lo > 1
+	if better == "higher" {
+		below, above = above, below
+	}
+	switch {
+	case below:
+		out.Label = "better"
+	case above:
+		out.Label = "worse"
+	}
+	return out
+}
+
+// parseRun reads one `go test -bench` output: benchmark → unit → value, the
+// median of the benchmark's repetitions when the run has several.
 func parseRun(path string) (map[string]map[string]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	got := map[string]map[string]float64{}
+	reps := map[string]map[string][]float64{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") || len(fields)%2 != 0 {
 			continue
 		}
-		units := map[string]float64{}
+		units := reps[fields[0]]
+		if units == nil {
+			units = map[string][]float64{}
+			reps[fields[0]] = units
+		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %q: %w", path, sc.Text(), err)
 			}
-			units[fields[i+1]] = v
+			units[fields[i+1]] = append(units[fields[i+1]], v)
 		}
-		got[fields[0]] = units
 	}
-	if len(got) == 0 && sc.Err() == nil {
+	if len(reps) == 0 && sc.Err() == nil {
 		return nil, fmt.Errorf("%s: no benchmark results", path)
+	}
+	got := make(map[string]map[string]float64, len(reps))
+	for name, units := range reps {
+		got[name] = make(map[string]float64, len(units))
+		for unit, values := range units {
+			got[name][unit] = summarize(values).Median
+		}
 	}
 	return got, sc.Err()
 }
@@ -193,15 +263,18 @@ func parseRun(path string) (map[string]map[string]float64, error) {
 func summarize(values []float64) Side {
 	s := slices.Clone(values)
 	slices.Sort(s)
-	at := func(q float64) float64 {
-		x := q * float64(len(s)-1)
-		i := int(x)
-		if i+1 >= len(s) {
-			return s[i]
-		}
-		return s[i] + (x-float64(i))*(s[i+1]-s[i])
+	return Side{Median: quantile(s, 0.5), Q1: quantile(s, 0.25), Q3: quantile(s, 0.75), Values: values}
+}
+
+// quantile returns the q-quantile of sorted values, interpolated between
+// the closest ranks.
+func quantile(sorted []float64, q float64) float64 {
+	x := q * float64(len(sorted)-1)
+	i := int(x)
+	if i+1 >= len(sorted) {
+		return sorted[i]
 	}
-	return Side{Median: at(0.5), Q1: at(0.25), Q3: at(0.75), Values: values}
+	return sorted[i] + (x-float64(i))*(sorted[i+1]-sorted[i])
 }
 
 var ledgerName = regexp.MustCompile(`^BENCH_[0-9]+\.json$`)
@@ -249,6 +322,11 @@ func check(path string) error {
 			}
 			if b, w := count(m.Better, m.Parent.Values, m.Head.Values); b != m.HeadBetter || w != m.HeadWorse {
 				return fmt.Errorf("%s: %d better and %d worse pairs, the values give %d and %d", where, m.HeadBetter, m.HeadWorse, b, w)
+			}
+			if m.Ratio != nil {
+				if want := ratio(m.Better, m.Parent.Values, m.Head.Values); want == nil || *want != *m.Ratio {
+					return fmt.Errorf("%s: ratio %+v, the values give %+v", where, *m.Ratio, want)
+				}
 			}
 		}
 	}

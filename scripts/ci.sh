@@ -41,7 +41,8 @@
 #   ledger-check  the schema of every BENCH_<pr>.json at the repository
 #           root, the alternating-pairs entries scripts/pairs.sh writes
 #           (cmd/skledger check: every metric's values, quartiles and
-#           better/worse pair counts agree)
+#           better/worse pair counts agree, and so does an ns/op ratio's
+#           interval and label where the entry has one)
 #   all     everything above (the default)
 #   micro   informational, not in all: the microbenchmarks of a paper
 #           top-k candidate's load (objstore.GetFiltered on a two-block
